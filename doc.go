@@ -102,33 +102,40 @@
 // shard per query — is the hottest loop in the system. Two ingredients
 // keep it allocation-free:
 //
-//   - Feature vocabulary. Each cache interns every path-feature key (a
-//     label sequence, encoded as a string) into a dense uint32 feature ID,
-//     assigned in first-seen order and shared by all shards. A query's
-//     features are extracted once and converted to a feature vector — ID-
-//     sorted (ID, count) pairs — that is then reused everywhere the query
-//     goes: the index probe in every shard, the shard-routing hash
-//     (computed from per-ID key hashes precomputed at intern time), the
-//     admission window entry and the index delta. The vocabulary grows
-//     monotonically and is bounded by the feature space (label alphabet ^
-//     path length), not by the cache size.
+//   - Feature vectors without a vocabulary. A feature's ID is the 64-bit
+//     FNV-1a hash of its key (a label sequence), so IDs need no interning,
+//     no lock and no table of every feature ever seen. A query's features
+//     are extracted once and converted to a feature vector — ID-sorted
+//     (ID, count) pairs — that is then reused everywhere the query goes:
+//     the index probe in every shard, the shard-routing hash (a mix of the
+//     same IDs and counts), the admission window entry and the index
+//     delta. Two keys that collide on an ID have their counts summed, in
+//     every vector alike. Containment q ⊆ G implies count_G(p) ≥
+//     count_q(p) for every path p, hence also for sums over paths sharing
+//     an ID: a collision can add a false candidate, never hide a true
+//     one, and every candidate is confirmed by a sub-iso test — answers
+//     stay exact.
 //
 //   - Columnar postings. Each indexed query occupies a slot, slots are
 //     assigned in ascending-serial order, and each feature ID owns an
-//     immutable column of (slot, count) postings sorted by slot. A probe
-//     walks the query vector's columns bumping two flat []int32 counters
-//     (dominated-features and covered-features per slot, pooled scratch),
-//     then scans the slots once: fully-dominated slots are sub-candidates,
-//     fully-covered ones super-candidates — already in ascending serial
-//     order because slot order is serial order. No maps, no sort, zero
-//     allocations at steady state (BenchmarkCandidates pins 0 allocs/op).
+//     immutable column of (slot, count) postings sorted by slot, found
+//     through a directory that holds only the features of slots in the
+//     current generation — the index is sized by the cached entries, not
+//     by the queries served. A probe walks the query vector's columns
+//     bumping two flat []int32 counters (dominated-features and
+//     covered-features per slot, pooled scratch), then scans the slots
+//     once: fully-dominated slots are sub-candidates, fully-covered ones
+//     super-candidates — already in ascending serial order because slot
+//     order is serial order. No sort, zero allocations at steady state
+//     (BenchmarkCandidates pins 0 allocs/op).
 //
 // Window deltas keep the columnar layout incremental: added entries claim
 // fresh slots on top and rewrite only their features' columns (every
 // other column is shared with the previous index generation); evicted
-// entries leave tombstone slots that are masked at scan time, and the
-// index compacts — renumbering slots — once tombstones outnumber live
-// entries, bounding the scan overhead at 2×. A property test pins the
+// entries leave tombstone slots that are masked at scan time and take the
+// columns no live entry uses any more with them, and the index compacts —
+// renumbering slots — once tombstones outnumber live entries, bounding
+// the scan overhead at 2×. A property test pins the
 // columnar probe to a map-based reference implementation on randomly
 // mutated caches.
 //

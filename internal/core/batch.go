@@ -76,11 +76,12 @@ func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
 // ctx cancellation is the client-gone signal: once ctx.Err() is
 // non-nil, unstarted verification work is abandoned (a query whose
 // tests were already all in flight may still complete and be
-// delivered; a partially verified query never is), and the batch
-// leaves no trace in the cache — no window insertions, no hit credits,
-// no totals. The number of abandoned sub-iso tests and ctx's error are
-// returned. The cache only ever polls ctx.Err(), never waits on
-// ctx.Done(), so composite contexts without a Done channel work.
+// delivered; a partially verified query never is), and a batch that
+// abandoned any leaves no trace in the cache — no window insertions, no
+// hit credits, no totals. The number of abandoned sub-iso tests and, when
+// there were any, ctx's error are returned. The cache only ever polls
+// ctx.Err(), never waits on ctx.Done(), so composite contexts without a
+// Done channel work.
 func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver func(i int, r Result)) (abandoned int, err error) {
 	_, abandoned, err = c.queryBatch(ctx, qs, deliver)
 	return abandoned, err
@@ -149,8 +150,8 @@ func (c *Cache) queryBatch(ctx context.Context, qs []*graph.Graph, deliver func(
 	vecs := make([]pathfeat.Vector, n)
 	hashes := make([]uint64, n)
 	c.pool.ParallelFor(n, func(i int) {
-		vecs[i] = c.vocab.VectorOf(pathfeat.SimplePaths(qs[i], c.opts.MaxPathLen))
-		hashes[i] = c.vocab.HashVector(vecs[i])
+		vecs[i] = pathfeat.VectorOf(pathfeat.SimplePaths(qs[i], c.opts.MaxPathLen))
+		hashes[i] = pathfeat.HashVector(vecs[i])
 	})
 	var probeStart time.Time
 	if obs != nil {
@@ -307,19 +308,16 @@ func (c *Cache) queryBatch(ctx context.Context, qs []*graph.Graph, deliver func(
 	}
 	pruned := make([]prunedQuery, n)
 	var pairs []verifyPair
-	emitMatch := func(q *graph.Graph, serial int64, e *entry, credit map[int64][]int32) {
+	ownCost := make([]float64, n)
+	emitMatch := func(serial int64, e *entry, removed, csM []int32, costs []float64) {
 		si := c.shardIndexOf(e)
 		shardOps[si] = append(shardOps[si],
 			StatOp{Key: e.serial, Col: ColHits, Val: 1},
 			StatOp{Key: e.serial, Col: ColLastHit, Val: float64(serial), Max: true})
-		removed := credit[e.serial]
 		if len(removed) == 0 {
 			return
 		}
-		saved := 0.0
-		for _, gid := range removed {
-			saved += c.costEstimate(q, gid)
-		}
+		saved := sumCostsOf(removed, csM, costs)
 		shardOps[si] = append(shardOps[si],
 			StatOp{Key: e.serial, Col: ColCSReduction, Val: float64(len(removed))},
 			StatOp{Key: e.serial, Col: ColTimeSaving, Val: saved})
@@ -347,11 +345,13 @@ func (c *Cache) queryBatch(ctx context.Context, qs []*graph.Graph, deliver func(
 		for _, id := range cs {
 			pairs = append(pairs, verifyPair{qi: qi, id: id})
 		}
+		costs := c.candidateCosts(qs[qi], csM[qi])
+		ownCost[qi] = sumFloats(costs)
 		for _, e := range providers {
-			emitMatch(qs[qi], serial, e, credit)
+			emitMatch(serial, e, credit[e.serial], csM[qi], costs)
 		}
 		for _, e := range restrictors {
-			emitMatch(qs[qi], serial, e, credit)
+			emitMatch(serial, e, credit[e.serial], csM[qi], costs)
 		}
 	}
 
@@ -446,13 +446,17 @@ func (c *Cache) queryBatch(ctx context.Context, qs []*graph.Graph, deliver func(
 		}
 		vDur = time.Since(vStart)
 	}
-	if cancelled() {
+	if n := int(skipped.Load()); n > 0 {
 		// Cut short: everything delivered so far was fully verified, but
 		// the batch as a whole never happened as far as the cache is
 		// concerned — no credits, no window entries, no totals. Caching
 		// a partially verified batch would poison future answers;
-		// skipping bookkeeping merely forgoes an optimisation.
-		return nil, int(skipped.Load()), ctx.Err()
+		// skipping bookkeeping merely forgoes an optimisation. A cancel
+		// that lands after the last verdict skipped nothing, and the batch
+		// is kept: the coalescer's callers all leave the moment their
+		// results are delivered, which must not cost the batch its place
+		// in the window.
+		return nil, n, ctx.Err()
 	}
 
 	answers := make([][]int32, n)
@@ -502,16 +506,12 @@ func (c *Cache) queryBatch(ctx context.Context, qs []*graph.Graph, deliver func(
 				filterNS: float64(st.FilterGCTime.Nanoseconds()),
 			}, serial)
 		default:
-			ownCost := 0.0
-			for _, gid := range csM[qi] {
-				ownCost += c.costEstimate(qs[qi], gid)
-			}
 			c.addToWindow(&windowEntry{
 				e:        &entry{serial: serial, g: qs[qi], answer: answers[qi], vec: vecs[qi], vecOK: true, hash: hashes[qi], hashed: true},
 				filterNS: float64((st.FilterMTime + st.FilterGCTime).Nanoseconds()),
 				verifyNS: float64(st.VerifyTime.Nanoseconds()),
 				ownCS:    len(csM[qi]),
-				ownCost:  ownCost,
+				ownCost:  ownCost[qi],
 			}, serial)
 		}
 	}

@@ -38,18 +38,13 @@ import (
 type Cache struct {
 	m    method.Method
 	opts Options
-	// vocab interns path-feature keys to the dense feature IDs the
-	// columnar GCindex layout is built on. Shared by all shards; grows
-	// monotonically with the feature space (bounded by the label alphabet
-	// and MaxPathLen).
-	vocab *pathfeat.Vocab
 	// algo verifies sub/supergraph relations between the new query and
 	// cached queries (small-vs-small tests). Stateless and shared by all
 	// worker goroutines.
 	algo iso.Algorithm
-	// distLabels caches each dataset graph's distinct-label count for the
-	// cost model.
-	distLabels []int
+	// graphCost holds, by dataset-graph ID, the terms of the cost model
+	// that depend on the dataset graph alone (see costTerms).
+	graphCost []costTerms
 	// pool bounds total in-flight verification workers across all
 	// concurrent Query callers (Options.VerifyConcurrency): each caller
 	// works inline and borrows pooled extras only while slots are free.
@@ -179,24 +174,17 @@ type Result struct {
 func New(m method.Method, opts Options) *Cache {
 	opts = opts.withDefaults()
 	c := &Cache{
-		m:     m,
-		opts:  opts,
-		vocab: pathfeat.NewVocab(),
-		algo:  iso.VF2{},
-		adm:   newAdmission(opts),
-		pool:  method.NewLimiter(opts.VerifyConcurrency - 1),
+		m:    m,
+		opts: opts,
+		algo: iso.VF2{},
+		adm:  newAdmission(opts),
+		pool: method.NewLimiter(opts.VerifyConcurrency - 1),
 	}
-	ds := m.Dataset()
-	c.distLabels = make([]int, ds.Len())
-	for i := range c.distLabels {
-		if g := ds.Graph(int32(i)); g != nil { // nil = removed by a prior mutation
-			c.distLabels[i] = g.DistinctLabels()
-		}
-	}
+	c.syncGraphCosts()
 	c.shards = make([]*cacheShard, opts.Shards)
 	for i := range c.shards {
 		sh := &cacheShard{stats: NewStatsStore(), byAnswer: make(map[int32]map[int64]struct{})}
-		sh.index.Store(buildQueryIndex(c.vocab, map[int64]*entry{}, opts.MaxPathLen))
+		sh.index.Store(buildQueryIndex(map[int64]*entry{}, opts.MaxPathLen))
 		c.shards[i] = sh
 	}
 	c.probes.New = func() any { return newProbeScratch(opts.Shards) }
@@ -249,8 +237,8 @@ func (c *Cache) Query(q *graph.Graph) Result {
 		filterCh <- filterOut{cs, time.Since(start)}
 	}()
 
-	// GC filtering stage: extract the query's path features into an
-	// interned feature vector, probe every shard's GCindex snapshot, merge
+	// GC filtering stage: extract the query's path features into a
+	// feature vector, probe every shard's GCindex snapshot, merge
 	// the per-shard candidates in ascending serial order, then confirm
 	// candidate relations with real (cheap, small-vs-small) sub-iso tests,
 	// fanned out over the verification pool. Containers/containees come
@@ -260,8 +248,8 @@ func (c *Cache) Query(q *graph.Graph) Result {
 	// per query however the query ends up being processed; the extraction
 	// is part of GC filtering time, as before sharding.
 	gcStart := time.Now()
-	qv := c.vocab.VectorOf(pathfeat.SimplePaths(q, c.opts.MaxPathLen))
-	qh := c.vocab.HashVector(qv)
+	qv := pathfeat.VectorOf(pathfeat.SimplePaths(q, c.opts.MaxPathLen))
+	qh := pathfeat.HashVector(qv)
 	var probeStart time.Time
 	if obs != nil {
 		probeStart = time.Now()
@@ -360,7 +348,8 @@ func (c *Cache) Query(q *graph.Graph) Result {
 	qs.DirectAnswers = len(direct)
 	qs.CandidatesFinal = len(cs)
 
-	creditSaved := c.creditMatches(q, serial, providers, restrictors, credit)
+	costs := c.candidateCosts(q, csM)
+	creditSaved := c.creditMatches(serial, providers, restrictors, credit, csM, costs)
 	c.addSavings(creditSaved)
 
 	// Verification of the pruned candidate set with Method M's verifier,
@@ -384,16 +373,12 @@ func (c *Cache) Query(q *graph.Graph) Result {
 
 	// Window bookkeeping: the query, its answer and its first-execution
 	// statistics enter the Window store.
-	ownCost := 0.0
-	for _, gid := range csM {
-		ownCost += c.costEstimate(q, gid)
-	}
 	c.addToWindow(&windowEntry{
 		e:        &entry{serial: serial, g: q, answer: answer, vec: qv, vecOK: true, hash: qh, hashed: true},
 		filterNS: float64((qs.FilterMTime + qs.FilterGCTime).Nanoseconds()),
 		verifyNS: float64(qs.VerifyTime.Nanoseconds()),
 		ownCS:    len(csM),
-		ownCost:  ownCost,
+		ownCost:  sumFloats(costs),
 	}, serial)
 
 	c.accumulate(qs)
@@ -516,9 +501,10 @@ func mergeCandidates(out []*entry, cur []int, ixs []*queryIndex, serials [][]int
 // apply per touched shard, so concurrent queries contend once per query,
 // not once per triplet. Each matched entry knows its owning shard from
 // its feature hash, so ops are emitted per shard directly with no routing
-// maps on the hot path. Returns the query's total estimated cost saving,
-// the adaptive-admission gain signal.
-func (c *Cache) creditMatches(q *graph.Graph, serial int64, providers, restrictors []*entry, credit map[int64][]int32) float64 {
+// maps on the hot path. costs are the query's candidateCosts over csM.
+// Returns the query's total estimated cost saving, the adaptive-admission
+// gain signal.
+func (c *Cache) creditMatches(serial int64, providers, restrictors []*entry, credit map[int64][]int32, csM []int32, costs []float64) float64 {
 	nMatched := len(providers) + len(restrictors)
 	if nMatched == 0 {
 		return 0
@@ -545,10 +531,7 @@ func (c *Cache) creditMatches(q *graph.Graph, serial int64, providers, restricto
 		if len(removed) == 0 {
 			return
 		}
-		saved := 0.0
-		for _, gid := range removed {
-			saved += c.costEstimate(q, gid)
-		}
+		saved := sumCostsOf(removed, csM, costs)
 		ops = append(ops,
 			StatOp{Key: e.serial, Col: ColCSReduction, Val: float64(len(removed))},
 			StatOp{Key: e.serial, Col: ColTimeSaving, Val: saved})
@@ -613,11 +596,58 @@ func (c *Cache) addSavings(saved float64) {
 	c.totMu.Unlock()
 }
 
-// costEstimate applies the paper's cost model c(q, G) for dataset graph
-// gid.
-func (c *Cache) costEstimate(q *graph.Graph, gid int32) float64 {
-	g := c.m.Dataset().Graph(gid)
-	return EstimateSubIsoCost(q.NumVertices(), g.NumVertices(), c.distLabels[gid])
+// candidateCosts applies the paper's cost model c(q, G) to every dataset
+// graph of Method M's candidate set, in csM's order. A query's own repeat
+// cost and the savings credited to the entries that pruned it are both
+// sums over these values, so each is computed once.
+func (c *Cache) candidateCosts(q *graph.Graph, csM []int32) []float64 {
+	n := q.NumVertices()
+	costs := make([]float64, len(csM))
+	for i, gid := range csM {
+		costs[i] = c.graphCost[gid].cost(n)
+	}
+	return costs
+}
+
+// sumCostsOf adds up the costs of ids, a sorted subset of csM, in ids'
+// order; costs is parallel to csM.
+func sumCostsOf(ids, csM []int32, costs []float64) float64 {
+	sum, j := 0.0, 0
+	for _, id := range ids {
+		for csM[j] != id {
+			j++
+		}
+		sum += costs[j]
+	}
+	return sum
+}
+
+func sumFloats(xs []float64) float64 {
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum
+}
+
+// setGraphCost records the cost-model terms of dataset graph g. Callers
+// own the cache exclusively (construction, snapshot load, the mutation
+// gate).
+func (c *Cache) setGraphCost(g *graph.Graph) {
+	if grow := int(g.ID()) + 1 - len(c.graphCost); grow > 0 {
+		c.graphCost = append(c.graphCost, make([]costTerms, grow)...)
+	}
+	c.graphCost[g.ID()] = newCostTerms(g.NumVertices(), g.DistinctLabels())
+}
+
+// syncGraphCosts derives the cost-model terms of every live dataset graph.
+func (c *Cache) syncGraphCosts() {
+	ds := c.m.Dataset()
+	for id := 0; id < ds.Len(); id++ {
+		if g := ds.Graph(int32(id)); g != nil { // nil = removed by a mutation
+			c.setGraphCost(g)
+		}
+	}
 }
 
 // addToWindow appends a processed query to its shard's window segment and
@@ -626,7 +656,7 @@ func (c *Cache) costEstimate(q *graph.Graph, gid int32) float64 {
 // shard's lock; the filled window's segments are snapshotted and detached
 // under the trigger lock, so exactly one caller processes each window.
 func (c *Cache) addToWindow(w *windowEntry, currentSerial int64) {
-	w.e.routeHash(c.vocab, c.opts.MaxPathLen)
+	w.e.routeHash(c.opts.MaxPathLen)
 	sh := c.shardFor(w.e)
 	sh.winMu.Lock()
 	sh.window = append(sh.window, w)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 
 	"graphcache/internal/graph"
@@ -15,12 +16,12 @@ type entry struct {
 	serial int64
 	g      *graph.Graph
 	answer []int32 // sorted dataset-graph IDs
-	// vec memoises the entry's path-feature vector (feature IDs interned
-	// in the cache's vocabulary, sorted by ID) so index rebuilds never
-	// re-enumerate simple paths for an already-cached graph. On the query
-	// path the probe's own vector is reused; entries reaching the window
-	// through other routes compute it at window time. After the entry is
-	// published in an index, vec is only read.
+	// vec memoises the entry's path-feature vector (sorted by feature ID)
+	// so index rebuilds never re-enumerate simple paths for an
+	// already-cached graph. On the query path the probe's own vector is
+	// reused; entries reaching the window through other routes compute it
+	// at window time. After the entry is published in an index, vec is
+	// only read.
 	vec   pathfeat.Vector
 	vecOK bool
 	// hash is the shard-routing hash of the feature set (see routeHash).
@@ -32,13 +33,11 @@ type entry struct {
 }
 
 // featureVector returns the entry's memoised feature vector, computing it
-// on first use against vb. Callers must hold the rebuild serialisation (or
-// otherwise own the entry exclusively). An entry's vector is only ever
-// built against its cache's vocabulary — IDs from different vocabularies
-// are incommensurable.
-func (e *entry) featureVector(vb *pathfeat.Vocab, maxLen int) pathfeat.Vector {
+// on first use. Callers must hold the rebuild serialisation (or otherwise
+// own the entry exclusively).
+func (e *entry) featureVector(maxLen int) pathfeat.Vector {
 	if !e.vecOK {
-		e.vec = vb.VectorOf(pathfeat.SimplePaths(e.g, maxLen))
+		e.vec = pathfeat.VectorOf(pathfeat.SimplePaths(e.g, maxLen))
 		e.vecOK = true
 	}
 	return e.vec
@@ -55,30 +54,36 @@ func (e *entry) featureVector(vb *pathfeat.Vocab, maxLen int) pathfeat.Vector {
 //     coverage counting against per-query feature totals.
 //
 // The layout is columnar: every cached query occupies a slot, slots are
-// assigned in ascending-serial order, and each feature ID (interned in the
-// cache-wide vocabulary) owns a column of (slot, count) postings sorted by
-// slot. A probe walks the query vector's columns bumping per-slot counters
-// in two flat []int32 scratch arrays, then scans the slots once — no maps,
-// no sort (slot order is serial order), and zero allocations when the
-// caller provides pooled scratch (see candidatesInto).
+// assigned in ascending-serial order, and each feature ID owns a column of
+// (slot, count) postings sorted by slot. A probe looks up the column of
+// each of the query vector's features, bumping per-slot counters in two
+// flat []int32 scratch arrays, then scans the slots once — no sort (slot
+// order is serial order), and zero allocations when the caller provides
+// pooled scratch (see candidatesInto).
+//
+// Feature IDs are 64-bit hashes of the feature keys (pathfeat.Vector), so
+// the index needs no vocabulary and holds a column only for features of
+// slots in the current generation: its size follows the cached entries,
+// not the queries served. Keys that collide on an ID share a column of
+// summed counts; pathfeat.Vector shows why that can add a false candidate
+// but never lose a true one, and every candidate is confirmed by a sub-iso
+// test before it is used.
 //
 // The index is immutable once built; the Window Manager builds the next
 // one — incrementally via applyDelta on the steady path — and swaps it in
 // atomically (§6.2). Columns are never mutated after publication:
 // applyDelta rewrites only the columns of added entries' features and
 // shares every other column with the previous generation. Evicted entries
-// leave their slots behind as tombstones (featureTotal -1); the index
-// compacts — renumbering slots — once dead slots outnumber live ones or an
-// out-of-order insert would break the slot-order-is-serial-order
-// invariant.
+// leave their slots behind as tombstones (featureTotal -1) and take with
+// them the columns no live slot uses any more; the index compacts —
+// renumbering slots and dropping dead postings — once dead slots outnumber
+// live ones or an out-of-order insert would break the
+// slot-order-is-serial-order invariant.
 type queryIndex struct {
 	maxLen int
-	vocab  *pathfeat.Vocab
-	// cols is indexed by feature ID; cols[f] lists the (slot, count)
-	// postings of feature f in ascending slot order, nil when no cached
-	// query has the feature. Dead slots' postings linger until compaction
-	// and are masked at scan time.
-	cols [][]slotCount
+	// cols is the column directory, keyed by feature ID: exactly the
+	// features of the live slots.
+	cols map[uint64]column
 	// Per-slot columns, parallel to each other:
 	featureTotal []int32  // distinct feature count; -1 marks a dead slot
 	serials      []int64  // owning serial, ascending across slots
@@ -89,6 +94,15 @@ type queryIndex struct {
 	live    int
 }
 
+// column lists the (slot, count) postings of one feature in ascending slot
+// order. Dead slots' postings linger until compaction and are masked at
+// scan time; live counts the others, and a column leaves the directory
+// when it reaches zero.
+type column struct {
+	postings []slotCount
+	live     int32
+}
+
 type slotCount struct {
 	slot  uint32
 	count int32
@@ -96,10 +110,10 @@ type slotCount struct {
 
 // buildQueryIndex indexes the given cache contents from scratch. Entries
 // with memoised feature vectors reuse them; the rest are enumerated here.
-func buildQueryIndex(vb *pathfeat.Vocab, entries map[int64]*entry, maxLen int) *queryIndex {
+func buildQueryIndex(entries map[int64]*entry, maxLen int) *queryIndex {
 	ix := &queryIndex{
 		maxLen:       maxLen,
-		vocab:        vb,
+		cols:         make(map[uint64]column),
 		featureTotal: make([]int32, 0, len(entries)),
 		serials:      make([]int64, 0, len(entries)),
 		slotEntry:    make([]*entry, 0, len(entries)),
@@ -113,33 +127,30 @@ func buildQueryIndex(vb *pathfeat.Vocab, entries map[int64]*entry, maxLen int) *
 	slices.Sort(ix.serials)
 	for slot, s := range ix.serials {
 		e := entries[s]
-		vec := e.featureVector(vb, maxLen)
+		vec := e.featureVector(maxLen)
 		ix.featureTotal = append(ix.featureTotal, int32(len(vec)))
 		ix.slotEntry = append(ix.slotEntry, e)
 		ix.slotOf[s] = uint32(slot)
 		for _, fc := range vec {
-			ix.growCols(fc.ID)
-			ix.cols[fc.ID] = append(ix.cols[fc.ID], slotCount{slot: uint32(slot), count: fc.Count})
+			col := ix.cols[fc.ID]
+			col.postings = append(col.postings, slotCount{slot: uint32(slot), count: fc.Count})
+			col.live++
+			ix.cols[fc.ID] = col
 		}
 	}
 	return ix
 }
 
-// growCols extends the column directory to cover feature ID f.
-func (ix *queryIndex) growCols(f uint32) {
-	for int(f) >= len(ix.cols) {
-		ix.cols = append(ix.cols, nil)
-	}
-}
-
 // applyDelta derives the next index generation from this one by inserting
-// added entries and dropping removed serials — O(window) instead of the
-// O(cache) of a from-scratch rebuild. Added entries claim fresh slots at
-// the top; only the columns of their features are rewritten (copied plus
-// one appended posting each), every other column is shared with the
-// previous generation (safe: columns are immutable once published).
+// added entries and dropping removed serials, without the feature work of
+// a from-scratch rebuild. The per-slot arrays and the column directory are
+// copied flat; of the postings, only the columns of added entries'
+// features are rewritten (copied plus one appended posting each), every
+// other column is shared with the previous generation (safe: columns are
+// immutable once published). Added entries claim fresh slots at the top.
 // Removed serials become tombstones: their postings stay in the shared
-// columns and are masked by featureTotal[slot] == -1 at scan time.
+// columns and are masked by featureTotal[slot] == -1 at scan time, except
+// that a column left without a live posting is dropped from the directory.
 //
 // Two cases fall back to a from-scratch compaction over the resulting
 // contents: an added serial at or below the current top slot's serial
@@ -169,14 +180,13 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 		added[0].serial <= ix.serials[len(ix.serials)-1]
 	dead := len(ix.serials) - ix.live + dropped
 	if outOfOrder || dead > len(nextEntries) {
-		return buildQueryIndex(ix.vocab, nextEntries, ix.maxLen)
+		return buildQueryIndex(nextEntries, ix.maxLen)
 	}
 
 	nSlots := len(ix.serials)
 	next := &queryIndex{
 		maxLen:       ix.maxLen,
-		vocab:        ix.vocab,
-		cols:         make([][]slotCount, len(ix.cols), len(ix.cols)+len(added)),
+		cols:         maps.Clone(ix.cols), // columns shared wholesale; touched ones re-owned below
 		featureTotal: append(make([]int32, 0, nSlots+len(added)), ix.featureTotal...),
 		serials:      append(make([]int64, 0, nSlots+len(added)), ix.serials...),
 		slotEntry:    append(make([]*entry, 0, nSlots+len(added)), ix.slotEntry...),
@@ -184,16 +194,25 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 		slotOf:       make(map[int64]uint32, len(nextEntries)),
 		live:         len(nextEntries),
 	}
-	copy(next.cols, ix.cols) // columns shared wholesale; touched ones re-owned below
 	for s, slot := range ix.slotOf {
 		if _, ok := nextEntries[s]; ok {
 			next.slotOf[s] = slot
 		}
 	}
 	for _, s := range removed {
-		if slot, ok := ix.slotOf[s]; ok {
-			next.featureTotal[slot] = -1
-			next.slotEntry[slot] = nil
+		slot, ok := ix.slotOf[s]
+		if !ok || next.featureTotal[slot] < 0 {
+			continue // not indexed, or listed twice
+		}
+		next.featureTotal[slot] = -1
+		next.slotEntry[slot] = nil
+		for _, fc := range ix.entries[s].vec {
+			col := next.cols[fc.ID]
+			if col.live--; col.live == 0 {
+				delete(next.cols, fc.ID)
+			} else {
+				next.cols[fc.ID] = col
+			}
 		}
 	}
 
@@ -201,28 +220,29 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 	// copied exactly once, with room for every posting this window adds —
 	// window batches share features, so capacity len+1 would recopy a
 	// column once per added entry carrying it.
-	addPer := make(map[uint32]int)
+	addPer := make(map[uint64]int)
 	for _, e := range added {
-		for _, fc := range e.featureVector(ix.vocab, ix.maxLen) {
+		for _, fc := range e.featureVector(ix.maxLen) {
 			addPer[fc.ID]++
 		}
 	}
-	owned := make(map[uint32]bool, len(addPer)) // columns this generation re-owns
+	owned := make(map[uint64]bool, len(addPer)) // columns this generation re-owns
 	for i, e := range added {
 		slot := uint32(nSlots + i)
-		vec := e.featureVector(ix.vocab, ix.maxLen)
+		vec := e.featureVector(ix.maxLen)
 		next.featureTotal = append(next.featureTotal, int32(len(vec)))
 		next.serials = append(next.serials, e.serial)
 		next.slotEntry = append(next.slotEntry, e)
 		next.slotOf[e.serial] = slot
 		for _, fc := range vec {
-			next.growCols(fc.ID)
 			col := next.cols[fc.ID]
 			if !owned[fc.ID] {
-				col = append(make([]slotCount, 0, len(col)+addPer[fc.ID]), col...)
+				col.postings = append(make([]slotCount, 0, len(col.postings)+addPer[fc.ID]), col.postings...)
 				owned[fc.ID] = true
 			}
-			next.cols[fc.ID] = append(col, slotCount{slot: slot, count: fc.Count})
+			col.postings = append(col.postings, slotCount{slot: slot, count: fc.Count})
+			col.live++
+			next.cols[fc.ID] = col
 		}
 	}
 	return next
@@ -238,7 +258,6 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 func (ix *queryIndex) withReplacedEntries(repl map[int64]*entry) *queryIndex {
 	next := &queryIndex{
 		maxLen:       ix.maxLen,
-		vocab:        ix.vocab,
 		cols:         ix.cols,
 		featureTotal: ix.featureTotal,
 		serials:      ix.serials,
@@ -305,10 +324,10 @@ func (sc *slotScratch) reset(n int) (domBy, covers []int32) {
 // Candidates still require sub-iso confirmation against the cached query
 // graphs; the filter guarantees no false negatives only. It is the
 // allocating convenience around candidatesInto for tests and one-off
-// probes; qc is interned into the index's vocabulary.
+// probes.
 func (ix *queryIndex) candidates(qc pathfeat.Counts) (sub, super []int64) {
 	var sc slotScratch
-	return ix.candidatesInto(ix.vocab.VectorOf(qc), nil, nil, &sc)
+	return ix.candidatesInto(pathfeat.VectorOf(qc), nil, nil, &sc)
 }
 
 // candidatesInto probes the index with the query's feature vector,
@@ -318,20 +337,15 @@ func (ix *queryIndex) candidates(qc pathfeat.Counts) (sub, super []int64) {
 // posting's slot; a final scan over the slots emits, in slot order — which
 // is ascending serial order — the fully-dominated sub-candidates and
 // fully-covered super-candidates. With pooled scratch the steady-state
-// probe performs zero allocations: no maps, no sort, no intermediate
-// slices.
+// probe performs zero allocations: no sort, no intermediate slices.
 func (ix *queryIndex) candidatesInto(qv pathfeat.Vector, sub, super []int64, sc *slotScratch) ([]int64, []int64) {
 	if ix.live == 0 || len(qv) == 0 {
 		return sub, super
 	}
 	nSlots := len(ix.serials)
 	domBy, covers := sc.reset(nSlots)
-	cols := ix.cols
 	for _, fc := range qv {
-		if int(fc.ID) >= len(cols) {
-			continue // feature unseen by this shard: no column, no candidates
-		}
-		for _, p := range cols[fc.ID] {
+		for _, p := range ix.cols[fc.ID].postings { // no column: no cached query has the feature
 			if p.count >= fc.Count {
 				domBy[p.slot]++
 			}

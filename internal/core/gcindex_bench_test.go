@@ -19,17 +19,16 @@ func BenchmarkCandidates(b *testing.B) {
 	for _, size := range []int{64, 256} {
 		b.Run(fmt.Sprintf("cache=%d", size), func(b *testing.B) {
 			r := rand.New(rand.NewSource(17))
-			vb := pathfeat.NewVocab()
 			entries := make(map[int64]*entry, size)
 			for s := int64(1); s <= int64(size); s++ {
 				entries[s] = &entry{serial: s, g: randomConnGraph(r, 4+r.Intn(8), r.Intn(4), 4)}
 			}
-			ix := buildQueryIndex(vb, entries, maxPathLen)
+			ix := buildQueryIndex(entries, maxPathLen)
 
 			probes := make([]pathfeat.Vector, 32)
 			for i := range probes {
 				q := randomConnGraph(r, 4+r.Intn(8), r.Intn(4), 4)
-				probes[i] = vb.VectorOf(pathfeat.SimplePaths(q, maxPathLen))
+				probes[i] = pathfeat.VectorOf(pathfeat.SimplePaths(q, maxPathLen))
 			}
 
 			var sc slotScratch

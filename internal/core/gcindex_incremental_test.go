@@ -16,7 +16,6 @@ import (
 // slots behind until compaction — so equivalence is semantic, checked on
 // the live-serial set, the entry identities and the probe answers.)
 func TestApplyDeltaMatchesFromScratch(t *testing.T) {
-	vb := pathfeat.NewVocab()
 	entries := map[int64]*entry{
 		1: entryOf(1, pathG(1, 2, 3), 10),
 		2: entryOf(2, pathG(1, 2), 11),
@@ -24,7 +23,7 @@ func TestApplyDeltaMatchesFromScratch(t *testing.T) {
 		4: entryOf(4, pathG(2, 3, 4), 12, 13),
 		5: entryOf(5, pathG(5)),
 	}
-	ix := buildQueryIndex(vb, entries, 4)
+	ix := buildQueryIndex(entries, 4)
 
 	added := []*entry{
 		entryOf(6, pathG(1, 2, 3, 4), 14),
@@ -38,7 +37,7 @@ func TestApplyDeltaMatchesFromScratch(t *testing.T) {
 		1: entries[1], 3: entries[3], 5: entries[5],
 		6: added[0], 7: added[1],
 	}
-	scratch := buildQueryIndex(vb, next, 4)
+	scratch := buildQueryIndex(next, 4)
 
 	if inc.size() != scratch.size() {
 		t.Fatalf("size: incremental %d != scratch %d", inc.size(), scratch.size())
@@ -55,14 +54,22 @@ func TestApplyDeltaMatchesFromScratch(t *testing.T) {
 		}
 	}
 	// Untouched columns must be shared with the previous generation, not
-	// copied — the O(window) property applyDelta promises. P(5)'s feature
-	// column (label 5 alone) is untouched by this delta.
-	id5, ok := vb.Lookup(pathfeat.Encode([]graph.Label{5}))
-	if !ok {
-		t.Fatal("label-5 feature not interned")
-	}
-	if &ix.cols[id5][0] != &inc.cols[id5][0] {
+	// copied. P(5)'s feature column (label 5 alone) is untouched by this
+	// delta.
+	id5 := pathfeat.VectorOf(pathfeat.SimplePaths(pathG(5), 4))[0].ID
+	if &ix.cols[id5].postings[0] != &inc.cols[id5].postings[0] {
 		t.Error("untouched column was rewritten; applyDelta must share it")
+	}
+
+	// The directory holds exactly the live entries' features, as in the
+	// rebuild.
+	if len(inc.cols) != len(scratch.cols) {
+		t.Errorf("directory: incremental has %d columns, scratch %d", len(inc.cols), len(scratch.cols))
+	}
+	for id, col := range scratch.cols {
+		if got := inc.cols[id].live; got != col.live {
+			t.Errorf("column %x: incremental counts %d live postings, scratch %d", id, got, col.live)
+		}
 	}
 
 	// Both must answer probes identically.
@@ -80,12 +87,11 @@ func TestApplyDeltaMatchesFromScratch(t *testing.T) {
 // outnumber live ones the delta falls back to a from-scratch compaction,
 // renumbering slots and dropping dead postings.
 func TestApplyDeltaCompaction(t *testing.T) {
-	vb := pathfeat.NewVocab()
 	entries := map[int64]*entry{}
 	for s := int64(1); s <= 6; s++ {
 		entries[s] = entryOf(s, pathG(graph.Label(s), graph.Label(s+1)))
 	}
-	ix := buildQueryIndex(vb, entries, 4)
+	ix := buildQueryIndex(entries, 4)
 
 	// Evict 4 of 6: dead(4) > live(3) after adding one → compaction.
 	next := ix.applyDelta([]*entry{entryOf(7, pathG(9))}, []int64{1, 2, 3, 4})
@@ -107,6 +113,11 @@ func TestApplyDeltaCompaction(t *testing.T) {
 	if want := []int64{6, 7}; !eq64(small.liveSerials(), want) {
 		t.Errorf("live serials = %v, want %v", small.liveSerials(), want)
 	}
+	// The tombstone keeps its slot but not the columns only it used
+	// (label 5 alone, and the two directions of the 5–6 edge).
+	if got, want := len(small.cols), len(buildQueryIndex(small.entries, 4).cols); got != want || got != len(next.cols)-3 {
+		t.Errorf("directory has %d columns after the eviction, want %d (was %d)", got, want, len(next.cols))
+	}
 	// The tombstoned entry must not surface as a candidate.
 	sub, super := small.candidates(pathfeat.SimplePaths(pathG(5, 6), 4))
 	if len(sub) != 0 || len(super) != 0 {
@@ -119,12 +130,11 @@ func TestApplyDeltaCompaction(t *testing.T) {
 // break the slot-order-is-serial-order invariant — the delta rebuilds
 // instead, and probes stay serial-ordered.
 func TestApplyDeltaOutOfOrderInsert(t *testing.T) {
-	vb := pathfeat.NewVocab()
 	entries := map[int64]*entry{
 		3: entryOf(3, pathG(1, 2)),
 		8: entryOf(8, pathG(1, 2, 3)),
 	}
-	ix := buildQueryIndex(vb, entries, 4)
+	ix := buildQueryIndex(entries, 4)
 	// Serial 5 windows late (a slower concurrent caller).
 	next := ix.applyDelta([]*entry{entryOf(5, pathG(2, 3))}, nil)
 	if want := []int64{3, 5, 8}; !eq64(next.liveSerials(), want) {
@@ -145,7 +155,7 @@ func TestApplyDeltaEnumeratesOnlyNewEntries(t *testing.T) {
 		2: entryOf(2, pathG(4, 5)),
 		3: entryOf(3, pathG(6, 7, 8)),
 	}
-	ix := buildQueryIndex(pathfeat.NewVocab(), entries, 4) // memoises vectors for 1..3
+	ix := buildQueryIndex(entries, 4) // memoises vectors for 1..3
 
 	added := []*entry{entryOf(4, pathG(9, 10)), entryOf(5, pathG(11))}
 	before := pathfeat.SimplePathsCalls()

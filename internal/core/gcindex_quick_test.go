@@ -40,7 +40,28 @@ func randomConnGraph(r *rand.Rand, v, e, labels int) *graph.Graph {
 	return g
 }
 
+// TestQueryIndexProbeNeverMissesContainment is the filter's soundness
+// property: every cached query that really contains, or is contained in,
+// the probe comes back as a candidate. It runs with the real feature IDs
+// and again with IDs forced to collide — every key lands on one of seven
+// IDs, so vectors are sum-merged throughout — because a 64-bit collision
+// is allowed to add false candidates but never to lose a true one.
 func TestQueryIndexProbeNeverMissesContainment(t *testing.T) {
+	t.Run("hashed IDs", func(t *testing.T) { probeNeverMissesContainment(t, pathfeat.VectorOf) })
+	t.Run("colliding IDs", func(t *testing.T) {
+		probeNeverMissesContainment(t, func(c pathfeat.Counts) pathfeat.Vector {
+			return pathfeat.VectorOfIDs(c, func(k pathfeat.Key) uint64 {
+				sum := uint64(len(k))
+				for i := 0; i < len(k); i++ {
+					sum += uint64(k[i])
+				}
+				return sum % 7
+			})
+		})
+	})
+}
+
+func probeNeverMissesContainment(t *testing.T, vectorOf func(pathfeat.Counts) pathfeat.Vector) {
 	const maxPathLen = 4
 	r := rand.New(rand.NewSource(12345))
 	algo := iso.VF2{}
@@ -50,14 +71,14 @@ func TestQueryIndexProbeNeverMissesContainment(t *testing.T) {
 		entries := make(map[int64]*entry, 12)
 		for s := int64(1); s <= 12; s++ {
 			g := randomConnGraph(r, 3+r.Intn(8), r.Intn(3), 3)
-			entries[s] = &entry{serial: s, g: g}
+			entries[s] = &entry{serial: s, g: g, vec: vectorOf(pathfeat.SimplePaths(g, maxPathLen)), vecOK: true}
 		}
-		ix := buildQueryIndex(pathfeat.NewVocab(), entries, maxPathLen)
+		ix := buildQueryIndex(entries, maxPathLen)
 
 		for probe := 0; probe < 10; probe++ {
 			q := randomConnGraph(r, 3+r.Intn(8), r.Intn(3), 3)
-			qc := pathfeat.SimplePaths(q, maxPathLen)
-			subCand, superCand := ix.candidates(qc)
+			var sc slotScratch
+			subCand, superCand := ix.candidatesInto(vectorOf(pathfeat.SimplePaths(q, maxPathLen)), nil, nil, &sc)
 			subSet := toSet64(subCand)
 			superSet := toSet64(superCand)
 
@@ -148,13 +169,12 @@ func TestColumnarCandidatesMatchMapBased(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 
 	for trial := 0; trial < 25; trial++ {
-		vb := pathfeat.NewVocab()
 		entries := make(map[int64]*entry)
 		next := int64(1)
 		for ; next <= 8; next++ {
 			entries[next] = &entry{serial: next, g: randomConnGraph(r, 2+r.Intn(7), r.Intn(3), 3)}
 		}
-		ix := buildQueryIndex(vb, entries, maxPathLen)
+		ix := buildQueryIndex(entries, maxPathLen)
 
 		check := func(round int) {
 			for probe := 0; probe < 6; probe++ {

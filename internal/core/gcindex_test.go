@@ -29,7 +29,7 @@ func TestQueryIndexCandidates(t *testing.T) {
 		2: entryOf(2, pathG(1, 2)),
 		3: entryOf(3, pathG(7, 8)),
 	}
-	ix := buildQueryIndex(pathfeat.NewVocab(), entries, 4)
+	ix := buildQueryIndex(entries, 4)
 	if ix.size() != 3 {
 		t.Fatalf("size = %d", ix.size())
 	}
@@ -60,7 +60,7 @@ func TestQueryIndexCandidates(t *testing.T) {
 }
 
 func TestQueryIndexEmpty(t *testing.T) {
-	ix := buildQueryIndex(pathfeat.NewVocab(), map[int64]*entry{}, 4)
+	ix := buildQueryIndex(map[int64]*entry{}, 4)
 	sub, super := ix.candidates(pathfeat.SimplePaths(pathG(1, 2), 4))
 	if sub != nil || super != nil {
 		t.Error("empty index must return no candidates")

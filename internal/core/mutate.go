@@ -221,7 +221,9 @@ func (c *Cache) ApplyMutation(mut dataset.Mutation) (MutationResult, error) {
 			added[i] = ds.Graph(id)
 		}
 		dm.ApplyDatasetMutation(added, nil, nil)
-		c.growDistLabels(added)
+		for _, g := range added {
+			c.setGraphCost(g)
+		}
 		c.extendForAdds(added, &res)
 	case dataset.OpRemove:
 		res.RemovedIDs = ds.RemoveGraphs(mut.IDs)
@@ -233,7 +235,7 @@ func (c *Cache) ApplyMutation(mut dataset.Mutation) (MutationResult, error) {
 			return res, err
 		}
 		dm.ApplyDatasetMutation(nil, []*graph.Graph{ng}, nil)
-		c.distLabels[ng.ID()] = ng.DistinctLabels()
+		c.setGraphCost(ng)
 		c.reverifyForEdit(ng, &res)
 	}
 
@@ -290,17 +292,6 @@ func (c *Cache) EditGraphEdges(id int32, edits []dataset.EdgeEdit) (MutationResu
 	return c.ApplyMutation(dataset.Mutation{Op: dataset.OpEdit, IDs: []int32{id}, Graphs: []*graph.Graph{ng}})
 }
 
-// growDistLabels extends the cost model's distinct-label cache for added
-// graphs. The caller holds the mutation gate, so the slice swap is safe.
-func (c *Cache) growDistLabels(added []*graph.Graph) {
-	for _, g := range added {
-		for int(g.ID()) >= len(c.distLabels) {
-			c.distLabels = append(c.distLabels, 0)
-		}
-		c.distLabels[g.ID()] = g.DistinctLabels()
-	}
-}
-
 // withAnswer returns a copy of e carrying answer instead of its current
 // answer set. Published entries are never mutated in place — the old
 // *entry stays reachable from superseded index generations (pooled probe
@@ -348,10 +339,10 @@ func (c *Cache) answerCompatible(gv, ev pathfeat.Vector) bool {
 func (c *Cache) extendForAdds(added []*graph.Graph, res *MutationResult) {
 	gvecs := make([]pathfeat.Vector, len(added))
 	for i, g := range added {
-		gvecs[i] = c.vocab.VectorOf(pathfeat.SimplePaths(g, c.opts.MaxPathLen))
+		gvecs[i] = pathfeat.VectorOf(pathfeat.SimplePaths(g, c.opts.MaxPathLen))
 	}
 	extend := func(e *entry) []int32 {
-		ev := e.featureVector(c.vocab, c.opts.MaxPathLen)
+		ev := e.featureVector(c.opts.MaxPathLen)
 		var newIDs []int32
 		touched := false
 		for i, g := range added {
@@ -447,10 +438,10 @@ func (c *Cache) dropRemovedAnswers(removed []int32, res *MutationResult) {
 // holding the ID without compatibility drop it verification-free.
 func (c *Cache) reverifyForEdit(ng *graph.Graph, res *MutationResult) {
 	id := ng.ID()
-	gv := c.vocab.VectorOf(pathfeat.SimplePaths(ng, c.opts.MaxPathLen))
+	gv := pathfeat.VectorOf(pathfeat.SimplePaths(ng, c.opts.MaxPathLen))
 	// decide returns the repaired answer set, or nil if unchanged.
 	decide := func(e *entry) ([]int32, bool) {
-		ev := e.featureVector(c.vocab, c.opts.MaxPathLen)
+		ev := e.featureVector(c.opts.MaxPathLen)
 		has := containsID(e.answer, id)
 		compat := c.answerCompatible(gv, ev)
 		if !compat && !has {

@@ -15,7 +15,7 @@ import (
 type ProbeBenchResult struct {
 	CachedQueries  int     `json:"cached_queries"`
 	Shards         int     `json:"shards"`
-	VocabSize      int     `json:"vocab_size"`
+	IndexFeatures  int     `json:"index_features"` // feature columns across all shards' GCindex
 	Probes         int     `json:"probes"`
 	NsPerProbe     float64 `json:"ns_per_probe"`
 	AllocsPerProbe float64 `json:"allocs_per_probe"`
@@ -28,8 +28,7 @@ type ProbeBenchResult struct {
 // times through the pooled steady-state path (candidatesInto with reused
 // scratch), and allocation counts come from runtime.MemStats deltas. One
 // probe = one query against the whole sharded index. Intended for
-// benchmarking tools; it does not mutate cache contents, but interns the
-// probe features into the cache's vocabulary like any query would.
+// benchmarking tools; it does not mutate the cache.
 func (c *Cache) BenchProbe(qs []*graph.Graph, iters int) ProbeBenchResult {
 	res := ProbeBenchResult{
 		CachedQueries: len(c.CachedSerials()),
@@ -40,11 +39,12 @@ func (c *Cache) BenchProbe(qs []*graph.Graph, iters int) ProbeBenchResult {
 	}
 	vecs := make([]pathfeat.Vector, len(qs))
 	for i, q := range qs {
-		vecs[i] = c.vocab.VectorOf(pathfeat.SimplePaths(q, c.opts.MaxPathLen))
+		vecs[i] = pathfeat.VectorOf(pathfeat.SimplePaths(q, c.opts.MaxPathLen))
 	}
 	ixs := make([]*queryIndex, len(c.shards))
 	for i, sh := range c.shards {
 		ixs[i] = sh.index.Load()
+		res.IndexFeatures += len(ixs[i].cols)
 	}
 	var (
 		sc         slotScratch
@@ -75,7 +75,6 @@ func (c *Cache) BenchProbe(qs []*graph.Graph, iters int) ProbeBenchResult {
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
 
-	res.VocabSize = c.vocab.Len()
 	res.Probes = iters * len(qs)
 	n := float64(res.Probes)
 	res.NsPerProbe = float64(elapsed.Nanoseconds()) / n

@@ -77,9 +77,9 @@ func (c *Cache) shardFor(e *entry) *cacheShard {
 // memoising) the feature vector on first use. Callers must own the entry
 // exclusively — on the query path the entry is still private to its
 // creator; at window/rebuild time the Window Manager serialises access.
-func (e *entry) routeHash(vb *pathfeat.Vocab, maxLen int) uint64 {
+func (e *entry) routeHash(maxLen int) uint64 {
 	if !e.hashed {
-		e.hash = vb.HashVector(e.featureVector(vb, maxLen))
+		e.hash = pathfeat.HashVector(e.featureVector(maxLen))
 		e.hashed = true
 	}
 	return e.hash

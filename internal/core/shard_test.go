@@ -161,14 +161,13 @@ func TestConcurrentShardedMatchesSerial(t *testing.T) {
 // TestShardRoutingUsesFeatureHash pins the partitioning invariant the
 // duplicate guards rely on: isomorphic graphs route to the same shard.
 func TestShardRoutingUsesFeatureHash(t *testing.T) {
-	vb := pathfeat.NewVocab()
 	a := &entry{serial: 1, g: pathG(3, 1, 2)}
 	b := &entry{serial: 2, g: pathG(2, 1, 3)} // reversed path: isomorphic
-	if a.routeHash(vb, 4) != b.routeHash(vb, 4) {
+	if a.routeHash(4) != b.routeHash(4) {
 		t.Error("isomorphic entries must share a routing hash")
 	}
 	other := &entry{serial: 3, g: pathG(5, 6)}
-	if a.routeHash(vb, 4) == other.routeHash(vb, 4) {
+	if a.routeHash(4) == other.routeHash(4) {
 		t.Error("distinct feature sets should (overwhelmingly) hash apart")
 	}
 	if h := pathfeat.Hash(nil); h != 0 {
@@ -178,7 +177,7 @@ func TestShardRoutingUsesFeatureHash(t *testing.T) {
 	// round-trip across shard counts relies on routing being a pure
 	// function of the feature multiset.
 	c := pathfeat.SimplePaths(a.g, 4)
-	if got, want := vb.HashVector(vb.VectorOf(c)), pathfeat.Hash(c); got != want {
+	if got, want := pathfeat.HashVector(pathfeat.VectorOf(c)), pathfeat.Hash(c); got != want {
 		t.Errorf("HashVector = %d, want Hash %d", got, want)
 	}
 }

@@ -205,18 +205,58 @@ func (s *StatsStore) Len() int {
 // with n = |V(g)|, N = |V(G)| and L the number of distinct labels in G.
 // The value is computed in log space to survive large N and capped to
 // stay finite.
-func EstimateSubIsoCost(n, N, L int) float64 {
-	if n > N || n < 0 || N <= 0 {
-		return 0
+func EstimateSubIsoCost(n, N, L int) float64 { return newCostTerms(N, L).cost(n) }
+
+// costTerms are the terms of the cost model that depend on the dataset
+// graph G alone. The engine evaluates c(q, G) for every candidate of every
+// query, so it keeps them per graph and pays one table look-up and one Exp
+// per candidate instead of two Lgamma and two Log more.
+type costTerms struct {
+	size int     // N
+	base float64 // ln N + ln N!
+	logL float64 // ln max(L, 2)
+}
+
+func newCostTerms(N, L int) costTerms {
+	if N <= 0 {
+		return costTerms{}
 	}
 	if L < 2 {
 		L = 2 // unlabelled graphs: avoid division by ln(1) = 0 semantics
 	}
-	lgN1, _ := math.Lgamma(float64(N + 1))
-	lgNn1, _ := math.Lgamma(float64(N - n + 1))
-	logc := math.Log(float64(N)) + lgN1 - lgNn1 - float64(n+1)*math.Log(float64(L))
+	return costTerms{
+		size: N,
+		base: math.Log(float64(N)) + lgammaInt(N+1),
+		logL: math.Log(float64(L)),
+	}
+}
+
+// cost returns c(q, G) for a query of n vertices.
+func (t costTerms) cost(n int) float64 {
+	if n > t.size || n < 0 || t.size <= 0 {
+		return 0
+	}
+	logc := t.base - lgammaInt(t.size-n+1) - float64(n+1)*t.logL
 	if logc > 600 {
 		logc = 600
 	}
 	return math.Exp(logc)
+}
+
+// lgammaTable holds ln Γ(k) for the small integer arguments the cost model
+// asks for — dataset graphs have tens to hundreds of vertices.
+var lgammaTable = func() (t [1024]float64) {
+	for k := 1; k < len(t); k++ {
+		t[k], _ = math.Lgamma(float64(k))
+	}
+	return t
+}()
+
+// lgammaInt returns ln Γ(k) for k ≥ 1.
+func lgammaInt(k int) float64 {
+	if k < len(lgammaTable) {
+		return lgammaTable[k]
+	}
+	v, _ := math.Lgamma(float64(k))
+	return v
 }

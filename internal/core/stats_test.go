@@ -149,3 +149,43 @@ func eq(a, b []int32) bool {
 	}
 	return true
 }
+
+// referenceSubIsoCost is the cost model with every term taken from package
+// math at call time — the form it had before costTerms precomputed the
+// per-graph part and tabulated ln Γ.
+func referenceSubIsoCost(n, N, L int) float64 {
+	if n > N || n < 0 || N <= 0 {
+		return 0
+	}
+	if L < 2 {
+		L = 2
+	}
+	lgN1, _ := math.Lgamma(float64(N + 1))
+	lgNn1, _ := math.Lgamma(float64(N - n + 1))
+	logc := math.Log(float64(N)) + lgN1 - lgNn1 - float64(n+1)*math.Log(float64(L))
+	if logc > 600 {
+		logc = 600
+	}
+	return math.Exp(logc)
+}
+
+// TestCostTermsBitIdentical pins the precomputed cost model to the direct
+// formula, bit for bit, over every (n, N, L) the engine can reach and past
+// the end of the ln Γ table: the values feed the PIN/PINC/HD utilities, so
+// a last-bit difference could reorder evictions.
+func TestCostTermsBitIdentical(t *testing.T) {
+	for N := -1; N <= len(lgammaTable)+40; N++ {
+		for L := 0; L <= 24; L++ {
+			terms := newCostTerms(N, L)
+			for n := -1; n <= 48; n++ {
+				want := referenceSubIsoCost(n, N, L)
+				if got := terms.cost(n); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("costTerms(N=%d, L=%d).cost(%d) = %v, direct formula %v", N, L, n, got, want)
+				}
+				if got := EstimateSubIsoCost(n, N, L); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("EstimateSubIsoCost(%d, %d, %d) = %v, direct formula %v", n, N, L, got, want)
+				}
+			}
+		}
+	}
+}

@@ -435,7 +435,7 @@ graphsSection:
 	// snapshot does not record a shard layout, so any shard count can load
 	// it. The enumeration doubles as the index's memoised vectors.
 	c.pool.ParallelFor(len(loaded), func(i int) {
-		loaded[i].routeHash(c.vocab, c.opts.MaxPathLen)
+		loaded[i].routeHash(c.opts.MaxPathLen)
 	})
 	perShard := make([]map[int64]*entry, len(c.shards))
 	perStats := make([]*StatsStore, len(c.shards))
@@ -470,7 +470,7 @@ graphsSection:
 		c.adm.scores = nil
 	}
 	c.admMu.Unlock()
-	c.growDistLabelsAll()
+	c.syncGraphCosts()
 	c.pool.ParallelFor(len(c.shards), func(i int) {
 		sh := c.shards[i]
 		sh.stats = perStats[i]
@@ -478,7 +478,7 @@ graphsSection:
 		for s, e := range perShard[i] {
 			sh.answerRefAdd(s, e.answer)
 		}
-		sh.index.Store(buildQueryIndex(c.vocab, perShard[i], c.opts.MaxPathLen))
+		sh.index.Store(buildQueryIndex(perShard[i], c.opts.MaxPathLen))
 	})
 	return nil
 }
@@ -508,20 +508,6 @@ func resyncMethod(dm method.DynamicMethod, ds interface {
 		}
 	}
 	dm.ApplyDatasetMutation(added, edited, removed)
-}
-
-// growDistLabelsAll sizes the cost model's distinct-label cache to the
-// dataset's current ID space (after a snapshot restore advanced it).
-func (c *Cache) growDistLabelsAll() {
-	ds := c.m.Dataset()
-	for id := len(c.distLabels); id < ds.Len(); id++ {
-		c.distLabels = append(c.distLabels, 0)
-	}
-	for id := range c.distLabels {
-		if g := ds.Graph(int32(id)); g != nil {
-			c.distLabels[id] = g.DistinctLabels()
-		}
-	}
 }
 
 // readLine reads one \n-terminated line, trimming the terminator.

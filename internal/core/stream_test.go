@@ -225,3 +225,36 @@ func TestQueryBatchStreamCancellation(t *testing.T) {
 		t.Errorf("cancelled batch promoted %d entries into the cache", len(serials))
 	}
 }
+
+// TestQueryBatchStreamCancelAfterLastDelivery covers the coalescer's
+// normal ending: every caller leaves, cancelling its context, the moment
+// its result is delivered, so the batch's context is dead by the time the
+// bookkeeping runs. Nothing was abandoned, so the batch must count — in
+// the totals and in the window — exactly like an uncancelled one.
+func TestQueryBatchStreamCancelAfterLastDelivery(t *testing.T) {
+	ds := moleculeDataset(60, 37)
+	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 20, WindowSize: 5})
+	queries := typeAWorkload(ds, "UU", 24, 39)
+	qs := make([]*graph.Graph, len(queries))
+	for i, q := range queries {
+		qs[i] = q.Graph
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var delivered atomic.Int32
+	abandoned, err := c.QueryBatchStream(ctx, qs, func(i int, r Result) {
+		if int(delivered.Add(1)) == len(qs) {
+			cancel()
+		}
+	})
+	if err != nil || abandoned != 0 {
+		t.Fatalf("abandoned %d, err %v; want a completed batch", abandoned, err)
+	}
+	if got := c.Totals().Queries; got != int64(len(qs)) {
+		t.Errorf("Totals().Queries = %d, want %d", got, len(qs))
+	}
+	c.Flush()
+	if len(c.CachedSerials()) == 0 {
+		t.Error("a fully delivered batch cached nothing")
+	}
+}

@@ -220,13 +220,14 @@ func (c *Cache) doProcessWindow(segs [][]*windowEntry, currentSerial int64) {
 		// concurrent callers can both miss on the same new query and both
 		// window it — across different windows when AsyncRebuild
 		// interleaves. Admitting the copy would waste a cache slot and
-		// split the original's hit statistics.
+		// split the original's hit statistics. Isomorphic queries share a
+		// feature hash, so only hash-equal pairs need the isomorphism test.
 		if len(p.old.entries) > 0 {
 			kept := p.admitted[:0]
 			for _, w := range p.admitted {
 				dup := false
 				for _, e := range p.old.entries {
-					if iso.Isomorphic(iso.VF2{}, w.e.g, e.g) {
+					if w.e.hash == e.hash && iso.Isomorphic(iso.VF2{}, w.e.g, e.g) {
 						dup = true
 						break
 					}
@@ -322,7 +323,7 @@ func (c *Cache) doProcessWindow(segs [][]*windowEntry, currentSerial int64) {
 		sh.stats.ApplyBatch(ops)
 
 		for _, e := range added {
-			e.featureVector(c.vocab, c.opts.MaxPathLen) // memoised on the query path; recompute only off-path inserts
+			e.featureVector(c.opts.MaxPathLen) // memoised on the query path; recompute only off-path inserts
 			sh.answerRefAdd(e.serial, e.answer)
 		}
 		sh.index.Store(p.old.applyDelta(added, p.victims))
@@ -377,9 +378,7 @@ func dedupeWindow(ws []*windowEntry) []*windowEntry {
 		dup := false
 		for _, k := range keep {
 			if w.e.g == k.e.g ||
-				(w.e.g.NumVertices() == k.e.g.NumVertices() &&
-					w.e.g.NumEdges() == k.e.g.NumEdges() &&
-					iso.Contains(iso.VF2{}, w.e.g, k.e.g)) {
+				(w.e.hash == k.e.hash && iso.Isomorphic(iso.VF2{}, w.e.g, k.e.g)) {
 				dup = true
 				break
 			}

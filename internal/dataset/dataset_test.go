@@ -93,3 +93,27 @@ func TestComputeStatsEmpty(t *testing.T) {
 		t.Error("empty dataset stats must be zero")
 	}
 }
+
+// TestEdgeEditKeepsLabelSignature checks the mutation edit path: an edited
+// graph keeps its labels, so its label signature — what the sub-iso label
+// screens read — must equal the original's.
+func TestEdgeEditKeepsLabelSignature(t *testing.T) {
+	b := graph.NewBuilder()
+	for _, l := range []graph.Label{4, 2, 4, 9, 2, 4} {
+		b.AddVertex(l)
+	}
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	g := b.MustBuild()
+	ng, err := ApplyEdgeEdits(g, []EdgeEdit{{U: 0, V: 1, Del: true}, {U: 3, V: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ng.DistinctLabels() != 3 || ng.LabelCount(4) != 3 || ng.LabelCount(2) != 2 || ng.LabelCount(9) != 1 {
+		t.Errorf("edited graph: distinct %d, counts %d/%d/%d; want 3, 3/2/1",
+			ng.DistinctLabels(), ng.LabelCount(4), ng.LabelCount(2), ng.LabelCount(9))
+	}
+	if !ng.LabelsDominate(g) || !g.LabelsDominate(ng) {
+		t.Error("an edge edit must leave the label multiset unchanged")
+	}
+}

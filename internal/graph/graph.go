@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -26,6 +27,44 @@ type Graph struct {
 	labels []Label
 	adj    [][]int32 // adj[v] sorted ascending, no duplicates, no self loops
 	m      int       // number of undirected edges
+	// sig is the label signature: the graph's label multiset as (label,
+	// count) pairs in ascending label order. Built once in Build, it turns
+	// the label screens every sub-iso test starts with (LabelsDominate,
+	// LabelCount) into allocation-free scans of two short sorted slices.
+	sig []labelCount
+}
+
+// labelCount is one signature entry. Counts saturate at 65535 to keep an
+// entry at 4 bytes; see LabelsDominate for why that stays sound.
+type labelCount struct {
+	label Label
+	count uint16
+}
+
+// labelSignature returns the sorted (label, count) multiset of labels.
+func labelSignature(labels []Label) []labelCount {
+	if len(labels) == 0 {
+		return nil
+	}
+	var buf [64]Label // query-sized graphs sort on the stack
+	sorted := append(buf[:0], labels...)
+	slices.Sort(sorted)
+	distinct := 1
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] != sorted[i-1] {
+			distinct++
+		}
+	}
+	sig := make([]labelCount, 0, distinct)
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		sig = append(sig, labelCount{label: sorted[i], count: uint16(min(j-i, math.MaxUint16))})
+		i = j
+	}
+	return sig
 }
 
 // ID returns the graph's dataset identifier (-1 if never assigned).
@@ -84,36 +123,44 @@ func (g *Graph) AvgDegree() float64 {
 	return 2 * float64(g.m) / float64(len(g.labels))
 }
 
-// LabelHistogram returns the multiplicity of each label present in g.
-func (g *Graph) LabelHistogram() map[Label]int {
-	h := make(map[Label]int)
-	for _, l := range g.labels {
-		h[l]++
+// LabelCount returns how many vertices of g carry label l (saturating at
+// 65535).
+func (g *Graph) LabelCount(l Label) int {
+	// Label alphabets are small, so a scan of the sorted signature beats
+	// a binary search.
+	for _, e := range g.sig {
+		if e.label >= l {
+			if e.label == l {
+				return int(e.count)
+			}
+			break
+		}
 	}
-	return h
+	return 0
 }
 
 // DistinctLabels returns the number of distinct labels appearing in g.
-func (g *Graph) DistinctLabels() int {
-	seen := make(map[Label]struct{}, 16)
-	for _, l := range g.labels {
-		seen[l] = struct{}{}
-	}
-	return len(seen)
-}
+func (g *Graph) DistinctLabels() int { return len(g.sig) }
 
 // LabelsDominate reports whether g's label multiset contains q's label
 // multiset, i.e. every label occurs in g at least as often as in q. This is
-// a necessary condition for q ⊆ g and serves as a cheap pre-filter.
+// a necessary condition for q ⊆ g and serves as a cheap pre-filter: one
+// merge over the two label signatures, no allocation. Counts above 65535
+// compare as 65535, which can only turn a "no" into a "yes" — the screen
+// may pass a pair it could have rejected, never the reverse.
 func (g *Graph) LabelsDominate(q *Graph) bool {
-	if q.NumVertices() > g.NumVertices() {
+	if q.NumVertices() > g.NumVertices() || len(q.sig) > len(g.sig) {
 		return false
 	}
-	gh := g.LabelHistogram()
-	for l, c := range q.LabelHistogram() {
-		if gh[l] < c {
+	gs := g.sig
+	for _, qe := range q.sig {
+		for len(gs) > 0 && gs[0].label < qe.label {
+			gs = gs[1:]
+		}
+		if len(gs) == 0 || gs[0].label != qe.label || gs[0].count < qe.count {
 			return false
 		}
+		gs = gs[1:]
 	}
 	return true
 }
@@ -129,13 +176,15 @@ func (g *Graph) Edges(fn func(u, v int32)) {
 	}
 }
 
-// Clone returns a deep copy of g (sharing nothing with the receiver).
+// Clone returns a copy of g whose vertices and edges share nothing with the
+// receiver; the immutable label signature is shared.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
 		id:     g.id,
 		labels: slices.Clone(g.labels),
 		adj:    make([][]int32, len(g.adj)),
 		m:      g.m,
+		sig:    g.sig,
 	}
 	for v, nb := range g.adj {
 		ng.adj[v] = slices.Clone(nb)
@@ -267,6 +316,7 @@ func (b *Builder) Build() (*Graph, error) {
 		labels: slices.Clone(b.labels),
 		adj:    adj,
 		m:      m / 2,
+		sig:    labelSignature(b.labels),
 	}, nil
 }
 

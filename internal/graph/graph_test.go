@@ -134,14 +134,130 @@ func TestEdgesIteration(t *testing.T) {
 	}
 }
 
-func TestLabelHistogramAndDistinct(t *testing.T) {
+// labelHistogram is the map-based reference the label signature replaced.
+func labelHistogram(g *Graph) map[Label]int {
+	h := make(map[Label]int)
+	for _, l := range g.Labels() {
+		h[l]++
+	}
+	return h
+}
+
+// checkSignature asserts that every signature-backed accessor of g agrees
+// with a histogram recounted from its labels.
+func checkSignature(t *testing.T, what string, g *Graph) {
+	t.Helper()
+	h := labelHistogram(g)
+	if g.DistinctLabels() != len(h) {
+		t.Errorf("%s: DistinctLabels = %d, want %d", what, g.DistinctLabels(), len(h))
+	}
+	for l, c := range h {
+		if g.LabelCount(l) != c {
+			t.Errorf("%s: LabelCount(%d) = %d, want %d", what, l, g.LabelCount(l), c)
+		}
+	}
+	if !g.LabelsDominate(g) {
+		t.Errorf("%s: graph must dominate itself", what)
+	}
+}
+
+func TestLabelCountAndDistinct(t *testing.T) {
 	g := path(1, 2, 1, 1, 3)
-	h := g.LabelHistogram()
-	if h[1] != 3 || h[2] != 1 || h[3] != 1 {
-		t.Errorf("LabelHistogram = %v", h)
+	checkSignature(t, "path", g)
+	if g.LabelCount(1) != 3 || g.LabelCount(2) != 1 || g.LabelCount(9) != 0 {
+		t.Errorf("LabelCount = %d, %d, %d; want 3, 1, 0", g.LabelCount(1), g.LabelCount(2), g.LabelCount(9))
 	}
 	if g.DistinctLabels() != 3 {
 		t.Errorf("DistinctLabels = %d, want 3", g.DistinctLabels())
+	}
+	var empty Graph
+	if empty.DistinctLabels() != 0 || empty.LabelCount(1) != 0 || !g.LabelsDominate(&empty) {
+		t.Error("the zero Graph has no labels and is dominated by anything")
+	}
+}
+
+// TestSignatureSurvivesEveryConstructor pins the signature on every way a
+// Graph comes into being besides Builder.Build: both codecs, Clone and
+// InducedSubgraph.
+func TestSignatureSurvivesEveryConstructor(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	gs := []*Graph{NewBuilder().MustBuild(), path(5), path(3, 3, 3)}
+	for i := 0; i < 20; i++ {
+		gs = append(gs, randomGraph(r, 1+r.Intn(90), 1+r.Intn(6), 0.1))
+	}
+	text, err := EncodeText(gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromText, err := DecodeText(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := EncodeBinary(gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBin, err := DecodeBinary(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range gs {
+		checkSignature(t, "built", g)
+		checkSignature(t, "text", fromText[i])
+		checkSignature(t, "binary", fromBin[i])
+		checkSignature(t, "clone", g.Clone())
+		for _, other := range []*Graph{fromText[i], fromBin[i], g.Clone()} {
+			if !g.LabelsDominate(other) || !other.LabelsDominate(g) {
+				t.Errorf("graph %d: a round-tripped copy must dominate and be dominated", i)
+			}
+		}
+		if n := g.NumVertices(); n > 1 {
+			sub, _, err := g.InducedSubgraph([]int32{0, int32(n - 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSignature(t, "induced", sub)
+			if !g.LabelsDominate(sub) {
+				t.Errorf("graph %d must dominate its induced subgraph", i)
+			}
+		}
+	}
+}
+
+// TestPropertyLabelsDominateMatchesHistograms compares the signature merge
+// with the histogram definition on random pairs, including label-disjoint
+// ones.
+func TestPropertyLabelsDominateMatchesHistograms(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		g := randomGraph(r, r.Intn(12), 1+r.Intn(4), 0.3)
+		q := randomGraph(r, r.Intn(8), 1+r.Intn(5), 0.3)
+		want := true
+		gh := labelHistogram(g)
+		for l, c := range labelHistogram(q) {
+			if gh[l] < c {
+				want = false
+			}
+		}
+		if got := g.LabelsDominate(q); got != want {
+			t.Fatalf("LabelsDominate(%v, %v) = %v, want %v", g.Labels(), q.Labels(), got, want)
+		}
+	}
+}
+
+func TestLabelScreensDoNotAllocate(t *testing.T) {
+	big, small, other := path(1, 1, 2, 3, 4, 5), path(1, 2, 5), path(1, 7)
+	var sink int
+	if n := testing.AllocsPerRun(100, func() {
+		if big.LabelsDominate(small) {
+			sink++
+		}
+		if big.LabelsDominate(other) {
+			sink++
+		}
+		sink += big.LabelCount(3) + big.DistinctLabels()
+	}); n != 0 {
+		t.Errorf("label screens allocate %v times per run, want 0", n)
 	}
 }
 
@@ -345,5 +461,23 @@ func TestPropertyHasEdgeMatchesNeighbors(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+func BenchmarkLabelsDominate(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	g := randomGraph(r, 40, 8, 0.1)
+	sub, _, err := g.InducedSubgraph([]int32{0, 1, 2, 3, 4, 5, 6, 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := map[string]*Graph{"dominated": sub, "rejected": path(1, 2, 200)}
+	for name, q := range pairs {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				g.LabelsDominate(q)
+			}
+		})
 	}
 }

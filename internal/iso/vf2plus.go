@@ -46,12 +46,12 @@ type vf2pState struct {
 // greedily build a connected order starting from the best-scored vertex.
 func vf2plusOrder(p, t *graph.Graph) []int32 {
 	n := p.NumVertices()
-	freq := make(map[graph.Label]int)
-	for _, l := range t.Labels() {
-		freq[l]++
+	freq := make([]int, n) // target frequency of each pattern vertex's label
+	for u := range freq {
+		freq[u] = t.LabelCount(p.Label(int32(u)))
 	}
 	better := func(a, b int32) bool {
-		fa, fb := freq[p.Label(a)], freq[p.Label(b)]
+		fa, fb := freq[a], freq[b]
 		if fa != fb {
 			return fa < fb // rarer label first
 		}

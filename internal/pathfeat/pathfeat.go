@@ -211,9 +211,8 @@ func Hash(c Counts) uint64 {
 	return h
 }
 
-// keyBytesHash is FNV-1a over the key bytes — the per-key half of the
-// pair hash, precomputed at intern time by Vocab so HashVector never
-// touches key bytes.
+// keyBytesHash is FNV-1a over the key bytes: a feature's ID in a Vector,
+// and the per-key half of the pair hash.
 func keyBytesHash(k Key) uint64 {
 	p := uint64(14695981039346656037)
 	for i := 0; i < len(k); i++ {
@@ -225,8 +224,8 @@ func keyBytesHash(k Key) uint64 {
 
 // mixPair folds a count into a key hash and finalises with a
 // splitmix64-style mixer so single-bit differences diffuse. Hash and
-// Vocab.HashVector combine pair hashes identically, so both
-// representations of one feature-count set hash to the same value.
+// HashVector combine pair hashes identically, so both representations of
+// one feature-count set hash to the same value.
 func mixPair(keyHash uint64, n int32) uint64 {
 	p := keyHash
 	p ^= uint64(uint32(n)) * 0x9e3779b97f4a7c15

@@ -753,9 +753,8 @@ func (rt *Router) availableCount() int {
 // ---- Routing -----------------------------------------------------------
 
 // hash returns q's affinity hash: the order-independent hash of its
-// path-feature counts — the same value the backends' Vocab.HashVector
-// computes for their shard routing, without interning a vocabulary the
-// router would never probe. Isomorphic queries — and more generally
+// path-feature counts — the same value the backends' pathfeat.HashVector
+// computes for their shard routing. Isomorphic queries — and more generally
 // queries with identical feature counts — hash identically, so their
 // cache hits concentrate on one backend.
 func (rt *Router) hash(q *graph.Graph) uint64 {

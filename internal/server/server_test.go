@@ -353,9 +353,18 @@ func TestConcurrentClients(t *testing.T) {
 	if mismatches > 0 {
 		t.Fatalf("%d of %d concurrent served answers diverged from the baseline", mismatches, len(queries))
 	}
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
+	// A coalesced batch delivers its results before it folds its counts
+	// into the totals, so the last batch may still be accounting when the
+	// last answer arrives: give the totals a moment to settle.
+	var st StatsResponse
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		var err error
+		if st, err = cl.Stats(ctx); err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+		if st.Totals.Queries == int64(len(queries)) || time.Now().After(deadline) {
+			break
+		}
 	}
 	if st.Totals.Queries != int64(len(queries)) {
 		t.Errorf("totals report %d queries, want %d", st.Totals.Queries, len(queries))
