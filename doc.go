@@ -105,11 +105,15 @@
 //   - Feature vectors without a vocabulary. A feature's ID is the 64-bit
 //     FNV-1a hash of its key (a label sequence), so IDs need no interning,
 //     no lock and no table of every feature ever seen. A query's features
-//     are extracted once and converted to a feature vector — ID-sorted
-//     (ID, count) pairs — that is then reused everywhere the query goes:
-//     the index probe in every shard, the shard-routing hash (a mix of the
-//     same IDs and counts), the admission window entry and the index
-//     delta. Two keys that collide on an ID have their counts summed, in
+//     are extracted once, straight into a feature vector — ID-sorted
+//     (ID, count) pairs, each path's ID derived from its prefix's as the
+//     enumeration descends, no key strings and no map — that is then
+//     reused everywhere the query goes: Method M's filter when M indexes
+//     the same vectors (GGSX at the cache's path length: posting columns
+//     per feature ID, intersected from the query's shortest column — see
+//     internal/ggsx), the index probe in every shard, the shard-routing
+//     hash (a mix of the same IDs and counts), the admission window entry
+//     and the index delta. Two keys that collide on an ID have their counts summed, in
 //     every vector alike. Containment q ⊆ G implies count_G(p) ≥
 //     count_q(p) for every path p, hence also for sums over paths sharing
 //     an ID: a collision can add a false candidate, never hide a true
@@ -407,13 +411,16 @@
 //     entry, not a cache flush.
 //
 // The method's index is maintained through the DynamicMethod extension
-// under the same gate: GGSX re-inserts current feature counts (stale
-// postings are sound false positives — count domination still holds),
-// Grapes purges and re-inserts edited graphs (its occurrence locations
-// bound the verify region, so staleness there could lose answers),
-// CT-Index grows/zeroes its fingerprint slots, and the SI methods need
-// no maintenance at all. ApplyMutation refuses a Method that does not
-// implement DynamicMethod with ErrStaticMethod.
+// under the same gate: GGSX rewrites its posting columns exactly — the
+// postings of removed and edited graphs are deleted, emptied columns
+// dropped, current counts merged in — so its index always equals a fresh
+// build over the current dataset and does not grow with the mutation
+// count, at the price of one linear pass over the index per mutation (see
+// ggsx.Index.ApplyDatasetMutation); Grapes purges and re-inserts edited
+// graphs (its occurrence locations bound the verify region, so staleness
+// there could lose answers); CT-Index grows/zeroes its fingerprint slots;
+// and the SI methods need no maintenance at all. ApplyMutation refuses a
+// Method that does not implement DynamicMethod with ErrStaticMethod.
 //
 // Durability: gcserved -journal names a mutation write-ahead log. Each
 // POST /mutate is appended and fsynced *before* it is acknowledged, so

@@ -126,9 +126,21 @@ func (c *Cache) queryBatch(ctx context.Context, qs []*graph.Graph, deliver func(
 	var featShare, probeShare, gcvShare int64
 	creditPer := make([]float64, n)
 
+	// GC filtering stage. Feature extraction runs once per query, pooled;
+	// the vectors double as Method M's filter input, the probe input, the
+	// new entries' memoised vectors and their shard-routing hashes,
+	// exactly as on the single path.
+	gcStart := time.Now()
+	vecs := make([]pathfeat.Vector, n)
+	hashes := make([]uint64, n)
+	c.pool.ParallelFor(n, func(i int) {
+		vecs[i] = pathfeat.SimplePathVector(qs[i], c.opts.MaxPathLen)
+		hashes[i] = pathfeat.HashVector(vecs[i])
+	})
+
 	// Method M filtering for the whole batch, dispatched concurrently with
-	// the GC stage as one pooled fan-out. On special-case hits the
-	// filter's output is discarded, as in the paper.
+	// the rest of the GC stage as one pooled fan-out. On special-case hits
+	// the filter's output is discarded, as in the paper.
 	csM := make([][]int32, n)
 	mDur := make([]time.Duration, n)
 	var filterWG sync.WaitGroup
@@ -137,22 +149,10 @@ func (c *Cache) queryBatch(ctx context.Context, qs []*graph.Graph, deliver func(
 		defer filterWG.Done()
 		c.pool.ParallelFor(n, func(i int) {
 			start := time.Now()
-			csM[i] = c.m.Filter(qs[i])
+			csM[i] = c.filterM(qs[i], vecs[i])
 			mDur[i] = time.Since(start)
 		})
 	}()
-
-	// GC filtering stage. Feature extraction runs once per query, pooled;
-	// the interned vectors double as the probe input, the new entries'
-	// memoised vectors and their shard-routing hashes, exactly as on the
-	// single path.
-	gcStart := time.Now()
-	vecs := make([]pathfeat.Vector, n)
-	hashes := make([]uint64, n)
-	c.pool.ParallelFor(n, func(i int) {
-		vecs[i] = pathfeat.VectorOf(pathfeat.SimplePaths(qs[i], c.opts.MaxPathLen))
-		hashes[i] = pathfeat.HashVector(vecs[i])
-	})
 	var probeStart time.Time
 	if obs != nil {
 		probeStart = time.Now()

@@ -38,6 +38,9 @@ import (
 type Cache struct {
 	m    method.Method
 	opts Options
+	// vecFilter is m's filter over an already-extracted feature vector,
+	// set when m offers one at the cache's own MaxPathLen (see filterM).
+	vecFilter method.VectorFilter
 	// algo verifies sub/supergraph relations between the new query and
 	// cached queries (small-vs-small tests). Stateless and shared by all
 	// worker goroutines.
@@ -180,6 +183,9 @@ func New(m method.Method, opts Options) *Cache {
 		adm:  newAdmission(opts),
 		pool: method.NewLimiter(opts.VerifyConcurrency - 1),
 	}
+	if vf, ok := m.(method.VectorFilter); ok && vf.FilterPathLen() == opts.MaxPathLen {
+		c.vecFilter = vf
+	}
 	c.syncGraphCosts()
 	c.shards = make([]*cacheShard, opts.Shards)
 	for i := range c.shards {
@@ -225,6 +231,21 @@ func (c *Cache) Query(q *graph.Graph) Result {
 		dur time.Duration
 	}
 	filterCh := make(chan filterOut, 1)
+
+	// GC filtering stage: extract the query's path features into a
+	// feature vector, probe every shard's GCindex snapshot, merge
+	// the per-shard candidates in ascending serial order, then confirm
+	// candidate relations with real (cheap, small-vs-small) sub-iso tests,
+	// fanned out over the verification pool. Containers/containees come
+	// out in ascending serial order whatever the pool size or shard count.
+	// The probe's vector doubles as Method M's filter input (see filterM),
+	// the new entry's memoised feature vector and its shard-routing hash,
+	// so it is computed exactly once per query however the query ends up
+	// being processed; the extraction is part of GC filtering time, as
+	// before sharding.
+	gcStart := time.Now()
+	qv := pathfeat.SimplePathVector(q, c.opts.MaxPathLen)
+	qh := pathfeat.HashVector(qv)
 	// The goroutine holds its own inflight reference: on a special-case
 	// hit Query returns without draining filterCh, and the filter must
 	// not still be reading the method's index when a mutation starts
@@ -233,23 +254,9 @@ func (c *Cache) Query(q *graph.Graph) Result {
 	go func() {
 		defer c.exitQuery()
 		start := time.Now()
-		cs := c.m.Filter(q)
+		cs := c.filterM(q, qv)
 		filterCh <- filterOut{cs, time.Since(start)}
 	}()
-
-	// GC filtering stage: extract the query's path features into a
-	// feature vector, probe every shard's GCindex snapshot, merge
-	// the per-shard candidates in ascending serial order, then confirm
-	// candidate relations with real (cheap, small-vs-small) sub-iso tests,
-	// fanned out over the verification pool. Containers/containees come
-	// out in ascending serial order whatever the pool size or shard count.
-	// The probe's vector doubles as the new entry's memoised feature
-	// vector and its shard-routing hash, so it is computed exactly once
-	// per query however the query ends up being processed; the extraction
-	// is part of GC filtering time, as before sharding.
-	gcStart := time.Now()
-	qv := pathfeat.VectorOf(pathfeat.SimplePaths(q, c.opts.MaxPathLen))
-	qh := pathfeat.HashVector(qv)
 	var probeStart time.Time
 	if obs != nil {
 		probeStart = time.Now()
@@ -330,9 +337,8 @@ func (c *Cache) Query(q *graph.Graph) Result {
 	}
 
 	// Collect Method M's candidate set from the parallel filter stage.
-	// Removed-graph IDs are masked out: FTV filters may keep stale
-	// postings for tombstoned graphs (a FilterLive no-op until the first
-	// mutation).
+	// Removed-graph IDs are masked out: DynamicMethod lets a filter keep
+	// returning them (a FilterLive no-op until the first mutation).
 	fo := <-filterCh
 	csM := c.m.Dataset().FilterLive(fo.cs)
 	qs.FilterMTime = fo.dur
@@ -386,6 +392,16 @@ func (c *Cache) Query(q *graph.Graph) Result {
 		emitQuery(obs, &qs, featNS, probeNS, gcvNS, creditSaved, false)
 	}
 	return Result{Answer: cloneIDs(answer), Stats: qs}
+}
+
+// filterM runs Method M's filter for q, whose feature vector is qv. A
+// method that filters on the same vector the cache extracts takes qv as
+// is; any other runs its own Filter(q).
+func (c *Cache) filterM(q *graph.Graph, qv pathfeat.Vector) []int32 {
+	if c.vecFilter != nil {
+		return c.vecFilter.FilterVector(qv)
+	}
+	return c.m.Filter(q)
 }
 
 // probeShards loads every shard's index snapshot, probes them (in parallel

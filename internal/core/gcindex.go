@@ -37,7 +37,7 @@ type entry struct {
 // own the entry exclusively).
 func (e *entry) featureVector(maxLen int) pathfeat.Vector {
 	if !e.vecOK {
-		e.vec = pathfeat.VectorOf(pathfeat.SimplePaths(e.g, maxLen))
+		e.vec = pathfeat.SimplePathVector(e.g, maxLen)
 		e.vecOK = true
 	}
 	return e.vec

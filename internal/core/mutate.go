@@ -339,7 +339,7 @@ func (c *Cache) answerCompatible(gv, ev pathfeat.Vector) bool {
 func (c *Cache) extendForAdds(added []*graph.Graph, res *MutationResult) {
 	gvecs := make([]pathfeat.Vector, len(added))
 	for i, g := range added {
-		gvecs[i] = pathfeat.VectorOf(pathfeat.SimplePaths(g, c.opts.MaxPathLen))
+		gvecs[i] = pathfeat.SimplePathVector(g, c.opts.MaxPathLen)
 	}
 	extend := func(e *entry) []int32 {
 		ev := e.featureVector(c.opts.MaxPathLen)
@@ -438,7 +438,7 @@ func (c *Cache) dropRemovedAnswers(removed []int32, res *MutationResult) {
 // holding the ID without compatibility drop it verification-free.
 func (c *Cache) reverifyForEdit(ng *graph.Graph, res *MutationResult) {
 	id := ng.ID()
-	gv := pathfeat.VectorOf(pathfeat.SimplePaths(ng, c.opts.MaxPathLen))
+	gv := pathfeat.SimplePathVector(ng, c.opts.MaxPathLen)
 	// decide returns the repaired answer set, or nil if unchanged.
 	decide := func(e *entry) ([]int32, bool) {
 		ev := e.featureVector(c.opts.MaxPathLen)

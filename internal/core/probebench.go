@@ -39,7 +39,7 @@ func (c *Cache) BenchProbe(qs []*graph.Graph, iters int) ProbeBenchResult {
 	}
 	vecs := make([]pathfeat.Vector, len(qs))
 	for i, q := range qs {
-		vecs[i] = pathfeat.VectorOf(pathfeat.SimplePaths(q, c.opts.MaxPathLen))
+		vecs[i] = pathfeat.SimplePathVector(q, c.opts.MaxPathLen)
 	}
 	ixs := make([]*queryIndex, len(c.shards))
 	for i, sh := range c.shards {

@@ -487,8 +487,8 @@ graphsSection:
 // method's filtering structures: live base-range graphs as edits,
 // additions as adds, tombstones as removals. For the bundled methods
 // this is idempotent whatever local state preceded the restore (GGSX
-// tolerates stale postings, Grapes purges before re-inserting, CT-Index
-// recomputes fingerprints).
+// and Grapes purge before re-inserting, CT-Index recomputes
+// fingerprints).
 func resyncMethod(dm method.DynamicMethod, ds interface {
 	Len() int
 	BaseLen() int

@@ -2,6 +2,8 @@ package ggsx
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +11,7 @@ import (
 	"graphcache/internal/graph"
 	"graphcache/internal/iso"
 	"graphcache/internal/method"
+	"graphcache/internal/pathfeat"
 )
 
 func randomGraph(r *rand.Rand, n, labels int, p float64) *graph.Graph {
@@ -183,3 +186,294 @@ func TestCountSensitiveFiltering(t *testing.T) {
 		t.Errorf("count-domination filter failed: got %v, want [1]", got)
 	}
 }
+
+// referenceFilter is the definition FilterVector must agree with: a scan
+// of every live graph keeping those whose feature counts dominate the
+// query's, over the map representation the index no longer uses.
+func referenceFilter(ds *dataset.Dataset, opts Options, q *graph.Graph) []int32 {
+	opts = opts.withDefaults()
+	qc := pathfeat.SimplePaths(q, opts.MaxPathLen)
+	var out []int32
+	for _, g := range ds.Graphs() {
+		if g == nil {
+			continue
+		}
+		gc := pathfeat.SimplePaths(g, opts.MaxPathLen)
+		if opts.UseWalks {
+			gc = pathfeat.Walks(g, opts.MaxPathLen)
+		}
+		if pathfeat.Dominates(gc, qc) {
+			out = append(out, g.ID())
+		}
+	}
+	return out
+}
+
+// subgraphOf returns a random connected piece of g — a query with at
+// least one answer.
+func subgraphOf(r *rand.Rand, g *graph.Graph, maxV int) *graph.Graph {
+	order := g.BFSOrder(int32(r.Intn(g.NumVertices())))
+	order = order[:min(len(order), maxV)]
+	sub, _, err := g.InducedSubgraph(order)
+	if err != nil {
+		panic(err)
+	}
+	return sub
+}
+
+// testQueries mixes queries cut from the dataset (hit-heavy), free random
+// ones (mostly no answer), a single vertex and the empty graph.
+func testQueries(r *rand.Rand, ds *dataset.Dataset, n, labels int) []*graph.Graph {
+	qs := []*graph.Graph{graph.NewBuilder().MustBuild(), path(0)}
+	live := ds.AllIDs()
+	for len(qs) < n {
+		if len(live) > 0 && r.Intn(2) == 0 {
+			qs = append(qs, subgraphOf(r, ds.Graph(live[r.Intn(len(live))]), 1+r.Intn(6)))
+		} else {
+			qs = append(qs, randomGraph(r, 1+r.Intn(6), labels, 0.4))
+		}
+	}
+	return qs
+}
+
+func TestFilterMatchesReferenceScan(t *testing.T) {
+	for _, opts := range []Options{{}, {MaxPathLen: 2}, {MaxPathLen: 3, UseWalks: true}} {
+		for seed := int64(0); seed < 20; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			ds := randomDataset(r, 30, 10, 3, 0.3)
+			idx := New(ds, opts)
+			for i, q := range testQueries(r, ds, 25, 3) {
+				got, want := idx.Filter(q), referenceFilter(ds, opts, q)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%+v seed %d query %d: Filter = %v, reference scan = %v", opts, seed, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCollidingFeatureIDsLoseNoAnswer builds the index from vectors whose
+// IDs were folded onto a handful of values, so unrelated paths share
+// columns with summed counts: the filter gets weaker, never wrong.
+func TestCollidingFeatureIDsLoseNoAnswer(t *testing.T) {
+	fold := func(k pathfeat.Key) uint64 { return uint64(len(k)+int(k[len(k)-1])) % 5 }
+	folded := func(g *graph.Graph) pathfeat.Vector {
+		return pathfeat.VectorOfIDs(pathfeat.SimplePaths(g, 4), fold)
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ds := randomDataset(r, 30, 10, 3, 0.3)
+		idx := &Index{ds: ds, opts: Options{}.withDefaults(), algo: iso.VF2{}}
+		var postings []posting
+		for _, g := range ds.Graphs() {
+			for _, fc := range folded(g) {
+				postings = append(postings, posting{fc.ID, g.ID(), fc.Count})
+			}
+		}
+		idx.cols.merge(postings)
+		if idx.FeatureCount() > 5 {
+			t.Fatalf("folded index has %d columns, want ≤ 5", idx.FeatureCount())
+		}
+		for i, q := range testQueries(r, ds, 25, 3) {
+			cs := idx.FilterVector(folded(q))
+			for _, g := range ds.Graphs() {
+				if iso.Contains(iso.VF2{}, q, g) && !slices.Contains(cs, g.ID()) {
+					t.Fatalf("seed %d query %d: colliding IDs dropped true answer %d", seed, i, g.ID())
+				}
+			}
+		}
+	}
+}
+
+// TestIndexEqualsRebuildUnderMutation drives one index through a long
+// seeded mutation history and checks, after every step, that it is the
+// index a fresh build over the resulting dataset would produce — same
+// columns, same IDs, same counts — and that no removed ID is ever a
+// candidate.
+func TestIndexEqualsRebuildUnderMutation(t *testing.T) {
+	for _, opts := range []Options{{MaxPathLen: 3}, {MaxPathLen: 2, UseWalks: true}} {
+		r := rand.New(rand.NewSource(31))
+		ds := randomDataset(r, 25, 9, 3, 0.3)
+		idx := New(ds, opts)
+		check := func(step int, what string) {
+			t.Helper()
+			if fresh := New(ds, opts); !reflect.DeepEqual(idx.cols, fresh.cols) {
+				t.Fatalf("%+v step %d (%s): index differs from a fresh build (%d columns, fresh %d)",
+					opts, step, what, idx.FeatureCount(), fresh.FeatureCount())
+			}
+			for _, q := range testQueries(r, ds, 6, 3) {
+				for _, id := range idx.Filter(q) {
+					if !ds.Alive(id) {
+						t.Fatalf("%+v step %d (%s): Filter returned removed id %d", opts, step, what, id)
+					}
+				}
+			}
+		}
+		randomLive := func() int32 { live := ds.AllIDs(); return live[r.Intn(len(live))] }
+		for step := 0; step < 240; step++ {
+			switch op := r.Intn(6); {
+			case op == 0 || ds.Live() < 5: // add one or two
+				gs := []*graph.Graph{randomGraph(r, 2+r.Intn(9), 3, 0.3)}
+				if r.Intn(2) == 0 {
+					gs = append(gs, randomGraph(r, 2+r.Intn(9), 4, 0.3))
+				}
+				ds.AddGraphs(gs)
+				idx.ApplyDatasetMutation(gs, nil, nil)
+				check(step, "add")
+			case op == 1: // add, then remove what was added: the index is back where it was
+				before := idx.FeatureCount()
+				gs := []*graph.Graph{randomGraph(r, 2+r.Intn(9), 7, 0.3)}
+				ids := ds.AddGraphs(gs)
+				idx.ApplyDatasetMutation(gs, nil, nil)
+				ds.RemoveGraphs(ids)
+				idx.ApplyDatasetMutation(nil, nil, ids)
+				if got := idx.FeatureCount(); got != before {
+					t.Fatalf("%+v step %d: FeatureCount %d after add→remove, was %d", opts, step, got, before)
+				}
+				check(step, "add→remove")
+			case op == 2: // remove the highest live id
+				live := ds.AllIDs()
+				gone := ds.RemoveGraphs(live[len(live)-1:])
+				idx.ApplyDatasetMutation(nil, nil, gone)
+				check(step, "remove highest")
+			case op == 3: // remove a few, with a replacement arriving in the same mutation
+				gone := ds.RemoveGraphs([]int32{randomLive(), randomLive()})
+				gs := []*graph.Graph{randomGraph(r, 2+r.Intn(9), 3, 0.3)}
+				ds.AddGraphs(gs)
+				idx.ApplyDatasetMutation(gs, nil, gone)
+				check(step, "remove+add")
+			case op == 4: // edit down to a single vertex: most of its features go
+				g, err := ds.Replace(randomLive(), path(graph.Label(r.Intn(3))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				idx.ApplyDatasetMutation(nil, []*graph.Graph{g}, nil)
+				check(step, "shrinking edit")
+			default: // edit to unrelated content
+				g, err := ds.Replace(randomLive(), randomGraph(r, 2+r.Intn(9), 3, 0.4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				idx.ApplyDatasetMutation(nil, []*graph.Graph{g}, nil)
+				check(step, "edit")
+			}
+		}
+		// A snapshot load replaces local history wholesale: the dataset
+		// jumps to another generation — a shorter one here, so the index
+		// holds IDs past its end — and every ID is re-asserted the way
+		// core's resyncMethod does it.
+		other := randomGraph(r, 6, 3, 0.4)
+		other.SetID(int32(ds.BaseLen()))
+		if err := ds.Restore([]int32{2}, []*graph.Graph{other}, 1); err != nil {
+			t.Fatal(err)
+		}
+		var added, edited []*graph.Graph
+		var removed []int32
+		for id, g := range ds.Graphs() {
+			switch {
+			case g == nil:
+				removed = append(removed, int32(id))
+			case id >= ds.BaseLen():
+				added = append(added, g)
+			default:
+				edited = append(edited, g)
+			}
+		}
+		idx.ApplyDatasetMutation(added, edited, removed)
+		check(240, "restore")
+		idx.ApplyDatasetMutation(added, edited, removed)
+		check(241, "restore, repeated")
+	}
+}
+
+// TestFilterVectorAllocations: a filter over an extracted vector allocates
+// its column scratch and its result, nothing per feature or per graph.
+func TestFilterVectorAllocations(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	ds := randomDataset(r, 200, 12, 3, 0.25)
+	idx := New(ds, Options{})
+	for _, q := range testQueries(r, ds, 12, 3) {
+		qv := pathfeat.SimplePathVector(q, idx.FilterPathLen())
+		if allocs := testing.AllocsPerRun(20, func() { idx.FilterVector(qv) }); allocs > 3 {
+			t.Errorf("%d-vertex query: %.0f allocations per FilterVector, want ≤ 3", q.NumVertices(), allocs)
+		}
+	}
+}
+
+// benchDataset is a molecule-like dataset: sparse graphs of 15–45
+// vertices over a handful of labels.
+func benchDataset(r *rand.Rand, count int) *dataset.Dataset {
+	gs := make([]*graph.Graph, count)
+	for i := range gs {
+		n := 15 + r.Intn(30)
+		gs[i] = randomGraph(r, n, 5, 2.2/float64(n))
+	}
+	return dataset.New(gs)
+}
+
+func BenchmarkGGSXBuild(b *testing.B) {
+	ds := benchDataset(rand.New(rand.NewSource(1)), 400)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(ds, Options{})
+	}
+}
+
+func BenchmarkGGSXFilter(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	ds := benchDataset(r, 400)
+	idx := New(ds, Options{})
+	var hits, misses []*graph.Graph
+	for i := 0; i < 64; i++ {
+		hits = append(hits, subgraphOf(r, ds.Graph(int32(r.Intn(ds.Len()))), 4+r.Intn(8)))
+		// A label the dataset never uses on one vertex: no candidate survives.
+		miss := graph.NewBuilder()
+		h := hits[i]
+		for v := 0; v < h.NumVertices(); v++ {
+			miss.AddVertex(h.Label(int32(v)))
+		}
+		miss.AddVertex(99)
+		h.Edges(miss.AddEdge)
+		miss.AddEdge(0, int32(h.NumVertices()))
+		misses = append(misses, miss.MustBuild())
+	}
+	for _, bc := range []struct {
+		name string
+		qs   []*graph.Graph
+	}{
+		{"hits", hits},
+		{"no-answer", misses},
+		{"single-vertex", []*graph.Graph{path(0)}}, // the longest columns
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				idsSink = idx.Filter(bc.qs[i%len(bc.qs)])
+			}
+		})
+	}
+}
+
+// BenchmarkGGSXApplyMutation is one add → edit → remove cycle, which
+// leaves the index as it found it.
+func BenchmarkGGSXApplyMutation(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	ds := benchDataset(r, 400)
+	idx := New(ds, Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		added := []*graph.Graph{randomGraph(r, 30, 5, 0.07)}
+		ids := ds.AddGraphs(added)
+		idx.ApplyDatasetMutation(added, nil, nil)
+		edited, err := ds.Replace(ids[0], randomGraph(r, 30, 5, 0.07))
+		if err != nil {
+			b.Fatal(err)
+		}
+		idx.ApplyDatasetMutation(nil, []*graph.Graph{edited}, nil)
+		idx.ApplyDatasetMutation(nil, nil, ds.RemoveGraphs(ids))
+	}
+}
+
+var idsSink []int32

@@ -94,11 +94,11 @@ func (idx *Index) purge(id int32) {
 	}
 }
 
-// ApplyDatasetMutation implements method.DynamicMethod. Unlike GGSX,
-// Grapes cannot tolerate stale postings on edited graphs: occurrence
-// locations bound the region Verify searches (matchRegion), so a stale
-// location set could shrink the search below the true occurrences — a
-// false negative. Edited graphs are therefore purged and re-inserted
+// ApplyDatasetMutation implements method.DynamicMethod. Grapes cannot
+// tolerate stale postings on edited graphs: occurrence locations bound
+// the region Verify searches (matchRegion), so a stale location set
+// could shrink the search below the true occurrences — a false
+// negative. Edited graphs are therefore purged and re-inserted
 // with exact counts and locations; removed IDs are purged outright.
 func (idx *Index) ApplyDatasetMutation(added, edited []*graph.Graph, removed []int32) {
 	for _, id := range removed {

@@ -9,6 +9,7 @@ import (
 	"graphcache/internal/dataset"
 	"graphcache/internal/graph"
 	"graphcache/internal/iso"
+	"graphcache/internal/pathfeat"
 )
 
 // Mode says which query semantics a Method answers.
@@ -76,6 +77,18 @@ type BatchVerifier interface {
 	VerifyBatch(q *graph.Graph, ids []int32) []bool
 }
 
+// VectorFilter is an optional extension for methods whose filter is a
+// function of the query's simple-path feature vector alone (GGSX). A
+// caller that already holds pathfeat.SimplePathVector(q, FilterPathLen())
+// passes it to FilterVector and spares the method its own extraction; the
+// result is exactly Filter(q)'s.
+type VectorFilter interface {
+	// FilterPathLen is the maximum path length, in edges, of the vectors
+	// FilterVector accepts.
+	FilterPathLen() int
+	FilterVector(qv pathfeat.Vector) []int32
+}
+
 // VerifyAll runs the verification stage of m over ids, using batch
 // verification when the method supports it.
 func VerifyAll(m Method, q *graph.Graph, ids []int32) []bool {
@@ -93,8 +106,8 @@ func VerifyAll(m Method, q *graph.Graph, ids []int32) []bool {
 // answer set in ascending ID order. It is the reference execution path
 // used by baselines and correctness tests.
 func Answer(m Method, q *graph.Graph) []int32 {
-	// Mask tombstoned IDs: FTV filters may keep postings for removed
-	// graphs, and Verify on a removed ID would dereference a nil slot.
+	// Mask tombstoned IDs: DynamicMethod lets a filter keep returning
+	// removed IDs, and Verify on one would dereference a nil slot.
 	cs := m.Dataset().FilterLive(m.Filter(q))
 	verdicts := VerifyAll(m, q, cs)
 	var ans []int32

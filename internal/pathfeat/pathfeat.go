@@ -49,13 +49,14 @@ func Decode(k Key) []graph.Label {
 // KeyLen returns the number of labels encoded in k.
 func KeyLen(k Key) int { return len(k) / 2 }
 
-// simplePathsCalls counts SimplePaths invocations process-wide. The
-// enumeration is the dominant cost of index maintenance, so callers (and
-// tests) use the counter to assert that incremental rebuilds touch only
-// new graphs.
+// simplePathsCalls counts SimplePaths and SimplePathVector invocations
+// process-wide. The enumeration is the dominant cost of index maintenance,
+// so callers (and tests) use the counter to assert that incremental
+// rebuilds touch only new graphs.
 var simplePathsCalls atomic.Int64
 
-// SimplePathsCalls returns the number of SimplePaths invocations so far.
+// SimplePathsCalls returns the number of simple-path enumerations
+// (SimplePaths or SimplePathVector) so far.
 func SimplePathsCalls() int64 { return simplePathsCalls.Load() }
 
 // SimplePaths counts the directed simple paths of g with 0..maxLen edges.
@@ -211,13 +212,19 @@ func Hash(c Counts) uint64 {
 	return h
 }
 
+// FNV-1a parameters (64-bit).
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
 // keyBytesHash is FNV-1a over the key bytes: a feature's ID in a Vector,
 // and the per-key half of the pair hash.
 func keyBytesHash(k Key) uint64 {
-	p := uint64(14695981039346656037)
+	p := fnvOffset
 	for i := 0; i < len(k); i++ {
 		p ^= uint64(k[i])
-		p *= 1099511628211
+		p *= fnvPrime
 	}
 	return p
 }

@@ -3,6 +3,8 @@ package pathfeat
 import (
 	"cmp"
 	"slices"
+
+	"graphcache/internal/graph"
 )
 
 // FeatCount is one entry of a feature vector: a feature ID and the number
@@ -53,6 +55,104 @@ func VectorOfIDs(c Counts, id func(Key) uint64) Vector {
 		}
 	}
 	return out
+}
+
+// SimplePathVector returns VectorOf(SimplePaths(g, maxLen)) without building
+// the Counts in between: FNV-1a extends by prefix, so each step of the path
+// enumeration derives the path's ID from its parent's with two multiplies.
+// The IDs of all occurrences land in one slice, sized beforehand, that is
+// sorted and run-length-counted into the vector: at most four allocations
+// whatever the graph, none per path. It counts as a SimplePaths invocation.
+func SimplePathVector(g *graph.Graph, maxLen int) Vector {
+	simplePathsCalls.Add(1)
+	n := g.NumVertices()
+	if n == 0 {
+		return nil
+	}
+	w := pathWalker{g: g, visited: make([]bool, n), ids: make([]uint64, 0, pathBound(g, maxLen))}
+	for v := int32(0); int(v) < n; v++ {
+		w.walk(v, fnvOffset, maxLen)
+	}
+	slices.Sort(w.ids)
+	distinct := 1
+	for i := 1; i < len(w.ids); i++ {
+		if w.ids[i] != w.ids[i-1] {
+			distinct++
+		}
+	}
+	vec := make(Vector, 0, distinct)
+	for _, id := range w.ids {
+		if last := len(vec) - 1; last >= 0 && vec[last].ID == id {
+			vec[last].Count++
+		} else {
+			vec = append(vec, FeatCount{ID: id, Count: 1})
+		}
+	}
+	return vec
+}
+
+// maxPresize caps pathBound: 8 MB of IDs. A graph with more paths than
+// that grows its slice by appending.
+const maxPresize = 1 << 20
+
+// pathBound returns an upper bound, capped at maxPresize, on the number of
+// simple paths of g with 0..maxLen edges, in O(maxLen · edges): it counts
+// walks level by level, leaving out of each vertex's onward walks the
+// fewest any one neighbour offers — a path never steps back to the vertex
+// it came from, whichever that was.
+func pathBound(g *graph.Graph, maxLen int) int {
+	n := g.NumVertices()
+	var small [64]int // a query-sized graph's counts stay on the stack
+	cur := small[:]   // onward walks of the current length, per vertex
+	if 2*n > len(small) {
+		cur = make([]int, 2*n)
+	}
+	cur, next := cur[:n], cur[n:2*n]
+	for v := range cur {
+		cur[v] = 1
+	}
+	total := n
+	for l := 0; l < maxLen && total < maxPresize; l++ {
+		for v := range next {
+			sum, least := 0, 0
+			for i, u := range g.Neighbors(int32(v)) {
+				sum += cur[u]
+				if i == 0 || cur[u] < least {
+					least = cur[u]
+				}
+			}
+			total += sum // walks of l+1 edges that start at v
+			next[v] = sum - least
+		}
+		cur, next = next, cur
+	}
+	return min(total, maxPresize)
+}
+
+// pathWalker is SimplePathVector's enumeration state.
+type pathWalker struct {
+	g       *graph.Graph
+	visited []bool // the vertices of the path being extended
+	ids     []uint64
+}
+
+// walk records the ID of the path ending in v, whose prefix hashes to h,
+// and of every simple extension by up to left more edges.
+func (w *pathWalker) walk(v int32, h uint64, left int) {
+	l := w.g.Label(v)
+	h = (h ^ uint64(l>>8)) * fnvPrime
+	h = (h ^ uint64(l&0xff)) * fnvPrime
+	w.ids = append(w.ids, h)
+	if left <= 0 {
+		return
+	}
+	w.visited[v] = true
+	for _, u := range w.g.Neighbors(v) {
+		if !w.visited[u] {
+			w.walk(u, h, left-1)
+		}
+	}
+	w.visited[v] = false
 }
 
 // HashVector returns the order-independent hash of a feature vector: the

@@ -2,7 +2,11 @@ package pathfeat
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
+
+	"graphcache/internal/graph"
 )
 
 // vecDominates is the filtering condition over vectors: every (ID, count)
@@ -80,3 +84,155 @@ func TestCollidingIDsSumMerge(t *testing.T) {
 		}
 	}
 }
+
+// hashTestGraphs is the seeded family the extraction and hash tests run
+// over: the empty graph, a single vertex, graphs past 64 vertices, and
+// labels on both sides of 256 so both key bytes of a label matter.
+func hashTestGraphs(r *rand.Rand) []*graph.Graph {
+	gs := []*graph.Graph{
+		graph.NewBuilder().MustBuild(),
+		path(7),
+		path(300),
+		path(1, 256, 1, 257),
+		randomGraph(r, 70, 3, 0.03),
+		randomGraph(r, 100, 400, 0.02),
+	}
+	for i := 0; i < 60; i++ {
+		g := randomGraph(r, 1+r.Intn(25), 1+r.Intn(5), 0.05+0.3*r.Float64())
+		if i%3 == 0 { // spread the labels over both key bytes
+			b := graph.NewBuilder()
+			for v := 0; v < g.NumVertices(); v++ {
+				b.AddVertex(g.Label(int32(v)) * 131)
+			}
+			g.Edges(b.AddEdge)
+			g = b.MustBuild()
+		}
+		gs = append(gs, g)
+	}
+	return gs
+}
+
+// TestSimplePathVectorMatchesMapPath: the direct extraction is the map
+// path's vector, entry for entry, at every length — and so hashes to the
+// value Hash gives the Counts, which is what keeps ring homes and shard
+// routing where warm snapshots expect them.
+func TestSimplePathVectorMatchesMapPath(t *testing.T) {
+	for i, g := range hashTestGraphs(rand.New(rand.NewSource(14))) {
+		for _, maxLen := range []int{-1, 0, 1, 4, 5} {
+			c := SimplePaths(g, maxLen)
+			got, want := SimplePathVector(g, maxLen), VectorOf(c)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("graph %d, maxLen %d: SimplePathVector = %v, want %v", i, maxLen, got, want)
+			}
+			if HashVector(got) != Hash(c) {
+				t.Fatalf("graph %d, maxLen %d: HashVector = %x, Hash = %x", i, maxLen, HashVector(got), Hash(c))
+			}
+		}
+	}
+}
+
+// TestSimplePathVectorConcurrent: extractions running side by side share
+// nothing.
+func TestSimplePathVectorConcurrent(t *testing.T) {
+	gs := hashTestGraphs(rand.New(rand.NewSource(6)))
+	want := make([]Vector, len(gs))
+	for i, g := range gs {
+		want[i] = VectorOf(SimplePaths(g, 4))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range gs {
+				i = (i + w*7) % len(gs)
+				if got := SimplePathVector(gs[i], 4); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("worker %d, graph %d: concurrent extraction differs", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestSimplePathVectorIsCounted: the call counter the incremental-rebuild
+// tests read covers the direct extraction.
+func TestSimplePathVectorIsCounted(t *testing.T) {
+	before := SimplePathsCalls()
+	SimplePathVector(path(1, 2), 4)
+	SimplePaths(path(1, 2), 4)
+	if got := SimplePathsCalls() - before; got != 2 {
+		t.Errorf("counter moved by %d over one call of each extraction, want 2", got)
+	}
+}
+
+// TestSimplePathVectorAllocations: the extraction allocates its marks, the
+// path bound's scratch, the ID slice and the vector — nothing per path,
+// whatever the size of the graph.
+func TestSimplePathVectorAllocations(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, g := range []*graph.Graph{path(1), randomGraph(r, 25, 4, 0.12), randomGraph(r, 64, 3, 0.04), randomGraph(r, 300, 3, 0.01)} {
+		if allocs := testing.AllocsPerRun(50, func() { SimplePathVector(g, 4) }); allocs > 4 {
+			t.Errorf("%d vertices: %.0f allocations per extraction, want ≤ 4", g.NumVertices(), allocs)
+		}
+	}
+}
+
+// TestPathBoundCoversSimplePaths: the presize is never short of the
+// occurrences the enumeration appends, so the ID slice never regrows.
+func TestPathBoundCoversSimplePaths(t *testing.T) {
+	for i, g := range hashTestGraphs(rand.New(rand.NewSource(8))) {
+		for _, maxLen := range []int{-1, 0, 1, 4, 5} {
+			var paths int
+			for _, n := range SimplePaths(g, maxLen) {
+				paths += int(n)
+			}
+			if bound := pathBound(g, maxLen); bound < paths {
+				t.Errorf("graph %d, maxLen %d: bound %d under %d paths", i, maxLen, bound, paths)
+			}
+		}
+	}
+}
+
+// FuzzSimplePathVector checks the direct extraction against the map path
+// on whatever graphs the binary decoder accepts.
+func FuzzSimplePathVector(f *testing.F) {
+	for _, g := range hashTestGraphs(rand.New(rand.NewSource(2))) {
+		if data, err := graph.EncodeBinary([]*graph.Graph{g}); err == nil {
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gs, err := graph.DecodeBinary(data)
+		if err != nil {
+			return
+		}
+		for _, g := range gs {
+			if g.NumVertices() > 100 || g.NumEdges() > 200 {
+				continue // path enumeration is exponential in the degree
+			}
+			if got, want := SimplePathVector(g, 4), VectorOf(SimplePaths(g, 4)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("SimplePathVector = %v, want %v", got, want)
+			}
+		}
+	})
+}
+
+func BenchmarkSimplePathVector(b *testing.B) {
+	g := randomGraph(rand.New(rand.NewSource(1)), 25, 4, 0.12)
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			vecSink = SimplePathVector(g, 4)
+		}
+	})
+	b.Run("map", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			vecSink = VectorOf(SimplePaths(g, 4))
+		}
+	})
+}
+
+var vecSink Vector

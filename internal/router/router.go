@@ -758,7 +758,7 @@ func (rt *Router) availableCount() int {
 // queries with identical feature counts — hash identically, so their
 // cache hits concentrate on one backend.
 func (rt *Router) hash(q *graph.Graph) uint64 {
-	return pathfeat.Hash(pathfeat.SimplePaths(q, rt.opts.MaxPathLen))
+	return pathfeat.HashVector(pathfeat.SimplePathVector(q, rt.opts.MaxPathLen))
 }
 
 // assign picks the backend for one query: its ring home while that home

@@ -64,9 +64,9 @@ type GrapesOptions = grapes.Options
 // bitmaps).
 type CTIndexOptions = ctindex.Options
 
-// NewGGSX builds a GraphGrepSX index over ds: label paths in a suffix trie
-// with per-graph counts; filtering keeps graphs whose path counts dominate
-// the query's; verification is VF2.
+// NewGGSX builds a GraphGrepSX index over ds: one posting column per label
+// path, holding per-graph counts; filtering keeps graphs whose path counts
+// dominate the query's; verification is VF2.
 func NewGGSX(ds *Dataset, opts GGSXOptions) Method { return ggsx.New(ds, opts) }
 
 // NewGrapes builds a Grapes index over ds: label paths with occurrence
