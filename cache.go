@@ -16,11 +16,13 @@ import (
 // Options.Shards feature-hash shards — disjoint index snapshots, window
 // segments and statistics columns — while answers stay identical at any
 // shard count; see the package documentation's Concurrency and Sharded
-// store layout sections. QueryBatch processes many queries as one unit,
-// amortising index probes, pool dispatches and statistics round-trips
-// across the batch with answers identical to sequential Query calls —
-// the primitive behind the serving subsystem's request coalescer (see
-// Server).
+// store layout sections. The engine is one staged pipeline:
+// QueryBatchStream runs it over many queries as one unit — amortising
+// index probes, pool dispatches and statistics round-trips across the
+// batch, delivering each result as it completes, with answers identical
+// to sequential Query calls — QueryBatch collects its results, and Query
+// is the same pipeline over one query. It is the primitive behind the
+// serving subsystem's request coalescer (see Server).
 //
 // Cache contents persist across restarts through WriteSnapshot (call on
 // shutdown) and ReadSnapshot (call on startup, over the same dataset) —

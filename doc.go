@@ -44,17 +44,16 @@
 // concurrent Query callers: serials are assigned atomically, the GCindex
 // snapshot is read lock-free, window appends are mutex-guarded and
 // per-query statistics are credited in one batched store update. Within a
-// single query, Method M's verification stage and the GC processors'
+// single run, Method M's verification stage and the GC processors'
 // containment confirmations fan out over a bounded worker pool sized by
 // Options.VerifyConcurrency (default runtime.GOMAXPROCS(0); 1 disables
 // the cache's own fan-out — methods with internal verification
 // parallelism, like Grapes with multiple threads, keep their own pool).
 // The pool's extra workers are shared across all concurrent callers: N
 // callers run at most N + VerifyConcurrency − 1 verification workers in
-// total, not N × VerifyConcurrency. By default each query's fan-out is
-// additionally sized adaptively, from an EWMA of recent candidate-set
-// lengths, so tiny candidate sets stop waking the full pool
-// (Options.DisableAdaptiveVerify restores the fixed fan-out). Answers are
+// total, not N × VerifyConcurrency. Each work list's fan-out is sized
+// from its own length — one worker per four tests, up to the pool — so a
+// handful of cheap tests does not wake the full pool. Answers are
 // deterministic and id-ordered at any pool size and under any caller
 // interleaving.
 //
@@ -143,18 +142,30 @@
 // columnar probe to a map-based reference implementation on randomly
 // mutated caches.
 //
-// # Batched execution
+// # One query pipeline
 //
-// Cache.QueryBatch processes a slice of queries as one unit: every
-// shard's index snapshot is loaded once per batch and probed in a single
-// pass, the GC containment confirmations and Method-M verifications of
-// all queries flatten into one pooled dispatch per stage, and the whole
+// The engine has one staged pipeline and three entry points into it.
+// Cache.QueryBatchStream is the pipeline: feature extraction, Method M's
+// filter beside the GC processors, special cases, candidate-set pruning,
+// verification, and window/statistics bookkeeping, each stage run once
+// over all the queries it is given, delivering every Result the moment it
+// is complete. Cache.QueryBatch collects those deliveries into a slice
+// aligned with its input, and Cache.Query is the pipeline over one query.
+// For a batch, every shard's index snapshot is loaded once and probed in a
+// single pass, the GC containment confirmations and Method-M verifications
+// of all queries flatten into one pooled dispatch per stage, and the whole
 // batch's hit statistics land in a single store round-trip per shard.
 // Answers are exactly those of sequential Query calls — the pruning rules
-// are sound, so answers never depend on cache contents — aligned with the
-// input, id-ordered and deterministic. BenchmarkQueryBatch tracks the
-// amortisation (batched execution is never slower than sequential and
-// wins on multi-core machines).
+// are sound, so answers never depend on cache contents — id-ordered and
+// deterministic. A run in which a special case resolved every query
+// returns without waiting for Method M's filter, and a run whose context
+// dies abandons its unstarted verification and leaves no trace in the
+// cache. A run of one query is not a batch to the outside: it does not
+// count in Totals.Batches, its observation says Batched == false, and its
+// stage timings are exact rather than shares. BenchmarkQueryBatch tracks
+// the amortisation (batched execution is never slower than sequential and
+// wins on multi-core machines); BenchmarkQueryCached the cost of a lone
+// query.
 //
 // # Serving over the network
 //
@@ -168,9 +179,9 @@
 // The daemon speaks an HTTP/JSON API whose payloads embed graphs in the
 // same t/v/e text format datasets ship in, so non-Go clients need no
 // codec beyond printing a graph file: POST /query answers one query,
-// POST /querybatch a batch (one QueryBatch execution), GET /stats reports
+// POST /querybatch a batch (one run of the pipeline), GET /stats reports
 // the lifetime totals and GET /healthz liveness. Concurrently-arriving
-// single queries are coalesced into batched QueryBatch executions under a
+// single queries are coalesced into batched runs of the pipeline under a
 // configurable max-batch-size/max-delay window, so the service boundary
 // amortises filter dispatch and statistics application under load while
 // adding at most the delay window to a lone query's latency. With
@@ -227,7 +238,10 @@
 // context cancellation: the server abandons the batch's remaining
 // verification work — results already flushed stay valid, pending
 // sub-iso tests are skipped — and a router forwards the cancellation to
-// every backend stream it opened. A backend that dies mid-stream cannot
+// every backend stream it opened. The same holds for every other batch
+// shape, since all run the one pipeline: a buffered /querybatch whose
+// client left, and a coalesced batch — of many queries or of one — whose
+// every waiter left. A backend that dies mid-stream cannot
 // fail over once results have been flushed (a re-dispatch could
 // duplicate an index), so the router ends the stream with a terminal
 // error line instead. Cut streams and skipped verifications are counted
@@ -463,8 +477,10 @@
 // gcserved serves GET /metrics in the Prometheus 0.0.4 text format:
 //
 //	graphcache_query_duration_seconds{stage=...}  histograms per engine stage
-//	    (feature, probe, gcverify, filter_m, filter_gc, verify, total)
-//	graphcache_queries_total{path=single|batched}
+//	    (feature, probe, gcverify, filter_m, filter_gc, verify, total), observed
+//	    for every query; a batched query's values are its share of the
+//	    batch's stage time
+//	graphcache_queries_total{path=single|batched}  batched: ran with company
 //	graphcache_query_hits_total{kind=exact|empty|container|containee}
 //	graphcache_candidates_total{stage=method|final}, graphcache_query_candidates
 //	graphcache_verifications_saved_total, graphcache_credit_saved_total

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,145 +11,189 @@ import (
 	"graphcache/internal/pathfeat"
 )
 
-// batchCheck is one GC containment confirmation in a batch's flattened
-// verification work list: query qi against cached entry e, testing q ⊆ e.g
-// when sub (e is a candidate container) and e.g ⊆ q otherwise.
-type batchCheck struct {
-	qi  int
-	e   *entry
-	sub bool
+// This file is the query pipeline — the one runtime of §4, Figure 2:
+// Method M's filter beside the GC processors, the Candidate Set Pruner,
+// the verifier, the Window. QueryBatchStream is the pipeline; Query runs
+// it over one query and QueryBatch collects its deliveries.
+
+// How a query of a run was resolved.
+const (
+	stateNormal = iota // pruned, then verified by Method M
+	stateExact         // special case 1: an isomorphic cached query answered it
+	stateEmpty         // special case 2: a cached empty answer proves it empty
+)
+
+// queryState is everything the pipeline carries for one query of a run.
+type queryState struct {
+	q    *graph.Graph
+	vec  pathfeat.Vector
+	hash uint64
+
+	// Method M's filter output, written by the run's filter goroutine: read
+	// only after filterDone, and never for a query a special case resolved
+	// (the run may return while the filter is still writing).
+	csM  []int32
+	mDur time.Duration
+
+	// checks is the probe's candidate list, checks[:nSub] potential
+	// containers of q and the rest potential containees. The confirmed ones
+	// are compacted in place into containers and containees.
+	checks                 []*entry
+	nSub                   int
+	containers, containees []*entry
+
+	state      int
+	direct, cs []int32      // prune's output: lifted answers, candidates left to verify
+	off        int          // offset of cs's verdicts in the run's flattened verdict list
+	pending    atomic.Int32 // unverified candidates; the worker that zeroes it completes the query
+	ownCost    float64      // Σ c(q, G) over csM
+	credit     float64      // estimated saving credited to the entries that hit
+	answer     []int32
+	stats      QueryStats
 }
 
-// verifyPair is one Method-M sub-iso test in a batch's flattened
-// verification work list: query qi against dataset graph id.
-type verifyPair struct {
-	qi int
-	id int32
+// gcCheck is one GC containment confirmation in a run's flattened work
+// list: query qi against cached entry e, testing q ⊆ e.g when sub (e is a
+// candidate container) and e.g ⊆ q otherwise. ok is the verdict.
+type gcCheck struct {
+	qi      int
+	e       *entry
+	sub, ok bool
 }
 
-// QueryBatch processes a batch of queries through GraphCache as one unit.
-// Each query receives exactly the answer a standalone Query call would
-// return — the pruning rules are sound, so answers never depend on cache
-// contents — with results aligned to qs, id-ordered and deterministic at
-// any shard count, pool size or caller interleaving. It is safe to call
-// concurrently with Query and with other QueryBatch calls.
-//
-// What batching amortises, relative to len(qs) sequential Query calls:
-//
-//   - GCindex dispatch: every shard's index snapshot is loaded once per
-//     batch and probed in one pass over the batch, instead of one
-//     snapshot load and probe fan-out per query;
-//   - verification fan-out: the GC containment confirmations of all
-//     queries flatten into one work list over the shared worker pool, and
-//     so do the Method-M sub-iso tests of all pruned candidate sets —
-//     one pool dispatch per stage per batch, not per query;
-//   - statistics: hit credits of the whole batch are folded into a
-//     single CreditBatch per touched shard, and the lifetime totals into
-//     a single locked accumulation.
-//
-// Method M filtering for the whole batch runs concurrently with the GC
-// stage, as on the single-query path (§4, Figure 2). Window bookkeeping
-// is unchanged: non-duplicate queries enter the Window in serial order and
-// the Window Manager fires exactly as it would under sequential calls.
-//
-// Per-query timing statistics are stage-level apportionments — the GC
-// stage's wall time is split evenly across the batch and the verification
-// stage's proportionally to each query's candidate-set size — so their
-// sums remain meaningful in Totals while individual values are estimates.
+// verifyChunk is one unit of Method-M verification in a run's flattened
+// work list: query qi against its candidates cs[lo:hi]. Workers claim, poll
+// for cancellation and report completion once per chunk, not once per
+// sub-iso test — on a candidate set of thousands those shared counters
+// would otherwise cost as much as the cheaper tests themselves.
+type verifyChunk struct {
+	qi, lo, hi int
+}
+
+// Query processes q through GraphCache: GC filtering, special cases,
+// Method M filtering, candidate-set pruning, verification, and window/
+// cache bookkeeping — the pipeline over one query. It is safe for any
+// number of concurrent callers; each caller's answer is exactly the
+// wrapped method's answer for its query, whatever the interleaving.
+func (c *Cache) Query(q *graph.Graph) Result {
+	var res Result
+	// Never cancelled, so nothing is abandoned and there is no error.
+	c.QueryBatchStream(context.TODO(), []*graph.Graph{q}, func(_ int, r Result) { res = r })
+	return res
+}
+
+// QueryBatch processes a batch of queries as one run of the pipeline and
+// returns the results aligned to qs. Each query receives exactly the
+// answer a standalone Query call would return — the pruning rules are
+// sound, so answers never depend on cache contents — id-ordered and
+// deterministic at any shard count, pool size or caller interleaving. It
+// is safe to call concurrently with Query and with other batches.
 func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
-	results, _, _ := c.queryBatch(nil, qs, nil)
+	if len(qs) == 0 {
+		return nil
+	}
+	results := make([]Result, len(qs))
+	// Never cancelled, so nothing is abandoned and there is no error.
+	c.QueryBatchStream(context.TODO(), qs, func(i int, r Result) { results[i] = r })
 	return results
 }
 
-// QueryBatchStream processes a batch like QueryBatch but delivers each
-// Result the moment it is complete, instead of returning them all at
-// the end. deliver is called exactly once per query — index i aligns
-// with qs — and may be called concurrently from verification workers,
-// so it must be safe for concurrent use. Queries resolved without
-// verification (exact-match hits, empty-answer shortcuts, fully pruned
-// candidate sets) are delivered before any sub-iso test runs, so the
-// first results of a mixed batch arrive while the heavy tail is still
-// verifying. Delivered answers are identical to the ones QueryBatch
-// would return.
+// QueryBatchStream is the query pipeline: it processes qs as one run and
+// hands each Result to deliver the moment it is complete. deliver is
+// called exactly once per query — index i aligns with qs — and may be
+// called concurrently from verification workers, so it must be safe for
+// concurrent use. Queries resolved without verification (exact-match
+// hits, empty-answer shortcuts, fully pruned candidate sets) are
+// delivered before any sub-iso test runs, so the first results of a mixed
+// batch arrive while the heavy tail is still verifying.
+//
+// Every stage runs once per run, over all its queries:
+//
+//   - feature extraction, one pooled pass; the vectors are Method M's
+//     filter input, the probe input, the new entries' memoised vectors and
+//     their shard-routing hashes;
+//   - Method M's filter for every query on its own goroutine, beside the
+//     GC processors (§4, Figure 2). A run in which every query is resolved
+//     by a special case returns without waiting for it — the paper's
+//     "processing terminates" — and its output is discarded;
+//   - the GC processors: every shard's index snapshot is loaded once and
+//     probed per query, and the containment confirmations of all queries
+//     flatten into one work list over the shared worker pool;
+//   - special cases, then the Candidate Set Pruner (Eq. 1 then Eq. 2;
+//     inverted roles for supergraph queries, §5.1);
+//   - verification: the sub-iso tests of all pruned candidate sets as one
+//     flattened work list, the worker landing a query's last verdict
+//     assembling and delivering its answer;
+//   - bookkeeping: hit credits in one CreditBatch per touched shard,
+//     non-duplicate queries into the Window in serial order (the Window
+//     Manager fires exactly as under sequential calls), one locked fold
+//     into the lifetime totals, one observation per query.
+//
+// Timing statistics are per stage: the GC stage's wall time is split
+// evenly across the run's queries, and Totals and the Observer split the
+// verification stage's proportionally to each query's candidate-set
+// size, so sums stay meaningful and a lone query's values are exact. The
+// VerifyTime of a delivered Result is the time from the start of the
+// verification stage to that query's last verdict.
+//
+// A run of one query is not a batch to the outside: Totals.Batches and
+// QueryObservation.Batched count runs of two or more.
 //
 // ctx cancellation is the client-gone signal: once ctx.Err() is
 // non-nil, unstarted verification work is abandoned (a query whose
 // tests were already all in flight may still complete and be
-// delivered; a partially verified query never is), and a batch that
+// delivered; a partially verified query never is), and a run that
 // abandoned any leaves no trace in the cache — no window insertions, no
 // hit credits, no totals. The number of abandoned sub-iso tests and, when
 // there were any, ctx's error are returned. The cache only ever polls
 // ctx.Err(), never waits on ctx.Done(), so composite contexts without a
 // Done channel work.
 func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver func(i int, r Result)) (abandoned int, err error) {
-	_, abandoned, err = c.queryBatch(ctx, qs, deliver)
-	return abandoned, err
-}
-
-// queryBatch is the shared batch pipeline behind QueryBatch (ctx and
-// deliver nil: buffer everything, never cancel) and QueryBatchStream.
-func (c *Cache) queryBatch(ctx context.Context, qs []*graph.Graph, deliver func(i int, r Result)) ([]Result, int, error) {
 	n := len(qs)
 	if n == 0 {
-		return nil, 0, nil
+		return 0, nil
 	}
-	// cancelled is polled, never waited on: ctx may be a composite over
-	// many waiters whose Done channel is unavailable, but Err is exact.
-	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
-	if cancelled() {
-		return nil, 0, ctx.Err()
-	}
-	if n == 1 {
-		r := c.Query(qs[0])
-		if deliver != nil {
-			deliver(0, r)
-		}
-		return []Result{r}, 0, nil
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
 	c.enterQuery()
 	defer c.exitQuery()
 
-	// One contiguous serial block for the batch: query i is serial base+i,
-	// so batch results order like sequential calls would.
+	// One contiguous serial block for the run: query i is serial base+i,
+	// so a batch's results order like sequential calls would.
 	base := c.serial.Add(int64(n)) - int64(n) + 1
-	results := make([]Result, n)
-	for i := range results {
-		results[i].Stats.Serial = base + int64(i)
+	st := make([]queryState, n)
+	for i := range st {
+		st[i].q = qs[i]
+		st[i].stats.Serial = base + int64(i)
 	}
 
-	// Telemetry: when an Observer is installed the batch times its GC
-	// sub-stages (shared wall time, split evenly like FilterGCTime) and
-	// tracks per-query hit credit, emitting one observation per query at
-	// the end. obs == nil adds no clock reads beyond the existing ones.
+	// Telemetry: one pointer load decides whether the run times its GC
+	// sub-stages. With obs == nil no extra clock reads happen.
 	obs := c.observer()
 	var featShare, probeShare, gcvShare int64
-	creditPer := make([]float64, n)
 
-	// GC filtering stage. Feature extraction runs once per query, pooled;
-	// the vectors double as Method M's filter input, the probe input, the
-	// new entries' memoised vectors and their shard-routing hashes,
-	// exactly as on the single path.
 	gcStart := time.Now()
-	vecs := make([]pathfeat.Vector, n)
-	hashes := make([]uint64, n)
 	c.pool.ParallelFor(n, func(i int) {
-		vecs[i] = pathfeat.SimplePathVector(qs[i], c.opts.MaxPathLen)
-		hashes[i] = pathfeat.HashVector(vecs[i])
+		s := &st[i]
+		s.vec = pathfeat.SimplePathVector(s.q, c.opts.MaxPathLen)
+		s.hash = pathfeat.HashVector(s.vec)
 	})
 
-	// Method M filtering for the whole batch, dispatched concurrently with
-	// the rest of the GC stage as one pooled fan-out. On special-case hits
-	// the filter's output is discarded, as in the paper.
-	csM := make([][]int32, n)
-	mDur := make([]time.Duration, n)
-	var filterWG sync.WaitGroup
-	filterWG.Add(1)
+	// The filter goroutine holds its own inflight reference: an all-hit
+	// run returns without draining filterDone, and the filter must not
+	// still be reading the method's index when a mutation starts rewriting
+	// it.
+	filterDone := make(chan struct{})
+	c.retainQuery()
 	go func() {
-		defer filterWG.Done()
+		defer c.exitQuery()
+		defer close(filterDone)
 		c.pool.ParallelFor(n, func(i int) {
+			s := &st[i]
 			start := time.Now()
-			csM[i] = c.filterM(qs[i], vecs[i])
-			mDur[i] = time.Since(start)
+			s.csM = c.filterM(s.q, s.vec)
+			s.mDur = time.Since(start)
 		})
 	}()
 	var probeStart time.Time
@@ -159,379 +202,302 @@ func (c *Cache) queryBatch(ctx context.Context, qs []*graph.Graph, deliver func(
 		featShare = probeStart.Sub(gcStart).Nanoseconds() / int64(n)
 	}
 
-	// Load every shard's index snapshot once for the whole batch — all
-	// queries probe the same generation — and probe shard × query in one
-	// pooled pass.
-	nShards := len(c.shards)
-	ixs := make([]*queryIndex, nShards)
-	total := 0
+	// All queries of a run probe the same index generation.
+	ixs := make([]*queryIndex, len(c.shards))
+	cached := 0
 	for si, sh := range c.shards {
 		ixs[si] = sh.index.Load()
-		total += ixs[si].size()
+		cached += ixs[si].size()
 	}
-
-	containers := make([][]*entry, n)
-	containees := make([][]*entry, n)
-	checkCount := make([]int, n)
-	var checks []batchCheck
-	if total > 0 {
-		// One pooled probe per query against the batch-loaded snapshots:
-		// each worker reuses the same probeScratch path as the single-query
-		// probe (per-shard candidate buffers, slot counters, k-way merge),
-		// so the batch probe allocates only the per-query merged entry
-		// lists. The flattened confirmation list is query-major, containers
-		// before containees — the order Query checks them in.
-		type mergedProbe struct {
-			checks []*entry
-			nSub   int
-		}
-		merged := make([]mergedProbe, n)
-		c.pool.ParallelFor(n, func(qi int) {
-			ck, nSub := c.probeSnapshots(ixs, vecs[qi])
-			merged[qi] = mergedProbe{checks: ck, nSub: nSub}
+	nChecks := 0
+	if cached > 0 {
+		c.pool.ParallelFor(n, func(i int) {
+			st[i].checks, st[i].nSub = c.probe(ixs, st[i].vec)
 		})
-		for qi := 0; qi < n; qi++ {
-			for i, e := range merged[qi].checks {
-				checks = append(checks, batchCheck{qi: qi, e: e, sub: i < merged[qi].nSub})
-			}
+		for i := range st {
+			nChecks += len(st[i].checks)
 		}
 	}
-
 	var gcvStart time.Time
 	if obs != nil {
 		gcvStart = time.Now()
 		probeShare = gcvStart.Sub(probeStart).Nanoseconds() / int64(n)
 	}
 
-	// Containment confirmations for the whole batch: one flattened
-	// dispatch through the shared pool.
-	if len(checks) > 0 {
-		verdicts := make([]bool, len(checks))
-		workers := c.adaptiveWorkers(&c.gcEWMA, len(checks))
-		c.pool.ParallelForN(len(checks), workers, func(i int) {
-			ck := checks[i]
-			if ck.sub {
-				verdicts[i] = iso.Contains(c.algo, qs[ck.qi], ck.e.g)
-			} else {
-				verdicts[i] = iso.Contains(c.algo, ck.e.g, qs[ck.qi])
+	// Containment confirmations: real (cheap, small-vs-small) sub-iso
+	// tests, query-major with containers before containees, so each
+	// query's confirmed lists come out in ascending serial order whatever
+	// the pool size or shard count.
+	if nChecks > 0 {
+		checks := make([]gcCheck, 0, nChecks)
+		for qi := range st {
+			s := &st[qi]
+			for j, e := range s.checks {
+				checks = append(checks, gcCheck{qi: qi, e: e, sub: j < s.nSub})
 			}
+			s.stats.GCVerifications = len(s.checks)
+			s.containers, s.containees = s.checks[:0:s.nSub], s.checks[s.nSub:s.nSub]
+		}
+		c.pool.ParallelForN(nChecks, c.adaptiveWorkers(nChecks), func(k int) {
+			ck := &checks[k]
+			pattern, target := st[ck.qi].q, ck.e.g
+			if !ck.sub {
+				pattern, target = target, pattern
+			}
+			ck.ok = iso.Contains(c.algo, pattern, target)
 		})
-		for i, ok := range verdicts {
-			ck := checks[i]
-			checkCount[ck.qi]++
-			if !ok {
+		for _, ck := range checks {
+			if !ck.ok {
 				continue
 			}
-			if ck.sub {
-				containers[ck.qi] = append(containers[ck.qi], ck.e)
+			if s := &st[ck.qi]; ck.sub {
+				s.containers = append(s.containers, ck.e)
 			} else {
-				containees[ck.qi] = append(containees[ck.qi], ck.e)
+				s.containees = append(s.containees, ck.e)
 			}
 		}
 	}
 	if obs != nil {
 		gcvShare = time.Since(gcvStart).Nanoseconds() / int64(n)
 	}
-	// The EWMA tracks per-query candidate-set lengths, so feed it one
-	// observation per query, not one per batch.
-	for qi := 0; qi < n; qi++ {
-		c.gcEWMA.observe(float64(checkCount[qi]))
-	}
 	gcShare := time.Since(gcStart) / time.Duration(n)
 
-	// Per-query special-case resolution. Hit credits are not applied yet:
-	// they accumulate into per-shard op lists and land in one CreditBatch
-	// per shard at the end of the batch. Deferring is safe — credit ops
-	// only increment or max columns the batch itself never reads.
-	const (
-		stateNormal = iota
-		stateExact
-		stateEmpty
-	)
-	states := make([]int, n)
-	shardOps := make([][]StatOp, nShards)
+	// Hit credits (§5.2) — hit counts, recency, candidate-set reduction
+	// and estimated time saving — queue per owning shard and land after
+	// verification, so an abandoned run credits nothing. Deferring is safe:
+	// credit ops only increment or max columns the run itself never reads.
+	shardOps := make([][]StatOp, len(c.shards))
 	totalSaved := 0.0
-	emitSpecial := func(e *entry, serial int64) {
-		st := c.shardFor(e).stats
-		ownCS := st.Get(e.serial, ColOwnCS)
-		saved := st.Get(e.serial, ColOwnCost)
+	queueCredit := func(s *queryState, e *entry, special bool, reduction, saved float64) {
+		ops := [...]StatOp{
+			{Key: e.serial, Col: ColHits, Val: 1},
+			{Key: e.serial, Col: ColLastHit, Val: float64(s.stats.Serial), Max: true},
+			{Key: e.serial, Col: ColCSReduction, Val: reduction},
+			{Key: e.serial, Col: ColTimeSaving, Val: saved},
+			{Key: e.serial, Col: ColSpecialHits, Val: 1},
+		}
+		k := 2 // a match that removed nothing credits the hit alone
+		if special || reduction > 0 {
+			k = 4
+			totalSaved += saved
+			s.credit += saved
+		}
+		if special {
+			k = 5
+		}
 		si := c.shardIndexOf(e)
-		shardOps[si] = append(shardOps[si],
-			StatOp{Key: e.serial, Col: ColHits, Val: 1},
-			StatOp{Key: e.serial, Col: ColSpecialHits, Val: 1},
-			StatOp{Key: e.serial, Col: ColLastHit, Val: float64(serial), Max: true},
-			StatOp{Key: e.serial, Col: ColCSReduction, Val: ownCS},
-			StatOp{Key: e.serial, Col: ColTimeSaving, Val: saved})
-		totalSaved += saved
-		creditPer[serial-base] += saved
+		shardOps[si] = append(shardOps[si], ops[:k]...)
 	}
-	for qi := range qs {
-		serial := base + int64(qi)
-		st := &results[qi].Stats
-		st.FilterGCTime = gcShare
-		st.GCVerifications = checkCount[qi]
-		st.Containers, st.Containees = len(containers[qi]), len(containees[qi])
 
+	supergraph := c.m.Mode() == method.ModeSupergraph
+	nTests := 0
+	for qi := range st {
+		s := &st[qi]
+		s.stats.FilterGCTime = gcShare
+		s.stats.Containers, s.stats.Containees = len(s.containers), len(s.containees)
+		providers, restrictors := s.containers, s.containees
+		if supergraph {
+			providers, restrictors = restrictors, providers
+		}
+
+		// Special case 1 (§5.1): an isomorphic cached query answers q with
+		// no further processing. Special case 2: a contained cached query
+		// (containing, for supergraph queries) with an empty answer proves
+		// q's answer empty. Either way Method M is never consulted, and the
+		// cached entry's own first-execution candidate set and estimated
+		// cost stand in for the (never computed) ones of the shortcut query.
+		var hit *entry
 		if !c.opts.DisableExactMatch {
-			if e := findExact(qs[qi].NumVertices(), qs[qi].NumEdges(), containers[qi], containees[qi]); e != nil {
-				emitSpecial(e, serial)
-				st.ExactHit = true
-				st.AnswerSize = len(e.answer)
-				results[qi].Answer = cloneIDs(e.answer)
-				states[qi] = stateExact
-				continue
-			}
+			hit = findExact(s.q.NumVertices(), s.q.NumEdges(), s.containers, s.containees)
 		}
-		emptyCandidates := containees[qi]
-		if c.m.Mode() == method.ModeSupergraph {
-			emptyCandidates = containers[qi]
+		if hit != nil {
+			s.state, s.answer = stateExact, hit.answer
+			s.stats.ExactHit, s.stats.AnswerSize = true, len(hit.answer)
+		} else if hit = findEmptyAnswer(restrictors); hit != nil {
+			s.state, s.stats.EmptyShortcut = stateEmpty, true
 		}
-		if e := findEmptyAnswer(emptyCandidates); e != nil {
-			emitSpecial(e, serial)
-			st.EmptyShortcut = true
-			states[qi] = stateEmpty
-		}
-	}
-
-	// Candidate-set pruning per remaining query, then one flattened
-	// Method-M verification dispatch for the whole batch. Removed-graph
-	// IDs are masked out of the candidate sets, as on the single path.
-	filterWG.Wait()
-	if ds := c.m.Dataset(); ds.Mutated() {
-		for i := range csM {
-			csM[i] = ds.FilterLive(csM[i])
-		}
-	}
-	type prunedQuery struct {
-		direct, cs []int32
-		off        int // offset of cs in the flattened pair list
-	}
-	pruned := make([]prunedQuery, n)
-	var pairs []verifyPair
-	ownCost := make([]float64, n)
-	emitMatch := func(serial int64, e *entry, removed, csM []int32, costs []float64) {
-		si := c.shardIndexOf(e)
-		shardOps[si] = append(shardOps[si],
-			StatOp{Key: e.serial, Col: ColHits, Val: 1},
-			StatOp{Key: e.serial, Col: ColLastHit, Val: float64(serial), Max: true})
-		if len(removed) == 0 {
-			return
-		}
-		saved := sumCostsOf(removed, csM, costs)
-		shardOps[si] = append(shardOps[si],
-			StatOp{Key: e.serial, Col: ColCSReduction, Val: float64(len(removed))},
-			StatOp{Key: e.serial, Col: ColTimeSaving, Val: saved})
-		totalSaved += saved
-		creditPer[serial-base] += saved
-	}
-	for qi := range qs {
-		if states[qi] != stateNormal {
+		if hit != nil {
+			own := c.shardFor(hit).stats
+			queueCredit(s, hit, true, own.Get(hit.serial, ColOwnCS), own.Get(hit.serial, ColOwnCost))
 			continue
 		}
-		serial := base + int64(qi)
-		st := &results[qi].Stats
-		st.FilterMTime = mDur[qi]
-		st.CandidatesM = len(csM[qi])
 
-		providers, restrictors := containers[qi], containees[qi]
-		if c.m.Mode() == method.ModeSupergraph {
-			providers, restrictors = containees[qi], containers[qi]
-		}
-		direct, cs, credit := prune(csM[qi], providers, restrictors)
-		st.DirectAnswers = len(direct)
-		st.CandidatesFinal = len(cs)
-		st.SubIsoTests = len(cs)
-		pruned[qi] = prunedQuery{direct: direct, cs: cs, off: len(pairs)}
-		for _, id := range cs {
-			pairs = append(pairs, verifyPair{qi: qi, id: id})
-		}
-		costs := c.candidateCosts(qs[qi], csM[qi])
-		ownCost[qi] = sumFloats(costs)
-		for _, e := range providers {
-			emitMatch(serial, e, credit[e.serial], csM[qi], costs)
-		}
-		for _, e := range restrictors {
-			emitMatch(serial, e, credit[e.serial], csM[qi], costs)
+		// Method M's candidate set from the parallel filter stage, with
+		// removed-graph IDs masked out: DynamicMethod lets a filter keep
+		// returning them (a FilterLive no-op until the first mutation).
+		<-filterDone
+		s.csM = c.m.Dataset().FilterLive(s.csM)
+		s.stats.FilterMTime = s.mDur
+		s.stats.CandidatesM = len(s.csM)
+
+		var removedBy map[int64][]int32
+		s.direct, s.cs, removedBy = prune(s.csM, providers, restrictors)
+		s.stats.DirectAnswers = len(s.direct)
+		s.stats.CandidatesFinal = len(s.cs)
+		s.stats.SubIsoTests = len(s.cs)
+		nTests += len(s.cs)
+
+		costs := c.candidateCosts(s.q, s.csM)
+		s.ownCost = sumFloats(costs)
+		for _, matched := range [2][]*entry{providers, restrictors} {
+			for _, e := range matched {
+				removed := removedBy[e.serial]
+				queueCredit(s, e, false, float64(len(removed)), sumCostsOf(removed, s.csM, costs))
+			}
 		}
 	}
 
-	// The batch's cheap resolutions are now final: in streaming mode,
-	// flush every query that needs no verification before dispatching
-	// any sub-iso work, so the client's first results never wait on the
-	// batch's heavy tail. A dead client abandons the whole pair list.
-	if cancelled() {
-		return nil, len(pairs), ctx.Err()
+	// A dead client abandons every test of the run.
+	if err := ctx.Err(); err != nil {
+		return nTests, err
 	}
-	if deliver != nil {
-		for qi := range qs {
-			if states[qi] != stateNormal {
-				deliver(qi, results[qi])
-				continue
+	verdicts := make([]bool, nTests)
+	chunks := make([]verifyChunk, 0, nTests/adaptiveGrain+min(n, nTests))
+	for qi, off := 0, 0; qi < n; qi++ {
+		s := &st[qi]
+		s.off = off
+		off += len(s.cs)
+		s.pending.Store(int32(len(s.cs)))
+		for lo := 0; lo < len(s.cs); lo += adaptiveGrain {
+			chunks = append(chunks, verifyChunk{qi: qi, lo: lo, hi: min(lo+adaptiveGrain, len(s.cs))})
+		}
+	}
+	// complete assembles query qi's answer once all its verdicts are in
+	// and delivers it. The delivered Result is a private copy: bookkeeping
+	// keeps s.answer for the Window.
+	complete := func(qi int, verifyTime time.Duration) {
+		s := &st[qi]
+		if s.state == stateNormal {
+			var positives []int32
+			for k, id := range s.cs {
+				if verdicts[s.off+k] {
+					positives = append(positives, id)
+				}
 			}
-			if len(pruned[qi].cs) == 0 {
-				r := results[qi]
-				r.Answer = cloneIDs(unionSorted(pruned[qi].direct, nil))
-				r.Stats.AnswerSize = len(r.Answer)
-				deliver(qi, r)
-			}
+			s.answer = unionSorted(s.direct, positives)
+			s.stats.AnswerSize = len(s.answer)
+			s.stats.VerifyTime = verifyTime
+		}
+		deliver(qi, Result{Answer: cloneIDs(s.answer), Stats: s.stats})
+	}
+	// The run's cheap resolutions are final: flush every query that needs
+	// no verification before dispatching any sub-iso work, so a client's
+	// first results never wait on the batch's heavy tail.
+	for qi := range st {
+		if len(st[qi].cs) == 0 {
+			complete(qi, 0)
 		}
 	}
 
 	var vDur time.Duration
-	var skipped atomic.Int64
-	verdicts := make([]bool, len(pairs))
-	if len(pairs) > 0 {
-		vStart := time.Now()
-		// deliverVerified flushes query qi once its last verdict lands.
-		// Answer assembly here mirrors the buffered loop below exactly;
-		// the Result is a private copy, so the buffered loop's later
-		// writes to results[qi] never race with a delivered value.
-		deliverVerified := func(qi int) {
-			p := pruned[qi]
-			var positives []int32
-			for k, id := range p.cs {
-				if verdicts[p.off+k] {
-					positives = append(positives, id)
-				}
-			}
-			r := results[qi]
-			r.Answer = cloneIDs(unionSorted(p.direct, positives))
-			r.Stats.AnswerSize = len(r.Answer)
-			r.Stats.VerifyTime = time.Since(vStart)
-			deliver(qi, r)
-		}
-		if bv, ok := c.m.(method.BatchVerifier); ok {
-			// Methods with internal verification parallelism keep their
-			// own pool: one VerifyBatch per query, fanned over the batch.
-			c.pool.ParallelFor(n, func(qi int) {
-				p := pruned[qi]
-				if states[qi] != stateNormal || len(p.cs) == 0 {
-					return
-				}
-				if cancelled() {
-					skipped.Add(int64(len(p.cs)))
-					return
-				}
-				copy(verdicts[p.off:p.off+len(p.cs)], bv.VerifyBatch(qs[qi], p.cs))
-				if deliver != nil {
-					deliverVerified(qi)
-				}
-			})
-		} else {
-			workers := c.adaptiveWorkers(&c.verifyEWMA, len(pairs))
-			// pending counts each query's unfinished pairs; the worker
-			// that decrements it to zero has a happens-before edge on
-			// every sibling verdict and delivers the completed answer.
-			// Skipped pairs never decrement, so a query touched by
-			// cancellation can never be delivered partially verified.
-			var pending []atomic.Int32
-			if deliver != nil {
-				pending = make([]atomic.Int32, n)
-				for qi := range pruned {
-					pending[qi].Store(int32(len(pruned[qi].cs)))
-				}
-			}
-			c.pool.ParallelForN(len(pairs), workers, func(k int) {
-				if cancelled() {
-					skipped.Add(1)
-					return
-				}
-				verdicts[k] = c.m.Verify(qs[pairs[k].qi], pairs[k].id)
-				if deliver != nil {
-					if qi := pairs[k].qi; pending[qi].Add(-1) == 0 {
-						deliverVerified(qi)
-					}
-				}
-			})
-		}
-		vDur = time.Since(vStart)
+	if nTests > 0 {
+		vDur, abandoned = c.verifyChunks(ctx, st, chunks, verdicts, complete)
 	}
-	if n := int(skipped.Load()); n > 0 {
+	if abandoned > 0 {
 		// Cut short: everything delivered so far was fully verified, but
-		// the batch as a whole never happened as far as the cache is
-		// concerned — no credits, no window entries, no totals. Caching
-		// a partially verified batch would poison future answers;
-		// skipping bookkeeping merely forgoes an optimisation. A cancel
-		// that lands after the last verdict skipped nothing, and the batch
-		// is kept: the coalescer's callers all leave the moment their
-		// results are delivered, which must not cost the batch its place
-		// in the window.
-		return nil, n, ctx.Err()
+		// the run as a whole never happened as far as the cache is
+		// concerned — no credits, no window entries, no totals. Caching a
+		// partially verified run would poison future answers; skipping
+		// bookkeeping merely forgoes an optimisation. A cancel that lands
+		// after the last verdict skipped nothing, and the run is kept: the
+		// coalescer's callers all leave the moment their results are
+		// delivered, which must not cost the batch its place in the window.
+		return abandoned, ctx.Err()
 	}
 
-	answers := make([][]int32, n)
-	for qi := range qs {
-		if states[qi] != stateNormal {
-			continue
-		}
-		c.verifyEWMA.observe(float64(len(pruned[qi].cs)))
-		p := pruned[qi]
-		var positives []int32
-		for k, id := range p.cs {
-			if verdicts[p.off+k] {
-				positives = append(positives, id)
-			}
-		}
-		answer := unionSorted(p.direct, positives)
-		st := &results[qi].Stats
-		st.AnswerSize = len(answer)
-		if len(pairs) > 0 {
-			st.VerifyTime = vDur * time.Duration(len(p.cs)) / time.Duration(len(pairs))
-		}
-		answers[qi] = answer
-		results[qi].Answer = cloneIDs(answer)
-	}
-
-	// Statistics: one CreditBatch round-trip per touched shard for the
-	// whole batch, one savings fold, one totals accumulation.
+	// Bookkeeping. Credits and the savings fold come first — before a
+	// query can trigger window processing — so a window's gain always
+	// includes the savings of the query that filled it.
 	for si, ops := range shardOps {
-		if len(ops) > 0 {
-			c.shards[si].stats.CreditBatch(ops)
-		}
+		c.shards[si].stats.CreditBatch(ops)
 	}
 	c.addSavings(totalSaved)
 
-	// Window bookkeeping, in serial order — duplicates (exact hits) skip
-	// the Window as on the single path, and the Window Manager triggers
-	// mid-batch exactly when a segment append fills the global window.
-	for qi := range qs {
-		serial := base + int64(qi)
-		st := results[qi].Stats
-		switch states[qi] {
-		case stateExact:
-			continue
-		case stateEmpty:
-			c.addToWindow(&windowEntry{
-				e:        &entry{serial: serial, g: qs[qi], vec: vecs[qi], vecOK: true, hash: hashes[qi], hashed: true},
-				filterNS: float64(st.FilterGCTime.Nanoseconds()),
-			}, serial)
-		default:
-			c.addToWindow(&windowEntry{
-				e:        &entry{serial: serial, g: qs[qi], answer: answers[qi], vec: vecs[qi], vecOK: true, hash: hashes[qi], hashed: true},
-				filterNS: float64((st.FilterMTime + st.FilterGCTime).Nanoseconds()),
-				verifyNS: float64(st.VerifyTime.Nanoseconds()),
-				ownCS:    len(csM[qi]),
-				ownCost:  ownCost[qi],
-			}, serial)
+	// The queries, their answers and their first-execution statistics
+	// enter the Window in serial order. An exact hit is a duplicate of a
+	// cached query; re-admitting it would only pollute the cache. From
+	// here on a query's VerifyTime is its share of the stage.
+	for i := range st {
+		s := &st[i]
+		if len(s.cs) > 0 {
+			s.stats.VerifyTime = vDur * time.Duration(len(s.cs)) / time.Duration(nTests)
 		}
+		if s.state == stateExact {
+			continue
+		}
+		serial := s.stats.Serial
+		e := &entry{serial: serial, g: s.q, answer: s.answer, vec: s.vec, vecOK: true, hash: s.hash, hashed: true}
+		if s.state == stateEmpty {
+			c.addToWindow(&windowEntry{e: e, filterNS: float64(gcShare.Nanoseconds())}, serial)
+			continue
+		}
+		c.addToWindow(&windowEntry{
+			e:        e,
+			filterNS: float64((s.stats.FilterMTime + gcShare).Nanoseconds()),
+			verifyNS: float64(s.stats.VerifyTime.Nanoseconds()),
+			ownCS:    len(s.csM),
+			ownCost:  s.ownCost,
+		}, serial)
 	}
 
-	c.accumulateBatch(results)
+	c.totMu.Lock()
+	if n > 1 {
+		c.tot.Batches++
+	}
+	for i := range st {
+		c.tot.add(&st[i].stats)
+	}
+	c.totMu.Unlock()
 	if obs != nil {
-		for qi := range results {
-			emitQuery(obs, &results[qi].Stats, featShare, probeShare, gcvShare, creditPer[qi], true)
+		for i := range st {
+			emitQuery(obs, &st[i].stats, featShare, probeShare, gcvShare, st[i].credit, n > 1)
 		}
 	}
-	return results, 0, nil
+	return 0, nil
 }
 
-// accumulateBatch folds a whole batch's per-query stats into the lifetime
-// totals under a single lock acquisition.
-func (c *Cache) accumulateBatch(results []Result) {
-	c.totMu.Lock()
-	defer c.totMu.Unlock()
-	c.tot.Batches++
-	for i := range results {
-		c.accumulateLocked(results[i].Stats)
+// verifyChunks runs a run's flattened Method-M work list through the
+// worker pool — one worker per chunk while pool slots are free — calling
+// complete for each query as its last verdict lands. It returns the
+// stage's wall time and how many tests it skipped because ctx died first.
+func (c *Cache) verifyChunks(ctx context.Context, st []queryState, chunks []verifyChunk, verdicts []bool,
+	complete func(qi int, verifyTime time.Duration)) (time.Duration, int) {
+	var skipped atomic.Int64
+	vStart := time.Now()
+	if bv, ok := c.m.(method.BatchVerifier); ok {
+		// Methods with internal verification parallelism keep their own
+		// pool: one VerifyBatch per query, fanned over the run.
+		c.pool.ParallelFor(len(st), func(qi int) {
+			s := &st[qi]
+			if len(s.cs) == 0 {
+				return
+			}
+			if ctx.Err() != nil {
+				skipped.Add(int64(len(s.cs)))
+				return
+			}
+			copy(verdicts[s.off:], bv.VerifyBatch(s.q, s.cs))
+			complete(qi, time.Since(vStart))
+		})
+	} else {
+		// The worker that brings a query's pending count to zero has a
+		// happens-before edge on every sibling verdict and completes the
+		// query. Skipped chunks never decrement, so a query touched by
+		// cancellation is never delivered partially verified.
+		c.pool.ParallelFor(len(chunks), func(k int) {
+			ch := chunks[k]
+			if ctx.Err() != nil {
+				skipped.Add(int64(ch.hi - ch.lo))
+				return
+			}
+			s := &st[ch.qi]
+			for j := ch.lo; j < ch.hi; j++ {
+				verdicts[s.off+j] = c.m.Verify(s.q, s.cs[j])
+			}
+			if s.pending.Add(int32(ch.lo-ch.hi)) == 0 {
+				complete(ch.qi, time.Since(vStart))
+			}
+		})
 	}
+	return time.Since(vStart), int(skipped.Load())
 }

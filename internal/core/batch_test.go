@@ -1,12 +1,19 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"graphcache/internal/dataset"
 	"graphcache/internal/ggsx"
 	"graphcache/internal/graph"
+	"graphcache/internal/iso"
 	"graphcache/internal/method"
+	"graphcache/internal/workload"
 )
 
 // TestQueryBatchMatchesSequential is the batch engine's central identity
@@ -26,8 +33,8 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 			want[i] = seq.Query(q.Graph).Answer
 		}
 
-		// Replay in batches of cycling sizes, including 1 (the Query
-		// fallback) and sizes spanning window boundaries.
+		// Replay in batches of cycling sizes, including 1 and sizes
+		// spanning window boundaries.
 		sizes := []int{7, 1, 64, 3, 16}
 		for i, si := 0, 0; i < len(queries); si++ {
 			end := i + sizes[si%len(sizes)]
@@ -52,6 +59,183 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 		if sq, bq := seq.Totals().Queries, bat.Totals().Queries; sq != bq {
 			t.Errorf("shards=%d: Totals().Queries: batched %d != sequential %d", shards, bq, sq)
 		}
+	}
+}
+
+// TestThreeEntryPointsOnePipeline pins what the separate single-query
+// engine used to guarantee: the same seeded stream — sub- and supergraph
+// method, one and four shards, an add, a remove and an edit on the way —
+// driven as Query, as a QueryBatch of one and as a QueryBatchStream of one
+// leaves identical answers, count statistics, totals (a batch of one is
+// not a batch), cache contents and statistics columns.
+func TestThreeEntryPointsOnePipeline(t *testing.T) {
+	drives := []struct {
+		name string
+		run  func(c *Cache, q *graph.Graph) Result
+	}{
+		{"Query", func(c *Cache, q *graph.Graph) Result { return c.Query(q) }},
+		{"QueryBatch", func(c *Cache, q *graph.Graph) Result { return c.QueryBatch([]*graph.Graph{q})[0] }},
+		{"QueryBatchStream", func(c *Cache, q *graph.Graph) (r Result) {
+			if _, err := c.QueryBatchStream(context.Background(), []*graph.Graph{q}, func(_ int, res Result) { r = res }); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}},
+	}
+	type outcome struct {
+		results []Result
+		totals  Totals
+		cached  []int64
+		columns map[string]map[int64]float64
+	}
+	for _, tc := range []struct {
+		name  string
+		mk    func(ds *dataset.Dataset) method.Method
+		sizes []int
+	}{
+		{"subgraph", func(ds *dataset.Dataset) method.Method { return ggsx.New(ds, ggsx.Options{}) }, []int{4, 8, 12}},
+		{"supergraph", func(ds *dataset.Dataset) method.Method { return method.NewSuperSI(ds, iso.VF2{}) }, []int{20, 30, 40}},
+	} {
+		for _, shards := range []int{1, 4} {
+			var outs []outcome
+			for _, d := range drives {
+				ds := moleculeDataset(60, 21) // the stream mutates it: one copy per drive
+				cfg, err := workload.TypeACategory("ZZ", 1.4, tc.sizes, 180)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := New(tc.mk(ds), Options{CacheSize: 20, WindowSize: 5, Shards: shards})
+				var out outcome
+				for i, q := range workload.TypeA(ds, cfg, 22) {
+					switch i {
+					case 60:
+						_, err = c.AddGraphs([]*graph.Graph{ds.Graph(0).Clone(), ds.Graph(7).Clone()})
+					case 100:
+						_, err = c.RemoveGraphs([]int32{3, int32(ds.Len() - 1)})
+					case 140:
+						var u, v int32
+						ds.Graph(5).Edges(func(a, b int32) { u, v = a, b })
+						_, err = c.EditGraphEdges(5, []dataset.EdgeEdit{{U: u, V: v, Del: true}})
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := d.run(c, q.Graph)
+					r.Stats.FilterMTime, r.Stats.FilterGCTime, r.Stats.VerifyTime = 0, 0, 0
+					out.results = append(out.results, r)
+				}
+				out.totals = c.Totals()
+				out.totals.FilterMTime, out.totals.FilterGCTime, out.totals.VerifyTime, out.totals.MaintenanceTime = 0, 0, 0, 0
+				out.cached = c.CachedSerials()
+				out.columns = map[string]map[int64]float64{}
+				for _, col := range []string{ColNodes, ColEdges, ColLabels, ColOwnCS, ColOwnCost,
+					ColHits, ColSpecialHits, ColLastHit, ColCSReduction, ColTimeSaving} {
+					out.columns[col] = c.Stats().Column(col)
+				}
+				outs = append(outs, out)
+			}
+			want := outs[0]
+			if want.totals.Batches != 0 || want.totals.ExactHits == 0 || want.totals.Mutations != 3 || len(want.cached) == 0 {
+				t.Errorf("%s shards=%d: stream exercised too little, or a batch of one was counted: %+v", tc.name, shards, want.totals)
+			}
+			for k, got := range outs[1:] {
+				name := drives[k+1].name
+				if !reflect.DeepEqual(got.results, want.results) {
+					t.Errorf("%s shards=%d: %s answers or count statistics differ from Query", tc.name, shards, name)
+				}
+				if got.totals != want.totals {
+					t.Errorf("%s shards=%d: %s totals differ:\n%+v\nQuery: %+v", tc.name, shards, name, got.totals, want.totals)
+				}
+				if !reflect.DeepEqual(got.cached, want.cached) {
+					t.Errorf("%s shards=%d: %s cached %v, Query %v", tc.name, shards, name, got.cached, want.cached)
+				}
+				if !reflect.DeepEqual(got.columns, want.columns) {
+					t.Errorf("%s shards=%d: %s statistics columns differ from Query", tc.name, shards, name)
+				}
+			}
+		}
+	}
+}
+
+// blockingFilterMethod is an SI method whose Filter parks on release while
+// block is set, announcing each parked call on entered.
+type blockingFilterMethod struct {
+	*method.SI
+	block   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (m *blockingFilterMethod) Filter(q *graph.Graph) []int32 {
+	if m.block.Load() {
+		m.entered <- struct{}{}
+		<-m.release
+	}
+	return m.SI.Filter(q)
+}
+
+// TestAllHitRunDoesNotWaitForFilter pins the paper's "processing
+// terminates" rule for every run shape: a repeated query's exact hit —
+// alone and as an all-hit batch — returns while Method M's filter is still
+// blocked, and a mutation arriving meanwhile does not start until those
+// filters have returned, because each holds its own gate reference.
+func TestAllHitRunDoesNotWaitForFilter(t *testing.T) {
+	ds := moleculeDataset(40, 41)
+	m := &blockingFilterMethod{
+		SI:      method.NewVF2Plus(ds),
+		entered: make(chan struct{}, 16), // sized for every Filter call below; sends never block
+		release: make(chan struct{}),
+	}
+	c := New(m, Options{CacheSize: 10, WindowSize: 2, Shards: 2})
+	queries := typeAWorkload(ds, "UU", 4, 42)
+	qs := make([]*graph.Graph, len(queries))
+	for i, q := range queries {
+		qs[i] = q.Graph
+		c.Query(q.Graph) // two full windows: all four are cached
+	}
+	m.block.Store(true)
+
+	hits := make(chan []Result, 1)
+	parked := func(what string) {
+		t.Helper()
+		select {
+		case rs := <-hits:
+			for i, r := range rs {
+				if !r.Stats.ExactHit {
+					t.Fatalf("%s: query %d was not an exact hit", what, i)
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s waited for the blocked filter", what)
+		}
+		select {
+		case <-m.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never started Method M's filter — the early return was tested vacuously", what)
+		}
+	}
+	go func() { hits <- []Result{c.Query(qs[0])} }()
+	parked("a lone exact hit")
+	go func() { hits <- c.QueryBatch(qs[1:]) }()
+	parked("an all-hit batch")
+
+	mutated := make(chan error, 1)
+	go func() {
+		_, err := c.AddGraphs([]*graph.Graph{ds.Graph(0).Clone()})
+		mutated <- err
+	}()
+	for !c.mutating.Load() { // the mutation has closed the gate and is draining
+		time.Sleep(100 * time.Microsecond)
+	}
+	if c.inflight.Load() == 0 || ds.Epoch() != 0 {
+		t.Fatalf("mutation got past the gate with filters still running: inflight %d, epoch %d", c.inflight.Load(), ds.Epoch())
+	}
+	close(m.release)
+	if err := <-mutated; err != nil {
+		t.Fatal(err)
+	}
+	if ds.Epoch() != 1 {
+		t.Fatalf("dataset epoch = %d after the mutation, want 1", ds.Epoch())
 	}
 }
 
@@ -166,8 +350,7 @@ func TestQueryBatchConcurrent(t *testing.T) {
 }
 
 // TestQueryBatchEdgeCases pins the degenerate inputs: the empty batch, the
-// single-query batch (the Query fallback) and batches holding tiny graphs
-// with no path features.
+// single-query batch and batches holding tiny graphs with no path features.
 func TestQueryBatchEdgeCases(t *testing.T) {
 	ds := moleculeDataset(30, 27)
 	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 10, WindowSize: 4, Shards: 2})

@@ -67,16 +67,9 @@ type Cache struct {
 	// winTrigMu serialises the detach of a filled window's segments.
 	winTrigMu sync.Mutex
 
-	// gcEWMA and verifyEWMA track recent candidate-set lengths of the GC
-	// confirmation stage and Method M's verification stage — the adaptive
-	// fan-out signal (see adaptiveWorkers).
-	gcEWMA     ewma
-	verifyEWMA ewma
-
 	// probes pools probeScratch values so the sharded GCindex probe's
 	// fan-out, merge and per-slot counter slices are reused across
-	// queries — the steady-state probe allocates nothing. QueryBatch
-	// draws from the same pool, one scratch per in-flight query.
+	// queries, one scratch per query being probed.
 	probes sync.Pool
 
 	admMu sync.Mutex
@@ -106,7 +99,7 @@ type Cache struct {
 
 	totMu sync.Mutex
 	tot   Totals
-	// savedEstimate accumulates the cost-model savings credited to cached
+	// savedEstimate sums the cost-model savings credited to cached
 	// queries — the gain signal for adaptive admission (guarded by totMu).
 	savedEstimate float64
 	// lastWindowSaving is savedEstimate at the previous window boundary
@@ -117,7 +110,7 @@ type Cache struct {
 // Totals are cumulative counters over the cache's lifetime.
 type Totals struct {
 	Queries             int64
-	Batches             int64 // multi-query QueryBatch invocations
+	Batches             int64 // pipeline runs of two or more queries
 	SubIsoTests         int64 // dataset-graph verifications performed
 	GCVerifications     int64 // sub-iso tests against cached queries
 	ExactHits           int64
@@ -204,196 +197,6 @@ func (c *Cache) Method() method.Method { return c.m }
 // Options returns the cache's (defaulted) configuration.
 func (c *Cache) Options() Options { return c.opts }
 
-// Query processes q through GraphCache: GC filtering, special cases,
-// Method M filtering, candidate-set pruning, verification, and window/
-// cache bookkeeping. It is safe for any number of concurrent callers;
-// each caller's answer is exactly the wrapped method's answer for its
-// query, whatever the interleaving.
-func (c *Cache) Query(q *graph.Graph) Result {
-	c.enterQuery()
-	defer c.exitQuery()
-	serial := c.serial.Add(1)
-	qs := QueryStats{Serial: serial}
-
-	// Telemetry: one pointer load decides whether this query times its
-	// sub-stages. With obs == nil no extra clock reads happen and the
-	// path is byte-identical to the uninstrumented one.
-	obs := c.observer()
-	var featNS, probeNS, gcvNS int64
-
-	// Method M filtering is dispatched concurrently with the GC
-	// processors (§4, Figure 2): both stages receive the query together
-	// and their outputs meet at the Candidate Set Pruner. On a special-
-	// case hit the filter's output is discarded, as in the paper —
-	// processing terminates without waiting for Method M.
-	type filterOut struct {
-		cs  []int32
-		dur time.Duration
-	}
-	filterCh := make(chan filterOut, 1)
-
-	// GC filtering stage: extract the query's path features into a
-	// feature vector, probe every shard's GCindex snapshot, merge
-	// the per-shard candidates in ascending serial order, then confirm
-	// candidate relations with real (cheap, small-vs-small) sub-iso tests,
-	// fanned out over the verification pool. Containers/containees come
-	// out in ascending serial order whatever the pool size or shard count.
-	// The probe's vector doubles as Method M's filter input (see filterM),
-	// the new entry's memoised feature vector and its shard-routing hash,
-	// so it is computed exactly once per query however the query ends up
-	// being processed; the extraction is part of GC filtering time, as
-	// before sharding.
-	gcStart := time.Now()
-	qv := pathfeat.SimplePathVector(q, c.opts.MaxPathLen)
-	qh := pathfeat.HashVector(qv)
-	// The goroutine holds its own inflight reference: on a special-case
-	// hit Query returns without draining filterCh, and the filter must
-	// not still be reading the method's index when a mutation starts
-	// rewriting it.
-	c.retainQuery()
-	go func() {
-		defer c.exitQuery()
-		start := time.Now()
-		cs := c.filterM(q, qv)
-		filterCh <- filterOut{cs, time.Since(start)}
-	}()
-	var probeStart time.Time
-	if obs != nil {
-		probeStart = time.Now()
-		featNS = probeStart.Sub(gcStart).Nanoseconds()
-	}
-	var containers, containees []*entry
-	checks, nSub := c.probeShards(qv)
-	var gcvStart time.Time
-	if obs != nil {
-		gcvStart = time.Now()
-		probeNS = gcvStart.Sub(probeStart).Nanoseconds()
-	}
-	if len(checks) > 0 {
-		verdicts := make([]bool, len(checks))
-		workers := c.adaptiveWorkers(&c.gcEWMA, len(checks))
-		c.pool.ParallelForN(len(checks), workers, func(i int) {
-			if i < nSub {
-				verdicts[i] = iso.Contains(c.algo, q, checks[i].g)
-			} else {
-				verdicts[i] = iso.Contains(c.algo, checks[i].g, q)
-			}
-		})
-		qs.GCVerifications = len(checks)
-		for i, ok := range verdicts {
-			if !ok {
-				continue
-			}
-			if i < nSub {
-				containers = append(containers, checks[i])
-			} else {
-				containees = append(containees, checks[i])
-			}
-		}
-	}
-	if obs != nil {
-		gcvNS = time.Since(gcvStart).Nanoseconds()
-	}
-	c.gcEWMA.observe(float64(len(checks)))
-	qs.FilterGCTime = time.Since(gcStart)
-	qs.Containers, qs.Containees = len(containers), len(containees)
-
-	// Special case 1 (§5.1): an isomorphic cached query answers q with no
-	// further processing — Method M is never consulted.
-	if !c.opts.DisableExactMatch {
-		if e := findExact(q.NumVertices(), q.NumEdges(), containers, containees); e != nil {
-			saved := c.creditSpecial(e, serial)
-			qs.ExactHit = true
-			qs.AnswerSize = len(e.answer)
-			c.accumulate(qs)
-			if obs != nil {
-				emitQuery(obs, &qs, featNS, probeNS, gcvNS, saved, false)
-			}
-			// The query is a duplicate of a cached one; re-admitting it
-			// would only pollute the cache, so it skips the Window.
-			return Result{Answer: cloneIDs(e.answer), Stats: qs}
-		}
-	}
-
-	// Special case 2 (§5.1): a contained cached query (for subgraph
-	// queries; containing for supergraph queries) with an empty answer
-	// proves q's answer empty.
-	emptyCandidates := containees
-	if c.m.Mode() == method.ModeSupergraph {
-		emptyCandidates = containers
-	}
-	if e := findEmptyAnswer(emptyCandidates); e != nil {
-		saved := c.creditSpecial(e, serial)
-		qs.EmptyShortcut = true
-		c.accumulate(qs)
-		if obs != nil {
-			emitQuery(obs, &qs, featNS, probeNS, gcvNS, saved, false)
-		}
-		c.addToWindow(&windowEntry{
-			e:        &entry{serial: serial, g: q, vec: qv, vecOK: true, hash: qh, hashed: true},
-			filterNS: float64(qs.FilterGCTime.Nanoseconds()),
-		}, serial)
-		return Result{Stats: qs}
-	}
-
-	// Collect Method M's candidate set from the parallel filter stage.
-	// Removed-graph IDs are masked out: DynamicMethod lets a filter keep
-	// returning them (a FilterLive no-op until the first mutation).
-	fo := <-filterCh
-	csM := c.m.Dataset().FilterLive(fo.cs)
-	qs.FilterMTime = fo.dur
-	qs.CandidatesM = len(csM)
-
-	// Candidate-set pruning (Eq. 1 then Eq. 2; inverted roles for
-	// supergraph queries, §5.1).
-	providers, restrictors := containers, containees
-	if c.m.Mode() == method.ModeSupergraph {
-		providers, restrictors = containees, containers
-	}
-	direct, cs, credit := prune(csM, providers, restrictors)
-	qs.DirectAnswers = len(direct)
-	qs.CandidatesFinal = len(cs)
-
-	costs := c.candidateCosts(q, csM)
-	creditSaved := c.creditMatches(serial, providers, restrictors, credit, csM, costs)
-	c.addSavings(creditSaved)
-
-	// Verification of the pruned candidate set with Method M's verifier,
-	// fanned out over the bounded worker pool, sized adaptively from the
-	// recent candidate-set lengths. Verdicts align with cs, so the answer
-	// set is id-ordered and deterministic.
-	vStart := time.Now()
-	workers := c.adaptiveWorkers(&c.verifyEWMA, len(cs))
-	verdicts := method.VerifyAllConcurrentN(c.m, q, cs, c.pool, workers)
-	c.verifyEWMA.observe(float64(len(cs)))
-	qs.VerifyTime = time.Since(vStart)
-	qs.SubIsoTests = len(cs)
-	var positives []int32
-	for i, ok := range verdicts {
-		if ok {
-			positives = append(positives, cs[i])
-		}
-	}
-	answer := unionSorted(direct, positives)
-	qs.AnswerSize = len(answer)
-
-	// Window bookkeeping: the query, its answer and its first-execution
-	// statistics enter the Window store.
-	c.addToWindow(&windowEntry{
-		e:        &entry{serial: serial, g: q, answer: answer, vec: qv, vecOK: true, hash: qh, hashed: true},
-		filterNS: float64((qs.FilterMTime + qs.FilterGCTime).Nanoseconds()),
-		verifyNS: float64(qs.VerifyTime.Nanoseconds()),
-		ownCS:    len(csM),
-		ownCost:  sumFloats(costs),
-	}, serial)
-
-	c.accumulate(qs)
-	if obs != nil {
-		emitQuery(obs, &qs, featNS, probeNS, gcvNS, creditSaved, false)
-	}
-	return Result{Answer: cloneIDs(answer), Stats: qs}
-}
-
 // filterM runs Method M's filter for q, whose feature vector is qv. A
 // method that filters on the same vector the cache extracts takes qv as
 // is; any other runs its own Filter(q).
@@ -404,56 +207,25 @@ func (c *Cache) filterM(q *graph.Graph, qv pathfeat.Vector) []int32 {
 	return c.m.Filter(q)
 }
 
-// probeShards loads every shard's index snapshot, probes them (in parallel
-// when it pays) with the query's feature vector and returns the merged
-// candidate entries: sub-candidates first (checks[:nSub], potential
-// containers of q), then super-candidates, each group in ascending serial
-// order — the same deterministic order the unsharded probe produced. All
-// intermediate slices — including the per-slot probe counters — come from
-// the per-cache scratch pool, so the steady-state probe allocates nothing.
-func (c *Cache) probeShards(qv pathfeat.Vector) (checks []*entry, nSub int) {
-	sc := c.getProbeScratch()
-	defer c.putProbeScratch(sc)
-
-	total := 0
-	for i, sh := range c.shards {
-		ix := sh.index.Load()
-		sc.ixs[i] = ix
-		total += ix.size()
-	}
-	if total == 0 || len(qv) == 0 {
-		return nil, 0
-	}
-	return c.probeLoaded(sc, qv)
-}
-
-// probeSnapshots is probeShards against index snapshots the caller
-// already loaded — QueryBatch loads every shard's snapshot once per batch
-// and probes each query through here, reusing the same pooled scratch as
-// the single-query path.
-func (c *Cache) probeSnapshots(ixs []*queryIndex, qv pathfeat.Vector) (checks []*entry, nSub int) {
+// probe runs q's feature vector qv against the index snapshots ixs — one
+// per shard, in parallel when it pays — and returns the merged candidate
+// entries: sub-candidates first (checks[:nSub], potential containers of
+// q), then super-candidates, each group in ascending serial order — the
+// same deterministic order an unsharded probe produces. All intermediate
+// slices, including the per-slot probe counters, come from the per-cache
+// scratch pool, so the probe allocates only the returned list; the pool
+// drops snapshot and entry references on return so it never pins a
+// superseded GCindex generation.
+func (c *Cache) probe(ixs []*queryIndex, qv pathfeat.Vector) (checks []*entry, nSub int) {
 	if len(qv) == 0 {
 		return nil, 0
 	}
-	sc := c.getProbeScratch()
-	defer c.putProbeScratch(sc)
+	sc := c.probes.Get().(*probeScratch)
+	defer func() {
+		sc.release()
+		c.probes.Put(sc)
+	}()
 	copy(sc.ixs, ixs)
-	return c.probeLoaded(sc, qv)
-}
-
-// getProbeScratch and putProbeScratch bracket one probe's use of pooled
-// scratch; putProbeScratch drops snapshot and entry references so the
-// pool never pins a superseded GCindex generation.
-func (c *Cache) getProbeScratch() *probeScratch { return c.probes.Get().(*probeScratch) }
-
-func (c *Cache) putProbeScratch(sc *probeScratch) {
-	sc.release()
-	c.probes.Put(sc)
-}
-
-// probeLoaded probes the snapshots in sc.ixs and merges the per-shard
-// candidates; sc must hold one loaded snapshot per shard.
-func (c *Cache) probeLoaded(sc *probeScratch, qv pathfeat.Vector) (checks []*entry, nSub int) {
 	if len(c.shards) == 1 {
 		sc.sub[0], sc.super[0] = sc.ixs[0].candidatesInto(qv, sc.sub[0][:0], sc.super[0][:0], &sc.slots[0])
 	} else {
@@ -509,94 +281,6 @@ func mergeCandidates(out []*entry, cur []int, ixs []*queryIndex, serials [][]int
 		out = append(out, ixs[best].entries[bestSerial])
 		cur[best]++
 	}
-}
-
-// creditMatches credits hit statistics for every verified match (§5.2) —
-// hit counts, recency, candidate-set reduction and estimated time saving
-// (from the credit attribution prune computed) — batched into one locked
-// apply per touched shard, so concurrent queries contend once per query,
-// not once per triplet. Each matched entry knows its owning shard from
-// its feature hash, so ops are emitted per shard directly with no routing
-// maps on the hot path. costs are the query's candidateCosts over csM.
-// Returns the query's total estimated cost saving, the adaptive-admission
-// gain signal.
-func (c *Cache) creditMatches(serial int64, providers, restrictors []*entry, credit map[int64][]int32, csM []int32, costs []float64) float64 {
-	nMatched := len(providers) + len(restrictors)
-	if nMatched == 0 {
-		return 0
-	}
-	// The distinct touched shards — usually one or two, so a scan beats a
-	// map.
-	shards := c.shards
-	if len(c.shards) > 1 {
-		shards = nil
-		for _, e := range providers {
-			shards = addShardOnce(shards, c.shardFor(e))
-		}
-		for _, e := range restrictors {
-			shards = addShardOnce(shards, c.shardFor(e))
-		}
-	}
-	totalSaved := 0.0
-	ops := make([]StatOp, 0, 4*nMatched)
-	emit := func(e *entry) {
-		ops = append(ops,
-			StatOp{Key: e.serial, Col: ColHits, Val: 1},
-			StatOp{Key: e.serial, Col: ColLastHit, Val: float64(serial), Max: true})
-		removed := credit[e.serial]
-		if len(removed) == 0 {
-			return
-		}
-		saved := sumCostsOf(removed, csM, costs)
-		ops = append(ops,
-			StatOp{Key: e.serial, Col: ColCSReduction, Val: float64(len(removed))},
-			StatOp{Key: e.serial, Col: ColTimeSaving, Val: saved})
-		totalSaved += saved
-	}
-	for _, sh := range shards {
-		ops = ops[:0]
-		for _, e := range providers {
-			if c.shardFor(e) == sh {
-				emit(e)
-			}
-		}
-		for _, e := range restrictors {
-			if c.shardFor(e) == sh {
-				emit(e)
-			}
-		}
-		sh.stats.CreditBatch(ops) // applies synchronously; ops is reusable
-	}
-	return totalSaved
-}
-
-// addShardOnce appends sh to list if not already present.
-func addShardOnce(list []*cacheShard, sh *cacheShard) []*cacheShard {
-	for _, s := range list {
-		if s == sh {
-			return list
-		}
-	}
-	return append(list, sh)
-}
-
-// creditSpecial updates statistics for a special-case hit: the cached
-// entry's own first-execution candidate set and estimated cost stand in
-// for the (never computed) candidate set of the shortcut query. It
-// returns the estimated saving, for the telemetry stream.
-func (c *Cache) creditSpecial(e *entry, serial int64) float64 {
-	st := c.shardFor(e).stats
-	ownCS := st.Get(e.serial, ColOwnCS)
-	saved := st.Get(e.serial, ColOwnCost)
-	st.CreditBatch([]StatOp{
-		{Key: e.serial, Col: ColHits, Val: 1},
-		{Key: e.serial, Col: ColSpecialHits, Val: 1},
-		{Key: e.serial, Col: ColLastHit, Val: float64(serial), Max: true},
-		{Key: e.serial, Col: ColCSReduction, Val: ownCS},
-		{Key: e.serial, Col: ColTimeSaving, Val: saved},
-	})
-	c.addSavings(saved)
-	return saved
 }
 
 // addSavings folds a query's estimated cost savings into the adaptive-
@@ -700,35 +384,26 @@ func (c *Cache) addToWindow(w *windowEntry, currentSerial int64) {
 	c.processWindow(segs, currentSerial)
 }
 
-// accumulate folds per-query stats into the lifetime totals under a
-// single lock acquisition.
-func (c *Cache) accumulate(qs QueryStats) {
-	c.totMu.Lock()
-	defer c.totMu.Unlock()
-	c.accumulateLocked(qs)
-}
-
-// accumulateLocked folds one query's stats into the totals; the caller
-// holds totMu.
-func (c *Cache) accumulateLocked(qs QueryStats) {
-	c.tot.Queries++
-	c.tot.SubIsoTests += int64(qs.SubIsoTests)
-	c.tot.GCVerifications += int64(qs.GCVerifications)
+// add folds one query's stats into the totals; the caller holds totMu.
+func (t *Totals) add(qs *QueryStats) {
+	t.Queries++
+	t.SubIsoTests += int64(qs.SubIsoTests)
+	t.GCVerifications += int64(qs.GCVerifications)
 	if qs.ExactHit {
-		c.tot.ExactHits++
+		t.ExactHits++
 	}
 	if qs.EmptyShortcut {
-		c.tot.EmptyShortcuts++
+		t.EmptyShortcuts++
 	}
 	if qs.Containers > 0 {
-		c.tot.ContainerHits++
+		t.ContainerHits++
 	}
 	if qs.Containees > 0 {
-		c.tot.ContaineeHits++
+		t.ContaineeHits++
 	}
-	c.tot.FilterMTime += qs.FilterMTime
-	c.tot.FilterGCTime += qs.FilterGCTime
-	c.tot.VerifyTime += qs.VerifyTime
+	t.FilterMTime += qs.FilterMTime
+	t.FilterGCTime += qs.FilterGCTime
+	t.VerifyTime += qs.VerifyTime
 }
 
 // Totals returns a snapshot of the lifetime counters.

@@ -1,14 +1,14 @@
 package core
 
 // QueryObservation is one query's per-stage telemetry, emitted exactly
-// once per query (single or batched) to the cache's Observer. Stage
-// durations are nanoseconds. On the batched path the GC-stage and
-// verification durations are the same stage-level apportionments
-// QueryStats carries (see QueryBatch), and the finer feature/probe/
-// GC-verify split is the batch-wide wall time divided evenly.
+// once per query to the cache's Observer. Stage durations are nanoseconds
+// and are the query's share of its run's stage time (see
+// QueryBatchStream): the GC stage and its finer feature/probe/GC-verify
+// split divide evenly over the run's queries, verification in proportion
+// to candidate-set size — exact values for a lone query.
 type QueryObservation struct {
 	Serial  int64
-	Batched bool
+	Batched bool // the query ran in a run of two or more
 
 	// GC filtering stage, split: path-feature extraction, GCindex probe,
 	// and container/containee confirmation sub-iso tests. FeatureNS +
@@ -111,7 +111,7 @@ func (c *Cache) observer() Observer {
 
 // emitQuery sends one query's observation; obs must be non-nil. The
 // fields shared with QueryStats come from the final qs so the emission
-// is a superset of what accumulate() folds into Totals.
+// is a superset of what Totals.add folds into Totals.
 func emitQuery(obs Observer, qs *QueryStats, featNS, probeNS, gcvNS int64, credit float64, batched bool) {
 	callsSaved := qs.CandidatesM - qs.CandidatesFinal
 	if callsSaved < 0 || qs.ExactHit || qs.EmptyShortcut {

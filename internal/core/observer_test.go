@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -105,6 +106,42 @@ func TestObserverEmitsOncePerQuery(t *testing.T) {
 	for _, w := range rec.windows {
 		if w.DurationNS <= 0 || w.WindowSize <= 0 {
 			t.Fatalf("implausible window observation %+v", w)
+		}
+	}
+}
+
+// TestObserverRunShapes: a run of one query is not a batch to the observer
+// through any entry point, and a batch's observations carry non-zero
+// per-query shares of the GC sub-stages the pipeline times for every run.
+func TestObserverRunShapes(t *testing.T) {
+	ds := moleculeDataset(40, 19)
+	queries := typeAWorkload(ds, "ZZ", 30, 20)
+	rec := &recordingObserver{}
+	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 20, WindowSize: 5, Observer: rec})
+	gs := make([]*graph.Graph, len(queries))
+	for i, q := range queries {
+		gs[i] = q.Graph
+		c.Query(q.Graph)
+	}
+	c.QueryBatch(gs[:1])
+	if _, err := c.QueryBatchStream(context.Background(), gs[1:2], func(int, Result) {}); err != nil {
+		t.Fatal(err)
+	}
+	lone := len(queries) + 2
+	c.QueryBatch(gs) // warm cache: every query probes, most confirm a hit
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.queries) != lone+len(gs) {
+		t.Fatalf("observer saw %d queries, want %d", len(rec.queries), lone+len(gs))
+	}
+	for i, o := range rec.queries {
+		if o.Batched != (i >= lone) {
+			t.Errorf("observation %d: Batched = %v, want %v", i, o.Batched, i >= lone)
+		}
+		if o.Batched && (o.FeatureNS <= 0 || o.ProbeNS <= 0 || o.GCVerifyNS <= 0) {
+			t.Errorf("batched observation %d lacks a GC sub-stage share: feature %d, probe %d, gcverify %d ns",
+				i, o.FeatureNS, o.ProbeNS, o.GCVerifyNS)
 		}
 	}
 }

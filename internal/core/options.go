@@ -78,13 +78,6 @@ type Options struct {
 	// else — no extra clock reads, no allocations. Swappable at runtime
 	// with Cache.SetObserver.
 	Observer Observer
-
-	// DisableAdaptiveVerify turns off the adaptive verification fan-out.
-	// By default each query's worker count is sized from an EWMA of recent
-	// candidate-set lengths, so tiny candidate sets stop waking the full
-	// pool; disabling restores the fixed VerifyConcurrency fan-out.
-	// Answers are identical either way — only scheduling changes.
-	DisableAdaptiveVerify bool
 }
 
 func (o Options) withDefaults() Options {

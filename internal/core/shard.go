@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -119,62 +118,16 @@ func (sc *probeScratch) release() {
 	sc.supE = sc.supE[:0]
 }
 
-// ewma is a lock-free exponentially weighted moving average. The adaptive
-// verification fan-out feeds it candidate-set lengths and sizes each
-// query's worker count from the smoothed value.
-type ewma struct {
-	bits atomic.Uint64 // Float64bits; zero means "no observation yet"
-}
-
-const ewmaAlpha = 0.2
-
-func (e *ewma) observe(x float64) {
-	for {
-		old := e.bits.Load()
-		var next float64
-		if old == 0 {
-			next = x // first observation seeds the average
-		} else {
-			v := math.Float64frombits(old)
-			next = (1-ewmaAlpha)*v + ewmaAlpha*x
-		}
-		if e.bits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-func (e *ewma) value() float64 {
-	return math.Float64frombits(e.bits.Load())
-}
-
-// adaptiveGrain is the targeted number of candidate verifications per
-// worker: fan-out grows one worker per this many expected candidates.
+// adaptiveGrain is the targeted number of verifications per worker:
+// fan-out grows one worker per this many work items, and Method-M
+// verification is handed out in chunks of this many tests.
 const adaptiveGrain = 4
 
-// adaptiveWorkers sizes one query's verification fan-out: roughly one
-// worker per adaptiveGrain expected candidates, clamped to
-// [1, VerifyConcurrency]. The expectation is the larger of the EWMA of
-// recent candidate-set lengths and the current set's own length n — the
-// EWMA keeps tiny candidate sets from waking the full pool, while an
-// outlier large set still gets full parallelism immediately instead of
-// paying for a history of small ones. With adaptive fan-out disabled it
-// returns the full VerifyConcurrency. Results are deterministic at any
-// worker count — only scheduling changes.
-func (c *Cache) adaptiveWorkers(avg *ewma, n int) int {
-	if c.opts.DisableAdaptiveVerify {
-		return c.opts.VerifyConcurrency
-	}
-	expect := avg.value()
-	if f := float64(n); f > expect {
-		expect = f
-	}
-	w := int(math.Ceil(expect / adaptiveGrain))
-	if w < 1 {
-		w = 1
-	}
-	if w > c.opts.VerifyConcurrency {
-		w = c.opts.VerifyConcurrency
-	}
-	return w
+// adaptiveWorkers sizes the fan-out of a work list of n verifications:
+// one worker per adaptiveGrain items, clamped to [1, VerifyConcurrency],
+// so a handful of cheap tests does not wake the full pool while a large
+// list gets full parallelism. Results are deterministic at any worker
+// count — only scheduling changes.
+func (c *Cache) adaptiveWorkers(n int) int {
+	return max(1, min((n+adaptiveGrain-1)/adaptiveGrain, c.opts.VerifyConcurrency))
 }

@@ -190,9 +190,9 @@ func TestApportionBudgets(t *testing.T) {
 		sizes    []int
 		want     []int
 	}{
-		{10, []int{4, 3}, []int{4, 3}},           // fits: keep everything
-		{100, []int{100}, []int{100}},            // single shard: exact cap
-		{8, []int{12}, []int{8}},                 // single shard over: cap
+		{10, []int{4, 3}, []int{4, 3}},            // fits: keep everything
+		{100, []int{100}, []int{100}},             // single shard: exact cap
+		{8, []int{12}, []int{8}},                  // single shard over: cap
 		{10, []int{10, 10}, []int{5, 5}},          // even split
 		{10, []int{15, 5}, []int{8, 2}},           // floors 7+2, fracs tie at .5 → lower index
 		{4, []int{0, 9, 0, 3}, []int{0, 3, 0, 1}}, // empty shards get nothing
@@ -222,49 +222,38 @@ func TestApportionBudgets(t *testing.T) {
 	}
 }
 
-// TestAdaptiveVerifyDeterministic: the adaptive fan-out changes
-// scheduling, never answers — adaptive and fixed-pool caches must agree on
-// every query, and the worker sizing must stay within [1, VerifyConcurrency].
+// TestAdaptiveVerifyDeterministic: the fan-out changes scheduling, never
+// answers — a cache verifying inline and one with an eight-worker pool must
+// agree on every query, and the worker sizing must stay within
+// [1, VerifyConcurrency].
 func TestAdaptiveVerifyDeterministic(t *testing.T) {
 	ds := moleculeDataset(50, 37)
 	queries := typeAWorkload(ds, "ZU", 120, 38)
-	adaptive := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 15, WindowSize: 5, VerifyConcurrency: 8})
-	fixed := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 15, WindowSize: 5, VerifyConcurrency: 8, DisableAdaptiveVerify: true})
+	pooled := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 15, WindowSize: 5, VerifyConcurrency: 8})
+	inline := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 15, WindowSize: 5, VerifyConcurrency: 1})
 	for i, q := range queries {
-		a := adaptive.Query(q.Graph).Answer
-		b := fixed.Query(q.Graph).Answer
+		a := pooled.Query(q.Graph).Answer
+		b := inline.Query(q.Graph).Answer
 		if !eq(a, b) {
-			t.Fatalf("query %d: adaptive answer %v != fixed %v", i, a, b)
+			t.Fatalf("query %d: pooled answer %v != inline %v", i, a, b)
 		}
 	}
-	if got := adaptive.adaptiveWorkers(&adaptive.verifyEWMA, 3); got < 1 || got > 8 {
+	if got := pooled.adaptiveWorkers(3); got < 1 || got > 8 {
 		t.Errorf("adaptiveWorkers = %d out of [1, 8]", got)
 	}
 }
 
-// TestAdaptiveWorkersSizing drives the EWMA directly: tiny candidate sets
-// must shrink the fan-out to one worker, large ones must open the pool.
+// TestAdaptiveWorkersSizing: tiny work lists must shrink the fan-out to
+// one worker, large ones must open the pool.
 func TestAdaptiveWorkersSizing(t *testing.T) {
 	c := New(method.NewVF2Plus(moleculeDataset(10, 39)), Options{VerifyConcurrency: 8, Shards: 1})
-	var e ewma
-	if got := c.adaptiveWorkers(&e, 100); got != 8 {
-		t.Errorf("cold start with 100 candidates: workers = %d, want full pool 8", got)
+	if got := c.adaptiveWorkers(100); got != 8 {
+		t.Errorf("100 candidates: workers = %d, want full pool 8", got)
 	}
-	for i := 0; i < 50; i++ {
-		e.observe(2)
+	if got := c.adaptiveWorkers(2); got != 1 {
+		t.Errorf("tiny candidate set: workers = %d, want 1", got)
 	}
-	if got := c.adaptiveWorkers(&e, 2); got != 1 {
-		t.Errorf("steady tiny candidate sets: workers = %d, want 1", got)
-	}
-	for i := 0; i < 50; i++ {
-		e.observe(1000)
-	}
-	if got := c.adaptiveWorkers(&e, 1000); got != 8 {
-		t.Errorf("steady huge candidate sets: workers = %d, want 8", got)
-	}
-	c.opts.DisableAdaptiveVerify = true
-	var fresh ewma
-	if got := c.adaptiveWorkers(&fresh, 1); got != 8 {
-		t.Errorf("disabled adaptive fan-out must return VerifyConcurrency, got %d", got)
+	if got := c.adaptiveWorkers(1000); got != 8 {
+		t.Errorf("huge candidate set: workers = %d, want 8", got)
 	}
 }

@@ -162,67 +162,76 @@ func TestQueryBatchStreamArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestQueryBatchStreamCancellation pins the client-gone contract:
-// cancelling the context mid-verification abandons the unstarted
-// sub-iso tests, stops deliveries short of the full batch, surfaces
-// context.Canceled, and leaves no trace of the batch in the cache.
+// TestQueryBatchStreamCancellation pins the client-gone contract, for a
+// batch and for a run of one query alike: cancelling the context
+// mid-verification abandons the unstarted sub-iso tests, stops deliveries
+// short of the full run, surfaces context.Canceled, and leaves no trace of
+// the run in the cache.
 func TestQueryBatchStreamCancellation(t *testing.T) {
-	ds := moleculeDataset(60, 37)
-	gm := &gatedMethod{
-		Method:  ggsx.New(ds, ggsx.Options{}),
-		gate:    make(chan struct{}),
-		started: make(chan struct{}),
-	}
-	c := New(gm, Options{CacheSize: 20, WindowSize: 5, Shards: 2})
-	queries := typeAWorkload(ds, "ZZ", 48, 38)
-	qs := make([]*graph.Graph, len(queries))
-	for i, q := range queries {
-		qs[i] = q.Graph
-	}
+	for _, n := range []int{48, 1} {
+		ds := moleculeDataset(60, 37)
+		gm := &gatedMethod{
+			Method:  ggsx.New(ds, ggsx.Options{}),
+			gate:    make(chan struct{}),
+			started: make(chan struct{}),
+		}
+		c := New(gm, Options{CacheSize: 20, WindowSize: 5, Shards: 2, VerifyConcurrency: 2})
+		var qs []*graph.Graph
+		for _, q := range typeAWorkload(ds, "ZZ", 48, 38) {
+			// A lone query needs a chunk of tests left to abandon once
+			// both workers have theirs in flight.
+			if len(qs) < n && (n > 1 || len(gm.Filter(q.Graph)) > 2*adaptiveGrain) {
+				qs = append(qs, q.Graph)
+			}
+		}
+		if len(qs) != n {
+			t.Fatalf("workload yields %d of %d queries", len(qs), n)
+		}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var delivered atomic.Int32
-	type outcome struct {
-		abandoned int
-		err       error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		abandoned, err := c.QueryBatchStream(ctx, qs, func(i int, r Result) {
-			delivered.Add(1)
-		})
-		done <- outcome{abandoned, err}
-	}()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var delivered atomic.Int32
+		type outcome struct {
+			abandoned int
+			err       error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			abandoned, err := c.QueryBatchStream(ctx, qs, func(i int, r Result) {
+				delivered.Add(1)
+			})
+			done <- outcome{abandoned, err}
+		}()
 
-	// Wait until verification is underway, cancel the client, then let
-	// the in-flight tests drain.
-	select {
-	case <-gm.started:
-	case <-time.After(10 * time.Second):
-		t.Fatal("verification never started")
-	}
-	cancel()
-	close(gm.gate)
+		// Wait until verification is underway, cancel the client, then let
+		// the in-flight tests drain.
+		select {
+		case <-gm.started:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run of %d: verification never started", len(qs))
+		}
+		cancel()
+		close(gm.gate)
 
-	out := <-done
-	if !errors.Is(out.err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", out.err)
-	}
-	if out.abandoned == 0 {
-		t.Error("abandoned = 0, want > 0: cancellation must skip unstarted verifications")
-	}
-	if n := int(delivered.Load()); n >= len(qs) {
-		t.Errorf("delivered %d of %d results despite cancellation", n, len(qs))
-	}
-	// The cancelled batch must leave the cache as if it never ran: no
-	// lifetime totals, and nothing promoted into the cache store.
-	if got := c.Totals().Queries; got != 0 {
-		t.Errorf("Totals().Queries = %d after a cancelled batch, want 0", got)
-	}
-	c.Flush()
-	if serials := c.CachedSerials(); len(serials) != 0 {
-		t.Errorf("cancelled batch promoted %d entries into the cache", len(serials))
+		out := <-done
+		if !errors.Is(out.err, context.Canceled) {
+			t.Fatalf("run of %d: err = %v, want context.Canceled", len(qs), out.err)
+		}
+		if out.abandoned == 0 {
+			t.Errorf("run of %d: abandoned = 0, want > 0: cancellation must skip unstarted verifications", len(qs))
+		}
+		if d := int(delivered.Load()); d >= len(qs) {
+			t.Errorf("delivered %d of %d results despite cancellation", d, len(qs))
+		}
+		// The cancelled run must leave the cache as if it never ran: no
+		// lifetime totals, and nothing promoted into the cache store.
+		if got := c.Totals().Queries; got != 0 {
+			t.Errorf("run of %d: Totals().Queries = %d after cancellation, want 0", len(qs), got)
+		}
+		c.Flush()
+		if serials := c.CachedSerials(); len(serials) != 0 {
+			t.Errorf("cancelled run of %d promoted %d entries into the cache", len(qs), len(serials))
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package method
 import (
 	"sync"
 	"sync/atomic"
-
-	"graphcache/internal/graph"
 )
 
 // Limiter is a counting semaphore bounding the total number of extra
@@ -80,28 +78,4 @@ func (l *Limiter) ParallelForN(n, maxWorkers int, f func(i int)) {
 	}
 	work() // the caller always participates
 	wg.Wait()
-}
-
-// VerifyAllConcurrent runs the verification stage of m over ids, fanning
-// the sub-iso tests out through the shared Limiter. Results align with
-// ids regardless of scheduling, so the output is deterministic. Methods
-// with their own internal verification parallelism (BatchVerifier, e.g.
-// Grapes with >1 thread) keep it: their batch path is preferred, as in
-// VerifyAll — the Limiter does not constrain a method's internal pool.
-func VerifyAllConcurrent(m Method, q *graph.Graph, ids []int32, l *Limiter) []bool {
-	return VerifyAllConcurrentN(m, q, ids, l, len(ids))
-}
-
-// VerifyAllConcurrentN is VerifyAllConcurrent with an explicit worker
-// ceiling (see Limiter.ParallelForN) — the adaptive fan-out entry point.
-// BatchVerifier methods keep their own internal pool and ignore the bound.
-func VerifyAllConcurrentN(m Method, q *graph.Graph, ids []int32, l *Limiter, maxWorkers int) []bool {
-	if bv, ok := m.(BatchVerifier); ok {
-		return bv.VerifyBatch(q, ids)
-	}
-	out := make([]bool, len(ids))
-	l.ParallelForN(len(ids), maxWorkers, func(i int) {
-		out[i] = m.Verify(q, ids[i])
-	})
-	return out
 }

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"graphcache/internal/gen"
 )
 
 func TestLimiterParallelForCoversEveryIndexExactlyOnce(t *testing.T) {
@@ -89,26 +87,5 @@ func TestLimiterSharedAcrossCallers(t *testing.T) {
 	wg.Wait()
 	if p := peak.Load(); p > callers+extra {
 		t.Errorf("peak in-flight workers = %d, want <= %d", p, callers+extra)
-	}
-}
-
-func TestVerifyAllConcurrentMatchesSerial(t *testing.T) {
-	ds := gen.DefaultAIDS().Scaled(0.002, 1).Generate(21)
-	m := NewVF2Plus(ds)
-	ids := ds.AllIDs()
-	for _, q := range []int32{0, 1, 2} {
-		qg := ds.Graph(q)
-		want := VerifyAll(m, qg, ids)
-		for _, extra := range []int{0, 2, 7} {
-			got := VerifyAllConcurrent(m, qg, ids, NewLimiter(extra))
-			if len(got) != len(want) {
-				t.Fatalf("extra=%d: %d verdicts, want %d", extra, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("extra=%d: verdict[%d] = %v, want %v", extra, i, got[i], want[i])
-				}
-			}
-		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"graphcache/internal/server"
 )
 
 // Live topology: the admin API grows and shrinks the fleet without a
@@ -218,32 +220,32 @@ func (rt *Router) Topology() TopologyResponse {
 
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if !rt.readJSON(w, r, &req) {
+	if !server.ReadJSON(w, r, rt.opts.MaxBodyBytes, &req) {
 		return
 	}
 	if req.Addr == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing backend addr"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("missing backend addr"))
 		return
 	}
 	resp, err := rt.Join(r.Context(), req.Addr)
 	if err != nil {
-		writeError(w, adminStatus(err), err)
+		server.WriteError(w, adminStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	addr := r.PathValue("id")
 	if err := rt.Drain(r.Context(), addr); err != nil {
-		writeError(w, adminStatus(err), err)
+		server.WriteError(w, adminStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DrainResponse{Addr: addr, Drained: true})
+	server.WriteJSON(w, http.StatusOK, DrainResponse{Addr: addr, Drained: true})
 }
 
 func (rt *Router) handleTopology(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Topology())
+	server.WriteJSON(w, http.StatusOK, rt.Topology())
 }
 
 // adminStatus maps a topology-change failure to its HTTP status.

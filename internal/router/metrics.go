@@ -2,7 +2,6 @@ package router
 
 import (
 	"graphcache/internal/core"
-	"graphcache/internal/server"
 	"graphcache/internal/telemetry"
 )
 
@@ -32,13 +31,6 @@ type routerMetrics struct {
 	retried *telemetry.Counter
 	shed    *telemetry.Counter
 
-	// Wire codecs: per-format decode/encode latency, byte and
-	// negotiation counters — the same bundle gcserved exposes, under the
-	// router's prefix, so one scrape shows what the fleet's clients
-	// actually negotiate at the front door.
-	wireText   *server.WireCodecMetrics
-	wireBinary *server.WireCodecMetrics
-	wireNDJSON *server.WireCodecMetrics
 	// streamCancelled counts streamed batches cut short by a client
 	// disconnect; the cancellation then propagates to the backends.
 	streamCancelled *telemetry.Counter
@@ -89,9 +81,6 @@ func newRouterMetrics(reg *telemetry.Registry) *routerMetrics {
 		retried: reg.Counter("graphcache_router_retried_total", "Queries re-dispatched after a failed attempt."),
 		shed:    reg.Counter("graphcache_router_shed_total", "Requests refused with 429 at the front door."),
 
-		wireText:   server.NewWireCodecMetrics(reg, "graphcache_router", "text"),
-		wireBinary: server.NewWireCodecMetrics(reg, "graphcache_router", "binary"),
-		wireNDJSON: server.NewWireCodecMetrics(reg, "graphcache_router", "ndjson"),
 		streamCancelled: reg.Counter("graphcache_router_stream_cancelled_total",
 			"Streamed batches cut short because the client went away."),
 

@@ -166,7 +166,7 @@ func (rt *Router) seedMutSeq(ctx context.Context) error {
 
 func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var req server.MutateRequest
-	if !rt.readJSON(w, r, &req) {
+	if !server.ReadJSON(w, r, rt.opts.MaxBodyBytes, &req) {
 		return
 	}
 	resp, err := rt.Mutate(r.Context(), req)
@@ -178,15 +178,15 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 		// the request.
 		var se *server.StatusError
 		if !resp.Applied && errors.As(err, &se) && se.Code < 500 {
-			writeError(w, se.Code, err)
+			server.WriteError(w, se.Code, err)
 			return
 		}
 		if errors.Is(err, errNoBackends) {
 			rt.replyDispatchError(w, err)
 			return
 		}
-		writeError(w, http.StatusBadGateway, err)
+		server.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }

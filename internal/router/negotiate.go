@@ -2,14 +2,9 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"mime"
 	"net/http"
-	"strings"
 	"sync"
-	"time"
 
 	"graphcache/internal/graph"
 	"graphcache/internal/server"
@@ -22,161 +17,6 @@ import (
 // constrain each other. Backend capability is discovered by the health
 // prober (X-GC-Wire on /healthz) and flips each backend client's wire
 // mode in place.
-
-// hasMediaType reports whether a comma-separated header value (Accept,
-// Content-Type) names media type mt, ignoring parameters. (Mirror of
-// the server package's helper; both sides negotiate the same way.)
-func hasMediaType(header, mt string) bool {
-	for _, part := range strings.Split(header, ",") {
-		if t, _, err := mime.ParseMediaType(strings.TrimSpace(part)); err == nil && t == mt {
-			return true
-		}
-	}
-	return false
-}
-
-func isBinaryRequest(r *http.Request) bool {
-	return hasMediaType(r.Header.Get("Content-Type"), server.ContentTypeBinary)
-}
-
-func accepts(r *http.Request, mt string) bool {
-	return hasMediaType(r.Header.Get("Accept"), mt)
-}
-
-// countingReader counts bytes read, feeding the codec byte counters.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
-}
-
-// countingWriter counts bytes written through an http.ResponseWriter.
-type countingWriter struct {
-	http.ResponseWriter
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.ResponseWriter.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// readGraphsRequest decodes a /query or /querybatch request body in its
-// negotiated format, mirroring the backend servers' negotiation. one
-// enforces the single-graph contract of /query. The returned duration
-// is the graph-decode time (for traces); on a false return the error
-// reply has been written.
-func (rt *Router) readGraphsRequest(w http.ResponseWriter, r *http.Request, one bool) ([]*graph.Graph, time.Duration, bool) {
-	var gs []*graph.Graph
-	var decDur time.Duration
-	if isBinaryRequest(r) {
-		wm := rt.met.wireBinary
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-			return nil, 0, false
-		}
-		wm.BytesIn.Add(float64(len(body)))
-		decStart := time.Now()
-		gs, err = graph.DecodeBinary(body)
-		decDur = time.Since(decStart)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return nil, 0, false
-		}
-		wm.Decode.Observe(decDur.Seconds())
-		wm.NegotiatedReq.Inc()
-	} else {
-		wm := rt.met.wireText
-		cr := &countingReader{r: http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes)}
-		var text string
-		if one {
-			var req server.QueryRequest
-			if !rt.decodeJSONBody(w, cr, &req) {
-				return nil, 0, false
-			}
-			text = req.Graph
-		} else {
-			var req server.BatchRequest
-			if !rt.decodeJSONBody(w, cr, &req) {
-				return nil, 0, false
-			}
-			text = req.Graphs
-		}
-		wm.BytesIn.Add(float64(cr.n))
-		decStart := time.Now()
-		var err error
-		gs, err = graph.DecodeText([]byte(text))
-		decDur = time.Since(decStart)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return nil, 0, false
-		}
-		wm.Decode.Observe(decDur.Seconds())
-		wm.NegotiatedReq.Inc()
-	}
-	if len(gs) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("no graphs in request"))
-		return nil, 0, false
-	}
-	if one && len(gs) != 1 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("want exactly 1 graph, got %d (use /querybatch for batches)", len(gs)))
-		return nil, 0, false
-	}
-	return gs, decDur, true
-}
-
-// writeResults encodes query results in the response format the client
-// negotiated — whatever format the answering backends used on their
-// leg. Binary under Accept: application/x-gc-binary, JSON otherwise.
-func (rt *Router) writeResults(w http.ResponseWriter, r *http.Request, rs []server.QueryResponse, single bool) {
-	if accepts(r, server.ContentTypeBinary) {
-		wm := rt.met.wireBinary
-		encStart := time.Now()
-		data, err := server.EncodeResultsBinary(rs)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		wm.Encode.Observe(time.Since(encStart).Seconds())
-		wm.NegotiatedResp.Inc()
-		wm.BytesOut.Add(float64(len(data)))
-		w.Header().Set("Content-Type", server.ContentTypeBinary)
-		w.WriteHeader(http.StatusOK)
-		w.Write(data)
-		return
-	}
-	wm := rt.met.wireText
-	cw := &countingWriter{ResponseWriter: w}
-	encStart := time.Now()
-	if single {
-		writeJSON(cw, http.StatusOK, rs[0])
-	} else {
-		writeJSON(cw, http.StatusOK, server.BatchResponse{Results: rs})
-	}
-	wm.Encode.Observe(time.Since(encStart).Seconds())
-	wm.NegotiatedResp.Inc()
-	wm.BytesOut.Add(float64(cw.n))
-}
-
-// decodeJSONBody decodes one JSON request body from an explicit reader
-// (so negotiation can count its bytes), with the same strictness as
-// readJSON.
-func (rt *Router) decodeJSONBody(w http.ResponseWriter, body io.Reader, v any) bool {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	return true
-}
 
 // streamBatch serves one /querybatch request in NDJSON streaming mode
 // across the fleet: the batch is grouped exactly as the buffered path
@@ -213,74 +53,20 @@ func (rt *Router) streamBatch(w http.ResponseWriter, r *http.Request, qs []*grap
 		groups[b] = idxs
 	}
 
-	wm := rt.met.wireNDJSON
-	wm.NegotiatedResp.Inc()
-	fl, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", server.ContentTypeNDJSON)
-	w.WriteHeader(http.StatusOK)
-	cw := &countingWriter{ResponseWriter: w}
-	enc := json.NewEncoder(cw)
-	arrival := r.URL.Query().Get("order") == "arrival"
-
-	// deliver is called concurrently by the per-backend stream readers;
-	// mu also orders the response writes. In ordered mode results are
-	// parked until the cursor reaches them. After an abort nothing more
-	// is emitted — the error line is the stream's last.
-	var mu sync.Mutex
-	aborted := false
-	parked := make([]*server.StreamResult, len(qs))
-	cursor := 0
-	emit := func(sr *server.StreamResult) {
-		enc.Encode(sr)
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	deliver := func(sr *server.StreamResult) {
-		mu.Lock()
-		defer mu.Unlock()
-		if aborted {
-			return
-		}
-		if arrival {
-			emit(sr)
-			return
-		}
-		parked[sr.Index] = sr
-		for cursor < len(parked) && parked[cursor] != nil {
-			emit(parked[cursor])
-			parked[cursor] = nil
-			cursor++
-		}
-	}
-	abort := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if aborted {
-			return
-		}
-		aborted = true
-		if r.Context().Err() == nil {
-			// Results may already be on the wire, so the failure cannot
-			// become an HTTP status: it becomes the stream's terminal
-			// error line (StreamResult.Error aborts the client's read).
-			emit(&server.StreamResult{Index: -1, Error: err.Error()})
-		}
-	}
-
+	st := rt.wire.Stream(w, r, len(qs))
 	var wg sync.WaitGroup
 	for b, idxs := range groups {
 		wg.Add(1)
 		go func(b *backend, idxs []int) {
 			defer wg.Done()
-			rt.streamGroup(r.Context(), tp, b, qs, idxs, deliver, abort)
+			rt.streamGroup(r.Context(), tp, b, qs, idxs, st.Deliver, st.Abort)
 		}(b, idxs)
 	}
 	wg.Wait()
 	if r.Context().Err() != nil {
 		rt.met.streamCancelled.Inc()
 	}
-	wm.BytesOut.Add(float64(cw.n))
+	st.Close()
 }
 
 // streamGroup streams one backend's share of a batch, re-tagging each

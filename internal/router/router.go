@@ -46,7 +46,6 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -376,8 +375,12 @@ type Router struct {
 	adminHS  *http.Server
 	adminLis net.Listener
 
-	reg   *telemetry.Registry
-	met   *routerMetrics
+	reg *telemetry.Registry
+	met *routerMetrics
+	// wire is the front door's format negotiation — the same reader,
+	// writers and codec metrics gcserved exposes, under the router's
+	// prefix, so one scrape shows what the fleet's clients negotiate.
+	wire  *server.Wire
 	start time.Time
 
 	stop      chan struct{}
@@ -425,6 +428,7 @@ func New(opts Options) (*Router, error) {
 		adminMux:  http.NewServeMux(),
 		reg:       reg,
 		met:       newRouterMetrics(reg),
+		wire:      server.NewWire(reg, "graphcache_router", opts.MaxBodyBytes),
 		start:     time.Now(),
 		stop:      make(chan struct{}),
 		probeDone: make(chan struct{}),
@@ -1011,14 +1015,14 @@ const retryAfterSeconds = 1
 // writeShed answers 429 Too Many Requests with a Retry-After hint.
 func writeShed(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	writeError(w, http.StatusTooManyRequests,
+	server.WriteError(w, http.StatusTooManyRequests,
 		fmt.Errorf("overloaded: fleet queue depth at bound; retry after %ds", retryAfterSeconds))
 }
 
 // ---- Handlers ----------------------------------------------------------
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	gs, decDur, ok := rt.readGraphsRequest(w, r, true)
+	gs, decDur, ok := rt.wire.ReadGraphs(w, r, true)
 	if !ok {
 		return
 	}
@@ -1048,11 +1052,11 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 			telemetry.Span{Name: "router:dispatch " + addr, DurNS: time.Since(dispatchStart).Nanoseconds()},
 		)
 	}
-	rt.writeResults(w, r, []server.QueryResponse{resp}, true)
+	rt.wire.WriteResults(w, r, []server.QueryResponse{resp}, true)
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	gs, _, ok := rt.readGraphsRequest(w, r, false)
+	gs, _, ok := rt.wire.ReadGraphs(w, r, false)
 	if !ok {
 		return
 	}
@@ -1061,7 +1065,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rt.done(len(gs))
-	if accepts(r, server.ContentTypeNDJSON) {
+	if server.Accepts(r, server.ContentTypeNDJSON) {
 		rt.streamBatch(w, r, gs)
 		return
 	}
@@ -1070,7 +1074,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.replyDispatchError(w, err)
 		return
 	}
-	rt.writeResults(w, r, results, false)
+	rt.wire.WriteResults(w, r, results, false)
 }
 
 // handleStats aggregates every backend's /stats with the router's own
@@ -1116,7 +1120,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Router = rt.Counters()
 	resp.UptimeSeconds = time.Since(rt.start).Seconds()
 	resp.GoVersion, resp.Build = telemetry.BuildInfo()
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -1142,37 +1146,17 @@ func (rt *Router) replyDispatchError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errSaturated):
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeError(w, http.StatusTooManyRequests, err)
+		server.WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, errBreakerOpen), errors.Is(err, errNoBackends):
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeError(w, http.StatusServiceUnavailable, err)
+		server.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	var se *server.StatusError
 	if errors.As(err, &se) && se.Code < 500 {
-		writeError(w, se.Code, errors.New(se.Msg))
+		server.WriteError(w, se.Code, errors.New(se.Msg))
 		return
 	}
-	writeError(w, http.StatusBadGateway, err)
-}
-
-func (rt *Router) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, server.ErrorResponse{Error: err.Error()})
+	server.WriteError(w, http.StatusBadGateway, err)
 }

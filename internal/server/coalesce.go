@@ -9,18 +9,22 @@ import (
 	"graphcache/internal/graph"
 )
 
-// coalescer batches concurrently-arriving single queries into
-// Cache.QueryBatch calls: the first query to land opens a collection
+// coalescer batches concurrently-arriving single queries into runs of the
+// cache's query pipeline: the first query to land opens a collection
 // window of at most maxDelay; the batch is dispatched when maxSize queries
 // have gathered or the window closes, whichever comes first. Under load
 // the routing decision at the service boundary thus amortises filter
 // dispatch and stats application across whole batches; an idle server adds
-// at most maxDelay of latency to a lone query.
+// at most maxDelay of latency to a lone query. Whatever its size — most
+// windows close over a single query — a batch runs the same pipeline: an
+// all-hit batch does not wait for Method M's filter, and a batch of one is
+// not a batch to the cache's totals and telemetry.
 //
 // Each waiter carries its request context end-to-end: a caller whose
-// context dies while its query is still queued returns immediately, and
-// the flush drops dead waiters before the batch executes — a killed
-// client cancels queued work, not just the response write.
+// context dies while its query is still queued returns immediately, the
+// flush drops dead waiters before the batch executes, and a batch whose
+// every waiter has left — a lone one included — abandons its remaining
+// verification: a killed client cancels work, not just the response write.
 type coalescer struct {
 	cache   *core.Cache
 	maxSize int

@@ -2,13 +2,16 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"graphcache/internal/core"
 	"graphcache/internal/ggsx"
+	"graphcache/internal/graph"
 	"graphcache/internal/method"
+	"graphcache/internal/telemetry"
 )
 
 // waitPending polls until the coalescer holds exactly n pending waiters.
@@ -153,5 +156,76 @@ func TestCoalescerBurstRace(t *testing.T) {
 	wg.Wait()
 	if mismatches > 0 {
 		t.Fatalf("%d of %d coalesced answers diverged — a waiter received another batch's flush", mismatches, len(queries))
+	}
+}
+
+// gatedVerifyMethod parks every Verify call on gate and closes started
+// when the first one arrives, freezing a batch inside verification.
+type gatedVerifyMethod struct {
+	method.Method
+	gate    chan struct{}
+	started chan struct{}
+	once    sync.Once
+}
+
+func (m *gatedVerifyMethod) Verify(q *graph.Graph, id int32) bool {
+	m.once.Do(func() { close(m.started) })
+	<-m.gate
+	return m.Method.Verify(q, id)
+}
+
+// TestCoalescerLoneWaiterCancellation: a coalesced batch holding a single
+// query runs the same cancellable pipeline as any other, so when its only
+// waiter leaves mid-verification the remaining sub-iso tests are abandoned,
+// the cancellation is counted, and the query leaves no trace in the cache.
+func TestCoalescerLoneWaiterCancellation(t *testing.T) {
+	ds := testDataset(40, 65)
+	gm := &gatedVerifyMethod{
+		Method:  method.NewVF2Plus(ds), // no index: every graph is a candidate
+		gate:    make(chan struct{}),
+		started: make(chan struct{}),
+	}
+	// A window of one: a query that reached the window would be cached.
+	// One verification worker, so only the first chunk of tests is in
+	// flight when the waiter leaves.
+	cache := core.New(gm, core.Options{CacheSize: 20, WindowSize: 1, VerifyConcurrency: 1})
+	co := newCoalescer(cache, 4, time.Hour) // flushed by hand below
+	co.met = newServerMetrics(telemetry.NewRegistry())
+	q := testWorkload(ds, 1, 66)[0]
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	answered := make(chan error, 1)
+	go func() {
+		_, err := co.query(ctx, q)
+		answered <- err
+	}()
+	waitPending(t, co, 1)
+	flushed := make(chan struct{})
+	go func() {
+		co.timerFlush(0)
+		close(flushed)
+	}()
+	select {
+	case <-gm.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("verification never started")
+	}
+	cancel()
+	close(gm.gate)
+	<-flushed
+
+	if err := <-answered; !errors.Is(err, context.Canceled) {
+		t.Errorf("waiter returned %v, want context.Canceled", err)
+	}
+	if got := co.met.streamAbandoned.Value(); got == 0 {
+		t.Error("stream_abandoned_verifications_total = 0: the lone waiter's batch verified to the end")
+	}
+	if got := co.met.streamCancelled.Value(); got != 1 {
+		t.Errorf("stream_cancelled_total = %v, want 1", got)
+	}
+	cache.Flush()
+	if tot := cache.Totals(); tot.Queries != 0 || len(cache.CachedSerials()) != 0 {
+		t.Errorf("abandoned query left a trace: %d queries in totals, %d cached", tot.Queries, len(cache.CachedSerials()))
 	}
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"time"
-
 	"graphcache/internal/core"
 	"graphcache/internal/telemetry"
 )
@@ -48,14 +46,8 @@ type serverMetrics struct {
 	shedTotal    *telemetry.Counter
 	warmTotal    *telemetry.Counter
 
-	// Wire codecs, one metric bundle per negotiated format; ndjson is
-	// response-only (streamed batches).
-	wireText   *WireCodecMetrics
-	wireBinary *WireCodecMetrics
-	wireNDJSON *WireCodecMetrics
-
-	// Streamed batches cut short by a departed client, and the sub-iso
-	// tests that cancellation let the cache abandon.
+	// Batches cut short by a departed client, and the sub-iso tests that
+	// cancellation let the cache abandon.
 	streamCancelled *telemetry.Counter
 	streamAbandoned *telemetry.Counter
 
@@ -114,12 +106,8 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		shedTotal:    reg.Counter("graphcache_server_shed_total", "Requests refused with 429 at the admission gate."),
 		warmTotal:    reg.Counter("graphcache_server_warmups_total", "Completed snapshot warm-ups."),
 
-		wireText:   NewWireCodecMetrics(reg, "graphcache_server", "text"),
-		wireBinary: NewWireCodecMetrics(reg, "graphcache_server", "binary"),
-		wireNDJSON: NewWireCodecMetrics(reg, "graphcache_server", "ndjson"),
-
 		streamCancelled: reg.Counter("graphcache_server_stream_cancelled_total",
-			"Streamed or coalesced batches cut short because the client(s) went away."),
+			"Batches (streamed, buffered or coalesced) cut short because the client(s) went away."),
 		streamAbandoned: reg.Counter("graphcache_server_stream_abandoned_verifications_total",
 			"Sub-iso tests skipped because their batch's client(s) went away."),
 	}
@@ -164,13 +152,12 @@ func (m *serverMetrics) ObserveQuery(o core.QueryObservation) {
 		m.queriesBatch.Inc()
 	} else {
 		m.queriesSingle.Inc()
-		// The finer GC split is only meaningful on the single path; batch
-		// shares are stage-level apportionments already covered by
-		// filter_gc.
-		m.durFeature.Observe(float64(o.FeatureNS) / nsPerSec)
-		m.durProbe.Observe(float64(o.ProbeNS) / nsPerSec)
-		m.durGCVerify.Observe(float64(o.GCVerifyNS) / nsPerSec)
 	}
+	// The GC stage and its finer split are per-query shares of the run's
+	// stage time (exact for a lone query).
+	m.durFeature.Observe(float64(o.FeatureNS) / nsPerSec)
+	m.durProbe.Observe(float64(o.ProbeNS) / nsPerSec)
+	m.durGCVerify.Observe(float64(o.GCVerifyNS) / nsPerSec)
 	m.durFilterGC.Observe(float64(o.FilterGCNS) / nsPerSec)
 	m.durTotal.Observe(float64(o.TotalNS) / nsPerSec)
 
@@ -233,30 +220,24 @@ func (f fanoutObserver) ObserveMutation(o core.MutationObservation) {
 	}
 }
 
-// observeCodec times one codec operation.
-func observeCodec(h *telemetry.Histogram, start time.Time) {
-	h.Observe(time.Since(start).Seconds())
-}
-
-// WireCodecMetrics is one negotiated wire format's metric bundle:
+// wireCodecMetrics is one negotiated wire format's metric bundle:
 // encode/decode latency (<prefix>_codec_seconds{op,codec}), bytes moved
 // (graphcache_codec_bytes_total{codec,direction}) and how often the
 // format was negotiated (<prefix>_wire_negotiated_total{codec,direction}).
-// Exported because the router tier mirrors the same surface on its own
-// registry.
-type WireCodecMetrics struct {
+// Each tier registers its own through NewWire.
+type wireCodecMetrics struct {
 	Decode, Encode                *telemetry.Histogram
 	BytesIn, BytesOut             *telemetry.Counter
 	NegotiatedReq, NegotiatedResp *telemetry.Counter
 }
 
-// NewWireCodecMetrics registers one wire format's metric bundle on reg.
+// newWireCodecMetrics registers one wire format's metric bundle on reg.
 // prefix scopes the per-tier series ("graphcache_server",
 // "graphcache_router"); the byte counter keeps the tier-independent
 // name graphcache_codec_bytes_total.
-func NewWireCodecMetrics(reg *telemetry.Registry, prefix, codec string) *WireCodecMetrics {
+func newWireCodecMetrics(reg *telemetry.Registry, prefix, codec string) *wireCodecMetrics {
 	codecL := telemetry.L("codec", codec)
-	return &WireCodecMetrics{
+	return &wireCodecMetrics{
 		Decode: reg.Histogram(prefix+"_codec_seconds", "Wire codec time, by direction.",
 			nil, telemetry.L("op", "decode"), codecL),
 		Encode: reg.Histogram(prefix+"_codec_seconds", "Wire codec time, by direction.",

@@ -76,6 +76,14 @@ func TestServerMetricsEndpoint(t *testing.T) {
 			t.Errorf("stage %q histogram missing from exposition", stage)
 		}
 	}
+	// The pipeline times its GC sub-stages for every run, so the batch's
+	// queries are in the finer histograms too, not only the singles.
+	for _, stage := range []string{"feature", "probe", "gcverify", "filter_gc"} {
+		if v, _ := metricValue(samples, "graphcache_query_duration_seconds_count",
+			map[string]string{"stage": stage}); v != float64(len(queries)) {
+			t.Errorf("stage=%s count = %v; want %d (singles and the /querybatch request)", stage, v, len(queries))
+		}
+	}
 	if v, ok := metricValue(samples, "graphcache_query_duration_seconds_count",
 		map[string]string{"stage": "total"}); !ok || v < float64(len(queries)) {
 		t.Errorf("stage=total count = %v, %v; want >= %d", v, ok, len(queries))

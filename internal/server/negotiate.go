@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,8 +11,8 @@ import (
 	"sync"
 	"time"
 
-	"graphcache/internal/core"
 	"graphcache/internal/graph"
+	"graphcache/internal/telemetry"
 )
 
 // Wire-format negotiation. The JSON envelope around t/v/e text is the
@@ -69,11 +70,8 @@ func hasMediaType(header, mt string) bool {
 	return false
 }
 
-func isBinaryRequest(r *http.Request) bool {
-	return hasMediaType(r.Header.Get("Content-Type"), ContentTypeBinary)
-}
-
-func accepts(r *http.Request, mt string) bool {
+// Accepts reports whether r's Accept header names media type mt.
+func Accepts(r *http.Request, mt string) bool {
 	return hasMediaType(r.Header.Get("Accept"), mt)
 }
 
@@ -101,18 +99,39 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// readGraphsRequest decodes a /query or /querybatch request body in its
+// Wire is one tier's side of the negotiation — gcserved's toward its
+// clients, gcrouter's toward its own: the request reader, the result
+// writer and the NDJSON stream writer, over the tier's body bound and its
+// codec metrics (ndjson is response-only: streamed batches).
+type Wire struct {
+	maxBodyBytes         int64
+	text, binary, ndjson *wireCodecMetrics
+}
+
+// NewWire registers a tier's three codec metric bundles on reg under
+// prefix ("graphcache_server", "graphcache_router").
+func NewWire(reg *telemetry.Registry, prefix string, maxBodyBytes int64) *Wire {
+	return &Wire{
+		maxBodyBytes: maxBodyBytes,
+		text:         newWireCodecMetrics(reg, prefix, "text"),
+		binary:       newWireCodecMetrics(reg, prefix, "binary"),
+		ndjson:       newWireCodecMetrics(reg, prefix, "ndjson"),
+	}
+}
+
+// ReadGraphs decodes a /query or /querybatch request body in its
 // negotiated format. one enforces the single-graph contract of /query.
 // The returned duration is the graph-decode time (for traces); on a
 // false return the error reply has been written.
-func (s *Server) readGraphsRequest(w http.ResponseWriter, r *http.Request, one bool) ([]*graph.Graph, time.Duration, bool) {
+func (wr *Wire) ReadGraphs(w http.ResponseWriter, r *http.Request, one bool) ([]*graph.Graph, time.Duration, bool) {
 	var gs []*graph.Graph
 	var decDur time.Duration
-	if isBinaryRequest(r) {
-		wm := s.met.wireBinary
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	wm := wr.text
+	if hasMediaType(r.Header.Get("Content-Type"), ContentTypeBinary) {
+		wm = wr.binary
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wr.maxBodyBytes))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 			return nil, 0, false
 		}
 		wm.BytesIn.Add(float64(len(body)))
@@ -120,24 +139,21 @@ func (s *Server) readGraphsRequest(w http.ResponseWriter, r *http.Request, one b
 		gs, err = graph.DecodeBinary(body)
 		decDur = time.Since(decStart)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return nil, 0, false
 		}
-		wm.Decode.Observe(decDur.Seconds())
-		wm.NegotiatedReq.Inc()
 	} else {
-		wm := s.met.wireText
-		cr := &countingReader{r: http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)}
+		cr := &countingReader{r: http.MaxBytesReader(w, r.Body, wr.maxBodyBytes)}
 		var text string
 		if one {
 			var req QueryRequest
-			if !s.decodeJSONBody(w, cr, &req) {
+			if !decodeJSONBody(w, cr, &req) {
 				return nil, 0, false
 			}
 			text = req.Graph
 		} else {
 			var req BatchRequest
-			if !s.decodeJSONBody(w, cr, &req) {
+			if !decodeJSONBody(w, cr, &req) {
 				return nil, 0, false
 			}
 			text = req.Graphs
@@ -148,34 +164,34 @@ func (s *Server) readGraphsRequest(w http.ResponseWriter, r *http.Request, one b
 		gs, err = decodeGraphs(text)
 		decDur = time.Since(decStart)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return nil, 0, false
 		}
-		wm.Decode.Observe(decDur.Seconds())
-		wm.NegotiatedReq.Inc()
 	}
+	wm.Decode.Observe(decDur.Seconds())
+	wm.NegotiatedReq.Inc()
 	if len(gs) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("no graphs in request"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("no graphs in request"))
 		return nil, 0, false
 	}
 	if one && len(gs) != 1 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("want exactly 1 graph, got %d (use /querybatch for batches)", len(gs)))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("want exactly 1 graph, got %d (use /querybatch for batches)", len(gs)))
 		return nil, 0, false
 	}
 	return gs, decDur, true
 }
 
-// writeResults encodes query results in the response format the request
+// WriteResults encodes query results in the response format the request
 // negotiated: a binary result frame under Accept: application/x-gc-binary,
 // the JSON envelope otherwise (a bare QueryResponse for /query, a
 // BatchResponse for /querybatch).
-func (s *Server) writeResults(w http.ResponseWriter, r *http.Request, rs []QueryResponse, single bool) {
-	if accepts(r, ContentTypeBinary) {
-		wm := s.met.wireBinary
+func (wr *Wire) WriteResults(w http.ResponseWriter, r *http.Request, rs []QueryResponse, single bool) {
+	if Accepts(r, ContentTypeBinary) {
+		wm := wr.binary
 		encStart := time.Now()
 		data, err := EncodeResultsBinary(rs)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		wm.Encode.Observe(time.Since(encStart).Seconds())
@@ -186,67 +202,131 @@ func (s *Server) writeResults(w http.ResponseWriter, r *http.Request, rs []Query
 		w.Write(data)
 		return
 	}
-	wm := s.met.wireText
+	wm := wr.text
 	cw := &countingWriter{ResponseWriter: w}
 	encStart := time.Now()
 	if single {
-		writeJSON(cw, http.StatusOK, rs[0])
+		WriteJSON(cw, http.StatusOK, rs[0])
 	} else {
-		writeJSON(cw, http.StatusOK, BatchResponse{Results: rs})
+		WriteJSON(cw, http.StatusOK, BatchResponse{Results: rs})
 	}
 	wm.Encode.Observe(time.Since(encStart).Seconds())
 	wm.NegotiatedResp.Inc()
 	wm.BytesOut.Add(float64(cw.n))
 }
 
-// streamBatch serves one /querybatch request in NDJSON streaming mode:
-// each query's StreamResult line is flushed as its verification
-// completes — in request order by default, in arrival order (tagged by
-// Index) under ?order=arrival. A client that disconnects mid-stream
-// cancels the batch through the request context: the cache abandons
-// unstarted verification and the stream simply ends.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, qs []*graph.Graph) {
-	wm := s.met.wireNDJSON
-	wm.NegotiatedResp.Inc()
-	fl, _ := w.(http.Flusher)
+// ResultStream writes one /querybatch response in NDJSON streaming mode:
+// each query's StreamResult line is flushed as it is delivered — in
+// request order by default, in arrival order (tagged by Index) under
+// ?order=arrival. Deliver and Abort are safe for concurrent use; mu also
+// orders the response writes.
+type ResultStream struct {
+	ctx context.Context // the request's: nothing is written for a departed client
+	wm  *wireCodecMetrics
+	cw  countingWriter
+	enc *json.Encoder
+	fl  http.Flusher
+
+	mu      sync.Mutex
+	arrival bool
+	aborted bool
+	// In ordered mode results are parked until the cursor reaches them,
+	// so the client sees request order while cheap queries upstream of
+	// the cursor flush early.
+	parked []*StreamResult
+	cursor int
+}
+
+// Stream starts the NDJSON response to a batch of n queries.
+func (wr *Wire) Stream(w http.ResponseWriter, r *http.Request, n int) *ResultStream {
+	wr.ndjson.NegotiatedResp.Inc()
 	w.Header().Set("Content-Type", ContentTypeNDJSON)
 	w.WriteHeader(http.StatusOK)
-	cw := &countingWriter{ResponseWriter: w}
-	enc := json.NewEncoder(cw)
-	arrival := r.URL.Query().Get("order") == "arrival"
+	st := &ResultStream{
+		ctx:     r.Context(),
+		wm:      wr.ndjson,
+		cw:      countingWriter{ResponseWriter: w},
+		arrival: r.URL.Query().Get("order") == "arrival",
+		parked:  make([]*StreamResult, n),
+	}
+	st.enc = json.NewEncoder(&st.cw)
+	st.fl, _ = w.(http.Flusher)
+	return st
+}
 
-	// deliver is called concurrently by verification workers; mu also
-	// orders the response writes. In ordered mode results are parked
-	// until the cursor reaches them, so the client still sees request
-	// order while cheap queries upstream of the cursor flush early.
-	var mu sync.Mutex
-	parked := make([]*StreamResult, len(qs))
-	cursor := 0
-	emit := func(sr *StreamResult) {
-		enc.Encode(sr)
-		if fl != nil {
-			fl.Flush()
-		}
+func (st *ResultStream) emit(sr *StreamResult) {
+	st.enc.Encode(sr)
+	if st.fl != nil {
+		st.fl.Flush()
 	}
-	abandoned, err := s.cache.QueryBatchStream(r.Context(), qs, func(i int, res core.Result) {
-		sr := &StreamResult{Index: i, Answer: res.Answer, Stats: res.Stats}
-		mu.Lock()
-		defer mu.Unlock()
-		if arrival {
-			emit(sr)
-			return
-		}
-		parked[i] = sr
-		for cursor < len(parked) && parked[cursor] != nil {
-			emit(parked[cursor])
-			parked[cursor] = nil
-			cursor++
-		}
-	})
-	if err != nil {
-		// The client is gone; there is no stream left to finish.
-		s.met.streamCancelled.Inc()
-		s.met.streamAbandoned.Add(float64(abandoned))
+}
+
+// Deliver writes (or parks) one result. After an Abort nothing more is
+// emitted — the error line is the stream's last.
+func (st *ResultStream) Deliver(sr *StreamResult) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.aborted {
+		return
 	}
-	wm.BytesOut.Add(float64(cw.n))
+	if st.arrival {
+		st.emit(sr)
+		return
+	}
+	st.parked[sr.Index] = sr
+	for st.cursor < len(st.parked) && st.parked[st.cursor] != nil {
+		st.emit(st.parked[st.cursor])
+		st.parked[st.cursor] = nil
+		st.cursor++
+	}
+}
+
+// Abort ends the stream on a failure. Results may already be on the
+// wire, so the failure cannot become an HTTP status: it becomes the
+// stream's terminal error line (StreamResult.Error aborts the client's
+// read), unless the client is the one who left.
+func (st *ResultStream) Abort(err error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.aborted {
+		return
+	}
+	st.aborted = true
+	if st.ctx.Err() == nil {
+		st.emit(&StreamResult{Index: -1, Error: err.Error()})
+	}
+}
+
+// Close accounts the stream's bytes once every producer has returned.
+func (st *ResultStream) Close() { st.wm.BytesOut.Add(float64(st.cw.n)) }
+
+// ReadJSON decodes a request body of at most maxBodyBytes into v,
+// replying with 400 on malformed input. It reports whether the handler
+// should proceed.
+func ReadJSON(w http.ResponseWriter, r *http.Request, maxBodyBytes int64, v any) bool {
+	return decodeJSONBody(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// decodeJSONBody is ReadJSON over an explicit (possibly wrapped) body
+// reader, so negotiation can count the bytes it consumes.
+func decodeJSONBody(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
+}
+
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes err as the JSON ErrorResponse every tier replies with.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
 }

@@ -19,10 +19,8 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -35,6 +33,7 @@ import (
 
 	"graphcache/internal/core"
 	"graphcache/internal/dataset"
+	"graphcache/internal/graph"
 	"graphcache/internal/telemetry"
 )
 
@@ -141,9 +140,11 @@ type Server struct {
 	mutMu sync.Mutex
 	jr    *journal
 
-	// met is the server's metric surface (see metrics.go), reg the
-	// registry behind GET /metrics; start anchors uptime_seconds.
+	// met is the server's metric surface (see metrics.go), wire its
+	// format negotiation with the codec metrics, reg the registry behind
+	// GET /metrics; start anchors uptime_seconds.
 	met      *serverMetrics
+	wire     *Wire
 	reg      *telemetry.Registry
 	start    time.Time
 	reqCount atomic.Int64 // served queries, for the sampled query log
@@ -171,6 +172,7 @@ func New(c *core.Cache, opts Options) *Server {
 		co:    newCoalescer(c, opts.MaxBatch, opts.MaxDelay),
 		mux:   http.NewServeMux(),
 		met:   met,
+		wire:  NewWire(reg, "graphcache_server", opts.MaxBodyBytes),
 		reg:   reg,
 		start: time.Now(),
 	}
@@ -476,7 +478,7 @@ func (s *Server) done(n int) { s.admitted.Add(int64(-n)) }
 // resilient clients back off instead of piling onto the queue.
 func writeShed(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusTooManyRequests, errors.New("overloaded: admitted queries at bound; retry after 1s"))
+	WriteError(w, http.StatusTooManyRequests, errors.New("overloaded: admitted queries at bound; retry after 1s"))
 }
 
 // writeWarming answers 503 while a snapshot warm-up replaces the cache.
@@ -484,12 +486,12 @@ func writeShed(w http.ResponseWriter) {
 // always retryable: the work was refused before it started.
 func writeWarming(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, errors.New("warming: loading a cache snapshot; retry after 1s"))
+	WriteError(w, http.StatusServiceUnavailable, errors.New("warming: loading a cache snapshot; retry after 1s"))
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	arrived := time.Now()
-	qs, decDur, ok := s.readGraphsRequest(w, r, true)
+	qs, decDur, ok := s.wire.ReadGraphs(w, r, true)
 	if !ok {
 		return
 	}
@@ -517,7 +519,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Trace = s.buildTrace(r.Context(), decDur, time.Since(execStart), res.Stats)
 	}
 	s.logQuery(r.Context(), res.Stats, time.Since(arrived))
-	s.writeResults(w, r, []QueryResponse{resp}, true)
+	s.wire.WriteResults(w, r, []QueryResponse{resp}, true)
 }
 
 // buildTrace assembles one query's span breakdown for ?debug=trace: the
@@ -565,7 +567,7 @@ func (s *Server) logQuery(ctx context.Context, qs core.QueryStats, served time.D
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	qs, _, ok := s.readGraphsRequest(w, r, false)
+	qs, _, ok := s.wire.ReadGraphs(w, r, false)
 	if !ok {
 		return
 	}
@@ -582,22 +584,44 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.batchSize.Observe(float64(len(qs)))
-	if accepts(r, ContentTypeNDJSON) {
-		s.streamBatch(w, r, qs)
+	// Either way the batch runs under the request context: a client that
+	// disconnects cancels it, the cache abandons unstarted verification,
+	// and there is no one left to write to.
+	if Accepts(r, ContentTypeNDJSON) {
+		// One StreamResult line per query, flushed as its verification
+		// completes; the stream simply ends when the client leaves.
+		st := s.wire.Stream(w, r, len(qs))
+		s.runBatch(r.Context(), qs, func(i int, res core.Result) {
+			st.Deliver(&StreamResult{Index: i, Answer: res.Answer, Stats: res.Stats})
+		})
+		st.Close()
 		return
 	}
-	results := s.cache.QueryBatch(qs)
-	resp := make([]QueryResponse, len(results))
-	for i, res := range results {
+	resp := make([]QueryResponse, len(qs))
+	completed := s.runBatch(r.Context(), qs, func(i int, res core.Result) {
 		resp[i] = QueryResponse{Answer: res.Answer, Stats: res.Stats}
+	})
+	if completed {
+		s.wire.WriteResults(w, r, resp, false)
 	}
-	s.writeResults(w, r, resp, false)
+}
+
+// runBatch runs one explicit batch through the cache and reports whether
+// it ran to completion; a batch cut short by its departed client moves
+// the cancellation counters instead.
+func (s *Server) runBatch(ctx context.Context, qs []*graph.Graph, deliver func(i int, res core.Result)) bool {
+	abandoned, err := s.cache.QueryBatchStream(ctx, qs, deliver)
+	if err != nil {
+		s.met.streamCancelled.Inc()
+		s.met.streamAbandoned.Add(float64(abandoned))
+	}
+	return err == nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	m := s.cache.Method()
 	goVersion, build := telemetry.BuildInfo()
-	writeJSON(w, http.StatusOK, StatsResponse{
+	WriteJSON(w, http.StatusOK, StatsResponse{
 		Totals:        s.cache.Totals(),
 		Cached:        len(s.cache.CachedSerials()),
 		Method:        m.Name(),
@@ -647,19 +671,19 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // to the ring; gcserved -warm-from calls it at startup.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	var req WarmRequest
-	if !s.readJSON(w, r, &req) {
+	if !ReadJSON(w, r, s.opts.MaxBodyBytes, &req) {
 		return
 	}
 	if req.From == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing peer in \"from\""))
+		WriteError(w, http.StatusBadRequest, errors.New("missing peer in \"from\""))
 		return
 	}
 	resp, err := s.WarmFrom(r.Context(), req.From)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		WriteError(w, http.StatusBadGateway, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // decodeMutation translates a wire mutation into a core one. Add and
@@ -687,12 +711,12 @@ func decodeMutation(req MutateRequest) (dataset.Mutation, error) {
 // short exclusivity window for the swap itself.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var req MutateRequest
-	if !s.readJSON(w, r, &req) {
+	if !ReadJSON(w, r, s.opts.MaxBodyBytes, &req) {
 		return
 	}
 	mut, err := decodeMutation(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.mutMu.Lock()
@@ -704,13 +728,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// Idempotent replay: an already-applied seq is acked (it *is* durably
 	// applied) without re-journaling or re-applying.
 	if req.Seq != 0 && req.Seq <= s.cache.LastMutationSeq() {
-		writeJSON(w, http.StatusOK, MutateResponse{
+		WriteJSON(w, http.StatusOK, MutateResponse{
 			Applied: false, Epoch: s.cache.DatasetEpoch(), Seq: s.cache.LastMutationSeq(),
 		})
 		return
 	}
 	if err := s.cache.ValidateMutation(mut); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Journal before apply: the record's epoch is the epoch the mutation
@@ -732,16 +756,16 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if err := s.jr.append(rec); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
 	res, err := s.cache.ApplyMutation(mut)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, MutateResponse{
+	WriteJSON(w, http.StatusOK, MutateResponse{
 		Applied:       res.Applied,
 		Epoch:         res.Epoch,
 		Seq:           res.Seq,
@@ -801,32 +825,4 @@ func (s *Server) drainAdmitted(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// readJSON decodes a request body into v, replying with 400 on malformed
-// input. It reports whether the handler should proceed.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	return s.decodeJSONBody(w, http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), v)
-}
-
-// decodeJSONBody is readJSON over an explicit (possibly wrapped) body
-// reader, so negotiation can count the bytes it consumes.
-func (s *Server) decodeJSONBody(w http.ResponseWriter, body io.Reader, v any) bool {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }

@@ -225,36 +225,50 @@ func (m *slowVerifyMethod) Verify(q *graph.Graph, id int32) bool {
 	return m.Method.Verify(q, id)
 }
 
-// TestStreamCancellationAbandonsBatch kills a streaming client after its
-// first result and asserts the contract the CI wire drill greps for: the
-// server notices the disconnect through the request context, abandons
-// the rest of the batch, and counts the cancellation on /metrics.
+// TestStreamCancellationAbandonsBatch kills a client mid-batch — a
+// streaming one after its first result, a buffered one while it waits —
+// and asserts the contract the CI wire drill greps for: the server
+// notices the disconnect through the request context, abandons the rest
+// of the batch, and counts the cancellation on /metrics.
 func TestStreamCancellationAbandonsBatch(t *testing.T) {
-	ds := testDataset(40, 321)
-	queries := testWorkload(ds, 32, 322)
-	slow := &slowVerifyMethod{Method: ggsx.New(ds, ggsx.Options{}), delay: 3 * time.Millisecond}
-	c := core.New(slow, core.Options{CacheSize: 20, WindowSize: 5})
-	s := startServer(t, c, Options{})
-	cl := NewClient(s.Addr())
-
 	stop := errors.New("client walks away")
-	err := cl.QueryBatchStream(context.Background(), queries, false, func(StreamResult) error {
-		return stop
-	})
-	if !errors.Is(err, stop) {
-		t.Fatalf("QueryBatchStream error = %v; want the callback's", err)
-	}
+	for name, walkAway := range map[string]func(cl *Client, queries []*graph.Graph) error{
+		"streamed": func(cl *Client, queries []*graph.Graph) error {
+			return cl.QueryBatchStream(context.Background(), queries, false, func(StreamResult) error {
+				return stop
+			})
+		},
+		"buffered": func(cl *Client, queries []*graph.Graph) error {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			defer cancel()
+			_, err := cl.QueryBatch(ctx, queries)
+			if errors.Is(err, context.DeadlineExceeded) {
+				return stop
+			}
+			return err
+		},
+	} {
+		ds := testDataset(40, 321)
+		queries := testWorkload(ds, 32, 322)
+		slow := &slowVerifyMethod{Method: ggsx.New(ds, ggsx.Options{}), delay: 3 * time.Millisecond}
+		c := core.New(slow, core.Options{CacheSize: 20, WindowSize: 5})
+		s := startServer(t, c, Options{})
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		samples := scrapeMetrics(t, s.Addr())
-		if v, ok := metricValue(samples, "graphcache_server_stream_cancelled_total", nil); ok && v >= 1 {
-			return
+		if err := walkAway(NewClient(s.Addr()), queries); !errors.Is(err, stop) {
+			t.Fatalf("%s batch: error = %v; want the client's own departure", name, err)
 		}
-		if time.Now().After(deadline) {
+
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			samples := scrapeMetrics(t, s.Addr())
 			v, ok := metricValue(samples, "graphcache_server_stream_cancelled_total", nil)
-			t.Fatalf("stream_cancelled_total = %v, %v; want >= 1 after client disconnect", v, ok)
+			if ok && v >= 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s batch: stream_cancelled_total = %v, %v; want >= 1 after client disconnect", name, v, ok)
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
