@@ -8,12 +8,12 @@ package graphcache_test
 // through b.Log plus headline speedups as custom benchmark metrics, so
 // `go test -bench=. -benchmem` regenerates the paper's evaluation and the
 // numbers land in bench_output.txt. Absolute values depend on the machine
-// and the scaled-down synthetic datasets; EXPERIMENTS.md records the
-// shape comparison against the paper.
+// and the scaled-down synthetic datasets; the shape (who wins, by roughly
+// what factor) is what is compared against the paper.
 //
 // The smaller BenchmarkQuery* and BenchmarkBuild* benches below measure
 // the primitive operations (sub-iso matchers, index construction, cache
-// hit paths) and back the ablation discussion in DESIGN.md.
+// hit paths).
 
 import (
 	"bytes"

@@ -7,36 +7,12 @@
 //	gcbench -experiment all                 # every experiment
 //	gcbench -list                           # enumerate experiments
 //	gcbench -experiment fig8 -queries 2000 -count-factor 0.05
-//	gcbench -parallel 8                     # multi-caller throughput probe
-//	gcbench -parallel 8 -dataset PDBS -method ggsx -workload ZZ
-//	gcbench -parallel 8 -shards 1           # unsharded store, for comparison
-//	gcbench -probe-json BENCH_probe.json    # GCindex probe microbenchmark
-//	gcbench -wire both                      # text vs binary wire codec
-//	gcbench -wire-json BENCH_wire.json      # ... recorded as JSON
-//
-// The -parallel N mode drives one shared cache from 1, 2, 4, … up to N
-// concurrent caller goroutines and reports queries/sec per degree — the
-// concurrent query engine's headline metric. It is independent of
-// -experiment. -shards sets the cached-query store's partition count
-// (default: next power of two >= GOMAXPROCS); comparing -shards 1 against
-// the default isolates the sharded layout's contribution.
-//
-// The -probe-json FILE mode warms a cache with the selected workload,
-// measures the GCindex candidate probe (ns, allocs and candidates per
-// probe) plus the steady-state cached-query latency, and writes the
-// summary as JSON — CI stores it as BENCH_probe.json so the probe path's
-// perf trajectory is recorded run over run.
-//
-// The -wire text|binary|both mode benchmarks the wire codecs over the
-// selected workload — request and batch-result payload sizes plus
-// encode/decode ns per graph — and -wire-json FILE records the full
-// text-vs-binary comparison as JSON (BENCH_wire.json in CI).
 //
 // Each experiment prints a grid shaped like the paper's figure: one row
 // per configuration, one cell per workload category. Absolute numbers
 // depend on the machine and the scaled-down synthetic datasets; the shape
-// (who wins, by roughly what factor) is the reproduction target — see
-// EXPERIMENTS.md.
+// (who wins, by roughly what factor) is the reproduction target. The
+// serving stack's own performance is measured by benchmark/, not here.
 package main
 
 import (
@@ -45,7 +21,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -62,15 +37,6 @@ func main() {
 		markdown   = flag.Bool("markdown", false, "emit tables as Markdown")
 		out        = flag.String("o", "", "write output to file instead of stdout")
 		verbose    = flag.Bool("v", false, "log progress to stderr")
-
-		parallel   = flag.Int("parallel", 0, "run the multi-caller throughput probe with up to N concurrent callers")
-		probeJSON  = flag.String("probe-json", "", "measure the GCindex candidate probe on a warmed cache and write a JSON summary (e.g. BENCH_probe.json) to this file")
-		wire       = flag.String("wire", "", "benchmark the wire codecs over the selected workload and print the comparison: text, binary, or both")
-		wireJSON   = flag.String("wire-json", "", "run the wire-codec benchmark and write a JSON summary (e.g. BENCH_wire.json) to this file")
-		shards     = flag.Int("shards", 0, "cached-query store shard count for -parallel/-probe-json (0 = next power of two >= GOMAXPROCS)")
-		dataset    = flag.String("dataset", "AIDS", "dataset for -parallel/-probe-json (AIDS, PDBS, PCM, Synthetic)")
-		methodName = flag.String("method", "ggsx", "Method M for -parallel/-probe-json (ggsx, grapes1, grapes6, ctindex, vf2, vf2+, gql)")
-		workload   = flag.String("workload", "ZZ", "workload label for -parallel/-probe-json (ZZ, ZU, UU, 0%, 20%, 50%)")
 
 		countFactor  = flag.Float64("count-factor", 0, "scale factor for graphs per dataset (0 = default small scale)")
 		sizeFactor   = flag.Float64("size-factor", 0, "scale factor for graph sizes (0 = default)")
@@ -89,12 +55,9 @@ func main() {
 		}
 		return
 	}
-	if *experiment == "" && *parallel <= 0 && *probeJSON == "" && *wire == "" && *wireJSON == "" {
+	if *experiment == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *wire != "" && *wire != "text" && *wire != "binary" && *wire != "both" {
-		log.Fatalf("unknown -wire %q (want text, binary or both)", *wire)
 	}
 
 	sc := bench.SmallScale()
@@ -141,94 +104,6 @@ func main() {
 	}
 
 	env := bench.NewEnv(sc)
-
-	// -probe-json, -wire/-wire-json and -parallel read the same
-	// dataset/method/workload flags; validate them once for whichever
-	// modes are active.
-	if *probeJSON != "" || *parallel > 0 || *wire != "" || *wireJSON != "" {
-		if !slices.Contains(bench.DatasetNames(), *dataset) {
-			log.Fatalf("unknown dataset %q (want one of %s)", *dataset, strings.Join(bench.DatasetNames(), ", "))
-		}
-		if !slices.Contains(bench.MethodNames(), *methodName) {
-			log.Fatalf("unknown method %q (want one of %s)", *methodName, strings.Join(bench.MethodNames(), ", "))
-		}
-		if !slices.Contains(bench.AllWorkloadLabels(), *workload) {
-			log.Fatalf("unknown workload %q (want one of %s)", *workload, strings.Join(bench.AllWorkloadLabels(), ", "))
-		}
-	}
-
-	if *wire != "" || *wireJSON != "" {
-		sum := bench.WireBench(env, *dataset, *methodName, *workload)
-		printWire := func(name string, st bench.WireCodecStats) {
-			fmt.Fprintf(w, "%-6s request %7d B  results %7d B  encode %8.0f ns/graph  decode %8.0f ns/graph\n",
-				name, st.RequestBytes, st.ResultBytes, st.EncodeNsPerGraph, st.DecodeNsPerGraph)
-		}
-		fmt.Fprintf(w, "wire codecs: %s %s %s, %d query graphs\n", *dataset, *methodName, *workload, sum.Graphs)
-		if *wire == "" || *wire == "text" || *wire == "both" {
-			printWire("text", sum.Text)
-		}
-		if *wire == "" || *wire == "binary" || *wire == "both" {
-			printWire("binary", sum.Binary)
-		}
-		if *wire == "" || *wire == "both" {
-			fmt.Fprintf(w, "binary/text size: %.2fx requests, %.2fx results\n", sum.RequestRatio, sum.ResultRatio)
-		}
-		if *wireJSON != "" {
-			f, err := os.Create(*wireJSON)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := sum.WriteJSON(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wire summary → %s", *wireJSON)
-		}
-		if *experiment == "" && *parallel <= 0 && *probeJSON == "" {
-			return
-		}
-	}
-
-	if *probeJSON != "" {
-		sum := bench.ProbeBench(env, *dataset, *methodName, *workload, *shards)
-		f, err := os.Create(*probeJSON)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sum.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("probe summary: %.0f ns/probe, %.2f allocs/probe over %d cached queries → %s",
-			sum.NsPerProbe, sum.AllocsPerProbe, sum.CachedQueries, *probeJSON)
-		if *experiment == "" && *parallel <= 0 {
-			return
-		}
-	}
-
-	if *parallel > 0 {
-		degrees := []int{1}
-		for d := 2; d < *parallel; d *= 2 {
-			degrees = append(degrees, d)
-		}
-		if *parallel > 1 {
-			degrees = append(degrees, *parallel)
-		}
-		t := bench.Throughput(env, *dataset, *methodName, *workload, degrees, *shards)
-		if *markdown {
-			t.FormatMarkdown(w)
-		} else {
-			t.Format(w)
-		}
-		fmt.Fprintln(w)
-		if *experiment == "" {
-			return
-		}
-	}
 
 	ids := strings.Split(*experiment, ",")
 	start := time.Now()

@@ -13,8 +13,8 @@
 //
 // With -server ADDR, no local dataset or cache is built: the queries are
 // sent to a running gcserved at ADDR and answered from its cache.
-// -wire binary switches the request/response payloads to the compact
-// binary codec (answers are identical), and -stream sends the whole
+// -wire binary sends the queries as compact binary frames instead of
+// JSON (answers are identical), and -stream sends the whole
 // workload as one /querybatch NDJSON stream, printing each answer as its
 // verification completes — add -stream-arrival for completion order, or
 // -stream-cancel-after N to walk away mid-batch (the server then

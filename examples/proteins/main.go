@@ -37,7 +37,7 @@ func main() {
 
 	// On dense graphs, length-4 path enumeration is combinatorially
 	// infeasible; index paths of length ≤ 2, as the experiment harness
-	// does for PCM/Synthetic (see DESIGN.md).
+	// does for PCM/Synthetic (bench.Env.Method says why).
 	m := graphcache.NewGrapes(ds, graphcache.GrapesOptions{Threads: 6, MaxPathLen: 2})
 
 	// A Type B workload with 20% no-answer queries, as in Figure 9. The

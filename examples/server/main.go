@@ -93,11 +93,10 @@ func main() {
 	fmt.Printf("batch of %d in %v (%d answers)\n",
 		len(results), time.Since(start).Round(time.Millisecond), answers)
 
-	// 6. The binary wire: the same answers in a compact framed codec.
-	// The formats negotiate per request (Content-Type/Accept), so text
-	// and binary clients share one server; a router even upgrades its
-	// backend links automatically as health probes discover the
-	// capability.
+	// 6. The binary wire: the same queries as compact binary frames, a
+	// quarter of the JSON bytes. The request format is chosen per message
+	// (Content-Type), so text and binary clients share one server; the
+	// replies are JSON either way.
 	bin := graphcache.NewServerClientWith(srv.Addr(), graphcache.ServerClientOptions{WireBinary: true})
 	br, err := bin.Query(ctx, queries[0].Graph)
 	if err != nil {

@@ -94,14 +94,6 @@ var datasetSpecs = map[string]datasetSpec{
 		queries: func(s Scale) int { return s.DenseQueries }},
 }
 
-// DatasetNames lists the four evaluation datasets in paper order.
-func DatasetNames() []string { return []string{"AIDS", "PDBS", "PCM", "Synthetic"} }
-
-// MethodNames lists the Method M identifiers Env.Method accepts.
-func MethodNames() []string {
-	return []string{"ctindex", "ggsx", "grapes1", "grapes6", "vf2", "vf2+", "gql"}
-}
-
 // QuerySizes returns the paper's query sizes (in edges) for the dataset.
 func QuerySizes(dsName string) []int { return datasetSpecs[dsName].sizes }
 
@@ -254,8 +246,7 @@ func AllWorkloadLabels() []string {
 // methods index paths of length ≤ 2 instead of the paper's 4: length-4
 // simple-path enumeration is combinatorially infeasible there (billions
 // of paths), and shorter features only weaken filtering — exactly the
-// regime Figure 9 studies, where verification dominates. Documented as a
-// substitution in DESIGN.md.
+// regime Figure 9 studies, where verification dominates.
 func (e *Env) Method(name, dsName string) method.Method {
 	ds := e.Dataset(dsName)
 	key := name + "/" + dsName

@@ -35,16 +35,8 @@ func TestSmallScaleDefaults(t *testing.T) {
 	}
 }
 
-func TestDatasetNamesAndSizes(t *testing.T) {
-	names := DatasetNames()
-	want := []string{"AIDS", "PDBS", "PCM", "Synthetic"}
-	if len(names) != len(want) {
-		t.Fatalf("DatasetNames() = %v, want %v", names, want)
-	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("DatasetNames()[%d] = %q, want %q", i, names[i], n)
-		}
+func TestDatasetQuerySizes(t *testing.T) {
+	for _, n := range []string{"AIDS", "PDBS", "PCM", "Synthetic"} {
 		sizes := QuerySizes(n)
 		if len(sizes) == 0 {
 			t.Errorf("QuerySizes(%q) empty", n)

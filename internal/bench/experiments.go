@@ -350,8 +350,8 @@ func Fig12(e *Env) []*Table {
 	return []*Table{t}
 }
 
-// Ablation quantifies the GC-exclusive design choices DESIGN.md calls
-// out, on AIDS with CT-Index: full GC vs exact-match-only (both semantic
+// Ablation quantifies the GC-exclusive design choices (doc.go, "What
+// GraphCache adds"), on AIDS with CT-Index: full GC vs exact-match-only (both semantic
 // hit kinds off), vs no-subgraph-hits, vs no-supergraph-hits, vs
 // no-exact-match. Not a paper figure; it isolates where the semantic
 // cache's gains come from.

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"graphcache/internal/core"
@@ -26,19 +24,6 @@ type RunStats struct {
 	// measured window (zero for baselines). It is off the query path, as
 	// in the paper's architecture, and reported separately (Fig. 10).
 	MaintenanceNS float64
-	// WallNS is the wall-clock time of the measured suffix — the basis of
-	// the throughput metric. With concurrent callers it is far below
-	// TotalNS (the summed per-query latencies).
-	WallNS float64
-}
-
-// QueriesPerSec returns the measured throughput (0 when wall time was not
-// recorded).
-func (s RunStats) QueriesPerSec() float64 {
-	if s.WallNS <= 0 {
-		return 0
-	}
-	return float64(s.Queries) / (s.WallNS / 1e9)
 }
 
 // AvgTimeMS returns the mean per-query processing time in milliseconds.
@@ -113,64 +98,6 @@ func RunGC(m method.Method, opts core.Options, qs []workload.Query, warmup int) 
 	}
 	c.Flush()
 	st.MaintenanceNS = float64((c.Totals().MaintenanceTime - maintBefore).Nanoseconds())
-	return st, c
-}
-
-// RunGCParallel drives the workload through one shared Cache from
-// `parallel` concurrent caller goroutines — the multi-client serving
-// scenario. The warm-up prefix runs serially (cache warm-up is part of
-// the protocol, not the measurement); the measured suffix is distributed
-// over the callers via a shared atomic cursor. WallNS (and so
-// QueriesPerSec) covers the measured suffix. parallel <= 1 degenerates to
-// a serial run with wall-clock timing.
-func RunGCParallel(m method.Method, opts core.Options, qs []workload.Query, warmup, parallel int) (RunStats, *core.Cache) {
-	c := core.New(m, opts)
-	if warmup > len(qs) {
-		warmup = len(qs)
-	}
-	for _, q := range qs[:warmup] {
-		c.Query(q.Graph)
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	measured := qs[warmup:]
-
-	var (
-		mu     sync.Mutex
-		st     RunStats
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	start := time.Now()
-	wg.Add(parallel)
-	for w := 0; w < parallel; w++ {
-		go func() {
-			defer wg.Done()
-			var local RunStats
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(measured) {
-					break
-				}
-				res := c.Query(measured[i].Graph)
-				local.Queries++
-				local.TotalNS += float64(res.Stats.TotalTime().Nanoseconds())
-				local.SubIsoTests += int64(res.Stats.SubIsoTests)
-				local.Answers += int64(len(res.Answer))
-			}
-			mu.Lock()
-			st.Queries += local.Queries
-			st.TotalNS += local.TotalNS
-			st.SubIsoTests += local.SubIsoTests
-			st.Answers += local.Answers
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	st.WallNS = float64(time.Since(start).Nanoseconds())
-	c.Flush()
-	st.MaintenanceNS = float64(c.Totals().MaintenanceTime.Nanoseconds())
 	return st, c
 }
 

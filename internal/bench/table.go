@@ -98,8 +98,8 @@ func (t *Table) Format(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// FormatMarkdown renders the table as a GitHub-flavoured markdown table,
-// used to assemble EXPERIMENTS.md.
+// FormatMarkdown renders the table as a GitHub-flavoured markdown table
+// (gcbench -markdown).
 func (t *Table) FormatMarkdown(w io.Writer) {
 	fmt.Fprintf(w, "**%s — %s**\n\n", t.ID, t.Title)
 	fmt.Fprintf(w, "| |%s|\n", strings.Join(t.Columns, "|"))

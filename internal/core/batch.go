@@ -267,7 +267,6 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	// verification, so an abandoned run credits nothing. Deferring is safe:
 	// credit ops only increment or max columns the run itself never reads.
 	shardOps := make([][]StatOp, len(c.shards))
-	totalSaved := 0.0
 	queueCredit := func(s *queryState, e *entry, special bool, reduction, saved float64) {
 		ops := [...]StatOp{
 			{Key: e.serial, Col: ColHits, Val: 1},
@@ -279,7 +278,6 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		k := 2 // a match that removed nothing credits the hit alone
 		if special || reduction > 0 {
 			k = 4
-			totalSaved += saved
 			s.credit += saved
 		}
 		if special {
@@ -405,13 +403,12 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		return abandoned, ctx.Err()
 	}
 
-	// Bookkeeping. Credits and the savings fold come first — before a
-	// query can trigger window processing — so a window's gain always
-	// includes the savings of the query that filled it.
+	// Bookkeeping. Credits come first — before a query can trigger window
+	// processing — so a window's replacement pass sees the hits of the
+	// query that filled it.
 	for si, ops := range shardOps {
 		c.shards[si].stats.CreditBatch(ops)
 	}
-	c.addSavings(totalSaved)
 
 	// The queries, their answers and their first-execution statistics
 	// enter the Window in serial order. An exact hit is a duplicate of a

@@ -99,12 +99,6 @@ type Cache struct {
 
 	totMu sync.Mutex
 	tot   Totals
-	// savedEstimate sums the cost-model savings credited to cached
-	// queries — the gain signal for adaptive admission (guarded by totMu).
-	savedEstimate float64
-	// lastWindowSaving is savedEstimate at the previous window boundary
-	// (only touched by the window manager, serialised by rebuildMu).
-	lastWindowSaving float64
 }
 
 // Totals are cumulative counters over the cache's lifetime.
@@ -281,19 +275,6 @@ func mergeCandidates(out []*entry, cur []int, ixs []*queryIndex, serials [][]int
 		out = append(out, ixs[best].entries[bestSerial])
 		cur[best]++
 	}
-}
-
-// addSavings folds a query's estimated cost savings into the adaptive-
-// admission gain signal. It runs as part of crediting — before the query
-// can trigger window processing — so a window's gain always includes the
-// savings of the query that filled it.
-func (c *Cache) addSavings(saved float64) {
-	if saved == 0 {
-		return
-	}
-	c.totMu.Lock()
-	c.savedEstimate += saved
-	c.totMu.Unlock()
 }
 
 // candidateCosts applies the paper's cost model c(q, G) to every dataset

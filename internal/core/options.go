@@ -25,14 +25,6 @@ type Options struct {
 	// CalibrationWindows is how many initial windows are observed to fix
 	// the admission threshold (default 3).
 	CalibrationWindows int
-	// AdaptiveAdmission enables the dynamic threshold variant sketched in
-	// §6.2: after calibration, the threshold greedily hill-climbs with an
-	// exponential back-off step — each window the estimated savings gain
-	// is compared against the previous window's; improvement keeps the
-	// threshold moving in the same direction, regression reverses it with
-	// a smaller step, until the step bottoms out at a local maximum.
-	// Requires AdmissionFraction > 0 (the calibration seeds the search).
-	AdaptiveAdmission bool
 	// AsyncRebuild rebuilds GCindex in a background goroutine, serving
 	// queries from the old index meanwhile — the paper's design. Off by
 	// default for deterministic runs; benchmarks enable it.

@@ -20,8 +20,8 @@ import (
 // their statistics rows, the serial counter and the calibrated admission
 // threshold, in a versioned line-oriented text format.
 //
-// Version 2 also binds the snapshot to the dataset it was written over:
-// the header records the dataset's mutation epoch, the highest applied
+// The snapshot is bound to the dataset it was written over: the header
+// records the dataset's mutation epoch, the highest applied
 // mutation sequence number, the current and base dataset fingerprints
 // (graph count + order-sensitive content hash) and the mutation delta —
 // removed IDs plus added/edited graphs — so a restart can rebuild the
@@ -46,13 +46,10 @@ import (
 //	t # 0 / v ... / e ...                  (one graph per entry, in order,
 //	                                        then one per delta id)
 //
-// Version 1 snapshots (no dataset binding) still load, with the legacy
-// undetected-mismatch behaviour.
+// Version 1 (no dataset binding; no writer has produced it since the
+// binding landed) is rejected like any other non-snapshot.
 
-const (
-	snapshotMagic   = "gcsnapshot 2"
-	snapshotMagicV1 = "gcsnapshot 1"
-)
+const snapshotMagic = "gcsnapshot 2"
 
 // ErrDatasetMismatch is returned by ReadSnapshot when a snapshot's
 // recorded dataset fingerprints do not match the dataset the cache is
@@ -178,16 +175,15 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 	return info, bw.Flush()
 }
 
-// ReadSnapshot replaces the cache contents — and, for a version-2
-// snapshot carrying a mutation delta, the dataset generation — with a
-// snapshot previously produced by WriteSnapshot over the same base
-// dataset. The query index is rebuilt synchronously; statistics rows for
+// ReadSnapshot replaces the cache contents — and, for a snapshot
+// carrying a mutation delta, the dataset generation — with a snapshot
+// previously produced by WriteSnapshot over the same base dataset. The
+// query index is rebuilt synchronously; statistics rows for
 // the loaded queries are restored; the highest applied mutation sequence
 // number is restored so journal replay and fleet fan-out dedup resume
-// correctly. A version-2 snapshot whose recorded fingerprints do not
-// match the dataset fails with ErrDatasetMismatch (wrapped) and leaves
-// the dataset on its pristine base. Version-1 snapshots load with the
-// legacy undetected-mismatch behaviour.
+// correctly. A snapshot whose recorded fingerprints do not match the
+// dataset fails with ErrDatasetMismatch (wrapped) and leaves the dataset
+// on its pristine base.
 func (c *Cache) ReadSnapshot(r io.Reader) error {
 	// Loading is a whole-cache replacement: take the same exclusivity a
 	// mutation takes (blocks new queries, drains in-flight ones and async
@@ -202,9 +198,8 @@ func (c *Cache) ReadSnapshot(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: reading snapshot header: %w", err)
 	}
-	v2 := line == snapshotMagic
-	if !v2 && line != snapshotMagicV1 {
-		return fmt.Errorf("core: not a gcsnapshot (got %q)", line)
+	if line != snapshotMagic {
+		return fmt.Errorf("core: not a %s (got %q)", snapshotMagic, line)
 	}
 
 	var serial, epoch, seq int64
@@ -379,46 +374,44 @@ graphsSection:
 	}
 
 	ds := c.m.Dataset()
-	if v2 {
-		if !haveDataset {
-			return fmt.Errorf("core: v2 snapshot missing dataset line")
+	if !haveDataset {
+		return fmt.Errorf("core: snapshot missing dataset line")
+	}
+	// The snapshot must have been written over the same base dataset:
+	// same constructed length, same content hash. Checked before any
+	// state is touched.
+	if baseLen != ds.BaseLen() || baseFP != ds.BaseFingerprint() {
+		return fmt.Errorf("%w: snapshot base %d graphs fp %016x, dataset base %d graphs fp %016x",
+			ErrDatasetMismatch, baseLen, baseFP, ds.BaseLen(), ds.BaseFingerprint())
+	}
+	deltaGraphs := graphs[len(entries):]
+	for i, g := range deltaGraphs {
+		g.SetID(deltaIDs[i]) // authoritative IDs come from the delta line
+	}
+	if epoch != 0 || ds.Mutated() {
+		dm, ok := c.m.(method.DynamicMethod)
+		if !ok {
+			return fmt.Errorf("%w: snapshot carries a dataset delta but method %s is static",
+				ErrStaticMethod, c.m.Name())
 		}
-		// The snapshot must have been written over the same base dataset:
-		// same constructed length, same content hash. Checked before any
-		// state is touched.
-		if baseLen != ds.BaseLen() || baseFP != ds.BaseFingerprint() {
-			return fmt.Errorf("%w: snapshot base %d graphs fp %016x, dataset base %d graphs fp %016x",
-				ErrDatasetMismatch, baseLen, baseFP, ds.BaseLen(), ds.BaseFingerprint())
+		if err := ds.Restore(removedIDs, deltaGraphs, epoch); err != nil {
+			return fmt.Errorf("core: restoring snapshot dataset delta: %w", err)
 		}
-		deltaGraphs := graphs[len(entries):]
-		for i, g := range deltaGraphs {
-			g.SetID(deltaIDs[i]) // authoritative IDs come from the delta line
+		if ds.Live() != dsLive || ds.Len() != dsLen || ds.Fingerprint() != dsFP {
+			// The delta replayed but produced different content — the
+			// snapshot belongs to a diverged dataset. Roll back to the
+			// pristine base so the caller starts cold on known state.
+			_ = ds.Restore(nil, nil, 0)
+			return fmt.Errorf("%w: restored delta fingerprint %016x does not match recorded %016x",
+				ErrDatasetMismatch, ds.Fingerprint(), dsFP)
 		}
-		if epoch != 0 || ds.Mutated() {
-			dm, ok := c.m.(method.DynamicMethod)
-			if !ok {
-				return fmt.Errorf("%w: snapshot carries a dataset delta but method %s is static",
-					ErrStaticMethod, c.m.Name())
-			}
-			if err := ds.Restore(removedIDs, deltaGraphs, epoch); err != nil {
-				return fmt.Errorf("core: restoring snapshot dataset delta: %w", err)
-			}
-			if ds.Live() != dsLive || ds.Len() != dsLen || ds.Fingerprint() != dsFP {
-				// The delta replayed but produced different content — the
-				// snapshot belongs to a diverged dataset. Roll back to the
-				// pristine base so the caller starts cold on known state.
-				_ = ds.Restore(nil, nil, 0)
-				return fmt.Errorf("%w: restored delta fingerprint %016x does not match recorded %016x",
-					ErrDatasetMismatch, ds.Fingerprint(), dsFP)
-			}
-			// Re-sync the method's filtering structures with the restored
-			// generation: every live base-range graph re-asserted as edited,
-			// additions as added. Idempotent for all bundled methods.
-			resyncMethod(dm, ds)
-		} else if ds.Fingerprint() != dsFP {
-			return fmt.Errorf("%w: snapshot dataset fp %016x, live dataset fp %016x",
-				ErrDatasetMismatch, dsFP, ds.Fingerprint())
-		}
+		// Re-sync the method's filtering structures with the restored
+		// generation: every live base-range graph re-asserted as edited,
+		// additions as added. Idempotent for all bundled methods.
+		resyncMethod(dm, ds)
+	} else if ds.Fingerprint() != dsFP {
+		return fmt.Errorf("%w: snapshot dataset fp %016x, live dataset fp %016x",
+			ErrDatasetMismatch, dsFP, ds.Fingerprint())
 	}
 
 	loaded := make([]*entry, len(entries))

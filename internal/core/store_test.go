@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -135,25 +136,40 @@ func TestSnapshotSerialMonotonicity(t *testing.T) {
 	}
 }
 
+// snapshotHeader returns the lines a snapshot over m's (unmutated)
+// dataset opens with, up to and including the dataset binding.
+func snapshotHeader(m method.Method) string {
+	ds := m.Dataset()
+	return fmt.Sprintf("gcsnapshot 2\nepoch 0 0\ndataset %d %d %016x\nbase %d %016x\n",
+		ds.Live(), ds.Len(), ds.Fingerprint(), ds.BaseLen(), ds.BaseFingerprint())
+}
+
 // TestReadSnapshotRejectsGarbage enumerates malformed inputs; each must
-// fail cleanly.
+// fail cleanly, and for its own reason — the header every case but the
+// first two opens with is a loadable one.
 func TestReadSnapshotRejectsGarbage(t *testing.T) {
 	opts := Options{CacheSize: 5, WindowSize: 2}
 	_, m, _ := snapshotFixture(t, opts)
-	for name, input := range map[string]string{
-		"empty":          "",
-		"wrong magic":    "notasnapshot\n",
-		"truncated":      "gcsnapshot 1\nserial 5\n",
-		"bad serial":     "gcsnapshot 1\nserial x\ngraphs\n",
-		"bad entry":      "gcsnapshot 1\nentry nope\ngraphs\n",
-		"orphan stat":    "gcsnapshot 1\nstat 9 hits 1\ngraphs\n",
-		"count mismatch": "gcsnapshot 1\nentries 2\nentry 1 0\ngraphs\n",
-		"unknown line":   "gcsnapshot 1\nwhatever\n",
-		"graph mismatch": "gcsnapshot 1\nentries 1\nentry 1 0\ngraphs\n",
+	hdr := snapshotHeader(m)
+	if err := New(m, opts).ReadSnapshot(strings.NewReader(hdr + "entries 0\ngraphs\n")); err != nil {
+		t.Fatalf("the well-formed header does not load: %v", err)
+	}
+	for name, tc := range map[string]struct{ input, want string }{
+		"empty":           {"", "reading snapshot header"},
+		"wrong magic":     {"notasnapshot\n", "not a gcsnapshot 2"},
+		"truncated":       {hdr + "serial 5\n", "truncated snapshot"},
+		"bad serial":      {hdr + "serial x\ngraphs\n", "bad serial line"},
+		"bad entry":       {hdr + "entry nope\ngraphs\n", "bad entry line"},
+		"orphan stat":     {hdr + "stat 9 hits 1\ngraphs\n", "stat for unknown entry"},
+		"count mismatch":  {hdr + "entries 2\nentry 1 0\ngraphs\n", "declares 2 entries, has 1"},
+		"unknown line":    {hdr + "whatever\n", "unknown snapshot line"},
+		"graph mismatch":  {hdr + "entries 1\nentry 1 0\ngraphs\n", "0 graphs for 1 entries"},
+		"missing dataset": {"gcsnapshot 2\nentries 0\ngraphs\n", "missing dataset line"},
 	} {
 		c := New(m, opts)
-		if err := c.ReadSnapshot(strings.NewReader(input)); err == nil {
-			t.Errorf("%s: ReadSnapshot accepted malformed input", name)
+		err := c.ReadSnapshot(strings.NewReader(tc.input))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadSnapshot error = %v, want one containing %q", name, err, tc.want)
 		}
 	}
 }
@@ -266,17 +282,20 @@ func TestSnapshotMutatedDatasetRoundtrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1StillLoads: legacy snapshots without dataset binding
-// load with the old semantics.
-func TestSnapshotV1StillLoads(t *testing.T) {
+// TestSnapshotV1Rejected: a version-1 snapshot carries no dataset
+// binding, so nothing could tell it was written over another dataset; it
+// is refused like any non-snapshot and leaves the cache untouched. (The
+// serving tier then quarantines the file and starts cold —
+// TestCorruptSnapshotQuarantined in internal/server.)
+func TestSnapshotV1Rejected(t *testing.T) {
 	opts := Options{CacheSize: 5, WindowSize: 2}
 	_, m, _ := snapshotFixture(t, opts)
 	v1 := "gcsnapshot 1\nserial 3\nadmission 0 0\nentries 0\ngraphs\n"
 	c := New(m, opts)
-	if err := c.ReadSnapshot(strings.NewReader(v1)); err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
+	if err := c.ReadSnapshot(strings.NewReader(v1)); err == nil {
+		t.Fatal("v1 snapshot loaded")
 	}
-	if got := c.serial.Load(); got != 3 {
-		t.Errorf("v1 serial restored as %d, want 3", got)
+	if got := c.serial.Load(); got != 0 {
+		t.Errorf("rejected v1 snapshot moved the serial counter to %d", got)
 	}
 }

@@ -33,9 +33,7 @@ func (w *windowEntry) score() float64 {
 
 // admission holds the admission-control state: during the calibration
 // phase scores are collected; afterwards the threshold admits the
-// configured top fraction of queries by expensiveness. With the adaptive
-// variant the calibrated threshold then hill-climbs on the observed
-// savings signal (§6.2's greedy exponential back-off).
+// configured top fraction of queries by expensiveness.
 type admission struct {
 	enabled     bool
 	fraction    float64
@@ -43,13 +41,6 @@ type admission struct {
 	windowsLeft int
 	scores      []float64
 	threshold   float64
-
-	adaptive  bool
-	settled   bool
-	direction float64 // +1 raise the threshold, -1 lower it
-	step      float64 // multiplicative step, shrinks toward 1 on reversals
-	lastGain  float64
-	hasGain   bool
 }
 
 func newAdmission(opts Options) admission {
@@ -57,44 +48,9 @@ func newAdmission(opts Options) admission {
 		enabled:     opts.AdmissionFraction > 0,
 		fraction:    opts.AdmissionFraction,
 		windowsLeft: opts.CalibrationWindows,
-		adaptive:    opts.AdaptiveAdmission && opts.AdmissionFraction > 0,
-		direction:   1,
-		step:        2,
 	}
 	a.calibrating = a.enabled
 	return a
-}
-
-// adapt feeds one window's savings gain into the hill-climbing search.
-// The first post-calibration window only records the baseline; afterwards
-// an improving gain keeps the threshold moving, a regressing gain
-// reverses direction with a smaller step (exponential back-off), and a
-// step below 5% settles the search at the local maximum.
-func (a *admission) adapt(gain float64) {
-	if !a.adaptive || a.calibrating || a.settled {
-		return
-	}
-	if !a.hasGain {
-		a.lastGain, a.hasGain = gain, true
-		return
-	}
-	if gain < a.lastGain {
-		a.direction = -a.direction
-		a.step = math.Sqrt(a.step)
-		if a.step < 1.05 {
-			a.settled = true
-			return
-		}
-	}
-	if a.threshold <= 0 {
-		a.threshold = 1 // calibration found everything cheap; seed the search
-	}
-	if a.direction > 0 {
-		a.threshold *= a.step
-	} else {
-		a.threshold /= a.step
-	}
-	a.lastGain = gain
 }
 
 // observe feeds one window's scores into calibration and finalises the
@@ -173,27 +129,20 @@ func (c *Cache) doProcessWindow(segs [][]*windowEntry, currentSerial int64) {
 		windowSize += len(seg)
 	}
 
-	// Admission control is a window-global decision: calibration and the
-	// adaptive hill-climb observe the whole window's scores and gain, as
-	// in the unsharded design — sharding partitions the store, not the
-	// admission policy.
+	// Admission control is a window-global decision: calibration observes
+	// the whole window's scores, as in the unsharded design — sharding
+	// partitions the store, not the admission policy.
 	var scores []float64
 	for _, seg := range segs {
 		for _, w := range seg {
 			scores = append(scores, w.score())
 		}
 	}
-	c.totMu.Lock()
-	saved := c.savedEstimate
-	c.totMu.Unlock()
-	gain := saved - c.lastWindowSaving
-	c.lastWindowSaving = saved
 
 	passes := make([]shardPass, len(c.shards))
 	rejected, admittedTotal := 0, 0
 	c.admMu.Lock()
 	c.adm.observe(scores)
-	c.adm.adapt(gain)
 	for i, seg := range segs {
 		for _, w := range seg {
 			if c.adm.admits(w.score()) {

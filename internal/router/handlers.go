@@ -1,0 +1,228 @@
+package router
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"strconv"
+	"sync"
+	"time"
+
+	"graphcache/internal/server"
+	"graphcache/internal/telemetry"
+)
+
+// Counters returns the router's lifetime routing counters. Ejected is
+// the fleet-wide sum of breaker opens — current backends plus any since
+// drained — preserving the counter's old meaning (transitions out of
+// service) and its monotonicity across topology changes. It serialises
+// on ejectMu against Drain's hand-off: the drain folds the departing
+// backend's opens into ejectedGone *before* publishing the shrunk
+// topology, so a lock-free read racing that hand-off would count the
+// backend twice and Ejected would transiently run backwards afterwards.
+// (ejectMu, not topoMu: a Join holds topoMu across a snapshot warm-up,
+// and /stats must not block on that.)
+func (rt *Router) Counters() Counters {
+	rt.ejectMu.Lock()
+	defer rt.ejectMu.Unlock()
+	c := Counters{
+		Routed:    rt.routed.Load(),
+		Retried:   rt.retried.Load(),
+		Shed:      rt.shed.Load(),
+		Mutations: rt.mutations.Load(),
+		Ejected:   rt.ejectedGone.Load(),
+	}
+	for _, b := range rt.backends() {
+		c.Ejected += b.br.Counts().Opens
+	}
+	return c
+}
+
+// BackendStats returns the router's local view of every backend —
+// breaker state and transition counters, in-flight and queued dispatch
+// depth — without contacting the backends. The aggregated GET /stats
+// builds on this view and adds each backend's own /stats reply.
+func (rt *Router) BackendStats() []BackendStats {
+	return rt.backendStats(rt.backends())
+}
+
+// backendStats builds the per-backend rows over one explicit topology
+// generation, so handleStats' concurrent fan-out indexes the same list
+// it snapshots.
+func (rt *Router) backendStats(bs []*backend) []BackendStats {
+	out := make([]BackendStats, len(bs))
+	for i, b := range bs {
+		ok, fail := b.br.Window()
+		out[i] = BackendStats{
+			Addr:         b.addr,
+			Healthy:      b.br.State() == StateClosed,
+			Draining:     b.draining.Load(),
+			DatasetEpoch: b.epoch.Load(),
+			Pending:      b.cl.PendingCount(),
+			Queued:       b.queued.Load(),
+			Breaker: BreakerStats{
+				State:           b.br.State().String(),
+				StateAgeSeconds: b.br.StateAge().Seconds(),
+				BreakerCounts:   b.br.Counts(),
+				WindowOK:        ok,
+				WindowFail:      fail,
+			},
+		}
+	}
+	return out
+}
+
+// retryAfterSeconds is the Retry-After hint on 429/503 replies: long
+// enough for a queue-depth spike to drain, short enough that honest
+// clients come back promptly.
+const retryAfterSeconds = 1
+
+// writeShed answers 429 Too Many Requests with a Retry-After hint.
+func writeShed(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+	server.WriteError(w, http.StatusTooManyRequests,
+		fmt.Errorf("overloaded: fleet queue depth at bound; retry after %ds", retryAfterSeconds))
+}
+
+func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
+	gs, decDur, ok := rt.wire.ReadGraphs(w, r, true)
+	if !ok {
+		return
+	}
+	if !rt.admit(1) {
+		writeShed(w)
+		return
+	}
+	defer rt.done(1)
+	trace := r.URL.Query().Get("debug") == "trace"
+	dispatchStart := time.Now()
+	resp, addr, err := rt.queryOne(r.Context(), gs[0], trace)
+	if err != nil {
+		rt.replyDispatchError(w, err)
+		return
+	}
+	if trace {
+		// The backend's trace already carries the request id this
+		// router's front door minted (it rode the dispatch header);
+		// prepend the router's own spans so one response shows the whole
+		// path. A backend that answered without a trace still gets the
+		// router hop recorded.
+		if resp.Trace == nil {
+			resp.Trace = &telemetry.Trace{RequestID: telemetry.RequestIDFrom(r.Context())}
+		}
+		resp.Trace.Prepend(
+			telemetry.Span{Name: "router:decode", DurNS: decDur.Nanoseconds()},
+			telemetry.Span{Name: "router:dispatch " + addr, DurNS: time.Since(dispatchStart).Nanoseconds()},
+		)
+	}
+	rt.wire.WriteResults(w, []server.QueryResponse{resp}, true)
+}
+
+func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
+	gs, _, ok := rt.wire.ReadGraphs(w, r, false)
+	if !ok {
+		return
+	}
+	if !rt.admit(len(gs)) {
+		writeShed(w)
+		return
+	}
+	defer rt.done(len(gs))
+	tp := rt.topo.Load()
+	groups, err := rt.group(tp, gs)
+	if err != nil {
+		rt.replyDispatchError(w, err)
+		return
+	}
+	if server.Accepts(r, server.ContentTypeNDJSON) {
+		rt.streamBatch(w, r, tp, groups, gs)
+		return
+	}
+	results, err := rt.queryBatch(r.Context(), tp, groups, gs)
+	if err != nil {
+		rt.replyDispatchError(w, err)
+		return
+	}
+	rt.wire.WriteResults(w, results, false)
+}
+
+// handleStats aggregates every backend's /stats with the router's own
+// counters. The payload is a JSON superset of the gcserved StatsResponse,
+// so plain server.Client callers (gcquery -server) keep working. Stats
+// are never shed — observability must survive overload.
+func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
+	tp := rt.topo.Load()
+	bs := tp.bs
+	resp := StatsResponse{
+		RouterMode: rt.opts.Mode.String(),
+		Backends:   rt.backendStats(bs),
+	}
+	var wg sync.WaitGroup
+	for i, b := range bs {
+		wg.Add(1)
+		go func(i int, b *backend) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ProbeTimeout)
+			defer cancel()
+			if st, err := b.cl.Stats(ctx); err == nil {
+				// A stats reply doubles as an epoch observation — an
+				// embedding that never mutates through this router still
+				// converges its per-backend epoch view by polling /stats.
+				b.noteEpoch(st.DatasetEpoch)
+				resp.Backends[i].DatasetEpoch = b.epoch.Load()
+				resp.Backends[i].Stats = &st
+			}
+		}(i, b)
+	}
+	wg.Wait()
+	resp.FleetEpoch = tp.fleetEpoch()
+	for _, bst := range resp.Backends {
+		if bst.Stats == nil {
+			continue
+		}
+		resp.Totals = addTotals(resp.Totals, bst.Stats.Totals)
+		resp.Cached += bst.Stats.Cached
+		if resp.Method == "" {
+			resp.Method, resp.Mode = bst.Stats.Method, bst.Stats.Mode
+		}
+	}
+	resp.Router = rt.Counters()
+	resp.UptimeSeconds = time.Since(rt.start).Seconds()
+	resp.GoVersion, resp.Build = telemetry.BuildInfo()
+	server.WriteJSON(w, http.StatusOK, resp)
+}
+
+func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if rt.availableCount() == 0 {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprintln(w, "no available backends")
+		return
+	}
+	fmt.Fprintln(w, "ok")
+}
+
+// replyDispatchError maps a dispatch failure onto the client: a backend's
+// 4xx is forwarded as-is (the request was at fault); saturation becomes
+// 429 and an all-breakers-open fleet 503, both with Retry-After so a
+// resilient client backs off and retries; anything else — dead backends,
+// transport errors — becomes a 502.
+func (rt *Router) replyDispatchError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errSaturated):
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+		server.WriteError(w, http.StatusTooManyRequests, err)
+		return
+	case errors.Is(err, errBreakerOpen), errors.Is(err, errNoBackends):
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+		server.WriteError(w, http.StatusServiceUnavailable, err)
+		return
+	}
+	var se *server.StatusError
+	if errors.As(err, &se) && se.Code < 500 {
+		server.WriteError(w, se.Code, errors.New(se.Msg))
+		return
+	}
+	server.WriteError(w, http.StatusBadGateway, err)
+}

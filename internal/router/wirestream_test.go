@@ -1,9 +1,12 @@
 package router
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 
@@ -15,14 +18,50 @@ import (
 	"graphcache/internal/server"
 )
 
+// answersVia runs queries through one endpoint of cl — singles, one
+// buffered batch, or one ordered NDJSON stream — and returns the answers
+// in request order.
+func answersVia(ctx context.Context, cl *server.Client, endpoint string, queries []*graph.Graph) ([][]int32, error) {
+	out := make([][]int32, 0, len(queries))
+	switch endpoint {
+	case "/query":
+		for _, q := range queries {
+			r, err := cl.Query(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, r.Answer)
+		}
+	case "/querybatch":
+		rs, err := cl.QueryBatch(ctx, queries)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range rs {
+			out = append(out, r.Answer)
+		}
+	case "ndjson":
+		err := cl.QueryBatchStream(ctx, queries, false, func(sr server.StreamResult) error {
+			out = append(out, sr.Answer)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // TestRouterBinaryWireMatchesText drives a text-wire and a binary-wire
-// client through one router in both modes: answers must be identical
-// across codecs and transports, the router must advertise the binary
-// capability on its health check, and its probes must have upgraded the
-// backend links to binary (the backends advertise it too).
+// client through one router in both modes, over every query endpoint: a
+// binary request and a text request get the same JSON (or NDJSON) reply,
+// every answer equal to the bare method's. A request still asking for
+// the deleted binary result format gets the JSON reply, and the router
+// negotiates binary for requests only.
 func TestRouterBinaryWireMatchesText(t *testing.T) {
 	ds := testDataset(40, 401)
 	queries := testWorkload(ds, 16, 402)
+	base := method.NewVF2Plus(ds)
 	ctx := context.Background()
 
 	for _, mode := range []Mode{Replicate, Shard} {
@@ -32,64 +71,103 @@ func TestRouterBinaryWireMatchesText(t *testing.T) {
 			text := server.NewClient(rt.Addr())
 			bin := server.NewClientWith(rt.Addr(), server.ClientOptions{WireBinary: true})
 
-			_, binary, err := bin.HealthzWire(ctx)
-			if err != nil {
-				t.Fatalf("HealthzWire: %v", err)
-			}
-			if !binary {
-				t.Error("router healthz does not advertise the binary wire capability")
-			}
-			// Start ran probeAll once, and the backends advertise binary:
-			// every backend link must have been upgraded.
-			for _, b := range rt.backends() {
-				if !b.cl.BinaryWire() {
-					t.Errorf("backend %s link not upgraded to the binary wire", b.addr)
+			for _, endpoint := range []string{"/query", "/querybatch", "ndjson"} {
+				ta, err := answersVia(ctx, text, endpoint, queries)
+				if err != nil {
+					t.Fatalf("%s, text request: %v", endpoint, err)
+				}
+				ba, err := answersVia(ctx, bin, endpoint, queries)
+				if err != nil {
+					t.Fatalf("%s, binary request: %v", endpoint, err)
+				}
+				if len(ta) != len(queries) || len(ba) != len(queries) {
+					t.Fatalf("%s: %d text and %d binary answers for %d queries", endpoint, len(ta), len(ba), len(queries))
+				}
+				for i, q := range queries {
+					if !eq(ta[i], ba[i]) {
+						t.Fatalf("%s query %d: text answer %v != binary answer %v", endpoint, i, ta[i], ba[i])
+					}
+					if want := method.Answer(base, q); !eq(ba[i], want) {
+						t.Fatalf("%s query %d: binary answer %v != local %v", endpoint, i, ba[i], want)
+					}
 				}
 			}
 
-			for i, q := range queries[:6] {
-				tr, err := text.Query(ctx, q)
-				if err != nil {
-					t.Fatalf("text Query %d: %v", i, err)
-				}
-				br, err := bin.Query(ctx, q)
-				if err != nil {
-					t.Fatalf("binary Query %d: %v", i, err)
-				}
-				if !eq(tr.Answer, br.Answer) {
-					t.Fatalf("query %d: text answer %v != binary answer %v", i, tr.Answer, br.Answer)
-				}
-			}
-			tb, err := text.QueryBatch(ctx, queries[6:])
+			// A stale Accept: application/x-gc-binary falls back to JSON.
+			frame, err := graph.EncodeBinary(queries)
 			if err != nil {
-				t.Fatalf("text QueryBatch: %v", err)
+				t.Fatal(err)
 			}
-			bb, err := bin.QueryBatch(ctx, queries[6:])
+			req, err := http.NewRequest(http.MethodPost, "http://"+rt.Addr()+"/querybatch", bytes.NewReader(frame))
 			if err != nil {
-				t.Fatalf("binary QueryBatch: %v", err)
+				t.Fatal(err)
 			}
-			for i := range tb {
-				if !eq(tb[i].Answer, bb[i].Answer) {
-					t.Fatalf("batched query %d: text answer %v != binary answer %v", i, tb[i].Answer, bb[i].Answer)
-				}
+			req.Header.Set("Content-Type", server.ContentTypeBinary)
+			req.Header.Set("Accept", server.ContentTypeBinary)
+			res, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stale server.BatchResponse
+			err = json.NewDecoder(res.Body).Decode(&stale)
+			res.Body.Close()
+			if res.StatusCode != http.StatusOK || res.Header.Get("Content-Type") != "application/json" || err != nil {
+				t.Fatalf("stale binary Accept: status %d, Content-Type %q, decode error %v; want 200 application/json",
+					res.StatusCode, res.Header.Get("Content-Type"), err)
+			}
+			if len(stale.Results) != len(queries) {
+				t.Fatalf("stale binary Accept: %d results for %d queries", len(stale.Results), len(queries))
 			}
 
 			samples := scrape(t, "http://"+rt.Addr()+"/metrics")
 			for _, check := range []struct {
-				name   string
-				labels map[string]string
+				name      string
+				labels    map[string]string
+				populated bool
 			}{
-				{"graphcache_router_wire_negotiated_total", map[string]string{"codec": "binary", "direction": "request"}},
-				{"graphcache_router_wire_negotiated_total", map[string]string{"codec": "binary", "direction": "response"}},
-				{"graphcache_router_wire_negotiated_total", map[string]string{"codec": "text", "direction": "request"}},
-				{"graphcache_codec_bytes_total", map[string]string{"codec": "binary", "direction": "in"}},
-				{"graphcache_codec_bytes_total", map[string]string{"codec": "binary", "direction": "out"}},
+				{"graphcache_router_wire_negotiated_total", map[string]string{"codec": "binary", "direction": "request"}, true},
+				{"graphcache_router_wire_negotiated_total", map[string]string{"codec": "text", "direction": "request"}, true},
+				{"graphcache_router_wire_negotiated_total", map[string]string{"codec": "text", "direction": "response"}, true},
+				{"graphcache_codec_bytes_total", map[string]string{"codec": "binary", "direction": "in"}, true},
+				{"graphcache_router_wire_negotiated_total", map[string]string{"codec": "binary", "direction": "response"}, false},
+				{"graphcache_codec_bytes_total", map[string]string{"codec": "binary", "direction": "out"}, false},
 			} {
-				if v, ok := sampleValue(samples, check.name, check.labels); !ok || v == 0 {
+				v, ok := sampleValue(samples, check.name, check.labels)
+				if check.populated && (!ok || v == 0) {
 					t.Errorf("%s%v = %v, %v; want populated", check.name, check.labels, v, ok)
+				}
+				if !check.populated && ok {
+					t.Errorf("%s%v = %v; the binary reply series must not exist", check.name, check.labels, v)
 				}
 			}
 		})
+	}
+}
+
+// TestFirstDispatchToJoinerIsBinary: the router→backend leg is binary
+// from a backend's first dispatch — no probe has to discover anything.
+// The prober is parked (one-hour interval), a backend joins, the
+// original is drained, and the very next query must move the joiner's
+// binary-request counter.
+func TestFirstDispatchToJoinerIsBinary(t *testing.T) {
+	ds := testDataset(40, 431)
+	queries := testWorkload(ds, 4, 432)
+	ctx := context.Background()
+	first, joiner := startBackend(t, ds), startBackend(t, ds)
+	rt := startRouter(t, Options{Backends: []string{first.Addr()}, ProbeInterval: time.Hour})
+	if _, err := rt.Join(ctx, joiner.Addr()); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if err := rt.Drain(ctx, first.Addr()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if _, err := server.NewClient(rt.Addr()).Query(ctx, queries[0]); err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	v, ok := sampleValue(scrape(t, "http://"+joiner.Addr()+"/metrics"),
+		"graphcache_server_wire_negotiated_total", map[string]string{"codec": "binary", "direction": "request"})
+	if !ok || v < 1 {
+		t.Errorf("joiner's binary request count after its first dispatch = %v, %v; want >= 1", v, ok)
 	}
 }
 

@@ -44,13 +44,11 @@ type ClientOptions struct {
 	// RetryMaxDelay caps one backoff step (default 2s); a longer
 	// Retry-After hint still wins.
 	RetryMaxDelay time.Duration
-	// WireBinary makes the client speak the binary wire codec for graph
-	// queries: request graphs go out as binary frames
-	// (Content-Type: application/x-gc-binary) and responses are asked
-	// for in the binary result format. Answers are identical to the
-	// JSON/text wire, just smaller and cheaper to code. It can also be
-	// toggled later with SetBinaryWire — the router flips it per backend
-	// as health probes discover the capability.
+	// WireBinary makes the client send its query graphs as binary frames
+	// (Content-Type: application/x-gc-binary) instead of the JSON
+	// envelope around t/v/e text — a quarter of the bytes and cheaper to
+	// code. Replies are JSON (or NDJSON) either way, and answers are
+	// identical.
 	WireBinary bool
 }
 
@@ -75,18 +73,7 @@ type Client struct {
 	opts    ClientOptions
 	hc      *http.Client
 	pending atomic.Int64
-	// binWire holds the current wire mode (see ClientOptions.WireBinary);
-	// atomic so a router's probe loop can flip it under live traffic.
-	binWire atomic.Bool
 }
-
-// SetBinaryWire switches the client's graph-query wire format at
-// runtime; safe under concurrent calls.
-func (cl *Client) SetBinaryWire(on bool) { cl.binWire.Store(on) }
-
-// BinaryWire reports whether the client currently speaks the binary
-// wire codec.
-func (cl *Client) BinaryWire() bool { return cl.binWire.Load() }
 
 // StatusError is a non-2xx HTTP reply from a server, carrying the status
 // code and the server's error message. Errors returned by Query,
@@ -139,15 +126,13 @@ func NewClientWith(addr string, opts ClientOptions) *Client {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	cl := &Client{
+	return &Client{
 		base: strings.TrimRight(base, "/"),
 		opts: opts.withDefaults(),
 		// Timeouts are per-attempt contexts, not a client-wide Timeout,
 		// so retries each get a fresh budget.
 		hc: &http.Client{},
 	}
-	cl.binWire.Store(opts.WireBinary)
-	return cl
 }
 
 // Query answers one graph query through POST /query. A lone query may be
@@ -262,11 +247,10 @@ func (cl *Client) QueryBatchStream(ctx context.Context, qs []*graph.Graph, arriv
 	return nil
 }
 
-// postGraphs sends graphs to a query endpoint in the client's current
-// wire format and decodes the response in whichever format the server
-// replied with. Graph queries are idempotent — answers depend only on
-// the query (the pruning rules are sound) — so the full retry policy
-// applies.
+// postGraphs sends graphs to a query endpoint in the client's request
+// format and decodes the JSON reply. Graph queries are idempotent —
+// answers depend only on the query (the pruning rules are sound) — so
+// the full retry policy applies.
 func (cl *Client) postGraphs(ctx context.Context, path string, qs []*graph.Graph, single bool, out any) error {
 	payload, ct, err := cl.encodeGraphsPayload(qs, single)
 	if err != nil {
@@ -278,7 +262,7 @@ func (cl *Client) postGraphs(ctx context.Context, path string, qs []*graph.Graph
 // encodeGraphsPayload builds a query request body in the client's wire
 // format: a binary graph frame, or the JSON envelope around t/v/e text.
 func (cl *Client) encodeGraphsPayload(qs []*graph.Graph, single bool) ([]byte, string, error) {
-	if cl.BinaryWire() {
+	if cl.opts.WireBinary {
 		data, err := graph.EncodeBinary(qs)
 		if err != nil {
 			return nil, "", fmt.Errorf("client: encoding query: %w", err)
@@ -345,32 +329,21 @@ func (cl *Client) Healthz(ctx context.Context) error {
 // is absent (a pre-mutation server), and is reported even alongside a
 // failing health status when the server sent it.
 func (cl *Client) HealthzEpoch(ctx context.Context) (int64, error) {
-	epoch, _, err := cl.HealthzWire(ctx)
-	return epoch, err
-}
-
-// HealthzWire is HealthzEpoch plus the server's advertised wire
-// capability: binary reports whether the backend speaks the binary
-// codec (the X-GC-Wire reply header), so a router's health probes
-// double as wire-format discovery and upgrade backend links without
-// extra round-trips.
-func (cl *Client) HealthzWire(ctx context.Context) (epoch int64, binary bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.base+"/healthz", nil)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	res, err := cl.hc.Do(req)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	defer res.Body.Close()
 	io.Copy(io.Discard, res.Body)
-	epoch, _ = strconv.ParseInt(res.Header.Get(epochHeader), 10, 64)
-	binary = res.Header.Get(wireHeader) == wireBinaryCapability
+	epoch, _ := strconv.ParseInt(res.Header.Get(epochHeader), 10, 64)
 	if res.StatusCode != http.StatusOK {
-		return epoch, binary, fmt.Errorf("client: healthz: %w", &StatusError{Code: res.StatusCode, Status: res.Status})
+		return epoch, fmt.Errorf("client: healthz: %w", &StatusError{Code: res.StatusCode, Status: res.Status})
 	}
-	return epoch, binary, nil
+	return epoch, nil
 }
 
 func (cl *Client) post(ctx context.Context, path string, body, out any, idempotent bool) error {
@@ -388,8 +361,7 @@ func (cl *Client) call(ctx context.Context, method, path string, payload []byte,
 // callWith runs one API call with the retry policy: up to MaxRetries
 // re-attempts with jittered exponential backoff, honoring Retry-After,
 // retrying only what retryDelay deems safe for this request's
-// idempotency. ct is the request body's content type; a binary request
-// also asks for a binary response.
+// idempotency. ct is the request body's content type.
 func (cl *Client) callWith(ctx context.Context, method, path string, payload []byte, ct string, out any, idempotent bool) error {
 	for attempt := 0; ; attempt++ {
 		err := cl.once(ctx, method, path, payload, ct, out)
@@ -464,11 +436,6 @@ func (cl *Client) once(ctx context.Context, method, path string, payload []byte,
 	if payload != nil {
 		req.Header.Set("Content-Type", ct)
 	}
-	if ct == ContentTypeBinary {
-		// A binary request also negotiates a binary response; the server
-		// falls back to JSON for everything that has no binary form.
-		req.Header.Set("Accept", ContentTypeBinary)
-	}
 	// Propagate the caller's request id so the whole fleet logs, traces
 	// and responds under the id the front door minted.
 	if id := telemetry.RequestIDFrom(ctx); id != "" {
@@ -489,36 +456,8 @@ func (cl *Client) once(ctx context.Context, method, path string, payload []byte,
 		}
 		return fmt.Errorf("client: %s %s: %w", method, path, se)
 	}
-	if hasMediaType(res.Header.Get("Content-Type"), ContentTypeBinary) {
-		return decodeBinaryResponse(res.Body, out)
-	}
 	if err := json.NewDecoder(res.Body).Decode(out); err != nil {
 		return fmt.Errorf("client: decoding response: %w", err)
-	}
-	return nil
-}
-
-// decodeBinaryResponse reads a binary result frame into the response
-// struct the caller expects.
-func decodeBinaryResponse(body io.Reader, out any) error {
-	data, err := io.ReadAll(body)
-	if err != nil {
-		return fmt.Errorf("client: reading response: %w", err)
-	}
-	rs, err := DecodeResultsBinary(data)
-	if err != nil {
-		return fmt.Errorf("client: decoding response: %w", err)
-	}
-	switch o := out.(type) {
-	case *QueryResponse:
-		if len(rs) != 1 {
-			return fmt.Errorf("client: server returned %d results for one query", len(rs))
-		}
-		*o = rs[0]
-	case *BatchResponse:
-		o.Results = rs
-	default:
-		return fmt.Errorf("client: server sent a binary result frame for a non-query call")
 	}
 	return nil
 }

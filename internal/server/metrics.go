@@ -220,35 +220,34 @@ func (f fanoutObserver) ObserveMutation(o core.MutationObservation) {
 	}
 }
 
-// wireCodecMetrics is one negotiated wire format's metric bundle:
-// encode/decode latency (<prefix>_codec_seconds{op,codec}), bytes moved
+// wireMetrics is one wire format's metric bundle in one direction —
+// requests decoded or replies encoded: codec time
+// (<prefix>_codec_seconds{op,codec}), bytes moved
 // (graphcache_codec_bytes_total{codec,direction}) and how often the
 // format was negotiated (<prefix>_wire_negotiated_total{codec,direction}).
 // Each tier registers its own through NewWire.
-type wireCodecMetrics struct {
-	Decode, Encode                *telemetry.Histogram
-	BytesIn, BytesOut             *telemetry.Counter
-	NegotiatedReq, NegotiatedResp *telemetry.Counter
+type wireMetrics struct {
+	Seconds    *telemetry.Histogram
+	Bytes      *telemetry.Counter
+	Negotiated *telemetry.Counter
 }
 
-// newWireCodecMetrics registers one wire format's metric bundle on reg.
-// prefix scopes the per-tier series ("graphcache_server",
-// "graphcache_router"); the byte counter keeps the tier-independent
-// name graphcache_codec_bytes_total.
-func newWireCodecMetrics(reg *telemetry.Registry, prefix, codec string) *wireCodecMetrics {
+// newWireMetrics registers the request side (request true) or the reply
+// side of one wire format on reg. prefix scopes the per-tier series
+// ("graphcache_server", "graphcache_router"); the byte counter keeps the
+// tier-independent name graphcache_codec_bytes_total.
+func newWireMetrics(reg *telemetry.Registry, prefix, codec string, request bool) *wireMetrics {
+	op, bytesDir, msgDir := "encode", "out", "response"
+	if request {
+		op, bytesDir, msgDir = "decode", "in", "request"
+	}
 	codecL := telemetry.L("codec", codec)
-	return &wireCodecMetrics{
-		Decode: reg.Histogram(prefix+"_codec_seconds", "Wire codec time, by direction.",
-			nil, telemetry.L("op", "decode"), codecL),
-		Encode: reg.Histogram(prefix+"_codec_seconds", "Wire codec time, by direction.",
-			nil, telemetry.L("op", "encode"), codecL),
-		BytesIn: reg.Counter("graphcache_codec_bytes_total", "Wire payload bytes moved, by codec and direction.",
-			codecL, telemetry.L("direction", "in")),
-		BytesOut: reg.Counter("graphcache_codec_bytes_total", "Wire payload bytes moved, by codec and direction.",
-			codecL, telemetry.L("direction", "out")),
-		NegotiatedReq: reg.Counter(prefix+"_wire_negotiated_total", "Negotiated wire formats, by codec and message direction.",
-			codecL, telemetry.L("direction", "request")),
-		NegotiatedResp: reg.Counter(prefix+"_wire_negotiated_total", "Negotiated wire formats, by codec and message direction.",
-			codecL, telemetry.L("direction", "response")),
+	return &wireMetrics{
+		Seconds: reg.Histogram(prefix+"_codec_seconds", "Wire codec time, by direction.",
+			nil, telemetry.L("op", op), codecL),
+		Bytes: reg.Counter("graphcache_codec_bytes_total", "Wire payload bytes moved, by codec and direction.",
+			codecL, telemetry.L("direction", bytesDir)),
+		Negotiated: reg.Counter(prefix+"_wire_negotiated_total", "Negotiated wire formats, by codec and message direction.",
+			codecL, telemetry.L("direction", msgDir)),
 	}
 }

@@ -15,48 +15,28 @@ import (
 	"graphcache/internal/telemetry"
 )
 
-// Wire-format negotiation. The JSON envelope around t/v/e text is the
-// default and what every pre-binary client speaks; a client opts into
-// the compact framed codec per message:
+// Wire-format negotiation. Requests are JSON or GCBF; replies are JSON or
+// NDJSON. The JSON envelope around t/v/e text is the default in both
+// directions; a client opts out of it per message:
 //
 //   - request bodies: Content-Type: application/x-gc-binary means the
 //     body is a graph.EncodeBinary frame instead of a JSON envelope;
-//   - responses: Accept: application/x-gc-binary asks for a binary
-//     result frame (EncodeResultsBinary) instead of JSON;
 //   - batch streaming: Accept: application/x-ndjson on POST /querybatch
 //     asks for one NDJSON StreamResult line per query, flushed as each
 //     answer completes (request order by default, ?order=arrival for
 //     out-of-order delivery tagged by index).
 //
-// The formats compose freely: a binary request may ask for a JSON,
-// binary or NDJSON response. GET /healthz advertises the capability in
-// the X-GC-Wire header so routers can discover binary-capable backends
-// from their existing probes.
+// The two compose freely, and any other Accept value falls back to the
+// JSON reply — application/x-gc-binary included: there is no binary
+// result format.
 const (
 	contentTypeJSON = "application/json"
-	// ContentTypeBinary marks binary graph frames (requests) and binary
-	// result frames (responses). Exported for the router tier and for
-	// clients built outside this package.
+	// ContentTypeBinary marks binary graph frames in request bodies.
+	// Exported for clients built outside this package.
 	ContentTypeBinary = "application/x-gc-binary"
 	// ContentTypeNDJSON marks a streamed batch response: one JSON
 	// StreamResult per line, flushed as results complete.
 	ContentTypeNDJSON = "application/x-ndjson"
-)
-
-// WireHeader advertises wire capabilities on GET /healthz replies;
-// WireCapabilityBinary is its value once the binary codec is served.
-// Exported so the router tier advertises the capability on its own
-// health check — the router re-encodes between formats, so it speaks
-// binary to its clients whatever its backends speak.
-const (
-	WireHeader           = "X-GC-Wire"
-	WireCapabilityBinary = "binary"
-)
-
-// Unexported aliases keep this package's handlers terse.
-const (
-	wireHeader           = WireHeader
-	wireBinaryCapability = WireCapabilityBinary
 )
 
 // hasMediaType reports whether a comma-separated header value (Accept,
@@ -101,21 +81,23 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 
 // Wire is one tier's side of the negotiation — gcserved's toward its
 // clients, gcrouter's toward its own: the request reader, the result
-// writer and the NDJSON stream writer, over the tier's body bound and its
-// codec metrics (ndjson is response-only: streamed batches).
+// writer and the NDJSON stream writer, over the tier's body bound and
+// the metrics of the two request and the two reply formats.
 type Wire struct {
 	maxBodyBytes         int64
-	text, binary, ndjson *wireCodecMetrics
+	reqText, reqBinary   *wireMetrics
+	respText, respNDJSON *wireMetrics
 }
 
-// NewWire registers a tier's three codec metric bundles on reg under
-// prefix ("graphcache_server", "graphcache_router").
+// NewWire registers a tier's wire metrics on reg under prefix
+// ("graphcache_server", "graphcache_router").
 func NewWire(reg *telemetry.Registry, prefix string, maxBodyBytes int64) *Wire {
 	return &Wire{
 		maxBodyBytes: maxBodyBytes,
-		text:         newWireCodecMetrics(reg, prefix, "text"),
-		binary:       newWireCodecMetrics(reg, prefix, "binary"),
-		ndjson:       newWireCodecMetrics(reg, prefix, "ndjson"),
+		reqText:      newWireMetrics(reg, prefix, "text", true),
+		reqBinary:    newWireMetrics(reg, prefix, "binary", true),
+		respText:     newWireMetrics(reg, prefix, "text", false),
+		respNDJSON:   newWireMetrics(reg, prefix, "ndjson", false),
 	}
 }
 
@@ -126,15 +108,15 @@ func NewWire(reg *telemetry.Registry, prefix string, maxBodyBytes int64) *Wire {
 func (wr *Wire) ReadGraphs(w http.ResponseWriter, r *http.Request, one bool) ([]*graph.Graph, time.Duration, bool) {
 	var gs []*graph.Graph
 	var decDur time.Duration
-	wm := wr.text
+	wm := wr.reqText
 	if hasMediaType(r.Header.Get("Content-Type"), ContentTypeBinary) {
-		wm = wr.binary
+		wm = wr.reqBinary
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wr.maxBodyBytes))
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 			return nil, 0, false
 		}
-		wm.BytesIn.Add(float64(len(body)))
+		wm.Bytes.Add(float64(len(body)))
 		decStart := time.Now()
 		gs, err = graph.DecodeBinary(body)
 		decDur = time.Since(decStart)
@@ -158,7 +140,7 @@ func (wr *Wire) ReadGraphs(w http.ResponseWriter, r *http.Request, one bool) ([]
 			}
 			text = req.Graphs
 		}
-		wm.BytesIn.Add(float64(cr.n))
+		wm.Bytes.Add(float64(cr.n))
 		decStart := time.Now()
 		var err error
 		gs, err = decodeGraphs(text)
@@ -168,8 +150,8 @@ func (wr *Wire) ReadGraphs(w http.ResponseWriter, r *http.Request, one bool) ([]
 			return nil, 0, false
 		}
 	}
-	wm.Decode.Observe(decDur.Seconds())
-	wm.NegotiatedReq.Inc()
+	wm.Seconds.Observe(decDur.Seconds())
+	wm.Negotiated.Inc()
 	if len(gs) == 0 {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("no graphs in request"))
 		return nil, 0, false
@@ -181,28 +163,9 @@ func (wr *Wire) ReadGraphs(w http.ResponseWriter, r *http.Request, one bool) ([]
 	return gs, decDur, true
 }
 
-// WriteResults encodes query results in the response format the request
-// negotiated: a binary result frame under Accept: application/x-gc-binary,
-// the JSON envelope otherwise (a bare QueryResponse for /query, a
-// BatchResponse for /querybatch).
-func (wr *Wire) WriteResults(w http.ResponseWriter, r *http.Request, rs []QueryResponse, single bool) {
-	if Accepts(r, ContentTypeBinary) {
-		wm := wr.binary
-		encStart := time.Now()
-		data, err := EncodeResultsBinary(rs)
-		if err != nil {
-			WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
-		wm.Encode.Observe(time.Since(encStart).Seconds())
-		wm.NegotiatedResp.Inc()
-		wm.BytesOut.Add(float64(len(data)))
-		w.Header().Set("Content-Type", ContentTypeBinary)
-		w.WriteHeader(http.StatusOK)
-		w.Write(data)
-		return
-	}
-	wm := wr.text
+// WriteResults writes query results as the JSON envelope: a bare
+// QueryResponse for /query, a BatchResponse for /querybatch.
+func (wr *Wire) WriteResults(w http.ResponseWriter, rs []QueryResponse, single bool) {
 	cw := &countingWriter{ResponseWriter: w}
 	encStart := time.Now()
 	if single {
@@ -210,26 +173,25 @@ func (wr *Wire) WriteResults(w http.ResponseWriter, r *http.Request, rs []QueryR
 	} else {
 		WriteJSON(cw, http.StatusOK, BatchResponse{Results: rs})
 	}
-	wm.Encode.Observe(time.Since(encStart).Seconds())
-	wm.NegotiatedResp.Inc()
-	wm.BytesOut.Add(float64(cw.n))
+	wr.respText.Seconds.Observe(time.Since(encStart).Seconds())
+	wr.respText.Negotiated.Inc()
+	wr.respText.Bytes.Add(float64(cw.n))
 }
 
 // ResultStream writes one /querybatch response in NDJSON streaming mode:
 // each query's StreamResult line is flushed as it is delivered — in
 // request order by default, in arrival order (tagged by Index) under
-// ?order=arrival. Deliver and Abort are safe for concurrent use; mu also
-// orders the response writes.
+// ?order=arrival. Deliver is safe for concurrent use; mu also orders the
+// response writes.
 type ResultStream struct {
 	ctx context.Context // the request's: nothing is written for a departed client
-	wm  *wireCodecMetrics
+	wm  *wireMetrics
 	cw  countingWriter
 	enc *json.Encoder
 	fl  http.Flusher
 
 	mu      sync.Mutex
 	arrival bool
-	aborted bool
 	// In ordered mode results are parked until the cursor reaches them,
 	// so the client sees request order while cheap queries upstream of
 	// the cursor flush early.
@@ -239,12 +201,12 @@ type ResultStream struct {
 
 // Stream starts the NDJSON response to a batch of n queries.
 func (wr *Wire) Stream(w http.ResponseWriter, r *http.Request, n int) *ResultStream {
-	wr.ndjson.NegotiatedResp.Inc()
+	wr.respNDJSON.Negotiated.Inc()
 	w.Header().Set("Content-Type", ContentTypeNDJSON)
 	w.WriteHeader(http.StatusOK)
 	st := &ResultStream{
 		ctx:     r.Context(),
-		wm:      wr.ndjson,
+		wm:      wr.respNDJSON,
 		cw:      countingWriter{ResponseWriter: w},
 		arrival: r.URL.Query().Get("order") == "arrival",
 		parked:  make([]*StreamResult, n),
@@ -261,14 +223,10 @@ func (st *ResultStream) emit(sr *StreamResult) {
 	}
 }
 
-// Deliver writes (or parks) one result. After an Abort nothing more is
-// emitted — the error line is the stream's last.
+// Deliver writes (or parks) one result.
 func (st *ResultStream) Deliver(sr *StreamResult) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.aborted {
-		return
-	}
 	if st.arrival {
 		st.emit(sr)
 		return
@@ -281,24 +239,21 @@ func (st *ResultStream) Deliver(sr *StreamResult) {
 	}
 }
 
-// Abort ends the stream on a failure. Results may already be on the
-// wire, so the failure cannot become an HTTP status: it becomes the
-// stream's terminal error line (StreamResult.Error aborts the client's
-// read), unless the client is the one who left.
+// Abort ends the stream on a failure, once every producer has returned.
+// Results may already be on the wire, so the failure cannot become an
+// HTTP status: it becomes the stream's last line, a terminal error
+// (StreamResult.Error aborts the client's read), unless the client is
+// the one who left.
 func (st *ResultStream) Abort(err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.aborted {
-		return
-	}
-	st.aborted = true
 	if st.ctx.Err() == nil {
 		st.emit(&StreamResult{Index: -1, Error: err.Error()})
 	}
 }
 
 // Close accounts the stream's bytes once every producer has returned.
-func (st *ResultStream) Close() { st.wm.BytesOut.Add(float64(st.cw.n)) }
+func (st *ResultStream) Close() { st.wm.Bytes.Add(float64(st.cw.n)) }
 
 // ReadJSON decodes a request body of at most maxBodyBytes into v,
 // replying with 400 on malformed input. It reports whether the handler

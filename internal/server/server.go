@@ -519,7 +519,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Trace = s.buildTrace(r.Context(), decDur, time.Since(execStart), res.Stats)
 	}
 	s.logQuery(r.Context(), res.Stats, time.Since(arrived))
-	s.wire.WriteResults(w, r, []QueryResponse{resp}, true)
+	s.wire.WriteResults(w, []QueryResponse{resp}, true)
 }
 
 // buildTrace assembles one query's span breakdown for ?debug=trace: the
@@ -602,7 +602,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp[i] = QueryResponse{Answer: res.Answer, Stats: res.Stats}
 	})
 	if completed {
-		s.wire.WriteResults(w, r, resp, false)
+		s.wire.WriteResults(w, resp, false)
 	}
 }
 
@@ -641,9 +641,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// The router's health probe doubles as its epoch feed: every probe
 	// reports how far this backend's dataset has advanced.
 	w.Header().Set(epochHeader, fmt.Sprintf("%d", s.cache.DatasetEpoch()))
-	// ...and as its wire-capability discovery: a router that sees this
-	// header speaks the binary codec to this backend.
-	w.Header().Set(wireHeader, wireBinaryCapability)
 	if s.warming.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "warming")

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"net"
 	"net/http"
 	"os"
@@ -67,8 +69,9 @@ func TestSnapshotChecksumRoundtrip(t *testing.T) {
 }
 
 // TestCorruptSnapshotQuarantined: a daemon pointed at a mangled snapshot
-// file must quarantine it to <path>.corrupt and start cold — never
-// refuse to start, never serve from the mangled data.
+// file — or an intact one in the unbound version-1 format, which could
+// belong to any dataset — must quarantine it to <path>.corrupt and start
+// cold: never refuse to start, never serve from the data.
 func TestCorruptSnapshotQuarantined(t *testing.T) {
 	data := testSnapshotBytes(t)
 	ds := testDataset(30, 61)
@@ -76,6 +79,10 @@ func TestCorruptSnapshotQuarantined(t *testing.T) {
 	for name, mangle := range map[string]func([]byte) []byte{
 		"corrupt":   func(d []byte) []byte { d = append([]byte{}, d...); d[len(d)/2] ^= 0xff; return d },
 		"truncated": func(d []byte) []byte { return d[:len(d)*2/3] },
+		"v1": func([]byte) []byte {
+			body := "gcsnapshot 1\nserial 3\nadmission 0 0\nentries 0\ngraphs\n"
+			return []byte(fmt.Sprintf("%s%s%08x %d\n", body, snapTrailerPrefix, crc32.ChecksumIEEE([]byte(body)), len(body)))
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "cache.gcsnapshot")

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 
@@ -11,64 +14,49 @@ import (
 	"graphcache/internal/ggsx"
 	"graphcache/internal/graph"
 	"graphcache/internal/method"
-	"graphcache/internal/telemetry"
 )
 
-// TestResultsBinaryRoundTrip pins the binary result frame codec: every
-// shape of answer (empty, single, dense) and an attached trace survive
-// the round trip, a non-ascending answer refuses to encode, and a
-// corrupted frame refuses to decode.
-func TestResultsBinaryRoundTrip(t *testing.T) {
-	rs := []QueryResponse{
-		{Answer: nil, Stats: core.QueryStats{CandidatesM: 3}},
-		{Answer: []int32{7}, Stats: core.QueryStats{AnswerSize: 1}},
-		{Answer: []int32{0, 1, 2, 3, 4, 5}, Stats: core.QueryStats{AnswerSize: 6}},
-		{Answer: []int32{5, 900, 1 << 20}, Trace: &telemetry.Trace{RequestID: "cafecafecafecafe"}},
-	}
-	data, err := EncodeResultsBinary(rs)
-	if err != nil {
-		t.Fatalf("EncodeResultsBinary: %v", err)
-	}
-	got, err := DecodeResultsBinary(data)
-	if err != nil {
-		t.Fatalf("DecodeResultsBinary: %v", err)
-	}
-	if len(got) != len(rs) {
-		t.Fatalf("round trip returned %d results, want %d", len(got), len(rs))
-	}
-	for i := range rs {
-		if !eq(got[i].Answer, rs[i].Answer) {
-			t.Errorf("result %d answer %v != %v", i, got[i].Answer, rs[i].Answer)
+// answersVia runs queries through one endpoint of cl — singles, one
+// buffered batch, or one ordered NDJSON stream — and returns the answers
+// in request order.
+func answersVia(ctx context.Context, cl *Client, endpoint string, queries []*graph.Graph) ([][]int32, error) {
+	out := make([][]int32, 0, len(queries))
+	switch endpoint {
+	case "/query":
+		for _, q := range queries {
+			r, err := cl.Query(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, r.Answer)
 		}
-		if got[i].Stats != rs[i].Stats {
-			t.Errorf("result %d stats %+v != %+v", i, got[i].Stats, rs[i].Stats)
+	case "/querybatch":
+		rs, err := cl.QueryBatch(ctx, queries)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range rs {
+			out = append(out, r.Answer)
+		}
+	case "ndjson":
+		err := cl.QueryBatchStream(ctx, queries, false, func(sr StreamResult) error {
+			out = append(out, sr.Answer)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	if got[3].Trace == nil || got[3].Trace.RequestID != "cafecafecafecafe" {
-		t.Errorf("trace did not survive the round trip: %+v", got[3].Trace)
-	}
-
-	if _, err := EncodeResultsBinary([]QueryResponse{{Answer: []int32{5, 3}}}); err == nil {
-		t.Error("non-ascending answer encoded without error")
-	}
-	if _, err := DecodeResultsBinary(data[:len(data)-1]); err == nil {
-		t.Error("truncated frame decoded without error")
-	}
-	if _, err := DecodeResultsBinary(append(data, 0)); err == nil {
-		t.Error("frame with trailing bytes decoded without error")
-	}
-	bad := append([]byte(nil), data...)
-	bad[0] = 'X'
-	if _, err := DecodeResultsBinary(bad); err == nil {
-		t.Error("bad magic decoded without error")
-	}
+	return out, nil
 }
 
 // TestBinaryWireMatchesText drives the same workload through a text-wire
-// and a binary-wire client against one live server: every answer must be
-// identical across codecs and match the wrapped method's baseline, the
-// health check must advertise the capability, and the codec telemetry
-// must show the binary leg actually negotiated.
+// and a binary-wire client against one live server, over every query
+// endpoint: a binary request and a text request get the same JSON (or
+// NDJSON) reply — every answer identical and equal to the wrapped
+// method's baseline. A request still asking for the deleted binary
+// result format gets the JSON reply, not a 406, and the telemetry shows
+// binary negotiated for requests and never for replies.
 func TestBinaryWireMatchesText(t *testing.T) {
 	ds := testDataset(40, 301)
 	queries := testWorkload(ds, 16, 302)
@@ -78,62 +66,75 @@ func TestBinaryWireMatchesText(t *testing.T) {
 	bin := NewClientWith(s.Addr(), ClientOptions{WireBinary: true})
 	ctx := context.Background()
 
-	if !bin.BinaryWire() {
-		t.Fatal("WireBinary option did not stick")
-	}
-	_, binary, err := bin.HealthzWire(ctx)
-	if err != nil {
-		t.Fatalf("HealthzWire: %v", err)
-	}
-	if !binary {
-		t.Error("healthz does not advertise the binary wire capability")
+	for _, endpoint := range []string{"/query", "/querybatch", "ndjson"} {
+		ta, err := answersVia(ctx, text, endpoint, queries)
+		if err != nil {
+			t.Fatalf("%s, text request: %v", endpoint, err)
+		}
+		ba, err := answersVia(ctx, bin, endpoint, queries)
+		if err != nil {
+			t.Fatalf("%s, binary request: %v", endpoint, err)
+		}
+		if len(ta) != len(queries) || len(ba) != len(queries) {
+			t.Fatalf("%s: %d text and %d binary answers for %d queries", endpoint, len(ta), len(ba), len(queries))
+		}
+		for i, q := range queries {
+			if !eq(ta[i], ba[i]) {
+				t.Fatalf("%s query %d: text answer %v != binary answer %v", endpoint, i, ta[i], ba[i])
+			}
+			if want := method.Answer(base, q); !eq(ba[i], want) {
+				t.Fatalf("%s query %d: binary answer %v != local %v", endpoint, i, ba[i], want)
+			}
+		}
 	}
 
-	for i, q := range queries[:8] {
-		tr, err := text.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("text Query %d: %v", i, err)
-		}
-		br, err := bin.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("binary Query %d: %v", i, err)
-		}
-		if !eq(tr.Answer, br.Answer) {
-			t.Fatalf("query %d: text answer %v != binary answer %v", i, tr.Answer, br.Answer)
-		}
-		if want := method.Answer(base, q); !eq(br.Answer, want) {
-			t.Fatalf("query %d: binary answer %v != local %v", i, br.Answer, want)
-		}
-	}
-	tb, err := text.QueryBatch(ctx, queries[8:])
+	// A stale Accept: application/x-gc-binary falls back to JSON.
+	frame, err := graph.EncodeBinary(queries[:1])
 	if err != nil {
-		t.Fatalf("text QueryBatch: %v", err)
+		t.Fatal(err)
 	}
-	bb, err := bin.QueryBatch(ctx, queries[8:])
+	req, err := http.NewRequest(http.MethodPost, "http://"+s.Addr()+"/query", bytes.NewReader(frame))
 	if err != nil {
-		t.Fatalf("binary QueryBatch: %v", err)
+		t.Fatal(err)
 	}
-	for i := range tb {
-		if !eq(tb[i].Answer, bb[i].Answer) {
-			t.Fatalf("batched query %d: text answer %v != binary answer %v", i, tb[i].Answer, bb[i].Answer)
-		}
+	req.Header.Set("Content-Type", ContentTypeBinary)
+	req.Header.Set("Accept", ContentTypeBinary)
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale QueryResponse
+	err = json.NewDecoder(res.Body).Decode(&stale)
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK || res.Header.Get("Content-Type") != contentTypeJSON || err != nil {
+		t.Fatalf("stale binary Accept: status %d, Content-Type %q, decode error %v; want 200 application/json",
+			res.StatusCode, res.Header.Get("Content-Type"), err)
+	}
+	if want := method.Answer(base, queries[0]); !eq(stale.Answer, want) {
+		t.Errorf("stale binary Accept: answer %v != local %v", stale.Answer, want)
 	}
 
 	samples := scrapeMetrics(t, s.Addr())
 	for _, check := range []struct {
-		name   string
-		labels map[string]string
+		name      string
+		labels    map[string]string
+		populated bool
 	}{
-		{"graphcache_server_wire_negotiated_total", map[string]string{"codec": "binary", "direction": "request"}},
-		{"graphcache_server_wire_negotiated_total", map[string]string{"codec": "binary", "direction": "response"}},
-		{"graphcache_server_wire_negotiated_total", map[string]string{"codec": "text", "direction": "request"}},
-		{"graphcache_codec_bytes_total", map[string]string{"codec": "binary", "direction": "in"}},
-		{"graphcache_codec_bytes_total", map[string]string{"codec": "binary", "direction": "out"}},
-		{"graphcache_server_codec_seconds_count", map[string]string{"op": "decode", "codec": "binary"}},
-		{"graphcache_server_codec_seconds_count", map[string]string{"op": "encode", "codec": "binary"}},
+		{"graphcache_server_wire_negotiated_total", map[string]string{"codec": "binary", "direction": "request"}, true},
+		{"graphcache_server_wire_negotiated_total", map[string]string{"codec": "text", "direction": "request"}, true},
+		{"graphcache_server_wire_negotiated_total", map[string]string{"codec": "text", "direction": "response"}, true},
+		{"graphcache_codec_bytes_total", map[string]string{"codec": "binary", "direction": "in"}, true},
+		{"graphcache_server_codec_seconds_count", map[string]string{"op": "decode", "codec": "binary"}, true},
+		{"graphcache_server_wire_negotiated_total", map[string]string{"codec": "binary", "direction": "response"}, false},
+		{"graphcache_codec_bytes_total", map[string]string{"codec": "binary", "direction": "out"}, false},
+		{"graphcache_server_codec_seconds_count", map[string]string{"op": "encode", "codec": "binary"}, false},
 	} {
-		if v, ok := metricValue(samples, check.name, check.labels); !ok || v == 0 {
+		v, ok := metricValue(samples, check.name, check.labels)
+		if check.populated && (!ok || v == 0) {
 			t.Errorf("%s%v = %v, %v; want populated", check.name, check.labels, v, ok)
+		}
+		if !check.populated && ok {
+			t.Errorf("%s%v = %v; the binary reply series must not exist", check.name, check.labels, v)
 		}
 	}
 }

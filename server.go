@@ -24,15 +24,15 @@ type ServerOptions = server.Options
 // ServerClient is the Go client for a gcserved instance, used by tests,
 // by `gcquery -server` and by applications. It retries refused work
 // (429/503) and, for idempotent requests, transport failures, with
-// jittered exponential backoff honouring Retry-After hints. It speaks
-// either wire format — the JSON/t-v-e default or the binary codec
-// (ServerClientOptions.WireBinary, switchable live with SetBinaryWire)
-// — and streams batches incrementally with QueryBatchStream.
+// jittered exponential backoff honouring Retry-After hints. It sends
+// requests in either wire format — the JSON/t-v-e default or binary
+// frames (ServerClientOptions.WireBinary) — reads JSON replies, and
+// streams batches incrementally with QueryBatchStream.
 type ServerClient = server.Client
 
 // ServerClientOptions configures a ServerClient's resilience and wire
 // format: per-attempt request timeout, the retry budget/backoff
-// envelope, and WireBinary to opt into the binary codec (answers are
+// envelope, and WireBinary to send binary request frames (answers are
 // identical either way; see the package documentation's "Wire protocol"
 // section).
 type ServerClientOptions = server.ClientOptions
