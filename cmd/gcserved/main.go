@@ -22,8 +22,10 @@
 // JSON, -log-every N samples a per-query latency line, and -pprof adds
 // net/http/pprof under /debug/pprof/.
 //
-// Concurrently-arriving single queries are coalesced into batched
-// Cache.QueryBatch executions (bounded by -max-batch and -max-delay).
+// A single query that finds the engine idle runs at once; those that
+// arrive while a run is in flight queue and share the next run the moment
+// one returns (at most -max-batch per run, and dispatched regardless once
+// one of them has been held for -max-delay).
 // With -snapshot, cache contents are loaded on start and written back on
 // SIGTERM/SIGINT via graceful shutdown — the Cache Manager lifecycle of
 // the paper; a corrupt or truncated snapshot file is quarantined to
@@ -73,8 +75,8 @@ func main() {
 		policy    = flag.String("policy", "hd", "replacement policy: lru, pop, pin, pinc, hd")
 		admission = flag.Float64("admission", 0, "admission-control fraction (0 disables)")
 		shards    = flag.Int("shards", 0, "cached-query store shards (0 = next power of two >= GOMAXPROCS)")
-		maxBatch  = flag.Int("max-batch", 64, "request coalescer: max queries per batch (1 disables coalescing)")
-		maxDelay  = flag.Duration("max-delay", graphcache.DefaultCoalesceDelay, "request coalescer: max wait for a batch to fill")
+		maxBatch  = flag.Int("max-batch", 64, "request coalescer: max queries per run (1 disables coalescing)")
+		maxDelay  = flag.Duration("max-delay", graphcache.DefaultCoalesceDelay, "request coalescer: longest a query may be held behind a busy engine (an idle engine runs it at once; negative disables coalescing)")
 		shedAt    = flag.Int("shed-threshold", 0, "queries admitted concurrently before 429 shedding (0 disables; a fronting gcrouter usually owns shedding)")
 		snapIv    = flag.Duration("snapshot-interval", 0, "also write -snapshot periodically, bounding crash loss to one interval (0 = shutdown-only)")
 		warmFrom  = flag.String("warm-from", "", "warm the cache from this peer's GET /snapshot before serving (overrides a local -snapshot load)")

@@ -180,11 +180,18 @@
 // same t/v/e text format datasets ship in, so non-Go clients need no
 // codec beyond printing a graph file: POST /query answers one query,
 // POST /querybatch a batch (one run of the pipeline), GET /stats reports
-// the lifetime totals and GET /healthz liveness. Concurrently-arriving
-// single queries are coalesced into batched runs of the pipeline under a
-// configurable max-batch-size/max-delay window, so the service boundary
-// amortises filter dispatch and statistics application under load while
-// adding at most the delay window to a lone query's latency. With
+// the lifetime totals and GET /healthz liveness. Single queries share
+// runs of the pipeline by group commit, not by a timer: (1) a query that
+// finds no run in flight is dispatched at once; (2) one that arrives while
+// a run is in flight queues, and the moment a run returns its goroutine
+// takes the whole queue as the next run, so batches form exactly when,
+// and only as large as, concurrency exists; (3) -max-batch queued queries
+// are dispatched at once, beside the runs in flight; (4) -max-delay bounds
+// how long a queued query may be held while the engine stays busy — on
+// expiry the queue is dispatched beside the runs in flight, so one slow
+// verification cannot hold up the rest. The service boundary thus
+// amortises filter dispatch and statistics application under load, and a
+// lone query pays a goroutine hand-off, not a collection window. With
 // -snapshot, cache contents load on start and persist on SIGTERM through
 // graceful shutdown — the paper's Cache Manager lifecycle at the daemon
 // boundary.
@@ -226,7 +233,7 @@
 // query, flushed as its verification completes, in request order by
 // default or tagged with the request index under ?order=arrival. The
 // request coalescer delivers per-waiter results the same way as they
-// land, so a lone /query held in a batch returns as soon as its own
+// land, so a /query that shares a run returns as soon as its own
 // verification is done. A router scatter-gathers per-backend streams
 // (always arrival-ordered upstream) and re-stitches them into one
 // client stream in the client's requested order. In Go this is
@@ -484,7 +491,14 @@
 //	graphcache_candidates_total{stage=method|final}, graphcache_query_candidates
 //	graphcache_verifications_saved_total, graphcache_credit_saved_total
 //	graphcache_window_rebuild_seconds, graphcache_window_{admitted,evicted,rejected}_total
-//	graphcache_server_coalesce_wait_seconds, graphcache_server_batch_size
+//	graphcache_server_coalesce_wait_seconds  how long a query was queued before
+//	    its run was dispatched: about 0 for one that found the engine idle,
+//	    at most -max-delay otherwise
+//	graphcache_server_batch_size  queries per run (coalesced and /querybatch)
+//	graphcache_server_coalesce_dispatch_total{reason=idle|drained|full|timeout}
+//	    one per coalesced run, by why it started: no run was in flight when
+//	    the query arrived; a returning run took the queue; -max-batch queries
+//	    had queued; a queued query had been held for -max-delay
 //	graphcache_server_codec_seconds{op=decode,codec=text|binary}  request decode
 //	graphcache_server_codec_seconds{op=encode,codec=text|ndjson}  reply encode
 //	graphcache_server_wire_negotiated_total{codec,direction=request|response}
@@ -516,7 +530,9 @@
 // response with a trace: the request id plus named spans from every hop
 // (router:decode, router:dispatch addr, server:decode,
 // server:coalesce_wait, engine:filter_m, engine:filter_gc,
-// engine:verify, engine:total).
+// engine:verify, engine:total). server:coalesce_wait is the coalescer's
+// own measurement, from the query entering its queue to its run being
+// dispatched — time held behind a busy engine, not scheduling noise.
 //
 // Logs are structured (log/slog): -log-json switches the daemons to
 // one-line JSON, gcserved -log-every N samples a per-query latency log

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"math/rand"
 	"strings"
@@ -48,28 +49,62 @@ func TestParseAcceptsShortHeader(t *testing.T) {
 	}
 }
 
+// TestParseErrors pins the error text of every rejection, through both
+// line sources: Parse's scanner and DecodeText's walk over the bytes.
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
-		name, in string
+		name, in, want string
 	}{
-		{"vertex before header", "v 0 1\n"},
-		{"edge before header", "e 0 1\n"},
-		{"bad header", "t # x\n"},
-		{"malformed header", "t\n"},
-		{"vertex out of order", "t # 0\nv 1 1\n"},
-		{"malformed vertex", "t # 0\nv 0\n"},
-		{"bad vertex label", "t # 0\nv 0 abc\n"},
-		{"malformed edge", "t # 0\nv 0 1\ne 0\n"},
-		{"edge out of range", "t # 0\nv 0 1\ne 0 7\n"},
-		{"self loop", "t # 0\nv 0 1\ne 0 0\n"},
-		{"unknown record", "t # 0\nx 1 2\n"},
+		{"vertex before header", "v 0 1\n", "graph: line 1: vertex before graph header"},
+		{"edge before header", "e 0 1\n", "graph: line 1: edge before graph header"},
+		{"bad header", "t # x\n", `graph: line 1: bad graph id "x"`},
+		{"malformed header", "t\n", `graph: line 1: malformed graph header "t"`},
+		{"vertex out of order", "t # 0\nv 1 1\n", "graph: line 2: vertex id 1 out of order (want 0)"},
+		{"malformed vertex", "t # 0\nv 0\n", `graph: line 2: malformed vertex line "v 0"`},
+		{"bad vertex label", "t # 0\n  v 0 abc \r\n", `graph: line 2: malformed vertex line "v 0 abc"`},
+		{"malformed edge", "t # 0\nv 0 1\ne 0\n", `graph: line 3: malformed edge line "e 0"`},
+		{"edge out of range", "t # 0\nv 0 1\ne 0 7\n", "graph: graph: edge (0,7) endpoint out of range [0,1)"},
+		{"self loop", "t # 0\nv 0 1\ne 0 0\n", "graph: graph: self loop on vertex 0"},
+		{"unknown record", "t # 0\nx 1 2\n", `graph: line 2: unknown record type "x"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Parse(strings.NewReader(tc.in)); err == nil {
-				t.Errorf("Parse(%q) must fail", tc.in)
+			if _, err := Parse(strings.NewReader(tc.in)); err == nil || err.Error() != tc.want {
+				t.Errorf("Parse(%q) = %v, want %q", tc.in, err, tc.want)
+			}
+			if _, err := DecodeText([]byte(tc.in)); err == nil || err.Error() != tc.want {
+				t.Errorf("DecodeText(%q) = %v, want %q", tc.in, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseLineCap pins the 1 MiB line cap from both sides, for both line
+// sources: a 100 KB comment line parses (the scanner's buffer grows on
+// demand), a line of 1 MiB is the scanner's too-long error.
+func TestParseLineCap(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		comment int
+		want    error
+	}{
+		{"100 KB", 100 << 10, nil},
+		{"one under the cap", maxLineBytes - 1, nil},
+		{"at the cap", maxLineBytes, bufio.ErrTooLong},
+	} {
+		in := []byte("t # 4\nv 0 1\n#" + strings.Repeat("c", tc.comment-1) + "\nv 1 2\ne 0 1\n")
+		for name, decode := range map[string]func() ([]*Graph, error){
+			"Parse":      func() ([]*Graph, error) { return Parse(bytes.NewReader(in)) },
+			"DecodeText": func() ([]*Graph, error) { return DecodeText(in) },
+		} {
+			gs, err := decode()
+			if err != tc.want {
+				t.Errorf("%s, comment line of %s: error %v, want %v", name, tc.name, err, tc.want)
+			}
+			if tc.want == nil && (len(gs) != 1 || gs[0].NumVertices() != 2 || gs[0].NumEdges() != 1) {
+				t.Errorf("%s, comment line of %s: parsed %v, want one 2-vertex 1-edge graph", name, tc.name, gs)
+			}
+		}
 	}
 }
 

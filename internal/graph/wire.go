@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 )
 
@@ -12,15 +13,32 @@ import (
 
 // EncodeText serialises graphs to the t/v/e wire format.
 func EncodeText(graphs []*Graph) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Write(&buf, graphs); err != nil {
-		return nil, err
+	var buf []byte
+	for _, g := range graphs {
+		buf = appendText(buf, g)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // DecodeText parses graphs from the t/v/e wire format produced by
-// EncodeText (or any writer of the standard text format).
+// EncodeText (or any writer of the standard text format). It walks data
+// in place — what Parse's line scanner does, without the scanner's buffer:
+// the cost is O(len(data)), which for a query body is tiny.
 func DecodeText(data []byte) ([]*Graph, error) {
-	return Parse(bytes.NewReader(data))
+	var p textParser
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if len(line) >= maxLineBytes {
+			return nil, bufio.ErrTooLong
+		}
+		if err := p.line(line); err != nil {
+			return nil, err
+		}
+	}
+	return p.finish()
 }

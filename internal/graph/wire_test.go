@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -77,4 +79,60 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDecodeTextMatchesParse holds the two line sources together:
+// DecodeText's walk over the byte slice and Parse's scanner must accept the
+// same inputs, produce the same graphs and reject with the same text.
+func FuzzDecodeTextMatchesParse(f *testing.F) {
+	f.Add([]byte("t # 2\nv 0 1\nv 1 2\ne 0 1\n"))
+	f.Add([]byte("t 7\r\nv 0 65535\r\n\r\n  # comment\nt # -1"))
+	f.Add([]byte("t # 0\nv 0 1\u00a0\ne\t0 0"))
+	f.Add([]byte("t # 0\nv 0 65536\n"))
+	f.Add([]byte("\xff 1 2\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gotErr := DecodeText(data)
+		want, wantErr := Parse(bytes.NewReader(data))
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("DecodeText error %v, Parse error %v", gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("DecodeText produced %d graphs, Parse %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID() != want[i].ID() || !got[i].StructurallyEqual(want[i]) {
+				t.Fatalf("graph %d differs between DecodeText and Parse", i)
+			}
+		}
+	})
+}
+
+// TestDecodeTextAllocatedBytes bounds what decoding a query body costs the
+// heap: O(body), not a scanner buffer sized for a dataset file (≈70 KB per
+// call when Parse opened with a 64 KB buffer, a third of everything the
+// serving path allocated per request).
+func TestDecodeTextAllocatedBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var g *Graph
+	for g == nil || g.NumEdges() != 20 {
+		g = randomGraph(rng, 16, 7, 0.2)
+	}
+	data, err := EncodeText([]*Graph{g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := DecodeText(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 8<<10 {
+		t.Errorf("DecodeText of a 20-edge query (%d bytes) allocates %d bytes/op, want <= 8 KB", len(data), perOp)
+	} else {
+		t.Logf("DecodeText of a 20-edge query (%d bytes): %d bytes/op", len(data), perOp)
+	}
 }

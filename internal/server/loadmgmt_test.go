@@ -51,55 +51,37 @@ func TestServerShedsPastThreshold(t *testing.T) {
 
 // TestCoalescerDropsCanceledWaiters pins context propagation through
 // the coalescer: a caller whose context dies while its query is queued
-// returns immediately, and the flush drops the dead waiter before the
-// batch executes — a killed client cancels queued work, not just the
-// response write.
+// behind a busy engine returns immediately, and the run that takes the
+// queue drops the dead waiter before it executes — a killed client cancels
+// queued work, not just the response write.
 func TestCoalescerDropsCanceledWaiters(t *testing.T) {
-	ds := testDataset(30, 93)
-	queries := testWorkload(ds, 2, 94)
-	cache := newTestCache(ds)
-	// maxWait of an hour: only an explicit flush can run the batch.
-	co := newCoalescer(cache, 4, time.Hour)
+	// maxWait of an hour: only the gated holder's return can run the queue.
+	co, gm, base, queries, holder := gatedCoalescer(t, 93, 3, 4, time.Hour, 1)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := co.query(ctx, queries[0])
-		errc <- err
-	}()
+	dead := ask(ctx, co, queries[1])
 	waitPending(t, co, 1)
 	cancel()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled waiter returned %v, want context.Canceled", err)
+	dead.wait(t, "canceled waiter") // the engine is still busy
+	if !errors.Is(dead.err, context.Canceled) {
+		t.Fatalf("canceled waiter returned %v, want context.Canceled", dead.err)
 	}
 
-	// A live waiter joins the same batch; the flush must execute only its
-	// query.
-	done := make(chan error, 1)
-	go func() {
-		_, err := co.query(context.Background(), queries[1])
-		done <- err
-	}()
+	// A live waiter joins the same queue; the run that drains it must
+	// execute only the live query.
+	live := ask(context.Background(), co, queries[2])
 	waitPending(t, co, 2)
-	co.mu.Lock()
-	batch := co.detachLocked()
-	co.mu.Unlock()
-	co.flush(batch)
-	if err := <-done; err != nil {
-		t.Fatalf("live waiter: %v", err)
-	}
-	if got := cache.Totals().Queries; got != 1 {
-		t.Errorf("cache executed %d queries, want 1 (the canceled waiter's query must not run)", got)
+	close(gm.gate)
+	holder.answers(t, "holder", base, queries[0])
+	live.answers(t, "live waiter", base, queries[2])
+	waitIdle(t, co)
+	if got := co.cache.Totals().Queries; got != 2 {
+		t.Errorf("cache executed %d queries, want 2 (the holder and the live waiter, not the canceled one)", got)
 	}
 
 	// A dead context never enqueues at all.
-	if _, err := co.query(ctx, queries[0]); !errors.Is(err, context.Canceled) {
+	if _, err := co.query(ctx, queries[1]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("query with a dead context returned %v, want context.Canceled", err)
 	}
-	co.mu.Lock()
-	pending := len(co.pending)
-	co.mu.Unlock()
-	if pending != 0 {
-		t.Errorf("%d waiters pending after a dead-context query, want 0", pending)
-	}
+	waitPending(t, co, 0)
 }

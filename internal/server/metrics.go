@@ -43,6 +43,7 @@ type serverMetrics struct {
 	// Serving boundary.
 	coalesceWait *telemetry.Histogram
 	batchSize    *telemetry.Histogram
+	dispatch     [len(dispatchReasons)]*telemetry.Counter // why each coalesced run started
 	shedTotal    *telemetry.Counter
 	warmTotal    *telemetry.Counter
 
@@ -60,6 +61,17 @@ type serverMetrics struct {
 	mutInvalidated *telemetry.Counter
 	mutDur         *telemetry.Histogram
 }
+
+// Why the coalescer dispatched a run; the values index dispatchReasons, the
+// reason label of graphcache_server_coalesce_dispatch_total.
+const (
+	dispatchIdle    = iota // no run in flight when the query arrived
+	dispatchDrained        // a returning run took the queue
+	dispatchFull           // MaxBatch queries had queued
+	dispatchTimeout        // a queued query had been held for MaxDelay
+)
+
+var dispatchReasons = [...]string{"idle", "drained", "full", "timeout"}
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	const durName = "graphcache_query_duration_seconds"
@@ -101,7 +113,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		windowEvicted:  reg.Counter("graphcache_window_evicted_total", "Cached queries evicted by the replacement policy."),
 		windowRejected: reg.Counter("graphcache_window_rejected_total", "Window queries refused by admission control."),
 
-		coalesceWait: reg.Histogram("graphcache_server_coalesce_wait_seconds", "Time a query waited in the coalescer before its batch executed.", nil),
+		coalesceWait: reg.Histogram("graphcache_server_coalesce_wait_seconds", "Time a query was held in the coalescer's queue before its run was dispatched (about 0 when the engine was idle).", nil),
 		batchSize:    reg.Histogram("graphcache_server_batch_size", "Executed batch sizes (coalesced and explicit /querybatch).", telemetry.SizeBuckets),
 		shedTotal:    reg.Counter("graphcache_server_shed_total", "Requests refused with 429 at the admission gate."),
 		warmTotal:    reg.Counter("graphcache_server_warmups_total", "Completed snapshot warm-ups."),
@@ -110,6 +122,11 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"Batches (streamed, buffered or coalesced) cut short because the client(s) went away."),
 		streamAbandoned: reg.Counter("graphcache_server_stream_abandoned_verifications_total",
 			"Sub-iso tests skipped because their batch's client(s) went away."),
+	}
+	for i, reason := range dispatchReasons {
+		m.dispatch[i] = reg.Counter("graphcache_server_coalesce_dispatch_total",
+			"Coalesced runs by why they were dispatched: engine idle on arrival, queue drained by a returning run, MaxBatch queued, or MaxDelay expired behind a busy engine.",
+			telemetry.L("reason", reason))
 	}
 	const mutName = "graphcache_mutations_applied_total"
 	const mutHelp = "Dataset mutations applied, by op."

@@ -4,10 +4,11 @@
 //
 //   - an HTTP/JSON API over the t/v/e graph wire codec (POST /query,
 //     POST /querybatch, GET /stats, GET /healthz);
-//   - a request coalescer that batches concurrently-arriving single
-//     queries into Cache.QueryBatch calls under a configurable
-//     max-batch-size / max-delay window, so the service boundary
-//     amortises filter dispatch and statistics application;
+//   - a request coalescer that dispatches a single query at once when
+//     the engine is idle and folds the queries that arrive while it is
+//     busy into the next run of the pipeline, so the service boundary
+//     amortises filter dispatch and statistics application exactly when
+//     there is concurrency to amortise over;
 //   - the snapshot lifecycle of the paper's Cache Manager: Start loads
 //     cache contents from disk, Shutdown drains in-flight requests and
 //     writes them back.
@@ -62,12 +63,16 @@ type Options struct {
 	// journal to the records past the snapshot's epoch. With it, a
 	// SIGKILL at any instant loses zero acked mutations.
 	JournalPath string
-	// MaxBatch bounds the request coalescer's batch size (default 64;
-	// 1 disables coalescing and serves each query individually).
+	// MaxBatch bounds the size of a coalesced run: that many queued
+	// queries are dispatched at once (default 64; 1 disables coalescing
+	// and serves each query individually).
 	MaxBatch int
-	// MaxDelay is how long the coalescer may hold the first query of a
-	// batch waiting for companions (0 means the 2ms default; negative
-	// disables coalescing, as does MaxBatch 1).
+	// MaxDelay is how long a query may be held behind a busy engine: one
+	// that arrives while a run is in flight joins the next run, which
+	// starts when a run returns or, at the latest, when the first query
+	// queued has waited MaxDelay. A query that finds the engine idle is
+	// never held (0 means the 2ms default; negative disables coalescing,
+	// as does MaxBatch 1).
 	MaxDelay time.Duration
 	// MaxBodyBytes bounds a request body (default 64 MiB).
 	MaxBodyBytes int64
@@ -508,7 +513,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeWarming(w)
 		return
 	}
-	execStart := time.Now()
 	res, err := s.co.query(r.Context(), q)
 	if err != nil {
 		// The client is gone; there is no one to answer.
@@ -516,7 +520,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := QueryResponse{Answer: res.Answer, Stats: res.Stats}
 	if r.URL.Query().Get("debug") == "trace" {
-		resp.Trace = s.buildTrace(r.Context(), decDur, time.Since(execStart), res.Stats)
+		resp.Trace = s.buildTrace(r.Context(), decDur, res.wait, res.Stats)
 	}
 	s.logQuery(r.Context(), res.Stats, time.Since(arrived))
 	s.wire.WriteResults(w, []QueryResponse{resp}, true)
@@ -525,12 +529,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // buildTrace assembles one query's span breakdown for ?debug=trace: the
 // serving-boundary spans measured here plus the engine's stage timings
 // from QueryStats, all under the request id the front door minted.
-func (s *Server) buildTrace(ctx context.Context, decode, exec time.Duration, qs core.QueryStats) *telemetry.Trace {
+func (s *Server) buildTrace(ctx context.Context, decode, wait time.Duration, qs core.QueryStats) *telemetry.Trace {
 	tr := &telemetry.Trace{RequestID: telemetry.RequestIDFrom(ctx)}
 	tr.Add("server:decode", decode)
-	// exec covers coalescer wait + engine time; the difference to the
-	// engine's own accounting is the time spent gathering the batch.
-	if wait := exec - qs.TotalTime(); wait > 0 {
+	// wait is the coalescer's own enqueue → dispatch measurement: how long
+	// the query was held behind a busy engine, ≈0 when it found it idle.
+	if wait > 0 {
 		tr.Add("server:coalesce_wait", wait)
 	}
 	tr.Add("engine:filter_m", qs.FilterMTime)

@@ -9,8 +9,9 @@ import (
 
 // Server serves one Cache over HTTP — the gcserved subsystem: a JSON API
 // over the t/v/e graph wire format (POST /query, POST /querybatch,
-// GET /stats, GET /healthz), a request coalescer that folds
-// concurrently-arriving single queries into Cache.QueryBatch calls, and
+// GET /stats, GET /healthz), a request coalescer that runs a lone query
+// at once and folds the queries arriving while the engine is busy into one
+// batched run of the pipeline, and
 // the snapshot lifecycle of the paper's Cache Manager (Start loads cache
 // contents from disk, Shutdown drains in-flight requests and writes them
 // back). See the package documentation's "Serving over the network"
@@ -18,7 +19,8 @@ import (
 type Server = server.Server
 
 // ServerOptions configures a Server: listen address, snapshot path, and
-// the coalescer's max-batch-size / max-delay window.
+// the coalescer's bounds — MaxBatch on a run's size, MaxDelay on how long a
+// query may be held behind a busy engine (an idle one never holds it).
 type ServerOptions = server.Options
 
 // ServerClient is the Go client for a gcserved instance, used by tests,
@@ -99,10 +101,10 @@ type RouterMutateResponse = router.MutateResponse
 // if the fan-out leg failed (leaving it lagging and diverted).
 type RouterMutateBackendResult = router.MutateBackendResult
 
-// DefaultCoalesceDelay is a reasonable request-coalescing window for
-// interactive serving: long enough for concurrent requests to gather into
-// batches, short enough to be invisible next to sub-iso verification
-// costs.
+// DefaultCoalesceDelay is a reasonable bound on how long the request
+// coalescer may hold a query behind a busy engine: long enough for the
+// queries of a burst to share the next run, short enough that one slow
+// verification ahead of them stays invisible next to sub-iso costs.
 const DefaultCoalesceDelay = 2 * time.Millisecond
 
 // Router fronts N gcserved backends behind the same wire API — the
