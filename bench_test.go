@@ -161,6 +161,33 @@ func BenchmarkQueryCached(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryExactHit measures special case 1 alone: every query of the
+// stream is held by a cache large enough never to evict it, so each
+// iteration is feature extraction, the exact-match lookup with its one
+// confirming sub-iso test, and bookkeeping — no Method M filter, no GCindex
+// probe, no containment confirmations.
+func BenchmarkQueryExactHit(b *testing.B) {
+	ds := benchDataset()
+	var qs []*graphcache.Graph
+	for _, q := range benchQueries(ds, 64) {
+		qs = append(qs, q.Graph)
+	}
+	gc := graphcache.New(graphcache.NewGGSX(ds, graphcache.GGSXOptions{}),
+		graphcache.Options{CacheSize: 2 * len(qs), WindowSize: 8})
+	gc.QueryBatch(qs) // eight whole windows: every distinct query is cached
+	for i, r := range gc.QueryBatch(qs) {
+		if !r.Stats.ExactHit {
+			b.Fatalf("query %d is not an exact hit on a cache that holds the whole stream", i)
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		gc.Query(qs[i%len(qs)])
+		i++
+	}
+}
+
 // BenchmarkCacheConcurrent measures the multi-caller query engine: the
 // same repeating workload through one shared Cache, serially and from
 // GOMAXPROCS concurrent callers (the b.RunParallel degree). The

@@ -97,9 +97,17 @@
 // # GCindex internals
 //
 // GCindex is one combined subgraph/supergraph feature index per shard
-// over the cached query graphs, and its candidate probe — run once per
-// shard per query — is the hottest loop in the system. Two ingredients
-// keep it allocation-free:
+// over the cached query graphs. It answers two questions, cheapest first.
+// The exact-match lookup: every slot records its entry's routing hash in
+// a pointer-free []uint64 column, isomorphic queries have equal feature
+// vectors and therefore equal hashes and the same shard, so "is this very
+// query cached?" is a scan of one column in one shard for a live slot of
+// equal hash, vertex count and edge count — confirmed by a sub-iso test
+// before it counts, because equal hashes prove nothing (a uniformly
+// labelled C10 and C5 + C5 share every path count up to 4 edges). The
+// containment probe — run once per shard per query the lookup did not
+// answer — is the hottest loop in the system. Two ingredients keep it
+// allocation-free:
 //
 //   - Feature vectors without a vocabulary. A feature's ID is the 64-bit
 //     FNV-1a hash of its key (a label sequence), so IDs need no interning,
@@ -145,27 +153,39 @@
 // # One query pipeline
 //
 // The engine has one staged pipeline and three entry points into it.
-// Cache.QueryBatchStream is the pipeline: feature extraction, Method M's
-// filter beside the GC processors, special cases, candidate-set pruning,
-// verification, and window/statistics bookkeeping, each stage run once
-// over all the queries it is given, delivering every Result the moment it
-// is complete. Cache.QueryBatch collects those deliveries into a slice
-// aligned with its input, and Cache.Query is the pipeline over one query.
-// For a batch, every shard's index snapshot is loaded once and probed in a
-// single pass, the GC containment confirmations and Method-M verifications
-// of all queries flatten into one pooled dispatch per stage, and the whole
-// batch's hit statistics land in a single store round-trip per shard.
-// Answers are exactly those of sequential Query calls — the pruning rules
-// are sound, so answers never depend on cache contents — id-ordered and
-// deterministic. A run in which a special case resolved every query
-// returns without waiting for Method M's filter, and a run whose context
-// dies abandons its unstarted verification and leaves no trace in the
-// cache. A run of one query is not a batch to the outside: it does not
-// count in Totals.Batches, its observation says Batched == false, and its
-// stage timings are exact rather than shares. BenchmarkQueryBatch tracks
-// the amortisation (batched execution is never slower than sequential and
+// Cache.QueryBatchStream is the pipeline, its stages ordered by cost and
+// each run once, over the queries the earlier ones left unresolved:
+// feature extraction; the exact-match lookup, which answers an isomorphic
+// repeat "with no further processing" (§5.1, special case 1); then, for
+// the rest, Method M's filter beside the GCindex probe and its containment
+// confirmations; the empty-answer shortcut; candidate-set pruning;
+// verification; and window/statistics bookkeeping — delivering every
+// Result the moment it is complete. Cache.QueryBatch collects those
+// deliveries into a slice aligned with its input, and Cache.Query is the
+// pipeline over one query. An exact hit therefore costs one vector
+// extraction, one column scan and one small-vs-small sub-iso test: Method
+// M's filter is not called for it, it takes no probe scratch, and a run
+// made only of exact hits starts no goroutine at all. In the statistics
+// an exact hit has GCVerifications = 1 (the confirmation) and no
+// Containers or Containees — Totals.ContainerHits and ContaineeHits count
+// non-exact queries, as the container/containee series of
+// graphcache_query_hits_total always did. For a batch, every shard's
+// index snapshot is loaded once, the open queries are probed in a single
+// pass, their GC containment confirmations and Method-M verifications
+// flatten into one pooled dispatch per stage, and the whole batch's hit
+// statistics land in a single store round-trip per shard. Answers are
+// exactly those of sequential Query calls — the pruning rules are sound,
+// so answers never depend on cache contents — id-ordered and
+// deterministic. A run whose open queries were all proven empty returns
+// without waiting for Method M's filter, and a run whose context dies
+// abandons its unstarted verification and leaves no trace in the cache. A
+// run of one query is not a batch to the outside: it does not count in
+// Totals.Batches, its observation says Batched == false, and its stage
+// timings are exact rather than shares. BenchmarkQueryBatch tracks the
+// amortisation (batched execution is never slower than sequential and
 // wins on multi-core machines); BenchmarkQueryCached the cost of a lone
-// query.
+// query on a repeating stream, BenchmarkQueryExactHit that of an exact
+// hit alone.
 //
 // # Serving over the network
 //
@@ -472,8 +492,9 @@
 // The engine emits per-query observations through Options.Observer, an
 // interface receiving one QueryObservation per query — single or
 // batched, exactly once — with the GC stage split into feature
-// extraction, index probe and confirmation sub-iso time, plus candidate
-// counts, verification calls saved and credit granted; and one
+// extraction, index lookup and probe (the exact-match lookup, confirmation
+// included, is in the probe share) and confirmation sub-iso time, plus
+// candidate counts, verification calls saved and credit granted; and one
 // WindowObservation per Window Manager pass. A nil Observer (the
 // default) costs one atomic load per query and nothing else, so
 // applications that don't observe pay nothing. The serving tier

@@ -78,6 +78,37 @@ func TestAblationSwitchesDisableTheirCounters(t *testing.T) {
 	}
 }
 
+// TestAblationExactOnlyStillHitsExactly: exact matching depends on
+// DisableExactMatch alone. With both containment probes off — gcbench's
+// "exact only" ablation row — isomorphic repeats are still answered from
+// the cache; before the lookup that configuration left the probe, and with
+// it the exact match, nothing to search, and the row measured bare Method M.
+func TestAblationExactOnlyStillHitsExactly(t *testing.T) {
+	m, qs := ablationWorkload(t)
+	c := New(m, Options{CacheSize: 20, WindowSize: 5, DisableSubHits: true, DisableSuperHits: true})
+	bare := 0
+	for i, q := range qs {
+		bare += len(m.Filter(q.Graph))
+		if got, want := c.Query(q.Graph).Answer, method.Answer(m, q.Graph); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: %v != %v", i, got, want)
+		}
+	}
+	tot := c.Totals()
+	if tot.ExactHits == 0 {
+		t.Fatal("the exact-only configuration had no exact hit")
+	}
+	if tot.ContainerHits != 0 || tot.ContaineeHits != 0 || tot.EmptyShortcuts != 0 {
+		t.Errorf("containment hits with both probes off: %+v", tot)
+	}
+	// The lookup's confirmations are the only GC sub-iso tests left.
+	if tot.GCVerifications < tot.ExactHits {
+		t.Errorf("%d GC verifications for %d exact hits: every hit is confirmed", tot.GCVerifications, tot.ExactHits)
+	}
+	if tot.SubIsoTests >= int64(bare) {
+		t.Errorf("%d sub-iso tests, bare Method M runs %d: the exact hits saved nothing", tot.SubIsoTests, bare)
+	}
+}
+
 // TestAsyncRebuildUnderLoad hammers an async-rebuild cache from the query
 // path while windows churn, checking answers stay exact throughout (run
 // with -race to check the swap discipline).

@@ -11,10 +11,11 @@ import (
 	"graphcache/internal/pathfeat"
 )
 
-// This file is the query pipeline — the one runtime of §4, Figure 2:
-// Method M's filter beside the GC processors, the Candidate Set Pruner,
-// the verifier, the Window. QueryBatchStream is the pipeline; Query runs
-// it over one query and QueryBatch collects its deliveries.
+// This file is the query pipeline — the one runtime of §4, Figure 2,
+// ordered by cost: the exact-match lookup, then, for the queries it left
+// open, Method M's filter beside the GC processors, the Candidate Set
+// Pruner, the verifier, the Window. QueryBatchStream is the pipeline;
+// Query runs it over one query and QueryBatch collects its deliveries.
 
 // How a query of a run was resolved.
 const (
@@ -28,6 +29,11 @@ type queryState struct {
 	q    *graph.Graph
 	vec  pathfeat.Vector
 	hash uint64
+
+	// exact is the isomorphic cached query the lookup found, or nil. It is
+	// final before the filter goroutine and the probe start; both skip the
+	// queries that have one.
+	exact *entry
 
 	// Method M's filter output, written by the run's filter goroutine: read
 	// only after filterDone, and never for a query a special case resolved
@@ -70,9 +76,10 @@ type verifyChunk struct {
 	qi, lo, hi int
 }
 
-// Query processes q through GraphCache: GC filtering, special cases,
-// Method M filtering, candidate-set pruning, verification, and window/
-// cache bookkeeping — the pipeline over one query. It is safe for any
+// Query processes q through GraphCache: the exact-match lookup, then — on
+// a miss — GC filtering beside Method M filtering, the empty-answer
+// shortcut, candidate-set pruning, verification, and window/cache
+// bookkeeping — the pipeline over one query. It is safe for any
 // number of concurrent callers; each caller's answer is exactly the
 // wrapped method's answer for its query, whatever the interleaving.
 func (c *Cache) Query(q *graph.Graph) Result {
@@ -107,20 +114,28 @@ func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
 // delivered before any sub-iso test runs, so the first results of a mixed
 // batch arrive while the heavy tail is still verifying.
 //
-// Every stage runs once per run, over all its queries:
+// Every stage runs once per run, cheapest first, and each later stage
+// only over the queries the earlier ones left unresolved:
 //
-//   - feature extraction, one pooled pass; the vectors are Method M's
-//     filter input, the probe input, the new entries' memoised vectors and
-//     their shard-routing hashes;
-//   - Method M's filter for every query on its own goroutine, beside the
-//     GC processors (§4, Figure 2). A run in which every query is resolved
-//     by a special case returns without waiting for it — the paper's
-//     "processing terminates" — and its output is discarded;
-//   - the GC processors: every shard's index snapshot is loaded once and
-//     probed per query, and the containment confirmations of all queries
-//     flatten into one work list over the shared worker pool;
-//   - special cases, then the Candidate Set Pruner (Eq. 1 then Eq. 2;
-//     inverted roles for supergraph queries, §5.1);
+//   - feature extraction, one pooled pass; the vectors are the exact
+//     lookup's key, Method M's filter input, the probe input, the new
+//     entries' memoised vectors and their shard-routing hashes;
+//   - the exact-match lookup (§5.1, special case 1): every shard's index
+//     snapshot is loaded once, and each query's own shard is scanned for a
+//     cached query of equal hash and size, confirmed isomorphic by a
+//     sub-iso test before it counts. A hit is answered "with no further
+//     processing": no filter, no probe, no containment confirmation. A run
+//     in which every query hit starts no goroutine and never touches
+//     Method M;
+//   - for the queries still open, Method M's filter on its own goroutine,
+//     beside the GC processors (§4, Figure 2): the loaded snapshots are
+//     probed per query, and the containment confirmations of all open
+//     queries flatten into one work list over the shared worker pool;
+//   - the empty-answer shortcut (special case 2), then the Candidate Set
+//     Pruner (Eq. 1 then Eq. 2; inverted roles for supergraph queries,
+//     §5.1). A run whose open queries were all proven empty returns without
+//     waiting for the filter — the paper's "processing terminates" — and
+//     its output is discarded;
 //   - verification: the sub-iso tests of all pruned candidate sets as one
 //     flattened work list, the worker landing a query's last verdict
 //     assembling and delivering its answer;
@@ -180,42 +195,72 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		s.hash = pathfeat.HashVector(s.vec)
 	})
 
-	// The filter goroutine holds its own inflight reference: an all-hit
-	// run returns without draining filterDone, and the filter must not
-	// still be reading the method's index when a mutation starts rewriting
-	// it.
-	filterDone := make(chan struct{})
-	c.retainQuery()
-	go func() {
-		defer c.exitQuery()
-		defer close(filterDone)
-		c.pool.ParallelFor(n, func(i int) {
-			s := &st[i]
-			start := time.Now()
-			s.csM = c.filterM(s.q, s.vec)
-			s.mDur = time.Since(start)
-		})
-	}()
 	var probeStart time.Time
 	if obs != nil {
 		probeStart = time.Now()
 		featShare = probeStart.Sub(gcStart).Nanoseconds() / int64(n)
 	}
 
-	// All queries of a run probe the same index generation.
+	// All queries of a run look up and probe the same index generation.
 	ixs := make([]*queryIndex, len(c.shards))
 	cached := 0
 	for si, sh := range c.shards {
 		ixs[si] = sh.index.Load()
 		cached += ixs[si].size()
 	}
-	nChecks := 0
-	if cached > 0 {
-		c.pool.ParallelFor(n, func(i int) {
-			st[i].checks, st[i].nSub = c.probe(ixs, st[i].vec)
+
+	// Special case 1 (§5.1), ahead of everything it makes unnecessary: an
+	// isomorphic cached query has q's hash and lives in q's shard, so the
+	// lookup scans that one hash column and confirms a match with one
+	// sub-iso test.
+	open := n
+	if cached > 0 && !c.opts.DisableExactMatch {
+		c.pool.ParallelForN(n, c.adaptiveWorkers(n), func(i int) {
+			s := &st[i]
+			s.exact = ixs[c.shardOfHash(s.hash)].exact(s.hash, s.q.NumVertices(), s.q.NumEdges(), func(e *entry) bool {
+				s.stats.GCVerifications++
+				return iso.Contains(c.algo, s.q, e.g)
+			})
 		})
 		for i := range st {
-			nChecks += len(st[i].checks)
+			if st[i].exact != nil {
+				open--
+			}
+		}
+	}
+
+	// Method M's filter and the GC processors run side by side, over the
+	// open queries only. The filter goroutine holds its own inflight
+	// reference: a run whose open queries are all proven empty returns
+	// without draining filterDone, and the filter must not still be reading
+	// the method's index when a mutation starts rewriting it.
+	var filterDone chan struct{}
+	nChecks := 0
+	if open > 0 {
+		filterDone = make(chan struct{})
+		c.retainQuery()
+		go func() {
+			defer c.exitQuery()
+			defer close(filterDone)
+			c.pool.ParallelFor(n, func(i int) {
+				s := &st[i]
+				if s.exact != nil {
+					return
+				}
+				start := time.Now()
+				s.csM = c.filterM(s.q, s.vec)
+				s.mDur = time.Since(start)
+			})
+		}()
+		if cached > 0 {
+			c.pool.ParallelFor(n, func(i int) {
+				if s := &st[i]; s.exact == nil {
+					s.checks, s.nSub = c.probe(ixs, s.vec)
+				}
+			})
+			for i := range st {
+				nChecks += len(st[i].checks)
+			}
 		}
 	}
 	var gcvStart time.Time
@@ -235,7 +280,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 			for j, e := range s.checks {
 				checks = append(checks, gcCheck{qi: qi, e: e, sub: j < s.nSub})
 			}
-			s.stats.GCVerifications = len(s.checks)
+			s.stats.GCVerifications += len(s.checks)
 			s.containers, s.containees = s.checks[:0:s.nSub], s.checks[s.nSub:s.nSub]
 		}
 		c.pool.ParallelForN(nChecks, c.adaptiveWorkers(nChecks), func(k int) {
@@ -283,7 +328,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		if special {
 			k = 5
 		}
-		si := c.shardIndexOf(e)
+		si := c.shardOfHash(e.hash)
 		shardOps[si] = append(shardOps[si], ops[:k]...)
 	}
 
@@ -298,16 +343,14 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 			providers, restrictors = restrictors, providers
 		}
 
-		// Special case 1 (§5.1): an isomorphic cached query answers q with
-		// no further processing. Special case 2: a contained cached query
-		// (containing, for supergraph queries) with an empty answer proves
-		// q's answer empty. Either way Method M is never consulted, and the
-		// cached entry's own first-execution candidate set and estimated
-		// cost stand in for the (never computed) ones of the shortcut query.
-		var hit *entry
-		if !c.opts.DisableExactMatch {
-			hit = findExact(s.q.NumVertices(), s.q.NumEdges(), s.containers, s.containees)
-		}
+		// Special case 1 (§5.1): the isomorphic cached query the lookup
+		// found answers q with no further processing. Special case 2: a
+		// contained cached query (containing, for supergraph queries) with
+		// an empty answer proves q's answer empty. Either way Method M is
+		// never consulted, and the cached entry's own first-execution
+		// candidate set and estimated cost stand in for the (never
+		// computed) ones of the shortcut query.
+		hit := s.exact
 		if hit != nil {
 			s.state, s.answer = stateExact, hit.answer
 			s.stats.ExactHit, s.stats.AnswerSize = true, len(hit.answer)

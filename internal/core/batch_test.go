@@ -157,16 +157,22 @@ func TestThreeEntryPointsOnePipeline(t *testing.T) {
 	}
 }
 
-// blockingFilterMethod is an SI method whose Filter parks on release while
-// block is set, announcing each parked call on entered.
+// blockingFilterMethod is an SI method that records the query of every
+// Filter call and, while block is set, parks the call on release,
+// announcing it on entered.
 type blockingFilterMethod struct {
 	*method.SI
-	block   atomic.Bool
-	entered chan struct{}
-	release chan struct{}
+	mu       sync.Mutex
+	filtered []*graph.Graph
+	block    atomic.Bool
+	entered  chan struct{}
+	release  chan struct{}
 }
 
 func (m *blockingFilterMethod) Filter(q *graph.Graph) []int32 {
+	m.mu.Lock()
+	m.filtered = append(m.filtered, q)
+	m.mu.Unlock()
 	if m.block.Load() {
 		m.entered <- struct{}{}
 		<-m.release
@@ -174,50 +180,85 @@ func (m *blockingFilterMethod) Filter(q *graph.Graph) []int32 {
 	return m.SI.Filter(q)
 }
 
-// TestAllHitRunDoesNotWaitForFilter pins the paper's "processing
-// terminates" rule for every run shape: a repeated query's exact hit —
-// alone and as an all-hit batch — returns while Method M's filter is still
-// blocked, and a mutation arriving meanwhile does not start until those
-// filters have returned, because each holds its own gate reference.
+// takeFiltered returns the queries filtered since the last call.
+func (m *blockingFilterMethod) takeFiltered() []*graph.Graph {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	qs := m.filtered
+	m.filtered = nil
+	return qs
+}
+
+// TestAllHitRunDoesNotWaitForFilter pins "no further processing" and
+// "processing terminates" (§5.1) for every run shape. An exact hit never
+// reaches Method M: a lone hit and an all-hit batch call Filter zero times,
+// a mixed batch calls it once per query the lookup left open and for no
+// other. The one run that still starts a filter it does not need — every
+// open query proven empty by a cached empty answer — returns while that
+// filter is still parked, and a mutation arriving meanwhile does not start
+// until the filter has returned, because it holds its own gate reference.
 func TestAllHitRunDoesNotWaitForFilter(t *testing.T) {
 	ds := moleculeDataset(40, 41)
 	m := &blockingFilterMethod{
 		SI:      method.NewVF2Plus(ds),
-		entered: make(chan struct{}, 16), // sized for every Filter call below; sends never block
+		entered: make(chan struct{}, 1), // one parked Filter call below; the send never blocks
 		release: make(chan struct{}),
 	}
-	c := New(m, Options{CacheSize: 10, WindowSize: 2, Shards: 2})
+	c := New(m, Options{CacheSize: 10, WindowSize: 1, Shards: 2})
 	queries := typeAWorkload(ds, "UU", 4, 42)
 	qs := make([]*graph.Graph, len(queries))
 	for i, q := range queries {
 		qs[i] = q.Graph
-		c.Query(q.Graph) // two full windows: all four are cached
+		c.Query(q.Graph) // W = 1: cached on return
 	}
-	m.block.Store(true)
+	// No dataset graph carries this label, so the single vertex is cached
+	// with an empty answer and proves every query containing it empty.
+	const absent = graph.Label(60000)
+	c.Query(pathG(absent))
+	m.takeFiltered()
 
-	hits := make(chan []Result, 1)
-	parked := func(what string) {
+	allHits := func(what string, rs []Result) {
 		t.Helper()
-		select {
-		case rs := <-hits:
-			for i, r := range rs {
-				if !r.Stats.ExactHit {
-					t.Fatalf("%s: query %d was not an exact hit", what, i)
-				}
+		for i, r := range rs {
+			if !r.Stats.ExactHit {
+				t.Fatalf("%s: query %d was not an exact hit", what, i)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s waited for the blocked filter", what)
 		}
-		select {
-		case <-m.entered:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s never started Method M's filter — the early return was tested vacuously", what)
+		if f := m.takeFiltered(); len(f) != 0 {
+			t.Fatalf("%s called Method M's filter %d times, want 0", what, len(f))
 		}
 	}
-	go func() { hits <- []Result{c.Query(qs[0])} }()
-	parked("a lone exact hit")
-	go func() { hits <- c.QueryBatch(qs[1:]) }()
-	parked("an all-hit batch")
+	allHits("a lone exact hit", []Result{c.Query(qs[0])})
+	allHits("an all-hit batch", c.QueryBatch(qs[1:]))
+
+	// Two queries the cache has never seen, among three it holds.
+	fresh := typeAWorkload(ds, "UU", 2, 43)
+	fresh1, fresh2 := fresh[0].Graph, fresh[1].Graph
+	for i, r := range c.QueryBatch([]*graph.Graph{qs[0], fresh1, qs[1], fresh2, qs[2]}) {
+		if r.Stats.ExactHit != (i%2 == 0) {
+			t.Fatalf("mixed batch: query %d: exact hit = %v", i, r.Stats.ExactHit)
+		}
+	}
+	if f := m.takeFiltered(); len(f) != 2 || !(f[0] == fresh1 && f[1] == fresh2 || f[0] == fresh2 && f[1] == fresh1) {
+		t.Fatalf("mixed batch: Method M filtered %d queries, want exactly the two the lookup left open", len(f))
+	}
+
+	m.block.Store(true)
+	shortcut := make(chan Result, 1)
+	go func() { shortcut <- c.Query(pathG(absent, absent)) }()
+	select {
+	case r := <-shortcut:
+		if !r.Stats.EmptyShortcut || len(r.Answer) != 0 {
+			t.Fatalf("the query containing a cached empty-answer query was not shortcut: %+v", r.Stats)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an empty-answer shortcut waited for the blocked filter")
+	}
+	select {
+	case <-m.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the shortcut run never started Method M's filter — the early return was tested vacuously")
+	}
 
 	mutated := make(chan error, 1)
 	go func() {
@@ -228,7 +269,7 @@ func TestAllHitRunDoesNotWaitForFilter(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	if c.inflight.Load() == 0 || ds.Epoch() != 0 {
-		t.Fatalf("mutation got past the gate with filters still running: inflight %d, epoch %d", c.inflight.Load(), ds.Epoch())
+		t.Fatalf("mutation got past the gate with the filter still running: inflight %d, epoch %d", c.inflight.Load(), ds.Epoch())
 	}
 	close(m.release)
 	if err := <-mutated; err != nil {

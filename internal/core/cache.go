@@ -2,10 +2,10 @@
 // subgraph/supergraph queries of Wang, Ntarmos & Triantafillou (EDBT
 // 2017). A Cache wraps any method.Method (FTV or SI) and uses previously
 // answered queries — indexed in GCindex — to prune the method's candidate
-// sets (Eq. 1 and 2 of §5.1), to answer isomorphic queries outright and to
-// shortcut provably empty queries. Cache contents are managed through a
-// Window with optional admission control and one of five replacement
-// policies (§6).
+// sets (Eq. 1 and 2 of §5.1), to answer isomorphic queries outright — by a
+// lookup that runs before any of the rest — and to shortcut provably empty
+// queries. Cache contents are managed through a Window with optional
+// admission control and one of five replacement policies (§6).
 //
 // The query engine is concurrent on two axes, mirroring the paper's sized
 // thread pools (§4, Figure 2): a Cache is safe for any number of
@@ -109,8 +109,8 @@ type Totals struct {
 	GCVerifications     int64 // sub-iso tests against cached queries
 	ExactHits           int64
 	EmptyShortcuts      int64
-	ContainerHits       int64 // queries matched by ≥1 cached container
-	ContaineeHits       int64
+	ContainerHits       int64 // non-exact queries matched by ≥1 cached container
+	ContaineeHits       int64 // non-exact queries matched by ≥1 cached containee
 	FilterMTime         time.Duration
 	FilterGCTime        time.Duration
 	VerifyTime          time.Duration
@@ -123,16 +123,19 @@ type Totals struct {
 	Mutations           int64 // dataset mutations applied (see ApplyMutation)
 }
 
-// QueryStats describes how one query was processed.
+// QueryStats describes how one query was processed. An exact hit is
+// resolved by the lookup alone: its GCVerifications are the lookup's
+// confirming tests (normally 1), it has no Containers or Containees — the
+// containment probe never ran — and no Method M figures.
 type QueryStats struct {
 	Serial          int64
 	FilterMTime     time.Duration // Method M filtering
-	FilterGCTime    time.Duration // GC processors (index probe + relation verification)
+	FilterGCTime    time.Duration // GC processors (exact lookup, index probe, relation verification)
 	VerifyTime      time.Duration // Method M verification of the pruned set
 	CandidatesM     int           // |CS_M|
 	CandidatesFinal int           // |CS_GC| actually verified
 	SubIsoTests     int           // dataset sub-iso tests (= CandidatesFinal)
-	GCVerifications int           // sub-iso tests against cached queries
+	GCVerifications int           // sub-iso tests against cached queries (lookup matches + probe candidates)
 	DirectAnswers   int           // answers lifted from cached answer sets
 	Containers      int           // verified cached queries containing q
 	Containees      int           // verified cached queries contained in q

@@ -45,7 +45,7 @@ func (e *entry) featureVector(maxLen int) pathfeat.Vector {
 
 // queryIndex is GCindex: a single combined subgraph/supergraph feature
 // index over the cached query graphs (§6.1, loosely based on the
-// GraphGrepSX design). One structure answers both probes:
+// GraphGrepSX design). One structure answers both containment probes:
 //
 //   - sub-candidates: cached queries g' that may contain the new query
 //     (every feature of q occurs at least as often in g');
@@ -60,6 +60,11 @@ func (e *entry) featureVector(maxLen int) pathfeat.Vector {
 // flat []int32 scratch arrays, then scans the slots once — no sort (slot
 // order is serial order), and zero allocations when the caller provides
 // pooled scratch (see candidatesInto).
+//
+// Ahead of both probes it answers the exact-match lookup (see exact): each
+// slot also records its entry's routing hash, so finding the cached queries
+// that can be isomorphic to a new one is a scan of one []uint64 column in
+// the query's own shard.
 //
 // Feature IDs are 64-bit hashes of the feature keys (pathfeat.Vector), so
 // the index needs no vocabulary and holds a column only for features of
@@ -87,6 +92,7 @@ type queryIndex struct {
 	// Per-slot columns, parallel to each other:
 	featureTotal []int32  // distinct feature count; -1 marks a dead slot
 	serials      []int64  // owning serial, ascending across slots
+	hashes       []uint64 // owning entry's routing hash — the exact-lookup key (see exact)
 	slotEntry    []*entry // owning entry; nil for dead slots
 	// Serial-keyed views over the live slots:
 	entries map[int64]*entry
@@ -116,6 +122,7 @@ func buildQueryIndex(entries map[int64]*entry, maxLen int) *queryIndex {
 		cols:         make(map[uint64]column),
 		featureTotal: make([]int32, 0, len(entries)),
 		serials:      make([]int64, 0, len(entries)),
+		hashes:       make([]uint64, 0, len(entries)),
 		slotEntry:    make([]*entry, 0, len(entries)),
 		entries:      entries,
 		slotOf:       make(map[int64]uint32, len(entries)),
@@ -129,6 +136,7 @@ func buildQueryIndex(entries map[int64]*entry, maxLen int) *queryIndex {
 		e := entries[s]
 		vec := e.featureVector(maxLen)
 		ix.featureTotal = append(ix.featureTotal, int32(len(vec)))
+		ix.hashes = append(ix.hashes, e.routeHash(maxLen))
 		ix.slotEntry = append(ix.slotEntry, e)
 		ix.slotOf[s] = uint32(slot)
 		for _, fc := range vec {
@@ -189,6 +197,7 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 		cols:         maps.Clone(ix.cols), // columns shared wholesale; touched ones re-owned below
 		featureTotal: append(make([]int32, 0, nSlots+len(added)), ix.featureTotal...),
 		serials:      append(make([]int64, 0, nSlots+len(added)), ix.serials...),
+		hashes:       append(make([]uint64, 0, nSlots+len(added)), ix.hashes...),
 		slotEntry:    append(make([]*entry, 0, nSlots+len(added)), ix.slotEntry...),
 		entries:      nextEntries,
 		slotOf:       make(map[int64]uint32, len(nextEntries)),
@@ -232,6 +241,7 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 		vec := e.featureVector(ix.maxLen)
 		next.featureTotal = append(next.featureTotal, int32(len(vec)))
 		next.serials = append(next.serials, e.serial)
+		next.hashes = append(next.hashes, e.routeHash(ix.maxLen))
 		next.slotEntry = append(next.slotEntry, e)
 		next.slotOf[e.serial] = slot
 		for _, fc := range vec {
@@ -252,15 +262,16 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 // every serial present in repl points at its replacement entry. The
 // replacements must carry the same query graph and feature vector as the
 // originals (only their answer sets differ — the dataset-mutation case),
-// so the feature columns, totals, serials and slot assignments are shared
-// wholesale; only the entry pointer surfaces (slotEntry, entries) are
-// copied. O(slots), no feature work.
+// so the feature columns, totals, serials, hashes and slot assignments are
+// shared wholesale; only the entry pointer surfaces (slotEntry, entries)
+// are copied. O(slots), no feature work.
 func (ix *queryIndex) withReplacedEntries(repl map[int64]*entry) *queryIndex {
 	next := &queryIndex{
 		maxLen:       ix.maxLen,
 		cols:         ix.cols,
 		featureTotal: ix.featureTotal,
 		serials:      ix.serials,
+		hashes:       ix.hashes,
 		slotEntry:    make([]*entry, len(ix.slotEntry)),
 		entries:      make(map[int64]*entry, len(ix.entries)),
 		slotOf:       ix.slotOf,
@@ -296,6 +307,28 @@ func (ix *queryIndex) liveSerials() []int64 {
 		}
 	}
 	return out
+}
+
+// exact is the exact-match lookup (§5.1, special case 1): it returns the
+// lowest-serial live entry whose routing hash and vertex and edge counts
+// equal the query's and that confirm accepts, or nil. Isomorphic graphs
+// have equal feature vectors, hence equal hashes (and land in this shard's
+// index), so every isomorphic cached query is offered; equal hashes prove
+// nothing the other way — unrelated vectors can share a hash, and
+// non-isomorphic graphs a vector — so confirm must run the sub-iso test,
+// which at equal sizes decides isomorphism. One pass over a pointer-free
+// column, no scratch, no allocation.
+func (ix *queryIndex) exact(hash uint64, nV, nE int, confirm func(*entry) bool) *entry {
+	for slot, h := range ix.hashes {
+		if h != hash || ix.featureTotal[slot] < 0 {
+			continue
+		}
+		e := ix.slotEntry[slot]
+		if e.g.NumVertices() == nV && e.g.NumEdges() == nE && confirm(e) {
+			return e
+		}
+	}
+	return nil
 }
 
 // slotScratch holds the per-slot counters of one in-flight probe. The two

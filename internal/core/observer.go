@@ -10,9 +10,10 @@ type QueryObservation struct {
 	Serial  int64
 	Batched bool // the query ran in a run of two or more
 
-	// GC filtering stage, split: path-feature extraction, GCindex probe,
-	// and container/containee confirmation sub-iso tests. FeatureNS +
-	// ProbeNS + GCVerifyNS ≈ FilterGCNS.
+	// GC filtering stage, split: path-feature extraction, the GCindex
+	// exact-match lookup (with its confirming sub-iso test) and containment
+	// probe, and container/containee confirmation sub-iso tests. FeatureNS
+	// + ProbeNS + GCVerifyNS ≈ FilterGCNS.
 	FeatureNS  int64
 	ProbeNS    int64
 	GCVerifyNS int64
@@ -21,7 +22,7 @@ type QueryObservation struct {
 	VerifyNS   int64 // Method M verification of the pruned set
 	TotalNS    int64 // QueryStats.TotalTime()
 
-	GCCandidates    int // index-probe candidates confirmed (sub + super)
+	GCCandidates    int // QueryStats.GCVerifications: lookup matches + probe candidates confirmed
 	Containers      int
 	Containees      int
 	CandidatesM     int // |CS_M| (0 on special-case hits — never computed)

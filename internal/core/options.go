@@ -57,7 +57,10 @@ type Options struct {
 
 	// Ablation switches (all default off = full GraphCache).
 
-	// DisableExactMatch turns off special case 1 (isomorphic hits).
+	// DisableExactMatch turns off special case 1: the exact-match lookup
+	// that runs ahead of Method M's filter and the containment probe and
+	// answers an isomorphic repeat from the cache. It is the only switch
+	// exact matching depends on — the two below leave it on.
 	DisableExactMatch bool
 	// DisableSubHits ignores cached queries containing the new query.
 	DisableSubHits bool

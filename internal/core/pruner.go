@@ -34,23 +34,6 @@ func prune(csM []int32, providers, restrictors []*entry) (direct, cs []int32, cr
 	return direct, cs, credit
 }
 
-// findExact returns a verified container or containee with the same vertex
-// and edge counts as q — which, combined with containment, proves
-// isomorphism (§5.1, special case 1) — or nil.
-func findExact(nV, nE int, containers, containees []*entry) *entry {
-	for _, e := range containers {
-		if e.g.NumVertices() == nV && e.g.NumEdges() == nE {
-			return e
-		}
-	}
-	for _, e := range containees {
-		if e.g.NumVertices() == nV && e.g.NumEdges() == nE {
-			return e
-		}
-	}
-	return nil
-}
-
 // findEmptyAnswer returns the first entry with an empty answer set, or
 // nil. For subgraph queries, a contained cached query with no answers
 // proves the new query has no answers either (§5.1, special case 2); for

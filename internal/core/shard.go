@@ -58,18 +58,18 @@ func (sh *cacheShard) answerRefDel(serial int64, ids []int32) {
 	}
 }
 
-// shardIndexOf maps an entry's memoised feature hash to its owning shard
-// index — the single routing formula; every placement and lookup goes
-// through it (or shardFor). The entry's hash must already be set — it is
-// assigned while the entry is still exclusively owned by its creator
-// (Query, addToWindow or ReadSnapshot).
-func (c *Cache) shardIndexOf(e *entry) int {
-	return int(e.hash % uint64(len(c.shards)))
+// shardOfHash maps a feature hash — an entry's memoised one, or a query's —
+// to its owning shard index: the single routing formula, every placement
+// and lookup goes through it (or shardFor).
+func (c *Cache) shardOfHash(h uint64) int {
+	return int(h % uint64(len(c.shards)))
 }
 
-// shardFor returns the shard owning an entry.
+// shardFor returns the shard owning an entry. The entry's hash must
+// already be set — it is assigned while the entry is still exclusively
+// owned by its creator (Query, addToWindow or ReadSnapshot).
 func (c *Cache) shardFor(e *entry) *cacheShard {
-	return c.shards[c.shardIndexOf(e)]
+	return c.shards[c.shardOfHash(e.hash)]
 }
 
 // routeHash returns the entry's shard-routing feature hash, computing (and

@@ -437,7 +437,7 @@ graphsSection:
 		perStats[i] = NewStatsStore()
 	}
 	for i, e := range loaded {
-		si := c.shardIndexOf(e)
+		si := c.shardOfHash(e.hash)
 		perShard[si][e.serial] = e
 		for col, v := range entries[i].stats {
 			perStats[si].Set(e.serial, col, v)
