@@ -2,6 +2,7 @@ package grapes
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +189,106 @@ func TestFeatureCount(t *testing.T) {
 	// P3 features: 1,2,3 singles + 1-2,2-1,2-3,3-2 + 1-2-3,3-2-1 = 9.
 	if idx.FeatureCount() != 9 {
 		t.Errorf("FeatureCount = %d, want 9", idx.FeatureCount())
+	}
+}
+
+// subgraphOf returns a random connected piece of g — a query with at
+// least one answer.
+func subgraphOf(r *rand.Rand, g *graph.Graph, maxV int) *graph.Graph {
+	order := g.BFSOrder(int32(r.Intn(g.NumVertices())))
+	order = order[:min(len(order), maxV)]
+	sub, _, err := g.InducedSubgraph(order)
+	if err != nil {
+		panic(err)
+	}
+	return sub
+}
+
+// testQueries mixes queries cut from the dataset (hit-heavy), free random
+// ones (mostly no answer), a single vertex and the empty graph.
+func testQueries(r *rand.Rand, ds *dataset.Dataset, n, labels int) []*graph.Graph {
+	qs := []*graph.Graph{graph.NewBuilder().MustBuild(), path(0)}
+	live := ds.AllIDs()
+	for len(qs) < n {
+		if len(live) > 0 && r.Intn(2) == 0 {
+			qs = append(qs, subgraphOf(r, ds.Graph(live[r.Intn(len(live))]), 1+r.Intn(6)))
+		} else {
+			qs = append(qs, randomGraph(r, 1+r.Intn(6), labels, 0.4))
+		}
+	}
+	return qs
+}
+
+// TestVerdictsEqualRebuildUnderMutation drives one index through a seeded
+// history of adds, removals and edits and checks, after every step, that
+// its filter and its location-restricted verdicts are those of a fresh
+// build over the resulting dataset, and that its answers are a VF2 scan's.
+func TestVerdictsEqualRebuildUnderMutation(t *testing.T) {
+	for _, opts := range []Options{{MaxPathLen: 3, Threads: 1}, {MaxPathLen: 2, Threads: 6}} {
+		r := rand.New(rand.NewSource(41))
+		ds := randomDataset(r, 20, 9, 3, 0.3)
+		idx := New(ds, opts)
+		si := method.NewVF2(ds)
+		check := func(step int, what string) {
+			t.Helper()
+			fresh := New(ds, opts)
+			for i, q := range testQueries(r, ds, 6, 3) {
+				if got, want := idx.Filter(q), fresh.Filter(q); !slices.Equal(got, want) {
+					t.Fatalf("%+v step %d (%s) query %d: Filter = %v, fresh build %v", opts, step, what, i, got, want)
+				}
+				ids := ds.AllIDs()
+				if got, want := idx.VerifyBatch(q, ids), fresh.VerifyBatch(q, ids); !slices.Equal(got, want) {
+					t.Fatalf("%+v step %d (%s) query %d: VerifyBatch = %v, fresh build %v", opts, step, what, i, got, want)
+				}
+				if got, want := method.Answer(idx, q), method.Answer(si, q); !slices.Equal(got, want) {
+					t.Fatalf("%+v step %d (%s) query %d: Answer = %v, VF2 scan %v", opts, step, what, i, got, want)
+				}
+			}
+		}
+		randomLive := func() int32 { live := ds.AllIDs(); return live[r.Intn(len(live))] }
+		for step := 0; step < 120; step++ {
+			switch op := r.Intn(6); {
+			case op == 0 || ds.Live() < 5: // add one or two
+				gs := []*graph.Graph{randomGraph(r, 2+r.Intn(9), 3, 0.3)}
+				if r.Intn(2) == 0 {
+					gs = append(gs, randomGraph(r, 2+r.Intn(9), 4, 0.3))
+				}
+				ds.AddGraphs(gs)
+				idx.ApplyDatasetMutation(gs, nil, nil)
+				check(step, "add")
+			case op == 1: // add, then remove what was added
+				gs := []*graph.Graph{randomGraph(r, 2+r.Intn(9), 7, 0.3)}
+				ids := ds.AddGraphs(gs)
+				idx.ApplyDatasetMutation(gs, nil, nil)
+				ds.RemoveGraphs(ids)
+				idx.ApplyDatasetMutation(nil, nil, ids)
+				check(step, "add→remove")
+			case op == 2: // remove one
+				gone := ds.RemoveGraphs([]int32{randomLive()})
+				idx.ApplyDatasetMutation(nil, nil, gone)
+				check(step, "remove")
+			case op == 3: // remove a few, with a replacement arriving in the same mutation
+				gone := ds.RemoveGraphs([]int32{randomLive(), randomLive()})
+				gs := []*graph.Graph{randomGraph(r, 2+r.Intn(9), 3, 0.3)}
+				ds.AddGraphs(gs)
+				idx.ApplyDatasetMutation(gs, nil, gone)
+				check(step, "remove+add")
+			case op == 4: // edit down to a single vertex
+				g, err := ds.Replace(randomLive(), path(graph.Label(r.Intn(3))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				idx.ApplyDatasetMutation(nil, []*graph.Graph{g}, nil)
+				check(step, "shrinking edit")
+			default: // edit to unrelated content
+				g, err := ds.Replace(randomLive(), randomGraph(r, 2+r.Intn(9), 3, 0.4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				idx.ApplyDatasetMutation(nil, []*graph.Graph{g}, nil)
+				check(step, "edit")
+			}
+		}
 	}
 }
 
