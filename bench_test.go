@@ -393,7 +393,6 @@ func BenchmarkSubIso(b *testing.B) {
 		"vf2":     graphcache.NewVF2(ds),
 		"vf2plus": graphcache.NewVF2Plus(ds),
 		"graphql": graphcache.NewGraphQL(ds),
-		"ullmann": graphcache.NewUllmann(ds),
 	}
 	for name, m := range ms {
 		b.Run(name, func(b *testing.B) {

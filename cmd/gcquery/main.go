@@ -60,7 +60,7 @@ func main() {
 	var (
 		dsFile    = flag.String("dataset", "", "dataset file (required)")
 		qFile     = flag.String("queries", "", "query workload file (required)")
-		methodNm  = flag.String("method", "ggsx", "method: ggsx, grapes1, grapes6, ctindex, vf2, vf2plus, graphql, ullmann")
+		methodNm  = flag.String("method", "ggsx", "method: ggsx, grapes1, grapes6, ctindex, vf2, vf2plus, graphql")
 		useCache  = flag.Bool("cache", false, "wrap the method in GraphCache")
 		compare   = flag.Bool("compare", false, "run both bare and cached, report speedups")
 		cacheSize = flag.Int("cache-size", 100, "cache capacity C in queries")

@@ -66,7 +66,7 @@ import (
 func main() {
 	var (
 		dsFile    = flag.String("dataset", "", "dataset file in t/v/e format (required)")
-		methodNm  = flag.String("method", "ggsx", "method: ggsx, grapes1, grapes6, ctindex, vf2, vf2plus, graphql, ullmann")
+		methodNm  = flag.String("method", "ggsx", "method: ggsx, grapes1, grapes6, ctindex, vf2, vf2plus, graphql")
 		addr      = flag.String("addr", "127.0.0.1:7621", "listen address (port 0 picks an ephemeral port)")
 		snapshot  = flag.String("snapshot", "", "snapshot file: loaded on start if present, written on shutdown")
 		journal   = flag.String("journal", "", "mutation write-ahead log: fsynced before each /mutate ack, replayed over the snapshot on start")

@@ -456,9 +456,11 @@
 // dropped, current counts merged in — so its index always equals a fresh
 // build over the current dataset and does not grow with the mutation
 // count, at the price of one linear pass over the index per mutation (see
-// ggsx.Index.ApplyDatasetMutation); Grapes purges and re-inserts edited
-// graphs (its occurrence locations bound the verify region, so staleness
-// there could lose answers); CT-Index grows/zeroes its fingerprint slots;
+// ggsx.Index.ApplyDatasetMutation); Grapes, which is GGSX's columns plus
+// per-graph occurrence locations, does the same to the columns, drops the
+// locations of removed graphs and recomputes those of added and edited
+// ones (the locations bound the verify region, so staleness there could
+// lose answers); CT-Index grows/zeroes its fingerprint slots;
 // and the SI methods need no maintenance at all. ApplyMutation refuses a
 // Method that does not implement DynamicMethod with ErrStaticMethod.
 //

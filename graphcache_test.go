@@ -65,7 +65,6 @@ func TestCacheMatchesBaseline(t *testing.T) {
 		"vf2":     graphcache.NewVF2(ds),
 		"vf2plus": graphcache.NewVF2Plus(ds),
 		"graphql": graphcache.NewGraphQL(ds),
-		"ullmann": graphcache.NewUllmann(ds),
 	}
 	qs := typeAWorkload(t, ds, "ZU", 60)
 	for name, m := range methods {

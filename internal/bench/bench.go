@@ -243,16 +243,15 @@ func AllWorkloadLabels() []string {
 // The FTV indexes are built once per (method, dataset) pair.
 //
 // On the dense PCM/Synthetic datasets (average degree ≈ 20) the path
-// methods index paths of length ≤ 2 instead of the paper's 4: length-4
-// simple-path enumeration is combinatorially infeasible there (billions
-// of paths), and shorter features only weaken filtering — exactly the
-// regime Figure 9 studies, where verification dominates.
+// methods (GGSX, Grapes) index simple paths of ≤ 2 edges instead of the
+// paper's 4: length-4 enumeration is combinatorially infeasible there
+// (billions of paths), and shorter paths only weaken filtering — exactly
+// the regime Figure 9 studies, where verification dominates.
 func (e *Env) Method(name, dsName string) method.Method {
 	ds := e.Dataset(dsName)
 	key := name + "/" + dsName
-	dense := dsName == "PCM" || dsName == "Synthetic"
 	pathLen := 4
-	if dense {
+	if dsName == "PCM" || dsName == "Synthetic" {
 		pathLen = 2
 	}
 	e.mu.Lock()
@@ -265,7 +264,7 @@ func (e *Env) Method(name, dsName string) method.Method {
 	case "ctindex":
 		m = ctindex.New(ds, ctindex.Options{})
 	case "ggsx":
-		m = ggsx.New(ds, ggsx.Options{MaxPathLen: pathLen, UseWalks: dense})
+		m = ggsx.New(ds, ggsx.Options{MaxPathLen: pathLen})
 	case "grapes1":
 		m = grapes.New(ds, grapes.Options{Threads: 1, MaxPathLen: pathLen})
 	case "grapes6":

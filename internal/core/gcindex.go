@@ -351,18 +351,6 @@ func (sc *slotScratch) reset(n int) (domBy, covers []int32) {
 	return domBy, covers
 }
 
-// candidates probes the index with the new query's feature counts and
-// returns, in ascending serial order, the sub-candidates (potential
-// containers of q) and super-candidates (potentially contained in q).
-// Candidates still require sub-iso confirmation against the cached query
-// graphs; the filter guarantees no false negatives only. It is the
-// allocating convenience around candidatesInto for tests and one-off
-// probes.
-func (ix *queryIndex) candidates(qc pathfeat.Counts) (sub, super []int64) {
-	var sc slotScratch
-	return ix.candidatesInto(pathfeat.VectorOf(qc), nil, nil, &sc)
-}
-
 // candidatesInto probes the index with the query's feature vector,
 // appending into caller-provided buffers (typically pooled, reset to
 // [:0]). The probe is a counted merge: for every feature of qv its column

@@ -18,6 +18,15 @@ func pathG(labels ...graph.Label) *graph.Graph {
 	return b.MustBuild()
 }
 
+// candidates probes the index with the query's feature counts and
+// returns, in ascending serial order, the sub-candidates (potential
+// containers of q) and super-candidates (potentially contained in q): the
+// allocating convenience around candidatesInto.
+func (ix *queryIndex) candidates(qc pathfeat.Counts) (sub, super []int64) {
+	var sc slotScratch
+	return ix.candidatesInto(pathfeat.VectorOf(qc), nil, nil, &sc)
+}
+
 func entryOf(serial int64, g *graph.Graph, answer ...int32) *entry {
 	return &entry{serial: serial, g: g, answer: answer}
 }

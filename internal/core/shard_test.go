@@ -170,15 +170,14 @@ func TestShardRoutingUsesFeatureHash(t *testing.T) {
 	if a.routeHash(4) == other.routeHash(4) {
 		t.Error("distinct feature sets should (overwhelmingly) hash apart")
 	}
-	if h := pathfeat.Hash(nil); h != 0 {
+	if h := pathfeat.HashVector(nil); h != 0 {
 		t.Errorf("empty feature set must hash to 0, got %d", h)
 	}
-	// The vector hash must agree with the map hash — the snapshot
-	// round-trip across shard counts relies on routing being a pure
-	// function of the feature multiset.
+	// The snapshot round-trip across shard counts relies on routing being
+	// a pure function of the feature multiset.
 	c := pathfeat.SimplePaths(a.g, 4)
-	if got, want := pathfeat.HashVector(pathfeat.VectorOf(c)), pathfeat.Hash(c); got != want {
-		t.Errorf("HashVector = %d, want Hash %d", got, want)
+	if got, want := a.routeHash(4), pathfeat.HashVector(pathfeat.VectorOf(c)); got != want {
+		t.Errorf("routing hash = %d, want HashVector(VectorOf(SimplePaths)) %d", got, want)
 	}
 }
 

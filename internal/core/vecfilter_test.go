@@ -116,9 +116,9 @@ func TestEntryHashIsTheCountsHash(t *testing.T) {
 	seen := 0
 	for si, sh := range c.shards {
 		for _, we := range sh.window {
-			want := pathfeat.Hash(pathfeat.SimplePaths(we.e.g, c.opts.MaxPathLen))
+			want := pathfeat.HashVector(pathfeat.VectorOf(pathfeat.SimplePaths(we.e.g, c.opts.MaxPathLen)))
 			if !we.e.hashed || we.e.hash != want {
-				t.Errorf("entry %d: stored hash %x (set: %v), Hash(SimplePaths) = %x", we.e.serial, we.e.hash, we.e.hashed, want)
+				t.Errorf("entry %d: stored hash %x (set: %v), HashVector(VectorOf(SimplePaths)) = %x", we.e.serial, we.e.hash, we.e.hashed, want)
 			}
 			if int(want%4) != si {
 				t.Errorf("entry %d sits in shard %d, its hash names shard %d", we.e.serial, si, want%4)

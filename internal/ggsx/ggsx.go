@@ -16,11 +16,7 @@
 // graphs whose count of every feature dominates the query's; verification
 // runs VF2. A dataset mutation deletes the postings of the graphs it
 // removes or replaces and merges in those of the graphs it brings, exactly,
-// so the index always equals a fresh build over the current dataset. For
-// dense datasets the index can be built over walk counts instead of
-// simple-path counts (see pathfeat), trading filtering power for
-// index-construction time while preserving the no-false-negative
-// guarantee.
+// so the index always equals a fresh build over the current dataset.
 package ggsx
 
 import (
@@ -39,9 +35,6 @@ type Options struct {
 	// MaxPathLen is the maximum path length in edges (default 4, the
 	// paper's configuration for GGSX and Grapes).
 	MaxPathLen int
-	// UseWalks switches the dataset-side feature extraction to walk
-	// counting — the documented dense-graph fallback.
-	UseWalks bool
 }
 
 func (o Options) withDefaults() Options {
@@ -125,13 +118,7 @@ func (idx *Index) ApplyDatasetMutation(added, edited []*graph.Graph, removed []i
 	for _, gs := range [][]*graph.Graph{added, edited} {
 		for _, g := range gs {
 			dead[g.ID()] = true
-			var vec pathfeat.Vector
-			if idx.opts.UseWalks {
-				vec = pathfeat.VectorOf(pathfeat.Walks(g, idx.opts.MaxPathLen))
-			} else {
-				vec = pathfeat.SimplePathVector(g, idx.opts.MaxPathLen)
-			}
-			for _, fc := range vec {
+			for _, fc := range pathfeat.SimplePathVector(g, idx.opts.MaxPathLen) {
 				fresh = append(fresh, posting{fc.ID, g.ID(), fc.Count})
 			}
 		}
@@ -325,6 +312,6 @@ func (idx *Index) Verify(q *graph.Graph, id int32) bool {
 	return iso.Contains(idx.algo, q, idx.ds.Graph(id))
 }
 
-// FeatureCount returns the number of distinct features with postings —
-// the index's footprint, reported by the space-overhead experiment.
+// FeatureCount returns the number of distinct feature IDs with postings —
+// the number of columns.
 func (idx *Index) FeatureCount() int { return len(idx.cols.feats) }

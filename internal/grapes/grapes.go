@@ -1,20 +1,24 @@
 // Package grapes implements Grapes [Giugno et al., PLoS One 2013]: a
-// filter-then-verify subgraph-query method that, like GraphGrepSX, indexes
-// label paths up to length 4, but additionally records the *locations*
-// (vertex sets) of each path's occurrences. Verification is restricted to
-// the connected components of the subgraph induced by the matched paths'
-// locations, and runs on a configurable worker pool — the paper evaluates
-// Grapes1 (1 thread) and Grapes6 (6 threads). As in the paper's modified
-// build, query processing stops at the first match in each dataset graph.
+// filter-then-verify subgraph-query method that is GraphGrepSX's label-path
+// filter plus location-restricted verification. The index is a ggsx.Index —
+// its filter, vector filter and posting columns are GGSX's — and beside it,
+// per dataset graph, the vertices the occurrences of each path cover
+// (pathfeat.PathLocations). Verification is restricted to the connected
+// components of the subgraph induced by the locations of the query's paths,
+// and runs on a configurable worker pool — the paper evaluates Grapes1
+// (1 thread) and Grapes6 (6 threads). As in the paper's modified build,
+// query processing stops at the first match in each dataset graph.
 package grapes
 
 import (
+	"slices"
+	"strconv"
 	"sync"
 
 	"graphcache/internal/dataset"
+	"graphcache/internal/ggsx"
 	"graphcache/internal/graph"
 	"graphcache/internal/iso"
-	"graphcache/internal/method"
 	"graphcache/internal/pathfeat"
 )
 
@@ -36,154 +40,93 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-type posting struct {
-	count int32
-	locs  []int32 // sorted vertex ids covered by occurrences
-}
-
-// Index is a built Grapes index. It implements method.Method and
-// method.BatchVerifier for subgraph queries.
+// Index is a built Grapes index. It implements method.Method,
+// method.VectorFilter, method.DynamicMethod and method.BatchVerifier for
+// subgraph queries; Filter, FilterVector and FilterPathLen are GGSX's.
 type Index struct {
-	ds       *dataset.Dataset
-	opts     Options
-	features map[pathfeat.Key]map[int32]posting
-	algo     iso.Algorithm
+	*ggsx.Index
+	opts Options
+	locs []pathfeat.PathLocations // by graph ID; empty for removed graphs
 }
 
 // New builds the Grapes index over ds.
 func New(ds *dataset.Dataset, opts Options) *Index {
 	opts = opts.withDefaults()
 	idx := &Index{
-		ds:       ds,
-		opts:     opts,
-		features: make(map[pathfeat.Key]map[int32]posting),
-		algo:     iso.VF2{},
+		Index: ggsx.New(ds, ggsx.Options{MaxPathLen: opts.MaxPathLen}),
+		opts:  opts,
+		locs:  make([]pathfeat.PathLocations, ds.Len()),
 	}
 	for _, g := range ds.Graphs() {
-		if g == nil { // tombstone of a removed graph
-			continue
+		if g != nil { // nil: tombstone of a removed graph
+			idx.locate(g)
 		}
-		idx.insertGraph(g)
 	}
 	return idx
 }
 
-// insertGraph writes g's feature counts and occurrence locations into
-// the posting lists.
-func (idx *Index) insertGraph(g *graph.Graph) {
-	counts, locs := pathfeat.SimplePathsWithLocations(g, idx.opts.MaxPathLen)
-	for k, c := range counts {
-		m := idx.features[k]
-		if m == nil {
-			m = make(map[int32]posting)
-			idx.features[k] = m
-		}
-		m[g.ID()] = posting{count: c, locs: locs[k]}
-	}
+// locate computes g's location index.
+func (idx *Index) locate(g *graph.Graph) {
+	idx.locs[g.ID()] = pathfeat.SimplePathLocations(g, idx.opts.MaxPathLen)
 }
 
-// purge deletes every posting of id across all features.
-func (idx *Index) purge(id int32) {
-	for k, m := range idx.features {
-		if _, ok := m[id]; ok {
-			delete(m, id)
-			if len(m) == 0 {
-				delete(idx.features, k)
-			}
-		}
-	}
-}
-
-// ApplyDatasetMutation implements method.DynamicMethod. Grapes cannot
-// tolerate stale postings on edited graphs: occurrence locations bound
-// the region Verify searches (matchRegion), so a stale location set
-// could shrink the search below the true occurrences — a false
-// negative. Edited graphs are therefore purged and re-inserted
-// with exact counts and locations; removed IDs are purged outright.
+// ApplyDatasetMutation implements method.DynamicMethod. The GGSX columns
+// are rewritten exactly (ggsx.Index.ApplyDatasetMutation). Locations bound
+// the region Verify searches, so a stale set could shrink the search below
+// the true occurrences — a false negative: removed graphs lose theirs, and
+// added and edited graphs have theirs computed afresh.
 func (idx *Index) ApplyDatasetMutation(added, edited []*graph.Graph, removed []int32) {
+	idx.Index.ApplyDatasetMutation(added, edited, removed)
+	if n := idx.Dataset().Len(); n < len(idx.locs) {
+		clear(idx.locs[n:]) // a snapshot load can shorten the dataset
+		idx.locs = idx.locs[:n]
+	} else {
+		idx.locs = append(idx.locs, make([]pathfeat.PathLocations, n-len(idx.locs))...)
+	}
 	for _, id := range removed {
-		idx.purge(id)
+		idx.locs[id] = pathfeat.PathLocations{}
 	}
-	for _, g := range edited {
-		idx.purge(g.ID())
-		idx.insertGraph(g)
-	}
-	for _, g := range added {
-		idx.insertGraph(g)
+	for _, gs := range [][]*graph.Graph{added, edited} {
+		for _, g := range gs {
+			idx.locate(g)
+		}
 	}
 }
 
 // Name implements method.Method. Thread count is part of the name so that
 // Grapes1 and Grapes6 are distinguishable in reports.
-func (idx *Index) Name() string {
-	if idx.opts.Threads == 1 {
-		return "grapes1"
-	}
-	return "grapes" + itoa(idx.opts.Threads)
-}
-
-// Mode implements method.Method.
-func (idx *Index) Mode() method.Mode { return method.ModeSubgraph }
-
-// Dataset implements method.Method.
-func (idx *Index) Dataset() *dataset.Dataset { return idx.ds }
-
-// Filter implements method.Method, identically to GGSX: count domination
-// over all query paths.
-func (idx *Index) Filter(q *graph.Graph) []int32 {
-	qc := pathfeat.SimplePaths(q, idx.opts.MaxPathLen)
-	n := idx.ds.Len()
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	remaining := n
-	for k, c := range qc {
-		if remaining == 0 {
-			break
-		}
-		postings := idx.features[k]
-		if postings == nil {
-			return nil
-		}
-		for id := 0; id < n; id++ {
-			if alive[id] && postings[int32(id)].count < c {
-				alive[id] = false
-				remaining--
-			}
-		}
-	}
-	out := make([]int32, 0, remaining)
-	for id := 0; id < n; id++ {
-		if alive[id] {
-			out = append(out, int32(id))
-		}
-	}
-	return out
-}
+func (idx *Index) Name() string { return "grapes" + strconv.Itoa(idx.opts.Threads) }
 
 // Verify implements method.Method: location-restricted sub-iso testing.
-// Any embedding of q must lie within the union of the locations of q's
-// path features (every query vertex sits on some edge feature), so it
-// suffices to test the connected components of the induced subgraph on
-// that union.
 func (idx *Index) Verify(q *graph.Graph, id int32) bool {
-	g := idx.ds.Graph(id)
+	return idx.verify(q, idx.queryPaths(q), id)
+}
+
+// queryPaths returns the IDs of q's paths of ≥ 1 edge, ascending.
+func (idx *Index) queryPaths(q *graph.Graph) []uint64 {
+	return pathfeat.SimplePathLocations(q, idx.opts.MaxPathLen).IDs
+}
+
+// verify tests q ⊆ G_id given q's path IDs. Any embedding of q lies within
+// the region (see region), so it suffices to test the connected components
+// of the subgraph the region induces.
+func (idx *Index) verify(q *graph.Graph, qPaths []uint64, id int32) bool {
 	if q.NumVertices() == 0 {
 		return true
 	}
-	region := idx.matchRegion(q, id)
+	g := idx.Dataset().Graph(id)
+	region := idx.region(q, qPaths, id)
 	if len(region) < q.NumVertices() {
 		return false
 	}
 	if len(region) == g.NumVertices() {
 		// Region covers the whole graph: skip the extraction.
-		return iso.Contains(idx.algo, q, g)
+		return iso.Contains(iso.VF2{}, q, g)
 	}
 	sub, _, err := g.InducedSubgraph(region)
 	if err != nil {
 		// Defensive: fall back to the full graph rather than mis-answer.
-		return iso.Contains(idx.algo, q, g)
+		return iso.Contains(iso.VF2{}, q, g)
 	}
 	if q.IsConnected() {
 		for _, comp := range sub.ConnectedComponents() {
@@ -194,63 +137,65 @@ func (idx *Index) Verify(q *graph.Graph, id int32) bool {
 			if err != nil {
 				continue
 			}
-			if iso.Contains(idx.algo, q, compG) {
+			if iso.Contains(iso.VF2{}, q, compG) {
 				return true
 			}
 		}
 		return false
 	}
-	return iso.Contains(idx.algo, q, sub)
+	return iso.Contains(iso.VF2{}, q, sub)
 }
 
-// matchRegion returns the sorted union of location vertices of q's path
-// features in graph id. Features of length ≥ 1 edge cover every query
-// vertex with an incident edge; for isolated query vertices (and for
-// edge-free queries) the single-label features of their labels are added,
-// so the region provably contains every possible embedding image.
-func (idx *Index) matchRegion(q *graph.Graph, id int32) []int32 {
-	qc := pathfeat.SimplePaths(q, idx.opts.MaxPathLen)
-	isolated := make(map[pathfeat.Key]struct{})
-	for v := int32(0); int(v) < q.NumVertices(); v++ {
+// region returns, ascending, the vertices of graph id that the paths under
+// q's path IDs cover — every image of a query vertex with an incident edge
+// — and those carrying the label of an isolated query vertex, so it
+// contains every possible embedding image. An ID that collides can only
+// add vertices.
+func (idx *Index) region(q *graph.Graph, qPaths []uint64, id int32) []int32 {
+	g := idx.Dataset().Graph(id)
+	in := make([]bool, g.NumVertices())
+	loc := &idx.locs[id]
+	k := 0
+	for _, p := range qPaths {
+		// qPaths and loc.IDs both ascend, so each search resumes where
+		// the last one ended.
+		at, found := slices.BinarySearch(loc.IDs[k:], p)
+		k += at
+		if found {
+			for _, v := range loc.Vertices(k) {
+				in[v] = true
+			}
+		}
+	}
+	for v := range int32(q.NumVertices()) {
 		if q.Degree(v) == 0 {
-			isolated[pathfeat.Encode([]graph.Label{q.Label(v)})] = struct{}{}
-		}
-	}
-	set := make(map[int32]struct{})
-	for k := range qc {
-		if pathfeat.KeyLen(k) < 2 {
-			if _, need := isolated[k]; !need {
-				continue
-			}
-		}
-		if p, ok := idx.features[k][id]; ok {
-			for _, v := range p.locs {
-				set[v] = struct{}{}
+			for u := range int32(g.NumVertices()) {
+				in[u] = in[u] || g.Label(u) == q.Label(v)
 			}
 		}
 	}
-	region := make([]int32, 0, len(set))
-	for v := range set {
-		region = append(region, v)
+	var region []int32
+	for v, ok := range in {
+		if ok {
+			region = append(region, int32(v))
+		}
 	}
-	sortInt32s(region)
 	return region
 }
 
 // VerifyBatch implements method.BatchVerifier with the configured worker
-// pool, mirroring Grapes' parallel verification stage.
+// pool, mirroring Grapes' parallel verification stage. q's paths are
+// extracted once for the whole batch.
 func (idx *Index) VerifyBatch(q *graph.Graph, ids []int32) []bool {
 	out := make([]bool, len(ids))
 	if len(ids) == 0 {
 		return out
 	}
-	workers := idx.opts.Threads
-	if workers > len(ids) {
-		workers = len(ids)
-	}
+	qPaths := idx.queryPaths(q)
+	workers := min(idx.opts.Threads, len(ids))
 	if workers <= 1 {
 		for i, id := range ids {
-			out[i] = idx.Verify(q, id)
+			out[i] = idx.verify(q, qPaths, id)
 		}
 		return out
 	}
@@ -261,7 +206,7 @@ func (idx *Index) VerifyBatch(q *graph.Graph, ids []int32) []bool {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i] = idx.Verify(q, ids[i])
+				out[i] = idx.verify(q, qPaths, ids[i])
 			}
 		}()
 	}
@@ -271,31 +216,4 @@ func (idx *Index) VerifyBatch(q *graph.Graph, ids []int32) []bool {
 	close(next)
 	wg.Wait()
 	return out
-}
-
-// FeatureCount returns the number of distinct indexed path features.
-func (idx *Index) FeatureCount() int { return len(idx.features) }
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-func sortInt32s(s []int32) {
-	for gap := len(s) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(s); i++ {
-			for j := i; j >= gap && s[j-gap] > s[j]; j -= gap {
-				s[j-gap], s[j] = s[j], s[j-gap]
-			}
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package grapes
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"graphcache/internal/graph"
 	"graphcache/internal/iso"
 	"graphcache/internal/method"
+	"graphcache/internal/pathfeat"
 )
 
 func randomGraph(r *rand.Rand, n, labels int, p float64) *graph.Graph {
@@ -292,6 +294,118 @@ func TestVerdictsEqualRebuildUnderMutation(t *testing.T) {
 	}
 }
 
+// keyLocations is the string-keyed location index of g by definition: the
+// label sequence of each simple path of 0..maxLen edges, encoded as a
+// pathfeat.Key, maps to the sorted vertices its occurrences cover.
+func keyLocations(g *graph.Graph, maxLen int) map[pathfeat.Key][]int32 {
+	locs := make(map[pathfeat.Key][]int32)
+	visited := make([]bool, g.NumVertices())
+	var path []int32
+	var key []byte
+	var rec func(v int32)
+	rec = func(v int32) {
+		visited[v] = true
+		path = append(path, v)
+		key = append(key, byte(g.Label(v)>>8), byte(g.Label(v)))
+		locs[string(key)] = append(locs[string(key)], path...)
+		if len(path) <= maxLen {
+			for _, u := range g.Neighbors(v) {
+				if !visited[u] {
+					rec(u)
+				}
+			}
+		}
+		visited[v] = false
+		path, key = path[:len(path)-1], key[:len(key)-2]
+	}
+	for v := range int32(g.NumVertices()) {
+		rec(v)
+	}
+	for k, vs := range locs {
+		slices.Sort(vs)
+		locs[k] = slices.Compact(vs)
+	}
+	return locs
+}
+
+// mapRegion is the verification region as the map-based index computed
+// it: the union of g's locations of q's keys of ≥ 1 edge and of the
+// single-label keys of q's isolated vertices.
+func mapRegion(q, g *graph.Graph, maxLen int) []int32 {
+	gl := keyLocations(g, maxLen)
+	var region []int32
+	for k := range pathfeat.SimplePaths(q, maxLen) {
+		if len(k) == 2 { // one label: kept only for isolated query vertices
+			isolated := false
+			for v := range int32(q.NumVertices()) {
+				isolated = isolated || q.Degree(v) == 0 && pathfeat.Key([]byte{byte(q.Label(v) >> 8), byte(q.Label(v))}) == k
+			}
+			if !isolated {
+				continue
+			}
+		}
+		region = append(region, gl[k]...)
+	}
+	slices.Sort(region)
+	return slices.Compact(region)
+}
+
+// locationsUnder is g's location index with IDs drawn from id instead of
+// FNV-1a: keys of ≥ 1 edge regrouped by ID, colliding keys' vertices
+// merged.
+func locationsUnder(g *graph.Graph, maxLen int, id func(pathfeat.Key) uint64) pathfeat.PathLocations {
+	byID := make(map[uint64][]int32)
+	for k, vs := range keyLocations(g, maxLen) {
+		if len(k) >= 4 {
+			byID[id(k)] = append(byID[id(k)], vs...)
+		}
+	}
+	var loc pathfeat.PathLocations
+	for _, f := range slices.Sorted(maps.Keys(byID)) {
+		vs := byID[f]
+		slices.Sort(vs)
+		loc.IDs = append(loc.IDs, f)
+		loc.Verts = append(loc.Verts, slices.Compact(vs)...)
+		loc.Ends = append(loc.Ends, uint32(len(loc.Verts)))
+	}
+	return loc
+}
+
+// TestRegionEqualsMapRegion: the region drawn from the flat location index
+// is the map-based index's, vertex for vertex; under IDs folded onto five
+// values it can only grow, and the verdict stays the VF2 verdict.
+func TestRegionEqualsMapRegion(t *testing.T) {
+	fold := func(k pathfeat.Key) uint64 { return uint64(len(k)+int(k[len(k)-1])) % 5 }
+	for seed := int64(0); seed < 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ds := randomDataset(r, 15, 10, 3, 0.3)
+		opts := Options{MaxPathLen: 3}
+		idx := New(ds, opts)
+		folded := &Index{Index: idx.Index, opts: idx.opts, locs: make([]pathfeat.PathLocations, ds.Len())}
+		for _, g := range ds.Graphs() {
+			folded.locs[g.ID()] = locationsUnder(g, opts.MaxPathLen, fold)
+		}
+		for i, q := range testQueries(r, ds, 20, 3) {
+			qFolded := locationsUnder(q, opts.MaxPathLen, fold).IDs
+			for _, g := range ds.Graphs() {
+				want := mapRegion(q, g, opts.MaxPathLen)
+				if got := idx.region(q, idx.queryPaths(q), g.ID()); !slices.Equal(got, want) {
+					t.Fatalf("seed %d query %d graph %d: region %v, map-based %v", seed, i, g.ID(), got, want)
+				}
+				got := folded.region(q, qFolded, g.ID())
+				for _, v := range want {
+					if _, found := slices.BinarySearch(got, v); !found {
+						t.Fatalf("seed %d query %d graph %d: folded region %v lost vertex %d of %v", seed, i, g.ID(), got, v, want)
+					}
+				}
+				if got, want := folded.verify(q, qFolded, g.ID()), iso.Contains(iso.VF2{}, q, g); got != want {
+					t.Fatalf("seed %d query %d graph %d: folded verdict %v, VF2 %v", seed, i, g.ID(), got, want)
+				}
+			}
+		}
+	}
+}
+
 func equalIDs(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
@@ -302,4 +416,20 @@ func equalIDs(a, b []int32) bool {
 		}
 	}
 	return true
+}
+
+// BenchmarkGrapesBuild builds the index over a molecule-like dataset:
+// sparse graphs of 15–45 vertices over a handful of labels.
+func BenchmarkGrapesBuild(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	gs := make([]*graph.Graph, 400)
+	for i := range gs {
+		n := 15 + r.Intn(30)
+		gs[i] = randomGraph(r, n, 5, 2.2/float64(n))
+	}
+	ds := dataset.New(gs)
+	b.ReportAllocs()
+	for b.Loop() {
+		New(ds, Options{})
+	}
 }

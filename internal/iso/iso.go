@@ -1,8 +1,7 @@
 // Package iso implements non-induced subgraph-isomorphism decision
 // algorithms for undirected vertex-labelled graphs: VF2 [Cordella et al.,
 // TPAMI 2004], VF2+ (VF2 with rarity/degree-driven ordering, the variant
-// bundled with CT-Index), GraphQL [He & Singh, SIGMOD 2008] and Ullmann
-// [J.ACM 1976], plus a brute-force reference matcher used in tests.
+// bundled with CT-Index) and GraphQL [He & Singh, SIGMOD 2008].
 //
 // All matchers answer the decision problem — does an injective,
 // label-preserving mapping φ from pattern to target exist such that every

@@ -10,7 +10,7 @@ import (
 
 // all returns every real matcher (Brute is the oracle, tested implicitly).
 func all() []Algorithm {
-	return []Algorithm{VF2{}, VF2Plus{}, GraphQL{}, Ullmann{}}
+	return []Algorithm{VF2{}, VF2Plus{}, GraphQL{}}
 }
 
 func path(labels ...graph.Label) *graph.Graph {

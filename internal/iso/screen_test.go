@@ -30,9 +30,8 @@ func relabel(g *graph.Graph, off graph.Label) *graph.Graph {
 	return bd.MustBuild()
 }
 
-// TestMatchersAgree is the cross-matcher differential: brute, Ullmann,
-// VF2, VF2+ and GraphQL must return the same verdict on every pair. All
-// five start from the shared quickReject screen, so the pair families aim
+// TestMatchersAgree is the cross-matcher differential: brute, VF2, VF2+
+// and GraphQL must return the same verdict on every pair. All four start from the shared quickReject screen, so the pair families aim
 // at its corners — empty and single-vertex graphs, disconnected patterns
 // and targets, label-disjoint pairs — next to plain random pairs.
 func TestMatchersAgree(t *testing.T) {

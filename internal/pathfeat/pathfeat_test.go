@@ -2,11 +2,77 @@ package pathfeat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"graphcache/internal/graph"
 )
+
+// Encode converts a label sequence into a Key.
+func Encode(labels []graph.Label) Key {
+	b := make([]byte, 2*len(labels))
+	for i, l := range labels {
+		b[2*i] = byte(l >> 8)
+		b[2*i+1] = byte(l)
+	}
+	return Key(b)
+}
+
+// Decode converts a Key back to its label sequence.
+func Decode(k Key) []graph.Label {
+	labels := make([]graph.Label, len(k)/2)
+	for i := range labels {
+		labels[i] = graph.Label(k[2*i])<<8 | graph.Label(k[2*i+1])
+	}
+	return labels
+}
+
+// KeyLen returns the number of labels encoded in k.
+func KeyLen(k Key) int { return len(k) / 2 }
+
+// Hash is HashVector's definition over Counts: each (feature, count) pair
+// is hashed on its own and the pair hashes combine with XOR, so the result
+// is independent of map iteration order.
+func Hash(c Counts) uint64 {
+	var h uint64
+	for k, n := range c {
+		h ^= mixPair(keyBytesHash(k), n)
+	}
+	return h
+}
+
+// Dominates reports whether have satisfies the filtering condition for
+// want: every feature of want occurs in have at least as often.
+func Dominates(have, want Counts) bool {
+	for k, c := range want {
+		if have[k] < c {
+			return false
+		}
+	}
+	return true
+}
+
+// Locations maps each path feature to the sorted set of vertices covered
+// by at least one of its occurrences.
+type Locations map[Key][]int32
+
+// SimplePathsWithLocations is the string-keyed definition of
+// SimplePathLocations: it counts directed simple paths and records the
+// vertices their occurrences cover.
+func SimplePathsWithLocations(g *graph.Graph, maxLen int) (Counts, Locations) {
+	c := make(Counts)
+	locs := make(Locations)
+	enumerate(g, maxLen, func(path []int32, key Key) {
+		c[key]++
+		locs[key] = append(locs[key], path...)
+	})
+	for k, vs := range locs {
+		slices.Sort(vs)
+		locs[k] = slices.Compact(vs)
+	}
+	return c, locs
+}
 
 func path(labels ...graph.Label) *graph.Graph {
 	b := graph.NewBuilder()
@@ -129,38 +195,6 @@ func TestSimplePathsAreSimple(t *testing.T) {
 		if KeyLen(k) > 3 {
 			t.Fatalf("simple path enumeration revisited a vertex: %v", Decode(k))
 		}
-	}
-}
-
-func TestWalksDominateSimplePaths(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randomGraph(r, 3+r.Intn(10), 3, 0.4)
-		sp := SimplePaths(g, 3)
-		w := Walks(g, 3)
-		return Dominates(w, sp)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWalksOnTreeEqualPathsForShortLengths(t *testing.T) {
-	// On a path graph, walks of length ≤ 1 are exactly the simple paths.
-	g := path(1, 2, 1)
-	w := Walks(g, 1)
-	sp := SimplePaths(g, 1)
-	for k, c := range sp {
-		if w[k] != c {
-			t.Errorf("walk count(%v) = %d, want %d", Decode(k), w[k], c)
-		}
-	}
-	// Length 2 walks revisit: 1->2->1 walk exists (count includes
-	// back-and-forth), simple paths don't allow it.
-	w2 := Walks(g, 2)
-	sp2 := SimplePaths(g, 2)
-	if w2[key(1, 2, 1)] <= sp2[key(1, 2, 1)] {
-		t.Error("walks must strictly exceed simple paths where revisits exist")
 	}
 }
 

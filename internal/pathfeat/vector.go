@@ -129,19 +129,30 @@ func pathBound(g *graph.Graph, maxLen int) int {
 	return min(total, maxPresize)
 }
 
-// pathWalker is SimplePathVector's enumeration state.
+// pathWalker is the enumeration state of SimplePathVector and
+// SimplePathLocations.
 type pathWalker struct {
 	g       *graph.Graph
-	visited []bool // the vertices of the path being extended
-	ids     []uint64
+	visited []bool   // the vertices of the path being extended
+	ids     []uint64 // one ID per path (per path of ≥ 1 edge in walkLocations)
+	// walkLocations only: the path being extended, and the vertices of
+	// the path ids[i] names, verts[starts[i]:starts[i+1]].
+	path   []int32
+	starts []uint32
+	verts  []int32
+}
+
+// extend returns the ID of the path whose prefix has ID h and whose last
+// vertex is labelled l: FNV-1a over the label's two key bytes.
+func extend(h uint64, l graph.Label) uint64 {
+	h = (h ^ uint64(l>>8)) * fnvPrime
+	return (h ^ uint64(l&0xff)) * fnvPrime
 }
 
 // walk records the ID of the path ending in v, whose prefix hashes to h,
 // and of every simple extension by up to left more edges.
 func (w *pathWalker) walk(v int32, h uint64, left int) {
-	l := w.g.Label(v)
-	h = (h ^ uint64(l>>8)) * fnvPrime
-	h = (h ^ uint64(l&0xff)) * fnvPrime
+	h = extend(h, w.g.Label(v))
 	w.ids = append(w.ids, h)
 	if left <= 0 {
 		return
@@ -155,11 +166,119 @@ func (w *pathWalker) walk(v int32, h uint64, left int) {
 	w.visited[v] = false
 }
 
-// HashVector returns the order-independent hash of a feature vector: the
-// value Hash computes over the Counts it was built from (as long as no two
-// of its keys collide). Isomorphic graphs have identical vectors and
-// therefore identical hashes — the property the sharded cached-query store
-// relies on to co-locate duplicates.
+// walkLocations is walk for SimplePathLocations: it records the ID and the
+// vertices of every path of ≥ 1 edge.
+func (w *pathWalker) walkLocations(v int32, h uint64, left int) {
+	h = extend(h, w.g.Label(v))
+	w.path = append(w.path, v)
+	if len(w.path) > 1 {
+		w.ids = append(w.ids, h)
+		w.starts = append(w.starts, uint32(len(w.verts)))
+		w.verts = append(w.verts, w.path...)
+	}
+	if left > 0 {
+		w.visited[v] = true
+		for _, u := range w.g.Neighbors(v) {
+			if !w.visited[u] {
+				w.walkLocations(u, h, left-1)
+			}
+		}
+		w.visited[v] = false
+	}
+	w.path = w.path[:len(w.path)-1]
+}
+
+// PathLocations is a graph's location index, Grapes' verification aid, in
+// three flat columns: for each ID of the graph's simple paths of at least
+// one edge, ascending in IDs, the sorted vertices its occurrences cover.
+// ID k's vertices are Verts[Ends[k-1]:Ends[k]] (from 0 for k = 0). IDs are
+// SimplePathVector's, so paths whose IDs collide share one vertex set, the
+// union of theirs.
+type PathLocations struct {
+	IDs   []uint64
+	Ends  []uint32
+	Verts []int32
+}
+
+// Vertices returns the vertices of ID k.
+func (l *PathLocations) Vertices(k int) []int32 {
+	var lo uint32
+	if k > 0 {
+		lo = l.Ends[k-1]
+	}
+	return l.Verts[lo:l.Ends[k]]
+}
+
+// SimplePathLocations returns the location index of g's simple paths of
+// 1..maxLen edges. It enumerates the paths as SimplePathVector does,
+// recording each path's ID and vertices, then groups the paths by ID — a
+// counting sort on the rank of their ID among the distinct ones — and
+// gives each ID the union of its paths' vertices, deduplicated by a
+// per-vertex stamp and then sorted. The cost follows the occurrences.
+func SimplePathLocations(g *graph.Graph, maxLen int) PathLocations {
+	n := g.NumVertices()
+	if n == 0 || maxLen < 1 {
+		return PathLocations{}
+	}
+	w := pathWalker{
+		g:       g,
+		visited: make([]bool, n),
+		ids:     make([]uint64, 0, pathBound(g, maxLen)),
+		path:    make([]int32, 0, maxLen+1),
+	}
+	for v := int32(0); int(v) < n; v++ {
+		w.walkLocations(v, fnvOffset, maxLen)
+	}
+	if len(w.ids) == 0 {
+		return PathLocations{}
+	}
+	w.starts = append(w.starts, uint32(len(w.verts)))
+	ids := slices.Clone(w.ids)
+	slices.Sort(ids)
+	ids = slices.Clip(slices.Compact(ids))
+	// ends[r] ends, in byID, the positions of the paths whose ID has rank r.
+	rank := make([]uint32, len(w.ids))
+	ends := make([]uint32, len(ids))
+	for i, id := range w.ids {
+		r, _ := slices.BinarySearch(ids, id)
+		rank[i] = uint32(r)
+		ends[r]++
+	}
+	for r := 1; r < len(ends); r++ {
+		ends[r] += ends[r-1]
+	}
+	byID := make([]uint32, len(w.ids))
+	for i := len(rank) - 1; i >= 0; i-- {
+		ends[rank[i]]--
+		byID[ends[rank[i]]] = uint32(i)
+	}
+	// ends[r] now starts rank r's paths; it becomes the end of its vertices.
+	stamp := make([]uint32, n) // 1 + the rank that last took the vertex
+	verts := make([]int32, 0, len(w.verts))
+	for r := range ends {
+		from, hi := len(verts), uint32(len(byID))
+		if r+1 < len(ends) {
+			hi = ends[r+1]
+		}
+		for _, i := range byID[ends[r]:hi] {
+			for _, v := range w.verts[w.starts[i]:w.starts[i+1]] {
+				if stamp[v] != uint32(r+1) {
+					stamp[v] = uint32(r + 1)
+					verts = append(verts, v)
+				}
+			}
+		}
+		slices.Sort(verts[from:])
+		ends[r] = uint32(len(verts))
+	}
+	return PathLocations{IDs: ids, Ends: ends, Verts: slices.Clone(verts)}
+}
+
+// HashVector returns the order-independent hash of a feature vector: each
+// (ID, count) pair is hashed on its own and the pair hashes combine with
+// XOR; the empty vector hashes to 0. Isomorphic graphs have identical
+// vectors and therefore identical hashes — the property the sharded
+// cached-query store relies on to co-locate duplicates.
 func HashVector(vec Vector) uint64 {
 	var h uint64
 	for _, fc := range vec {

@@ -1,8 +1,10 @@
 package pathfeat
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -214,6 +216,70 @@ func FuzzSimplePathVector(f *testing.F) {
 			}
 			if got, want := SimplePathVector(g, 4), VectorOf(SimplePaths(g, 4)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("SimplePathVector = %v, want %v", got, want)
+			}
+		}
+	})
+}
+
+// refPathLocations is SimplePathLocations by its definition: the
+// string-keyed locations restricted to keys of ≥ 1 edge and regrouped by
+// FNV-1a ID, colliding keys' vertex sets merged.
+func refPathLocations(g *graph.Graph, maxLen int) PathLocations {
+	_, locs := SimplePathsWithLocations(g, maxLen)
+	byID := make(map[uint64][]int32)
+	for k, vs := range locs {
+		if KeyLen(k) >= 2 {
+			byID[keyBytesHash(k)] = append(byID[keyBytesHash(k)], vs...)
+		}
+	}
+	var loc PathLocations
+	for _, id := range slices.Sorted(maps.Keys(byID)) {
+		vs := byID[id]
+		slices.Sort(vs)
+		loc.IDs = append(loc.IDs, id)
+		loc.Verts = append(loc.Verts, slices.Compact(vs)...)
+		loc.Ends = append(loc.Ends, uint32(len(loc.Verts)))
+	}
+	return loc
+}
+
+// TestSimplePathLocationsMatchesReference: the flat location index is the
+// string-keyed one, ID for ID and vertex for vertex, at every length.
+func TestSimplePathLocationsMatchesReference(t *testing.T) {
+	for i, g := range hashTestGraphs(rand.New(rand.NewSource(15))) {
+		for _, maxLen := range []int{-1, 0, 1, 2, 4} {
+			got, want := SimplePathLocations(g, maxLen), refPathLocations(g, maxLen)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("graph %d, maxLen %d: SimplePathLocations = %v, want %v", i, maxLen, got, want)
+			}
+			for k := range got.IDs {
+				if len(got.Vertices(k)) < 2 {
+					t.Fatalf("graph %d, maxLen %d: ID %d covers %v, fewer than a path of one edge", i, maxLen, k, got.Vertices(k))
+				}
+			}
+		}
+	}
+}
+
+// FuzzSimplePathLocations checks the location index against its
+// string-keyed definition on whatever graphs the binary decoder accepts.
+func FuzzSimplePathLocations(f *testing.F) {
+	for _, g := range hashTestGraphs(rand.New(rand.NewSource(2))) {
+		if data, err := graph.EncodeBinary([]*graph.Graph{g}); err == nil {
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gs, err := graph.DecodeBinary(data)
+		if err != nil {
+			return
+		}
+		for _, g := range gs {
+			if g.NumVertices() > 100 || g.NumEdges() > 200 {
+				continue // path enumeration is exponential in the degree
+			}
+			if got, want := SimplePathLocations(g, 4), refPathLocations(g, 4); !reflect.DeepEqual(got, want) {
+				t.Fatalf("SimplePathLocations = %v, want %v", got, want)
 			}
 		}
 	})

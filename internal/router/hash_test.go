@@ -40,9 +40,9 @@ func TestAffinityHashPinned(t *testing.T) {
 			if q.NumVertices() > 64 {
 				big++
 			}
-			want := pathfeat.Hash(pathfeat.SimplePaths(q, maxLen))
+			want := pathfeat.HashVector(pathfeat.VectorOf(pathfeat.SimplePaths(q, maxLen)))
 			if got := rt.hash(q); got != want {
-				t.Fatalf("query %d (%d vertices), MaxPathLen %d: affinity hash %x, Hash(SimplePaths) = %x",
+				t.Fatalf("query %d (%d vertices), MaxPathLen %d: affinity hash %x, HashVector(VectorOf(SimplePaths)) = %x",
 					i, q.NumVertices(), maxLen, got, want)
 			}
 		}

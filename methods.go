@@ -54,9 +54,10 @@ func Answer(m Method, q *Graph) []int32 { return method.Answer(m, q) }
 // paper's configuration (paths up to 4 edges).
 type GGSXOptions = ggsx.Options
 
-// GrapesOptions configures a Grapes index. The zero value is Grapes1
-// (paths up to 4 edges, 1 verification thread); set Threads to 6 for the
-// paper's Grapes6.
+// GrapesOptions configures a Grapes index: the path length of its GGSX
+// filter and location index, and its verification threads. The zero value
+// is Grapes1 (paths up to 4 edges, 1 verification thread); set Threads to
+// 6 for the paper's Grapes6.
 type GrapesOptions = grapes.Options
 
 // CTIndexOptions configures a CT-Index fingerprint index. The zero value
@@ -69,9 +70,10 @@ type CTIndexOptions = ctindex.Options
 // dominate the query's; verification is VF2.
 func NewGGSX(ds *Dataset, opts GGSXOptions) Method { return ggsx.New(ds, opts) }
 
-// NewGrapes builds a Grapes index over ds: label paths with occurrence
-// locations; verification is restricted to the component of the graph
-// induced by matched locations and runs on a worker pool.
+// NewGrapes builds a Grapes index over ds: GGSX's label-path columns and
+// filter, plus the vertices each path's occurrences cover in each graph;
+// verification is restricted to the components of the graph induced by
+// the locations of the query's paths and runs on a worker pool.
 func NewGrapes(ds *Dataset, opts GrapesOptions) Method { return grapes.New(ds, opts) }
 
 // NewCTIndex builds a CT-Index over ds: tree and cycle features hashed
@@ -96,10 +98,6 @@ func NewVF2Plus(ds *Dataset) Method { return method.NewVF2Plus(ds) }
 // neighbourhood-profile pruning, as a Method.
 func NewGraphQL(ds *Dataset) Method { return method.NewGraphQL(ds) }
 
-// NewUllmann returns Ullmann's algorithm [J.ACM 1976] as a Method. It is
-// dominated by the other matchers and included as a historical baseline.
-func NewUllmann(ds *Dataset) Method { return method.NewSI(ds, iso.Ullmann{}) }
-
 // NewSupergraphSI returns a supergraph-query method over ds: it answers
 // queries with the set of dataset graphs *contained in* the query, testing
 // each dataset graph against the query with VF2. Wrap it in a Cache to
@@ -109,8 +107,8 @@ func NewSupergraphSI(ds *Dataset) Method { return method.NewSuperSI(ds, iso.VF2{
 
 // NewMethodByName builds one of the bundled methods over ds from its
 // command-line name: ggsx, grapes (or grapes1), grapes6, ctindex, vf2,
-// vf2plus, graphql or ullmann (case-insensitive). It backs the -method
-// flag shared by gcquery and gcserved.
+// vf2plus or graphql (case-insensitive). It backs the -method flag shared
+// by gcquery and gcserved.
 func NewMethodByName(name string, ds *Dataset) (Method, error) {
 	switch strings.ToLower(name) {
 	case "ggsx":
@@ -127,10 +125,8 @@ func NewMethodByName(name string, ds *Dataset) (Method, error) {
 		return NewVF2Plus(ds), nil
 	case "graphql":
 		return NewGraphQL(ds), nil
-	case "ullmann":
-		return NewUllmann(ds), nil
 	default:
-		return nil, fmt.Errorf("graphcache: unknown method %q (want ggsx, grapes1, grapes6, ctindex, vf2, vf2plus, graphql or ullmann)", name)
+		return nil, fmt.Errorf("graphcache: unknown method %q (want ggsx, grapes1, grapes6, ctindex, vf2, vf2plus or graphql)", name)
 	}
 }
 
