@@ -115,7 +115,7 @@ func (idx *Index) verify(q *graph.Graph, qPaths []uint64, id int32) bool {
 		return true
 	}
 	g := idx.Dataset().Graph(id)
-	region := idx.region(q, qPaths, id)
+	region := idx.region(q, qPaths, g)
 	if len(region) < q.NumVertices() {
 		return false
 	}
@@ -146,15 +146,14 @@ func (idx *Index) verify(q *graph.Graph, qPaths []uint64, id int32) bool {
 	return iso.Contains(iso.VF2{}, q, sub)
 }
 
-// region returns, ascending, the vertices of graph id that the paths under
-// q's path IDs cover — every image of a query vertex with an incident edge
+// region returns, ascending, the vertices of g that the paths under q's
+// path IDs cover — every image of a query vertex with an incident edge
 // — and those carrying the label of an isolated query vertex, so it
 // contains every possible embedding image. An ID that collides can only
 // add vertices.
-func (idx *Index) region(q *graph.Graph, qPaths []uint64, id int32) []int32 {
-	g := idx.Dataset().Graph(id)
+func (idx *Index) region(q *graph.Graph, qPaths []uint64, g *graph.Graph) []int32 {
 	in := make([]bool, g.NumVertices())
-	loc := &idx.locs[id]
+	loc := &idx.locs[g.ID()]
 	k := 0
 	for _, p := range qPaths {
 		// qPaths and loc.IDs both ascend, so each search resumes where

@@ -389,10 +389,10 @@ func TestRegionEqualsMapRegion(t *testing.T) {
 			qFolded := locationsUnder(q, opts.MaxPathLen, fold).IDs
 			for _, g := range ds.Graphs() {
 				want := mapRegion(q, g, opts.MaxPathLen)
-				if got := idx.region(q, idx.queryPaths(q), g.ID()); !slices.Equal(got, want) {
+				if got := idx.region(q, idx.queryPaths(q), g); !slices.Equal(got, want) {
 					t.Fatalf("seed %d query %d graph %d: region %v, map-based %v", seed, i, g.ID(), got, want)
 				}
-				got := folded.region(q, qFolded, g.ID())
+				got := folded.region(q, qFolded, g)
 				for _, v := range want {
 					if _, found := slices.BinarySearch(got, v); !found {
 						t.Fatalf("seed %d query %d graph %d: folded region %v lost vertex %d of %v", seed, i, g.ID(), got, v, want)
