@@ -304,10 +304,10 @@ func BenchmarkQueryBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkWindowRebuild measures steady-state window maintenance: with
-// incremental GCindex updates the per-window cost is O(window), however
-// large the cache — the counter test in internal/core pins the property;
-// this bench tracks its constant factor.
+// BenchmarkWindowRebuild measures steady-state window maintenance: no
+// cached graph's paths are enumerated again (the counter test in
+// internal/core pins that), and the GCindex delta is a few linear passes
+// over each shard's flat posting arrays; this bench tracks the cost.
 func BenchmarkWindowRebuild(b *testing.B) {
 	ds := benchDataset()
 	qs := benchQueries(ds, 512)

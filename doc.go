@@ -86,13 +86,14 @@
 //     the routing, so a snapshot written with N shards loads into a
 //     cache configured with M.
 //
-// Index maintenance is incremental — each window applies add/evict deltas
-// to the previous per-shard GCindex generation using feature vectors
-// memoised per entry (computed once, on the query path, shared with the
-// probe), so rebuild cost is O(window), not O(cache) — and can run
-// asynchronously (Options.AsyncRebuild). Snapshot loading (ReadSnapshot)
-// is the one startup-only operation that must not run concurrently with
-// queries.
+// Index maintenance applies each window's add/evict delta to the previous
+// per-shard GCindex generation using feature vectors memoised per entry
+// (computed once, on the query path, shared with the probe), so no cached
+// graph's paths are enumerated again. What a delta does cost is a few
+// memmove-like passes over the shard's flat posting arrays — O(postings in
+// the shard) per window, no map — and it can run asynchronously
+// (Options.AsyncRebuild). Snapshot loading (ReadSnapshot) is the one
+// startup-only operation that must not run concurrently with queries.
 //
 // # GCindex internals
 //
@@ -101,7 +102,7 @@
 // The exact-match lookup: every slot records its entry's routing hash in
 // a pointer-free []uint64 column, isomorphic queries have equal feature
 // vectors and therefore equal hashes and the same shard, so "is this very
-// query cached?" is a scan of one column in one shard for a live slot of
+// query cached?" is a scan of one column in one shard for a slot of
 // equal hash, vertex count and edge count — confirmed by a sub-iso test
 // before it counts, because equal hashes prove nothing (a uniformly
 // labelled C10 and C5 + C5 share every path count up to 4 edges). The
@@ -127,28 +128,31 @@
 //     one, and every candidate is confirmed by a sub-iso test — answers
 //     stay exact.
 //
-//   - Columnar postings. Each indexed query occupies a slot, slots are
-//     assigned in ascending-serial order, and each feature ID owns an
-//     immutable column of (slot, count) postings sorted by slot, found
-//     through a directory that holds only the features of slots in the
-//     current generation — the index is sized by the cached entries, not
-//     by the queries served. A probe walks the query vector's columns
-//     bumping two flat []int32 counters (dominated-features and
-//     covered-features per slot, pooled scratch), then scans the slots
-//     once: fully-dominated slots are sub-candidates, fully-covered ones
-//     super-candidates — already in ascending serial order because slot
-//     order is serial order. No sort, zero allocations at steady state
-//     (BenchmarkCandidates pins 0 allocs/op).
+//   - Flat postings, GGSX's layout (pathfeat.Columns). Each indexed query
+//     occupies a slot, slots are numbered in ascending-serial order, and
+//     four pointer-free arrays hold, for each feature ID in ascending
+//     order, its (slot, count) postings sorted by slot — only for features
+//     some slot holds, so the index is sized by the cached entries, not by
+//     the queries served. A probe finds the query vector's columns by a
+//     search that resumes where the last one ended, bumping two flat
+//     []int32 counters (dominated-features and covered-features per slot,
+//     pooled scratch), then scans the slots once: fully-dominated slots
+//     are sub-candidates, fully-covered ones super-candidates — already in
+//     ascending serial order because slot order is serial order. No sort,
+//     zero allocations at steady state (BenchmarkCandidates pins 0
+//     allocs/op).
 //
-// Window deltas keep the columnar layout incremental: added entries claim
-// fresh slots on top and rewrite only their features' columns (every
-// other column is shared with the previous index generation); evicted
-// entries leave tombstone slots that are masked at scan time and take the
-// columns no live entry uses any more with them, and the index compacts —
-// renumbering slots — once tombstones outnumber live entries, bounding
-// the scan overhead at 2×. A property test pins the
-// columnar probe to a map-based reference implementation on randomly
-// mutated caches.
+// A window delta never writes to a published generation, which concurrent
+// probes may be reading. It merges the surviving slots with the admitted
+// entries by serial, which numbers the new slots, and then writes new
+// columns in one forward pass: the old postings renumbered through that
+// slot map (evicted slots dropped with the columns they alone used),
+// merged with the admitted entries' vectors, already sorted, by a k-way
+// merge. That is a fixed number of allocations and O(postings in the
+// shard) memmove-like work per window — no map, no sort of postings, no
+// tombstones. Tests pin the result to a from-scratch build, array for
+// array, and the probe to a map-based reference implementation on
+// randomly mutated caches.
 //
 // # One query pipeline
 //
@@ -235,7 +239,9 @@
 // per-graph length prefixes make torn frames detectable and let a reader
 // bound-check without decoding. Replies have no binary form: answers
 // are short ID lists under a stats record, and a binary result frame
-// measured 0.95x the JSON bytes at 2.5x the encode time.
+// measured 0.95x the JSON bytes at 2.5x the encode time. The result
+// envelopes are coded by hand instead of through reflection, byte for
+// byte what encoding/json writes and reads (tests pin both directions).
 //
 // Negotiation. Content-Type: application/x-gc-binary marks a binary
 // request body; anything else means JSON. Accept: application/x-ndjson

@@ -206,7 +206,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	cached := 0
 	for si, sh := range c.shards {
 		ixs[si] = sh.index.Load()
-		cached += ixs[si].size()
+		cached += len(ixs[si].serials)
 	}
 
 	// Special case 1 (§5.1), ahead of everything it makes unnecessary: an

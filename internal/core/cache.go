@@ -180,7 +180,7 @@ func New(m method.Method, opts Options) *Cache {
 	c.shards = make([]*cacheShard, opts.Shards)
 	for i := range c.shards {
 		sh := &cacheShard{stats: NewStatsStore(), byAnswer: make(map[int32]map[int64]struct{})}
-		sh.index.Store(buildQueryIndex(map[int64]*entry{}, opts.MaxPathLen))
+		sh.index.Store(buildQueryIndex(nil, opts.MaxPathLen))
 		c.shards[i] = sh
 	}
 	c.probes.New = func() any { return newProbeScratch(opts.Shards) }
@@ -275,7 +275,7 @@ func mergeCandidates(out []*entry, cur []int, ixs []*queryIndex, serials [][]int
 		if best < 0 {
 			return out
 		}
-		out = append(out, ixs[best].entries[bestSerial])
+		out = append(out, ixs[best].lookup(bestSerial))
 		cur[best]++
 	}
 }
@@ -406,7 +406,7 @@ func (c *Cache) Flush() { c.rebuildWG.Wait() }
 func (c *Cache) CachedSerials() []int64 {
 	var out []int64
 	for _, sh := range c.shards {
-		out = append(out, sh.index.Load().liveSerials()...)
+		out = append(out, sh.index.Load().serials...)
 	}
 	if len(c.shards) > 1 {
 		slices.Sort(out)
@@ -418,7 +418,7 @@ func (c *Cache) CachedSerials() []int64 {
 // or (nil, nil, false).
 func (c *Cache) CachedEntry(serial int64) (*graph.Graph, []int32, bool) {
 	for _, sh := range c.shards {
-		if e, ok := sh.index.Load().entries[serial]; ok {
+		if e := sh.index.Load().lookup(serial); e != nil {
 			return e.g, cloneIDs(e.answer), true
 		}
 	}

@@ -3,6 +3,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"graphcache/internal/ggsx"
@@ -31,5 +32,37 @@ func TestExactHitAllocations(t *testing.T) {
 		t.Errorf("an exact-hit Query allocates %.0f times, want ≤ %d", allocs, ceiling)
 	} else {
 		t.Logf("an exact-hit Query allocates %.0f times", allocs)
+	}
+}
+
+// TestApplyDeltaAllocations pins the window pass's index delta at a
+// constant number of allocations — the arrays of the new generation and a
+// few scratch slices — whatever the number of features the shard holds:
+// one window of 20 admissions and 20 evictions against a 100-entry shard
+// of 3-vertex queries, and against one of 12-vertex queries.
+func TestApplyDeltaAllocations(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var counts []float64
+	for _, size := range []int{3, 12} {
+		contents := map[int64]*entry{}
+		var added []*entry
+		for s := int64(1); s <= 120; s++ {
+			e := &entry{serial: s, g: randomConnGraph(r, size, size/3, 4)}
+			e.routeHash(4) // memoises the vector, as the query path does
+			if s <= 100 {
+				contents[s] = e
+			} else {
+				added = append(added, e)
+			}
+		}
+		ix := indexOf(contents, 4)
+		removed := ix.serials[:20]
+		allocs := testing.AllocsPerRun(50, func() { ix.applyDelta(added, removed) })
+		t.Logf("%d-vertex queries: %d columns, %d postings, %.0f allocations", size, len(ix.cols.Feats), len(ix.cols.IDs), allocs)
+		counts = append(counts, allocs)
+	}
+	const ceiling = 16 // 15 measured
+	if counts[0] != counts[1] || counts[1] > ceiling {
+		t.Errorf("applyDelta allocates %v times for the two shards, want one count ≤ %d", counts, ceiling)
 	}
 }

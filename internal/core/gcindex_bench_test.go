@@ -23,7 +23,7 @@ func BenchmarkCandidates(b *testing.B) {
 			for s := int64(1); s <= int64(size); s++ {
 				entries[s] = &entry{serial: s, g: randomConnGraph(r, 4+r.Intn(8), r.Intn(4), 4)}
 			}
-			ix := buildQueryIndex(entries, maxPathLen)
+			ix := indexOf(entries, maxPathLen)
 
 			probes := make([]pathfeat.Vector, 32)
 			for i := range probes {

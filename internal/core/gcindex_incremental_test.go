@@ -1,7 +1,9 @@
 package core
 
 import (
-	"reflect"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"graphcache/internal/graph"
@@ -9,136 +11,158 @@ import (
 	"graphcache/internal/pathfeat"
 )
 
-// TestApplyDeltaMatchesFromScratch asserts the incremental maintenance
-// invariant: applying an add/evict delta to an index answers every probe
-// exactly as a from-scratch rebuild over the resulting contents would.
-// (The structures themselves may differ — evicted entries leave tombstone
-// slots behind until compaction — so equivalence is semantic, checked on
-// the live-serial set, the entry identities and the probe answers.)
+// indexDiff describes the first array in which a and b differ, or returns
+// "" when they are equal array for array.
+func indexDiff(a, b *queryIndex) string {
+	switch {
+	case !slices.Equal(a.serials, b.serials):
+		return fmt.Sprintf("serials %v, want %v", a.serials, b.serials)
+	case !slices.Equal(a.hashes, b.hashes):
+		return "hashes differ"
+	case !slices.Equal(a.featureTotal, b.featureTotal):
+		return fmt.Sprintf("feature totals %v, want %v", a.featureTotal, b.featureTotal)
+	case !slices.Equal(a.slotEntry, b.slotEntry):
+		return "slot entries differ"
+	case !slices.Equal(a.cols.Feats, b.cols.Feats):
+		return fmt.Sprintf("%d columns, want %d", len(a.cols.Feats), len(b.cols.Feats))
+	case !slices.Equal(a.cols.Ends, b.cols.Ends):
+		return "column ends differ"
+	case !slices.Equal(a.cols.IDs, b.cols.IDs):
+		return "posting slots differ"
+	case !slices.Equal(a.cols.Counts, b.cols.Counts):
+		return "posting counts differ"
+	}
+	return ""
+}
+
+// snapshotIndex copies every array of ix, so a test can check later that
+// nothing wrote to them.
+func snapshotIndex(ix *queryIndex) *queryIndex {
+	return &queryIndex{
+		maxLen:       ix.maxLen,
+		serials:      slices.Clone(ix.serials),
+		hashes:       slices.Clone(ix.hashes),
+		featureTotal: slices.Clone(ix.featureTotal),
+		slotEntry:    slices.Clone(ix.slotEntry),
+		cols: pathfeat.Columns{
+			Feats:  slices.Clone(ix.cols.Feats),
+			Ends:   slices.Clone(ix.cols.Ends),
+			IDs:    slices.Clone(ix.cols.IDs),
+			Counts: slices.Clone(ix.cols.Counts),
+		},
+	}
+}
+
+// TestApplyDeltaMatchesFromScratch asserts the maintenance invariant: the
+// generation applyDelta derives equals, array for array, the index built
+// from scratch over the resulting contents — through seeded rounds that
+// evict, admit in and out of serial order, re-add a live serial with a new
+// entry, name serials that are not indexed, and evict every entry — and
+// the generation it derives from is left untouched.
 func TestApplyDeltaMatchesFromScratch(t *testing.T) {
-	entries := map[int64]*entry{
-		1: entryOf(1, pathG(1, 2, 3), 10),
-		2: entryOf(2, pathG(1, 2), 11),
-		3: entryOf(3, pathG(7, 8)),
-		4: entryOf(4, pathG(2, 3, 4), 12, 13),
-		5: entryOf(5, pathG(5)),
-	}
-	ix := buildQueryIndex(entries, 4)
-
-	added := []*entry{
-		entryOf(6, pathG(1, 2, 3, 4), 14),
-		entryOf(7, pathG(7, 8, 9)),
-	}
-	removed := []int64{2, 4}
-
-	inc := ix.applyDelta(added, removed)
-
-	next := map[int64]*entry{
-		1: entries[1], 3: entries[3], 5: entries[5],
-		6: added[0], 7: added[1],
-	}
-	scratch := buildQueryIndex(next, 4)
-
-	if inc.size() != scratch.size() {
-		t.Fatalf("size: incremental %d != scratch %d", inc.size(), scratch.size())
-	}
-	if !reflect.DeepEqual(inc.liveSerials(), scratch.liveSerials()) {
-		t.Errorf("live serials: incremental %v != scratch %v", inc.liveSerials(), scratch.liveSerials())
-	}
-	if len(inc.entries) != len(scratch.entries) {
-		t.Fatalf("entries: incremental %d != scratch %d", len(inc.entries), len(scratch.entries))
-	}
-	for s, e := range scratch.entries {
-		if inc.entries[s] != e {
-			t.Errorf("entry %d differs between incremental and scratch", s)
+	const maxPathLen = 4
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		contents := map[int64]*entry{}
+		for s := int64(1); s <= 10; s++ {
+			contents[s] = &entry{serial: s, g: randomConnGraph(r, 2+r.Intn(7), r.Intn(3), 3)}
 		}
-	}
-	// Untouched columns must be shared with the previous generation, not
-	// copied. P(5)'s feature column (label 5 alone) is untouched by this
-	// delta.
-	id5 := pathfeat.VectorOf(pathfeat.SimplePaths(pathG(5), 4))[0].ID
-	if &ix.cols[id5].postings[0] != &inc.cols[id5].postings[0] {
-		t.Error("untouched column was rewritten; applyDelta must share it")
-	}
+		ix := indexOf(contents, maxPathLen)
+		next := int64(20)
+		for round := 0; round < 8; round++ {
+			var removed []int64
+			var added []*entry
+			switch {
+			case round == 7: // evict every entry
+				removed = slices.Clone(ix.serials)
+			default:
+				for _, s := range ix.serials {
+					if r.Intn(4) == 0 {
+						removed = append(removed, s)
+					}
+				}
+				removed = append(removed, next+100) // not indexed: ignored
+				for i := 0; i < r.Intn(5); i++ {
+					s := next
+					switch r.Intn(4) {
+					case 0: // out of order: below serials already indexed
+						s = int64(r.Intn(int(next)))
+					case 1: // re-add a live serial with a new entry
+						if len(ix.serials) > 0 {
+							s = ix.serials[r.Intn(len(ix.serials))]
+						}
+					default:
+						next++
+					}
+					added = append(added, &entry{serial: s, g: randomConnGraph(r, 2+r.Intn(7), r.Intn(3), 3)})
+				}
+			}
+			for _, s := range removed {
+				delete(contents, s)
+			}
+			for _, e := range added {
+				contents[e.serial] = e // the last of equal serials wins
+			}
 
-	// The directory holds exactly the live entries' features, as in the
-	// rebuild.
-	if len(inc.cols) != len(scratch.cols) {
-		t.Errorf("directory: incremental has %d columns, scratch %d", len(inc.cols), len(scratch.cols))
-	}
-	for id, col := range scratch.cols {
-		if got := inc.cols[id].live; got != col.live {
-			t.Errorf("column %x: incremental counts %d live postings, scratch %d", id, got, col.live)
+			before := snapshotIndex(ix)
+			inc := ix.applyDelta(added, removed)
+			if d := indexDiff(ix, before); d != "" {
+				t.Fatalf("trial %d round %d: applyDelta wrote to the generation it read: %s", trial, round, d)
+			}
+			if d := indexDiff(inc, indexOf(contents, maxPathLen)); d != "" {
+				t.Fatalf("trial %d round %d: delta differs from a fresh build: %s", trial, round, d)
+			}
+			ix = inc
 		}
-	}
-
-	// Both must answer probes identically.
-	for _, q := range []int64{1, 3, 6, 7} {
-		qc := pathfeat.SimplePaths(next[q].g, 4)
-		s1, p1 := inc.candidates(qc)
-		s2, p2 := scratch.candidates(qc)
-		if !eq64(s1, s2) || !eq64(p1, p2) {
-			t.Errorf("probe %d: incremental (%v,%v) != scratch (%v,%v)", q, s1, p1, s2, p2)
+		if len(ix.serials) != 0 || len(ix.cols.Feats) != 0 || len(ix.cols.IDs) != 0 {
+			t.Fatalf("trial %d: evicting every entry left %d slots, %d columns", trial, len(ix.serials), len(ix.cols.Feats))
 		}
 	}
 }
 
-// TestApplyDeltaCompaction pins the tombstone bound: once dead slots would
-// outnumber live ones the delta falls back to a from-scratch compaction,
-// renumbering slots and dropping dead postings.
+// TestApplyDeltaCompaction pins that evictions leave nothing behind: the
+// generation after a delta has one slot per live entry and a column only
+// for features a live entry holds, so an evicted entry never surfaces as a
+// candidate.
 func TestApplyDeltaCompaction(t *testing.T) {
 	entries := map[int64]*entry{}
 	for s := int64(1); s <= 6; s++ {
 		entries[s] = entryOf(s, pathG(graph.Label(s), graph.Label(s+1)))
 	}
-	ix := buildQueryIndex(entries, 4)
+	ix := indexOf(entries, 4)
 
-	// Evict 4 of 6: dead(4) > live(3) after adding one → compaction.
 	next := ix.applyDelta([]*entry{entryOf(7, pathG(9))}, []int64{1, 2, 3, 4})
-	if got, want := next.size(), 3; got != want {
-		t.Fatalf("size = %d, want %d", got, want)
+	if want := []int64{5, 6, 7}; !eq64(next.serials, want) {
+		t.Errorf("slots hold %v, want %v", next.serials, want)
 	}
-	if got := len(next.serials); got != 3 {
-		t.Errorf("slots = %d after compaction, want 3 (no tombstones)", got)
-	}
-	if want := []int64{5, 6, 7}; !eq64(next.liveSerials(), want) {
-		t.Errorf("live serials = %v, want %v", next.liveSerials(), want)
-	}
-
-	// A small delta keeps tombstones instead: 1 dead of 3 live.
 	small := next.applyDelta(nil, []int64{5})
-	if got := len(small.serials); got != 3 {
-		t.Errorf("slots = %d after small delta, want 3 (tombstone kept)", got)
+	if want := []int64{6, 7}; !eq64(small.serials, want) {
+		t.Errorf("slots hold %v, want %v", small.serials, want)
 	}
-	if want := []int64{6, 7}; !eq64(small.liveSerials(), want) {
-		t.Errorf("live serials = %v, want %v", small.liveSerials(), want)
+	// Evicting 5 drops the columns only it used: label 5 alone and the
+	// two directions of the 5–6 edge.
+	if got := len(small.cols.Feats); got != len(next.cols.Feats)-3 {
+		t.Errorf("%d columns after the eviction, want %d", got, len(next.cols.Feats)-3)
 	}
-	// The tombstone keeps its slot but not the columns only it used
-	// (label 5 alone, and the two directions of the 5–6 edge).
-	if got, want := len(small.cols), len(buildQueryIndex(small.entries, 4).cols); got != want || got != len(next.cols)-3 {
-		t.Errorf("directory has %d columns after the eviction, want %d (was %d)", got, want, len(next.cols))
-	}
-	// The tombstoned entry must not surface as a candidate.
 	sub, super := small.candidates(pathfeat.SimplePaths(pathG(5, 6), 4))
 	if len(sub) != 0 || len(super) != 0 {
-		t.Errorf("tombstoned entry surfaced: sub=%v super=%v", sub, super)
+		t.Errorf("evicted entry surfaced: sub=%v super=%v", sub, super)
 	}
 }
 
 // TestApplyDeltaOutOfOrderInsert covers the concurrent-window corner: an
-// added entry with a serial at or below the index's top slot must not
-// break the slot-order-is-serial-order invariant — the delta rebuilds
-// instead, and probes stay serial-ordered.
+// added entry with a serial below the index's top slot takes its place in
+// serial order, so probes stay serial-ordered.
 func TestApplyDeltaOutOfOrderInsert(t *testing.T) {
 	entries := map[int64]*entry{
 		3: entryOf(3, pathG(1, 2)),
 		8: entryOf(8, pathG(1, 2, 3)),
 	}
-	ix := buildQueryIndex(entries, 4)
+	ix := indexOf(entries, 4)
 	// Serial 5 windows late (a slower concurrent caller).
 	next := ix.applyDelta([]*entry{entryOf(5, pathG(2, 3))}, nil)
-	if want := []int64{3, 5, 8}; !eq64(next.liveSerials(), want) {
-		t.Fatalf("live serials = %v, want %v", next.liveSerials(), want)
+	if want := []int64{3, 5, 8}; !eq64(next.serials, want) {
+		t.Fatalf("serials = %v, want %v", next.serials, want)
 	}
 	sub, _ := next.candidates(pathfeat.SimplePaths(pathG(2), 4))
 	if want := []int64{3, 5, 8}; !eq64(sub, want) {
@@ -155,7 +179,7 @@ func TestApplyDeltaEnumeratesOnlyNewEntries(t *testing.T) {
 		2: entryOf(2, pathG(4, 5)),
 		3: entryOf(3, pathG(6, 7, 8)),
 	}
-	ix := buildQueryIndex(entries, 4) // memoises vectors for 1..3
+	ix := indexOf(entries, 4) // memoises vectors for 1..3
 
 	added := []*entry{entryOf(4, pathG(9, 10)), entryOf(5, pathG(11))}
 	before := pathfeat.SimplePathsCalls()

@@ -73,7 +73,7 @@ func probeNeverMissesContainment(t *testing.T, vectorOf func(pathfeat.Counts) pa
 			g := randomConnGraph(r, 3+r.Intn(8), r.Intn(3), 3)
 			entries[s] = &entry{serial: s, g: g, vec: vectorOf(pathfeat.SimplePaths(g, maxPathLen)), vecOK: true}
 		}
-		ix := buildQueryIndex(entries, maxPathLen)
+		ix := indexOf(entries, maxPathLen)
 
 		for probe := 0; probe < 10; probe++ {
 			q := randomConnGraph(r, 3+r.Intn(8), r.Intn(3), 3)
@@ -161,9 +161,9 @@ func refCandidates(entries map[int64]*entry, qc pathfeat.Counts, maxLen int) (su
 
 // TestColumnarCandidatesMatchMapBased is the old-vs-new equivalence
 // property: on random caches — built from scratch and mutated through
-// random applyDelta add/evict rounds so tombstones, shared columns and
-// compactions are all exercised — the columnar probe must return exactly
-// the candidates the map-based reference computes, for every probe.
+// random applyDelta add/evict rounds, some inserting below the top serial —
+// the columnar probe must return exactly the candidates the map-based
+// reference computes, for every probe.
 func TestColumnarCandidatesMatchMapBased(t *testing.T) {
 	const maxPathLen = 4
 	r := rand.New(rand.NewSource(99))
@@ -174,14 +174,14 @@ func TestColumnarCandidatesMatchMapBased(t *testing.T) {
 		for ; next <= 8; next++ {
 			entries[next] = &entry{serial: next, g: randomConnGraph(r, 2+r.Intn(7), r.Intn(3), 3)}
 		}
-		ix := buildQueryIndex(entries, maxPathLen)
+		ix := indexOf(entries, maxPathLen)
 
 		check := func(round int) {
 			for probe := 0; probe < 6; probe++ {
 				q := randomConnGraph(r, 2+r.Intn(7), r.Intn(3), 3)
 				qc := pathfeat.SimplePaths(q, maxPathLen)
 				gotSub, gotSuper := ix.candidates(qc)
-				wantSub, wantSuper := refCandidates(ix.entries, qc, maxPathLen)
+				wantSub, wantSuper := refCandidates(ix.contents(), qc, maxPathLen)
 				if !eq64(gotSub, wantSub) || !eq64(gotSuper, wantSuper) {
 					t.Fatalf("trial %d round %d: columnar (%v,%v) != map-based (%v,%v)\nq = %v",
 						trial, round, gotSub, gotSuper, wantSub, wantSuper, q)
@@ -194,7 +194,7 @@ func TestColumnarCandidatesMatchMapBased(t *testing.T) {
 		// entries (occasionally with an out-of-order serial).
 		for round := 1; round <= 5; round++ {
 			var removed []int64
-			for s := range ix.entries {
+			for _, s := range ix.serials {
 				if r.Intn(3) == 0 {
 					removed = append(removed, s)
 				}
@@ -203,18 +203,12 @@ func TestColumnarCandidatesMatchMapBased(t *testing.T) {
 			for i := 0; i < 1+r.Intn(3); i++ {
 				s := next
 				next++
-				// Occasionally aim below the cached maximum to force the
-				// out-of-order rebuild path (skipped if that serial is
-				// still live).
-				if r.Intn(8) == 0 && len(ix.entries) > 0 {
-					s = 0
-					for cached := range ix.entries {
-						if cached > s {
-							s = cached
-						}
-					}
-					s--
-					if _, taken := ix.entries[s]; taken || s <= 0 {
+				// Occasionally aim just below the cached maximum, an
+				// out-of-order insert (skipped if that serial is still
+				// live).
+				if r.Intn(8) == 0 && len(ix.serials) > 0 {
+					s = ix.serials[len(ix.serials)-1] - 1
+					if ix.lookup(s) != nil || s <= 0 {
 						s = next
 						next++
 					}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"graphcache/internal/graph"
@@ -27,6 +29,21 @@ func (ix *queryIndex) candidates(qc pathfeat.Counts) (sub, super []int64) {
 	return ix.candidatesInto(pathfeat.VectorOf(qc), nil, nil, &sc)
 }
 
+// indexOf builds the index over a serial → entry map, the form tests keep
+// cache contents in.
+func indexOf(entries map[int64]*entry, maxLen int) *queryIndex {
+	return buildQueryIndex(slices.Collect(maps.Values(entries)), maxLen)
+}
+
+// contents returns the index's entries keyed by serial.
+func (ix *queryIndex) contents() map[int64]*entry {
+	m := make(map[int64]*entry, len(ix.serials))
+	for slot, s := range ix.serials {
+		m[s] = ix.slotEntry[slot]
+	}
+	return m
+}
+
 func entryOf(serial int64, g *graph.Graph, answer ...int32) *entry {
 	return &entry{serial: serial, g: g, answer: answer}
 }
@@ -38,9 +55,9 @@ func TestQueryIndexCandidates(t *testing.T) {
 		2: entryOf(2, pathG(1, 2)),
 		3: entryOf(3, pathG(7, 8)),
 	}
-	ix := buildQueryIndex(entries, 4)
-	if ix.size() != 3 {
-		t.Fatalf("size = %d", ix.size())
+	ix := indexOf(entries, 4)
+	if len(ix.serials) != 3 {
+		t.Fatalf("size = %d", len(ix.serials))
 	}
 
 	// Query P(1,2): candidates containing it = {1, 2}; contained in it = {2}.
@@ -69,7 +86,7 @@ func TestQueryIndexCandidates(t *testing.T) {
 }
 
 func TestQueryIndexEmpty(t *testing.T) {
-	ix := buildQueryIndex(map[int64]*entry{}, 4)
+	ix := buildQueryIndex(nil, 4)
 	sub, super := ix.candidates(pathfeat.SimplePaths(pathG(1, 2), 4))
 	if sub != nil || super != nil {
 		t.Error("empty index must return no candidates")

@@ -37,25 +37,27 @@ func TestNothingGrowsWithTheSerial(t *testing.T) {
 	}
 }
 
-// checkSizedByLiveEntries asserts the cache's structures are bounded by
-// its live entries. The caller must have flushed pending rebuilds.
+// checkSizedByLiveEntries asserts the cache's structures are sized by its
+// live entries: one GCindex slot per live entry and one column per feature
+// a live entry holds. The caller must have flushed pending rebuilds.
 func checkSizedByLiveEntries(t *testing.T, c *Cache, served int) {
 	t.Helper()
 	live, pending := 0, 0
 	for si, sh := range c.shards {
 		ix := sh.index.Load()
-		live += ix.live
-		if len(ix.entries) != ix.live || len(ix.slotOf) != ix.live {
-			t.Errorf("after %d, shard %d: %d entries and %d slot mappings for %d live",
-				served, si, len(ix.entries), len(ix.slotOf), ix.live)
-		}
-		if len(ix.serials) > 2*ix.live {
-			t.Errorf("after %d, shard %d: %d slots for %d live entries (tombstones must not outnumber them)",
-				served, si, len(ix.serials), ix.live)
+		n := len(ix.serials)
+		live += n
+		if len(ix.hashes) != n || len(ix.featureTotal) != n || len(ix.slotEntry) != n {
+			t.Errorf("after %d, shard %d: per-slot arrays of %d, %d, %d for %d slots",
+				served, si, len(ix.hashes), len(ix.featureTotal), len(ix.slotEntry), n)
 		}
 		liveFeatures := make(map[uint64]struct{})
 		answerRefs := 0
-		for s, e := range ix.entries {
+		for slot, e := range ix.slotEntry {
+			s := ix.serials[slot]
+			if e == nil || e.serial != s {
+				t.Fatalf("after %d, shard %d: slot %d of serial %d holds %v", served, si, slot, s, e)
+			}
 			for _, fc := range e.vec {
 				liveFeatures[fc.ID] = struct{}{}
 			}
@@ -69,12 +71,12 @@ func checkSizedByLiveEntries(t *testing.T, c *Cache, served int) {
 				t.Errorf("after %d, shard %d: live serial %d has no statistics row", served, si, s)
 			}
 		}
-		if len(ix.cols) != len(liveFeatures) {
+		if len(ix.cols.Feats) != len(liveFeatures) {
 			t.Errorf("after %d, shard %d: %d feature columns for %d features of live entries",
-				served, si, len(ix.cols), len(liveFeatures))
+				served, si, len(ix.cols.Feats), len(liveFeatures))
 		}
-		if sh.stats.Len() != ix.live {
-			t.Errorf("after %d, shard %d: %d statistics rows for %d live entries", served, si, sh.stats.Len(), ix.live)
+		if sh.stats.Len() != n {
+			t.Errorf("after %d, shard %d: %d statistics rows for %d live entries", served, si, sh.stats.Len(), n)
 		}
 		refs := 0
 		for _, serials := range sh.byAnswer {

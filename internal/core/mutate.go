@@ -362,21 +362,21 @@ func (c *Cache) extendForAdds(added []*graph.Graph, res *MutationResult) {
 	}
 	for _, sh := range c.shards {
 		ix := sh.index.Load()
-		var repl map[int64]*entry
-		for serial, e := range ix.entries {
+		var repl []*entry
+		for slot, e := range ix.slotEntry {
 			newIDs := extend(e)
 			if len(newIDs) == 0 {
 				continue
 			}
 			if repl == nil {
-				repl = make(map[int64]*entry)
+				repl = slices.Clone(ix.slotEntry)
 			}
-			repl[serial] = e.withAnswer(unionSorted(e.answer, newIDs))
-			sh.answerRefAdd(serial, newIDs)
+			repl[slot] = e.withAnswer(unionSorted(e.answer, newIDs))
+			sh.answerRefAdd(e.serial, newIDs)
 			res.Extended++
 		}
 		if repl != nil {
-			sh.index.Store(ix.withReplacedEntries(repl))
+			sh.index.Store(ix.withSlotEntries(repl))
 		}
 		for _, w := range sh.window {
 			if newIDs := extend(w.e); len(newIDs) > 0 {
@@ -402,26 +402,27 @@ func (c *Cache) dropRemovedAnswers(removed []int32, res *MutationResult) {
 				affected[serial] = struct{}{}
 			}
 		}
-		var repl map[int64]*entry
+		var repl []*entry
 		for serial := range affected {
-			e, ok := ix.entries[serial]
+			slot, ok := slices.BinarySearch(ix.serials, serial)
 			if !ok {
 				continue
 			}
+			e := ix.slotEntry[slot]
 			na := subtractSorted(e.answer, sorted)
 			if len(na) == len(e.answer) {
 				continue
 			}
 			if repl == nil {
-				repl = make(map[int64]*entry)
+				repl = slices.Clone(ix.slotEntry)
 			}
-			repl[serial] = e.withAnswer(na)
+			repl[slot] = e.withAnswer(na)
 			sh.answerRefDel(serial, sorted)
 			res.EntriesTouched++
 			res.Invalidated++
 		}
 		if repl != nil {
-			sh.index.Store(ix.withReplacedEntries(repl))
+			sh.index.Store(ix.withSlotEntries(repl))
 		}
 		for _, w := range sh.window {
 			na := subtractSorted(w.e.answer, sorted)
@@ -465,24 +466,24 @@ func (c *Cache) reverifyForEdit(ng *graph.Graph, res *MutationResult) {
 	}
 	for _, sh := range c.shards {
 		ix := sh.index.Load()
-		var repl map[int64]*entry
-		for serial, e := range ix.entries {
+		var repl []*entry
+		for slot, e := range ix.slotEntry {
 			na, changed := decide(e)
 			if !changed {
 				continue
 			}
 			if repl == nil {
-				repl = make(map[int64]*entry)
+				repl = slices.Clone(ix.slotEntry)
 			}
 			if len(na) > len(e.answer) {
-				sh.answerRefAdd(serial, []int32{id})
+				sh.answerRefAdd(e.serial, []int32{id})
 			} else {
-				sh.answerRefDel(serial, []int32{id})
+				sh.answerRefDel(e.serial, []int32{id})
 			}
-			repl[serial] = e.withAnswer(na)
+			repl[slot] = e.withAnswer(na)
 		}
 		if repl != nil {
-			sh.index.Store(ix.withReplacedEntries(repl))
+			sh.index.Store(ix.withSlotEntries(repl))
 		}
 		for _, w := range sh.window {
 			if na, changed := decide(w.e); changed {

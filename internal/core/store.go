@@ -100,7 +100,7 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 	var flat []flatEntry
 	for _, sh := range c.shards {
 		ix := sh.index.Load()
-		for _, e := range ix.entries {
+		for _, e := range ix.slotEntry {
 			flat = append(flat, flatEntry{e, sh.stats})
 		}
 	}
@@ -430,15 +430,14 @@ graphsSection:
 	c.pool.ParallelFor(len(loaded), func(i int) {
 		loaded[i].routeHash(c.opts.MaxPathLen)
 	})
-	perShard := make([]map[int64]*entry, len(c.shards))
+	perShard := make([][]*entry, len(c.shards))
 	perStats := make([]*StatsStore, len(c.shards))
 	for i := range c.shards {
-		perShard[i] = map[int64]*entry{}
 		perStats[i] = NewStatsStore()
 	}
 	for i, e := range loaded {
 		si := c.shardOfHash(e.hash)
-		perShard[si][e.serial] = e
+		perShard[si] = append(perShard[si], e)
 		for col, v := range entries[i].stats {
 			perStats[si].Set(e.serial, col, v)
 		}
@@ -468,8 +467,8 @@ graphsSection:
 		sh := c.shards[i]
 		sh.stats = perStats[i]
 		sh.byAnswer = make(map[int32]map[int64]struct{})
-		for s, e := range perShard[i] {
-			sh.answerRefAdd(s, e.answer)
+		for _, e := range perShard[i] {
+			sh.answerRefAdd(e.serial, e.answer)
 		}
 		sh.index.Store(buildQueryIndex(perShard[i], c.opts.MaxPathLen))
 	})

@@ -118,7 +118,6 @@ func (c *Cache) processWindow(segs [][]*windowEntry, currentSerial int64) {
 type shardPass struct {
 	old      *queryIndex
 	admitted []*windowEntry
-	next     map[int64]*entry
 	victims  []int64
 }
 
@@ -154,10 +153,10 @@ func (c *Cache) doProcessWindow(segs [][]*windowEntry, currentSerial int64) {
 	}
 	c.admMu.Unlock()
 
-	// Phase 1, parallel per shard: window-batch dedup, the concurrent-
-	// duplicate guard against already-cached isomorphs, and the tentative
-	// next contents. Isomorphic queries share a feature hash and therefore
-	// a shard, so per-shard dedup loses nothing.
+	// Phase 1, parallel per shard: window-batch dedup and the concurrent-
+	// duplicate guard against already-cached isomorphs. Isomorphic queries
+	// share a feature hash and therefore a shard, so per-shard dedup loses
+	// nothing.
 	c.pool.ParallelFor(len(c.shards), func(i int) {
 		p := &passes[i]
 		p.old = c.shards[i].index.Load()
@@ -171,12 +170,12 @@ func (c *Cache) doProcessWindow(segs [][]*windowEntry, currentSerial int64) {
 		// interleaves. Admitting the copy would waste a cache slot and
 		// split the original's hit statistics. Isomorphic queries share a
 		// feature hash, so only hash-equal pairs need the isomorphism test.
-		if len(p.old.entries) > 0 {
+		if len(p.old.serials) > 0 {
 			kept := p.admitted[:0]
 			for _, w := range p.admitted {
 				dup := false
-				for _, e := range p.old.entries {
-					if w.e.hash == e.hash && iso.Isomorphic(iso.VF2{}, w.e.g, e.g) {
+				for slot, h := range p.old.hashes {
+					if h == w.e.hash && iso.Isomorphic(iso.VF2{}, w.e.g, p.old.slotEntry[slot].g) {
 						dup = true
 						break
 					}
@@ -187,46 +186,36 @@ func (c *Cache) doProcessWindow(segs [][]*windowEntry, currentSerial int64) {
 			}
 			p.admitted = kept
 		}
-		p.next = make(map[int64]*entry, len(p.old.entries)+len(p.admitted))
-		for s, e := range p.old.entries {
-			p.next[s] = e
-		}
-		for _, w := range p.admitted {
-			p.next[w.e.serial] = w.e
-		}
 	})
 
 	// Apportion the global capacity across shards in proportion to their
 	// tentative occupancy (largest-remainder), so the utility policy runs
 	// independently per shard while the global cap C is respected exactly.
 	sizes := make([]int, len(passes))
-	for i := range passes {
-		sizes[i] = len(passes[i].next)
+	for i, p := range passes {
+		sizes[i] = len(p.old.serials) + len(p.admitted) // admitted serials are new
 	}
 	budgets := apportionBudgets(c.opts.CacheSize, sizes)
 
 	// Phase 2, parallel per shard: eviction against the shard's budget,
 	// statistics-row initialisation in the shard's own store, and the
-	// incremental GCindex delta + swap. Entries arrive with their feature
-	// counts already memoised from the query path, so rebuild cost is
-	// O(window), not O(cache).
+	// GCindex delta + swap. Entries arrive with their feature vectors
+	// already memoised from the query path, so no cached graph is
+	// enumerated again; the delta is linear passes over the shard's flat
+	// posting arrays (see applyDelta).
 	c.pool.ParallelFor(len(c.shards), func(i int) {
 		p := &passes[i]
 		sh := c.shards[i]
 
-		if over := len(p.next) - budgets[i]; over > 0 {
-			cached := make([]int64, 0, len(p.old.entries))
-			for s := range p.old.entries {
-				cached = append(cached, s)
-			}
-			p.victims = SelectVictims(c.opts.Policy, sh.stats, cached, currentSerial, over)
-			for _, s := range p.victims {
-				delete(p.next, s)
-			}
+		size := len(p.old.serials) + len(p.admitted)
+		if over := size - budgets[i]; over > 0 {
+			p.victims = SelectVictims(c.opts.Policy, sh.stats, p.old.serials, currentSerial, over)
+			size -= len(p.victims)
 		}
 		// More admitted than fits even after evicting everything: keep the
 		// most expensive ones (newest on ties).
-		if over := len(p.next) - budgets[i]; over > 0 {
+		fits := p.admitted
+		if over := size - budgets[i]; over > 0 {
 			sort.Slice(p.admitted, func(a, b int) bool {
 				sa, sb := p.admitted[a].score(), p.admitted[b].score()
 				if sa != sb {
@@ -234,25 +223,14 @@ func (c *Cache) doProcessWindow(segs [][]*windowEntry, currentSerial int64) {
 				}
 				return p.admitted[a].e.serial < p.admitted[b].e.serial
 			})
-			for _, w := range p.admitted {
-				if over == 0 {
-					break
-				}
-				if _, ok := p.next[w.e.serial]; ok {
-					delete(p.next, w.e.serial)
-					over--
-				}
-			}
+			fits = p.admitted[over:]
 		}
 
 		// Initialise statistics rows for the entries that made it in,
 		// batched into one locked apply per shard per window.
 		var ops []StatOp
-		added := make([]*entry, 0, len(p.admitted))
-		for _, w := range p.admitted {
-			if _, ok := p.next[w.e.serial]; !ok {
-				continue
-			}
+		added := make([]*entry, 0, len(fits))
+		for _, w := range fits {
 			added = append(added, w.e)
 			s := w.e.serial
 			ops = append(ops,
@@ -281,7 +259,7 @@ func (c *Cache) doProcessWindow(segs [][]*windowEntry, currentSerial int64) {
 		// answer-index references.
 		for _, s := range p.victims {
 			sh.stats.Delete(s)
-			if old := p.old.entries[s]; old != nil {
+			if old := p.old.lookup(s); old != nil {
 				sh.answerRefDel(s, old.answer)
 			}
 		}

@@ -7,7 +7,8 @@
 // posting column per path feature instead, keyed by the feature's hashed
 // 64-bit ID (see pathfeat.Vector): the IDs of the graphs the feature
 // occurs in, ascending, and beside them its count in each — all columns
-// laid end to end in flat arrays, in feature order. Two paths whose
+// laid end to end in flat arrays, in feature order (pathfeat.Columns, the
+// layout the cache's GCindex shares). Two paths whose
 // IDs collide share a column holding the sum of their counts, which — by
 // the argument in the Vector comment — can admit a false candidate but
 // never lose an answer, and every candidate is verified.
@@ -20,7 +21,6 @@
 package ggsx
 
 import (
-	"cmp"
 	"slices"
 
 	"graphcache/internal/dataset"
@@ -49,39 +49,14 @@ func (o Options) withDefaults() Options {
 type Index struct {
 	ds   *dataset.Dataset
 	opts Options
-	cols columns
+	cols pathfeat.Columns
+	top  int32 // no ID above it has postings (-1: none has)
 	algo iso.Algorithm
-}
-
-// columns holds every feature's postings in four flat, pointer-free
-// arrays. Column k belongs to feature feats[k] — feats ascends — and
-// occupies positions ends[k-1] (0 for k = 0) up to ends[k] of ids and
-// counts: the graphs the feature occurs in, by ascending ID, and its
-// occurrence count in each. No column is empty.
-type columns struct {
-	feats  []uint64
-	ends   []uint32
-	ids    []int32
-	counts []int32
-}
-
-// column returns the bounds of column k in ids and counts.
-func (c *columns) column(k int) (lo, hi uint32) {
-	if k > 0 {
-		lo = c.ends[k-1]
-	}
-	return lo, c.ends[k]
-}
-
-// posting is one (feature, graph, count) fact on its way into the columns.
-type posting struct {
-	feat      uint64
-	id, count int32
 }
 
 // New builds the GGSX index over ds.
 func New(ds *dataset.Dataset, opts Options) *Index {
-	idx := &Index{ds: ds, opts: opts.withDefaults(), algo: iso.VF2{}}
+	idx := &Index{ds: ds, opts: opts.withDefaults(), top: -1, algo: iso.VF2{}}
 	var live []*graph.Graph
 	for _, g := range ds.Graphs() {
 		if g != nil { // nil: tombstone of a removed graph
@@ -108,113 +83,35 @@ func New(ds *dataset.Dataset, opts Options) *Index {
 // posting: ≈0.7 ms for the 320,000 postings of an 800-graph molecule
 // dataset) and publishing a dataset generation is itself O(dataset), but
 // no query runs meanwhile, so a mutation of a much larger dataset stalls
-// its queries proportionally longer.
+// its queries proportionally longer. A mutation that only adds graphs
+// above every indexed ID — dataset IDs are handed out ascending, so that
+// is every plain add — has nothing to drop and skips the scan.
 func (idx *Index) ApplyDatasetMutation(added, edited []*graph.Graph, removed []int32) {
-	dead := make([]bool, idx.ds.Len())
-	for _, id := range removed {
-		dead[id] = true
-	}
-	var fresh []posting
+	rows := make([]pathfeat.Row, 0, len(added)+len(edited))
+	fresh := len(removed) == 0 && len(edited) == 0 // no ID named has postings
 	for _, gs := range [][]*graph.Graph{added, edited} {
 		for _, g := range gs {
-			dead[g.ID()] = true
-			for _, fc := range pathfeat.SimplePathVector(g, idx.opts.MaxPathLen) {
-				fresh = append(fresh, posting{fc.ID, g.ID(), fc.Count})
-			}
+			fresh = fresh && g.ID() > idx.top
+			rows = append(rows, pathfeat.Row{ID: g.ID(), Vec: pathfeat.SimplePathVector(g, idx.opts.MaxPathLen)})
 		}
 	}
-	idx.cols.drop(dead)
-	idx.cols.merge(fresh)
-}
-
-// drop deletes, in place, the postings of the graphs dead marks or is too
-// short to name, and the columns that empties.
-func (c *columns) drop(dead []bool) {
-	var lo uint32
-	nIDs, nCols := uint32(0), 0
-	for k, hi := range c.ends {
-		begin := nIDs
-		for at := lo; at < hi; at++ {
-			if id := c.ids[at]; int(id) < len(dead) && !dead[id] {
-				c.ids[nIDs], c.counts[nIDs] = id, c.counts[at]
-				nIDs++
-			}
+	if !fresh {
+		remap := make([]int32, idx.ds.Len()) // IDs past its end are dropped
+		for id := range remap {
+			remap[id] = int32(id)
 		}
-		lo = hi
-		if nIDs > begin {
-			c.feats[nCols], c.ends[nCols] = c.feats[k], nIDs
-			nCols++
+		for _, id := range removed {
+			remap[id] = -1
 		}
+		for _, r := range rows {
+			remap[r.ID] = -1
+		}
+		idx.cols.Renumber(&idx.cols, remap, nil)
+		idx.top = int32(len(remap)) - 1
 	}
-	c.feats, c.ends = c.feats[:nCols], c.ends[:nCols]
-	c.ids, c.counts = c.ids[:nIDs], c.counts[:nIDs]
-}
-
-// merge adds the postings fresh to c, in place. No graph of fresh may
-// have postings in c. The arrays grow by what fresh brings (amortised, so
-// most merges allocate nothing) and are filled from the back, each old
-// column moving up once to its final position: nothing is overwritten
-// before it has moved.
-func (c *columns) merge(fresh []posting) {
-	slices.SortFunc(fresh, func(a, b posting) int {
-		return cmp.Or(cmp.Compare(a.feat, b.feat), cmp.Compare(a.id, b.id))
-	})
-	opened := 0 // columns fresh opens
-	for j, k := 0, 0; j < len(fresh); j++ {
-		if j == 0 || fresh[j].feat != fresh[j-1].feat {
-			at, found := slices.BinarySearch(c.feats[k:], fresh[j].feat)
-			k += at
-			if !found {
-				opened++
-			}
-		}
-	}
-	k := len(c.feats) // old columns from k on are in their final place
-	c.feats = slices.Grow(c.feats, opened)[:k+opened]
-	c.ends = slices.Grow(c.ends, opened)[:k+opened]
-	c.ids = slices.Grow(c.ids, len(fresh))[:len(c.ids)+len(fresh)]
-	c.counts = slices.Grow(c.counts, len(fresh))[:len(c.ids)]
-	col, at := len(c.feats), len(c.ids) // final columns from col on, postings from at on, are written
-	for j := len(fresh); j > 0; {
-		feat := fresh[j-1].feat
-		// The old columns past feat move up as one block.
-		from, found := slices.BinarySearch(c.feats[:k], feat)
-		if found {
-			from++
-		}
-		if from < k {
-			lo, _ := c.column(from)
-			hi := c.ends[k-1]
-			at -= int(hi - lo)
-			copy(c.ids[at:], c.ids[lo:hi])
-			copy(c.counts[at:], c.counts[lo:hi])
-			col -= k - from
-			copy(c.feats[col:], c.feats[from:k])
-			for i := k - 1; i >= from; i-- {
-				c.ends[col+i-from] = c.ends[i] + uint32(at) - lo
-			}
-			k = from
-		}
-		// feat's column: its old postings and its fresh ones, by graph ID.
-		var lo, hi uint32
-		if found {
-			k--
-			lo, hi = c.column(k)
-		}
-		end := uint32(at)
-		for ; j > 0 && fresh[j-1].feat == feat; j-- {
-			for ; lo < hi && c.ids[hi-1] > fresh[j-1].id; hi-- {
-				at--
-				c.ids[at], c.counts[at] = c.ids[hi-1], c.counts[hi-1]
-			}
-			at--
-			c.ids[at], c.counts[at] = fresh[j-1].id, fresh[j-1].count
-		}
-		at -= int(hi - lo)
-		copy(c.ids[at:], c.ids[lo:hi])
-		copy(c.counts[at:], c.counts[lo:hi])
-		col--
-		c.feats[col], c.ends[col] = feat, end
+	idx.cols.Merge(rows)
+	for _, r := range rows {
+		idx.top = max(idx.top, r.ID)
 	}
 }
 
@@ -250,14 +147,11 @@ func (idx *Index) FilterVector(qv pathfeat.Vector) []int32 {
 	spans := make([]span, len(qv))
 	shortest := 0
 	for i, k := 0, 0; i < len(qv); i++ {
-		// qv and feats both ascend, so each search resumes where the last
-		// one ended.
-		at, ok := slices.BinarySearch(c.feats[k:], qv[i].ID)
-		if !ok {
+		var ok bool
+		if k, ok = c.Find(qv[i].ID, k); !ok {
 			return nil
 		}
-		k += at
-		lo, hi := c.column(k)
+		lo, hi := c.Column(k)
 		spans[i] = span{lo, hi}
 		if hi-lo < spans[shortest].hi-spans[shortest].lo {
 			shortest = i
@@ -266,8 +160,8 @@ func (idx *Index) FilterVector(qv pathfeat.Vector) []int32 {
 	first := spans[shortest]
 	out := make([]int32, 0, first.hi-first.lo)
 	for at := first.lo; at < first.hi; at++ {
-		if c.counts[at] >= qv[shortest].Count {
-			out = append(out, c.ids[at])
+		if c.Counts[at] >= qv[shortest].Count {
+			out = append(out, c.IDs[at])
 		}
 	}
 	for i, sp := range spans {
@@ -277,7 +171,7 @@ func (idx *Index) FilterVector(qv pathfeat.Vector) []int32 {
 		if len(out) == 0 {
 			break
 		}
-		ids, counts := c.ids[sp.lo:sp.hi], c.counts[sp.lo:sp.hi]
+		ids, counts := c.IDs[sp.lo:sp.hi], c.Counts[sp.lo:sp.hi]
 		kept, at := 0, 0
 		for _, id := range out {
 			at += gallop(ids[at:], id)
@@ -314,4 +208,4 @@ func (idx *Index) Verify(q *graph.Graph, id int32) bool {
 
 // FeatureCount returns the number of distinct feature IDs with postings —
 // the number of columns.
-func (idx *Index) FeatureCount() int { return len(idx.cols.feats) }
+func (idx *Index) FeatureCount() int { return len(idx.cols.Feats) }

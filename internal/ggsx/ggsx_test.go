@@ -249,13 +249,11 @@ func TestCollidingFeatureIDsLoseNoAnswer(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		ds := randomDataset(r, 30, 10, 3, 0.3)
 		idx := &Index{ds: ds, opts: Options{}.withDefaults(), algo: iso.VF2{}}
-		var postings []posting
+		var rows []pathfeat.Row
 		for _, g := range ds.Graphs() {
-			for _, fc := range folded(g) {
-				postings = append(postings, posting{fc.ID, g.ID(), fc.Count})
-			}
+			rows = append(rows, pathfeat.Row{ID: g.ID(), Vec: folded(g)})
 		}
-		idx.cols.merge(postings)
+		idx.cols.Merge(rows)
 		if idx.FeatureCount() > 5 {
 			t.Fatalf("folded index has %d columns, want ≤ 5", idx.FeatureCount())
 		}
@@ -440,24 +438,39 @@ func BenchmarkGGSXFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkGGSXApplyMutation is one add → edit → remove cycle, which
-// leaves the index as it found it.
+// BenchmarkGGSXApplyMutation runs mutations of a 400-graph index: "cycle"
+// times an add → edit → remove cycle, which leaves the index as it found
+// it; "add" times the add alone, which skips the posting scan (the
+// removal that restores the index runs with the timer stopped).
 func BenchmarkGGSXApplyMutation(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	ds := benchDataset(r, 400)
-	idx := New(ds, Options{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		added := []*graph.Graph{randomGraph(r, 30, 5, 0.07)}
-		ids := ds.AddGraphs(added)
-		idx.ApplyDatasetMutation(added, nil, nil)
-		edited, err := ds.Replace(ids[0], randomGraph(r, 30, 5, 0.07))
-		if err != nil {
-			b.Fatal(err)
+	for _, addOnly := range []bool{false, true} {
+		name := "cycle"
+		if addOnly {
+			name = "add"
 		}
-		idx.ApplyDatasetMutation(nil, []*graph.Graph{edited}, nil)
-		idx.ApplyDatasetMutation(nil, nil, ds.RemoveGraphs(ids))
+		b.Run(name, func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			ds := benchDataset(r, 400)
+			idx := New(ds, Options{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				added := []*graph.Graph{randomGraph(r, 30, 5, 0.07)}
+				ids := ds.AddGraphs(added)
+				idx.ApplyDatasetMutation(added, nil, nil)
+				if addOnly {
+					b.StopTimer()
+				} else {
+					edited, err := ds.Replace(ids[0], randomGraph(r, 30, 5, 0.07))
+					if err != nil {
+						b.Fatal(err)
+					}
+					idx.ApplyDatasetMutation(nil, []*graph.Graph{edited}, nil)
+				}
+				idx.ApplyDatasetMutation(nil, nil, ds.RemoveGraphs(ids))
+				b.StartTimer()
+			}
+		})
 	}
 }
 

@@ -161,7 +161,7 @@ func (cl *Client) QueryBatch(ctx context.Context, qs []*graph.Graph) ([]QueryRes
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	var resp BatchResponse
+	resp := BatchResponse{Results: make([]QueryResponse, 0, len(qs))} // the decoder fills it in place
 	if err := cl.postGraphs(ctx, "/querybatch", qs, false, &resp); err != nil {
 		return nil, err
 	}
@@ -219,7 +219,7 @@ func (cl *Client) QueryBatchStream(ctx context.Context, qs []*graph.Graph, arriv
 		return fmt.Errorf("client: POST %s: %w", path, se)
 	}
 	sc := bufio.NewScanner(res.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
+	sc.Buffer(nil, 64<<20) // grows from the scanner's own 4 KB as lines need
 	seen := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -227,7 +227,7 @@ func (cl *Client) QueryBatchStream(ctx context.Context, qs []*graph.Graph, arriv
 			continue
 		}
 		var sr StreamResult
-		if err := json.Unmarshal(line, &sr); err != nil {
+		if err := decodeStreamResult(line, &sr); err != nil {
 			return fmt.Errorf("client: decoding stream line: %w", err)
 		}
 		if sr.Error != "" {
@@ -456,10 +456,45 @@ func (cl *Client) once(ctx context.Context, method, path string, payload []byte,
 		}
 		return fmt.Errorf("client: %s %s: %w", method, path, se)
 	}
-	if err := json.NewDecoder(res.Body).Decode(out); err != nil {
+	if err := decodeReply(res, out); err != nil {
 		return fmt.Errorf("client: decoding response: %w", err)
 	}
 	return nil
+}
+
+// decodeReply decodes a 200 reply's body into out: the result envelopes by
+// hand over the whole body (see results.go), anything else with
+// encoding/json.
+func decodeReply(res *http.Response, out any) error {
+	switch v := out.(type) {
+	case *QueryResponse:
+		body, err := readBody(res)
+		if err != nil {
+			return err
+		}
+		return decodeQueryResponse(body, v)
+	case *BatchResponse:
+		body, err := readBody(res)
+		if err != nil {
+			return err
+		}
+		return decodeBatchResponse(body, v)
+	}
+	return json.NewDecoder(res.Body).Decode(out)
+}
+
+// readBody reads a reply body whole: into one buffer of the announced
+// length when there is one, else into one with room for a 32-result batch
+// (a batch reply is too long for net/http to announce its length).
+func readBody(res *http.Response) ([]byte, error) {
+	if n := res.ContentLength; n >= 0 && n <= 64<<20 {
+		body := make([]byte, n)
+		_, err := io.ReadFull(res.Body, body)
+		return body, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, 16<<10))
+	_, err := buf.ReadFrom(res.Body)
+	return buf.Bytes(), err
 }
 
 // parseRetryAfter reads a reply's Retry-After header in either form RFC

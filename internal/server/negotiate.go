@@ -164,18 +164,27 @@ func (wr *Wire) ReadGraphs(w http.ResponseWriter, r *http.Request, one bool) ([]
 }
 
 // WriteResults writes query results as the JSON envelope: a bare
-// QueryResponse for /query, a BatchResponse for /querybatch.
+// QueryResponse for /query, a BatchResponse for /querybatch — encoded in
+// one buffer sized for them up front (see results.go).
 func (wr *Wire) WriteResults(w http.ResponseWriter, rs []QueryResponse, single bool) {
-	cw := &countingWriter{ResponseWriter: w}
 	encStart := time.Now()
-	if single {
-		WriteJSON(cw, http.StatusOK, rs[0])
-	} else {
-		WriteJSON(cw, http.StatusOK, BatchResponse{Results: rs})
+	size := 16
+	for i := range rs {
+		size += 400 + 8*len(rs[i].Answer)
 	}
+	buf := make([]byte, 0, size)
+	if single {
+		buf = appendQueryResponse(buf, &rs[0])
+	} else {
+		buf = appendBatchResponse(buf, rs)
+	}
+	buf = append(buf, '\n')
+	w.Header().Set("Content-Type", contentTypeJSON)
+	w.WriteHeader(http.StatusOK)
+	n, _ := w.Write(buf) // a failed write means the client left; nothing to report it to
 	wr.respText.Seconds.Observe(time.Since(encStart).Seconds())
 	wr.respText.Negotiated.Inc()
-	wr.respText.Bytes.Add(float64(cw.n))
+	wr.respText.Bytes.Add(float64(n))
 }
 
 // ResultStream writes one /querybatch response in NDJSON streaming mode:
@@ -187,7 +196,7 @@ type ResultStream struct {
 	ctx context.Context // the request's: nothing is written for a departed client
 	wm  *wireMetrics
 	cw  countingWriter
-	enc *json.Encoder
+	buf []byte // one encoded line, reused under mu
 	fl  http.Flusher
 
 	mu      sync.Mutex
@@ -211,13 +220,13 @@ func (wr *Wire) Stream(w http.ResponseWriter, r *http.Request, n int) *ResultStr
 		arrival: r.URL.Query().Get("order") == "arrival",
 		parked:  make([]*StreamResult, n),
 	}
-	st.enc = json.NewEncoder(&st.cw)
 	st.fl, _ = w.(http.Flusher)
 	return st
 }
 
 func (st *ResultStream) emit(sr *StreamResult) {
-	st.enc.Encode(sr)
+	st.buf = append(appendStreamResult(st.buf[:0], sr), '\n')
+	st.cw.Write(st.buf) // a failed write means the client left; the request context reports it
 	if st.fl != nil {
 		st.fl.Flush()
 	}

@@ -19,6 +19,15 @@ import (
 //	GET  /healthz                                           → 200 "ok"
 //
 // Errors come back as {"error": "..."} with a 4xx/5xx status.
+//
+// The JSON is what encoding/json makes of the types below, but the three
+// result envelopes — QueryResponse, BatchResponse and StreamResult — are
+// coded by hand (results.go): the encoders write exactly encoding/json's
+// bytes and the decoder follows its semantics, which tests pin against
+// encoding/json itself (TestResultEncodersMatchEncodingJSON,
+// TestWireRepliesMatchEncodingJSON, FuzzDecodeResults). A field added to
+// them, or to core.QueryStats, must be added to the codec; the tests fail
+// until it is. Every other body goes through encoding/json.
 
 // epochHeader carries a backend's dataset epoch on GET /healthz
 // responses, so the router's health probes double as its epoch feed.
