@@ -230,39 +230,6 @@ func BenchmarkCacheConcurrent(b *testing.B) {
 	})
 }
 
-// BenchmarkCacheSharded isolates the sharded store's contribution to
-// multi-caller throughput: the same workload through one shared Cache from
-// GOMAXPROCS concurrent callers, with the cached-query store unsharded
-// (Shards=1) versus partitioned at the default shard count (next power of
-// two >= GOMAXPROCS). On a multi-core machine the sharded layout should
-// match or clear the unsharded one — callers load disjoint index
-// snapshots, append to disjoint window segments and credit disjoint
-// statistics columns.
-func BenchmarkCacheSharded(b *testing.B) {
-	ds := benchDataset()
-	qs := benchQueries(ds, 64)
-	run := func(b *testing.B, shards int) {
-		gc := graphcache.New(graphcache.NewGGSX(ds, graphcache.GGSXOptions{}),
-			graphcache.Options{CacheSize: 50, WindowSize: 10, AsyncRebuild: true, Shards: shards})
-		for _, q := range qs { // warm the cache
-			gc.Query(q.Graph)
-		}
-		var cursor atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				i := int(cursor.Add(1)) - 1
-				gc.Query(qs[i%len(qs)].Graph)
-			}
-		})
-		b.StopTimer() // drain async rebuilds untimed
-		gc.Flush()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-	}
-	b.Run("shards=1", func(b *testing.B) { run(b, 1) })
-	b.Run("shards=default", func(b *testing.B) { run(b, 0) })
-}
-
 // BenchmarkQueryBatch compares one QueryBatch over 64 queries against 64
 // sequential Query calls on an identically warmed cache — the execution
 // primitive behind gcserved's request coalescer. The batch amortises
@@ -307,7 +274,7 @@ func BenchmarkQueryBatch(b *testing.B) {
 // BenchmarkWindowRebuild measures steady-state window maintenance: no
 // cached graph's paths are enumerated again (the counter test in
 // internal/core pins that), and the GCindex delta is a few linear passes
-// over each shard's flat posting arrays; this bench tracks the cost.
+// over the index's flat posting arrays; this bench tracks the cost.
 func BenchmarkWindowRebuild(b *testing.B) {
 	ds := benchDataset()
 	qs := benchQueries(ds, 512)

@@ -12,11 +12,8 @@ import (
 //
 // Query is safe for any number of concurrent callers, and verification
 // inside each query fans out over a worker pool sized by
-// Options.VerifyConcurrency. The cached-query store is partitioned into
-// Options.Shards feature-hash shards — disjoint index snapshots, window
-// segments and statistics columns — while answers stay identical at any
-// shard count; see the package documentation's Concurrency and Sharded
-// store layout sections. The engine is one staged pipeline:
+// Options.VerifyConcurrency; see the package documentation's Concurrency
+// section. The engine is one staged pipeline:
 // QueryBatchStream runs it over many queries as one unit — amortising
 // index probes, pool dispatches and statistics round-trips across the
 // batch, delivering each result as it completes, with answers identical

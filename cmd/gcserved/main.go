@@ -74,7 +74,6 @@ func main() {
 		window    = flag.Int("window", 20, "window size W in queries")
 		policy    = flag.String("policy", "hd", "replacement policy: lru, pop, pin, pinc, hd")
 		admission = flag.Float64("admission", 0, "admission-control fraction (0 disables)")
-		shards    = flag.Int("shards", 0, "cached-query store shards (0 = next power of two >= GOMAXPROCS)")
 		maxBatch  = flag.Int("max-batch", 64, "request coalescer: max queries per run (1 disables coalescing)")
 		maxDelay  = flag.Duration("max-delay", graphcache.DefaultCoalesceDelay, "request coalescer: longest a query may be held behind a busy engine (an idle engine runs it at once; negative disables coalescing)")
 		shedAt    = flag.Int("shed-threshold", 0, "queries admitted concurrently before 429 shedding (0 disables; a fronting gcrouter usually owns shedding)")
@@ -123,7 +122,6 @@ func main() {
 		WindowSize:        *window,
 		Policy:            pol,
 		AdmissionFraction: *admission,
-		Shards:            *shards,
 		// Maintenance off the query path, as in the paper's architecture.
 		AsyncRebuild: true,
 	})

@@ -57,57 +57,30 @@
 // deterministic and id-ordered at any pool size and under any caller
 // interleaving.
 //
-// # Sharded store layout
-//
-// The cached-query store is physically partitioned into Options.Shards
-// shards (default: the next power of two ≥ GOMAXPROCS), keyed by a hash
-// of each entry's path-feature counts. Every shard owns its own GCindex
-// snapshot, window segment and statistics columns, so on many-core
-// machines concurrent callers stop sharing one index pointer, one window
-// lock and one statistics mutex. The partition is physical only — the
-// store remains one logical set, with these guarantees:
-//
-//   - Probes fan out across all shards (through the shared worker pool)
-//     and merge in ascending serial order: answers are identical at any
-//     shard count, and Shards=1 reproduces the unsharded layout exactly.
-//   - The Window stays a global unit: the Window Manager fires when the
-//     segments jointly hold WindowSize entries, and admission control
-//     (threshold calibration) observes whole windows. Per-shard rebuilds
-//     then run in parallel.
-//   - Eviction runs the replacement policy independently per shard
-//     against a proportional (largest-remainder) share of CacheSize, so
-//     the global capacity is respected exactly while hot shards keep
-//     proportionally more entries.
-//   - Isomorphic queries have identical feature counts and therefore
-//     route to the same shard, which keeps the exact-match, window-dedup
-//     and concurrent-duplicate guards shard-local.
-//   - Snapshots are shard-count independent: WriteSnapshot flattens the
-//     shards into one serial-ordered list, and ReadSnapshot re-derives
-//     the routing, so a snapshot written with N shards loads into a
-//     cache configured with M.
-//
-// Index maintenance applies each window's add/evict delta to the previous
-// per-shard GCindex generation using feature vectors memoised per entry
-// (computed once, on the query path, shared with the probe), so no cached
-// graph's paths are enumerated again. What a delta does cost is a few
-// memmove-like passes over the shard's flat posting arrays — O(postings in
-// the shard) per window, no map — and it can run asynchronously
-// (Options.AsyncRebuild). Snapshot loading (ReadSnapshot) is the one
+// The cached-query store is one GCindex generation, published atomically:
+// queries load it once per run and read it without locks. The Window is
+// one list under one mutex, and the Statistics Manager one store;
+// replacement ranks every cached query together (§6.3). Index maintenance
+// applies each window's add/evict delta to the previous GCindex
+// generation using feature vectors memoised per entry (computed once, on
+// the query path, shared with the probe), so no cached graph's paths are
+// enumerated again. What a delta does cost is a few memmove-like passes
+// over the index's flat posting arrays — O(postings in the index) per
+// window, no map — and it can run asynchronously (Options.AsyncRebuild). Snapshot loading (ReadSnapshot) is the one
 // startup-only operation that must not run concurrently with queries.
 //
 // # GCindex internals
 //
-// GCindex is one combined subgraph/supergraph feature index per shard
-// over the cached query graphs. It answers two questions, cheapest first.
-// The exact-match lookup: every slot records its entry's routing hash in
-// a pointer-free []uint64 column, isomorphic queries have equal feature
-// vectors and therefore equal hashes and the same shard, so "is this very
-// query cached?" is a scan of one column in one shard for a slot of
-// equal hash, vertex count and edge count — confirmed by a sub-iso test
-// before it counts, because equal hashes prove nothing (a uniformly
-// labelled C10 and C5 + C5 share every path count up to 4 edges). The
-// containment probe — run once per shard per query the lookup did not
-// answer — is the hottest loop in the system. Two ingredients keep it
+// GCindex is one combined subgraph/supergraph feature index over the
+// cached query graphs. It answers two questions, cheapest first. The
+// exact-match lookup: every slot records its entry's feature hash in a
+// pointer-free []uint64 column, isomorphic queries have equal feature
+// vectors and therefore equal hashes, so "is this very query cached?" is
+// a scan of one column for a slot of equal hash, vertex count and edge
+// count — confirmed by a sub-iso test before it counts, because equal
+// hashes prove nothing (a uniformly labelled C10 and C5 + C5 share every
+// path count up to 4 edges). The containment probe — run once per query
+// the lookup did not answer — is the hottest loop in the system. Two ingredients keep it
 // allocation-free:
 //
 //   - Feature vectors without a vocabulary. A feature's ID is the 64-bit
@@ -119,9 +92,9 @@
 //     reused everywhere the query goes: Method M's filter when M indexes
 //     the same vectors (GGSX at the cache's path length: posting columns
 //     per feature ID, intersected from the query's shortest column — see
-//     internal/ggsx), the index probe in every shard, the shard-routing
-//     hash (a mix of the same IDs and counts), the admission window entry
-//     and the index delta. Two keys that collide on an ID have their counts summed, in
+//     internal/ggsx), the index probe, the exact-lookup hash (a mix of the
+//     same IDs and counts), the admission window entry and the index
+//     delta. Two keys that collide on an ID have their counts summed, in
 //     every vector alike. Containment q ⊆ G implies count_G(p) ≥
 //     count_q(p) for every path p, hence also for sums over paths sharing
 //     an ID: a collision can add a false candidate, never hide a true
@@ -149,7 +122,7 @@
 // slot map (evicted slots dropped with the columns they alone used),
 // merged with the admitted entries' vectors, already sorted, by a k-way
 // merge. That is a fixed number of allocations and O(postings in the
-// shard) memmove-like work per window — no map, no sort of postings, no
+// index) memmove-like work per window — no map, no sort of postings, no
 // tombstones. Tests pin the result to a from-scratch build, array for
 // array, and the probe to a map-based reference implementation on
 // randomly mutated caches.
@@ -173,11 +146,11 @@
 // an exact hit has GCVerifications = 1 (the confirmation) and no
 // Containers or Containees — Totals.ContainerHits and ContaineeHits count
 // non-exact queries, as the container/containee series of
-// graphcache_query_hits_total always did. For a batch, every shard's
-// index snapshot is loaded once, the open queries are probed in a single
+// graphcache_query_hits_total always did. For a batch, the index
+// generation is loaded once, the open queries are probed in a single
 // pass, their GC containment confirmations and Method-M verifications
 // flatten into one pooled dispatch per stage, and the whole batch's hit
-// statistics land in a single store round-trip per shard. Answers are
+// statistics land in a single store round-trip. Answers are
 // exactly those of sequential Query calls — the pruning rules are sound,
 // so answers never depend on cache contents — id-ordered and
 // deterministic. A run whose open queries were all proven empty returns

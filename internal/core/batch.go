@@ -93,8 +93,8 @@ func (c *Cache) Query(q *graph.Graph) Result {
 // returns the results aligned to qs. Each query receives exactly the
 // answer a standalone Query call would return — the pruning rules are
 // sound, so answers never depend on cache contents — id-ordered and
-// deterministic at any shard count, pool size or caller interleaving. It
-// is safe to call concurrently with Query and with other batches.
+// deterministic at any pool size or caller interleaving. It is safe to
+// call concurrently with Query and with other batches.
 func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
 	if len(qs) == 0 {
 		return nil
@@ -117,18 +117,17 @@ func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
 // Every stage runs once per run, cheapest first, and each later stage
 // only over the queries the earlier ones left unresolved:
 //
-//   - feature extraction, one pooled pass; the vectors are the exact
-//     lookup's key, Method M's filter input, the probe input, the new
-//     entries' memoised vectors and their shard-routing hashes;
-//   - the exact-match lookup (§5.1, special case 1): every shard's index
-//     snapshot is loaded once, and each query's own shard is scanned for a
-//     cached query of equal hash and size, confirmed isomorphic by a
-//     sub-iso test before it counts. A hit is answered "with no further
-//     processing": no filter, no probe, no containment confirmation. A run
-//     in which every query hit starts no goroutine and never touches
-//     Method M;
+//   - feature extraction, one pooled pass; the vectors are Method M's
+//     filter input, the probe input and the new entries' memoised
+//     vectors, and their hashes are the exact lookup's key;
+//   - the exact-match lookup (§5.1, special case 1): the index generation
+//     is loaded once, and its hash column is scanned for a cached query
+//     of equal hash and size, confirmed isomorphic by a sub-iso test
+//     before it counts. A hit is answered "with no further processing":
+//     no filter, no probe, no containment confirmation. A run in which
+//     every query hit starts no goroutine and never touches Method M;
 //   - for the queries still open, Method M's filter on its own goroutine,
-//     beside the GC processors (§4, Figure 2): the loaded snapshots are
+//     beside the GC processors (§4, Figure 2): the loaded generation is
 //     probed per query, and the containment confirmations of all open
 //     queries flatten into one work list over the shared worker pool;
 //   - the empty-answer shortcut (special case 2), then the Candidate Set
@@ -139,7 +138,7 @@ func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
 //   - verification: the sub-iso tests of all pruned candidate sets as one
 //     flattened work list, the worker landing a query's last verdict
 //     assembling and delivering its answer;
-//   - bookkeeping: hit credits in one CreditBatch per touched shard,
+//   - bookkeeping: hit credits in one CreditBatch,
 //     non-duplicate queries into the Window in serial order (the Window
 //     Manager fires exactly as under sequential calls), one locked fold
 //     into the lifetime totals, one observation per query.
@@ -202,22 +201,17 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	}
 
 	// All queries of a run look up and probe the same index generation.
-	ixs := make([]*queryIndex, len(c.shards))
-	cached := 0
-	for si, sh := range c.shards {
-		ixs[si] = sh.index.Load()
-		cached += len(ixs[si].serials)
-	}
+	ix := c.index.Load()
+	cached := len(ix.serials)
 
 	// Special case 1 (§5.1), ahead of everything it makes unnecessary: an
-	// isomorphic cached query has q's hash and lives in q's shard, so the
-	// lookup scans that one hash column and confirms a match with one
-	// sub-iso test.
+	// isomorphic cached query has q's hash, so the lookup scans the hash
+	// column and confirms a match with one sub-iso test.
 	open := n
 	if cached > 0 && !c.opts.DisableExactMatch {
 		c.pool.ParallelForN(n, c.adaptiveWorkers(n), func(i int) {
 			s := &st[i]
-			s.exact = ixs[c.shardOfHash(s.hash)].exact(s.hash, s.q.NumVertices(), s.q.NumEdges(), func(e *entry) bool {
+			s.exact = ix.exact(s.hash, s.q.NumVertices(), s.q.NumEdges(), func(e *entry) bool {
 				s.stats.GCVerifications++
 				return iso.Contains(c.algo, s.q, e.g)
 			})
@@ -255,7 +249,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		if cached > 0 {
 			c.pool.ParallelFor(n, func(i int) {
 				if s := &st[i]; s.exact == nil {
-					s.checks, s.nSub = c.probe(ixs, s.vec)
+					s.checks, s.nSub = c.probe(ix, s.vec)
 				}
 			})
 			for i := range st {
@@ -272,7 +266,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	// Containment confirmations: real (cheap, small-vs-small) sub-iso
 	// tests, query-major with containers before containees, so each
 	// query's confirmed lists come out in ascending serial order whatever
-	// the pool size or shard count.
+	// the pool size.
 	if nChecks > 0 {
 		checks := make([]gcCheck, 0, nChecks)
 		for qi := range st {
@@ -308,10 +302,10 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	gcShare := time.Since(gcStart) / time.Duration(n)
 
 	// Hit credits (§5.2) — hit counts, recency, candidate-set reduction
-	// and estimated time saving — queue per owning shard and land after
-	// verification, so an abandoned run credits nothing. Deferring is safe:
-	// credit ops only increment or max columns the run itself never reads.
-	shardOps := make([][]StatOp, len(c.shards))
+	// and estimated time saving — queue up and land after verification, so
+	// an abandoned run credits nothing. Deferring is safe: credit ops only
+	// increment or max columns the run itself never reads.
+	var credits []StatOp
 	queueCredit := func(s *queryState, e *entry, special bool, reduction, saved float64) {
 		ops := [...]StatOp{
 			{Key: e.serial, Col: ColHits, Val: 1},
@@ -328,8 +322,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		if special {
 			k = 5
 		}
-		si := c.shardOfHash(e.hash)
-		shardOps[si] = append(shardOps[si], ops[:k]...)
+		credits = append(credits, ops[:k]...)
 	}
 
 	supergraph := c.m.Mode() == method.ModeSupergraph
@@ -358,8 +351,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 			s.state, s.stats.EmptyShortcut = stateEmpty, true
 		}
 		if hit != nil {
-			own := c.shardFor(hit).stats
-			queueCredit(s, hit, true, own.Get(hit.serial, ColOwnCS), own.Get(hit.serial, ColOwnCost))
+			queueCredit(s, hit, true, c.stats.Get(hit.serial, ColOwnCS), c.stats.Get(hit.serial, ColOwnCost))
 			continue
 		}
 
@@ -449,9 +441,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	// Bookkeeping. Credits come first — before a query can trigger window
 	// processing — so a window's replacement pass sees the hits of the
 	// query that filled it.
-	for si, ops := range shardOps {
-		c.shards[si].stats.CreditBatch(ops)
-	}
+	c.stats.CreditBatch(credits)
 
 	// The queries, their answers and their first-execution statistics
 	// enter the Window in serial order. An exact hit is a duplicate of a
@@ -494,6 +484,20 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		}
 	}
 	return 0, nil
+}
+
+// adaptiveGrain is the targeted number of verifications per worker:
+// fan-out grows one worker per this many work items, and Method-M
+// verification is handed out in chunks of this many tests.
+const adaptiveGrain = 4
+
+// adaptiveWorkers sizes the fan-out of a work list of n verifications:
+// one worker per adaptiveGrain items, clamped to [1, VerifyConcurrency],
+// so a handful of cheap tests does not wake the full pool while a large
+// list gets full parallelism. Results are deterministic at any worker
+// count — only scheduling changes.
+func (c *Cache) adaptiveWorkers(n int) int {
+	return max(1, min((n+adaptiveGrain-1)/adaptiveGrain, c.opts.VerifyConcurrency))
 }
 
 // verifyChunks runs a run's flattened Method-M work list through the

@@ -18,56 +18,54 @@ import (
 
 // TestQueryBatchMatchesSequential is the batch engine's central identity
 // property: replaying a workload through QueryBatch must produce, query by
-// query, byte-identical answers to sequential Query calls — at Shards=1
-// (the unsharded layout) and Shards=4 alike, and whatever the batch size.
+// query, byte-identical answers to sequential Query calls, whatever the
+// batch size.
 func TestQueryBatchMatchesSequential(t *testing.T) {
 	ds := moleculeDataset(60, 21)
 	queries := typeAWorkload(ds, "ZZ", 180, 22)
-	for _, shards := range []int{1, 4} {
-		opts := Options{CacheSize: 20, WindowSize: 5, Shards: shards}
-		seq := New(ggsx.New(ds, ggsx.Options{}), opts)
-		bat := New(ggsx.New(ds, ggsx.Options{}), opts)
+	opts := Options{CacheSize: 20, WindowSize: 5}
+	seq := New(ggsx.New(ds, ggsx.Options{}), opts)
+	bat := New(ggsx.New(ds, ggsx.Options{}), opts)
 
-		want := make([][]int32, len(queries))
-		for i, q := range queries {
-			want[i] = seq.Query(q.Graph).Answer
-		}
+	want := make([][]int32, len(queries))
+	for i, q := range queries {
+		want[i] = seq.Query(q.Graph).Answer
+	}
 
-		// Replay in batches of cycling sizes, including 1 and sizes
-		// spanning window boundaries.
-		sizes := []int{7, 1, 64, 3, 16}
-		for i, si := 0, 0; i < len(queries); si++ {
-			end := i + sizes[si%len(sizes)]
-			if end > len(queries) {
-				end = len(queries)
-			}
-			qs := make([]*graph.Graph, 0, end-i)
-			for _, q := range queries[i:end] {
-				qs = append(qs, q.Graph)
-			}
-			results := bat.QueryBatch(qs)
-			if len(results) != len(qs) {
-				t.Fatalf("shards=%d: QueryBatch returned %d results for %d queries", shards, len(results), len(qs))
-			}
-			for k, res := range results {
-				if !eq(res.Answer, want[i+k]) {
-					t.Fatalf("shards=%d query %d: batched answer %v != sequential %v", shards, i+k, res.Answer, want[i+k])
-				}
-			}
-			i = end
+	// Replay in batches of cycling sizes, including 1 and sizes
+	// spanning window boundaries.
+	sizes := []int{7, 1, 64, 3, 16}
+	for i, si := 0, 0; i < len(queries); si++ {
+		end := i + sizes[si%len(sizes)]
+		if end > len(queries) {
+			end = len(queries)
 		}
-		if sq, bq := seq.Totals().Queries, bat.Totals().Queries; sq != bq {
-			t.Errorf("shards=%d: Totals().Queries: batched %d != sequential %d", shards, bq, sq)
+		qs := make([]*graph.Graph, 0, end-i)
+		for _, q := range queries[i:end] {
+			qs = append(qs, q.Graph)
 		}
+		results := bat.QueryBatch(qs)
+		if len(results) != len(qs) {
+			t.Fatalf("QueryBatch returned %d results for %d queries", len(results), len(qs))
+		}
+		for k, res := range results {
+			if !eq(res.Answer, want[i+k]) {
+				t.Fatalf("query %d: batched answer %v != sequential %v", i+k, res.Answer, want[i+k])
+			}
+		}
+		i = end
+	}
+	if sq, bq := seq.Totals().Queries, bat.Totals().Queries; sq != bq {
+		t.Errorf("Totals().Queries: batched %d != sequential %d", bq, sq)
 	}
 }
 
 // TestThreeEntryPointsOnePipeline pins what the separate single-query
 // engine used to guarantee: the same seeded stream — sub- and supergraph
-// method, one and four shards, an add, a remove and an edit on the way —
-// driven as Query, as a QueryBatch of one and as a QueryBatchStream of one
-// leaves identical answers, count statistics, totals (a batch of one is
-// not a batch), cache contents and statistics columns.
+// method, an add, a remove and an edit on the way — driven as Query, as a
+// QueryBatch of one and as a QueryBatchStream of one leaves identical
+// answers, count statistics, totals (a batch of one is not a batch), cache
+// contents and statistics columns.
 func TestThreeEntryPointsOnePipeline(t *testing.T) {
 	drives := []struct {
 		name string
@@ -96,62 +94,60 @@ func TestThreeEntryPointsOnePipeline(t *testing.T) {
 		{"subgraph", func(ds *dataset.Dataset) method.Method { return ggsx.New(ds, ggsx.Options{}) }, []int{4, 8, 12}},
 		{"supergraph", func(ds *dataset.Dataset) method.Method { return method.NewSuperSI(ds, iso.VF2{}) }, []int{20, 30, 40}},
 	} {
-		for _, shards := range []int{1, 4} {
-			var outs []outcome
-			for _, d := range drives {
-				ds := moleculeDataset(60, 21) // the stream mutates it: one copy per drive
-				cfg, err := workload.TypeACategory("ZZ", 1.4, tc.sizes, 180)
+		var outs []outcome
+		for _, d := range drives {
+			ds := moleculeDataset(60, 21) // the stream mutates it: one copy per drive
+			cfg, err := workload.TypeACategory("ZZ", 1.4, tc.sizes, 180)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := New(tc.mk(ds), Options{CacheSize: 20, WindowSize: 5})
+			var out outcome
+			for i, q := range workload.TypeA(ds, cfg, 22) {
+				switch i {
+				case 60:
+					_, err = c.AddGraphs([]*graph.Graph{ds.Graph(0).Clone(), ds.Graph(7).Clone()})
+				case 100:
+					_, err = c.RemoveGraphs([]int32{3, int32(ds.Len() - 1)})
+				case 140:
+					var u, v int32
+					ds.Graph(5).Edges(func(a, b int32) { u, v = a, b })
+					_, err = c.EditGraphEdges(5, []dataset.EdgeEdit{{U: u, V: v, Del: true}})
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := New(tc.mk(ds), Options{CacheSize: 20, WindowSize: 5, Shards: shards})
-				var out outcome
-				for i, q := range workload.TypeA(ds, cfg, 22) {
-					switch i {
-					case 60:
-						_, err = c.AddGraphs([]*graph.Graph{ds.Graph(0).Clone(), ds.Graph(7).Clone()})
-					case 100:
-						_, err = c.RemoveGraphs([]int32{3, int32(ds.Len() - 1)})
-					case 140:
-						var u, v int32
-						ds.Graph(5).Edges(func(a, b int32) { u, v = a, b })
-						_, err = c.EditGraphEdges(5, []dataset.EdgeEdit{{U: u, V: v, Del: true}})
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					r := d.run(c, q.Graph)
-					r.Stats.FilterMTime, r.Stats.FilterGCTime, r.Stats.VerifyTime = 0, 0, 0
-					out.results = append(out.results, r)
-				}
-				out.totals = c.Totals()
-				out.totals.FilterMTime, out.totals.FilterGCTime, out.totals.VerifyTime, out.totals.MaintenanceTime = 0, 0, 0, 0
-				out.cached = c.CachedSerials()
-				out.columns = map[string]map[int64]float64{}
-				for _, col := range []string{ColNodes, ColEdges, ColLabels, ColOwnCS, ColOwnCost,
-					ColHits, ColSpecialHits, ColLastHit, ColCSReduction, ColTimeSaving} {
-					out.columns[col] = c.Stats().Column(col)
-				}
-				outs = append(outs, out)
+				r := d.run(c, q.Graph)
+				r.Stats.FilterMTime, r.Stats.FilterGCTime, r.Stats.VerifyTime = 0, 0, 0
+				out.results = append(out.results, r)
 			}
-			want := outs[0]
-			if want.totals.Batches != 0 || want.totals.ExactHits == 0 || want.totals.Mutations != 3 || len(want.cached) == 0 {
-				t.Errorf("%s shards=%d: stream exercised too little, or a batch of one was counted: %+v", tc.name, shards, want.totals)
+			out.totals = c.Totals()
+			out.totals.FilterMTime, out.totals.FilterGCTime, out.totals.VerifyTime, out.totals.MaintenanceTime = 0, 0, 0, 0
+			out.cached = c.CachedSerials()
+			out.columns = map[string]map[int64]float64{}
+			for _, col := range []string{ColNodes, ColEdges, ColLabels, ColOwnCS, ColOwnCost,
+				ColHits, ColSpecialHits, ColLastHit, ColCSReduction, ColTimeSaving} {
+				out.columns[col] = c.Stats().Column(col)
 			}
-			for k, got := range outs[1:] {
-				name := drives[k+1].name
-				if !reflect.DeepEqual(got.results, want.results) {
-					t.Errorf("%s shards=%d: %s answers or count statistics differ from Query", tc.name, shards, name)
-				}
-				if got.totals != want.totals {
-					t.Errorf("%s shards=%d: %s totals differ:\n%+v\nQuery: %+v", tc.name, shards, name, got.totals, want.totals)
-				}
-				if !reflect.DeepEqual(got.cached, want.cached) {
-					t.Errorf("%s shards=%d: %s cached %v, Query %v", tc.name, shards, name, got.cached, want.cached)
-				}
-				if !reflect.DeepEqual(got.columns, want.columns) {
-					t.Errorf("%s shards=%d: %s statistics columns differ from Query", tc.name, shards, name)
-				}
+			outs = append(outs, out)
+		}
+		want := outs[0]
+		if want.totals.Batches != 0 || want.totals.ExactHits == 0 || want.totals.Mutations != 3 || len(want.cached) == 0 {
+			t.Errorf("%s: stream exercised too little, or a batch of one was counted: %+v", tc.name, want.totals)
+		}
+		for k, got := range outs[1:] {
+			name := drives[k+1].name
+			if !reflect.DeepEqual(got.results, want.results) {
+				t.Errorf("%s: %s answers or count statistics differ from Query", tc.name, name)
+			}
+			if got.totals != want.totals {
+				t.Errorf("%s: %s totals differ:\n%+v\nQuery: %+v", tc.name, name, got.totals, want.totals)
+			}
+			if !reflect.DeepEqual(got.cached, want.cached) {
+				t.Errorf("%s: %s cached %v, Query %v", tc.name, name, got.cached, want.cached)
+			}
+			if !reflect.DeepEqual(got.columns, want.columns) {
+				t.Errorf("%s: %s statistics columns differ from Query", tc.name, name)
 			}
 		}
 	}
@@ -204,7 +200,7 @@ func TestAllHitRunDoesNotWaitForFilter(t *testing.T) {
 		entered: make(chan struct{}, 1), // one parked Filter call below; the send never blocks
 		release: make(chan struct{}),
 	}
-	c := New(m, Options{CacheSize: 10, WindowSize: 1, Shards: 2})
+	c := New(m, Options{CacheSize: 10, WindowSize: 1})
 	queries := typeAWorkload(ds, "UU", 4, 42)
 	qs := make([]*graph.Graph, len(queries))
 	for i, q := range queries {
@@ -287,7 +283,7 @@ func TestQueryBatchHitsSpecialCases(t *testing.T) {
 	ds := moleculeDataset(50, 23)
 	queries := typeAWorkload(ds, "ZZ", 60, 24)
 	base := method.NewVF2Plus(ds)
-	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 40, WindowSize: 5, Shards: 4})
+	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 40, WindowSize: 5})
 
 	qs := make([]*graph.Graph, len(queries))
 	for i, q := range queries {
@@ -321,7 +317,7 @@ func TestQueryBatchHitsSpecialCases(t *testing.T) {
 }
 
 // TestQueryBatchConcurrent drives several goroutines through QueryBatch
-// (and interleaved single Query calls) on one shared sharded cache; every
+// (and interleaved single Query calls) on one shared cache; every
 // answer must match the serial method baseline. With -race this is the
 // batch path's concurrency soundness check.
 func TestQueryBatchConcurrent(t *testing.T) {
@@ -338,7 +334,6 @@ func TestQueryBatchConcurrent(t *testing.T) {
 	c := New(ggsx.New(ds, ggsx.Options{}), Options{
 		CacheSize:    20,
 		WindowSize:   5,
-		Shards:       4,
 		AsyncRebuild: true,
 	})
 	chunk := (len(queries) + callers - 1) / callers
@@ -394,7 +389,7 @@ func TestQueryBatchConcurrent(t *testing.T) {
 // single-query batch and batches holding tiny graphs with no path features.
 func TestQueryBatchEdgeCases(t *testing.T) {
 	ds := moleculeDataset(30, 27)
-	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 10, WindowSize: 4, Shards: 2})
+	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 10, WindowSize: 4})
 
 	if res := c.QueryBatch(nil); res != nil {
 		t.Errorf("QueryBatch(nil) = %v, want nil", res)

@@ -12,18 +12,14 @@
 // concurrent Query callers, and within one query both Method M's
 // verification stage and the GC processors' containment confirmations fan
 // out over a bounded worker pool (Options.VerifyConcurrency). The
-// cached-query store is physically partitioned into Options.Shards
-// feature-hash shards — each with its own GCindex snapshot, window segment
-// and statistics columns — while staying one logical set: probes fan out
-// across all shards and merge deterministically. Index rebuilds run
-// per-shard, in parallel, and can additionally run asynchronously.
-// Answers are always exactly those the wrapped method would produce — the
-// pruning rules are sound, never heuristic — and are deterministic
-// regardless of the pool size or shard count.
+// cached-query store is one GCindex generation, published atomically and
+// read without locks; window passes derive the next generation and can
+// run asynchronously. Answers are always exactly those the wrapped method
+// would produce — the pruning rules are sound, never heuristic — and are
+// deterministic regardless of the pool size.
 package core
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,23 +49,24 @@ type Cache struct {
 	// works inline and borrows pooled extras only while slots are free.
 	pool *method.Limiter
 
-	// shards partition the cached-query store by feature hash; each shard
-	// owns its own GCindex snapshot, window segment and statistics
-	// columns. len(shards) == opts.Shards, fixed at construction.
-	shards []*cacheShard
+	// index is the cached-query store: GCindex's current generation, which
+	// window passes and mutations replace wholesale and queries read
+	// without locks.
+	index atomic.Pointer[queryIndex]
+
+	// window holds the processed queries awaiting the next window pass
+	// (§6.2), guarded by winMu.
+	winMu  sync.Mutex
+	window []*windowEntry
+
+	// stats is the Statistics Manager's store, one row per cached query.
+	stats *StatsStore
 
 	serial atomic.Int64
 
-	// winPending counts window entries across all shard segments; the
-	// Window Manager fires when it reaches opts.WindowSize, so window
-	// semantics stay global whatever the shard count.
-	winPending atomic.Int64
-	// winTrigMu serialises the detach of a filled window's segments.
-	winTrigMu sync.Mutex
-
-	// probes pools probeScratch values so the sharded GCindex probe's
-	// fan-out, merge and per-slot counter slices are reused across
-	// queries, one scratch per query being probed.
+	// probes pools probeScratch values so the GCindex probe's per-slot
+	// counters and candidate lists are reused across queries, one scratch
+	// per query being probed.
 	probes sync.Pool
 
 	admMu sync.Mutex
@@ -167,23 +164,19 @@ type Result struct {
 func New(m method.Method, opts Options) *Cache {
 	opts = opts.withDefaults()
 	c := &Cache{
-		m:    m,
-		opts: opts,
-		algo: iso.VF2{},
-		adm:  newAdmission(opts),
-		pool: method.NewLimiter(opts.VerifyConcurrency - 1),
+		m:     m,
+		opts:  opts,
+		algo:  iso.VF2{},
+		adm:   newAdmission(opts),
+		pool:  method.NewLimiter(opts.VerifyConcurrency - 1),
+		stats: NewStatsStore(),
 	}
 	if vf, ok := m.(method.VectorFilter); ok && vf.FilterPathLen() == opts.MaxPathLen {
 		c.vecFilter = vf
 	}
 	c.syncGraphCosts()
-	c.shards = make([]*cacheShard, opts.Shards)
-	for i := range c.shards {
-		sh := &cacheShard{stats: NewStatsStore(), byAnswer: make(map[int32]map[int64]struct{})}
-		sh.index.Store(buildQueryIndex(nil, opts.MaxPathLen))
-		c.shards[i] = sh
-	}
-	c.probes.New = func() any { return newProbeScratch(opts.Shards) }
+	c.index.Store(buildQueryIndex(nil, opts.MaxPathLen))
+	c.probes.New = func() any { return new(probeScratch) }
 	c.SetObserver(opts.Observer)
 	return c
 }
@@ -204,80 +197,46 @@ func (c *Cache) filterM(q *graph.Graph, qv pathfeat.Vector) []int32 {
 	return c.m.Filter(q)
 }
 
-// probe runs q's feature vector qv against the index snapshots ixs — one
-// per shard, in parallel when it pays — and returns the merged candidate
-// entries: sub-candidates first (checks[:nSub], potential containers of
-// q), then super-candidates, each group in ascending serial order — the
-// same deterministic order an unsharded probe produces. All intermediate
-// slices, including the per-slot probe counters, come from the per-cache
-// scratch pool, so the probe allocates only the returned list; the pool
-// drops snapshot and entry references on return so it never pins a
-// superseded GCindex generation.
-func (c *Cache) probe(ixs []*queryIndex, qv pathfeat.Vector) (checks []*entry, nSub int) {
+// probeScratch is one in-flight probe's reusable state: the per-slot
+// counters and the sub- and super-candidate lists. Pooled per cache so the
+// steady-state probe allocates only the list it returns.
+type probeScratch struct {
+	slots      slotScratch
+	sub, super []*entry
+}
+
+// probe runs q's feature vector qv against the index generation ix and
+// returns the candidate entries: sub-candidates first (checks[:nSub],
+// potential containers of q), then super-candidates, each group in
+// ascending serial order. Everything else comes from the per-cache scratch
+// pool, so the probe allocates only the returned list; the scratch drops
+// its entry references on return so it never pins a superseded GCindex
+// generation.
+func (c *Cache) probe(ix *queryIndex, qv pathfeat.Vector) (checks []*entry, nSub int) {
 	if len(qv) == 0 {
 		return nil, 0
 	}
 	sc := c.probes.Get().(*probeScratch)
 	defer func() {
-		sc.release()
+		clear(sc.sub)
+		clear(sc.super)
 		c.probes.Put(sc)
 	}()
-	copy(sc.ixs, ixs)
-	if len(c.shards) == 1 {
-		sc.sub[0], sc.super[0] = sc.ixs[0].candidatesInto(qv, sc.sub[0][:0], sc.super[0][:0], &sc.slots[0])
-	} else {
-		c.pool.ParallelFor(len(c.shards), func(i int) {
-			sc.sub[i], sc.super[i] = sc.ixs[i].candidatesInto(qv, sc.sub[i][:0], sc.super[i][:0], &sc.slots[i])
-		})
-	}
-
-	// Merge the per-shard serial lists into entry lists ordered by
-	// ascending serial. Shards hold disjoint serial sets and each
-	// per-shard list is already sorted, so a k-way cursor merge keeps the
-	// global order in O(total · shards).
-	sc.subE = mergeCandidates(sc.subE[:0], sc.cur, sc.ixs, sc.sub)
-	sc.supE = mergeCandidates(sc.supE[:0], sc.cur, sc.ixs, sc.super)
-	subE, supE := sc.subE, sc.supE
+	sc.sub, sc.super = ix.candidatesInto(qv, sc.sub[:0], sc.super[:0], &sc.slots)
+	sub, super := sc.sub, sc.super
 	if c.opts.DisableSubHits {
-		subE = nil
+		sub = nil
 	}
 	if c.opts.DisableSuperHits {
-		supE = nil
+		super = nil
 	}
-	if len(subE)+len(supE) == 0 {
+	if len(sub)+len(super) == 0 {
 		return nil, 0
 	}
-	checks = make([]*entry, 0, len(subE)+len(supE))
-	checks = append(checks, subE...)
-	checks = append(checks, supE...)
-	return checks, len(subE)
-}
-
-// mergeCandidates resolves the per-shard candidate serials to entries and
-// merges them into out in ascending serial order: a k-way merge over one
-// cursor per shard (cur is caller-provided scratch, len(serials) wide).
-// Shard counts are small, so a linear min scan beats a heap.
-func mergeCandidates(out []*entry, cur []int, ixs []*queryIndex, serials [][]int64) []*entry {
-	for i := range cur {
-		cur[i] = 0
-	}
-	for {
-		best := -1
-		var bestSerial int64
-		for i, list := range serials {
-			if cur[i] >= len(list) {
-				continue
-			}
-			if s := list[cur[i]]; best < 0 || s < bestSerial {
-				best, bestSerial = i, s
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, ixs[best].lookup(bestSerial))
-		cur[best]++
-	}
+	checks = make([]*entry, 0, len(sub)+len(super))
+	checks = append(checks, sub...)
+	checks = append(checks, super...)
+	return checks, len(sub)
 }
 
 // candidateCosts applies the paper's cost model c(q, G) to every dataset
@@ -334,38 +293,22 @@ func (c *Cache) syncGraphCosts() {
 	}
 }
 
-// addToWindow appends a processed query to its shard's window segment and
-// triggers the Window Manager when the window — counted globally across
-// all segments — is full (§6.2). Appends contend only on the owning
-// shard's lock; the filled window's segments are snapshotted and detached
-// under the trigger lock, so exactly one caller processes each window.
+// addToWindow appends a processed query to the Window and triggers the
+// Window Manager when the window is full (§6.2). The filled window is
+// detached under the same lock as the append, so exactly one caller
+// processes each window.
 func (c *Cache) addToWindow(w *windowEntry, currentSerial int64) {
-	w.e.routeHash(c.opts.MaxPathLen)
-	sh := c.shardFor(w.e)
-	sh.winMu.Lock()
-	sh.window = append(sh.window, w)
-	sh.winMu.Unlock()
-	if c.winPending.Add(1) < int64(c.opts.WindowSize) {
+	w.e.featureHash(c.opts.MaxPathLen) // memoised on the query path; computed here for other inserts
+	c.winMu.Lock()
+	c.window = append(c.window, w)
+	if len(c.window) < c.opts.WindowSize {
+		c.winMu.Unlock()
 		return
 	}
-	c.winTrigMu.Lock()
-	if c.winPending.Load() < int64(c.opts.WindowSize) {
-		// Another caller detached this window first.
-		c.winTrigMu.Unlock()
-		return
-	}
-	segs := make([][]*windowEntry, len(c.shards))
-	detached := 0
-	for i, s := range c.shards {
-		s.winMu.Lock()
-		segs[i] = s.window
-		s.window = make([]*windowEntry, 0, c.opts.WindowSize)
-		s.winMu.Unlock()
-		detached += len(segs[i])
-	}
-	c.winPending.Add(int64(-detached))
-	c.winTrigMu.Unlock()
-	c.processWindow(segs, currentSerial)
+	full := c.window
+	c.window = make([]*windowEntry, 0, c.opts.WindowSize)
+	c.winMu.Unlock()
+	c.processWindow(full, currentSerial)
 }
 
 // add folds one query's stats into the totals; the caller holds totMu.
@@ -401,43 +344,23 @@ func (c *Cache) Totals() Totals {
 // reading final statistics or shutting down.
 func (c *Cache) Flush() { c.rebuildWG.Wait() }
 
-// CachedSerials returns the serials currently indexed, ascending, across
-// all shards.
+// CachedSerials returns the serials currently indexed, ascending.
 func (c *Cache) CachedSerials() []int64 {
-	var out []int64
-	for _, sh := range c.shards {
-		out = append(out, sh.index.Load().serials...)
-	}
-	if len(c.shards) > 1 {
-		slices.Sort(out)
-	}
-	return out
+	return append([]int64(nil), c.index.Load().serials...)
 }
 
 // CachedEntry returns the query graph and answer set cached under serial,
 // or (nil, nil, false).
 func (c *Cache) CachedEntry(serial int64) (*graph.Graph, []int32, bool) {
-	for _, sh := range c.shards {
-		if e := sh.index.Load().lookup(serial); e != nil {
-			return e.g, cloneIDs(e.answer), true
-		}
+	if e := c.index.Load().lookup(serial); e != nil {
+		return e.g, cloneIDs(e.answer), true
 	}
 	return nil, nil, false
 }
 
-// Stats exposes the statistics store (the Statistics Manager interface).
-// With one shard it is the live store; with several it is a merged
-// read-only snapshot of every shard's columns.
-func (c *Cache) Stats() *StatsStore {
-	if len(c.shards) == 1 {
-		return c.shards[0].stats
-	}
-	merged := NewStatsStore()
-	for _, sh := range c.shards {
-		sh.stats.copyInto(merged)
-	}
-	return merged
-}
+// Stats exposes the live statistics store (the Statistics Manager
+// interface).
+func (c *Cache) Stats() *StatsStore { return c.stats }
 
 // AdmissionThreshold returns the calibrated expensiveness threshold (0
 // while disabled or calibrating).

@@ -7,18 +7,19 @@ import (
 	"testing"
 
 	"graphcache/internal/ggsx"
+	"graphcache/internal/pathfeat"
 )
 
 // TestExactHitAllocations pins what an exact hit costs the allocator: the
-// run's state, the feature vector (pathfeat pins that at ≤ 4), the
-// snapshot list, the credit ops and the delivered copy of the answer — and
-// nothing of the filter goroutine, the probe's list or the confirmation
-// work list it no longer starts. Not under -race: the detector's own
+// run's state, the feature vector (pathfeat pins that at ≤ 4), the credit
+// ops and the delivered copy of the answer — and nothing of the filter
+// goroutine, the probe's list or the confirmation work list it no longer
+// starts. Not under -race: the detector's own
 // bookkeeping allocates.
 func TestExactHitAllocations(t *testing.T) {
 	ds := moleculeDataset(30, 35)
 	queries := typeAWorkload(ds, "ZZ", 40, 36)
-	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 40, WindowSize: 5, Shards: 2})
+	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 40, WindowSize: 5})
 	for _, q := range queries {
 		c.Query(q.Graph)
 	}
@@ -27,7 +28,7 @@ func TestExactHitAllocations(t *testing.T) {
 	if !c.Query(q).Stats.ExactHit {
 		t.Fatal("the repeated query was not an exact hit")
 	}
-	const ceiling = 20 // 17 measured; 39 before the lookup
+	const ceiling = 15 // 15 measured; 17 with per-shard stores, 39 before the lookup
 	if allocs := testing.AllocsPerRun(100, func() { c.Query(q) }); allocs > ceiling {
 		t.Errorf("an exact-hit Query allocates %.0f times, want ≤ %d", allocs, ceiling)
 	} else {
@@ -35,10 +36,39 @@ func TestExactHitAllocations(t *testing.T) {
 	}
 }
 
+// TestProbeAllocations pins the GCindex probe of one open query at one
+// allocation at steady state: the candidate list it returns. The per-slot
+// counters and the sub- and super-candidate lists come from the cache's
+// scratch pool.
+func TestProbeAllocations(t *testing.T) {
+	ds := moleculeDataset(30, 35)
+	queries := typeAWorkload(ds, "ZZ", 40, 36)
+	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 40, WindowSize: 5})
+	for _, q := range queries {
+		c.Query(q.Graph)
+	}
+	c.Flush()
+	ix := c.index.Load()
+	var qv pathfeat.Vector
+	for _, q := range queries {
+		v := pathfeat.SimplePathVector(q.Graph, c.opts.MaxPathLen)
+		if checks, _ := c.probe(ix, v); len(checks) > 0 {
+			qv = v
+			break
+		}
+	}
+	if qv == nil {
+		t.Fatal("no workload query has a probe candidate")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.probe(ix, qv) }); allocs != 1 {
+		t.Errorf("a probe allocates %.0f times, want 1 (its candidate list)", allocs)
+	}
+}
+
 // TestApplyDeltaAllocations pins the window pass's index delta at a
 // constant number of allocations — the arrays of the new generation and a
-// few scratch slices — whatever the number of features the shard holds:
-// one window of 20 admissions and 20 evictions against a 100-entry shard
+// few scratch slices — whatever the number of features the index holds:
+// one window of 20 admissions and 20 evictions against a 100-entry index
 // of 3-vertex queries, and against one of 12-vertex queries.
 func TestApplyDeltaAllocations(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
@@ -48,7 +78,7 @@ func TestApplyDeltaAllocations(t *testing.T) {
 		var added []*entry
 		for s := int64(1); s <= 120; s++ {
 			e := &entry{serial: s, g: randomConnGraph(r, size, size/3, 4)}
-			e.routeHash(4) // memoises the vector, as the query path does
+			e.featureHash(4) // memoises the vector, as the query path does
 			if s <= 100 {
 				contents[s] = e
 			} else {
@@ -63,6 +93,6 @@ func TestApplyDeltaAllocations(t *testing.T) {
 	}
 	const ceiling = 16 // 15 measured
 	if counts[0] != counts[1] || counts[1] > ceiling {
-		t.Errorf("applyDelta allocates %v times for the two shards, want one count ≤ %d", counts, ceiling)
+		t.Errorf("applyDelta allocates %v times for the two indexes, want one count ≤ %d", counts, ceiling)
 	}
 }

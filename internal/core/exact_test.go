@@ -29,10 +29,10 @@ func findExact(nV, nE int, containers, containees []*entry) *entry {
 	return nil
 }
 
-// exactByProbe is the replaced path end to end: probe every shard of ixs,
-// confirm every candidate, findExact over the confirmed lists.
-func exactByProbe(c *Cache, ixs []*queryIndex, q *graph.Graph) *entry {
-	checks, nSub := c.probe(ixs, pathfeat.SimplePathVector(q, c.opts.MaxPathLen))
+// exactByProbe is the replaced path end to end: probe ix, confirm every
+// candidate, findExact over the confirmed lists.
+func exactByProbe(c *Cache, ix *queryIndex, q *graph.Graph) *entry {
+	checks, nSub := c.probe(ix, pathfeat.SimplePathVector(q, c.opts.MaxPathLen))
 	var containers, containees []*entry
 	for _, e := range checks[:nSub] {
 		if iso.Contains(c.algo, q, e.g) {
@@ -47,106 +47,91 @@ func exactByProbe(c *Cache, ixs []*queryIndex, q *graph.Graph) *entry {
 	return findExact(q.NumVertices(), q.NumEdges(), containers, containees)
 }
 
-// exactByLookup is the pipeline's lookup over ixs.
-func exactByLookup(c *Cache, ixs []*queryIndex, q *graph.Graph) *entry {
+// exactByLookup is the pipeline's lookup over ix.
+func exactByLookup(c *Cache, ix *queryIndex, q *graph.Graph) *entry {
 	h := pathfeat.HashVector(pathfeat.SimplePathVector(q, c.opts.MaxPathLen))
-	return ixs[c.shardOfHash(h)].exact(h, q.NumVertices(), q.NumEdges(), func(e *entry) bool {
+	return ix.exact(h, q.NumVertices(), q.NumEdges(), func(e *entry) bool {
 		return iso.Contains(c.algo, q, e.g)
 	})
 }
 
-func loadIndexes(c *Cache) []*queryIndex {
-	ixs := make([]*queryIndex, len(c.shards))
-	for i, sh := range c.shards {
-		ixs[i] = sh.index.Load()
-	}
-	return ixs
-}
-
 // TestExactLookupAgreesWithProbe is the differential test behind deleting
-// findExact from the pipeline: over seeded caches, at 1, 2 and 4 shards and
-// over every kind of index generation — window deltas with evictions, a
-// delta evicting more than half of every shard, a from-scratch build, and
-// the entry-replacing generations a dataset mutation publishes — the
-// lookup returns the very entry the old path found among the fully
-// confirmed probe lists. After a mutation that entry must be the repaired
-// one.
+// findExact from the pipeline: over a seeded cache and over every kind of
+// index generation — window deltas with evictions, a delta evicting more
+// than half of the index, a from-scratch build, and the entry-replacing
+// generations a dataset mutation publishes — the lookup returns the very
+// entry the old path found among the fully confirmed probe lists. After a
+// mutation that entry must be the repaired one.
 func TestExactLookupAgreesWithProbe(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		ds := moleculeDataset(60, 31)
-		m := ggsx.New(ds, ggsx.Options{})
-		c := New(m, Options{CacheSize: 12, WindowSize: 4, Shards: shards})
-		queries := typeAWorkload(ds, "ZZ", 160, 32)
+	ds := moleculeDataset(60, 31)
+	m := ggsx.New(ds, ggsx.Options{})
+	c := New(m, Options{CacheSize: 12, WindowSize: 4})
+	queries := typeAWorkload(ds, "ZZ", 160, 32)
 
-		hits := 0
-		agree := func(what string, ixs []*queryIndex) {
-			t.Helper()
-			for i, q := range queries {
-				want, got := exactByProbe(c, ixs, q.Graph), exactByLookup(c, ixs, q.Graph)
-				if got != want {
-					t.Fatalf("shards=%d, %s, query %d: lookup found %v, the confirmed probe lists %v", shards, what, i, got, want)
-				}
-				if got != nil {
-					hits++
-				}
-			}
-		}
-
+	hits := 0
+	agree := func(what string, ix *queryIndex) {
+		t.Helper()
 		for i, q := range queries {
-			c.Query(q.Graph)
-			if i%8 == 7 {
-				agree("window deltas", loadIndexes(c))
+			want, got := exactByProbe(c, ix, q.Graph), exactByLookup(c, ix, q.Graph)
+			if got != want {
+				t.Fatalf("%s, query %d: lookup found %v, the confirmed probe lists %v", what, i, got, want)
+			}
+			if got != nil {
+				hits++
 			}
 		}
-		if ev := c.Totals().Evicted; ev == 0 || hits == 0 {
-			t.Fatalf("shards=%d: the stream exercised too little: %d evictions, %d exact hits", shards, ev, hits)
-		}
+	}
 
-		// A delta evicting more than half of every shard, and a rebuild over
-		// a copy of the contents. Neither is published: the cache stays as
-		// the stream left it for the mutations below.
-		shrunk, fresh := loadIndexes(c), loadIndexes(c)
-		for si, ix := range shrunk {
-			shrunk[si] = ix.applyDelta(nil, ix.serials[:min(len(ix.serials), len(ix.serials)/2+1)])
-			fresh[si] = buildQueryIndex(slices.Clone(ix.slotEntry), ix.maxLen)
+	for i, q := range queries {
+		c.Query(q.Graph)
+		if i%8 == 7 {
+			agree("window deltas", c.index.Load())
 		}
-		agree("half evicted", shrunk)
-		agree("from-scratch build", fresh)
+	}
+	if ev := c.Totals().Evicted; ev == 0 || hits == 0 {
+		t.Fatalf("the stream exercised too little: %d evictions, %d exact hits", ev, hits)
+	}
 
-		// Dataset mutations publish withSlotEntries generations: the
-		// lookup must keep finding the same serials, now carrying the
-		// repaired answers.
-		added, err := c.AddGraphs([]*graph.Graph{ds.Graph(0).Clone(), ds.Graph(7).Clone()})
-		if err != nil {
-			t.Fatal(err)
+	// A delta evicting more than half of the index, and a rebuild over a
+	// copy of the contents. Neither is published: the cache stays as the
+	// stream left it for the mutations below.
+	ix := c.index.Load()
+	agree("half evicted", ix.applyDelta(nil, ix.serials[:len(ix.serials)/2+1]))
+	agree("from-scratch build", buildQueryIndex(slices.Clone(ix.slotEntry), ix.maxLen))
+
+	// Dataset mutations publish withSlotEntries generations: the
+	// lookup must keep finding the same serials, now carrying the
+	// repaired answers.
+	added, err := c.AddGraphs([]*graph.Graph{ds.Graph(0).Clone(), ds.Graph(7).Clone()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed, err := c.RemoveGraphs([]int32{3, 11, 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added.Extended == 0 || removed.Invalidated == 0 {
+		t.Fatalf("the mutations replaced no cached entry: %+v, %+v", added, removed)
+	}
+	ix = c.index.Load()
+	agree("entry-replacing mutations", ix)
+	repaired := 0
+	for i, q := range queries {
+		hit := exactByLookup(c, ix, q.Graph)
+		if hit == nil {
+			continue
 		}
-		removed, err := c.RemoveGraphs([]int32{3, 11, 19})
-		if err != nil {
-			t.Fatal(err)
+		repaired++
+		want := method.Answer(m, q.Graph)
+		if !eq(hit.answer, want) {
+			t.Fatalf("query %d: the lookup's entry carries %v, the mutated dataset answers %v", i, hit.answer, want)
 		}
-		if added.Extended == 0 || removed.Invalidated == 0 {
-			t.Fatalf("shards=%d: the mutations replaced no cached entry: %+v, %+v", shards, added, removed)
+		if r := c.Query(q.Graph); !r.Stats.ExactHit || !eq(r.Answer, want) {
+			t.Fatalf("query %d: Query after the mutations: exact hit %v, answer %v, want %v", i, r.Stats.ExactHit, r.Answer, want)
 		}
-		ixs := loadIndexes(c)
-		agree("entry-replacing mutations", ixs)
-		repaired := 0
-		for i, q := range queries {
-			hit := exactByLookup(c, ixs, q.Graph)
-			if hit == nil {
-				continue
-			}
-			repaired++
-			want := method.Answer(m, q.Graph)
-			if !eq(hit.answer, want) {
-				t.Fatalf("shards=%d query %d: the lookup's entry carries %v, the mutated dataset answers %v", shards, i, hit.answer, want)
-			}
-			if r := c.Query(q.Graph); !r.Stats.ExactHit || !eq(r.Answer, want) {
-				t.Fatalf("shards=%d query %d: Query after the mutations: exact hit %v, answer %v, want %v", shards, i, r.Stats.ExactHit, r.Answer, want)
-			}
-		}
-		if repaired == 0 {
-			t.Fatalf("shards=%d: no exact hit survived the mutations", shards)
-		}
+	}
+	if repaired == 0 {
+		t.Fatalf("no exact hit survived the mutations")
 	}
 }
 
@@ -183,7 +168,7 @@ func TestExactLookupRejectsEqualHashNonIsomorphic(t *testing.T) {
 	}
 	for _, pair := range [][2]*graph.Graph{{c10, c55}, {c55, c10}} {
 		cached, other := pair[0], pair[1]
-		c := New(m, Options{CacheSize: 4, WindowSize: 1, Shards: 2})
+		c := New(m, Options{CacheSize: 4, WindowSize: 1})
 		c.Query(cached) // W = 1: cached on return
 		r := c.Query(other)
 		if r.Stats.ExactHit {

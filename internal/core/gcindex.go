@@ -23,10 +23,10 @@ type entry struct {
 	// only read.
 	vec   pathfeat.Vector
 	vecOK bool
-	// hash is the shard-routing hash of the feature set (see routeHash).
-	// It is assigned while the entry is exclusively owned and read-only
-	// after publication, so concurrent crediting can locate the owning
-	// shard without synchronisation.
+	// hash is the hash of the feature vector (see featureHash): the
+	// exact-lookup key, and the value the router's affinity hash
+	// reproduces. It is assigned while the entry is exclusively owned and
+	// read-only after publication.
 	hash   uint64
 	hashed bool
 }
@@ -40,6 +40,17 @@ func (e *entry) featureVector(maxLen int) pathfeat.Vector {
 		e.vecOK = true
 	}
 	return e.vec
+}
+
+// featureHash returns the entry's feature hash, computing (and memoising)
+// the feature vector on first use. Callers must own the entry exclusively,
+// as for featureVector.
+func (e *entry) featureHash(maxLen int) uint64 {
+	if !e.hashed {
+		e.hash = pathfeat.HashVector(e.featureVector(maxLen))
+		e.hashed = true
+	}
+	return e.hash
 }
 
 // queryIndex is GCindex: a single combined subgraph/supergraph feature
@@ -63,9 +74,8 @@ func (e *entry) featureVector(maxLen int) pathfeat.Vector {
 // (see candidatesInto).
 //
 // Ahead of both probes it answers the exact-match lookup (see exact): each
-// slot also records its entry's routing hash, so finding the cached queries
-// that can be isomorphic to a new one is a scan of one []uint64 column in
-// the query's own shard.
+// slot also records its entry's feature hash, so finding the cached queries
+// that can be isomorphic to a new one is a scan of one []uint64 column.
 //
 // Feature IDs are 64-bit hashes of the feature keys (pathfeat.Vector), so
 // the index needs no vocabulary and holds a column only for features of
@@ -83,7 +93,7 @@ type queryIndex struct {
 	maxLen int
 	// Per-slot columns, parallel to each other:
 	serials      []int64  // owning serial, ascending
-	hashes       []uint64 // owning entry's routing hash — the exact-lookup key (see exact)
+	hashes       []uint64 // owning entry's feature hash — the exact-lookup key (see exact)
 	featureTotal []int32  // distinct feature count: the slot's postings
 	slotEntry    []*entry // owning entry
 	cols         pathfeat.Columns
@@ -110,7 +120,7 @@ func buildQueryIndex(entries []*entry, maxLen int) *queryIndex {
 // sized for every posting of the result: the old postings renumbered
 // through that map, merged with the added entries' memoised vectors
 // (pathfeat.Columns.Renumber). The result equals buildQueryIndex over the
-// resulting contents, array for array, and costs O(postings in the shard)
+// resulting contents, array for array, and costs O(postings in the index)
 // with no map: a fixed number of allocations whatever the number of
 // features.
 func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
@@ -165,7 +175,7 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 		vec := e.featureVector(ix.maxLen)
 		rows[j] = pathfeat.Row{ID: int32(len(next.serials)), Vec: vec}
 		next.serials = append(next.serials, e.serial)
-		next.hashes = append(next.hashes, e.routeHash(ix.maxLen))
+		next.hashes = append(next.hashes, e.featureHash(ix.maxLen))
 		next.featureTotal = append(next.featureTotal, int32(len(vec)))
 		next.slotEntry = append(next.slotEntry, e)
 		postings += len(vec)
@@ -202,14 +212,14 @@ func (ix *queryIndex) lookup(serial int64) *entry {
 }
 
 // exact is the exact-match lookup (§5.1, special case 1): it returns the
-// lowest-serial entry whose routing hash and vertex and edge counts
+// lowest-serial entry whose feature hash and vertex and edge counts
 // equal the query's and that confirm accepts, or nil. Isomorphic graphs
-// have equal feature vectors, hence equal hashes (and land in this shard's
-// index), so every isomorphic cached query is offered; equal hashes prove
-// nothing the other way — unrelated vectors can share a hash, and
-// non-isomorphic graphs a vector — so confirm must run the sub-iso test,
-// which at equal sizes decides isomorphism. One pass over a pointer-free
-// column, no scratch, no allocation.
+// have equal feature vectors, hence equal hashes, so every isomorphic
+// cached query is offered; equal hashes prove nothing the other way —
+// unrelated vectors can share a hash, and non-isomorphic graphs a vector —
+// so confirm must run the sub-iso test, which at equal sizes decides
+// isomorphism. One pass over a pointer-free column, no scratch, no
+// allocation.
 func (ix *queryIndex) exact(hash uint64, nV, nE int, confirm func(*entry) bool) *entry {
 	for slot, h := range ix.hashes {
 		if h != hash {
@@ -248,10 +258,11 @@ func (sc *slotScratch) reset(n int) (domBy, covers []int32) {
 // [:0]). The probe is a counted merge: for every feature of qv its column
 // is walked once, bumping the domination and coverage counters of each
 // posting's slot; a final scan over the slots emits, in slot order — which
-// is ascending serial order — the fully-dominated sub-candidates and
-// fully-covered super-candidates. With pooled scratch the steady-state
-// probe performs zero allocations: no sort, no intermediate slices.
-func (ix *queryIndex) candidatesInto(qv pathfeat.Vector, sub, super []int64, sc *slotScratch) ([]int64, []int64) {
+// is ascending serial order — the entries of the fully-dominated
+// sub-candidates and fully-covered super-candidates. With pooled scratch
+// the steady-state probe performs zero allocations: no sort, no
+// intermediate slices.
+func (ix *queryIndex) candidatesInto(qv pathfeat.Vector, sub, super []*entry, sc *slotScratch) ([]*entry, []*entry) {
 	nSlots := len(ix.serials)
 	if nSlots == 0 || len(qv) == 0 {
 		return sub, super
@@ -279,10 +290,10 @@ func (ix *queryIndex) candidatesInto(qv pathfeat.Vector, sub, super []int64, sc 
 	need := int32(len(qv))
 	for slot, ft := range ix.featureTotal {
 		if domBy[slot] == need {
-			sub = append(sub, ix.serials[slot])
+			sub = append(sub, ix.slotEntry[slot])
 		}
 		if ft > 0 && covers[slot] == ft {
-			super = append(super, ix.serials[slot])
+			super = append(super, ix.slotEntry[slot])
 		}
 	}
 	return sub, super

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkCandidates measures the GCindex probe alone — the hottest loop
-// in the system, run once per shard per query. The columnar layout's
+// in the system, run once per open query. The columnar layout's
 // contract is 0 allocs/op at steady state: the probe is a counted merge
 // over pooled per-slot counters, emitting into reused candidate buffers,
 // with no maps and no sort. Run with -benchmem; a nonzero allocs/op here
@@ -32,7 +32,7 @@ func BenchmarkCandidates(b *testing.B) {
 			}
 
 			var sc slotScratch
-			var sub, super []int64
+			var sub, super []*entry
 			// Warm the scratch and buffers so the timed loop is steady state.
 			sub, super = ix.candidatesInto(probes[0], sub[:0], super[:0], &sc)
 

@@ -79,8 +79,8 @@ func probeNeverMissesContainment(t *testing.T, vectorOf func(pathfeat.Counts) pa
 			q := randomConnGraph(r, 3+r.Intn(8), r.Intn(3), 3)
 			var sc slotScratch
 			subCand, superCand := ix.candidatesInto(vectorOf(pathfeat.SimplePaths(q, maxPathLen)), nil, nil, &sc)
-			subSet := toSet64(subCand)
-			superSet := toSet64(superCand)
+			subSet := toSet64(serialsOf(subCand))
+			superSet := toSet64(serialsOf(superCand))
 
 			for s, e := range entries {
 				if iso.Contains(algo, q, e.g) && !subSet[s] {

@@ -26,7 +26,17 @@ func pathG(labels ...graph.Label) *graph.Graph {
 // allocating convenience around candidatesInto.
 func (ix *queryIndex) candidates(qc pathfeat.Counts) (sub, super []int64) {
 	var sc slotScratch
-	return ix.candidatesInto(pathfeat.VectorOf(qc), nil, nil, &sc)
+	subE, superE := ix.candidatesInto(pathfeat.VectorOf(qc), nil, nil, &sc)
+	return serialsOf(subE), serialsOf(superE)
+}
+
+// serialsOf returns the entries' serials, in order.
+func serialsOf(es []*entry) []int64 {
+	var out []int64
+	for _, e := range es {
+		out = append(out, e.serial)
+	}
+	return out
 }
 
 // indexOf builds the index over a serial → entry map, the form tests keep

@@ -10,30 +10,26 @@ import (
 // TestNothingGrowsWithTheSerial streams far more distinct queries than the
 // cache holds and checks, as sizes, that every structure in it follows the
 // live entries and none follows the number of queries served: GCindex
-// columns and slots, statistics rows, reverse answer-index references and
-// the pending window. (Before feature IDs were hashes, a vocabulary and a
-// column directory dense over it grew with every unseen path feature.)
+// columns and slots, statistics rows and the pending window. (Before
+// feature IDs were hashes, a vocabulary and a column directory dense over
+// it grew with every unseen path feature.)
 func TestNothingGrowsWithTheSerial(t *testing.T) {
 	ds := moleculeDataset(150, 41)
 	queries := typeAWorkload(ds, "UU", 5000, 43)
 	for _, async := range []bool{false, true} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("async=%v/shards=%d", async, shards), func(t *testing.T) {
-				c := New(method.NewVF2Plus(ds), Options{
-					CacheSize: 100, WindowSize: 20, Shards: shards, AsyncRebuild: async,
-				})
-				for i, q := range queries {
-					c.Query(q.Graph)
-					if (i+1)%1000 == 0 {
-						c.Flush()
-						checkSizedByLiveEntries(t, c, i+1)
-					}
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			c := New(method.NewVF2Plus(ds), Options{CacheSize: 100, WindowSize: 20, AsyncRebuild: async})
+			for i, q := range queries {
+				c.Query(q.Graph)
+				if (i+1)%1000 == 0 {
+					c.Flush()
+					checkSizedByLiveEntries(t, c, i+1)
 				}
-				if ev := c.Totals().Evicted; ev < 1000 {
-					t.Fatalf("only %d evictions: the stream does not churn the cache", ev)
-				}
-			})
-		}
+			}
+			if ev := c.Totals().Evicted; ev < 1000 {
+				t.Fatalf("only %d evictions: the stream does not churn the cache", ev)
+			}
+		})
 	}
 }
 
@@ -42,56 +38,38 @@ func TestNothingGrowsWithTheSerial(t *testing.T) {
 // a live entry holds. The caller must have flushed pending rebuilds.
 func checkSizedByLiveEntries(t *testing.T, c *Cache, served int) {
 	t.Helper()
-	live, pending := 0, 0
-	for si, sh := range c.shards {
-		ix := sh.index.Load()
-		n := len(ix.serials)
-		live += n
-		if len(ix.hashes) != n || len(ix.featureTotal) != n || len(ix.slotEntry) != n {
-			t.Errorf("after %d, shard %d: per-slot arrays of %d, %d, %d for %d slots",
-				served, si, len(ix.hashes), len(ix.featureTotal), len(ix.slotEntry), n)
-		}
-		liveFeatures := make(map[uint64]struct{})
-		answerRefs := 0
-		for slot, e := range ix.slotEntry {
-			s := ix.serials[slot]
-			if e == nil || e.serial != s {
-				t.Fatalf("after %d, shard %d: slot %d of serial %d holds %v", served, si, slot, s, e)
-			}
-			for _, fc := range e.vec {
-				liveFeatures[fc.ID] = struct{}{}
-			}
-			answerRefs += len(e.answer)
-			for _, id := range e.answer {
-				if _, ok := sh.byAnswer[id][s]; !ok {
-					t.Errorf("after %d, shard %d: answer index misses graph %d of live serial %d", served, si, id, s)
-				}
-			}
-			if len(sh.stats.Row(s)) == 0 {
-				t.Errorf("after %d, shard %d: live serial %d has no statistics row", served, si, s)
-			}
-		}
-		if len(ix.cols.Feats) != len(liveFeatures) {
-			t.Errorf("after %d, shard %d: %d feature columns for %d features of live entries",
-				served, si, len(ix.cols.Feats), len(liveFeatures))
-		}
-		if sh.stats.Len() != n {
-			t.Errorf("after %d, shard %d: %d statistics rows for %d live entries", served, si, sh.stats.Len(), n)
-		}
-		refs := 0
-		for _, serials := range sh.byAnswer {
-			refs += len(serials)
-		}
-		if refs != answerRefs {
-			t.Errorf("after %d, shard %d: %d answer-index references, live answers hold %d", served, si, refs, answerRefs)
-		}
-		sh.winMu.Lock()
-		pending += len(sh.window)
-		sh.winMu.Unlock()
+	ix := c.index.Load()
+	n := len(ix.serials)
+	if len(ix.hashes) != n || len(ix.featureTotal) != n || len(ix.slotEntry) != n {
+		t.Errorf("after %d: per-slot arrays of %d, %d, %d for %d slots",
+			served, len(ix.hashes), len(ix.featureTotal), len(ix.slotEntry), n)
 	}
-	if live > c.opts.CacheSize {
-		t.Errorf("after %d: %d live entries exceed CacheSize %d", served, live, c.opts.CacheSize)
+	liveFeatures := make(map[uint64]struct{})
+	for slot, e := range ix.slotEntry {
+		s := ix.serials[slot]
+		if e == nil || e.serial != s {
+			t.Fatalf("after %d: slot %d of serial %d holds %v", served, slot, s, e)
+		}
+		for _, fc := range e.vec {
+			liveFeatures[fc.ID] = struct{}{}
+		}
+		if len(c.stats.Row(s)) == 0 {
+			t.Errorf("after %d: live serial %d has no statistics row", served, s)
+		}
 	}
+	if len(ix.cols.Feats) != len(liveFeatures) {
+		t.Errorf("after %d: %d feature columns for %d features of live entries",
+			served, len(ix.cols.Feats), len(liveFeatures))
+	}
+	if c.stats.Len() != n {
+		t.Errorf("after %d: %d statistics rows for %d live entries", served, c.stats.Len(), n)
+	}
+	if n > c.opts.CacheSize {
+		t.Errorf("after %d: %d live entries exceed CacheSize %d", served, n, c.opts.CacheSize)
+	}
+	c.winMu.Lock()
+	pending := len(c.window)
+	c.winMu.Unlock()
 	if pending >= c.opts.WindowSize {
 		t.Errorf("after %d: %d pending window entries, window size %d", served, pending, c.opts.WindowSize)
 	}

@@ -28,10 +28,9 @@ import (
 //     property GCindex probing relies on), so no extension is missed.
 //
 //   - Removals are exact maintenance, no verification needed:
-//     answer'(q) = answer(q) \ removed. The reverse answer index
-//     (cacheShard.byAnswer) locates exactly the entries mentioning a
-//     removed ID. An answer that becomes empty stays cached and remains a
-//     sound empty-answer shortcut for the new dataset.
+//     answer'(q) = answer(q) \ removed, one merge per cached answer set.
+//     An answer that becomes empty stays cached and remains a sound
+//     empty-answer shortcut for the new dataset.
 //
 //   - Edits re-verify a bounded set: entries whose feature vector is
 //     compatible with the *new* graph content get one verification
@@ -294,8 +293,8 @@ func (c *Cache) EditGraphEdges(id int32, edits []dataset.EdgeEdit) (MutationResu
 
 // withAnswer returns a copy of e carrying answer instead of its current
 // answer set. Published entries are never mutated in place — the old
-// *entry stays reachable from superseded index generations (pooled probe
-// scratch, snapshot writers) — so mutations swap in replacements.
+// *entry stays reachable from superseded index generations (in-flight
+// runs, snapshot writers) — so mutations swap in replacements.
 func (e *entry) withAnswer(answer []int32) *entry {
 	ne := *e
 	ne.answer = answer
@@ -331,6 +330,37 @@ func (c *Cache) answerCompatible(gv, ev pathfeat.Vector) bool {
 	return vecDominates(gv, ev)
 }
 
+// repairAnswers applies fix to every cached and pending entry. fix returns
+// an entry's repaired answer set and whether it changed. Cached entries
+// that changed are replaced by copies carrying the new set, published as
+// one index generation; pending window entries are patched in place. It
+// returns how many cached entries changed.
+func (c *Cache) repairAnswers(res *MutationResult, fix func(e *entry) ([]int32, bool)) (changed int) {
+	ix := c.index.Load()
+	var repl []*entry
+	for slot, e := range ix.slotEntry {
+		na, ok := fix(e)
+		if !ok {
+			continue
+		}
+		if repl == nil {
+			repl = slices.Clone(ix.slotEntry)
+		}
+		repl[slot] = e.withAnswer(na)
+		changed++
+	}
+	if repl != nil {
+		c.index.Store(ix.withSlotEntries(repl))
+	}
+	for _, w := range c.window {
+		if na, ok := fix(w.e); ok {
+			w.e.answer = na
+			res.WindowPatched++
+		}
+	}
+	return changed
+}
+
 // extendForAdds appends newly added graphs to every cached and pending
 // answer set they belong to. It scans entries directly (not via the
 // index probe) because entries with empty feature vectors — legitimate
@@ -341,7 +371,7 @@ func (c *Cache) extendForAdds(added []*graph.Graph, res *MutationResult) {
 	for i, g := range added {
 		gvecs[i] = pathfeat.SimplePathVector(g, c.opts.MaxPathLen)
 	}
-	extend := func(e *entry) []int32 {
+	res.Extended += c.repairAnswers(res, func(e *entry) ([]int32, bool) {
 		ev := e.featureVector(c.opts.MaxPathLen)
 		var newIDs []int32
 		touched := false
@@ -358,80 +388,26 @@ func (c *Cache) extendForAdds(added []*graph.Graph, res *MutationResult) {
 				newIDs = append(newIDs, g.ID()) // ascending: added IDs ascend
 			}
 		}
-		return newIDs
-	}
-	for _, sh := range c.shards {
-		ix := sh.index.Load()
-		var repl []*entry
-		for slot, e := range ix.slotEntry {
-			newIDs := extend(e)
-			if len(newIDs) == 0 {
-				continue
-			}
-			if repl == nil {
-				repl = slices.Clone(ix.slotEntry)
-			}
-			repl[slot] = e.withAnswer(unionSorted(e.answer, newIDs))
-			sh.answerRefAdd(e.serial, newIDs)
-			res.Extended++
+		if len(newIDs) == 0 {
+			return nil, false
 		}
-		if repl != nil {
-			sh.index.Store(ix.withSlotEntries(repl))
-		}
-		for _, w := range sh.window {
-			if newIDs := extend(w.e); len(newIDs) > 0 {
-				w.e.answer = unionSorted(w.e.answer, newIDs)
-				res.WindowPatched++
-			}
-		}
-	}
+		return unionSorted(e.answer, newIDs), true
+	})
 }
 
-// dropRemovedAnswers subtracts removed IDs from every answer set that
-// mentions them, located through the reverse answer index; pending
-// window entries are scanned directly (a window holds at most W
-// entries and is not answer-indexed until admission).
+// dropRemovedAnswers subtracts removed IDs from every cached and pending
+// answer set that mentions them.
 func (c *Cache) dropRemovedAnswers(removed []int32, res *MutationResult) {
 	sorted := slices.Clone(removed)
 	slices.Sort(sorted)
-	for _, sh := range c.shards {
-		ix := sh.index.Load()
-		affected := make(map[int64]struct{})
-		for _, id := range sorted {
-			for serial := range sh.byAnswer[id] {
-				affected[serial] = struct{}{}
-			}
+	n := c.repairAnswers(res, func(e *entry) ([]int32, bool) {
+		if intersectCountSorted(e.answer, sorted) == 0 {
+			return nil, false
 		}
-		var repl []*entry
-		for serial := range affected {
-			slot, ok := slices.BinarySearch(ix.serials, serial)
-			if !ok {
-				continue
-			}
-			e := ix.slotEntry[slot]
-			na := subtractSorted(e.answer, sorted)
-			if len(na) == len(e.answer) {
-				continue
-			}
-			if repl == nil {
-				repl = slices.Clone(ix.slotEntry)
-			}
-			repl[slot] = e.withAnswer(na)
-			sh.answerRefDel(serial, sorted)
-			res.EntriesTouched++
-			res.Invalidated++
-		}
-		if repl != nil {
-			sh.index.Store(ix.withSlotEntries(repl))
-		}
-		for _, w := range sh.window {
-			na := subtractSorted(w.e.answer, sorted)
-			if len(na) != len(w.e.answer) {
-				w.e.answer = na
-				res.WindowPatched++
-			}
-		}
-	}
+		return subtractSorted(e.answer, sorted), true
+	})
+	res.EntriesTouched += n
+	res.Invalidated += n
 }
 
 // reverifyForEdit repairs answer membership of the edited graph: entries
@@ -440,8 +416,7 @@ func (c *Cache) dropRemovedAnswers(removed []int32, res *MutationResult) {
 func (c *Cache) reverifyForEdit(ng *graph.Graph, res *MutationResult) {
 	id := ng.ID()
 	gv := pathfeat.SimplePathVector(ng, c.opts.MaxPathLen)
-	// decide returns the repaired answer set, or nil if unchanged.
-	decide := func(e *entry) ([]int32, bool) {
+	c.repairAnswers(res, func(e *entry) ([]int32, bool) {
 		ev := e.featureVector(c.opts.MaxPathLen)
 		has := containsID(e.answer, id)
 		compat := c.answerCompatible(gv, ev)
@@ -463,35 +438,7 @@ func (c *Cache) reverifyForEdit(ng *graph.Graph, res *MutationResult) {
 		}
 		res.Invalidated++
 		return subtractSorted(e.answer, []int32{id}), true
-	}
-	for _, sh := range c.shards {
-		ix := sh.index.Load()
-		var repl []*entry
-		for slot, e := range ix.slotEntry {
-			na, changed := decide(e)
-			if !changed {
-				continue
-			}
-			if repl == nil {
-				repl = slices.Clone(ix.slotEntry)
-			}
-			if len(na) > len(e.answer) {
-				sh.answerRefAdd(e.serial, []int32{id})
-			} else {
-				sh.answerRefDel(e.serial, []int32{id})
-			}
-			repl[slot] = e.withAnswer(na)
-		}
-		if repl != nil {
-			sh.index.Store(ix.withSlotEntries(repl))
-		}
-		for _, w := range sh.window {
-			if na, changed := decide(w.e); changed {
-				w.e.answer = na
-				res.WindowPatched++
-			}
-		}
-	}
+	})
 }
 
 // containsID reports whether sorted answer set a contains id.

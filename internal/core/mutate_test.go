@@ -267,13 +267,16 @@ func TestMutationStaticMethodRejected(t *testing.T) {
 // TestMutationPropertyRandomised drives a random interleaving of
 // queries, additions, removals and edge edits, then checks every answer
 // byte-identical to a fresh cache built over the final dataset — the
-// satellite property test, run at Shards=1 and Shards=4 (and under
-// -race in CI).
+// satellite property test, over two random schedules (and under -race in
+// CI). Shards1 keeps the name it had when the cache could be split into
+// shards: one shard was the single store the cache now is.
 func TestMutationPropertyRandomised(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		t.Run(map[int]string{1: "Shards1", 4: "Shards4"}[shards], func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(4000 + shards)))
+	for _, sched := range []struct {
+		name string
+		seed int64
+	}{{"Shards1", 4001}, {"Seed4004", 4004}} {
+		t.Run(sched.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(sched.seed))
 			ds := gen.DefaultAIDS().Scaled(0.002, 1).Generate(61)
 			m := method.NewVF2Plus(ds)
 			cfg, err := workload.TypeACategory("ZZ", 1.4, []int{4, 8}, 60)
@@ -281,7 +284,7 @@ func TestMutationPropertyRandomised(t *testing.T) {
 				t.Fatal(err)
 			}
 			qs := workload.TypeA(ds, cfg, 62)
-			c := New(m, Options{CacheSize: 15, WindowSize: 4, Shards: shards})
+			c := New(m, Options{CacheSize: 15, WindowSize: 4})
 
 			liveIDs := func() []int32 { return ds.AllIDs() }
 			for step := 0; step < 120; step++ {
@@ -341,7 +344,7 @@ func TestMutationPropertyRandomised(t *testing.T) {
 			// Final exhaustive check against a *fresh* cache over the final
 			// dataset: the mutated cache and the cold cache must answer every
 			// workload query byte-identically.
-			cold := New(m, Options{CacheSize: 15, WindowSize: 4, Shards: shards})
+			cold := New(m, Options{CacheSize: 15, WindowSize: 4})
 			for i, q := range qs {
 				warm := c.Query(q.Graph).Answer
 				coldA := cold.Query(q.Graph).Answer

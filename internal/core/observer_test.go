@@ -185,7 +185,7 @@ func TestNilObserverAllocations(t *testing.T) {
 	queries := typeAWorkload(ds, "ZZ", 40, 16)
 	build := func(o Observer) *Cache {
 		c := New(ggsx.New(ds, ggsx.Options{}), Options{
-			CacheSize: 20, WindowSize: 5, Shards: 2, Observer: o,
+			CacheSize: 20, WindowSize: 5, Observer: o,
 		})
 		for _, q := range queries {
 			c.Query(q.Graph)

@@ -29,18 +29,6 @@ type Options struct {
 	// queries from the old index meanwhile — the paper's design. Off by
 	// default for deterministic runs; benchmarks enable it.
 	AsyncRebuild bool
-	// Shards partitions the cached-query store (and its GCindex postings,
-	// window segments and statistics columns) into independent shards keyed
-	// by a hash of each entry's path-feature counts. Concurrent callers
-	// then touch disjoint index snapshots and window segments, and window
-	// rebuilds parallelise per shard. The partition is physical only: the
-	// store stays one logical set — probes fan out across every shard,
-	// answers are identical at any shard count, and snapshots written with
-	// one shard count load under any other. Isomorphic queries always land
-	// in the same shard (their feature counts are identical), so duplicate
-	// suppression keeps working. Zero means the next power of two >=
-	// runtime.GOMAXPROCS(0); 1 reproduces the unsharded layout exactly.
-	Shards int
 	// VerifyConcurrency bounds the cache's verification worker pool — the
 	// paper's sized thread pools (§4, Figure 2) — used for Method M's
 	// verification stage and the GC processors' container/containee
@@ -91,17 +79,5 @@ func (o Options) withDefaults() Options {
 	if o.VerifyConcurrency <= 0 {
 		o.VerifyConcurrency = runtime.GOMAXPROCS(0)
 	}
-	if o.Shards <= 0 {
-		o.Shards = nextPow2(runtime.GOMAXPROCS(0))
-	}
 	return o
-}
-
-// nextPow2 returns the smallest power of two >= n (minimum 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }

@@ -102,54 +102,6 @@ func SelectVictims(p PolicyKind, st *StatsStore, cached []int64, currentSerial i
 	return out
 }
 
-// apportionBudgets splits a global entry capacity across shards in
-// proportion to their tentative occupancy (largest-remainder method, ties
-// to the lower shard index). When total occupancy fits, every shard keeps
-// what it has; otherwise the budgets sum to exactly capacity and each
-// budget never exceeds its shard's occupancy — so per-shard eviction
-// respects the global cap while hot shards keep proportionally more.
-func apportionBudgets(capacity int, sizes []int) []int {
-	total := 0
-	for _, n := range sizes {
-		total += n
-	}
-	budgets := make([]int, len(sizes))
-	if total <= capacity {
-		copy(budgets, sizes)
-		return budgets
-	}
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, 0, len(sizes))
-	assigned := 0
-	for i, n := range sizes {
-		exact := float64(capacity) * float64(n) / float64(total)
-		budgets[i] = int(exact)
-		assigned += budgets[i]
-		rems = append(rems, rem{i, exact - float64(budgets[i])})
-	}
-	sort.Slice(rems, func(a, b int) bool {
-		if rems[a].frac != rems[b].frac {
-			return rems[a].frac > rems[b].frac
-		}
-		return rems[a].idx < rems[b].idx
-	})
-	for _, r := range rems {
-		if assigned >= capacity {
-			break
-		}
-		// budgets[i] can absorb the extra slot: floor(C·n/total) < n
-		// whenever total > C, so the +1 never exceeds the shard's size.
-		if budgets[r.idx] < sizes[r.idx] {
-			budgets[r.idx]++
-			assigned++
-		}
-	}
-	return budgets
-}
-
 // utility computes the policy's utility value for one cached entry.
 func utility(kind PolicyKind, st *StatsStore, serial, currentSerial int64) float64 {
 	age := float64(currentSerial - serial)

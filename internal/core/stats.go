@@ -166,23 +166,6 @@ func (s *StatsStore) Column(col string) map[int64]float64 {
 	return out
 }
 
-// copyInto copies every triplet into dst (not concurrency-safe on dst;
-// used to merge per-shard stores into one read-only aggregate view).
-func (s *StatsStore) copyInto(dst *StatsStore) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for k, row := range s.rows {
-		out := dst.rows[k]
-		if out == nil {
-			out = make(map[string]float64, len(row))
-			dst.rows[k] = out
-		}
-		for c, v := range row {
-			out[c] = v
-		}
-	}
-}
-
 // Delete removes all triplets with the given key — the lazy cleanup the
 // Window Manager performs for evicted queries.
 func (s *StatsStore) Delete(key int64) {

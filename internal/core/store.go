@@ -67,13 +67,9 @@ type SnapshotInfo struct {
 	Entries int
 }
 
-// WriteSnapshot serialises the current cache contents. The format is
-// shard-count independent: entries from every shard are flattened into one
-// serial-ordered list, so a snapshot written with N shards loads into a
-// cache configured with any M (routing is re-derived from feature hashes
-// on load). Pending window entries are not included — flush the window
-// first with Flush if they should be considered for admission before
-// shutdown.
+// WriteSnapshot serialises the current cache contents in serial order.
+// Pending window entries are not included — flush the window first with
+// Flush if they should be considered for admission before shutdown.
 func (c *Cache) WriteSnapshot(w io.Writer) error {
 	_, err := c.WriteSnapshotInfo(w)
 	return err
@@ -93,22 +89,11 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 	c.rebuildMu.Lock()
 	defer c.rebuildMu.Unlock()
 
-	type flatEntry struct {
-		e  *entry
-		st *StatsStore // owning shard's store
-	}
-	var flat []flatEntry
-	for _, sh := range c.shards {
-		ix := sh.index.Load()
-		for _, e := range ix.slotEntry {
-			flat = append(flat, flatEntry{e, sh.stats})
-		}
-	}
-	sort.Slice(flat, func(i, j int) bool { return flat[i].e.serial < flat[j].e.serial })
+	entries := c.index.Load().slotEntry // slot order is serial order
 
 	ds := c.m.Dataset()
 	removed, changed := ds.Delta()
-	info := SnapshotInfo{Epoch: ds.Epoch(), Seq: c.lastSeq.Load(), Entries: len(flat)}
+	info := SnapshotInfo{Epoch: ds.Epoch(), Seq: c.lastSeq.Load(), Entries: len(entries)}
 
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, snapshotMagic)
@@ -139,11 +124,10 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 	fmt.Fprintf(bw, "admission %g %d\n", c.adm.threshold, calibrated)
 	c.admMu.Unlock()
 
-	fmt.Fprintf(bw, "entries %d\n", len(flat))
-	graphs := make([]*graph.Graph, 0, len(flat)+len(changed))
+	fmt.Fprintf(bw, "entries %d\n", len(entries))
+	graphs := make([]*graph.Graph, 0, len(entries)+len(changed))
 	line := make([]byte, 0, 256) // reused: one fmt call per answer id is the old slow path
-	for _, fe := range flat {
-		e := fe.e
+	for _, e := range entries {
 		line = append(line[:0], "entry "...)
 		line = strconv.AppendInt(line, e.serial, 10)
 		line = append(line, ' ')
@@ -156,7 +140,7 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 		if _, err := bw.Write(line); err != nil {
 			return info, fmt.Errorf("core: writing snapshot entry: %w", err)
 		}
-		row := fe.st.Row(e.serial)
+		row := c.stats.Row(e.serial)
 		cols := make([]string, 0, len(row))
 		for col := range row {
 			cols = append(cols, col)
@@ -213,10 +197,10 @@ func (c *Cache) ReadSnapshot(r io.Reader) error {
 	type pending struct {
 		serial int64
 		answer []int32
-		stats  map[string]float64
 	}
-	var entries []*pending
-	bySerial := map[int64]*pending{}
+	var entries []pending
+	cached := map[int64]bool{}
+	stats := NewStatsStore()
 
 	parseIDs := func(fields []string, what string) ([]int32, error) {
 		n, err := strconv.Atoi(fields[1])
@@ -326,7 +310,10 @@ func (c *Cache) ReadSnapshot(r io.Reader) error {
 			if err != nil || k != len(fields)-3 {
 				return fmt.Errorf("core: bad entry line %q", line)
 			}
-			p := &pending{serial: s, stats: map[string]float64{}}
+			if cached[s] {
+				return fmt.Errorf("core: duplicate entry serial %d", s)
+			}
+			p := pending{serial: s}
 			for _, f := range fields[3:] {
 				id, err := strconv.ParseInt(f, 10, 32)
 				if err != nil {
@@ -335,7 +322,7 @@ func (c *Cache) ReadSnapshot(r io.Reader) error {
 				p.answer = append(p.answer, int32(id))
 			}
 			entries = append(entries, p)
-			bySerial[s] = p
+			cached[s] = true
 		case "stat":
 			if len(fields) != 4 {
 				return fmt.Errorf("core: bad stat line %q", line)
@@ -348,11 +335,10 @@ func (c *Cache) ReadSnapshot(r io.Reader) error {
 			if err != nil {
 				return fmt.Errorf("core: bad stat line %q: %w", line, err)
 			}
-			p := bySerial[s]
-			if p == nil {
+			if !cached[s] {
 				return fmt.Errorf("core: stat for unknown entry %d", s)
 			}
-			p.stats[fields[2]] = v
+			stats.Set(s, fields[2], v)
 		case "graphs":
 			goto graphsSection
 		default:
@@ -415,42 +401,20 @@ graphsSection:
 	}
 
 	loaded := make([]*entry, len(entries))
-	seen := make(map[int64]bool, len(entries))
 	for i, p := range entries {
-		if seen[p.serial] {
-			return fmt.Errorf("core: duplicate entry serial %d", p.serial)
-		}
-		seen[p.serial] = true
 		loaded[i] = &entry{serial: p.serial, g: graphs[i], answer: p.answer}
 	}
-
-	// Re-derive shard routing from the entries' feature vectors — the
-	// snapshot does not record a shard layout, so any shard count can load
-	// it. The enumeration doubles as the index's memoised vectors.
+	// Feature extraction in parallel; the vectors and hashes are memoised
+	// for the index build.
 	c.pool.ParallelFor(len(loaded), func(i int) {
-		loaded[i].routeHash(c.opts.MaxPathLen)
+		loaded[i].featureHash(c.opts.MaxPathLen)
 	})
-	perShard := make([][]*entry, len(c.shards))
-	perStats := make([]*StatsStore, len(c.shards))
-	for i := range c.shards {
-		perStats[i] = NewStatsStore()
-	}
-	for i, e := range loaded {
-		si := c.shardOfHash(e.hash)
-		perShard[si] = append(perShard[si], e)
-		for col, v := range entries[i].stats {
-			perStats[si].Set(e.serial, col, v)
-		}
-	}
 
-	// Install: contents, stats, counters, admission, reverse answer
-	// index — mirrors the startup path of the paper's Cache Manager.
-	for _, sh := range c.shards {
-		sh.winMu.Lock()
-		sh.window = nil
-		sh.winMu.Unlock()
-	}
-	c.winPending.Store(0)
+	// Install: contents, stats, counters, admission — mirrors the startup
+	// path of the paper's Cache Manager.
+	c.winMu.Lock()
+	c.window = nil
+	c.winMu.Unlock()
 	if serial > c.serial.Load() {
 		c.serial.Store(serial)
 	}
@@ -463,15 +427,8 @@ graphsSection:
 	}
 	c.admMu.Unlock()
 	c.syncGraphCosts()
-	c.pool.ParallelFor(len(c.shards), func(i int) {
-		sh := c.shards[i]
-		sh.stats = perStats[i]
-		sh.byAnswer = make(map[int32]map[int64]struct{})
-		for _, e := range perShard[i] {
-			sh.answerRefAdd(e.serial, e.answer)
-		}
-		sh.index.Store(buildQueryIndex(perShard[i], c.opts.MaxPathLen))
-	})
+	c.stats = stats
+	c.index.Store(buildQueryIndex(loaded, c.opts.MaxPathLen))
 	return nil
 }
 

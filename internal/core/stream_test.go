@@ -62,7 +62,7 @@ func TestQueryBatchStreamMatchesQueryBatch(t *testing.T) {
 		{"batchverifier", func() method.Method { return batchVerifierMethod{ggsx.New(ds, ggsx.Options{})} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{CacheSize: 20, WindowSize: 5, Shards: 4}
+			opts := Options{CacheSize: 20, WindowSize: 5}
 			buf := New(tc.mk(), opts)
 			str := New(tc.mk(), opts)
 
@@ -123,7 +123,7 @@ func TestQueryBatchStreamArrivalOrder(t *testing.T) {
 		gate:    make(chan struct{}),
 		started: make(chan struct{}),
 	}
-	c := New(gm, Options{CacheSize: 10, WindowSize: 4, Shards: 2})
+	c := New(gm, Options{CacheSize: 10, WindowSize: 4})
 	queries := typeAWorkload(ds, "ZZ", 3, 36)
 
 	// Query 0 carries a label the dataset never uses: its candidate set
@@ -175,7 +175,7 @@ func TestQueryBatchStreamCancellation(t *testing.T) {
 			gate:    make(chan struct{}),
 			started: make(chan struct{}),
 		}
-		c := New(gm, Options{CacheSize: 20, WindowSize: 5, Shards: 2, VerifyConcurrency: 2})
+		c := New(gm, Options{CacheSize: 20, WindowSize: 5, VerifyConcurrency: 2})
 		var qs []*graph.Graph
 		for _, q := range typeAWorkload(ds, "ZZ", 48, 38) {
 			// A lone query needs a chunk of tests left to abandon once

@@ -44,7 +44,7 @@ func TestSharedVectorMatchesFallback(t *testing.T) {
 		if hide {
 			m = opaque{m}
 		}
-		c := New(m, Options{CacheSize: 30, WindowSize: 6, Shards: 2, MaxPathLen: cacheLen})
+		c := New(m, Options{CacheSize: 30, WindowSize: 6, MaxPathLen: cacheLen})
 		if shared := c.vecFilter != nil; shared != wantShared {
 			t.Fatalf("cache MaxPathLen %d, hidden %v: shares its vector = %v, want %v", cacheLen, hide, shared, wantShared)
 		}
@@ -95,7 +95,7 @@ func TestSharedVectorMatchesFallback(t *testing.T) {
 }
 
 // TestEntryHashIsTheCountsHash pins the hash a backend stores on its
-// entries — the shard-routing key and the value the router's affinity hash
+// entries — the exact-lookup key and the value the router's affinity hash
 // must reproduce — to Hash over the map-built Counts, now that both are
 // computed from the direct extraction.
 func TestEntryHashIsTheCountsHash(t *testing.T) {
@@ -104,7 +104,7 @@ func TestEntryHashIsTheCountsHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(method.NewVF2Plus(ds), Options{CacheSize: 100, WindowSize: 1000, Shards: 4})
+	c := New(method.NewVF2Plus(ds), Options{CacheSize: 100, WindowSize: 1000})
 	queries := []*graph.Graph{pathG(7), pathG(300, 1, 256)}
 	for _, q := range workload.TypeA(ds, cfg, 6) {
 		queries = append(queries, q.Graph)
@@ -114,17 +114,12 @@ func TestEntryHashIsTheCountsHash(t *testing.T) {
 		c.Query(q)
 	}
 	seen := 0
-	for si, sh := range c.shards {
-		for _, we := range sh.window {
-			want := pathfeat.HashVector(pathfeat.VectorOf(pathfeat.SimplePaths(we.e.g, c.opts.MaxPathLen)))
-			if !we.e.hashed || we.e.hash != want {
-				t.Errorf("entry %d: stored hash %x (set: %v), HashVector(VectorOf(SimplePaths)) = %x", we.e.serial, we.e.hash, we.e.hashed, want)
-			}
-			if int(want%4) != si {
-				t.Errorf("entry %d sits in shard %d, its hash names shard %d", we.e.serial, si, want%4)
-			}
-			seen++
+	for _, we := range c.window {
+		want := pathfeat.HashVector(pathfeat.VectorOf(pathfeat.SimplePaths(we.e.g, c.opts.MaxPathLen)))
+		if !we.e.hashed || we.e.hash != want {
+			t.Errorf("entry %d: stored hash %x (set: %v), HashVector(VectorOf(SimplePaths)) = %x", we.e.serial, we.e.hash, we.e.hashed, want)
 		}
+		seen++
 	}
 	if seen < len(queries)/2 {
 		t.Fatalf("only %d of %d queries reached a window", seen, len(queries))

@@ -92,191 +92,124 @@ func (a *admission) admits(score float64) bool {
 }
 
 // processWindow runs the Window Manager's window-full procedure (§6.2)
-// over one filled window's per-shard segments: admission control (global,
-// over the whole window), then per-shard replacement, statistics
-// initialisation and index rebuild + swap, parallelised across shards. It
-// runs synchronously or on a background goroutine depending on
-// Options.AsyncRebuild; window passes are serialised either way.
-func (c *Cache) processWindow(segs [][]*windowEntry, currentSerial int64) {
+// over one filled window: admission control, replacement, statistics
+// initialisation and the index delta + swap. It runs synchronously or on a
+// background goroutine depending on Options.AsyncRebuild; window passes
+// are serialised either way.
+func (c *Cache) processWindow(ws []*windowEntry, currentSerial int64) {
 	if c.opts.AsyncRebuild {
 		c.rebuildWG.Add(1)
 		go func() {
 			defer c.rebuildWG.Done()
 			c.rebuildMu.Lock()
 			defer c.rebuildMu.Unlock()
-			c.doProcessWindow(segs, currentSerial)
+			c.doProcessWindow(ws, currentSerial)
 		}()
 		return
 	}
 	c.rebuildMu.Lock()
 	defer c.rebuildMu.Unlock()
-	c.doProcessWindow(segs, currentSerial)
+	c.doProcessWindow(ws, currentSerial)
 }
 
-// shardPass carries one shard's state through the two parallel phases of
-// doProcessWindow.
-type shardPass struct {
-	old      *queryIndex
-	admitted []*windowEntry
-	victims  []int64
-}
-
-func (c *Cache) doProcessWindow(segs [][]*windowEntry, currentSerial int64) {
+func (c *Cache) doProcessWindow(ws []*windowEntry, currentSerial int64) {
 	start := time.Now()
-	windowSize := 0
-	for _, seg := range segs {
-		windowSize += len(seg)
-	}
 
-	// Admission control is a window-global decision: calibration observes
-	// the whole window's scores, as in the unsharded design — sharding
-	// partitions the store, not the admission policy.
-	var scores []float64
-	for _, seg := range segs {
-		for _, w := range seg {
-			scores = append(scores, w.score())
-		}
+	scores := make([]float64, len(ws))
+	for i, w := range ws {
+		scores[i] = w.score()
 	}
-
-	passes := make([]shardPass, len(c.shards))
-	rejected, admittedTotal := 0, 0
+	var admitted []*windowEntry
 	c.admMu.Lock()
 	c.adm.observe(scores)
-	for i, seg := range segs {
-		for _, w := range seg {
-			if c.adm.admits(w.score()) {
-				passes[i].admitted = append(passes[i].admitted, w)
-			} else {
-				rejected++
-			}
+	for i, w := range ws {
+		if c.adm.admits(scores[i]) {
+			admitted = append(admitted, w)
 		}
 	}
 	c.admMu.Unlock()
+	rejected := len(ws) - len(admitted)
 
-	// Phase 1, parallel per shard: window-batch dedup and the concurrent-
-	// duplicate guard against already-cached isomorphs. Isomorphic queries
-	// share a feature hash and therefore a shard, so per-shard dedup loses
-	// nothing.
-	c.pool.ParallelFor(len(c.shards), func(i int) {
-		p := &passes[i]
-		p.old = c.shards[i].index.Load()
-		p.admitted = dedupeWindow(p.admitted)
-
-		// Drop window entries isomorphic to an already-cached query.
-		// Serially this cannot happen (a repeat always takes the
-		// exact-match shortcut, which skips the Window), but two
-		// concurrent callers can both miss on the same new query and both
-		// window it — across different windows when AsyncRebuild
-		// interleaves. Admitting the copy would waste a cache slot and
-		// split the original's hit statistics. Isomorphic queries share a
-		// feature hash, so only hash-equal pairs need the isomorphism test.
-		if len(p.old.serials) > 0 {
-			kept := p.admitted[:0]
-			for _, w := range p.admitted {
-				dup := false
-				for slot, h := range p.old.hashes {
-					if h == w.e.hash && iso.Isomorphic(iso.VF2{}, w.e.g, p.old.slotEntry[slot].g) {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					kept = append(kept, w)
-				}
-			}
-			p.admitted = kept
+	// Drop window entries isomorphic to an already-cached query. Serially
+	// this cannot happen (a repeat always takes the exact-match shortcut,
+	// which skips the Window), but two concurrent callers can both miss on
+	// the same new query and both window it — across different windows
+	// when AsyncRebuild interleaves. Admitting the copy would waste a cache
+	// slot and split the original's hit statistics. The exact lookup finds
+	// it: equal sizes plus containment is isomorphism.
+	old := c.index.Load()
+	admitted = dedupeWindow(admitted)
+	kept := admitted[:0]
+	for _, w := range admitted {
+		g := w.e.g
+		dup := old.exact(w.e.hash, g.NumVertices(), g.NumEdges(), func(e *entry) bool {
+			return iso.Contains(c.algo, g, e.g)
+		})
+		if dup == nil {
+			kept = append(kept, w)
 		}
-	})
-
-	// Apportion the global capacity across shards in proportion to their
-	// tentative occupancy (largest-remainder), so the utility policy runs
-	// independently per shard while the global cap C is respected exactly.
-	sizes := make([]int, len(passes))
-	for i, p := range passes {
-		sizes[i] = len(p.old.serials) + len(p.admitted) // admitted serials are new
 	}
-	budgets := apportionBudgets(c.opts.CacheSize, sizes)
+	admitted = kept
 
-	// Phase 2, parallel per shard: eviction against the shard's budget,
-	// statistics-row initialisation in the shard's own store, and the
-	// GCindex delta + swap. Entries arrive with their feature vectors
-	// already memoised from the query path, so no cached graph is
-	// enumerated again; the delta is linear passes over the shard's flat
-	// posting arrays (see applyDelta).
-	c.pool.ParallelFor(len(c.shards), func(i int) {
-		p := &passes[i]
-		sh := c.shards[i]
-
-		size := len(p.old.serials) + len(p.admitted)
-		if over := size - budgets[i]; over > 0 {
-			p.victims = SelectVictims(c.opts.Policy, sh.stats, p.old.serials, currentSerial, over)
-			size -= len(p.victims)
-		}
-		// More admitted than fits even after evicting everything: keep the
-		// most expensive ones (newest on ties).
-		fits := p.admitted
-		if over := size - budgets[i]; over > 0 {
-			sort.Slice(p.admitted, func(a, b int) bool {
-				sa, sb := p.admitted[a].score(), p.admitted[b].score()
-				if sa != sb {
-					return sa < sb
-				}
-				return p.admitted[a].e.serial < p.admitted[b].e.serial
-			})
-			fits = p.admitted[over:]
-		}
-
-		// Initialise statistics rows for the entries that made it in,
-		// batched into one locked apply per shard per window.
-		var ops []StatOp
-		added := make([]*entry, 0, len(fits))
-		for _, w := range fits {
-			added = append(added, w.e)
-			s := w.e.serial
-			ops = append(ops,
-				StatOp{Key: s, Col: ColNodes, Val: float64(w.e.g.NumVertices()), Set: true},
-				StatOp{Key: s, Col: ColEdges, Val: float64(w.e.g.NumEdges()), Set: true},
-				StatOp{Key: s, Col: ColLabels, Val: float64(w.e.g.DistinctLabels()), Set: true},
-				StatOp{Key: s, Col: ColFilterTime, Val: w.filterNS, Set: true},
-				StatOp{Key: s, Col: ColVerifyTime, Val: w.verifyNS, Set: true},
-				StatOp{Key: s, Col: ColOwnCS, Val: float64(w.ownCS), Set: true},
-				StatOp{Key: s, Col: ColOwnCost, Val: w.ownCost, Set: true},
-				StatOp{Key: s, Col: ColHits, Set: true},
-				StatOp{Key: s, Col: ColSpecialHits, Set: true},
-				StatOp{Key: s, Col: ColLastHit, Val: float64(s), Set: true},
-				StatOp{Key: s, Col: ColCSReduction, Set: true},
-				StatOp{Key: s, Col: ColTimeSaving, Set: true})
-		}
-		sh.stats.ApplyBatch(ops)
-
-		for _, e := range added {
-			e.featureVector(c.opts.MaxPathLen) // memoised on the query path; recompute only off-path inserts
-			sh.answerRefAdd(e.serial, e.answer)
-		}
-		sh.index.Store(p.old.applyDelta(added, p.victims))
-
-		// Lazy cleanup of evicted entries' statistics (§6.2) and reverse
-		// answer-index references.
-		for _, s := range p.victims {
-			sh.stats.Delete(s)
-			if old := p.old.lookup(s); old != nil {
-				sh.answerRefDel(s, old.answer)
+	// Replacement (§6.3) ranks every cached query together.
+	var victims []int64
+	size := len(old.serials) + len(admitted) // admitted serials are new
+	if over := size - c.opts.CacheSize; over > 0 {
+		victims = SelectVictims(c.opts.Policy, c.stats, old.serials, currentSerial, over)
+		size -= len(victims)
+	}
+	// More admitted than fits even after evicting everything: keep the
+	// most expensive ones (newest on ties).
+	fits := admitted
+	if over := size - c.opts.CacheSize; over > 0 {
+		sort.Slice(admitted, func(a, b int) bool {
+			sa, sb := admitted[a].score(), admitted[b].score()
+			if sa != sb {
+				return sa < sb
 			}
-		}
-	})
+			return admitted[a].e.serial < admitted[b].e.serial
+		})
+		fits = admitted[over:]
+	}
 
-	evicted := 0
-	for i := range passes {
-		admittedTotal += len(passes[i].admitted)
-		evicted += len(passes[i].victims)
+	// Initialise statistics rows for the entries that made it in, batched
+	// into one locked apply per window, then publish the GCindex delta.
+	// Entries arrive with their feature vectors already memoised from the
+	// query path, so no cached graph is enumerated again; the delta is
+	// linear passes over the flat posting arrays (see applyDelta).
+	ops := make([]StatOp, 0, 12*len(fits))
+	added := make([]*entry, 0, len(fits))
+	for _, w := range fits {
+		added = append(added, w.e)
+		s := w.e.serial
+		ops = append(ops,
+			StatOp{Key: s, Col: ColNodes, Val: float64(w.e.g.NumVertices()), Set: true},
+			StatOp{Key: s, Col: ColEdges, Val: float64(w.e.g.NumEdges()), Set: true},
+			StatOp{Key: s, Col: ColLabels, Val: float64(w.e.g.DistinctLabels()), Set: true},
+			StatOp{Key: s, Col: ColFilterTime, Val: w.filterNS, Set: true},
+			StatOp{Key: s, Col: ColVerifyTime, Val: w.verifyNS, Set: true},
+			StatOp{Key: s, Col: ColOwnCS, Val: float64(w.ownCS), Set: true},
+			StatOp{Key: s, Col: ColOwnCost, Val: w.ownCost, Set: true},
+			StatOp{Key: s, Col: ColHits, Set: true},
+			StatOp{Key: s, Col: ColSpecialHits, Set: true},
+			StatOp{Key: s, Col: ColLastHit, Val: float64(s), Set: true},
+			StatOp{Key: s, Col: ColCSReduction, Set: true},
+			StatOp{Key: s, Col: ColTimeSaving, Set: true})
+	}
+	c.stats.ApplyBatch(ops)
+	c.index.Store(old.applyDelta(added, victims))
+
+	// Lazy cleanup of evicted entries' statistics (§6.2).
+	for _, s := range victims {
+		c.stats.Delete(s)
 	}
 
 	dur := time.Since(start)
 	c.totMu.Lock()
 	c.tot.WindowsProcessed++
 	c.tot.Rebuilds++
-	c.tot.Admitted += int64(admittedTotal)
-	c.tot.Evicted += int64(evicted)
+	c.tot.Admitted += int64(len(admitted))
+	c.tot.Evicted += int64(len(victims))
 	c.tot.RejectedByAdmission += int64(rejected)
 	c.tot.MaintenanceTime += dur
 	c.totMu.Unlock()
@@ -284,9 +217,9 @@ func (c *Cache) doProcessWindow(segs [][]*windowEntry, currentSerial int64) {
 	if obs := c.observer(); obs != nil {
 		obs.ObserveWindow(WindowObservation{
 			DurationNS: dur.Nanoseconds(),
-			WindowSize: windowSize,
-			Admitted:   admittedTotal,
-			Evicted:    evicted,
+			WindowSize: len(ws),
+			Admitted:   len(admitted),
+			Evicted:    len(victims),
 			Rejected:   rejected,
 		})
 	}

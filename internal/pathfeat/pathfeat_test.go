@@ -111,7 +111,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestHashOrderIndependentAndIsomorphismInvariant(t *testing.T) {
 	// The same path built with vertices in reverse order is isomorphic and
-	// must hash identically — shard routing depends on it.
+	// must hash identically — the exact lookup depends on it.
 	a := SimplePaths(path(1, 2, 3, 4), 4)
 	b := SimplePaths(path(4, 3, 2, 1), 4)
 	if Hash(a) != Hash(b) {

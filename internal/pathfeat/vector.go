@@ -277,8 +277,8 @@ func SimplePathLocations(g *graph.Graph, maxLen int) PathLocations {
 // HashVector returns the order-independent hash of a feature vector: each
 // (ID, count) pair is hashed on its own and the pair hashes combine with
 // XOR; the empty vector hashes to 0. Isomorphic graphs have identical
-// vectors and therefore identical hashes — the property the sharded
-// cached-query store relies on to co-locate duplicates.
+// vectors and therefore identical hashes — the property the cache's
+// exact lookup and the router's affinity rely on to find duplicates.
 func HashVector(vec Vector) uint64 {
 	var h uint64
 	for _, fc := range vec {

@@ -116,8 +116,8 @@ func hashTestGraphs(r *rand.Rand) []*graph.Graph {
 
 // TestSimplePathVectorMatchesMapPath: the direct extraction is the map
 // path's vector, entry for entry, at every length — and so hashes to the
-// value Hash gives the Counts, which is what keeps ring homes and shard
-// routing where warm snapshots expect them.
+// value Hash gives the Counts, which is what keeps ring homes and exact
+// lookups where warm snapshots expect them.
 func TestSimplePathVectorMatchesMapPath(t *testing.T) {
 	for i, g := range hashTestGraphs(rand.New(rand.NewSource(14))) {
 		for _, maxLen := range []int{-1, 0, 1, 4, 5} {

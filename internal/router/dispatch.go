@@ -114,7 +114,7 @@ func (tp *topology) find(addr string) *backend {
 
 // hash returns q's affinity hash: the order-independent hash of its
 // path-feature counts — the same value the backends' pathfeat.HashVector
-// computes for their shard routing. Isomorphic queries — and more generally
+// computes as their exact-lookup key. Isomorphic queries — and more generally
 // queries with identical feature counts — hash identically, so their
 // cache hits concentrate on one backend.
 func (rt *Router) hash(q *graph.Graph) uint64 {

@@ -9,10 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"graphcache/internal/core"
+	"graphcache/internal/ggsx"
 	"graphcache/internal/graph"
+	"graphcache/internal/method"
 	"graphcache/internal/server"
 	"graphcache/internal/workload"
 )
@@ -82,44 +86,77 @@ func TestFailover(t *testing.T) {
 // batch — the survivor abandons its remaining verifications instead of
 // finishing a reply that is already an error — and the client sees
 // exactly one error.
+//
+// The order of events is fixed rather than timed: the failing backend
+// refuses its share only once the survivor has started verifying, and
+// the survivor, verifying one test at a time, holds its first test until
+// the client has seen the error, so the rest of its work is still
+// unstarted when the cancellation reaches it.
 func TestFailedGroupCancelsSiblings(t *testing.T) {
 	ds := testDataset(40, 441)
-	// Uniform, so the 48 queries are (nearly) all distinct and their
-	// hashes cannot all fall to one backend of the ring.
+	// Uniform, so the queries are (nearly) all distinct and their hashes
+	// spread over the ring.
 	cfg, err := workload.TypeACategory("UU", 1.4, []int{4, 8, 12}, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var queries []*graph.Graph
-	for _, q := range workload.TypeA(ds, cfg, 442) {
-		queries = append(queries, q.Graph)
-	}
-	frame, err := graph.EncodeBinary(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The failing backend answers its health checks, then refuses its
-	// share of the batch — non-retryably, and late enough that the
-	// survivor is mid-verify by then.
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {})
-	mux.HandleFunc("POST /querybatch", func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(50 * time.Millisecond)
-		server.WriteError(w, http.StatusBadRequest, errors.New("refused"))
-	})
-	failing := httptest.NewServer(mux)
-	t.Cleanup(failing.Close)
 
 	for _, accept := range []string{"application/json", server.ContentTypeNDJSON} {
 		t.Run(accept, func(t *testing.T) {
-			survivor := startSlowBackend(t, ds, 20*time.Millisecond)
+			gated := &gatedVerifyMethod{Method: ggsx.New(ds, ggsx.Options{}), delay: 50 * time.Millisecond,
+				started: make(chan struct{}), release: make(chan struct{})}
+			survivor := serveCache(t, core.New(gated, core.Options{CacheSize: 20, WindowSize: 5, VerifyConcurrency: 1}))
+			// A router that never cancels the survivor must fail the test,
+			// not hang it: the gate opens by itself after 10s.
+			release := sync.OnceFunc(func() { close(gated.release) })
+			timer := time.AfterFunc(10*time.Second, release)
+			t.Cleanup(func() { timer.Stop(); release() })
+
+			// The failing backend answers its health checks, then refuses its
+			// share of the batch — non-retryably, and only once the survivor
+			// is mid-verify.
+			mux := http.NewServeMux()
+			mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {})
+			mux.HandleFunc("POST /querybatch", func(w http.ResponseWriter, r *http.Request) {
+				select {
+				case <-gated.started:
+				case <-time.After(10 * time.Second):
+				}
+				server.WriteError(w, http.StatusBadRequest, errors.New("refused"))
+			})
+			failing := httptest.NewServer(mux)
+			t.Cleanup(failing.Close)
+
 			rt := startRouter(t, Options{
 				Backends: []string{survivor.Addr(), strings.TrimPrefix(failing.URL, "http://")},
 				Mode:     Shard,
 			})
 			tp := rt.topo.Load()
-			if groups, err := rt.group(tp, queries); err != nil || len(groups) != 2 {
-				t.Fatalf("workload does not span both backends: %d groups, %v", len(groups), err)
+
+			// The ring places a query by the backends' ports, so draw
+			// workloads until the survivor's share is two queries or more:
+			// each has a candidate to verify, so the survivor's second test is
+			// unstarted while its first is held.
+			var queries []*graph.Graph
+			for seed := int64(442); queries == nil; seed++ {
+				if seed == 442+20 {
+					t.Fatal("no workload spans both backends with two queries on the survivor")
+				}
+				var qs []*graph.Graph
+				for _, q := range workload.TypeA(ds, cfg, seed) {
+					qs = append(qs, q.Graph)
+				}
+				groups, err := rt.group(tp, qs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(groups) == 2 && len(groups[tp.find(survivor.Addr())]) >= 2 {
+					queries = qs
+				}
+			}
+			frame, err := graph.EncodeBinary(queries)
+			if err != nil {
+				t.Fatal(err)
 			}
 
 			req, err := http.NewRequest(http.MethodPost, "http://"+rt.Addr()+"/querybatch", bytes.NewReader(frame))
@@ -155,6 +192,9 @@ func TestFailedGroupCancelsSiblings(t *testing.T) {
 			if failures != 1 {
 				t.Errorf("client saw %d errors (status %d), want exactly 1", failures, res.StatusCode)
 			}
+			// The reply is final, so the router has already cancelled the
+			// survivor's share; let its held test finish.
+			release()
 
 			deadline := time.Now().Add(10 * time.Second)
 			for {
@@ -170,4 +210,21 @@ func TestFailedGroupCancelsSiblings(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gatedVerifyMethod holds a backend's verification at a gate: the first
+// Verify closes started, and every Verify waits for release to close
+// before a delay-long test.
+type gatedVerifyMethod struct {
+	method.Method
+	delay            time.Duration
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (m *gatedVerifyMethod) Verify(q *graph.Graph, id int32) bool {
+	m.once.Do(func() { close(m.started) })
+	<-m.release
+	time.Sleep(m.delay)
+	return m.Method.Verify(q, id)
 }

@@ -113,8 +113,8 @@ type Options struct {
 	// aggregated /stats fan-out (default 2s).
 	ProbeTimeout time.Duration
 	// MaxPathLen is the feature length (in edges) of the affinity hash
-	// (default 4, matching the cache's GCindex default, so queries that
-	// route to one shard of a backend's cache also route to one backend).
+	// (default 4, matching the cache's GCindex default, so the affinity
+	// hash is the feature hash a backend's cache keys its exact lookup on).
 	MaxPathLen int
 	// MaxBodyBytes bounds a request body (default 64 MiB).
 	MaxBodyBytes int64

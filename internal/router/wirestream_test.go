@@ -245,8 +245,13 @@ func (m *slowVerifyMethod) Verify(q *graph.Graph, id int32) bool {
 // startSlowBackend is startBackend over a verification-delayed method.
 func startSlowBackend(t *testing.T, ds *dataset.Dataset, delay time.Duration) *server.Server {
 	t.Helper()
-	c := core.New(&slowVerifyMethod{Method: ggsx.New(ds, ggsx.Options{}), delay: delay},
-		core.Options{CacheSize: 20, WindowSize: 5})
+	return serveCache(t, core.New(&slowVerifyMethod{Method: ggsx.New(ds, ggsx.Options{}), delay: delay},
+		core.Options{CacheSize: 20, WindowSize: 5}))
+}
+
+// serveCache starts a backend over c, shut down when the test ends.
+func serveCache(t *testing.T, c *core.Cache) *server.Server {
+	t.Helper()
 	s := server.New(c, server.Options{Addr: "127.0.0.1:0"})
 	if err := s.Start(); err != nil {
 		t.Fatalf("backend Start: %v", err)

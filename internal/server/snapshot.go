@@ -53,7 +53,7 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // writeCheckedSnapshot writes c's snapshot followed by the integrity
 // trailer, reporting the captured epoch/seq so callers can truncate the
 // mutation journal. Safe against a concurrently serving cache:
-// WriteSnapshot reads atomic per-shard index snapshots under the
+// WriteSnapshot reads the atomically published index generation under the
 // rebuild lock.
 func writeCheckedSnapshot(c *core.Cache, w io.Writer) (core.SnapshotInfo, error) {
 	cw := &crcWriter{w: w}
