@@ -14,9 +14,9 @@ func BenchmarkSetOps(b *testing.B) {
 		}
 		return s
 	}
-	a := mk(1024, 2, 0)   // evens
-	c := mk(1024, 3, 0)   // multiples of 3: ~1/3 overlap with a
-	d := mk(1024, 2, 1)   // odds: disjoint from a
+	a := mk(1024, 2, 0) // evens
+	c := mk(1024, 3, 0) // multiples of 3: ~1/3 overlap with a
+	d := mk(1024, 2, 1) // odds: disjoint from a
 	sink := []int32(nil)
 
 	b.Run("intersect/overlapping", func(b *testing.B) {

@@ -171,7 +171,7 @@ func FuzzBinaryWireRoundTrip(f *testing.F) {
 			t.Fatalf("re-decode produced %d graphs, want %d", len(back), len(gs))
 		}
 		for i := range gs {
-			if back[i].ID() != gs[i].ID() || !back[i].StructurallyEqual(gs[i]) {
+			if back[i].ID() != gs[i].ID() || !sameGraph(back[i], gs[i]) {
 				t.Fatalf("graph %d not identical after re-encode", i)
 			}
 		}

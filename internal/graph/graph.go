@@ -3,13 +3,21 @@
 // constructing them safely, traversals, induced subgraphs and text I/O.
 //
 // Graphs are immutable once built. Vertices are dense int32 identifiers
-// 0..n-1, each carrying a Label; edges are undirected, simple (no self
-// loops, no multi-edges) and stored as sorted adjacency lists, so
-// neighbourhood scans are cache-friendly and membership tests are
+// 0..n-1, each carrying a Label; edges are undirected and simple (no self
+// loops, no multi-edges). Adjacency is stored in compressed sparse row
+// (CSR) form: one offset array and one array holding every vertex's sorted
+// neighbour list end to end. A graph is a handful of flat slices whatever
+// its size, neighbourhood scans are sequential, and membership tests are
 // logarithmic.
+//
+// Build also records two signatures, multisets that every subgraph-
+// isomorphism test is screened against before any search: the vertex
+// labels (LabelsDominate) and the endpoint-label pairs of the edges
+// (EdgesDominate).
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -20,51 +28,107 @@ import (
 // ample.
 type Label uint16
 
-// Graph is an immutable undirected vertex-labelled simple graph.
-// The zero value is an empty graph.
+// Graph is an immutable undirected vertex-labelled simple graph: its
+// labels, its CSR adjacency, and its label and edge signatures. The zero
+// value is an empty graph.
 type Graph struct {
 	id     int32
 	labels []Label
-	adj    [][]int32 // adj[v] sorted ascending, no duplicates, no self loops
-	m      int       // number of undirected edges
-	// sig is the label signature: the graph's label multiset as (label,
-	// count) pairs in ascending label order. Built once in Build, it turns
-	// the label screens every sub-iso test starts with (LabelsDominate,
-	// LabelCount) into allocation-free scans of two short sorted slices.
-	sig []labelCount
+	// off and nbr are the CSR adjacency: v's neighbours are
+	// nbr[off[v]:off[v+1]], sorted ascending, no duplicates, no self loops.
+	// len(off) is n+1 and len(nbr) is 2m.
+	off []int32
+	nbr []int32
+	// sig is the label signature: the label multiset as (label, count)
+	// entries in ascending label order. esig is the edge signature: the
+	// multiset of the edges' endpoint-label pairs (see labelPair) in
+	// ascending pair order. Both are built once in Build. They turn the
+	// screens every sub-iso test starts with (LabelsDominate,
+	// EdgesDominate, LabelCount) into allocation-free scans of short
+	// sorted slices.
+	sig  []keyCount[Label]
+	esig []keyCount[uint32]
 }
 
-// labelCount is one signature entry. Counts saturate at 65535 to keep an
-// entry at 4 bytes; see LabelsDominate for why that stays sound.
-type labelCount struct {
-	label Label
+// keyCount is one signature entry. Counts saturate at 65535 to keep an
+// entry small; see LabelsDominate for why that stays sound.
+type keyCount[K cmp.Ordered] struct {
+	key   K
 	count uint16
 }
 
-// labelSignature returns the sorted (label, count) multiset of labels.
-func labelSignature(labels []Label) []labelCount {
-	if len(labels) == 0 {
+// signature run-length codes sorted keys into (key, count) entries.
+func signature[K cmp.Ordered](sorted []K) []keyCount[K] {
+	if len(sorted) == 0 {
 		return nil
 	}
-	var buf [64]Label // query-sized graphs sort on the stack
-	sorted := append(buf[:0], labels...)
-	slices.Sort(sorted)
 	distinct := 1
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] != sorted[i-1] {
 			distinct++
 		}
 	}
-	sig := make([]labelCount, 0, distinct)
+	sig := make([]keyCount[K], 0, distinct)
 	for i := 0; i < len(sorted); {
 		j := i + 1
 		for j < len(sorted) && sorted[j] == sorted[i] {
 			j++
 		}
-		sig = append(sig, labelCount{label: sorted[i], count: uint16(min(j-i, math.MaxUint16))})
+		sig = append(sig, keyCount[K]{key: sorted[i], count: uint16(min(j-i, math.MaxUint16))})
 		i = j
 	}
 	return sig
+}
+
+// dominates reports whether signature g contains signature q as a
+// multiset: one merge of the two sorted slices, no allocation.
+func dominates[K cmp.Ordered](g, q []keyCount[K]) bool {
+	if len(q) > len(g) {
+		return false
+	}
+	for _, qe := range q {
+		for len(g) > 0 && g[0].key < qe.key {
+			g = g[1:]
+		}
+		if len(g) == 0 || g[0].key != qe.key || g[0].count < qe.count {
+			return false
+		}
+		g = g[1:]
+	}
+	return true
+}
+
+// labelSignature returns the sorted (label, count) multiset of labels.
+func labelSignature(labels []Label) []keyCount[Label] {
+	var buf [64]Label // query-sized graphs sort on the stack
+	sorted := append(buf[:0], labels...)
+	slices.Sort(sorted)
+	return signature(sorted)
+}
+
+// labelPair keys an edge by its endpoint labels, the lower label in the
+// high half, so that both orientations of an edge get the same key.
+func labelPair(a, b Label) uint32 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint32(a)<<16 | uint32(b)
+}
+
+// edgeSignature returns the sorted (label pair, count) multiset of the
+// edges of the CSR adjacency off/nbr.
+func edgeSignature(labels []Label, off, nbr []int32) []keyCount[uint32] {
+	var buf [256]uint32 // query- and molecule-sized graphs sort on the stack
+	pairs := buf[:0]
+	for u := range labels {
+		for _, v := range nbr[off[u]:off[u+1]] {
+			if int32(u) < v {
+				pairs = append(pairs, labelPair(labels[u], labels[v]))
+			}
+		}
+	}
+	slices.Sort(pairs)
+	return signature(pairs)
 }
 
 // ID returns the graph's dataset identifier (-1 if never assigned).
@@ -78,7 +142,7 @@ func (g *Graph) SetID(id int32) { g.id = id }
 func (g *Graph) NumVertices() int { return len(g.labels) }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return g.m }
+func (g *Graph) NumEdges() int { return len(g.nbr) / 2 }
 
 // Label returns the label of vertex v.
 func (g *Graph) Label(v int32) Label { return g.labels[v] }
@@ -87,18 +151,22 @@ func (g *Graph) Label(v int32) Label { return g.labels[v] }
 func (g *Graph) Labels() []Label { return g.labels }
 
 // Degree returns the number of neighbours of vertex v.
-func (g *Graph) Degree(v int32) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int32) int { return int(g.off[v+1] - g.off[v]) }
 
 // Neighbors returns the sorted neighbour list of v. Callers must not
-// modify the returned slice.
-func (g *Graph) Neighbors(v int32) []int32 { return g.adj[v] }
+// modify the returned slice. Its capacity ends with the list, so an append
+// copies rather than overwriting the next vertex's neighbours.
+func (g *Graph) Neighbors(v int32) []int32 {
+	lo, hi := g.off[v], g.off[v+1]
+	return g.nbr[lo:hi:hi]
+}
 
 // HasEdge reports whether the undirected edge {u, v} exists.
 func (g *Graph) HasEdge(u, v int32) bool {
 	// Search the shorter list.
-	a := g.adj[u]
-	if len(g.adj[v]) < len(a) {
-		a, v = g.adj[v], u
+	a := g.Neighbors(u)
+	if g.Degree(v) < len(a) {
+		a, v = g.Neighbors(v), u
 	}
 	_, ok := slices.BinarySearch(a, v)
 	return ok
@@ -107,9 +175,9 @@ func (g *Graph) HasEdge(u, v int32) bool {
 // MaxDegree returns the maximum vertex degree (0 for the empty graph).
 func (g *Graph) MaxDegree() int {
 	max := 0
-	for _, nb := range g.adj {
-		if len(nb) > max {
-			max = len(nb)
+	for v := int32(0); int(v) < len(g.labels); v++ {
+		if d := g.Degree(v); d > max {
+			max = d
 		}
 	}
 	return max
@@ -120,7 +188,7 @@ func (g *Graph) AvgDegree() float64 {
 	if len(g.labels) == 0 {
 		return 0
 	}
-	return 2 * float64(g.m) / float64(len(g.labels))
+	return float64(len(g.nbr)) / float64(len(g.labels))
 }
 
 // LabelCount returns how many vertices of g carry label l (saturating at
@@ -129,8 +197,8 @@ func (g *Graph) LabelCount(l Label) int {
 	// Label alphabets are small, so a scan of the sorted signature beats
 	// a binary search.
 	for _, e := range g.sig {
-		if e.label >= l {
-			if e.label == l {
+		if e.key >= l {
+			if e.key == l {
 				return int(e.count)
 			}
 			break
@@ -149,65 +217,54 @@ func (g *Graph) DistinctLabels() int { return len(g.sig) }
 // compare as 65535, which can only turn a "no" into a "yes" — the screen
 // may pass a pair it could have rejected, never the reverse.
 func (g *Graph) LabelsDominate(q *Graph) bool {
-	if q.NumVertices() > g.NumVertices() || len(q.sig) > len(g.sig) {
-		return false
-	}
-	gs := g.sig
-	for _, qe := range q.sig {
-		for len(gs) > 0 && gs[0].label < qe.label {
-			gs = gs[1:]
-		}
-		if len(gs) == 0 || gs[0].label != qe.label || gs[0].count < qe.count {
-			return false
-		}
-		gs = gs[1:]
-	}
-	return true
+	return q.NumVertices() <= g.NumVertices() && dominates(g.sig, q.sig)
+}
+
+// EdgesDominate reports whether g's edge signature contains q's: for every
+// unordered pair of endpoint labels, g has at least as many edges joining
+// those labels as q has. This is a necessary condition for q ⊆ g. An
+// embedding is injective on vertices and keeps labels, so it maps q's
+// edges one to one onto g's edges with the same label pair. Like
+// LabelsDominate it is one allocation-free merge, and saturated counts can
+// only pass a pair that could have been rejected.
+func (g *Graph) EdgesDominate(q *Graph) bool {
+	return q.NumEdges() <= g.NumEdges() && dominates(g.esig, q.esig)
 }
 
 // Edges calls fn once per undirected edge {u, v} with u < v.
 func (g *Graph) Edges(fn func(u, v int32)) {
-	for u, nb := range g.adj {
-		for _, v := range nb {
-			if int32(u) < v {
-				fn(int32(u), v)
+	for u := int32(0); int(u) < len(g.labels); u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < v {
+				fn(u, v)
 			}
 		}
 	}
 }
 
 // Clone returns a copy of g whose vertices and edges share nothing with the
-// receiver; the immutable label signature is shared.
+// receiver; the immutable signatures are shared.
 func (g *Graph) Clone() *Graph {
-	ng := &Graph{
+	return &Graph{
 		id:     g.id,
 		labels: slices.Clone(g.labels),
-		adj:    make([][]int32, len(g.adj)),
-		m:      g.m,
+		off:    slices.Clone(g.off),
+		nbr:    slices.Clone(g.nbr),
 		sig:    g.sig,
+		esig:   g.esig,
 	}
-	for v, nb := range g.adj {
-		ng.adj[v] = slices.Clone(nb)
-	}
-	return ng
 }
 
 // StructurallyEqual reports whether g and h are identical graphs under the
 // identity vertex mapping (same labels, same adjacency). It is not an
 // isomorphism test.
 func (g *Graph) StructurallyEqual(h *Graph) bool {
-	if g.NumVertices() != h.NumVertices() || g.m != h.m {
+	if !slices.Equal(g.labels, h.labels) || !slices.Equal(g.nbr, h.nbr) {
 		return false
 	}
-	if !slices.Equal(g.labels, h.labels) {
-		return false
-	}
-	for v := range g.adj {
-		if !slices.Equal(g.adj[v], h.adj[v]) {
-			return false
-		}
-	}
-	return true
+	// Without vertices there are no offsets to compare: the zero Graph has
+	// none and a built empty graph has the single 0.
+	return len(g.labels) == 0 || slices.Equal(g.off, h.off)
 }
 
 // InducedSubgraph returns the subgraph of g induced on the given vertices,
@@ -229,7 +286,7 @@ func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32, error) {
 		b.AddVertex(g.labels[v])
 	}
 	for _, v := range vertices {
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			nw, ok := old2new[w]
 			if ok && old2new[v] < nw {
 				b.AddEdge(old2new[v], nw)
@@ -245,7 +302,7 @@ func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32, error) {
 
 // String returns a short human-readable summary, e.g. "graph#3(v=5,e=6)".
 func (g *Graph) String() string {
-	return fmt.Sprintf("graph#%d(v=%d,e=%d)", g.id, g.NumVertices(), g.m)
+	return fmt.Sprintf("graph#%d(v=%d,e=%d)", g.id, g.NumVertices(), g.NumEdges())
 }
 
 // Builder accumulates vertices and edges and validates them into a Graph.
@@ -282,9 +339,14 @@ func (b *Builder) AddEdge(u, v int32) {
 // Build validates the accumulated vertices and edges and returns the
 // immutable Graph. Duplicate edges are collapsed silently (generators often
 // emit both orientations); self loops and out-of-range endpoints are errors.
+// Its allocation count does not grow with the graph as long as the
+// signatures sort on the stack (up to 64 vertices and 256 edges).
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.labels)
-	deg := make([]int, n)
+	// off[v] first counts v's edge ends, then (prefix sums) marks the end of
+	// v's segment of nbr. Filling each segment back to front leaves off[v]
+	// at the segment's start.
+	off := make([]int32, n+1)
 	for i := range b.eu {
 		u, v := b.eu[i], b.ev[i]
 		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
@@ -293,30 +355,44 @@ func (b *Builder) Build() (*Graph, error) {
 		if u == v {
 			return nil, fmt.Errorf("graph: self loop on vertex %d", u)
 		}
-		deg[u]++
-		deg[v]++
+		off[u]++
+		off[v]++
 	}
-	adj := make([][]int32, n)
-	for v := range adj {
-		adj[v] = make([]int32, 0, deg[v])
+	for v := 1; v < n; v++ {
+		off[v] += off[v-1]
 	}
+	nbr := make([]int32, 2*len(b.eu))
+	off[n] = int32(len(nbr))
 	for i := range b.eu {
 		u, v := b.eu[i], b.ev[i]
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
+		off[u]--
+		nbr[off[u]] = v
+		off[v]--
+		nbr[off[v]] = u
 	}
-	m := 0
-	for v := range adj {
-		slices.Sort(adj[v])
-		adj[v] = slices.Compact(adj[v])
-		m += len(adj[v])
+	// Sort each segment, drop duplicate edges and close the gaps they
+	// leave. off[v+1] still holds the old start of the next segment when v
+	// is reached, so each segment is read before anything overwrites it.
+	end := int32(0)
+	for v := 0; v < n; v++ {
+		seg := nbr[off[v]:off[v+1]]
+		slices.Sort(seg)
+		seg = slices.Compact(seg)
+		off[v] = end
+		end += int32(copy(nbr[end:], seg))
 	}
+	off[n] = end
+	if int(end) < len(nbr) { // duplicates left slack: keep only the 2m ids
+		nbr = slices.Clone(nbr[:end])
+	}
+	labels := slices.Clone(b.labels)
 	return &Graph{
 		id:     b.id,
-		labels: slices.Clone(b.labels),
-		adj:    adj,
-		m:      m / 2,
-		sig:    labelSignature(b.labels),
+		labels: labels,
+		off:    off,
+		nbr:    nbr,
+		sig:    labelSignature(labels),
+		esig:   edgeSignature(labels, off, nbr),
 	}, nil
 }
 

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -143,9 +145,21 @@ func labelHistogram(g *Graph) map[Label]int {
 	return h
 }
 
-// checkSignature asserts that every signature-backed accessor of g agrees
-// with a histogram recounted from its labels.
-func checkSignature(t *testing.T, what string, g *Graph) {
+// edgeHistogram is the map-based reference for the edge signature: g's
+// edges counted by their unordered endpoint-label pair.
+func edgeHistogram(g *Graph) map[[2]Label]int {
+	h := make(map[[2]Label]int)
+	g.Edges(func(u, v int32) {
+		a, b := g.Label(u), g.Label(v)
+		h[[2]Label{min(a, b), max(a, b)}]++
+	})
+	return h
+}
+
+// checkSignature asserts that every signature- and adjacency-backed
+// accessor of g agrees with a recount from its labels and from edges, the
+// edge list g was built from (either orientation, repeats allowed).
+func checkSignature(t *testing.T, what string, g *Graph, edges [][2]int32) {
 	t.Helper()
 	h := labelHistogram(g)
 	if g.DistinctLabels() != len(h) {
@@ -156,14 +170,57 @@ func checkSignature(t *testing.T, what string, g *Graph) {
 			t.Errorf("%s: LabelCount(%d) = %d, want %d", what, l, g.LabelCount(l), c)
 		}
 	}
-	if !g.LabelsDominate(g) {
+	if !g.LabelsDominate(g) || !g.EdgesDominate(g) {
 		t.Errorf("%s: graph must dominate itself", what)
+	}
+
+	n := int32(g.NumVertices())
+	set := make(map[[2]int32]bool)
+	nbrs := make([][]int32, n)
+	pairs := make(map[[2]Label]int)
+	for _, e := range edges {
+		u, v := min(e[0], e[1]), max(e[0], e[1])
+		if set[[2]int32{u, v}] {
+			continue
+		}
+		set[[2]int32{u, v}] = true
+		nbrs[u] = append(nbrs[u], v)
+		nbrs[v] = append(nbrs[v], u)
+		a, b := g.Label(u), g.Label(v)
+		pairs[[2]Label{min(a, b), max(a, b)}]++
+	}
+	if g.NumEdges() != len(set) {
+		t.Errorf("%s: NumEdges = %d, want %d", what, g.NumEdges(), len(set))
+	}
+	for v := int32(0); v < n; v++ {
+		slices.Sort(nbrs[v])
+		if g.Degree(v) != len(nbrs[v]) || !slices.Equal(g.Neighbors(v), nbrs[v]) {
+			t.Errorf("%s: vertex %d: degree %d, neighbours %v; want %d, %v",
+				what, v, g.Degree(v), g.Neighbors(v), len(nbrs[v]), nbrs[v])
+		}
+		for w := int32(0); w < n; w++ {
+			if g.HasEdge(v, w) != set[[2]int32{min(v, w), max(v, w)}] {
+				t.Errorf("%s: HasEdge(%d, %d) = %v", what, v, w, g.HasEdge(v, w))
+			}
+		}
+	}
+	if len(g.esig) != len(pairs) {
+		t.Errorf("%s: edge signature has %d label pairs, want %d", what, len(g.esig), len(pairs))
+	}
+	for i, e := range g.esig {
+		if i > 0 && g.esig[i-1].key >= e.key {
+			t.Errorf("%s: edge signature not strictly ascending at entry %d", what, i)
+		}
+		pair := [2]Label{Label(e.key >> 16), Label(e.key)}
+		if want := min(pairs[pair], math.MaxUint16); int(e.count) != want {
+			t.Errorf("%s: edge signature counts %d edges joining %v, want %d", what, e.count, pair, want)
+		}
 	}
 }
 
 func TestLabelCountAndDistinct(t *testing.T) {
 	g := path(1, 2, 1, 1, 3)
-	checkSignature(t, "path", g)
+	checkSignature(t, "path", g, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
 	if g.LabelCount(1) != 3 || g.LabelCount(2) != 1 || g.LabelCount(9) != 0 {
 		t.Errorf("LabelCount = %d, %d, %d; want 3, 1, 0", g.LabelCount(1), g.LabelCount(2), g.LabelCount(9))
 	}
@@ -171,56 +228,8 @@ func TestLabelCountAndDistinct(t *testing.T) {
 		t.Errorf("DistinctLabels = %d, want 3", g.DistinctLabels())
 	}
 	var empty Graph
-	if empty.DistinctLabels() != 0 || empty.LabelCount(1) != 0 || !g.LabelsDominate(&empty) {
-		t.Error("the zero Graph has no labels and is dominated by anything")
-	}
-}
-
-// TestSignatureSurvivesEveryConstructor pins the signature on every way a
-// Graph comes into being besides Builder.Build: both codecs, Clone and
-// InducedSubgraph.
-func TestSignatureSurvivesEveryConstructor(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	gs := []*Graph{NewBuilder().MustBuild(), path(5), path(3, 3, 3)}
-	for i := 0; i < 20; i++ {
-		gs = append(gs, randomGraph(r, 1+r.Intn(90), 1+r.Intn(6), 0.1))
-	}
-	text, err := EncodeText(gs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromText, err := DecodeText(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin, err := EncodeBinary(gs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := DecodeBinary(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, g := range gs {
-		checkSignature(t, "built", g)
-		checkSignature(t, "text", fromText[i])
-		checkSignature(t, "binary", fromBin[i])
-		checkSignature(t, "clone", g.Clone())
-		for _, other := range []*Graph{fromText[i], fromBin[i], g.Clone()} {
-			if !g.LabelsDominate(other) || !other.LabelsDominate(g) {
-				t.Errorf("graph %d: a round-tripped copy must dominate and be dominated", i)
-			}
-		}
-		if n := g.NumVertices(); n > 1 {
-			sub, _, err := g.InducedSubgraph([]int32{0, int32(n - 1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSignature(t, "induced", sub)
-			if !g.LabelsDominate(sub) {
-				t.Errorf("graph %d must dominate its induced subgraph", i)
-			}
-		}
+	if empty.DistinctLabels() != 0 || empty.LabelCount(1) != 0 || !g.LabelsDominate(&empty) || !g.EdgesDominate(&empty) {
+		t.Error("the zero Graph has no labels or edges and is dominated by anything")
 	}
 }
 
@@ -245,6 +254,80 @@ func TestPropertyLabelsDominateMatchesHistograms(t *testing.T) {
 	}
 }
 
+// mirror returns g with its vertex order reversed, so that each edge's
+// lower endpoint carries the label its upper endpoint carried. Each edge
+// is kept with probability keep and each non-edge added with probability
+// add.
+func mirror(r *rand.Rand, g *Graph, keep, add float64) *Graph {
+	n := int32(g.NumVertices())
+	b := NewBuilder()
+	for v := n - 1; v >= 0; v-- {
+		b.AddVertex(g.Label(v))
+	}
+	for u := int32(0); u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			p := add
+			if g.HasEdge(u, v) {
+				p = keep
+			}
+			if r.Float64() < p {
+				b.AddEdge(n-1-v, n-1-u)
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestPropertyEdgesDominateMatchesHistograms compares the edge-signature
+// merge with the histogram definition on random pairs, label-disjoint
+// pairs, and pairs whose edges join the same labels from the other side.
+func TestPropertyEdgesDominateMatchesHistograms(t *testing.T) {
+	if !path(1, 2).EdgesDominate(path(2, 1)) || !path(2, 1).EdgesDominate(path(1, 2)) {
+		t.Fatal("an edge's label pair must not depend on its orientation")
+	}
+	if path(1, 2, 1).EdgesDominate(path(1, 1)) || !path(1, 2, 1).EdgesDominate(path(2, 1)) {
+		t.Fatal("EdgesDominate must count label pairs, not labels")
+	}
+	r := rand.New(rand.NewSource(13))
+	var verdicts [2]int
+	for i := 0; i < 2000; i++ {
+		g := randomGraph(r, r.Intn(12), 1+r.Intn(4), 0.3)
+		var q *Graph
+		switch i % 3 {
+		case 0:
+			q = randomGraph(r, r.Intn(8), 1+r.Intn(4), 0.4)
+		case 1: // label-disjoint: no label of q occurs in g
+			src := randomGraph(r, 2+r.Intn(6), 1+r.Intn(4), 0.4)
+			b := NewBuilder()
+			for _, l := range src.Labels() {
+				b.AddVertex(l + 50)
+			}
+			src.Edges(b.AddEdge)
+			q = b.MustBuild()
+		case 2:
+			q = mirror(r, g, 0.8, 0.05)
+		}
+		want := true
+		gh := edgeHistogram(g)
+		for p, c := range edgeHistogram(q) {
+			if gh[p] < c {
+				want = false
+			}
+		}
+		if got := g.EdgesDominate(q); got != want {
+			t.Fatalf("EdgesDominate(%v, %v) = %v, want %v", edgeHistogram(g), edgeHistogram(q), got, want)
+		}
+		if want {
+			verdicts[1]++
+		} else {
+			verdicts[0]++
+		}
+	}
+	if verdicts[0] == 0 || verdicts[1] == 0 {
+		t.Fatalf("verdicts (no, yes) = %v: the pairs must exercise both answers", verdicts)
+	}
+}
+
 func TestLabelScreensDoNotAllocate(t *testing.T) {
 	big, small, other := path(1, 1, 2, 3, 4, 5), path(1, 2, 5), path(1, 7)
 	var sink int
@@ -253,6 +336,9 @@ func TestLabelScreensDoNotAllocate(t *testing.T) {
 			sink++
 		}
 		if big.LabelsDominate(other) {
+			sink++
+		}
+		if big.EdgesDominate(small) {
 			sink++
 		}
 		sink += big.LabelCount(3) + big.DistinctLabels()

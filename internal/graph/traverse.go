@@ -11,7 +11,7 @@ func (g *Graph) BFSOrder(start int32) []int32 {
 		v := queue[0]
 		queue = queue[1:]
 		order = append(order, v)
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if !seen[w] {
 				seen[w] = true
 				queue = append(queue, w)
@@ -38,7 +38,7 @@ func (g *Graph) ConnectedComponents() [][]int32 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, v)
-			for _, w := range g.adj[v] {
+			for _, w := range g.Neighbors(v) {
 				if !seen[w] {
 					seen[w] = true
 					stack = append(stack, w)

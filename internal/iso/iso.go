@@ -7,6 +7,14 @@
 // label-preserving mapping φ from pattern to target exist such that every
 // pattern edge maps to a target edge — and stop at the first embedding, as
 // GraphCache and all bundled query-processing methods require.
+//
+// Every matcher starts from one shared screen, quickReject: vertex and
+// edge counts, then the label signature, then the edge-label signature.
+// Most pairs a query meets end there, so dataset verification, the
+// subgraph and supergraph methods, the cache's confirmations and its exact
+// lookup all reject them without a search. VF2 and VF2+ keep their
+// per-test state in fixed arrays on the stack, so a test that runs the
+// search allocates only the embedding it returns.
 package iso
 
 import "graphcache/internal/graph"
@@ -40,13 +48,42 @@ func Isomorphic(a Algorithm, g, h *graph.Graph) bool {
 	return Contains(a, g, h)
 }
 
-// quickReject performs the O(n) feasibility screens shared by all
-// matchers: size and label-multiset domination.
+// quickReject performs the feasibility screens shared by all matchers, in
+// order of cost. Each is a necessary condition for a non-induced
+// embedding φ, so a rejected pair is one no matcher could embed:
+//   - sizes: φ is injective on vertices and maps edges to distinct edges,
+//     so the target has at least as many of each;
+//   - labels: φ keeps labels, so each label occurs in the target at least
+//     as often as in the pattern (Graph.LabelsDominate);
+//   - edges: φ maps each pattern edge to a distinct target edge whose
+//     endpoints carry the same unordered label pair, so each pair occurs
+//     in the target at least as often (Graph.EdgesDominate).
+//
+// The last two are merges over signatures Build recorded, so a screened
+// pair costs no allocation and no search.
 func quickReject(pattern, target *graph.Graph) bool {
 	if pattern.NumVertices() > target.NumVertices() || pattern.NumEdges() > target.NumEdges() {
 		return true
 	}
-	return !target.LabelsDominate(pattern)
+	return !target.LabelsDominate(pattern) || !target.EdgesDominate(pattern)
+}
+
+// Bounds of the per-test state kept in fixed arrays on the matchers' stack
+// frames. Query patterns are far below stackPattern vertices and the
+// generators' largest dataset graph has 245 vertices; a larger graph gets
+// its state from make instead.
+const (
+	stackPattern = 32
+	stackTarget  = 256
+)
+
+// scratch returns the first n elements of buf, which is zero (a fresh
+// array), or a new zeroed slice when buf is too short.
+func scratch[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // ValidEmbedding checks that m is a correct non-induced embedding of

@@ -304,10 +304,8 @@ func TestVF2PlusOrderIsPermutation(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		p := randomGraph(r, 2+r.Intn(10), 3, 0.4)
 		tgt := randomGraph(r, 5+r.Intn(10), 3, 0.4)
-		order := vf2plusOrder(p, tgt)
-		if len(order) != p.NumVertices() {
-			return false
-		}
+		order := make([]int32, p.NumVertices())
+		vf2plusOrder(p, tgt, order)
 		seen := make(map[int32]bool)
 		for _, u := range order {
 			if seen[u] {
@@ -327,7 +325,8 @@ func TestVF2PlusOrderKeepsConnectivity(t *testing.T) {
 	// an earlier vertex in the order.
 	p := path(1, 2, 3, 4, 5)
 	tgt := cycle(1, 2, 3, 4, 5, 1, 2)
-	order := vf2plusOrder(p, tgt)
+	order := make([]int32, p.NumVertices())
+	vf2plusOrder(p, tgt, order)
 	placed := map[int32]bool{order[0]: true}
 	for _, u := range order[1:] {
 		connected := false

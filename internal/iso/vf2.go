@@ -1,6 +1,10 @@
 package iso
 
-import "graphcache/internal/graph"
+import (
+	"slices"
+
+	"graphcache/internal/graph"
+)
 
 // VF2 is the classic VF2 state-space matcher [Cordella et al. 2004],
 // restricted to the non-induced subgraph-isomorphism decision problem on
@@ -21,16 +25,21 @@ func (VF2) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
 	if quickReject(pattern, target) {
 		return nil, false
 	}
-	st := &vf2State{
+	nt := target.NumVertices()
+	var (
+		core1, tin1 [stackPattern]int32
+		core2, tin2 [stackTarget]int32
+	)
+	st := vf2State{
 		p:     pattern,
 		t:     target,
-		core1: fill(make([]int32, n), -1),
-		core2: fill(make([]int32, target.NumVertices()), -1),
-		tin1:  make([]int32, n),
-		tin2:  make([]int32, target.NumVertices()),
+		core1: fill(scratch(core1[:], n), -1),
+		core2: fill(scratch(core2[:], nt), -1),
+		tin1:  scratch(tin1[:], n),
+		tin2:  scratch(tin2[:], nt),
 	}
 	if st.match(1) {
-		return st.core1, true
+		return slices.Clone(st.core1), true
 	}
 	return nil, false
 }

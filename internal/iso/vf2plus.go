@@ -1,6 +1,10 @@
 package iso
 
-import "graphcache/internal/graph"
+import (
+	"slices"
+
+	"graphcache/internal/graph"
+)
 
 // VF2Plus is the tuned VF2 variant shipped with CT-Index [Klein et al.,
 // ICDE 2011]: it precomputes a static pattern-vertex order (rarest target
@@ -21,15 +25,20 @@ func (VF2Plus) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
 	if quickReject(pattern, target) {
 		return nil, false
 	}
-	st := &vf2pState{
+	var (
+		core1, order [stackPattern]int32
+		used         [stackTarget]bool
+	)
+	st := vf2pState{
 		p:     pattern,
 		t:     target,
-		order: vf2plusOrder(pattern, target),
-		core1: fill(make([]int32, n), -1),
-		used:  make([]bool, target.NumVertices()),
+		order: scratch(order[:], n),
+		core1: fill(scratch(core1[:], n), -1),
+		used:  scratch(used[:], target.NumVertices()),
 	}
+	vf2plusOrder(pattern, target, st.order)
 	if st.match(0) {
-		return st.core1, true
+		return slices.Clone(st.core1), true
 	}
 	return nil, false
 }
@@ -41,12 +50,19 @@ type vf2pState struct {
 	used  []bool
 }
 
-// vf2plusOrder computes the static matching order: score vertices by
-// (target frequency of their label ascending, degree descending), then
-// greedily build a connected order starting from the best-scored vertex.
-func vf2plusOrder(p, t *graph.Graph) []int32 {
+// vf2plusOrder fills order (one slot per pattern vertex) with the static
+// matching order: score vertices by (target frequency of their label
+// ascending, degree descending), then greedily build a connected order
+// starting from the best-scored vertex.
+func vf2plusOrder(p, t *graph.Graph, order []int32) {
 	n := p.NumVertices()
-	freq := make([]int, n) // target frequency of each pattern vertex's label
+	var (
+		freqBuf           [stackPattern]int
+		chosenBuf, adjBuf [stackPattern]bool
+	)
+	freq := scratch(freqBuf[:], n) // target frequency of each pattern vertex's label
+	chosen := scratch(chosenBuf[:], n)
+	adjacent := scratch(adjBuf[:], n)
 	for u := range freq {
 		freq[u] = t.LabelCount(p.Label(int32(u)))
 	}
@@ -60,10 +76,7 @@ func vf2plusOrder(p, t *graph.Graph) []int32 {
 		}
 		return a < b
 	}
-	chosen := make([]bool, n)
-	adjacent := make([]bool, n)
-	order := make([]int32, 0, n)
-	for len(order) < n {
+	for k := range order {
 		best := int32(-1)
 		// Prefer vertices adjacent to the chosen set to keep the order
 		// connected; fall back to any unchosen vertex (new component).
@@ -86,12 +99,11 @@ func vf2plusOrder(p, t *graph.Graph) []int32 {
 			}
 		}
 		chosen[best] = true
-		order = append(order, best)
+		order[k] = best
 		for _, w := range p.Neighbors(best) {
 			adjacent[w] = true
 		}
 	}
-	return order
 }
 
 func (st *vf2pState) match(depth int) bool {
@@ -109,32 +121,35 @@ func (st *vf2pState) match(depth int) bool {
 			}
 		}
 	}
-	try := func(v int32) bool {
-		if st.used[v] || !st.feasible(u, v) {
-			return false
-		}
-		st.core1[u] = v
-		st.used[v] = true
-		if st.match(depth + 1) {
-			return true
-		}
-		st.core1[u] = -1
-		st.used[v] = false
-		return false
-	}
 	if anchor != -1 {
 		for _, v := range st.t.Neighbors(anchor) {
-			if try(v) {
+			if st.try(depth, u, v) {
 				return true
 			}
 		}
 		return false
 	}
 	for v := int32(0); int(v) < st.t.NumVertices(); v++ {
-		if try(v) {
+		if st.try(depth, u, v) {
 			return true
 		}
 	}
+	return false
+}
+
+// try maps u to v if the pair is feasible and extends the mapping from
+// there, undoing it if no embedding follows.
+func (st *vf2pState) try(depth int, u, v int32) bool {
+	if st.used[v] || !st.feasible(u, v) {
+		return false
+	}
+	st.core1[u] = v
+	st.used[v] = true
+	if st.match(depth + 1) {
+		return true
+	}
+	st.core1[u] = -1
+	st.used[v] = false
 	return false
 }
 
