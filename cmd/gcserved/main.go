@@ -14,7 +14,7 @@
 //	POST /mutate      {"op": "add|remove|edit", ...}  one live dataset mutation
 //	GET  /stats       lifetime totals and serving summary
 //	GET  /metrics     Prometheus text exposition (stage histograms, hit/shed counters)
-//	GET  /healthz     liveness probe (503 while warming; X-GC-Epoch carries the dataset epoch)
+//	GET  /healthz     liveness probe (X-GC-Epoch carries the dataset epoch)
 //	GET  /snapshot    stream the live cache as a checksummed snapshot
 //	POST /warm        {"from": "host:port"}  replace the cache with a peer's snapshot
 //

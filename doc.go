@@ -66,8 +66,12 @@
 // the query path, shared with the probe), so no cached graph's paths are
 // enumerated again. What a delta does cost is a few memmove-like passes
 // over the index's flat posting arrays — O(postings in the index) per
-// window, no map — and it can run asynchronously (Options.AsyncRebuild). Snapshot loading (ReadSnapshot) is the one
-// startup-only operation that must not run concurrently with queries.
+// window, no map. Filled windows queue for one drain at a time, which
+// applies them in order on the filling query or, with
+// Options.AsyncRebuild, on a background goroutine. Flush is the barrier
+// "every window queued before this call is applied"; snapshot writes,
+// mutations and snapshot loads run it, and the latter two also take the
+// cache to themselves from queries.
 //
 // # GCindex internals
 //
@@ -378,12 +382,13 @@
 //   - Snapshot shipping. A joiner is health-checked, then warmed from
 //     the least-loaded healthy peer: the router calls the joiner's
 //     POST /warm, which fetches the peer's GET /snapshot — the live
-//     cache, streamed in the snapshot format — verifies its checksum
-//     trailer and swaps it in behind a warming gate (queries shed 503 +
-//     Retry-After for the swap's instant; /healthz reports warming).
-//     Only after the snapshot is in and /healthz is green again does the
-//     joiner enter the ring: its first dispatch ever hits a warmed
-//     cache. gcserved -warm-from does the same at daemon startup.
+//     cache, streamed in the snapshot format, holding every window the
+//     peer had filled — verifies its checksum trailer and swaps it in.
+//     The swap takes the cache to itself, as a mutation does: queries
+//     that arrive meanwhile wait for it instead of being refused. Only
+//     after the snapshot is in and /healthz answers again does the joiner
+//     enter the ring: its first dispatch ever hits a warmed cache.
+//     gcserved -warm-from does the same at daemon startup.
 //
 //   - Crash-safe persistence. Every snapshot — shutdown, periodic
 //     (ServerOptions.SnapshotInterval), and the /snapshot stream —

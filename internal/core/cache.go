@@ -55,9 +55,15 @@ type Cache struct {
 	index atomic.Pointer[queryIndex]
 
 	// window holds the processed queries awaiting the next window pass
-	// (§6.2), guarded by winMu.
-	winMu  sync.Mutex
-	window []*windowEntry
+	// (§6.2), queue the filled windows awaiting theirs, oldest first;
+	// filled and applied count windows queued and passes finished, and
+	// passDone broadcasts each pass (see addToWindow). Guarded by winMu.
+	winMu    sync.Mutex
+	window   []*windowEntry
+	queue    []filledWindow
+	filled   uint64
+	applied  uint64
+	passDone sync.Cond
 
 	// stats is the Statistics Manager's store, one row per cached query.
 	stats *StatsStore
@@ -72,8 +78,9 @@ type Cache struct {
 	admMu sync.Mutex
 	adm   admission
 
+	// rebuildMu keeps snapshot writes apart from window passes and
+	// mutations.
 	rebuildMu sync.Mutex
-	rebuildWG sync.WaitGroup
 
 	// Mutation gate (see mutate.go): queries register in inflight;
 	// ApplyMutation raises mutating, drains inflight to zero and then has
@@ -171,6 +178,7 @@ func New(m method.Method, opts Options) *Cache {
 		pool:  method.NewLimiter(opts.VerifyConcurrency - 1),
 		stats: NewStatsStore(),
 	}
+	c.passDone.L = &c.winMu
 	if vf, ok := m.(method.VectorFilter); ok && vf.FilterPathLen() == opts.MaxPathLen {
 		c.vecFilter = vf
 	}
@@ -293,24 +301,6 @@ func (c *Cache) syncGraphCosts() {
 	}
 }
 
-// addToWindow appends a processed query to the Window and triggers the
-// Window Manager when the window is full (§6.2). The filled window is
-// detached under the same lock as the append, so exactly one caller
-// processes each window.
-func (c *Cache) addToWindow(w *windowEntry, currentSerial int64) {
-	w.e.featureHash(c.opts.MaxPathLen) // memoised on the query path; computed here for other inserts
-	c.winMu.Lock()
-	c.window = append(c.window, w)
-	if len(c.window) < c.opts.WindowSize {
-		c.winMu.Unlock()
-		return
-	}
-	full := c.window
-	c.window = make([]*windowEntry, 0, c.opts.WindowSize)
-	c.winMu.Unlock()
-	c.processWindow(full, currentSerial)
-}
-
 // add folds one query's stats into the totals; the caller holds totMu.
 func (t *Totals) add(qs *QueryStats) {
 	t.Queries++
@@ -339,10 +329,6 @@ func (c *Cache) Totals() Totals {
 	defer c.totMu.Unlock()
 	return c.tot
 }
-
-// Flush waits for any in-flight asynchronous index rebuilds — call before
-// reading final statistics or shutting down.
-func (c *Cache) Flush() { c.rebuildWG.Wait() }
 
 // CachedSerials returns the serials currently indexed, ascending.
 func (c *Cache) CachedSerials() []int64 {

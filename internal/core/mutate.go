@@ -40,13 +40,13 @@ import (
 //
 // Atomicity: a mutation runs with the cache to itself. Arriving queries
 // park on gateMu, in-flight queries (including their still-running
-// Method M filter goroutines) drain via the inflight counter, and
-// pending asynchronous rebuilds finish via rebuildWG before the dataset
-// generation, the method's filtering structures, the cached entries and
-// the pending window entries advance together. A query therefore never
-// observes the new dataset through Method M while pruning against
-// pre-mutation cached answers (or vice versa) — the mixed-state race
-// that would otherwise drop newly-added true answers.
+// Method M filter goroutines) drain via the inflight counter, and the
+// window barrier (Flush) waits for every queued window pass before the
+// dataset generation, the method's filtering structures, the cached
+// entries and the pending window entries advance together. A query
+// therefore never observes the new dataset through Method M while pruning
+// against pre-mutation cached answers (or vice versa) — the mixed-state
+// race that would otherwise drop newly-added true answers.
 
 // ErrStaticMethod is returned by ApplyMutation when the wrapped method
 // does not implement method.DynamicMethod: applying a mutation without
@@ -106,19 +106,19 @@ func (c *Cache) retainQuery() { c.inflight.Add(1) }
 // exitQuery drops one inflight reference.
 func (c *Cache) exitQuery() { c.inflight.Add(-1) }
 
-// beginExclusive blocks new queries, drains in-flight ones and pending
-// asynchronous rebuilds, and takes the rebuild lock: on return the
-// caller is the only goroutine touching the cache, the method and the
-// dataset. Pair with endExclusive.
+// beginExclusive blocks new queries, drains in-flight ones and queued
+// window passes, and takes the rebuild lock: on return the caller is the
+// only goroutine touching the cache, the method and the dataset. Pair
+// with endExclusive.
 func (c *Cache) beginExclusive() {
 	c.gateMu.Lock()
 	c.mutating.Store(true)
 	for c.inflight.Load() != 0 {
 		time.Sleep(20 * time.Microsecond)
 	}
-	// No queries in flight and the gate closed: nothing can trigger a new
-	// window, so waiting on in-flight async rebuilds is race-free.
-	c.rebuildWG.Wait()
+	// No queries in flight and the gate closed: nothing can queue a new
+	// window, so after the barrier no pass is pending or running.
+	c.Flush()
 	c.rebuildMu.Lock() // excludes a concurrent WriteSnapshot
 }
 

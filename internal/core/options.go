@@ -25,9 +25,10 @@ type Options struct {
 	// CalibrationWindows is how many initial windows are observed to fix
 	// the admission threshold (default 3).
 	CalibrationWindows int
-	// AsyncRebuild rebuilds GCindex in a background goroutine, serving
-	// queries from the old index meanwhile — the paper's design. Off by
-	// default for deterministic runs; benchmarks enable it.
+	// AsyncRebuild runs window passes on a background goroutine, serving
+	// queries from the old GCindex meanwhile — the paper's design. Off (the
+	// default, for deterministic runs) the same in-order passes run on the
+	// query that filled the window. Servers and benchmarks enable it.
 	AsyncRebuild bool
 	// VerifyConcurrency bounds the cache's verification worker pool — the
 	// paper's sized thread pools (§4, Figure 2) — used for Method M's

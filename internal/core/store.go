@@ -68,8 +68,8 @@ type SnapshotInfo struct {
 }
 
 // WriteSnapshot serialises the current cache contents in serial order.
-// Pending window entries are not included — flush the window first with
-// Flush if they should be considered for admission before shutdown.
+// Every window filled before the call is applied first; the entries of a
+// window that is not full yet are not included.
 func (c *Cache) WriteSnapshot(w io.Writer) error {
 	_, err := c.WriteSnapshotInfo(w)
 	return err
@@ -78,14 +78,12 @@ func (c *Cache) WriteSnapshot(w io.Writer) error {
 // WriteSnapshotInfo is WriteSnapshot, also reporting the captured epoch,
 // mutation sequence number and entry count.
 func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
-	// Hold the rebuild lock rather than waiting on rebuildWG: a snapshot
-	// of a live, serving cache races window processing, and Wait
-	// concurrent with Add panics. The lock excludes doProcessWindow for
-	// the duration, so no rebuild starts mid-snapshot; an async index
-	// rebuild still in flight only means this snapshot sees the
-	// pre-rebuild index — the entries themselves are already current.
-	// Mutations also hold the rebuild lock, so the dataset epoch, delta
-	// and cache contents are captured consistently.
+	// The window barrier puts every window queued before this call into
+	// the snapshot. The rebuild lock then keeps window passes and
+	// mutations out for the duration, so the index generation, the
+	// statistics, the dataset epoch and its delta are captured
+	// consistently while queries keep being served.
+	c.Flush()
 	c.rebuildMu.Lock()
 	defer c.rebuildMu.Unlock()
 
@@ -170,8 +168,8 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 // on its pristine base.
 func (c *Cache) ReadSnapshot(r io.Reader) error {
 	// Loading is a whole-cache replacement: take the same exclusivity a
-	// mutation takes (blocks new queries, drains in-flight ones and async
-	// rebuilds), so warm-from-peer can load into a serving cache.
+	// mutation takes (blocks new queries, drains in-flight ones and queued
+	// window passes), so warm-from-peer can load into a serving cache.
 	c.mutApplyMu.Lock()
 	defer c.mutApplyMu.Unlock()
 	c.beginExclusive()

@@ -91,28 +91,75 @@ func (a *admission) admits(score float64) bool {
 	return score >= a.threshold
 }
 
-// processWindow runs the Window Manager's window-full procedure (§6.2)
-// over one filled window: admission control, replacement, statistics
-// initialisation and the index delta + swap. It runs synchronously or on a
-// background goroutine depending on Options.AsyncRebuild; window passes
-// are serialised either way.
-func (c *Cache) processWindow(ws []*windowEntry, currentSerial int64) {
-	if c.opts.AsyncRebuild {
-		c.rebuildWG.Add(1)
-		go func() {
-			defer c.rebuildWG.Done()
-			c.rebuildMu.Lock()
-			defer c.rebuildMu.Unlock()
-			c.doProcessWindow(ws, currentSerial)
-		}()
-		return
-	}
-	c.rebuildMu.Lock()
-	defer c.rebuildMu.Unlock()
-	c.doProcessWindow(ws, currentSerial)
+// filledWindow is a full window awaiting its pass, with the serial counter
+// as it stood when the window filled.
+type filledWindow struct {
+	ws     []*windowEntry
+	serial int64
 }
 
-func (c *Cache) doProcessWindow(ws []*windowEntry, currentSerial int64) {
+// addToWindow appends a processed query to the Window (§6.2) and queues a
+// full window for its pass under the same lock, so each is queued once.
+// Passes have one owner at a time, as in the coalescer's group commit: the
+// caller that finds every queued window applied starts a drain — inline, or
+// on a new goroutine under Options.AsyncRebuild — and the drain applies the
+// windows queued meanwhile too, in the order they filled. A single caller
+// therefore makes the same decisions in either mode.
+func (c *Cache) addToWindow(w *windowEntry, currentSerial int64) {
+	w.e.featureHash(c.opts.MaxPathLen) // memoised on the query path; computed here for other inserts
+	c.winMu.Lock()
+	c.window = append(c.window, w)
+	if len(c.window) < c.opts.WindowSize {
+		c.winMu.Unlock()
+		return
+	}
+	c.queue = append(c.queue, filledWindow{c.window, currentSerial})
+	c.window = make([]*windowEntry, 0, c.opts.WindowSize)
+	idle := c.applied == c.filled // else the running drain takes this window
+	c.filled++
+	c.winMu.Unlock()
+	switch {
+	case !idle:
+	case c.opts.AsyncRebuild:
+		go c.drain()
+	default:
+		c.drain()
+	}
+}
+
+// drain applies the queued windows in order until none is left.
+func (c *Cache) drain() {
+	c.winMu.Lock()
+	defer c.winMu.Unlock()
+	for len(c.queue) > 0 {
+		next := c.queue[0]
+		c.queue = c.queue[1:]
+		c.winMu.Unlock()
+		c.rebuildMu.Lock()
+		c.processWindow(next.ws, next.serial)
+		c.rebuildMu.Unlock()
+		c.winMu.Lock()
+		c.applied++
+		c.passDone.Broadcast()
+	}
+}
+
+// Flush is a barrier: it returns once every window queued before the call
+// has been applied, and never waits for windows queued after it. Snapshot
+// writes, mutations and snapshot loads run it themselves.
+func (c *Cache) Flush() {
+	c.winMu.Lock()
+	defer c.winMu.Unlock()
+	for target := c.filled; c.applied < target; {
+		c.passDone.Wait()
+	}
+}
+
+// processWindow runs the Window Manager's window-full procedure (§6.2)
+// over one filled window: admission control, replacement, statistics
+// initialisation and the index delta + swap. The drain runs it under
+// rebuildMu.
+func (c *Cache) processWindow(ws []*windowEntry, currentSerial int64) {
 	start := time.Now()
 
 	scores := make([]float64, len(ws))
@@ -134,9 +181,9 @@ func (c *Cache) doProcessWindow(ws []*windowEntry, currentSerial int64) {
 	// this cannot happen (a repeat always takes the exact-match shortcut,
 	// which skips the Window), but two concurrent callers can both miss on
 	// the same new query and both window it — across different windows
-	// when AsyncRebuild interleaves. Admitting the copy would waste a cache
-	// slot and split the original's hit statistics. The exact lookup finds
-	// it: equal sizes plus containment is isomorphism.
+	// when the first copy's pass has not landed yet. Admitting the copy
+	// would waste a cache slot and split the original's hit statistics. The
+	// exact lookup finds it: equal sizes plus containment is isomorphism.
 	old := c.index.Load()
 	admitted = dedupeWindow(admitted)
 	kept := admitted[:0]

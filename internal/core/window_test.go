@@ -1,20 +1,24 @@
 package core
 
 import (
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"graphcache/internal/ggsx"
+	"graphcache/internal/graph"
 	"graphcache/internal/method"
 	"graphcache/internal/pathfeat"
 )
 
-// TestShardedCapacityRespected: the cache never holds more than CacheSize
+// TestCapacityRespected: the cache never holds more than CacheSize
 // entries at any window boundary — including windows that admit more
 // queries than the whole cache holds.
-func TestShardedCapacityRespected(t *testing.T) {
+func TestCapacityRespected(t *testing.T) {
 	ds := moleculeDataset(40, 33)
 	for _, window := range []int{4, 8, 16} {
 		c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 8, WindowSize: window})
@@ -85,12 +89,12 @@ func TestEvictionIsGlobal(t *testing.T) {
 	}
 }
 
-// TestConcurrentShardedMatchesSerial drives 8 goroutines through one
-// shared cache with asynchronous rebuilds and asserts every answer matches
-// the serial baseline — under -race this is the concurrency soundness
-// check for the store's hand-offs (the published index generation, the
-// window, the statistics store).
-func TestConcurrentShardedMatchesSerial(t *testing.T) {
+// TestConcurrentAsyncMatchesSerial drives 8 goroutines through one
+// shared cache with asynchronous window passes and asserts every answer
+// matches the serial baseline — under -race this is the concurrency
+// soundness check for the store's hand-offs (the published index
+// generation, the window and its pass queue, the statistics store).
+func TestConcurrentAsyncMatchesSerial(t *testing.T) {
 	const callers = 8
 	ds := moleculeDataset(60, 35)
 	queries := typeAWorkload(ds, "ZZ", 240, 36)
@@ -141,6 +145,83 @@ func TestConcurrentShardedMatchesSerial(t *testing.T) {
 		if row := c.Stats().Row(s); len(row) == 0 {
 			t.Errorf("cached serial %d has no statistics row", s)
 		}
+	}
+}
+
+// parkingObserver holds every window pass inside ObserveWindow — after the
+// pass has published its index generation, before it returns — until the
+// test releases it, announcing each arrival on entered.
+type parkingObserver struct{ entered, release chan struct{} }
+
+func (o parkingObserver) ObserveQuery(QueryObservation) {}
+func (o parkingObserver) ObserveWindow(WindowObservation) {
+	o.entered <- struct{}{}
+	<-o.release
+}
+
+// waitParkedIn waits until some goroutine is blocked inside fn.
+func waitParkedIn(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, fn) && !strings.Contains(g, "[running]") && !strings.Contains(g, "[runnable]") {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine blocked in %s", fn)
+}
+
+// TestMaintainerFlushWhilePassParked parks a window pass and, while it is
+// parked, calls Flush on another goroutine and fills a second window. Flush
+// waits for the parked pass and for nothing queued after the call; the
+// second window's pass follows the first; a third window, filled once the
+// maintainer is idle, gets its pass too. Under -race this is also the check
+// on the hand-offs: with a WaitGroup here, the Add of a window filled
+// after a Wait had blocked raced that Wait.
+func TestMaintainerFlushWhilePassParked(t *testing.T) {
+	obs := parkingObserver{entered: make(chan struct{}), release: make(chan struct{})}
+	c := New(method.NewVF2Plus(moleculeDataset(20, 53)), Options{
+		CacheSize: 100, WindowSize: 2, AsyncRebuild: true, Observer: obs,
+	})
+	label := graph.Label(100)
+	fill := func() { // two new, non-isomorphic queries: one full window
+		for i := 0; i < 2; i++ {
+			c.Query(pathG(label, label+1))
+			label += 2
+		}
+	}
+
+	fill()
+	<-obs.entered // pass 1 parked
+	flushed := make(chan struct{})
+	go func() {
+		c.Flush()
+		close(flushed)
+	}()
+	waitParkedIn(t, "core.(*Cache).Flush")
+	fill() // window 2, queued after the Flush call
+	obs.release <- struct{}{}
+	<-obs.entered // pass 2 parked
+	select {
+	case <-flushed:
+	case <-time.After(5 * time.Second):
+		t.Error("Flush waited for a window queued after the call")
+	}
+	obs.release <- struct{}{}
+	c.Flush()
+
+	fill() // window 3: the maintainer starts again from idle
+	<-obs.entered
+	obs.release <- struct{}{}
+	c.Flush()
+	<-flushed
+	if got := c.Totals().WindowsProcessed; got != 3 {
+		t.Errorf("%d window passes applied, want 3", got)
+	}
+	if got := len(c.CachedSerials()); got != 6 {
+		t.Errorf("%d queries cached after three windows of two, want 6", got)
 	}
 }
 

@@ -80,9 +80,9 @@ func (rt *Router) Join(ctx context.Context, addr string) (JoinResponse, error) {
 	// shipping step.
 	nb.noteEpoch(warm.Epoch)
 
-	// Health may have changed across the warm (the joiner swaps its
-	// cache contents underneath its serving gate); admission to the ring
-	// requires passing /healthz *after* the snapshot is in.
+	// Health may have changed across the warm (the joiner swapped its
+	// whole cache); admission to the ring requires passing /healthz
+	// *after* the snapshot is in.
 	hctx, cancel = context.WithTimeout(ctx, rt.opts.ProbeTimeout)
 	epoch, err := nb.cl.HealthzEpoch(hctx)
 	cancel()

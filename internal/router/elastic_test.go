@@ -95,6 +95,15 @@ func TestElasticJoinAndDrain(t *testing.T) {
 			t.Fatalf("query %d before join: answer %v != direct %v", i, resp.Answer, want[i])
 		}
 	}
+	// The ring depends on the backends' ephemeral ports, so affinity can
+	// route fewer misses to one backend than a window holds, and an idle
+	// fleet's warm source is its first backend. Query both directly too, so
+	// whichever peer the join picks has filled windows to ship.
+	for _, b := range []*server.Server{b1, b2} {
+		if _, err := server.NewClient(b.Addr()).QueryBatch(ctx, queries); err != nil {
+			t.Fatalf("direct QueryBatch on %s: %v", b.Addr(), err)
+		}
+	}
 
 	// Join a third backend. It must be warmed from a peer before serving.
 	b3 := startBackend(t, ds)

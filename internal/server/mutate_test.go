@@ -339,6 +339,52 @@ func TestSnapshotDatasetMismatchQuarantine(t *testing.T) {
 	}
 }
 
+// TestWarmDuringMutateKeepsJournal: warm-ups racing /mutate adds on a
+// server with a journal. A warm-up's truncation swaps the file the appends
+// write to, so it runs under the mutation lock: every /mutate is
+// acknowledged (none refused, none appended to the replaced file), and the
+// journal rereads cleanly with one record per acknowledged add — the peer
+// is at epoch 0, so no truncation drops a record.
+func TestWarmDuringMutateKeepsJournal(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "mutations.journal")
+	ds := testDataset(30, 73)
+	peer := startServer(t, newTestCache(testDataset(30, 73)), Options{})
+	s := startServer(t, newTestCache(ds), Options{JournalPath: jpath})
+	cl := NewClient(s.Addr())
+	ctx := context.Background()
+	payload := encodeOne(t, ds.Graph(0).Clone())
+
+	const adds, warms = 40, 10
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < warms; i++ {
+			if _, err := s.WarmFrom(ctx, peer.Addr()); err != nil {
+				t.Errorf("WarmFrom %d: %v", i, err)
+			}
+		}
+	}()
+	acked := 0
+	for i := 0; i < adds; i++ {
+		resp, err := cl.Mutate(ctx, MutateRequest{Op: "add", Graphs: payload})
+		if err != nil || !resp.Applied {
+			t.Errorf("Mutate %d: %v (applied %v)", i, err, resp.Applied)
+			continue
+		}
+		acked++
+	}
+	<-done
+
+	jr, recs, err := openJournal(jpath)
+	if err != nil {
+		t.Fatalf("rereading the journal: %v", err)
+	}
+	jr.Close()
+	if acked != adds || len(recs) != acked {
+		t.Errorf("%d of %d adds acknowledged, journal holds %d records", acked, adds, len(recs))
+	}
+}
+
 // TestWarmCarriesEpoch: warming from a mutated peer lands the joiner at
 // the peer's epoch, not 0 — join-warm ships the dataset delta inside the
 // snapshot stream.

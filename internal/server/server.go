@@ -126,22 +126,17 @@ type Server struct {
 	admitted atomic.Int64 // queries admitted and not yet answered
 	shed     atomic.Int64 // requests refused with 429
 
-	// warming gates /query and /querybatch (503 + Retry-After) while a
-	// snapshot replaces the live cache — ReadSnapshot is a startup-shaped
-	// operation that must not race Query callers. warmMu serialises
-	// warm-ups; warmed counts completed ones for /stats.
-	warming atomic.Bool
-	warmMu  sync.Mutex
-	warmed  atomic.Int64
+	warmed atomic.Int64 // completed warm-ups, for /stats
 
 	snapStop chan struct{} // closed by Shutdown to stop the periodic snapshot loop
 	snapDone chan struct{}
 	snapOnce sync.Once
 
-	// mutMu serialises POST /mutate handlers: the journal append and the
-	// cache apply must land in the same order, and the record's epoch
-	// (current+1) is only deterministic under the lock. jr is nil when
-	// no JournalPath is configured.
+	// mutMu serialises POST /mutate handlers and warm-ups: the journal
+	// append and the cache apply must land in the same order, the record's
+	// epoch (current+1) is only deterministic under the lock, and a
+	// warm-up's journal truncation swaps the file the appends write to.
+	// jr is nil when no JournalPath is configured.
 	mutMu sync.Mutex
 	jr    *journal
 
@@ -360,10 +355,11 @@ func (s *Server) Serve() error {
 }
 
 // Shutdown performs the daemon's graceful shutdown: stop accepting, drain
-// in-flight requests (bounded by ctx), let asynchronous index rebuilds
-// land, and write the snapshot when configured. The snapshot is written
-// even if the HTTP drain times out — cache contents are consistent at any
-// point between requests.
+// in-flight requests (bounded by ctx), and write the snapshot when
+// configured; the write runs the cache's window barrier, so it holds every
+// window those requests filled. The snapshot is written even if the HTTP
+// drain times out — cache contents are consistent at any point between
+// requests.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var errs []error
 	if s.snapStop != nil {
@@ -386,7 +382,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			errs = append(errs, fmt.Errorf("server: closing listener: %w", err))
 		}
 	}
-	s.cache.Flush()
 	if s.opts.SnapshotPath != "" {
 		info, err := writeSnapshotFile(s.cache, s.opts.SnapshotPath)
 		if err != nil {
@@ -466,7 +461,7 @@ func writeSnapshotFile(c *core.Cache, path string) (core.SnapshotInfo, error) {
 // admit reserves n queries of serving capacity, refusing when the
 // admitted total would cross ShedThreshold. Pair a true return with
 // done(n). With ShedThreshold 0 admission is unbounded, but still
-// counted — the warm-up gate drains on this counter.
+// counted for the admitted-queries gauge.
 func (s *Server) admit(n int) bool {
 	if s.admitted.Add(int64(n)) > int64(s.opts.ShedThreshold) && s.opts.ShedThreshold > 0 {
 		s.admitted.Add(int64(-n))
@@ -486,14 +481,6 @@ func writeShed(w http.ResponseWriter) {
 	WriteError(w, http.StatusTooManyRequests, errors.New("overloaded: admitted queries at bound; retry after 1s"))
 }
 
-// writeWarming answers 503 while a snapshot warm-up replaces the cache.
-// 503 (not 429) because the refusal is not load-dependent, and it is
-// always retryable: the work was refused before it started.
-func writeWarming(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	WriteError(w, http.StatusServiceUnavailable, errors.New("warming: loading a cache snapshot; retry after 1s"))
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	arrived := time.Now()
 	qs, decDur, ok := s.wire.ReadGraphs(w, r, true)
@@ -506,13 +493,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.done(1)
-	// Admit first, check second: the warm-up drain observes our admitted
-	// slot before this load can miss the flag (both are sequentially
-	// consistent atomics), so no query ever overlaps the cache swap.
-	if s.warming.Load() {
-		writeWarming(w)
-		return
-	}
 	res, err := s.co.query(r.Context(), q)
 	if err != nil {
 		// The client is gone; there is no one to answer.
@@ -580,10 +560,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.done(len(qs))
-	if s.warming.Load() {
-		writeWarming(w)
-		return
-	}
 	if r.Context().Err() != nil {
 		return
 	}
@@ -645,11 +621,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// The router's health probe doubles as its epoch feed: every probe
 	// reports how far this backend's dataset has advanced.
 	w.Header().Set(epochHeader, fmt.Sprintf("%d", s.cache.DatasetEpoch()))
-	if s.warming.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "warming")
-		return
-	}
 	fmt.Fprintln(w, "ok")
 }
 
@@ -722,10 +693,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
-	if s.warming.Load() {
-		writeWarming(w)
-		return
-	}
 	// Idempotent replay: an already-applied seq is acked (it *is* durably
 	// applied) without re-journaling or re-applying.
 	if req.Seq != 0 && req.Seq <= s.cache.LastMutationSeq() {
@@ -780,23 +747,18 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 }
 
 // WarmFrom replaces the cache contents with a snapshot fetched from
-// peer's GET /snapshot. The fetch happens before serving is gated;
-// the swap itself waits for in-flight queries to finish while new ones
-// are refused with 503 + Retry-After, so ReadSnapshot (a startup-shaped
-// operation) never races a Query caller. On any failure the cache is
-// left as it was.
+// peer's GET /snapshot. The fetch holds no lock. The swap holds mutMu, so
+// it lands between two mutations and their journal appends, and
+// Cache.ReadSnapshot takes the cache to itself: queries that arrive
+// during the swap wait for it, and in-flight ones finish first. On any
+// failure the cache is left as it was.
 func (s *Server) WarmFrom(ctx context.Context, peer string) (WarmResponse, error) {
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
 	body, err := fetchSnapshot(ctx, peer)
 	if err != nil {
 		return WarmResponse{}, err
 	}
-	s.warming.Store(true)
-	defer s.warming.Store(false)
-	if err := s.drainAdmitted(ctx); err != nil {
-		return WarmResponse{}, fmt.Errorf("server: draining queries before warm-up: %w", err)
-	}
+	s.mutMu.Lock()
+	defer s.mutMu.Unlock()
 	if err := s.cache.ReadSnapshot(bytes.NewReader(body)); err != nil {
 		return WarmResponse{}, fmt.Errorf("server: loading snapshot from %s: %w", peer, err)
 	}
@@ -812,18 +774,4 @@ func (s *Server) WarmFrom(ctx context.Context, peer string) (WarmResponse, error
 	s.warmed.Add(1)
 	s.met.warmTotal.Inc()
 	return WarmResponse{From: peer, Cached: len(s.cache.CachedSerials()), Epoch: s.cache.DatasetEpoch()}, nil
-}
-
-// drainAdmitted waits until no queries are admitted. New arrivals see
-// the warming flag after taking their admitted slot and back out, so
-// the count can only drain.
-func (s *Server) drainAdmitted(ctx context.Context) error {
-	for s.admitted.Load() != 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	return nil
 }

@@ -136,9 +136,6 @@ func (s *Server) snapshotLoop() {
 		case <-s.snapStop:
 			return
 		case <-t.C:
-			if s.warming.Load() {
-				continue // don't snapshot a cache mid-replacement
-			}
 			info, err := writeSnapshotFile(s.cache, s.opts.SnapshotPath)
 			if err != nil {
 				logf("server: periodic snapshot: %v", err)

@@ -10,8 +10,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
+
+	"graphcache/internal/core"
+	"graphcache/internal/ggsx"
 )
 
 // testSnapshotBytes produces a checked snapshot of a warmed cache.
@@ -267,26 +271,101 @@ func startGarbageSnapshotPeer(t *testing.T) string {
 	return lis.Addr().String()
 }
 
-// TestWarmingGateSheds: while a warm-up is swapping the cache, queries
-// are refused with 503 + Retry-After instead of racing the swap.
-func TestWarmingGateSheds(t *testing.T) {
+// TestQueriesDuringWarmSucceed: queries that arrive while WarmFrom swaps
+// the cache wait for the swap instead of being refused. Through repeated
+// warm-ups under concurrent /query and /querybatch traffic (the client
+// does not retry), every request succeeds and every answer equals a
+// direct cache's answer.
+func TestQueriesDuringWarmSucceed(t *testing.T) {
 	ds := testDataset(30, 68)
-	queries := testWorkload(ds, 3, 69)
-	s := startServer(t, newTestCache(ds), Options{})
-	cl := NewClient(s.Addr())
+	queries := testWorkload(ds, 30, 69)
 	ctx := context.Background()
 
-	s.warming.Store(true)
-	_, err := cl.Query(ctx, queries[0])
-	s.warming.Store(false)
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
-		t.Fatalf("query during warm-up: %v, want a 503 StatusError", err)
+	direct := newTestCache(ds)
+	want := make([][]int32, len(queries))
+	for i, q := range queries {
+		want[i] = direct.Query(q).Answer
 	}
-	if se.RetryAfter <= 0 {
-		t.Errorf("warming 503 carried no Retry-After hint (got %v)", se.RetryAfter)
+	peerCache := newTestCache(ds)
+	for _, q := range queries {
+		peerCache.Query(q)
 	}
-	if _, err := cl.Query(ctx, queries[0]); err != nil {
-		t.Errorf("query after warm-up: %v", err)
+	peer := startServer(t, peerCache, Options{})
+	s := startServer(t, core.New(ggsx.New(ds, ggsx.Options{}),
+		core.Options{CacheSize: 20, WindowSize: 5, AsyncRebuild: true}), Options{})
+	cl := NewClient(s.Addr())
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for i, q := range queries {
+					if w%2 == 1 { // the batch path, one query per request
+						res, err := cl.QueryBatch(ctx, queries[i:i+1])
+						if err != nil || !eq(res[0].Answer, want[i]) {
+							t.Errorf("batched query %d during warm-ups: %v, %v; want %v", i, err, res, want[i])
+							return
+						}
+						continue
+					}
+					res, err := cl.Query(ctx, q)
+					if err != nil || !eq(res.Answer, want[i]) {
+						t.Errorf("query %d during warm-ups: %v, %v; want %v", i, err, res.Answer, want[i])
+						return
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := s.WarmFrom(ctx, peer.Addr()); err != nil {
+			t.Errorf("WarmFrom %d: %v", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st, err := cl.Stats(ctx); err != nil || st.Warmed != 8 {
+		t.Errorf("stats after warm-ups: %v, warmed %d, want 8", err, st.Warmed)
+	}
+}
+
+// TestSnapshotHoldsEveryQueuedWindow: on an AsyncRebuild server, GET
+// /snapshot taken right after the last reply holds every window the
+// queries before it filled — the snapshot write runs the window barrier.
+// Coalescing is off so each reply is written after its query entered the
+// window; a coalesced reply is delivered before its run's bookkeeping.
+func TestSnapshotHoldsEveryQueuedWindow(t *testing.T) {
+	ds := testDataset(40, 71)
+	queries := testWorkload(ds, 60, 72)
+	c := core.New(ggsx.New(ds, ggsx.Options{}), core.Options{CacheSize: 100, WindowSize: 2, AsyncRebuild: true})
+	s := startServer(t, c, Options{MaxBatch: 1})
+	cl := NewClient(s.Addr())
+	ctx := context.Background()
+	for round := 0; round < 6; round++ {
+		for i, q := range queries[round*10 : (round+1)*10] {
+			if _, err := cl.Query(ctx, q); err != nil {
+				t.Fatalf("round %d, query %d: %v", round, i, err)
+			}
+		}
+		body, err := fetchSnapshot(ctx, s.Addr())
+		if err != nil {
+			t.Fatalf("round %d: GET /snapshot: %v", round, err)
+		}
+		loaded := core.New(ggsx.New(ds, ggsx.Options{}), core.Options{CacheSize: 100})
+		if err := loaded.ReadSnapshot(bytes.NewReader(body)); err != nil {
+			t.Fatalf("round %d: loading the snapshot: %v", round, err)
+		}
+		c.Flush()
+		if got, want := len(loaded.CachedSerials()), len(c.CachedSerials()); got != want {
+			t.Errorf("round %d: snapshot holds %d entries, the flushed cache %d", round, got, want)
+		}
 	}
 }
