@@ -15,7 +15,7 @@ import (
 // Options.VerifyConcurrency; see the package documentation's Concurrency
 // section. The engine is one staged pipeline:
 // QueryBatchStream runs it over many queries as one unit — amortising
-// index probes, pool dispatches and statistics round-trips across the
+// index probes, pool dispatches and statistics updates across the
 // batch, delivering each result as it completes, with answers identical
 // to sequential Query calls — QueryBatch collects its results, and Query
 // is the same pipeline over one query. It is the primitive behind the

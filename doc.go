@@ -42,8 +42,9 @@
 // The query engine is concurrent on two axes, mirroring the paper's sized
 // thread pools (§4, Figure 2). A Cache is safe for any number of
 // concurrent Query callers: serials are assigned atomically, the GCindex
-// snapshot is read lock-free, window appends are mutex-guarded and
-// per-query statistics are credited in one batched store update. Within a
+// snapshot is read lock-free, window appends are mutex-guarded and a
+// run's hit statistics are credited to the cached entries, with its
+// totals, in one critical section of the ledger lock. Within a
 // single run, Method M's verification stage and the GC processors'
 // containment confirmations fan out over a bounded worker pool sized by
 // Options.VerifyConcurrency (default runtime.GOMAXPROCS(0); 1 disables
@@ -59,12 +60,15 @@
 //
 // The cached-query store is one GCindex generation, published atomically:
 // queries load it once per run and read it without locks. The Window is
-// one list under one mutex, and the Statistics Manager one store;
-// replacement ranks every cached query together (§6.3). Index maintenance
-// applies each window's add/evict delta to the previous GCindex
-// generation using feature vectors memoised per entry (computed once, on
-// the query path, shared with the probe), so no cached graph's paths are
-// enumerated again. What a delta does cost is a few memmove-like passes
+// one list under one mutex. A cached query is one record: its graph,
+// answer, feature vector and hash, the figures of its first execution and
+// its hit counters, so the Statistics Manager (§6.1) is a view over the
+// entries (Cache.EntryStats) and nothing keyed by serial is kept beside
+// the index; replacement ranks every cached query together (§6.3). Index
+// maintenance applies each window's add/evict delta to the previous
+// GCindex generation using each entry's feature vector (extracted once,
+// on the query path, shared with the probe), so no cached graph's paths
+// are enumerated again. What a delta does cost is a few memmove-like passes
 // over the index's flat posting arrays — O(postings in the index) per
 // window, no map. Filled windows queue for one drain at a time, which
 // applies them in order on the filling query or, with
@@ -154,7 +158,7 @@
 // generation is loaded once, the open queries are probed in a single
 // pass, their GC containment confirmations and Method-M verifications
 // flatten into one pooled dispatch per stage, and the whole batch's hit
-// statistics land in a single store round-trip. Answers are
+// statistics land in one critical section. Answers are
 // exactly those of sequential Query calls — the pruning rules are sound,
 // so answers never depend on cache contents — id-ordered and
 // deterministic. A run whose open queries were all proven empty returns

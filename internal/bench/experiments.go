@@ -67,25 +67,13 @@ func ExperimentByID(id string) (Experiment, bool) {
 // verdicts are LRU → {13, 37}, POP → {11, 53}, PIN → {13, 91},
 // PINC → {53, 82} and HD → CoV < 1 → PINC → {53, 82}.
 func Table1(e *Env) []*Table {
-	st := core.NewStatsStore()
-	rows := []struct {
-		serial                 int64
-		lastHit, hits, r, cost float64
-	}{
-		{11, 91, 23, 170, 2600},
-		{13, 51, 32, 80, 1200},
-		{37, 69, 26, 76, 780},
-		{53, 78, 13, 210, 360},
-		{82, 90, 5, 120, 150},
-		{91, 95, 4, 10, 270},
-	}
-	cached := make([]int64, 0, len(rows))
-	for _, r := range rows {
-		st.Set(r.serial, core.ColLastHit, r.lastHit)
-		st.Set(r.serial, core.ColHits, r.hits)
-		st.Set(r.serial, core.ColCSReduction, r.r)
-		st.Set(r.serial, core.ColTimeSaving, r.cost)
-		cached = append(cached, r.serial)
+	rows := []core.EntryStats{
+		{Serial: 11, LastHit: 91, Hits: 23, CSReduction: 170, TimeSaving: 2600},
+		{Serial: 13, LastHit: 51, Hits: 32, CSReduction: 80, TimeSaving: 1200},
+		{Serial: 37, LastHit: 69, Hits: 26, CSReduction: 76, TimeSaving: 780},
+		{Serial: 53, LastHit: 78, Hits: 13, CSReduction: 210, TimeSaving: 360},
+		{Serial: 82, LastHit: 90, Hits: 5, CSReduction: 120, TimeSaving: 150},
+		{Serial: 91, LastHit: 95, Hits: 4, CSReduction: 10, TimeSaving: 270},
 	}
 	t := &Table{
 		ID:      "table1",
@@ -93,7 +81,7 @@ func Table1(e *Env) []*Table {
 		Columns: []string{"victim1", "victim2"},
 	}
 	for _, p := range []core.PolicyKind{core.LRU, core.POP, core.PIN, core.PINC, core.HD} {
-		victims := core.SelectVictims(p, st, cached, 100, 2)
+		victims := core.SelectVictims(p, rows, 100, 2)
 		sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
 		t.AddTextRow(p.String(), fmt.Sprint(victims[0]), fmt.Sprint(victims[1]))
 	}

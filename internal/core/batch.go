@@ -138,10 +138,10 @@ func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
 //   - verification: the sub-iso tests of all pruned candidate sets as one
 //     flattened work list, the worker landing a query's last verdict
 //     assembling and delivering its answer;
-//   - bookkeeping: hit credits in one CreditBatch,
-//     non-duplicate queries into the Window in serial order (the Window
-//     Manager fires exactly as under sequential calls), one locked fold
-//     into the lifetime totals, one observation per query.
+//   - bookkeeping: one locked pass that credits the hit entries and folds
+//     the run into the lifetime totals, then the non-duplicate queries into
+//     the Window in serial order (the Window Manager fires exactly as under
+//     sequential calls), one observation per query.
 //
 // Timing statistics are per stage: the GC stage's wall time is split
 // evenly across the run's queries, and Totals and the Observer split the
@@ -303,26 +303,12 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 
 	// Hit credits (§5.2) — hit counts, recency, candidate-set reduction
 	// and estimated time saving — queue up and land after verification, so
-	// an abandoned run credits nothing. Deferring is safe: credit ops only
-	// increment or max columns the run itself never reads.
-	var credits []StatOp
-	queueCredit := func(s *queryState, e *entry, special bool, reduction, saved float64) {
-		ops := [...]StatOp{
-			{Key: e.serial, Col: ColHits, Val: 1},
-			{Key: e.serial, Col: ColLastHit, Val: float64(s.stats.Serial), Max: true},
-			{Key: e.serial, Col: ColCSReduction, Val: reduction},
-			{Key: e.serial, Col: ColTimeSaving, Val: saved},
-			{Key: e.serial, Col: ColSpecialHits, Val: 1},
-		}
-		k := 2 // a match that removed nothing credits the hit alone
-		if special || reduction > 0 {
-			k = 4
-			s.credit += saved
-		}
-		if special {
-			k = 5
-		}
-		credits = append(credits, ops[:k]...)
+	// an abandoned run credits nothing. Deferring is safe: credits only add
+	// to counters the run itself never reads.
+	var credits []hitCredit
+	queueCredit := func(s *queryState, e *entry, special bool, removed int, saved float64) {
+		credits = append(credits, hitCredit{e: e, by: s.stats.Serial, removed: int64(removed), saved: saved, special: special})
+		s.credit += saved
 	}
 
 	supergraph := c.m.Mode() == method.ModeSupergraph
@@ -351,7 +337,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 			s.state, s.stats.EmptyShortcut = stateEmpty, true
 		}
 		if hit != nil {
-			queueCredit(s, hit, true, c.stats.Get(hit.serial, ColOwnCS), c.stats.Get(hit.serial, ColOwnCost))
+			queueCredit(s, hit, true, hit.ownCS, hit.ownCost)
 			continue
 		}
 
@@ -363,8 +349,8 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		s.stats.FilterMTime = s.mDur
 		s.stats.CandidatesM = len(s.csM)
 
-		var removedBy map[int64][]int32
-		s.direct, s.cs, removedBy = prune(s.csM, providers, restrictors)
+		var removed [][]int32
+		s.direct, s.cs, removed = prune(s.csM, providers, restrictors)
 		s.stats.DirectAnswers = len(s.direct)
 		s.stats.CandidatesFinal = len(s.cs)
 		s.stats.SubIsoTests = len(s.cs)
@@ -372,10 +358,11 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 
 		costs := c.candidateCosts(s.q, s.csM)
 		s.ownCost = sumFloats(costs)
+		k := 0
 		for _, matched := range [2][]*entry{providers, restrictors} {
 			for _, e := range matched {
-				removed := removedBy[e.serial]
-				queueCredit(s, e, false, float64(len(removed)), sumCostsOf(removed, s.csM, costs))
+				queueCredit(s, e, false, len(removed[k]), sumCostsOf(removed[k], s.csM, costs))
+				k++
 			}
 		}
 	}
@@ -438,39 +425,20 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		return abandoned, ctx.Err()
 	}
 
-	// Bookkeeping. Credits come first — before a query can trigger window
-	// processing — so a window's replacement pass sees the hits of the
-	// query that filled it.
-	c.stats.CreditBatch(credits)
-
-	// The queries, their answers and their first-execution statistics
-	// enter the Window in serial order. An exact hit is a duplicate of a
-	// cached query; re-admitting it would only pollute the cache. From
-	// here on a query's VerifyTime is its share of the stage.
-	for i := range st {
-		s := &st[i]
-		if len(s.cs) > 0 {
-			s.stats.VerifyTime = vDur * time.Duration(len(s.cs)) / time.Duration(nTests)
+	// Bookkeeping. From here on a query's VerifyTime is its share of the
+	// stage.
+	if nTests > 0 {
+		for i := range st {
+			st[i].stats.VerifyTime = vDur * time.Duration(len(st[i].cs)) / time.Duration(nTests)
 		}
-		if s.state == stateExact {
-			continue
-		}
-		serial := s.stats.Serial
-		e := &entry{serial: serial, g: s.q, answer: s.answer, vec: s.vec, vecOK: true, hash: s.hash, hashed: true}
-		if s.state == stateEmpty {
-			c.addToWindow(&windowEntry{e: e, filterNS: float64(gcShare.Nanoseconds())}, serial)
-			continue
-		}
-		c.addToWindow(&windowEntry{
-			e:        e,
-			filterNS: float64((s.stats.FilterMTime + gcShare).Nanoseconds()),
-			verifyNS: float64(s.stats.VerifyTime.Nanoseconds()),
-			ownCS:    len(s.csM),
-			ownCost:  s.ownCost,
-		}, serial)
 	}
-
+	// Credits land before a query can trigger window processing, so a
+	// window's replacement pass sees the hits of the query that filled it.
+	// An entry evicted meanwhile takes its credit out of the cache with it.
 	c.totMu.Lock()
+	for i := range credits {
+		credits[i].apply()
+	}
 	if n > 1 {
 		c.tot.Batches++
 	}
@@ -478,6 +446,24 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		c.tot.add(&st[i].stats)
 	}
 	c.totMu.Unlock()
+
+	// The queries, their answers and their first-execution figures enter
+	// the Window in serial order. An exact hit is a duplicate of a cached
+	// query; re-admitting it would only pollute the cache.
+	for i := range st {
+		s := &st[i]
+		if s.state == stateExact {
+			continue
+		}
+		e := newEntry(s.stats.Serial, s.q, s.answer, s.vec, s.hash)
+		e.filterNS = float64(gcShare.Nanoseconds())
+		if s.state == stateNormal {
+			e.filterNS = float64((s.stats.FilterMTime + gcShare).Nanoseconds())
+			e.verifyNS = float64(s.stats.VerifyTime.Nanoseconds())
+			e.ownCS, e.ownCost = len(s.csM), s.ownCost
+		}
+		c.addToWindow(e, s.stats.Serial)
+	}
 	if obs != nil {
 		for i := range st {
 			emitQuery(obs, &st[i].stats, featShare, probeShare, gcvShare, st[i].credit, n > 1)

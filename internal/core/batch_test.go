@@ -65,7 +65,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 // method, an add, a remove and an edit on the way — driven as Query, as a
 // QueryBatch of one and as a QueryBatchStream of one leaves identical
 // answers, count statistics, totals (a batch of one is not a batch), cache
-// contents and statistics columns.
+// contents and statistics rows (timings aside).
 func TestThreeEntryPointsOnePipeline(t *testing.T) {
 	drives := []struct {
 		name string
@@ -84,7 +84,7 @@ func TestThreeEntryPointsOnePipeline(t *testing.T) {
 		results []Result
 		totals  Totals
 		cached  []int64
-		columns map[string]map[int64]float64
+		rows    []EntryStats
 	}
 	for _, tc := range []struct {
 		name  string
@@ -124,10 +124,9 @@ func TestThreeEntryPointsOnePipeline(t *testing.T) {
 			out.totals = c.Totals()
 			out.totals.FilterMTime, out.totals.FilterGCTime, out.totals.VerifyTime, out.totals.MaintenanceTime = 0, 0, 0, 0
 			out.cached = c.CachedSerials()
-			out.columns = map[string]map[int64]float64{}
-			for _, col := range []string{ColNodes, ColEdges, ColLabels, ColOwnCS, ColOwnCost,
-				ColHits, ColSpecialHits, ColLastHit, ColCSReduction, ColTimeSaving} {
-				out.columns[col] = c.Stats().Column(col)
+			out.rows = c.EntryStats()
+			for i := range out.rows {
+				out.rows[i].FilterNS, out.rows[i].VerifyNS = 0, 0 // wall clock
 			}
 			outs = append(outs, out)
 		}
@@ -146,8 +145,8 @@ func TestThreeEntryPointsOnePipeline(t *testing.T) {
 			if !reflect.DeepEqual(got.cached, want.cached) {
 				t.Errorf("%s: %s cached %v, Query %v", tc.name, name, got.cached, want.cached)
 			}
-			if !reflect.DeepEqual(got.columns, want.columns) {
-				t.Errorf("%s: %s statistics columns differ from Query", tc.name, name)
+			if !reflect.DeepEqual(got.rows, want.rows) {
+				t.Errorf("%s: %s statistics rows differ from Query", tc.name, name)
 			}
 		}
 	}
@@ -306,14 +305,10 @@ func TestQueryBatchHitsSpecialCases(t *testing.T) {
 	if tot := c.Totals(); tot.ExactHits == 0 {
 		t.Errorf("Totals().ExactHits = %d, want > 0", tot.ExactHits)
 	}
-	// Exact hits are duplicates and must skip the Window; the cache's
-	// stats rows must stay consistent for everything still cached.
+	// Exact hits are duplicates and must skip the Window; the statistics
+	// rows must stay consistent for everything still cached.
 	c.Flush()
-	for _, s := range c.CachedSerials() {
-		if row := c.Stats().Row(s); len(row) == 0 {
-			t.Errorf("cached serial %d has no statistics row", s)
-		}
-	}
+	checkEntryStats(t, c)
 }
 
 // TestQueryBatchConcurrent drives several goroutines through QueryBatch

@@ -59,14 +59,11 @@ type Cache struct {
 	// filled and applied count windows queued and passes finished, and
 	// passDone broadcasts each pass (see addToWindow). Guarded by winMu.
 	winMu    sync.Mutex
-	window   []*windowEntry
+	window   []*entry
 	queue    []filledWindow
 	filled   uint64
 	applied  uint64
 	passDone sync.Cond
-
-	// stats is the Statistics Manager's store, one row per cached query.
-	stats *StatsStore
 
 	serial atomic.Int64
 
@@ -101,6 +98,9 @@ type Cache struct {
 	// observer is installed — the hot path pays one atomic load.
 	obs atomic.Pointer[observerBox]
 
+	// totMu is the ledger lock: it guards the lifetime totals and every
+	// entry's hit counters, so a run credits its entries and folds its
+	// totals in one critical section.
 	totMu sync.Mutex
 	tot   Totals
 }
@@ -120,7 +120,6 @@ type Totals struct {
 	VerifyTime          time.Duration
 	MaintenanceTime     time.Duration
 	WindowsProcessed    int64
-	Rebuilds            int64
 	Admitted            int64
 	Evicted             int64
 	RejectedByAdmission int64
@@ -171,12 +170,11 @@ type Result struct {
 func New(m method.Method, opts Options) *Cache {
 	opts = opts.withDefaults()
 	c := &Cache{
-		m:     m,
-		opts:  opts,
-		algo:  iso.VF2{},
-		adm:   newAdmission(opts),
-		pool:  method.NewLimiter(opts.VerifyConcurrency - 1),
-		stats: NewStatsStore(),
+		m:    m,
+		opts: opts,
+		algo: iso.VF2{},
+		adm:  newAdmission(opts),
+		pool: method.NewLimiter(opts.VerifyConcurrency - 1),
 	}
 	c.passDone.L = &c.winMu
 	if vf, ok := m.(method.VectorFilter); ok && vf.FilterPathLen() == opts.MaxPathLen {
@@ -343,10 +341,6 @@ func (c *Cache) CachedEntry(serial int64) (*graph.Graph, []int32, bool) {
 	}
 	return nil, nil, false
 }
-
-// Stats exposes the live statistics store (the Statistics Manager
-// interface).
-func (c *Cache) Stats() *StatsStore { return c.stats }
 
 // AdmissionThreshold returns the calibrated expensiveness threshold (0
 // while disabled or calibrating).

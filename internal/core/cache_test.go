@@ -70,7 +70,7 @@ func TestAnswersMatchBaselineAsyncRebuild(t *testing.T) {
 		}
 	}
 	c.Flush()
-	if c.Totals().Rebuilds == 0 {
+	if c.Totals().WindowsProcessed == 0 {
 		t.Error("async run must have rebuilt the index")
 	}
 }
@@ -127,11 +127,10 @@ func TestExactMatchHit(t *testing.T) {
 	if !eq(second.Answer, first.Answer) {
 		t.Errorf("exact hit answer %v != original %v", second.Answer, first.Answer)
 	}
-	// The hit must be credited in the statistics store.
-	serials := c.CachedSerials()
+	// The hit must be credited to the cached entry.
 	credited := false
-	for _, s := range serials {
-		if c.Stats().Get(s, ColSpecialHits) > 0 {
+	for _, r := range c.EntryStats() {
+		if r.SpecialHits > 0 {
 			credited = true
 		}
 	}
@@ -226,10 +225,9 @@ func TestStatsCreditedOnHits(t *testing.T) {
 	for _, q := range typeAWorkload(ds, "ZZ", 80, 18) {
 		c.Query(q.Graph)
 	}
-	hits := c.Stats().Column(ColHits)
-	totalHits := 0.0
-	for _, h := range hits {
-		totalHits += h
+	totalHits := int64(0)
+	for _, r := range c.EntryStats() {
+		totalHits += r.Hits
 	}
 	if totalHits == 0 {
 		t.Error("no hits credited over a skewed 80-query workload")
@@ -323,16 +321,16 @@ func TestRepeatedWorkloadSpeedsUp(t *testing.T) {
 }
 
 func TestWindowEntryScore(t *testing.T) {
-	w := &windowEntry{filterNS: 100, verifyNS: 400}
-	if got := w.score(); got != 4 {
+	e := &entry{ledger: ledger{filterNS: 100, verifyNS: 400}}
+	if got := e.score(); got != 4 {
 		t.Errorf("score = %f, want 4", got)
 	}
-	w2 := &windowEntry{filterNS: 0, verifyNS: 10}
-	if got := w2.score(); !isInf(got) {
+	e2 := &entry{ledger: ledger{filterNS: 0, verifyNS: 10}}
+	if got := e2.score(); !isInf(got) {
 		t.Errorf("zero filter time with verify work must score +Inf, got %f", got)
 	}
-	w3 := &windowEntry{filterNS: 0, verifyNS: 0}
-	if got := w3.score(); got != 0 {
+	e3 := &entry{}
+	if got := e3.score(); got != 0 {
 		t.Errorf("all-zero entry must score 0, got %f", got)
 	}
 }
@@ -341,16 +339,16 @@ func isInf(f float64) bool { return f > 1e300 }
 
 func TestDedupeWindow(t *testing.T) {
 	g := pathG(1, 2)
-	w1 := &windowEntry{e: &entry{serial: 1, g: g}}
-	w2 := &windowEntry{e: &entry{serial: 2, g: g}}           // same pointer: dup
-	w3 := &windowEntry{e: &entry{serial: 3, g: pathG(1, 2)}} // iso dup
-	w4 := &windowEntry{e: &entry{serial: 4, g: pathG(3, 4)}}
-	got := dedupeWindow([]*windowEntry{w1, w2, w3, w4})
+	e1 := entryOf(1, g)
+	e2 := entryOf(2, g)           // same pointer: dup
+	e3 := entryOf(3, pathG(1, 2)) // iso dup
+	e4 := entryOf(4, pathG(3, 4))
+	got := dedupeWindow([]*entry{e1, e2, e3, e4})
 	if len(got) != 2 {
 		t.Fatalf("dedupe kept %d entries, want 2", len(got))
 	}
 	// Latest duplicate survives; serial order restored.
-	if got[0].e.serial != 3 || got[1].e.serial != 4 {
-		t.Errorf("kept serials %d,%d; want 3,4", got[0].e.serial, got[1].e.serial)
+	if got[0].serial != 3 || got[1].serial != 4 {
+		t.Errorf("kept serials %d,%d; want 3,4", got[0].serial, got[1].serial)
 	}
 }

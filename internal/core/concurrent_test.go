@@ -107,9 +107,5 @@ func TestConcurrentStatsCrediting(t *testing.T) {
 	}
 	wg.Wait()
 	c.Flush()
-	for _, s := range c.CachedSerials() {
-		if row := c.Stats().Row(s); len(row) == 0 {
-			t.Errorf("cached serial %d has no statistics row", s)
-		}
-	}
+	checkEntryStats(t, c)
 }

@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"graphcache/internal/ggsx"
+	"graphcache/internal/graph"
+	"graphcache/internal/method"
 	"graphcache/internal/pathfeat"
 )
 
 // TestExactHitAllocations pins what an exact hit costs the allocator: the
 // run's state, the feature vector (pathfeat pins that at ≤ 4), the credit
-// ops and the delivered copy of the answer — and nothing of the filter
+// and the delivered copy of the answer — and nothing of the filter
 // goroutine, the probe's list or the confirmation work list it no longer
 // starts. Not under -race: the detector's own
 // bookkeeping allocates.
@@ -28,7 +30,7 @@ func TestExactHitAllocations(t *testing.T) {
 	if !c.Query(q).Stats.ExactHit {
 		t.Fatal("the repeated query was not an exact hit")
 	}
-	const ceiling = 15 // 15 measured; 17 with per-shard stores, 39 before the lookup
+	const ceiling = 12 // 12 measured; 15 with serial-keyed credit ops, 17 with per-shard stores, 39 before the lookup
 	if allocs := testing.AllocsPerRun(100, func() { c.Query(q) }); allocs > ceiling {
 		t.Errorf("an exact-hit Query allocates %.0f times, want ≤ %d", allocs, ceiling)
 	} else {
@@ -77,8 +79,7 @@ func TestApplyDeltaAllocations(t *testing.T) {
 		contents := map[int64]*entry{}
 		var added []*entry
 		for s := int64(1); s <= 120; s++ {
-			e := &entry{serial: s, g: randomConnGraph(r, size, size/3, 4)}
-			e.featureHash(4) // memoises the vector, as the query path does
+			e := entryOf(s, randomConnGraph(r, size, size/3, 4))
 			if s <= 100 {
 				contents[s] = e
 			} else {
@@ -94,5 +95,49 @@ func TestApplyDeltaAllocations(t *testing.T) {
 	const ceiling = 16 // 15 measured
 	if counts[0] != counts[1] || counts[1] > ceiling {
 		t.Errorf("applyDelta allocates %v times for the two indexes, want one count ≤ %d", counts, ceiling)
+	}
+}
+
+// TestWindowPassAllocations pins the whole window pass at a number of
+// allocations that does not grow with the window: W distinct new queries
+// admitted into a full cache, each evicting a cached one, cost the same at
+// W = 5 and W = 40. Entries arrive complete, so nothing is initialised per
+// admitted entry.
+func TestWindowPassAllocations(t *testing.T) {
+	const capacity, runs = 40, 20
+	var counts []float64
+	for _, w := range []int{5, 40} {
+		c := New(method.NewVF2Plus(moleculeDataset(10, 55)), Options{CacheSize: capacity, WindowSize: w})
+		label, serial := graph.Label(100), int64(0)
+		window := func() []*entry { // w new, pairwise non-isomorphic queries
+			ws := make([]*entry, w)
+			for i := range ws {
+				serial++
+				ws[i] = entryOf(serial, pathG(label, label+1))
+				label += 2
+			}
+			return ws
+		}
+		for len(c.CachedSerials()) < capacity {
+			c.processWindow(window(), serial)
+		}
+		windows := make([][]*entry, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range windows {
+			windows[i] = window()
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			c.processWindow(windows[next], serial)
+			next++
+		})
+		if tot := c.Totals(); tot.Evicted < int64(runs*w) || len(c.CachedSerials()) != capacity {
+			t.Fatalf("W = %d: the passes evicted %d, cache holds %d: not a full cache admitting every query",
+				w, tot.Evicted, len(c.CachedSerials()))
+		}
+		t.Logf("W = %d: %.0f allocations per window pass", w, allocs)
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("a window pass allocates %v times at W = 5 and W = 40, want one count", counts)
 	}
 }

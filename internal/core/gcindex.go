@@ -2,55 +2,48 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"graphcache/internal/graph"
 	"graphcache/internal/pathfeat"
 )
 
-// entry is one cached (or windowed) query: the query graph and its answer
-// set, keyed by the query's serial number — the layout of the paper's
-// cached-queries store (§6.1).
+// entry is one cached (or windowed) query, and the cache's only record of
+// it: the rows the paper's cached-queries store and Statistics Manager
+// keep under the query's serial number (§6.1), in one struct.
 type entry struct {
 	serial int64
 	g      *graph.Graph
 	answer []int32 // sorted dataset-graph IDs
-	// vec memoises the entry's path-feature vector (sorted by feature ID)
-	// so index rebuilds never re-enumerate simple paths for an
-	// already-cached graph. On the query path the probe's own vector is
-	// reused; entries reaching the window through other routes compute it
-	// at window time. After the entry is published in an index, vec is
-	// only read.
-	vec   pathfeat.Vector
-	vecOK bool
-	// hash is the hash of the feature vector (see featureHash): the
+	// vec is the query's path-feature vector (sorted by feature ID), so
+	// index deltas never enumerate simple paths, and hash is its hash: the
 	// exact-lookup key, and the value the router's affinity hash
-	// reproduces. It is assigned while the entry is exclusively owned and
-	// read-only after publication.
-	hash   uint64
-	hashed bool
+	// reproduces. The query path hands both over; see newEntry.
+	vec  pathfeat.Vector
+	hash uint64
+	// ledger holds the first-execution figures and the hit counters: the
+	// query's statistics row (see EntryStats).
+	ledger
 }
 
-// featureVector returns the entry's memoised feature vector, computing it
-// on first use. Callers must hold the rebuild serialisation (or otherwise
-// own the entry exclusively).
-func (e *entry) featureVector(maxLen int) pathfeat.Vector {
-	if !e.vecOK {
-		e.vec = pathfeat.SimplePathVector(e.g, maxLen)
-		e.vecOK = true
-	}
-	return e.vec
+// newEntry returns the record of query g, first seen as serial, with its
+// answer set and its feature vector and hash. Its recency starts at its
+// own serial.
+func newEntry(serial int64, g *graph.Graph, answer []int32, vec pathfeat.Vector, hash uint64) *entry {
+	return &entry{serial: serial, g: g, answer: answer, vec: vec, hash: hash, ledger: ledger{lastHit: serial}}
 }
 
-// featureHash returns the entry's feature hash, computing (and memoising)
-// the feature vector on first use. Callers must own the entry exclusively,
-// as for featureVector.
-func (e *entry) featureHash(maxLen int) uint64 {
-	if !e.hashed {
-		e.hash = pathfeat.HashVector(e.featureVector(maxLen))
-		e.hashed = true
+// score is the query's expensiveness: verification over filtering time
+// (§6.2).
+func (e *entry) score() float64 {
+	if e.filterNS <= 0 {
+		if e.verifyNS > 0 {
+			return math.Inf(1)
+		}
+		return 0
 	}
-	return e.hash
+	return e.verifyNS / e.filterNS
 }
 
 // queryIndex is GCindex: a single combined subgraph/supergraph feature
@@ -100,8 +93,7 @@ type queryIndex struct {
 }
 
 // buildQueryIndex indexes the given cache contents from scratch: the delta
-// that adds them all to the empty index. Entries with memoised feature
-// vectors reuse them; the rest are enumerated here.
+// that adds them all to the empty index.
 func buildQueryIndex(entries []*entry, maxLen int) *queryIndex {
 	return (&queryIndex{maxLen: maxLen}).applyDelta(entries, nil)
 }
@@ -118,7 +110,7 @@ func buildQueryIndex(entries []*entry, maxLen int) *queryIndex {
 // out the new per-slot arrays and maps each old slot to its new number (or
 // to -1: evicted or replaced). One forward pass then writes new columns,
 // sized for every posting of the result: the old postings renumbered
-// through that map, merged with the added entries' memoised vectors
+// through that map, merged with the added entries' vectors
 // (pathfeat.Columns.Renumber). The result equals buildQueryIndex over the
 // resulting contents, array for array, and costs O(postings in the index)
 // with no map: a fixed number of allocations whatever the number of
@@ -172,14 +164,13 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 			remap[i] = -1 // replaced
 			i++
 		}
-		vec := e.featureVector(ix.maxLen)
-		rows[j] = pathfeat.Row{ID: int32(len(next.serials)), Vec: vec}
+		rows[j] = pathfeat.Row{ID: int32(len(next.serials)), Vec: e.vec}
 		next.serials = append(next.serials, e.serial)
-		next.hashes = append(next.hashes, e.featureHash(ix.maxLen))
-		next.featureTotal = append(next.featureTotal, int32(len(vec)))
+		next.hashes = append(next.hashes, e.hash)
+		next.featureTotal = append(next.featureTotal, int32(len(e.vec)))
 		next.slotEntry = append(next.slotEntry, e)
-		postings += len(vec)
-		feats += len(vec)
+		postings += len(e.vec)
+		feats += len(e.vec)
 		j++
 	}
 	next.cols = pathfeat.Columns{

@@ -21,7 +21,7 @@ func BenchmarkCandidates(b *testing.B) {
 			r := rand.New(rand.NewSource(17))
 			entries := make(map[int64]*entry, size)
 			for s := int64(1); s <= int64(size); s++ {
-				entries[s] = &entry{serial: s, g: randomConnGraph(r, 4+r.Intn(8), r.Intn(4), 4)}
+				entries[s] = entryOf(s, randomConnGraph(r, 4+r.Intn(8), r.Intn(4), 4))
 			}
 			ix := indexOf(entries, maxPathLen)
 

@@ -71,7 +71,8 @@ func probeNeverMissesContainment(t *testing.T, vectorOf func(pathfeat.Counts) pa
 		entries := make(map[int64]*entry, 12)
 		for s := int64(1); s <= 12; s++ {
 			g := randomConnGraph(r, 3+r.Intn(8), r.Intn(3), 3)
-			entries[s] = &entry{serial: s, g: g, vec: vectorOf(pathfeat.SimplePaths(g, maxPathLen)), vecOK: true}
+			vec := vectorOf(pathfeat.SimplePaths(g, maxPathLen))
+			entries[s] = newEntry(s, g, nil, vec, pathfeat.HashVector(vec))
 		}
 		ix := indexOf(entries, maxPathLen)
 
@@ -172,7 +173,7 @@ func TestColumnarCandidatesMatchMapBased(t *testing.T) {
 		entries := make(map[int64]*entry)
 		next := int64(1)
 		for ; next <= 8; next++ {
-			entries[next] = &entry{serial: next, g: randomConnGraph(r, 2+r.Intn(7), r.Intn(3), 3)}
+			entries[next] = entryOf(next, randomConnGraph(r, 2+r.Intn(7), r.Intn(3), 3))
 		}
 		ix := indexOf(entries, maxPathLen)
 
@@ -213,7 +214,7 @@ func TestColumnarCandidatesMatchMapBased(t *testing.T) {
 						next++
 					}
 				}
-				added = append(added, &entry{serial: s, g: randomConnGraph(r, 2+r.Intn(7), r.Intn(3), 3)})
+				added = append(added, entryOf(s, randomConnGraph(r, 2+r.Intn(7), r.Intn(3), 3)))
 			}
 			ix = ix.applyDelta(added, removed)
 			check(round)

@@ -54,8 +54,11 @@ func (ix *queryIndex) contents() map[int64]*entry {
 	return m
 }
 
+// entryOf returns the complete record of query g under serial, its
+// feature vector extracted at path length 4, as the query path builds it.
 func entryOf(serial int64, g *graph.Graph, answer ...int32) *entry {
-	return &entry{serial: serial, g: g, answer: answer}
+	vec := pathfeat.SimplePathVector(g, 4)
+	return newEntry(serial, g, answer, vec, pathfeat.HashVector(vec))
 }
 
 func TestQueryIndexCandidates(t *testing.T) {
@@ -107,15 +110,15 @@ func TestPruneSubgraphCaseFromFigure3a(t *testing.T) {
 	// Figure 3(a): CS_M = {G1..G4}; cached g' ⊇ q with Answer = {G1, G2}.
 	csM := []int32{1, 2, 3, 4}
 	gPrime := entryOf(7, pathG(1, 2), 1, 2)
-	direct, cs, credit := prune(csM, []*entry{gPrime}, nil)
+	direct, cs, removed := prune(csM, []*entry{gPrime}, nil)
 	if !eq(direct, []int32{1, 2}) {
 		t.Errorf("direct = %v, want [1 2]", direct)
 	}
 	if !eq(cs, []int32{3, 4}) {
 		t.Errorf("cs = %v, want [3 4]", cs)
 	}
-	if !eq(credit[7], []int32{1, 2}) {
-		t.Errorf("credit = %v, want [1 2]", credit[7])
+	if !eq(removed[0], []int32{1, 2}) {
+		t.Errorf("removed = %v, want [1 2]", removed[0])
 	}
 }
 
@@ -124,15 +127,15 @@ func TestPruneSupergraphCaseFromFigure3b(t *testing.T) {
 	// CS becomes CS_M ∩ {G1, G5} = {G1}; removed credit = {G2, G3, G4}.
 	csM := []int32{1, 2, 3, 4}
 	gDblPrime := entryOf(9, pathG(1), 1, 5)
-	direct, cs, credit := prune(csM, nil, []*entry{gDblPrime})
+	direct, cs, removed := prune(csM, nil, []*entry{gDblPrime})
 	if len(direct) != 0 {
 		t.Errorf("direct = %v, want empty", direct)
 	}
 	if !eq(cs, []int32{1}) {
 		t.Errorf("cs = %v, want [1]", cs)
 	}
-	if !eq(credit[9], []int32{2, 3, 4}) {
-		t.Errorf("credit = %v, want [2 3 4]", credit[9])
+	if !eq(removed[0], []int32{2, 3, 4}) {
+		t.Errorf("removed = %v, want [2 3 4]", removed[0])
 	}
 }
 
@@ -142,15 +145,15 @@ func TestPruneCombinedOrder(t *testing.T) {
 	csM := []int32{1, 2, 3, 4, 5}
 	provider := entryOf(1, pathG(1), 1, 2) // direct: {1,2}
 	restrictor := entryOf(2, pathG(2), 3)  // keeps only 3 of {3,4,5}
-	direct, cs, credit := prune(csM, []*entry{provider}, []*entry{restrictor})
+	direct, cs, removed := prune(csM, []*entry{provider}, []*entry{restrictor})
 	if !eq(direct, []int32{1, 2}) {
 		t.Errorf("direct = %v", direct)
 	}
 	if !eq(cs, []int32{3}) {
 		t.Errorf("cs = %v, want [3]", cs)
 	}
-	if !eq(credit[2], []int32{4, 5}) {
-		t.Errorf("restrictor credit = %v, want [4 5] (not 1,2 — those were eq1's)", credit[2])
+	if !eq(removed[1], []int32{4, 5}) {
+		t.Errorf("restrictor removed %v, want [4 5] (not 1,2 — those were eq1's)", removed[1])
 	}
 }
 
@@ -158,12 +161,12 @@ func TestPruneMultipleRestrictorsIntersect(t *testing.T) {
 	csM := []int32{1, 2, 3, 4}
 	r1 := entryOf(1, pathG(1), 1, 2, 3)
 	r2 := entryOf(2, pathG(2), 2, 3, 4)
-	_, cs, credit := prune(csM, nil, []*entry{r1, r2})
+	_, cs, removed := prune(csM, nil, []*entry{r1, r2})
 	if !eq(cs, []int32{2, 3}) {
 		t.Errorf("cs = %v, want [2 3]", cs)
 	}
-	if !eq(credit[1], []int32{4}) || !eq(credit[2], []int32{1}) {
-		t.Errorf("credits = %v", credit)
+	if !eq(removed[0], []int32{4}) || !eq(removed[1], []int32{1}) {
+		t.Errorf("removed = %v", removed)
 	}
 }
 

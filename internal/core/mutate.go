@@ -20,7 +20,7 @@ import (
 //
 //   - Additions can only extend subgraph answer sets (and, symmetrically,
 //     supergraph answer sets): answer'(q) = answer(q) ∪ {new graphs
-//     matching q}. Every cached entry whose memoised feature vector is
+//     matching q}. Every cached entry whose feature vector is
 //     compatible with the added graph's vector — including entries with
 //     empty vectors, which the regular index probe would skip — gets one
 //     method verification per compatible graph, and matches are appended.
@@ -294,7 +294,9 @@ func (c *Cache) EditGraphEdges(id int32, edits []dataset.EdgeEdit) (MutationResu
 // withAnswer returns a copy of e carrying answer instead of its current
 // answer set. Published entries are never mutated in place — the old
 // *entry stays reachable from superseded index generations (in-flight
-// runs, snapshot writers) — so mutations swap in replacements.
+// runs, snapshot writers) — so mutations swap in replacements. The copy
+// takes e's hit counters with it, and none are lost: a mutation has the
+// cache to itself, so no run is left to credit the superseded entry.
 func (e *entry) withAnswer(answer []int32) *entry {
 	ne := *e
 	ne.answer = answer
@@ -352,9 +354,9 @@ func (c *Cache) repairAnswers(res *MutationResult, fix func(e *entry) ([]int32, 
 	if repl != nil {
 		c.index.Store(ix.withSlotEntries(repl))
 	}
-	for _, w := range c.window {
-		if na, ok := fix(w.e); ok {
-			w.e.answer = na
+	for _, e := range c.window {
+		if na, ok := fix(e); ok {
+			e.answer = na
 			res.WindowPatched++
 		}
 	}
@@ -372,11 +374,10 @@ func (c *Cache) extendForAdds(added []*graph.Graph, res *MutationResult) {
 		gvecs[i] = pathfeat.SimplePathVector(g, c.opts.MaxPathLen)
 	}
 	res.Extended += c.repairAnswers(res, func(e *entry) ([]int32, bool) {
-		ev := e.featureVector(c.opts.MaxPathLen)
 		var newIDs []int32
 		touched := false
 		for i, g := range added {
-			if !c.answerCompatible(gvecs[i], ev) {
+			if !c.answerCompatible(gvecs[i], e.vec) {
 				continue
 			}
 			if !touched {
@@ -417,9 +418,8 @@ func (c *Cache) reverifyForEdit(ng *graph.Graph, res *MutationResult) {
 	id := ng.ID()
 	gv := pathfeat.SimplePathVector(ng, c.opts.MaxPathLen)
 	c.repairAnswers(res, func(e *entry) ([]int32, bool) {
-		ev := e.featureVector(c.opts.MaxPathLen)
 		has := containsID(e.answer, id)
-		compat := c.answerCompatible(gv, ev)
+		compat := c.answerCompatible(gv, e.vec)
 		if !compat && !has {
 			return nil, false
 		}

@@ -62,20 +62,20 @@ func (p PolicyKind) String() string {
 	return fmt.Sprintf("PolicyKind(%d)", int(p))
 }
 
-// SelectVictims returns the n cached serials with the lowest utility under
-// policy p, consulting the statistics store through its key-value
-// interface, as the paper's replacement strategies do. currentSerial is
-// the serial of the most recent query (the invocation time point).
-func SelectVictims(p PolicyKind, st *StatsStore, cached []int64, currentSerial int64, n int) []int64 {
-	if n <= 0 || len(cached) == 0 {
+// SelectVictims returns the serials of the n cached queries with the
+// lowest utility under policy p, scoring their statistics rows as the
+// paper's replacement strategies do. currentSerial is the serial of the
+// most recent query (the invocation time point).
+func SelectVictims(p PolicyKind, rows []EntryStats, currentSerial int64, n int) []int64 {
+	if n <= 0 || len(rows) == 0 {
 		return nil
 	}
-	if n > len(cached) {
-		n = len(cached)
+	if n > len(rows) {
+		n = len(rows)
 	}
 	kind := p
 	if kind == HD {
-		if covSquared(st, cached) > 1 {
+		if covSquared(rows) > 1 {
 			kind = PIN
 		} else {
 			kind = PINC
@@ -85,9 +85,9 @@ func SelectVictims(p PolicyKind, st *StatsStore, cached []int64, currentSerial i
 		serial  int64
 		utility float64
 	}
-	scores := make([]scored, 0, len(cached))
-	for _, s := range cached {
-		scores = append(scores, scored{s, utility(kind, st, s, currentSerial)})
+	scores := make([]scored, 0, len(rows))
+	for i := range rows {
+		scores = append(scores, scored{rows[i].Serial, utility(kind, &rows[i], currentSerial)})
 	}
 	sort.Slice(scores, func(i, j int) bool {
 		if scores[i].utility != scores[j].utility {
@@ -103,20 +103,20 @@ func SelectVictims(p PolicyKind, st *StatsStore, cached []int64, currentSerial i
 }
 
 // utility computes the policy's utility value for one cached entry.
-func utility(kind PolicyKind, st *StatsStore, serial, currentSerial int64) float64 {
-	age := float64(currentSerial - serial)
+func utility(kind PolicyKind, r *EntryStats, currentSerial int64) float64 {
+	age := float64(currentSerial - r.Serial)
 	if age < 1 {
 		age = 1
 	}
 	switch kind {
 	case LRU:
-		return st.Get(serial, ColLastHit)
+		return float64(r.LastHit)
 	case POP:
-		return st.Get(serial, ColHits) / age
+		return float64(r.Hits) / age
 	case PIN:
-		return st.Get(serial, ColCSReduction) / age
+		return float64(r.CSReduction) / age
 	case PINC:
-		return st.Get(serial, ColTimeSaving) / age
+		return r.TimeSaving / age
 	}
 	return 0
 }
@@ -126,23 +126,23 @@ func utility(kind PolicyKind, st *StatsStore, serial, currentSerial int64) float
 // variability test HD applies (§6.3; CoV = 1 is the exponential-
 // distribution boundary). Degenerate distributions (zero mean, single
 // entry) count as low variability.
-func covSquared(st *StatsStore, cached []int64) float64 {
-	if len(cached) < 2 {
+func covSquared(rows []EntryStats) float64 {
+	if len(rows) < 2 {
 		return 0
 	}
 	var sum float64
-	for _, s := range cached {
-		sum += st.Get(s, ColCSReduction)
+	for i := range rows {
+		sum += float64(rows[i].CSReduction)
 	}
-	mean := sum / float64(len(cached))
+	mean := sum / float64(len(rows))
 	if mean == 0 {
 		return 0
 	}
 	var ss float64
-	for _, s := range cached {
-		d := st.Get(s, ColCSReduction) - mean
+	for i := range rows {
+		d := float64(rows[i].CSReduction) - mean
 		ss += d * d
 	}
-	variance := ss / float64(len(cached)-1) // sample variance, as in the paper's example
+	variance := ss / float64(len(rows)-1) // sample variance, as in the paper's example
 	return variance / (mean * mean)
 }

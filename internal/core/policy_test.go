@@ -4,37 +4,24 @@ import (
 	"testing"
 )
 
-// table1Store reproduces the paper's Table 1 running example: statistics
+// table1Rows reproduces the paper's Table 1 running example: statistics
 // for six hypothetical cached queries, with the replacement algorithm
 // invoked at serial 100 to evict two entries.
-func table1Store() (*StatsStore, []int64) {
-	st := NewStatsStore()
-	rows := []struct {
-		serial, lastHit int64
-		hits, r, c      float64
-	}{
-		{11, 91, 23, 170, 2600},
-		{13, 51, 32, 80, 1200},
-		{37, 69, 26, 76, 780},
-		{53, 78, 13, 210, 360},
-		{82, 90, 5, 120, 150},
-		{91, 95, 4, 10, 270},
+func table1Rows() []EntryStats {
+	return []EntryStats{
+		{Serial: 11, LastHit: 91, Hits: 23, CSReduction: 170, TimeSaving: 2600},
+		{Serial: 13, LastHit: 51, Hits: 32, CSReduction: 80, TimeSaving: 1200},
+		{Serial: 37, LastHit: 69, Hits: 26, CSReduction: 76, TimeSaving: 780},
+		{Serial: 53, LastHit: 78, Hits: 13, CSReduction: 210, TimeSaving: 360},
+		{Serial: 82, LastHit: 90, Hits: 5, CSReduction: 120, TimeSaving: 150},
+		{Serial: 91, LastHit: 95, Hits: 4, CSReduction: 10, TimeSaving: 270},
 	}
-	var serials []int64
-	for _, r := range rows {
-		st.Set(r.serial, ColLastHit, float64(r.lastHit))
-		st.Set(r.serial, ColHits, r.hits)
-		st.Set(r.serial, ColCSReduction, r.r)
-		st.Set(r.serial, ColTimeSaving, r.c)
-		serials = append(serials, r.serial)
-	}
-	return st, serials
 }
 
 // TestTable1RunningExample checks every policy against the evictions the
 // paper derives from Table 1 (§6.3).
 func TestTable1RunningExample(t *testing.T) {
-	st, serials := table1Store()
+	rows := table1Rows()
 	cases := []struct {
 		policy PolicyKind
 		want   []int64
@@ -46,7 +33,7 @@ func TestTable1RunningExample(t *testing.T) {
 		{HD, []int64{53, 82}}, // CoV ≈ 0.65 < 1 → PINC
 	}
 	for _, tc := range cases {
-		got := SelectVictims(tc.policy, st, serials, 100, 2)
+		got := SelectVictims(tc.policy, rows, 100, 2)
 		if len(got) != 2 {
 			t.Fatalf("%s: got %v", tc.policy, got)
 		}
@@ -58,8 +45,7 @@ func TestTable1RunningExample(t *testing.T) {
 }
 
 func TestTable1CoV(t *testing.T) {
-	st, serials := table1Store()
-	cov2 := covSquared(st, serials)
+	cov2 := covSquared(table1Rows())
 	// Paper: mean R = 111, sample std ≈ 72, CoV ≈ 0.65 → CoV² ≈ 0.42.
 	if cov2 < 0.40 || cov2 > 0.45 {
 		t.Errorf("CoV² = %.3f, want ≈0.42 (CoV ≈ 0.65)", cov2)
@@ -68,54 +54,45 @@ func TestTable1CoV(t *testing.T) {
 
 func TestHDSwitchesToPIN(t *testing.T) {
 	// Highly variable R values must push HD to PIN's scoring.
-	st := NewStatsStore()
-	serials := []int64{1, 2, 3, 4}
-	rs := []float64{1, 1, 1, 1000} // heavy tail: CoV² > 1
+	rs := []int64{1, 1, 1, 1000}   // heavy tail: CoV² > 1
 	cs := []float64{1000, 1, 1, 1} // PINC would evict 2 (ties to older)
-	for i, s := range serials {
-		st.Set(s, ColCSReduction, rs[i])
-		st.Set(s, ColTimeSaving, cs[i])
-		st.Set(s, ColHits, 1)
-		st.Set(s, ColLastHit, float64(s))
+	var rows []EntryStats
+	for i := range rs {
+		s := int64(i + 1)
+		rows = append(rows, EntryStats{Serial: s, CSReduction: rs[i], TimeSaving: cs[i], Hits: 1, LastHit: s})
 	}
-	if covSquared(st, serials) <= 1 {
+	if covSquared(rows) <= 1 {
 		t.Fatal("test setup: CoV² must exceed 1")
 	}
-	got := SelectVictims(HD, st, serials, 10, 1)
+	got := SelectVictims(HD, rows, 10, 1)
 	// PIN utility: R/A → serial 1 has R=1, age 9 → lowest (ties to older).
 	if got[0] != 1 {
 		t.Errorf("HD (→PIN) evicted %d, want 1", got[0])
 	}
-	gotPINC := SelectVictims(PINC, st, serials, 10, 1)
+	gotPINC := SelectVictims(PINC, rows, 10, 1)
 	if gotPINC[0] != 2 {
 		t.Errorf("PINC evicted %d, want 2", gotPINC[0])
 	}
 }
 
 func TestSelectVictimsEdgeCases(t *testing.T) {
-	st, serials := table1Store()
-	if got := SelectVictims(PIN, st, serials, 100, 0); got != nil {
+	rows := table1Rows()
+	if got := SelectVictims(PIN, rows, 100, 0); got != nil {
 		t.Error("n=0 must evict nothing")
 	}
-	if got := SelectVictims(PIN, st, nil, 100, 3); got != nil {
+	if got := SelectVictims(PIN, nil, 100, 3); got != nil {
 		t.Error("empty cache must evict nothing")
 	}
-	got := SelectVictims(PIN, st, serials, 100, 100)
-	if len(got) != len(serials) {
+	got := SelectVictims(PIN, rows, 100, 100)
+	if len(got) != len(rows) {
 		t.Errorf("over-asking must evict everything: %d", len(got))
 	}
 }
 
 func TestSelectVictimsTieBreaksOlderFirst(t *testing.T) {
-	st := NewStatsStore()
-	for _, s := range []int64{5, 9} {
-		st.Set(s, ColHits, 0)
-		st.Set(s, ColLastHit, float64(s))
-		st.Set(s, ColCSReduction, 0)
-		st.Set(s, ColTimeSaving, 0)
-	}
+	rows := []EntryStats{{Serial: 9, LastHit: 9}, {Serial: 5, LastHit: 5}}
 	for _, p := range []PolicyKind{POP, PIN, PINC} {
-		got := SelectVictims(p, st, []int64{9, 5}, 20, 1)
+		got := SelectVictims(p, rows, 20, 1)
 		if got[0] != 5 {
 			t.Errorf("%s: tie must evict older serial 5, got %d", p, got[0])
 		}
@@ -123,13 +100,10 @@ func TestSelectVictimsTieBreaksOlderFirst(t *testing.T) {
 }
 
 func TestCovSquaredDegenerate(t *testing.T) {
-	st := NewStatsStore()
-	if covSquared(st, []int64{1}) != 0 {
+	if covSquared([]EntryStats{{Serial: 1}}) != 0 {
 		t.Error("single entry must count as low variability")
 	}
-	st.Set(1, ColCSReduction, 0)
-	st.Set(2, ColCSReduction, 0)
-	if covSquared(st, []int64{1, 2}) != 0 {
+	if covSquared([]EntryStats{{Serial: 1}, {Serial: 2}}) != 0 {
 		t.Error("all-zero R must count as low variability")
 	}
 }

@@ -141,7 +141,7 @@ func TestPruneAgainstReference(t *testing.T) {
 		providers := randomEntries(r, r.Intn(4), 1)
 		restrictors := randomEntries(r, r.Intn(4), 1000)
 
-		direct, cs, credit := prune(csM, providers, restrictors)
+		direct, cs, removed := prune(csM, providers, restrictors)
 
 		// Reference: union of provider answers.
 		provUnion := map[int32]bool{}
@@ -177,16 +177,20 @@ func TestPruneAgainstReference(t *testing.T) {
 		// Soundness of attribution: every provider credit is inside both
 		// csM and that provider's answers; every restrictor credit is
 		// outside that restrictor's answers.
-		for _, p := range providers {
-			for _, v := range credit[p.serial] {
+		if len(removed) != len(providers)+len(restrictors) {
+			t.Fatalf("trial %d: %d removal sets for %d providers and %d restrictors",
+				trial, len(removed), len(providers), len(restrictors))
+		}
+		for i, p := range providers {
+			for _, v := range removed[i] {
 				if !toSet(csM)[v] || !toSet(p.answer)[v] {
 					t.Fatalf("trial %d: provider %d wrongly credited %d", trial, p.serial, v)
 				}
 			}
 		}
-		for _, rr := range restrictors {
+		for i, rr := range restrictors {
 			ans := toSet(rr.answer)
-			for _, v := range credit[rr.serial] {
+			for _, v := range removed[len(providers)+i] {
 				if ans[v] {
 					t.Fatalf("trial %d: restrictor %d credited %d which its answers allow", trial, rr.serial, v)
 				}
@@ -203,10 +207,10 @@ func TestPruneAgainstReference(t *testing.T) {
 // TestPruneNoMatches degenerates to the bare method: candidates unchanged.
 func TestPruneNoMatches(t *testing.T) {
 	csM := []int32{1, 5, 9}
-	direct, cs, credit := prune(csM, nil, nil)
-	if len(direct) != 0 || !reflect.DeepEqual(cs, csM) || len(credit) != 0 {
+	direct, cs, removed := prune(csM, nil, nil)
+	if len(direct) != 0 || !reflect.DeepEqual(cs, csM) || len(removed) != 0 {
 		t.Fatalf("prune with no cache matches changed the candidate set: %v %v %v",
-			direct, cs, credit)
+			direct, cs, removed)
 	}
 }
 
@@ -215,12 +219,12 @@ func TestPruneNoMatches(t *testing.T) {
 func TestPruneRestrictorsWithEmptyAnswer(t *testing.T) {
 	csM := []int32{1, 2, 3}
 	restr := []*entry{{serial: 7, answer: nil}}
-	direct, cs, credit := prune(csM, nil, restr)
+	direct, cs, removed := prune(csM, nil, restr)
 	if len(direct) != 0 || len(cs) != 0 {
 		t.Fatalf("empty-answer restrictor left candidates: direct=%v cs=%v", direct, cs)
 	}
-	if !equalIDs(credit[7], csM) {
-		t.Fatalf("restrictor should be credited all of csM, got %v", credit[7])
+	if !equalIDs(removed[0], csM) {
+		t.Fatalf("restrictor should be credited all of csM, got %v", removed[0])
 	}
 }
 

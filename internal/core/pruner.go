@@ -13,25 +13,28 @@ package core
 // supergraph queries: cached g' ⊇ q): any candidate outside a restrictor's
 // answer set is provably not an answer and is dropped.
 //
-// The returned credit maps each matched cached query's serial to the exact
-// dataset graphs it removed from the candidate set — the Statistics
-// Monitor needs this attribution for the R and C columns (§5.2). Eq. (1)
-// is applied to csM first, then Eq. (2) to the remainder, matching the
-// paper's Candidate Set Pruner; restrictor credits are measured against
-// the post-Eq.(1) set, independently per restrictor.
-func prune(csM []int32, providers, restrictors []*entry) (direct, cs []int32, credit map[int64][]int32) {
-	credit = make(map[int64][]int32, len(providers)+len(restrictors))
+// removed holds, for each matched cached query in turn — providers, then
+// restrictors, in the order given — the exact dataset graphs it removed
+// from the candidate set: the Statistics Monitor credits R and C by this
+// attribution (§5.2). It is positional, so a cached query that is both a
+// provider and a restrictor (an isomorphic repeat, when the exact lookup
+// is off) is credited each of its two removals once. Eq. (1) is applied to
+// csM first, then Eq. (2) to the remainder, matching the paper's Candidate
+// Set Pruner; restrictor removals are measured against the post-Eq.(1)
+// set, independently per restrictor.
+func prune(csM []int32, providers, restrictors []*entry) (direct, cs []int32, removed [][]int32) {
+	removed = make([][]int32, 0, len(providers)+len(restrictors))
 	for _, p := range providers {
-		credit[p.serial] = intersectSorted(p.answer, csM)
+		removed = append(removed, intersectSorted(p.answer, csM))
 		direct = unionSorted(direct, p.answer)
 	}
 	cs = subtractSorted(csM, direct)
 	afterEq1 := cs
 	for _, r := range restrictors {
-		credit[r.serial] = subtractSorted(afterEq1, r.answer)
+		removed = append(removed, subtractSorted(afterEq1, r.answer))
 		cs = intersectSorted(cs, r.answer)
 	}
-	return direct, cs, credit
+	return direct, cs, removed
 }
 
 // findEmptyAnswer returns the first entry with an empty answer set, or

@@ -1,184 +1,143 @@
 package core
 
 import (
+	"fmt"
 	"math"
-	"sync"
 )
 
-// Statistics column names (§5.2, §6.1). The statistics store holds
-// {key, column, value} triplets, keyed by the cached query's serial
-// number, exactly as the paper's Statistics Manager exposes them.
-const (
-	// Static query metrics.
-	ColNodes  = "nodes"
-	ColEdges  = "edges"
-	ColLabels = "labels"
-	// First-execution timings (nanoseconds), candidate-set size and the
-	// estimated total sub-iso cost of that candidate set (the repeat-cost
-	// proxy credited on exact-match and empty-answer shortcut hits).
-	ColFilterTime = "filter_ns"
-	ColVerifyTime = "verify_ns"
-	ColOwnCS      = "own_cs"
-	ColOwnCost    = "own_cost"
-	// Cache-hit accounting.
-	ColHits        = "hits"         // H: times the cached query matched
-	ColSpecialHits = "special_hits" // exact-match / empty-answer shortcuts
-	ColLastHit     = "last_hit"     // serial of the last benefited query
-	ColCSReduction = "cs_reduction" // R: total candidate-set graphs removed
-	ColTimeSaving  = "time_saving"  // C: total estimated sub-iso cost saved
-)
+// The Statistics Manager (§6.1). The paper's Java system keeps its
+// statistics as {key, column, value} triplets keyed by the cached query's
+// serial, so that they can be read by key, by column or both. Here every
+// value lives on the entry it describes (see entry), and the triplet view
+// is a slice of EntryStats: a row is a key, a field across the rows a
+// column. Nothing keyed by serial sits beside the index, so nothing has to
+// be kept in step with it: an admitted entry arrives with its figures, and
+// an evicted one leaves with them.
 
-// StatsStore is the Statistics Manager's backing store: an in-memory
-// key-value store of {key, column, value} triplets, accessible by key, by
-// column, or by both (§6.1). It is safe for concurrent use — the Window
-// Manager reads it while the query runtime updates it.
-type StatsStore struct {
-	mu   sync.RWMutex
-	rows map[int64]map[string]float64
+// EntryStats is the statistics row of one cached query.
+type EntryStats struct {
+	Serial int64
+	// Static query metrics, read off the query graph.
+	Nodes, Edges, Labels int
+	// First execution: filtering and verification time in nanoseconds,
+	// |CS_M| and the estimated sub-iso cost of CS_M.
+	FilterNS, VerifyNS float64
+	OwnCS              int
+	OwnCost            float64
+	// Hit accounting (§5.2).
+	Hits        int64   // H: times the cached query matched
+	SpecialHits int64   // exact-match and empty-answer shortcuts among them
+	LastHit     int64   // serial of the last query it helped; its own until then
+	CSReduction int64   // R: candidate-set graphs removed
+	TimeSaving  float64 // C: estimated sub-iso cost saved
 }
 
-// NewStatsStore returns an empty store.
-func NewStatsStore() *StatsStore {
-	return &StatsStore{rows: make(map[int64]map[string]float64)}
+// ledger is what an entry records about its use: the figures of its first
+// execution, set before the entry enters the window and only read
+// afterwards, and its hit counters, guarded by Cache.totMu.
+type ledger struct {
+	filterNS, verifyNS float64 // filtering (Method M and the GC processors) and verification time
+	ownCS              int     // |CS_M|
+	ownCost            float64 // Σ c(q, G) over CS_M: the repeat cost a shortcut hit is credited with
+
+	hits, specialHits int64
+	lastHit           int64
+	csReduction       int64
+	timeSaving        float64
 }
 
-// Set stores a triplet.
-func (s *StatsStore) Set(key int64, col string, val float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	row := s.rows[key]
-	if row == nil {
-		row = make(map[string]float64, 12)
-		s.rows[key] = row
-	}
-	row[col] = val
-}
-
-// StatOp is one deferred statistics update: an Add (increment), Set
-// (replace) or Max (keep the larger value) of a single triplet. Query
-// processing batches its ~6 per-query updates into one ApplyBatch so N
-// concurrent callers contend for the store lock once per query instead of
-// once per triplet.
-type StatOp struct {
-	Key int64
-	Col string
-	Val float64
-	Set bool // replace instead of increment
-	// Max keeps max(existing, Val) — used for recency columns like
-	// last_hit, where concurrent crediting must not let an older serial
-	// overwrite a newer one.
-	Max bool
-}
-
-// ApplyBatch applies a sequence of updates under a single lock
-// acquisition, in order, creating rows as needed.
-func (s *StatsStore) ApplyBatch(ops []StatOp) {
-	if len(ops) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, op := range ops {
-		row := s.rows[op.Key]
-		if row == nil {
-			row = make(map[string]float64, 12)
-			s.rows[op.Key] = row
-		}
-		s.apply(row, op)
+// stats returns e's row. The caller holds totMu.
+func (e *entry) stats() EntryStats {
+	return EntryStats{
+		Serial: e.serial,
+		Nodes:  e.g.NumVertices(), Edges: e.g.NumEdges(), Labels: e.g.DistinctLabels(),
+		FilterNS: e.filterNS, VerifyNS: e.verifyNS, OwnCS: e.ownCS, OwnCost: e.ownCost,
+		Hits: e.hits, SpecialHits: e.specialHits, LastHit: e.lastHit,
+		CSReduction: e.csReduction, TimeSaving: e.timeSaving,
 	}
 }
 
-// CreditBatch applies updates only to rows that already exist, silently
-// dropping the rest. Hit crediting uses it: a concurrent query may verify
-// against an index snapshot whose entry the Window Manager has evicted
-// (and whose statistics row it has deleted) in the meantime — recreating
-// the row would leak it forever, and credit to an evicted entry is
-// meaningless anyway.
-func (s *StatsStore) CreditBatch(ops []StatOp) {
-	if len(ops) == 0 {
-		return
+// EntryStats returns one statistics row per cached query, in serial order.
+func (c *Cache) EntryStats() []EntryStats { return c.entryStats(c.index.Load().slotEntry) }
+
+// entryStats returns the rows of entries, in their order, reading every
+// hit counter in one critical section.
+func (c *Cache) entryStats(entries []*entry) []EntryStats {
+	rows := make([]EntryStats, len(entries))
+	c.totMu.Lock()
+	defer c.totMu.Unlock()
+	for i, e := range entries {
+		rows[i] = e.stats()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, op := range ops {
-		row := s.rows[op.Key]
-		if row == nil {
-			continue
-		}
-		s.apply(row, op)
+	return rows
+}
+
+// hitCredit is one credit of the Statistics Monitor (§5.2): cached entry
+// e helped the query with serial by and is credited one hit, the
+// candidate-set graphs it removed and their estimated sub-iso cost — for a
+// shortcut (special) hit, the entry's own first-execution figures.
+type hitCredit struct {
+	e       *entry
+	by      int64
+	removed int64
+	saved   float64
+	special bool
+}
+
+// apply adds the credit to its entry; the caller holds totMu. Concurrent
+// runs land their credits in any order, so recency keeps the newest
+// serial rather than the last one applied.
+func (h *hitCredit) apply() {
+	e := h.e
+	e.hits++
+	e.lastHit = max(e.lastHit, h.by)
+	e.csReduction += h.removed
+	e.timeSaving += h.saved
+	if h.special {
+		e.specialHits++
 	}
 }
 
-func (s *StatsStore) apply(row map[string]float64, op StatOp) {
-	switch {
-	case op.Max:
-		if op.Val > row[op.Col] {
-			row[op.Col] = op.Val
-		}
-	case op.Set:
-		row[op.Col] = op.Val
+// statColumns name a snapshot's stat lines, sorted: the order WriteSnapshot
+// writes them in, and the only names ReadSnapshot accepts.
+var statColumns = [...]string{"cs_reduction", "edges", "filter_ns", "hits", "labels", "last_hit",
+	"nodes", "own_cost", "own_cs", "special_hits", "time_saving", "verify_ns"}
+
+// columns returns r's values in statColumns order.
+func (r *EntryStats) columns() [len(statColumns)]float64 {
+	return [...]float64{float64(r.CSReduction), float64(r.Edges), r.FilterNS, float64(r.Hits),
+		float64(r.Labels), float64(r.LastHit), float64(r.Nodes), r.OwnCost, float64(r.OwnCS),
+		float64(r.SpecialHits), r.TimeSaving, r.VerifyNS}
+}
+
+// setColumn restores the field a snapshot stat line names. The static
+// metrics are read off the restored graph instead, so their lines only
+// need a known name.
+func (l *ledger) setColumn(name string, v float64) error {
+	switch name {
+	case "nodes", "edges", "labels":
+	case "filter_ns":
+		l.filterNS = v
+	case "verify_ns":
+		l.verifyNS = v
+	case "own_cs":
+		l.ownCS = int(v)
+	case "own_cost":
+		l.ownCost = v
+	case "hits":
+		l.hits = int64(v)
+	case "special_hits":
+		l.specialHits = int64(v)
+	case "last_hit":
+		l.lastHit = int64(v)
+	case "cs_reduction":
+		l.csReduction = int64(v)
+	case "time_saving":
+		l.timeSaving = v
 	default:
-		row[op.Col] += op.Val
+		return fmt.Errorf("core: unknown stat column %q", name)
 	}
-}
-
-// Add increments a triplet (missing triplets count as zero).
-func (s *StatsStore) Add(key int64, col string, delta float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	row := s.rows[key]
-	if row == nil {
-		row = make(map[string]float64, 12)
-		s.rows[key] = row
-	}
-	row[col] += delta
-}
-
-// Get returns a single triplet's value (zero if absent).
-func (s *StatsStore) Get(key int64, col string) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rows[key][col]
-}
-
-// Row returns a copy of all triplets with the given key.
-func (s *StatsStore) Row(key int64) map[string]float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	row := s.rows[key]
-	out := make(map[string]float64, len(row))
-	for c, v := range row {
-		out[c] = v
-	}
-	return out
-}
-
-// Column returns all triplets with the given column name, keyed by row.
-func (s *StatsStore) Column(col string) map[int64]float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[int64]float64)
-	for k, row := range s.rows {
-		if v, ok := row[col]; ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// Delete removes all triplets with the given key — the lazy cleanup the
-// Window Manager performs for evicted queries.
-func (s *StatsStore) Delete(key int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.rows, key)
-}
-
-// Len returns the number of rows.
-func (s *StatsStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.rows)
+	return nil
 }
 
 // EstimateSubIsoCost implements the paper's sub-iso cost model (§5.2):

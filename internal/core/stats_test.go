@@ -2,76 +2,8 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
-
-func TestStatsStoreTripletAccess(t *testing.T) {
-	st := NewStatsStore()
-	st.Set(1, ColHits, 3)
-	st.Set(1, ColCSReduction, 10)
-	st.Set(2, ColHits, 7)
-
-	if got := st.Get(1, ColHits); got != 3 {
-		t.Errorf("Get(1,hits) = %f", got)
-	}
-	if got := st.Get(99, ColHits); got != 0 {
-		t.Errorf("missing key must read 0, got %f", got)
-	}
-	row := st.Row(1)
-	if len(row) != 2 || row[ColHits] != 3 || row[ColCSReduction] != 10 {
-		t.Errorf("Row(1) = %v", row)
-	}
-	col := st.Column(ColHits)
-	if len(col) != 2 || col[1] != 3 || col[2] != 7 {
-		t.Errorf("Column(hits) = %v", col)
-	}
-	if st.Len() != 2 {
-		t.Errorf("Len = %d", st.Len())
-	}
-}
-
-func TestStatsStoreAddAndDelete(t *testing.T) {
-	st := NewStatsStore()
-	st.Add(5, ColCSReduction, 2)
-	st.Add(5, ColCSReduction, 3)
-	if got := st.Get(5, ColCSReduction); got != 5 {
-		t.Errorf("Add accumulation = %f, want 5", got)
-	}
-	st.Delete(5)
-	if st.Len() != 0 || st.Get(5, ColCSReduction) != 0 {
-		t.Error("Delete must remove the row")
-	}
-	// Row copies must not alias internal state.
-	st.Set(1, ColHits, 1)
-	row := st.Row(1)
-	row[ColHits] = 99
-	if st.Get(1, ColHits) != 1 {
-		t.Error("Row must return a copy")
-	}
-}
-
-func TestStatsStoreConcurrentAccess(t *testing.T) {
-	st := NewStatsStore()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				st.Add(int64(w), ColHits, 1)
-				_ = st.Get(int64(w), ColHits)
-				_ = st.Column(ColHits)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := 0; w < 8; w++ {
-		if got := st.Get(int64(w), ColHits); got != 500 {
-			t.Errorf("worker %d hits = %f, want 500", w, got)
-		}
-	}
-}
 
 func TestEstimateSubIsoCost(t *testing.T) {
 	// Hand check: n=2, N=3, L=2: c = 3·3!/(2^3·1!) = 18/8 = 2.25.

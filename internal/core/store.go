@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
 	"graphcache/internal/graph"
 	"graphcache/internal/method"
+	"graphcache/internal/pathfeat"
 )
 
 // Cache persistence (§6.1): the paper's Cache stores are "loaded from
@@ -41,7 +41,7 @@ import (
 //	admission <threshold> <calibrated:0|1>
 //	entries <count>
 //	entry <serial> <answer-count> <id> <id> ...
-//	stat <serial> <column> <value>         (repeated)
+//	stat <serial> <column> <value>         (twelve per entry, sorted by column)
 //	graphs
 //	t # 0 / v ... / e ...                  (one graph per entry, in order,
 //	                                        then one per delta id)
@@ -88,6 +88,7 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 	defer c.rebuildMu.Unlock()
 
 	entries := c.index.Load().slotEntry // slot order is serial order
+	rows := c.entryStats(entries)
 
 	ds := c.m.Dataset()
 	removed, changed := ds.Delta()
@@ -125,7 +126,7 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 	fmt.Fprintf(bw, "entries %d\n", len(entries))
 	graphs := make([]*graph.Graph, 0, len(entries)+len(changed))
 	line := make([]byte, 0, 256) // reused: one fmt call per answer id is the old slow path
-	for _, e := range entries {
+	for i, e := range entries {
 		line = append(line[:0], "entry "...)
 		line = strconv.AppendInt(line, e.serial, 10)
 		line = append(line, ' ')
@@ -138,14 +139,8 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 		if _, err := bw.Write(line); err != nil {
 			return info, fmt.Errorf("core: writing snapshot entry: %w", err)
 		}
-		row := c.stats.Row(e.serial)
-		cols := make([]string, 0, len(row))
-		for col := range row {
-			cols = append(cols, col)
-		}
-		sort.Strings(cols)
-		for _, col := range cols {
-			fmt.Fprintf(bw, "stat %d %s %g\n", e.serial, col, row[col])
+		for k, v := range rows[i].columns() {
+			fmt.Fprintf(bw, "stat %d %s %g\n", e.serial, statColumns[k], v)
 		}
 		graphs = append(graphs, e.g)
 	}
@@ -161,7 +156,8 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 // carrying a mutation delta, the dataset generation — with a snapshot
 // previously produced by WriteSnapshot over the same base dataset. The
 // query index is rebuilt synchronously; statistics rows for
-// the loaded queries are restored; the highest applied mutation sequence
+// the loaded queries are restored (a stat line naming an unknown column
+// fails the load); the highest applied mutation sequence
 // number is restored so journal replay and fleet fan-out dedup resume
 // correctly. A snapshot whose recorded fingerprints do not match the
 // dataset fails with ErrDatasetMismatch (wrapped) and leaves the dataset
@@ -195,10 +191,10 @@ func (c *Cache) ReadSnapshot(r io.Reader) error {
 	type pending struct {
 		serial int64
 		answer []int32
+		ledger
 	}
-	var entries []pending
-	cached := map[int64]bool{}
-	stats := NewStatsStore()
+	var entries []*pending
+	cached := map[int64]*pending{}
 
 	parseIDs := func(fields []string, what string) ([]int32, error) {
 		n, err := strconv.Atoi(fields[1])
@@ -308,10 +304,10 @@ func (c *Cache) ReadSnapshot(r io.Reader) error {
 			if err != nil || k != len(fields)-3 {
 				return fmt.Errorf("core: bad entry line %q", line)
 			}
-			if cached[s] {
+			if cached[s] != nil {
 				return fmt.Errorf("core: duplicate entry serial %d", s)
 			}
-			p := pending{serial: s}
+			p := &pending{serial: s}
 			for _, f := range fields[3:] {
 				id, err := strconv.ParseInt(f, 10, 32)
 				if err != nil {
@@ -320,7 +316,7 @@ func (c *Cache) ReadSnapshot(r io.Reader) error {
 				p.answer = append(p.answer, int32(id))
 			}
 			entries = append(entries, p)
-			cached[s] = true
+			cached[s] = p
 		case "stat":
 			if len(fields) != 4 {
 				return fmt.Errorf("core: bad stat line %q", line)
@@ -333,10 +329,13 @@ func (c *Cache) ReadSnapshot(r io.Reader) error {
 			if err != nil {
 				return fmt.Errorf("core: bad stat line %q: %w", line, err)
 			}
-			if !cached[s] {
+			p := cached[s]
+			if p == nil {
 				return fmt.Errorf("core: stat for unknown entry %d", s)
 			}
-			stats.Set(s, fields[2], v)
+			if err := p.setColumn(fields[2], v); err != nil {
+				return err
+			}
 		case "graphs":
 			goto graphsSection
 		default:
@@ -398,17 +397,16 @@ graphsSection:
 			ErrDatasetMismatch, dsFP, ds.Fingerprint())
 	}
 
+	// The entries, their feature vectors extracted in parallel.
 	loaded := make([]*entry, len(entries))
-	for i, p := range entries {
-		loaded[i] = &entry{serial: p.serial, g: graphs[i], answer: p.answer}
-	}
-	// Feature extraction in parallel; the vectors and hashes are memoised
-	// for the index build.
 	c.pool.ParallelFor(len(loaded), func(i int) {
-		loaded[i].featureHash(c.opts.MaxPathLen)
+		p := entries[i]
+		vec := pathfeat.SimplePathVector(graphs[i], c.opts.MaxPathLen)
+		loaded[i] = newEntry(p.serial, graphs[i], p.answer, vec, pathfeat.HashVector(vec))
+		loaded[i].ledger = p.ledger
 	})
 
-	// Install: contents, stats, counters, admission — mirrors the startup
+	// Install: contents, counters, admission — mirrors the startup
 	// path of the paper's Cache Manager.
 	c.winMu.Lock()
 	c.window = nil
@@ -425,7 +423,6 @@ graphsSection:
 	}
 	c.admMu.Unlock()
 	c.syncGraphCosts()
-	c.stats = stats
 	c.index.Store(buildQueryIndex(loaded, c.opts.MaxPathLen))
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,7 +32,8 @@ func snapshotFixture(tb testing.TB, opts Options) (*Cache, method.Method, []work
 }
 
 // TestSnapshotRoundtrip: write → read into a fresh cache → identical
-// contents, stats and serial counter.
+// contents, stats and serial counter, and a second write identical to the
+// first, byte for byte.
 func TestSnapshotRoundtrip(t *testing.T) {
 	opts := Options{CacheSize: 15, WindowSize: 5}
 	c, m, _ := snapshotFixture(t, opts)
@@ -63,9 +65,44 @@ func TestSnapshotRoundtrip(t *testing.T) {
 		if !reflect.DeepEqual(a1, a2) {
 			t.Fatalf("entry %d answers %v != %v", s, a2, a1)
 		}
-		if r1, r2 := c.Stats().Row(s), c2.Stats().Row(s); !reflect.DeepEqual(r1, r2) {
-			t.Fatalf("entry %d stats %v != %v", s, r2, r1)
-		}
+	}
+	if r1, r2 := c.EntryStats(), c2.EntryStats(); !reflect.DeepEqual(r1, r2) {
+		t.Fatalf("statistics rows %v != %v", r2, r1)
+	}
+	var again bytes.Buffer
+	if err := c2.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Error("write → read → write changed the snapshot's bytes")
+	}
+}
+
+// TestSnapshotGolden pins the format: testdata/fixture-v2.gcsnap is a
+// snapshot an earlier build wrote over snapshotFixture (C = 15, W = 5).
+// It must still load, and writing the loaded cache must reproduce it byte
+// for byte.
+func TestSnapshotGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/fixture-v2.gcsnap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{CacheSize: 15, WindowSize: 5}
+	_, m, _ := snapshotFixture(t, opts)
+	c := New(m, opts)
+	if err := c.ReadSnapshot(bytes.NewReader(golden)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.CachedSerials()); n != 15 {
+		t.Fatalf("the golden snapshot loaded %d entries, want 15", n)
+	}
+	checkEntryStats(t, c)
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Errorf("rewriting the golden snapshot changed its bytes:\n%s", buf.String())
 	}
 }
 
@@ -161,6 +198,7 @@ func TestReadSnapshotRejectsGarbage(t *testing.T) {
 		"bad serial":      {hdr + "serial x\ngraphs\n", "bad serial line"},
 		"bad entry":       {hdr + "entry nope\ngraphs\n", "bad entry line"},
 		"orphan stat":     {hdr + "stat 9 hits 1\ngraphs\n", "stat for unknown entry"},
+		"unknown column":  {hdr + "entries 1\nentry 1 0\nstat 1 hitz 1\ngraphs\n", `unknown stat column "hitz"`},
 		"count mismatch":  {hdr + "entries 2\nentry 1 0\ngraphs\n", "declares 2 entries, has 1"},
 		"unknown line":    {hdr + "whatever\n", "unknown snapshot line"},
 		"graph mismatch":  {hdr + "entries 1\nentry 1 0\ngraphs\n", "0 graphs for 1 entries"},

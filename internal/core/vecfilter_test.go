@@ -114,10 +114,10 @@ func TestEntryHashIsTheCountsHash(t *testing.T) {
 		c.Query(q)
 	}
 	seen := 0
-	for _, we := range c.window {
-		want := pathfeat.HashVector(pathfeat.VectorOf(pathfeat.SimplePaths(we.e.g, c.opts.MaxPathLen)))
-		if !we.e.hashed || we.e.hash != want {
-			t.Errorf("entry %d: stored hash %x (set: %v), HashVector(VectorOf(SimplePaths)) = %x", we.e.serial, we.e.hash, we.e.hashed, want)
+	for _, e := range c.window {
+		want := pathfeat.HashVector(pathfeat.VectorOf(pathfeat.SimplePaths(e.g, c.opts.MaxPathLen)))
+		if e.hash != want {
+			t.Errorf("entry %d: stored hash %x, HashVector(VectorOf(SimplePaths)) = %x", e.serial, e.hash, want)
 		}
 		seen++
 	}

@@ -1,35 +1,11 @@
 package core
 
 import (
-	"math"
 	"sort"
 	"time"
 
 	"graphcache/internal/iso"
 )
-
-// windowEntry is one processed query awaiting the admission decision,
-// together with the first-execution statistics the Window stores keep
-// (§6.1).
-type windowEntry struct {
-	e        *entry
-	filterNS float64 // total filtering time (Method M + GC processors)
-	verifyNS float64
-	ownCS    int     // |CS_M| at first execution
-	ownCost  float64 // Σ c(q, G) over CS_M — the repeat-cost proxy
-}
-
-// score is the expensiveness of the query: verification over filtering
-// time (§6.2).
-func (w *windowEntry) score() float64 {
-	if w.filterNS <= 0 {
-		if w.verifyNS > 0 {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	return w.verifyNS / w.filterNS
-}
 
 // admission holds the admission-control state: during the calibration
 // phase scores are collected; afterwards the threshold admits the
@@ -94,7 +70,7 @@ func (a *admission) admits(score float64) bool {
 // filledWindow is a full window awaiting its pass, with the serial counter
 // as it stood when the window filled.
 type filledWindow struct {
-	ws     []*windowEntry
+	ws     []*entry
 	serial int64
 }
 
@@ -105,16 +81,15 @@ type filledWindow struct {
 // on a new goroutine under Options.AsyncRebuild — and the drain applies the
 // windows queued meanwhile too, in the order they filled. A single caller
 // therefore makes the same decisions in either mode.
-func (c *Cache) addToWindow(w *windowEntry, currentSerial int64) {
-	w.e.featureHash(c.opts.MaxPathLen) // memoised on the query path; computed here for other inserts
+func (c *Cache) addToWindow(e *entry, currentSerial int64) {
 	c.winMu.Lock()
-	c.window = append(c.window, w)
+	c.window = append(c.window, e)
 	if len(c.window) < c.opts.WindowSize {
 		c.winMu.Unlock()
 		return
 	}
 	c.queue = append(c.queue, filledWindow{c.window, currentSerial})
-	c.window = make([]*windowEntry, 0, c.opts.WindowSize)
+	c.window = make([]*entry, 0, c.opts.WindowSize)
 	idle := c.applied == c.filled // else the running drain takes this window
 	c.filled++
 	c.winMu.Unlock()
@@ -156,22 +131,21 @@ func (c *Cache) Flush() {
 }
 
 // processWindow runs the Window Manager's window-full procedure (§6.2)
-// over one filled window: admission control, replacement, statistics
-// initialisation and the index delta + swap. The drain runs it under
-// rebuildMu.
-func (c *Cache) processWindow(ws []*windowEntry, currentSerial int64) {
+// over one filled window: admission control, replacement and the index
+// delta + swap. The drain runs it under rebuildMu.
+func (c *Cache) processWindow(ws []*entry, currentSerial int64) {
 	start := time.Now()
 
 	scores := make([]float64, len(ws))
-	for i, w := range ws {
-		scores[i] = w.score()
+	for i, e := range ws {
+		scores[i] = e.score()
 	}
-	var admitted []*windowEntry
+	admitted := make([]*entry, 0, len(ws))
 	c.admMu.Lock()
 	c.adm.observe(scores)
-	for i, w := range ws {
+	for i, e := range ws {
 		if c.adm.admits(scores[i]) {
-			admitted = append(admitted, w)
+			admitted = append(admitted, e)
 		}
 	}
 	c.admMu.Unlock()
@@ -187,13 +161,13 @@ func (c *Cache) processWindow(ws []*windowEntry, currentSerial int64) {
 	old := c.index.Load()
 	admitted = dedupeWindow(admitted)
 	kept := admitted[:0]
-	for _, w := range admitted {
-		g := w.e.g
-		dup := old.exact(w.e.hash, g.NumVertices(), g.NumEdges(), func(e *entry) bool {
-			return iso.Contains(c.algo, g, e.g)
+	for _, e := range admitted {
+		g := e.g
+		dup := old.exact(e.hash, g.NumVertices(), g.NumEdges(), func(cached *entry) bool {
+			return iso.Contains(c.algo, g, cached.g)
 		})
 		if dup == nil {
-			kept = append(kept, w)
+			kept = append(kept, e)
 		}
 	}
 	admitted = kept
@@ -202,7 +176,7 @@ func (c *Cache) processWindow(ws []*windowEntry, currentSerial int64) {
 	var victims []int64
 	size := len(old.serials) + len(admitted) // admitted serials are new
 	if over := size - c.opts.CacheSize; over > 0 {
-		victims = SelectVictims(c.opts.Policy, c.stats, old.serials, currentSerial, over)
+		victims = SelectVictims(c.opts.Policy, c.entryStats(old.slotEntry), currentSerial, over)
 		size -= len(victims)
 	}
 	// More admitted than fits even after evicting everything: keep the
@@ -214,47 +188,22 @@ func (c *Cache) processWindow(ws []*windowEntry, currentSerial int64) {
 			if sa != sb {
 				return sa < sb
 			}
-			return admitted[a].e.serial < admitted[b].e.serial
+			return admitted[a].serial < admitted[b].serial
 		})
 		fits = admitted[over:]
 	}
 
-	// Initialise statistics rows for the entries that made it in, batched
-	// into one locked apply per window, then publish the GCindex delta.
-	// Entries arrive with their feature vectors already memoised from the
-	// query path, so no cached graph is enumerated again; the delta is
-	// linear passes over the flat posting arrays (see applyDelta).
-	ops := make([]StatOp, 0, 12*len(fits))
-	added := make([]*entry, 0, len(fits))
-	for _, w := range fits {
-		added = append(added, w.e)
-		s := w.e.serial
-		ops = append(ops,
-			StatOp{Key: s, Col: ColNodes, Val: float64(w.e.g.NumVertices()), Set: true},
-			StatOp{Key: s, Col: ColEdges, Val: float64(w.e.g.NumEdges()), Set: true},
-			StatOp{Key: s, Col: ColLabels, Val: float64(w.e.g.DistinctLabels()), Set: true},
-			StatOp{Key: s, Col: ColFilterTime, Val: w.filterNS, Set: true},
-			StatOp{Key: s, Col: ColVerifyTime, Val: w.verifyNS, Set: true},
-			StatOp{Key: s, Col: ColOwnCS, Val: float64(w.ownCS), Set: true},
-			StatOp{Key: s, Col: ColOwnCost, Val: w.ownCost, Set: true},
-			StatOp{Key: s, Col: ColHits, Set: true},
-			StatOp{Key: s, Col: ColSpecialHits, Set: true},
-			StatOp{Key: s, Col: ColLastHit, Val: float64(s), Set: true},
-			StatOp{Key: s, Col: ColCSReduction, Set: true},
-			StatOp{Key: s, Col: ColTimeSaving, Set: true})
-	}
-	c.stats.ApplyBatch(ops)
-	c.index.Store(old.applyDelta(added, victims))
-
-	// Lazy cleanup of evicted entries' statistics (§6.2).
-	for _, s := range victims {
-		c.stats.Delete(s)
-	}
+	// Publish the GCindex delta. Entries arrive complete — feature vector,
+	// hash, first-execution figures, zeroed counters — so no cached graph is
+	// enumerated again and nothing else is initialised; the delta is linear
+	// passes over the flat posting arrays (see applyDelta). Evicted entries
+	// leave with their counters: a run still crediting one of them writes
+	// to an object no generation reaches any more.
+	c.index.Store(old.applyDelta(fits, victims))
 
 	dur := time.Since(start)
 	c.totMu.Lock()
 	c.tot.WindowsProcessed++
-	c.tot.Rebuilds++
 	c.tot.Admitted += int64(len(admitted))
 	c.tot.Evicted += int64(len(victims))
 	c.tot.RejectedByAdmission += int64(rejected)
@@ -275,26 +224,25 @@ func (c *Cache) processWindow(ws []*windowEntry, currentSerial int64) {
 // dedupeWindow removes duplicate queries from one window batch (identical
 // pool queries can recur within a window before any of them is cached),
 // keeping the latest occurrence.
-func dedupeWindow(ws []*windowEntry) []*windowEntry {
+func dedupeWindow(ws []*entry) []*entry {
 	if len(ws) < 2 {
 		return ws
 	}
-	keep := make([]*windowEntry, 0, len(ws))
+	keep := make([]*entry, 0, len(ws))
 	for i := len(ws) - 1; i >= 0; i-- {
-		w := ws[i]
+		e := ws[i]
 		dup := false
 		for _, k := range keep {
-			if w.e.g == k.e.g ||
-				(w.e.hash == k.e.hash && iso.Isomorphic(iso.VF2{}, w.e.g, k.e.g)) {
+			if e.g == k.g || (e.hash == k.hash && iso.Isomorphic(iso.VF2{}, e.g, k.g)) {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			keep = append(keep, w)
+			keep = append(keep, e)
 		}
 	}
 	// Restore serial order.
-	sort.Slice(keep, func(i, j int) bool { return keep[i].e.serial < keep[j].e.serial })
+	sort.Slice(keep, func(i, j int) bool { return keep[i].serial < keep[j].serial })
 	return keep
 }

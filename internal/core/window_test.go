@@ -63,7 +63,7 @@ func TestEvictionIsGlobal(t *testing.T) {
 			cached := c.CachedSerials()
 			over := len(cached) + len(ws) - c.opts.CacheSize
 			current := c.serial.Load()
-			want := SelectVictims(policy, c.Stats(), cached, current, over)
+			want := SelectVictims(policy, c.EntryStats(), current, over)
 			admitted := c.Totals().Admitted
 			c.processWindow(ws, current)
 			if over <= 0 || c.Totals().Admitted-admitted != int64(len(ws)) {
@@ -93,7 +93,7 @@ func TestEvictionIsGlobal(t *testing.T) {
 // shared cache with asynchronous window passes and asserts every answer
 // matches the serial baseline — under -race this is the concurrency
 // soundness check for the store's hand-offs (the published index
-// generation, the window and its pass queue, the statistics store).
+// generation, the window and its pass queue, the entries' hit counters).
 func TestConcurrentAsyncMatchesSerial(t *testing.T) {
 	const callers = 8
 	ds := moleculeDataset(60, 35)
@@ -141,11 +141,7 @@ func TestConcurrentAsyncMatchesSerial(t *testing.T) {
 	if got := len(c.CachedSerials()); got == 0 || got > 20 {
 		t.Errorf("cache holds %d entries, want 1..20", got)
 	}
-	for _, s := range c.CachedSerials() {
-		if row := c.Stats().Row(s); len(row) == 0 {
-			t.Errorf("cached serial %d has no statistics row", s)
-		}
-	}
+	checkEntryStats(t, c)
 }
 
 // parkingObserver holds every window pass inside ObserveWindow — after the
@@ -228,20 +224,20 @@ func TestMaintainerFlushWhilePassParked(t *testing.T) {
 // TestIsomorphsShareFeatureHash pins the invariant the exact lookup and
 // the duplicate guards rely on: isomorphic graphs share a feature hash.
 func TestIsomorphsShareFeatureHash(t *testing.T) {
-	a := &entry{serial: 1, g: pathG(3, 1, 2)}
-	b := &entry{serial: 2, g: pathG(2, 1, 3)} // reversed path: isomorphic
-	if a.featureHash(4) != b.featureHash(4) {
+	a := entryOf(1, pathG(3, 1, 2))
+	b := entryOf(2, pathG(2, 1, 3)) // reversed path: isomorphic
+	if a.hash != b.hash {
 		t.Error("isomorphic entries must share a feature hash")
 	}
-	other := &entry{serial: 3, g: pathG(5, 6)}
-	if a.featureHash(4) == other.featureHash(4) {
+	other := entryOf(3, pathG(5, 6))
+	if a.hash == other.hash {
 		t.Error("distinct feature sets should (overwhelmingly) hash apart")
 	}
 	if h := pathfeat.HashVector(nil); h != 0 {
 		t.Errorf("empty feature set must hash to 0, got %d", h)
 	}
 	c := pathfeat.SimplePaths(a.g, 4)
-	if got, want := a.featureHash(4), pathfeat.HashVector(pathfeat.VectorOf(c)); got != want {
+	if got, want := a.hash, pathfeat.HashVector(pathfeat.VectorOf(c)); got != want {
 		t.Errorf("feature hash = %d, want HashVector(VectorOf(SimplePaths)) %d", got, want)
 	}
 }
