@@ -70,8 +70,12 @@ type gcCheck struct {
 // verifyChunk is one unit of Method-M verification in a run's flattened
 // work list: query qi against its candidates cs[lo:hi]. Workers claim, poll
 // for cancellation and report completion once per chunk, not once per
-// sub-iso test — on a candidate set of thousands those shared counters
-// would otherwise cost as much as the cheaper tests themselves.
+// sub-iso test. A query's chunks hold max(adaptiveGrain, |cs| /
+// (4·VerifyConcurrency)) tests: a large candidate set is cut into about
+// four chunks per worker, enough to even out the workers' loads, because
+// smaller chunks make the claims, the pending counter and the verdict
+// cache lines the workers share cost more than tests that take a fraction
+// of a microsecond.
 type verifyChunk struct {
 	qi, lo, hi int
 }
@@ -313,6 +317,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 
 	supergraph := c.m.Mode() == method.ModeSupergraph
 	nTests := 0
+	var removed []removal // prune's output, reused query to query
 	for qi := range st {
 		s := &st[qi]
 		s.stats.FilterGCTime = gcShare
@@ -349,19 +354,20 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		s.stats.FilterMTime = s.mDur
 		s.stats.CandidatesM = len(s.csM)
 
-		var removed [][]int32
-		s.direct, s.cs, removed = prune(s.csM, providers, restrictors)
+		cost := c.costs.forQuery(s.q.NumVertices())
+		s.direct, s.cs, removed = prune(s.csM, providers, restrictors, cost, removed[:0])
 		s.stats.DirectAnswers = len(s.direct)
 		s.stats.CandidatesFinal = len(s.cs)
 		s.stats.SubIsoTests = len(s.cs)
 		nTests += len(s.cs)
 
-		costs := c.candidateCosts(s.q, s.csM)
-		s.ownCost = sumFloats(costs)
+		for _, id := range s.csM {
+			s.ownCost += cost.of(id)
+		}
 		k := 0
 		for _, matched := range [2][]*entry{providers, restrictors} {
 			for _, e := range matched {
-				queueCredit(s, e, false, len(removed[k]), sumCostsOf(removed[k], s.csM, costs))
+				queueCredit(s, e, false, removed[k].n, removed[k].cost)
 				k++
 			}
 		}
@@ -378,8 +384,9 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		s.off = off
 		off += len(s.cs)
 		s.pending.Store(int32(len(s.cs)))
-		for lo := 0; lo < len(s.cs); lo += adaptiveGrain {
-			chunks = append(chunks, verifyChunk{qi: qi, lo: lo, hi: min(lo+adaptiveGrain, len(s.cs))})
+		grain := max(adaptiveGrain, len(s.cs)/(4*c.opts.VerifyConcurrency))
+		for lo := 0; lo < len(s.cs); lo += grain {
+			chunks = append(chunks, verifyChunk{qi: qi, lo: lo, hi: min(lo+grain, len(s.cs))})
 		}
 	}
 	// complete assembles query qi's answer once all its verdicts are in
@@ -474,7 +481,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 
 // adaptiveGrain is the targeted number of verifications per worker:
 // fan-out grows one worker per this many work items, and Method-M
-// verification is handed out in chunks of this many tests.
+// verification chunks hold at least this many tests (see verifyChunk).
 const adaptiveGrain = 4
 
 // adaptiveWorkers sizes the fan-out of a work list of n verifications:

@@ -41,9 +41,9 @@ type Cache struct {
 	// cached queries (small-vs-small tests). Stateless and shared by all
 	// worker goroutines.
 	algo iso.Algorithm
-	// graphCost holds, by dataset-graph ID, the terms of the cost model
-	// that depend on the dataset graph alone (see costTerms).
-	graphCost []costTerms
+	// costs prices candidates with the cost model: a class per dataset
+	// graph and a row of class costs per query size (see costModel).
+	costs costModel
 	// pool bounds total in-flight verification workers across all
 	// concurrent Query callers (Options.VerifyConcurrency): each caller
 	// works inline and borrows pooled extras only while slots are free.
@@ -245,56 +245,13 @@ func (c *Cache) probe(ix *queryIndex, qv pathfeat.Vector) (checks []*entry, nSub
 	return checks, len(sub)
 }
 
-// candidateCosts applies the paper's cost model c(q, G) to every dataset
-// graph of Method M's candidate set, in csM's order. A query's own repeat
-// cost and the savings credited to the entries that pruned it are both
-// sums over these values, so each is computed once.
-func (c *Cache) candidateCosts(q *graph.Graph, csM []int32) []float64 {
-	n := q.NumVertices()
-	costs := make([]float64, len(csM))
-	for i, gid := range csM {
-		costs[i] = c.graphCost[gid].cost(n)
-	}
-	return costs
-}
-
-// sumCostsOf adds up the costs of ids, a sorted subset of csM, in ids'
-// order; costs is parallel to csM.
-func sumCostsOf(ids, csM []int32, costs []float64) float64 {
-	sum, j := 0.0, 0
-	for _, id := range ids {
-		for csM[j] != id {
-			j++
-		}
-		sum += costs[j]
-	}
-	return sum
-}
-
-func sumFloats(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
-// setGraphCost records the cost-model terms of dataset graph g. Callers
-// own the cache exclusively (construction, snapshot load, the mutation
-// gate).
-func (c *Cache) setGraphCost(g *graph.Graph) {
-	if grow := int(g.ID()) + 1 - len(c.graphCost); grow > 0 {
-		c.graphCost = append(c.graphCost, make([]costTerms, grow)...)
-	}
-	c.graphCost[g.ID()] = newCostTerms(g.NumVertices(), g.DistinctLabels())
-}
-
-// syncGraphCosts derives the cost-model terms of every live dataset graph.
+// syncGraphCosts records the cost class of every live dataset graph. The
+// caller owns the cache exclusively (construction, snapshot load).
 func (c *Cache) syncGraphCosts() {
 	ds := c.m.Dataset()
 	for id := 0; id < ds.Len(); id++ {
 		if g := ds.Graph(int32(id)); g != nil { // nil = removed by a mutation
-			c.setGraphCost(g)
+			c.costs.set(g)
 		}
 	}
 }

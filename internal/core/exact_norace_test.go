@@ -12,6 +12,44 @@ import (
 	"graphcache/internal/pathfeat"
 )
 
+// TestPruneAllocations pins what pruning allocates once its caller has a
+// removal buffer: nothing when no cached query matched (the candidate set
+// is csM itself), and with two providers and two restrictors only direct
+// (one union) and cs (one difference, then intersected in place).
+func TestPruneAllocations(t *testing.T) {
+	f := newCostFixture(t)
+	csM := make([]int32, 60)
+	for i := range csM {
+		csM[i] = int32(i)
+	}
+	odd := func(lo, hi int32) []int32 {
+		var ids []int32
+		for id := lo | 1; id < hi; id += 2 {
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	providers := []*entry{{serial: 1, answer: []int32{1, 2, 3}}, {serial: 2, answer: []int32{3, 4, 5}}}
+	restrictors := []*entry{{serial: 3, answer: odd(0, 50)}, {serial: 4, answer: odd(10, 60)}}
+	buf := make([]removal, 0, 4)
+
+	var cs []int32
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, cs, buf = prune(csM, nil, nil, f.row, buf[:0])
+	}); allocs != 0 || &cs[0] != &csM[0] {
+		t.Errorf("no match: %v allocations (want 0), cs is csM: %v", allocs, &cs[0] == &csM[0])
+	}
+	var direct []int32
+	if allocs := testing.AllocsPerRun(100, func() {
+		direct, cs, buf = prune(csM, providers, restrictors, f.row, buf[:0])
+	}); allocs != 2 {
+		t.Errorf("2 providers, 2 restrictors: %v allocations, want 2 (direct and cs)", allocs)
+	}
+	if !equalIDs(direct, []int32{1, 2, 3, 4, 5}) || !equalIDs(cs, odd(10, 50)) || len(buf) != 4 {
+		t.Errorf("direct %v, cs %v, %d removals", direct, cs, len(buf))
+	}
+}
+
 // TestExactHitAllocations pins what an exact hit costs the allocator: the
 // run's state, the feature vector (pathfeat pins that at ≤ 4), the credit
 // and the delivered copy of the answer — and nothing of the filter

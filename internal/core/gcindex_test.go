@@ -108,66 +108,63 @@ func TestQueryIndexEmpty(t *testing.T) {
 
 func TestPruneSubgraphCaseFromFigure3a(t *testing.T) {
 	// Figure 3(a): CS_M = {G1..G4}; cached g' ⊇ q with Answer = {G1, G2}.
+	f := newCostFixture(t)
 	csM := []int32{1, 2, 3, 4}
 	gPrime := entryOf(7, pathG(1, 2), 1, 2)
-	direct, cs, removed := prune(csM, []*entry{gPrime}, nil)
+	direct, cs, removed := prune(csM, []*entry{gPrime}, nil, f.row, nil)
 	if !eq(direct, []int32{1, 2}) {
 		t.Errorf("direct = %v, want [1 2]", direct)
 	}
 	if !eq(cs, []int32{3, 4}) {
 		t.Errorf("cs = %v, want [3 4]", cs)
 	}
-	if !eq(removed[0], []int32{1, 2}) {
-		t.Errorf("removed = %v, want [1 2]", removed[0])
-	}
+	f.checkRemovals(t, csM, removed, [][]int32{{1, 2}})
 }
 
 func TestPruneSupergraphCaseFromFigure3b(t *testing.T) {
 	// Figure 3(b): CS_M = {G1..G4}; cached g'' ⊆ q with Answer = {G1, G5}.
 	// CS becomes CS_M ∩ {G1, G5} = {G1}; removed credit = {G2, G3, G4}.
+	f := newCostFixture(t)
 	csM := []int32{1, 2, 3, 4}
 	gDblPrime := entryOf(9, pathG(1), 1, 5)
-	direct, cs, removed := prune(csM, nil, []*entry{gDblPrime})
+	direct, cs, removed := prune(csM, nil, []*entry{gDblPrime}, f.row, nil)
 	if len(direct) != 0 {
 		t.Errorf("direct = %v, want empty", direct)
 	}
 	if !eq(cs, []int32{1}) {
 		t.Errorf("cs = %v, want [1]", cs)
 	}
-	if !eq(removed[0], []int32{2, 3, 4}) {
-		t.Errorf("removed = %v, want [2 3 4]", removed[0])
-	}
+	f.checkRemovals(t, csM, removed, [][]int32{{2, 3, 4}})
 }
 
 func TestPruneCombinedOrder(t *testing.T) {
 	// Eq.(1) first, then Eq.(2) on the remainder: restrictor credit must
 	// be measured after the provider removed its answers.
+	f := newCostFixture(t)
 	csM := []int32{1, 2, 3, 4, 5}
 	provider := entryOf(1, pathG(1), 1, 2) // direct: {1,2}
 	restrictor := entryOf(2, pathG(2), 3)  // keeps only 3 of {3,4,5}
-	direct, cs, removed := prune(csM, []*entry{provider}, []*entry{restrictor})
+	direct, cs, removed := prune(csM, []*entry{provider}, []*entry{restrictor}, f.row, nil)
 	if !eq(direct, []int32{1, 2}) {
 		t.Errorf("direct = %v", direct)
 	}
 	if !eq(cs, []int32{3}) {
 		t.Errorf("cs = %v, want [3]", cs)
 	}
-	if !eq(removed[1], []int32{4, 5}) {
-		t.Errorf("restrictor removed %v, want [4 5] (not 1,2 — those were eq1's)", removed[1])
-	}
+	// The restrictor removed {4, 5}, not 1 and 2: those were Eq. (1)'s.
+	f.checkRemovals(t, csM, removed, [][]int32{{1, 2}, {4, 5}})
 }
 
 func TestPruneMultipleRestrictorsIntersect(t *testing.T) {
+	f := newCostFixture(t)
 	csM := []int32{1, 2, 3, 4}
 	r1 := entryOf(1, pathG(1), 1, 2, 3)
 	r2 := entryOf(2, pathG(2), 2, 3, 4)
-	_, cs, removed := prune(csM, nil, []*entry{r1, r2})
+	_, cs, removed := prune(csM, nil, []*entry{r1, r2}, f.row, nil)
 	if !eq(cs, []int32{2, 3}) {
 		t.Errorf("cs = %v, want [2 3]", cs)
 	}
-	if !eq(removed[0], []int32{4}) || !eq(removed[1], []int32{1}) {
-		t.Errorf("removed = %v", removed)
-	}
+	f.checkRemovals(t, csM, removed, [][]int32{{4}, {1}})
 }
 
 func TestFindExactAndEmpty(t *testing.T) {

@@ -221,7 +221,7 @@ func (c *Cache) ApplyMutation(mut dataset.Mutation) (MutationResult, error) {
 		}
 		dm.ApplyDatasetMutation(added, nil, nil)
 		for _, g := range added {
-			c.setGraphCost(g)
+			c.costs.set(g)
 		}
 		c.extendForAdds(added, &res)
 	case dataset.OpRemove:
@@ -234,7 +234,7 @@ func (c *Cache) ApplyMutation(mut dataset.Mutation) (MutationResult, error) {
 			return res, err
 		}
 		dm.ApplyDatasetMutation(nil, []*graph.Graph{ng}, nil)
-		c.setGraphCost(ng)
+		c.costs.set(ng)
 		c.reverifyForEdit(ng, &res)
 	}
 

@@ -78,6 +78,11 @@ type MutationObserver interface {
 // and window passes from the rebuild goroutine — and must be fast: both
 // hooks run on serving paths. A nil Observer (the default) costs one
 // atomic load per query and nothing else.
+//
+// A query's observation is emitted after its result is delivered, once
+// its run's bookkeeping is done, so a caller that reads what the Observer
+// gathered right after its last result can find the last queries of the
+// run not yet observed.
 type Observer interface {
 	ObserveQuery(QueryObservation)
 	ObserveWindow(WindowObservation)

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"graphcache/internal/dataset"
 )
 
 // Property-based tests for the candidate-set pruning algebra (§5.1) and
@@ -125,12 +128,84 @@ func randomEntries(r *rand.Rand, n int, base int64) []*entry {
 	return es
 }
 
+// costFixture is the cost model over a small generated dataset, bound to
+// a query of n vertices, beside the dataset the reference prices from.
+type costFixture struct {
+	ds  *dataset.Dataset
+	n   int
+	row costRow
+}
+
+// newCostFixture classes 80 generated molecules (IDs 0–79, enough for
+// the ID domain of sortedIDs) and binds the model to a 5-vertex query.
+func newCostFixture(t testing.TB) costFixture {
+	ds := moleculeDataset(80, 11)
+	if ds.Len() < 64 {
+		t.Fatalf("fixture dataset has %d graphs, want at least 64", ds.Len())
+	}
+	var m costModel
+	for id := 0; id < ds.Len(); id++ {
+		m.set(ds.Graph(int32(id)))
+	}
+	return costFixture{ds: ds, n: 5, row: m.forQuery(5)}
+}
+
+// candidateCosts applies the paper's cost model c(q, G), by its formula,
+// to every dataset graph of csM for the fixture's query size, in csM's
+// order: the form the pipeline derived credits and repeat costs from
+// before the cost rows, kept as their reference.
+func (f costFixture) candidateCosts(csM []int32) []float64 {
+	costs := make([]float64, len(csM))
+	for i, gid := range csM {
+		g := f.ds.Graph(gid)
+		costs[i] = EstimateSubIsoCost(f.n, g.NumVertices(), g.DistinctLabels())
+	}
+	return costs
+}
+
+// sumCostsOf adds up the costs of ids, a sorted subset of csM, in ids'
+// order; costs is parallel to csM.
+func sumCostsOf(ids, csM []int32, costs []float64) float64 {
+	sum, j := 0.0, 0
+	for _, id := range ids {
+		for csM[j] != id {
+			j++
+		}
+		sum += costs[j]
+	}
+	return sum
+}
+
+// checkRemovals compares prune's removals with the reference removal sets
+// want, one per matched cached query: equal counts, and costs equal to the
+// reference sums bit for bit.
+func (f costFixture) checkRemovals(t *testing.T, csM []int32, got []removal, want [][]int32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d removals, want %d", len(got), len(want))
+	}
+	costs := f.candidateCosts(csM)
+	for k, ids := range want {
+		if got[k].n != len(ids) {
+			t.Fatalf("removal %d counts %d graphs, want %d (%v)", k, got[k].n, len(ids), ids)
+		}
+		if w := sumCostsOf(ids, csM, costs); math.Float64bits(got[k].cost) != math.Float64bits(w) {
+			t.Fatalf("removal %d costs %v, reference %v", k, got[k].cost, w)
+		}
+	}
+}
+
 // TestPruneAgainstReference checks prune() against the paper's equations
 // computed naively:
 //
 //	direct = csM ∩ ⋃ providers.answer            (plus provider answers outside csM)
 //	cs     = (csM \ ⋃ providers.answer) ∩ ⋂ restrictors.answer
+//
+// and its removals against the sets they count: csM ∩ answer for a
+// provider, the post-Eq.(1) set minus the answer for a restrictor, priced
+// by the reference cost model.
 func TestPruneAgainstReference(t *testing.T) {
+	f := newCostFixture(t)
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 400; trial++ {
 		rawCS := make(sortedIDs, r.Intn(30))
@@ -141,7 +216,7 @@ func TestPruneAgainstReference(t *testing.T) {
 		providers := randomEntries(r, r.Intn(4), 1)
 		restrictors := randomEntries(r, r.Intn(4), 1000)
 
-		direct, cs, removed := prune(csM, providers, restrictors)
+		direct, cs, removed := prune(csM, providers, restrictors, f.row, nil)
 
 		// Reference: union of provider answers.
 		provUnion := map[int32]bool{}
@@ -174,28 +249,30 @@ func TestPruneAgainstReference(t *testing.T) {
 			t.Fatalf("trial %d: cs = %v, want %v", trial, cs, fromSet(want))
 		}
 
-		// Soundness of attribution: every provider credit is inside both
-		// csM and that provider's answers; every restrictor credit is
-		// outside that restrictor's answers.
-		if len(removed) != len(providers)+len(restrictors) {
-			t.Fatalf("trial %d: %d removal sets for %d providers and %d restrictors",
-				trial, len(removed), len(providers), len(restrictors))
-		}
-		for i, p := range providers {
-			for _, v := range removed[i] {
-				if !toSet(csM)[v] || !toSet(p.answer)[v] {
-					t.Fatalf("trial %d: provider %d wrongly credited %d", trial, p.serial, v)
-				}
-			}
-		}
-		for i, rr := range restrictors {
-			ans := toSet(rr.answer)
-			for _, v := range removed[len(providers)+i] {
+		// Attribution: a provider removed csM ∩ its answers; a restrictor
+		// removed what survived Eq. (1) outside its answers.
+		var wantRemoved [][]int32
+		for _, p := range providers {
+			ans := toSet(p.answer)
+			common := map[int32]bool{}
+			for _, v := range csM {
 				if ans[v] {
-					t.Fatalf("trial %d: restrictor %d credited %d which its answers allow", trial, rr.serial, v)
+					common[v] = true
 				}
 			}
+			wantRemoved = append(wantRemoved, fromSet(common))
 		}
+		for _, rr := range restrictors {
+			ans := toSet(rr.answer)
+			missing := map[int32]bool{}
+			for _, v := range csM {
+				if !provUnion[v] && !ans[v] {
+					missing[v] = true
+				}
+			}
+			wantRemoved = append(wantRemoved, fromSet(missing))
+		}
+		f.checkRemovals(t, csM, removed, wantRemoved)
 
 		// direct, cs disjoint; both sorted unique (normalise fixpoint).
 		if len(intersectSorted(direct, cs)) != 0 {
@@ -204,11 +281,13 @@ func TestPruneAgainstReference(t *testing.T) {
 	}
 }
 
-// TestPruneNoMatches degenerates to the bare method: candidates unchanged.
+// TestPruneNoMatches degenerates to the bare method: the candidate set is
+// csM itself.
 func TestPruneNoMatches(t *testing.T) {
+	f := newCostFixture(t)
 	csM := []int32{1, 5, 9}
-	direct, cs, removed := prune(csM, nil, nil)
-	if len(direct) != 0 || !reflect.DeepEqual(cs, csM) || len(removed) != 0 {
+	direct, cs, removed := prune(csM, nil, nil, f.row, nil)
+	if len(direct) != 0 || !reflect.DeepEqual(cs, csM) || &cs[0] != &csM[0] || len(removed) != 0 {
 		t.Fatalf("prune with no cache matches changed the candidate set: %v %v %v",
 			direct, cs, removed)
 	}
@@ -217,15 +296,14 @@ func TestPruneNoMatches(t *testing.T) {
 // TestPruneRestrictorsWithEmptyAnswer: a restrictor with an empty answer
 // set kills every candidate (the pruner-level view of special case 2).
 func TestPruneRestrictorsWithEmptyAnswer(t *testing.T) {
+	f := newCostFixture(t)
 	csM := []int32{1, 2, 3}
 	restr := []*entry{{serial: 7, answer: nil}}
-	direct, cs, removed := prune(csM, nil, restr)
+	direct, cs, removed := prune(csM, nil, restr, f.row, nil)
 	if len(direct) != 0 || len(cs) != 0 {
 		t.Fatalf("empty-answer restrictor left candidates: direct=%v cs=%v", direct, cs)
 	}
-	if !equalIDs(removed[0], csM) {
-		t.Fatalf("restrictor should be credited all of csM, got %v", removed[0])
-	}
+	f.checkRemovals(t, csM, removed, [][]int32{csM}) // credited all of csM
 }
 
 func equalIDs(a, b []int32) bool {

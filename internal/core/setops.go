@@ -28,6 +28,26 @@ func intersectSorted(a, b []int32) []int32 {
 	return out
 }
 
+// intersectInPlace returns a ∩ b, written over a's prefix: a must be the
+// caller's own slice.
+func intersectInPlace(a, b []int32) []int32 {
+	out := a[:0]
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
 // subtractSorted returns a \ b. As in intersectSorted, the output is
 // preallocated once at the first kept element (upper bound: the rest of
 // a); an empty difference stays nil.

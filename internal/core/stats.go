@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
+
+	"graphcache/internal/graph"
 )
 
 // The Statistics Manager (§6.1). The paper's Java system keeps its
@@ -150,9 +153,10 @@ func (l *ledger) setColumn(name string, v float64) error {
 func EstimateSubIsoCost(n, N, L int) float64 { return newCostTerms(N, L).cost(n) }
 
 // costTerms are the terms of the cost model that depend on the dataset
-// graph G alone. The engine evaluates c(q, G) for every candidate of every
-// query, so it keeps them per graph and pays one table look-up and one Exp
-// per candidate instead of two Lgamma and two Log more.
+// graph G alone, through N and L; equal terms make two graphs one cost
+// class (see costModel). One table look-up and one Exp turn them into
+// c(q, G) for a query of any size, where the formula takes two Lgamma and
+// two Log more.
 type costTerms struct {
 	size int     // N
 	base float64 // ln N + ln N!
@@ -183,6 +187,101 @@ func (t costTerms) cost(n int) float64 {
 		logc = 600
 	}
 	return math.Exp(logc)
+}
+
+// costModel serves c(q, G) to the query path, where every candidate of
+// every query needs it. c depends on G only through G's class, its
+// costTerms, and a dataset has few classes: 693 among 2,400 generated
+// AIDS-like graphs, 1,351 among 40,000. So the model keeps a class per dataset
+// graph and, per query vertex count n, one row holding c for every class;
+// a candidate's cost is two loads (see costRow).
+//
+// A row is built the first time a query of its size arrives and published
+// atomically, so concurrent queries share it, and two queries that both
+// find it missing compute equal rows and publish one of them. Classes change only while the cache is exclusive
+// (construction, snapshot load, the mutation gate); a graph of a new class
+// appends that class's cost to every row built so far, so the rows are
+// complete again before the next query.
+type costModel struct {
+	class []uint32             // by dataset-graph ID
+	terms []costTerms          // by class
+	ids   map[costTerms]uint32 // the class of each terms value
+	// rows holds the row of every query vertex count up to one past the
+	// largest class size; that last row is all zeros (c is 0 when the
+	// query outnumbers G's vertices) and stands for every larger query.
+	rows []atomic.Pointer[[]float64]
+}
+
+// set records dataset graph g's class. The caller owns the cache
+// exclusively.
+func (m *costModel) set(g *graph.Graph) {
+	t := newCostTerms(g.NumVertices(), g.DistinctLabels())
+	k, ok := m.ids[t]
+	if !ok {
+		k = m.addClass(t)
+	}
+	if grow := int(g.ID()) + 1 - len(m.class); grow > 0 {
+		m.class = append(m.class, make([]uint32, grow)...)
+	}
+	m.class[g.ID()] = k
+}
+
+// addClass adds class t, extends every built row by its cost, and grows
+// the rows to one past its size.
+func (m *costModel) addClass(t costTerms) uint32 {
+	if m.ids == nil {
+		m.ids = make(map[costTerms]uint32)
+	}
+	k := uint32(len(m.terms))
+	m.ids[t] = k
+	m.terms = append(m.terms, t)
+	if need := t.size + 2; need > len(m.rows) {
+		rows := make([]atomic.Pointer[[]float64], need)
+		for n := range m.rows {
+			rows[n].Store(m.rows[n].Load())
+		}
+		m.rows = rows
+	}
+	for n := range m.rows {
+		if r := m.rows[n].Load(); r != nil {
+			ext := append(*r, t.cost(n))
+			m.rows[n].Store(&ext)
+		}
+	}
+	return k
+}
+
+// costRow is the cost model bound to one query size: c(q, G) for dataset
+// graph G is row[class[G]].
+type costRow struct {
+	class []uint32
+	row   []float64
+}
+
+// of returns c(q, G) for dataset graph id.
+func (r costRow) of(id int32) float64 { return r.row[r.class[id]] }
+
+// forQuery returns the model bound to a query of n vertices, building and
+// publishing its row on first use.
+func (m *costModel) forQuery(n int) costRow {
+	if len(m.rows) == 0 {
+		return costRow{} // no dataset graph, so no candidate to price
+	}
+	n = min(n, len(m.rows)-1)
+	p := &m.rows[n]
+	r := p.Load()
+	if r == nil {
+		row := make([]float64, len(m.terms))
+		for k, t := range m.terms {
+			row[k] = t.cost(n)
+		}
+		if p.CompareAndSwap(nil, &row) {
+			r = &row
+		} else {
+			r = p.Load()
+		}
+	}
+	return costRow{class: m.class, row: *r}
 }
 
 // lgammaTable holds ln Γ(k) for the small integer arguments the cost model

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"sync"
 	"testing"
+
+	"graphcache/internal/ggsx"
+	"graphcache/internal/graph"
 )
 
 func TestEstimateSubIsoCost(t *testing.T) {
@@ -99,6 +104,113 @@ func referenceSubIsoCost(n, N, L int) float64 {
 		logc = 600
 	}
 	return math.Exp(logc)
+}
+
+// checkCostRows asserts that the cost row of every query size from 0 to
+// two past the largest live dataset graph prices every live graph, and so
+// every class, at exactly EstimateSubIsoCost. The first call builds every
+// row; later calls find them built.
+func checkCostRows(t *testing.T, when string, c *Cache) {
+	t.Helper()
+	ds := c.m.Dataset()
+	maxN := 0
+	for id := 0; id < ds.Len(); id++ {
+		if g := ds.Graph(int32(id)); g != nil {
+			maxN = max(maxN, g.NumVertices())
+		}
+	}
+	for n := 0; n <= maxN+2; n++ {
+		row := c.costs.forQuery(n)
+		for id := 0; id < ds.Len(); id++ {
+			g := ds.Graph(int32(id))
+			if g == nil {
+				continue
+			}
+			want := EstimateSubIsoCost(n, g.NumVertices(), g.DistinctLabels())
+			if got := row.of(g.ID()); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: graph %d (N=%d, L=%d), n=%d: row says %v, EstimateSubIsoCost %v",
+					when, id, g.NumVertices(), g.DistinctLabels(), n, got, want)
+			}
+		}
+	}
+}
+
+// TestCostRowsMatchFormula pins the cost rows to the formula after
+// construction, after a mutation adds a graph of a class no dataset graph
+// had (larger than any, so the rows grow too), and after a snapshot load
+// restores that graph into a cache whose rows were built without it.
+func TestCostRowsMatchFormula(t *testing.T) {
+	ds := moleculeDataset(60, 21)
+	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 10, WindowSize: 5})
+	checkCostRows(t, "construction", c)
+	classes := len(c.costs.terms)
+
+	maxN := 0
+	for id := 0; id < ds.Len(); id++ {
+		maxN = max(maxN, ds.Graph(int32(id)).NumVertices())
+	}
+	b := graph.NewBuilder()
+	for v := 0; v < maxN+3; v++ {
+		b.AddVertex(graph.Label(v)) // every label distinct: an unseen (N, L)
+		if v > 0 {
+			b.AddEdge(int32(v-1), int32(v))
+		}
+	}
+	if _, err := c.AddGraphs([]*graph.Graph{b.MustBuild()}); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.costs.terms) != classes+1 {
+		t.Fatalf("the added graph made %d new classes, want 1", len(c.costs.terms)-classes)
+	}
+	checkCostRows(t, "ApplyMutation", c)
+
+	var snap bytes.Buffer
+	if err := c.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded := New(ggsx.New(moleculeDataset(60, 21), ggsx.Options{}), Options{CacheSize: 10, WindowSize: 5})
+	checkCostRows(t, "before ReadSnapshot", loaded)
+	if err := loaded.ReadSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	checkCostRows(t, "ReadSnapshot", loaded)
+}
+
+// TestCostRowsBuiltConcurrently has eight goroutines ask a fresh model for
+// the same rows at once, as the first queries of a cache do: every caller
+// must get the row that won publication, with the formula's values.
+func TestCostRowsBuiltConcurrently(t *testing.T) {
+	ds := moleculeDataset(60, 22)
+	var m costModel
+	for id := 0; id < ds.Len(); id++ {
+		m.set(ds.Graph(int32(id)))
+	}
+	const callers, sizes = 8, 12
+	got := make([][sizes]costRow, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range sizes {
+				got[i][n] = m.forQuery(n)
+			}
+		}()
+	}
+	wg.Wait()
+	for n := range sizes {
+		published := m.forQuery(n)
+		for i := range got {
+			if &got[i][n].row[0] != &published.row[0] {
+				t.Fatalf("caller %d got a row for n=%d other than the published one", i, n)
+			}
+		}
+		g := ds.Graph(0)
+		want := EstimateSubIsoCost(n, g.NumVertices(), g.DistinctLabels())
+		if v := published.of(0); math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("n=%d: graph 0 costs %v, want %v", n, v, want)
+		}
+	}
 }
 
 // TestCostTermsBitIdentical pins the precomputed cost model to the direct

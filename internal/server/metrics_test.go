@@ -72,7 +72,25 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		t.Fatalf("QueryBatch: %v", err)
 	}
 
-	samples := scrapeMetrics(t, s.Addr())
+	// A query's observation is emitted after its result is delivered (see
+	// core.Observer), so a scrape right after the last reply can miss the
+	// last few: scrape until every query has been observed.
+	var samples []telemetry.Sample
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		samples = scrapeMetrics(t, s.Addr())
+		observed := 0.0
+		for _, smp := range samples {
+			if smp.Name == "graphcache_queries_total" {
+				observed += smp.Value
+			}
+		}
+		if observed == float64(len(queries)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("graphcache_queries_total sums to %v after 10 s, want %d", observed, len(queries))
+		}
+	}
 	for _, stage := range []string{"feature", "probe", "gcverify", "filter_m", "filter_gc", "verify", "total"} {
 		if _, ok := metricValue(samples, "graphcache_query_duration_seconds_count",
 			map[string]string{"stage": stage}); !ok {

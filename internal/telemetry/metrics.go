@@ -332,9 +332,11 @@ func escapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
+	// Byte by byte: the escapes are ASCII, and every other byte, valid
+	// UTF-8 or not, is written as it came.
 	var b strings.Builder
-	for _, r := range v {
-		switch r {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -342,7 +344,7 @@ func escapeLabelValue(v string) string {
 		case '\n':
 			b.WriteString(`\n`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

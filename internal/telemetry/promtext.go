@@ -99,11 +99,10 @@ func parseSampleLine(line string) (Sample, error) {
 		}
 	}
 	// Value (whitespace-separated; optional timestamp after).
-	rest := strings.TrimLeft(line[i:], " \t")
-	if rest == "" {
+	fields := strings.Fields(line[i:])
+	if len(fields) == 0 {
 		return s, fmt.Errorf("missing value in %q", line)
 	}
-	fields := strings.Fields(rest)
 	if len(fields) > 2 {
 		return s, fmt.Errorf("trailing garbage in %q", line)
 	}
