@@ -10,10 +10,10 @@
 // Modes:
 //
 //	replicate  every backend holds a full cache; single queries follow
-//	           feature-hash affinity (cache hits concentrate per replica)
+//	           key affinity (exact hits concentrate per replica)
 //	           with a least-pending fallback, batches go whole to the
 //	           least-pending backend
-//	shard      queries are partitioned by feature hash, so the fleet's
+//	shard      queries are partitioned by key, so the fleet's
 //	           aggregate cache capacity is N caches with (near-)disjoint
 //	           contents; batches are split per backend & scatter-gathered
 //
@@ -64,12 +64,11 @@ import (
 
 func main() {
 	var (
-		backends  = flag.String("backends", "", "comma-separated gcserved addresses (required)")
-		modeNm    = flag.String("mode", "replicate", "routing mode: replicate or shard")
-		addr      = flag.String("addr", "127.0.0.1:7631", "listen address (port 0 picks an ephemeral port)")
-		probeIv   = flag.Duration("probe-interval", 500*time.Millisecond, "health-probe interval")
-		probeTo   = flag.Duration("probe-timeout", 2*time.Second, "health-probe timeout")
-		maxPathLn = flag.Int("max-path-len", 4, "feature length of the affinity hash (match the backends' GCindex)")
+		backends = flag.String("backends", "", "comma-separated gcserved addresses (required)")
+		modeNm   = flag.String("mode", "replicate", "routing mode: replicate or shard")
+		addr     = flag.String("addr", "127.0.0.1:7631", "listen address (port 0 picks an ephemeral port)")
+		probeIv  = flag.Duration("probe-interval", 500*time.Millisecond, "health-probe interval")
+		probeTo  = flag.Duration("probe-timeout", 2*time.Second, "health-probe timeout")
 
 		queueBound   = flag.Int("queue-bound", 64, "per-backend dispatch slots before backpressure")
 		queueTimeout = flag.Duration("queue-timeout", time.Second, "max wait for a saturated backend's slot before failing over")
@@ -111,7 +110,6 @@ func main() {
 		Mode:              mode,
 		ProbeInterval:     *probeIv,
 		ProbeTimeout:      *probeTo,
-		MaxPathLen:        *maxPathLn,
 		QueueBound:        *queueBound,
 		QueueTimeout:      *queueTimeout,
 		ErrorBudget:       *errBudget,

@@ -81,15 +81,18 @@
 //
 // GCindex is one combined subgraph/supergraph feature index over the
 // cached query graphs. It answers two questions, cheapest first. The
-// exact-match lookup: every slot records its entry's feature hash in a
-// pointer-free []uint64 column, isomorphic queries have equal feature
-// vectors and therefore equal hashes, so "is this very query cached?" is
-// a scan of one column for a slot of equal hash, vertex count and edge
-// count — confirmed by a sub-iso test before it counts, because equal
-// hashes prove nothing (a uniformly labelled C10 and C5 + C5 share every
-// path count up to 4 edges). The containment probe — run once per query
-// the lookup did not answer — is the hottest loop in the system. Two ingredients keep it
-// allocation-free:
+// exact-match lookup: every slot records its entry's isomorphism-invariant
+// key (graph.IsoKey — two rounds of Weisfeiler–Lehman colour refinement
+// over the labels and the adjacency, O(|V|+|E|), no allocation up to 64
+// vertices) in a pointer-free []uint64 column. Isomorphic queries have
+// equal keys, so "is this very query cached?" is a key computation plus a
+// scan of one column for a slot of equal key, vertex count and edge count
+// — confirmed by a sub-iso test before it counts, because equal keys prove
+// nothing (a uniformly labelled C10 and C5 + C5 are both 2-regular, which
+// colour refinement cannot tell apart). A query the lookup answers never
+// has its simple paths enumerated. The containment probe — run once per
+// query the lookup did not answer — is the hottest loop in the system.
+// Two ingredients keep it allocation-free:
 //
 //   - Feature vectors without a vocabulary. A feature's ID is the 64-bit
 //     FNV-1a hash of its key (a label sequence), so IDs need no interning,
@@ -100,9 +103,9 @@
 //     reused everywhere the query goes: Method M's filter when M indexes
 //     the same vectors (GGSX at the cache's path length: posting columns
 //     per feature ID, intersected from the query's shortest column — see
-//     internal/ggsx), the index probe, the exact-lookup hash (a mix of the
-//     same IDs and counts), the admission window entry and the index
-//     delta. Two keys that collide on an ID have their counts summed, in
+//     internal/ggsx), the index probe, the admission window entry and the
+//     index delta. Only the queries the exact lookup left open are
+//     extracted. Two keys that collide on an ID have their counts summed, in
 //     every vector alike. Containment q ⊆ G implies count_G(p) ≥
 //     count_q(p) for every path p, hence also for sums over paths sharing
 //     an ID: a collision can add a false candidate, never hide a true
@@ -274,16 +277,16 @@
 //	gcrouter -backends 127.0.0.1:7621,127.0.0.1:7622 -mode replicate
 //	gcquery  -server 127.0.0.1:7631 -queries queries.g
 //
-// Two routing modes, both keyed by the order-independent hash of a
-// query's path-feature vector (so isomorphic — and feature-identical —
-// queries always route together):
+// Two routing modes, both keyed by the query's isomorphism-invariant key
+// (graph.IsoKey, the key the backends' exact lookup uses, so isomorphic
+// queries always route together). The router recomputes it from the
+// decoded query — O(|V|+|E|), no seed — rather than receiving it:
 //
 //   - replicate: every backend holds a full cache. Single queries follow
-//     feature-hash affinity, concentrating each query population's cache
-//     hits on one replica, with a least-pending fallback when the
-//     affinity replica is out; batches go whole to the least-pending
-//     healthy backend.
-//   - shard: queries are partitioned across backends by feature hash, so
+//     key affinity, concentrating each query's exact hits on one replica,
+//     with a least-pending fallback when the affinity replica is out;
+//     batches go whole to the least-pending healthy backend.
+//   - shard: queries are partitioned across backends by key, so
 //     the fleet's aggregate capacity is N near-disjoint caches; batches
 //     are split per backend and scatter-gathered — one QueryBatch per
 //     backend — then re-stitched in request order.
@@ -368,11 +371,12 @@
 // cold caches:
 //
 //   - Consistent-hash affinity. Single-query affinity maps the query's
-//     feature hash onto a ring of virtual nodes derived purely from
-//     backend identity, so adding a backend to a fleet of N remaps only
-//     ~1/(N+1) of the key space (the old modulo slot remapped nearly all
-//     of it) and removing one hands exactly its share to the survivors.
-//     The assignment is deterministic across router restarts. Breaker-
+//     isomorphism-invariant key (graph.IsoKey) onto a ring of virtual
+//     nodes derived purely from backend identity, so adding a backend to
+//     a fleet of N remaps only ~1/(N+1) of the key space (the old modulo
+//     slot remapped nearly all of it) and removing one hands exactly its
+//     share to the survivors. The key depends on the query alone, so the
+//     assignment is deterministic across router restarts. Breaker-
 //     open and draining backends stay on the ring: unavailability is a
 //     routing-time divert to the least-loaded available backend, never a
 //     remap, so a breaker cycle leaves the survivors' cached keys alone.

@@ -27,8 +27,8 @@ const (
 // queryState is everything the pipeline carries for one query of a run.
 type queryState struct {
 	q    *graph.Graph
-	vec  pathfeat.Vector
-	hash uint64
+	hash uint64          // q.IsoKey(): the exact lookup's key
+	vec  pathfeat.Vector // q's path features; extracted only if the lookup missed
 
 	// exact is the isomorphic cached query the lookup found, or nil. It is
 	// final before the filter goroutine and the probe start; both skip the
@@ -121,15 +121,17 @@ func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
 // Every stage runs once per run, cheapest first, and each later stage
 // only over the queries the earlier ones left unresolved:
 //
-//   - feature extraction, one pooled pass; the vectors are Method M's
-//     filter input, the probe input and the new entries' memoised
-//     vectors, and their hashes are the exact lookup's key;
-//   - the exact-match lookup (§5.1, special case 1): the index generation
-//     is loaded once, and its hash column is scanned for a cached query
-//     of equal hash and size, confirmed isomorphic by a sub-iso test
-//     before it counts. A hit is answered "with no further processing":
-//     no filter, no probe, no containment confirmation. A run in which
-//     every query hit starts no goroutine and never touches Method M;
+//   - the exact-match lookup (§5.1, special case 1), one pooled pass: each
+//     query's isomorphism-invariant key (graph.IsoKey, O(|V|+|E|)), then
+//     a scan of the once-loaded index generation's key column for a cached
+//     query of equal key and size, confirmed isomorphic by a sub-iso test
+//     before it counts. A hit is answered "with no further processing": no
+//     path enumeration, no filter, no probe, no containment confirmation.
+//     A run in which every query hit starts no filter goroutine and never
+//     touches Method M;
+//   - feature extraction over the queries the lookup left open, one pooled
+//     pass; the vectors are Method M's filter input, the probe input and
+//     the new entries' vectors;
 //   - for the queries still open, Method M's filter on its own goroutine,
 //     beside the GC processors (§4, Figure 2): the loaded generation is
 //     probed per query, and the containment confirmations of all open
@@ -191,40 +193,49 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	obs := c.observer()
 	var featShare, probeShare, gcvShare int64
 
-	gcStart := time.Now()
-	c.pool.ParallelFor(n, func(i int) {
-		s := &st[i]
-		s.vec = pathfeat.SimplePathVector(s.q, c.opts.MaxPathLen)
-		s.hash = pathfeat.HashVector(s.vec)
-	})
-
-	var probeStart time.Time
-	if obs != nil {
-		probeStart = time.Now()
-		featShare = probeStart.Sub(gcStart).Nanoseconds() / int64(n)
-	}
-
 	// All queries of a run look up and probe the same index generation.
 	ix := c.index.Load()
-	cached := len(ix.serials)
+	lookup := len(ix.serials) > 0 && !c.opts.DisableExactMatch
 
-	// Special case 1 (§5.1), ahead of everything it makes unnecessary: an
-	// isomorphic cached query has q's hash, so the lookup scans the hash
-	// column and confirms a match with one sub-iso test.
-	open := n
-	if cached > 0 && !c.opts.DisableExactMatch {
-		c.pool.ParallelForN(n, c.adaptiveWorkers(n), func(i int) {
-			s := &st[i]
+	// Special case 1 (§5.1), ahead of everything it makes unnecessary:
+	// every query gets its isomorphism-invariant key, which an isomorphic
+	// cached query shares, and the lookup scans the key column for a match
+	// that one sub-iso test confirms.
+	gcStart := time.Now()
+	c.pool.ParallelForN(n, c.adaptiveWorkers(n), func(i int) {
+		s := &st[i]
+		s.hash = s.q.IsoKey()
+		if lookup {
 			s.exact = ix.exact(s.hash, s.q.NumVertices(), s.q.NumEdges(), func(e *entry) bool {
 				s.stats.GCVerifications++
 				return iso.Contains(c.algo, s.q, e.g)
 			})
-		})
-		for i := range st {
-			if st[i].exact != nil {
-				open--
-			}
 		}
+	})
+	open := n
+	for i := range st {
+		if st[i].exact != nil {
+			open--
+		}
+	}
+
+	// Path features only for the queries the lookup left open: Method M's
+	// filter input, the probe input and the new entries' vectors.
+	var featStart time.Time
+	if obs != nil {
+		featStart = time.Now()
+	}
+	if open > 0 {
+		c.pool.ParallelFor(n, func(i int) {
+			if s := &st[i]; s.exact == nil {
+				s.vec = pathfeat.SimplePathVector(s.q, c.opts.MaxPathLen)
+			}
+		})
+	}
+	var probeStart time.Time
+	if obs != nil {
+		probeStart = time.Now()
+		featShare = probeStart.Sub(featStart).Nanoseconds() / int64(n)
 	}
 
 	// Method M's filter and the GC processors run side by side, over the
@@ -250,7 +261,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 				s.mDur = time.Since(start)
 			})
 		}()
-		if cached > 0 {
+		if len(ix.serials) > 0 {
 			c.pool.ParallelFor(n, func(i int) {
 				if s := &st[i]; s.exact == nil {
 					s.checks, s.nSub = c.probe(ix, s.vec)
@@ -264,7 +275,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	var gcvStart time.Time
 	if obs != nil {
 		gcvStart = time.Now()
-		probeShare = gcvStart.Sub(probeStart).Nanoseconds() / int64(n)
+		probeShare = (featStart.Sub(gcStart) + gcvStart.Sub(probeStart)).Nanoseconds() / int64(n)
 	}
 
 	// Containment confirmations: real (cheap, small-vs-small) sub-iso

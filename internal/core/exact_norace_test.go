@@ -51,10 +51,10 @@ func TestPruneAllocations(t *testing.T) {
 }
 
 // TestExactHitAllocations pins what an exact hit costs the allocator: the
-// run's state, the feature vector (pathfeat pins that at ≤ 4), the credit
-// and the delivered copy of the answer — and nothing of the filter
-// goroutine, the probe's list or the confirmation work list it no longer
-// starts. Not under -race: the detector's own
+// run's state, the credit and the delivered copy of the answer — and
+// nothing of the path-feature vector (the lookup's key is computed on the
+// stack), the filter goroutine, the probe's list or the confirmation work
+// list it no longer starts. Not under -race: the detector's own
 // bookkeeping allocates.
 func TestExactHitAllocations(t *testing.T) {
 	ds := moleculeDataset(30, 35)
@@ -68,7 +68,7 @@ func TestExactHitAllocations(t *testing.T) {
 	if !c.Query(q).Stats.ExactHit {
 		t.Fatal("the repeated query was not an exact hit")
 	}
-	const ceiling = 12 // 12 measured; 15 with serial-keyed credit ops, 17 with per-shard stores, 39 before the lookup
+	const ceiling = 8 // 8 measured; 12 with the path-feature key, 15 with serial-keyed credit ops, 17 with per-shard stores, 39 before the lookup
 	if allocs := testing.AllocsPerRun(100, func() { c.Query(q) }); allocs > ceiling {
 		t.Errorf("an exact-hit Query allocates %.0f times, want ≤ %d", allocs, ceiling)
 	} else {

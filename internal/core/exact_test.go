@@ -47,10 +47,9 @@ func exactByProbe(c *Cache, ix *queryIndex, q *graph.Graph) *entry {
 	return findExact(q.NumVertices(), q.NumEdges(), containers, containees)
 }
 
-// exactByLookup is the pipeline's lookup over ix.
+// exactByLookup is the pipeline's lookup over ix, keyed by q.IsoKey().
 func exactByLookup(c *Cache, ix *queryIndex, q *graph.Graph) *entry {
-	h := pathfeat.HashVector(pathfeat.SimplePathVector(q, c.opts.MaxPathLen))
-	return ix.exact(h, q.NumVertices(), q.NumEdges(), func(e *entry) bool {
+	return ix.exact(q.IsoKey(), q.NumVertices(), q.NumEdges(), func(e *entry) bool {
 		return iso.Contains(c.algo, q, e.g)
 	})
 }
@@ -153,16 +152,16 @@ func cycles(l graph.Label, lengths ...int) *graph.Graph {
 }
 
 // TestExactLookupRejectsEqualHashNonIsomorphic: a uniformly labelled C10
-// and C5 + C5 have the same vertex and edge counts and, up to 4 edges, the
-// same simple paths from every vertex — equal vectors, equal hashes — and
-// are not isomorphic. Hash equality alone must never answer: each must
-// miss against the other and still hit against itself.
+// and C5 + C5 have the same vertex and edge counts and are both 2-regular,
+// so colour refinement gives every vertex of both the same colour — equal
+// keys — and they are not isomorphic. Key equality alone must never
+// answer: each must miss against the other and still hit against itself.
 func TestExactLookupRejectsEqualHashNonIsomorphic(t *testing.T) {
 	ds := moleculeDataset(30, 33)
 	m := method.NewVF2Plus(ds)
 	l := ds.Graph(0).Label(0)
 	c10, c55 := cycles(l, 10), cycles(l, 5, 5)
-	if h1, h2 := pathfeat.HashVector(pathfeat.SimplePathVector(c10, 4)), pathfeat.HashVector(pathfeat.SimplePathVector(c55, 4)); h1 != h2 ||
+	if c10.IsoKey() != c55.IsoKey() ||
 		c10.NumVertices() != c55.NumVertices() || c10.NumEdges() != c55.NumEdges() {
 		t.Fatal("C10 and C5+C5 no longer collide; the test needs another pair")
 	}
@@ -172,7 +171,7 @@ func TestExactLookupRejectsEqualHashNonIsomorphic(t *testing.T) {
 		c.Query(cached) // W = 1: cached on return
 		r := c.Query(other)
 		if r.Stats.ExactHit {
-			t.Fatal("a query exact-hit a non-isomorphic cached query of equal hash and size")
+			t.Fatal("a query exact-hit a non-isomorphic cached query of equal key and size")
 		}
 		if !eq(r.Answer, method.Answer(m, other)) {
 			t.Fatalf("answer %v, want %v", r.Answer, method.Answer(m, other))
@@ -185,5 +184,61 @@ func TestExactLookupRejectsEqualHashNonIsomorphic(t *testing.T) {
 		if r := c.Query(cached); !r.Stats.ExactHit || r.Stats.GCVerifications != 1 {
 			t.Errorf("the cached query itself: exact hit %v with %d GC verifications, want a hit with 1", r.Stats.ExactHit, r.Stats.GCVerifications)
 		}
+	}
+}
+
+// TestExactHitsEnumerateNoPaths: the exact lookup is keyed by IsoKey, so a
+// query it answers never has its simple paths enumerated. After warming, a
+// batch of exact repeats leaves pathfeat's enumeration counter where it
+// was, and a mixed batch advances it by exactly its open-query count: one
+// extraction per query the lookup left open, shared by the filter, the
+// probe and the new entry. VF2+ filters without path features, so every
+// enumeration counted is the cache's.
+func TestExactHitsEnumerateNoPaths(t *testing.T) {
+	ds := moleculeDataset(40, 41)
+	queries := typeAWorkload(ds, "UU", 60, 42)
+	c := New(method.NewVF2Plus(ds), Options{CacheSize: 100, WindowSize: 5})
+	warm := make([]*graph.Graph, 0, 40)
+	for _, q := range queries[:40] {
+		warm = append(warm, q.Graph)
+	}
+	c.QueryBatch(warm)
+	c.Flush()
+
+	var repeats []*graph.Graph
+	for _, g := range warm {
+		if r := c.Query(g); r.Stats.ExactHit {
+			repeats = append(repeats, g)
+		}
+	}
+	if len(repeats) < 10 {
+		t.Fatalf("only %d of %d warmed queries exact-hit", len(repeats), len(warm))
+	}
+	before := pathfeat.SimplePathsCalls()
+	for i, r := range c.QueryBatch(repeats) {
+		if !r.Stats.ExactHit {
+			t.Fatalf("repeat %d missed", i)
+		}
+	}
+	if got := pathfeat.SimplePathsCalls() - before; got != 0 {
+		t.Errorf("a batch of %d exact repeats enumerated paths %d times, want 0", len(repeats), got)
+	}
+
+	mixed := make([]*graph.Graph, 0, 2*len(repeats))
+	for i, g := range repeats {
+		mixed = append(mixed, g, queries[40+i%20].Graph)
+	}
+	before = pathfeat.SimplePathsCalls()
+	open := 0
+	for _, r := range c.QueryBatch(mixed) {
+		if !r.Stats.ExactHit {
+			open++
+		}
+	}
+	if open == 0 || open == len(mixed) {
+		t.Fatalf("the mixed batch has %d open queries of %d; want some of each", open, len(mixed))
+	}
+	if got := pathfeat.SimplePathsCalls() - before; got != int64(open) {
+		t.Errorf("a batch with %d open queries enumerated paths %d times, want %d", open, got, open)
 	}
 }

@@ -17,9 +17,10 @@ type entry struct {
 	g      *graph.Graph
 	answer []int32 // sorted dataset-graph IDs
 	// vec is the query's path-feature vector (sorted by feature ID), so
-	// index deltas never enumerate simple paths, and hash is its hash: the
-	// exact-lookup key, and the value the router's affinity hash
-	// reproduces. The query path hands both over; see newEntry.
+	// index deltas never enumerate simple paths. hash is g.IsoKey(), the
+	// query's isomorphism-invariant key: the exact-lookup key, and the key
+	// the router's affinity hashes onto its ring. The query path hands both
+	// over; see newEntry.
 	vec  pathfeat.Vector
 	hash uint64
 	// ledger holds the first-execution figures and the hit counters: the
@@ -28,7 +29,7 @@ type entry struct {
 }
 
 // newEntry returns the record of query g, first seen as serial, with its
-// answer set and its feature vector and hash. Its recency starts at its
+// answer set, its feature vector and its key. Its recency starts at its
 // own serial.
 func newEntry(serial int64, g *graph.Graph, answer []int32, vec pathfeat.Vector, hash uint64) *entry {
 	return &entry{serial: serial, g: g, answer: answer, vec: vec, hash: hash, ledger: ledger{lastHit: serial}}
@@ -67,8 +68,10 @@ func (e *entry) score() float64 {
 // (see candidatesInto).
 //
 // Ahead of both probes it answers the exact-match lookup (see exact): each
-// slot also records its entry's feature hash, so finding the cached queries
-// that can be isomorphic to a new one is a scan of one []uint64 column.
+// slot also records its entry's isomorphism-invariant key (graph.IsoKey),
+// so finding the cached queries that can be isomorphic to a new one is a
+// scan of one []uint64 column, and a query the lookup answers never has
+// its path features extracted.
 //
 // Feature IDs are 64-bit hashes of the feature keys (pathfeat.Vector), so
 // the index needs no vocabulary and holds a column only for features of
@@ -86,7 +89,7 @@ type queryIndex struct {
 	maxLen int
 	// Per-slot columns, parallel to each other:
 	serials      []int64  // owning serial, ascending
-	hashes       []uint64 // owning entry's feature hash — the exact-lookup key (see exact)
+	hashes       []uint64 // owning entry's graph.IsoKey — the exact-lookup key (see exact)
 	featureTotal []int32  // distinct feature count: the slot's postings
 	slotEntry    []*entry // owning entry
 	cols         pathfeat.Columns
@@ -203,17 +206,16 @@ func (ix *queryIndex) lookup(serial int64) *entry {
 }
 
 // exact is the exact-match lookup (§5.1, special case 1): it returns the
-// lowest-serial entry whose feature hash and vertex and edge counts
+// lowest-serial entry whose key (graph.IsoKey) and vertex and edge counts
 // equal the query's and that confirm accepts, or nil. Isomorphic graphs
-// have equal feature vectors, hence equal hashes, so every isomorphic
-// cached query is offered; equal hashes prove nothing the other way —
-// unrelated vectors can share a hash, and non-isomorphic graphs a vector —
-// so confirm must run the sub-iso test, which at equal sizes decides
-// isomorphism. One pass over a pointer-free column, no scratch, no
-// allocation.
-func (ix *queryIndex) exact(hash uint64, nV, nE int, confirm func(*entry) bool) *entry {
+// have equal keys, so every isomorphic cached query is offered; equal keys
+// prove nothing the other way — colour refinement cannot separate some
+// non-isomorphic graphs, and 64-bit sums can collide — so confirm must run
+// the sub-iso test, which at equal sizes decides isomorphism. One pass over
+// a pointer-free column, no scratch, no allocation.
+func (ix *queryIndex) exact(key uint64, nV, nE int, confirm func(*entry) bool) *entry {
 	for slot, h := range ix.hashes {
-		if h != hash {
+		if h != key {
 			continue
 		}
 		e := ix.slotEntry[slot]

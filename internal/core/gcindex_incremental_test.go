@@ -212,7 +212,7 @@ func TestWindowSkipsAlreadyCachedIsomorph(t *testing.T) {
 
 // TestCacheRebuildCostIsWindowBound asserts the end-to-end property over a
 // real cache: across a whole workload, SimplePaths runs at most once per
-// query — the extraction whose vector the lookup, the probe and the new
+// query — the extraction whose vector the filter, the probe and the new
 // entry share — and window passes never enumerate a graph. The pre-fix
 // implementation re-enumerated the entire cache on every window boundary,
 // which on this workload (cache 20, window 5) would blow the bound several

@@ -72,7 +72,7 @@ func probeNeverMissesContainment(t *testing.T, vectorOf func(pathfeat.Counts) pa
 		for s := int64(1); s <= 12; s++ {
 			g := randomConnGraph(r, 3+r.Intn(8), r.Intn(3), 3)
 			vec := vectorOf(pathfeat.SimplePaths(g, maxPathLen))
-			entries[s] = newEntry(s, g, nil, vec, pathfeat.HashVector(vec))
+			entries[s] = newEntry(s, g, nil, vec, g.IsoKey())
 		}
 		ix := indexOf(entries, maxPathLen)
 

@@ -57,8 +57,7 @@ func (ix *queryIndex) contents() map[int64]*entry {
 // entryOf returns the complete record of query g under serial, its
 // feature vector extracted at path length 4, as the query path builds it.
 func entryOf(serial int64, g *graph.Graph, answer ...int32) *entry {
-	vec := pathfeat.SimplePathVector(g, 4)
-	return newEntry(serial, g, answer, vec, pathfeat.HashVector(vec))
+	return newEntry(serial, g, answer, pathfeat.SimplePathVector(g, 4), g.IsoKey())
 }
 
 func TestQueryIndexCandidates(t *testing.T) {

@@ -10,8 +10,9 @@ type QueryObservation struct {
 	Serial  int64
 	Batched bool // the query ran in a run of two or more
 
-	// GC filtering stage, split: path-feature extraction, the GCindex
-	// exact-match lookup (with its confirming sub-iso test) and containment
+	// GC filtering stage, split: path-feature extraction (only for the
+	// queries the exact lookup left open), the GCindex exact-match lookup
+	// (the query's IsoKey and the confirming sub-iso test) and containment
 	// probe, and container/containee confirmation sub-iso tests. FeatureNS
 	// + ProbeNS + GCVerifyNS ≈ FilterGCNS.
 	FeatureNS  int64

@@ -401,8 +401,8 @@ graphsSection:
 	loaded := make([]*entry, len(entries))
 	c.pool.ParallelFor(len(loaded), func(i int) {
 		p := entries[i]
-		vec := pathfeat.SimplePathVector(graphs[i], c.opts.MaxPathLen)
-		loaded[i] = newEntry(p.serial, graphs[i], p.answer, vec, pathfeat.HashVector(vec))
+		g := graphs[i]
+		loaded[i] = newEntry(p.serial, g, p.answer, pathfeat.SimplePathVector(g, c.opts.MaxPathLen), g.IsoKey())
 		loaded[i].ledger = p.ledger
 	})
 

@@ -9,7 +9,6 @@ import (
 	"graphcache/internal/ggsx"
 	"graphcache/internal/graph"
 	"graphcache/internal/method"
-	"graphcache/internal/pathfeat"
 	"graphcache/internal/workload"
 )
 
@@ -94,10 +93,10 @@ func TestSharedVectorMatchesFallback(t *testing.T) {
 	}
 }
 
-// TestEntryHashIsTheCountsHash pins the hash a backend stores on its
+// TestEntryHashIsTheCountsHash pins the key a backend stores on its
 // entries — the exact-lookup key and the value the router's affinity hash
-// must reproduce — to Hash over the map-built Counts, now that both are
-// computed from the direct extraction.
+// must reproduce — to the query graph's IsoKey, whether the query ran alone
+// or in a batch.
 func TestEntryHashIsTheCountsHash(t *testing.T) {
 	ds := gen.DefaultAIDS().Scaled(0.002, 1).Generate(5)
 	cfg, err := workload.TypeACategory("UU", 1.4, []int{4, 8, 12, 16}, 60)
@@ -115,9 +114,8 @@ func TestEntryHashIsTheCountsHash(t *testing.T) {
 	}
 	seen := 0
 	for _, e := range c.window {
-		want := pathfeat.HashVector(pathfeat.VectorOf(pathfeat.SimplePaths(e.g, c.opts.MaxPathLen)))
-		if e.hash != want {
-			t.Errorf("entry %d: stored hash %x, HashVector(VectorOf(SimplePaths)) = %x", e.serial, e.hash, want)
+		if want := e.g.IsoKey(); e.hash != want {
+			t.Errorf("entry %d: stored key %x, IsoKey %x", e.serial, e.hash, want)
 		}
 		seen++
 	}

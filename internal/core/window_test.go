@@ -12,7 +12,6 @@ import (
 	"graphcache/internal/ggsx"
 	"graphcache/internal/graph"
 	"graphcache/internal/method"
-	"graphcache/internal/pathfeat"
 )
 
 // TestCapacityRespected: the cache never holds more than CacheSize
@@ -222,23 +221,21 @@ func TestMaintainerFlushWhilePassParked(t *testing.T) {
 }
 
 // TestIsomorphsShareFeatureHash pins the invariant the exact lookup and
-// the duplicate guards rely on: isomorphic graphs share a feature hash.
+// the duplicate guards rely on: isomorphic graphs share a key, and the
+// non-isomorphic ones in the sample do not.
 func TestIsomorphsShareFeatureHash(t *testing.T) {
 	a := entryOf(1, pathG(3, 1, 2))
 	b := entryOf(2, pathG(2, 1, 3)) // reversed path: isomorphic
 	if a.hash != b.hash {
-		t.Error("isomorphic entries must share a feature hash")
+		t.Error("isomorphic entries must share a key")
 	}
-	other := entryOf(3, pathG(5, 6))
-	if a.hash == other.hash {
-		t.Error("distinct feature sets should (overwhelmingly) hash apart")
+	for _, g := range []*graph.Graph{pathG(5, 6), pathG(3, 1), pathG(1, 3, 2), pathG(3, 1, 2, 2)} {
+		if other := entryOf(3, g); a.hash == other.hash {
+			t.Errorf("%v shares the key %x of a non-isomorphic path", g, a.hash)
+		}
 	}
-	if h := pathfeat.HashVector(nil); h != 0 {
-		t.Errorf("empty feature set must hash to 0, got %d", h)
-	}
-	c := pathfeat.SimplePaths(a.g, 4)
-	if got, want := a.hash, pathfeat.HashVector(pathfeat.VectorOf(c)); got != want {
-		t.Errorf("feature hash = %d, want HashVector(VectorOf(SimplePaths)) %d", got, want)
+	if got, want := a.hash, a.g.IsoKey(); got != want {
+		t.Errorf("entry key = %x, want IsoKey %x", got, want)
 	}
 }
 

@@ -29,15 +29,13 @@ type Dataset struct {
 	mu  sync.Mutex // serialises mutators; readers never take it
 	gen atomic.Pointer[generation]
 
-	// base retains the constructed generation's graphs, for snapshot
-	// compatibility checks and restores: a snapshot records the base
-	// fingerprint it was built over plus the delta to re-apply, and
-	// Restore rebuilds from base whatever the current generation looks
-	// like (a removed graph's object survives here even though its live
-	// slot is a tombstone).
-	base    []*graph.Graph
+	// base retains the constructed generation, for snapshot compatibility
+	// checks and restores: a snapshot records the base fingerprint it was
+	// built over plus the delta to re-apply, and Restore rebuilds from
+	// base whatever the current generation looks like (a removed graph's
+	// object survives here even though its live slot is a tombstone).
+	base    *generation
 	baseLen int
-	baseFP  uint64
 }
 
 // generation is one immutable dataset state. A mutation builds a new
@@ -47,8 +45,20 @@ type generation struct {
 	graphs []*graph.Graph     // index = graph ID; nil = removed (tombstone)
 	live   int                // number of non-nil slots
 	epoch  int64              // 0 for the constructed state, +1 per mutation
-	fp     uint64             // order-sensitive content hash of live graphs
 	edited map[int32]struct{} // base-range IDs whose graph was replaced
+
+	// fp is the order-sensitive content hash of the live graphs, computed
+	// on first use (see fingerprint): only snapshots read it, so a
+	// mutation does not pay for hashing every live graph.
+	fpOnce sync.Once
+	fp     uint64
+}
+
+// fingerprint returns the generation's content hash, computing it once.
+// A generation is immutable once published, so the memo never goes stale.
+func (g *generation) fingerprint() uint64 {
+	g.fpOnce.Do(func() { g.fp = fingerprint(g.graphs, g.live) })
+	return g.fp
 }
 
 // New builds a Dataset from graphs, renumbering their IDs to 0..n-1.
@@ -66,11 +76,9 @@ func New(graphs []*graph.Graph) *Dataset {
 	}
 	d := &Dataset{}
 	g0 := &generation{graphs: gs, live: len(gs), epoch: 0}
-	g0.fp = fingerprint(gs, g0.live)
 	d.gen.Store(g0)
-	d.base = gs // mutations clone before writing, so base stays pristine
+	d.base = g0 // mutations clone before writing, so base stays pristine
 	d.baseLen = len(gs)
-	d.baseFP = g0.fp
 	return d
 }
 
@@ -150,10 +158,7 @@ func (d *Dataset) FilterLive(ids []int32) []int32 {
 // labels and edge set. Two datasets with equal fingerprints hold
 // structurally identical graphs under identical IDs (modulo hash
 // collisions), which is what snapshot compatibility needs.
-func (d *Dataset) Fingerprint() uint64 {
-	g := d.gen.Load()
-	return g.fp
-}
+func (d *Dataset) Fingerprint() uint64 { return d.gen.Load().fingerprint() }
 
 // BaseLen and BaseFingerprint describe the generation the dataset was
 // constructed with, before any mutation. Snapshots record them so a
@@ -162,7 +167,7 @@ func (d *Dataset) Fingerprint() uint64 {
 func (d *Dataset) BaseLen() int { return d.baseLen }
 
 // BaseFingerprint returns the content hash of the constructed state.
-func (d *Dataset) BaseFingerprint() uint64 { return d.baseFP }
+func (d *Dataset) BaseFingerprint() uint64 { return d.base.fingerprint() }
 
 // AddGraphs appends gs as fresh IDs Len()..Len()+len(gs)-1 (renumbering
 // them in place, as New does) and returns the assigned IDs. The epoch
@@ -355,7 +360,7 @@ func (d *Dataset) Restore(removed []int32, changed []*graph.Graph, epoch int64) 
 		}
 	}
 	next := &generation{graphs: make([]*graph.Graph, idSpace), live: d.baseLen}
-	copy(next.graphs, d.base)
+	copy(next.graphs, d.base.graphs)
 	for _, g := range changed {
 		if int(g.ID()) < d.baseLen {
 			continue
@@ -392,8 +397,8 @@ func (d *Dataset) Restore(removed []int32, changed []*graph.Graph, epoch int64) 
 }
 
 // clone returns a mutable copy of a generation sharing the graph
-// values. publish stamps the next epoch and content fingerprint and
-// swaps it in; callers hold d.mu across clone→publish.
+// values. publish stamps the next epoch and swaps it in; callers hold
+// d.mu across clone→publish.
 func (g *generation) clone() *generation {
 	next := &generation{
 		graphs: make([]*graph.Graph, len(g.graphs)),
@@ -412,7 +417,6 @@ func (g *generation) clone() *generation {
 
 func (d *Dataset) publish(next *generation) {
 	next.epoch++
-	next.fp = fingerprint(next.graphs, next.live)
 	d.gen.Store(next)
 }
 

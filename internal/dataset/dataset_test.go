@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"sync"
 	"testing"
 
 	"graphcache/internal/graph"
@@ -115,5 +116,54 @@ func TestEdgeEditKeepsLabelSignature(t *testing.T) {
 	}
 	if !ng.LabelsDominate(g) || !g.LabelsDominate(ng) {
 		t.Error("an edge edit must leave the label multiset unchanged")
+	}
+}
+
+// TestFingerprintMemoisedPerGeneration: a generation's fingerprint is
+// computed on first use, not at publish, and must equal the eager formula
+// whoever asks first. After a run of mutations, concurrent Fingerprint and
+// BaseFingerprint calls on one generation all return fingerprint over that
+// generation's graphs and over the constructed ones (run it with -race).
+func TestFingerprintMemoisedPerGeneration(t *testing.T) {
+	var gs []*graph.Graph
+	for i := 0; i < 12; i++ {
+		gs = append(gs, mkGraph(3+i%4, 2+i%3, graph.Label(i%5)))
+	}
+	d := New(gs)
+	base := fingerprint(d.gen.Load().graphs, d.gen.Load().live)
+	seen := map[uint64]bool{base: true}
+	for i := 0; i < 9; i++ {
+		switch i % 3 {
+		case 0:
+			d.AddGraphs([]*graph.Graph{mkGraph(4, 3, graph.Label(10+i))})
+		case 1:
+			d.RemoveGraphs([]int32{int32(i)})
+		case 2:
+			if _, err := d.Replace(int32(i+1), mkGraph(5, 4, graph.Label(20+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gen := d.gen.Load()
+		want := fingerprint(gen.graphs, gen.live)
+		if seen[want] {
+			t.Fatalf("mutation %d left the fingerprint at an earlier generation's value", i)
+		}
+		seen[want] = true
+
+		var wg sync.WaitGroup
+		got := make([][2]uint64, 8)
+		for k := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[k] = [2]uint64{d.Fingerprint(), d.BaseFingerprint()}
+			}()
+		}
+		wg.Wait()
+		for k, fp := range got {
+			if fp != [2]uint64{want, base} {
+				t.Fatalf("mutation %d, caller %d: (Fingerprint, BaseFingerprint) = %x, want (%x, %x)", i, k, fp, want, base)
+			}
+		}
 	}
 }

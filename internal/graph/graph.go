@@ -131,6 +131,64 @@ func edgeSignature(labels []Label, off, nbr []int32) []keyCount[uint32] {
 	return signature(pairs)
 }
 
+// IsoKey returns an isomorphism-invariant key of g: isomorphic graphs
+// share it whatever their vertex numbering, and graphs that differ in
+// size, labels or the labelled structure around their vertices almost
+// never do. It is two rounds of Weisfeiler–Lehman colour refinement: a
+// vertex starts with a colour hashed from its label, and each round
+// rehashes its colour together with the sum of its neighbours' colours.
+// The key hashes the sum of the final colours with |V| and |E|. Sums, not
+// XOR, aggregate the colours, because XOR cancels a colour that occurs
+// twice. That is O(|V|+|E|), and up to 64 vertices it allocates nothing.
+//
+// The key depends on g's contents alone, never on a per-process seed, so
+// separate processes compute the same key for the same graph.
+//
+// Equal keys prove nothing. Colour refinement cannot tell some
+// non-isomorphic graphs apart (every uniformly labelled 2-regular graph on
+// n vertices looks alike to it, e.g. C10 and C5 + C5), and 64-bit sums can
+// collide. A key match must be confirmed by an isomorphism test.
+func (g *Graph) IsoKey() uint64 {
+	n := len(g.labels)
+	var buf [2 * 64]uint64
+	var cur, next []uint64
+	if n <= 64 {
+		cur, next = buf[:n], buf[64:64+n]
+	} else {
+		s := make([]uint64, 2*n)
+		cur, next = s[:n], s[n:]
+	}
+	for v, l := range g.labels {
+		cur[v] = mix64(uint64(l) + 0x9e3779b97f4a7c15)
+	}
+	for round := uint64(1); round <= 2; round++ {
+		for v := range n {
+			var sum uint64
+			for _, w := range g.nbr[g.off[v]:g.off[v+1]] {
+				sum += cur[w]
+			}
+			next[v] = mix64(cur[v] ^ mix64(sum+round))
+		}
+		cur, next = next, cur
+	}
+	var sum uint64
+	for _, c := range cur {
+		sum += c
+	}
+	return mix64(sum + mix64(uint64(n)<<32|uint64(g.NumEdges())))
+}
+
+// mix64 is the splitmix64 finaliser: a bijection on 64-bit words under
+// which a one-bit change of the input flips about half the output bits.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
 // ID returns the graph's dataset identifier (-1 if never assigned).
 func (g *Graph) ID() int32 { return g.id }
 

@@ -89,16 +89,3 @@ func keyBytesHash(k Key) uint64 {
 	}
 	return p
 }
-
-// mixPair folds a count into a key hash and finalises with a
-// splitmix64-style mixer so single-bit differences diffuse.
-func mixPair(keyHash uint64, n int32) uint64 {
-	p := keyHash
-	p ^= uint64(uint32(n)) * 0x9e3779b97f4a7c15
-	p ^= p >> 30
-	p *= 0xbf58476d1ce4e5b9
-	p ^= p >> 27
-	p *= 0x94d049bb133111eb
-	p ^= p >> 31
-	return p
-}

@@ -31,17 +31,6 @@ func Decode(k Key) []graph.Label {
 // KeyLen returns the number of labels encoded in k.
 func KeyLen(k Key) int { return len(k) / 2 }
 
-// Hash is HashVector's definition over Counts: each (feature, count) pair
-// is hashed on its own and the pair hashes combine with XOR, so the result
-// is independent of map iteration order.
-func Hash(c Counts) uint64 {
-	var h uint64
-	for k, n := range c {
-		h ^= mixPair(keyBytesHash(k), n)
-	}
-	return h
-}
-
 // Dominates reports whether have satisfies the filtering condition for
 // want: every feature of want occurs in have at least as often.
 func Dominates(have, want Counts) bool {
@@ -106,28 +95,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHashOrderIndependentAndIsomorphismInvariant(t *testing.T) {
-	// The same path built with vertices in reverse order is isomorphic and
-	// must hash identically — the exact lookup depends on it.
-	a := SimplePaths(path(1, 2, 3, 4), 4)
-	b := SimplePaths(path(4, 3, 2, 1), 4)
-	if Hash(a) != Hash(b) {
-		t.Error("isomorphic graphs must share a feature hash")
-	}
-	if Hash(SimplePaths(path(1, 2), 4)) == Hash(SimplePaths(path(1, 3), 4)) {
-		t.Error("distinct feature sets should hash apart")
-	}
-	// Counts matter, not just feature presence.
-	c1 := Counts{key(1): 1}
-	c2 := Counts{key(1): 2}
-	if Hash(c1) == Hash(c2) {
-		t.Error("changing a count must change the hash")
-	}
-	if Hash(Counts{}) != 0 || Hash(nil) != 0 {
-		t.Error("empty feature set must hash to 0")
 	}
 }
 

@@ -273,16 +273,3 @@ func SimplePathLocations(g *graph.Graph, maxLen int) PathLocations {
 	}
 	return PathLocations{IDs: ids, Ends: ends, Verts: slices.Clone(verts)}
 }
-
-// HashVector returns the order-independent hash of a feature vector: each
-// (ID, count) pair is hashed on its own and the pair hashes combine with
-// XOR; the empty vector hashes to 0. Isomorphic graphs have identical
-// vectors and therefore identical hashes — the property the cache's
-// exact lookup and the router's affinity rely on to find duplicates.
-func HashVector(vec Vector) uint64 {
-	var h uint64
-	for _, fc := range vec {
-		h ^= mixPair(fc.ID, fc.Count)
-	}
-	return h
-}

@@ -28,9 +28,7 @@ func vecDominates(have, want Vector) bool {
 
 // TestVectorOfMatchesCounts: without collisions VectorOf is a lossless
 // change of representation — one entry per key, sorted by strictly
-// ascending ID, carrying the key's count — and the vector hash equals the
-// map hash, which is what lets the router compute backend routing hashes
-// from Counts alone.
+// ascending ID, carrying the key's count.
 func TestVectorOfMatchesCounts(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 50; i++ {
@@ -51,12 +49,9 @@ func TestVectorOfMatchesCounts(t *testing.T) {
 				t.Fatalf("ID %x carries count %d, want %d", fc.ID, fc.Count, byID[fc.ID])
 			}
 		}
-		if HashVector(vec) != Hash(c) {
-			t.Fatalf("HashVector = %x, Hash = %x", HashVector(vec), Hash(c))
-		}
 	}
-	if VectorOf(nil) != nil || HashVector(nil) != 0 {
-		t.Error("the empty feature set has the nil vector and hash 0")
+	if VectorOf(nil) != nil {
+		t.Error("the empty feature set has the nil vector")
 	}
 }
 
@@ -87,7 +82,7 @@ func TestCollidingIDsSumMerge(t *testing.T) {
 	}
 }
 
-// hashTestGraphs is the seeded family the extraction and hash tests run
+// hashTestGraphs is the seeded family the extraction tests run
 // over: the empty graph, a single vertex, graphs past 64 vertices, and
 // labels on both sides of 256 so both key bytes of a label matter.
 func hashTestGraphs(r *rand.Rand) []*graph.Graph {
@@ -115,9 +110,7 @@ func hashTestGraphs(r *rand.Rand) []*graph.Graph {
 }
 
 // TestSimplePathVectorMatchesMapPath: the direct extraction is the map
-// path's vector, entry for entry, at every length — and so hashes to the
-// value Hash gives the Counts, which is what keeps ring homes and exact
-// lookups where warm snapshots expect them.
+// path's vector, entry for entry, at every length.
 func TestSimplePathVectorMatchesMapPath(t *testing.T) {
 	for i, g := range hashTestGraphs(rand.New(rand.NewSource(14))) {
 		for _, maxLen := range []int{-1, 0, 1, 4, 5} {
@@ -125,9 +118,6 @@ func TestSimplePathVectorMatchesMapPath(t *testing.T) {
 			got, want := SimplePathVector(g, maxLen), VectorOf(c)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("graph %d, maxLen %d: SimplePathVector = %v, want %v", i, maxLen, got, want)
-			}
-			if HashVector(got) != Hash(c) {
-				t.Fatalf("graph %d, maxLen %d: HashVector = %x, Hash = %x", i, maxLen, HashVector(got), Hash(c))
 			}
 		}
 	}

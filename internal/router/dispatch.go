@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"graphcache/internal/graph"
-	"graphcache/internal/pathfeat"
 	"graphcache/internal/server"
 	"graphcache/internal/telemetry"
 )
@@ -112,13 +111,14 @@ func (tp *topology) find(addr string) *backend {
 	return nil
 }
 
-// hash returns q's affinity hash: the order-independent hash of its
-// path-feature counts — the same value the backends' pathfeat.HashVector
-// computes as their exact-lookup key. Isomorphic queries — and more generally
-// queries with identical feature counts — hash identically, so their
-// cache hits concentrate on one backend.
+// hash returns q's affinity hash: its isomorphism-invariant key
+// (graph.IsoKey), the key the backends' caches store on their entries and
+// look exact matches up by. Isomorphic queries hash identically, so their
+// exact hits concentrate on one backend. The key costs O(|V|+|E|) and
+// needs no seed, so it is recomputed here rather than carried with the
+// dispatch.
 func (rt *Router) hash(q *graph.Graph) uint64 {
-	return pathfeat.HashVector(pathfeat.SimplePathVector(q, rt.opts.MaxPathLen))
+	return q.IsoKey()
 }
 
 // assign picks the backend for one query: its ring home while that home

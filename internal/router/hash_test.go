@@ -6,13 +6,13 @@ import (
 
 	"graphcache/internal/gen"
 	"graphcache/internal/graph"
-	"graphcache/internal/pathfeat"
 )
 
 // TestAffinityHashPinned: the router's affinity hash is, for every query,
-// the hash of the map-built path-feature counts — the value backends store
-// on their entries (core's TestEntryHashIsTheCountsHash pins that side) and
-// warm snapshots were homed by. If it moved, every ring home would.
+// the query's graph.IsoKey — the key backends store on their entries
+// (core's TestEntryHashIsTheCountsHash pins that side) and warm snapshots
+// were homed by — and a renumbered copy of the query hashes the same. If
+// it moved, every ring home would.
 func TestAffinityHashPinned(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	vertexOf := func(l graph.Label) *graph.Graph {
@@ -33,18 +33,26 @@ func TestAffinityHashPinned(t *testing.T) {
 	for _, g := range gen.DefaultAIDS().Scaled(0.001, 1).Generate(r.Int63()).Graphs() {
 		queries = append(queries, g, relabelled(g))
 	}
+	reversed := func(g *graph.Graph) *graph.Graph {
+		n := int32(g.NumVertices())
+		b := graph.NewBuilder()
+		for v := n - 1; v >= 0; v-- {
+			b.AddVertex(g.Label(v))
+		}
+		g.Edges(func(u, v int32) { b.AddEdge(n-1-u, n-1-v) })
+		return b.MustBuild()
+	}
 	big := 0
-	for _, maxLen := range []int{4, 2} {
-		rt := &Router{opts: Options{MaxPathLen: maxLen}}
-		for i, q := range queries {
-			if q.NumVertices() > 64 {
-				big++
-			}
-			want := pathfeat.HashVector(pathfeat.VectorOf(pathfeat.SimplePaths(q, maxLen)))
-			if got := rt.hash(q); got != want {
-				t.Fatalf("query %d (%d vertices), MaxPathLen %d: affinity hash %x, HashVector(VectorOf(SimplePaths)) = %x",
-					i, q.NumVertices(), maxLen, got, want)
-			}
+	rt := &Router{}
+	for i, q := range queries {
+		if q.NumVertices() > 64 {
+			big++
+		}
+		if got, want := rt.hash(q), q.IsoKey(); got != want {
+			t.Fatalf("query %d (%d vertices): affinity hash %x, IsoKey %x", i, q.NumVertices(), got, want)
+		}
+		if got, want := rt.hash(reversed(q)), rt.hash(q); got != want {
+			t.Fatalf("query %d (%d vertices): renumbered copy hashes %x, the query %x", i, q.NumVertices(), got, want)
 		}
 	}
 	if big == 0 {

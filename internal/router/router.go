@@ -5,15 +5,16 @@
 // paper's caching *system* for many clients. Two modes:
 //
 //   - Replicate: every backend holds a full cache. Single queries are
-//     routed by path-feature-hash affinity (pathfeat.HashVector of the
-//     query's feature vector), so isomorphic and feature-identical
-//     queries land on the same replica and its cache hits concentrate
-//     there; when the affinity replica is unavailable or saturated the
-//     least-loaded one takes over. Batches go whole to the least-loaded
-//     backend — one QueryBatch execution per batch.
+//     routed by key affinity: the query's isomorphism-invariant key
+//     (graph.IsoKey, the key the backends' exact lookup uses) picks its
+//     home on a consistent-hash ring, so isomorphic queries land on the
+//     same replica and its exact hits concentrate there; when the
+//     affinity replica is unavailable or saturated the least-loaded one
+//     takes over. Batches go whole to the least-loaded backend — one
+//     QueryBatch execution per batch.
 //
-//   - Shard: queries are partitioned across backends by the same feature
-//     hash, so the fleet's aggregate cache capacity is N caches with
+//   - Shard: queries are partitioned across backends by the same key,
+//     so the fleet's aggregate cache capacity is N caches with
 //     (near-)disjoint contents. Batches are split per backend and
 //     scatter-gathered — one QueryBatch per backend — with results
 //     re-stitched in request order.
@@ -66,10 +67,10 @@ type Mode int
 
 const (
 	// Replicate treats every backend as a full cache replica: singles
-	// follow feature-hash affinity with a least-loaded fallback, batches
-	// go whole to the least-loaded available backend.
+	// follow key affinity with a least-loaded fallback, batches go whole
+	// to the least-loaded available backend.
 	Replicate Mode = iota
-	// Shard partitions queries across backends by feature hash; batches
+	// Shard partitions queries across backends by key; batches
 	// are split per backend and scatter-gathered.
 	Shard
 )
@@ -112,10 +113,6 @@ type Options struct {
 	// ProbeTimeout bounds one health probe, and one backend's share of an
 	// aggregated /stats fan-out (default 2s).
 	ProbeTimeout time.Duration
-	// MaxPathLen is the feature length (in edges) of the affinity hash
-	// (default 4, matching the cache's GCindex default, so the affinity
-	// hash is the feature hash a backend's cache keys its exact lookup on).
-	MaxPathLen int
 	// MaxBodyBytes bounds a request body (default 64 MiB).
 	MaxBodyBytes int64
 
@@ -178,9 +175,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.MaxPathLen <= 0 {
-		o.MaxPathLen = 4
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 64 << 20

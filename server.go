@@ -108,7 +108,7 @@ type RouterMutateBackendResult = router.MutateBackendResult
 const DefaultCoalesceDelay = 2 * time.Millisecond
 
 // Router fronts N gcserved backends behind the same wire API — the
-// gcrouter serving tier: feature-hash affinity or shard routing,
+// gcrouter serving tier: key affinity or shard routing,
 // per-backend circuit breakers with half-open readmission, bounded
 // dispatch queues with backpressure, front-door overload shedding,
 // failover re-dispatch and an aggregated /stats. Any ServerClient works
@@ -130,7 +130,7 @@ const (
 	// (affinity-routed singles, whole batches to the least-pending
 	// backend).
 	RouteReplicate = router.Replicate
-	// RouteShard partitions queries across backends by feature hash
+	// RouteShard partitions queries across backends by key
 	// (batches split per backend and scatter-gathered).
 	RouteShard = router.Shard
 )
