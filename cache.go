@@ -39,28 +39,22 @@ type Result = core.Result
 // QueryStats describes how one query was processed: filtering and
 // verification times, candidate-set sizes before and after pruning,
 // sub-iso test counts, and which special cases (exact hit, empty-answer
-// shortcut) applied.
+// shortcut) applied. It is the one per-query record; its json:"-" fields
+// (the GC stage's split, the hit credit) never leave the process.
 type QueryStats = core.QueryStats
 
 // Totals are cumulative counters over a Cache's lifetime: queries served,
 // sub-iso tests run, hits by kind, time by stage, and maintenance work.
 type Totals = core.Totals
 
-// Observer receives a Cache's telemetry stream: one QueryObservation per
-// processed query (per-stage timings, candidate counts, verifications
-// saved, hit credit) and one WindowObservation per Window Manager pass.
-// Install it via Options.Observer or Cache.SetObserver; the default nil
-// observer costs one atomic load per query. The serving tier installs a
-// metrics-backed observer automatically — see the package documentation's
-// Telemetry section.
+// Observer receives a Cache's whole-cache telemetry: one
+// WindowObservation per Window Manager pass and one MutationObservation
+// per applied dataset mutation. Per-query figures travel in each Result's
+// QueryStats instead. Install it with Cache.SetObserver; the default nil
+// observer costs one atomic load per pass or mutation. The serving tier
+// installs a metrics-backed observer automatically — see the package
+// documentation's Telemetry section.
 type Observer = core.Observer
-
-// QueryObservation is one query's per-stage telemetry: feature
-// extraction, index probe, GC confirmation, Method-M filter and
-// verification durations (ns), candidate counts before and after
-// pruning, verifications saved, estimated credit, and the special-case
-// flags.
-type QueryObservation = core.QueryObservation
 
 // WindowObservation is one Window Manager pass: wall time plus the
 // admission/eviction outcome.
@@ -99,15 +93,9 @@ func ParsePolicy(name string) (PolicyKind, error) { return core.ParsePolicy(name
 type MutationResult = core.MutationResult
 
 // MutationObservation is one applied mutation's telemetry row, streamed
-// to MutationObserver: op, epoch, wall time and the cache-maintenance
-// counts of its MutationResult.
+// to the Observer: op, epoch, wall time and the cache-maintenance counts
+// of its MutationResult.
 type MutationObservation = core.MutationObservation
-
-// MutationObserver extends Observer with a mutation stream. An Observer
-// that also implements MutationObserver (as the serving tier's
-// metrics-backed observer does) receives one MutationObservation per
-// Cache.ApplyMutation.
-type MutationObserver = core.MutationObserver
 
 // ErrStaticMethod is returned by Cache.ApplyMutation when the underlying
 // Method does not implement DynamicMethod — its index cannot be

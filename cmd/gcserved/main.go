@@ -74,8 +74,8 @@ func main() {
 		window    = flag.Int("window", 20, "window size W in queries")
 		policy    = flag.String("policy", "hd", "replacement policy: lru, pop, pin, pinc, hd")
 		admission = flag.Float64("admission", 0, "admission-control fraction (0 disables)")
-		maxBatch  = flag.Int("max-batch", 64, "request coalescer: max queries per run (1 disables coalescing)")
-		maxDelay  = flag.Duration("max-delay", graphcache.DefaultCoalesceDelay, "request coalescer: longest a query may be held behind a busy engine (an idle engine runs it at once; negative disables coalescing)")
+		maxBatch  = flag.Int("max-batch", 64, "request coalescer: max queries per run (1: every query runs alone)")
+		maxDelay  = flag.Duration("max-delay", graphcache.DefaultCoalesceDelay, "request coalescer: longest a query may be held behind a busy engine (an idle engine runs it at once; negative: never held)")
 		shedAt    = flag.Int("shed-threshold", 0, "queries admitted concurrently before 429 shedding (0 disables; a fronting gcrouter usually owns shedding)")
 		snapIv    = flag.Duration("snapshot-interval", 0, "also write -snapshot periodically, bounding crash loss to one interval (0 = shutdown-only)")
 		warmFrom  = flag.String("warm-from", "", "warm the cache from this peer's GET /snapshot before serving (overrides a local -snapshot load)")

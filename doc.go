@@ -168,8 +168,9 @@
 // without waiting for Method M's filter, and a run whose context dies
 // abandons its unstarted verification and leaves no trace in the cache. A
 // run of one query is not a batch to the outside: it does not count in
-// Totals.Batches, its observation says Batched == false, and its stage
-// timings are exact rather than shares. BenchmarkQueryBatch tracks the
+// Totals.Batches, gcserved counts it under
+// graphcache_queries_total{path=single}, and its stage timings are exact
+// rather than shares. BenchmarkQueryBatch tracks the
 // amortisation (batched execution is never slower than sequential and
 // wins on multi-core machines); BenchmarkQueryCached the cost of a lone
 // query on a repeating stream, BenchmarkQueryExactHit that of an exact
@@ -483,24 +484,31 @@
 // gauges, fixed-bucket histograms and the Prometheus text-exposition
 // writer and parser itself).
 //
-// The engine emits per-query observations through Options.Observer, an
-// interface receiving one QueryObservation per query — single or
-// batched, exactly once — with the GC stage split into feature
-// extraction, index lookup and probe (the exact-match lookup, confirmation
-// included, is in the probe share) and confirmation sub-iso time, plus
-// candidate counts, verification calls saved and credit granted; and one
-// WindowObservation per Window Manager pass. A nil Observer (the
-// default) costs one atomic load per query and nothing else, so
-// applications that don't observe pay nothing. The serving tier
-// installs its metrics sink as the observer, composing with (not
-// displacing) any observer the application installed first.
+// Every query has one statistics record, its QueryStats, which travels
+// with its Result. Besides the wire fields it carries, in fields that
+// never leave the process (json:"-"), the GC stage split into feature
+// extraction, lookup and probe (the exact-match lookup, confirmation
+// included, is in the probe share) and confirmation sub-iso time, and the
+// credit its cache hits earned. gcserved folds each query's record into
+// its metrics as the result is delivered — before the reply is written —
+// through the fold gcrouter applies to each backend reply
+// (server.QueryMetrics), so a scrape taken right after a reply already
+// counts it, and a run cut short by departed clients still counts the
+// queries it delivered. The cache's Observer, installed with
+// Cache.SetObserver, receives the whole-cache events: one
+// WindowObservation per Window Manager pass and one MutationObservation
+// per applied mutation. A nil Observer (the default) costs one atomic load
+// per event. gcserved installs its metrics as the observer.
 //
 // gcserved serves GET /metrics in the Prometheus 0.0.4 text format:
 //
 //	graphcache_query_duration_seconds{stage=...}  histograms per engine stage
 //	    (feature, probe, gcverify, filter_m, filter_gc, verify, total), observed
-//	    for every query; a batched query's values are its share of the
-//	    batch's stage time
+//	    for every delivered query; filter_m and verify skip special-case hits.
+//	    A batched query's GC stage and its feature/probe/gcverify parts are
+//	    its even share of the batch's stage time; its verify is the time from
+//	    the start of the batch's verification to its own last verdict — what
+//	    the router and the client see too
 //	graphcache_queries_total{path=single|batched}  batched: ran with company
 //	graphcache_query_hits_total{kind=exact|empty|container|containee}
 //	graphcache_candidates_total{stage=method|final}, graphcache_query_candidates
@@ -513,7 +521,8 @@
 //	graphcache_server_coalesce_dispatch_total{reason=idle|drained|full|timeout}
 //	    one per coalesced run, by why it started: no run was in flight when
 //	    the query arrived; a returning run took the queue; -max-batch queries
-//	    had queued; a queued query had been held for -max-delay
+//	    had queued; a queued query had been held for -max-delay (at once
+//	    when -max-delay is negative)
 //	graphcache_server_codec_seconds{op=decode,codec=text|binary}  request decode
 //	graphcache_server_codec_seconds{op=encode,codec=text|ndjson}  reply encode
 //	graphcache_server_wire_negotiated_total{codec,direction=request|response}
@@ -529,6 +538,7 @@
 // gcrouter serves the fleet view on both its query and admin listeners:
 //
 //	graphcache_query_duration_seconds{stage=...}  rebuilt from backend replies
+//	    (filter_m, filter_gc, verify, total: the stages a reply carries)
 //	graphcache_router_dispatch_seconds{backend=addr}  per-backend histograms
 //	graphcache_router_{routed,retried,shed}_total
 //	graphcache_router_breaker_transitions_total{state=open|half_open|closed}
@@ -544,7 +554,8 @@
 // the id minted at the edge. POST /query?debug=trace returns the
 // response with a trace: the request id plus named spans from every hop
 // (router:decode, router:dispatch addr, server:decode,
-// server:coalesce_wait, engine:filter_m, engine:filter_gc,
+// server:coalesce_wait, engine:filter_m, engine:filter_gc, and the GC
+// stage's parts engine:feature, engine:probe and engine:gcverify, then
 // engine:verify, engine:total). server:coalesce_wait is the coalescer's
 // own measurement, from the query entering its queue to its run being
 // dispatched — time held behind a busy engine, not scheduling noise.

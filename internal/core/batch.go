@@ -53,7 +53,6 @@ type queryState struct {
 	off        int          // offset of cs's verdicts in the run's flattened verdict list
 	pending    atomic.Int32 // unverified candidates; the worker that zeroes it completes the query
 	ownCost    float64      // Σ c(q, G) over csM
-	credit     float64      // estimated saving credited to the entries that hit
 	answer     []int32
 	stats      QueryStats
 }
@@ -147,17 +146,20 @@ func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
 //   - bookkeeping: one locked pass that credits the hit entries and folds
 //     the run into the lifetime totals, then the non-duplicate queries into
 //     the Window in serial order (the Window Manager fires exactly as under
-//     sequential calls), one observation per query.
+//     sequential calls).
 //
-// Timing statistics are per stage: the GC stage's wall time is split
-// evenly across the run's queries, and Totals and the Observer split the
-// verification stage's proportionally to each query's candidate-set
-// size, so sums stay meaningful and a lone query's values are exact. The
-// VerifyTime of a delivered Result is the time from the start of the
-// verification stage to that query's last verdict.
+// Each delivered Result carries the query's complete QueryStats — the
+// only per-query record — so whoever delivers the answer can fold it into
+// its metrics before the caller sees it. Timing statistics are per stage:
+// the GC stage's wall time and its feature/probe/confirmation split are
+// divided evenly across the run's queries, so sums stay meaningful and a
+// lone query's values are exact; the VerifyTime of a delivered Result is
+// the time from the start of the verification stage to that query's last
+// verdict. Totals, which sum over queries, take VerifyTime instead as the
+// query's share of the stage, in proportion to its candidate-set size.
 //
-// A run of one query is not a batch to the outside: Totals.Batches and
-// QueryObservation.Batched count runs of two or more.
+// A run of one query is not a batch to the outside: Totals.Batches counts
+// runs of two or more.
 //
 // ctx cancellation is the client-gone signal: once ctx.Err() is
 // non-nil, unstarted verification work is abandoned (a query whose
@@ -188,11 +190,6 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		st[i].stats.Serial = base + int64(i)
 	}
 
-	// Telemetry: one pointer load decides whether the run times its GC
-	// sub-stages. With obs == nil no extra clock reads happen.
-	obs := c.observer()
-	var featShare, probeShare, gcvShare int64
-
 	// All queries of a run look up and probe the same index generation.
 	ix := c.index.Load()
 	lookup := len(ix.serials) > 0 && !c.opts.DisableExactMatch
@@ -221,10 +218,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 
 	// Path features only for the queries the lookup left open: Method M's
 	// filter input, the probe input and the new entries' vectors.
-	var featStart time.Time
-	if obs != nil {
-		featStart = time.Now()
-	}
+	featStart := time.Now()
 	if open > 0 {
 		c.pool.ParallelFor(n, func(i int) {
 			if s := &st[i]; s.exact == nil {
@@ -232,11 +226,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 			}
 		})
 	}
-	var probeStart time.Time
-	if obs != nil {
-		probeStart = time.Now()
-		featShare = probeStart.Sub(featStart).Nanoseconds() / int64(n)
-	}
+	probeStart := time.Now()
 
 	// Method M's filter and the GC processors run side by side, over the
 	// open queries only. The filter goroutine holds its own inflight
@@ -272,11 +262,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 			}
 		}
 	}
-	var gcvStart time.Time
-	if obs != nil {
-		gcvStart = time.Now()
-		probeShare = (featStart.Sub(gcStart) + gcvStart.Sub(probeStart)).Nanoseconds() / int64(n)
-	}
+	gcvStart := time.Now()
 
 	// Containment confirmations: real (cheap, small-vs-small) sub-iso
 	// tests, query-major with containers before containees, so each
@@ -311,10 +297,12 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 			}
 		}
 	}
-	if obs != nil {
-		gcvShare = time.Since(gcvStart).Nanoseconds() / int64(n)
-	}
-	gcShare := time.Since(gcStart) / time.Duration(n)
+	// The GC stage and its split, as each query's even share of the run's.
+	gcEnd, perQuery := time.Now(), time.Duration(n)
+	gcShare := gcEnd.Sub(gcStart) / perQuery
+	featShare := probeStart.Sub(featStart) / perQuery
+	probeShare := (featStart.Sub(gcStart) + gcvStart.Sub(probeStart)) / perQuery
+	gcvShare := gcEnd.Sub(gcvStart) / perQuery
 
 	// Hit credits (§5.2) — hit counts, recency, candidate-set reduction
 	// and estimated time saving — queue up and land after verification, so
@@ -323,7 +311,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	var credits []hitCredit
 	queueCredit := func(s *queryState, e *entry, special bool, removed int, saved float64) {
 		credits = append(credits, hitCredit{e: e, by: s.stats.Serial, removed: int64(removed), saved: saved, special: special})
-		s.credit += saved
+		s.stats.Credit += saved
 	}
 
 	supergraph := c.m.Mode() == method.ModeSupergraph
@@ -332,6 +320,7 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	for qi := range st {
 		s := &st[qi]
 		s.stats.FilterGCTime = gcShare
+		s.stats.FeatureTime, s.stats.ProbeTime, s.stats.GCVerifyTime = featShare, probeShare, gcvShare
 		s.stats.Containers, s.stats.Containees = len(s.containers), len(s.containees)
 		providers, restrictors := s.containers, s.containees
 		if supergraph {
@@ -481,11 +470,6 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 			e.ownCS, e.ownCost = len(s.csM), s.ownCost
 		}
 		c.addToWindow(e, s.stats.Serial)
-	}
-	if obs != nil {
-		for i := range st {
-			emitQuery(obs, &st[i].stats, featShare, probeShare, gcvShare, st[i].credit, n > 1)
-		}
 	}
 	return 0, nil
 }

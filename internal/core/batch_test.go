@@ -119,6 +119,7 @@ func TestThreeEntryPointsOnePipeline(t *testing.T) {
 				}
 				r := d.run(c, q.Graph)
 				r.Stats.FilterMTime, r.Stats.FilterGCTime, r.Stats.VerifyTime = 0, 0, 0
+				r.Stats.FeatureTime, r.Stats.ProbeTime, r.Stats.GCVerifyTime = 0, 0, 0
 				out.results = append(out.results, r)
 			}
 			out.totals = c.Totals()

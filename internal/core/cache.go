@@ -95,7 +95,7 @@ type Cache struct {
 	lastSeq atomic.Int64
 
 	// obs is the telemetry Observer (see observer.go); nil when no
-	// observer is installed — the hot path pays one atomic load.
+	// observer is installed.
 	obs atomic.Pointer[observerBox]
 
 	// totMu is the ledger lock: it guards the lifetime totals and every
@@ -126,10 +126,18 @@ type Totals struct {
 	Mutations           int64 // dataset mutations applied (see ApplyMutation)
 }
 
-// QueryStats describes how one query was processed. An exact hit is
-// resolved by the lookup alone: its GCVerifications are the lookup's
-// confirming tests (normally 1), it has no Containers or Containees — the
-// containment probe never ran — and no Method M figures.
+// QueryStats describes how one query was processed — the one record per
+// query of the Statistics Manager (§6.1): the pipeline fills it in, hands
+// it over with the answer, and every consumer (Totals, the serving tiers'
+// metrics, traces, logs) reads it from there. An exact hit is resolved by
+// the lookup alone: its GCVerifications are the lookup's confirming tests
+// (normally 1), it has no Containers or Containees — the containment probe
+// never ran — and no Method M figures.
+//
+// The GC stage and its split are the query's even share of its run's
+// stage time; VerifyTime is the time from the start of the run's
+// verification to the query's last verdict (see QueryBatchStream). The
+// fields tagged json:"-" stay in the process: replies do not carry them.
 type QueryStats struct {
 	Serial          int64
 	FilterMTime     time.Duration // Method M filtering
@@ -145,6 +153,17 @@ type QueryStats struct {
 	ExactHit        bool
 	EmptyShortcut   bool
 	AnswerSize      int
+
+	// FilterGCTime split: path-feature extraction (only for the queries
+	// the exact lookup left open), the exact lookup (the IsoKey and its
+	// confirming test) plus the containment probe, and the containment
+	// confirmations. The three sum to at most FilterGCTime.
+	FeatureTime  time.Duration `json:"-"`
+	ProbeTime    time.Duration `json:"-"`
+	GCVerifyTime time.Duration `json:"-"`
+	// Credit is the cost-model estimate of the verification time the
+	// cache hits saved this query, as credited to the matched entries.
+	Credit float64 `json:"-"`
 }
 
 // TotalTime is the query's processing latency. Method M's filter and the
@@ -183,7 +202,6 @@ func New(m method.Method, opts Options) *Cache {
 	c.syncGraphCosts()
 	c.index.Store(buildQueryIndex(nil, opts.MaxPathLen))
 	c.probes.New = func() any { return new(probeScratch) }
-	c.SetObserver(opts.Observer)
 	return c
 }
 

@@ -250,18 +250,16 @@ func (c *Cache) ApplyMutation(mut dataset.Mutation) (MutationResult, error) {
 	c.tot.Mutations++
 	c.totMu.Unlock()
 	if obs := c.observer(); obs != nil {
-		if mo, ok := obs.(MutationObserver); ok {
-			mo.ObserveMutation(MutationObservation{
-				Op:             mut.Op.String(),
-				Epoch:          res.Epoch,
-				DurationNS:     res.Duration.Nanoseconds(),
-				EntriesTouched: res.EntriesTouched,
-				Reverified:     res.Reverified,
-				Extended:       res.Extended,
-				Invalidated:    res.Invalidated,
-				WindowPatched:  res.WindowPatched,
-			})
-		}
+		obs.ObserveMutation(MutationObservation{
+			Op:             mut.Op.String(),
+			Epoch:          res.Epoch,
+			DurationNS:     res.Duration.Nanoseconds(),
+			EntriesTouched: res.EntriesTouched,
+			Reverified:     res.Reverified,
+			Extended:       res.Extended,
+			Invalidated:    res.Invalidated,
+			WindowPatched:  res.WindowPatched,
+		})
 	}
 	return res, nil
 }

@@ -209,7 +209,7 @@ func TestValidateMutation(t *testing.T) {
 }
 
 // TestMutationObserverCounts: per-mutation observations surface through
-// the MutationObserver extension.
+// the Observer's mutation hook.
 type recordingMutObserver struct {
 	noopObserver
 	obs []MutationObservation

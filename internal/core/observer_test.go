@@ -5,22 +5,18 @@ import (
 	"sync"
 	"testing"
 
+	"graphcache/internal/gen"
 	"graphcache/internal/ggsx"
 	"graphcache/internal/graph"
+	"graphcache/internal/method"
 )
 
 // recordingObserver collects every observation, guarded for the
-// concurrent emitters (query goroutines, the rebuild goroutine).
+// concurrent emitters (window passes, mutations).
 type recordingObserver struct {
-	mu      sync.Mutex
-	queries []QueryObservation
-	windows []WindowObservation
-}
-
-func (r *recordingObserver) ObserveQuery(o QueryObservation) {
-	r.mu.Lock()
-	r.queries = append(r.queries, o)
-	r.mu.Unlock()
+	mu        sync.Mutex
+	windows   []WindowObservation
+	mutations []MutationObservation
 }
 
 func (r *recordingObserver) ObserveWindow(o WindowObservation) {
@@ -29,22 +25,26 @@ func (r *recordingObserver) ObserveWindow(o WindowObservation) {
 	r.mu.Unlock()
 }
 
-// TestObserverEmitsOncePerQuery is the hook's contract: exactly one
-// QueryObservation per query, on the single-query and the batched path,
-// special-case hits included, with stage timings consistent with the
-// returned QueryStats.
-func TestObserverEmitsOncePerQuery(t *testing.T) {
+func (r *recordingObserver) ObserveMutation(o MutationObservation) {
+	r.mu.Lock()
+	r.mutations = append(r.mutations, o)
+	r.mu.Unlock()
+}
+
+// TestQueryStatsStageSplit: every delivered QueryStats — single-query and
+// batched path, special-case hits included — carries a GC-stage split that
+// is never negative and sums to at most the GC stage, and a total no
+// shorter than its verification; the Observer still sees the window passes.
+func TestQueryStatsStageSplit(t *testing.T) {
 	ds := moleculeDataset(40, 11)
 	queries := typeAWorkload(ds, "ZZ", 60, 12)
 	rec := &recordingObserver{}
-	c := New(ggsx.New(ds, ggsx.Options{}), Options{
-		CacheSize: 10, WindowSize: 5, Observer: rec,
-	})
+	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 10, WindowSize: 5})
+	c.SetObserver(rec)
 
-	seen := map[int64]int{}
+	var results []Result
 	for _, q := range queries[:30] {
-		res := c.Query(q.Graph)
-		seen[res.Stats.Serial]++
+		results = append(results, c.Query(q.Graph))
 	}
 	// Batched path: remaining queries in two batches.
 	for _, bounds := range [][2]int{{30, 45}, {45, 60}} {
@@ -52,54 +52,32 @@ func TestObserverEmitsOncePerQuery(t *testing.T) {
 		for _, q := range queries[bounds[0]:bounds[1]] {
 			gs = append(gs, q.Graph)
 		}
-		for _, r := range c.QueryBatch(gs) {
-			seen[r.Stats.Serial]++
-		}
+		results = append(results, c.QueryBatch(gs)...)
 	}
 	c.Flush()
 
+	serials := map[int64]bool{}
+	for _, r := range results {
+		qs := r.Stats
+		if serials[qs.Serial] {
+			t.Fatalf("serial %d delivered twice", qs.Serial)
+		}
+		serials[qs.Serial] = true
+		if qs.FeatureTime < 0 || qs.ProbeTime < 0 || qs.GCVerifyTime < 0 {
+			t.Fatalf("negative stage timing: %+v", qs)
+		}
+		if sum := qs.FeatureTime + qs.ProbeTime + qs.GCVerifyTime; sum > qs.FilterGCTime {
+			t.Fatalf("stage split %v exceeds the GC stage %v: %+v", sum, qs.FilterGCTime, qs)
+		}
+		if qs.TotalTime() < qs.VerifyTime {
+			t.Fatalf("total %v < verify %v", qs.TotalTime(), qs.VerifyTime)
+		}
+		if qs.Credit < 0 {
+			t.Fatalf("negative credit: %+v", qs)
+		}
+	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	emitted := map[int64]int{}
-	for _, o := range rec.queries {
-		emitted[o.Serial]++
-	}
-	if len(emitted) != len(seen) {
-		t.Fatalf("observer saw %d distinct serials, queries produced %d", len(emitted), len(seen))
-	}
-	for s, n := range emitted {
-		if n != 1 {
-			t.Fatalf("serial %d emitted %d times, want exactly 1", s, n)
-		}
-		if seen[s] == 0 {
-			t.Fatalf("observer emitted unknown serial %d", s)
-		}
-	}
-	// Stage-timing sanity: on the single path the split stages sum to
-	// roughly the GC stage; everywhere total ≥ verify.
-	singles, hits := 0, 0
-	for _, o := range rec.queries {
-		if o.ExactHit || o.EmptyShortcut {
-			hits++
-		}
-		if o.Batched {
-			continue
-		}
-		singles++
-		if o.FeatureNS < 0 || o.ProbeNS < 0 || o.GCVerifyNS < 0 {
-			t.Fatalf("negative stage timing: %+v", o)
-		}
-		sum := o.FeatureNS + o.ProbeNS + o.GCVerifyNS
-		if sum > 0 && o.FilterGCNS > 0 && sum > 2*o.FilterGCNS+1_000_000 {
-			t.Fatalf("stage split %dns wildly exceeds GC stage %dns", sum, o.FilterGCNS)
-		}
-		if o.TotalNS < o.VerifyNS {
-			t.Fatalf("total %dns < verify %dns", o.TotalNS, o.VerifyNS)
-		}
-	}
-	if singles != 30 {
-		t.Fatalf("saw %d single-path observations, want 30", singles)
-	}
 	if len(rec.windows) == 0 {
 		t.Fatal("no window observations after Flush")
 	}
@@ -110,14 +88,13 @@ func TestObserverEmitsOncePerQuery(t *testing.T) {
 	}
 }
 
-// TestObserverRunShapes: a run of one query is not a batch to the observer
-// through any entry point, and a batch's observations carry non-zero
-// per-query shares of the GC sub-stages the pipeline times for every run.
-func TestObserverRunShapes(t *testing.T) {
+// TestQueryStatsRunShapes: a run of one query is not a batch through any
+// entry point, and a batch's delivered stats carry non-zero per-query
+// shares of the GC sub-stages the pipeline times for every run.
+func TestQueryStatsRunShapes(t *testing.T) {
 	ds := moleculeDataset(40, 19)
 	queries := typeAWorkload(ds, "ZZ", 30, 20)
-	rec := &recordingObserver{}
-	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 20, WindowSize: 5, Observer: rec})
+	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 20, WindowSize: 5})
 	gs := make([]*graph.Graph, len(queries))
 	for i, q := range queries {
 		gs[i] = q.Graph
@@ -127,51 +104,45 @@ func TestObserverRunShapes(t *testing.T) {
 	if _, err := c.QueryBatchStream(context.Background(), gs[1:2], func(int, Result) {}); err != nil {
 		t.Fatal(err)
 	}
-	lone := len(queries) + 2
-	c.QueryBatch(gs) // warm cache: every query probes, most confirm a hit
-
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.queries) != lone+len(gs) {
-		t.Fatalf("observer saw %d queries, want %d", len(rec.queries), lone+len(gs))
+	if b := c.Totals().Batches; b != 0 {
+		t.Fatalf("runs of one counted as %d batches", b)
 	}
-	for i, o := range rec.queries {
-		if o.Batched != (i >= lone) {
-			t.Errorf("observation %d: Batched = %v, want %v", i, o.Batched, i >= lone)
+	// Warm cache: every query probes, most confirm a hit.
+	for i, r := range c.QueryBatch(gs) {
+		if qs := r.Stats; qs.FeatureTime <= 0 || qs.ProbeTime <= 0 || qs.GCVerifyTime <= 0 {
+			t.Errorf("batched query %d lacks a GC sub-stage share: feature %v, probe %v, gcverify %v",
+				i, qs.FeatureTime, qs.ProbeTime, qs.GCVerifyTime)
 		}
-		if o.Batched && (o.FeatureNS <= 0 || o.ProbeNS <= 0 || o.GCVerifyNS <= 0) {
-			t.Errorf("batched observation %d lacks a GC sub-stage share: feature %d, probe %d, gcverify %d ns",
-				i, o.FeatureNS, o.ProbeNS, o.GCVerifyNS)
-		}
+	}
+	if b := c.Totals().Batches; b != 1 {
+		t.Fatalf("Totals.Batches = %d after one batch, want 1", b)
 	}
 }
 
 // TestSetObserverSwap installs an observer after construction and
-// removes it again; only the covered queries emit.
+// removes it again; only the mutation applied while it was installed is
+// observed.
 func TestSetObserverSwap(t *testing.T) {
-	ds := moleculeDataset(30, 13)
-	queries := typeAWorkload(ds, "ZZ", 30, 14)
-	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 10, WindowSize: 5})
-
-	for _, q := range queries[:10] {
-		c.Query(q.Graph)
+	ds := gen.DefaultAIDS().Scaled(0.002, 1).Generate(13)
+	c := New(method.NewVF2Plus(ds), Options{CacheSize: 10, WindowSize: 5})
+	add := func() {
+		t.Helper()
+		if _, err := c.AddGraphs([]*graph.Graph{ds.Graph(0).Clone()}); err != nil {
+			t.Fatal(err)
+		}
 	}
+
+	add()
 	rec := &recordingObserver{}
 	c.SetObserver(rec)
-	for _, q := range queries[10:20] {
-		c.Query(q.Graph)
-	}
+	add()
 	c.SetObserver(nil)
-	for _, q := range queries[20:] {
-		c.Query(q.Graph)
-	}
-	c.Flush()
+	add()
 
 	rec.mu.Lock()
-	n := len(rec.queries)
-	rec.mu.Unlock()
-	if n != 10 {
-		t.Fatalf("observer saw %d queries, want exactly the 10 while installed", n)
+	defer rec.mu.Unlock()
+	if len(rec.mutations) != 1 || rec.mutations[0].Epoch != 2 {
+		t.Fatalf("observer saw %+v, want exactly the mutation to epoch 2 while installed", rec.mutations)
 	}
 }
 
@@ -184,9 +155,8 @@ func TestNilObserverAllocations(t *testing.T) {
 	ds := moleculeDataset(30, 15)
 	queries := typeAWorkload(ds, "ZZ", 40, 16)
 	build := func(o Observer) *Cache {
-		c := New(ggsx.New(ds, ggsx.Options{}), Options{
-			CacheSize: 20, WindowSize: 5, Observer: o,
-		})
+		c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 20, WindowSize: 5})
+		c.SetObserver(o)
 		for _, q := range queries {
 			c.Query(q.Graph)
 		}
@@ -216,8 +186,8 @@ func TestNilObserverAllocations(t *testing.T) {
 
 type noopObserver struct{}
 
-func (noopObserver) ObserveQuery(QueryObservation)   {}
-func (noopObserver) ObserveWindow(WindowObservation) {}
+func (noopObserver) ObserveWindow(WindowObservation)     {}
+func (noopObserver) ObserveMutation(MutationObservation) {}
 
 // BenchmarkQueryNilObserver pins the nil-observer hot path for the
 // ±2% BenchmarkQueryCached acceptance bar: compare against
@@ -228,9 +198,8 @@ func BenchmarkQueryNoopObserver(b *testing.B) { benchObserver(b, noopObserver{})
 func benchObserver(b *testing.B, o Observer) {
 	ds := moleculeDataset(30, 17)
 	queries := typeAWorkload(ds, "ZZ", 40, 18)
-	c := New(ggsx.New(ds, ggsx.Options{}), Options{
-		CacheSize: 20, WindowSize: 5, Observer: o,
-	})
+	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 20, WindowSize: 5})
+	c.SetObserver(o)
 	for _, q := range queries {
 		c.Query(q.Graph)
 	}

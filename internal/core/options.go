@@ -55,13 +55,6 @@ type Options struct {
 	DisableSubHits bool
 	// DisableSuperHits ignores cached queries contained in the new query.
 	DisableSuperHits bool
-
-	// Observer, when non-nil, receives per-query stage timings and
-	// window-rebuild telemetry (see the Observer interface). The default
-	// nil observer costs one atomic pointer load per query and nothing
-	// else — no extra clock reads, no allocations. Swappable at runtime
-	// with Cache.SetObserver.
-	Observer Observer
 }
 
 func (o Options) withDefaults() Options {

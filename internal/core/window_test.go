@@ -148,7 +148,7 @@ func TestConcurrentAsyncMatchesSerial(t *testing.T) {
 // test releases it, announcing each arrival on entered.
 type parkingObserver struct{ entered, release chan struct{} }
 
-func (o parkingObserver) ObserveQuery(QueryObservation) {}
+func (o parkingObserver) ObserveMutation(MutationObservation) {}
 func (o parkingObserver) ObserveWindow(WindowObservation) {
 	o.entered <- struct{}{}
 	<-o.release
@@ -178,8 +178,9 @@ func waitParkedIn(t *testing.T, fn string) {
 func TestMaintainerFlushWhilePassParked(t *testing.T) {
 	obs := parkingObserver{entered: make(chan struct{}), release: make(chan struct{})}
 	c := New(method.NewVF2Plus(moleculeDataset(20, 53)), Options{
-		CacheSize: 100, WindowSize: 2, AsyncRebuild: true, Observer: obs,
+		CacheSize: 100, WindowSize: 2, AsyncRebuild: true,
 	})
+	c.SetObserver(obs)
 	label := graph.Label(100)
 	fill := func() { // two new, non-isomorphic queries: one full window
 		for i := 0; i < 2; i++ {

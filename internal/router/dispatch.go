@@ -268,7 +268,7 @@ func (rt *Router) queryOne(ctx context.Context, q *graph.Graph, trace bool) (ser
 	if err != nil {
 		return server.QueryResponse{}, "", err
 	}
-	rt.met.observeStats(&resp.Stats)
+	rt.met.query.Observe(&resp.Stats)
 	return resp, b.addr, nil
 }
 
@@ -348,7 +348,7 @@ func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups map[*back
 				return 0, err
 			}
 			for k, i := range idxs {
-				rt.met.observeStats(&results[k].Stats)
+				rt.met.query.Observe(&results[k].Stats)
 				out[i] = results[k]
 			}
 			return 0, nil

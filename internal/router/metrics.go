@@ -1,7 +1,7 @@
 package router
 
 import (
-	"graphcache/internal/core"
+	"graphcache/internal/server"
 	"graphcache/internal/telemetry"
 )
 
@@ -13,18 +13,10 @@ import (
 type routerMetrics struct {
 	reg *telemetry.Registry
 
-	// Engine stages, fed from each successful reply's QueryStats. The
-	// finer feature/probe split never crosses the wire; the router sees
-	// the same stage-level breakdown QueryStats carries.
-	durFilterM  *telemetry.Histogram
-	durFilterGC *telemetry.Histogram
-	durVerify   *telemetry.Histogram
-	durTotal    *telemetry.Histogram
-
-	hitsExact     *telemetry.Counter
-	hitsEmpty     *telemetry.Counter
-	hitsContainer *telemetry.Counter
-	hitsContainee *telemetry.Counter
+	// Engine stages and hits, folded from each successful reply's
+	// QueryStats before the router answers its client. The GC stage's
+	// finer split never crosses the wire.
+	query *server.QueryMetrics
 
 	// Routing plane.
 	routed  *telemetry.Counter
@@ -48,16 +40,6 @@ type routerMetrics struct {
 }
 
 func newRouterMetrics(reg *telemetry.Registry) *routerMetrics {
-	const durName = "graphcache_query_duration_seconds"
-	const durHelp = "Per-stage query latency as reported by the answering backend."
-	stage := func(s string) *telemetry.Histogram {
-		return reg.Histogram(durName, durHelp, nil, telemetry.L("stage", s))
-	}
-	const hitName = "graphcache_query_hits_total"
-	const hitHelp = "Cache hits by kind (exact, empty, container, containee)."
-	hit := func(k string) *telemetry.Counter {
-		return reg.Counter(hitName, hitHelp, telemetry.L("kind", k))
-	}
 	const brName = "graphcache_router_breaker_transitions_total"
 	const brHelp = "Circuit-breaker state transitions, fleet-wide, by target state."
 	br := func(s string) *telemetry.Counter {
@@ -66,16 +48,8 @@ func newRouterMetrics(reg *telemetry.Registry) *routerMetrics {
 	const remapName = "graphcache_router_ring_remaps_total"
 	const remapHelp = "Consistent-hash ring rebuilds, by topology change."
 	return &routerMetrics{
-		reg:         reg,
-		durFilterM:  stage("filter_m"),
-		durFilterGC: stage("filter_gc"),
-		durVerify:   stage("verify"),
-		durTotal:    stage("total"),
-
-		hitsExact:     hit("exact"),
-		hitsEmpty:     hit("empty"),
-		hitsContainer: hit("container"),
-		hitsContainee: hit("containee"),
+		reg:   reg,
+		query: server.NewQueryMetrics(reg),
 
 		routed:  reg.Counter("graphcache_router_routed_total", "Queries dispatched to their assigned backend."),
 		retried: reg.Counter("graphcache_router_retried_total", "Queries re-dispatched after a failed attempt."),
@@ -104,28 +78,6 @@ func (m *routerMetrics) dispatchHist(addr string) *telemetry.Histogram {
 	return m.reg.Histogram("graphcache_router_dispatch_seconds",
 		"Dispatch attempt latency through queue, breaker and backend round-trip.",
 		nil, telemetry.L("backend", addr))
-}
-
-// observeStats folds one successful reply's engine stats into the
-// router's fleet-level stage histograms and hit counters.
-func (m *routerMetrics) observeStats(qs *core.QueryStats) {
-	m.durFilterGC.Observe(qs.FilterGCTime.Seconds())
-	m.durTotal.Observe(qs.TotalTime().Seconds())
-	switch {
-	case qs.ExactHit:
-		m.hitsExact.Inc()
-	case qs.EmptyShortcut:
-		m.hitsEmpty.Inc()
-	default:
-		m.durFilterM.Observe(qs.FilterMTime.Seconds())
-		m.durVerify.Observe(qs.VerifyTime.Seconds())
-		if qs.Containers > 0 {
-			m.hitsContainer.Inc()
-		}
-		if qs.Containees > 0 {
-			m.hitsContainee.Inc()
-		}
-	}
 }
 
 // onTransition is the breakers' transition callback: every state change

@@ -383,27 +383,11 @@ func (rt *Router) backends() []*backend { return rt.topo.Load().bs }
 
 // Handler returns the router's HTTP handler — the query mux behind the
 // request-id middleware — for embedding or for httptest-driven tests.
-func (rt *Router) Handler() http.Handler { return withRequestID(rt.mux) }
+func (rt *Router) Handler() http.Handler { return server.WithRequestID(rt.mux) }
 
 // Metrics returns the router's telemetry registry, for embedding its
 // exposition elsewhere or asserting on metrics in tests.
 func (rt *Router) Metrics() *telemetry.Registry { return rt.reg }
-
-// withRequestID mints each request's fleet-wide id at the fleet's front
-// door (an id already present — e.g. a router fronting a router — is
-// kept), echoes it on the response, and rides it down the request
-// context; the backend client forwards it on every dispatch, so the
-// backend's spans and sampled logs carry the id minted here.
-func withRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(telemetry.RequestIDHeader)
-		if id == "" {
-			id = telemetry.NewRequestID()
-		}
-		w.Header().Set(telemetry.RequestIDHeader, id)
-		next.ServeHTTP(w, r.WithContext(telemetry.WithRequestID(r.Context(), id)))
-	})
-}
 
 // AdminHandler returns the admin API handler (POST /backends,
 // DELETE /backends/{id}, GET /topology), for embedding or tests. The

@@ -30,7 +30,7 @@ func (rt *Router) streamBatch(w http.ResponseWriter, r *http.Request, tp *topolo
 				}
 				delivered++
 				sr.Index = idxs[sr.Index]
-				rt.met.observeStats(&sr.Stats)
+				rt.met.query.Observe(&sr.Stats)
 				st.Deliver(&sr)
 				return nil
 			})

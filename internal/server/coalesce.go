@@ -18,17 +18,17 @@ import (
 //     form exactly when, and only as large as, concurrency exists;
 //  3. maxSize queued queries are dispatched at once, beside the runs in flight;
 //  4. maxWait bounds how long a query stays queued behind a busy engine: the
-//     first to queue arms it, expiry dispatches the queue past the slow run.
+//     first to queue arms it, expiry dispatches the queue past the slow run;
+//     a negative maxWait holds no query at all.
 //
 // Every run has a goroutine of its own, never a caller's: a caller whose
 // context dies returns at once, queued or running. The flush drops dead
 // waiters first, and a run whose every waiter has left — a lone one
 // included, a run of one being the same pipeline — abandons its verification.
 type coalescer struct {
-	cache   *core.Cache
+	srv     *Server // runs each batch (Server.runBatch) and gets wait and dispatch reason
 	maxSize int
 	maxWait time.Duration
-	met     *serverMetrics // when non-nil, gets wait, size and dispatch reason
 
 	mu      sync.Mutex
 	pending []waiter // queued behind the runs in flight
@@ -54,8 +54,8 @@ type answered struct {
 	wait time.Duration
 }
 
-func newCoalescer(c *core.Cache, maxSize int, maxWait time.Duration) *coalescer {
-	return &coalescer{cache: c, maxSize: maxSize, maxWait: maxWait}
+func newCoalescer(s *Server) *coalescer {
+	return &coalescer{srv: s, maxSize: s.opts.MaxBatch, maxWait: s.opts.MaxDelay}
 }
 
 // query answers q, possibly as part of a coalesced batch, blocking until
@@ -65,9 +65,6 @@ func (co *coalescer) query(ctx context.Context, q *graph.Graph) (answered, error
 	if err := ctx.Err(); err != nil {
 		return answered{}, err
 	}
-	if co.maxSize <= 1 || co.maxWait <= 0 {
-		return answered{Result: co.cache.Query(q)}, nil
-	}
 	w := waiter{ctx: ctx, q: q, ch: make(chan answered, 1), enq: time.Now()}
 	co.mu.Lock()
 	co.pending = append(co.pending, w)
@@ -76,6 +73,9 @@ func (co *coalescer) query(ctx context.Context, q *graph.Graph) (answered, error
 		co.dispatchLocked(dispatchIdle)
 	case len(co.pending) >= co.maxSize:
 		co.dispatchLocked(dispatchFull)
+	case co.maxWait < 0:
+		// A negative bound holds nothing: the query leaves at once.
+		co.dispatchLocked(dispatchTimeout)
 	case len(co.pending) == 1:
 		// First query to queue behind a busy engine arms the bound.
 		gen := co.gen
@@ -142,24 +142,17 @@ func (co *coalescer) flush(batch []waiter, reason int) {
 	if len(live) == 0 {
 		return
 	}
-	now := time.Now()
-	if co.met != nil {
-		co.met.dispatch[reason].Inc()
-		co.met.batchSize.Observe(float64(len(live)))
-		for _, w := range live {
-			co.met.coalesceWait.Observe(now.Sub(w.enq).Seconds())
-		}
+	now, met := time.Now(), co.srv.met
+	met.dispatch[reason].Inc()
+	for _, w := range live {
+		met.coalesceWait.Observe(now.Sub(w.enq).Seconds())
 	}
 	// Stream the batch so each waiter is answered the moment its own query
 	// completes. The composite context cancels the batch only once every
 	// waiter is gone: a live one needs every answer to keep its own sound.
-	abandoned, err := co.cache.QueryBatchStream(allWaitersCtx(live), qs, func(i int, r core.Result) {
+	co.srv.runBatch(allWaitersCtx(live), qs, func(i int, r core.Result) {
 		live[i].ch <- answered{r, now.Sub(live[i].enq)}
 	})
-	if err != nil && co.met != nil {
-		co.met.streamCancelled.Inc()
-		co.met.streamAbandoned.Add(float64(abandoned))
-	}
 }
 
 // allWaitersCtx is a polling context over a batch's waiters: Err reports

@@ -11,7 +11,6 @@ import (
 	"graphcache/internal/ggsx"
 	"graphcache/internal/graph"
 	"graphcache/internal/method"
-	"graphcache/internal/telemetry"
 )
 
 // waitFor polls cond under the coalescer's mutex until it holds.
@@ -42,6 +41,11 @@ func waitPending(t *testing.T, co *coalescer, n int) {
 func waitIdle(t *testing.T, co *coalescer) {
 	t.Helper()
 	waitFor(t, co, "no run in flight", func() bool { return co.running == 0 && len(co.pending) == 0 })
+}
+
+// testCoalescer is the coalescer of a Server over c with the given bounds.
+func testCoalescer(c *core.Cache, maxSize int, maxWait time.Duration) *coalescer {
+	return New(c, Options{MaxBatch: maxSize, MaxDelay: maxWait}).co
 }
 
 // gateMethod parks the Verify calls of the gated queries (of every query
@@ -132,8 +136,7 @@ func gatedCoalescer(t *testing.T, seed int64, nQueries, maxSize int, maxWait tim
 	base := method.NewVF2Plus(ds)
 	gm := newGateMethod(base, queries[:nGated]...)
 	// A window of one: every executed query is cached before the next runs.
-	co := newCoalescer(core.New(gm, core.Options{CacheSize: 20, WindowSize: 1}), maxSize, maxWait)
-	co.met = newServerMetrics(telemetry.NewRegistry())
+	co := testCoalescer(core.New(gm, core.Options{CacheSize: 20, WindowSize: 1}), maxSize, maxWait)
 	holder := ask(context.Background(), co, queries[0])
 	gm.waitStarted(t)
 	return co, gm, base, queries, holder
@@ -197,7 +200,7 @@ func TestCoalescerBurstRace(t *testing.T) {
 
 	cache := core.New(ggsx.New(ds, ggsx.Options{}),
 		core.Options{CacheSize: 20, WindowSize: 5, AsyncRebuild: true})
-	co := newCoalescer(cache, 2, 50*time.Microsecond)
+	co := testCoalescer(cache, 2, 50*time.Microsecond)
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -244,8 +247,7 @@ func TestCoalescerLoneWaiterCancellation(t *testing.T) {
 	// One verification worker, so only the first chunk of tests is in
 	// flight when the waiter leaves.
 	cache := core.New(gm, core.Options{CacheSize: 20, WindowSize: 1, VerifyConcurrency: 1})
-	co := newCoalescer(cache, 4, time.Hour)
-	co.met = newServerMetrics(telemetry.NewRegistry())
+	co := testCoalescer(cache, 4, time.Hour)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -259,15 +261,44 @@ func TestCoalescerLoneWaiterCancellation(t *testing.T) {
 	close(gm.gate)
 	waitIdle(t, co)
 
-	if got := co.met.streamAbandoned.Value(); got == 0 {
+	if got := co.srv.met.streamAbandoned.Value(); got == 0 {
 		t.Error("stream_abandoned_verifications_total = 0: the lone waiter's run verified to the end")
 	}
-	if got := co.met.streamCancelled.Value(); got != 1 {
+	if got := co.srv.met.streamCancelled.Value(); got != 1 {
 		t.Errorf("stream_cancelled_total = %v, want 1", got)
 	}
 	cache.Flush()
 	if tot := cache.Totals(); tot.Queries != 0 || len(cache.CachedSerials()) != 0 {
 		t.Errorf("abandoned query left a trace: %d queries in totals, %d cached", tot.Queries, len(cache.CachedSerials()))
+	}
+}
+
+// TestCoalescerMaxBatchOneAbandons: under MaxBatch 1 every query is a
+// coalesced run of one, so a client that leaves while its query is parked
+// in verification returns at once, and its run abandons the remaining
+// tests and is counted as cancelled.
+func TestCoalescerMaxBatchOneAbandons(t *testing.T) {
+	ds := testDataset(40, 69)
+	gm := newGateMethod(method.NewVF2Plus(ds)) // no index: every graph is a candidate
+	cache := core.New(gm, core.Options{CacheSize: 20, WindowSize: 1, VerifyConcurrency: 1})
+	co := testCoalescer(cache, 1, time.Hour)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gone := ask(ctx, co, testWorkload(ds, 1, 70)[0])
+	gm.waitStarted(t)
+	cancel()
+	gone.wait(t, "departed client") // its run is still parked on the gate
+	if !errors.Is(gone.err, context.Canceled) {
+		t.Errorf("client returned %v, want context.Canceled", gone.err)
+	}
+	close(gm.gate)
+	waitIdle(t, co)
+	if got := co.srv.met.streamCancelled.Value(); got != 1 {
+		t.Errorf("stream_cancelled_total = %v, want 1", got)
+	}
+	if got := co.srv.met.streamAbandoned.Value(); got == 0 {
+		t.Error("stream_abandoned_verifications_total = 0: the run verified to the end")
 	}
 }
 
@@ -277,8 +308,7 @@ func TestCoalescerLoneWaiterCancellation(t *testing.T) {
 func TestCoalescerLoneQueryNeedsNoTimer(t *testing.T) {
 	ds := testDataset(30, 67)
 	queries := testWorkload(ds, 3, 68)
-	co := newCoalescer(newTestCache(ds), 4, time.Hour)
-	co.met = newServerMetrics(telemetry.NewRegistry())
+	co := testCoalescer(newTestCache(ds), 4, time.Hour)
 	base := method.NewVF2Plus(ds)
 	for i, q := range queries {
 		a := ask(context.Background(), co, q)
@@ -292,10 +322,10 @@ func TestCoalescerLoneQueryNeedsNoTimer(t *testing.T) {
 		}
 	}
 	n := float64(len(queries))
-	if got := co.met.dispatch[dispatchIdle].Value(); got != n {
+	if got := co.srv.met.dispatch[dispatchIdle].Value(); got != n {
 		t.Errorf("dispatch_total{reason=idle} = %v, want %v", got, n)
 	}
-	if c, s := co.met.batchSize.Count(), co.met.batchSize.Sum(); float64(c) != n || s != n {
+	if c, s := co.srv.met.batchSize.Count(), co.srv.met.batchSize.Sum(); float64(c) != n || s != n {
 		t.Errorf("batch_size observed %d runs summing to %v, want %v runs of one", c, s, n)
 	}
 }
@@ -311,7 +341,7 @@ func TestCoalescerDrainsQueueAsOneRun(t *testing.T) {
 		queued = append(queued, ask(context.Background(), co, q))
 	}
 	waitPending(t, co, 3)
-	batches, runs, sum := co.cache.Totals().Batches, co.met.batchSize.Count(), co.met.batchSize.Sum()
+	batches, runs, sum := co.srv.cache.Totals().Batches, co.srv.met.batchSize.Count(), co.srv.met.batchSize.Sum()
 
 	close(gm.gate)
 	holder.answers(t, "holder", base, queries[0])
@@ -319,13 +349,13 @@ func TestCoalescerDrainsQueueAsOneRun(t *testing.T) {
 		a.answers(t, "queued query", base, queries[1+i])
 	}
 	waitIdle(t, co)
-	if got := co.cache.Totals().Batches - batches; got != 1 {
+	if got := co.srv.cache.Totals().Batches - batches; got != 1 {
 		t.Errorf("the three queued queries ran as %d batches, want 1", got)
 	}
-	if c, s := co.met.batchSize.Count()-runs, co.met.batchSize.Sum()-sum; c != 1 || s != 3 {
+	if c, s := co.srv.met.batchSize.Count()-runs, co.srv.met.batchSize.Sum()-sum; c != 1 || s != 3 {
 		t.Errorf("batch_size observed %d runs summing to %v, want one run of 3", c, s)
 	}
-	if got := co.met.dispatch[dispatchDrained].Value(); got != 1 {
+	if got := co.srv.met.dispatch[dispatchDrained].Value(); got != 1 {
 		t.Errorf("dispatch_total{reason=drained} = %v, want 1", got)
 	}
 }
@@ -345,7 +375,27 @@ func TestCoalescerMaxWaitBoundsQueueing(t *testing.T) {
 	if wait := queued.res.wait; wait < 5*time.Millisecond {
 		t.Errorf("queued query reports a wait of %v, dispatched before its 5ms bound", wait)
 	}
-	if got := co.met.dispatch[dispatchTimeout].Value(); got != 1 {
+	if got := co.srv.met.dispatch[dispatchTimeout].Value(); got != 1 {
+		t.Errorf("dispatch_total{reason=timeout} = %v, want 1", got)
+	}
+	close(gm.gate)
+	holder.answers(t, "holder", base, queries[0])
+	waitIdle(t, co)
+}
+
+// TestCoalescerNegativeDelayHoldsNothing: under a negative maxWait a query
+// that finds the engine busy is not held at all — it is dispatched at once
+// beside the parked run and answered while that run is still parked.
+func TestCoalescerNegativeDelayHoldsNothing(t *testing.T) {
+	co, gm, base, queries, holder := gatedCoalescer(t, 75, 2, 8, -1, 1)
+	queued := ask(context.Background(), co, queries[1])
+	queued.answers(t, "query behind a busy engine", base, queries[1])
+	select {
+	case <-holder.ok:
+		t.Fatal("the holder returned through a closed gate")
+	default:
+	}
+	if got := co.srv.met.dispatch[dispatchTimeout].Value(); got != 1 {
 		t.Errorf("dispatch_total{reason=timeout} = %v, want 1", got)
 	}
 	close(gm.gate)
@@ -365,8 +415,8 @@ func TestCoalescerFullQueueDispatchesBesideBusyRun(t *testing.T) {
 	// queries[4] is cached beforehand (straight through the cache, past the
 	// busy coalescer): an exact hit, answered before the batch verifies.
 	co, gm, base, queries, holder := gatedCoalescer(t, 73, 5, 2, time.Hour, 4)
-	co.cache.Query(queries[4])
-	co.cache.Flush()
+	co.srv.cache.Query(queries[4])
+	co.srv.cache.Flush()
 	first := ask(context.Background(), co, queries[1])
 	waitPending(t, co, 1)
 	filler := ask(context.Background(), co, queries[4])
@@ -388,7 +438,7 @@ func TestCoalescerFullQueueDispatchesBesideBusyRun(t *testing.T) {
 	if !errors.Is(leaver.err, context.Canceled) {
 		t.Errorf("cancelled filler returned %v, want context.Canceled", leaver.err)
 	}
-	if got := co.met.dispatch[dispatchFull].Value(); got != 2 {
+	if got := co.srv.met.dispatch[dispatchFull].Value(); got != 2 {
 		t.Errorf("dispatch_total{reason=full} = %v, want 2", got)
 	}
 

@@ -75,7 +75,7 @@ func TestCoalescerDropsCanceledWaiters(t *testing.T) {
 	holder.answers(t, "holder", base, queries[0])
 	live.answers(t, "live waiter", base, queries[2])
 	waitIdle(t, co)
-	if got := co.cache.Totals().Queries; got != 2 {
+	if got := co.srv.cache.Totals().Queries; got != 2 {
 		t.Errorf("cache executed %d queries, want 2 (the holder and the live waiter, not the canceled one)", got)
 	}
 

@@ -5,29 +5,85 @@ import (
 	"graphcache/internal/telemetry"
 )
 
-// serverMetrics is gcserved's metric surface: the engine telemetry fed
-// by the cache Observer plus the serving-boundary series (coalescer
-// waits, batch sizes, codec time, shed/warm events, admitted gauge).
-// Everything lives in one Registry served at GET /metrics.
+// QueryMetrics is the per-query metric fold both serving tiers share: the
+// engine-stage histograms graphcache_query_duration_seconds{stage} for
+// filter_m, filter_gc, verify and total, and the hit counters
+// graphcache_query_hits_total{kind}. gcserved feeds it each result as the
+// result is delivered, gcrouter each successful reply, so one scrape of
+// either tier after a reply already counts that reply's query.
+type QueryMetrics struct {
+	filterM, filterGC, verify, total   *telemetry.Histogram
+	exact, empty, container, containee *telemetry.Counter
+}
+
+const (
+	durName = "graphcache_query_duration_seconds"
+	durHelp = "Per-stage query latency, by engine stage."
+)
+
+// stageHist registers the stage series of graphcache_query_duration_seconds.
+func stageHist(reg *telemetry.Registry, stage string) *telemetry.Histogram {
+	return reg.Histogram(durName, durHelp, nil, telemetry.L("stage", stage))
+}
+
+// NewQueryMetrics registers the shared per-query series on reg.
+func NewQueryMetrics(reg *telemetry.Registry) *QueryMetrics {
+	const hitName = "graphcache_query_hits_total"
+	const hitHelp = "Cache hits by kind (exact, empty, container, containee)."
+	hit := func(k string) *telemetry.Counter {
+		return reg.Counter(hitName, hitHelp, telemetry.L("kind", k))
+	}
+	return &QueryMetrics{
+		filterM:   stageHist(reg, "filter_m"),
+		filterGC:  stageHist(reg, "filter_gc"),
+		verify:    stageHist(reg, "verify"),
+		total:     stageHist(reg, "total"),
+		exact:     hit("exact"),
+		empty:     hit("empty"),
+		container: hit("container"),
+		containee: hit("containee"),
+	}
+}
+
+// Observe folds one query's stats. A special-case hit never ran Method M,
+// so it adds to neither filter_m nor verify.
+func (m *QueryMetrics) Observe(qs *core.QueryStats) {
+	m.filterGC.Observe(qs.FilterGCTime.Seconds())
+	m.total.Observe(qs.TotalTime().Seconds())
+	switch {
+	case qs.ExactHit:
+		m.exact.Inc()
+	case qs.EmptyShortcut:
+		m.empty.Inc()
+	default:
+		m.filterM.Observe(qs.FilterMTime.Seconds())
+		m.verify.Observe(qs.VerifyTime.Seconds())
+		if qs.Containers > 0 {
+			m.container.Inc()
+		}
+		if qs.Containees > 0 {
+			m.containee.Inc()
+		}
+	}
+}
+
+// serverMetrics is gcserved's metric surface: the shared per-query fold
+// plus what only the engine's own process can see (the GC-stage split,
+// candidate counts, savings, credit), the Window Manager and mutation
+// series fed by the cache Observer, and the serving-boundary series
+// (coalescer waits, batch sizes, codec time, shed/warm events, admitted
+// gauge). Everything lives in one Registry served at GET /metrics.
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	// Engine stages, fed by the Observer.
+	// Per-query series, fed by observeQuery as each result is delivered.
+	query       *QueryMetrics
 	durFeature  *telemetry.Histogram
 	durProbe    *telemetry.Histogram
 	durGCVerify *telemetry.Histogram
-	durFilterM  *telemetry.Histogram
-	durFilterGC *telemetry.Histogram
-	durVerify   *telemetry.Histogram
-	durTotal    *telemetry.Histogram
 
 	queriesSingle *telemetry.Counter
 	queriesBatch  *telemetry.Counter
-
-	hitsExact     *telemetry.Counter
-	hitsEmpty     *telemetry.Counter
-	hitsContainer *telemetry.Counter
-	hitsContainee *telemetry.Counter
 
 	candMethod *telemetry.Counter
 	candFinal  *telemetry.Counter
@@ -52,7 +108,7 @@ type serverMetrics struct {
 	streamCancelled *telemetry.Counter
 	streamAbandoned *telemetry.Counter
 
-	// Dataset mutations (fed by the MutationObserver extension).
+	// Dataset mutations, fed by the Observer.
 	mutAdd         *telemetry.Counter
 	mutRemove      *telemetry.Counter
 	mutEdit        *telemetry.Counter
@@ -74,33 +130,15 @@ const (
 var dispatchReasons = [...]string{"idle", "drained", "full", "timeout"}
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
-	const durName = "graphcache_query_duration_seconds"
-	const durHelp = "Per-stage query latency, by engine stage."
-	stage := func(s string) *telemetry.Histogram {
-		return reg.Histogram(durName, durHelp, nil, telemetry.L("stage", s))
-	}
-	const hitName = "graphcache_query_hits_total"
-	const hitHelp = "Cache hits by kind (exact, empty, container, containee)."
-	hit := func(k string) *telemetry.Counter {
-		return reg.Counter(hitName, hitHelp, telemetry.L("kind", k))
-	}
 	m := &serverMetrics{
 		reg:         reg,
-		durFeature:  stage("feature"),
-		durProbe:    stage("probe"),
-		durGCVerify: stage("gcverify"),
-		durFilterM:  stage("filter_m"),
-		durFilterGC: stage("filter_gc"),
-		durVerify:   stage("verify"),
-		durTotal:    stage("total"),
+		durFeature:  stageHist(reg, "feature"),
+		durProbe:    stageHist(reg, "probe"),
+		durGCVerify: stageHist(reg, "gcverify"),
+		query:       NewQueryMetrics(reg),
 
 		queriesSingle: reg.Counter("graphcache_queries_total", "Queries processed, by path.", telemetry.L("path", "single")),
 		queriesBatch:  reg.Counter("graphcache_queries_total", "Queries processed, by path.", telemetry.L("path", "batched")),
-
-		hitsExact:     hit("exact"),
-		hitsEmpty:     hit("empty"),
-		hitsContainer: hit("container"),
-		hitsContainee: hit("containee"),
 
 		candMethod: reg.Counter("graphcache_candidates_total", "Candidate graphs, before (method) and after (final) GC pruning.", telemetry.L("stage", "method")),
 		candFinal:  reg.Counter("graphcache_candidates_total", "Candidate graphs, before (method) and after (final) GC pruning.", telemetry.L("stage", "final")),
@@ -144,7 +182,41 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	return m
 }
 
-// ObserveMutation implements core.MutationObserver.
+// observeQuery folds one delivered query: the shared per-query series,
+// then the server's own, which read QueryStats' in-process fields. batched
+// says the query ran in a run of two or more.
+func (m *serverMetrics) observeQuery(qs *core.QueryStats, batched bool) {
+	m.query.Observe(qs)
+	if batched {
+		m.queriesBatch.Inc()
+	} else {
+		m.queriesSingle.Inc()
+	}
+	m.durFeature.Observe(qs.FeatureTime.Seconds())
+	m.durProbe.Observe(qs.ProbeTime.Seconds())
+	m.durGCVerify.Observe(qs.GCVerifyTime.Seconds())
+	// A special-case hit never computed a candidate set to count.
+	if !qs.ExactHit && !qs.EmptyShortcut {
+		m.candMethod.Add(float64(qs.CandidatesM))
+		m.candFinal.Add(float64(qs.CandidatesFinal))
+		m.candHist.Observe(float64(qs.CandidatesFinal))
+		// Pruning avoided |CS_M| − |CS_GC| Method-M verifications.
+		m.saved.Add(float64(max(qs.CandidatesM-qs.CandidatesFinal, 0)))
+	}
+	if qs.Credit > 0 {
+		m.credit.Add(qs.Credit)
+	}
+}
+
+// ObserveWindow implements core.Observer.
+func (m *serverMetrics) ObserveWindow(o core.WindowObservation) {
+	m.windowDur.Observe(float64(o.DurationNS) / nsPerSec)
+	m.windowAdmitted.Add(float64(o.Admitted))
+	m.windowEvicted.Add(float64(o.Evicted))
+	m.windowRejected.Add(float64(o.Rejected))
+}
+
+// ObserveMutation implements core.Observer.
 func (m *serverMetrics) ObserveMutation(o core.MutationObservation) {
 	switch o.Op {
 	case "add":
@@ -161,81 +233,6 @@ func (m *serverMetrics) ObserveMutation(o core.MutationObservation) {
 }
 
 const nsPerSec = 1e9
-
-// ObserveQuery implements core.Observer: every per-query emission lands
-// in the stage histograms and hit/candidate counters.
-func (m *serverMetrics) ObserveQuery(o core.QueryObservation) {
-	if o.Batched {
-		m.queriesBatch.Inc()
-	} else {
-		m.queriesSingle.Inc()
-	}
-	// The GC stage and its finer split are per-query shares of the run's
-	// stage time (exact for a lone query).
-	m.durFeature.Observe(float64(o.FeatureNS) / nsPerSec)
-	m.durProbe.Observe(float64(o.ProbeNS) / nsPerSec)
-	m.durGCVerify.Observe(float64(o.GCVerifyNS) / nsPerSec)
-	m.durFilterGC.Observe(float64(o.FilterGCNS) / nsPerSec)
-	m.durTotal.Observe(float64(o.TotalNS) / nsPerSec)
-
-	switch {
-	case o.ExactHit:
-		m.hitsExact.Inc()
-	case o.EmptyShortcut:
-		m.hitsEmpty.Inc()
-	default:
-		m.durFilterM.Observe(float64(o.FilterMNS) / nsPerSec)
-		m.durVerify.Observe(float64(o.VerifyNS) / nsPerSec)
-		if o.Containers > 0 {
-			m.hitsContainer.Inc()
-		}
-		if o.Containees > 0 {
-			m.hitsContainee.Inc()
-		}
-		m.candMethod.Add(float64(o.CandidatesM))
-		m.candFinal.Add(float64(o.CandidatesFinal))
-		m.candHist.Observe(float64(o.CandidatesFinal))
-		m.saved.Add(float64(o.CallsSaved))
-	}
-	if o.CreditSaved > 0 {
-		m.credit.Add(o.CreditSaved)
-	}
-}
-
-// ObserveWindow implements core.Observer.
-func (m *serverMetrics) ObserveWindow(o core.WindowObservation) {
-	m.windowDur.Observe(float64(o.DurationNS) / nsPerSec)
-	m.windowAdmitted.Add(float64(o.Admitted))
-	m.windowEvicted.Add(float64(o.Evicted))
-	m.windowRejected.Add(float64(o.Rejected))
-}
-
-// fanoutObserver forwards to several observers — used when the cache
-// arrives at New with an application observer already installed, so the
-// server's metrics don't displace it.
-type fanoutObserver []core.Observer
-
-func (f fanoutObserver) ObserveQuery(o core.QueryObservation) {
-	for _, ob := range f {
-		ob.ObserveQuery(o)
-	}
-}
-
-func (f fanoutObserver) ObserveWindow(o core.WindowObservation) {
-	for _, ob := range f {
-		ob.ObserveWindow(o)
-	}
-}
-
-// ObserveMutation forwards to the members that understand mutations, so
-// a fanout over mixed observers still satisfies core.MutationObserver.
-func (f fanoutObserver) ObserveMutation(o core.MutationObservation) {
-	for _, ob := range f {
-		if mo, ok := ob.(core.MutationObserver); ok {
-			mo.ObserveMutation(o)
-		}
-	}
-}
 
 // wireMetrics is one wire format's metric bundle in one direction —
 // requests decoded or replies encoded: codec time

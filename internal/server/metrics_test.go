@@ -72,24 +72,17 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		t.Fatalf("QueryBatch: %v", err)
 	}
 
-	// A query's observation is emitted after its result is delivered (see
-	// core.Observer), so a scrape right after the last reply can miss the
-	// last few: scrape until every query has been observed.
-	var samples []telemetry.Sample
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		samples = scrapeMetrics(t, s.Addr())
-		observed := 0.0
-		for _, smp := range samples {
-			if smp.Name == "graphcache_queries_total" {
-				observed += smp.Value
-			}
+	// Each result is folded into the metrics before it is delivered, so one
+	// scrape right after the last reply sees every query.
+	samples := scrapeMetrics(t, s.Addr())
+	observed := 0.0
+	for _, smp := range samples {
+		if smp.Name == "graphcache_queries_total" {
+			observed += smp.Value
 		}
-		if observed == float64(len(queries)) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("graphcache_queries_total sums to %v after 10 s, want %d", observed, len(queries))
-		}
+	}
+	if observed != float64(len(queries)) {
+		t.Fatalf("graphcache_queries_total sums to %v right after the last reply, want %d", observed, len(queries))
 	}
 	for _, stage := range []string{"feature", "probe", "gcverify", "filter_m", "filter_gc", "verify", "total"} {
 		if _, ok := metricValue(samples, "graphcache_query_duration_seconds_count",
@@ -185,10 +178,28 @@ func TestServerTraceAndStats(t *testing.T) {
 		}
 	}
 	joined := strings.Join(names, ",")
-	for _, want := range []string{"server:decode", "server:coalesce_wait", "engine:filter_gc", "engine:total"} {
+	for _, want := range []string{"server:decode", "server:coalesce_wait", "engine:filter_gc", "engine:feature",
+		"engine:probe", "engine:gcverify", "engine:total"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("trace spans %v missing %q", names, want)
 		}
+	}
+	// The GC stage's parts: never negative, and for a lone query they add
+	// up to the stage itself (1 ms of slack).
+	span := func(name string) int64 {
+		for _, sp := range resp.Trace.Spans {
+			if sp.Name == name {
+				return sp.DurNS
+			}
+		}
+		return 0
+	}
+	feature, probe, gcverify := span("engine:feature"), span("engine:probe"), span("engine:gcverify")
+	if feature < 0 || probe < 0 || gcverify < 0 {
+		t.Errorf("negative GC-stage span: feature %d, probe %d, gcverify %d ns", feature, probe, gcverify)
+	}
+	if sum, gc := feature+probe+gcverify, span("engine:filter_gc"); sum > gc+int64(time.Millisecond) {
+		t.Errorf("GC-stage spans sum to %d ns, more than engine:filter_gc %d ns + 1 ms", sum, gc)
 	}
 
 	// An untraced query carries no trace payload.

@@ -78,13 +78,21 @@ func randomAnswer(r *rand.Rand) []int32 {
 	return a
 }
 
-// randomStats fills every field of core.QueryStats — negative durations
-// and integer extremes included — whatever fields it has, so a field added
-// later is covered (or fails the test until the codec learns it).
+// inProcess reports whether QueryStats field i stays in the process: it
+// is tagged json:"-", so no reply carries it.
+func inProcess(v reflect.Value, i int) bool { return v.Type().Field(i).Tag.Get("json") == "-" }
+
+// randomStats fills every wire field of core.QueryStats — negative
+// durations and integer extremes included — whatever fields it has, so a
+// field added later is covered (or fails the test until the codec learns
+// it). The in-process fields stay zero: they never round-trip.
 func randomStats(t testing.TB, r *rand.Rand) core.QueryStats {
 	var s core.QueryStats
 	v := reflect.ValueOf(&s).Elem()
 	for i := 0; i < v.NumField(); i++ {
+		if inProcess(v, i) {
+			continue
+		}
 		switch f := v.Field(i); f.Kind() {
 		case reflect.Int, reflect.Int64:
 			f.SetInt(randomInt(r))
@@ -166,6 +174,44 @@ func TestResultEncodersMatchEncodingJSON(t *testing.T) {
 		br := randomBatch(t, r, false)
 		if got, want := appendBatchResponse(nil, br.Results), mustMarshal(t, br); !bytes.Equal(got, want) {
 			t.Fatalf("BatchResponse %+v:\n got %s\nwant %s", br, got, want)
+		}
+	}
+}
+
+// TestRepliesOmitInProcessStats: a reply's bytes do not depend on the
+// QueryStats fields tagged json:"-" — whatever they hold, the hand-coded
+// encoders and encoding/json write exactly what they write when they are
+// zero.
+func TestRepliesOmitInProcessStats(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		qr := randomQueryResponse(t, r, false)
+		sr := randomStreamResult(t, r, false)
+		wantQR, wantSR := appendQueryResponse(nil, &qr), appendStreamResult(nil, &sr)
+		for _, st := range []*core.QueryStats{&qr.Stats, &sr.Stats} {
+			v := reflect.ValueOf(st).Elem()
+			for k := 0; k < v.NumField(); k++ {
+				if !inProcess(v, k) {
+					continue
+				}
+				switch f := v.Field(k); f.Kind() {
+				case reflect.Int64:
+					f.SetInt(1 + r.Int63())
+				case reflect.Float64:
+					f.SetFloat(1 + r.Float64())
+				default:
+					t.Fatalf("QueryStats.%s is a %s: teach this test", v.Type().Field(k).Name, f.Kind())
+				}
+			}
+		}
+		if got := appendQueryResponse(nil, &qr); !bytes.Equal(got, wantQR) {
+			t.Fatalf("QueryResponse bytes changed with the in-process fields:\n got %s\nwant %s", got, wantQR)
+		}
+		if got := mustMarshal(t, qr); !bytes.Equal(got, wantQR) {
+			t.Fatalf("encoding/json writes the in-process fields:\n got %s\nwant %s", got, wantQR)
+		}
+		if got := appendStreamResult(nil, &sr); !bytes.Equal(got, wantSR) {
+			t.Fatalf("StreamResult bytes changed with the in-process fields:\n got %s\nwant %s", got, wantSR)
 		}
 	}
 }

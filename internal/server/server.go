@@ -64,15 +64,15 @@ type Options struct {
 	// SIGKILL at any instant loses zero acked mutations.
 	JournalPath string
 	// MaxBatch bounds the size of a coalesced run: that many queued
-	// queries are dispatched at once (default 64; 1 disables coalescing
-	// and serves each query individually).
+	// queries are dispatched at once (default 64; 1 runs every query on a
+	// run of its own).
 	MaxBatch int
 	// MaxDelay is how long a query may be held behind a busy engine: one
 	// that arrives while a run is in flight joins the next run, which
 	// starts when a run returns or, at the latest, when the first query
 	// queued has waited MaxDelay. A query that finds the engine idle is
-	// never held (0 means the 2ms default; negative disables coalescing,
-	// as does MaxBatch 1).
+	// never held (0 means the 2ms default; negative means no query is
+	// ever held: each is dispatched at once beside the runs in flight).
 	MaxDelay time.Duration
 	// MaxBodyBytes bounds a request body (default 64 MiB).
 	MaxBodyBytes int64
@@ -159,29 +159,23 @@ var logf = func(format string, args ...any) {
 
 // New wraps c in a Server. The cache must already be built over its
 // dataset and method; the server only adds the network boundary. New
-// installs a metrics-backed core.Observer on the cache (composing with,
-// not displacing, any observer already installed) and serves the
-// resulting registry at GET /metrics.
+// installs the server's metrics as the cache's core.Observer, for window
+// passes and mutations, folds every query it runs as its result is
+// delivered, and serves the registry at GET /metrics.
 func New(c *core.Cache, opts Options) *Server {
 	opts = opts.withDefaults()
 	reg := telemetry.NewRegistry()
-	met := newServerMetrics(reg)
 	s := &Server{
 		cache: c,
 		opts:  opts,
-		co:    newCoalescer(c, opts.MaxBatch, opts.MaxDelay),
 		mux:   http.NewServeMux(),
-		met:   met,
+		met:   newServerMetrics(reg),
 		wire:  NewWire(reg, "graphcache_server", opts.MaxBodyBytes),
 		reg:   reg,
 		start: time.Now(),
 	}
-	s.co.met = met
-	if prev := c.Observer(); prev != nil {
-		c.SetObserver(fanoutObserver{prev, met})
-	} else {
-		c.SetObserver(met)
-	}
+	s.co = newCoalescer(s)
+	c.SetObserver(s.met)
 	reg.GaugeFunc("graphcache_server_admitted_queries", "Queries admitted and not yet answered.",
 		func() float64 { return float64(s.admitted.Load()) })
 	reg.GaugeFunc("graphcache_cached_queries", "Queries cached right now.",
@@ -208,17 +202,20 @@ func New(c *core.Cache, opts Options) *Server {
 
 // Handler returns the server's HTTP handler — the API mux behind the
 // request-id middleware — for embedding or for httptest-driven tests.
-func (s *Server) Handler() http.Handler { return withRequestID(s.mux) }
+func (s *Server) Handler() http.Handler { return WithRequestID(s.mux) }
 
 // Metrics returns the server's telemetry registry, for embedding its
 // exposition elsewhere or asserting on metrics in tests.
 func (s *Server) Metrics() *telemetry.Registry { return s.reg }
 
-// withRequestID assigns every request its fleet-wide id: an id arriving
-// in the X-GC-Request-Id header (a router's front door minted it) is
-// kept, otherwise one is minted here. The id rides the request context
-// to handlers, traces and sampled logs, and is echoed on the response.
-func withRequestID(next http.Handler) http.Handler {
+// WithRequestID is both tiers' request-id middleware: it assigns every
+// request its fleet-wide id. An id arriving in the X-GC-Request-Id header
+// (minted by the router in front, or by a router fronting that router) is
+// kept, otherwise one is minted here, at the fleet's front door. The id
+// rides the request context to handlers, traces and sampled logs — and,
+// through the router's backend client, to every dispatch — and is echoed
+// on the response.
+func WithRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(telemetry.RequestIDHeader)
 		if id == "" {
@@ -519,6 +516,10 @@ func (s *Server) buildTrace(ctx context.Context, decode, wait time.Duration, qs 
 	}
 	tr.Add("engine:filter_m", qs.FilterMTime)
 	tr.Add("engine:filter_gc", qs.FilterGCTime)
+	// The GC stage's parts, from the in-process fields no reply carries.
+	tr.Add("engine:feature", qs.FeatureTime)
+	tr.Add("engine:probe", qs.ProbeTime)
+	tr.Add("engine:gcverify", qs.GCVerifyTime)
 	tr.Add("engine:verify", qs.VerifyTime)
 	tr.Add("engine:total", qs.TotalTime())
 	return tr
@@ -563,7 +564,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	s.met.batchSize.Observe(float64(len(qs)))
 	// Either way the batch runs under the request context: a client that
 	// disconnects cancels it, the cache abandons unstarted verification,
 	// and there is no one left to write to.
@@ -586,11 +586,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runBatch runs one explicit batch through the cache and reports whether
-// it ran to completion; a batch cut short by its departed client moves
-// the cancellation counters instead.
+// runBatch runs qs through the cache as one run — a coalesced run or an
+// explicit /querybatch — and reports whether it ran to completion. Each
+// result is folded into the metrics as it is delivered, before deliver
+// hands it on, so the metrics count a query before its client has the
+// answer; a run cut short still counts the queries it delivered, and
+// moves the cancellation counters.
 func (s *Server) runBatch(ctx context.Context, qs []*graph.Graph, deliver func(i int, res core.Result)) bool {
-	abandoned, err := s.cache.QueryBatchStream(ctx, qs, deliver)
+	s.met.batchSize.Observe(float64(len(qs)))
+	batched := len(qs) > 1
+	abandoned, err := s.cache.QueryBatchStream(ctx, qs, func(i int, res core.Result) {
+		s.met.observeQuery(&res.Stats, batched)
+		deliver(i, res)
+	})
 	if err != nil {
 		s.met.streamCancelled.Inc()
 		s.met.streamAbandoned.Add(float64(abandoned))

@@ -1,9 +1,10 @@
 // Package telemetry is the fleet's dependency-free observability core:
 // atomic counters, gauges and fixed-bucket latency histograms with a
 // Prometheus text-exposition writer, a text-format parser for tests and
-// drills, and per-request tracing primitives (request ids, spans). Every
-// serving layer — core's Observer hook, gcserved, gcrouter — feeds a
-// Registry from this package and exposes it at GET /metrics.
+// drills, and per-request tracing primitives (request ids, spans). Both
+// serving tiers — gcserved, fed by each query's QueryStats and core's
+// Observer hook, and gcrouter — feed a Registry from this package and
+// expose it at GET /metrics.
 //
 // The package deliberately has no third-party dependencies: metrics are
 // plain atomics, exposition is the Prometheus text format written by
