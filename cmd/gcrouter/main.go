@@ -4,18 +4,17 @@
 //
 //	gcserved -dataset aids.g -addr 127.0.0.1:7621 &
 //	gcserved -dataset aids.g -addr 127.0.0.1:7622 &
-//	gcrouter -backends 127.0.0.1:7621,127.0.0.1:7622 -mode replicate
+//	gcrouter -backends 127.0.0.1:7621,127.0.0.1:7622
 //	gcquery  -server 127.0.0.1:7631 -queries queries.g
 //
-// Modes:
-//
-//	replicate  every backend holds a full cache; single queries follow
-//	           key affinity (exact hits concentrate per replica)
-//	           with a least-pending fallback, batches go whole to the
-//	           least-pending backend
-//	shard      queries are partitioned by key, so the fleet's
-//	           aggregate cache capacity is N caches with (near-)disjoint
-//	           contents; batches are split per backend & scatter-gathered
+// Routing has one rule: every query, single or batched, goes to its home
+// backend — the one its isomorphism-invariant key falls on in a
+// consistent-hash ring — so isomorphic queries meet the same cache and
+// its exact hits concentrate there. A query whose home is unavailable,
+// lagging the fleet's dataset epoch or at -queue-bound goes to the
+// least-loaded backend instead. A batch is split by that rule into at
+// most one sub-batch per backend, scatter-gathered and re-stitched in
+// request order.
 //
 // Load management (see the package documentation's "Load management"
 // section): each backend has a circuit breaker — failed probes and
@@ -31,10 +30,10 @@
 // and the router's counters; GET /healthz is green while at least one
 // backend is dispatchable.
 //
-// Single-query affinity rides a consistent-hash ring (virtual nodes per
-// backend), so growing or shrinking the fleet remaps only ~1/N of the
-// key space. With -admin-addr the router serves a topology admin API for
-// doing exactly that at runtime:
+// The affinity ring has virtual nodes per backend, so growing or
+// shrinking the fleet remaps only ~1/N of the key space. With
+// -admin-addr the router serves a topology admin API for doing exactly
+// that at runtime:
 //
 //	POST   /backends         {"addr": "host:port"}  join: warm-then-serve
 //	DELETE /backends/{addr}                         leave: drain-then-remove
@@ -65,7 +64,6 @@ import (
 func main() {
 	var (
 		backends = flag.String("backends", "", "comma-separated gcserved addresses (required)")
-		modeNm   = flag.String("mode", "replicate", "routing mode: replicate or shard")
 		addr     = flag.String("addr", "127.0.0.1:7631", "listen address (port 0 picks an ephemeral port)")
 		probeIv  = flag.Duration("probe-interval", 500*time.Millisecond, "health-probe interval")
 		probeTo  = flag.Duration("probe-timeout", 2*time.Second, "health-probe timeout")
@@ -93,11 +91,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	mode, err := graphcache.ParseRouterMode(*modeNm)
-	if err != nil {
-		fatal(err.Error())
-	}
-
 	var addrs []string
 	for _, a := range strings.Split(*backends, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -107,7 +100,6 @@ func main() {
 	rt, err := graphcache.NewRouter(graphcache.RouterOptions{
 		Addr:              *addr,
 		Backends:          addrs,
-		Mode:              mode,
 		ProbeInterval:     *probeIv,
 		ProbeTimeout:      *probeTo,
 		QueueBound:        *queueBound,
@@ -126,7 +118,7 @@ func main() {
 	if err := rt.Start(); err != nil {
 		fatal(err.Error())
 	}
-	logger.Info("routing", "mode", mode.String(), "backends", len(addrs), "addr", rt.Addr())
+	logger.Info("routing", "backends", len(addrs), "addr", rt.Addr())
 	if a := rt.AdminAddr(); a != "" {
 		logger.Info("admin API up", "addr", a,
 			"endpoints", "POST /backends, DELETE /backends/{addr}, GET /topology, GET /metrics, /debug/pprof/")

@@ -267,6 +267,12 @@
 // graphcache_router_stream_cancelled_total), which CI's wire drill
 // asserts on.
 //
+// Router payloads. A router's GET /stats is a JSON superset of
+// gcserved's, and its admin GET /topology lists the fleet; neither
+// carries a router_mode field any more, since a router has one routing
+// rule (see "Serving tier"). A client that still reads router_mode gets
+// the empty string.
+//
 // # Serving tier
 //
 // For traffic beyond one daemon, cmd/gcrouter fronts N gcserved
@@ -275,22 +281,23 @@
 //
 //	gcserved -dataset aids.g -addr 127.0.0.1:7621 &
 //	gcserved -dataset aids.g -addr 127.0.0.1:7622 &
-//	gcrouter -backends 127.0.0.1:7621,127.0.0.1:7622 -mode replicate
+//	gcrouter -backends 127.0.0.1:7621,127.0.0.1:7622
 //	gcquery  -server 127.0.0.1:7631 -queries queries.g
 //
-// Two routing modes, both keyed by the query's isomorphism-invariant key
+// Routing has one rule, keyed by the query's isomorphism-invariant key
 // (graph.IsoKey, the key the backends' exact lookup uses, so isomorphic
 // queries always route together). The router recomputes it from the
-// decoded query — O(|V|+|E|), no seed — rather than receiving it:
-//
-//   - replicate: every backend holds a full cache. Single queries follow
-//     key affinity, concentrating each query's exact hits on one replica,
-//     with a least-pending fallback when the affinity replica is out;
-//     batches go whole to the least-pending healthy backend.
-//   - shard: queries are partitioned across backends by key, so
-//     the fleet's aggregate capacity is N near-disjoint caches; batches
-//     are split per backend and scatter-gathered — one QueryBatch per
-//     backend — then re-stitched in request order.
+// decoded query — O(|V|+|E|), no seed — rather than receiving it. Every
+// query, single or batched, goes to its home: the backend the key falls
+// on in a consistent-hash ring. Each backend's cache therefore sees its
+// own share of the key space, and the fleet's aggregate capacity is N
+// near-disjoint caches. A query whose home is unavailable, lagging the
+// fleet's dataset epoch or at its queue bound goes to the least-loaded
+// backend instead, so affinity never queues work behind a saturated or
+// broken backend while others idle. A batch is split by this rule into
+// at most one QueryBatch per backend, scatter-gathered and re-stitched
+// in request order ("On Smart Query Routing": route for cache locality,
+// divert only under load).
 //
 // Failover leans on the soundness of the pruning rules: any backend
 // answers any query correctly (routing only concentrates cache hits),
@@ -371,7 +378,7 @@
 // The fleet grows and shrinks at runtime without a restart and without
 // cold caches:
 //
-//   - Consistent-hash affinity. Single-query affinity maps the query's
+//   - Consistent-hash affinity. Affinity maps every query's
 //     isomorphism-invariant key (graph.IsoKey) onto a ring of virtual
 //     nodes derived purely from backend identity, so adding a backend to
 //     a fleet of N remaps only ~1/(N+1) of the key space (the old modulo
@@ -576,9 +583,9 @@
 // lives in internal packages (internal/core is the cache, internal/iso the
 // matchers, internal/ggsx, internal/grapes and internal/ctindex the FTV
 // methods, internal/server the network serving subsystem, internal/router
-// the replicated/sharded serving tier); the experiment
-// harness reproducing the paper's evaluation is internal/bench, driven by
-// cmd/gcbench and the repository-root benchmarks.
+// the affinity-routed serving tier); the experiment harness reproducing
+// the paper's evaluation is internal/bench, driven by cmd/gcbench and the
+// repository-root benchmarks.
 //
 // # Quick start
 //

@@ -35,7 +35,7 @@
 //	gcserved -dataset aids.g -addr 127.0.0.1:7621 &
 //	gcserved -dataset aids.g -addr 127.0.0.1:7622 &
 //	gcfault  -listen 127.0.0.1:7721 -target 127.0.0.1:7622 -drop-rate 0.5 &
-//	gcrouter -backends 127.0.0.1:7621,127.0.0.1:7721 -mode replicate &
+//	gcrouter -backends 127.0.0.1:7621,127.0.0.1:7721 &
 //	gcquery  -server 127.0.0.1:7631 -queries queries.g -retries 5
 package main
 
@@ -85,14 +85,14 @@ func main() {
 	}
 	go chaos.Serve()
 
-	// 4. The router in replicate mode, with tight load-management knobs
-	// so the drill is quick: a small error budget over a short window, a
+	// 4. The router, which sends every query — single or batched — to
+	// its ring home, with tight load-management knobs so the drill is
+	// quick: a small error budget over a short window, a
 	// fast breaker cooldown, bounded per-backend queues and a low shed
 	// threshold.
 	rt, err := graphcache.NewRouter(graphcache.RouterOptions{
 		Addr:              "127.0.0.1:0",
 		Backends:          []string{servers[0].Addr(), chaos.Addr()},
-		Mode:              graphcache.RouteReplicate,
 		ProbeInterval:     50 * time.Millisecond,
 		BreakerWindow:     2 * time.Second,
 		ErrorBudget:       0.25,

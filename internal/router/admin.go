@@ -210,7 +210,6 @@ func awaitIdle(ctx context.Context, b *backend, timeout time.Duration) error {
 func (rt *Router) Topology() TopologyResponse {
 	tp := rt.topo.Load()
 	return TopologyResponse{
-		RouterMode: rt.opts.Mode.String(),
 		FleetEpoch: tp.fleetEpoch(),
 		Backends:   rt.backendStats(tp.bs),
 	}

@@ -272,40 +272,49 @@ func (rt *Router) queryOne(ctx context.Context, q *graph.Graph, trace bool) (ser
 	return resp, b.addr, nil
 }
 
-// group splits a batch over the fleet, as request indices per backend:
-// in Shard mode each query goes to its assigned backend, in Replicate
-// mode the whole batch to the least-loaded available one.
-func (rt *Router) group(tp *topology, qs []*graph.Graph) (map[*backend][]int, error) {
-	groups := make(map[*backend][]int)
-	if rt.opts.Mode == Shard {
-		for i, q := range qs {
-			b := tp.assign(rt.hash(q), rt.opts.QueueBound)
-			if b == nil {
-				return nil, errNoBackends
-			}
-			groups[b] = append(groups[b], i)
-		}
-		return groups, nil
-	}
-	b := tp.leastLoaded(nil)
-	if b == nil {
-		return nil, errNoBackends
-	}
-	idxs := make([]int, len(qs))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	groups[b] = idxs
-	return groups, nil
+// batchGroup is one backend's share of a batch: the request indices of
+// the queries assigned to it, in request order.
+type batchGroup struct {
+	b    *backend
+	idxs []int
 }
 
-// scatter runs a grouped batch: one failover dispatch per group,
-// concurrently, call receiving the group's queries and their request
-// indices. The whole batch shares one context that the first terminal
-// error cancels — the reply is an error from then on, so the sibling
-// groups stop verifying and streaming for it. That first error is
-// returned.
-func (rt *Router) scatter(ctx context.Context, tp *topology, groups map[*backend][]int, qs []*graph.Graph,
+// group splits a batch over the fleet by the rule singles follow: each
+// query goes to tp.assign of its affinity hash — its ring home, or the
+// least-loaded backend while that home is unavailable, lagging or
+// saturated. The groups come back in topology order, empty ones left
+// out, so a batch fans out to at most len(tp.bs) backends.
+func (rt *Router) group(tp *topology, qs []*graph.Graph) ([]batchGroup, error) {
+	groups := make([]batchGroup, len(tp.bs))
+	for i, q := range qs {
+		b := tp.assign(rt.hash(q), rt.opts.QueueBound)
+		if b == nil {
+			return nil, errNoBackends
+		}
+		k := 0
+		for tp.bs[k] != b {
+			k++
+		}
+		groups[k].b = b
+		groups[k].idxs = append(groups[k].idxs, i)
+	}
+	n := 0
+	for _, g := range groups {
+		if g.b != nil {
+			groups[n] = g
+			n++
+		}
+	}
+	return groups[:n], nil
+}
+
+// scatter runs a grouped batch: one failover dispatch per group, the
+// first on the calling goroutine and the rest concurrently beside it,
+// call receiving the group's queries and their request indices. The
+// whole batch shares one context that the first terminal error cancels
+// — the reply is an error from then on, so the sibling groups stop
+// verifying and streaming for it. That first error is returned.
+func (rt *Router) scatter(ctx context.Context, tp *topology, groups []batchGroup, qs []*graph.Graph,
 	call func(ctx context.Context, b *backend, sub []*graph.Graph, idxs []int) (delivered int, err error)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -314,32 +323,36 @@ func (rt *Router) scatter(ctx context.Context, tp *topology, groups map[*backend
 		failOnce sync.Once
 		firstErr error
 	)
-	for b, idxs := range groups {
-		wg.Add(1)
-		go func(b *backend, idxs []int) {
-			defer wg.Done()
-			sub := make([]*graph.Graph, len(idxs))
-			for k, i := range idxs {
-				sub[k] = qs[i]
-			}
-			_, err := rt.failover(ctx, tp, b, len(idxs), func(ctx context.Context, b *backend) (int, error) {
-				return call(ctx, b, sub, idxs)
+	run := func(g batchGroup) {
+		sub := make([]*graph.Graph, len(g.idxs))
+		for k, i := range g.idxs {
+			sub[k] = qs[i]
+		}
+		_, err := rt.failover(ctx, tp, g.b, len(g.idxs), func(ctx context.Context, b *backend) (int, error) {
+			return call(ctx, b, sub, g.idxs)
+		})
+		if err != nil {
+			failOnce.Do(func() {
+				firstErr = err
+				cancel()
 			})
-			if err != nil {
-				failOnce.Do(func() {
-					firstErr = err
-					cancel()
-				})
-			}
-		}(b, idxs)
+		}
 	}
+	for _, g := range groups[1:] {
+		wg.Add(1)
+		go func(g batchGroup) {
+			defer wg.Done()
+			run(g)
+		}(g)
+	}
+	run(groups[0])
 	wg.Wait()
 	return firstErr
 }
 
 // queryBatch answers a grouped batch in one piece: one QueryBatch
 // round-trip per group, re-stitched in request order.
-func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups map[*backend][]int, qs []*graph.Graph) ([]server.QueryResponse, error) {
+func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGroup, qs []*graph.Graph) ([]server.QueryResponse, error) {
 	out := make([]server.QueryResponse, len(qs))
 	err := rt.scatter(ctx, tp, groups, qs,
 		func(ctx context.Context, b *backend, sub []*graph.Graph, idxs []int) (int, error) {

@@ -129,14 +129,14 @@ func TestFailedGroupCancelsSiblings(t *testing.T) {
 
 			rt := startRouter(t, Options{
 				Backends: []string{survivor.Addr(), strings.TrimPrefix(failing.URL, "http://")},
-				Mode:     Shard,
 			})
 			tp := rt.topo.Load()
 
 			// The ring places a query by the backends' ports, so draw
 			// workloads until the survivor's share is two queries or more:
 			// each has a candidate to verify, so the survivor's second test is
-			// unstarted while its first is held.
+			// unstarted while its first is held. Groups come in topology
+			// order, so the survivor's is the first.
 			var queries []*graph.Graph
 			for seed := int64(442); queries == nil; seed++ {
 				if seed == 442+20 {
@@ -150,7 +150,7 @@ func TestFailedGroupCancelsSiblings(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(groups) == 2 && len(groups[tp.find(survivor.Addr())]) >= 2 {
+				if len(groups) == 2 && len(groups[0].idxs) >= 2 {
 					queries = qs
 				}
 			}

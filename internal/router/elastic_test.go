@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"graphcache/internal/graph"
 	"graphcache/internal/server"
 )
 
@@ -76,7 +78,6 @@ func TestElasticJoinAndDrain(t *testing.T) {
 	b2 := startBackend(t, ds)
 	rt := startRouter(t, Options{
 		Backends:  []string{b1.Addr(), b2.Addr()},
-		Mode:      Replicate,
 		AdminAddr: "127.0.0.1:0",
 	})
 	if rt.AdminAddr() == "" {
@@ -210,7 +211,6 @@ func TestElasticDrainLastRefused(t *testing.T) {
 	b := startBackend(t, ds)
 	rt := startRouter(t, Options{
 		Backends:  []string{b.Addr()},
-		Mode:      Replicate,
 		AdminAddr: "127.0.0.1:0",
 	})
 	admin := "http://" + rt.AdminAddr()
@@ -230,7 +230,6 @@ func TestElasticJoinDeadBackendRefused(t *testing.T) {
 	b := startBackend(t, ds)
 	rt := startRouter(t, Options{
 		Backends:  []string{b.Addr()},
-		Mode:      Replicate,
 		AdminAddr: "127.0.0.1:0",
 	})
 	admin := "http://" + rt.AdminAddr()
@@ -241,5 +240,175 @@ func TestElasticJoinDeadBackendRefused(t *testing.T) {
 	adminDo(t, http.MethodGet, admin+"/topology", nil, &topo, http.StatusOK)
 	if len(topo.Backends) != 1 {
 		t.Fatalf("topology has %d backends, want the refused join to leave 1", len(topo.Backends))
+	}
+}
+
+// TestBatchesFollowAffinityThroughJoinAndDrain drives concurrent
+// /querybatch load — buffered and NDJSON-streamed — through a stable
+// fleet, a join, a drain and the shrunk fleet. Every answer must equal a
+// direct backend's. While the topology holds still and nothing is
+// saturated, every batched query must land on its ring home: each
+// backend's count of queries run equals the number tp.assign gives it.
+func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
+	ds := testDataset(40, 97)
+	queries := testWorkload(ds, 48, 98)
+	ctx := context.Background()
+
+	directRs, err := server.NewClient(startBackend(t, ds).Addr()).QueryBatch(ctx, queries)
+	if err != nil {
+		t.Fatalf("direct QueryBatch: %v", err)
+	}
+	want := make([][]int32, len(queries))
+	for i, r := range directRs {
+		want[i] = r.Answer
+	}
+
+	b1, b2, b3 := startBackend(t, ds), startBackend(t, ds), startBackend(t, ds)
+	rt := startRouter(t, Options{
+		Backends:  []string{b1.Addr(), b2.Addr()},
+		AdminAddr: "127.0.0.1:0",
+	})
+	admin := "http://" + rt.AdminAddr()
+	cl := server.NewClient(rt.Addr())
+
+	// batch returns worker w's r-th batch: eight consecutive queries from
+	// a worker- and round-dependent offset, as request indices.
+	batch := func(w, r int) []int {
+		idxs := make([]int, 8)
+		for k := range idxs {
+			idxs[k] = (w*11 + r*7 + k) % len(queries)
+		}
+		return idxs
+	}
+	// send runs one batch, buffered or streamed, and checks its answers.
+	send := func(idxs []int, streamed bool) error {
+		qs := make([]*graph.Graph, len(idxs))
+		for k, i := range idxs {
+			qs[k] = queries[i]
+		}
+		endpoint := "/querybatch"
+		if streamed {
+			endpoint = "ndjson"
+		}
+		got, err := answersVia(ctx, cl, endpoint, qs)
+		if err != nil {
+			return fmt.Errorf("%s: %w", endpoint, err)
+		}
+		for k, i := range idxs {
+			if !eq(got[k], want[i]) {
+				return fmt.Errorf("%s query %d: routed answer %v != direct %v", endpoint, i, got[k], want[i])
+			}
+		}
+		return nil
+	}
+	// load runs four workers until stop is closed, or for rounds rounds
+	// each when stop is nil, and returns every batch it sent; sentN
+	// counts them as they complete.
+	var sentN atomic.Int64
+	load := func(rounds int, stop <-chan struct{}) [][]int {
+		var (
+			mu   sync.Mutex
+			sent [][]int
+			wg   sync.WaitGroup
+		)
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for r := 0; stop != nil || r < rounds; r++ {
+					if stop != nil {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+					idxs := batch(w, r)
+					if err := send(idxs, (w+r)%2 == 1); err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					sent = append(sent, idxs)
+					mu.Unlock()
+					sentN.Add(1)
+				}
+			}(w)
+		}
+		wg.Wait()
+		return sent
+	}
+	queriesRun := func() map[string]int64 {
+		n := make(map[string]int64)
+		for _, b := range rt.backends() {
+			st, err := b.cl.Stats(ctx)
+			if err != nil {
+				t.Fatalf("backend %s Stats: %v", b.addr, err)
+			}
+			n[b.addr] = st.Totals.Queries
+		}
+		return n
+	}
+	// checkHomes runs a fixed load on the current topology and asserts
+	// that each backend ran exactly the queries tp.assign sends it.
+	checkHomes := func(phase string) {
+		t.Helper()
+		before := queriesRun()
+		sent := load(6, nil)
+		tp := rt.topo.Load()
+		wantRun := make(map[string]int64)
+		total := int64(0)
+		for _, idxs := range sent {
+			for _, i := range idxs {
+				wantRun[tp.assign(rt.hash(queries[i]), rt.opts.QueueBound).addr]++
+				total++
+			}
+		}
+		// A streamed batch's last result can reach the client before the
+		// backend's totals take the batch in; wait for the sum.
+		var got map[string]int64
+		waitFor(t, phase+" totals to count every query", func() bool {
+			got = queriesRun()
+			sum := int64(0)
+			for addr, n := range got {
+				sum += n - before[addr]
+			}
+			return sum >= total
+		})
+		for _, b := range tp.bs {
+			if run := got[b.addr] - before[b.addr]; run != wantRun[b.addr] {
+				t.Errorf("%s: backend %s ran %d batched queries, its ring home share is %d", phase, b.addr, run, wantRun[b.addr])
+			}
+			if wantRun[b.addr] == 0 {
+				t.Errorf("%s: backend %s is home to none of the %d queries; the check cannot tell a split batch from a whole one", phase, b.addr, total)
+			}
+		}
+	}
+
+	checkHomes("before the join")
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		load(0, stop)
+	}()
+	// Each topology change lands while batches are flowing on both sides
+	// of it.
+	flowing := func(what string) {
+		n := sentN.Load()
+		waitFor(t, "batches "+what, func() bool { return sentN.Load() >= n+8 })
+	}
+	flowing("before the join")
+	adminDo(t, http.MethodPost, admin+"/backends", JoinRequest{Addr: b3.Addr()}, nil, http.StatusOK)
+	flowing("between the join and the drain")
+	adminDo(t, http.MethodDelete, admin+"/backends/"+b1.Addr(), nil, nil, http.StatusOK)
+	flowing("after the drain")
+	close(stop)
+	<-done
+
+	checkHomes("after the drain")
+	if c := rt.Counters(); c.Retried != 0 || c.Ejected != 0 {
+		t.Errorf("counters %+v: a join and a drain must not cost a retry or an ejection", c)
 	}
 }

@@ -154,10 +154,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	tp := rt.topo.Load()
 	bs := tp.bs
-	resp := StatsResponse{
-		RouterMode: rt.opts.Mode.String(),
-		Backends:   rt.backendStats(bs),
-	}
+	resp := StatsResponse{Backends: rt.backendStats(bs)}
 	var wg sync.WaitGroup
 	for i, b := range bs {
 		wg.Add(1)

@@ -67,7 +67,6 @@ func TestHandlerOnlyRouterReadmits(t *testing.T) {
 	fp := startFaultProxy(t, b.Addr(), 1)
 	rt, err := New(Options{
 		Backends:          []string{fp.Addr()},
-		Mode:              Replicate,
 		ErrorBudget:       0.01,
 		BreakerMinSamples: 1,
 		BreakerCooldown:   200 * time.Millisecond,
@@ -122,7 +121,6 @@ func TestCanceledContextAbandonsQueuedRequest(t *testing.T) {
 	fp.SetLatency(400 * time.Millisecond) // hold the only slot occupied
 	rt, err := New(Options{
 		Backends:     []string{fp.Addr()},
-		Mode:         Replicate,
 		QueueBound:   1,
 		QueueTimeout: 30 * time.Second, // only ctx may end the wait
 	})
@@ -176,7 +174,6 @@ func TestOverloadShedding(t *testing.T) {
 	fp.SetLatency(500 * time.Millisecond) // requests dwell, depth builds
 	rt := startRouter(t, Options{
 		Backends:      []string{fp.Addr()},
-		Mode:          Replicate,
 		ProbeInterval: time.Hour,
 		QueueBound:    2,
 		QueueTimeout:  5 * time.Second,
@@ -239,7 +236,8 @@ func TestOverloadShedding(t *testing.T) {
 	}
 }
 
-// TestChaosDrillZeroClientFailures is the fault drill, both modes, meant
+// TestChaosDrillZeroClientFailures is the fault drill, under each
+// legacyModes value, meant
 // for -race: one backend drops half its traffic and flaps fully dead for
 // a stretch, yet a resilient client sees zero failed requests and
 // byte-identical answers to a direct gcserved; the flaky backend's
@@ -260,8 +258,8 @@ func TestChaosDrillZeroClientFailures(t *testing.T) {
 		want[i] = resp.Answer
 	}
 
-	for _, mode := range []Mode{Replicate, Shard} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, lm := range legacyModes {
+		t.Run(lm.name, func(t *testing.T) {
 			steady := startBackend(t, ds)
 			flaky := startBackend(t, ds)
 			fp := startFaultProxy(t, flaky.Addr(), 42)
@@ -269,7 +267,7 @@ func TestChaosDrillZeroClientFailures(t *testing.T) {
 
 			rt := startRouter(t, Options{
 				Backends:          []string{steady.Addr(), fp.Addr()},
-				Mode:              mode,
+				Mode:              lm.mode,
 				ProbeInterval:     25 * time.Millisecond,
 				BreakerWindow:     2 * time.Second,
 				ErrorBudget:       0.25,

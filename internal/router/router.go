@@ -2,25 +2,18 @@
 // the gcserved wire API (POST /query, POST /querybatch, GET /stats,
 // GET /healthz) over N gcserved backends, turning the single daemon into
 // a horizontally scalable fleet — the service-boundary step of the
-// paper's caching *system* for many clients. Two modes:
-//
-//   - Replicate: every backend holds a full cache. Single queries are
-//     routed by key affinity: the query's isomorphism-invariant key
-//     (graph.IsoKey, the key the backends' exact lookup uses) picks its
-//     home on a consistent-hash ring, so isomorphic queries land on the
-//     same replica and its exact hits concentrate there; when the
-//     affinity replica is unavailable or saturated the least-loaded one
-//     takes over. Batches go whole to the least-loaded backend — one
-//     QueryBatch execution per batch.
-//
-//   - Shard: queries are partitioned across backends by the same key,
-//     so the fleet's aggregate cache capacity is N caches with
-//     (near-)disjoint contents. Batches are split per backend and
-//     scatter-gathered — one QueryBatch per backend — with results
-//     re-stitched in request order.
+// paper's caching *system* for many clients. It routes by one rule:
+// every query, single or batched, goes to its home — the backend its
+// isomorphism-invariant key (graph.IsoKey, the key the backends' exact
+// lookup uses) falls on in a consistent-hash ring — so isomorphic
+// queries land on the same backend and its cache earns their hits. A
+// query whose home is unavailable, lagging the fleet's dataset epoch or
+// saturated goes to the least-loaded backend instead. A batch is split
+// by that rule into at most one QueryBatch per backend, scatter-gathered
+// and re-stitched in request order.
 //
 // Because GraphCache's pruning rules are sound, any backend answers any
-// query correctly — the partition only concentrates cache hits — so the
+// query correctly — routing only concentrates cache hits — so the
 // router can fail over freely: a dispatch that fails (transport failure
 // or 5xx) is re-dispatched to another backend.
 //
@@ -53,7 +46,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,39 +54,16 @@ import (
 	"graphcache/internal/telemetry"
 )
 
-// Mode selects how the router spreads queries over its backends.
+// Mode was the routing-mode selector. The router has one routing rule
+// (see the package documentation), so there is nothing left to select.
+//
+// Deprecated: ignored.
 type Mode int
 
-const (
-	// Replicate treats every backend as a full cache replica: singles
-	// follow key affinity with a least-loaded fallback, batches go whole
-	// to the least-loaded available backend.
-	Replicate Mode = iota
-	// Shard partitions queries across backends by key; batches
-	// are split per backend and scatter-gathered.
-	Shard
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Replicate:
-		return "replicate"
-	case Shard:
-		return "shard"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// ParseMode converts a -mode flag value into a Mode.
-func ParseMode(s string) (Mode, error) {
-	switch strings.ToLower(s) {
-	case "replicate":
-		return Replicate, nil
-	case "shard":
-		return Shard, nil
-	}
-	return 0, fmt.Errorf("router: unknown mode %q (want replicate or shard)", s)
-}
+// Replicate was the default routing mode.
+//
+// Deprecated: ignored.
+const Replicate Mode = 0
 
 // Options configures a Router.
 type Options struct {
@@ -103,7 +72,9 @@ type Options struct {
 	// Backends lists the gcserved addresses ("host:port" or full base
 	// URLs) the router fronts. At least one is required.
 	Backends []string
-	// Mode is the routing mode: Replicate (default) or Shard.
+	// Mode was the routing mode.
+	//
+	// Deprecated: ignored.
 	Mode Mode
 	// ProbeInterval is how often the health prober checks every backend
 	// (default 500ms). Probe outcomes feed the same per-backend circuit

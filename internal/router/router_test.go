@@ -92,10 +92,24 @@ func eq(a, b []int32) bool {
 	return true
 }
 
-// TestRouterModesMatchDirect is the identity check: in both modes, the
-// same query stream — singles through /query and one batch through
-// /querybatch — must produce answers byte-identical to one direct
-// gcserved, and the aggregated /stats must account for every query.
+// legacyModes names the two values Options.Mode once took. The field is
+// deprecated and ignored, so a router configured with either must follow
+// the one routing rule: the tests that run under both check that a
+// configuration written for either mode keeps its answers and its cache
+// affinity.
+var legacyModes = []struct {
+	name string
+	mode Mode
+}{
+	{"replicate", Replicate},
+	{"shard", Mode(1)},
+}
+
+// TestRouterModesMatchDirect is the identity check: a query stream —
+// singles through /query and one batch through /querybatch — must
+// produce answers byte-identical to one direct gcserved, and the
+// aggregated /stats must account for every query. It runs under each
+// legacyModes value.
 func TestRouterModesMatchDirect(t *testing.T) {
 	ds := testDataset(40, 71)
 	queries := testWorkload(ds, 40, 72)
@@ -119,14 +133,14 @@ func TestRouterModesMatchDirect(t *testing.T) {
 		want[30+i] = resp.Answer
 	}
 
-	for _, mode := range []Mode{Replicate, Shard} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, lm := range legacyModes {
+		t.Run(lm.name, func(t *testing.T) {
 			backends := []string{
 				startBackend(t, ds).Addr(),
 				startBackend(t, ds).Addr(),
 				startBackend(t, ds).Addr(),
 			}
-			rt := startRouter(t, Options{Backends: backends, Mode: mode})
+			rt := startRouter(t, Options{Backends: backends, Mode: lm.mode})
 			cl := server.NewClient(rt.Addr())
 
 			if err := cl.Healthz(ctx); err != nil {
@@ -151,9 +165,9 @@ func TestRouterModesMatchDirect(t *testing.T) {
 				}
 			}
 
-			// The plain gcserved client must understand the aggregated
-			// stats (JSON superset), and the fleet-wide totals must
-			// account for every routed query.
+			// The plain gcserved client must understand the aggregated stats
+			// (JSON superset), and the fleet-wide totals must account for every
+			// routed query.
 			st, err := cl.Stats(ctx)
 			if err != nil {
 				t.Fatalf("Stats through plain client: %v", err)
@@ -164,23 +178,21 @@ func TestRouterModesMatchDirect(t *testing.T) {
 			if c := rt.Counters(); c.Routed != int64(len(queries)) || c.Retried != 0 || c.Ejected != 0 {
 				t.Errorf("counters %+v, want routed=%d retried=0 ejected=0", c, len(queries))
 			}
-			if mode == Shard {
-				// The partition must actually spread the cache: with 40
-				// distinct queries over 3 backends, more than one backend
-				// holds entries.
-				spread := 0
-				for _, b := range rt.backends() {
-					bst, err := b.cl.Stats(ctx)
-					if err != nil {
-						t.Fatalf("backend Stats: %v", err)
-					}
-					if bst.Totals.Queries > 0 {
-						spread++
-					}
+			// Affinity must actually spread the cache, batch included: with 40
+			// distinct queries over 3 backends, more than one backend holds
+			// entries.
+			spread := 0
+			for _, b := range rt.backends() {
+				bst, err := b.cl.Stats(ctx)
+				if err != nil {
+					t.Fatalf("backend Stats: %v", err)
 				}
-				if spread < 2 {
-					t.Errorf("shard mode routed every query to %d backend(s), want ≥2", spread)
+				if bst.Totals.Queries > 0 {
+					spread++
 				}
+			}
+			if spread < 2 {
+				t.Errorf("affinity routed every query to %d backend(s), want ≥2", spread)
 			}
 		})
 	}
@@ -199,7 +211,6 @@ func TestRouterFailover(t *testing.T) {
 	survivor := startBackend(t, ds)
 	rt := startRouter(t, Options{
 		Backends:      []string{victim.Addr(), survivor.Addr()},
-		Mode:          Shard,
 		ProbeInterval: time.Hour,
 		// Hair-trigger breaker: the first failed dispatch opens it, the
 		// pre-breaker eject-on-first-failure behaviour.
@@ -257,7 +268,7 @@ func TestCanceledRequestDoesNotEject(t *testing.T) {
 	ds := testDataset(40, 77)
 	queries := testWorkload(ds, 2, 78)
 	b := startBackend(t, ds)
-	rt := startRouter(t, Options{Backends: []string{b.Addr()}, Mode: Replicate, ProbeInterval: time.Hour})
+	rt := startRouter(t, Options{Backends: []string{b.Addr()}, ProbeInterval: time.Hour})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -314,7 +325,6 @@ func TestRouterEjectReadmit(t *testing.T) {
 	flapAddr := flapper.Addr()
 	rt := startRouter(t, Options{
 		Backends:      []string{keeper.Addr(), flapAddr},
-		Mode:          Replicate,
 		ProbeInterval: 20 * time.Millisecond,
 		// Hair-trigger breaker with a short cooldown: one failed probe
 		// opens it, and half-open probes keep checking for recovery.

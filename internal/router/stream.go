@@ -20,7 +20,7 @@ import (
 // cancels every backend stream through the request context; a group's
 // terminal failure cancels its siblings and ends the client stream with
 // an error line.
-func (rt *Router) streamBatch(w http.ResponseWriter, r *http.Request, tp *topology, groups map[*backend][]int, qs []*graph.Graph) {
+func (rt *Router) streamBatch(w http.ResponseWriter, r *http.Request, tp *topology, groups []batchGroup, qs []*graph.Graph) {
 	st := rt.wire.Stream(w, r, len(qs))
 	err := rt.scatter(r.Context(), tp, groups, qs,
 		func(ctx context.Context, b *backend, sub []*graph.Graph, idxs []int) (delivered int, err error) {

@@ -136,7 +136,6 @@ type DrainResponse struct {
 // TopologyResponse is the admin GET /topology payload: the fleet as the
 // router sees it right now.
 type TopologyResponse struct {
-	RouterMode string `json:"router_mode"`
 	// FleetEpoch is the fleet's dataset epoch — the maximum across
 	// backends; compare it with each backend row's dataset_epoch to spot
 	// laggards.
@@ -151,7 +150,6 @@ type StatsResponse struct {
 	Method string      `json:"method"`
 	Mode   string      `json:"mode"` // the *method* mode, as in gcserved
 
-	RouterMode string `json:"router_mode"` // replicate or shard
 	// FleetEpoch is the fleet's dataset epoch (max across backends).
 	FleetEpoch int64          `json:"fleet_epoch"`
 	Backends   []BackendStats `json:"backends"`

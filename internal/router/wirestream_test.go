@@ -53,7 +53,8 @@ func answersVia(ctx context.Context, cl *server.Client, endpoint string, queries
 }
 
 // TestRouterBinaryWireMatchesText drives a text-wire and a binary-wire
-// client through one router in both modes, over every query endpoint: a
+// client through one router, under each legacyModes value, over every
+// query endpoint: a
 // binary request and a text request get the same JSON (or NDJSON) reply,
 // every answer equal to the bare method's. A request still asking for
 // the deleted binary result format gets the JSON reply, and the router
@@ -64,10 +65,10 @@ func TestRouterBinaryWireMatchesText(t *testing.T) {
 	base := method.NewVF2Plus(ds)
 	ctx := context.Background()
 
-	for _, mode := range []Mode{Replicate, Shard} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, lm := range legacyModes {
+		t.Run(lm.name, func(t *testing.T) {
 			backends := []string{startBackend(t, ds).Addr(), startBackend(t, ds).Addr()}
-			rt := startRouter(t, Options{Backends: backends, Mode: mode})
+			rt := startRouter(t, Options{Backends: backends, Mode: lm.mode})
 			text := server.NewClient(rt.Addr())
 			bin := server.NewClientWith(rt.Addr(), server.ClientOptions{WireBinary: true})
 
@@ -171,19 +172,19 @@ func TestFirstDispatchToJoinerIsBinary(t *testing.T) {
 	}
 }
 
-// TestRouterStreamedBatch exercises the scatter-gather streaming path in
-// both modes and both delivery orders: every result arrives exactly
-// once, ordered mode preserves request order across the per-backend
-// stream re-stitch, and answers equal the buffered batch.
+// TestRouterStreamedBatch exercises the scatter-gather streaming path,
+// under each legacyModes value, in both delivery orders: every result arrives exactly once, ordered
+// mode preserves request order across the per-backend stream re-stitch,
+// and answers equal the buffered batch.
 func TestRouterStreamedBatch(t *testing.T) {
 	ds := testDataset(40, 411)
 	queries := testWorkload(ds, 24, 412)
 	ctx := context.Background()
 
-	for _, mode := range []Mode{Replicate, Shard} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, lm := range legacyModes {
+		t.Run(lm.name, func(t *testing.T) {
 			backends := []string{startBackend(t, ds).Addr(), startBackend(t, ds).Addr(), startBackend(t, ds).Addr()}
-			rt := startRouter(t, Options{Backends: backends, Mode: mode})
+			rt := startRouter(t, Options{Backends: backends, Mode: lm.mode})
 			cl := server.NewClient(rt.Addr())
 
 			want, err := cl.QueryBatch(ctx, queries)
@@ -275,7 +276,7 @@ func TestRouterStreamCancellationPropagates(t *testing.T) {
 	ds := testDataset(40, 421)
 	queries := testWorkload(ds, 32, 422)
 	bk := startSlowBackend(t, ds, 3*time.Millisecond)
-	rt := startRouter(t, Options{Backends: []string{bk.Addr()}, Mode: Shard})
+	rt := startRouter(t, Options{Backends: []string{bk.Addr()}})
 	cl := server.NewClient(rt.Addr())
 
 	stop := errors.New("client walks away")

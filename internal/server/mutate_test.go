@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -340,11 +343,12 @@ func TestSnapshotDatasetMismatchQuarantine(t *testing.T) {
 }
 
 // TestWarmDuringMutateKeepsJournal: warm-ups racing /mutate adds on a
-// server with a journal. A warm-up's truncation swaps the file the appends
-// write to, so it runs under the mutation lock: every /mutate is
-// acknowledged (none refused, none appended to the replaced file), and the
-// journal rereads cleanly with one record per acknowledged add — the peer
-// is at epoch 0, so no truncation drops a record.
+// server with a journal. A warm-up empties the journal, swapping the file
+// the appends write to, so it runs under the mutation lock: every /mutate
+// is acknowledged (none refused, none appended to the replaced file), and
+// the journal rereads cleanly with exactly the adds since the last
+// warm-up — the peer is at epoch 0, so they are epochs 1 through the
+// dataset's epoch, one record each.
 func TestWarmDuringMutateKeepsJournal(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "mutations.journal")
 	ds := testDataset(30, 73)
@@ -380,8 +384,98 @@ func TestWarmDuringMutateKeepsJournal(t *testing.T) {
 		t.Fatalf("rereading the journal: %v", err)
 	}
 	jr.Close()
-	if acked != adds || len(recs) != acked {
-		t.Errorf("%d of %d adds acknowledged, journal holds %d records", acked, adds, len(recs))
+	if acked != adds {
+		t.Errorf("%d of %d adds acknowledged", acked, adds)
+	}
+	epoch := s.cache.DatasetEpoch()
+	if int64(len(recs)) != epoch {
+		t.Errorf("journal holds %d records, the dataset is at epoch %d since the last warm-up", len(recs), epoch)
+	}
+	for i, rec := range recs {
+		if rec.Epoch != int64(i+1) {
+			t.Errorf("journal record %d has epoch %d, want %d", i, rec.Epoch, i+1)
+		}
+	}
+}
+
+// TestWarmLeavesNoPreWarmJournal is the crash-after-warm-up case: a
+// backend whose journal holds records above the peer's epoch warms from
+// the peer, acks one mutation and crashes. Restarted over the same
+// snapshot and journal files, it must come back at the peer's epoch plus
+// that one mutation, with the peer's answers — not replay its own
+// discarded history, and not stop on an epoch gap.
+func TestWarmLeavesNoPreWarmJournal(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "cache.gcsnapshot")
+	jpath := filepath.Join(dir, "mutations.journal")
+	ctx := context.Background()
+
+	// The peer is at epoch 1 after one add.
+	dsP := testDataset(60, 31)
+	qs := testWorkload(dsP, 15, 32) // drawn before any graph is removed
+	cP := newTestCache(dsP)
+	peer := startServer(t, cP, Options{})
+	clP := NewClient(peer.Addr())
+	if _, err := clP.Mutate(ctx, MutateRequest{Op: "add", Graphs: encodeOne(t, dsP.Graph(3).Clone()), Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The local backend journals a different history up to epoch 3.
+	dsL := testDataset(60, 31)
+	s := New(newTestCache(dsL), Options{Addr: "127.0.0.1:0", SnapshotPath: snap, JournalPath: jpath})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
+	cl := NewClient(s.Addr())
+	for i, req := range []MutateRequest{
+		{Op: "remove", IDs: []int32{7}},
+		{Op: "add", Graphs: encodeOne(t, dsL.Graph(9).Clone())},
+		{Op: "remove", IDs: []int32{11, 12}},
+	} {
+		if _, err := cl.Mutate(ctx, req); err != nil {
+			t.Fatalf("local mutation %d: %v", i, err)
+		}
+	}
+
+	if _, err := s.WarmFrom(ctx, peer.Addr()); err != nil {
+		t.Fatalf("WarmFrom: %v", err)
+	}
+	// One mutation after the warm-up, on both sides.
+	after := MutateRequest{Op: "remove", IDs: []int32{5}, Seq: 2}
+	if _, err := cl.Mutate(ctx, after); err != nil {
+		t.Fatalf("mutation after the warm-up: %v", err)
+	}
+	if _, err := clP.Mutate(ctx, after); err != nil {
+		t.Fatalf("peer mutation: %v", err)
+	}
+
+	// Crash: no Shutdown, so no snapshot write and no truncation.
+	s.hs.Close()
+	s.lis.Close()
+	s.jr.Close()
+
+	dsR := testDataset(60, 31)
+	cR := newTestCache(dsR)
+	s2 := New(cR, Options{Addr: "127.0.0.1:0", SnapshotPath: snap, JournalPath: jpath})
+	if err := s2.Start(); err != nil {
+		t.Fatalf("restart after the warm-up: %v", err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s2.Shutdown(ctx)
+	}()
+	if dsR.Epoch() != dsP.Epoch() || dsR.Epoch() != 2 {
+		t.Fatalf("restarted at epoch %d, the peer is at %d; want 2", dsR.Epoch(), dsP.Epoch())
+	}
+	if dsR.Fingerprint() != dsP.Fingerprint() {
+		t.Fatal("restarted dataset diverges from the peer's")
+	}
+	for i, q := range qs {
+		if got, want := method.Answer(cR.Method(), q), method.Answer(cP.Method(), q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d after restart: %v, the peer answers %v", i, got, want)
+		}
 	}
 }
 
@@ -417,4 +511,74 @@ func TestWarmCarriesEpoch(t *testing.T) {
 	if cB.LastMutationSeq() != 2 {
 		t.Errorf("warmed mutation seq %d, want 2", cB.LastMutationSeq())
 	}
+}
+
+// FuzzMutateRequest feeds arbitrary POST /mutate bodies through the
+// handler's decode path: the JSON body as ReadJSON reads it (unknown
+// fields refused, size bounded), then decodeMutation. Nothing may panic.
+// A body that decodes must either fail ValidateMutation with an error or
+// pass it and then apply to a fresh cache without one. Bodies are bounded
+// at 1 KiB: an added dense graph costs Method M's path enumeration
+// O(|V|^5) on a clique, and at 4 KiB one input can take seconds.
+func FuzzMutateRequest(f *testing.F) {
+	const maxBody = 1 << 10
+	ds := testDataset(20, 61)
+	one, err := encodeGraphs([]*graph.Graph{ds.Graph(0)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	two, err := encodeGraphs([]*graph.Graph{ds.Graph(1), ds.Graph(2)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := func(req MutateRequest) {
+		b, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	seed(MutateRequest{Op: "add", Graphs: one, Seq: 1})
+	seed(MutateRequest{Op: "add", Graphs: two})
+	seed(MutateRequest{Op: "remove", IDs: []int32{3, 4}, Seq: 2})
+	seed(MutateRequest{Op: "remove", IDs: []int32{-1, 19, 20, math.MaxInt32}})
+	seed(MutateRequest{Op: "edit", IDs: []int32{0}, Graphs: one, Seq: 3})
+	seed(MutateRequest{Op: "edit", IDs: []int32{1}, Graphs: one})
+	seed(MutateRequest{Op: "edit", IDs: []int32{0, 1}, Graphs: two})
+	seed(MutateRequest{Op: "rename", IDs: []int32{0}})
+	seed(MutateRequest{Op: "ADD", Graphs: one, Seq: -5})
+	for _, s := range []string{
+		``, `null`, `{}`, `[]`, `{"op":"remove","ids":[]}`, `{"op":"add","graphs":""}`,
+		`{"op":"add","graphs":"t # 0\nv 0 1\nv 1 2\ne 0 1`, // torn mid-graph
+		`{"op":"remove","ids":[1,2`,                        // torn mid-array
+		`{"op":"add","graphs":"t # 0\nv 0 1\ne 0 7 0\n"}`,  // edge to a missing vertex
+		`{"op":"remove","ids":[1],"extra":true}`,
+		`{"op":"remove","ids":[1]} {"op":"add"}`,
+		`{"op":"remove","ids":[4294967296]}`,
+		`{"op":"edit","ids":[0],"graphs":"t # 0\nv 0 1\n","seq":9223372036854775807}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Add([]byte(`{"op":"remove","ids":[` + strings.Repeat("1,", maxBody) + `1]}`)) // oversized
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		var req MutateRequest
+		if !ReadJSON(rec, httptest.NewRequest(http.MethodPost, "/mutate", bytes.NewReader(body)), maxBody, &req) {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("refused body %q answered %d, want 400", body, rec.Code)
+			}
+			return
+		}
+		mut, err := decodeMutation(req)
+		if err != nil {
+			return
+		}
+		c := newTestCache(testDataset(20, 61))
+		if err := c.ValidateMutation(mut); err != nil {
+			return
+		}
+		if _, err := c.ApplyMutation(mut); err != nil {
+			t.Fatalf("request %+v passed ValidateMutation but did not apply: %v", req, err)
+		}
+	})
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -132,10 +133,12 @@ type Server struct {
 	snapDone chan struct{}
 	snapOnce sync.Once
 
-	// mutMu serialises POST /mutate handlers and warm-ups: the journal
-	// append and the cache apply must land in the same order, the record's
-	// epoch (current+1) is only deterministic under the lock, and a
-	// warm-up's journal truncation swaps the file the appends write to.
+	// mutMu serialises POST /mutate handlers, warm-ups and snapshot file
+	// writes: the journal append and the cache apply must land in the
+	// same order, the record's epoch (current+1) is only deterministic
+	// under the lock, a journal truncation swaps the file the appends
+	// write to, and a snapshot file must hold the state its truncation
+	// assumes.
 	// jr is nil when no JournalPath is configured.
 	mutMu sync.Mutex
 	jr    *journal
@@ -380,11 +383,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	if s.opts.SnapshotPath != "" {
-		info, err := writeSnapshotFile(s.cache, s.opts.SnapshotPath)
-		if err != nil {
+		if err := s.persist(); err != nil {
 			errs = append(errs, err)
-		} else {
-			s.truncateJournal(info.Epoch)
 		}
 	}
 	if s.jr != nil {
@@ -395,18 +395,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// truncateJournal drops journal records a just-written snapshot now
-// covers. Failure is logged, not fatal: an over-long journal only costs
-// replay time, never correctness (replay skips covered epochs).
-func (s *Server) truncateJournal(throughEpoch int64) {
-	if s.jr == nil {
-		return
-	}
+// persist writes the snapshot file, then drops the journal records it
+// covers, under mutMu so no mutation or warm-up lands between the two. A
+// failed truncation is logged, not fatal: an over-long journal only costs
+// replay time (replay skips covered epochs).
+func (s *Server) persist() error {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
-	if err := s.jr.truncateThrough(throughEpoch); err != nil {
-		logf("server: truncating mutation journal: %v", err)
+	info, err := writeSnapshotFile(s.cache, s.opts.SnapshotPath)
+	if err != nil {
+		return err
 	}
+	if s.jr != nil {
+		if err := s.jr.truncateThrough(info.Epoch); err != nil {
+			logf("server: truncating mutation journal: %v", err)
+		}
+	}
+	return nil
 }
 
 // fsync flushes a file's contents to stable storage. It is a variable so
@@ -758,8 +763,19 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 // peer's GET /snapshot. The fetch holds no lock. The swap holds mutMu, so
 // it lands between two mutations and their journal appends, and
 // Cache.ReadSnapshot takes the cache to itself: queries that arrive
-// during the swap wait for it, and in-flight ones finish first. On any
-// failure the cache is left as it was.
+// during the swap wait for it, and in-flight ones finish first. If the
+// snapshot does not load, the cache is left as it was.
+//
+// The landed state, dataset delta included, is the peer's, so no record
+// of the local journal may survive it: replay would re-apply mutations
+// the warm-up discarded, or stop on an epoch gap. The journal is emptied,
+// after the landed state is written to SnapshotPath when that is set, so
+// a restart resumes from the peer's state plus what was journalled
+// since. If that write fails the old snapshot is removed too, and the
+// warm-up reports every failure of these steps as its error. Without a
+// snapshot file a restart starts from the dataset file at epoch 0, where
+// the router diverts around it; replay refuses mutations journalled after
+// the warm-up on the epoch gap unless the peer was at epoch 0.
 func (s *Server) WarmFrom(ctx context.Context, peer string) (WarmResponse, error) {
 	body, err := fetchSnapshot(ctx, peer)
 	if err != nil {
@@ -770,14 +786,22 @@ func (s *Server) WarmFrom(ctx context.Context, peer string) (WarmResponse, error
 	if err := s.cache.ReadSnapshot(bytes.NewReader(body)); err != nil {
 		return WarmResponse{}, fmt.Errorf("server: loading snapshot from %s: %w", peer, err)
 	}
-	// The local journal described the pre-warm history; the warmed state
-	// (dataset delta included) now comes from the peer snapshot, whose
-	// epoch the replayed journal prefix is part of. Keep only records
-	// past the landed epoch — in the common join case, none.
-	if s.jr != nil {
-		if err := s.jr.truncateThrough(s.cache.DatasetEpoch()); err != nil {
-			logf("server: truncating journal after warm-up: %v", err)
+	var errs []error
+	if s.opts.SnapshotPath != "" {
+		if _, err := writeSnapshotFile(s.cache, s.opts.SnapshotPath); err != nil {
+			errs = append(errs, fmt.Errorf("server: persisting the snapshot warmed from %s: %w", peer, err))
+			if err := os.Remove(s.opts.SnapshotPath); err != nil && !errors.Is(err, os.ErrNotExist) {
+				errs = append(errs, fmt.Errorf("server: removing the pre-warm snapshot: %w", err))
+			}
 		}
+	}
+	if s.jr != nil {
+		if err := s.jr.truncateThrough(math.MaxInt64); err != nil {
+			errs = append(errs, fmt.Errorf("server: emptying the journal after warm-up: %w", err))
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return WarmResponse{}, err
 	}
 	s.warmed.Add(1)
 	s.met.warmTotal.Inc()

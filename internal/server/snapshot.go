@@ -136,12 +136,9 @@ func (s *Server) snapshotLoop() {
 		case <-s.snapStop:
 			return
 		case <-t.C:
-			info, err := writeSnapshotFile(s.cache, s.opts.SnapshotPath)
-			if err != nil {
+			if err := s.persist(); err != nil {
 				logf("server: periodic snapshot: %v", err)
-				continue
 			}
-			s.truncateJournal(info.Epoch)
 		}
 	}
 }

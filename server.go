@@ -108,32 +108,32 @@ type RouterMutateBackendResult = router.MutateBackendResult
 const DefaultCoalesceDelay = 2 * time.Millisecond
 
 // Router fronts N gcserved backends behind the same wire API — the
-// gcrouter serving tier: key affinity or shard routing,
-// per-backend circuit breakers with half-open readmission, bounded
-// dispatch queues with backpressure, front-door overload shedding,
-// failover re-dispatch and an aggregated /stats. Any ServerClient works
+// gcrouter serving tier: every query, single or batched, routed to its
+// ring home by key affinity, per-backend circuit breakers with half-open
+// readmission, bounded dispatch queues with backpressure, front-door
+// overload shedding, failover re-dispatch and an aggregated /stats. Any ServerClient works
 // against a Router unchanged. See the package documentation's "Serving
 // tier" and "Load management" sections and cmd/gcrouter for the
 // standalone daemon.
 type Router = router.Router
 
 // RouterOptions configures a Router: listen address, backend list,
-// routing mode, health-probe cadence, and the load-management knobs
-// (queue bound, error budget, breaker window/cooldown, shed threshold).
+// health-probe cadence, and the load-management knobs (queue bound,
+// error budget, breaker window/cooldown, shed threshold).
 type RouterOptions = router.Options
 
-// RouterMode selects how a Router spreads queries over its backends.
+// RouterMode was the Router's routing-mode selector. A Router has one
+// routing rule: each query, single or batched, goes to its ring home,
+// diverted to the least-loaded backend only while that home is
+// unavailable, lagging or saturated.
+//
+// Deprecated: ignored.
 type RouterMode = router.Mode
 
-const (
-	// RouteReplicate treats every backend as a full cache replica
-	// (affinity-routed singles, whole batches to the least-pending
-	// backend).
-	RouteReplicate = router.Replicate
-	// RouteShard partitions queries across backends by key
-	// (batches split per backend and scatter-gathered).
-	RouteShard = router.Shard
-)
+// RouteReplicate was the default RouterMode.
+//
+// Deprecated: ignored.
+const RouteReplicate = router.Replicate
 
 // RouterStatsResponse is the router's aggregated GET /stats payload: a
 // JSON superset of ServerStatsResponse with per-backend detail and the
@@ -174,7 +174,3 @@ type RouterTopologyResponse = router.TopologyResponse
 // backends. Run the daemon lifecycle with Start, Serve and Shutdown, or
 // embed Handler in an existing mux.
 func NewRouter(opts RouterOptions) (*Router, error) { return router.New(opts) }
-
-// ParseRouterMode converts a mode name ("replicate" or "shard") into a
-// RouterMode.
-func ParseRouterMode(s string) (RouterMode, error) { return router.ParseMode(s) }
