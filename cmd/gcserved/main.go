@@ -42,8 +42,8 @@
 // -journal, every mutation is appended and fsynced to a write-ahead log
 // *before* it is acknowledged, so a crash — even kill -9 — loses no
 // acked mutation: on restart the journal replays on top of the snapshot
-// (whose header records the dataset epoch), and the journal is
-// truncated whenever a snapshot makes its prefix redundant. Submit
+// (whose header records the dataset epoch), and the journal is emptied
+// whenever a durable snapshot covers it. Submit
 // mutations with `gcquery -server ADDR -mutate-op ...` or through a
 // fronting gcrouter, which fans them to every backend.
 package main

@@ -325,8 +325,8 @@
 //     failure fraction breaches ErrorBudget with at least
 //     BreakerMinSamples observations — one unlucky request cannot eject
 //     a healthy backend. An open breaker rejects dispatches for
-//     BreakerCooldown, then half-opens: up to HalfOpenProbes dispatches
-//     go through as probes, and their outcome closes or re-opens the
+//     BreakerCooldown, then half-opens: one dispatch at a time goes
+//     through as a probe, and its outcome closes or re-opens the
 //     breaker. Transitions are lazy (performed by the next dispatch, not
 //     a timer), so a Handler-only embedding with no background prober
 //     still readmits recovered backends; the prober, when running,
@@ -469,8 +469,11 @@
 // an acked mutation survives kill -9; on restart the journal replays on
 // top of the snapshot (whose header binds the dataset fingerprint and
 // epoch — a snapshot from a different dataset or epoch is quarantined
-// to SnapshotPath+".mismatch", not silently loaded), and the journal is
-// truncated once a snapshot covers its prefix.
+// to SnapshotPath+".mismatch", not silently loaded). The journal holds
+// only what the last snapshot lacks: once a snapshot of every applied
+// mutation is durable (its directory synced), the journal is truncated to
+// zero in place, and a mutation whose append or apply fails takes its
+// record back out before it is answered.
 //
 // Fleet propagation: gcrouter's POST /mutate assigns a monotone
 // sequence number and fans the mutation to every backend — draining

@@ -446,12 +446,6 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	for i := range credits {
 		credits[i].apply()
 	}
-	if n > 1 {
-		c.tot.Batches++
-	}
-	for i := range st {
-		c.tot.add(&st[i].stats)
-	}
 	c.totMu.Unlock()
 
 	// The queries, their answers and their first-execution figures enter
@@ -471,6 +465,18 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		}
 		c.addToWindow(e, s.stats.Serial)
 	}
+
+	// The totals fold last: once Totals counts a run's queries, every one
+	// of them is in the Window, so a snapshot taken then holds every
+	// window they filled.
+	c.totMu.Lock()
+	if n > 1 {
+		c.tot.Batches++
+	}
+	for i := range st {
+		c.tot.add(&st[i].stats)
+	}
+	c.totMu.Unlock()
 	return 0, nil
 }
 

@@ -58,26 +58,10 @@ const snapshotMagic = "gcsnapshot 2"
 // cold.
 var ErrDatasetMismatch = errors.New("core: snapshot was written over a different dataset")
 
-// SnapshotInfo describes a written snapshot: what epoch and mutation
-// sequence number it captured, and how many entries it holds. Servers
-// use it to truncate the mutation journal after a successful write.
-type SnapshotInfo struct {
-	Epoch   int64
-	Seq     int64
-	Entries int
-}
-
 // WriteSnapshot serialises the current cache contents in serial order.
 // Every window filled before the call is applied first; the entries of a
 // window that is not full yet are not included.
 func (c *Cache) WriteSnapshot(w io.Writer) error {
-	_, err := c.WriteSnapshotInfo(w)
-	return err
-}
-
-// WriteSnapshotInfo is WriteSnapshot, also reporting the captured epoch,
-// mutation sequence number and entry count.
-func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 	// The window barrier puts every window queued before this call into
 	// the snapshot. The rebuild lock then keeps window passes and
 	// mutations out for the duration, so the index generation, the
@@ -92,11 +76,10 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 
 	ds := c.m.Dataset()
 	removed, changed := ds.Delta()
-	info := SnapshotInfo{Epoch: ds.Epoch(), Seq: c.lastSeq.Load(), Entries: len(entries)}
 
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, snapshotMagic)
-	fmt.Fprintf(bw, "epoch %d %d\n", info.Epoch, info.Seq)
+	fmt.Fprintf(bw, "epoch %d %d\n", ds.Epoch(), c.lastSeq.Load())
 	fmt.Fprintf(bw, "dataset %d %d %016x\n", ds.Live(), ds.Len(), ds.Fingerprint())
 	fmt.Fprintf(bw, "base %d %016x\n", ds.BaseLen(), ds.BaseFingerprint())
 	if len(removed) > 0 {
@@ -137,7 +120,7 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 		}
 		line = append(line, '\n')
 		if _, err := bw.Write(line); err != nil {
-			return info, fmt.Errorf("core: writing snapshot entry: %w", err)
+			return fmt.Errorf("core: writing snapshot entry: %w", err)
 		}
 		for k, v := range rows[i].columns() {
 			fmt.Fprintf(bw, "stat %d %s %g\n", e.serial, statColumns[k], v)
@@ -147,9 +130,9 @@ func (c *Cache) WriteSnapshotInfo(w io.Writer) (SnapshotInfo, error) {
 	fmt.Fprintln(bw, "graphs")
 	graphs = append(graphs, changed...) // delta graphs trail the entry graphs
 	if err := graph.Write(bw, graphs); err != nil {
-		return info, fmt.Errorf("core: writing snapshot graphs: %w", err)
+		return fmt.Errorf("core: writing snapshot graphs: %w", err)
 	}
-	return info, bw.Flush()
+	return bw.Flush()
 }
 
 // ReadSnapshot replaces the cache contents — and, for a snapshot

@@ -27,6 +27,15 @@ import (
 // Both serialise on topoMu; the query hot path never takes that lock —
 // it reads one atomic topology generation per request.
 
+const (
+	// warmTimeout bounds a joining backend's snapshot warm-up — the
+	// joiner's fetch-and-load of a healthy peer's snapshot.
+	warmTimeout = 60 * time.Second
+	// drainTimeout bounds how long a drain waits for a departing
+	// backend's in-flight dispatches after new dispatches stop.
+	drainTimeout = 30 * time.Second
+)
+
 var (
 	// ErrBackendExists is returned by Join for an address already in the
 	// fleet.
@@ -67,7 +76,7 @@ func (rt *Router) Join(ctx context.Context, addr string) (JoinResponse, error) {
 	if src == nil {
 		return JoinResponse{}, ErrNoWarmSource
 	}
-	wctx, cancel := context.WithTimeout(ctx, rt.opts.WarmTimeout)
+	wctx, cancel := context.WithTimeout(ctx, warmTimeout)
 	warm, err := nb.cl.Warm(wctx, src.addr)
 	cancel()
 	if err != nil {
@@ -135,7 +144,7 @@ func warmSource(tp *topology) *backend {
 
 // Drain removes the backend at addr from the fleet: stop new dispatches
 // at once, wait for its in-flight dispatches to finish (bounded by ctx
-// and DrainTimeout), then take it off the ring. Requests never fail on
+// and drainTimeout), then take it off the ring. Requests never fail on
 // account of a drain — they divert to the survivors exactly as they
 // would around an open breaker. The wait timing out is reported, but
 // the removal stands either way.
@@ -157,7 +166,7 @@ func (rt *Router) Drain(ctx context.Context, addr string) error {
 	// Wait outside the lock — a slow drain must not block a concurrent
 	// join. The backend is still in the topology (shown as draining in
 	// /stats), just ineligible for dispatch.
-	err := awaitIdle(ctx, b, rt.opts.DrainTimeout)
+	err := awaitIdle(ctx, b, drainTimeout)
 
 	rt.topoMu.Lock()
 	cur = rt.topo.Load()
@@ -168,14 +177,7 @@ func (rt *Router) Drain(ctx context.Context, addr string) error {
 		}
 	}
 	if len(bs) < len(cur.bs) {
-		// Fold the departing breaker's opens into ejectedGone and shrink
-		// the topology as one step under ejectMu, so a concurrent
-		// Counters() never sees the backend both in the topology and in
-		// ejectedGone (Ejected would double-count, then run backwards).
-		rt.ejectMu.Lock()
-		rt.ejectedGone.Add(b.br.Counts().Opens)
 		rt.topo.Store(newTopology(bs))
-		rt.ejectMu.Unlock()
 		rt.met.remapDrain.Inc()
 		rt.opts.Logger.Info("backend drained",
 			"component", "gcrouter", "backend", addr, "fleet_size", len(bs))
@@ -219,7 +221,7 @@ func (rt *Router) Topology() TopologyResponse {
 
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if !server.ReadJSON(w, r, rt.opts.MaxBodyBytes, &req) {
+	if !server.ReadJSON(w, r, server.RequestBodyLimit, &req) {
 		return
 	}
 	if req.Addr == "" {

@@ -8,8 +8,8 @@ import (
 
 // State is a circuit breaker's position. Closed admits traffic and
 // tracks failures against the error budget; Open rejects dispatches
-// while the backend cools down; HalfOpen admits a bounded number of
-// probe dispatches whose outcomes decide between Closed and Open.
+// while the backend cools down; HalfOpen admits one probe dispatch at a
+// time, whose outcome decides between Closed and Open.
 type State int
 
 const (
@@ -48,7 +48,6 @@ type breakerConfig struct {
 	budget     float64       // failure fraction that opens the breaker
 	minSamples int           // samples required before opening
 	cooldown   time.Duration // open → half-open delay
-	probes     int           // max concurrent half-open probe dispatches
 	now        func() time.Time
 	// onTransition, when non-nil, is invoked with the new state on every
 	// state change (including the lazy open→half-open inside Allow). It
@@ -83,7 +82,7 @@ type breaker struct {
 	// changedAt is when the breaker last changed state (seeded at
 	// construction), exposed as the state's age in /topology.
 	changedAt time.Time
-	probing   int // in-flight half-open probe dispatches
+	probing   bool // a half-open probe dispatch is in flight
 	ring      [breakerBuckets]breakerBucket
 	counts    BreakerCounts
 }
@@ -114,17 +113,17 @@ func (b *breaker) Allow() bool {
 		}
 		b.state = StateHalfOpen
 		b.changedAt = b.cfg.now()
-		b.probing = 0
+		b.probing = false
 		b.counts.HalfOpens++
 		if b.cfg.onTransition != nil {
 			b.cfg.onTransition(StateHalfOpen)
 		}
 		fallthrough
 	case StateHalfOpen:
-		if b.probing >= b.cfg.probes {
+		if b.probing {
 			return false
 		}
-		b.probing++
+		b.probing = true
 		return true
 	}
 	return true
@@ -142,7 +141,7 @@ func (b *breaker) Available() bool {
 	case StateOpen:
 		return b.cfg.now().Sub(b.openedAt) >= b.cfg.cooldown
 	case StateHalfOpen:
-		return b.probing < b.cfg.probes
+		return !b.probing
 	}
 	return true
 }
@@ -157,9 +156,7 @@ func (b *breaker) Record(ok bool) {
 	now := b.cfg.now()
 	switch b.state {
 	case StateHalfOpen:
-		if b.probing > 0 {
-			b.probing--
-		}
+		b.probing = false
 		if ok {
 			b.toClosed()
 		} else {
@@ -185,8 +182,8 @@ func (b *breaker) Record(ok bool) {
 func (b *breaker) Forget() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == StateHalfOpen && b.probing > 0 {
-		b.probing--
+	if b.state == StateHalfOpen {
+		b.probing = false
 	}
 }
 

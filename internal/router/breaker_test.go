@@ -36,7 +36,7 @@ func TestBreakerOpensOnBudgetBreach(t *testing.T) {
 	clk := &fakeClock{}
 	b := newTestBreaker(clk, breakerConfig{
 		window: 10 * time.Second, budget: 0.5, minSamples: 4,
-		cooldown: time.Second, probes: 1,
+		cooldown: time.Second,
 	})
 
 	// 3 failures in a row: 100% failure rate but under minSamples.
@@ -68,7 +68,7 @@ func TestBreakerStaysClosedUnderBudget(t *testing.T) {
 	clk := &fakeClock{}
 	b := newTestBreaker(clk, breakerConfig{
 		window: 10 * time.Second, budget: 0.5, minSamples: 4,
-		cooldown: time.Second, probes: 1,
+		cooldown: time.Second,
 	})
 	for i := 0; i < 32; i++ {
 		record(t, b, i%4 != 0) // 1-in-4 failures < 50% budget
@@ -88,7 +88,7 @@ func TestBreakerCooldownAndHalfOpen(t *testing.T) {
 	clk := &fakeClock{}
 	b := newTestBreaker(clk, breakerConfig{
 		window: 10 * time.Second, budget: 0.5, minSamples: 1,
-		cooldown: time.Second, probes: 1,
+		cooldown: time.Second,
 	})
 	record(t, b, false)
 	if st := b.State(); st != StateOpen {
@@ -151,7 +151,7 @@ func TestBreakerForgetReleasesProbeSlot(t *testing.T) {
 	clk := &fakeClock{}
 	b := newTestBreaker(clk, breakerConfig{
 		window: 10 * time.Second, budget: 0.5, minSamples: 1,
-		cooldown: time.Second, probes: 1,
+		cooldown: time.Second,
 	})
 	record(t, b, false)
 	clk.advance(time.Second)
@@ -177,7 +177,7 @@ func TestBreakerWindowSlides(t *testing.T) {
 	clk := &fakeClock{}
 	b := newTestBreaker(clk, breakerConfig{
 		window: 8 * time.Second, budget: 0.5, minSamples: 4,
-		cooldown: time.Second, probes: 1,
+		cooldown: time.Second,
 	})
 	// 3 failures now (under minSamples, breaker stays closed).
 	for i := 0; i < 3; i++ {

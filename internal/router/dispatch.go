@@ -225,7 +225,6 @@ func retryable(ctx context.Context, err error) bool {
 // succeed and report 0. The answering backend is returned.
 func (rt *Router) failover(ctx context.Context, tp *topology, b *backend, n int,
 	call func(context.Context, *backend) (delivered int, err error)) (*backend, error) {
-	rt.routed.Add(int64(n))
 	rt.met.routed.Add(float64(n))
 	lastErr := errNoBackends
 	for attempt := 0; b != nil && attempt < len(tp.bs); attempt++ {
@@ -240,7 +239,6 @@ func (rt *Router) failover(ctx context.Context, tp *topology, b *backend, n int,
 		if delivered > 0 || !retryable(ctx, err) {
 			return nil, err
 		}
-		rt.retried.Add(int64(n))
 		rt.met.retried.Add(float64(n))
 		lastErr = err
 		b = tp.leastLoaded(b)
@@ -380,7 +378,6 @@ func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGr
 func (rt *Router) admit(n int) bool {
 	if rt.admitted.Add(int64(n)) > int64(rt.opts.ShedThreshold) {
 		rt.admitted.Add(int64(-n))
-		rt.shed.Add(1)
 		rt.met.shed.Inc()
 		return false
 	}

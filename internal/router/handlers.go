@@ -13,30 +13,19 @@ import (
 	"graphcache/internal/telemetry"
 )
 
-// Counters returns the router's lifetime routing counters. Ejected is
-// the fleet-wide sum of breaker opens — current backends plus any since
-// drained — preserving the counter's old meaning (transitions out of
-// service) and its monotonicity across topology changes. It serialises
-// on ejectMu against Drain's hand-off: the drain folds the departing
-// backend's opens into ejectedGone *before* publishing the shrunk
-// topology, so a lock-free read racing that hand-off would count the
-// backend twice and Ejected would transiently run backwards afterwards.
-// (ejectMu, not topoMu: a Join holds topoMu across a snapshot warm-up,
-// and /stats must not block on that.)
+// Counters returns the router's lifetime routing counters, read from
+// the telemetry counters /metrics exports. Ejected is the fleet-wide
+// breaker-open transition counter, so backends since drained stay in it
+// and it never runs backwards across topology changes.
 func (rt *Router) Counters() Counters {
-	rt.ejectMu.Lock()
-	defer rt.ejectMu.Unlock()
-	c := Counters{
-		Routed:    rt.routed.Load(),
-		Retried:   rt.retried.Load(),
-		Shed:      rt.shed.Load(),
-		Mutations: rt.mutations.Load(),
-		Ejected:   rt.ejectedGone.Load(),
+	m := rt.met
+	return Counters{
+		Routed:    int64(m.routed.Value()),
+		Retried:   int64(m.retried.Value()),
+		Shed:      int64(m.shed.Value()),
+		Mutations: int64(m.mutations.Value()),
+		Ejected:   int64(m.brOpened.Value()),
 	}
-	for _, b := range rt.backends() {
-		c.Ejected += b.br.Counts().Opens
-	}
-	return c
 }
 
 // BackendStats returns the router's local view of every backend —

@@ -189,11 +189,10 @@ func TestRouterTraceRequestID(t *testing.T) {
 }
 
 // TestCountersEjectedMonotoneAcrossDrain is the regression test for the
-// Counters/Drain hand-off race: Drain folds the departing backend's
-// breaker opens into ejectedGone and then shrinks the topology; a
-// concurrent Counters must never observe both (Ejected would
-// double-count, then shrink). The poller hammers Counters through the
-// whole drain and asserts Ejected never decreases.
+// Counters/Drain hand-off race: a drained backend's breaker opens must
+// stay counted once, neither double-counted nor dropped when the
+// topology shrinks. The poller hammers Counters through the whole drain
+// and asserts Ejected never decreases.
 func TestCountersEjectedMonotoneAcrossDrain(t *testing.T) {
 	rt, err := New(Options{Backends: []string{"127.0.0.1:9001", "127.0.0.1:9002"}})
 	if err != nil {
@@ -252,7 +251,7 @@ func TestBreakerStateAge(t *testing.T) {
 	clock := func() time.Time { return now }
 	br := newBreaker(breakerConfig{
 		window: 10 * time.Second, budget: 0.5, minSamples: 1,
-		cooldown: time.Second, probes: 1, now: clock,
+		cooldown: time.Second, now: clock,
 	})
 	now = now.Add(5 * time.Second)
 	if got := br.StateAge(); got != 5*time.Second {

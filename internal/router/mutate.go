@@ -86,7 +86,6 @@ func (rt *Router) Mutate(ctx context.Context, req server.MutateRequest) (MutateR
 		}(i, b)
 	}
 	wg.Wait()
-	rt.mutations.Add(1)
 	rt.met.mutations.Inc()
 
 	resp := MutateResponse{Seq: seq, Epoch: tp.fleetEpoch(), Backends: results}
@@ -166,7 +165,7 @@ func (rt *Router) seedMutSeq(ctx context.Context) error {
 
 func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var req server.MutateRequest
-	if !server.ReadJSON(w, r, rt.opts.MaxBodyBytes, &req) {
+	if !server.ReadJSON(w, r, server.RequestBodyLimit, &req) {
 		return
 	}
 	resp, err := rt.Mutate(r.Context(), req)

@@ -84,8 +84,6 @@ type Options struct {
 	// ProbeTimeout bounds one health probe, and one backend's share of an
 	// aggregated /stats fan-out (default 2s).
 	ProbeTimeout time.Duration
-	// MaxBodyBytes bounds a request body (default 64 MiB).
-	MaxBodyBytes int64
 
 	// QueueBound caps each backend's dispatch slots — in-flight requests
 	// through the router (default 64). Past it, dispatches queue.
@@ -109,9 +107,6 @@ type Options struct {
 	// BreakerCooldown is how long an open breaker rejects dispatches
 	// before half-opening for probe dispatches (default 1s).
 	BreakerCooldown time.Duration
-	// HalfOpenProbes caps concurrent probe dispatches through a
-	// half-open breaker (default 1).
-	HalfOpenProbes int
 	// ShedThreshold caps fleet-wide admitted queries (queued plus
 	// in-flight); past it /query and /querybatch answer 429 with
 	// Retry-After (default 2 × QueueBound × len(Backends) — twice the
@@ -124,13 +119,6 @@ type Options struct {
 	// topology control surface. It is bound separately from Addr so the
 	// fleet's management plane need not be exposed to query clients.
 	AdminAddr string
-	// WarmTimeout bounds a joining backend's snapshot warm-up — the
-	// joiner's fetch-and-load of a healthy peer's snapshot (default 60s).
-	WarmTimeout time.Duration
-	// DrainTimeout bounds how long a drain waits for a departing
-	// backend's in-flight dispatches after new dispatches stop
-	// (default 30s).
-	DrainTimeout time.Duration
 
 	// Logger receives the router's structured log events — breaker
 	// transitions, joins and drains (default slog.Default()).
@@ -146,9 +134,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 64 << 20
 	}
 	if o.QueueBound <= 0 {
 		o.QueueBound = 64
@@ -168,21 +153,12 @@ func (o Options) withDefaults() Options {
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = time.Second
 	}
-	if o.HalfOpenProbes <= 0 {
-		o.HalfOpenProbes = 1
-	}
 	if o.ShedThreshold <= 0 {
 		n := len(o.Backends)
 		if n == 0 {
 			n = 1
 		}
 		o.ShedThreshold = 2 * o.QueueBound * n
-	}
-	if o.WarmTimeout <= 0 {
-		o.WarmTimeout = 60 * time.Second
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 30 * time.Second
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -224,22 +200,12 @@ type Router struct {
 	stop      chan struct{}
 	probeDone chan struct{}
 
-	routed  atomic.Int64 // queries dispatched to their assigned backend
-	retried atomic.Int64 // queries re-dispatched after a failed attempt
-	shed    atomic.Int64 // requests refused with 429 at the front door
-	// ejectedGone preserves drained backends' breaker opens so the
-	// fleet-wide Ejected counter stays monotone across topology changes.
-	// ejectMu serialises Drain's fold-then-shrink hand-off with Counters'
-	// read, keeping Ejected monotone for concurrent observers too.
-	ejectedGone atomic.Int64
-	ejectMu     sync.Mutex
-	admitted    atomic.Int64 // queries admitted and not yet answered
+	admitted atomic.Int64 // queries admitted and not yet answered
 
 	// Mutation ingress state (mutate.go). mutMu serialises fan-outs and
 	// sequence assignment; mutSeq is the last sequence number handed out,
 	// seeded lazily from the fleet's own /stats so a restarted router
 	// never reuses a number the fleet already consumed.
-	mutations    atomic.Int64 // mutation fan-outs completed
 	mutMu        sync.Mutex
 	mutSeq       int64
 	mutSeqSeeded bool
@@ -266,7 +232,7 @@ func New(opts Options) (*Router, error) {
 		adminMux:  http.NewServeMux(),
 		reg:       reg,
 		met:       newRouterMetrics(reg),
-		wire:      server.NewWire(reg, "graphcache_router", opts.MaxBodyBytes),
+		wire:      server.NewWire(reg, "graphcache_router", server.RequestBodyLimit),
 		start:     time.Now(),
 		stop:      make(chan struct{}),
 		probeDone: make(chan struct{}),
@@ -339,7 +305,6 @@ func (rt *Router) newBackend(addr string) *backend {
 			budget:     rt.opts.ErrorBudget,
 			minSamples: rt.opts.BreakerMinSamples,
 			cooldown:   rt.opts.BreakerCooldown,
-			probes:     rt.opts.HalfOpenProbes,
 			onTransition: func(to State) {
 				rt.met.onTransition(to)
 				rt.opts.Logger.Info("breaker transition",

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-
-	"graphcache/internal/graph"
 )
 
 // The mutation journal is gcserved's write-ahead log for dataset
@@ -16,9 +13,9 @@ import (
 // any instant loses zero acked mutations. On restart the daemon loads
 // the snapshot (which records the dataset epoch it captured), then
 // replays the journal's records whose epoch exceeds it, arriving at
-// exactly the pre-crash dataset; after every successful snapshot write
-// the journal is truncated to the records the snapshot does not yet
-// cover, bounding replay time.
+// exactly the pre-crash dataset. The journal holds only what the last
+// snapshot lacks: once a snapshot covering every record is durable, the
+// journal is truncated to zero in place, which bounds replay time.
 //
 // The format is one JSON object per line:
 //
@@ -28,28 +25,27 @@ import (
 // advance the epoch by exactly one, so replay can both order records
 // and detect divergence. A torn final line (the crash hit mid-append)
 // is discarded on open: its mutation was never acked, because the ack
-// only follows a completed fsync.
+// only follows a completed fsync. A record that failed to append or to
+// apply is cut off again before its mutation is answered, so the file
+// never holds a mutation that was answered with an error.
 
-// journalRecord is one durable mutation. AddedIDs records, for add
-// records, the dataset IDs the add will assign — ID assignment is
-// positional and the mutate handler holds the mutation lock, so they
-// are known before the apply. They are what makes truncation-time
-// op-coalescing possible: a later remove record can be matched back to
-// the exact graphs an earlier add carried. Journals written before the
-// field existed simply never coalesce.
+// journalRecord is one durable mutation. Fields journals of older
+// versions carry (added_ids) are ignored on read.
 type journalRecord struct {
-	Seq      int64   `json:"seq,omitempty"`
-	Epoch    int64   `json:"epoch"`
-	Op       string  `json:"op"`
-	IDs      []int32 `json:"ids,omitempty"`
-	Graphs   string  `json:"graphs,omitempty"`
-	AddedIDs []int32 `json:"added_ids,omitempty"`
+	Seq    int64   `json:"seq,omitempty"`
+	Epoch  int64   `json:"epoch"`
+	Op     string  `json:"op"`
+	IDs    []int32 `json:"ids,omitempty"`
+	Graphs string  `json:"graphs,omitempty"`
 }
 
-// journal is an append-only, fsync-on-append record log.
+// journal is an append-only, fsync-on-append record log. size is the
+// length of the file's well-formed records, where the next append
+// writes; last is the epoch of the final record (0 when empty).
 type journal struct {
-	path string
 	f    *os.File
+	size int64
+	last int64
 }
 
 // openJournal opens (creating if absent) the journal at path and returns
@@ -94,163 +90,46 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("server: trimming torn journal tail: %w", err)
 	}
-	if _, err := f.Seek(int64(valid), 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("server: seeking journal: %w", err)
+	j := &journal{f: f, size: int64(valid)}
+	if len(recs) > 0 {
+		j.last = recs[len(recs)-1].Epoch
 	}
-	return &journal{path: path, f: f}, recs, nil
+	return j, recs, nil
 }
 
 // append writes one record and forces it to stable storage. Only after
-// append returns may the mutation be acknowledged.
+// append returns may the mutation be acknowledged. A failed append cuts
+// the file back to where it started, so the next record takes its place.
 func (j *journal) append(rec journalRecord) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("server: encoding journal record: %w", err)
 	}
 	line = append(line, '\n')
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("server: appending to mutation journal: %w", err)
+	if _, err := j.f.WriteAt(line, j.size); err != nil {
+		return errors.Join(fmt.Errorf("server: appending to mutation journal: %w", err), j.truncate(j.size, j.last))
 	}
 	if err := fsync(j.f); err != nil {
-		return fmt.Errorf("server: syncing mutation journal: %w", err)
+		return errors.Join(fmt.Errorf("server: syncing mutation journal: %w", err), j.truncate(j.size, j.last))
 	}
+	j.size += int64(len(line))
+	j.last = rec.Epoch
 	return nil
 }
 
-// truncateThrough drops every record with epoch ≤ through — they are
-// covered by a snapshot now — keeping the rest. The survivors are
-// op-coalesced (see coalesceRecords) and rewritten to a temp file that
-// is renamed over the journal (same fsync+rename discipline as the
-// snapshot itself), so a crash mid-truncation leaves either the old or
-// the new journal, never a torn one.
-func (j *journal) truncateThrough(through int64) error {
-	data, err := os.ReadFile(j.path)
-	if err != nil {
-		return fmt.Errorf("server: re-reading journal for truncation: %w", err)
+// truncate cuts the file back to size bytes, whose final record has
+// epoch last, and syncs it: truncate(0, 0) empties the journal once a
+// snapshot covers it, and a mutation that fails after its append takes
+// its record back out with the size and epoch it saw before.
+func (j *journal) truncate(size, last int64) error {
+	if err := j.f.Truncate(size); err != nil {
+		return fmt.Errorf("server: truncating mutation journal: %w", err)
 	}
-	var recs []journalRecord
-	for off := 0; off < len(data); {
-		nl := off
-		for nl < len(data) && data[nl] != '\n' {
-			nl++
-		}
-		if nl == len(data) {
-			break
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(data[off:nl], &rec); err == nil && rec.Epoch > through {
-			recs = append(recs, rec)
-		}
-		off = nl + 1
+	j.size, j.last = size, last
+	if err := fsync(j.f); err != nil {
+		return fmt.Errorf("server: syncing truncated mutation journal: %w", err)
 	}
-	var keep []byte
-	for _, rec := range coalesceRecords(recs) {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("server: re-encoding journal record at epoch %d: %w", rec.Epoch, err)
-		}
-		keep = append(keep, line...)
-		keep = append(keep, '\n')
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), ".gcjournal-*")
-	if err != nil {
-		return fmt.Errorf("server: creating journal temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(keep); err != nil {
-		tmp.Close()
-		return fmt.Errorf("server: writing truncated journal: %w", err)
-	}
-	if err := fsync(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("server: syncing truncated journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		return fmt.Errorf("server: installing truncated journal: %w", err)
-	}
-	// Swap the append handle to the new file.
-	f, err := os.OpenFile(j.path, os.O_APPEND|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: reopening truncated journal: %w", err)
-	}
-	old := j.f
-	j.f = f
-	old.Close()
 	return nil
-}
-
-// coalesceRecords shrinks a journal tail by op-coalescing: a graph that
-// an add record appended and a later remove record tombstoned — with no
-// intervening edit of that ID — has its text payload replaced by an
-// empty placeholder in the add record. Replay stays equivalent because
-// ID assignment is positional (the placeholder occupies the same slot,
-// so every later record's IDs keep meaning the same graphs), the epoch
-// sequence is untouched (both records survive, only the add's payload
-// shrinks), and the final dataset state is identical: the slot ends up
-// tombstoned either way, its content observable to no one. Records are
-// never merged or dropped — churn-heavy workloads (add a batch, remove
-// it before the next snapshot) just stop paying to journal graph text
-// that is already dead.
-//
-// An edit pins its target: an edit's replacement must match the current
-// vertex count, so emptying a graph that was edited before its removal
-// would make replay reject the edit. Add records without AddedIDs
-// (written before the field existed) and payloads that fail to re-parse
-// are left untouched — coalescing is an optimisation, never a
-// requirement.
-func coalesceRecords(recs []journalRecord) []journalRecord {
-	type slot struct{ rec, pos int }
-	slots := make(map[int32]slot)
-	doomed := make(map[int]map[int]bool) // add-record index → positions to empty
-	for i, rec := range recs {
-		switch rec.Op {
-		case "add":
-			for p, id := range rec.AddedIDs {
-				slots[id] = slot{rec: i, pos: p}
-			}
-		case "edit":
-			for _, id := range rec.IDs {
-				delete(slots, id)
-			}
-		case "remove":
-			for _, id := range rec.IDs {
-				if s, ok := slots[id]; ok {
-					if doomed[s.rec] == nil {
-						doomed[s.rec] = make(map[int]bool)
-					}
-					doomed[s.rec][s.pos] = true
-					delete(slots, id)
-				}
-			}
-		}
-	}
-	for ri, positions := range doomed {
-		gs, err := graph.DecodeText([]byte(recs[ri].Graphs))
-		if err != nil || len(gs) != len(recs[ri].AddedIDs) {
-			continue // not worth risking: leave the record as written
-		}
-		changed := false
-		for p := range positions {
-			if gs[p].NumVertices() == 0 {
-				continue // already a placeholder from an earlier truncation
-			}
-			gs[p] = graph.NewBuilder().SetID(gs[p].ID()).MustBuild()
-			changed = true
-		}
-		if !changed {
-			continue
-		}
-		data, err := graph.EncodeText(gs)
-		if err != nil {
-			continue
-		}
-		recs[ri].Graphs = string(data)
-	}
-	return recs
 }
 
 // Close releases the append handle.

@@ -309,7 +309,7 @@ func TestSnapshotDatasetMismatchQuarantine(t *testing.T) {
 		cA.Query(q)
 	}
 	cA.Flush()
-	if _, err := writeSnapshotFile(cA, snap); err != nil {
+	if err := writeSnapshotFile(cA, snap); err != nil {
 		t.Fatal(err)
 	}
 

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -60,9 +59,9 @@ type Options struct {
 	// JournalPath, when non-empty, names the mutation write-ahead log:
 	// every acked POST /mutate is appended and fsynced here before the
 	// acknowledgement is sent, Start replays records the snapshot does
-	// not cover, and each successful snapshot write truncates the
-	// journal to the records past the snapshot's epoch. With it, a
-	// SIGKILL at any instant loses zero acked mutations.
+	// not cover, and each snapshot write, once durable, empties the
+	// journal. With it, a SIGKILL at any instant loses zero acked
+	// mutations.
 	JournalPath string
 	// MaxBatch bounds the size of a coalesced run: that many queued
 	// queries are dispatched at once (default 64; 1 runs every query on a
@@ -75,8 +74,6 @@ type Options struct {
 	// never held (0 means the 2ms default; negative means no query is
 	// ever held: each is dispatched at once beside the runs in flight).
 	MaxDelay time.Duration
-	// MaxBodyBytes bounds a request body (default 64 MiB).
-	MaxBodyBytes int64
 	// ShedThreshold caps the queries admitted concurrently across
 	// /query and /querybatch; past it the server sheds with 429 and a
 	// Retry-After hint instead of queueing without bound (0 disables —
@@ -107,11 +104,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxDelay == 0 {
 		o.MaxDelay = 2 * time.Millisecond
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 64 << 20
-	}
 	return o
 }
+
+// RequestBodyLimit bounds a request body on both tiers.
+const RequestBodyLimit = 64 << 20
 
 // Server serves one Cache over HTTP. Construct with New, then either
 // Start/Serve/Shutdown for the daemon lifecycle or Handler for embedding
@@ -125,9 +122,6 @@ type Server struct {
 	lis   net.Listener
 
 	admitted atomic.Int64 // queries admitted and not yet answered
-	shed     atomic.Int64 // requests refused with 429
-
-	warmed atomic.Int64 // completed warm-ups, for /stats
 
 	snapStop chan struct{} // closed by Shutdown to stop the periodic snapshot loop
 	snapDone chan struct{}
@@ -136,9 +130,8 @@ type Server struct {
 	// mutMu serialises POST /mutate handlers, warm-ups and snapshot file
 	// writes: the journal append and the cache apply must land in the
 	// same order, the record's epoch (current+1) is only deterministic
-	// under the lock, a journal truncation swaps the file the appends
-	// write to, and a snapshot file must hold the state its truncation
-	// assumes.
+	// under the lock, and emptying the journal after a snapshot is sound
+	// only if no mutation landed between the two.
 	// jr is nil when no JournalPath is configured.
 	mutMu sync.Mutex
 	jr    *journal
@@ -173,7 +166,7 @@ func New(c *core.Cache, opts Options) *Server {
 		opts:  opts,
 		mux:   http.NewServeMux(),
 		met:   newServerMetrics(reg),
-		wire:  NewWire(reg, "graphcache_server", opts.MaxBodyBytes),
+		wire:  NewWire(reg, "graphcache_server", RequestBodyLimit),
 		reg:   reg,
 		start: time.Now(),
 	}
@@ -395,67 +388,76 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// persist writes the snapshot file, then drops the journal records it
-// covers, under mutMu so no mutation or warm-up lands between the two. A
-// failed truncation is logged, not fatal: an over-long journal only costs
-// replay time (replay skips covered epochs).
+// persist writes the snapshot file, then empties the journal, under
+// mutMu so no mutation or warm-up lands between the two. Two invariants
+// guard the emptying: the snapshot's rename is durable (a failed write or
+// directory sync returns before it), and no journaled record lies above
+// the snapshot's epoch. A journal kept by either only costs replay time:
+// replay skips covered epochs. A failed truncation is logged, not fatal,
+// for the same reason.
 func (s *Server) persist() error {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
-	info, err := writeSnapshotFile(s.cache, s.opts.SnapshotPath)
-	if err != nil {
+	epoch := s.cache.DatasetEpoch()
+	if err := writeSnapshotFile(s.cache, s.opts.SnapshotPath); err != nil {
 		return err
 	}
-	if s.jr != nil {
-		if err := s.jr.truncateThrough(info.Epoch); err != nil {
-			logf("server: truncating mutation journal: %v", err)
+	switch {
+	case s.jr == nil:
+	case s.jr.last > epoch:
+		logf("server: journal holds epoch %d above the snapshot's %d; keeping it", s.jr.last, epoch)
+	default:
+		if err := s.jr.truncate(0, 0); err != nil {
+			logf("server: emptying mutation journal: %v", err)
 		}
 	}
 	return nil
 }
 
-// fsync flushes a file's contents to stable storage. It is a variable so
-// the snapshot-durability regression test can observe the call.
+// fsync flushes a file's contents, or a directory's entries, to stable
+// storage. It is a variable so durability tests can observe the calls and
+// fail them.
 var fsync = (*os.File).Sync
 
 // writeSnapshotFile writes the cache snapshot atomically and durably: to
 // a temp file in the target directory, fsynced, then renamed over the
-// target, so neither a crash mid-write nor a power loss right after the
-// rename can install a truncated or empty snapshot. The payload carries
-// the checksum trailer, so corruption the rename discipline cannot
-// prevent is still detected at load.
-func writeSnapshotFile(c *core.Cache, path string) (core.SnapshotInfo, error) {
+// target, and the directory synced, so neither a crash mid-write nor a
+// power loss right after the rename can install a truncated or empty
+// snapshot, and a nil return means the new name is on disk. The payload
+// carries the checksum trailer, so corruption the rename discipline
+// cannot prevent is still detected at load.
+func writeSnapshotFile(c *core.Cache, path string) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".gcsnapshot-*")
 	if err != nil {
-		return core.SnapshotInfo{}, fmt.Errorf("server: creating snapshot temp file: %w", err)
+		return fmt.Errorf("server: creating snapshot temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	info, err := writeCheckedSnapshot(c, tmp)
-	if err != nil {
+	if err := writeCheckedSnapshot(c, tmp); err != nil {
 		tmp.Close()
-		return info, fmt.Errorf("server: writing snapshot: %w", err)
+		return fmt.Errorf("server: writing snapshot: %w", err)
 	}
 	// Without the fsync, Rename could install a name pointing at data
 	// still in the page cache; a power loss would then leave an empty
 	// snapshot under the target path.
 	if err := fsync(tmp); err != nil {
 		tmp.Close()
-		return info, fmt.Errorf("server: syncing snapshot temp file: %w", err)
+		return fmt.Errorf("server: syncing snapshot temp file: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return info, fmt.Errorf("server: closing snapshot temp file: %w", err)
+		return fmt.Errorf("server: closing snapshot temp file: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return info, fmt.Errorf("server: installing snapshot: %w", err)
+		return fmt.Errorf("server: installing snapshot: %w", err)
 	}
-	// Best-effort directory sync makes the rename itself durable; some
-	// platforms and filesystems reject fsync on directories, which is
-	// fine — the contents above are already on disk.
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("server: opening snapshot directory: %w", err)
 	}
-	return info, nil
+	defer dir.Close()
+	if err := fsync(dir); err != nil {
+		return fmt.Errorf("server: syncing snapshot directory: %w", err)
+	}
+	return nil
 }
 
 // ---- Handlers ----------------------------------------------------------
@@ -467,7 +469,6 @@ func writeSnapshotFile(c *core.Cache, path string) (core.SnapshotInfo, error) {
 func (s *Server) admit(n int) bool {
 	if s.admitted.Add(int64(n)) > int64(s.opts.ShedThreshold) && s.opts.ShedThreshold > 0 {
 		s.admitted.Add(int64(-n))
-		s.shed.Add(1)
 		s.met.shedTotal.Inc()
 		return false
 	}
@@ -619,8 +620,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cached:        len(s.cache.CachedSerials()),
 		Method:        m.Name(),
 		Mode:          m.Mode().String(),
-		Shed:          s.shed.Load(),
-		Warmed:        s.warmed.Load(),
+		Shed:          int64(s.met.shedTotal.Value()),
+		Warmed:        int64(s.met.warmTotal.Value()),
 		DatasetEpoch:  s.cache.DatasetEpoch(),
 		MutationSeq:   s.cache.LastMutationSeq(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -643,7 +644,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // it.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-gcsnapshot")
-	if _, err := writeCheckedSnapshot(s.cache, w); err != nil {
+	if err := writeCheckedSnapshot(s.cache, w); err != nil {
 		// Headers are gone; the truncated stream fails the receiver's
 		// checksum, which is exactly the protection the trailer buys.
 		logf("server: streaming snapshot: %v", err)
@@ -656,7 +657,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // to the ring; gcserved -warm-from calls it at startup.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	var req WarmRequest
-	if !ReadJSON(w, r, s.opts.MaxBodyBytes, &req) {
+	if !ReadJSON(w, r, RequestBodyLimit, &req) {
 		return
 	}
 	if req.From == "" {
@@ -696,7 +697,7 @@ func decodeMutation(req MutateRequest) (dataset.Mutation, error) {
 // short exclusivity window for the swap itself.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var req MutateRequest
-	if !ReadJSON(w, r, s.opts.MaxBodyBytes, &req) {
+	if !ReadJSON(w, r, RequestBodyLimit, &req) {
 		return
 	}
 	mut, err := decodeMutation(req)
@@ -721,21 +722,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// Journal before apply: the record's epoch is the epoch the mutation
 	// will produce. A crash between fsync and apply replays the record on
 	// restart — an unacked-but-durable mutation, indistinguishable from a
-	// lost ack and reconciled by the client retrying its seq.
+	// lost ack and reconciled by the client retrying its seq. A failed
+	// apply takes its record back out before answering.
+	var size, last int64
 	if s.jr != nil {
+		size, last = s.jr.size, s.jr.last
 		rec := journalRecord{Seq: req.Seq, Epoch: s.cache.DatasetEpoch() + 1,
 			Op: req.Op, IDs: req.IDs, Graphs: req.Graphs}
-		if mut.Op == dataset.OpAdd {
-			// ID assignment is positional and mutMu is held, so the IDs
-			// this add will produce are known before the apply; recording
-			// them lets truncation coalesce this add against later
-			// removes (see coalesceRecords).
-			next := int32(s.cache.Method().Dataset().Len())
-			rec.AddedIDs = make([]int32, len(mut.Graphs))
-			for i := range rec.AddedIDs {
-				rec.AddedIDs[i] = next + int32(i)
-			}
-		}
 		if err := s.jr.append(rec); err != nil {
 			WriteError(w, http.StatusInternalServerError, err)
 			return
@@ -743,6 +736,9 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.cache.ApplyMutation(mut)
 	if err != nil {
+		if s.jr != nil {
+			err = errors.Join(err, s.jr.truncate(size, last))
+		}
 		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -771,11 +767,12 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 // the warm-up discarded, or stop on an epoch gap. The journal is emptied,
 // after the landed state is written to SnapshotPath when that is set, so
 // a restart resumes from the peer's state plus what was journalled
-// since. If that write fails the old snapshot is removed too, and the
-// warm-up reports every failure of these steps as its error. Without a
-// snapshot file a restart starts from the dataset file at epoch 0, where
-// the router diverts around it; replay refuses mutations journalled after
-// the warm-up on the epoch gap unless the peer was at epoch 0.
+// since. If that write fails (its directory sync included) the snapshot
+// file is removed, and the warm-up reports every failure of these steps as
+// its error. Without a snapshot file a restart starts from the dataset
+// file at epoch 0, where the router diverts around it; replay refuses
+// mutations journalled after the warm-up on the epoch gap unless the peer
+// was at epoch 0.
 func (s *Server) WarmFrom(ctx context.Context, peer string) (WarmResponse, error) {
 	body, err := fetchSnapshot(ctx, peer)
 	if err != nil {
@@ -788,22 +785,21 @@ func (s *Server) WarmFrom(ctx context.Context, peer string) (WarmResponse, error
 	}
 	var errs []error
 	if s.opts.SnapshotPath != "" {
-		if _, err := writeSnapshotFile(s.cache, s.opts.SnapshotPath); err != nil {
+		if err := writeSnapshotFile(s.cache, s.opts.SnapshotPath); err != nil {
 			errs = append(errs, fmt.Errorf("server: persisting the snapshot warmed from %s: %w", peer, err))
 			if err := os.Remove(s.opts.SnapshotPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-				errs = append(errs, fmt.Errorf("server: removing the pre-warm snapshot: %w", err))
+				errs = append(errs, fmt.Errorf("server: removing the snapshot file: %w", err))
 			}
 		}
 	}
 	if s.jr != nil {
-		if err := s.jr.truncateThrough(math.MaxInt64); err != nil {
+		if err := s.jr.truncate(0, 0); err != nil {
 			errs = append(errs, fmt.Errorf("server: emptying the journal after warm-up: %w", err))
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
 		return WarmResponse{}, err
 	}
-	s.warmed.Add(1)
 	s.met.warmTotal.Inc()
 	return WarmResponse{From: peer, Cached: len(s.cache.CachedSerials()), Epoch: s.cache.DatasetEpoch()}, nil
 }

@@ -271,7 +271,7 @@ func TestSnapshotWriteSyncsBeforeRename(t *testing.T) {
 	defer func() { fsync = oldSync }()
 
 	path := filepath.Join(t.TempDir(), "cache.gcsnapshot")
-	if _, err := writeSnapshotFile(c, path); err != nil {
+	if err := writeSnapshotFile(c, path); err != nil {
 		t.Fatalf("writeSnapshotFile: %v", err)
 	}
 	if synced == 0 {

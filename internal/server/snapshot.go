@@ -51,18 +51,15 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 }
 
 // writeCheckedSnapshot writes c's snapshot followed by the integrity
-// trailer, reporting the captured epoch/seq so callers can truncate the
-// mutation journal. Safe against a concurrently serving cache:
-// WriteSnapshot reads the atomically published index generation under the
-// rebuild lock.
-func writeCheckedSnapshot(c *core.Cache, w io.Writer) (core.SnapshotInfo, error) {
+// trailer. Safe against a concurrently serving cache: WriteSnapshot reads
+// the atomically published index generation under the rebuild lock.
+func writeCheckedSnapshot(c *core.Cache, w io.Writer) error {
 	cw := &crcWriter{w: w}
-	info, err := c.WriteSnapshotInfo(cw)
-	if err != nil {
-		return info, err
+	if err := c.WriteSnapshot(cw); err != nil {
+		return err
 	}
-	_, err = fmt.Fprintf(w, "%s%08x %d\n", snapTrailerPrefix, cw.crc, cw.n)
-	return info, err
+	_, err := fmt.Fprintf(w, "%s%08x %d\n", snapTrailerPrefix, cw.crc, cw.n)
+	return err
 }
 
 // splitChecked verifies data's trailer and returns the snapshot body in

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func testSnapshotBytes(t *testing.T) []byte {
 	}
 	c.Flush()
 	var buf bytes.Buffer
-	if _, err := writeCheckedSnapshot(c, &buf); err != nil {
+	if err := writeCheckedSnapshot(c, &buf); err != nil {
 		t.Fatalf("writeCheckedSnapshot: %v", err)
 	}
 	return buf.Bytes()
@@ -338,10 +339,10 @@ func TestQueriesDuringWarmSucceed(t *testing.T) {
 }
 
 // TestSnapshotHoldsEveryQueuedWindow: on an AsyncRebuild server, GET
-// /snapshot taken right after the last reply holds every window the
-// queries before it filled — the snapshot write runs the window barrier.
-// Coalescing is off so each reply is written after its query entered the
-// window; a coalesced reply is delivered before its run's bookkeeping.
+// /snapshot holds every window the queries before it filled — the
+// snapshot write runs the window barrier. A reply is written before its
+// run's bookkeeping, so the test first waits until the totals count every
+// answered query: the totals fold after the run's window inserts.
 func TestSnapshotHoldsEveryQueuedWindow(t *testing.T) {
 	ds := testDataset(40, 71)
 	queries := testWorkload(ds, 60, 72)
@@ -354,6 +355,9 @@ func TestSnapshotHoldsEveryQueuedWindow(t *testing.T) {
 			if _, err := cl.Query(ctx, q); err != nil {
 				t.Fatalf("round %d, query %d: %v", round, i, err)
 			}
+		}
+		for c.Totals().Queries < int64((round+1)*10) {
+			runtime.Gosched()
 		}
 		body, err := fetchSnapshot(ctx, s.Addr())
 		if err != nil {
