@@ -131,9 +131,10 @@
 // entries by serial, which numbers the new slots, and then writes new
 // columns in one forward pass: the old postings renumbered through that
 // slot map (evicted slots dropped with the columns they alone used),
-// merged with the admitted entries' vectors, already sorted, by a k-way
-// merge. That is a fixed number of allocations and O(postings in the
-// index) memmove-like work per window — no map, no sort of postings, no
+// merged with the admitted entries' postings, put in (feature, slot)
+// order by a least-significant-digit radix sort on the feature, one byte
+// per pass. That is a fixed number of allocations and O(postings in the
+// index) memmove-like work per window — no map, no comparison sort, no
 // tombstones. Tests pin the result to a from-scratch build, array for
 // array, and the probe to a map-based reference implementation on
 // randomly mutated caches.
@@ -451,16 +452,20 @@
 //     entry, not a cache flush.
 //
 // The method's index is maintained through the DynamicMethod extension
-// under the same gate: GGSX rewrites its posting columns exactly — the
-// postings of removed and edited graphs are deleted, emptied columns
-// dropped, current counts merged in — so its index always equals a fresh
-// build over the current dataset and does not grow with the mutation
-// count, at the price of one linear pass over the index per mutation (see
-// ggsx.Index.ApplyDatasetMutation); Grapes, which is GGSX's columns plus
-// per-graph occurrence locations, does the same to the columns, drops the
-// locations of removed graphs and recomputes those of added and edited
-// ones (the locations bound the verify region, so staleness there could
-// lose answers); CT-Index grows/zeroes its fingerprint slots;
+// under the same gate: GGSX edits its posting columns exactly — the
+// postings of removed and edited graphs are located by binary search and
+// deleted, emptied columns dropped, current counts merged in — so its
+// index always equals a fresh build over the current dataset and does not
+// grow with the mutation count. It keeps one graph pointer per ID, not the
+// vectors, so a deleted graph's vector is re-derived; a mutation costs one
+// extraction per graph it names and a block move of the postings behind
+// the first one it touches, and a resync after a snapshot load skips every
+// graph the index already holds (see ggsx.Index.ApplyDatasetMutation);
+// Grapes, which is GGSX's columns plus per-graph occurrence locations,
+// does the same to the columns, drops the locations of removed graphs and
+// recomputes those of the graphs GGSX re-indexed (the locations bound the
+// verify region, so staleness there could lose answers); CT-Index
+// grows/zeroes its fingerprint slots;
 // and the SI methods need no maintenance at all. ApplyMutation refuses a
 // Method that does not implement DynamicMethod with ErrStaticMethod.
 //

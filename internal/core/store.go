@@ -413,9 +413,11 @@ graphsSection:
 // resyncMethod re-asserts the restored dataset generation into a dynamic
 // method's filtering structures: live base-range graphs as edits,
 // additions as adds, tombstones as removals. For the bundled methods
-// this is idempotent whatever local state preceded the restore (GGSX
-// and Grapes purge before re-inserting, CT-Index recomputes
-// fingerprints).
+// this is idempotent whatever local state preceded the restore, and it
+// costs what differs from it: GGSX and Grapes skip every graph they
+// already index (the same graph pointer; a restore keeps the base
+// dataset's graphs) and purge an ID before re-inserting it; CT-Index
+// recomputes fingerprints.
 func resyncMethod(dm method.DynamicMethod, ds interface {
 	Len() int
 	BaseLen() int

@@ -15,12 +15,16 @@
 //
 // Filtering intersects the columns of the query's features, keeping the
 // graphs whose count of every feature dominates the query's; verification
-// runs VF2. A dataset mutation deletes the postings of the graphs it
-// removes or replaces and merges in those of the graphs it brings, exactly,
-// so the index always equals a fresh build over the current dataset.
+// runs VF2. A dataset mutation deletes exactly the postings of the graphs
+// it removes or replaces — re-deriving their vectors, since the index
+// keeps one graph pointer per ID and no vectors — and merges in those of
+// the graphs it brings, so the index always equals a fresh build over the
+// current dataset and a mutation costs what it changes.
 package ggsx
 
 import (
+	"cmp"
+	"runtime"
 	"slices"
 
 	"graphcache/internal/dataset"
@@ -50,13 +54,13 @@ type Index struct {
 	ds   *dataset.Dataset
 	opts Options
 	cols pathfeat.Columns
-	top  int32 // no ID above it has postings (-1: none has)
+	held []*graph.Graph // held[id]: the graph whose postings id has, nil if none
 	algo iso.Algorithm
 }
 
 // New builds the GGSX index over ds.
 func New(ds *dataset.Dataset, opts Options) *Index {
-	idx := &Index{ds: ds, opts: opts.withDefaults(), top: -1, algo: iso.VF2{}}
+	idx := &Index{ds: ds, opts: opts.withDefaults(), algo: iso.VF2{}}
 	var live []*graph.Graph
 	for _, g := range ds.Graphs() {
 		if g != nil { // nil: tombstone of a removed graph
@@ -67,52 +71,78 @@ func New(ds *dataset.Dataset, opts Options) *Index {
 	return idx
 }
 
-// ApplyDatasetMutation implements method.DynamicMethod. Every ID the
-// mutation names loses its postings first — exactly, with the columns that
-// empties — as does any ID past the end of the dataset (a snapshot load
-// can shorten it); then added and edited graphs are merged in. That makes
-// the call idempotent, and it is also how New builds — a mutation of the
-// empty index adding every graph — so the index equals a fresh build over
-// the current dataset whatever came before, and its size follows the
-// dataset, not the number of mutations.
+// Indexed reports whether g's postings are the ones its ID has: an
+// added or edited graph for which it holds is skipped by
+// ApplyDatasetMutation, so a resync re-indexes only what changed.
+// Graphs are immutable, so the same pointer is the same content.
+func (idx *Index) Indexed(g *graph.Graph) bool {
+	id := int(g.ID())
+	return id < len(idx.held) && idx.held[id] == g
+}
+
+// ApplyDatasetMutation implements method.DynamicMethod. An ID loses its
+// postings when the mutation removes it, when it lies past the end of the
+// dataset (a snapshot load can shorten it), or when an added or edited
+// graph that is not Indexed names it; then those graphs are merged in.
+// That makes the call idempotent, and it is also how New builds — a
+// mutation of the empty index adding every graph — so the index equals a
+// fresh build over the current dataset whatever came before.
 //
-// The price of exactness is a cost that follows the index, not the
-// mutation: the index does not remember which features a graph had, so
-// dropping one scans every posting, and merging moves the columns behind
-// the first one touched. Both are linear passes over flat arrays (≈2 ns a
-// posting: ≈0.7 ms for the 320,000 postings of an 800-graph molecule
-// dataset) and publishing a dataset generation is itself O(dataset), but
-// no query runs meanwhile, so a mutation of a much larger dataset stalls
-// its queries proportionally longer. A mutation that only adds graphs
-// above every indexed ID — dataset IDs are handed out ascending, so that
-// is every plain add — has nothing to drop and skips the scan.
+// The cost follows the mutation: one vector extraction per graph whose
+// postings go (the held graph's vector is re-derived; extraction is
+// deterministic) and per graph that comes, spread over GOMAXPROCS
+// goroutines; a binary search per posting that goes; and one block move
+// of the postings behind the first one touched, per Remove and per Merge.
+// A resync that re-asserts unchanged graphs costs nothing for them.
 func (idx *Index) ApplyDatasetMutation(added, edited []*graph.Graph, removed []int32) {
-	rows := make([]pathfeat.Row, 0, len(added)+len(edited))
-	fresh := len(removed) == 0 && len(edited) == 0 // no ID named has postings
+	var gone, fresh []posted
+	drop := func(id int) {
+		if id < len(idx.held) && idx.held[id] != nil {
+			gone = append(gone, posted{int32(id), idx.held[id]})
+			idx.held[id] = nil
+		}
+	}
+	for _, id := range removed {
+		drop(int(id))
+	}
+	n := idx.ds.Len()
+	for id := n; id < len(idx.held); id++ {
+		drop(id)
+	}
+	if len(idx.held) > n {
+		idx.held = idx.held[:n]
+	} else {
+		idx.held = append(idx.held, make([]*graph.Graph, n-len(idx.held))...)
+	}
 	for _, gs := range [][]*graph.Graph{added, edited} {
 		for _, g := range gs {
-			fresh = fresh && g.ID() > idx.top
-			rows = append(rows, pathfeat.Row{ID: g.ID(), Vec: pathfeat.SimplePathVector(g, idx.opts.MaxPathLen)})
+			if !idx.Indexed(g) {
+				drop(int(g.ID()))
+				idx.held[g.ID()] = g
+				fresh = append(fresh, posted{g.ID(), g})
+			}
 		}
 	}
-	if !fresh {
-		remap := make([]int32, idx.ds.Len()) // IDs past its end are dropped
-		for id := range remap {
-			remap[id] = int32(id)
-		}
-		for _, id := range removed {
-			remap[id] = -1
-		}
-		for _, r := range rows {
-			remap[r.ID] = -1
-		}
-		idx.cols.Renumber(&idx.cols, remap, nil)
-		idx.top = int32(len(remap)) - 1
-	}
-	idx.cols.Merge(rows)
-	for _, r := range rows {
-		idx.top = max(idx.top, r.ID)
-	}
+	idx.cols.Remove(idx.rows(gone))
+	idx.cols.Merge(idx.rows(fresh))
+}
+
+// posted is an ID and the graph its postings are derived from.
+type posted struct {
+	id int32
+	g  *graph.Graph
+}
+
+// rows returns the vectors of ps under their IDs, ascending by ID, as
+// pathfeat.Columns takes them; the extractions run over GOMAXPROCS
+// goroutines.
+func (idx *Index) rows(ps []posted) []pathfeat.Row {
+	slices.SortFunc(ps, func(a, b posted) int { return cmp.Compare(a.id, b.id) })
+	rows := make([]pathfeat.Row, len(ps))
+	method.NewLimiter(runtime.GOMAXPROCS(0)-1).ParallelFor(len(ps), func(i int) {
+		rows[i] = pathfeat.Row{ID: ps[i].id, Vec: pathfeat.SimplePathVector(ps[i].g, idx.opts.MaxPathLen)}
+	})
+	return rows
 }
 
 // Name implements method.Method.

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"graphcache/internal/dataset"
+	"graphcache/internal/gen"
 	"graphcache/internal/graph"
 	"graphcache/internal/iso"
 	"graphcache/internal/method"
@@ -394,12 +395,23 @@ func benchDataset(r *rand.Rand, count int) *dataset.Dataset {
 	return dataset.New(gs)
 }
 
+// BenchmarkGGSXBuild builds the index over two datasets: "random-400",
+// 400 molecule-like random graphs, and "aids-800", the 800 AIDS-like
+// graphs the fleet benchmark serves (331,528 postings in 109,145 columns).
 func BenchmarkGGSXBuild(b *testing.B) {
-	ds := benchDataset(rand.New(rand.NewSource(1)), 400)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		New(ds, Options{})
+	for _, bc := range []struct {
+		name string
+		ds   *dataset.Dataset
+	}{
+		{"random-400", benchDataset(rand.New(rand.NewSource(1)), 400)},
+		{"aids-800", gen.DefaultAIDS().Scaled(0.02, 1).Generate(20170321)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				New(bc.ds, Options{})
+			}
+		})
 	}
 }
 
@@ -438,37 +450,43 @@ func BenchmarkGGSXFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkGGSXApplyMutation runs mutations of a 400-graph index: "cycle"
-// times an add → edit → remove cycle, which leaves the index as it found
-// it; "add" times the add alone, which skips the posting scan (the
-// removal that restores the index runs with the timer stopped).
+// BenchmarkGGSXApplyMutation runs mutations of a 400-graph index, each
+// timing one kind: "cycle" an add → edit → remove cycle, which leaves the
+// index as it found it; "add" the add alone, "remove" the removal alone
+// and "edit" the edit alone (whatever restores the index, or generates
+// the graphs, runs with the timer stopped).
 func BenchmarkGGSXApplyMutation(b *testing.B) {
-	for _, addOnly := range []bool{false, true} {
-		name := "cycle"
-		if addOnly {
-			name = "add"
-		}
+	for _, name := range []string{"cycle", "add", "remove", "edit"} {
 		b.Run(name, func(b *testing.B) {
 			r := rand.New(rand.NewSource(1))
 			ds := benchDataset(r, 400)
 			idx := New(ds, Options{})
+			timed := func(on bool, f func()) {
+				if !on {
+					b.StopTimer()
+					defer b.StartTimer()
+				}
+				f()
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				added := []*graph.Graph{randomGraph(r, 30, 5, 0.07)}
-				ids := ds.AddGraphs(added)
-				idx.ApplyDatasetMutation(added, nil, nil)
-				if addOnly {
-					b.StopTimer()
-				} else {
+				var ids []int32
+				timed(name == "cycle" || name == "add", func() {
+					added := []*graph.Graph{randomGraph(r, 30, 5, 0.07)}
+					ids = ds.AddGraphs(added)
+					idx.ApplyDatasetMutation(added, nil, nil)
+				})
+				timed(name == "cycle" || name == "edit", func() {
 					edited, err := ds.Replace(ids[0], randomGraph(r, 30, 5, 0.07))
 					if err != nil {
 						b.Fatal(err)
 					}
 					idx.ApplyDatasetMutation(nil, []*graph.Graph{edited}, nil)
-				}
-				idx.ApplyDatasetMutation(nil, nil, ds.RemoveGraphs(ids))
-				b.StartTimer()
+				})
+				timed(name == "cycle" || name == "remove", func() {
+					idx.ApplyDatasetMutation(nil, nil, ds.RemoveGraphs(ids))
+				})
 			}
 		})
 	}

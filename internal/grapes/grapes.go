@@ -71,11 +71,21 @@ func (idx *Index) locate(g *graph.Graph) {
 }
 
 // ApplyDatasetMutation implements method.DynamicMethod. The GGSX columns
-// are rewritten exactly (ggsx.Index.ApplyDatasetMutation). Locations bound
+// are edited exactly (ggsx.Index.ApplyDatasetMutation). Locations bound
 // the region Verify searches, so a stale set could shrink the search below
 // the true occurrences — a false negative: removed graphs lose theirs, and
-// added and edited graphs have theirs computed afresh.
+// the added and edited graphs GGSX re-indexes — those it does not already
+// hold, ggsx.Index.Indexed — have theirs computed afresh; the others keep
+// theirs, so a resync locates only what changed.
 func (idx *Index) ApplyDatasetMutation(added, edited []*graph.Graph, removed []int32) {
+	var stale []*graph.Graph
+	for _, gs := range [][]*graph.Graph{added, edited} {
+		for _, g := range gs {
+			if !idx.Indexed(g) {
+				stale = append(stale, g)
+			}
+		}
+	}
 	idx.Index.ApplyDatasetMutation(added, edited, removed)
 	if n := idx.Dataset().Len(); n < len(idx.locs) {
 		clear(idx.locs[n:]) // a snapshot load can shorten the dataset
@@ -86,10 +96,8 @@ func (idx *Index) ApplyDatasetMutation(added, edited []*graph.Graph, removed []i
 	for _, id := range removed {
 		idx.locs[id] = pathfeat.PathLocations{}
 	}
-	for _, gs := range [][]*graph.Graph{added, edited} {
-		for _, g := range gs {
-			idx.locate(g)
-		}
+	for _, g := range stale {
+		idx.locate(g)
 	}
 }
 

@@ -3,9 +3,11 @@ package grapes
 import (
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"graphcache/internal/dataset"
 	"graphcache/internal/graph"
@@ -290,6 +292,84 @@ func TestVerdictsEqualRebuildUnderMutation(t *testing.T) {
 				idx.ApplyDatasetMutation(nil, []*graph.Graph{g}, nil)
 				check(step, "edit")
 			}
+		}
+	}
+}
+
+// resync re-asserts every graph of ds into idx the way a snapshot load
+// does: live base-range graphs as edits, later ones as adds, tombstones as
+// removals.
+func resync(idx *Index, ds *dataset.Dataset) {
+	var added, edited []*graph.Graph
+	var removed []int32
+	for id, g := range ds.Graphs() {
+		switch {
+		case g == nil:
+			removed = append(removed, int32(id))
+		case id >= ds.BaseLen():
+			added = append(added, g)
+		default:
+			edited = append(edited, g)
+		}
+	}
+	idx.ApplyDatasetMutation(added, edited, removed)
+}
+
+// TestResyncLocatesOnlyTheDelta: a resync of an unchanged dataset leaves
+// every ID the very same location slices — nothing was recomputed — and a
+// resync after a delta gives new slices exactly to the IDs it changed.
+func TestResyncLocatesOnlyTheDelta(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	gs := make([]*graph.Graph, 24)
+	for i := range gs { // every graph has an edge, so every location set has slices
+		gs[i] = path(graph.Label(r.Intn(3)), graph.Label(r.Intn(3)), graph.Label(r.Intn(3)))
+	}
+	ds := dataset.New(gs)
+	idx := New(ds, Options{MaxPathLen: 3})
+	same := func(a, b pathfeat.PathLocations) bool {
+		return unsafe.SliceData(a.IDs) == unsafe.SliceData(b.IDs) &&
+			unsafe.SliceData(a.Ends) == unsafe.SliceData(b.Ends) &&
+			unsafe.SliceData(a.Verts) == unsafe.SliceData(b.Verts)
+	}
+	before := slices.Clone(idx.locs)
+	resync(idx, ds)
+	for id := range before {
+		if !same(idx.locs[id], before[id]) {
+			t.Errorf("resync of an unchanged dataset recomputed the locations of %d", id)
+		}
+	}
+
+	changed := map[int32]bool{}
+	for _, id := range []int32{3, 11, 17} {
+		if _, err := ds.Replace(id, path(1, 2, 0, 1)); err != nil {
+			t.Fatal(err)
+		}
+		changed[id] = true
+	}
+	for _, id := range ds.AddGraphs([]*graph.Graph{path(2, 2, 1)}) {
+		changed[id] = true
+	}
+	gone := ds.RemoveGraphs([]int32{8})
+	before = slices.Clone(idx.locs)
+	resync(idx, ds)
+	for id, l := range idx.locs {
+		switch {
+		case id == int(gone[0]):
+			if len(l.IDs) != 0 {
+				t.Errorf("removed graph %d keeps %d location IDs", id, len(l.IDs))
+			}
+		case changed[int32(id)]:
+			if len(l.IDs) == 0 || id < len(before) && same(l, before[id]) {
+				t.Errorf("changed graph %d was not located afresh", id)
+			}
+		case !same(l, before[id]):
+			t.Errorf("unchanged graph %d was located again", id)
+		}
+	}
+	fresh := New(ds, Options{MaxPathLen: 3})
+	for id, l := range idx.locs {
+		if !reflect.DeepEqual(l, fresh.locs[id]) {
+			t.Errorf("graph %d: locations differ from a fresh build", id)
 		}
 	}
 }

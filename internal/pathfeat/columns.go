@@ -1,6 +1,7 @@
 package pathfeat
 
 import (
+	"fmt"
 	"math"
 	"slices"
 )
@@ -11,11 +12,12 @@ import (
 // of IDs and Counts: the IDs of the vectors holding the feature,
 // ascending, and the feature's count in each. No column is empty.
 //
-// GGSX keys its postings by dataset-graph ID and updates them in place —
-// Renumber to drop graphs, then Merge to add them. The GCindex keys them by
-// slot and never writes to a published generation: one Renumber into new
-// arrays drops, renumbers and adds. Each pass is linear in the postings it
-// moves.
+// GGSX keys its postings by dataset-graph ID and edits them in place:
+// Remove deletes the postings of the vectors it is given, Merge adds
+// them, and both move the postings behind the first one touched as
+// blocks, so a mutation costs the postings it names plus a memmove. The
+// GCindex keys them by slot and never writes to a published generation:
+// one Renumber into new arrays drops, renumbers and adds.
 type Columns struct {
 	Feats  []uint64
 	Ends   []uint32
@@ -58,10 +60,11 @@ func (c *Columns) Find(feat uint64, from int) (int, bool) {
 // dropping the postings whose new ID is negative or whose ID lies past
 // the end of remap, and the columns that leaves empty; the postings of
 // rows, under their IDs, join them in the same forward pass. remap must
-// ascend over the IDs it keeps, so that columns stay sorted, and no row
-// may share a new ID with a kept posting or another row. dst's arrays
-// are overwritten from position 0, growing only if they lack room. dst
-// may be c itself when rows is empty: then no posting moves up.
+// ascend over the IDs it keeps, so that columns stay sorted; rows must
+// ascend by ID, and no row may share a new ID with a kept posting or
+// another row. dst's arrays are overwritten from position 0, growing only
+// if they lack room, and must not share c's. The pass is linear in the
+// postings of c and of rows.
 func (c *Columns) Renumber(dst *Columns, remap []int32, rows []Row) {
 	feats, ends, ids, counts := c.Feats, c.Ends, c.IDs, c.Counts
 	fresh := mergeRows(rows)
@@ -114,13 +117,13 @@ type posting struct {
 	id, count int32
 }
 
-// Merge adds the postings of rows to c, in place. No ID of rows may have
-// postings in c, and no two rows may share an ID. The rows' vectors are
-// merged into one (feature, ID)-ordered run — a k-way merge over a heap of
-// row cursors, no comparison sort — and the arrays grow by what the run
-// brings (amortised; nothing when their capacity already has room). They
-// are then filled from the back, each old column moving up once to its
-// final position: nothing is overwritten before it has moved.
+// Merge adds the postings of rows to c, in place. Rows must ascend by ID,
+// and no ID of rows may have postings in c. The rows' vectors are laid
+// out as one (feature, ID)-ordered run (mergeRows), and the arrays grow by
+// what the run brings (amortised; nothing when their capacity already has
+// room). They are then filled from the back, each old column moving up
+// once to its final position, as a block with its neighbours when fresh
+// postings do not split them: nothing is overwritten before it has moved.
 func (c *Columns) Merge(rows []Row) {
 	fresh := mergeRows(rows)
 	opened := 0 // columns fresh opens
@@ -182,50 +185,113 @@ func (c *Columns) Merge(rows []Row) {
 	}
 }
 
-// mergeRows returns the postings of rows in (feature, ID) order. Each
-// row's vector is already sorted by feature, so a binary min-heap of row
-// cursors, keyed by the cursor's next feature and then its row's ID,
-// yields them in order in O(postings · log rows).
+// Remove deletes the postings of rows from c, in place: each row's vector
+// must be exactly what c holds under the row's ID, and no two rows may
+// share an ID. Each posting is located — its column by Find, its position
+// by a binary search on the ID inside the column — and one block-move
+// compaction then closes the gaps: the run between two deleted positions
+// moves down once, each end drops by the deletions below it, and the
+// columns left empty go. Columns before the first deletion are not
+// touched. A posting that is not there, or holds another count, means c
+// and rows disagree: Remove panics, before it has moved anything.
+func (c *Columns) Remove(rows []Row) {
+	n := 0
+	for _, r := range rows {
+		n += len(r.Vec)
+	}
+	if n == 0 {
+		return
+	}
+	gone := make([]uint32, 0, n)
+	for _, r := range rows {
+		k := 0
+		for _, fc := range r.Vec {
+			var found bool
+			if k, found = c.Find(fc.ID, k); !found {
+				panic(fmt.Sprintf("pathfeat: Remove: row %d: feature %016x has no column", r.ID, fc.ID))
+			}
+			lo, hi := c.Column(k)
+			at, found := slices.BinarySearch(c.IDs[lo:hi], r.ID)
+			if !found || c.Counts[lo+uint32(at)] != fc.Count {
+				panic(fmt.Sprintf("pathfeat: Remove: row %d: no posting of count %d in column %016x", r.ID, fc.Count, fc.ID))
+			}
+			gone = append(gone, lo+uint32(at))
+		}
+	}
+	slices.Sort(gone)
+	for i := 1; i < len(gone); i++ {
+		if gone[i] == gone[i-1] {
+			panic(fmt.Sprintf("pathfeat: Remove: position %d named twice", gone[i]))
+		}
+	}
+	for i, at := range gone {
+		next := uint32(len(c.IDs))
+		if i+1 < len(gone) {
+			next = gone[i+1]
+		}
+		copy(c.IDs[at-uint32(i):], c.IDs[at+1:next])
+		copy(c.Counts[at-uint32(i):], c.Counts[at+1:next])
+	}
+	c.IDs = c.IDs[:len(c.IDs)-len(gone)]
+	c.Counts = c.Counts[:len(c.IDs)]
+	k, _ := slices.BinarySearch(c.Ends, gone[0]+1) // the column of the first deletion
+	kept, d := k, 0
+	prev, _ := c.Column(k) // the end of the last column kept
+	for ; k < len(c.Ends); k++ {
+		for d < len(gone) && gone[d] < c.Ends[k] {
+			d++
+		}
+		if end := c.Ends[k] - uint32(d); end > prev {
+			c.Feats[kept], c.Ends[kept] = c.Feats[k], end
+			kept++
+			prev = end
+		}
+	}
+	c.Feats, c.Ends = c.Feats[:kept], c.Ends[:kept]
+}
+
+// mergeRows returns the postings of rows in (feature, ID) order; rows must
+// ascend by ID. The postings are laid out row after row — so by ID — and
+// then sorted on the feature by a least-significant-digit radix sort, one
+// byte per pass: every pass is a stable counting sort, so the postings of
+// a feature keep their ID order, and a pass whose byte is the same for
+// every posting is skipped. O(postings) per pass, one allocation.
 func mergeRows(rows []Row) []posting {
 	n := 0
-	h := make([]Row, 0, len(rows)) // cursors: Vec is the row's unmerged rest
+	for i, r := range rows {
+		if i > 0 && r.ID <= rows[i-1].ID {
+			panic(fmt.Sprintf("pathfeat: rows out of ID order: %d after %d", r.ID, rows[i-1].ID))
+		}
+		n += len(r.Vec)
+	}
+	buf := make([]posting, 2*n)
+	out, tmp := buf[:n:n], buf[n:]
+	var counts [8][256]uint32 // counts[b][v]: postings whose feature has byte b = v
+	i := 0
 	for _, r := range rows {
-		if len(r.Vec) > 0 {
-			n += len(r.Vec)
-			h = append(h, r)
+		for _, fc := range r.Vec {
+			out[i] = posting{fc.ID, r.ID, fc.Count}
+			for b := range counts {
+				counts[b][byte(fc.ID>>(8*b))]++
+			}
+			i++
 		}
 	}
-	less := func(a, b *Row) bool {
-		return a.Vec[0].ID < b.Vec[0].ID || a.Vec[0].ID == b.Vec[0].ID && a.ID < b.ID
-	}
-	down := func(i int) {
-		for {
-			m := i
-			if l := 2*i + 1; l < len(h) && less(&h[l], &h[m]) {
-				m = l
-			}
-			if r := 2*i + 2; r < len(h) && less(&h[r], &h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
+	for b := range counts {
+		shift, at := 8*b, &counts[b]
+		if n == 0 || at[byte(out[0].feat>>shift)] == uint32(n) {
+			continue
 		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	out := make([]posting, 0, n)
-	for len(h) > 0 {
-		top := &h[0]
-		out = append(out, posting{top.Vec[0].ID, top.ID, top.Vec[0].Count})
-		if top.Vec = top.Vec[1:]; len(top.Vec) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+		var sum uint32
+		for v, k := range at {
+			at[v], sum = sum, sum+k
 		}
-		down(0)
+		for _, p := range out {
+			v := byte(p.feat >> shift)
+			tmp[at[v]] = p
+			at[v]++
+		}
+		out, tmp = tmp, out
 	}
 	return out
 }

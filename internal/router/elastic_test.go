@@ -254,14 +254,20 @@ func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
 	queries := testWorkload(ds, 48, 98)
 	ctx := context.Background()
 
-	directRs, err := server.NewClient(startBackend(t, ds).Addr()).QueryBatch(ctx, queries)
-	if err != nil {
-		t.Fatalf("direct QueryBatch: %v", err)
+	direct := server.NewClient(startBackend(t, ds).Addr())
+	var want [][]int32
+	// answer appends the direct backend's answers to qs to want.
+	answer := func(qs []*graph.Graph) {
+		t.Helper()
+		rs, err := direct.QueryBatch(ctx, qs)
+		if err != nil {
+			t.Fatalf("direct QueryBatch: %v", err)
+		}
+		for _, r := range rs {
+			want = append(want, r.Answer)
+		}
 	}
-	want := make([][]int32, len(queries))
-	for i, r := range directRs {
-		want[i] = r.Answer
-	}
+	answer(queries)
 
 	b1, b2, b3 := startBackend(t, ds), startBackend(t, ds), startBackend(t, ds)
 	rt := startRouter(t, Options{
@@ -271,14 +277,19 @@ func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
 	admin := "http://" + rt.AdminAddr()
 	cl := server.NewClient(rt.Addr())
 
-	// batch returns worker w's r-th batch: eight consecutive queries from
-	// a worker- and round-dependent offset, as request indices.
-	batch := func(w, r int) []int {
+	// batch returns worker w's r-th batch: eight consecutive entries of
+	// pool, a list of request indices, from a worker- and round-dependent
+	// offset.
+	batch := func(pool []int, w, r int) []int {
 		idxs := make([]int, 8)
 		for k := range idxs {
-			idxs[k] = (w*11 + r*7 + k) % len(queries)
+			idxs[k] = pool[(w*11+r*7+k)%len(pool)]
 		}
 		return idxs
+	}
+	every := make([]int, len(queries))
+	for i := range every {
+		every[i] = i
 	}
 	// send runs one batch, buffered or streamed, and checks its answers.
 	send := func(idxs []int, streamed bool) error {
@@ -301,11 +312,11 @@ func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
 		}
 		return nil
 	}
-	// load runs four workers until stop is closed, or for rounds rounds
-	// each when stop is nil, and returns every batch it sent; sentN
-	// counts them as they complete.
+	// load runs four workers, drawing their batches from pool, until stop
+	// is closed, or for rounds rounds each when stop is nil, and returns
+	// every batch it sent; sentN counts them as they complete.
 	var sentN atomic.Int64
-	load := func(rounds int, stop <-chan struct{}) [][]int {
+	load := func(pool []int, rounds int, stop <-chan struct{}) [][]int {
 		var (
 			mu   sync.Mutex
 			sent [][]int
@@ -323,7 +334,7 @@ func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
 						default:
 						}
 					}
-					idxs := batch(w, r)
+					idxs := batch(pool, w, r)
 					if err := send(idxs, (w+r)%2 == 1); err != nil {
 						t.Error(err)
 						return
@@ -350,12 +361,38 @@ func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
 		return n
 	}
 	// checkHomes runs a fixed load on the current topology and asserts
-	// that each backend ran exactly the queries tp.assign sends it.
+	// that each backend ran exactly the queries tp.assign sends it. Ring
+	// placement follows the backends' ports, so the load's queries are
+	// chosen from the live ring: while some backend is home to none of
+	// the queries, more are drawn (and answered directly), and the load's
+	// pool then takes the queries homed on each backend in turn.
 	checkHomes := func(phase string) {
 		t.Helper()
-		before := queriesRun()
-		sent := load(6, nil)
 		tp := rt.topo.Load()
+		homed := make(map[*backend][]int)
+		for i, seed := 0, int64(99); ; seed++ {
+			for ; i < len(queries); i++ {
+				b := tp.assign(rt.hash(queries[i]), rt.opts.QueueBound)
+				homed[b] = append(homed[b], i)
+			}
+			if len(homed) == len(tp.bs) {
+				break
+			}
+			if seed == 199 {
+				t.Fatalf("%s: %d backends, %d of them home to some of %d queries", phase, len(tp.bs), len(homed), len(queries))
+			}
+			more := testWorkload(ds, 48, seed)
+			answer(more)
+			queries = append(queries, more...)
+		}
+		var pool []int
+		for turn := 0; len(pool) < len(every); turn++ {
+			for _, b := range tp.bs {
+				pool = append(pool, homed[b][turn%len(homed[b])])
+			}
+		}
+		before := queriesRun()
+		sent := load(pool, 6, nil)
 		wantRun := make(map[string]int64)
 		total := int64(0)
 		for _, idxs := range sent {
@@ -391,7 +428,7 @@ func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		load(0, stop)
+		load(every, 0, stop)
 	}()
 	// Each topology change lands while batches are flowing on both sides
 	// of it.
