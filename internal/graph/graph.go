@@ -10,10 +10,13 @@
 // its size, neighbourhood scans are sequential, and membership tests are
 // logarithmic.
 //
-// Build also records two signatures, multisets that every subgraph-
-// isomorphism test is screened against before any search: the vertex
-// labels (LabelsDominate) and the endpoint-label pairs of the edges
-// (EdgesDominate).
+// Build also records what every subgraph-isomorphism test is screened
+// against before any search: a 32-byte summary, the first field of Graph,
+// that SummaryDominates compares word by word, and two signatures,
+// multisets that LabelsDominate and EdgesDominate merge — the vertex
+// labels and the endpoint-label pairs of the edges. The summary folds the
+// signatures into fixed-size words, so most pairs a query meets are told
+// apart in one cache line; the merges decide the pairs it passes.
 package graph
 
 import (
@@ -29,9 +32,13 @@ import (
 type Label uint16
 
 // Graph is an immutable undirected vertex-labelled simple graph: its
-// labels, its CSR adjacency, and its label and edge signatures. The zero
-// value is an empty graph.
+// summary, its labels, its CSR adjacency, and its label and edge
+// signatures. The zero value is an empty graph.
 type Graph struct {
+	// sum is the fixed-size summary of the signatures, built once in Build.
+	// It comes first so that a screen reads it from the cache line the
+	// Graph pointer leads to.
+	sum    summary
 	id     int32
 	labels []Label
 	// off and nbr are the CSR adjacency: v's neighbours are
@@ -43,11 +50,85 @@ type Graph struct {
 	// entries in ascending label order. esig is the edge signature: the
 	// multiset of the edges' endpoint-label pairs (see labelPair) in
 	// ascending pair order. Both are built once in Build. They turn the
-	// screens every sub-iso test starts with (LabelsDominate,
-	// EdgesDominate, LabelCount) into allocation-free scans of short
+	// screens a pair that passes the summary meets next (LabelsDominate,
+	// EdgesDominate), and LabelCount, into allocation-free scans of short
 	// sorted slices.
 	sig  []keyCount[Label]
 	esig []keyCount[uint32]
+}
+
+// summary is a Graph's signatures folded into four words. Each part is a
+// necessary condition for q ⊆ g, and a fold can only merge what the
+// signatures keep apart, so comparing summaries (SummaryDominates) may
+// pass a pair the signature merges reject, never the reverse.
+type summary struct {
+	// nv and ne are |V| and |E|.
+	nv, ne uint32
+	// labels has bit label%64 set for every label present.
+	labels uint64
+	// lanes holds sixteen 4-bit counts: lane label%16 sums the counts of
+	// its labels, saturating at 15. A sum over a partition of the labels
+	// keeps dominance, and a cap is monotone.
+	lanes uint64
+	// pairs has bit pairBit(labelPair(a, b)) set for every edge joining
+	// labels a and b.
+	pairs uint64
+}
+
+// pairBit hashes an endpoint-label pair (see labelPair) to a bit of
+// summary.pairs: the top six bits of a Fibonacci hash, so that pairs that
+// differ in either label spread over the word.
+func pairBit(pair uint32) uint64 {
+	return 1 << (uint64(pair) * 0x9e3779b97f4a7c15 >> 58)
+}
+
+// summarize folds a graph's label signature, edge signature and sizes
+// into its summary.
+func summarize(nv, ne int, sig []keyCount[Label], esig []keyCount[uint32]) summary {
+	s := summary{nv: uint32(nv), ne: uint32(ne)}
+	var lane [16]int
+	for _, e := range sig {
+		s.labels |= 1 << (e.key % 64)
+		lane[e.key%16] += int(e.count)
+	}
+	for i, c := range lane {
+		s.lanes |= uint64(min(c, 15)) << (4 * i)
+	}
+	for _, e := range esig {
+		s.pairs |= pairBit(e.key)
+	}
+	return s
+}
+
+// Masks of the SWAR lane compare: the even nibbles of a word, and the top
+// bit of each byte.
+const (
+	evenNibbles = 0x0f0f0f0f0f0f0f0f
+	byteTops    = 0x8080808080808080
+)
+
+// lanesDominate reports whether every 4-bit lane of g is at least the same
+// lane of q. Masked to alternate nibbles, each byte holds one lane; with
+// its top bit set beforehand, a byte's subtraction cannot borrow from the
+// next byte, and its top bit survives exactly when g's lane ≥ q's.
+func lanesDominate(g, q uint64) bool {
+	even := (g&evenNibbles | byteTops) - q&evenNibbles
+	odd := (g>>4&evenNibbles | byteTops) - q>>4&evenNibbles
+	return even&odd&byteTops == byteTops
+}
+
+// SummaryDominates reports whether g's summary dominates q's: g has at
+// least as many vertices and edges, every label bit and every edge-pair
+// bit of q, and every lane count of q. This is a necessary condition for
+// q ⊆ g, read from the first 32 bytes of both graphs with no branch per
+// label. It may pass a pair that LabelsDominate or EdgesDominate rejects
+// (labels sharing a bit or a lane, pairs sharing a bit, saturated lanes),
+// never the reverse.
+func (g *Graph) SummaryDominates(q *Graph) bool {
+	gs, qs := &g.sum, &q.sum
+	return qs.nv <= gs.nv && qs.ne <= gs.ne &&
+		qs.labels&^gs.labels|qs.pairs&^gs.pairs == 0 &&
+		lanesDominate(gs.lanes, qs.lanes)
 }
 
 // keyCount is one signature entry. Counts saturate at 65535 to keep an
@@ -301,9 +382,10 @@ func (g *Graph) Edges(fn func(u, v int32)) {
 }
 
 // Clone returns a copy of g whose vertices and edges share nothing with the
-// receiver; the immutable signatures are shared.
+// receiver; the summary is copied and the immutable signatures are shared.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
+		sum:    g.sum,
 		id:     g.id,
 		labels: slices.Clone(g.labels),
 		off:    slices.Clone(g.off),
@@ -444,13 +526,15 @@ func (b *Builder) Build() (*Graph, error) {
 		nbr = slices.Clone(nbr[:end])
 	}
 	labels := slices.Clone(b.labels)
+	sig, esig := labelSignature(labels), edgeSignature(labels, off, nbr)
 	return &Graph{
+		sum:    summarize(n, int(end)/2, sig, esig),
 		id:     b.id,
 		labels: labels,
 		off:    off,
 		nbr:    nbr,
-		sig:    labelSignature(labels),
-		esig:   edgeSignature(labels, off, nbr),
+		sig:    sig,
+		esig:   esig,
 	}, nil
 }
 

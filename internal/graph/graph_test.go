@@ -204,6 +204,23 @@ func checkSignature(t *testing.T, what string, g *Graph, edges [][2]int32) {
 			}
 		}
 	}
+	// The summary, recounted from the histograms bit by bit and lane by
+	// lane.
+	want := summary{nv: uint32(n), ne: uint32(len(set))}
+	var lanes [16]int
+	for l, c := range h {
+		want.labels |= 1 << (l % 64)
+		lanes[l%16] += c
+	}
+	for i, c := range lanes {
+		want.lanes |= uint64(min(c, 15)) << (4 * i)
+	}
+	for p := range pairs {
+		want.pairs |= pairBit(labelPair(p[0], p[1]))
+	}
+	if g.sum != want {
+		t.Errorf("%s: summary %+v, want %+v", what, g.sum, want)
+	}
 	if len(g.esig) != len(pairs) {
 		t.Errorf("%s: edge signature has %d label pairs, want %d", what, len(g.esig), len(pairs))
 	}
@@ -230,6 +247,68 @@ func TestLabelCountAndDistinct(t *testing.T) {
 	var empty Graph
 	if empty.DistinctLabels() != 0 || empty.LabelCount(1) != 0 || !g.LabelsDominate(&empty) || !g.EdgesDominate(&empty) {
 		t.Error("the zero Graph has no labels or edges and is dominated by anything")
+	}
+}
+
+// TestLanesDominateMatchesNibbles compares the SWAR lane compare with a
+// nibble-by-nibble one, on random words and on words whose lanes differ
+// by at most one, where a borrow between lanes would show.
+func TestLanesDominateMatchesNibbles(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	slow := func(g, q uint64) bool {
+		for i := 0; i < 64; i += 4 {
+			if g>>i&15 < q>>i&15 {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < 200000; i++ {
+		g, q := r.Uint64(), r.Uint64()
+		if i%2 == 1 {
+			q = g
+			for k := 0; k < 16; k++ {
+				switch lane := q >> (4 * k) & 15; r.Intn(3) {
+				case 0:
+					if lane < 15 {
+						q += 1 << (4 * k)
+					}
+				case 1:
+					if lane > 0 {
+						q -= 1 << (4 * k)
+					}
+				}
+			}
+		}
+		if got, want := lanesDominate(g, q), slow(g, q); got != want {
+			t.Fatalf("lanesDominate(%016x, %016x) = %v, want %v", g, q, got, want)
+		}
+	}
+}
+
+// TestSummaryDominates walks the summary's parts: each one alone can
+// reject, and labels that share a bit and a lane, or saturate a lane,
+// pass a pair the label signature rejects.
+func TestSummaryDominates(t *testing.T) {
+	repeat := func(l Label, n int) []Label { return slices.Repeat([]Label{l}, n) }
+	g := path(append(repeat(1, 20), 2, 3)...) // lane 1 saturates
+	for _, c := range []struct {
+		name string
+		q    *Graph
+		want bool
+	}{
+		{"itself", g, true},
+		{"saturated lane", path(repeat(1, 21)...), true},
+		{"shared bit and lane", path(65, 1, 2), false}, // the edge 65–1 has a pair bit of its own
+		{"shared bit and lane, no edges", &Graph{sum: summarize(1, 0, labelSignature([]Label{65}), nil)}, true},
+		{"more vertices", path(repeat(1, 23)...), false},
+		{"missing label bit", path(4), false},
+		{"lane short", path(3, 19), false}, // lane 3 holds one vertex of g
+		{"missing pair bit", path(1, 3), false},
+	} {
+		if got := g.SummaryDominates(c.q); got != c.want {
+			t.Errorf("%s: SummaryDominates = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -8,13 +8,14 @@
 // pattern edge maps to a target edge — and stop at the first embedding, as
 // GraphCache and all bundled query-processing methods require.
 //
-// Every matcher starts from one shared screen, quickReject: vertex and
-// edge counts, then the label signature, then the edge-label signature.
-// Most pairs a query meets end there, so dataset verification, the
-// subgraph and supergraph methods, the cache's confirmations and its exact
-// lookup all reject them without a search. VF2 and VF2+ keep their
-// per-test state in fixed arrays on the stack, so a test that runs the
-// search allocates only the embedding it returns.
+// Every matcher starts from one shared screen, quickReject: the graphs'
+// 32-byte summaries, compared a word at a time, then the label signature,
+// then the edge-label signature. Most pairs a query meets end there, most
+// of them at the summaries, so dataset verification, the subgraph and
+// supergraph methods, the cache's confirmations and its exact lookup all
+// reject them without a search. VF2 and VF2+ keep their per-test state in
+// fixed arrays on the stack, so a test that runs the search allocates only
+// the embedding it returns.
 package iso
 
 import "graphcache/internal/graph"
@@ -51,8 +52,10 @@ func Isomorphic(a Algorithm, g, h *graph.Graph) bool {
 // quickReject performs the feasibility screens shared by all matchers, in
 // order of cost. Each is a necessary condition for a non-induced
 // embedding φ, so a rejected pair is one no matcher could embed:
-//   - sizes: φ is injective on vertices and maps edges to distinct edges,
-//     so the target has at least as many of each;
+//   - summaries (Graph.SummaryDominates): sizes, label bits, lane counts
+//     and edge-pair bits, four word compares on one cache line per graph.
+//     They fold the conditions below, so they catch most of what the
+//     merges would, and nothing the merges would pass;
 //   - labels: φ keeps labels, so each label occurs in the target at least
 //     as often as in the pattern (Graph.LabelsDominate);
 //   - edges: φ maps each pattern edge to a distinct target edge whose
@@ -62,10 +65,7 @@ func Isomorphic(a Algorithm, g, h *graph.Graph) bool {
 // The last two are merges over signatures Build recorded, so a screened
 // pair costs no allocation and no search.
 func quickReject(pattern, target *graph.Graph) bool {
-	if pattern.NumVertices() > target.NumVertices() || pattern.NumEdges() > target.NumEdges() {
-		return true
-	}
-	return !target.LabelsDominate(pattern) || !target.EdgesDominate(pattern)
+	return !target.SummaryDominates(pattern) || !target.LabelsDominate(pattern) || !target.EdgesDominate(pattern)
 }
 
 // Bounds of the per-test state kept in fixed arrays on the matchers' stack
@@ -114,6 +114,17 @@ func ValidEmbedding(pattern, target *graph.Graph, m []int32) bool {
 		}
 	})
 	return ok
+}
+
+// neighborLabelMask returns the labels of v's neighbours as a mask with
+// bit label%64: the neighbour-label rule of VF2 and VF2+ compares these,
+// a set inclusion that labels sharing a bit can only loosen.
+func neighborLabelMask(g *graph.Graph, v int32) uint64 {
+	var m uint64
+	for _, w := range g.Neighbors(v) {
+		m |= 1 << (g.Label(w) % 64)
+	}
+	return m
 }
 
 // neighborLabelProfile returns the sorted multiset of labels of v's

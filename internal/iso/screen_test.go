@@ -2,6 +2,7 @@ package iso
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphcache/internal/graph"
@@ -75,13 +76,75 @@ func rewire(r *rand.Rand, g *graph.Graph, samePair bool) *graph.Graph {
 	return bd.MustBuild()
 }
 
+// widePair returns a pattern and a target over a wide alphabet: labels
+// range over 0–300. Each target has 18–27 vertices, 16 of them labelled l
+// and the rest drawn from l, l+16, l+64 and two random labels, so bits and
+// lanes collide and l's lane saturates. The pattern is a connected piece of the target, the same piece with
+// one label moved to a colliding one, or a random graph over the target's
+// labels: pairs that embed, pairs only the signature merges tell apart,
+// and pairs the summary screen rejects.
+func widePair(r *rand.Rand) (pattern, target *graph.Graph) {
+	base := graph.Label(r.Intn(300 - 64))
+	pool := []graph.Label{base, base + 16, base + 64, graph.Label(r.Intn(301)), graph.Label(r.Intn(301))}
+	n := 18 + r.Intn(10)
+	labels := make([]graph.Label, n)
+	for i := range labels {
+		labels[i] = base
+		if i >= 16 {
+			labels[i] = pool[r.Intn(len(pool))]
+		}
+	}
+	r.Shuffle(n, func(i, j int) { labels[i], labels[j] = labels[j], labels[i] })
+	bd := graph.NewBuilder()
+	for _, l := range labels {
+		bd.AddVertex(l)
+	}
+	for v := 1; v < n; v++ {
+		bd.AddEdge(int32(r.Intn(v)), int32(v))
+	}
+	for k := 0; k < n/3; k++ {
+		if u, v := int32(r.Intn(n)), int32(r.Intn(n)); u != v {
+			bd.AddEdge(u, v)
+		}
+	}
+	target = bd.MustBuild()
+	switch r.Intn(3) {
+	case 0:
+		pattern = randomConnectedSubgraph(r, target, 2+r.Intn(6))
+	case 1:
+		piece := randomConnectedSubgraph(r, target, 2+r.Intn(6))
+		pb := graph.NewBuilder()
+		moved := r.Intn(piece.NumVertices())
+		for v, l := range piece.Labels() {
+			if v == moved {
+				l += []graph.Label{16, 64, 128}[r.Intn(3)]
+			}
+			pb.AddVertex(l)
+		}
+		piece.Edges(pb.AddEdge)
+		pattern = pb.MustBuild()
+	default:
+		pb := graph.NewBuilder()
+		k := 2 + r.Intn(4)
+		for i := 0; i < k; i++ {
+			pb.AddVertex(pool[r.Intn(len(pool))])
+		}
+		for v := 1; v < k; v++ {
+			pb.AddEdge(int32(r.Intn(v)), int32(v))
+		}
+		pattern = pb.MustBuild()
+	}
+	return pattern, target
+}
+
 // TestMatchersAgree is the cross-matcher differential: brute, VF2, VF2+
 // and GraphQL must return the same verdict on every pair. The three real
 // matchers start from the shared quickReject screen. So the pair families
 // aim at its corners next to plain random pairs: empty and single-vertex
 // graphs, disconnected patterns and targets, label-disjoint pairs, pairs
-// only the edge-label screen rejects, and pairs that pass every screen
-// and fail in the search.
+// only the edge-label screen rejects, pairs that pass every screen and
+// fail in the search, and pairs over a wide alphabet whose labels collide
+// in the summaries.
 func TestMatchersAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(2017))
 	empty := graph.NewBuilder().MustBuild()
@@ -126,6 +189,7 @@ func TestMatchersAgree(t *testing.T) {
 				}
 			}
 		}},
+		{"wide alphabet", func() (*graph.Graph, *graph.Graph) { return widePair(r) }},
 	}
 	matchers := append([]Algorithm{Brute{}}, all()...)
 	for _, f := range families {
@@ -153,24 +217,47 @@ func TestMatchersAgree(t *testing.T) {
 
 // TestQuickRejectIsSound pins the screen's one obligation: it never
 // rejects a pair that has an embedding. Brute, which screens nothing but
-// the vertex count, is the judge, over random pairs and over patterns
-// extracted from their targets.
+// the vertex count, is the judge, over random pairs, over patterns
+// extracted from their targets, and over wide-alphabet pairs whose labels
+// collide in the summaries' bits and lanes and whose targets saturate a
+// lane. The summary screen is checked on its own too: it rejects only
+// pairs the signature merges reject, since it folds them.
 func TestQuickRejectIsSound(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	const perFamily = 10000
-	var embeds, rejected, edgeOnly int
-	for i := 0; i < 2*perFamily; i++ {
+	var embeds, rejected, edgeOnly, bySummary, pastSummary, saturated int
+	for i := 0; i < 3*perFamily; i++ {
 		var pattern, target *graph.Graph
-		if i < perFamily {
+		switch i / perFamily {
+		case 0:
 			target = randomGraph(r, 2+r.Intn(8), 1+r.Intn(3), 0.4)
 			pattern = randomGraph(r, 1+r.Intn(4), 1+r.Intn(3), 0.5)
-		} else {
+		case 1:
 			target = randomGraph(r, 3+r.Intn(10), 1+r.Intn(4), 0.3)
 			pattern = randomConnectedSubgraph(r, target, 2+r.Intn(5))
+		default:
+			pattern, target = widePair(r)
+			for _, l := range target.Labels() {
+				if target.LabelCount(l) > 15 {
+					saturated++
+					break
+				}
+			}
 		}
 		_, ok := Brute{}.FindEmbedding(pattern, target)
 		if ok {
 			embeds++
+		}
+		merges := !target.LabelsDominate(pattern) || !target.EdgesDominate(pattern)
+		summary := !target.SummaryDominates(pattern)
+		if summary && !merges {
+			t.Fatalf("pair %d: the summary rejects a pair the signatures pass\npattern %v %v\ntarget %v %v",
+				i, pattern, pattern.Labels(), target, target.Labels())
+		}
+		if summary {
+			bySummary++
+		} else if merges {
+			pastSummary++
 		}
 		if !quickReject(pattern, target) {
 			continue
@@ -184,23 +271,69 @@ func TestQuickRejectIsSound(t *testing.T) {
 				i, pattern, pattern.Labels(), target, target.Labels())
 		}
 	}
-	t.Logf("%d pairs: %d embed, %d rejected by the screen (%d by the edge-label screen alone)",
-		2*perFamily, embeds, rejected, edgeOnly)
-	if embeds == 0 || edgeOnly == 0 {
-		t.Fatal("the pair families must exercise both embeddings and the edge-label screen")
+	t.Logf("%d pairs: %d embed, %d rejected by the screen (%d by the summary, %d past it, %d by the edge-label screen alone); %d wide targets saturate a lane",
+		3*perFamily, embeds, rejected, bySummary, pastSummary, edgeOnly, saturated)
+	if embeds == 0 || edgeOnly == 0 || bySummary == 0 || pastSummary == 0 || saturated == 0 {
+		t.Fatal("the pair families must exercise embeddings, the summary screen, collisions past it, saturated lanes and the edge-label screen")
 	}
 }
 
 // containsCases are one pattern/target pair per way a test can end: an
-// embedding exists, the label screen rejects, the edge-label screen
-// rejects, or every screen passes and the search fails.
+// embedding exists, the summary screen rejects, the label screen rejects
+// a pair the summary passes, the edge-label screen rejects a pair both
+// pass, or every screen passes and the search fails.
 func containsCases() map[string][2]*graph.Graph {
-	target := cycle(1, 2, 1, 2, 3, 1, 2, 1, 3, 2, 1, 2) // no edge joins two equal labels
+	target := cycle(1, 2, 1, 2, 3, 1, 2, 1, 3, 2, 1, 2) // no edge joins two equal labels; eight join 1 and 2
+	// Label 67 shares label 3's bit and lane, and the target has two 3s.
+	collides := graph.NewBuilder()
+	collides.AddVertex(2)
+	collides.AddVertex(1)
+	collides.AddVertex(3)
+	collides.AddVertex(67)
+	collides.AddEdge(0, 1)
+	collides.AddEdge(1, 2)
+	// K3,3 between 1s and 2s: nine 1–2 edges.
+	k33 := graph.NewBuilder()
+	for _, l := range []graph.Label{1, 1, 1, 2, 2, 2} {
+		k33.AddVertex(l)
+	}
+	for u := int32(0); u < 3; u++ {
+		for v := int32(3); v < 6; v++ {
+			k33.AddEdge(u, v)
+		}
+	}
 	return map[string][2]*graph.Graph{
 		"hit":              {path(2, 1, 3, 2, 1), target},
-		"label-reject":     {path(1, 2, 4), target},
-		"edge-reject":      {path(2, 1, 1, 2), target},
+		"word-reject":      {path(1, 2, 4), target},
+		"label-reject":     {collides.MustBuild(), target},
+		"edge-reject":      {k33.MustBuild(), target},
 		"structure-reject": {star(1, 2, 2, 3), target}, // the cycle has no vertex of degree 3
+	}
+}
+
+// TestContainsCasesEndWhereNamed checks that each of containsCases is
+// decided by the step its name gives, so the allocation pin and the
+// benchmark cover every step.
+func TestContainsCasesEndWhereNamed(t *testing.T) {
+	for name, pt := range containsCases() {
+		p, g := pt[0], pt[1]
+		steps := []bool{g.SummaryDominates(p), g.LabelsDominate(p), g.EdgesDominate(p), Contains(Brute{}, p, g)}
+		var want []bool
+		switch name {
+		case "word-reject":
+			want = []bool{false, false, false, false}
+		case "label-reject":
+			want = []bool{true, false, true, false}
+		case "edge-reject":
+			want = []bool{true, true, false, false}
+		case "structure-reject":
+			want = []bool{true, true, true, false}
+		case "hit":
+			want = []bool{true, true, true, true}
+		}
+		if !slices.Equal(steps, want) {
+			t.Errorf("%s: summary, labels, edges, embeds = %v, want %v", name, steps, want)
+		}
 	}
 }
 
@@ -215,4 +348,47 @@ func BenchmarkContains(b *testing.B) {
 			})
 		}
 	}
+}
+
+// FuzzMatchersAgree decodes a binary frame of two graphs, a pattern of up
+// to 7 vertices and a target of up to 10 (Brute is exponential), and
+// requires VF2, VF2+ and GraphQL to agree with Brute and to return valid
+// embeddings. Labels are whatever the frame says, so the fuzzer reaches
+// labels that collide in the summaries' bits and lanes.
+func FuzzMatchersAgree(f *testing.F) {
+	seed := func(pattern, target *graph.Graph) {
+		data, err := graph.EncodeBinary([]*graph.Graph{pattern, target})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	r := rand.New(rand.NewSource(41))
+	seed(graph.NewBuilder().MustBuild(), path(1))
+	seed(path(1, 65), path(65, 1, 1))
+	seed(union(path(2, 1, 3), path(67)), cycle(1, 2, 1, 3, 2, 3))
+	seed(union(path(3, 4), path(4)), cycle(3, 4, 19, 4, 3, 68))
+	for i := 0; i < 6; i++ {
+		target := randomGraph(r, 4+r.Intn(7), 1+r.Intn(3), 0.4)
+		seed(randomConnectedSubgraph(r, target, 2+r.Intn(5)), target)
+		seed(relabel(randomGraph(r, 2+r.Intn(3), 2, 0.6), 16*graph.Label(i)), target)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gs, err := graph.DecodeBinary(data)
+		if err != nil || len(gs) != 2 || gs[0].NumVertices() > 7 || gs[1].NumVertices() > 10 {
+			return
+		}
+		pattern, target := gs[0], gs[1]
+		want := Contains(Brute{}, pattern, target)
+		for _, a := range all() {
+			m, got := a.FindEmbedding(pattern, target)
+			if got != want {
+				t.Fatalf("%s says %v, brute says %v\npattern %v %v\ntarget %v %v",
+					a.Name(), got, want, pattern, pattern.Labels(), target, target.Labels())
+			}
+			if got && !ValidEmbedding(pattern, target, m) {
+				t.Fatalf("%s returned an invalid embedding %v", a.Name(), m)
+			}
+		}
+	})
 }

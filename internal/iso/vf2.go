@@ -11,6 +11,23 @@ import (
 // undirected labelled graphs. Its cutting rules are the non-induced-safe
 // subset of the original: terminal-set and remaining-set cardinality
 // look-aheads.
+//
+// A pattern vertex with a mapped neighbour draws its candidates from the
+// ascending neighbour list of that neighbour's image — of the mapped
+// neighbours, the one whose image has the fewest neighbours — as VF2+
+// does. Every feasible candidate neighbours that image, and every
+// neighbour of a mapped vertex is in the target's terminal set, so the
+// list yields exactly the candidates a scan of all target vertices would
+// accept, in the same order: the search, and the embedding it returns,
+// are those of the full scan. Only a vertex that starts a component scans
+// the whole target.
+//
+// One more cutting rule rides on the look-ahead's pass over the
+// candidate's neighbours: it must have a neighbour of every label the
+// pattern vertex has a neighbour of, compared as 64-bit masks with bit
+// label%64 (labels sharing a bit can pass a pair, never reject one that
+// embeds). A pruned pair has no embedding below it, so the search still
+// returns the full scan's embedding.
 type VF2 struct{}
 
 // Name implements Algorithm.
@@ -28,15 +45,20 @@ func (VF2) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
 	nt := target.NumVertices()
 	var (
 		core1, tin1 [stackPattern]int32
+		nlabels     [stackPattern]uint64
 		core2, tin2 [stackTarget]int32
 	)
 	st := vf2State{
-		p:     pattern,
-		t:     target,
-		core1: fill(scratch(core1[:], n), -1),
-		core2: fill(scratch(core2[:], nt), -1),
-		tin1:  scratch(tin1[:], n),
-		tin2:  scratch(tin2[:], nt),
+		p:       pattern,
+		t:       target,
+		core1:   fill(scratch(core1[:], n), -1),
+		core2:   fill(scratch(core2[:], nt), -1),
+		tin1:    scratch(tin1[:], n),
+		tin2:    scratch(tin2[:], nt),
+		nlabels: scratch(nlabels[:], n),
+	}
+	for u := range st.nlabels {
+		st.nlabels[u] = neighborLabelMask(pattern, int32(u))
 	}
 	if st.match(1) {
 		return slices.Clone(st.core1), true
@@ -46,8 +68,9 @@ func (VF2) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
 
 type vf2State struct {
 	p, t         *graph.Graph
-	core1, core2 []int32 // partial mapping, -1 = unmapped
-	tin1, tin2   []int32 // depth at which vertex entered the terminal set (0 = never)
+	core1, core2 []int32  // partial mapping, -1 = unmapped
+	tin1, tin2   []int32  // depth at which vertex entered the terminal set (0 = never)
+	nlabels      []uint64 // nlabels[u] = neighborLabelMask(p, u)
 }
 
 func fill(s []int32, v int32) []int32 {
@@ -66,25 +89,39 @@ func (st *vf2State) match(depth int32) bool {
 	if u < 0 {
 		return false
 	}
-	fromTerminal := st.tin1[u] > 0
+	anchor := int32(-1)
+	for _, w := range st.p.Neighbors(u) {
+		if m := st.core1[w]; m != -1 && (anchor == -1 || st.t.Degree(m) < st.t.Degree(anchor)) {
+			anchor = m
+		}
+	}
+	if anchor != -1 {
+		for _, v := range st.t.Neighbors(anchor) {
+			if st.try(depth, u, v) {
+				return true
+			}
+		}
+		return false
+	}
 	for v := int32(0); int(v) < st.t.NumVertices(); v++ {
-		if st.core2[v] != -1 {
-			continue
-		}
-		if fromTerminal && st.tin2[v] == 0 {
-			// A terminal pattern vertex has a mapped neighbour, so its
-			// image must neighbour a mapped target vertex.
-			continue
-		}
-		if !st.feasible(u, v) {
-			continue
-		}
-		st.push(u, v, depth)
-		if st.match(depth + 1) {
+		if st.try(depth, u, v) {
 			return true
 		}
-		st.pop(u, v, depth)
 	}
+	return false
+}
+
+// try maps u to v if v is free and the pair is feasible, and extends the
+// mapping from there, undoing it if no embedding follows.
+func (st *vf2State) try(depth, u, v int32) bool {
+	if st.core2[v] != -1 || !st.feasible(u, v) {
+		return false
+	}
+	st.push(u, v, depth)
+	if st.match(depth + 1) {
+		return true
+	}
+	st.pop(u, v, depth)
 	return false
 }
 
@@ -130,7 +167,9 @@ func (st *vf2State) feasible(u, v int32) bool {
 		}
 	}
 	termT, freshT := 0, 0
+	var vlabels uint64
 	for _, w := range st.t.Neighbors(v) {
+		vlabels |= 1 << (st.t.Label(w) % 64)
 		if st.core2[w] != -1 {
 			continue
 		}
@@ -142,14 +181,9 @@ func (st *vf2State) feasible(u, v int32) bool {
 	}
 	// Non-induced cutting rules: unmapped terminal neighbours of u need
 	// distinct terminal neighbours of v; all unmapped neighbours of u need
-	// distinct unmapped neighbours of v.
-	if termP > termT {
-		return false
-	}
-	if termP+freshP > termT+freshT {
-		return false
-	}
-	return true
+	// distinct unmapped neighbours of v; and each label among u's
+	// neighbours needs a neighbour of v with it.
+	return termP <= termT && termP+freshP <= termT+freshT && st.nlabels[u]&^vlabels == 0
 }
 
 func (st *vf2State) push(u, v, depth int32) {

@@ -1,6 +1,7 @@
 package iso
 
 import (
+	"math"
 	"slices"
 
 	"graphcache/internal/graph"
@@ -10,7 +11,11 @@ import (
 // ICDE 2011]: it precomputes a static pattern-vertex order (rarest target
 // label first, then highest degree, kept connected) and draws candidates
 // from the neighbourhood of an already-mapped neighbour's image instead of
-// scanning the whole target. Feasibility rules are those of VF2.
+// scanning the whole target. A candidate must carry the pattern vertex's
+// label, have at least its degree, neighbour the images of its mapped
+// neighbours, and have a neighbour of every label the pattern vertex has
+// a neighbour of — compared as 64-bit masks with bit label%64, so labels
+// sharing a bit can pass a pair, never reject one that embeds.
 type VF2Plus struct{}
 
 // Name implements Algorithm.
@@ -27,14 +32,19 @@ func (VF2Plus) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
 	}
 	var (
 		core1, order [stackPattern]int32
+		nlabels      [stackPattern]uint64
 		used         [stackTarget]bool
 	)
 	st := vf2pState{
-		p:     pattern,
-		t:     target,
-		order: scratch(order[:], n),
-		core1: fill(scratch(core1[:], n), -1),
-		used:  scratch(used[:], target.NumVertices()),
+		p:       pattern,
+		t:       target,
+		order:   scratch(order[:], n),
+		core1:   fill(scratch(core1[:], n), -1),
+		nlabels: scratch(nlabels[:], n),
+		used:    scratch(used[:], target.NumVertices()),
+	}
+	for u := range st.nlabels {
+		st.nlabels[u] = neighborLabelMask(pattern, int32(u))
 	}
 	vf2plusOrder(pattern, target, st.order)
 	if st.match(0) {
@@ -44,64 +54,46 @@ func (VF2Plus) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
 }
 
 type vf2pState struct {
-	p, t  *graph.Graph
-	order []int32
-	core1 []int32
-	used  []bool
+	p, t    *graph.Graph
+	order   []int32
+	core1   []int32
+	nlabels []uint64 // nlabels[u] = neighborLabelMask(p, u)
+	used    []bool
 }
 
 // vf2plusOrder fills order (one slot per pattern vertex) with the static
 // matching order: score vertices by (target frequency of their label
-// ascending, degree descending), then greedily build a connected order
-// starting from the best-scored vertex.
+// ascending, degree descending, ID ascending), then greedily build a
+// connected order starting from the best-scored vertex.
+//
+// Each vertex's score is one word, with a top bit that is set until the
+// vertex neighbours a chosen one, so a step is one scan for the least
+// word: a vertex adjacent to the order beats every other, and a chosen
+// vertex, set to all ones, loses to all.
 func vf2plusOrder(p, t *graph.Graph, order []int32) {
-	n := p.NumVertices()
-	var (
-		freqBuf           [stackPattern]int
-		chosenBuf, adjBuf [stackPattern]bool
+	const (
+		apart = 1 << 63
+		done  = math.MaxUint64
 	)
-	freq := scratch(freqBuf[:], n) // target frequency of each pattern vertex's label
-	chosen := scratch(chosenBuf[:], n)
-	adjacent := scratch(adjBuf[:], n)
-	for u := range freq {
-		freq[u] = t.LabelCount(p.Label(int32(u)))
-	}
-	better := func(a, b int32) bool {
-		fa, fb := freq[a], freq[b]
-		if fa != fb {
-			return fa < fb // rarer label first
-		}
-		if p.Degree(a) != p.Degree(b) {
-			return p.Degree(a) > p.Degree(b) // higher degree first
-		}
-		return a < b
+	var keyBuf [stackPattern]uint64
+	key := scratch(keyBuf[:], p.NumVertices())
+	for u := range key {
+		freq, deg := t.LabelCount(p.Label(int32(u))), p.Degree(int32(u)) // freq < 1<<16
+		key[u] = apart | uint64(freq)<<32 | uint64(math.MaxUint32-uint32(deg))
 	}
 	for k := range order {
-		best := int32(-1)
-		// Prefer vertices adjacent to the chosen set to keep the order
-		// connected; fall back to any unchosen vertex (new component).
-		for u := int32(0); int(u) < n; u++ {
-			if chosen[u] || !adjacent[u] {
-				continue
-			}
-			if best == -1 || better(u, best) {
+		best := 0
+		for u := 1; u < len(key); u++ {
+			if key[u] < key[best] {
 				best = u
 			}
 		}
-		if best == -1 {
-			for u := int32(0); int(u) < n; u++ {
-				if chosen[u] {
-					continue
-				}
-				if best == -1 || better(u, best) {
-					best = u
-				}
+		order[k] = int32(best)
+		key[best] = done
+		for _, w := range p.Neighbors(int32(best)) {
+			if key[w] != done {
+				key[w] &^= apart
 			}
-		}
-		chosen[best] = true
-		order[k] = best
-		for _, w := range p.Neighbors(best) {
-			adjacent[w] = true
 		}
 	}
 }
@@ -158,6 +150,10 @@ func (st *vf2pState) feasible(u, v int32) bool {
 		return false
 	}
 	if st.p.Degree(u) > st.t.Degree(v) {
+		return false
+	}
+	// Each neighbour of u maps to a neighbour of v with its label.
+	if st.nlabels[u]&^neighborLabelMask(st.t, v) != 0 {
 		return false
 	}
 	for _, w := range st.p.Neighbors(u) {

@@ -76,6 +76,7 @@ func TypeA(ds *dataset.Dataset, cfg TypeAConfig, seed int64) []Query {
 	}
 	r := rand.New(rand.NewSource(seed))
 	graphZipf := NewZipf(cfg.Alpha, ds.Len())
+	nodeZipf := zipfMemo(cfg.Alpha)
 	queries := make([]Query, 0, cfg.NumQueries)
 	for len(queries) < cfg.NumQueries {
 		size := cfg.Sizes[r.Intn(len(cfg.Sizes))]
@@ -90,7 +91,7 @@ func TypeA(ds *dataset.Dataset, cfg TypeAConfig, seed int64) []Query {
 		}
 		var node int32
 		if cfg.NodeDist == Zipfian {
-			node = int32(NewZipf(cfg.Alpha, g.NumVertices()).Sample(r))
+			node = int32(nodeZipf(g.NumVertices()).Sample(r))
 		} else {
 			node = int32(r.Intn(g.NumVertices()))
 		}
@@ -345,15 +346,7 @@ func (p *TypeBPools) Workload(cfg TypeBWorkloadConfig, seed int64) []Query {
 		cfg.Alpha = 1.4
 	}
 	r := rand.New(rand.NewSource(seed))
-	zipfCache := make(map[int]*Zipf)
-	zipfFor := func(n int) *Zipf {
-		z := zipfCache[n]
-		if z == nil {
-			z = NewZipf(cfg.Alpha, n)
-			zipfCache[n] = z
-		}
-		return z
-	}
+	zipfFor := zipfMemo(cfg.Alpha)
 	anyPool := false
 	for _, size := range p.Sizes {
 		if len(p.Answer[size]) > 0 {

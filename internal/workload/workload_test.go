@@ -7,6 +7,7 @@ import (
 
 	"graphcache/internal/dataset"
 	"graphcache/internal/gen"
+	"graphcache/internal/graph"
 	"graphcache/internal/iso"
 )
 
@@ -123,6 +124,56 @@ func TestTypeADeterministic(t *testing.T) {
 	for i := range a {
 		if !a[i].Graph.StructurallyEqual(b[i].Graph) {
 			t.Fatalf("same seed produced different query %d", i)
+		}
+	}
+}
+
+// typeAPerQuery is TypeA as first written, building the node Zipf's CDF
+// afresh for every query: the reference that pins TypeA's stream.
+func typeAPerQuery(ds *dataset.Dataset, cfg TypeAConfig, seed int64) []Query {
+	r := rand.New(rand.NewSource(seed))
+	graphZipf := NewZipf(cfg.Alpha, ds.Len())
+	var queries []Query
+	for len(queries) < cfg.NumQueries {
+		size := cfg.Sizes[r.Intn(len(cfg.Sizes))]
+		var g *graph.Graph
+		if cfg.GraphDist == Zipfian {
+			g = ds.Graph(int32(graphZipf.Sample(r)))
+		} else {
+			g = ds.Graph(int32(r.Intn(ds.Len())))
+		}
+		if g.NumVertices() == 0 {
+			continue
+		}
+		var node int32
+		if cfg.NodeDist == Zipfian {
+			node = int32(NewZipf(cfg.Alpha, g.NumVertices()).Sample(r))
+		} else {
+			node = int32(r.Intn(g.NumVertices()))
+		}
+		if q := bfsExtract(g, node, size); q.NumEdges() > 0 {
+			queries = append(queries, Query{Graph: q})
+		}
+	}
+	return queries
+}
+
+// TestTypeAStreamMatchesPerQueryZipf pins that sharing one node Zipf per
+// vertex count leaves every category's stream as it was.
+func TestTypeAStreamMatchesPerQueryZipf(t *testing.T) {
+	ds := testDataset()
+	for _, cat := range []string{"UU", "ZU", "ZZ"} {
+		cfg, _ := TypeACategory(cat, 1.4, []int{4, 8, 12}, 300)
+		for seed := int64(1); seed <= 3; seed++ {
+			got, want := TypeA(ds, cfg, seed), typeAPerQuery(ds, cfg, seed)
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: %d queries, want %d", cat, seed, len(got), len(want))
+			}
+			for i := range got {
+				if !got[i].Graph.StructurallyEqual(want[i].Graph) {
+					t.Fatalf("%s seed %d: query %d differs from the per-query construction", cat, seed, i)
+				}
+			}
 		}
 	}
 }

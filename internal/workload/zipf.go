@@ -39,3 +39,19 @@ func (z *Zipf) Sample(r *rand.Rand) int {
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return len(z.cdf) }
+
+// zipfMemo returns a function that gives the Zipf over n ranks with the
+// given skew, building each n's CDF once: a Zipf is read-only, so every
+// draw over n ranks can share one, and a workload that draws over graphs
+// or pools of a few sizes computes a few CDFs, not one per query.
+func zipfMemo(alpha float64) func(n int) *Zipf {
+	byN := make(map[int]*Zipf)
+	return func(n int) *Zipf {
+		z := byN[n]
+		if z == nil {
+			z = NewZipf(alpha, n)
+			byN[n] = z
+		}
+		return z
+	}
+}
