@@ -142,27 +142,30 @@
 // # One query pipeline
 //
 // The engine has one staged pipeline and three entry points into it.
-// Cache.QueryBatchStream is the pipeline, its stages ordered by cost and
-// each run once, over the queries the earlier ones left unresolved:
-// feature extraction; the exact-match lookup, which answers an isomorphic
-// repeat "with no further processing" (§5.1, special case 1); then, for
-// the rest, Method M's filter beside the GCindex probe and its containment
-// confirmations; the empty-answer shortcut; candidate-set pruning;
-// verification; and window/statistics bookkeeping — delivering every
-// Result the moment it is complete. Cache.QueryBatch collects those
-// deliveries into a slice aligned with its input, and Cache.Query is the
-// pipeline over one query. An exact hit therefore costs one vector
-// extraction, one column scan and one small-vs-small sub-iso test: Method
-// M's filter is not called for it, it takes no probe scratch, and a run
-// made only of exact hits starts no goroutine at all. In the statistics
-// an exact hit has GCVerifications = 1 (the confirmation) and no
-// Containers or Containees — Totals.ContainerHits and ContaineeHits count
-// non-exact queries, as the container/containee series of
-// graphcache_query_hits_total always did. For a batch, the index
-// generation is loaded once, the open queries are probed in a single
-// pass, their GC containment confirmations and Method-M verifications
-// flatten into one pooled dispatch per stage, and the whole batch's hit
-// statistics land in one critical section. Answers are
+// Cache.QueryBatchStream is the pipeline: a short driver that runs the
+// seven stages of §4, Figure 2 over one run record, cheapest first and
+// each over the queries the earlier ones left open — lookup (the
+// exact-match lookup, §5.1 special case 1), extractFeatures,
+// filterAndProbe (Method M's filter beside the GCindex probe), confirm
+// (the containment confirmations), prune (special case 2 and the
+// Candidate Set Pruner, Eq. 1/2), verify (Method M's verification and the
+// deliveries) and bookkeep (credits, the Window, Totals). Each stage is a
+// method of the run in internal/core, documented there; each is the only
+// writer of its QueryStats fields, and every Result is delivered the
+// moment it is complete. Cache.QueryBatch collects those deliveries into
+// a slice aligned with its input, and Cache.Query is the pipeline over
+// one query. An exact hit therefore costs one isomorphism-invariant key,
+// one column scan and one small-vs-small sub-iso test: its paths are not
+// enumerated, Method M's filter is not called for it, it takes no probe
+// scratch, and a run made only of exact hits starts no goroutine at all.
+// In the statistics an exact hit has GCVerifications = 1 (the
+// confirmation) and no Containers or Containees — Totals.ContainerHits
+// and ContaineeHits count non-exact queries, as the container/containee
+// series of graphcache_query_hits_total always did. For a batch, the
+// index generation is loaded once, the open queries are probed in a
+// single pass, their GC containment confirmations and Method-M
+// verifications flatten into one pooled dispatch per stage, and the whole
+// batch's hit statistics land in one critical section. Answers are
 // exactly those of sequential Query calls — the pruning rules are sound,
 // so answers never depend on cache contents — id-ordered and
 // deterministic. A run whose open queries were all proven empty returns
@@ -542,9 +545,12 @@
 //	graphcache_server_codec_seconds{op=encode,codec=text|ndjson}  reply encode
 //	graphcache_server_wire_negotiated_total{codec,direction=request|response}
 //	graphcache_codec_bytes_total{codec,direction=in|out}
-//	    (requests: text|binary; replies: text|ndjson; gcrouter has its own
-//	    graphcache_router_codec_seconds and _wire_negotiated_total)
+//	    (requests: text|binary; replies: text|ndjson; gcrouter has its own,
+//	    below)
 //	graphcache_server_shed_total, graphcache_server_warmups_total
+//	graphcache_server_stream_cancelled_total  runs cut short because their
+//	    clients went away; graphcache_server_stream_abandoned_verifications_total
+//	    the sub-iso tests those runs skipped
 //	graphcache_server_admitted_queries, graphcache_cached_queries  (gauges)
 //	graphcache_mutations_applied_total{op=add|remove|edit}, graphcache_mutation_seconds
 //	graphcache_mutation_entries_{extended,reverified,invalidated}_total
@@ -556,6 +562,8 @@
 //	    (filter_m, filter_gc, verify, total: the stages a reply carries)
 //	graphcache_router_dispatch_seconds{backend=addr}  per-backend histograms
 //	graphcache_router_{routed,retried,shed}_total
+//	graphcache_router_codec_seconds, graphcache_router_wire_negotiated_total  (as gcserved's)
+//	graphcache_router_stream_cancelled_total  streamed batches whose client went away
 //	graphcache_router_breaker_transitions_total{state=open|half_open|closed}
 //	graphcache_router_ring_remaps_total{op=join|drain}
 //	graphcache_router_backend_queue_depth{backend=addr}  (gauge)

@@ -30,9 +30,9 @@ type queryState struct {
 	hash uint64          // q.IsoKey(): the exact lookup's key
 	vec  pathfeat.Vector // q's path features; extracted only if the lookup missed
 
-	// exact is the isomorphic cached query the lookup found, or nil. It is
-	// final before the filter goroutine and the probe start; both skip the
-	// queries that have one.
+	// exact is the isomorphic cached query the lookup found, or nil; a
+	// query with one is not in the run's open list, which is all the
+	// later stages before prune work on.
 	exact *entry
 
 	// Method M's filter output, written by the run's filter goroutine: read
@@ -117,36 +117,12 @@ func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
 // delivered before any sub-iso test runs, so the first results of a mixed
 // batch arrive while the heavy tail is still verifying.
 //
-// Every stage runs once per run, cheapest first, and each later stage
-// only over the queries the earlier ones left unresolved:
-//
-//   - the exact-match lookup (§5.1, special case 1), one pooled pass: each
-//     query's isomorphism-invariant key (graph.IsoKey, O(|V|+|E|)), then
-//     a scan of the once-loaded index generation's key column for a cached
-//     query of equal key and size, confirmed isomorphic by a sub-iso test
-//     before it counts. A hit is answered "with no further processing": no
-//     path enumeration, no filter, no probe, no containment confirmation.
-//     A run in which every query hit starts no filter goroutine and never
-//     touches Method M;
-//   - feature extraction over the queries the lookup left open, one pooled
-//     pass; the vectors are Method M's filter input, the probe input and
-//     the new entries' vectors;
-//   - for the queries still open, Method M's filter on its own goroutine,
-//     beside the GC processors (§4, Figure 2): the loaded generation is
-//     probed per query, and the containment confirmations of all open
-//     queries flatten into one work list over the shared worker pool;
-//   - the empty-answer shortcut (special case 2), then the Candidate Set
-//     Pruner (Eq. 1 then Eq. 2; inverted roles for supergraph queries,
-//     §5.1). A run whose open queries were all proven empty returns without
-//     waiting for the filter — the paper's "processing terminates" — and
-//     its output is discarded;
-//   - verification: the sub-iso tests of all pruned candidate sets as one
-//     flattened work list, the worker landing a query's last verdict
-//     assembling and delivering its answer;
-//   - bookkeeping: one locked pass that credits the hit entries and folds
-//     the run into the lifetime totals, then the non-duplicate queries into
-//     the Window in serial order (the Window Manager fires exactly as under
-//     sequential calls).
+// The run is seven stages, each a method of run, each called once, in
+// this order, and each past the first working only on the queries the
+// earlier ones left open: lookup, extractFeatures, filterAndProbe,
+// confirm, prune, verify and bookkeep. A run in which every query
+// exact-hit skips extractFeatures and filterAndProbe: it enumerates no
+// path and never touches Method M.
 //
 // Each delivered Result carries the query's complete QueryStats — the
 // only per-query record — so whoever delivers the answer can fold it into
@@ -171,8 +147,7 @@ func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
 // ctx.Err(), never waits on ctx.Done(), so composite contexts without a
 // Done channel work.
 func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver func(i int, r Result)) (abandoned int, err error) {
-	n := len(qs)
-	if n == 0 {
+	if len(qs) == 0 {
 		return 0, nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -181,246 +156,18 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	c.enterQuery()
 	defer c.exitQuery()
 
-	// One contiguous serial block for the run: query i is serial base+i,
-	// so a batch's results order like sequential calls would.
-	base := c.serial.Add(int64(n)) - int64(n) + 1
-	st := make([]queryState, n)
-	for i := range st {
-		st[i].q = qs[i]
-		st[i].stats.Serial = base + int64(i)
+	r := c.newRun(ctx, qs, deliver)
+	r.lookup()
+	if len(r.open) > 0 { // an all-hit run enumerates no path and never touches Method M
+		r.extractFeatures()
+		r.filterAndProbe()
 	}
-
-	// All queries of a run look up and probe the same index generation.
-	ix := c.index.Load()
-	lookup := len(ix.serials) > 0 && !c.opts.DisableExactMatch
-
-	// Special case 1 (§5.1), ahead of everything it makes unnecessary:
-	// every query gets its isomorphism-invariant key, which an isomorphic
-	// cached query shares, and the lookup scans the key column for a match
-	// that one sub-iso test confirms.
-	gcStart := time.Now()
-	c.pool.ParallelForN(n, c.adaptiveWorkers(n), func(i int) {
-		s := &st[i]
-		s.hash = s.q.IsoKey()
-		if lookup {
-			s.exact = ix.exact(s.hash, s.q.NumVertices(), s.q.NumEdges(), func(e *entry) bool {
-				s.stats.GCVerifications++
-				return iso.Contains(c.algo, s.q, e.g)
-			})
-		}
-	})
-	open := n
-	for i := range st {
-		if st[i].exact != nil {
-			open--
-		}
-	}
-
-	// Path features only for the queries the lookup left open: Method M's
-	// filter input, the probe input and the new entries' vectors.
-	featStart := time.Now()
-	if open > 0 {
-		c.pool.ParallelFor(n, func(i int) {
-			if s := &st[i]; s.exact == nil {
-				s.vec = pathfeat.SimplePathVector(s.q, c.opts.MaxPathLen)
-			}
-		})
-	}
-	probeStart := time.Now()
-
-	// Method M's filter and the GC processors run side by side, over the
-	// open queries only. The filter goroutine holds its own inflight
-	// reference: a run whose open queries are all proven empty returns
-	// without draining filterDone, and the filter must not still be reading
-	// the method's index when a mutation starts rewriting it.
-	var filterDone chan struct{}
-	nChecks := 0
-	if open > 0 {
-		filterDone = make(chan struct{})
-		c.retainQuery()
-		go func() {
-			defer c.exitQuery()
-			defer close(filterDone)
-			c.pool.ParallelFor(n, func(i int) {
-				s := &st[i]
-				if s.exact != nil {
-					return
-				}
-				start := time.Now()
-				s.csM = c.filterM(s.q, s.vec)
-				s.mDur = time.Since(start)
-			})
-		}()
-		if len(ix.serials) > 0 {
-			c.pool.ParallelFor(n, func(i int) {
-				if s := &st[i]; s.exact == nil {
-					s.checks, s.nSub = c.probe(ix, s.vec)
-				}
-			})
-			for i := range st {
-				nChecks += len(st[i].checks)
-			}
-		}
-	}
-	gcvStart := time.Now()
-
-	// Containment confirmations: real (cheap, small-vs-small) sub-iso
-	// tests, query-major with containers before containees, so each
-	// query's confirmed lists come out in ascending serial order whatever
-	// the pool size.
-	if nChecks > 0 {
-		checks := make([]gcCheck, 0, nChecks)
-		for qi := range st {
-			s := &st[qi]
-			for j, e := range s.checks {
-				checks = append(checks, gcCheck{qi: qi, e: e, sub: j < s.nSub})
-			}
-			s.stats.GCVerifications += len(s.checks)
-			s.containers, s.containees = s.checks[:0:s.nSub], s.checks[s.nSub:s.nSub]
-		}
-		c.pool.ParallelForN(nChecks, c.adaptiveWorkers(nChecks), func(k int) {
-			ck := &checks[k]
-			pattern, target := st[ck.qi].q, ck.e.g
-			if !ck.sub {
-				pattern, target = target, pattern
-			}
-			ck.ok = iso.Contains(c.algo, pattern, target)
-		})
-		for _, ck := range checks {
-			if !ck.ok {
-				continue
-			}
-			if s := &st[ck.qi]; ck.sub {
-				s.containers = append(s.containers, ck.e)
-			} else {
-				s.containees = append(s.containees, ck.e)
-			}
-		}
-	}
-	// The GC stage and its split, as each query's even share of the run's.
-	gcEnd, perQuery := time.Now(), time.Duration(n)
-	gcShare := gcEnd.Sub(gcStart) / perQuery
-	featShare := probeStart.Sub(featStart) / perQuery
-	probeShare := (featStart.Sub(gcStart) + gcvStart.Sub(probeStart)) / perQuery
-	gcvShare := gcEnd.Sub(gcvStart) / perQuery
-
-	// Hit credits (§5.2) — hit counts, recency, candidate-set reduction
-	// and estimated time saving — queue up and land after verification, so
-	// an abandoned run credits nothing. Deferring is safe: credits only add
-	// to counters the run itself never reads.
-	var credits []hitCredit
-	queueCredit := func(s *queryState, e *entry, special bool, removed int, saved float64) {
-		credits = append(credits, hitCredit{e: e, by: s.stats.Serial, removed: int64(removed), saved: saved, special: special})
-		s.stats.Credit += saved
-	}
-
-	supergraph := c.m.Mode() == method.ModeSupergraph
-	nTests := 0
-	var removed []removal // prune's output, reused query to query
-	for qi := range st {
-		s := &st[qi]
-		s.stats.FilterGCTime = gcShare
-		s.stats.FeatureTime, s.stats.ProbeTime, s.stats.GCVerifyTime = featShare, probeShare, gcvShare
-		s.stats.Containers, s.stats.Containees = len(s.containers), len(s.containees)
-		providers, restrictors := s.containers, s.containees
-		if supergraph {
-			providers, restrictors = restrictors, providers
-		}
-
-		// Special case 1 (§5.1): the isomorphic cached query the lookup
-		// found answers q with no further processing. Special case 2: a
-		// contained cached query (containing, for supergraph queries) with
-		// an empty answer proves q's answer empty. Either way Method M is
-		// never consulted, and the cached entry's own first-execution
-		// candidate set and estimated cost stand in for the (never
-		// computed) ones of the shortcut query.
-		hit := s.exact
-		if hit != nil {
-			s.state, s.answer = stateExact, hit.answer
-			s.stats.ExactHit, s.stats.AnswerSize = true, len(hit.answer)
-		} else if hit = findEmptyAnswer(restrictors); hit != nil {
-			s.state, s.stats.EmptyShortcut = stateEmpty, true
-		}
-		if hit != nil {
-			queueCredit(s, hit, true, hit.ownCS, hit.ownCost)
-			continue
-		}
-
-		// Method M's candidate set from the parallel filter stage, with
-		// removed-graph IDs masked out: DynamicMethod lets a filter keep
-		// returning them (a FilterLive no-op until the first mutation).
-		<-filterDone
-		s.csM = c.m.Dataset().FilterLive(s.csM)
-		s.stats.FilterMTime = s.mDur
-		s.stats.CandidatesM = len(s.csM)
-
-		cost := c.costs.forQuery(s.q.NumVertices())
-		s.direct, s.cs, removed = prune(s.csM, providers, restrictors, cost, removed[:0])
-		s.stats.DirectAnswers = len(s.direct)
-		s.stats.CandidatesFinal = len(s.cs)
-		s.stats.SubIsoTests = len(s.cs)
-		nTests += len(s.cs)
-
-		for _, id := range s.csM {
-			s.ownCost += cost.of(id)
-		}
-		k := 0
-		for _, matched := range [2][]*entry{providers, restrictors} {
-			for _, e := range matched {
-				queueCredit(s, e, false, removed[k].n, removed[k].cost)
-				k++
-			}
-		}
-	}
-
-	// A dead client abandons every test of the run.
+	r.confirm()
+	r.prune() // an all-empty run returns without waiting for the filter
 	if err := ctx.Err(); err != nil {
-		return nTests, err
+		return r.nTests, err // a dead client abandons every test of the run
 	}
-	verdicts := make([]bool, nTests)
-	chunks := make([]verifyChunk, 0, nTests/adaptiveGrain+min(n, nTests))
-	for qi, off := 0, 0; qi < n; qi++ {
-		s := &st[qi]
-		s.off = off
-		off += len(s.cs)
-		s.pending.Store(int32(len(s.cs)))
-		grain := max(adaptiveGrain, len(s.cs)/(4*c.opts.VerifyConcurrency))
-		for lo := 0; lo < len(s.cs); lo += grain {
-			chunks = append(chunks, verifyChunk{qi: qi, lo: lo, hi: min(lo+grain, len(s.cs))})
-		}
-	}
-	// complete assembles query qi's answer once all its verdicts are in
-	// and delivers it. The delivered Result is a private copy: bookkeeping
-	// keeps s.answer for the Window.
-	complete := func(qi int, verifyTime time.Duration) {
-		s := &st[qi]
-		if s.state == stateNormal {
-			var positives []int32
-			for k, id := range s.cs {
-				if verdicts[s.off+k] {
-					positives = append(positives, id)
-				}
-			}
-			s.answer = unionSorted(s.direct, positives)
-			s.stats.AnswerSize = len(s.answer)
-			s.stats.VerifyTime = verifyTime
-		}
-		deliver(qi, Result{Answer: cloneIDs(s.answer), Stats: s.stats})
-	}
-	// The run's cheap resolutions are final: flush every query that needs
-	// no verification before dispatching any sub-iso work, so a client's
-	// first results never wait on the batch's heavy tail.
-	for qi := range st {
-		if len(st[qi].cs) == 0 {
-			complete(qi, 0)
-		}
-	}
-
-	var vDur time.Duration
-	if nTests > 0 {
-		vDur, abandoned = c.verifyChunks(ctx, st, chunks, verdicts, complete)
-	}
-	if abandoned > 0 {
+	if abandoned = r.verify(); abandoned > 0 {
 		// Cut short: everything delivered so far was fully verified, but
 		// the run as a whole never happened as far as the cache is
 		// concerned — no credits, no window entries, no totals. Caching a
@@ -431,53 +178,382 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		// delivered, which must not cost the batch its place in the window.
 		return abandoned, ctx.Err()
 	}
+	r.bookkeep()
+	return 0, nil
+}
 
-	// Bookkeeping. From here on a query's VerifyTime is its share of the
-	// stage.
-	if nTests > 0 {
-		for i := range st {
-			st[i].stats.VerifyTime = vDur * time.Duration(len(st[i].cs)) / time.Duration(nTests)
+// run is one pass of the pipeline over a batch: what its stages share and
+// what each leaves for the next. Every field past the first group is
+// written by one stage, named beside it.
+type run struct {
+	c       *Cache
+	ctx     context.Context
+	deliver func(i int, r Result)
+	st      []queryState
+	ix      *queryIndex // the one generation every query looks up and probes
+
+	open       []int         // lookup: the queries it did not answer, ascending
+	filterDone chan struct{} // filterAndProbe: closed once Method M's filter is done
+	credits    []hitCredit   // prune: the hit credits bookkeep applies
+	nTests     int           // prune: the Method-M sub-iso tests left to run
+	verdicts   []bool        // verify: the tests' verdicts, query-major
+
+	// Each stage's wall time; the first four make up the GC stage.
+	lookupTime, featureTime, probeTime, confirmTime, verifyTime time.Duration
+}
+
+// newRun starts a run over qs. It takes one contiguous serial block —
+// query i is serial base+i, so a batch's results order like sequential
+// calls would — and loads the index generation once.
+func (c *Cache) newRun(ctx context.Context, qs []*graph.Graph, deliver func(i int, r Result)) *run {
+	n := int64(len(qs))
+	base := c.serial.Add(n) - n + 1
+	r := &run{c: c, ctx: ctx, deliver: deliver, st: make([]queryState, n), ix: c.index.Load()}
+	for i := range r.st {
+		r.st[i].q, r.st[i].stats.Serial = qs[i], base+int64(i)
+	}
+	return r
+}
+
+// lookup is stage 1, the exact-match lookup of §5.1 (special case 1),
+// ahead of everything it makes unnecessary. One pooled pass computes each
+// query's isomorphism-invariant key (graph.IsoKey, O(|V|+|E|)) and scans
+// the generation's key column for a cached query of equal key and size,
+// which counts only once a sub-iso test confirms it isomorphic. A hit is
+// answered "with no further processing": no path enumeration, no filter,
+// no probe, no containment confirmation. The stage writes ExactHit and
+// the lookup's GCVerifications, and leaves the other queries in r.open.
+func (r *run) lookup() {
+	start, c := time.Now(), r.c
+	lookup := len(r.ix.serials) > 0 && !c.opts.DisableExactMatch
+	c.pool.ParallelForN(len(r.st), c.adaptiveWorkers(len(r.st)), func(i int) {
+		s := &r.st[i]
+		s.hash = s.q.IsoKey()
+		if lookup {
+			s.exact = r.ix.exact(s.hash, s.q.NumVertices(), s.q.NumEdges(), func(e *entry) bool {
+				s.stats.GCVerifications++
+				return iso.Contains(c.algo, s.q, e.g)
+			})
+		}
+	})
+	for i := range r.st {
+		if s := &r.st[i]; s.exact != nil {
+			s.state, s.answer, s.stats.ExactHit = stateExact, s.exact.answer, true
+		} else {
+			r.open = append(r.open, i)
 		}
 	}
-	// Credits land before a query can trigger window processing, so a
-	// window's replacement pass sees the hits of the query that filled it.
-	// An entry evicted meanwhile takes its credit out of the cache with it.
+	r.lookupTime = time.Since(start)
+}
+
+// extractFeatures is stage 2: the path features of the open queries, one
+// pooled pass. The vectors are Method M's filter input, the probe input
+// and the new entries' vectors; the stage's duration is FeatureTime.
+func (r *run) extractFeatures() {
+	start := time.Now()
+	r.c.pool.ParallelFor(len(r.open), func(k int) {
+		s := &r.st[r.open[k]]
+		s.vec = pathfeat.SimplePathVector(s.q, r.c.opts.MaxPathLen)
+	})
+	r.featureTime = time.Since(start)
+}
+
+// filterAndProbe is stage 3: Method M's filter on its own goroutine,
+// beside the GC processors (§4, Figure 2), which probe the loaded
+// generation per open query for candidate containers and containees. The
+// filter's output is read by prune alone, after filterDone. The filter
+// goroutine holds its own inflight reference: a run whose open queries
+// are all proven empty returns without waiting for it, and the filter
+// must not still be reading the method's index when a mutation starts
+// rewriting it.
+func (r *run) filterAndProbe() {
+	start, c := time.Now(), r.c
+	r.filterDone = make(chan struct{})
+	c.retainQuery()
+	go func() {
+		defer c.exitQuery()
+		defer close(r.filterDone)
+		c.pool.ParallelFor(len(r.open), func(k int) {
+			s := &r.st[r.open[k]]
+			start := time.Now()
+			s.csM = c.filterM(s.q, s.vec)
+			s.mDur = time.Since(start)
+		})
+	}()
+	if len(r.ix.serials) > 0 {
+		c.pool.ParallelFor(len(r.open), func(k int) {
+			s := &r.st[r.open[k]]
+			s.checks, s.nSub = c.probe(r.ix, s.vec)
+		})
+	}
+	r.probeTime = time.Since(start)
+}
+
+// confirm is stage 4, the GC processors' containment confirmations (§4):
+// real (cheap, small-vs-small) sub-iso tests of every probe candidate as
+// one work list over the worker pool, query-major with containers before
+// containees, so each query's confirmed lists come out in ascending
+// serial order whatever the pool size. It adds its tests to
+// GCVerifications and writes Containers and Containees. It closes the GC
+// stage: every query gets an even share of the four GC stages' times as
+// FilterGCTime and its split.
+func (r *run) confirm() {
+	start, c := time.Now(), r.c
+	nChecks := 0
+	for _, qi := range r.open {
+		nChecks += len(r.st[qi].checks)
+	}
+	if nChecks > 0 {
+		checks := make([]gcCheck, 0, nChecks)
+		for _, qi := range r.open {
+			s := &r.st[qi]
+			for j, e := range s.checks {
+				checks = append(checks, gcCheck{qi: qi, e: e, sub: j < s.nSub})
+			}
+			s.stats.GCVerifications += len(s.checks)
+			s.containers, s.containees = s.checks[:0:s.nSub], s.checks[s.nSub:s.nSub]
+		}
+		c.pool.ParallelForN(nChecks, c.adaptiveWorkers(nChecks), func(k int) {
+			ck := &checks[k]
+			pattern, target := r.st[ck.qi].q, ck.e.g
+			if !ck.sub {
+				pattern, target = target, pattern
+			}
+			ck.ok = iso.Contains(c.algo, pattern, target)
+		})
+		for _, ck := range checks {
+			if !ck.ok {
+				continue
+			}
+			if s := &r.st[ck.qi]; ck.sub {
+				s.containers = append(s.containers, ck.e)
+			} else {
+				s.containees = append(s.containees, ck.e)
+			}
+		}
+	}
+	r.confirmTime = time.Since(start)
+	n := time.Duration(len(r.st))
+	for i := range r.st {
+		s := &r.st[i]
+		s.stats.Containers, s.stats.Containees = len(s.containers), len(s.containees)
+		s.stats.FilterGCTime = (r.lookupTime + r.featureTime + r.probeTime + r.confirmTime) / n
+		s.stats.FeatureTime, s.stats.ProbeTime = r.featureTime/n, (r.lookupTime+r.probeTime)/n
+		s.stats.GCVerifyTime = r.confirmTime / n
+	}
+}
+
+// prune is stage 5, over every query in serial order. Special case 2
+// (§5.1): a contained cached query (containing, for supergraph queries)
+// with an empty answer proves q's answer empty, and Method M is never
+// consulted. Otherwise the Candidate Set Pruner takes Method M's
+// candidate set, removed-graph IDs masked out, and applies Eq. 1 then
+// Eq. 2 (roles inverted for supergraph queries). The filter is awaited
+// at the first query that needs it, so a run whose open queries were all
+// proven empty never waits — the paper's "processing terminates". Every
+// hit, exact hits included, queues its credit here. The stage writes
+// EmptyShortcut, Credit, FilterMTime, CandidatesM, DirectAnswers,
+// CandidatesFinal and SubIsoTests.
+func (r *run) prune() {
+	c := r.c
+	supergraph := c.m.Mode() == method.ModeSupergraph
+	var removed []removal // prune's output, reused query to query
+	for qi := range r.st {
+		s := &r.st[qi]
+		providers, restrictors := s.containers, s.containees
+		if supergraph {
+			providers, restrictors = restrictors, providers
+		}
+		// A shortcut's cached entry stands in with its own first-execution
+		// candidate set and estimated cost for the never computed ones of q.
+		hit := s.exact
+		if hit == nil {
+			if hit = findEmptyAnswer(restrictors); hit != nil {
+				s.state, s.stats.EmptyShortcut = stateEmpty, true
+			}
+		}
+		if hit != nil {
+			r.queueCredit(s, hit, true, hit.ownCS, hit.ownCost)
+			continue
+		}
+
+		<-r.filterDone
+		s.csM = c.m.Dataset().FilterLive(s.csM) // a DynamicMethod's filter may return removed IDs
+		s.stats.FilterMTime = s.mDur
+		s.stats.CandidatesM = len(s.csM)
+		cost := c.costs.forQuery(s.q.NumVertices())
+		s.direct, s.cs, removed = prune(s.csM, providers, restrictors, cost, removed[:0])
+		s.stats.DirectAnswers = len(s.direct)
+		s.stats.CandidatesFinal = len(s.cs)
+		s.stats.SubIsoTests = len(s.cs)
+		r.nTests += len(s.cs)
+		for _, id := range s.csM {
+			s.ownCost += cost.of(id)
+		}
+		k := 0
+		for _, matched := range [2][]*entry{providers, restrictors} {
+			for _, e := range matched {
+				r.queueCredit(s, e, false, removed[k].n, removed[k].cost)
+				k++
+			}
+		}
+	}
+}
+
+// queueCredit queues entry e's credit (§5.2) — a hit, its recency, the
+// candidate-set reduction and the estimated time saving — for helping
+// query s. Credits land in bookkeep, after verification, so an abandoned
+// run credits nothing; deferring is safe because credits only add to
+// counters the run itself never reads.
+func (r *run) queueCredit(s *queryState, e *entry, special bool, removed int, saved float64) {
+	r.credits = append(r.credits, hitCredit{e: e, by: s.stats.Serial, removed: int64(removed), saved: saved, special: special})
+	s.stats.Credit += saved
+}
+
+// verify is stage 6, Method M's verification and the deliveries. Every
+// query that needs no test is delivered first, so a client's first
+// results never wait on the batch's heavy tail. Then the sub-iso tests of
+// all pruned candidate sets run as one work list of chunks (see
+// verifyChunk) over the worker pool — one worker per chunk while pool
+// slots are free — and the worker landing a query's last verdict
+// completes it. It returns how many tests it skipped because ctx died
+// first.
+func (r *run) verify() int {
+	c := r.c
+	r.verdicts = make([]bool, r.nTests)
+	chunks := make([]verifyChunk, 0, r.nTests/adaptiveGrain+min(len(r.st), r.nTests))
+	for qi, off := 0, 0; qi < len(r.st); qi++ {
+		s := &r.st[qi]
+		s.off = off
+		off += len(s.cs)
+		s.pending.Store(int32(len(s.cs)))
+		grain := max(adaptiveGrain, len(s.cs)/(4*c.opts.VerifyConcurrency))
+		for lo := 0; lo < len(s.cs); lo += grain {
+			chunks = append(chunks, verifyChunk{qi: qi, lo: lo, hi: min(lo+grain, len(s.cs))})
+		}
+		if len(s.cs) == 0 {
+			r.complete(qi, 0)
+		}
+	}
+	if r.nTests == 0 {
+		return 0
+	}
+
+	var skipped atomic.Int64
+	start := time.Now()
+	if bv, ok := c.m.(method.BatchVerifier); ok {
+		// Methods with internal verification parallelism keep their own
+		// pool: one VerifyBatch per query, fanned over the run.
+		c.pool.ParallelFor(len(r.st), func(qi int) {
+			s := &r.st[qi]
+			if len(s.cs) == 0 {
+				return
+			}
+			if r.ctx.Err() != nil {
+				skipped.Add(int64(len(s.cs)))
+				return
+			}
+			copy(r.verdicts[s.off:], bv.VerifyBatch(s.q, s.cs))
+			r.complete(qi, time.Since(start))
+		})
+	} else {
+		// The worker that brings a query's pending count to zero has a
+		// happens-before edge on every sibling verdict and completes the
+		// query. Skipped chunks never decrement, so a query touched by
+		// cancellation is never delivered partially verified.
+		c.pool.ParallelFor(len(chunks), func(k int) {
+			ch := chunks[k]
+			if r.ctx.Err() != nil {
+				skipped.Add(int64(ch.hi - ch.lo))
+				return
+			}
+			s := &r.st[ch.qi]
+			for j := ch.lo; j < ch.hi; j++ {
+				r.verdicts[s.off+j] = c.m.Verify(s.q, s.cs[j])
+			}
+			if s.pending.Add(int32(ch.lo-ch.hi)) == 0 {
+				r.complete(ch.qi, time.Since(start))
+			}
+		})
+	}
+	r.verifyTime = time.Since(start)
+	return int(skipped.Load())
+}
+
+// complete assembles query qi's answer once all its verdicts are in and
+// delivers it; it writes AnswerSize and the delivered VerifyTime. The
+// delivered Result is a private copy: bookkeep keeps s.answer for the
+// Window.
+func (r *run) complete(qi int, verifyTime time.Duration) {
+	s := &r.st[qi]
+	if s.state == stateNormal {
+		var positives []int32
+		for k, id := range s.cs {
+			if r.verdicts[s.off+k] {
+				positives = append(positives, id)
+			}
+		}
+		s.answer = unionSorted(s.direct, positives)
+		s.stats.VerifyTime = verifyTime
+	}
+	s.stats.AnswerSize = len(s.answer)
+	r.deliver(qi, Result{Answer: cloneIDs(s.answer), Stats: s.stats})
+}
+
+// bookkeep is stage 7, the run's entry into the Window Manager (§6) and
+// the Statistics Manager. The queued credits land first, so a window's
+// replacement pass sees the hits of the query that filled it; an entry
+// evicted meanwhile takes its credit out of the cache with it. Then the
+// queries, their answers and their first-execution figures enter the
+// Window in serial order — an exact hit is a duplicate of a cached query,
+// and re-admitting it would only pollute the cache — and the run folds
+// into Totals last: once Totals counts a run's queries, every one of them
+// is in the Window, so a snapshot taken then holds every window they
+// filled. It writes no QueryStats field: the Window and Totals count a
+// query's share of the verification stage (verifyShare) as its
+// VerifyTime.
+func (r *run) bookkeep() {
+	c := r.c
 	c.totMu.Lock()
-	for i := range credits {
-		credits[i].apply()
+	for i := range r.credits {
+		r.credits[i].apply()
 	}
 	c.totMu.Unlock()
 
-	// The queries, their answers and their first-execution figures enter
-	// the Window in serial order. An exact hit is a duplicate of a cached
-	// query; re-admitting it would only pollute the cache.
-	for i := range st {
-		s := &st[i]
+	for qi := range r.st {
+		s := &r.st[qi]
 		if s.state == stateExact {
 			continue
 		}
 		e := newEntry(s.stats.Serial, s.q, s.answer, s.vec, s.hash)
-		e.filterNS = float64(gcShare.Nanoseconds())
+		e.filterNS = float64(s.stats.FilterGCTime.Nanoseconds())
 		if s.state == stateNormal {
-			e.filterNS = float64((s.stats.FilterMTime + gcShare).Nanoseconds())
-			e.verifyNS = float64(s.stats.VerifyTime.Nanoseconds())
+			e.filterNS = float64((s.stats.FilterMTime + s.stats.FilterGCTime).Nanoseconds())
+			e.verifyNS = float64(r.verifyShare(qi).Nanoseconds())
 			e.ownCS, e.ownCost = len(s.csM), s.ownCost
 		}
 		c.addToWindow(e, s.stats.Serial)
 	}
 
-	// The totals fold last: once Totals counts a run's queries, every one
-	// of them is in the Window, so a snapshot taken then holds every
-	// window they filled.
 	c.totMu.Lock()
-	if n > 1 {
+	if len(r.st) > 1 {
 		c.tot.Batches++
 	}
-	for i := range st {
-		c.tot.add(&st[i].stats)
+	for qi := range r.st {
+		stats := r.st[qi].stats
+		stats.VerifyTime = r.verifyShare(qi)
+		c.tot.add(&stats)
 	}
 	c.totMu.Unlock()
-	return 0, nil
+}
+
+// verifyShare is query qi's share of the verification stage, in
+// proportion to its candidate-set size.
+func (r *run) verifyShare(qi int) time.Duration {
+	if r.nTests == 0 {
+		return 0
+	}
+	return r.verifyTime * time.Duration(len(r.st[qi].cs)) / time.Duration(r.nTests)
 }
 
 // adaptiveGrain is the targeted number of verifications per worker:
@@ -492,50 +568,4 @@ const adaptiveGrain = 4
 // count — only scheduling changes.
 func (c *Cache) adaptiveWorkers(n int) int {
 	return max(1, min((n+adaptiveGrain-1)/adaptiveGrain, c.opts.VerifyConcurrency))
-}
-
-// verifyChunks runs a run's flattened Method-M work list through the
-// worker pool — one worker per chunk while pool slots are free — calling
-// complete for each query as its last verdict lands. It returns the
-// stage's wall time and how many tests it skipped because ctx died first.
-func (c *Cache) verifyChunks(ctx context.Context, st []queryState, chunks []verifyChunk, verdicts []bool,
-	complete func(qi int, verifyTime time.Duration)) (time.Duration, int) {
-	var skipped atomic.Int64
-	vStart := time.Now()
-	if bv, ok := c.m.(method.BatchVerifier); ok {
-		// Methods with internal verification parallelism keep their own
-		// pool: one VerifyBatch per query, fanned over the run.
-		c.pool.ParallelFor(len(st), func(qi int) {
-			s := &st[qi]
-			if len(s.cs) == 0 {
-				return
-			}
-			if ctx.Err() != nil {
-				skipped.Add(int64(len(s.cs)))
-				return
-			}
-			copy(verdicts[s.off:], bv.VerifyBatch(s.q, s.cs))
-			complete(qi, time.Since(vStart))
-		})
-	} else {
-		// The worker that brings a query's pending count to zero has a
-		// happens-before edge on every sibling verdict and completes the
-		// query. Skipped chunks never decrement, so a query touched by
-		// cancellation is never delivered partially verified.
-		c.pool.ParallelFor(len(chunks), func(k int) {
-			ch := chunks[k]
-			if ctx.Err() != nil {
-				skipped.Add(int64(ch.hi - ch.lo))
-				return
-			}
-			s := &st[ch.qi]
-			for j := ch.lo; j < ch.hi; j++ {
-				verdicts[s.off+j] = c.m.Verify(s.q, s.cs[j])
-			}
-			if s.pending.Add(int32(ch.lo-ch.hi)) == 0 {
-				complete(ch.qi, time.Since(vStart))
-			}
-		})
-	}
-	return time.Since(vStart), int(skipped.Load())
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"graphcache/internal/dataset"
 	"graphcache/internal/ggsx"
 	"graphcache/internal/graph"
 	"graphcache/internal/iso"
@@ -241,4 +242,100 @@ func TestExactHitsEnumerateNoPaths(t *testing.T) {
 	if got := pathfeat.SimplePathsCalls() - before; got != int64(open) {
 		t.Errorf("a batch with %d open queries enumerated paths %d times, want %d", open, got, open)
 	}
+}
+
+// regularGraph builds a uniformly labelled d-regular graph on n vertices
+// as a disjoint union of circulant graphs, the component sizes and jumps
+// drawn from spec; ok is false when no d-regular graph on n vertices
+// exists (d ≥ n, or d and n both odd). A component of m vertices joins
+// each vertex i to i ± s (mod m) for ⌊d/2⌋ distinct jumps s < m/2, plus
+// its opposite i + m/2 when d is odd, which every component's even size
+// allows.
+func regularGraph(l graph.Label, n, d int, spec []byte) (g *graph.Graph, ok bool) {
+	if d >= n || d%2 == 1 && n%2 == 1 {
+		return nil, false
+	}
+	next := func() int {
+		if len(spec) == 0 {
+			return 0
+		}
+		b := spec[0]
+		spec = spec[1:]
+		return int(b)
+	}
+	minM := d + 1 + d%2 // the smallest component: K_{d+1}, of even size when d is odd
+	b := graph.NewBuilder().SetID(-1)
+	for base, left := 0, n; left > 0; {
+		m := left // the rest, or — if there is room for two — maybe a smaller part
+		if left >= 2*minM {
+			if k := next() % (left - 2*minM + 2); k <= left-2*minM {
+				m = minM + k
+				m += d % 2 * (m % 2) // odd d: even sizes only
+			}
+		}
+		for i := 0; i < m; i++ {
+			b.AddVertex(l)
+		}
+		jumps := make([]int, 0, (m-1)/2)
+		for s := 1; 2*s < m; s++ {
+			jumps = append(jumps, s)
+		}
+		for k := 0; k < d/2; k++ { // ⌊d/2⌋ distinct jumps, chosen by spec
+			j := next() % len(jumps)
+			s := jumps[j]
+			jumps = append(jumps[:j], jumps[j+1:]...)
+			for i := 0; i < m; i++ {
+				b.AddEdge(int32(base+i), int32(base+(i+s)%m))
+			}
+		}
+		if d%2 == 1 {
+			for i := 0; i < m/2; i++ {
+				b.AddEdge(int32(base+i), int32(base+i+m/2))
+			}
+		}
+		base, left = base+m, left-m
+	}
+	return b.MustBuild(), true
+}
+
+// FuzzExactLookupCollisions generalises
+// TestExactLookupRejectsEqualHashNonIsomorphic: two uniformly labelled
+// d-regular graphs on n vertices look alike to colour refinement, so they
+// share IsoKey whether or not they are isomorphic. With one cached and the
+// other queried, the query's answer must be the bare method's, and it
+// must exact-hit exactly when the two are isomorphic.
+func FuzzExactLookupCollisions(f *testing.F) {
+	// n and d map to 4 + n%13 vertices of degree 2 + d%3.
+	f.Add(uint8(2), uint8(0), []byte{1}, []byte{0})       // C6 against C3 + C3
+	f.Add(uint8(6), uint8(0), []byte{5}, []byte{2})       // C10 against C5 + C5
+	f.Add(uint8(6), uint8(0), []byte{5}, []byte{5})       // C10 against itself
+	f.Add(uint8(4), uint8(1), []byte{0}, []byte{1})       // K4 + K4 against the Möbius ladder on 8
+	f.Add(uint8(8), uint8(2), []byte{9, 1}, []byte{9, 2}) // two 4-regular circulants on 12
+	base := moleculeDataset(12, 33)
+	l := base.Graph(0).Label(0)
+	f.Fuzz(func(t *testing.T, n, d uint8, spec1, spec2 []byte) {
+		nv, deg := 4+int(n)%13, 2+int(d)%3 // 4..16 vertices, degree 2..4
+		g1, ok1 := regularGraph(l, nv, deg, spec1)
+		g2, ok2 := regularGraph(l, nv, deg, spec2)
+		if !ok1 || !ok2 {
+			return
+		}
+		if g1.IsoKey() != g2.IsoKey() {
+			t.Fatalf("two uniformly labelled %d-regular graphs on %d vertices have different keys", deg, nv)
+		}
+		graphs := []*graph.Graph{g1.Clone(), g2.Clone()}
+		for id := 0; id < base.Len(); id++ {
+			graphs = append(graphs, base.Graph(int32(id)).Clone())
+		}
+		m := method.NewVF2Plus(dataset.New(graphs))
+		c := New(m, Options{CacheSize: 4, WindowSize: 1})
+		c.Query(g1) // W = 1: cached on return
+		r := c.Query(g2)
+		if want := method.Answer(m, g2); !eq(r.Answer, want) {
+			t.Fatalf("answer %v, want %v", r.Answer, want)
+		}
+		if isomorphic := iso.Isomorphic(iso.VF2{}, g1, g2); r.Stats.ExactHit != isomorphic {
+			t.Fatalf("exact hit %v for graphs with isomorphic = %v", r.Stats.ExactHit, isomorphic)
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -143,8 +144,9 @@ func (c *Cache) WriteSnapshot(w io.Writer) error {
 // fails the load); the highest applied mutation sequence
 // number is restored so journal replay and fleet fan-out dedup resume
 // correctly. A snapshot whose recorded fingerprints do not match the
-// dataset fails with ErrDatasetMismatch (wrapped) and leaves the dataset
-// on its pristine base.
+// dataset fails with ErrDatasetMismatch (wrapped), and one whose cached
+// answers are not ascending live IDs of the restored dataset fails too;
+// both leave the dataset on its pristine base.
 func (c *Cache) ReadSnapshot(r io.Reader) error {
 	// Loading is a whole-cache replacement: take the same exclusivity a
 	// mutation takes (blocks new queries, drains in-flight ones and queued
@@ -180,6 +182,9 @@ func (c *Cache) ReadSnapshot(r io.Reader) error {
 	cached := map[int64]*pending{}
 
 	parseIDs := func(fields []string, what string) ([]int32, error) {
+		if len(fields) < 2 {
+			return nil, fmt.Errorf("core: bad %s line %q", what, strings.Join(fields, " "))
+		}
 		n, err := strconv.Atoi(fields[1])
 		if err != nil || n != len(fields)-2 {
 			return nil, fmt.Errorf("core: bad %s line %q", what, strings.Join(fields, " "))
@@ -206,123 +211,52 @@ func (c *Cache) ReadSnapshot(r io.Reader) error {
 		}
 		switch fields[0] {
 		case "epoch":
-			if len(fields) != 3 {
-				return fmt.Errorf("core: bad epoch line %q", line)
-			}
-			if epoch, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
-				return fmt.Errorf("core: bad epoch line %q: %w", line, err)
-			}
-			if seq, err = strconv.ParseInt(fields[2], 10, 64); err != nil {
-				return fmt.Errorf("core: bad epoch line %q: %w", line, err)
-			}
+			err = scanLine(line, "epoch %d %d", &epoch, &seq)
 		case "dataset":
-			if len(fields) != 4 {
-				return fmt.Errorf("core: bad dataset line %q", line)
-			}
-			if dsLive, err = strconv.Atoi(fields[1]); err != nil {
-				return fmt.Errorf("core: bad dataset line %q: %w", line, err)
-			}
-			if dsLen, err = strconv.Atoi(fields[2]); err != nil {
-				return fmt.Errorf("core: bad dataset line %q: %w", line, err)
-			}
-			if dsFP, err = strconv.ParseUint(fields[3], 16, 64); err != nil {
-				return fmt.Errorf("core: bad dataset line %q: %w", line, err)
-			}
-			haveDataset = true
+			err, haveDataset = scanLine(line, "dataset %d %d %x", &dsLive, &dsLen, &dsFP), true
 		case "base":
-			if len(fields) != 3 {
-				return fmt.Errorf("core: bad base line %q", line)
-			}
-			if baseLen, err = strconv.Atoi(fields[1]); err != nil {
-				return fmt.Errorf("core: bad base line %q: %w", line, err)
-			}
-			if baseFP, err = strconv.ParseUint(fields[2], 16, 64); err != nil {
-				return fmt.Errorf("core: bad base line %q: %w", line, err)
-			}
+			err = scanLine(line, "base %d %x", &baseLen, &baseFP)
 		case "removed":
-			if removedIDs, err = parseIDs(fields, "removed"); err != nil {
-				return err
-			}
+			removedIDs, err = parseIDs(fields, "removed")
 		case "delta":
-			if deltaIDs, err = parseIDs(fields, "delta"); err != nil {
+			deltaIDs, err = parseIDs(fields, "delta")
+		case "serial":
+			err = scanLine(line, "serial %d", &serial)
+		case "admission":
+			err = scanLine(line, "admission %g %d", &threshold, &calibrated)
+		case "entries":
+			err = scanLine(line, "entries %d", &nEntries)
+		case "entry":
+			p := &pending{}
+			if p.answer, err = parseIDs(fields[1:], "entry"); err != nil {
 				return err
 			}
-		case "serial":
-			if len(fields) != 2 {
-				return fmt.Errorf("core: bad serial line %q", line)
-			}
-			serial, err = strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return fmt.Errorf("core: bad serial line %q: %w", line, err)
-			}
-		case "admission":
-			if len(fields) != 3 {
-				return fmt.Errorf("core: bad admission line %q", line)
-			}
-			threshold, err = strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				return fmt.Errorf("core: bad admission line %q: %w", line, err)
-			}
-			calibrated, err = strconv.Atoi(fields[2])
-			if err != nil {
-				return fmt.Errorf("core: bad admission line %q: %w", line, err)
-			}
-		case "entries":
-			if len(fields) != 2 {
-				return fmt.Errorf("core: bad entries line %q", line)
-			}
-			nEntries, err = strconv.Atoi(fields[1])
-			if err != nil {
-				return fmt.Errorf("core: bad entries line %q: %w", line, err)
-			}
-		case "entry":
-			if len(fields) < 3 {
-				return fmt.Errorf("core: bad entry line %q", line)
-			}
-			s, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return fmt.Errorf("core: bad entry line %q: %w", line, err)
-			}
-			k, err := strconv.Atoi(fields[2])
-			if err != nil || k != len(fields)-3 {
-				return fmt.Errorf("core: bad entry line %q", line)
-			}
-			if cached[s] != nil {
-				return fmt.Errorf("core: duplicate entry serial %d", s)
-			}
-			p := &pending{serial: s}
-			for _, f := range fields[3:] {
-				id, err := strconv.ParseInt(f, 10, 32)
-				if err != nil {
-					return fmt.Errorf("core: bad answer id in %q: %w", line, err)
-				}
-				p.answer = append(p.answer, int32(id))
+			if p.serial, err = strconv.ParseInt(fields[1], 10, 64); err != nil || cached[p.serial] != nil {
+				return fmt.Errorf("core: bad or duplicate entry serial in %q", line)
 			}
 			entries = append(entries, p)
-			cached[s] = p
-		case "stat":
+			cached[p.serial] = p
+		case "stat": // twelve per entry: parsed without fmt's scanner
 			if len(fields) != 4 {
 				return fmt.Errorf("core: bad stat line %q", line)
 			}
-			s, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
+			s, serr := strconv.ParseInt(fields[1], 10, 64)
+			v, verr := strconv.ParseFloat(fields[3], 64)
+			if err = errors.Join(serr, verr); err != nil {
 				return fmt.Errorf("core: bad stat line %q: %w", line, err)
 			}
-			v, err := strconv.ParseFloat(fields[3], 64)
-			if err != nil {
-				return fmt.Errorf("core: bad stat line %q: %w", line, err)
-			}
-			p := cached[s]
-			if p == nil {
-				return fmt.Errorf("core: stat for unknown entry %d", s)
-			}
-			if err := p.setColumn(fields[2], v); err != nil {
-				return err
+			if p := cached[s]; p == nil {
+				err = fmt.Errorf("core: stat for unknown entry %d", s)
+			} else {
+				err = p.setColumn(fields[2], v)
 			}
 		case "graphs":
 			goto graphsSection
 		default:
 			return fmt.Errorf("core: unknown snapshot line %q", line)
+		}
+		if err != nil {
+			return err
 		}
 	}
 
@@ -350,6 +284,19 @@ graphsSection:
 		return fmt.Errorf("%w: snapshot base %d graphs fp %016x, dataset base %d graphs fp %016x",
 			ErrDatasetMismatch, baseLen, baseFP, ds.BaseLen(), ds.BaseFingerprint())
 	}
+	// Every answer must be ascending live IDs of the restored dataset:
+	// prune lifts answer IDs into query answers unverified, and every set
+	// operation on them is a sorted merge.
+	badAnswer := func() error {
+		for _, p := range entries {
+			for i, id := range p.answer {
+				if !ds.Alive(id) || i > 0 && id <= p.answer[i-1] {
+					return fmt.Errorf("core: entry %d's answer holds %d, not the next ascending live graph ID", p.serial, id)
+				}
+			}
+		}
+		return nil
+	}
 	deltaGraphs := graphs[len(entries):]
 	for i, g := range deltaGraphs {
 		g.SetID(deltaIDs[i]) // authoritative IDs come from the delta line
@@ -359,6 +306,12 @@ graphsSection:
 		if !ok {
 			return fmt.Errorf("%w: snapshot carries a dataset delta but method %s is static",
 				ErrStaticMethod, c.m.Name())
+		}
+		// Every ID from the base up is an addition or a removal, so the
+		// lines naming them bound the ID space Restore allocates.
+		ids := slices.Concat(removedIDs, deltaIDs)
+		if dsLen > baseLen+len(ids) || slices.ContainsFunc(ids, func(id int32) bool { return int(id) >= dsLen }) {
+			return fmt.Errorf("core: snapshot dataset of %d IDs outgrows its %d removed and delta IDs", dsLen, len(ids))
 		}
 		if err := ds.Restore(removedIDs, deltaGraphs, epoch); err != nil {
 			return fmt.Errorf("core: restoring snapshot dataset delta: %w", err)
@@ -371,6 +324,10 @@ graphsSection:
 			return fmt.Errorf("%w: restored delta fingerprint %016x does not match recorded %016x",
 				ErrDatasetMismatch, ds.Fingerprint(), dsFP)
 		}
+		if err := badAnswer(); err != nil {
+			_ = ds.Restore(nil, nil, 0)
+			return err
+		}
 		// Re-sync the method's filtering structures with the restored
 		// generation: every live base-range graph re-asserted as edited,
 		// additions as added. Idempotent for all bundled methods.
@@ -378,6 +335,8 @@ graphsSection:
 	} else if ds.Fingerprint() != dsFP {
 		return fmt.Errorf("%w: snapshot dataset fp %016x, live dataset fp %016x",
 			ErrDatasetMismatch, dsFP, ds.Fingerprint())
+	} else if err := badAnswer(); err != nil {
+		return err
 	}
 
 	// The entries, their feature vectors extracted in parallel.
@@ -437,6 +396,18 @@ func resyncMethod(dm method.DynamicMethod, ds interface {
 		}
 	}
 	dm.ApplyDatasetMutation(added, edited, removed)
+}
+
+// scanLine parses a snapshot line that holds exactly the fields of
+// format, whose first word names the line.
+func scanLine(line, format string, args ...any) error {
+	if len(strings.Fields(line)) != len(args)+1 {
+		return fmt.Errorf("core: bad %s line %q", strings.Fields(format)[0], line)
+	}
+	if _, err := fmt.Sscanf(line, format, args...); err != nil {
+		return fmt.Errorf("core: bad %s line %q: %w", strings.Fields(format)[0], line, err)
+	}
+	return nil
 }
 
 // readLine reads one \n-terminated line, trimming the terminator.

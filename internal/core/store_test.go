@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -332,4 +333,96 @@ func TestSnapshotV1Rejected(t *testing.T) {
 	if got := c.serial.Load(); got != 0 {
 		t.Errorf("rejected v1 snapshot moved the serial counter to %d", got)
 	}
+}
+
+// mutatedSnapshot returns a snapshot of a cache over a mutated dataset —
+// graphs 3 and 7 removed — and fresh, which returns a new cache over the
+// pristine base to load it into.
+func mutatedSnapshot(tb testing.TB) (snap []byte, fresh func() *Cache) {
+	tb.Helper()
+	opts := Options{CacheSize: 5, WindowSize: 5}
+	c, _, _ := snapshotFixture(tb, opts)
+	if _, err := c.RemoveGraphs([]int32{3, 7}); err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes(), func() *Cache {
+		return New(method.NewVF2Plus(gen.DefaultAIDS().Scaled(0.002, 1).Generate(61)), opts)
+	}
+}
+
+// TestReadSnapshotRejectsBadAnswers: a cached answer is lifted into query
+// answers unverified and merged as a sorted set, so a snapshot whose
+// entry answers are unsorted, repeat an ID, or name a negative,
+// out-of-range or removed graph must not load — and must leave the
+// dataset on its pristine base and the cache empty.
+func TestReadSnapshotRejectsBadAnswers(t *testing.T) {
+	snap, fresh := mutatedSnapshot(t)
+	if err := fresh().ReadSnapshot(bytes.NewReader(snap)); err != nil {
+		t.Fatalf("the unmodified snapshot does not load: %v", err)
+	}
+	lines := strings.Split(string(snap), "\n")
+	first := -1
+	for i, l := range lines {
+		if strings.HasPrefix(l, "entry ") {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		t.Fatal("the snapshot has no entry line")
+	}
+	serial := strings.Fields(lines[first])[1]
+	for name, answer := range map[string]string{
+		"unsorted":     "2 5 1",
+		"duplicate":    "2 1 1",
+		"negative":     "2 -1 4",
+		"out of range": "2 4 100000",
+		"removed":      "3 1 3 4",
+	} {
+		bad := slices.Clone(lines)
+		bad[first] = "entry " + serial + " " + answer
+		c := fresh()
+		err := c.ReadSnapshot(strings.NewReader(strings.Join(bad, "\n")))
+		if err == nil || !strings.Contains(err.Error(), "ascending live graph ID") {
+			t.Errorf("%s answer %q: ReadSnapshot error = %v, want a rejected answer", name, answer, err)
+			continue
+		}
+		if ds := c.Method().Dataset(); ds.Mutated() || len(c.CachedSerials()) != 0 {
+			t.Errorf("%s answer: the rejected load left epoch %d and %d entries", name, ds.Epoch(), len(c.CachedSerials()))
+		}
+	}
+}
+
+// FuzzReadSnapshot feeds ReadSnapshot arbitrary bytes, seeded with real
+// snapshots of a mutated and an unmutated cache, all loaded into one cache
+// as a peer's warm-ups would be: it never panics, and a snapshot it
+// accepts caches only answers of ascending live graph IDs.
+func FuzzReadSnapshot(f *testing.F) {
+	snap, fresh := mutatedSnapshot(f)
+	f.Add(snap)
+	seed, _, _ := snapshotFixture(f, Options{CacheSize: 5, WindowSize: 5})
+	var buf bytes.Buffer
+	if err := seed.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	c := fresh()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if c.ReadSnapshot(bytes.NewReader(data)) != nil {
+			return
+		}
+		ds := c.Method().Dataset()
+		for _, s := range c.CachedSerials() {
+			_, answer, _ := c.CachedEntry(s)
+			for i, id := range answer {
+				if !ds.Alive(id) || i > 0 && id <= answer[i-1] {
+					t.Fatalf("entry %d loaded with answer %v over %d graphs", s, answer, ds.Len())
+				}
+			}
+		}
+	})
 }

@@ -18,10 +18,14 @@ import (
 	"graphcache/internal/graph"
 )
 
-// Key is an encoded label sequence (2 bytes per label, big endian).
+// Key is an encoded label sequence (2 bytes per label, big endian). With
+// Counts and SimplePaths it is the map-based reference oracle the
+// package's tests compare SimplePathVector and SimplePathLocations
+// against; the engine never runs it.
 type Key = string
 
-// Counts maps each path feature to its number of occurrences.
+// Counts maps each path feature to its number of occurrences: the
+// reference oracle's output (see Key), never built by the engine.
 type Counts map[Key]int32
 
 // simplePathsCalls counts SimplePaths and SimplePathVector invocations
@@ -34,7 +38,10 @@ var simplePathsCalls atomic.Int64
 // (SimplePaths or SimplePathVector) so far.
 func SimplePathsCalls() int64 { return simplePathsCalls.Load() }
 
-// SimplePaths counts the directed simple paths of g with 0..maxLen edges.
+// SimplePaths counts the directed simple paths of g with 0..maxLen edges,
+// keyed by label sequence. It is the map-based reference oracle the
+// package's tests compare SimplePathVector against; the engine never runs
+// it, and extracts features with SimplePathVector alone.
 func SimplePaths(g *graph.Graph, maxLen int) Counts {
 	simplePathsCalls.Add(1)
 	c := make(Counts)
