@@ -16,13 +16,10 @@
 // -wire binary sends the queries as compact binary frames instead of
 // JSON (answers are identical), and -stream sends the whole
 // workload as one /querybatch NDJSON stream, printing each answer as its
-// verification completes — add -stream-arrival for completion order, or
-// -stream-cancel-after N to walk away mid-batch (the server then
-// abandons the remaining verification work):
+// verification completes — add -stream-arrival for completion order:
 //
 //	gcquery -server ADDR -queries queries.g -wire binary
 //	gcquery -server ADDR -queries queries.g -stream
-//	gcquery -server ADDR -queries queries.g -stream -stream-cancel-after 1
 //
 // With -server and -mutate-op, the tool submits a live dataset mutation
 // instead of queries — to one gcserved, or to a gcrouter which fans it
@@ -41,7 +38,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -77,7 +73,6 @@ func main() {
 		wire      = flag.String("wire", "text", "with -server: wire format for queries (text or binary); answers are identical")
 		stream    = flag.Bool("stream", false, "with -server: stream the whole workload through one /querybatch NDJSON stream, printing each answer as it lands")
 		streamArr = flag.Bool("stream-arrival", false, "with -stream: deliver results in completion order (tagged q<index>) instead of request order")
-		cancelAft = flag.Int("stream-cancel-after", 0, "with -stream: walk away after N results — the server abandons the batch's remaining verification")
 		mutOp     = flag.String("mutate-op", "", "with -server: submit a dataset mutation instead of queries (add, remove, edit)")
 		mutIDs    = flag.String("mutate-ids", "", "with -mutate-op remove/edit: comma-separated dataset graph IDs")
 		mutFile   = flag.String("mutate-file", "", "with -mutate-op add/edit: graphs in t/v/e format to add, or the edit's replacement graph")
@@ -100,7 +95,7 @@ func main() {
 		sopts := serveOpts{
 			batchSize: *batchSize, retries: *retries, timeout: *timeout,
 			quiet: *quiet, binary: *wire == "binary",
-			stream: *stream, arrival: *streamArr, cancelAfter: *cancelAft,
+			stream: *stream, arrival: *streamArr,
 		}
 		runServer(*serverAd, *qFile, sopts)
 		return
@@ -201,14 +196,13 @@ func main() {
 // serveOpts collects the -server query mode's knobs: batching, retry
 // policy, the negotiated wire format and the streaming controls.
 type serveOpts struct {
-	batchSize   int
-	retries     int
-	timeout     time.Duration
-	quiet       bool
-	binary      bool
-	stream      bool
-	arrival     bool
-	cancelAfter int
+	batchSize int
+	retries   int
+	timeout   time.Duration
+	quiet     bool
+	binary    bool
+	stream    bool
+	arrival   bool
 }
 
 // runServer is the -server mode: send the workload to a running gcserved
@@ -232,23 +226,12 @@ func runServer(addr, qFile string, so serveOpts) {
 
 	start := time.Now()
 	if so.stream {
-		stop := errors.New("walked away")
-		delivered := 0
 		err := cl.QueryBatchStream(ctx, queries, so.arrival, func(sr graphcache.ServerStreamResult) error {
 			if !so.quiet {
 				fmt.Fprintf(out, "q%d: %d answers %v\n", sr.Index, len(sr.Answer), sr.Answer)
 			}
-			delivered++
-			if so.cancelAfter > 0 && delivered >= so.cancelAfter {
-				return stop
-			}
 			return nil
 		})
-		if errors.Is(err, stop) {
-			fmt.Fprintf(out, "\nwalked away after %d of %d streamed results; the server abandons the rest\n",
-				delivered, len(queries))
-			return
-		}
 		if err != nil {
 			log.Fatalf("streamed batch: %v", err)
 		}

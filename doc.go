@@ -268,8 +268,8 @@
 // error line instead. Cut streams and skipped verifications are counted
 // (graphcache_server_stream_cancelled_total,
 // graphcache_server_stream_abandoned_verifications_total,
-// graphcache_router_stream_cancelled_total), which CI's wire drill
-// asserts on.
+// graphcache_router_stream_cancelled_total), which
+// TestRouterStreamCancellationPropagates asserts on.
 //
 // Router payloads. A router's GET /stats is a JSON superset of
 // gcserved's, and its admin GET /topology lists the fleet; neither
@@ -370,12 +370,12 @@
 //     query), so `gcquery -server -retries N` rides through chaos.
 //
 // The fault-injection harness behind these guarantees is
-// internal/faultproxy and its daemon cmd/gcfault: a chaos proxy that
-// injects 503s, latency, severed connections or a full blackhole
-// between router and backend, runtime-controllable over its /_chaos
-// endpoint. The CI chaos drill parks one behind a router, drops half
-// the traffic to one backend, and asserts zero failed client requests
-// with the breaker cycle observable in /stats.
+// internal/faultproxy: an in-process chaos proxy injecting 503s,
+// latency, severed connections or a blackhole between router and
+// backend. TestChaosDrillZeroClientFailures drops half of one backend's
+// traffic and asserts zero failed client requests and the breaker cycle
+// in /stats; TestOverloadShedding and TestRouterMutateFansOut put it
+// behind the shed threshold and the mutation fan-out.
 //
 // # Elastic fleet
 //

@@ -28,14 +28,14 @@
 //
 //	go run ./examples/router
 //
-// The standalone equivalent, against files on disk:
+// The standalone equivalent, against files on disk (the chaos proxy
+// runs only in process, so here both backends are reached directly):
 //
 //	gcgen dataset -name aids -count-factor 0.01 -o aids.g
 //	gcgen workload -dataset aids.g -type ZZ -n 200 -o queries.g
 //	gcserved -dataset aids.g -addr 127.0.0.1:7621 &
 //	gcserved -dataset aids.g -addr 127.0.0.1:7622 &
-//	gcfault  -listen 127.0.0.1:7721 -target 127.0.0.1:7622 -drop-rate 0.5 &
-//	gcrouter -backends 127.0.0.1:7621,127.0.0.1:7721 &
+//	gcrouter -backends 127.0.0.1:7621,127.0.0.1:7622 &
 //	gcquery  -server 127.0.0.1:7631 -queries queries.g -retries 5
 package main
 
@@ -77,7 +77,7 @@ func main() {
 	}
 
 	// 3. A chaos proxy in front of the second backend — the same harness
-	// cmd/gcfault runs standalone. The router talks to the proxy's
+	// the router's fault tests use. The router talks to the proxy's
 	// address; the proxy decides which requests reach the backend.
 	chaos := faultproxy.New(servers[1].Addr(), 1)
 	if err := chaos.Start("127.0.0.1:0"); err != nil {

@@ -253,7 +253,7 @@ func (r *run) extractFeatures() {
 	start := time.Now()
 	r.c.pool.ParallelFor(len(r.open), func(k int) {
 		s := &r.st[r.open[k]]
-		s.vec = pathfeat.SimplePathVector(s.q, r.c.opts.MaxPathLen)
+		s.vec = pathfeat.SimplePathVector(s.q, maxPathLen)
 	})
 	r.featureTime = time.Since(start)
 }

@@ -35,7 +35,7 @@ type Cache struct {
 	m    method.Method
 	opts Options
 	// vecFilter is m's filter over an already-extracted feature vector,
-	// set when m offers one at the cache's own MaxPathLen (see filterM).
+	// set when m offers one at the cache's own maxPathLen (see filterM).
 	vecFilter method.VectorFilter
 	// algo verifies sub/supergraph relations between the new query and
 	// cached queries (small-vs-small tests). Stateless and shared by all
@@ -196,11 +196,11 @@ func New(m method.Method, opts Options) *Cache {
 		pool: method.NewLimiter(opts.VerifyConcurrency - 1),
 	}
 	c.passDone.L = &c.winMu
-	if vf, ok := m.(method.VectorFilter); ok && vf.FilterPathLen() == opts.MaxPathLen {
+	if vf, ok := m.(method.VectorFilter); ok && vf.FilterPathLen() == maxPathLen {
 		c.vecFilter = vf
 	}
 	c.syncGraphCosts()
-	c.index.Store(buildQueryIndex(nil, opts.MaxPathLen))
+	c.index.Store(buildQueryIndex(nil))
 	c.probes.New = func() any { return new(probeScratch) }
 	return c
 }

@@ -37,11 +37,10 @@ func TestAnswersMatchBaseline(t *testing.T) {
 		{Policy: PIN, CacheSize: 10, WindowSize: 5},
 		{Policy: PINC, CacheSize: 10, WindowSize: 5},
 		{Policy: HD, CacheSize: 10, WindowSize: 5},
-		{AdmissionFraction: 0.3, CalibrationWindows: 2, CacheSize: 15, WindowSize: 5},
+		{AdmissionFraction: 0.3, CacheSize: 15, WindowSize: 5},
 		{DisableExactMatch: true, CacheSize: 10, WindowSize: 5},
 		{DisableSubHits: true, CacheSize: 10, WindowSize: 5},
 		{DisableSuperHits: true, CacheSize: 10, WindowSize: 5},
-		{MaxPathLen: 2, CacheSize: 10, WindowSize: 5},
 	}
 	base := method.NewVF2Plus(ds)
 	for ci, opts := range configs {
@@ -238,7 +237,7 @@ func TestAdmissionControlCalibration(t *testing.T) {
 	ds := moleculeDataset(40, 19)
 	c := New(ggsx.New(ds, ggsx.Options{}), Options{
 		CacheSize: 20, WindowSize: 5,
-		AdmissionFraction: 0.25, CalibrationWindows: 2,
+		AdmissionFraction: 0.25,
 	})
 	qs := typeAWorkload(ds, "UU", 60, 20)
 	for i, q := range qs {
@@ -296,7 +295,7 @@ func TestOptionsAccessors(t *testing.T) {
 		t.Error("Method accessor broken")
 	}
 	o := c.Options()
-	if o.CacheSize != 100 || o.WindowSize != 20 || o.MaxPathLen != 4 {
+	if o.CacheSize != 100 || o.WindowSize != 20 {
 		t.Errorf("defaults not applied: %+v", o)
 	}
 }

@@ -91,7 +91,7 @@ func TestProbeAllocations(t *testing.T) {
 	ix := c.index.Load()
 	var qv pathfeat.Vector
 	for _, q := range queries {
-		v := pathfeat.SimplePathVector(q.Graph, c.opts.MaxPathLen)
+		v := pathfeat.SimplePathVector(q.Graph, maxPathLen)
 		if checks, _ := c.probe(ix, v); len(checks) > 0 {
 			qv = v
 			break
@@ -124,7 +124,7 @@ func TestApplyDeltaAllocations(t *testing.T) {
 				added = append(added, e)
 			}
 		}
-		ix := indexOf(contents, 4)
+		ix := indexOf(contents)
 		removed := ix.serials[:20]
 		allocs := testing.AllocsPerRun(50, func() { ix.applyDelta(added, removed) })
 		t.Logf("%d-vertex queries: %d columns, %d postings, %.0f allocations", size, len(ix.cols.Feats), len(ix.cols.IDs), allocs)

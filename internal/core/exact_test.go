@@ -33,7 +33,7 @@ func findExact(nV, nE int, containers, containees []*entry) *entry {
 // exactByProbe is the replaced path end to end: probe ix, confirm every
 // candidate, findExact over the confirmed lists.
 func exactByProbe(c *Cache, ix *queryIndex, q *graph.Graph) *entry {
-	checks, nSub := c.probe(ix, pathfeat.SimplePathVector(q, c.opts.MaxPathLen))
+	checks, nSub := c.probe(ix, pathfeat.SimplePathVector(q, maxPathLen))
 	var containers, containees []*entry
 	for _, e := range checks[:nSub] {
 		if iso.Contains(c.algo, q, e.g) {
@@ -97,7 +97,7 @@ func TestExactLookupAgreesWithProbe(t *testing.T) {
 	// stream left it for the mutations below.
 	ix := c.index.Load()
 	agree("half evicted", ix.applyDelta(nil, ix.serials[:len(ix.serials)/2+1]))
-	agree("from-scratch build", buildQueryIndex(slices.Clone(ix.slotEntry), ix.maxLen))
+	agree("from-scratch build", buildQueryIndex(slices.Clone(ix.slotEntry)))
 
 	// Dataset mutations publish withSlotEntries generations: the
 	// lookup must keep finding the same serials, now carrying the

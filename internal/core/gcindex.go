@@ -86,7 +86,6 @@ func (e *entry) score() float64 {
 // applyDelta — into new arrays, never touching these — and swaps it in
 // atomically (§6.2).
 type queryIndex struct {
-	maxLen int
 	// Per-slot columns, parallel to each other:
 	serials      []int64  // owning serial, ascending
 	hashes       []uint64 // owning entry's graph.IsoKey — the exact-lookup key (see exact)
@@ -97,8 +96,8 @@ type queryIndex struct {
 
 // buildQueryIndex indexes the given cache contents from scratch: the delta
 // that adds them all to the empty index.
-func buildQueryIndex(entries []*entry, maxLen int) *queryIndex {
-	return (&queryIndex{maxLen: maxLen}).applyDelta(entries, nil)
+func buildQueryIndex(entries []*entry) *queryIndex {
+	return (&queryIndex{}).applyDelta(entries, nil)
 }
 
 // applyDelta derives the next index generation from this one by inserting
@@ -134,7 +133,6 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 
 	nOld, n := len(ix.serials), len(ix.serials)+len(added) // n bounds the new slot count
 	next := &queryIndex{
-		maxLen:       ix.maxLen,
 		serials:      make([]int64, 0, n),
 		hashes:       make([]uint64, 0, n),
 		featureTotal: make([]int32, 0, n),

@@ -15,7 +15,6 @@ import (
 // with no maps and no sort. Run with -benchmem; a nonzero allocs/op here
 // is a regression.
 func BenchmarkCandidates(b *testing.B) {
-	const maxPathLen = 4
 	for _, size := range []int{64, 256} {
 		b.Run(fmt.Sprintf("cache=%d", size), func(b *testing.B) {
 			r := rand.New(rand.NewSource(17))
@@ -23,7 +22,7 @@ func BenchmarkCandidates(b *testing.B) {
 			for s := int64(1); s <= int64(size); s++ {
 				entries[s] = entryOf(s, randomConnGraph(r, 4+r.Intn(8), r.Intn(4), 4))
 			}
-			ix := indexOf(entries, maxPathLen)
+			ix := indexOf(entries)
 
 			probes := make([]pathfeat.Vector, 32)
 			for i := range probes {

@@ -39,7 +39,6 @@ func indexDiff(a, b *queryIndex) string {
 // nothing wrote to them.
 func snapshotIndex(ix *queryIndex) *queryIndex {
 	return &queryIndex{
-		maxLen:       ix.maxLen,
 		serials:      slices.Clone(ix.serials),
 		hashes:       slices.Clone(ix.hashes),
 		featureTotal: slices.Clone(ix.featureTotal),
@@ -60,14 +59,13 @@ func snapshotIndex(ix *queryIndex) *queryIndex {
 // entry, name serials that are not indexed, and evict every entry — and
 // the generation it derives from is left untouched.
 func TestApplyDeltaMatchesFromScratch(t *testing.T) {
-	const maxPathLen = 4
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		contents := map[int64]*entry{}
 		for s := int64(1); s <= 10; s++ {
 			contents[s] = entryOf(s, randomConnGraph(r, 2+r.Intn(7), r.Intn(3), 3))
 		}
-		ix := indexOf(contents, maxPathLen)
+		ix := indexOf(contents)
 		next := int64(20)
 		for round := 0; round < 8; round++ {
 			var removed []int64
@@ -109,7 +107,7 @@ func TestApplyDeltaMatchesFromScratch(t *testing.T) {
 			if d := indexDiff(ix, before); d != "" {
 				t.Fatalf("trial %d round %d: applyDelta wrote to the generation it read: %s", trial, round, d)
 			}
-			if d := indexDiff(inc, indexOf(contents, maxPathLen)); d != "" {
+			if d := indexDiff(inc, indexOf(contents)); d != "" {
 				t.Fatalf("trial %d round %d: delta differs from a fresh build: %s", trial, round, d)
 			}
 			ix = inc
@@ -129,7 +127,7 @@ func TestApplyDeltaCompaction(t *testing.T) {
 	for s := int64(1); s <= 6; s++ {
 		entries[s] = entryOf(s, pathG(graph.Label(s), graph.Label(s+1)))
 	}
-	ix := indexOf(entries, 4)
+	ix := indexOf(entries)
 
 	next := ix.applyDelta([]*entry{entryOf(7, pathG(9))}, []int64{1, 2, 3, 4})
 	if want := []int64{5, 6, 7}; !eq64(next.serials, want) {
@@ -158,7 +156,7 @@ func TestApplyDeltaOutOfOrderInsert(t *testing.T) {
 		3: entryOf(3, pathG(1, 2)),
 		8: entryOf(8, pathG(1, 2, 3)),
 	}
-	ix := indexOf(entries, 4)
+	ix := indexOf(entries)
 	// Serial 5 windows late (a slower concurrent caller).
 	next := ix.applyDelta([]*entry{entryOf(5, pathG(2, 3))}, nil)
 	if want := []int64{3, 5, 8}; !eq64(next.serials, want) {
@@ -180,7 +178,7 @@ func TestApplyDeltaEnumeratesOnlyNewEntries(t *testing.T) {
 		2: entryOf(2, pathG(4, 5)),
 		3: entryOf(3, pathG(6, 7, 8)),
 	}
-	ix := indexOf(entries, 4)
+	ix := indexOf(entries)
 
 	added := []*entry{entryOf(4, pathG(9, 10)), entryOf(5, pathG(11))}
 	before := pathfeat.SimplePathsCalls()

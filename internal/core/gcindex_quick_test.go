@@ -62,7 +62,6 @@ func TestQueryIndexProbeNeverMissesContainment(t *testing.T) {
 }
 
 func probeNeverMissesContainment(t *testing.T, vectorOf func(pathfeat.Counts) pathfeat.Vector) {
-	const maxPathLen = 4
 	r := rand.New(rand.NewSource(12345))
 	algo := iso.VF2{}
 
@@ -74,7 +73,7 @@ func probeNeverMissesContainment(t *testing.T, vectorOf func(pathfeat.Counts) pa
 			vec := vectorOf(pathfeat.SimplePaths(g, maxPathLen))
 			entries[s] = newEntry(s, g, nil, vec, g.IsoKey())
 		}
-		ix := indexOf(entries, maxPathLen)
+		ix := indexOf(entries)
 
 		for probe := 0; probe < 10; probe++ {
 			q := randomConnGraph(r, 3+r.Intn(8), r.Intn(3), 3)
@@ -166,7 +165,6 @@ func refCandidates(entries map[int64]*entry, qc pathfeat.Counts, maxLen int) (su
 // the columnar probe must return exactly the candidates the map-based
 // reference computes, for every probe.
 func TestColumnarCandidatesMatchMapBased(t *testing.T) {
-	const maxPathLen = 4
 	r := rand.New(rand.NewSource(99))
 
 	for trial := 0; trial < 25; trial++ {
@@ -175,7 +173,7 @@ func TestColumnarCandidatesMatchMapBased(t *testing.T) {
 		for ; next <= 8; next++ {
 			entries[next] = entryOf(next, randomConnGraph(r, 2+r.Intn(7), r.Intn(3), 3))
 		}
-		ix := indexOf(entries, maxPathLen)
+		ix := indexOf(entries)
 
 		check := func(round int) {
 			for probe := 0; probe < 6; probe++ {

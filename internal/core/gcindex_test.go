@@ -41,8 +41,8 @@ func serialsOf(es []*entry) []int64 {
 
 // indexOf builds the index over a serial → entry map, the form tests keep
 // cache contents in.
-func indexOf(entries map[int64]*entry, maxLen int) *queryIndex {
-	return buildQueryIndex(slices.Collect(maps.Values(entries)), maxLen)
+func indexOf(entries map[int64]*entry) *queryIndex {
+	return buildQueryIndex(slices.Collect(maps.Values(entries)))
 }
 
 // contents returns the index's entries keyed by serial.
@@ -67,7 +67,7 @@ func TestQueryIndexCandidates(t *testing.T) {
 		2: entryOf(2, pathG(1, 2)),
 		3: entryOf(3, pathG(7, 8)),
 	}
-	ix := indexOf(entries, 4)
+	ix := indexOf(entries)
 	if len(ix.serials) != 3 {
 		t.Fatalf("size = %d", len(ix.serials))
 	}
@@ -98,7 +98,7 @@ func TestQueryIndexCandidates(t *testing.T) {
 }
 
 func TestQueryIndexEmpty(t *testing.T) {
-	ix := buildQueryIndex(nil, 4)
+	ix := buildQueryIndex(nil)
 	sub, super := ix.candidates(pathfeat.SimplePaths(pathG(1, 2), 4))
 	if sub != nil || super != nil {
 		t.Error("empty index must return no candidates")

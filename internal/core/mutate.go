@@ -369,7 +369,7 @@ func (c *Cache) repairAnswers(res *MutationResult, fix func(e *entry) ([]int32, 
 func (c *Cache) extendForAdds(added []*graph.Graph, res *MutationResult) {
 	gvecs := make([]pathfeat.Vector, len(added))
 	for i, g := range added {
-		gvecs[i] = pathfeat.SimplePathVector(g, c.opts.MaxPathLen)
+		gvecs[i] = pathfeat.SimplePathVector(g, maxPathLen)
 	}
 	res.Extended += c.repairAnswers(res, func(e *entry) ([]int32, bool) {
 		var newIDs []int32
@@ -414,7 +414,7 @@ func (c *Cache) dropRemovedAnswers(removed []int32, res *MutationResult) {
 // holding the ID without compatibility drop it verification-free.
 func (c *Cache) reverifyForEdit(ng *graph.Graph, res *MutationResult) {
 	id := ng.ID()
-	gv := pathfeat.SimplePathVector(ng, c.opts.MaxPathLen)
+	gv := pathfeat.SimplePathVector(ng, maxPathLen)
 	c.repairAnswers(res, func(e *entry) ([]int32, bool) {
 		has := containsID(e.answer, id)
 		compat := c.answerCompatible(gv, e.vec)

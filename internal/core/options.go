@@ -2,6 +2,14 @@ package core
 
 import "runtime"
 
+// maxPathLen is the GC query-index feature length in edges, as in
+// GraphGrepSX.
+const maxPathLen = 4
+
+// calibrationWindows is how many initial windows admission control
+// observes to fix its threshold.
+const calibrationWindows = 3
+
 // Options configures a Cache. The zero value gives the paper's default
 // configuration (C = 100, W = 20, HD policy, path features up to 4 edges,
 // admission control disabled, synchronous index rebuild) with verification
@@ -13,18 +21,12 @@ type Options struct {
 	WindowSize int
 	// Policy is the replacement policy (default HD).
 	Policy PolicyKind
-	// MaxPathLen is the GC query-index feature length in edges
-	// (default 4, as in GraphGrepSX).
-	MaxPathLen int
 	// AdmissionFraction enables cache admission control when positive:
 	// after calibration, only queries whose expensiveness score
 	// (verification time / filtering time) falls in the top fraction are
 	// admitted (§6.2). Zero disables the component, as a zero threshold
 	// does in the paper.
 	AdmissionFraction float64
-	// CalibrationWindows is how many initial windows are observed to fix
-	// the admission threshold (default 3).
-	CalibrationWindows int
 	// AsyncRebuild runs window passes on a background goroutine, serving
 	// queries from the old GCindex meanwhile — the paper's design. Off (the
 	// default, for deterministic runs) the same in-order passes run on the
@@ -63,12 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WindowSize <= 0 {
 		o.WindowSize = 20
-	}
-	if o.MaxPathLen <= 0 {
-		o.MaxPathLen = 4
-	}
-	if o.CalibrationWindows <= 0 {
-		o.CalibrationWindows = 3
 	}
 	if o.VerifyConcurrency <= 0 {
 		o.VerifyConcurrency = runtime.GOMAXPROCS(0)

@@ -344,7 +344,7 @@ graphsSection:
 	c.pool.ParallelFor(len(loaded), func(i int) {
 		p := entries[i]
 		g := graphs[i]
-		loaded[i] = newEntry(p.serial, g, p.answer, pathfeat.SimplePathVector(g, c.opts.MaxPathLen), g.IsoKey())
+		loaded[i] = newEntry(p.serial, g, p.answer, pathfeat.SimplePathVector(g, maxPathLen), g.IsoKey())
 		loaded[i].ledger = p.ledger
 	})
 
@@ -365,7 +365,7 @@ graphsSection:
 	}
 	c.admMu.Unlock()
 	c.syncGraphCosts()
-	c.index.Store(buildQueryIndex(loaded, c.opts.MaxPathLen))
+	c.index.Store(buildQueryIndex(loaded))
 	return nil
 }
 

@@ -136,7 +136,7 @@ func TestSnapshotRestoredCacheStillSound(t *testing.T) {
 // TestSnapshotPreservesAdmissionCalibration: the calibrated threshold
 // survives the restart instead of forcing a re-calibration phase.
 func TestSnapshotPreservesAdmissionCalibration(t *testing.T) {
-	opts := Options{CacheSize: 15, WindowSize: 5, AdmissionFraction: 0.5, CalibrationWindows: 2}
+	opts := Options{CacheSize: 15, WindowSize: 5, AdmissionFraction: 0.5}
 	c, m, _ := snapshotFixture(t, opts)
 	if c.AdmissionThreshold() == 0 {
 		t.Skip("fixture workload did not calibrate a positive threshold")

@@ -24,14 +24,14 @@ func (o opaque) ApplyDatasetMutation(added, edited []*graph.Graph, removed []int
 // TestSharedVectorMatchesFallback runs one seeded stream — singles, a
 // batch, and an add, a remove and an edit between them — through a cache
 // that hands its extracted vector to GGSX and through caches that must
-// not (the method's optional interface hidden, or the cache extracting at
-// another path length than the index): answers and Totals are identical.
+// not (the method's optional interface hidden, or GGSX indexing another
+// path length than the cache extracts): answers and Totals are identical.
 func TestSharedVectorMatchesFallback(t *testing.T) {
 	type outcome struct {
 		answers [][]int32
 		totals  Totals
 	}
-	run := func(cacheLen int, hide, wantShared bool) outcome {
+	run := func(ggsxLen int, hide, wantShared bool) outcome {
 		t.Helper()
 		ds := gen.DefaultAIDS().Scaled(0.003, 1).Generate(71)
 		cfg, err := workload.TypeACategory("ZZ", 1.4, []int{4, 8, 12}, 150)
@@ -39,13 +39,13 @@ func TestSharedVectorMatchesFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		qs := workload.TypeA(ds, cfg, 72)
-		var m method.Method = ggsx.New(ds, ggsx.Options{})
+		var m method.Method = ggsx.New(ds, ggsx.Options{MaxPathLen: ggsxLen})
 		if hide {
 			m = opaque{m}
 		}
-		c := New(m, Options{CacheSize: 30, WindowSize: 6, MaxPathLen: cacheLen})
+		c := New(m, Options{CacheSize: 30, WindowSize: 6})
 		if shared := c.vecFilter != nil; shared != wantShared {
-			t.Fatalf("cache MaxPathLen %d, hidden %v: shares its vector = %v, want %v", cacheLen, hide, shared, wantShared)
+			t.Fatalf("GGSX MaxPathLen %d, hidden %v: shares its vector = %v, want %v", ggsxLen, hide, shared, wantShared)
 		}
 		var out outcome
 		single := func(from, to int) {
@@ -78,17 +78,17 @@ func TestSharedVectorMatchesFallback(t *testing.T) {
 		out.totals.FilterMTime, out.totals.FilterGCTime, out.totals.VerifyTime, out.totals.MaintenanceTime = 0, 0, 0, 0
 		return out
 	}
-	for _, cacheLen := range []int{4, 3} {
-		visible := run(cacheLen, false, cacheLen == 4)
-		hidden := run(cacheLen, true, false)
+	for _, ggsxLen := range []int{maxPathLen, 3} {
+		visible := run(ggsxLen, false, ggsxLen == maxPathLen)
+		hidden := run(ggsxLen, true, false)
 		if !reflect.DeepEqual(visible.answers, hidden.answers) {
-			t.Errorf("cache MaxPathLen %d: answers differ between the visible and the hidden index", cacheLen)
+			t.Errorf("GGSX MaxPathLen %d: answers differ between the visible and the hidden index", ggsxLen)
 		}
 		if visible.totals != hidden.totals {
-			t.Errorf("cache MaxPathLen %d: totals differ:\nvisible %+v\nhidden  %+v", cacheLen, visible.totals, hidden.totals)
+			t.Errorf("GGSX MaxPathLen %d: totals differ:\nvisible %+v\nhidden  %+v", ggsxLen, visible.totals, hidden.totals)
 		}
 		if visible.totals.ExactHits == 0 || visible.totals.Mutations != 3 {
-			t.Errorf("cache MaxPathLen %d: stream exercised too little: %+v", cacheLen, visible.totals)
+			t.Errorf("GGSX MaxPathLen %d: stream exercised too little: %+v", ggsxLen, visible.totals)
 		}
 	}
 }

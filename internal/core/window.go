@@ -23,7 +23,7 @@ func newAdmission(opts Options) admission {
 	a := admission{
 		enabled:     opts.AdmissionFraction > 0,
 		fraction:    opts.AdmissionFraction,
-		windowsLeft: opts.CalibrationWindows,
+		windowsLeft: calibrationWindows,
 	}
 	a.calibrating = a.enabled
 	return a

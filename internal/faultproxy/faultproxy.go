@@ -1,17 +1,14 @@
 // Package faultproxy is the serving tier's chaos harness: an HTTP
 // reverse proxy that sits between a router and one gcserved backend and
 // injects faults on command — injected 5xx replies, added latency,
-// severed connections, or a full blackhole. Tests and the CI chaos
-// drill park a misbehaving proxy in front of a healthy backend to prove
-// the router's load management (circuit breakers, bounded queues,
-// overload shedding) absorbs the failures without failing client
-// requests.
+// severed connections, or a full blackhole. Tests park a misbehaving
+// proxy in front of a healthy backend to prove the router's load
+// management (circuit breakers, bounded queues, overload shedding)
+// absorbs the failures without failing client requests.
 //
-// Fault knobs are runtime-adjustable, concurrency-safe, and also
-// exposed over the wire on the proxy's own /_chaos endpoint (GET reads
-// the configuration and counters, POST updates any subset of knobs), so
-// a shell-driven CI drill can flip a backend between flaky and healthy
-// mid-run. The random stream is seeded, so a drill is reproducible.
+// Fault knobs are runtime-adjustable and concurrency-safe, so a test can
+// flip a backend between flaky and healthy mid-run. The random stream is
+// seeded, so a drill is reproducible.
 package faultproxy
 
 import (
@@ -32,10 +29,10 @@ import (
 
 // Counts are the proxy's lifetime fault counters.
 type Counts struct {
-	Forwarded  int64 `json:"forwarded"`  // requests passed through to the target
-	Errored    int64 `json:"errored"`    // requests answered with an injected 503
-	Dropped    int64 `json:"dropped"`    // requests whose connection was severed
-	Blackholed int64 `json:"blackholed"` // requests swallowed by blackhole mode
+	Forwarded  int64 // requests passed through to the target
+	Errored    int64 // requests answered with an injected 503
+	Dropped    int64 // requests whose connection was severed
+	Blackholed int64 // requests swallowed by blackhole mode
 }
 
 // Proxy is one chaos proxy in front of one target backend.
@@ -98,9 +95,6 @@ func (p *Proxy) Latency() time.Duration { return time.Duration(p.latencyNs.Load(
 // SetBlackhole toggles blackhole mode: requests are accepted and never
 // answered, holding the connection until the client's own deadline.
 func (p *Proxy) SetBlackhole(on bool) { p.blackhole.Store(on) }
-
-// Blackhole reports whether blackhole mode is on.
-func (p *Proxy) Blackhole() bool { return p.blackhole.Load() }
 
 // Counts returns the lifetime fault counters.
 func (p *Proxy) Counts() Counts {
@@ -181,10 +175,6 @@ func (p *Proxy) roll() float64 {
 }
 
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/_chaos" {
-		p.handleChaos(w, r)
-		return
-	}
 	if p.blackhole.Load() {
 		p.blackholed.Add(1)
 		<-r.Context().Done()
@@ -257,52 +247,4 @@ func writeProxyError(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusBadGateway)
 	json.NewEncoder(w).Encode(map[string]string{"error": "faultproxy: " + err.Error()})
-}
-
-// ---- /_chaos admin --------------------------------------------------------
-
-// chaosConfig is the /_chaos wire payload. Pointer fields make POST a
-// partial update: only the knobs present in the body change.
-type chaosConfig struct {
-	ErrorRate *float64 `json:"error_rate,omitempty"`
-	DropRate  *float64 `json:"drop_rate,omitempty"`
-	LatencyMs *int64   `json:"latency_ms,omitempty"`
-	Blackhole *bool    `json:"blackhole,omitempty"`
-	Counts    *Counts  `json:"counts,omitempty"` // GET only
-}
-
-// handleChaos is the runtime control surface: GET reads the knobs and
-// counters, POST updates any subset of knobs. Faults never apply here —
-// a drill must be able to heal a proxy that is dropping everything else.
-func (p *Proxy) handleChaos(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var cfg chaosConfig
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&cfg); err != nil {
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(map[string]string{"error": "decoding chaos config: " + err.Error()})
-			return
-		}
-		if cfg.ErrorRate != nil {
-			p.SetErrorRate(*cfg.ErrorRate)
-		}
-		if cfg.DropRate != nil {
-			p.SetDropRate(*cfg.DropRate)
-		}
-		if cfg.LatencyMs != nil {
-			p.SetLatency(time.Duration(*cfg.LatencyMs) * time.Millisecond)
-		}
-		if cfg.Blackhole != nil {
-			p.SetBlackhole(*cfg.Blackhole)
-		}
-		fallthrough
-	case http.MethodGet:
-		er, dr, lat, bh, cts := p.ErrorRate(), p.DropRate(), int64(p.Latency()/time.Millisecond), p.Blackhole(), p.Counts()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(chaosConfig{
-			ErrorRate: &er, DropRate: &dr, LatencyMs: &lat, Blackhole: &bh, Counts: &cts,
-		})
-	default:
-		w.WriteHeader(http.StatusMethodNotAllowed)
-	}
 }

@@ -3,7 +3,6 @@ package faultproxy
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -171,64 +170,6 @@ func TestProxyBlackhole(t *testing.T) {
 	}
 	if c := p.Counts(); c.Blackholed != 1 {
 		t.Errorf("counts %+v, want blackholed=1", c)
-	}
-}
-
-// TestProxyChaosEndpoint drives the wire control surface: POST partial
-// updates flip knobs at runtime (faults never apply to /_chaos itself),
-// GET echoes configuration and counters.
-func TestProxyChaosEndpoint(t *testing.T) {
-	backend := echoBackend(t)
-	p := startProxy(t, backend.URL, 1)
-	p.SetErrorRate(1) // the admin endpoint must still work
-	base := "http://" + p.Addr() + "/_chaos"
-
-	// Partial update: only drop_rate changes.
-	res, err := http.Post(base, "application/json", bytes.NewBufferString(`{"drop_rate":0.25,"latency_ms":10}`))
-	if err != nil {
-		t.Fatalf("POST /_chaos: %v", err)
-	}
-	io.Copy(io.Discard, res.Body)
-	res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("POST /_chaos status %d, want 200", res.StatusCode)
-	}
-	if got := p.DropRate(); got != 0.25 {
-		t.Errorf("drop rate %v after POST, want 0.25", got)
-	}
-	if got := p.Latency(); got != 10*time.Millisecond {
-		t.Errorf("latency %v after POST, want 10ms", got)
-	}
-	if got := p.ErrorRate(); got != 1 {
-		t.Errorf("error rate %v after partial POST, want untouched 1", got)
-	}
-
-	// GET echoes everything back.
-	res, err = http.Get(base)
-	if err != nil {
-		t.Fatalf("GET /_chaos: %v", err)
-	}
-	defer res.Body.Close()
-	var cfg chaosConfig
-	if err := json.NewDecoder(res.Body).Decode(&cfg); err != nil {
-		t.Fatalf("decoding /_chaos: %v", err)
-	}
-	if cfg.ErrorRate == nil || *cfg.ErrorRate != 1 || cfg.DropRate == nil || *cfg.DropRate != 0.25 {
-		t.Errorf("GET /_chaos reported %+v, want error_rate=1 drop_rate=0.25", cfg)
-	}
-	if cfg.Counts == nil {
-		t.Error("GET /_chaos omitted the counters")
-	}
-
-	// Rates clamp to [0,1].
-	res, err = http.Post(base, "application/json", bytes.NewBufferString(`{"error_rate":7}`))
-	if err != nil {
-		t.Fatalf("POST /_chaos clamp: %v", err)
-	}
-	io.Copy(io.Discard, res.Body)
-	res.Body.Close()
-	if got := p.ErrorRate(); got != 1 {
-		t.Errorf("error rate %v after out-of-range POST, want clamped 1", got)
 	}
 }
 

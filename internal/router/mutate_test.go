@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"graphcache/internal/faultproxy"
 	"graphcache/internal/graph"
 	"graphcache/internal/server"
 )
@@ -20,82 +21,136 @@ func wireGraph(t *testing.T, g *graph.Graph) string {
 
 // TestRouterMutateFansOut drives add and remove mutations through the
 // router's POST /mutate and checks every backend lands at the same
-// epoch, duplicate sequence numbers replay idempotently fleet-wide, and
-// the answers served afterwards match a cold cache over the same
-// mutated dataset.
+// epoch, duplicate sequence numbers replay idempotently fleet-wide, the
+// fleet's convergence shows in /metrics and every backend's /stats, and
+// the answers served afterwards match a cold cache over the same mutated
+// dataset. It runs over two direct backends, and again with one backend
+// behind a fault proxy severing 30% of its requests: there each mutation
+// carries an explicit seq and is re-sent until the whole fleet acks it.
 func TestRouterMutateFansOut(t *testing.T) {
-	dsA := testDataset(40, 81)
-	dsB := testDataset(40, 81)
-	bA := startBackend(t, dsA)
-	bB := startBackend(t, dsB)
-	rt := startRouter(t, Options{Backends: []string{bA.Addr(), bB.Addr()}})
-	cl := server.NewClient(rt.Addr())
-	ctx := context.Background()
-	queries := testWorkload(dsA, 15, 82) // sampled before mutations land
+	for _, tc := range []struct {
+		name     string
+		dropRate float64
+	}{{"direct", 0}, {"chaos", 0.3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dsA := testDataset(40, 81)
+			dsB := testDataset(40, 81)
+			bA := startBackend(t, dsA)
+			bB := startBackend(t, dsB)
+			addrB := bB.Addr()
+			var fp *faultproxy.Proxy
+			if tc.dropRate > 0 {
+				// Seed 11's first draw severs, so the proxy's first request is lost.
+				fp = startFaultProxy(t, bB.Addr(), 11)
+				fp.SetDropRate(tc.dropRate)
+				addrB = fp.Addr()
+			}
+			rt := startRouter(t, Options{Backends: []string{bA.Addr(), addrB}})
+			cl := server.NewClient(rt.Addr())
+			ctx := context.Background()
+			queries := testWorkload(dsA, 15, 82) // sampled before mutations land
 
-	add, err := cl.Mutate(ctx, server.MutateRequest{Op: "add", Graphs: wireGraph(t, dsA.Graph(0).Clone())})
-	if err != nil {
-		t.Fatalf("mutate add: %v", err)
-	}
-	if !add.Applied || add.Epoch != 1 || add.Seq != 1 {
-		t.Fatalf("add response %+v, want applied at epoch 1 seq 1", add)
-	}
-	rm, err := cl.Mutate(ctx, server.MutateRequest{Op: "remove", IDs: []int32{2}})
-	if err != nil {
-		t.Fatalf("mutate remove: %v", err)
-	}
-	if !rm.Applied || rm.Epoch != 2 || rm.Seq != 2 {
-		t.Fatalf("remove response %+v, want applied at epoch 2 seq 2", rm)
-	}
-	if dsA.Epoch() != 2 || dsB.Epoch() != 2 {
-		t.Fatalf("backend epochs %d/%d, want 2/2", dsA.Epoch(), dsB.Epoch())
-	}
+			// mutate sends req until the fleet acks it, counting the sends;
+			// under chaos req names its seq, so a re-send is an idempotent
+			// replay.
+			sends := int64(0)
+			mutate := func(req server.MutateRequest, seq int64) server.MutateResponse {
+				t.Helper()
+				if tc.dropRate > 0 {
+					req.Seq = seq
+				}
+				for {
+					sends++
+					resp, err := cl.Mutate(ctx, req)
+					if err == nil {
+						return resp
+					}
+					if tc.dropRate == 0 || sends == 40 {
+						t.Fatalf("mutate %s: %v", req.Op, err)
+					}
+				}
+			}
 
-	// Replaying an applied seq acks without re-applying on any backend.
-	dup, err := cl.Mutate(ctx, server.MutateRequest{Op: "remove", IDs: []int32{3}, Seq: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dup.Applied {
-		t.Fatalf("duplicate seq replied applied: %+v", dup)
-	}
-	if !dsA.Alive(3) || !dsB.Alive(3) {
-		t.Fatal("duplicate seq mutated a backend dataset")
-	}
+			add := mutate(server.MutateRequest{Op: "add", Graphs: wireGraph(t, dsA.Graph(0).Clone())}, 1)
+			if !add.Applied || add.Epoch != 1 || add.Seq != 1 {
+				t.Fatalf("add response %+v, want applied at epoch 1 seq 1", add)
+			}
+			rm := mutate(server.MutateRequest{Op: "remove", IDs: []int32{2}}, 2)
+			if !rm.Applied || rm.Epoch != 2 || rm.Seq != 2 {
+				t.Fatalf("remove response %+v, want applied at epoch 2 seq 2", rm)
+			}
+			if dsA.Epoch() != 2 || dsB.Epoch() != 2 {
+				t.Fatalf("backend epochs %d/%d, want 2/2", dsA.Epoch(), dsB.Epoch())
+			}
 
-	// The router's fleet view converged, and the fan-outs are counted.
-	topo := rt.Topology()
-	if topo.FleetEpoch != 2 {
-		t.Fatalf("fleet epoch %d, want 2", topo.FleetEpoch)
-	}
-	for _, b := range topo.Backends {
-		if b.DatasetEpoch != 2 {
-			t.Fatalf("backend %s epoch %d, want 2", b.Addr, b.DatasetEpoch)
-		}
-	}
-	if c := rt.Counters(); c.Mutations != 3 {
-		t.Fatalf("Counters().Mutations = %d, want 3", c.Mutations)
-	}
+			// Replaying an applied seq acks without re-applying on any backend.
+			dup := mutate(server.MutateRequest{Op: "remove", IDs: []int32{3}, Seq: 2}, 2)
+			if dup.Applied {
+				t.Fatalf("duplicate seq replied applied: %+v", dup)
+			}
+			if !dsA.Alive(3) || !dsB.Alive(3) {
+				t.Fatal("duplicate seq mutated a backend dataset")
+			}
 
-	// Answers through the router match a cold direct server over a
-	// dataset mutated the same way.
-	dsC := testDataset(40, 81)
-	dsC.AddGraphs([]*graph.Graph{dsC.Graph(0).Clone()})
-	dsC.RemoveGraphs([]int32{2})
-	direct := startBackend(t, dsC)
-	directCl := server.NewClient(direct.Addr())
-	for i, q := range queries {
-		got, err := cl.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("router Query %d: %v", i, err)
-		}
-		want, err := directCl.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("direct Query %d: %v", i, err)
-		}
-		if !eq(got.Answer, want.Answer) {
-			t.Fatalf("query %d: router answered %v, cold cache %v", i, got.Answer, want.Answer)
-		}
+			// The router's fleet view converged, and the fan-outs are counted.
+			topo := rt.Topology()
+			if topo.FleetEpoch != 2 {
+				t.Fatalf("fleet epoch %d, want 2", topo.FleetEpoch)
+			}
+			for _, b := range topo.Backends {
+				if b.DatasetEpoch != 2 {
+					t.Fatalf("backend %s epoch %d, want 2", b.Addr, b.DatasetEpoch)
+				}
+			}
+			if c := rt.Counters(); c.Mutations != sends {
+				t.Fatalf("Counters().Mutations = %d, want %d", c.Mutations, sends)
+			}
+			if fp != nil && fp.Counts().Dropped == 0 {
+				t.Error("the fault proxy severed no request")
+			}
+			samples := scrape(t, "http://"+rt.Addr()+"/metrics")
+			for _, addr := range []string{bA.Addr(), addrB} {
+				if v, ok := sampleValue(samples, "graphcache_router_backend_dataset_epoch", map[string]string{"backend": addr}); !ok || v != 2 {
+					t.Errorf("backend_dataset_epoch{backend=%s} = %v, %v; want 2", addr, v, ok)
+				}
+			}
+			if v, ok := sampleValue(samples, "graphcache_router_fleet_epoch", nil); !ok || v != 2 {
+				t.Errorf("fleet_epoch = %v, %v; want 2", v, ok)
+			}
+			if v, ok := sampleValue(samples, "graphcache_router_mutations_total", nil); !ok || v != float64(sends) {
+				t.Errorf("mutations_total = %v, %v; want %d", v, ok, sends)
+			}
+			for _, b := range []*server.Server{bA, bB} {
+				st, err := server.NewClient(b.Addr()).Stats(ctx)
+				if err != nil {
+					t.Fatalf("backend %s Stats: %v", b.Addr(), err)
+				}
+				if st.DatasetEpoch != 2 {
+					t.Errorf("backend %s /stats dataset_epoch %d, want 2", b.Addr(), st.DatasetEpoch)
+				}
+			}
+
+			// Answers through the router match a cold direct server over a
+			// dataset mutated the same way.
+			dsC := testDataset(40, 81)
+			dsC.AddGraphs([]*graph.Graph{dsC.Graph(0).Clone()})
+			dsC.RemoveGraphs([]int32{2})
+			direct := startBackend(t, dsC)
+			directCl := server.NewClient(direct.Addr())
+			for i, q := range queries {
+				got, err := cl.Query(ctx, q)
+				if err != nil {
+					t.Fatalf("router Query %d: %v", i, err)
+				}
+				want, err := directCl.Query(ctx, q)
+				if err != nil {
+					t.Fatalf("direct Query %d: %v", i, err)
+				}
+				if !eq(got.Answer, want.Answer) {
+					t.Fatalf("query %d: router answered %v, cold cache %v", i, got.Answer, want.Answer)
+				}
+			}
+		})
 	}
 }
 

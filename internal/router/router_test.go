@@ -355,6 +355,10 @@ func TestRouterEjectReadmit(t *testing.T) {
 	if rt.Counters().Ejected == 0 {
 		t.Error("probe breaker-open not counted")
 	}
+	// One backend left is still a healthy fleet.
+	if err := cl.Healthz(ctx); err != nil {
+		t.Fatalf("router Healthz with one backend ejected: %v", err)
+	}
 	for i, q := range queries {
 		if _, err := cl.Query(ctx, q); err != nil {
 			t.Fatalf("Query %d with ejected backend: %v", i, err)

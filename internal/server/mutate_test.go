@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -60,6 +61,18 @@ func TestMutateEndpoint(t *testing.T) {
 	}
 	if !rm.Applied || rm.Epoch != 2 || len(rm.RemovedIDs) != 2 {
 		t.Fatalf("remove response %+v", rm)
+	}
+	// /metrics counts the remove and the cached answers it shrank, and
+	// shows the epoch the add and the remove reached.
+	samples := scrapeMetrics(t, s.Addr())
+	if v, ok := metricValue(samples, "graphcache_mutations_applied_total", map[string]string{"op": "remove"}); !ok || v < 1 {
+		t.Errorf("mutations_applied_total{op=remove} = %v, %v; want >= 1", v, ok)
+	}
+	if v, ok := metricValue(samples, "graphcache_mutation_entries_invalidated_total", nil); !ok || v < 1 {
+		t.Errorf("mutation_entries_invalidated_total = %v, %v; want >= 1 (remove reported %d)", v, ok, rm.Invalidated)
+	}
+	if v, ok := metricValue(samples, "graphcache_dataset_epoch", nil); !ok || v != 2 {
+		t.Errorf("dataset_epoch = %v, %v; want 2", v, ok)
 	}
 	// Edit: delete one edge of graph 1.
 	g1 := ds.Graph(1)
@@ -154,10 +167,15 @@ func asStatus(err error, out **StatusError) bool {
 	return false
 }
 
-// TestJournalCrashReplay is the WAL soundness drill at unit scale: apply
-// acked mutations, crash without any snapshot write (SIGKILL shape),
-// restart over the same base dataset, and require the replayed dataset
-// and answers to be exactly the pre-crash ones — zero acked loss.
+// TestJournalCrashReplay is the WAL soundness drill at unit scale: warm
+// the cache, apply acked mutations with a snapshot taken partway through
+// them, then abort the server in the middle of a concurrent burst of
+// acked removes — no Shutdown, no final snapshot, exactly what kill -9
+// leaves behind. The restart over the same base dataset loads the
+// snapshot and replays the journal past it: it must lose no acked
+// mutation, come back to exactly the pre-crash dataset, serve a warm
+// cache, and answer through its client as the method does over the
+// replayed dataset.
 func TestJournalCrashReplay(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "cache.gcsnapshot")
@@ -174,49 +192,99 @@ func TestJournalCrashReplay(t *testing.T) {
 	ctx := context.Background()
 
 	qs := testWorkload(ds, 15, 18)
+	for _, q := range qs {
+		if _, err := cl.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := cl.Mutate(ctx, MutateRequest{Op: "add", Graphs: encodeOne(t, ds.Graph(4).Clone()), Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot holds the warm cache and the add; the journal keeps
+	// only what follows.
+	if err := s.persist(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Mutate(ctx, MutateRequest{Op: "remove", IDs: []int32{1, 6}, Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
-	wantEpoch := ds.Epoch()
-	wantFP := ds.Fingerprint()
-	var wantAnswers [][]int32
-	for _, q := range qs {
-		wantAnswers = append(wantAnswers, method.Answer(c.Method(), q))
+
+	// Four clients remove one graph per request until the crash cuts
+	// them off; acked is the highest epoch any of them saw acked.
+	var (
+		mu     sync.Mutex
+		acked  int64
+		nAcked int
+		enough = make(chan struct{})
+		wg     sync.WaitGroup
+	)
+	for w := int32(0); w < 4; w++ {
+		wg.Add(1)
+		go func(w int32) {
+			defer wg.Done()
+			for id := 20 + w; id < 60; id += 4 {
+				resp, err := cl.Mutate(ctx, MutateRequest{Op: "remove", IDs: []int32{id}})
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				acked = max(acked, resp.Epoch)
+				if nAcked++; nAcked == 4 {
+					close(enough)
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	select {
+	case <-enough:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the burst saw no four acks within 10s")
 	}
 
-	// Crash: abort the HTTP server without Shutdown — no snapshot write,
-	// no journal truncation, exactly what kill -9 leaves behind.
+	// Crash: abort the HTTP server without Shutdown. A handler may still
+	// be between its journal append and its apply, so take mutMu — and
+	// keep it, so no handler queued behind it runs — before the journal
+	// is reopened; then drop the journal's descriptor, as the dying
+	// process would.
 	s.hs.Close()
 	s.lis.Close()
-	if _, err := os.Stat(snap); !os.IsNotExist(err) {
-		t.Fatalf("crash test wrote a snapshot somehow: %v", err)
-	}
+	wg.Wait()
+	s.mutMu.Lock()
+	s.jr.Close()
+	wantEpoch, wantFP := ds.Epoch(), ds.Fingerprint()
 
 	// Restart over the same base dataset.
 	ds2 := testDataset(60, 17)
 	c2 := newTestCache(ds2)
-	s2 := New(c2, Options{Addr: "127.0.0.1:0", SnapshotPath: snap, JournalPath: jpath})
-	if err := s2.Start(); err != nil {
-		t.Fatalf("restart after crash: %v", err)
+	s2 := startServer(t, c2, Options{SnapshotPath: snap, JournalPath: jpath})
+	if got := ds2.Epoch(); got < acked {
+		t.Fatalf("replayed epoch %d, but the burst saw epoch %d acked", got, acked)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s2.Shutdown(ctx)
-	}()
 	if ds2.Epoch() != wantEpoch {
 		t.Fatalf("replayed epoch %d, want %d", ds2.Epoch(), wantEpoch)
 	}
 	if ds2.Fingerprint() != wantFP {
 		t.Fatalf("replayed dataset fingerprint %016x, want %016x", ds2.Fingerprint(), wantFP)
 	}
+	cl2 := NewClient(s2.Addr())
+	st, err := cl2.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cached == 0 || st.DatasetEpoch != wantEpoch {
+		t.Fatalf("restarted server reports %d cached at epoch %d; want a warm cache at epoch %d", st.Cached, st.DatasetEpoch, wantEpoch)
+	}
 	for i, q := range qs {
-		got := method.Answer(c2.Method(), q)
-		if !reflect.DeepEqual(got, wantAnswers[i]) {
-			t.Fatalf("query %d after replay: %v, want %v", i, got, wantAnswers[i])
+		res, err := cl2.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := method.Answer(c2.Method(), q); !reflect.DeepEqual(res.Answer, want) {
+			t.Fatalf("query %d after replay: served %v, method %v", i, res.Answer, want)
+		}
+		if want := method.Answer(c.Method(), q); !reflect.DeepEqual(res.Answer, want) {
+			t.Fatalf("query %d after replay: served %v, pre-crash method %v", i, res.Answer, want)
 		}
 	}
 }
@@ -293,6 +361,63 @@ func TestJournalTruncatedAfterSnapshot(t *testing.T) {
 	defer func() { s2.Shutdown(ctx) }()
 	if ds2.Epoch() != 1 || ds2.Alive(0) {
 		t.Fatalf("snapshot alone did not restore the mutation: epoch %d, alive(0)=%v", ds2.Epoch(), ds2.Alive(0))
+	}
+}
+
+// TestJournalReplayRefusals: a journal record replay cannot apply aborts
+// Start — one that skips an epoch, and one that no longer applies (it
+// removes a graph an earlier record already removed). The error names the
+// record's epoch, and neither the snapshot nor the journal is touched, so
+// the operator can inspect both.
+func TestJournalReplayRefusals(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "cache.gcsnapshot")
+	jpath := filepath.Join(dir, "mutations.journal")
+
+	// A snapshot at epoch 1, over an emptied journal.
+	ds := testDataset(40, 21)
+	s := New(newTestCache(ds), Options{Addr: "127.0.0.1:0", SnapshotPath: snap, JournalPath: jpath})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
+	if _, err := NewClient(s.Addr()).Mutate(context.Background(), MutateRequest{Op: "remove", IDs: []int32{1}, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snapBytes, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	first := `{"seq":2,"epoch":2,"op":"remove","ids":[0]}` + "\n"
+	for name, tc := range map[string]struct{ journal, want string }{
+		"skipped epoch": {first + `{"seq":3,"epoch":4,"op":"remove","ids":[2]}` + "\n", "journal record at epoch 4 cannot follow dataset epoch 2"},
+		"stale record":  {first + `{"seq":3,"epoch":3,"op":"remove","ids":[0]}` + "\n", "replaying journal record at epoch 3"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(jpath, []byte(tc.journal), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := New(newTestCache(testDataset(40, 21)), Options{Addr: "127.0.0.1:0", SnapshotPath: snap, JournalPath: jpath})
+			err := s.Start()
+			if s.jr != nil {
+				s.jr.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Start = %v; want an error containing %q", err, tc.want)
+			}
+			if got, err := os.ReadFile(snap); err != nil || !bytes.Equal(got, snapBytes) {
+				t.Errorf("the refused start changed the snapshot (read error %v)", err)
+			}
+			if got, err := os.ReadFile(jpath); err != nil || string(got) != tc.journal {
+				t.Errorf("the refused start changed the journal to %q (read error %v)", got, err)
+			}
+		})
 	}
 }
 

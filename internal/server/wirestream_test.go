@@ -228,9 +228,10 @@ func (m *slowVerifyMethod) Verify(q *graph.Graph, id int32) bool {
 
 // TestStreamCancellationAbandonsBatch kills a client mid-batch — a
 // streaming one after its first result, a buffered one while it waits —
-// and asserts the contract the CI wire drill greps for: the server
-// notices the disconnect through the request context, abandons the rest
-// of the batch, and counts the cancellation on /metrics.
+// and asserts the backend half of what the router's cancellation test
+// checks end to end: the server notices the disconnect through the
+// request context, abandons the rest of the batch, and counts the
+// cancellation on /metrics.
 func TestStreamCancellationAbandonsBatch(t *testing.T) {
 	stop := errors.New("client walks away")
 	for name, walkAway := range map[string]func(cl *Client, queries []*graph.Graph) error{

@@ -8,7 +8,7 @@
 //
 // The package deliberately has no third-party dependencies: metrics are
 // plain atomics, exposition is the Prometheus text format written by
-// hand, and the parser exists so CI can check the grammar of a live
+// hand, and the parser exists so tests can check the grammar of a live
 // endpoint without promtool.
 package telemetry
 
