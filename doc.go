@@ -243,6 +243,17 @@
 // dispatch, with no capability discovery: fleet members are built from
 // one tree, so every gcserved a gcrouter can front reads GCBF.
 //
+// Forwarding. A query graph is parsed once per tier. The router never
+// rebuilds a graph from a binary request: it splits the frame into its
+// per-graph bodies, checks each exactly as a backend's decoder would (so
+// it refuses with 400 exactly the frames a backend would), reads each
+// body's IsoKey straight off its bytes, and sends each backend one frame
+// of that backend's bodies, byte for byte as the client sent them, in
+// request order. A text request is parsed and transcoded to bodies once,
+// at the router's door. gcserved decodes a frame straight into each
+// graph's final arrays: GCBF's canonical edge order fills the CSR
+// adjacency with no sort.
+//
 // Streaming. POST /querybatch with Accept: application/x-ndjson streams
 // the batch instead of buffering it: one JSON StreamResult line per
 // query, flushed as its verification completes, in request order by
@@ -576,7 +587,9 @@
 // forwards it on every dispatch, so backend spans and sampled logs carry
 // the id minted at the edge. POST /query?debug=trace returns the
 // response with a trace: the request id plus named spans from every hop
-// (router:decode, router:dispatch addr, server:decode,
+// (router:decode — the router's split and key of a binary request, or
+// its parse and transcode of a text one — router:dispatch addr,
+// server:decode,
 // server:coalesce_wait, engine:filter_m, engine:filter_gc, and the GC
 // stage's parts engine:feature, engine:probe and engine:gcverify, then
 // engine:verify, engine:total). server:coalesce_wait is the coalescer's

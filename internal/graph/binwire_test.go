@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/binary"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -174,6 +178,127 @@ func FuzzBinaryWireRoundTrip(f *testing.F) {
 			if back[i].ID() != gs[i].ID() || !sameGraph(back[i], gs[i]) {
 				t.Fatalf("graph %d not identical after re-encode", i)
 			}
+		}
+	})
+}
+
+// uvarints appends each value as a uvarint: a body written by hand.
+func uvarints(vals ...uint64) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// hostileFrames are frames every reader must refuse, each with one fault
+// after a valid header; a body's leading 0 is graph id 0.
+func hostileFrames() map[string][]byte {
+	frame := func(bodies ...[]byte) []byte {
+		bs := make([]Body, len(bodies))
+		for i, b := range bodies {
+			bs[i] = Body{Data: b}
+		}
+		return EncodeFrame(bs)
+	}
+	valid := uvarints(0, 1, 5, 2, 0, 0, 1, 0, 0) // 5-5, one edge
+	return map[string][]byte{
+		"bad magic":            append([]byte("GCBX"), frame(valid)[4:]...),
+		"bad version":          append([]byte("GCBF\x02"), frame(valid)[5:]...),
+		"truncated body":       frame(valid)[:len(frame(valid))-1],
+		"truncated pair":       frame(uvarints(0, 1, 5, 2, 0, 0, 1, 0)),
+		"label above 65535":    frame(uvarints(0, 1, 65536, 1, 0, 0)),
+		"label index past L":   frame(uvarints(0, 1, 5, 1, 1, 0)),
+		"endpoint past n":      frame(uvarints(0, 1, 5, 2, 0, 0, 1, 0, 1)),
+		"delta past n":         frame(uvarints(0, 1, 5, 2, 0, 0, 1, 3, 0)),
+		"trailing body bytes":  frame(append(valid, 0)),
+		"trailing frame bytes": append(frame(valid), 0),
+		"table not ascending":  frame(uvarints(0, 2, 7, 5, 2, 0, 1, 0)),
+		"table repeats":        frame(uvarints(0, 2, 5, 5, 2, 0, 1, 0)),
+		"id out of int32":      frame(binary.AppendVarint(nil, 1<<31)),
+		"non-minimal count":    append([]byte("GCBF\x01\x81\x00"), frame(valid)[6:]...),
+		"non-minimal length":   append(append([]byte("GCBF\x01\x01"), 0x80|byte(len(valid)), 0), valid...),
+		"more graphs counted":  append([]byte("GCBF\x01\x02"), frame(valid)[6:]...),
+	}
+}
+
+// TestBinaryFrameRejects: every reader of a frame refuses each hostile
+// frame — the decoder, and the splitter a router keys and forwards by.
+func TestBinaryFrameRejects(t *testing.T) {
+	for name, data := range hostileFrames() {
+		if _, err := DecodeBinary(data); err == nil {
+			t.Errorf("%s: DecodeBinary accepted %x", name, data)
+		}
+		if _, err := SplitBinary(data); err == nil {
+			t.Errorf("%s: SplitBinary accepted %x", name, data)
+		}
+	}
+}
+
+// TestDecodeBinaryUnusedTableLabels: a body whose label table names labels
+// no vertex carries decodes to the graph its vertices and edges describe,
+// with only the used labels in its signature and summary.
+func TestDecodeBinaryUnusedTableLabels(t *testing.T) {
+	// Table [1 5 9], two vertices labelled 5, one edge.
+	body := uvarints(0, 3, 1, 5, 9, 2, 1, 1, 1, 0, 0)
+	gs, err := DecodeBinary(EncodeFrame([]Body{{Data: body}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder().SetID(0)
+	b.AddVertex(5)
+	b.AddVertex(5)
+	b.AddEdge(0, 1)
+	want := b.MustBuild()
+	checkSignature(t, "unused table labels", gs[0], [][2]int32{{0, 1}})
+	if !gs[0].StructurallyEqual(want) || gs[0].sum != want.sum || gs[0].IsoKey() != want.IsoKey() {
+		t.Errorf("decoded %v, want the graph %v", gs[0], want)
+	}
+}
+
+// FuzzFrameBodies pins the router's view of a frame to the decoder's: for
+// any bytes, SplitBinary accepts exactly what DecodeBinary accepts, each
+// body's key is its decoded graph's IsoKey, and EncodeFrame of the bodies
+// is the input, byte for byte.
+func FuzzFrameBodies(f *testing.F) {
+	seed := func(gs []*Graph) {
+		if data, err := EncodeBinary(gs); err == nil {
+			f.Add(data)
+		}
+	}
+	seed(nil)
+	seed([]*Graph{NewBuilder().SetID(0).MustBuild()})
+	two := NewBuilder().SetID(-1)
+	two.AddVertex(3)
+	two.AddVertex(65535)
+	two.AddEdge(0, 1)
+	seed([]*Graph{two.MustBuild()})
+	seed(testGraphSet(rand.New(rand.NewSource(47))))
+	f.Add([]byte("GCBF\x01\x00"))
+	f.Add([]byte("not a frame"))
+	hostile := hostileFrames()
+	for _, name := range slices.Sorted(maps.Keys(hostile)) {
+		f.Add(hostile[name])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bodies, serr := SplitBinary(data)
+		gs, derr := DecodeBinary(data)
+		if (serr == nil) != (derr == nil) {
+			t.Fatalf("SplitBinary error %v, DecodeBinary error %v", serr, derr)
+		}
+		if serr != nil {
+			return
+		}
+		if len(bodies) != len(gs) {
+			t.Fatalf("%d bodies, %d graphs", len(bodies), len(gs))
+		}
+		for i, g := range gs {
+			if bodies[i].Key != g.IsoKey() {
+				t.Fatalf("body %d: key %x, IsoKey %x", i, bodies[i].Key, g.IsoKey())
+			}
+		}
+		if back := EncodeFrame(bodies); !bytes.Equal(back, data) {
+			t.Fatalf("re-framed bodies %x, input %x", back, data)
 		}
 	})
 }

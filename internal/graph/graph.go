@@ -230,33 +230,61 @@ func edgeSignature(labels []Label, off, nbr []int32) []keyCount[uint32] {
 // n vertices looks alike to it, e.g. C10 and C5 + C5), and 64-bit sums can
 // collide. A key match must be confirmed by an isomorphism test.
 func (g *Graph) IsoKey() uint64 {
-	n := len(g.labels)
-	var buf [2 * 64]uint64
-	var cur, next []uint64
-	if n <= 64 {
-		cur, next = buf[:n], buf[64:64+n]
-	} else {
-		s := make([]uint64, 2*n)
-		cur, next = s[:n], s[n:]
-	}
-	for v, l := range g.labels {
-		cur[v] = mix64(uint64(l) + 0x9e3779b97f4a7c15)
-	}
+	var wl wlScratch
+	cur, next := wl.colours(g.labels)
 	for round := uint64(1); round <= 2; round++ {
-		for v := range n {
+		for v := range cur {
 			var sum uint64
 			for _, w := range g.nbr[g.off[v]:g.off[v+1]] {
 				sum += cur[w]
 			}
-			next[v] = mix64(cur[v] ^ mix64(sum+round))
+			next[v] = sum
 		}
+		refine(cur, next, round)
 		cur, next = next, cur
 	}
+	return isoKeyOf(cur, g.NumEdges())
+}
+
+// IsoKey's colour refinement, shared by Graph.IsoKey and bodyKey, which
+// differ only in how they walk the adjacency to sum each vertex's
+// neighbour colours. The sums do not depend on the order of the walk.
+
+// wlScratch holds the two colour arrays of a graph of up to 64 vertices.
+type wlScratch [2 * 64]uint64
+
+// colours returns the initial colours of the vertices labelled labels,
+// hashed from the labels, and an array for the next round's; both live
+// in s up to 64 vertices.
+func (s *wlScratch) colours(labels []Label) (cur, next []uint64) {
+	n := len(labels)
+	if n <= 64 {
+		cur, next = s[:n], s[64:64+n]
+	} else {
+		b := make([]uint64, 2*n)
+		cur, next = b[:n], b[n:]
+	}
+	for v, l := range labels {
+		cur[v] = mix64(uint64(l) + 0x9e3779b97f4a7c15)
+	}
+	return cur, next
+}
+
+// refine turns next, holding each vertex's sum of its neighbours' colours
+// in cur, into the vertices' colours after the given round.
+func refine(cur, next []uint64, round uint64) {
+	for v, sum := range next {
+		next[v] = mix64(cur[v] ^ mix64(sum+round))
+	}
+}
+
+// isoKeyOf hashes the sum of the final colours with |V| and |E|.
+func isoKeyOf(colours []uint64, m int) uint64 {
 	var sum uint64
-	for _, c := range cur {
+	for _, c := range colours {
 		sum += c
 	}
-	return mix64(sum + mix64(uint64(n)<<32|uint64(g.NumEdges())))
+	return mix64(sum + mix64(uint64(len(colours))<<32|uint64(m)))
 }
 
 // mix64 is the splitmix64 finaliser: a bijection on 64-bit words under

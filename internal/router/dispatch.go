@@ -16,9 +16,10 @@ import (
 // breaker and its bounded dispatch queue.
 type backend struct {
 	addr string
-	// cl is the query-dispatch client. It sends binary request frames
-	// from its first call: fleet members are built from one tree, so
-	// there is no backend that cannot read them and nothing to discover.
+	// cl is the query-dispatch client. It posts binary request frames
+	// (Client.Query*Frame) from its first call: fleet members are built
+	// from one tree, so there is no backend that cannot read them and
+	// nothing to discover.
 	cl *server.Client
 	// mcl is the mutation-dispatch client: unlike cl (one attempt per
 	// call — the router's failover must not multiply attempts), a
@@ -111,26 +112,21 @@ func (tp *topology) find(addr string) *backend {
 	return nil
 }
 
-// hash returns q's affinity hash: its isomorphism-invariant key
-// (graph.IsoKey), the key the backends' caches store on their entries and
-// look exact matches up by. Isomorphic queries hash identically, so their
-// exact hits concentrate on one backend. The key costs O(|V|+|E|) and
-// needs no seed, so it is recomputed here rather than carried with the
-// dispatch.
-func (rt *Router) hash(q *graph.Graph) uint64 {
-	return q.IsoKey()
-}
-
-// assign picks the backend for one query: its ring home while that home
-// is available and below its queue bound, else the least-loaded
-// available backend — affinity concentrates cache hits, but never at
-// the price of queueing behind a saturated or broken replica while
-// others idle. The home is looked up on the consistent-hash ring over
-// the *full* backend list, not the available subset, so a breaker
-// opening or a drain in progress never remaps the queries of the
-// surviving backends — unavailability diverts, only a topology change
-// remaps, and the ring bounds even that to ~1/N of the keys. Returns
-// nil when no backend is available.
+// assign picks the backend for one query by its affinity key h: the
+// query's isomorphism-invariant key (graph.IsoKey), the key the backends'
+// caches store on their entries and look exact matches up by, so that
+// isomorphic queries, and their exact hits, concentrate on one backend.
+// The key needs no seed, and the router reads it off the query's wire
+// body (graph.SplitBinary) rather than building the graph. The backend is
+// the query's ring home while that home is available and below its queue
+// bound, else the least-loaded available backend — affinity concentrates
+// cache hits, but never at the price of queueing behind a saturated or
+// broken replica while others idle. The home is looked up on the
+// consistent-hash ring over the *full* backend list, not the available
+// subset, so a breaker opening or a drain in progress never remaps the
+// queries of the surviving backends — unavailability diverts, only a
+// topology change remaps, and the ring bounds even that to ~1/N of the
+// keys. Returns nil when no backend is available.
 //
 // Availability here includes dataset currency: a backend lagging the
 // fleet's mutation epoch is skipped exactly like one with an open
@@ -251,16 +247,13 @@ func (rt *Router) failover(ctx context.Context, tp *topology, b *backend, n int,
 // from many router clients. With trace set the backend is asked for its
 // span breakdown (?debug=trace); the answering backend's address comes
 // back so the handler can prepend its own spans naming the hop.
-func (rt *Router) queryOne(ctx context.Context, q *graph.Graph, trace bool) (server.QueryResponse, string, error) {
+func (rt *Router) queryOne(ctx context.Context, q graph.Body, trace bool) (server.QueryResponse, string, error) {
 	tp := rt.topo.Load()
+	frame := graph.EncodeFrame([]graph.Body{q})
 	var resp server.QueryResponse
-	b, err := rt.failover(ctx, tp, tp.assign(rt.hash(q), rt.opts.QueueBound), 1,
+	b, err := rt.failover(ctx, tp, tp.assign(q.Key, rt.opts.QueueBound), 1,
 		func(ctx context.Context, b *backend) (_ int, err error) {
-			if trace {
-				resp, err = b.cl.QueryTrace(ctx, q)
-			} else {
-				resp, err = b.cl.Query(ctx, q)
-			}
+			resp, err = b.cl.QueryFrame(ctx, frame, trace)
 			return 0, err
 		})
 	if err != nil {
@@ -278,14 +271,14 @@ type batchGroup struct {
 }
 
 // group splits a batch over the fleet by the rule singles follow: each
-// query goes to tp.assign of its affinity hash — its ring home, or the
+// query goes to tp.assign of its key — its ring home, or the
 // least-loaded backend while that home is unavailable, lagging or
 // saturated. The groups come back in topology order, empty ones left
 // out, so a batch fans out to at most len(tp.bs) backends.
-func (rt *Router) group(tp *topology, qs []*graph.Graph) ([]batchGroup, error) {
+func (rt *Router) group(tp *topology, qs []graph.Body) ([]batchGroup, error) {
 	groups := make([]batchGroup, len(tp.bs))
 	for i, q := range qs {
-		b := tp.assign(rt.hash(q), rt.opts.QueueBound)
+		b := tp.assign(q.Key, rt.opts.QueueBound)
 		if b == nil {
 			return nil, errNoBackends
 		}
@@ -308,12 +301,13 @@ func (rt *Router) group(tp *topology, qs []*graph.Graph) ([]batchGroup, error) {
 
 // scatter runs a grouped batch: one failover dispatch per group, the
 // first on the calling goroutine and the rest concurrently beside it,
-// call receiving the group's queries and their request indices. The
-// whole batch shares one context that the first terminal error cancels
-// — the reply is an error from then on, so the sibling groups stop
-// verifying and streaming for it. That first error is returned.
-func (rt *Router) scatter(ctx context.Context, tp *topology, groups []batchGroup, qs []*graph.Graph,
-	call func(ctx context.Context, b *backend, sub []*graph.Graph, idxs []int) (delivered int, err error)) error {
+// call receiving the group's frame — its queries' bodies as the client
+// sent them, in request order — and their request indices. The whole
+// batch shares one context that the first terminal error cancels — the
+// reply is an error from then on, so the sibling groups stop verifying
+// and streaming for it. That first error is returned.
+func (rt *Router) scatter(ctx context.Context, tp *topology, groups []batchGroup, qs []graph.Body,
+	call func(ctx context.Context, b *backend, frame []byte, idxs []int) (delivered int, err error)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -322,12 +316,13 @@ func (rt *Router) scatter(ctx context.Context, tp *topology, groups []batchGroup
 		firstErr error
 	)
 	run := func(g batchGroup) {
-		sub := make([]*graph.Graph, len(g.idxs))
+		sub := make([]graph.Body, len(g.idxs))
 		for k, i := range g.idxs {
 			sub[k] = qs[i]
 		}
+		frame := graph.EncodeFrame(sub)
 		_, err := rt.failover(ctx, tp, g.b, len(g.idxs), func(ctx context.Context, b *backend) (int, error) {
-			return call(ctx, b, sub, g.idxs)
+			return call(ctx, b, frame, g.idxs)
 		})
 		if err != nil {
 			failOnce.Do(func() {
@@ -350,11 +345,11 @@ func (rt *Router) scatter(ctx context.Context, tp *topology, groups []batchGroup
 
 // queryBatch answers a grouped batch in one piece: one QueryBatch
 // round-trip per group, re-stitched in request order.
-func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGroup, qs []*graph.Graph) ([]server.QueryResponse, error) {
+func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGroup, qs []graph.Body) ([]server.QueryResponse, error) {
 	out := make([]server.QueryResponse, len(qs))
 	err := rt.scatter(ctx, tp, groups, qs,
-		func(ctx context.Context, b *backend, sub []*graph.Graph, idxs []int) (int, error) {
-			results, err := b.cl.QueryBatch(ctx, sub)
+		func(ctx context.Context, b *backend, frame []byte, idxs []int) (int, error) {
+			results, err := b.cl.QueryBatchFrame(ctx, frame, len(idxs))
 			if err != nil {
 				return 0, err
 			}

@@ -146,7 +146,7 @@ func TestFailedGroupCancelsSiblings(t *testing.T) {
 				for _, q := range workload.TypeA(ds, cfg, seed) {
 					qs = append(qs, q.Graph)
 				}
-				groups, err := rt.group(tp, qs)
+				groups, err := rt.group(tp, wireBodies(t, qs...))
 				if err != nil {
 					t.Fatal(err)
 				}

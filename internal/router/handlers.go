@@ -75,7 +75,7 @@ func writeShed(w http.ResponseWriter) {
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	gs, decDur, ok := rt.wire.ReadGraphs(w, r, true)
+	qs, decDur, ok := rt.wire.ReadBodies(w, r, true)
 	if !ok {
 		return
 	}
@@ -86,7 +86,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer rt.done(1)
 	trace := r.URL.Query().Get("debug") == "trace"
 	dispatchStart := time.Now()
-	resp, addr, err := rt.queryOne(r.Context(), gs[0], trace)
+	resp, addr, err := rt.queryOne(r.Context(), qs[0], trace)
 	if err != nil {
 		rt.replyDispatchError(w, err)
 		return
@@ -96,7 +96,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// router's front door minted (it rode the dispatch header);
 		// prepend the router's own spans so one response shows the whole
 		// path. A backend that answered without a trace still gets the
-		// router hop recorded.
+		// router hop recorded. router:decode times reading the request:
+		// splitting and keying a binary frame, or parsing and transcoding
+		// a text one.
 		if resp.Trace == nil {
 			resp.Trace = &telemetry.Trace{RequestID: telemetry.RequestIDFrom(r.Context())}
 		}
@@ -109,26 +111,26 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	gs, _, ok := rt.wire.ReadGraphs(w, r, false)
+	qs, _, ok := rt.wire.ReadBodies(w, r, false)
 	if !ok {
 		return
 	}
-	if !rt.admit(len(gs)) {
+	if !rt.admit(len(qs)) {
 		writeShed(w)
 		return
 	}
-	defer rt.done(len(gs))
+	defer rt.done(len(qs))
 	tp := rt.topo.Load()
-	groups, err := rt.group(tp, gs)
+	groups, err := rt.group(tp, qs)
 	if err != nil {
 		rt.replyDispatchError(w, err)
 		return
 	}
 	if server.Accepts(r, server.ContentTypeNDJSON) {
-		rt.streamBatch(w, r, tp, groups, gs)
+		rt.streamBatch(w, r, tp, groups, qs)
 		return
 	}
-	results, err := rt.queryBatch(r.Context(), tp, groups, gs)
+	results, err := rt.queryBatch(r.Context(), tp, groups, qs)
 	if err != nil {
 		rt.replyDispatchError(w, err)
 		return

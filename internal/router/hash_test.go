@@ -8,11 +8,12 @@ import (
 	"graphcache/internal/graph"
 )
 
-// TestAffinityHashPinned: the router's affinity hash is, for every query,
+// TestAffinityHashPinned: the router's affinity key is, for every query,
 // the query's graph.IsoKey — the key backends store on their entries
 // (core's TestEntryHashIsTheCountsHash pins that side) and warm snapshots
-// were homed by — and a renumbered copy of the query hashes the same. If
-// it moved, every ring home would.
+// were homed by — whether the router reads it off a binary request's
+// body or transcodes a text request, and a renumbered copy of the query
+// keys the same. If it moved, every ring home would.
 func TestAffinityHashPinned(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	vertexOf := func(l graph.Label) *graph.Graph {
@@ -43,19 +44,43 @@ func TestAffinityHashPinned(t *testing.T) {
 		return b.MustBuild()
 	}
 	big := 0
-	rt := &Router{}
+	keys := wireBodies(t, queries...)
+	renumbered := make([]*graph.Graph, len(queries))
+	for i, q := range queries {
+		renumbered[i] = reversed(q)
+	}
+	renumberedKeys := wireBodies(t, renumbered...)
+	textKeys := graph.EncodeBodies(queries)
 	for i, q := range queries {
 		if q.NumVertices() > 64 {
 			big++
 		}
-		if got, want := rt.hash(q), q.IsoKey(); got != want {
-			t.Fatalf("query %d (%d vertices): affinity hash %x, IsoKey %x", i, q.NumVertices(), got, want)
+		if got, want := keys[i].Key, q.IsoKey(); got != want {
+			t.Fatalf("query %d (%d vertices): affinity key %x, IsoKey %x", i, q.NumVertices(), got, want)
 		}
-		if got, want := rt.hash(reversed(q)), rt.hash(q); got != want {
-			t.Fatalf("query %d (%d vertices): renumbered copy hashes %x, the query %x", i, q.NumVertices(), got, want)
+		if got, want := textKeys[i].Key, keys[i].Key; got != want {
+			t.Fatalf("query %d (%d vertices): transcoded text keys %x, the binary body %x", i, q.NumVertices(), got, want)
+		}
+		if got, want := renumberedKeys[i].Key, keys[i].Key; got != want {
+			t.Fatalf("query %d (%d vertices): renumbered copy keys %x, the query %x", i, q.NumVertices(), got, want)
 		}
 	}
 	if big == 0 {
 		t.Error("no query with more than 64 vertices in the sample")
 	}
+}
+
+// wireBodies returns qs as the router reads them off a binary request:
+// their bodies, keyed.
+func wireBodies(t testing.TB, qs ...*graph.Graph) []graph.Body {
+	t.Helper()
+	frame, err := graph.EncodeBinary(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies, err := graph.SplitBinary(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bodies
 }

@@ -128,10 +128,11 @@ func TestCanceledContextAbandonsQueuedRequest(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 
+	bodies := wireBodies(t, queries[:2]...)
 	// First request occupies the single dispatch slot for ~400ms.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, _, err := rt.queryOne(context.Background(), queries[0], false)
+		_, _, err := rt.queryOne(context.Background(), bodies[0], false)
 		firstDone <- err
 	}()
 	waitFor(t, "the slot to be taken", func() bool { return len(rt.backends()[0].slots) == 1 })
@@ -140,7 +141,7 @@ func TestCanceledContextAbandonsQueuedRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	queuedDone := make(chan error, 1)
 	go func() {
-		_, _, err := rt.queryOne(ctx, queries[1], false)
+		_, _, err := rt.queryOne(ctx, bodies[1], false)
 		queuedDone <- err
 	}()
 	waitFor(t, "the request to queue", func() bool { return rt.backends()[0].queued.Load() == 1 })

@@ -12,6 +12,13 @@
 // by that rule into at most one QueryBatch per backend, scatter-gathered
 // and re-stitched in request order.
 //
+// The router never builds a graph from a binary request. It splits the
+// GCBF frame into its graph bodies, checking each as a backend's decoder
+// would, reads each body's key off its bytes (graph.SplitBinary), and
+// sends each backend a frame of that backend's bodies, byte for byte as
+// the client sent them. A text request is parsed and transcoded to
+// bodies once, at the door.
+//
 // Because GraphCache's pruning rules are sound, any backend answers any
 // query correctly — routing only concentrates cache hits — so the
 // router can fail over freely: a dispatch that fails (transport failure
@@ -296,7 +303,7 @@ func (rt *Router) newBackend(addr string) *backend {
 		}, telemetry.L("backend", addr))
 	return &backend{
 		addr:     addr,
-		cl:       server.NewClientWith(addr, server.ClientOptions{WireBinary: true}),
+		cl:       server.NewClient(addr),
 		mcl:      server.NewClientWith(addr, server.ClientOptions{MaxRetries: mutateRetries}),
 		dispatch: rt.met.dispatchHist(addr),
 		slots:    make(chan struct{}, rt.opts.QueueBound),

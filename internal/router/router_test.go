@@ -272,7 +272,7 @@ func TestCanceledRequestDoesNotEject(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := rt.queryOne(ctx, queries[0], false); err == nil {
+	if _, _, err := rt.queryOne(ctx, wireBodies(t, queries[0])[0], false); err == nil {
 		t.Fatal("queryOne with a dead context succeeded")
 	}
 	if st := rt.backends()[0].br.State(); st != StateClosed {
@@ -282,7 +282,7 @@ func TestCanceledRequestDoesNotEject(t *testing.T) {
 		t.Fatalf("canceled request burned retries/ejections: %+v", c)
 	}
 	// The backend must still answer a live request.
-	if _, _, err := rt.queryOne(context.Background(), queries[1], false); err != nil {
+	if _, _, err := rt.queryOne(context.Background(), wireBodies(t, queries[1])[0], false); err != nil {
 		t.Fatalf("backend unusable after canceled request: %v", err)
 	}
 }

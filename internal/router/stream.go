@@ -20,11 +20,11 @@ import (
 // cancels every backend stream through the request context; a group's
 // terminal failure cancels its siblings and ends the client stream with
 // an error line.
-func (rt *Router) streamBatch(w http.ResponseWriter, r *http.Request, tp *topology, groups []batchGroup, qs []*graph.Graph) {
+func (rt *Router) streamBatch(w http.ResponseWriter, r *http.Request, tp *topology, groups []batchGroup, qs []graph.Body) {
 	st := rt.wire.Stream(w, r, len(qs))
 	err := rt.scatter(r.Context(), tp, groups, qs,
-		func(ctx context.Context, b *backend, sub []*graph.Graph, idxs []int) (delivered int, err error) {
-			err = b.cl.QueryBatchStream(ctx, sub, true, func(sr server.StreamResult) error {
+		func(ctx context.Context, b *backend, frame []byte, idxs []int) (delivered int, err error) {
+			err = b.cl.QueryBatchStreamFrame(ctx, frame, len(idxs), true, func(sr server.StreamResult) error {
 				if sr.Index < 0 || sr.Index >= len(idxs) {
 					return fmt.Errorf("router: backend %s streamed index %d of a %d-query group", b.addr, sr.Index, len(idxs))
 				}

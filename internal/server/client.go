@@ -139,9 +139,11 @@ func NewClientWith(addr string, opts ClientOptions) *Client {
 // held for the server's coalescing window and answered as part of a batch;
 // the answer is identical either way.
 func (cl *Client) Query(ctx context.Context, q *graph.Graph) (QueryResponse, error) {
-	var resp QueryResponse
-	err := cl.postGraphs(ctx, "/query", []*graph.Graph{q}, true, &resp)
-	return resp, err
+	payload, ct, err := cl.encodeGraphsPayload([]*graph.Graph{q}, true)
+	if err != nil {
+		return QueryResponse{}, err
+	}
+	return cl.query(ctx, payload, ct, false)
 }
 
 // QueryTrace answers one graph query like Query, additionally asking the
@@ -150,8 +152,31 @@ func (cl *Client) Query(ctx context.Context, q *graph.Graph) (QueryResponse, err
 // context request id (telemetry.WithRequestID) is propagated; without
 // one the server mints an id itself.
 func (cl *Client) QueryTrace(ctx context.Context, q *graph.Graph) (QueryResponse, error) {
+	payload, ct, err := cl.encodeGraphsPayload([]*graph.Graph{q}, true)
+	if err != nil {
+		return QueryResponse{}, err
+	}
+	return cl.query(ctx, payload, ct, true)
+}
+
+// QueryFrame is Query, or QueryTrace with trace set, over a ready binary
+// frame holding the one graph (graph.EncodeBinary, graph.EncodeFrame),
+// posted as is whatever the client's wire format: how a router forwards
+// the graph bodies its clients sent without decoding them.
+func (cl *Client) QueryFrame(ctx context.Context, frame []byte, trace bool) (QueryResponse, error) {
+	return cl.query(ctx, frame, ContentTypeBinary, trace)
+}
+
+// query posts one query's request body to POST /query and decodes the
+// reply. Graph queries are idempotent — answers depend only on the query
+// (the pruning rules are sound) — so the full retry policy applies.
+func (cl *Client) query(ctx context.Context, payload []byte, ct string, trace bool) (QueryResponse, error) {
+	path := "/query"
+	if trace {
+		path += "?debug=trace"
+	}
 	var resp QueryResponse
-	err := cl.postGraphs(ctx, "/query?debug=trace", []*graph.Graph{q}, true, &resp)
+	err := cl.callWith(ctx, http.MethodPost, path, payload, ct, &resp, true)
 	return resp, err
 }
 
@@ -161,12 +186,28 @@ func (cl *Client) QueryBatch(ctx context.Context, qs []*graph.Graph) ([]QueryRes
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	resp := BatchResponse{Results: make([]QueryResponse, 0, len(qs))} // the decoder fills it in place
-	if err := cl.postGraphs(ctx, "/querybatch", qs, false, &resp); err != nil {
+	payload, ct, err := cl.encodeGraphsPayload(qs, false)
+	if err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(qs) {
-		return nil, fmt.Errorf("client: server returned %d results for %d queries", len(resp.Results), len(qs))
+	return cl.queryBatch(ctx, payload, ct, len(qs))
+}
+
+// QueryBatchFrame is QueryBatch over a ready binary frame of n graphs,
+// posted as is.
+func (cl *Client) QueryBatchFrame(ctx context.Context, frame []byte, n int) ([]QueryResponse, error) {
+	return cl.queryBatch(ctx, frame, ContentTypeBinary, n)
+}
+
+// queryBatch posts a batch request body of n queries to POST /querybatch,
+// under the full retry policy as query does.
+func (cl *Client) queryBatch(ctx context.Context, payload []byte, ct string, n int) ([]QueryResponse, error) {
+	resp := BatchResponse{Results: make([]QueryResponse, 0, n)} // the decoder fills it in place
+	if err := cl.callWith(ctx, http.MethodPost, "/querybatch", payload, ct, &resp, true); err != nil {
+		return nil, err
+	}
+	if len(resp.Results) != n {
+		return nil, fmt.Errorf("client: server returned %d results for %d queries", len(resp.Results), n)
 	}
 	return resp.Results, nil
 }
@@ -188,6 +229,18 @@ func (cl *Client) QueryBatchStream(ctx context.Context, qs []*graph.Graph, arriv
 	if err != nil {
 		return err
 	}
+	return cl.queryBatchStream(ctx, payload, ct, len(qs), arrival, fn)
+}
+
+// QueryBatchStreamFrame is QueryBatchStream over a ready binary frame of n
+// graphs, posted as is.
+func (cl *Client) QueryBatchStreamFrame(ctx context.Context, frame []byte, n int, arrival bool, fn func(StreamResult) error) error {
+	return cl.queryBatchStream(ctx, frame, ContentTypeBinary, n, arrival, fn)
+}
+
+// queryBatchStream posts a batch request body of n queries for the NDJSON
+// reply and hands each line to fn, as QueryBatchStream describes.
+func (cl *Client) queryBatchStream(ctx context.Context, payload []byte, ct string, n int, arrival bool, fn func(StreamResult) error) error {
 	actx, cancel := context.WithTimeout(ctx, cl.opts.RequestTimeout)
 	defer cancel()
 	path := "/querybatch"
@@ -241,22 +294,10 @@ func (cl *Client) QueryBatchStream(ctx context.Context, qs []*graph.Graph, arriv
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("client: reading stream: %w", err)
 	}
-	if seen != len(qs) {
-		return fmt.Errorf("client: stream ended after %d of %d results", seen, len(qs))
+	if seen != n {
+		return fmt.Errorf("client: stream ended after %d of %d results", seen, n)
 	}
 	return nil
-}
-
-// postGraphs sends graphs to a query endpoint in the client's request
-// format and decodes the JSON reply. Graph queries are idempotent —
-// answers depend only on the query (the pruning rules are sound) — so
-// the full retry policy applies.
-func (cl *Client) postGraphs(ctx context.Context, path string, qs []*graph.Graph, single bool, out any) error {
-	payload, ct, err := cl.encodeGraphsPayload(qs, single)
-	if err != nil {
-		return err
-	}
-	return cl.callWith(ctx, http.MethodPost, path, payload, ct, out, true)
 }
 
 // encodeGraphsPayload builds a query request body in the client's wire
@@ -484,8 +525,8 @@ func decodeReply(res *http.Response, out any) error {
 }
 
 // readBody reads a reply body whole: into one buffer of the announced
-// length when there is one, else into one with room for a 32-result batch
-// (a batch reply is too long for net/http to announce its length).
+// length, which both tiers' result envelopes carry, else into one that
+// grows from room for a 32-result batch.
 func readBody(res *http.Response) ([]byte, error) {
 	if n := res.ContentLength; n >= 0 && n <= 64<<20 {
 		body := make([]byte, n)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -106,7 +107,24 @@ func NewWire(reg *telemetry.Registry, prefix string, maxBodyBytes int64) *Wire {
 // The returned duration is the graph-decode time (for traces); on a
 // false return the error reply has been written.
 func (wr *Wire) ReadGraphs(w http.ResponseWriter, r *http.Request, one bool) ([]*graph.Graph, time.Duration, bool) {
-	var gs []*graph.Graph
+	return readQueries(wr, w, r, one, graph.DecodeBinary, func(gs []*graph.Graph) []*graph.Graph { return gs })
+}
+
+// ReadBodies is ReadGraphs for a tier that forwards queries instead of
+// answering them: a binary request is split into its graph bodies, each
+// keyed with its IsoKey, and no graph is built (graph.SplitBinary); a text
+// request is parsed and transcoded to bodies once (graph.EncodeBodies).
+// The returned duration is that work's time.
+func (wr *Wire) ReadBodies(w http.ResponseWriter, r *http.Request, one bool) ([]graph.Body, time.Duration, bool) {
+	return readQueries(wr, w, r, one, graph.SplitBinary, graph.EncodeBodies)
+}
+
+// readQueries reads a /query or /querybatch request body as ReadGraphs
+// describes, turning a binary body into queries with fromBinary and the
+// graphs of a text body with fromText.
+func readQueries[Q any](wr *Wire, w http.ResponseWriter, r *http.Request, one bool,
+	fromBinary func([]byte) ([]Q, error), fromText func([]*graph.Graph) []Q) ([]Q, time.Duration, bool) {
+	var qs []Q
 	var decDur time.Duration
 	wm := wr.reqText
 	if hasMediaType(r.Header.Get("Content-Type"), ContentTypeBinary) {
@@ -118,7 +136,7 @@ func (wr *Wire) ReadGraphs(w http.ResponseWriter, r *http.Request, one bool) ([]
 		}
 		wm.Bytes.Add(float64(len(body)))
 		decStart := time.Now()
-		gs, err = graph.DecodeBinary(body)
+		qs, err = fromBinary(body)
 		decDur = time.Since(decStart)
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, err)
@@ -142,8 +160,10 @@ func (wr *Wire) ReadGraphs(w http.ResponseWriter, r *http.Request, one bool) ([]
 		}
 		wm.Bytes.Add(float64(cr.n))
 		decStart := time.Now()
-		var err error
-		gs, err = decodeGraphs(text)
+		gs, err := decodeGraphs(text)
+		if err == nil {
+			qs = fromText(gs)
+		}
 		decDur = time.Since(decStart)
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, err)
@@ -152,15 +172,15 @@ func (wr *Wire) ReadGraphs(w http.ResponseWriter, r *http.Request, one bool) ([]
 	}
 	wm.Seconds.Observe(decDur.Seconds())
 	wm.Negotiated.Inc()
-	if len(gs) == 0 {
+	if len(qs) == 0 {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("no graphs in request"))
 		return nil, 0, false
 	}
-	if one && len(gs) != 1 {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("want exactly 1 graph, got %d (use /querybatch for batches)", len(gs)))
+	if one && len(qs) != 1 {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("want exactly 1 graph, got %d (use /querybatch for batches)", len(qs)))
 		return nil, 0, false
 	}
-	return gs, decDur, true
+	return qs, decDur, true
 }
 
 // WriteResults writes query results as the JSON envelope: a bare
@@ -179,7 +199,10 @@ func (wr *Wire) WriteResults(w http.ResponseWriter, rs []QueryResponse, single b
 		buf = appendBatchResponse(buf, rs)
 	}
 	buf = append(buf, '\n')
+	// Announcing the length keeps net/http from chunking a reply over its
+	// 2 KB buffer, and lets the client read it into one exact buffer.
 	w.Header().Set("Content-Type", contentTypeJSON)
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(http.StatusOK)
 	n, _ := w.Write(buf) // a failed write means the client left; nothing to report it to
 	wr.respText.Seconds.Observe(time.Since(encStart).Seconds())

@@ -58,14 +58,16 @@ func writeCheckedSnapshot(c *core.Cache, w io.Writer) error {
 	if err := c.WriteSnapshot(cw); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s%08x %d\n", snapTrailerPrefix, cw.crc, cw.n)
+	_, err := io.WriteString(w, trailerLine(cw.crc, cw.n)+"\n")
 	return err
 }
 
 // splitChecked verifies data's trailer and returns the snapshot body in
-// front of it. Every failure mode — no trailer (truncation ate it), a
-// length mismatch (truncation or concatenation) or a CRC mismatch
-// (corruption) — wraps errSnapshotCorrupt.
+// front of it. The last line must be exactly the trailer
+// writeCheckedSnapshot writes for the bytes in front of it. Every failure
+// mode — no trailer (truncation ate it), a length mismatch (truncation or
+// concatenation), a CRC mismatch (corruption) or any other byte in the
+// trailer line — wraps errSnapshotCorrupt.
 func splitChecked(data []byte) ([]byte, error) {
 	if len(data) == 0 || data[len(data)-1] != '\n' {
 		return nil, fmt.Errorf("%w: no trailer (truncated?)", errSnapshotCorrupt)
@@ -75,19 +77,17 @@ func splitChecked(data []byte) ([]byte, error) {
 	if !strings.HasPrefix(trailer, snapTrailerPrefix) {
 		return nil, fmt.Errorf("%w: last line %q is not a trailer", errSnapshotCorrupt, trailer)
 	}
-	var sum uint32
-	var n int64
-	if _, err := fmt.Sscanf(trailer[len(snapTrailerPrefix):], "%08x %d", &sum, &n); err != nil {
-		return nil, fmt.Errorf("%w: unparseable trailer %q", errSnapshotCorrupt, trailer)
-	}
 	body := data[:start]
-	if int64(len(body)) != n {
-		return nil, fmt.Errorf("%w: trailer declares %d bytes, file has %d", errSnapshotCorrupt, n, len(body))
-	}
-	if got := crc32.ChecksumIEEE(body); got != sum {
-		return nil, fmt.Errorf("%w: crc32 %08x, trailer declares %08x", errSnapshotCorrupt, got, sum)
+	if want := trailerLine(crc32.ChecksumIEEE(body), int64(len(body))); trailer != want {
+		return nil, fmt.Errorf("%w: trailer %q, the %d bytes before it want %q", errSnapshotCorrupt, trailer, len(body), want)
 	}
 	return body, nil
+}
+
+// trailerLine is the trailer, without its newline, for a snapshot body of
+// n bytes with CRC-32 crc.
+func trailerLine(crc uint32, n int64) string {
+	return fmt.Sprintf("%s%08x %d", snapTrailerPrefix, crc, n)
 }
 
 // fetchSnapshot downloads a peer's GET /snapshot and verifies its
