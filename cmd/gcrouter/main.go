@@ -11,24 +11,25 @@
 // backend — the one its isomorphism-invariant key falls on in a
 // consistent-hash ring — so isomorphic queries meet the same cache and
 // its exact hits concentrate there. A query whose home is unavailable,
-// lagging the fleet's dataset epoch or at -queue-bound goes to the
-// least-loaded backend instead. A batch is split by that rule into at
-// most one sub-batch per backend, scatter-gathered and re-stitched in
-// request order.
+// lagging the fleet's dataset epoch or holding all 64 of its dispatch
+// slots goes to the least-loaded backend instead. A batch is split by
+// that rule into at most one sub-batch per backend, scatter-gathered
+// and re-stitched in request order.
 //
 // Load management (see the package documentation's "Load management"
-// section): each backend has a circuit breaker — failed probes and
-// dispatches count against an -error-budget over a sliding
-// -breaker-window, an open breaker rests for -breaker-cooldown and then
-// half-opens for probe dispatches that readmit or re-eject it — plus a
-// bounded dispatch queue (-queue-bound, -queue-timeout) with
-// backpressure. Failed dispatches are re-dispatched to other backends
-// (answers are never lost to a single backend's death), and when
-// fleet-wide admitted work crosses -shed-threshold the front door sheds
-// with 429 + Retry-After. GET /stats reports fleet-wide aggregates,
-// per-backend detail (breaker state and transition counters included)
-// and the router's counters; GET /healthz is green while at least one
-// backend is dispatchable.
+// section) runs on fixed constants and has no flags: each backend has a
+// circuit breaker — failed probes (every 500ms) and dispatches count
+// against a 0.5 error budget over a sliding 10s window, and an open
+// breaker rests for 1s and then half-opens for probe dispatches that
+// readmit or re-eject it — plus 64 dispatch slots, a dispatch waiting
+// up to 1s for one before failing over. Failed dispatches are
+// re-dispatched to other backends (answers are never lost to a single
+// backend's death), and when fleet-wide admitted work crosses twice the
+// slots of the current fleet (2 × 64 × backends, following joins and
+// drains) the front door sheds with 429 + Retry-After. GET /stats
+// reports fleet-wide aggregates, per-backend detail (breaker state and
+// transition counters included) and the router's counters; GET /healthz
+// is green while at least one backend is dispatchable.
 //
 // The affinity ring has virtual nodes per backend, so growing or
 // shrinking the fleet remaps only ~1/N of the key space. With
@@ -63,20 +64,10 @@ import (
 
 func main() {
 	var (
-		backends = flag.String("backends", "", "comma-separated gcserved addresses (required)")
-		addr     = flag.String("addr", "127.0.0.1:7631", "listen address (port 0 picks an ephemeral port)")
-		probeIv  = flag.Duration("probe-interval", 500*time.Millisecond, "health-probe interval")
-		probeTo  = flag.Duration("probe-timeout", 2*time.Second, "health-probe timeout")
-
-		queueBound   = flag.Int("queue-bound", 64, "per-backend dispatch slots before backpressure")
-		queueTimeout = flag.Duration("queue-timeout", time.Second, "max wait for a saturated backend's slot before failing over")
-		errBudget    = flag.Float64("error-budget", 0.5, "failure fraction over -breaker-window that opens a backend's breaker")
-		brWindow     = flag.Duration("breaker-window", 10*time.Second, "sliding window for the error budget")
-		brCooldown   = flag.Duration("breaker-cooldown", time.Second, "open-breaker cooldown before half-open probing")
-		brMinSamples = flag.Int("breaker-min-samples", 5, "window samples required before the budget can open a breaker")
-		shedThresh   = flag.Int("shed-threshold", 0, "fleet-wide admitted queries before 429 shedding (0 = 2 x queue-bound x backends)")
-		adminAddr    = flag.String("admin-addr", "", "listen address for the topology admin API, /metrics and pprof (empty disables live join/drain)")
-		logJSON      = flag.Bool("log-json", false, "emit structured logs as one-line JSON instead of text")
+		backends  = flag.String("backends", "", "comma-separated gcserved addresses (required)")
+		addr      = flag.String("addr", "127.0.0.1:7631", "listen address (port 0 picks an ephemeral port)")
+		adminAddr = flag.String("admin-addr", "", "listen address for the topology admin API, /metrics and pprof (empty disables live join/drain)")
+		logJSON   = flag.Bool("log-json", false, "emit structured logs as one-line JSON instead of text")
 	)
 	flag.Parse()
 
@@ -98,19 +89,10 @@ func main() {
 		}
 	}
 	rt, err := graphcache.NewRouter(graphcache.RouterOptions{
-		Addr:              *addr,
-		Backends:          addrs,
-		ProbeInterval:     *probeIv,
-		ProbeTimeout:      *probeTo,
-		QueueBound:        *queueBound,
-		QueueTimeout:      *queueTimeout,
-		ErrorBudget:       *errBudget,
-		BreakerWindow:     *brWindow,
-		BreakerCooldown:   *brCooldown,
-		BreakerMinSamples: *brMinSamples,
-		ShedThreshold:     *shedThresh,
-		AdminAddr:         *adminAddr,
-		Logger:            logger,
+		Addr:      *addr,
+		Backends:  addrs,
+		AdminAddr: *adminAddr,
+		Logger:    logger,
 	})
 	if err != nil {
 		fatal(err.Error())

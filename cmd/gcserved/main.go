@@ -19,8 +19,9 @@
 //	POST /warm        {"from": "host:port"}  replace the cache with a peer's snapshot
 //
 // Logs are structured (log/slog); -log-json switches them to one-line
-// JSON, -log-every N samples a per-query latency line, and -pprof adds
-// net/http/pprof under /debug/pprof/.
+// JSON, and -pprof adds net/http/pprof under /debug/pprof/. A query's
+// stage timings are in its ?debug=trace reply and, summed over all
+// queries, in GET /metrics.
 //
 // A single query that finds the engine idle runs at once; those that
 // arrive while a run is in flight queue and share the next run the moment
@@ -80,7 +81,6 @@ func main() {
 		snapIv    = flag.Duration("snapshot-interval", 0, "also write -snapshot periodically, bounding crash loss to one interval (0 = shutdown-only)")
 		warmFrom  = flag.String("warm-from", "", "warm the cache from this peer's GET /snapshot before serving (overrides a local -snapshot load)")
 		logJSON   = flag.Bool("log-json", false, "emit structured logs as one-line JSON instead of text")
-		logEvery  = flag.Int("log-every", 0, "log every Nth served query with its request id and stage timings (0 disables)")
 		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the query listener")
 	)
 	flag.Parse()
@@ -135,7 +135,6 @@ func main() {
 		MaxDelay:         *maxDelay,
 		ShedThreshold:    *shedAt,
 		Logger:           logger,
-		LogEvery:         *logEvery,
 		EnablePprof:      *pprofOn,
 	})
 	if err := srv.Start(); err != nil {

@@ -332,18 +332,21 @@
 // # Load management
 //
 // The serving tier is engineered for sustained overload and partial
-// failure, with four cooperating mechanisms:
+// failure, with four cooperating mechanisms. The router's three run on
+// fixed constants (internal/router's probeInterval, dispatchSlots,
+// errorBudget and their siblings); no RouterOptions field or gcrouter
+// flag tunes them:
 //
 //   - Circuit breakers. Each backend has one, replacing eject-on-first-
-//     failure: dispatch and probe outcomes feed a sliding window
-//     (RouterOptions.BreakerWindow) and the breaker opens only when the
-//     failure fraction breaches ErrorBudget with at least
-//     BreakerMinSamples observations — one unlucky request cannot eject
-//     a healthy backend. An open breaker rejects dispatches for
-//     BreakerCooldown, then half-opens: one dispatch at a time goes
-//     through as a probe, and its outcome closes or re-opens the
-//     breaker. Transitions are lazy (performed by the next dispatch, not
-//     a timer), so a Handler-only embedding with no background prober
+//     failure: dispatch and probe outcomes (a probe every 500ms, each
+//     bounded by 2s) feed a sliding 10s window, and the breaker opens
+//     only when the failure fraction reaches the 0.5 error budget with
+//     at least 5 observations — one unlucky request cannot eject a
+//     healthy backend. An open breaker rejects dispatches for a 1s
+//     cooldown, then half-opens: one dispatch at a time goes through as
+//     a probe, and its outcome closes or re-opens the breaker.
+//     Transitions are lazy (performed by the next dispatch, not a
+//     timer), so a Handler-only embedding with no background prober
 //     still readmits recovered backends; the prober, when running,
 //     merely accelerates the cycle without spending client requests.
 //     Breaker state and monotone transition counters (opens ≥ half_opens
@@ -351,19 +354,20 @@
 //     observes every open → half-open → closed cycle even between
 //     samples.
 //
-//   - Bounded queues with backpressure. Each backend admits at most
-//     QueueBound concurrent dispatches; excess dispatches wait up to
-//     QueueTimeout for a slot, cancelled early if the request's own
-//     context dies. Routing prefers less-loaded replicas when affinity
-//     and load conflict: a query whose affinity home is saturated or
-//     broken diverts to the least-loaded available backend instead of
-//     queueing behind the hot spot.
+//   - Bounded queues with backpressure. Each backend admits at most 64
+//     concurrent dispatches; excess dispatches wait up to 1s for a slot,
+//     cancelled early if the request's own context dies. Routing prefers
+//     less-loaded replicas when affinity and load conflict: a query
+//     whose affinity home is saturated or broken diverts to the
+//     least-loaded available backend instead of queueing behind the hot
+//     spot.
 //
-//   - Overload shedding. When fleet-wide admitted work crosses
-//     ShedThreshold (default twice the fleet's aggregate queue depth),
-//     /query and /querybatch answer 429 with a Retry-After hint instead
-//     of queueing without bound — refusing fast keeps tail latency
-//     bounded for the work that is admitted. gcserved has the same
+//   - Overload shedding. When fleet-wide admitted work crosses twice
+//     the fleet's dispatch slots (2 × 64 × backends, counted on the
+//     topology each request loads, so the threshold tracks joins and
+//     drains), /query and /querybatch answer 429 with a Retry-After
+//     hint instead of queueing without bound — refusing fast keeps tail
+//     latency bounded for the work that is admitted. gcserved has the same
 //     back-stop (ServerOptions.ShedThreshold) for deployments without a
 //     router. Request contexts propagate end-to-end — front door, queue,
 //     coalescer, backend dispatch — so a disconnecting client cancels
@@ -584,9 +588,9 @@
 //
 // Request tracing: the fleet's front door (router or a lone gcserved)
 // mints an X-GC-Request-Id per request, echoes it on the response and
-// forwards it on every dispatch, so backend spans and sampled logs carry
-// the id minted at the edge. POST /query?debug=trace returns the
-// response with a trace: the request id plus named spans from every hop
+// forwards it on every dispatch, so backend spans carry the id minted
+// at the edge. POST /query?debug=trace returns the response with a
+// trace: the request id plus named spans from every hop
 // (router:decode — the router's split and key of a binary request, or
 // its parse and transcode of a text one — router:dispatch addr,
 // server:decode,
@@ -597,12 +601,13 @@
 // dispatched — time held behind a busy engine, not scheduling noise.
 //
 // Logs are structured (log/slog): -log-json switches the daemons to
-// one-line JSON, gcserved -log-every N samples a per-query latency log
-// line, and every record carries a component attribute. gcserved -pprof
-// and the router's admin listener expose net/http/pprof under
-// /debug/pprof/. GET /stats on both daemons reports uptime_seconds,
-// go_version and build (main module version + VCS revision) for fleet
-// inventory; the router's /topology adds per-backend breaker state age.
+// one-line JSON, and every record carries a component attribute; a
+// query's own timings are in its ?debug=trace reply and, fleet-wide, in
+// /metrics. gcserved -pprof and the router's admin listener expose
+// net/http/pprof under /debug/pprof/. GET /stats on both daemons
+// reports uptime_seconds, go_version and build (main module version +
+// VCS revision) for fleet inventory; the router's /topology adds
+// per-backend breaker state age.
 //
 // # Package layout
 //

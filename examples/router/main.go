@@ -11,10 +11,12 @@
 //  1. chaos: the proxy drops half of one backend's traffic; router
 //     failover plus client retries absorb it — zero failed requests;
 //  2. breaker cycle: the backend goes fully dark until its circuit
-//     breaker opens, then heals and is readmitted through a half-open
-//     probe — all observable in the breaker's transition counters;
-//  3. overload: a burst beyond the router's shed threshold is refused
-//     fast with 429 + Retry-After instead of queueing without bound;
+//     breaker opens, then heals and, once the breaker's 1s cooldown is
+//     out, is readmitted through a half-open probe — all observable in
+//     the breaker's transition counters;
+//  3. overload: a burst beyond the router's shed threshold (twice the
+//     fleet's dispatch slots, 2 × 64 × 2 = 256 queries) is refused fast
+//     with 429 + Retry-After instead of queueing without bound;
 //  4. elastic fleet: a third backend joins through the admin API —
 //     warmed from a peer's cache snapshot before its first dispatch —
 //     serves its ring share, and drains back out, with zero failed
@@ -86,21 +88,13 @@ func main() {
 	go chaos.Serve()
 
 	// 4. The router, which sends every query — single or batched — to
-	// its ring home, with tight load-management knobs so the drill is
-	// quick: a small error budget over a short window, a
-	// fast breaker cooldown, bounded per-backend queues and a low shed
-	// threshold.
+	// its ring home. Its load management has no knobs: every router
+	// probes each 500ms, opens a breaker past a 0.5 error budget and
+	// rests it 1s, and gives each backend 64 dispatch slots.
 	rt, err := graphcache.NewRouter(graphcache.RouterOptions{
-		Addr:              "127.0.0.1:0",
-		Backends:          []string{servers[0].Addr(), chaos.Addr()},
-		ProbeInterval:     50 * time.Millisecond,
-		BreakerWindow:     2 * time.Second,
-		ErrorBudget:       0.25,
-		BreakerMinSamples: 4,
-		BreakerCooldown:   100 * time.Millisecond,
-		QueueBound:        8,
-		ShedThreshold:     8,
-		AdminAddr:         "127.0.0.1:0", // topology admin API for the scale-up leg
+		Addr:      "127.0.0.1:0",
+		Backends:  []string{servers[0].Addr(), chaos.Addr()},
+		AdminAddr: "127.0.0.1:0", // topology admin API for the scale-up leg
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -149,16 +143,17 @@ func main() {
 	}
 	fmt.Println("60 more queries survived the backend's blackout (breaker open)")
 
-	// Heal: after the cooldown a half-open probe readmits the backend —
-	// no restart, no operator, just the breaker's own cycle.
+	// Heal: after the 1s cooldown a half-open probe readmits the
+	// backend — no restart, no operator, just the breaker's own cycle.
 	chaos.SetDropRate(0)
 	waitBreaker(rt, chaos.Addr(), "closed")
 	br := breakerOf(rt, chaos.Addr())
 	fmt.Printf("breaker cycle observed: %d opens, %d half-opens, %d closes\n",
 		br.Opens, br.HalfOpens, br.Closes)
 
-	// 8. Overload: a burst far beyond the shed threshold. The front door
-	// refuses the excess fast with 429 + Retry-After (seen here as
+	// 8. Overload: a burst far beyond the shed threshold — 40 batches of
+	// 16 queries, 640 in flight against a threshold of 256. The front
+	// door refuses the excess fast with 429 + Retry-After (seen here as
 	// ServerStatusError) instead of queueing without bound. A plain
 	// no-retry client makes the refusals visible.
 	chaos.SetLatency(200 * time.Millisecond) // make requests dwell
@@ -170,7 +165,11 @@ func main() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := plain.Query(ctx, queries[i%len(queries)].Graph)
+			batch := make([]*graphcache.Graph, 16)
+			for k := range batch {
+				batch[k] = queries[(i*16+k)%len(queries)].Graph
+			}
+			_, err := plain.QueryBatch(ctx, batch)
 			mu.Lock()
 			defer mu.Unlock()
 			var se *graphcache.ServerStatusError
@@ -180,12 +179,12 @@ func main() {
 			case errors.As(err, &se) && se.Code == 429:
 				shed++
 			default:
-				log.Fatalf("burst query %d: %v", i, err)
+				log.Fatalf("burst batch %d: %v", i, err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	fmt.Printf("burst of 40 over threshold 8: %d served, %d shed with 429+Retry-After\n", served, shed)
+	fmt.Printf("burst of 40 batches (640 queries) over threshold 256: %d served, %d shed with 429+Retry-After\n", served, shed)
 
 	// 9. Fleet-wide stats through the plain client, router counters from
 	// the Router itself.

@@ -65,7 +65,7 @@ func (rt *Router) Join(ctx context.Context, addr string) (JoinResponse, error) {
 	}
 	nb := rt.newBackend(addr)
 
-	hctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
+	hctx, cancel := context.WithTimeout(ctx, rt.tun.probeTimeout)
 	err := nb.cl.Healthz(hctx)
 	cancel()
 	if err != nil {
@@ -92,7 +92,7 @@ func (rt *Router) Join(ctx context.Context, addr string) (JoinResponse, error) {
 	// Health may have changed across the warm (the joiner swapped its
 	// whole cache); admission to the ring requires passing /healthz
 	// *after* the snapshot is in.
-	hctx, cancel = context.WithTimeout(ctx, rt.opts.ProbeTimeout)
+	hctx, cancel = context.WithTimeout(ctx, rt.tun.probeTimeout)
 	epoch, err := nb.cl.HealthzEpoch(hctx)
 	cancel()
 	if err != nil {

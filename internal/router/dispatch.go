@@ -31,7 +31,7 @@ type backend struct {
 	// dispatch is this backend's dispatch-latency histogram (queue wait +
 	// breaker check + HTTP round-trip), labelled with its address.
 	dispatch *telemetry.Histogram
-	slots    chan struct{} // dispatch slots; capacity QueueBound
+	slots    chan struct{} // dispatch slots; capacity tuning.slots
 	queued   atomic.Int64  // dispatches waiting for a slot
 	// draining marks a backend on its way out of the fleet: it stops
 	// taking new dispatches (available() is false) while in-flight work
@@ -118,10 +118,10 @@ func (tp *topology) find(addr string) *backend {
 // isomorphic queries, and their exact hits, concentrate on one backend.
 // The key needs no seed, and the router reads it off the query's wire
 // body (graph.SplitBinary) rather than building the graph. The backend is
-// the query's ring home while that home is available and below its queue
-// bound, else the least-loaded available backend — affinity concentrates
-// cache hits, but never at the price of queueing behind a saturated or
-// broken replica while others idle. The home is looked up on the
+// the query's ring home while that home is available and has a free
+// dispatch slot, else the least-loaded available backend — affinity
+// concentrates cache hits, but never at the price of queueing behind a
+// saturated or broken replica while others idle. The home is looked up on the
 // consistent-hash ring over the *full* backend list, not the available
 // subset, so a breaker opening or a drain in progress never remaps the
 // queries of the surviving backends — unavailability diverts, only a
@@ -133,11 +133,11 @@ func (tp *topology) find(addr string) *backend {
 // breaker — its cache has not applied a mutation its peers have, so
 // serving from it could return stale answers. Lagging, like breaker
 // state, diverts without remapping the ring.
-func (tp *topology) assign(h uint64, queueBound int) *backend {
+func (tp *topology) assign(h uint64) *backend {
 	fe := tp.fleetEpoch()
 	home := tp.bs[tp.ring.lookup(h)]
 	homeOK := home.available() && home.current(fe)
-	if homeOK && home.load() < int64(queueBound) {
+	if homeOK && home.load() < int64(cap(home.slots)) {
 		return home
 	}
 	if alt := tp.leastLoaded(home); alt != nil && (!homeOK || alt.load() < home.load()) {
@@ -168,14 +168,14 @@ func (tp *topology) leastLoaded(skip *backend) *backend {
 }
 
 // dispatch runs one attempt against b under its queue bound and
-// breaker: take a slot (blocking up to QueueTimeout under backpressure,
+// breaker: take a slot (blocking up to slotWait under backpressure,
 // cancelled early by ctx), ask the breaker, call, record the outcome.
 // Every attempt — including one that dies waiting for a slot — lands in
 // the backend's dispatch-latency histogram.
 func (rt *Router) dispatch(ctx context.Context, b *backend, call func(context.Context) error) error {
 	start := time.Now()
 	defer func() { b.dispatch.Observe(time.Since(start).Seconds()) }()
-	if err := b.acquire(ctx, rt.opts.QueueTimeout); err != nil {
+	if err := b.acquire(ctx, rt.tun.slotWait); err != nil {
 		return err
 	}
 	defer b.release()
@@ -247,11 +247,10 @@ func (rt *Router) failover(ctx context.Context, tp *topology, b *backend, n int,
 // from many router clients. With trace set the backend is asked for its
 // span breakdown (?debug=trace); the answering backend's address comes
 // back so the handler can prepend its own spans naming the hop.
-func (rt *Router) queryOne(ctx context.Context, q graph.Body, trace bool) (server.QueryResponse, string, error) {
-	tp := rt.topo.Load()
+func (rt *Router) queryOne(ctx context.Context, tp *topology, q graph.Body, trace bool) (server.QueryResponse, string, error) {
 	frame := graph.EncodeFrame([]graph.Body{q})
 	var resp server.QueryResponse
-	b, err := rt.failover(ctx, tp, tp.assign(q.Key, rt.opts.QueueBound), 1,
+	b, err := rt.failover(ctx, tp, tp.assign(q.Key), 1,
 		func(ctx context.Context, b *backend) (_ int, err error) {
 			resp, err = b.cl.QueryFrame(ctx, frame, trace)
 			return 0, err
@@ -278,7 +277,7 @@ type batchGroup struct {
 func (rt *Router) group(tp *topology, qs []graph.Body) ([]batchGroup, error) {
 	groups := make([]batchGroup, len(tp.bs))
 	for i, q := range qs {
-		b := tp.assign(q.Key, rt.opts.QueueBound)
+		b := tp.assign(q.Key)
 		if b == nil {
 			return nil, errNoBackends
 		}
@@ -366,12 +365,14 @@ func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGr
 }
 
 // admit reserves n queries of fleet-wide capacity, refusing when the
-// admitted total would cross ShedThreshold — the front door's part of
-// keeping tail latency bounded: past the point where every backend
-// queue is expected full, refusing fast with a retry hint beats letting
-// latency grow without bound. Pair a true return with done(n).
-func (rt *Router) admit(n int) bool {
-	if rt.admitted.Add(int64(n)) > int64(rt.opts.ShedThreshold) {
+// admitted total would cross twice the dispatch slots of tp, the
+// topology the request routes over, so the threshold follows joins and
+// drains. It is the front door's part of keeping tail latency bounded:
+// past the point where every backend queue is expected full, refusing
+// fast with a retry hint beats letting latency grow without bound. Pair
+// a true return with done(n).
+func (rt *Router) admit(tp *topology, n int) bool {
+	if rt.admitted.Add(int64(n)) > int64(2*rt.tun.slots*len(tp.bs)) {
 		rt.admitted.Add(int64(-n))
 		rt.met.shed.Inc()
 		return false

@@ -372,7 +372,7 @@ func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
 		homed := make(map[*backend][]int)
 		for i, seed := 0, int64(99); ; seed++ {
 			for ; i < len(queries); i++ {
-				b := tp.assign(wireBodies(t, queries[i])[0].Key, rt.opts.QueueBound)
+				b := tp.assign(wireBodies(t, queries[i])[0].Key)
 				homed[b] = append(homed[b], i)
 			}
 			if len(homed) == len(tp.bs) {
@@ -397,7 +397,7 @@ func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
 		total := int64(0)
 		for _, idxs := range sent {
 			for _, i := range idxs {
-				wantRun[tp.assign(wireBodies(t, queries[i])[0].Key, rt.opts.QueueBound).addr]++
+				wantRun[tp.assign(wireBodies(t, queries[i])[0].Key).addr]++
 				total++
 			}
 		}

@@ -79,14 +79,15 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if !rt.admit(1) {
+	tp := rt.topo.Load()
+	if !rt.admit(tp, 1) {
 		writeShed(w)
 		return
 	}
 	defer rt.done(1)
 	trace := r.URL.Query().Get("debug") == "trace"
 	dispatchStart := time.Now()
-	resp, addr, err := rt.queryOne(r.Context(), qs[0], trace)
+	resp, addr, err := rt.queryOne(r.Context(), tp, qs[0], trace)
 	if err != nil {
 		rt.replyDispatchError(w, err)
 		return
@@ -115,12 +116,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if !rt.admit(len(qs)) {
+	tp := rt.topo.Load()
+	if !rt.admit(tp, len(qs)) {
 		writeShed(w)
 		return
 	}
 	defer rt.done(len(qs))
-	tp := rt.topo.Load()
 	groups, err := rt.group(tp, qs)
 	if err != nil {
 		rt.replyDispatchError(w, err)
@@ -151,7 +152,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(r.Context(), rt.tun.probeTimeout)
 			defer cancel()
 			if st, err := b.cl.Stats(ctx); err == nil {
 				// A stats reply doubles as an epoch observation — an

@@ -34,13 +34,13 @@ func (tp *topology) fleetEpoch() int64 {
 	return fe
 }
 
-// probeLoop re-probes every backend each ProbeInterval until Shutdown.
+// probeLoop re-probes every backend each probeInterval until Shutdown.
 // Probes and dispatches feed the same breakers; the prober's job is to
 // open the breaker of a backend that dies while idle and to speed up
 // half-open probing without spending client requests.
 func (rt *Router) probeLoop() {
 	defer close(rt.probeDone)
-	t := time.NewTicker(rt.opts.ProbeInterval)
+	t := time.NewTicker(rt.tun.probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -65,7 +65,7 @@ func (rt *Router) probeAll() {
 			if !b.br.Allow() {
 				return
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), rt.tun.probeTimeout)
 			defer cancel()
 			epoch, err := b.cl.HealthzEpoch(ctx)
 			b.br.Record(err == nil)

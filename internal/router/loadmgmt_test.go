@@ -65,12 +65,9 @@ func TestHandlerOnlyRouterReadmits(t *testing.T) {
 
 	b := startBackend(t, ds)
 	fp := startFaultProxy(t, b.Addr(), 1)
-	rt, err := New(Options{
-		Backends:          []string{fp.Addr()},
-		ErrorBudget:       0.01,
-		BreakerMinSamples: 1,
-		BreakerCooldown:   200 * time.Millisecond,
-	})
+	tun := defaultTuning
+	tun.errorBudget, tun.breakerMinSamples, tun.breakerCooldown = 0.01, 1, 200*time.Millisecond
+	rt, err := newRouter(Options{Backends: []string{fp.Addr()}}, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -119,11 +116,10 @@ func TestCanceledContextAbandonsQueuedRequest(t *testing.T) {
 	b := startBackend(t, ds)
 	fp := startFaultProxy(t, b.Addr(), 1)
 	fp.SetLatency(400 * time.Millisecond) // hold the only slot occupied
-	rt, err := New(Options{
-		Backends:     []string{fp.Addr()},
-		QueueBound:   1,
-		QueueTimeout: 30 * time.Second, // only ctx may end the wait
-	})
+	tun := defaultTuning
+	tun.slots = 1
+	tun.slotWait = 30 * time.Second // only ctx may end the wait
+	rt, err := newRouter(Options{Backends: []string{fp.Addr()}}, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -132,7 +128,7 @@ func TestCanceledContextAbandonsQueuedRequest(t *testing.T) {
 	// First request occupies the single dispatch slot for ~400ms.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, _, err := rt.queryOne(context.Background(), bodies[0], false)
+		_, _, err := rt.queryOne(context.Background(), rt.topo.Load(), bodies[0], false)
 		firstDone <- err
 	}()
 	waitFor(t, "the slot to be taken", func() bool { return len(rt.backends()[0].slots) == 1 })
@@ -141,7 +137,7 @@ func TestCanceledContextAbandonsQueuedRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	queuedDone := make(chan error, 1)
 	go func() {
-		_, _, err := rt.queryOne(ctx, bodies[1], false)
+		_, _, err := rt.queryOne(ctx, rt.topo.Load(), bodies[1], false)
 		queuedDone <- err
 	}()
 	waitFor(t, "the request to queue", func() bool { return rt.backends()[0].queued.Load() == 1 })
@@ -164,8 +160,9 @@ func TestCanceledContextAbandonsQueuedRequest(t *testing.T) {
 }
 
 // TestOverloadShedding pins the front door: when fleet-wide admitted
-// work crosses ShedThreshold, /query answers 429 with a Retry-After
-// hint instead of queueing without bound.
+// work crosses twice the fleet's dispatch slots, /query answers 429
+// with a Retry-After hint instead of queueing without bound. One
+// backend with one slot puts the threshold at 2.
 func TestOverloadShedding(t *testing.T) {
 	ds := testDataset(40, 85)
 	queries := testWorkload(ds, 1, 86)
@@ -173,13 +170,11 @@ func TestOverloadShedding(t *testing.T) {
 	b := startBackend(t, ds)
 	fp := startFaultProxy(t, b.Addr(), 1)
 	fp.SetLatency(500 * time.Millisecond) // requests dwell, depth builds
-	rt := startRouter(t, Options{
-		Backends:      []string{fp.Addr()},
-		ProbeInterval: time.Hour,
-		QueueBound:    2,
-		QueueTimeout:  5 * time.Second,
-		ShedThreshold: 2,
-	})
+	tun := defaultTuning
+	tun.probeInterval = time.Hour
+	tun.slots = 1
+	tun.slotWait = 5 * time.Second
+	rt := startTunedRouter(t, Options{Backends: []string{fp.Addr()}}, tun)
 
 	text, err := graph.EncodeText([]*graph.Graph{queries[0]})
 	if err != nil {
@@ -237,6 +232,53 @@ func TestOverloadShedding(t *testing.T) {
 	}
 }
 
+// TestOverloadSheddingFollowsTopology pins the shed threshold to the
+// live fleet: twice the dispatch slots of every backend in the topology
+// a request loads. A one-backend router admits a batch of 2 × 64 and
+// sheds one more query; after a join it admits 2 × 64 × 2; after a
+// drain it sheds past 2 × 64 again.
+func TestOverloadSheddingFollowsTopology(t *testing.T) {
+	ds := testDataset(40, 89)
+	q := testWorkload(ds, 1, 90)[0]
+	ctx := context.Background()
+	b1, b2 := startBackend(t, ds), startBackend(t, ds)
+	rt := startRouter(t, Options{Backends: []string{b1.Addr()}})
+
+	// batch posts n copies of q as one binary /querybatch and returns the
+	// reply's status.
+	batch := func(n int) int {
+		t.Helper()
+		qs := make([]*graph.Graph, n)
+		for i := range qs {
+			qs[i] = q
+		}
+		frame, err := graph.EncodeBinary(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return post(t, "http://"+rt.Addr()+"/querybatch", server.ContentTypeBinary, frame)
+	}
+	expect := func(phase string, admitted int) {
+		t.Helper()
+		if got := batch(admitted); got != http.StatusOK {
+			t.Errorf("%s: batch of %d answered %d, want 200", phase, admitted, got)
+		}
+		if got := batch(admitted + 1); got != http.StatusTooManyRequests {
+			t.Errorf("%s: batch of %d answered %d, want 429", phase, admitted+1, got)
+		}
+	}
+
+	expect("one backend", 2*dispatchSlots)
+	if _, err := rt.Join(ctx, b2.Addr()); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	expect("after join", 2*dispatchSlots*2)
+	if err := rt.Drain(ctx, b1.Addr()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	expect("after drain", 2*dispatchSlots)
+}
+
 // TestChaosDrillZeroClientFailures is the fault drill, under each
 // legacyModes value, meant
 // for -race: one backend drops half its traffic and flaps fully dead for
@@ -266,15 +308,11 @@ func TestChaosDrillZeroClientFailures(t *testing.T) {
 			fp := startFaultProxy(t, flaky.Addr(), 42)
 			fp.SetDropRate(0.5)
 
-			rt := startRouter(t, Options{
-				Backends:          []string{steady.Addr(), fp.Addr()},
-				Mode:              lm.mode,
-				ProbeInterval:     25 * time.Millisecond,
-				BreakerWindow:     2 * time.Second,
-				ErrorBudget:       0.25,
-				BreakerMinSamples: 4,
-				BreakerCooldown:   100 * time.Millisecond,
-			})
+			tun := defaultTuning
+			tun.probeInterval = 25 * time.Millisecond
+			tun.breakerWindow, tun.errorBudget = 2*time.Second, 0.25
+			tun.breakerMinSamples, tun.breakerCooldown = 4, 100*time.Millisecond
+			rt := startTunedRouter(t, Options{Backends: []string{steady.Addr(), fp.Addr()}, Mode: lm.mode}, tun)
 			cl := server.NewClientWith(rt.Addr(), server.ClientOptions{
 				MaxRetries:     6,
 				RetryBaseDelay: 10 * time.Millisecond,

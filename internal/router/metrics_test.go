@@ -200,7 +200,7 @@ func TestCountersEjectedMonotoneAcrossDrain(t *testing.T) {
 	}
 	b0 := rt.backends()[0]
 	// Trip the breaker so the drained backend carries a nonzero Opens.
-	for i := 0; i < rt.opts.BreakerMinSamples; i++ {
+	for i := 0; i < rt.tun.breakerMinSamples; i++ {
 		b0.br.Record(false)
 	}
 	if got := b0.br.Counts().Opens; got != 1 {
@@ -301,7 +301,7 @@ func TestBreakerTransitionCounter(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	b0 := rt.backends()[0]
-	for i := 0; i < rt.opts.BreakerMinSamples; i++ {
+	for i := 0; i < rt.tun.breakerMinSamples; i++ {
 		b0.br.Record(false)
 	}
 	var buf bytes.Buffer

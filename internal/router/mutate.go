@@ -135,7 +135,7 @@ func (rt *Router) seedMutSeq(ctx context.Context) error {
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
+			sctx, cancel := context.WithTimeout(ctx, rt.tun.probeTimeout)
 			defer cancel()
 			st, err := b.cl.Stats(sctx)
 			if err != nil {

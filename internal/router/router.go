@@ -35,14 +35,15 @@
 //     dispatch attempts; the prober only accelerates the cycle.
 //
 //   - Each backend has a bounded request queue: a dispatch takes a slot,
-//     blocking up to QueueTimeout when the backend is saturated, and the
+//     blocking up to slotWait when the backend is saturated, and the
 //     caller's context cancels a queued dispatch before it reaches the
 //     backend. Assignment prefers less-loaded replicas when affinity and
 //     load conflict.
 //
-//   - The front door sheds: when fleet-wide admitted work crosses
-//     ShedThreshold, /query and /querybatch answer 429 with Retry-After
-//     instead of letting every queue grow without bound.
+//   - The front door sheds: when fleet-wide admitted work crosses twice
+//     the dispatch slots of the topology the request loaded, /query and
+//     /querybatch answer 429 with Retry-After instead of letting every
+//     queue grow without bound. The threshold follows joins and drains.
 package router
 
 import (
@@ -83,44 +84,6 @@ type Options struct {
 	//
 	// Deprecated: ignored.
 	Mode Mode
-	// ProbeInterval is how often the health prober checks every backend
-	// (default 500ms). Probe outcomes feed the same per-backend circuit
-	// breakers as dispatch outcomes, so an idle backend's breaker opens
-	// and recovers without burning client requests.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe, and one backend's share of an
-	// aggregated /stats fan-out (default 2s).
-	ProbeTimeout time.Duration
-
-	// QueueBound caps each backend's dispatch slots — in-flight requests
-	// through the router (default 64). Past it, dispatches queue.
-	QueueBound int
-	// QueueTimeout bounds how long a dispatch may wait for a saturated
-	// backend's slot before failing over (default 1s). The request's own
-	// context cancels the wait earlier.
-	QueueTimeout time.Duration
-	// BreakerWindow is the sliding window over which each backend's
-	// error budget is evaluated (default 10s).
-	BreakerWindow time.Duration
-	// ErrorBudget is the failure fraction within BreakerWindow that
-	// opens a backend's breaker (default 0.5). Lower values eject
-	// sooner; with BreakerMinSamples 1 and a tiny budget the breaker
-	// degenerates to the old eject-on-first-failure behavior.
-	ErrorBudget float64
-	// BreakerMinSamples is the minimum window sample count before the
-	// error budget can open a breaker (default 5), so one unlucky
-	// request cannot eject an idle backend.
-	BreakerMinSamples int
-	// BreakerCooldown is how long an open breaker rejects dispatches
-	// before half-opening for probe dispatches (default 1s).
-	BreakerCooldown time.Duration
-	// ShedThreshold caps fleet-wide admitted queries (queued plus
-	// in-flight); past it /query and /querybatch answer 429 with
-	// Retry-After (default 2 × QueueBound × len(Backends) — twice the
-	// depth the backends can absorb concurrently). The default is fixed
-	// at construction; it does not track later joins and drains.
-	ShedThreshold int
-
 	// AdminAddr, when non-empty, is the listen address of the admin API
 	// (POST /backends, DELETE /backends/{id}, GET /topology) — the live
 	// topology control surface. It is bound separately from Addr so the
@@ -136,41 +99,47 @@ func (o Options) withDefaults() Options {
 	if o.Addr == "" {
 		o.Addr = "127.0.0.1:7631"
 	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 500 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.QueueBound <= 0 {
-		o.QueueBound = 64
-	}
-	if o.QueueTimeout <= 0 {
-		o.QueueTimeout = time.Second
-	}
-	if o.BreakerWindow <= 0 {
-		o.BreakerWindow = 10 * time.Second
-	}
-	if o.ErrorBudget <= 0 {
-		o.ErrorBudget = 0.5
-	}
-	if o.BreakerMinSamples <= 0 {
-		o.BreakerMinSamples = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = time.Second
-	}
-	if o.ShedThreshold <= 0 {
-		n := len(o.Backends)
-		if n == 0 {
-			n = 1
-		}
-		o.ShedThreshold = 2 * o.QueueBound * n
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
 	return o
+}
+
+// The router's load management runs on these constants; no option, flag
+// or environment variable changes them.
+const (
+	probeInterval     = 500 * time.Millisecond // health-probe period; probes feed the breakers
+	probeTimeout      = 2 * time.Second        // bounds a probe, and a backend's share of a fan-out
+	dispatchSlots     = 64                     // in-flight dispatches per backend; past it they queue
+	slotWait          = time.Second            // longest wait for a slot before failing over
+	breakerWindow     = 10 * time.Second       // sliding window of each backend's error budget
+	errorBudget       = 0.5                    // failure fraction in the window that opens a breaker
+	breakerMinSamples = 5                      // outcomes the window needs before it can open one
+	breakerCooldown   = time.Second            // how long an open breaker rests before half-opening
+)
+
+// tuning carries the load-management constants into a Router. New always
+// builds routers on defaultTuning; the struct exists so this package's
+// tests can build one with fast breakers or a parked prober (newRouter).
+type tuning struct {
+	probeInterval, probeTimeout time.Duration
+	slots                       int
+	slotWait                    time.Duration
+	breakerWindow               time.Duration
+	errorBudget                 float64
+	breakerMinSamples           int
+	breakerCooldown             time.Duration
+}
+
+var defaultTuning = tuning{
+	probeInterval:     probeInterval,
+	probeTimeout:      probeTimeout,
+	slots:             dispatchSlots,
+	slotWait:          slotWait,
+	breakerWindow:     breakerWindow,
+	errorBudget:       errorBudget,
+	breakerMinSamples: breakerMinSamples,
+	breakerCooldown:   breakerCooldown,
 }
 
 // Router fronts N gcserved backends behind the gcserved wire API.
@@ -183,6 +152,7 @@ func (o Options) withDefaults() Options {
 // the backend itself.
 type Router struct {
 	opts Options
+	tun  tuning
 	mux  *http.ServeMux
 	hs   *http.Server
 	lis  net.Listener
@@ -227,7 +197,9 @@ var (
 // New builds a Router over opts.Backends. The backends need not be up
 // yet: breakers start closed (optimistic) and dispatch failures, probe
 // failures and recoveries move them from there.
-func New(opts Options) (*Router, error) {
+func New(opts Options) (*Router, error) { return newRouter(opts, defaultTuning) }
+
+func newRouter(opts Options, tun tuning) (*Router, error) {
 	opts = opts.withDefaults()
 	if len(opts.Backends) == 0 {
 		return nil, errors.New("router: at least one backend is required")
@@ -235,6 +207,7 @@ func New(opts Options) (*Router, error) {
 	reg := telemetry.NewRegistry()
 	rt := &Router{
 		opts:      opts,
+		tun:       tun,
 		mux:       http.NewServeMux(),
 		adminMux:  http.NewServeMux(),
 		reg:       reg,
@@ -279,7 +252,7 @@ func New(opts Options) (*Router, error) {
 }
 
 // newBackend builds one backend's client, breaker and queue from the
-// router's (defaulted) options, and registers its per-address telemetry
+// router's tuning, and registers its per-address telemetry
 // series. A backend re-joining under the same address reuses its old
 // series (registry get-or-create), so counters stay monotone across
 // drain/join cycles; the queue-depth gauge resolves the address through
@@ -306,12 +279,12 @@ func (rt *Router) newBackend(addr string) *backend {
 		cl:       server.NewClient(addr),
 		mcl:      server.NewClientWith(addr, server.ClientOptions{MaxRetries: mutateRetries}),
 		dispatch: rt.met.dispatchHist(addr),
-		slots:    make(chan struct{}, rt.opts.QueueBound),
+		slots:    make(chan struct{}, rt.tun.slots),
 		br: newBreaker(breakerConfig{
-			window:     rt.opts.BreakerWindow,
-			budget:     rt.opts.ErrorBudget,
-			minSamples: rt.opts.BreakerMinSamples,
-			cooldown:   rt.opts.BreakerCooldown,
+			window:     rt.tun.breakerWindow,
+			budget:     rt.tun.errorBudget,
+			minSamples: rt.tun.breakerMinSamples,
+			cooldown:   rt.tun.breakerCooldown,
 			onTransition: func(to State) {
 				rt.met.onTransition(to)
 				rt.opts.Logger.Info("breaker transition",

@@ -57,8 +57,15 @@ func startBackend(t *testing.T, ds *dataset.Dataset) *server.Server {
 // down with the test.
 func startRouter(t *testing.T, opts Options) *Router {
 	t.Helper()
+	return startTunedRouter(t, opts, defaultTuning)
+}
+
+// startTunedRouter is startRouter over tun instead of the router's
+// constants, for tests that need fast breakers or a parked prober.
+func startTunedRouter(t *testing.T, opts Options, tun tuning) *Router {
+	t.Helper()
 	opts.Addr = "127.0.0.1:0"
-	rt, err := New(opts)
+	rt, err := newRouter(opts, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -200,8 +207,8 @@ func TestRouterModesMatchDirect(t *testing.T) {
 
 // TestRouterFailover kills one backend mid-stream: every query must still
 // be answered (the failed dispatches re-routed to the survivor), the dead
-// backend ejected, and the router's health check stay green. ProbeInterval
-// is an hour, so ejection can only happen through the failover path.
+// backend ejected, and the router's health check stay green. The probe
+// interval is an hour, so ejection can only happen through the failover path.
 func TestRouterFailover(t *testing.T) {
 	ds := testDataset(40, 73)
 	queries := testWorkload(ds, 30, 74)
@@ -209,15 +216,12 @@ func TestRouterFailover(t *testing.T) {
 
 	victim := startBackend(t, ds)
 	survivor := startBackend(t, ds)
-	rt := startRouter(t, Options{
-		Backends:      []string{victim.Addr(), survivor.Addr()},
-		ProbeInterval: time.Hour,
-		// Hair-trigger breaker: the first failed dispatch opens it, the
-		// pre-breaker eject-on-first-failure behaviour.
-		ErrorBudget:       0.01,
-		BreakerMinSamples: 1,
-		BreakerCooldown:   time.Hour,
-	})
+	tun := defaultTuning
+	tun.probeInterval = time.Hour
+	// Hair-trigger breaker: the first failed dispatch opens it, the
+	// pre-breaker eject-on-first-failure behaviour.
+	tun.errorBudget, tun.breakerMinSamples, tun.breakerCooldown = 0.01, 1, time.Hour
+	rt := startTunedRouter(t, Options{Backends: []string{victim.Addr(), survivor.Addr()}}, tun)
 	cl := server.NewClient(rt.Addr())
 
 	for i, q := range queries[:10] {
@@ -268,11 +272,13 @@ func TestCanceledRequestDoesNotEject(t *testing.T) {
 	ds := testDataset(40, 77)
 	queries := testWorkload(ds, 2, 78)
 	b := startBackend(t, ds)
-	rt := startRouter(t, Options{Backends: []string{b.Addr()}, ProbeInterval: time.Hour})
+	tun := defaultTuning
+	tun.probeInterval = time.Hour
+	rt := startTunedRouter(t, Options{Backends: []string{b.Addr()}}, tun)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := rt.queryOne(ctx, wireBodies(t, queries[0])[0], false); err == nil {
+	if _, _, err := rt.queryOne(ctx, rt.topo.Load(), wireBodies(t, queries[0])[0], false); err == nil {
 		t.Fatal("queryOne with a dead context succeeded")
 	}
 	if st := rt.backends()[0].br.State(); st != StateClosed {
@@ -282,7 +288,7 @@ func TestCanceledRequestDoesNotEject(t *testing.T) {
 		t.Fatalf("canceled request burned retries/ejections: %+v", c)
 	}
 	// The backend must still answer a live request.
-	if _, _, err := rt.queryOne(context.Background(), wireBodies(t, queries[1])[0], false); err != nil {
+	if _, _, err := rt.queryOne(context.Background(), rt.topo.Load(), wireBodies(t, queries[1])[0], false); err != nil {
 		t.Fatalf("backend unusable after canceled request: %v", err)
 	}
 }
@@ -323,15 +329,12 @@ func TestRouterEjectReadmit(t *testing.T) {
 	keeper := startBackend(t, ds)
 	flapper := startBackend(t, ds)
 	flapAddr := flapper.Addr()
-	rt := startRouter(t, Options{
-		Backends:      []string{keeper.Addr(), flapAddr},
-		ProbeInterval: 20 * time.Millisecond,
-		// Hair-trigger breaker with a short cooldown: one failed probe
-		// opens it, and half-open probes keep checking for recovery.
-		ErrorBudget:       0.01,
-		BreakerMinSamples: 1,
-		BreakerCooldown:   20 * time.Millisecond,
-	})
+	tun := defaultTuning
+	tun.probeInterval = 20 * time.Millisecond
+	// Hair-trigger breaker with a short cooldown: one failed probe opens
+	// it, and half-open probes keep checking for recovery.
+	tun.errorBudget, tun.breakerMinSamples, tun.breakerCooldown = 0.01, 1, 20*time.Millisecond
+	rt := startTunedRouter(t, Options{Backends: []string{keeper.Addr(), flapAddr}}, tun)
 	cl := server.NewClient(rt.Addr())
 
 	waitHealthy := func(want bool) {

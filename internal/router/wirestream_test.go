@@ -155,7 +155,9 @@ func TestFirstDispatchToJoinerIsBinary(t *testing.T) {
 	queries := testWorkload(ds, 4, 432)
 	ctx := context.Background()
 	first, joiner := startBackend(t, ds), startBackend(t, ds)
-	rt := startRouter(t, Options{Backends: []string{first.Addr()}, ProbeInterval: time.Hour})
+	tun := defaultTuning
+	tun.probeInterval = time.Hour
+	rt := startTunedRouter(t, Options{Backends: []string{first.Addr()}}, tun)
 	if _, err := rt.Join(ctx, joiner.Addr()); err != nil {
 		t.Fatalf("Join: %v", err)
 	}

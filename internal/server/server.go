@@ -79,12 +79,7 @@ type Options struct {
 	// Retry-After hint instead of queueing without bound (0 disables —
 	// a router in front usually owns the shedding policy).
 	ShedThreshold int
-	// LogEvery, when positive, logs one structured line (via Logger)
-	// per N served queries — request id, stage timings, answer size —
-	// a sampled trace of the serving stream cheap enough to leave on.
-	LogEvery int
-	// Logger receives lifecycle and sampled query logs (default
-	// slog.Default()).
+	// Logger receives lifecycle logs (default slog.Default()).
 	Logger *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// serving mux. Off by default: gcserved's port is the query plane.
@@ -139,11 +134,10 @@ type Server struct {
 	// met is the server's metric surface (see metrics.go), wire its
 	// format negotiation with the codec metrics, reg the registry behind
 	// GET /metrics; start anchors uptime_seconds.
-	met      *serverMetrics
-	wire     *Wire
-	reg      *telemetry.Registry
-	start    time.Time
-	reqCount atomic.Int64 // served queries, for the sampled query log
+	met   *serverMetrics
+	wire  *Wire
+	reg   *telemetry.Registry
+	start time.Time
 }
 
 // logf reports serving-lifecycle events (quarantined snapshots, failed
@@ -208,7 +202,7 @@ func (s *Server) Metrics() *telemetry.Registry { return s.reg }
 // request its fleet-wide id. An id arriving in the X-GC-Request-Id header
 // (minted by the router in front, or by a router fronting that router) is
 // kept, otherwise one is minted here, at the fleet's front door. The id
-// rides the request context to handlers, traces and sampled logs — and,
+// rides the request context to handlers and traces — and,
 // through the router's backend client, to every dispatch — and is echoed
 // on the response.
 func WithRequestID(next http.Handler) http.Handler {
@@ -485,7 +479,6 @@ func writeShed(w http.ResponseWriter) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	arrived := time.Now()
 	qs, decDur, ok := s.wire.ReadGraphs(w, r, true)
 	if !ok {
 		return
@@ -505,7 +498,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("debug") == "trace" {
 		resp.Trace = s.buildTrace(r.Context(), decDur, res.wait, res.Stats)
 	}
-	s.logQuery(r.Context(), res.Stats, time.Since(arrived))
 	s.wire.WriteResults(w, []QueryResponse{resp}, true)
 }
 
@@ -529,32 +521,6 @@ func (s *Server) buildTrace(ctx context.Context, decode, wait time.Duration, qs 
 	tr.Add("engine:verify", qs.VerifyTime)
 	tr.Add("engine:total", qs.TotalTime())
 	return tr
-}
-
-// logQuery emits the sampled per-query structured log line: every
-// Options.LogEvery-th served query, with its request id and stage
-// timings, so fleet logs carry a grep-able latency trace at bounded
-// volume.
-func (s *Server) logQuery(ctx context.Context, qs core.QueryStats, served time.Duration) {
-	if s.opts.LogEvery <= 0 {
-		return
-	}
-	if n := s.reqCount.Add(1); n%int64(s.opts.LogEvery) != 0 {
-		return
-	}
-	s.opts.Logger.Info("query served",
-		"component", "gcserved",
-		"request_id", telemetry.RequestIDFrom(ctx),
-		"serial", qs.Serial,
-		"served_ms", float64(served.Microseconds())/1000,
-		"filter_m_ms", float64(qs.FilterMTime.Microseconds())/1000,
-		"filter_gc_ms", float64(qs.FilterGCTime.Microseconds())/1000,
-		"verify_ms", float64(qs.VerifyTime.Microseconds())/1000,
-		"candidates_final", qs.CandidatesFinal,
-		"answer", qs.AnswerSize,
-		"exact_hit", qs.ExactHit,
-		"empty_shortcut", qs.EmptyShortcut,
-	)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

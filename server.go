@@ -118,8 +118,9 @@ const DefaultCoalesceDelay = 2 * time.Millisecond
 type Router = router.Router
 
 // RouterOptions configures a Router: listen address, backend list,
-// health-probe cadence, and the load-management knobs (queue bound,
-// error budget, breaker window/cooldown, shed threshold).
+// admin listen address and logger. Load management (probes, breakers,
+// dispatch slots, shedding) runs on fixed constants; see the package
+// documentation's "Load management" section.
 type RouterOptions = router.Options
 
 // RouterMode was the Router's routing-mode selector. A Router has one
