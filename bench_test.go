@@ -232,7 +232,7 @@ func BenchmarkCacheConcurrent(b *testing.B) {
 
 // BenchmarkQueryBatch compares one QueryBatch over 64 queries against 64
 // sequential Query calls on an identically warmed cache — the execution
-// primitive behind gcserved's request coalescer. The batch amortises
+// primitive behind gcserved's POST /querybatch. The batch amortises
 // index-snapshot loads, pool dispatches and statistics round-trips across
 // the whole batch, so batched execution should be no slower than
 // sequential on any machine and faster on multi-core ones.

@@ -18,8 +18,9 @@ import (
 // index probes, pool dispatches and statistics updates across the
 // batch, delivering each result as it completes, with answers identical
 // to sequential Query calls — QueryBatch collects its results, and Query
-// is the same pipeline over one query. It is the primitive behind the
-// serving subsystem's request coalescer (see Server).
+// is the same pipeline over one query. The serving subsystem (see Server)
+// runs each request through it: a /querybatch as one batch, a /query as a
+// batch of one.
 //
 // Cache contents persist across restarts through WriteSnapshot (call on
 // shutdown) and ReadSnapshot (call on startup, over the same dataset) —

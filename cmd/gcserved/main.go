@@ -23,10 +23,11 @@
 // stage timings are in its ?debug=trace reply and, summed over all
 // queries, in GET /metrics.
 //
-// A single query that finds the engine idle runs at once; those that
-// arrive while a run is in flight queue and share the next run the moment
-// one returns (at most -max-batch per run, and dispatched regardless once
-// one of them has been held for -max-delay).
+// Each request is one run of the cache's query pipeline on its own
+// goroutine: a /query is a run of one, a /querybatch a run of its batch,
+// and concurrent requests run side by side over the cache's bounded
+// verification pool. -shed-threshold is the only bound on how many
+// queries are admitted at once.
 // With -snapshot, cache contents are loaded on start and written back on
 // SIGTERM/SIGINT via graceful shutdown — the Cache Manager lifecycle of
 // the paper; a corrupt or truncated snapshot file is quarantined to
@@ -75,8 +76,6 @@ func main() {
 		window    = flag.Int("window", 20, "window size W in queries")
 		policy    = flag.String("policy", "hd", "replacement policy: lru, pop, pin, pinc, hd")
 		admission = flag.Float64("admission", 0, "admission-control fraction (0 disables)")
-		maxBatch  = flag.Int("max-batch", 64, "request coalescer: max queries per run (1: every query runs alone)")
-		maxDelay  = flag.Duration("max-delay", graphcache.DefaultCoalesceDelay, "request coalescer: longest a query may be held behind a busy engine (an idle engine runs it at once; negative: never held)")
 		shedAt    = flag.Int("shed-threshold", 0, "queries admitted concurrently before 429 shedding (0 disables; a fronting gcrouter usually owns shedding)")
 		snapIv    = flag.Duration("snapshot-interval", 0, "also write -snapshot periodically, bounding crash loss to one interval (0 = shutdown-only)")
 		warmFrom  = flag.String("warm-from", "", "warm the cache from this peer's GET /snapshot before serving (overrides a local -snapshot load)")
@@ -131,8 +130,6 @@ func main() {
 		SnapshotPath:     *snapshot,
 		JournalPath:      *journal,
 		SnapshotInterval: *snapIv,
-		MaxBatch:         *maxBatch,
-		MaxDelay:         *maxDelay,
 		ShedThreshold:    *shedAt,
 		Logger:           logger,
 		EnablePprof:      *pprofOn,

@@ -193,18 +193,16 @@
 // same t/v/e text format datasets ship in, so non-Go clients need no
 // codec beyond printing a graph file: POST /query answers one query,
 // POST /querybatch a batch (one run of the pipeline), GET /stats reports
-// the lifetime totals and GET /healthz liveness. Single queries share
-// runs of the pipeline by group commit, not by a timer: (1) a query that
-// finds no run in flight is dispatched at once; (2) one that arrives while
-// a run is in flight queues, and the moment a run returns its goroutine
-// takes the whole queue as the next run, so batches form exactly when,
-// and only as large as, concurrency exists; (3) -max-batch queued queries
-// are dispatched at once, beside the runs in flight; (4) -max-delay bounds
-// how long a queued query may be held while the engine stays busy — on
-// expiry the queue is dispatched beside the runs in flight, so one slow
-// verification cannot hold up the rest. The service boundary thus
-// amortises filter dispatch and statistics application under load, and a
-// lone query pays a goroutine hand-off, not a collection window. With
+// the lifetime totals and GET /healthz liveness. Each request is one run
+// of the pipeline on the request's own goroutine, as in the paper's §4
+// runtime: a /query is a run of one, a /querybatch a run of its batch.
+// Concurrent requests run side by side — Cache is safe for concurrent
+// callers and their verification shares one bounded worker pool — so no
+// query waits for another's run, and the reply to a /query is written
+// once its run's bookkeeping is done: a client that has its answer finds
+// the query in the totals and the window. Singles are not held back to
+// share a run: the sub-iso work concurrent singles share measured under
+// 2 %, far less than the wait for a run in flight costs them. With
 // -snapshot, cache contents load on start and persist on SIGTERM through
 // graceful shutdown — the paper's Cache Manager lifecycle at the daemon
 // boundary.
@@ -257,10 +255,8 @@
 // Streaming. POST /querybatch with Accept: application/x-ndjson streams
 // the batch instead of buffering it: one JSON StreamResult line per
 // query, flushed as its verification completes, in request order by
-// default or tagged with the request index under ?order=arrival. The
-// request coalescer delivers per-waiter results the same way as they
-// land, so a /query that shares a run returns as soon as its own
-// verification is done. A router scatter-gathers per-backend streams
+// default or tagged with the request index under ?order=arrival. A
+// router scatter-gathers per-backend streams
 // (always arrival-ordered upstream) and re-stitches them into one
 // client stream in the client's requested order. In Go this is
 // ServerClient.QueryBatchStream; on the command line, gcquery -stream.
@@ -272,8 +268,8 @@
 // sub-iso tests are skipped — and a router forwards the cancellation to
 // every backend stream it opened. The same holds for every other batch
 // shape, since all run the one pipeline: a buffered /querybatch whose
-// client left, and a coalesced batch — of many queries or of one — whose
-// every waiter left. A backend that dies mid-stream cannot
+// client left, and a /query whose client left. A backend that dies
+// mid-stream cannot
 // fail over once results have been flushed (a re-dispatch could
 // duplicate an index), so the router ends the stream with a terminal
 // error line instead. Cut streams and skipped verifications are counted
@@ -370,7 +366,7 @@
 //     latency bounded for the work that is admitted. gcserved has the same
 //     back-stop (ServerOptions.ShedThreshold) for deployments without a
 //     router. Request contexts propagate end-to-end — front door, queue,
-//     coalescer, backend dispatch — so a disconnecting client cancels
+//     backend dispatch, the backend's run — so a disconnecting client cancels
 //     its queued and in-flight work instead of leaving it to burn
 //     capacity.
 //
@@ -542,20 +538,14 @@
 //	    its even share of the batch's stage time; its verify is the time from
 //	    the start of the batch's verification to its own last verdict — what
 //	    the router and the client see too
-//	graphcache_queries_total{path=single|batched}  batched: ran with company
+//	graphcache_queries_total{path=single|batched}  batched: ran in a /querybatch
+//	    of two or more
 //	graphcache_query_hits_total{kind=exact|empty|container|containee}
 //	graphcache_candidates_total{stage=method|final}, graphcache_query_candidates
 //	graphcache_verifications_saved_total, graphcache_credit_saved_total
 //	graphcache_window_rebuild_seconds, graphcache_window_{admitted,evicted,rejected}_total
-//	graphcache_server_coalesce_wait_seconds  how long a query was queued before
-//	    its run was dispatched: about 0 for one that found the engine idle,
-//	    at most -max-delay otherwise
-//	graphcache_server_batch_size  queries per run (coalesced and /querybatch)
-//	graphcache_server_coalesce_dispatch_total{reason=idle|drained|full|timeout}
-//	    one per coalesced run, by why it started: no run was in flight when
-//	    the query arrived; a returning run took the queue; -max-batch queries
-//	    had queued; a queued query had been held for -max-delay (at once
-//	    when -max-delay is negative)
+//	graphcache_server_batch_size  queries per run (1 for a /query, the batch
+//	    for a /querybatch)
 //	graphcache_server_codec_seconds{op=decode,codec=text|binary}  request decode
 //	graphcache_server_codec_seconds{op=encode,codec=text|ndjson}  reply encode
 //	graphcache_server_wire_negotiated_total{codec,direction=request|response}
@@ -593,12 +583,9 @@
 // trace: the request id plus named spans from every hop
 // (router:decode — the router's split and key of a binary request, or
 // its parse and transcode of a text one — router:dispatch addr,
-// server:decode,
-// server:coalesce_wait, engine:filter_m, engine:filter_gc, and the GC
-// stage's parts engine:feature, engine:probe and engine:gcverify, then
-// engine:verify, engine:total). server:coalesce_wait is the coalescer's
-// own measurement, from the query entering its queue to its run being
-// dispatched — time held behind a busy engine, not scheduling noise.
+// server:decode, engine:filter_m, engine:filter_gc, and the GC stage's
+// parts engine:feature, engine:probe and engine:gcverify, then
+// engine:verify, engine:total).
 //
 // Logs are structured (log/slog): -log-json switches the daemons to
 // one-line JSON, and every record carries a component attribute; a

@@ -2,9 +2,9 @@
 //
 // It synthesises a dataset, starts an in-process gcserved (the same
 // Server type the standalone daemon runs), then queries it through the Go
-// client — singles, which the server coalesces into batches, one
-// explicit batch, the same again over the binary wire codec, and a
-// streamed batch whose results arrive one by one as verification
+// client — concurrent singles, each run on its own request beside the
+// others, one explicit batch, the same again over the binary wire codec,
+// and a streamed batch whose results arrive one by one as verification
 // completes. Run with:
 //
 //	go run ./examples/server
@@ -58,8 +58,8 @@ func main() {
 	}
 	queries := graphcache.TypeA(ds, cfg, 7)
 
-	// 4. Concurrent single queries: the server's request coalescer folds
-	// simultaneous arrivals into batched QueryBatch executions.
+	// 4. Concurrent single queries: the server runs each on its own
+	// request, side by side, and answers it once the cache has counted it.
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

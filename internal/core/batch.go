@@ -173,8 +173,8 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 		// concerned — no credits, no window entries, no totals. Caching a
 		// partially verified run would poison future answers; skipping
 		// bookkeeping merely forgoes an optimisation. A cancel that lands
-		// after the last verdict skipped nothing, and the run is kept: the
-		// coalescer's callers all leave the moment their results are
+		// after the last verdict skipped nothing, and the run is kept: a
+		// streaming client may leave the moment its last result is
 		// delivered, which must not cost the batch its place in the window.
 		return abandoned, ctx.Err()
 	}

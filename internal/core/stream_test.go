@@ -235,9 +235,9 @@ func TestQueryBatchStreamCancellation(t *testing.T) {
 	}
 }
 
-// TestQueryBatchStreamCancelAfterLastDelivery covers the coalescer's
-// normal ending: every caller leaves, cancelling its context, the moment
-// its result is delivered, so the batch's context is dead by the time the
+// TestQueryBatchStreamCancelAfterLastDelivery covers a streaming client's
+// normal ending: it leaves, cancelling its context, the moment its last
+// result is delivered, so the batch's context is dead by the time the
 // bookkeeping runs. Nothing was abandoned, so the batch must count — in
 // the totals and in the window — exactly like an uncancelled one.
 func TestQueryBatchStreamCancelAfterLastDelivery(t *testing.T) {

@@ -76,9 +76,9 @@ type filledWindow struct {
 
 // addToWindow appends a processed query to the Window (§6.2) and queues a
 // full window for its pass under the same lock, so each is queued once.
-// Passes have one owner at a time, as in the coalescer's group commit: the
-// caller that finds every queued window applied starts a drain — inline, or
-// on a new goroutine under Options.AsyncRebuild — and the drain applies the
+// Passes have one owner at a time, by group commit: the caller that finds
+// every queued window applied starts a drain — inline, or on a new
+// goroutine under Options.AsyncRebuild — and the drain applies the
 // windows queued meanwhile too, in the order they filled. A single caller
 // therefore makes the same decisions in either mode.
 func (c *Cache) addToWindow(e *entry, currentSerial int64) {

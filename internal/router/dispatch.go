@@ -243,8 +243,8 @@ func (rt *Router) failover(ctx context.Context, tp *topology, b *backend, n int,
 }
 
 // queryOne dispatches one single query with failover. Singles go through
-// the backend's /query so its coalescer can batch concurrent arrivals
-// from many router clients. With trace set the backend is asked for its
+// the backend's /query, which runs each on its own request beside the
+// others in flight. With trace set the backend is asked for its
 // span breakdown (?debug=trace); the answering backend's address comes
 // back so the handler can prepend its own spans naming the hop.
 func (rt *Router) queryOne(ctx context.Context, tp *topology, q graph.Body, trace bool) (server.QueryResponse, string, error) {

@@ -324,7 +324,7 @@ func (rt *Router) Start() error {
 		return fmt.Errorf("router: listen %s: %w", rt.opts.Addr, err)
 	}
 	rt.lis = lis
-	rt.hs = &http.Server{Handler: rt.Handler()}
+	rt.hs = server.NewHTTPServer(rt.Handler())
 	if rt.opts.AdminAddr != "" {
 		alis, err := net.Listen("tcp", rt.opts.AdminAddr)
 		if err != nil {

@@ -115,6 +115,24 @@ func IsBackendDown(err error) bool {
 // this client — the router's load signal. Health probes are not counted.
 func (cl *Client) PendingCount() int64 { return cl.pending.Load() }
 
+// idleConnsPerHost is how many idle connections the package's clients keep
+// open to one server: at least gcrouter's dispatch slots per backend (64),
+// so a router that has had that many dispatches in flight to a backend
+// reuses each connection instead of re-dialing it.
+const idleConnsPerHost = 64
+
+// transport is the connection pool every Client shares. It is
+// http.DefaultTransport with idleConnsPerHost idle connections per server
+// and no cap across servers; the default keeps two per server, so each
+// request past the second concurrent one to a server dialed a connection
+// that was closed again once the burst was over.
+var transport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0
+	t.MaxIdleConnsPerHost = idleConnsPerHost
+	return t
+}()
+
 // NewClient returns a client for the server at addr — a "host:port" pair
 // or a full "http://..." base URL — with default options.
 func NewClient(addr string) *Client { return NewClientWith(addr, ClientOptions{}) }
@@ -131,13 +149,12 @@ func NewClientWith(addr string, opts ClientOptions) *Client {
 		opts: opts.withDefaults(),
 		// Timeouts are per-attempt contexts, not a client-wide Timeout,
 		// so retries each get a fresh budget.
-		hc: &http.Client{},
+		hc: &http.Client{Transport: transport},
 	}
 }
 
-// Query answers one graph query through POST /query. A lone query may be
-// held for the server's coalescing window and answered as part of a batch;
-// the answer is identical either way.
+// Query answers one graph query through POST /query, which the server
+// runs as a run of one on the request.
 func (cl *Client) Query(ctx context.Context, q *graph.Graph) (QueryResponse, error) {
 	payload, ct, err := cl.encodeGraphsPayload([]*graph.Graph{q}, true)
 	if err != nil {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -202,5 +204,51 @@ func TestClientPerAttemptTimeout(t *testing.T) {
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Errorf("call took %v; the 50ms per-attempt timeout did not bound it", took)
+	}
+}
+
+// TestClientReusesConnections: rounds of concurrent requests from one
+// Client to one server reuse the connections the first round opened. A
+// barrier in the handler holds each round until all of its requests are
+// in, so every round needs that many connections at once. With two idle
+// connections kept per server, each round after the first dialed all but
+// two of its connections anew.
+func TestClientReusesConnections(t *testing.T) {
+	const concurrent, rounds = 8, 3
+	ds := testDataset(20, 231)
+	queries := testWorkload(ds, concurrent, 232)
+	h := New(newTestCache(ds), Options{}).Handler()
+	var barrier sync.WaitGroup
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		barrier.Done()
+		barrier.Wait()
+		h.ServeHTTP(w, r)
+	}))
+	var opened atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	cl := NewClient(ts.URL)
+
+	for round := 1; round <= rounds; round++ {
+		barrier.Add(concurrent)
+		var wg sync.WaitGroup
+		for _, q := range queries {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := cl.Query(context.Background(), q); err != nil {
+					t.Errorf("round %d: %v", round, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := opened.Load(); got != concurrent {
+			t.Fatalf("after round %d the client had opened %d connections, want %d", round, got, concurrent)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 )
 
 // TestServerShedsPastThreshold pins gcserved's own back-stop shedding: a
@@ -47,41 +46,4 @@ func TestServerShedsPastThreshold(t *testing.T) {
 	if st.Shed != 1 {
 		t.Errorf("/stats reports %d sheds, want 1", st.Shed)
 	}
-}
-
-// TestCoalescerDropsCanceledWaiters pins context propagation through
-// the coalescer: a caller whose context dies while its query is queued
-// behind a busy engine returns immediately, and the run that takes the
-// queue drops the dead waiter before it executes — a killed client cancels
-// queued work, not just the response write.
-func TestCoalescerDropsCanceledWaiters(t *testing.T) {
-	// maxWait of an hour: only the gated holder's return can run the queue.
-	co, gm, base, queries, holder := gatedCoalescer(t, 93, 3, 4, time.Hour, 1)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	dead := ask(ctx, co, queries[1])
-	waitPending(t, co, 1)
-	cancel()
-	dead.wait(t, "canceled waiter") // the engine is still busy
-	if !errors.Is(dead.err, context.Canceled) {
-		t.Fatalf("canceled waiter returned %v, want context.Canceled", dead.err)
-	}
-
-	// A live waiter joins the same queue; the run that drains it must
-	// execute only the live query.
-	live := ask(context.Background(), co, queries[2])
-	waitPending(t, co, 2)
-	close(gm.gate)
-	holder.answers(t, "holder", base, queries[0])
-	live.answers(t, "live waiter", base, queries[2])
-	waitIdle(t, co)
-	if got := co.srv.cache.Totals().Queries; got != 2 {
-		t.Errorf("cache executed %d queries, want 2 (the holder and the live waiter, not the canceled one)", got)
-	}
-
-	// A dead context never enqueues at all.
-	if _, err := co.query(ctx, queries[1]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("query with a dead context returned %v, want context.Canceled", err)
-	}
-	waitPending(t, co, 0)
 }

@@ -71,8 +71,7 @@ func (m *QueryMetrics) Observe(qs *core.QueryStats) {
 // plus what only the engine's own process can see (the GC-stage split,
 // candidate counts, savings, credit), the Window Manager and mutation
 // series fed by the cache Observer, and the serving-boundary series
-// (coalescer waits, batch sizes, codec time, shed/warm events, admitted
-// gauge). Everything lives in one Registry served at GET /metrics.
+// (run sizes, codec time, shed/warm events, admitted gauge). Everything lives in one Registry served at GET /metrics.
 type serverMetrics struct {
 	reg *telemetry.Registry
 
@@ -97,11 +96,9 @@ type serverMetrics struct {
 	windowRejected *telemetry.Counter
 
 	// Serving boundary.
-	coalesceWait *telemetry.Histogram
-	batchSize    *telemetry.Histogram
-	dispatch     [len(dispatchReasons)]*telemetry.Counter // why each coalesced run started
-	shedTotal    *telemetry.Counter
-	warmTotal    *telemetry.Counter
+	batchSize *telemetry.Histogram
+	shedTotal *telemetry.Counter
+	warmTotal *telemetry.Counter
 
 	// Batches cut short by a departed client, and the sub-iso tests that
 	// cancellation let the cache abandon.
@@ -117,17 +114,6 @@ type serverMetrics struct {
 	mutInvalidated *telemetry.Counter
 	mutDur         *telemetry.Histogram
 }
-
-// Why the coalescer dispatched a run; the values index dispatchReasons, the
-// reason label of graphcache_server_coalesce_dispatch_total.
-const (
-	dispatchIdle    = iota // no run in flight when the query arrived
-	dispatchDrained        // a returning run took the queue
-	dispatchFull           // MaxBatch queries had queued
-	dispatchTimeout        // a queued query had been held for MaxDelay
-)
-
-var dispatchReasons = [...]string{"idle", "drained", "full", "timeout"}
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m := &serverMetrics{
@@ -151,20 +137,14 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		windowEvicted:  reg.Counter("graphcache_window_evicted_total", "Cached queries evicted by the replacement policy."),
 		windowRejected: reg.Counter("graphcache_window_rejected_total", "Window queries refused by admission control."),
 
-		coalesceWait: reg.Histogram("graphcache_server_coalesce_wait_seconds", "Time a query was held in the coalescer's queue before its run was dispatched (about 0 when the engine was idle).", nil),
-		batchSize:    reg.Histogram("graphcache_server_batch_size", "Executed batch sizes (coalesced and explicit /querybatch).", telemetry.SizeBuckets),
-		shedTotal:    reg.Counter("graphcache_server_shed_total", "Requests refused with 429 at the admission gate."),
-		warmTotal:    reg.Counter("graphcache_server_warmups_total", "Completed snapshot warm-ups."),
+		batchSize: reg.Histogram("graphcache_server_batch_size", "Queries per run of the pipeline (1 for a /query, the batch for a /querybatch).", telemetry.SizeBuckets),
+		shedTotal: reg.Counter("graphcache_server_shed_total", "Requests refused with 429 at the admission gate."),
+		warmTotal: reg.Counter("graphcache_server_warmups_total", "Completed snapshot warm-ups."),
 
 		streamCancelled: reg.Counter("graphcache_server_stream_cancelled_total",
-			"Batches (streamed, buffered or coalesced) cut short because the client(s) went away."),
+			"Runs (single queries, streamed or buffered batches) cut short because their client went away."),
 		streamAbandoned: reg.Counter("graphcache_server_stream_abandoned_verifications_total",
-			"Sub-iso tests skipped because their batch's client(s) went away."),
-	}
-	for i, reason := range dispatchReasons {
-		m.dispatch[i] = reg.Counter("graphcache_server_coalesce_dispatch_total",
-			"Coalesced runs by why they were dispatched: engine idle on arrival, queue drained by a returning run, MaxBatch queued, or MaxDelay expired behind a busy engine.",
-			telemetry.L("reason", reason))
+			"Sub-iso tests skipped because their run's client went away."),
 	}
 	const mutName = "graphcache_mutations_applied_total"
 	const mutHelp = "Dataset mutations applied, by op."

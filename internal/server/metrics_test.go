@@ -57,9 +57,7 @@ func metricValue(samples []telemetry.Sample, name string, labels map[string]stri
 func TestServerMetricsEndpoint(t *testing.T) {
 	ds := testDataset(40, 201)
 	queries := testWorkload(ds, 12, 202)
-	// MaxDelay of an hour: the sequential singles below each find the engine
-	// idle, so none may be held for any part of it.
-	s := startServer(t, newTestCache(ds), Options{MaxDelay: time.Hour})
+	s := startServer(t, newTestCache(ds), Options{})
 	cl := NewClient(s.Addr())
 	ctx := context.Background()
 
@@ -114,32 +112,11 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		map[string]string{"op": "decode"}); !ok || v == 0 {
 		t.Errorf("codec decode histogram = %v, %v; want populated", v, ok)
 	}
-	// Eight runs of one query each plus the /querybatch request: no run
-	// gathered company and no query waited for any. A sequential client
-	// finds the engine idle — or, when its next query lands before the
-	// previous run's goroutine has exited, is taken over by it at once.
-	reason := func(r string) float64 {
-		v, ok := metricValue(samples, "graphcache_server_coalesce_dispatch_total", map[string]string{"reason": r})
-		if !ok {
-			t.Errorf("coalesce_dispatch_total{reason=%s} missing from exposition", r)
-		}
-		return v
-	}
-	if idle, drained := reason("idle"), reason("drained"); idle == 0 || idle+drained != 8 {
-		t.Errorf("coalesce_dispatch_total: idle %v + drained %v; want 8 runs, most of them idle", idle, drained)
-	}
-	if full, timeout := reason("full"), reason("timeout"); full != 0 || timeout != 0 {
-		t.Errorf("coalesce_dispatch_total: full %v, timeout %v; want 0 and 0", full, timeout)
-	}
+	// Eight runs of one query each, one per /query, plus the /querybatch run.
 	count, _ := metricValue(samples, "graphcache_server_batch_size_count", nil)
 	sum, _ := metricValue(samples, "graphcache_server_batch_size_sum", nil)
 	if count != 9 || sum != float64(len(queries)) {
 		t.Errorf("batch size histogram: %v runs of %v queries; want 9 runs (8 of one) of %d", count, sum, len(queries))
-	}
-	count, _ = metricValue(samples, "graphcache_server_coalesce_wait_seconds_count", nil)
-	sum, _ = metricValue(samples, "graphcache_server_coalesce_wait_seconds_sum", nil)
-	if count != 8 || sum >= 1 {
-		t.Errorf("coalesce wait histogram: %v waits summing to %vs; want 8 of about 0", count, sum)
 	}
 	if _, ok := metricValue(samples, "graphcache_server_admitted_queries", nil); !ok {
 		t.Error("admitted gauge missing")
@@ -154,7 +131,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 func TestServerTraceAndStats(t *testing.T) {
 	ds := testDataset(40, 211)
 	queries := testWorkload(ds, 2, 212)
-	s := startServer(t, newTestCache(ds), Options{MaxDelay: time.Hour})
+	s := startServer(t, newTestCache(ds), Options{})
 	cl := NewClient(s.Addr())
 	ctx := telemetry.WithRequestID(context.Background(), "aaaabbbbccccdddd")
 
@@ -171,14 +148,9 @@ func TestServerTraceAndStats(t *testing.T) {
 	var names []string
 	for _, sp := range resp.Trace.Spans {
 		names = append(names, sp.Name)
-		// The query found the engine idle: the span is the coalescer's own
-		// enqueue → dispatch time, so it is present and next to nothing.
-		if sp.Name == "server:coalesce_wait" && sp.DurNS >= int64(time.Second) {
-			t.Errorf("server:coalesce_wait = %v for a query that found the engine idle", time.Duration(sp.DurNS))
-		}
 	}
 	joined := strings.Join(names, ",")
-	for _, want := range []string{"server:decode", "server:coalesce_wait", "engine:filter_gc", "engine:feature",
+	for _, want := range []string{"server:decode", "engine:filter_gc", "engine:feature",
 		"engine:probe", "engine:gcverify", "engine:total"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("trace spans %v missing %q", names, want)

@@ -4,11 +4,10 @@
 //
 //   - an HTTP/JSON API over the t/v/e graph wire codec (POST /query,
 //     POST /querybatch, GET /stats, GET /healthz);
-//   - a request coalescer that dispatches a single query at once when
-//     the engine is idle and folds the queries that arrive while it is
-//     busy into the next run of the pipeline, so the service boundary
-//     amortises filter dispatch and statistics application exactly when
-//     there is concurrency to amortise over;
+//   - one run of the cache's query pipeline per request, on the
+//     request's own goroutine: a /query is a run of one, a /querybatch a
+//     run of its batch, and concurrent requests run side by side over the
+//     cache's shared, bounded verification pool;
 //   - the snapshot lifecycle of the paper's Cache Manager: Start loads
 //     cache contents from disk, Shutdown drains in-flight requests and
 //     writes them back.
@@ -63,16 +62,15 @@ type Options struct {
 	// journal. With it, a SIGKILL at any instant loses zero acked
 	// mutations.
 	JournalPath string
-	// MaxBatch bounds the size of a coalesced run: that many queued
-	// queries are dispatched at once (default 64; 1 runs every query on a
-	// run of its own).
+	// MaxBatch bounded the runs a request coalescer formed from
+	// concurrent single queries. Each /query is now a run of its own.
+	//
+	// Deprecated: ignored.
 	MaxBatch int
-	// MaxDelay is how long a query may be held behind a busy engine: one
-	// that arrives while a run is in flight joins the next run, which
-	// starts when a run returns or, at the latest, when the first query
-	// queued has waited MaxDelay. A query that finds the engine idle is
-	// never held (0 means the 2ms default; negative means no query is
-	// ever held: each is dispatched at once beside the runs in flight).
+	// MaxDelay bounded how long that coalescer held a query behind a
+	// busy engine. No query is held.
+	//
+	// Deprecated: ignored.
 	MaxDelay time.Duration
 	// ShedThreshold caps the queries admitted concurrently across
 	// /query and /querybatch; past it the server sheds with 429 and a
@@ -93,12 +91,6 @@ func (o Options) withDefaults() Options {
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
-	if o.MaxBatch == 0 {
-		o.MaxBatch = 64
-	}
-	if o.MaxDelay == 0 {
-		o.MaxDelay = 2 * time.Millisecond
-	}
 	return o
 }
 
@@ -111,7 +103,6 @@ const RequestBodyLimit = 64 << 20
 type Server struct {
 	cache *core.Cache
 	opts  Options
-	co    *coalescer
 	mux   *http.ServeMux
 	hs    *http.Server
 	lis   net.Listener
@@ -164,7 +155,6 @@ func New(c *core.Cache, opts Options) *Server {
 		reg:   reg,
 		start: time.Now(),
 	}
-	s.co = newCoalescer(s)
 	c.SetObserver(s.met)
 	reg.GaugeFunc("graphcache_server_admitted_queries", "Queries admitted and not yet answered.",
 		func() float64 { return float64(s.admitted.Load()) })
@@ -216,6 +206,37 @@ func WithRequestID(next http.Handler) http.Handler {
 	})
 }
 
+// NewHTTPServer is both tiers' query-plane http.Server over h. Its
+// Shutdown closes at once the connections that have not carried a request
+// yet, where net/http waits up to 5 s for each one's first request: a
+// client's connection pool (the router's to its backends, a load
+// generator's to the router) keeps spare connections that it dialed during
+// a burst and never used, and each would hold a graceful shutdown for those
+// 5 s.
+func NewHTTPServer(h http.Handler) *http.Server {
+	var mu sync.Mutex
+	fresh := map[net.Conn]bool{}
+	hs := &http.Server{Handler: h, ConnState: func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		if st == http.StateNew {
+			fresh[c] = true
+		} else {
+			delete(fresh, c)
+		}
+	}}
+	// Shutdown runs this once its listeners are closed, so no fresh
+	// connection arrives after it.
+	hs.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for c := range fresh {
+			c.Close()
+		}
+	})
+	return hs
+}
+
 // Options returns the server's (defaulted) configuration.
 func (s *Server) Options() Options { return s.opts }
 
@@ -238,7 +259,7 @@ func (s *Server) Start() error {
 		return fmt.Errorf("server: listen %s: %w", s.opts.Addr, err)
 	}
 	s.lis = lis
-	s.hs = &http.Server{Handler: s.Handler()}
+	s.hs = NewHTTPServer(s.Handler())
 	if s.opts.SnapshotPath != "" && s.opts.SnapshotInterval > 0 {
 		s.snapStop = make(chan struct{})
 		s.snapDone = make(chan struct{})
@@ -483,20 +504,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	q := qs[0]
 	if !s.admit(1) {
 		writeShed(w)
 		return
 	}
 	defer s.done(1)
-	res, err := s.co.query(r.Context(), q)
-	if err != nil {
-		// The client is gone; there is no one to answer.
+	if r.Context().Err() != nil {
 		return
+	}
+	// The query is a run of one on this goroutine, so the reply goes out
+	// after the run's bookkeeping: the query is already in the window and
+	// the totals when its client reads the answer.
+	var res core.Result
+	if !s.runBatch(r.Context(), qs, func(_ int, got core.Result) { res = got }) {
+		return // the client is gone; there is no one to answer
 	}
 	resp := QueryResponse{Answer: res.Answer, Stats: res.Stats}
 	if r.URL.Query().Get("debug") == "trace" {
-		resp.Trace = s.buildTrace(r.Context(), decDur, res.wait, res.Stats)
+		resp.Trace = s.buildTrace(r.Context(), decDur, res.Stats)
 	}
 	s.wire.WriteResults(w, []QueryResponse{resp}, true)
 }
@@ -504,14 +529,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // buildTrace assembles one query's span breakdown for ?debug=trace: the
 // serving-boundary spans measured here plus the engine's stage timings
 // from QueryStats, all under the request id the front door minted.
-func (s *Server) buildTrace(ctx context.Context, decode, wait time.Duration, qs core.QueryStats) *telemetry.Trace {
+func (s *Server) buildTrace(ctx context.Context, decode time.Duration, qs core.QueryStats) *telemetry.Trace {
 	tr := &telemetry.Trace{RequestID: telemetry.RequestIDFrom(ctx)}
 	tr.Add("server:decode", decode)
-	// wait is the coalescer's own enqueue → dispatch measurement: how long
-	// the query was held behind a busy engine, ≈0 when it found it idle.
-	if wait > 0 {
-		tr.Add("server:coalesce_wait", wait)
-	}
 	tr.Add("engine:filter_m", qs.FilterMTime)
 	tr.Add("engine:filter_gc", qs.FilterGCTime)
 	// The GC stage's parts, from the in-process fields no reply carries.
@@ -558,8 +578,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runBatch runs qs through the cache as one run — a coalesced run or an
-// explicit /querybatch — and reports whether it ran to completion. Each
+// runBatch runs qs through the cache as one run — a /query's one query or
+// a /querybatch's batch — and reports whether it ran to completion. Each
 // result is folded into the metrics as it is delivered, before deliver
 // hands it on, so the metrics count a query before its client has the
 // answer; a run cut short still counts the queries it delivered, and

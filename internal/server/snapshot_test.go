@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -383,14 +382,14 @@ func TestQueriesDuringWarmSucceed(t *testing.T) {
 
 // TestSnapshotHoldsEveryQueuedWindow: on an AsyncRebuild server, GET
 // /snapshot holds every window the queries before it filled — the
-// snapshot write runs the window barrier. A reply is written before its
-// run's bookkeeping, so the test first waits until the totals count every
-// answered query: the totals fold after the run's window inserts.
+// snapshot write runs the window barrier. A reply is written after its
+// run's bookkeeping, so every answered query is in a window, and in the
+// totals, before the snapshot is asked for.
 func TestSnapshotHoldsEveryQueuedWindow(t *testing.T) {
 	ds := testDataset(40, 71)
 	queries := testWorkload(ds, 60, 72)
 	c := core.New(ggsx.New(ds, ggsx.Options{}), core.Options{CacheSize: 100, WindowSize: 2, AsyncRebuild: true})
-	s := startServer(t, c, Options{MaxBatch: 1})
+	s := startServer(t, c, Options{})
 	cl := NewClient(s.Addr())
 	ctx := context.Background()
 	for round := 0; round < 6; round++ {
@@ -399,8 +398,8 @@ func TestSnapshotHoldsEveryQueuedWindow(t *testing.T) {
 				t.Fatalf("round %d, query %d: %v", round, i, err)
 			}
 		}
-		for c.Totals().Queries < int64((round+1)*10) {
-			runtime.Gosched()
+		if got, want := c.Totals().Queries, int64((round+1)*10); got != want {
+			t.Fatalf("round %d: totals count %d queries after %d replies", round, got, want)
 		}
 		body, err := fetchSnapshot(ctx, s.Addr())
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 // RequestIDHeader is the HTTP header carrying a request's id across the
 // fleet: generated at the front door (gcrouter, or gcserved when hit
 // directly), echoed on responses, and propagated on every backend
-// dispatch so one slow query can be followed router→queue→coalescer→
+// dispatch so one slow query can be followed router→queue→server→
 // probe→verify across process boundaries.
 const RequestIDHeader = "X-GC-Request-Id"
 

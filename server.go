@@ -9,18 +9,18 @@ import (
 
 // Server serves one Cache over HTTP — the gcserved subsystem: a JSON API
 // over the t/v/e graph wire format (POST /query, POST /querybatch,
-// GET /stats, GET /healthz), a request coalescer that runs a lone query
-// at once and folds the queries arriving while the engine is busy into one
-// batched run of the pipeline, and
-// the snapshot lifecycle of the paper's Cache Manager (Start loads cache
-// contents from disk, Shutdown drains in-flight requests and writes them
-// back). See the package documentation's "Serving over the network"
+// GET /stats, GET /healthz) that runs each request as one run of the
+// pipeline on the request's own goroutine (a single query is a run of
+// one, and concurrent requests run side by side), and the snapshot
+// lifecycle of the paper's Cache Manager (Start loads cache contents from
+// disk, Shutdown drains in-flight requests and writes them back). See the package documentation's "Serving over the network"
 // section and cmd/gcserved for the standalone daemon.
 type Server = server.Server
 
-// ServerOptions configures a Server: listen address, snapshot path, and
-// the coalescer's bounds — MaxBatch on a run's size, MaxDelay on how long a
-// query may be held behind a busy engine (an idle one never holds it).
+// ServerOptions configures a Server: listen address, snapshot and journal
+// paths, the snapshot interval, the shed threshold, the logger and pprof.
+// MaxBatch and MaxDelay are deprecated and ignored: no query is held to
+// share a run with another.
 type ServerOptions = server.Options
 
 // ServerClient is the Go client for a gcserved instance, used by tests,
@@ -101,10 +101,11 @@ type RouterMutateResponse = router.MutateResponse
 // if the fan-out leg failed (leaving it lagging and diverted).
 type RouterMutateBackendResult = router.MutateBackendResult
 
-// DefaultCoalesceDelay is a reasonable bound on how long the request
-// coalescer may hold a query behind a busy engine: long enough for the
-// queries of a burst to share the next run, short enough that one slow
-// verification ahead of them stays invisible next to sub-iso costs.
+// DefaultCoalesceDelay was the default of ServerOptions.MaxDelay, the
+// longest a request coalescer held a query behind a busy engine. gcserved
+// holds no query.
+//
+// Deprecated: ignored.
 const DefaultCoalesceDelay = 2 * time.Millisecond
 
 // Router fronts N gcserved backends behind the same wire API — the
