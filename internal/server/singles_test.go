@@ -204,19 +204,36 @@ func TestConcurrentSinglesRunSideBySide(t *testing.T) {
 	}
 }
 
-// TestSinglesClientLeavesMidVerification: a client that leaves while its
+// TestCoalescerLoneWaiterCancellation: a lone client that leaves while its
 // query is parked in verification returns at once; once the server sees it
 // go, the run abandons its remaining sub-iso tests, the handler returns,
 // the cancellation is counted, and the query leaves no trace in the cache.
-func TestSinglesClientLeavesMidVerification(t *testing.T) {
-	ds := testDataset(40, 65)
-	q := testWorkload(ds, 1, 66)[0]
+// The name dates from the request coalescer; a /query is now a run of its
+// own on its request, and the same assertions hold for it.
+func TestCoalescerLoneWaiterCancellation(t *testing.T) {
+	clientLeavesMidVerification(t, Options{}, 65, 66)
+}
+
+// TestCoalescerMaxBatchOneAbandons: the deprecated MaxBatch option is
+// still accepted and changes nothing, so under MaxBatch 1 a client that
+// leaves mid-verification is abandoned and counted exactly as without it.
+func TestCoalescerMaxBatchOneAbandons(t *testing.T) {
+	clientLeavesMidVerification(t, Options{MaxBatch: 1}, 69, 70)
+}
+
+// clientLeavesMidVerification serves one /query under opts, cancels the
+// client once its query is parked in verification, and checks that the
+// client returns at once and the run is abandoned without a trace.
+func clientLeavesMidVerification(t *testing.T, opts Options, dsSeed, qSeed int64) {
+	t.Helper()
+	ds := testDataset(40, dsSeed)
+	q := testWorkload(ds, 1, qSeed)[0]
 	gm := newGateMethod(method.NewVF2Plus(ds), q) // no index: every graph is a candidate
 	// A window of one: a query that reached the window would be cached.
 	// One verification worker, so only the first chunk of tests is in
 	// flight when the client leaves.
 	cache := core.New(gm, core.Options{CacheSize: 20, WindowSize: 1, VerifyConcurrency: 1})
-	s := New(cache, Options{})
+	s := New(cache, opts)
 	addr, taps := serveTapped(t, s)
 	t.Cleanup(gm.release)
 
