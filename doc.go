@@ -380,6 +380,23 @@
 //     idempotent (pruning soundness makes answers depend only on the
 //     query), so `gcquery -server -retries N` rides through chaos.
 //
+//   - Connections. ServerClient speaks HTTP/1.1 itself rather than
+//     through net/http's Transport: each attempt is one exchange on the
+//     caller's goroutine — the request head written by hand, the reply
+//     parsed by http.ReadResponse, so NDJSON streams read like any other
+//     body — over a keep-alive connection from one pool that every client
+//     in the process shares. The pool keeps up to 64 idle connections per
+//     server (gcrouter's dispatch slots per backend), hands out the most
+//     recently used first, skips one the server closed while it sat idle
+//     (a non-blocking peek on unix), and closes any idle for 90 s. A
+//     connection is reused only after its reply was read to the end; a
+//     cancelled, timed-out or abandoned reply closes it, which is how a
+//     backend learns that its caller left. The attempt deadline is the
+//     connection's, and a cancelled context moves it into the past, so a
+//     blocked read returns at once. Only http:// servers are supported,
+//     and proxy environment variables (HTTP_PROXY, NO_PROXY) are not
+//     consulted: a client dials the address it was given.
+//
 // The fault-injection harness behind these guarantees is
 // internal/faultproxy: an in-process chaos proxy injecting 503s,
 // latency, severed connections or a blackhole between router and

@@ -9,14 +9,15 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"graphcache/internal/graph"
-	"graphcache/internal/telemetry"
 )
 
 // ClientOptions tune a Client's resilience. The zero value reproduces
@@ -69,9 +70,12 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // tests, by `gcquery -server`, by the router tier and by applications.
 // It is safe for concurrent use; each method maps to one API endpoint.
 type Client struct {
-	base    string
 	opts    ClientOptions
-	hc      *http.Client
+	pool    *connPool
+	addr    string // host:port dialed
+	host    string // the Host header
+	prefix  string // the base URL's path, in front of every request path
+	err     error  // why the base URL cannot be served; every call returns it
 	pending atomic.Int64
 }
 
@@ -115,42 +119,34 @@ func IsBackendDown(err error) bool {
 // this client — the router's load signal. Health probes are not counted.
 func (cl *Client) PendingCount() int64 { return cl.pending.Load() }
 
-// idleConnsPerHost is how many idle connections the package's clients keep
-// open to one server: at least gcrouter's dispatch slots per backend (64),
-// so a router that has had that many dispatches in flight to a backend
-// reuses each connection instead of re-dialing it.
-const idleConnsPerHost = 64
-
-// transport is the connection pool every Client shares. It is
-// http.DefaultTransport with idleConnsPerHost idle connections per server
-// and no cap across servers; the default keeps two per server, so each
-// request past the second concurrent one to a server dialed a connection
-// that was closed again once the burst was over.
-var transport = func() *http.Transport {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.MaxIdleConns = 0
-	t.MaxIdleConnsPerHost = idleConnsPerHost
-	return t
-}()
-
 // NewClient returns a client for the server at addr — a "host:port" pair
 // or a full "http://..." base URL — with default options.
 func NewClient(addr string) *Client { return NewClientWith(addr, ClientOptions{}) }
 
 // NewClientWith returns a client for the server at addr with explicit
-// resilience options.
+// resilience options. Only http:// servers are supported: a client for any
+// other scheme fails every call with an error saying so.
 func NewClientWith(addr string, opts ClientOptions) *Client {
+	cl := &Client{opts: opts.withDefaults(), pool: conns}
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	return &Client{
-		base: strings.TrimRight(base, "/"),
-		opts: opts.withDefaults(),
-		// Timeouts are per-attempt contexts, not a client-wide Timeout,
-		// so retries each get a fresh budget.
-		hc: &http.Client{Transport: transport},
+	u, err := url.Parse(strings.TrimRight(base, "/"))
+	switch {
+	case err != nil:
+		cl.err = fmt.Errorf("client: server address %q: %w", addr, err)
+	case u.Scheme != "http":
+		cl.err = fmt.Errorf("client: server address %q: only http:// servers are supported", addr)
+	case u.Host == "":
+		cl.err = fmt.Errorf("client: server address %q has no host", addr)
+	default:
+		cl.host, cl.prefix, cl.addr = u.Host, u.EscapedPath(), u.Host
+		if u.Port() == "" {
+			cl.addr = net.JoinHostPort(u.Hostname(), "80")
+		}
 	}
+	return cl
 }
 
 // Query answers one graph query through POST /query, which the server
@@ -258,35 +254,20 @@ func (cl *Client) QueryBatchStreamFrame(ctx context.Context, frame []byte, n int
 // queryBatchStream posts a batch request body of n queries for the NDJSON
 // reply and hands each line to fn, as QueryBatchStream describes.
 func (cl *Client) queryBatchStream(ctx context.Context, payload []byte, ct string, n int, arrival bool, fn func(StreamResult) error) error {
-	actx, cancel := context.WithTimeout(ctx, cl.opts.RequestTimeout)
-	defer cancel()
 	path := "/querybatch"
 	if arrival {
 		path += "?order=arrival"
 	}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, cl.base+path, bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", ct)
-	req.Header.Set("Accept", ContentTypeNDJSON)
-	if id := telemetry.RequestIDFrom(ctx); id != "" {
-		req.Header.Set(telemetry.RequestIDHeader, id)
-	}
 	cl.pending.Add(1)
 	defer cl.pending.Add(-1)
-	res, err := cl.hc.Do(req)
+	res, err := cl.exchange(ctx, request{method: http.MethodPost, path: path, body: payload,
+		contentType: ct, accept: ContentTypeNDJSON})
 	if err != nil {
 		return fmt.Errorf("client: POST %s: %w", path, err)
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		se := &StatusError{Code: res.StatusCode, Status: res.Status, RetryAfter: parseRetryAfter(res)}
-		var e ErrorResponse
-		if json.NewDecoder(res.Body).Decode(&e) == nil {
-			se.Msg = e.Error
-		}
-		return fmt.Errorf("client: POST %s: %w", path, se)
+		return fmt.Errorf("client: POST %s: %w", path, statusError(res))
 	}
 	sc := bufio.NewScanner(res.Body)
 	sc.Buffer(nil, 64<<20) // grows from the scanner's own 4 KB as lines need
@@ -387,13 +368,9 @@ func (cl *Client) Healthz(ctx context.Context) error {
 // is absent (a pre-mutation server), and is reported even alongside a
 // failing health status when the server sent it.
 func (cl *Client) HealthzEpoch(ctx context.Context) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.base+"/healthz", nil)
+	res, err := cl.exchange(ctx, request{method: http.MethodGet, path: "/healthz"})
 	if err != nil {
-		return 0, err
-	}
-	res, err := cl.hc.Do(req)
-	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("client: GET /healthz: %w", err)
 	}
 	defer res.Body.Close()
 	io.Copy(io.Discard, res.Body)
@@ -481,64 +458,57 @@ func (cl *Client) backoff(attempt int) time.Duration {
 
 // once runs a single attempt, bounded by RequestTimeout.
 func (cl *Client) once(ctx context.Context, method, path string, payload []byte, ct string, out any) error {
-	actx, cancel := context.WithTimeout(ctx, cl.opts.RequestTimeout)
-	defer cancel()
-	var body io.Reader
+	req := request{method: method, path: path, body: payload}
 	if payload != nil {
-		body = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(actx, method, cl.base+path, body)
-	if err != nil {
-		return err
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", ct)
-	}
-	// Propagate the caller's request id so the whole fleet logs, traces
-	// and responds under the id the front door minted.
-	if id := telemetry.RequestIDFrom(ctx); id != "" {
-		req.Header.Set(telemetry.RequestIDHeader, id)
+		req.contentType = ct
 	}
 	cl.pending.Add(1)
 	defer cl.pending.Add(-1)
-	res, err := cl.hc.Do(req)
+	res, err := cl.exchange(ctx, req)
 	if err != nil {
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		se := &StatusError{Code: res.StatusCode, Status: res.Status, RetryAfter: parseRetryAfter(res)}
-		var e ErrorResponse
-		if json.NewDecoder(res.Body).Decode(&e) == nil {
-			se.Msg = e.Error
-		}
-		return fmt.Errorf("client: %s %s: %w", method, path, se)
+		return fmt.Errorf("client: %s %s: %w", method, path, statusError(res))
 	}
-	if err := decodeReply(res, out); err != nil {
+	body, err := readBody(res)
+	if err != nil {
+		return fmt.Errorf("client: %s %s: reading reply: %w", method, path, err)
+	}
+	if err := decodeReply(body, out); err != nil {
 		return fmt.Errorf("client: decoding response: %w", err)
 	}
 	return nil
 }
 
 // decodeReply decodes a 200 reply's body into out: the result envelopes by
-// hand over the whole body (see results.go), anything else with
-// encoding/json.
-func decodeReply(res *http.Response, out any) error {
+// hand (see results.go), anything else with encoding/json.
+func decodeReply(body []byte, out any) error {
 	switch v := out.(type) {
 	case *QueryResponse:
-		body, err := readBody(res)
-		if err != nil {
-			return err
-		}
 		return decodeQueryResponse(body, v)
 	case *BatchResponse:
-		body, err := readBody(res)
-		if err != nil {
-			return err
-		}
 		return decodeBatchResponse(body, v)
 	}
-	return json.NewDecoder(res.Body).Decode(out)
+	return json.Unmarshal(body, out)
+}
+
+// maxErrorBody bounds how much of an error reply is read for its message.
+const maxErrorBody = 64 << 10
+
+// statusError is a non-2xx reply as a StatusError, its message read from
+// the body's {"error": ...} envelope. The body is read to its end, so the
+// connection of a shed reply goes back to the pool; one that fails to read
+// leaves the message empty, since the status is the error.
+func statusError(res *http.Response) *StatusError {
+	se := &StatusError{Code: res.StatusCode, Status: res.Status, RetryAfter: parseRetryAfter(res)}
+	body, _ := io.ReadAll(io.LimitReader(res.Body, maxErrorBody))
+	var e ErrorResponse
+	if json.Unmarshal(body, &e) == nil {
+		se.Msg = e.Error
+	}
+	return se
 }
 
 // readBody reads a reply body whole: into one buffer of the announced

@@ -1,16 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"graphcache/internal/telemetry"
 )
 
 // flakyHandler answers with failStatus (or severs the connection when
@@ -249,6 +255,286 @@ func TestClientReusesConnections(t *testing.T) {
 		wg.Wait()
 		if got := opened.Load(); got != concurrent {
 			t.Fatalf("after round %d the client had opened %d connections, want %d", round, got, concurrent)
+		}
+	}
+}
+
+// connCounts is a test server's count of connections opened and closed.
+type connCounts struct{ opened, closed atomic.Int32 }
+
+// exchangeClient serves h and returns the server, a client for it on a
+// connection pool of its own, read on clock, and the server's connection
+// counts.
+func exchangeClient(t *testing.T, h http.Handler, clock func() time.Time) (*Client, *httptest.Server, *connCounts) {
+	t.Helper()
+	s := httptest.NewUnstartedServer(h)
+	var counts connCounts
+	s.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			counts.opened.Add(1)
+		case http.StateClosed:
+			counts.closed.Add(1)
+		}
+	}
+	s.Start()
+	t.Cleanup(s.Close)
+	cl := NewClient(s.URL)
+	cl.pool = newConnPool(clock)
+	return cl, s, &counts
+}
+
+// idleConns is how many connections cl's pool holds to cl's server.
+func idleConns(cl *Client) int {
+	cl.pool.mu.Lock()
+	defer cl.pool.mu.Unlock()
+	return len(cl.pool.idle[cl.addr])
+}
+
+var okHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write([]byte("{}"))
+})
+
+// TestExchangeSkipsClosedIdleConnections: a server that closed the
+// client's idle connection is asked again on a fresh one — no error, and
+// the server sees the one request, not a retry.
+func TestExchangeSkipsClosedIdleConnections(t *testing.T) {
+	var requests atomic.Int32
+	cl, s, _ := exchangeClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		okHandler(w, r)
+	}), time.Now)
+	var out struct{}
+	if err := cl.call(context.Background(), http.MethodGet, "/stats", nil, &out, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := idleConns(cl); n != 1 {
+		t.Fatalf("%d idle connections after one call, want 1", n)
+	}
+	s.CloseClientConnections()
+	if err := cl.call(context.Background(), http.MethodGet, "/stats", nil, &out, false); err != nil {
+		t.Fatalf("call after the server closed the idle connection: %v", err)
+	}
+	if n := requests.Load(); n != 2 {
+		t.Errorf("server saw %d requests, want 2", n)
+	}
+}
+
+// TestExchangeCancelMidReply: cancelling the caller's context while a
+// reply is half read makes the blocked read return at once with
+// context.Canceled, and the connection is closed, not pooled.
+func TestExchangeCancelMidReply(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	cl, _, _ := exchangeClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("first line\n"))
+		w.(http.Flusher).Flush()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}), time.Now)
+	ctx, cancel := context.WithCancel(context.Background())
+	res, err := cl.exchange(ctx, request{method: http.MethodGet, path: "/slow"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	if _, err := res.Body.Read(buf); err != nil {
+		t.Fatalf("reading the flushed line: %v", err)
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	_, err = io.ReadAll(res.Body)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("read after cancel returned %v, want context.Canceled", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("the read took %v to notice the cancel", took)
+	}
+	res.Body.Close()
+	if n := idleConns(cl); n != 0 {
+		t.Errorf("%d idle connections after a cancelled reply, want 0", n)
+	}
+}
+
+// TestExchangeUnfinishedRepliesAreNotPooled: a reply that says
+// Connection: close, and one whose body is closed before its end, give
+// their connections up; Close does not read the rest of the body. A reply
+// read to its end is pooled.
+func TestExchangeUnfinishedRepliesAreNotPooled(t *testing.T) {
+	big := bytes.Repeat([]byte("x"), 1<<20)
+	cl, _, _ := exchangeClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/close":
+			w.Header().Set("Connection", "close")
+			w.Write([]byte("{}"))
+		case "/big":
+			w.Write(big)
+		default:
+			okHandler(w, r)
+		}
+	}), time.Now)
+	ctx := context.Background()
+	var out struct{}
+	if err := cl.call(ctx, http.MethodGet, "/close", nil, &out, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := idleConns(cl); n != 0 {
+		t.Errorf("Connection: close reply: %d idle connections, want 0", n)
+	}
+
+	res, err := cl.exchange(ctx, request{method: http.MethodGet, path: "/big"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(res.Body, make([]byte, 10)); err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if n := idleConns(cl); n != 0 {
+		t.Errorf("body closed before its end: %d idle connections, want 0", n)
+	}
+
+	if err := cl.call(ctx, http.MethodGet, "/stats", nil, &out, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := idleConns(cl); n != 1 {
+		t.Errorf("reply read to its end: %d idle connections, want 1", n)
+	}
+}
+
+// TestExchangeShedRepliesKeepConnections: a 429 with Retry-After is read
+// to its end, so shedding does not cost the client a dial per request.
+func TestExchangeShedRepliesKeepConnections(t *testing.T) {
+	cl, _, counts := exchangeClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "2")
+		WriteError(w, http.StatusTooManyRequests, errors.New("overloaded"))
+	}), time.Now)
+	for i := 0; i < 5; i++ {
+		var out struct{}
+		err := cl.call(context.Background(), http.MethodPost, "/query", []byte("{}"), &out, true)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.RetryAfter != 2*time.Second || se.Msg != "overloaded" {
+			t.Fatalf("call %d returned %v, want the 429 with its 2s hint and message", i, err)
+		}
+	}
+	if n := counts.opened.Load(); n != 1 {
+		t.Errorf("5 shed replies took %d connections, want 1", n)
+	}
+	if n := idleConns(cl); n != 1 {
+		t.Errorf("%d idle connections after shed replies, want 1", n)
+	}
+}
+
+// TestExchangeStreamsNDJSON: a streamed batch arrives through the
+// exchange with the answers of the buffered one, and the connection of a
+// stream read to its end is pooled. The 40 queries' text request is over
+// inlineBody, so it goes out as head and body in one writev.
+func TestExchangeStreamsNDJSON(t *testing.T) {
+	ds := testDataset(20, 251)
+	queries := testWorkload(ds, 40, 252)
+	cl, _, counts := exchangeClient(t, New(newTestCache(ds), Options{}).Handler(), time.Now)
+	ctx := context.Background()
+	want, err := cl.QueryBatch(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]int32, len(queries))
+	seen := 0
+	err = cl.QueryBatchStream(ctx, queries, true, func(sr StreamResult) error {
+		got[sr.Index] = sr.Answer
+		seen++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(queries) {
+		t.Fatalf("stream delivered %d results, want %d", seen, len(queries))
+	}
+	for i := range queries {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i].Answer) {
+			t.Errorf("q%d: streamed %v, buffered %v", i, got[i], want[i].Answer)
+		}
+	}
+	if n := counts.opened.Load(); n != 1 {
+		t.Errorf("a batch then a stream took %d connections, want 1", n)
+	}
+}
+
+// TestExchangeRefusesHeaderInjection: a request id that would end its
+// header line is refused before anything is sent.
+func TestExchangeRefusesHeaderInjection(t *testing.T) {
+	var requests atomic.Int32
+	cl, _, _ := exchangeClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		okHandler(w, r)
+	}), time.Now)
+	for _, id := range []string{"abc\r\nX-Injected: 1", "abc\nX-Injected: 1", "abc\rdef", "nul\x00"} {
+		ctx := telemetry.WithRequestID(context.Background(), id)
+		var out struct{}
+		if err := cl.call(ctx, http.MethodGet, "/stats", nil, &out, false); err == nil {
+			t.Errorf("request id %q was sent", id)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("server saw %d requests, want 0", n)
+	}
+}
+
+// TestExchangeRefusesHTTPS: the client speaks plain HTTP only, and says
+// so instead of sending plain text to a TLS port.
+func TestExchangeRefusesHTTPS(t *testing.T) {
+	cl := NewClient("https://127.0.0.1:1")
+	_, err := cl.Stats(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "only http://") {
+		t.Errorf("Stats over https:// returned %v, want a refusal naming http://", err)
+	}
+	if err := cl.Healthz(context.Background()); err == nil {
+		t.Error("Healthz over https:// succeeded")
+	}
+}
+
+// TestExchangeClosesIdleConnectionsAfter90s: an idle connection is kept
+// until idleConnTimeout, then closed the next time the pool is touched —
+// here by a request to another server, as when its own server stopped.
+func TestExchangeClosesIdleConnectionsAfter90s(t *testing.T) {
+	var now atomic.Int64
+	now.Store(time.Now().UnixNano())
+	clock := func() time.Time { return time.Unix(0, now.Load()) }
+	clA, _, countsA := exchangeClient(t, okHandler, clock)
+	clB, _, _ := exchangeClient(t, okHandler, clock)
+	clB.pool = clA.pool
+
+	ctx := context.Background()
+	if err := clA.Healthz(ctx); err != nil {
+		t.Fatal(err)
+	}
+	now.Add(int64(idleConnTimeout - time.Second))
+	if err := clB.Healthz(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := idleConns(clA); n != 1 {
+		t.Fatalf("a connection idle for %v: %d pooled, want 1", idleConnTimeout-time.Second, n)
+	}
+	now.Add(int64(2 * time.Second))
+	if err := clB.Healthz(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := idleConns(clA); n != 0 {
+		t.Errorf("a connection idle for %v: %d pooled, want 0", idleConnTimeout+time.Second, n)
+	}
+	if n := idleConns(clB); n != 1 {
+		t.Errorf("the fresh connection to the other server: %d pooled, want 1", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); countsA.closed.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the expired connection was not closed")
 		}
 	}
 }

@@ -129,7 +129,7 @@ func readQueries[Q any](wr *Wire, w http.ResponseWriter, r *http.Request, one bo
 	wm := wr.reqText
 	if hasMediaType(r.Header.Get("Content-Type"), ContentTypeBinary) {
 		wm = wr.reqBinary
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wr.maxBodyBytes))
+		body, err := readRequestBody(w, r, wr.maxBodyBytes)
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 			return nil, 0, false
@@ -181,6 +181,28 @@ func readQueries[Q any](wr *Wire, w http.ResponseWriter, r *http.Request, one bo
 		return nil, 0, false
 	}
 	return qs, decDur, true
+}
+
+// readRequestBody reads a request body of at most limit bytes whole:
+// into one buffer of the announced length when there is one, else into
+// one that grows as io.ReadAll grows it. An announced length over limit
+// is refused before anything is sized from it, and the connection closes
+// after the reply instead of draining the body; a body shorter than it
+// announced is an error.
+func readRequestBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	n := r.ContentLength
+	if n > limit {
+		w.Header().Set("Connection", "close")
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	if n < 0 {
+		return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // WriteResults writes query results as the JSON envelope: a bare

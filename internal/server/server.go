@@ -13,7 +13,9 @@
 //     writes them back.
 //
 // Client (client.go) is the matching Go client, shared by tests, by
-// `gcquery -server` and by applications.
+// `gcquery -server`, by the router tier and by applications. It speaks
+// HTTP/1.1 itself, one exchange per call on the caller's goroutine over
+// the package's keep-alive pool (exchange.go).
 package server
 
 import (

@@ -94,24 +94,15 @@ func trailerLine(crc uint32, n int64) string {
 // trailer before returning the body — a truncated or corrupted transfer
 // is refused here, never installed.
 func fetchSnapshot(ctx context.Context, peer string) ([]byte, error) {
-	base := peer
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(base, "/")+"/snapshot", nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := http.DefaultClient.Do(req)
+	res, err := NewClient(peer).exchange(ctx, request{method: http.MethodGet, path: "/snapshot"})
 	if err != nil {
 		return nil, fmt.Errorf("server: fetching snapshot from %s: %w", peer, err)
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, res.Body)
 		return nil, fmt.Errorf("server: fetching snapshot from %s: %s", peer, res.Status)
 	}
-	data, err := io.ReadAll(res.Body)
+	data, err := readBody(res)
 	if err != nil {
 		return nil, fmt.Errorf("server: reading snapshot from %s: %w", peer, err)
 	}

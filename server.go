@@ -29,7 +29,10 @@ type ServerOptions = server.Options
 // jittered exponential backoff honouring Retry-After hints. It sends
 // requests in either wire format — the JSON/t-v-e default or binary
 // frames (ServerClientOptions.WireBinary) — reads JSON replies, and
-// streams batches incrementally with QueryBatchStream.
+// streams batches incrementally with QueryBatchStream. It speaks HTTP/1.1
+// to http:// servers only, over a keep-alive pool every client in the
+// process shares, and ignores proxy environment variables (see the
+// package documentation's "Serving tier" section).
 type ServerClient = server.Client
 
 // ServerClientOptions configures a ServerClient's resilience and wire
@@ -69,8 +72,8 @@ type ServerWarmResponse = server.WarmResponse
 func NewServer(c *Cache, opts ServerOptions) *Server { return server.New(c, opts) }
 
 // NewServerClient returns a client for the gcserved at addr — a
-// "host:port" pair or a full "http://..." base URL — with default
-// resilience options.
+// "host:port" pair or a full "http://..." base URL; any other scheme
+// fails every call — with default resilience options.
 func NewServerClient(addr string) *ServerClient { return server.NewClient(addr) }
 
 // NewServerClientWith returns a client for the gcserved at addr with
