@@ -388,14 +388,23 @@
 //     in the process shares. The pool keeps up to 64 idle connections per
 //     server (gcrouter's dispatch slots per backend), hands out the most
 //     recently used first, skips one the server closed while it sat idle
-//     (a non-blocking peek on unix), and closes any idle for 90 s. A
-//     connection is reused only after its reply was read to the end; a
-//     cancelled, timed-out or abandoned reply closes it, which is how a
-//     backend learns that its caller left. The attempt deadline is the
-//     connection's, and a cancelled context moves it into the past, so a
-//     blocked read returns at once. Only http:// servers are supported,
-//     and proxy environment variables (HTTP_PROXY, NO_PROXY) are not
-//     consulted: a client dials the address it was given.
+//     (a non-blocking peek, on unix only), and closes any idle for 90 s.
+//     A GET whose pooled connection fails before the reply's first byte
+//     is sent once more on a new connection, as net/http's Transport does
+//     (a health probe must not fail because the server closed the
+//     connection as the probe went out); no other method is re-sent.
+//     Without the peek (windows) a POST meets such a closed connection:
+//     after a server restarts or drains, the next query on each of its
+//     pooled connections fails, and a router counts that failure against
+//     the backend's breaker. A connection is reused only after its reply
+//     was read to the end; a cancelled, timed-out or abandoned reply
+//     closes it, which is how a backend learns that its caller left. The
+//     attempt deadline is the connection's, and a cancelled context moves
+//     it into the past, so a blocked read returns at once. Only http://
+//     servers are supported, and proxy environment variables (HTTP_PROXY,
+//     NO_PROXY) are not consulted: a client dials the address it was
+//     given. The warm-join snapshot download is bounded by its context
+//     alone, not by a query's 5-minute attempt timeout.
 //
 // The fault-injection harness behind these guarantees is
 // internal/faultproxy: an in-process chaos proxy injecting 503s,

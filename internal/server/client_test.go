@@ -298,7 +298,8 @@ var okHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 
 // TestExchangeSkipsClosedIdleConnections: a server that closed the
 // client's idle connection is asked again on a fresh one — no error, and
-// the server sees the one request, not a retry.
+// the server sees the one request, not a retry. The request is a POST,
+// which is never re-sent, so only the check at checkout can save it.
 func TestExchangeSkipsClosedIdleConnections(t *testing.T) {
 	var requests atomic.Int32
 	cl, s, _ := exchangeClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -306,18 +307,73 @@ func TestExchangeSkipsClosedIdleConnections(t *testing.T) {
 		okHandler(w, r)
 	}), time.Now)
 	var out struct{}
-	if err := cl.call(context.Background(), http.MethodGet, "/stats", nil, &out, false); err != nil {
+	if err := cl.call(context.Background(), http.MethodPost, "/query", []byte("{}"), &out, false); err != nil {
 		t.Fatal(err)
 	}
 	if n := idleConns(cl); n != 1 {
 		t.Fatalf("%d idle connections after one call, want 1", n)
 	}
 	s.CloseClientConnections()
-	if err := cl.call(context.Background(), http.MethodGet, "/stats", nil, &out, false); err != nil {
+	if err := cl.call(context.Background(), http.MethodPost, "/query", []byte("{}"), &out, false); err != nil {
 		t.Fatalf("call after the server closed the idle connection: %v", err)
 	}
 	if n := requests.Load(); n != 2 {
 		t.Errorf("server saw %d requests, want 2", n)
+	}
+}
+
+// TestExchangeResendsGETOnce: a server that closes a reused connection
+// after reading a request, without a reply, costs a GET nothing — it is
+// sent once more on a new connection — while a POST on such a connection
+// fails, and so does a GET whose connection was new.
+func TestExchangeResendsGETOnce(t *testing.T) {
+	var sever atomic.Bool
+	var requests atomic.Int32
+	cl, _, counts := exchangeClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		if sever.Swap(false) {
+			if c, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				c.Close()
+			}
+			return
+		}
+		okHandler(w, r)
+	}), time.Now)
+	ctx := context.Background()
+	var out struct{}
+	get := func() error { return cl.call(ctx, http.MethodGet, "/stats", nil, &out, false) }
+	if err := get(); err != nil {
+		t.Fatal(err)
+	}
+
+	sever.Store(true)
+	if err := get(); err != nil {
+		t.Errorf("GET on a reused connection closed under it: %v", err)
+	}
+	if n := requests.Load(); n != 3 {
+		t.Errorf("server saw %d requests, want 3 (the severed GET re-sent once)", n)
+	}
+	if n := counts.opened.Load(); n != 2 {
+		t.Errorf("%d connections opened, want 2", n)
+	}
+
+	sever.Store(true)
+	if err := cl.call(ctx, http.MethodPost, "/query", []byte("{}"), &out, false); err == nil {
+		t.Error("POST on a reused connection closed under it succeeded; a POST is never re-sent")
+	}
+	if n := requests.Load(); n != 4 {
+		t.Errorf("server saw %d requests, want 4 (the POST sent once)", n)
+	}
+
+	if n := idleConns(cl); n != 0 {
+		t.Fatalf("%d idle connections after a severed POST, want 0", n)
+	}
+	sever.Store(true)
+	if err := get(); err == nil {
+		t.Error("GET on a new connection closed under it succeeded; only a reused one is re-sent")
+	}
+	if n := requests.Load(); n != 5 {
+		t.Errorf("server saw %d requests, want 5 (the GET on a new connection sent once)", n)
 	}
 }
 
@@ -433,8 +489,9 @@ func TestExchangeShedRepliesKeepConnections(t *testing.T) {
 
 // TestExchangeStreamsNDJSON: a streamed batch arrives through the
 // exchange with the answers of the buffered one, and the connection of a
-// stream read to its end is pooled. The 40 queries' text request is over
-// inlineBody, so it goes out as head and body in one writev.
+// stream read to its end is pooled. The 40 queries' text request is
+// over a connection's 4 KB write buffer, so it goes out in more than one
+// write.
 func TestExchangeStreamsNDJSON(t *testing.T) {
 	ds := testDataset(20, 251)
 	queries := testWorkload(ds, 40, 252)

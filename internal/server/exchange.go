@@ -33,19 +33,15 @@ const (
 	// older ones are closed the next time the pool is touched, so a
 	// stopped or drained server's connections do not stay open.
 	idleConnTimeout = 90 * time.Second
-	// inlineBody is the largest request body copied behind its head into
-	// one write; a larger one goes out with the head in one writev.
-	inlineBody = 4 << 10
 )
 
 // connPool holds the idle keep-alive connections of every Client, per
 // server address, most recently used last: a checkout takes the warmest
 // connection, and the ones a burst left over age out at the bottom.
 type connPool struct {
-	now       func() time.Time // the clock idle ages are read on
-	mu        sync.Mutex
-	idle      map[string][]*conn
-	nextSweep time.Time // when the oldest idle connection expires; zero when none is idle
+	now  func() time.Time // the clock idle ages are read on
+	mu   sync.Mutex
+	idle map[string][]*conn
 }
 
 // conns is the pool every Client shares.
@@ -60,7 +56,7 @@ type conn struct {
 	net.Conn
 	addr      string
 	br        *bufio.Reader
-	head      []byte // the request being written; reused across exchanges
+	bw        *bufio.Writer
 	idleSince time.Time
 	live      liveness
 }
@@ -93,49 +89,48 @@ func (p *connPool) put(c *conn) {
 	}
 	c.idleSince = now
 	p.idle[c.addr] = append(s, c)
-	if exp := now.Add(idleConnTimeout); p.nextSweep.IsZero() || exp.Before(p.nextSweep) {
-		p.nextSweep = exp
-	}
 }
 
 // sweepLocked closes every connection that has been idle for
-// idleConnTimeout, once the oldest one is due, and returns the time now.
+// idleConnTimeout and returns the time now. A server's stack is oldest
+// first, so only its bottom entries are read.
 func (p *connPool) sweepLocked() time.Time {
 	now := p.now()
-	if p.nextSweep.IsZero() || now.Before(p.nextSweep) {
-		return now
-	}
-	p.nextSweep = time.Time{}
 	for addr, s := range p.idle {
 		k := 0
 		for k < len(s) && now.Sub(s[k].idleSince) >= idleConnTimeout {
 			s[k].Close()
 			k++
 		}
+		if k == 0 {
+			continue
+		}
 		n := copy(s, s[k:])
 		clear(s[n:])
 		if n == 0 {
 			delete(p.idle, addr)
-			continue
-		}
-		p.idle[addr] = s[:n]
-		if exp := s[0].idleSince.Add(idleConnTimeout); p.nextSweep.IsZero() || exp.Before(p.nextSweep) {
-			p.nextSweep = exp
+		} else {
+			p.idle[addr] = s[:n]
 		}
 	}
 	return now
 }
 
-// checkout returns a connection to addr with its deadline set: a pooled
-// one that is still open, else a fresh dial.
-func (p *connPool) checkout(ctx context.Context, addr string, deadline time.Time) (*conn, error) {
+// reuse returns a pooled connection to addr that is still open, with its
+// deadline set, or nil.
+func (p *connPool) reuse(addr string, deadline time.Time) *conn {
 	for c := p.get(addr); c != nil; c = p.get(addr) {
 		// The deadline goes first: the liveness check is a read.
 		if c.SetDeadline(deadline) == nil && c.br.Buffered() == 0 && c.live.check() {
-			return c, nil
+			return c
 		}
 		c.Close()
 	}
+	return nil
+}
+
+// dial opens a connection to addr with its deadline set.
+func dial(ctx context.Context, addr string, deadline time.Time) (*conn, error) {
 	d := net.Dialer{Timeout: 30 * time.Second, Deadline: deadline, KeepAlive: 30 * time.Second}
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -145,7 +140,7 @@ func (p *connPool) checkout(ctx context.Context, addr string, deadline time.Time
 		nc.Close()
 		return nil, err
 	}
-	c := &conn{Conn: nc, addr: addr, br: bufio.NewReader(nc)}
+	c := &conn{Conn: nc, addr: addr, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
 	c.live.init(nc)
 	return c, nil
 }
@@ -166,6 +161,11 @@ type request struct {
 // be closed; it returns the connection to the pool only when it was read
 // to its end, the server did not ask to close, and ctx was not cancelled
 // meanwhile. Closing never reads from the connection.
+//
+// A GET whose pooled connection fails before the reply's first byte is
+// sent once more on a new connection, as net/http's Transport does: the
+// server closed the connection as the request went out, and a health
+// probe must not fail for that. Other methods are not re-sent.
 func (cl *Client) exchange(ctx context.Context, req request) (*http.Response, error) {
 	if cl.err != nil {
 		return nil, cl.err
@@ -183,23 +183,43 @@ func (cl *Client) exchange(ctx context.Context, req request) (*http.Response, er
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	c, err := cl.pool.checkout(ctx, cl.addr, deadline)
-	if err != nil {
-		return nil, attemptErr(ctx, err)
+	c := cl.pool.reuse(cl.addr, deadline)
+	for {
+		reused := c != nil
+		if !reused {
+			var err error
+			if c, err = dial(ctx, cl.addr, deadline); err != nil {
+				return nil, attemptErr(ctx, err)
+			}
+		}
+		res, replied, err := cl.send(ctx, c, req, id)
+		if err == nil {
+			return res, nil
+		}
+		if !reused || replied || req.method != http.MethodGet || ctx.Err() != nil || isTimeout(err) {
+			return nil, attemptErr(ctx, err)
+		}
+		c = nil
 	}
+}
+
+// send runs req, carrying request id id, on c: it returns the reply with
+// a Body that hands c back, or the error, with c closed, and whether any
+// byte of a reply had arrived.
+func (cl *Client) send(ctx context.Context, c *conn, req request, id string) (*http.Response, bool, error) {
 	rb := &replyBody{ctx: ctx, c: c, pool: cl.pool}
 	if ctx.Done() != nil {
 		rb.stop = context.AfterFunc(ctx, func() { c.SetDeadline(aLongTimeAgo) })
 	}
-	res, err := cl.roundTrip(c, req, id)
+	res, replied, err := cl.roundTrip(c, req, id)
 	if err != nil {
 		rb.Close()
-		return nil, attemptErr(ctx, err)
+		return nil, replied, err
 	}
 	rb.body, rb.left, rb.keep = res.Body, res.ContentLength, !res.Close
 	rb.done = rb.left == 0
 	res.Body = rb
-	return res, nil
+	return res, true, nil
 }
 
 // aLongTimeAgo is a deadline that has passed: setting it makes a blocked
@@ -207,46 +227,45 @@ func (cl *Client) exchange(ctx context.Context, req request) (*http.Response, er
 var aLongTimeAgo = time.Unix(1, 0)
 
 // roundTrip writes req, carrying request id id, on c and reads the
-// reply's head.
-func (cl *Client) roundTrip(c *conn, req request, id string) (*http.Response, error) {
-	b := append(c.head[:0], req.method...)
-	b = append(b, ' ')
-	b = append(b, cl.prefix...)
-	b = append(b, req.path...)
-	b = append(b, " HTTP/1.1\r\nHost: "...)
-	b = append(b, cl.host...)
+// reply's head, reporting whether any byte of a reply arrived. The
+// request goes through c's write buffer, so a small one is one write; the
+// buffer's error is sticky, so Flush reports the first write that failed.
+func (cl *Client) roundTrip(c *conn, req request, id string) (*http.Response, bool, error) {
+	w := c.bw
+	w.WriteString(req.method)
+	w.WriteByte(' ')
+	w.WriteString(cl.prefix)
+	w.WriteString(req.path)
+	w.WriteString(" HTTP/1.1\r\nHost: ")
+	w.WriteString(cl.host)
 	if req.body != nil {
-		b = append(b, "\r\nContent-Length: "...)
-		b = strconv.AppendInt(b, int64(len(req.body)), 10)
+		w.WriteString("\r\nContent-Length: ")
+		w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(len(req.body)), 10))
 	}
-	b = appendHeader(b, "Content-Type", req.contentType)
-	b = appendHeader(b, "Accept", req.accept)
-	b = appendHeader(b, telemetry.RequestIDHeader, id)
-	b = append(b, "\r\n\r\n"...)
-	var err error
-	if len(req.body) <= inlineBody {
-		b = append(b, req.body...)
-		_, err = c.Write(b)
-	} else {
-		bufs := net.Buffers{b, req.body}
-		_, err = bufs.WriteTo(c.Conn)
+	writeHeader(w, "Content-Type", req.contentType)
+	writeHeader(w, "Accept", req.accept)
+	writeHeader(w, telemetry.RequestIDHeader, id)
+	w.WriteString("\r\n\r\n")
+	w.Write(req.body)
+	if err := w.Flush(); err != nil {
+		return nil, false, err
 	}
-	c.head = b[:0]
-	if err != nil {
-		return nil, err
+	if _, err := c.br.Peek(1); err != nil {
+		return nil, false, err
 	}
-	return http.ReadResponse(c.br, nil)
+	res, err := http.ReadResponse(c.br, nil)
+	return res, true, err
 }
 
-// appendHeader appends "\r\nname: value" unless value is empty.
-func appendHeader(b []byte, name, value string) []byte {
+// writeHeader writes "\r\nname: value" unless value is empty.
+func writeHeader(w *bufio.Writer, name, value string) {
 	if value == "" {
-		return b
+		return
 	}
-	b = append(b, "\r\n"...)
-	b = append(b, name...)
-	b = append(b, ": "...)
-	return append(b, value...)
+	w.WriteString("\r\n")
+	w.WriteString(name)
+	w.WriteString(": ")
+	w.WriteString(value)
 }
 
 // validHeaderValue reports whether v may be sent as a header value as is:
@@ -268,11 +287,16 @@ func attemptErr(ctx context.Context, err error) error {
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
+	if isTimeout(err) {
 		return fmt.Errorf("%w (%v)", context.DeadlineExceeded, err)
 	}
 	return err
+}
+
+// isTimeout reports whether err is a connection's deadline passing.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // replyBody is a reply's Body: it counts down a Content-Length body, so

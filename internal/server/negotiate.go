@@ -183,12 +183,20 @@ func readQueries[Q any](wr *Wire, w http.ResponseWriter, r *http.Request, one bo
 	return qs, decDur, true
 }
 
-// readRequestBody reads a request body of at most limit bytes whole:
-// into one buffer of the announced length when there is one, else into
-// one that grows as io.ReadAll grows it. An announced length over limit
-// is refused before anything is sized from it, and the connection closes
-// after the reply instead of draining the body; a body shorter than it
-// announced is an error.
+// bodyBufStart is how much of an announced Content-Length a request
+// body's buffer is sized for before any byte of it arrives: a batch of
+// queries fits, and a peer that announces a large body and sends nothing
+// holds no more than this.
+const bodyBufStart = 16 << 10
+
+// readRequestBody reads a request body of at most limit bytes whole. An
+// announced length over limit is refused before anything is sized from
+// it, and the connection closes after the reply instead of draining the
+// body. Otherwise the buffer starts at the announced length up to
+// bodyBufStart and doubles as bytes arrive, never past that length, so a
+// body that keeps its word ends in a buffer of exactly its size; a body
+// shorter than it announced is an error. A body without a length is read
+// by io.ReadAll.
 func readRequestBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	n := r.ContentLength
 	if n > limit {
@@ -198,11 +206,19 @@ func readRequestBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byt
 	if n < 0 {
 		return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r.Body, body); err != nil {
-		return nil, err
+	body := make([]byte, min(n, bodyBufStart))
+	for k := 0; ; {
+		m, err := io.ReadFull(r.Body, body[k:])
+		if err != nil {
+			return nil, err
+		}
+		if k += m; int64(k) == n {
+			return body, nil
+		}
+		grown := make([]byte, int64(k)+min(n-int64(k), int64(k)))
+		copy(grown, body)
+		body = grown
 	}
-	return body, nil
 }
 
 // WriteResults writes query results as the JSON envelope: a bare

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"graphcache/internal/graph"
@@ -85,5 +86,45 @@ func TestReadQueriesRefusesUntrustedLengths(t *testing.T) {
 	}
 	if code := post(int64(len(frame))); code != http.StatusOK {
 		t.Errorf("exact Content-Length: status %d, want 200", code)
+	}
+}
+
+// TestReadRequestBodyGrowsAsBytesArrive: an announced length is trusted
+// for no more than bodyBufStart before bytes arrive. A request that
+// announces RequestBodyLimit and sends nothing, or one frame, is refused
+// without a buffer of the announced size; a body over bodyBufStart that
+// keeps its word is read whole into a buffer of exactly its length.
+func TestReadRequestBodyGrowsAsBytesArrive(t *testing.T) {
+	ds := testDataset(20, 243)
+	frame, err := graph.EncodeBinary(testWorkload(ds, 1, 244))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sent := range [][]byte{nil, frame} {
+		req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(sent))
+		req.ContentLength = RequestBodyLimit
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body, err := readRequestBody(httptest.NewRecorder(), req, RequestBodyLimit)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%d of %d announced bytes sent: read %d bytes, want an error", len(sent), RequestBodyLimit, len(body))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= RequestBodyLimit/8 {
+			t.Errorf("%d of %d announced bytes sent: %d bytes allocated", len(sent), RequestBodyLimit, got)
+		}
+	}
+
+	want := bytes.Repeat(frame, 5*bodyBufStart/len(frame)+1)
+	req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(want))
+	body, err := readRequestBody(httptest.NewRecorder(), req, RequestBodyLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Errorf("a %d-byte body read as %d bytes, not the ones sent", len(want), len(body))
+	}
+	if cap(body) != len(want) {
+		t.Errorf("a %d-byte body read into a buffer of %d", len(want), cap(body))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -92,9 +93,11 @@ func trailerLine(crc uint32, n int64) string {
 
 // fetchSnapshot downloads a peer's GET /snapshot and verifies its
 // trailer before returning the body — a truncated or corrupted transfer
-// is refused here, never installed.
+// is refused here, never installed. Only ctx bounds the download: a
+// large snapshot over a slow link may take longer than any one query.
 func fetchSnapshot(ctx context.Context, peer string) ([]byte, error) {
-	res, err := NewClient(peer).exchange(ctx, request{method: http.MethodGet, path: "/snapshot"})
+	cl := NewClientWith(peer, ClientOptions{RequestTimeout: math.MaxInt64})
+	res, err := cl.exchange(ctx, request{method: http.MethodGet, path: "/snapshot"})
 	if err != nil {
 		return nil, fmt.Errorf("server: fetching snapshot from %s: %w", peer, err)
 	}
