@@ -198,7 +198,7 @@ func BenchmarkCacheConcurrent(b *testing.B) {
 	qs := benchQueries(ds, 64)
 	newCache := func() *graphcache.Cache {
 		gc := graphcache.New(graphcache.NewGGSX(ds, graphcache.GGSXOptions{}),
-			graphcache.Options{CacheSize: 50, WindowSize: 10, AsyncRebuild: true})
+			graphcache.Options{CacheSize: 50, WindowSize: 10})
 		for _, q := range qs { // warm the cache
 			gc.Query(q.Graph)
 		}
@@ -224,7 +224,7 @@ func BenchmarkCacheConcurrent(b *testing.B) {
 				gc.Query(qs[i%len(qs)].Graph)
 			}
 		})
-		b.StopTimer() // drain async rebuilds untimed, as the serial variant does
+		b.StopTimer()
 		gc.Flush()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
@@ -245,7 +245,7 @@ func BenchmarkQueryBatch(b *testing.B) {
 	}
 	newCache := func() *graphcache.Cache {
 		gc := graphcache.New(graphcache.NewGGSX(ds, graphcache.GGSXOptions{}),
-			graphcache.Options{CacheSize: 50, WindowSize: 10, AsyncRebuild: true})
+			graphcache.Options{CacheSize: 50, WindowSize: 10})
 		gc.QueryBatch(qs) // warm the cache
 		return gc
 	}

@@ -28,8 +28,9 @@ import (
 type Cache = core.Cache
 
 // Options configures a Cache. The zero value gives the paper's default
-// configuration: C = 100 cached queries, window W = 20, HD replacement,
-// admission control disabled.
+// configuration — C = 100 cached queries, window W = 20, HD replacement,
+// admission control disabled — and is the cache gcserved runs with its
+// default flags. Each window pass runs on the query that fills the window.
 type Options = core.Options
 
 // Result is a processed query's answer and statistics. Answer holds the

@@ -121,8 +121,6 @@ func main() {
 		WindowSize:        *window,
 		Policy:            pol,
 		AdmissionFraction: *admission,
-		// Maintenance off the query path, as in the paper's architecture.
-		AsyncRebuild: true,
 	})
 
 	srv := graphcache.NewServer(gc, graphcache.ServerOptions{

@@ -55,7 +55,7 @@ func main() {
 	}
 	baseTime := time.Since(baseStart)
 
-	gc := graphcache.New(m, graphcache.Options{CacheSize: 100, WindowSize: 20, AsyncRebuild: true})
+	gc := graphcache.New(m, graphcache.Options{CacheSize: 100, WindowSize: 20})
 	gcStart := time.Now()
 	for _, q := range queries {
 		gc.Query(q)
@@ -87,7 +87,7 @@ func main() {
 	}
 	fragDS := graphcache.NewDataset(fgs)
 	super := graphcache.NewSupergraphSI(fragDS)
-	sgc := graphcache.New(super, graphcache.Options{CacheSize: 50, WindowSize: 10, AsyncRebuild: true})
+	sgc := graphcache.New(super, graphcache.Options{CacheSize: 50, WindowSize: 10})
 
 	// Supergraph queries: Zipf-repeated dataset molecules.
 	mols := ds.Graphs()

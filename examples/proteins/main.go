@@ -87,7 +87,6 @@ func main() {
 			WindowSize:        6,
 			Policy:            graphcache.HD,
 			AdmissionFraction: mode.admission,
-			AsyncRebuild:      true,
 		})
 		times := make([]time.Duration, len(queries))
 		for i, q := range queries {

@@ -32,9 +32,9 @@ func main() {
 
 	// 3. GraphCache in front of it. The zero Options value is the paper's
 	// default configuration: 100 cached queries, window of 20, HD policy.
-	// AsyncRebuild keeps cache maintenance off the query path, as in the
-	// paper's architecture.
-	gc := graphcache.New(m, graphcache.Options{AsyncRebuild: true})
+	// Each window's maintenance pass runs on the query that fills it and
+	// is counted in Totals().MaintenanceTime, not in a query's TotalTime.
+	gc := graphcache.New(m, graphcache.Options{})
 
 	// 4. A workload. Type A "ZZ": Zipf-skewed choice of source graph and
 	// start node — queries repeat and overlap, the premise of any cache.
@@ -61,7 +61,7 @@ func main() {
 	fmt.Printf("sub-iso tests actually run: %d\n", tot.SubIsoTests)
 	fmt.Printf("cache hits: %d exact, %d subgraph (query ⊆ cached), %d supergraph (cached ⊆ query), %d empty shortcuts\n",
 		tot.ExactHits, tot.ContainerHits, tot.ContaineeHits, tot.EmptyShortcuts)
-	fmt.Printf("cache maintenance (off the query path): %v\n",
+	fmt.Printf("cache maintenance (window passes, part of the time above): %v\n",
 		tot.MaintenanceTime.Round(time.Microsecond))
 
 	// 6. The same workload without the cache, for comparison.

@@ -69,7 +69,7 @@ func main() {
 	// 2. Two gcserved backends on ephemeral ports.
 	var servers []*graphcache.Server
 	for i := 0; i < 2; i++ {
-		gc := graphcache.New(m, graphcache.Options{AsyncRebuild: true})
+		gc := graphcache.New(m, graphcache.Options{})
 		srv := graphcache.NewServer(gc, graphcache.ServerOptions{Addr: "127.0.0.1:0"})
 		if err := srv.Start(); err != nil {
 			log.Fatal(err)
@@ -205,7 +205,7 @@ func main() {
 	// its first dispatch ever hits a warmed cache. Then it drains back
 	// out: no new dispatches, in-flight work finishes, off the ring.
 	chaos.SetLatency(0)
-	gc3 := graphcache.New(m, graphcache.Options{AsyncRebuild: true})
+	gc3 := graphcache.New(m, graphcache.Options{})
 	third := graphcache.NewServer(gc3, graphcache.ServerOptions{Addr: "127.0.0.1:0"})
 	if err := third.Start(); err != nil {
 		log.Fatal(err)

@@ -33,7 +33,7 @@ func main() {
 	// 1. A dataset and a method, as in every GraphCache program.
 	ds := graphcache.AIDSLike(graphcache.DefaultAIDS().Scaled(0.01, 1), 42)
 	m := graphcache.NewGGSX(ds, graphcache.GGSXOptions{})
-	gc := graphcache.New(m, graphcache.Options{AsyncRebuild: true})
+	gc := graphcache.New(m, graphcache.Options{})
 
 	// 2. The serving subsystem in front of the cache. Port 0 picks an
 	// ephemeral port; a daemon would use a fixed -addr. With a

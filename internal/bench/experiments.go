@@ -255,7 +255,7 @@ func Fig9(e *Env) []*Table {
 
 // Fig10 breaks down per-query cost on the AIDS 20% workload: the average
 // query time of Method M alone, of GC per cache size, and GC's average
-// cache-maintenance overhead (off the query path). Paper shape: overhead
+// cache-maintenance overhead (window passes, outside per-query time). Paper shape: overhead
 // is small relative to the per-query gain and grows with cache size.
 func Fig10(e *Env) []*Table {
 	sizes := []int{100, 300, 500}

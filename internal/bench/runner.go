@@ -21,8 +21,8 @@ type RunStats struct {
 	SubIsoTests int64   // summed dataset sub-iso tests
 	Answers     int64   // summed answer-set sizes (for sanity checks)
 	// MaintenanceNS is the cache-maintenance time accrued during the
-	// measured window (zero for baselines). It is off the query path, as
-	// in the paper's architecture, and reported separately (Fig. 10).
+	// measured window (zero for baselines). It is not in any query's
+	// TotalTime and is reported separately (Fig. 10).
 	MaintenanceNS float64
 }
 

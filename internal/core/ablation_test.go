@@ -109,30 +109,11 @@ func TestAblationExactOnlyStillHitsExactly(t *testing.T) {
 	}
 }
 
-// TestAsyncRebuildUnderLoad hammers an async-rebuild cache from the query
-// path while windows churn, checking answers stay exact throughout (run
-// with -race to check the swap discipline).
-func TestAsyncRebuildUnderLoad(t *testing.T) {
-	m, qs := ablationWorkload(t)
-	c := New(m, Options{CacheSize: 10, WindowSize: 3, AsyncRebuild: true})
-	for i, q := range qs {
-		got := c.Query(q.Graph).Answer
-		want := method.Answer(m, q.Graph)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d under async rebuild: %v != %v", i, got, want)
-		}
-	}
-	c.Flush()
-	if got := len(c.CachedSerials()); got == 0 || got > 10 {
-		t.Errorf("cache holds %d entries after flush, want 1..10", got)
-	}
-}
-
 // TestConcurrentReadAccessors checks the read-side accessors are safe
 // against a concurrently querying cache (for -race).
 func TestConcurrentReadAccessors(t *testing.T) {
 	m, qs := ablationWorkload(t)
-	c := New(m, Options{CacheSize: 10, WindowSize: 3, AsyncRebuild: true})
+	c := New(m, Options{CacheSize: 10, WindowSize: 3})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)

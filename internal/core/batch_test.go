@@ -328,9 +328,8 @@ func TestQueryBatchConcurrent(t *testing.T) {
 	}
 
 	c := New(ggsx.New(ds, ggsx.Options{}), Options{
-		CacheSize:    20,
-		WindowSize:   5,
-		AsyncRebuild: true,
+		CacheSize:  20,
+		WindowSize: 5,
 	})
 	chunk := (len(queries) + callers - 1) / callers
 	var wg sync.WaitGroup

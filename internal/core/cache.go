@@ -13,10 +13,10 @@
 // verification stage and the GC processors' containment confirmations fan
 // out over a bounded worker pool (Options.VerifyConcurrency). The
 // cached-query store is one GCindex generation, published atomically and
-// read without locks; window passes derive the next generation and can
-// run asynchronously. Answers are always exactly those the wrapped method
-// would produce — the pruning rules are sound, never heuristic — and are
-// deterministic regardless of the pool size.
+// read without locks; a window pass derives the next generation on the
+// query that fills the window. Answers are always exactly those the
+// wrapped method would produce — the pruning rules are sound, never
+// heuristic — and are deterministic regardless of the pool size.
 package core
 
 import (
@@ -75,23 +75,17 @@ type Cache struct {
 	admMu sync.Mutex
 	adm   admission
 
-	// rebuildMu keeps snapshot writes apart from window passes and
-	// mutations.
-	rebuildMu sync.Mutex
-
 	// Mutation gate (see mutate.go): queries register in inflight;
 	// ApplyMutation raises mutating, drains inflight to zero and then has
 	// the cache to itself. gateMu blocks arriving queries for the duration
-	// of a mutation; mutApplyMu serialises whole mutations (and snapshot
-	// loads) and guards lastSeq.
+	// of a mutation; mutApplyMu serialises whole mutations, snapshot loads
+	// and snapshot writes, and guards lastSeq.
 	inflight   atomic.Int64
 	mutating   atomic.Bool
 	gateMu     sync.Mutex
 	mutApplyMu sync.Mutex
 	// lastSeq is the highest Mutation.Seq applied. Written under
-	// mutApplyMu (and, for actual mutations, the rebuild lock), read
-	// atomically so WriteSnapshot can stamp it while holding only
-	// rebuildMu.
+	// mutApplyMu, read atomically so LastMutationSeq needs no lock.
 	lastSeq atomic.Int64
 
 	// obs is the telemetry Observer (see observer.go); nil when no
@@ -168,8 +162,9 @@ type QueryStats struct {
 
 // TotalTime is the query's processing latency. Method M's filter and the
 // GC processors run in parallel (§4, Figure 2), so the filtering stage
-// costs the slower of the two, followed by verification. Cache
-// maintenance runs off the query path and is accounted separately.
+// costs the slower of the two, followed by verification. A window pass
+// runs on the query that fills the window, after its answer is delivered,
+// and is counted in Totals.MaintenanceTime, not here.
 func (s QueryStats) TotalTime() time.Duration {
 	f := s.FilterMTime
 	if s.FilterGCTime > f {

@@ -56,24 +56,6 @@ func TestAnswersMatchBaseline(t *testing.T) {
 	}
 }
 
-func TestAnswersMatchBaselineAsyncRebuild(t *testing.T) {
-	ds := moleculeDataset(50, 5)
-	queries := typeAWorkload(ds, "ZZ", 200, 6)
-	c := New(ggsx.New(ds, ggsx.Options{}), Options{AsyncRebuild: true, CacheSize: 20, WindowSize: 5})
-	base := method.NewVF2(ds)
-	for qi, q := range queries {
-		got := c.Query(q.Graph).Answer
-		want := method.Answer(base, q.Graph)
-		if !eq(got, want) {
-			t.Fatalf("query %d: async GC answer %v != baseline %v", qi, got, want)
-		}
-	}
-	c.Flush()
-	if c.Totals().WindowsProcessed == 0 {
-		t.Error("async run must have rebuilt the index")
-	}
-}
-
 func TestAnswersMatchBaselineOverSIMethod(t *testing.T) {
 	ds := moleculeDataset(40, 7)
 	queries := typeAWorkload(ds, "ZU", 100, 8)

@@ -13,7 +13,10 @@ import (
 // Cache.Query and asserts every answer is byte-identical to the serial
 // baseline for the same query — the pruning rules are sound under any
 // interleaving of concurrent callers. Run with -race, this is also the
-// concurrency soundness check for the whole query path.
+// concurrency soundness check for the whole query path and the store's
+// hand-offs: the published index generation, the window and its pass
+// queue drained by whichever caller finds it idle, the entries' hit
+// counters.
 func TestConcurrentQueryMatchesSerial(t *testing.T) {
 	const callers = 8
 	ds := moleculeDataset(60, 11)
@@ -27,9 +30,8 @@ func TestConcurrentQueryMatchesSerial(t *testing.T) {
 	}
 
 	c := New(ggsx.New(ds, ggsx.Options{}), Options{
-		CacheSize:    20,
-		WindowSize:   5,
-		AsyncRebuild: true,
+		CacheSize:  20,
+		WindowSize: 5,
 	})
 	var (
 		cursor atomic.Int64
@@ -63,6 +65,10 @@ func TestConcurrentQueryMatchesSerial(t *testing.T) {
 	if got := c.Totals().Queries; got != int64(len(queries)) {
 		t.Errorf("Totals().Queries = %d, want %d", got, len(queries))
 	}
+	if got := len(c.CachedSerials()); got == 0 || got > 20 {
+		t.Errorf("cache holds %d entries, want 1..20", got)
+	}
+	checkEntryStats(t, c)
 }
 
 // TestVerifyConcurrencyDeterministic asserts the worker pool does not

@@ -122,7 +122,7 @@ func goldenRun(t *testing.T, mk func(*dataset.Dataset) method.Method, newDS func
 	qs []workload.Query, batch, vc int) ([3]string, Totals) {
 	t.Helper()
 	ds := newDS()
-	c := New(mk(ds), Options{CacheSize: 20, WindowSize: 5, VerifyConcurrency: vc})
+	c := New(mk(ds), Options{CacheSize: 20, WindowSize: 5, Policy: LRU, VerifyConcurrency: vc})
 	results := sha256.New()
 	for i := 0; i < len(qs); i += batch {
 		var err error

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"graphcache/internal/method"
@@ -17,26 +16,22 @@ import (
 func TestNothingGrowsWithTheSerial(t *testing.T) {
 	ds := moleculeDataset(150, 41)
 	queries := typeAWorkload(ds, "UU", 5000, 43)
-	for _, async := range []bool{false, true} {
-		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			c := New(method.NewVF2Plus(ds), Options{CacheSize: 100, WindowSize: 20, AsyncRebuild: async})
-			for i, q := range queries {
-				c.Query(q.Graph)
-				if (i+1)%1000 == 0 {
-					c.Flush()
-					checkSizedByLiveEntries(t, c, i+1)
-				}
-			}
-			if ev := c.Totals().Evicted; ev < 1000 {
-				t.Fatalf("only %d evictions: the stream does not churn the cache", ev)
-			}
-		})
+	c := New(method.NewVF2Plus(ds), Options{})
+	for i, q := range queries {
+		c.Query(q.Graph)
+		if (i+1)%1000 == 0 {
+			checkSizedByLiveEntries(t, c, i+1)
+		}
+	}
+	if ev := c.Totals().Evicted; ev < 1000 {
+		t.Fatalf("only %d evictions: the stream does not churn the cache", ev)
 	}
 }
 
 // checkSizedByLiveEntries asserts the cache's structures are sized by its
 // live entries: one GCindex slot per live entry and one column per feature
-// a live entry holds. The caller must have flushed pending window passes.
+// a live entry holds. No window pass may be pending: a lone caller's
+// passes are applied before its Query returns.
 func checkSizedByLiveEntries(t *testing.T, c *Cache, served int) {
 	t.Helper()
 	ix := c.index.Load()

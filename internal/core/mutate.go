@@ -106,24 +106,20 @@ func (c *Cache) retainQuery() { c.inflight.Add(1) }
 // exitQuery drops one inflight reference.
 func (c *Cache) exitQuery() { c.inflight.Add(-1) }
 
-// beginExclusive blocks new queries, drains in-flight ones and queued
-// window passes, and takes the rebuild lock: on return the caller is the
-// only goroutine touching the cache, the method and the dataset. Pair
-// with endExclusive.
+// beginExclusive blocks new queries and drains in-flight ones: on return
+// the caller is the only goroutine touching the cache, the method and the
+// dataset. A window pass runs inside the gate slot of the query that
+// drains it, so none is running or queued either. Callers hold mutApplyMu,
+// which keeps WriteSnapshot out. Pair with endExclusive.
 func (c *Cache) beginExclusive() {
 	c.gateMu.Lock()
 	c.mutating.Store(true)
 	for c.inflight.Load() != 0 {
 		time.Sleep(20 * time.Microsecond)
 	}
-	// No queries in flight and the gate closed: nothing can queue a new
-	// window, so after the barrier no pass is pending or running.
-	c.Flush()
-	c.rebuildMu.Lock() // excludes a concurrent WriteSnapshot
 }
 
 func (c *Cache) endExclusive() {
-	c.rebuildMu.Unlock()
 	c.mutating.Store(false)
 	c.gateMu.Unlock()
 }

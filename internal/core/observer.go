@@ -30,9 +30,9 @@ type MutationObservation struct {
 // applied dataset mutation. Per-query figures are not observed: each query's
 // QueryStats travels with its Result, and whoever delivers the answer folds
 // it. Implementations must be safe for concurrent calls — window passes run
-// inline or on the maintainer goroutine, mutations on their caller's — and
-// fast. A nil Observer (the default) costs one atomic load per pass or
-// mutation.
+// on the goroutine of the query that drains the window, mutations on their
+// caller's — and fast: a slow ObserveWindow holds up that query's return.
+// A nil Observer (the default) costs one atomic load per pass or mutation.
 type Observer interface {
 	ObserveWindow(WindowObservation)
 	ObserveMutation(MutationObservation)

@@ -12,8 +12,10 @@ const calibrationWindows = 3
 
 // Options configures a Cache. The zero value gives the paper's default
 // configuration (C = 100, W = 20, HD policy, path features up to 4 edges,
-// admission control disabled, synchronous index rebuild) with verification
-// parallelised across all available cores.
+// admission control disabled) with verification parallelised across all
+// available cores. Window passes run on the query that fills the window,
+// so one caller's query order makes the same decisions at any speed and
+// core count.
 type Options struct {
 	// CacheSize is the upper limit on cached queries (C, default 100).
 	CacheSize int
@@ -27,10 +29,8 @@ type Options struct {
 	// admitted (§6.2). Zero disables the component, as a zero threshold
 	// does in the paper.
 	AdmissionFraction float64
-	// AsyncRebuild runs window passes on a background goroutine, serving
-	// queries from the old GCindex meanwhile — the paper's design. Off (the
-	// default, for deterministic runs) the same in-order passes run on the
-	// query that filled the window. Servers and benchmarks enable it.
+	// Deprecated: ignored. Window passes always run on the query that
+	// fills the window.
 	AsyncRebuild bool
 	// VerifyConcurrency bounds the cache's verification worker pool — the
 	// paper's sized thread pools (§4, Figure 2) — used for Method M's

@@ -11,8 +11,13 @@ import (
 type PolicyKind int
 
 const (
+	// HD (Hybrid Dynamic) computes the squared coefficient of variation
+	// of the cached R values: high variability (CoV² > 1) means R alone is
+	// discriminative, so PIN is used; otherwise PINC. GraphCache
+	// exclusive, and the zero value: the paper's default.
+	HD PolicyKind = iota
 	// LRU evicts the least recently used entry: utility = last-hit serial.
-	LRU PolicyKind = iota
+	LRU
 	// POP (Popularity-based Ranking) uses H/A — hits over age, where age
 	// is the difference between the current serial and the entry's own.
 	POP
@@ -22,11 +27,6 @@ const (
 	// PINC (PIN + Costs) uses C/A — total estimated time saving over age.
 	// GraphCache exclusive.
 	PINC
-	// HD (Hybrid Dynamic) computes the squared coefficient of variation
-	// of the cached R values: high variability (CoV² > 1) means R alone is
-	// discriminative, so PIN is used; otherwise PINC. GraphCache
-	// exclusive.
-	HD
 )
 
 // ParsePolicy converts a policy name to its kind.
@@ -43,7 +43,7 @@ func ParsePolicy(name string) (PolicyKind, error) {
 	case "hd", "HD":
 		return HD, nil
 	}
-	return LRU, fmt.Errorf("core: unknown policy %q", name)
+	return HD, fmt.Errorf("core: unknown policy %q", name)
 }
 
 func (p PolicyKind) String() string {

@@ -64,13 +64,13 @@ var ErrDatasetMismatch = errors.New("core: snapshot was written over a different
 // window that is not full yet are not included.
 func (c *Cache) WriteSnapshot(w io.Writer) error {
 	// The window barrier puts every window queued before this call into
-	// the snapshot. The rebuild lock then keeps window passes and
-	// mutations out for the duration, so the index generation, the
-	// statistics, the dataset epoch and its delta are captured
-	// consistently while queries keep being served.
+	// the snapshot. mutApplyMu then keeps mutations and snapshot loads out
+	// for the duration, so the dataset epoch and its delta stay put; the
+	// entries come from one immutable index generation, so queries keep
+	// being served and window passes keep landing meanwhile.
 	c.Flush()
-	c.rebuildMu.Lock()
-	defer c.rebuildMu.Unlock()
+	c.mutApplyMu.Lock()
+	defer c.mutApplyMu.Unlock()
 
 	entries := c.index.Load().slotEntry // slot order is serial order
 	rows := c.entryStats(entries)
@@ -149,8 +149,9 @@ func (c *Cache) WriteSnapshot(w io.Writer) error {
 // both leave the dataset on its pristine base.
 func (c *Cache) ReadSnapshot(r io.Reader) error {
 	// Loading is a whole-cache replacement: take the same exclusivity a
-	// mutation takes (blocks new queries, drains in-flight ones and queued
-	// window passes), so warm-from-peer can load into a serving cache.
+	// mutation takes (blocks new queries, drains in-flight ones and with
+	// them their window passes), so warm-from-peer can load into a serving
+	// cache.
 	c.mutApplyMu.Lock()
 	defer c.mutApplyMu.Unlock()
 	c.beginExclusive()

@@ -76,11 +76,12 @@ type filledWindow struct {
 
 // addToWindow appends a processed query to the Window (§6.2) and queues a
 // full window for its pass under the same lock, so each is queued once.
-// Passes have one owner at a time, by group commit: the caller that finds
-// every queued window applied starts a drain — inline, or on a new
-// goroutine under Options.AsyncRebuild — and the drain applies the
-// windows queued meanwhile too, in the order they filled. A single caller
-// therefore makes the same decisions in either mode.
+// Passes run on the query path, by group commit: the caller that finds
+// every queued window applied drains the queue itself, and its drain
+// applies the windows other callers queue meanwhile too, in the order they
+// filled, so no caller waits behind another's pass. Every caller is inside
+// its gate slot (enterQuery) here, so once the mutation gate has drained
+// in-flight queries no pass is running or queued.
 func (c *Cache) addToWindow(e *entry, currentSerial int64) {
 	c.winMu.Lock()
 	c.window = append(c.window, e)
@@ -93,11 +94,7 @@ func (c *Cache) addToWindow(e *entry, currentSerial int64) {
 	idle := c.applied == c.filled // else the running drain takes this window
 	c.filled++
 	c.winMu.Unlock()
-	switch {
-	case !idle:
-	case c.opts.AsyncRebuild:
-		go c.drain()
-	default:
+	if idle {
 		c.drain()
 	}
 }
@@ -110,9 +107,7 @@ func (c *Cache) drain() {
 		next := c.queue[0]
 		c.queue = c.queue[1:]
 		c.winMu.Unlock()
-		c.rebuildMu.Lock()
 		c.processWindow(next.ws, next.serial)
-		c.rebuildMu.Unlock()
 		c.winMu.Lock()
 		c.applied++
 		c.passDone.Broadcast()
@@ -120,8 +115,10 @@ func (c *Cache) drain() {
 }
 
 // Flush is a barrier: it returns once every window queued before the call
-// has been applied, and never waits for windows queued after it. Snapshot
-// writes, mutations and snapshot loads run it themselves.
+// has been applied, and never waits for windows queued after it. A window
+// is pending only while some caller's drain has yet to apply it: one
+// filled while another caller drains is left to that drain. Snapshot
+// writes run it themselves.
 func (c *Cache) Flush() {
 	c.winMu.Lock()
 	defer c.winMu.Unlock()
@@ -132,7 +129,7 @@ func (c *Cache) Flush() {
 
 // processWindow runs the Window Manager's window-full procedure (§6.2)
 // over one filled window: admission control, replacement and the index
-// delta + swap. The drain runs it under rebuildMu.
+// delta + swap. The drain runs it, one pass at a time.
 func (c *Cache) processWindow(ws []*entry, currentSerial int64) {
 	start := time.Now()
 

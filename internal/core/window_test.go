@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,61 +86,6 @@ func TestEvictionIsGlobal(t *testing.T) {
 	}
 }
 
-// TestConcurrentAsyncMatchesSerial drives 8 goroutines through one
-// shared cache with asynchronous window passes and asserts every answer
-// matches the serial baseline — under -race this is the concurrency
-// soundness check for the store's hand-offs (the published index
-// generation, the window and its pass queue, the entries' hit counters).
-func TestConcurrentAsyncMatchesSerial(t *testing.T) {
-	const callers = 8
-	ds := moleculeDataset(60, 35)
-	queries := typeAWorkload(ds, "ZZ", 240, 36)
-	base := method.NewVF2Plus(ds)
-
-	want := make([][]int32, len(queries))
-	for i, q := range queries {
-		want[i] = method.Answer(base, q.Graph)
-	}
-
-	c := New(ggsx.New(ds, ggsx.Options{}), Options{
-		CacheSize:    20,
-		WindowSize:   5,
-		AsyncRebuild: true,
-	})
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-		bad    atomic.Int64
-	)
-	wg.Add(callers)
-	for w := 0; w < callers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				if got := c.Query(queries[i].Graph).Answer; !eq(got, want[i]) {
-					bad.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	c.Flush()
-	if n := bad.Load(); n > 0 {
-		t.Fatalf("%d of %d concurrent answers diverged from the serial baseline", n, len(queries))
-	}
-	if got := c.Totals().Queries; got != int64(len(queries)) {
-		t.Errorf("Totals().Queries = %d, want %d", got, len(queries))
-	}
-	if got := len(c.CachedSerials()); got == 0 || got > 20 {
-		t.Errorf("cache holds %d entries, want 1..20", got)
-	}
-	checkEntryStats(t, c)
-}
-
 // parkingObserver holds every window pass inside ObserveWindow — after the
 // pass has published its index generation, before it returns — until the
 // test releases it, announcing each arrival on entered.
@@ -168,50 +111,79 @@ func waitParkedIn(t *testing.T, fn string) {
 	t.Fatalf("no goroutine blocked in %s", fn)
 }
 
-// TestMaintainerFlushWhilePassParked parks a window pass and, while it is
-// parked, calls Flush on another goroutine and fills a second window. Flush
-// waits for the parked pass and for nothing queued after the call; the
-// second window's pass follows the first; a third window, filled once the
-// maintainer is idle, gets its pass too. Under -race this is also the check
-// on the hand-offs: with a WaitGroup here, the Add of a window filled
-// after a Wait had blocked raced that Wait.
+// TestMaintainerFlushWhilePassParked parks a window pass on the query
+// that filled window 1 and, while it is parked, calls Flush on another
+// goroutine, has a second caller fill window 2 and starts a mutation. That
+// caller leaves its window to the parked drain and returns; Flush waits for
+// the parked pass and for nothing queued after the call; the drain applies
+// window 2 after window 1, on the first caller's goroutine; the mutation
+// waits for the drain to finish, so it never sees a queued window; a third
+// window, filled once no drain runs, gets its pass from the query that
+// fills it. Under -race this is also the check on the hand-offs: with a
+// WaitGroup here, the Add of a window filled after a Wait had blocked
+// raced that Wait.
 func TestMaintainerFlushWhilePassParked(t *testing.T) {
 	obs := parkingObserver{entered: make(chan struct{}), release: make(chan struct{})}
-	c := New(method.NewVF2Plus(moleculeDataset(20, 53)), Options{
-		CacheSize: 100, WindowSize: 2, AsyncRebuild: true,
-	})
+	c := New(method.NewVF2Plus(moleculeDataset(20, 53)), Options{CacheSize: 100, WindowSize: 2})
 	c.SetObserver(obs)
-	label := graph.Label(100)
-	fill := func() { // two new, non-isomorphic queries: one full window
-		for i := 0; i < 2; i++ {
+	// fill runs two new, non-isomorphic queries on its own goroutine — one
+	// full window — and closes the returned channel once both returned.
+	fill := func(label graph.Label) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
 			c.Query(pathG(label, label+1))
-			label += 2
-		}
+			c.Query(pathG(label+2, label+3))
+		}()
+		return done
 	}
 
-	fill()
-	<-obs.entered // pass 1 parked
+	filled1 := fill(100)
+	<-obs.entered // pass 1 parked on the query that filled window 1
 	flushed := make(chan struct{})
 	go func() {
 		c.Flush()
 		close(flushed)
 	}()
 	waitParkedIn(t, "core.(*Cache).Flush")
-	fill() // window 2, queued after the Flush call
+	select { // window 2, queued after the Flush call, by a second caller
+	case <-fill(110):
+	case <-time.After(5 * time.Second):
+		t.Fatal("a caller waited behind another caller's window pass")
+	}
+	mutated := make(chan struct{})
+	go func() {
+		defer close(mutated)
+		if _, err := c.RemoveGraphs([]int32{0}); err != nil {
+			t.Error(err)
+		}
+	}()
+	waitParkedIn(t, "core.(*Cache).beginExclusive")
 	obs.release <- struct{}{}
-	<-obs.entered // pass 2 parked
+	<-obs.entered // pass 2 parked, on the same drain
 	select {
 	case <-flushed:
 	case <-time.After(5 * time.Second):
 		t.Error("Flush waited for a window queued after the call")
 	}
+	select {
+	case <-filled1:
+		t.Error("the drain returned before applying window 2")
+	case <-mutated:
+		t.Error("a mutation ran while a window pass was running")
+	default:
+	}
 	obs.release <- struct{}{}
-	c.Flush()
+	<-filled1
+	<-mutated
+	if got := c.Totals().Mutations; got != 1 {
+		t.Errorf("%d mutations applied, want 1", got)
+	}
 
-	fill() // window 3: the maintainer starts again from idle
+	filled3 := fill(120) // window 3: a new drain starts from idle
 	<-obs.entered
 	obs.release <- struct{}{}
-	c.Flush()
+	<-filled3
 	<-flushed
 	if got := c.Totals().WindowsProcessed; got != 3 {
 		t.Errorf("%d window passes applied, want 3", got)

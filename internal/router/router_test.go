@@ -37,7 +37,7 @@ func testWorkload(ds *dataset.Dataset, n int, seed int64) []*graph.Graph {
 func startBackend(t *testing.T, ds *dataset.Dataset) *server.Server {
 	t.Helper()
 	c := core.New(ggsx.New(ds, ggsx.Options{}),
-		core.Options{CacheSize: 20, WindowSize: 5, AsyncRebuild: true})
+		core.Options{CacheSize: 20, WindowSize: 5})
 	s := server.New(c, server.Options{Addr: "127.0.0.1:0"})
 	if err := s.Start(); err != nil {
 		t.Fatalf("backend Start: %v", err)
@@ -370,7 +370,7 @@ func TestRouterEjectReadmit(t *testing.T) {
 
 	// A new daemon at the same address must be readmitted.
 	c2 := core.New(ggsx.New(ds, ggsx.Options{}),
-		core.Options{CacheSize: 20, WindowSize: 5, AsyncRebuild: true})
+		core.Options{CacheSize: 20, WindowSize: 5})
 	s2 := server.New(c2, server.Options{Addr: flapAddr})
 	if err := s2.Start(); err != nil {
 		t.Fatalf("restarting backend at %s: %v", flapAddr, err)

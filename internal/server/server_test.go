@@ -314,7 +314,7 @@ func TestConcurrentClients(t *testing.T) {
 	}
 
 	c := core.New(ggsx.New(ds, ggsx.Options{}),
-		core.Options{CacheSize: 20, WindowSize: 5, AsyncRebuild: true})
+		core.Options{CacheSize: 20, WindowSize: 5})
 	s := startServer(t, c, Options{})
 	cl := NewClient(s.Addr())
 	ctx := context.Background()

@@ -324,8 +324,8 @@ func TestSinglesDeadClientCostsNothing(t *testing.T) {
 }
 
 // TestSinglesBurstRace hammers one server with concurrent singles, so
-// runs of one overlap in every stage of the pipeline and window passes
-// race them under AsyncRebuild. Under -race this is the single-query
+// runs of one overlap in every stage of the pipeline and the window
+// passes, run on whichever request fills a window, race them. Under -race this is the single-query
 // path's memory-model check; every client must get its own query's answer.
 func TestSinglesBurstRace(t *testing.T) {
 	const (
@@ -341,7 +341,7 @@ func TestSinglesBurstRace(t *testing.T) {
 	}
 
 	cache := core.New(ggsx.New(ds, ggsx.Options{}),
-		core.Options{CacheSize: 20, WindowSize: 5, AsyncRebuild: true})
+		core.Options{CacheSize: 20, WindowSize: 5})
 	s := startServer(t, cache, Options{})
 	cl := NewClient(s.Addr())
 

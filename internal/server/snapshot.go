@@ -53,7 +53,7 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 
 // writeCheckedSnapshot writes c's snapshot followed by the integrity
 // trailer. Safe against a concurrently serving cache: WriteSnapshot reads
-// the atomically published index generation under the rebuild lock.
+// one atomically published index generation.
 func writeCheckedSnapshot(c *core.Cache, w io.Writer) error {
 	cw := &crcWriter{w: w}
 	if err := c.WriteSnapshot(cw); err != nil {

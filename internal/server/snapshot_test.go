@@ -335,7 +335,7 @@ func TestQueriesDuringWarmSucceed(t *testing.T) {
 	}
 	peer := startServer(t, peerCache, Options{})
 	s := startServer(t, core.New(ggsx.New(ds, ggsx.Options{}),
-		core.Options{CacheSize: 20, WindowSize: 5, AsyncRebuild: true}), Options{})
+		core.Options{CacheSize: 20, WindowSize: 5}), Options{})
 	cl := NewClient(s.Addr())
 
 	stop := make(chan struct{})
@@ -380,15 +380,16 @@ func TestQueriesDuringWarmSucceed(t *testing.T) {
 	}
 }
 
-// TestSnapshotHoldsEveryQueuedWindow: on an AsyncRebuild server, GET
-// /snapshot holds every window the queries before it filled — the
-// snapshot write runs the window barrier. A reply is written after its
-// run's bookkeeping, so every answered query is in a window, and in the
-// totals, before the snapshot is asked for.
+// TestSnapshotHoldsEveryQueuedWindow: GET /snapshot holds every window the
+// queries before it filled. A reply is written after its run's
+// bookkeeping — which applies a window the query filled, or leaves it to a
+// drain the snapshot write's window barrier waits for — so every answered
+// query is in a window, and in the totals, before the snapshot is asked
+// for.
 func TestSnapshotHoldsEveryQueuedWindow(t *testing.T) {
 	ds := testDataset(40, 71)
 	queries := testWorkload(ds, 60, 72)
-	c := core.New(ggsx.New(ds, ggsx.Options{}), core.Options{CacheSize: 100, WindowSize: 2, AsyncRebuild: true})
+	c := core.New(ggsx.New(ds, ggsx.Options{}), core.Options{CacheSize: 100, WindowSize: 2})
 	s := startServer(t, c, Options{})
 	cl := NewClient(s.Addr())
 	ctx := context.Background()
