@@ -495,37 +495,44 @@
 // readmits) and repairs the cached answers in place instead of flushing
 // them:
 //
-//   - Additions extend. Each added graph is tested once against each
-//     cached query (using the method's own Verify), and cached answers
-//     gain the IDs that match. The cache's memoised candidate vectors
-//     grow the same way, so pruning stays exact.
+//   - Additions extend. Each added graph is tested (using the method's
+//     own Verify) against each cached query whose feature vector its own
+//     dominates, the only queries it can answer, and cached answers gain
+//     the IDs that match. The cache's memoised candidate vectors grow the
+//     same way, so pruning stays exact.
 //
-//   - Removals are exact. A reverse index from dataset ID to the cached
-//     entries whose answers contain it pinpoints exactly the entries a
-//     removal touches; their answers drop the removed IDs and every
-//     other entry is untouched. No entry is invalidated wholesale for a
-//     removal.
+//   - Removals are exact. Every cached answer that holds a removed ID
+//     drops it, and every other entry is untouched. No entry is
+//     invalidated wholesale for a removal.
 //
-//   - Edits re-verify. An edited graph may enter or leave any cached
-//     answer, so each cached query is re-verified against the
-//     replacement graph — bounded work: one sub-iso test per cached
-//     entry, not a cache flush.
+//   - Edits re-verify a bounded set. Each cached query whose feature
+//     vector the replacement graph's dominates is re-verified against it,
+//     and may gain or lose the ID: one sub-iso test per such entry, not a
+//     cache flush. An entry that holds the ID but is no longer dominated
+//     drops it without a test, since the feature filter has no false
+//     negatives.
 //
-// The method's index is maintained through the DynamicMethod extension
-// under the same gate: GGSX edits its posting columns exactly — the
-// postings of removed and edited graphs are located by binary search and
-// deleted, emptied columns dropped, current counts merged in — so its
-// index always equals a fresh build over the current dataset and does not
-// grow with the mutation count. It keeps one graph pointer per ID, not the
-// vectors, so a deleted graph's vector is re-derived; a mutation costs one
-// extraction per graph it names and a block move of the postings behind
-// the first one it touches, and a resync after a snapshot load skips every
-// graph the index already holds (see ggsx.Index.ApplyDatasetMutation);
-// Grapes, which is GGSX's columns plus per-graph occurrence locations,
-// does the same to the columns, drops the locations of removed graphs and
-// recomputes those of the graphs GGSX re-indexed (the locations bound the
-// verify region, so staleness there could lose answers); CT-Index
-// grows/zeroes its fingerprint slots;
+// The vectors of the graphs a mutation brings are extracted before the
+// gate closes. The method's index is maintained through the DynamicMethod
+// extension under the same gate, and GGSX's index costs what the mutation
+// changes. Its postings are log-structured: main columns, a tombstone bit
+// per ID whose main postings are dead, and a small delta of columns for
+// the graphs indexed since the main ones were built. A graph whose
+// postings are in the main columns leaves by setting its bit, and one in
+// the delta by a removal from the delta, by the vector the delta keeps;
+// added and edited graphs are merged into the delta, so only the delta's
+// postings move. When the delta's postings, or the tombstoned ones, pass a
+// fixed share (1/8) of the main columns, one linear pass compacts the
+// three into fresh main columns. Filtering intersects the main columns,
+// masking tombstones, and the delta, and merges the two, so the index
+// always answers as a fresh build over the current dataset does, and its
+// dead and delta postings stay within that share of its size. A resync
+// after a snapshot load skips every graph the index already holds (see
+// ggsx.Index.ApplyDatasetMutation); Grapes, which is GGSX's columns plus
+// per-graph occurrence locations, does the same to the columns, drops the
+// locations of removed graphs and recomputes those of the graphs GGSX
+// re-indexed (the locations bound the verify region, so staleness there
+// could lose answers); CT-Index grows/zeroes its fingerprint slots;
 // and the SI methods need no maintenance at all. ApplyMutation refuses a
 // Method that does not implement DynamicMethod with ErrStaticMethod.
 //

@@ -39,14 +39,17 @@ import (
 //     verification — incompatibility alone proves non-membership.
 //
 // Atomicity: a mutation runs with the cache to itself. Arriving queries
-// park on gateMu, in-flight queries (including their still-running
-// Method M filter goroutines) drain via the inflight counter, and the
-// window barrier (Flush) waits for every queued window pass before the
+// park on gateMu, and in-flight queries (including their still-running
+// Method M filter goroutines) drain via the inflight counter. A window
+// pass runs inside the gate slot of the query that fills the window, so
+// once the count is zero no pass is running or queued either. Then the
 // dataset generation, the method's filtering structures, the cached
 // entries and the pending window entries advance together. A query
 // therefore never observes the new dataset through Method M while pruning
 // against pre-mutation cached answers (or vice versa) — the mixed-state
-// race that would otherwise drop newly-added true answers.
+// race that would otherwise drop newly-added true answers. Work that
+// reads only the mutation itself — the cache's vectors of the graphs it
+// brings — is done before the gate closes.
 
 // ErrStaticMethod is returned by ApplyMutation when the wrapped method
 // does not implement method.DynamicMethod: applying a mutation without
@@ -204,7 +207,13 @@ func (c *Cache) ApplyMutation(mut dataset.Mutation) (MutationResult, error) {
 	}
 	dm := c.m.(method.DynamicMethod) // checked by ValidateMutation
 
+	// The vectors of the graphs that come are extracted before the gate
+	// closes: a vector does not depend on the ID the dataset assigns.
 	start := time.Now()
+	gvecs := make([]pathfeat.Vector, len(mut.Graphs))
+	for i, g := range mut.Graphs {
+		gvecs[i] = pathfeat.SimplePathVector(g, maxPathLen)
+	}
 	c.beginExclusive()
 	defer c.endExclusive()
 
@@ -219,7 +228,7 @@ func (c *Cache) ApplyMutation(mut dataset.Mutation) (MutationResult, error) {
 		for _, g := range added {
 			c.costs.set(g)
 		}
-		c.extendForAdds(added, &res)
+		c.extendForAdds(added, gvecs, &res)
 	case dataset.OpRemove:
 		res.RemovedIDs = ds.RemoveGraphs(mut.IDs)
 		dm.ApplyDatasetMutation(nil, nil, res.RemovedIDs)
@@ -231,7 +240,7 @@ func (c *Cache) ApplyMutation(mut dataset.Mutation) (MutationResult, error) {
 		}
 		dm.ApplyDatasetMutation(nil, []*graph.Graph{ng}, nil)
 		c.costs.set(ng)
-		c.reverifyForEdit(ng, &res)
+		c.reverifyForEdit(ng, gvecs[0], &res)
 	}
 
 	if mut.Seq > c.lastSeq.Load() {
@@ -357,16 +366,12 @@ func (c *Cache) repairAnswers(res *MutationResult, fix func(e *entry) ([]int32, 
 	return changed
 }
 
-// extendForAdds appends newly added graphs to every cached and pending
-// answer set they belong to. It scans entries directly (not via the
-// index probe) because entries with empty feature vectors — legitimate
-// cached queries — never surface from a probe, yet an added graph can
-// extend their answers too.
-func (c *Cache) extendForAdds(added []*graph.Graph, res *MutationResult) {
-	gvecs := make([]pathfeat.Vector, len(added))
-	for i, g := range added {
-		gvecs[i] = pathfeat.SimplePathVector(g, maxPathLen)
-	}
+// extendForAdds appends newly added graphs, whose vectors gvecs holds, to
+// every cached and pending answer set they belong to. It scans entries
+// directly (not via the index probe) because entries with empty feature
+// vectors — legitimate cached queries — never surface from a probe, yet an
+// added graph can extend their answers too.
+func (c *Cache) extendForAdds(added []*graph.Graph, gvecs []pathfeat.Vector, res *MutationResult) {
 	res.Extended += c.repairAnswers(res, func(e *entry) ([]int32, bool) {
 		var newIDs []int32
 		touched := false
@@ -405,12 +410,12 @@ func (c *Cache) dropRemovedAnswers(removed []int32, res *MutationResult) {
 	res.Invalidated += n
 }
 
-// reverifyForEdit repairs answer membership of the edited graph: entries
-// feature-compatible with the new content get one verification, entries
-// holding the ID without compatibility drop it verification-free.
-func (c *Cache) reverifyForEdit(ng *graph.Graph, res *MutationResult) {
+// reverifyForEdit repairs answer membership of the edited graph, whose
+// vector is gv: entries feature-compatible with the new content get one
+// verification, entries holding the ID without compatibility drop it
+// verification-free.
+func (c *Cache) reverifyForEdit(ng *graph.Graph, gv pathfeat.Vector, res *MutationResult) {
 	id := ng.ID()
-	gv := pathfeat.SimplePathVector(ng, maxPathLen)
 	c.repairAnswers(res, func(e *entry) ([]int32, bool) {
 		has := containsID(e.answer, id)
 		compat := c.answerCompatible(gv, e.vec)

@@ -15,11 +15,17 @@
 //
 // Filtering intersects the columns of the query's features, keeping the
 // graphs whose count of every feature dominates the query's; verification
-// runs VF2. A dataset mutation deletes exactly the postings of the graphs
-// it removes or replaces — re-deriving their vectors, since the index
-// keeps one graph pointer per ID and no vectors — and merges in those of
-// the graphs it brings, so the index always equals a fresh build over the
-// current dataset and a mutation costs what it changes.
+// runs VF2. The postings are log-structured, after the LSM-tree of
+// O'Neil et al. (Acta Informatica, 1996): a main set of columns, a
+// tombstone bit per ID whose main postings are dead, and a small delta set
+// of columns holding the graphs indexed since the main one was built. A
+// mutation sets one bit per graph it takes out of the main columns, and
+// edits only the delta for the rest: the delta's postings are all that
+// move. Once the delta's postings, or the tombstoned ones, pass a fixed
+// share of the main columns, one linear pass compacts both into a fresh
+// main set. Filtering runs the intersection over each set, masking the
+// tombstones in the main one, and merges the two results, so the index
+// answers exactly as a fresh build over the current dataset does.
 package ggsx
 
 import (
@@ -27,12 +33,20 @@ import (
 	"runtime"
 	"slices"
 
+	"graphcache/internal/bitset"
 	"graphcache/internal/dataset"
 	"graphcache/internal/graph"
 	"graphcache/internal/iso"
 	"graphcache/internal/method"
 	"graphcache/internal/pathfeat"
 )
+
+// compactShare sets when the index compacts: once the delta's postings,
+// or the tombstoned postings of the main columns, exceed 1/compactShare of
+// the main columns' postings. A compaction copies every posting once, so
+// at 1/8 it costs each posting that came or went about eight copies'
+// worth, in exchange for a delta that is short next to the main columns.
+const compactShare = 8
 
 // Options configures index construction.
 type Options struct {
@@ -53,14 +67,32 @@ func (o Options) withDefaults() Options {
 type Index struct {
 	ds   *dataset.Dataset
 	opts Options
-	cols pathfeat.Columns
-	held []*graph.Graph // held[id]: the graph whose postings id has, nil if none
-	algo iso.Algorithm
+	// main holds the postings of the graphs indexed at the last
+	// compaction; dead marks the IDs whose main postings are no longer
+	// theirs, and deadPostings counts those postings. Every ID in main
+	// is below dead.Len().
+	main         pathfeat.Columns
+	dead         *bitset.Set
+	deadPostings int
+	// delta holds the postings of the graphs indexed since, and rows
+	// their vectors, ascending by ID. An ID has postings in delta only
+	// if it has none in main or they are dead.
+	delta pathfeat.Columns
+	rows  []pathfeat.Row
+	held  []slot // held[id]: the graph whose postings id has
+	algo  iso.Algorithm
+}
+
+// slot is what the index holds under one ID.
+type slot struct {
+	g       *graph.Graph // nil if the ID has no postings
+	inDelta bool         // the postings are in delta, not main
+	posts   int32        // how many postings g has
 }
 
 // New builds the GGSX index over ds.
 func New(ds *dataset.Dataset, opts Options) *Index {
-	idx := &Index{ds: ds, opts: opts.withDefaults(), algo: iso.VF2{}}
+	idx := &Index{ds: ds, opts: opts.withDefaults(), dead: bitset.New(0), algo: iso.VF2{}}
 	var live []*graph.Graph
 	for _, g := range ds.Graphs() {
 		if g != nil { // nil: tombstone of a removed graph
@@ -77,30 +109,43 @@ func New(ds *dataset.Dataset, opts Options) *Index {
 // Graphs are immutable, so the same pointer is the same content.
 func (idx *Index) Indexed(g *graph.Graph) bool {
 	id := int(g.ID())
-	return id < len(idx.held) && idx.held[id] == g
+	return id < len(idx.held) && idx.held[id].g == g
 }
 
 // ApplyDatasetMutation implements method.DynamicMethod. An ID loses its
 // postings when the mutation removes it, when it lies past the end of the
 // dataset (a snapshot load can shorten it), or when an added or edited
-// graph that is not Indexed names it; then those graphs are merged in.
+// graph that is not Indexed names it; then those graphs are indexed.
 // That makes the call idempotent, and it is also how New builds — a
 // mutation of the empty index adding every graph — so the index equals a
 // fresh build over the current dataset whatever came before.
 //
-// The cost follows the mutation: one vector extraction per graph whose
-// postings go (the held graph's vector is re-derived; extraction is
-// deterministic) and per graph that comes, spread over GOMAXPROCS
-// goroutines; a binary search per posting that goes; and one block move
-// of the postings behind the first one touched, per Remove and per Merge.
-// A resync that re-asserts unchanged graphs costs nothing for them.
+// The cost follows the mutation. An ID whose postings are in the main
+// columns loses them by setting its tombstone bit; one whose postings are
+// in the delta loses them through pathfeat.Columns.Remove on the delta,
+// by its kept vector. Each graph that comes costs one vector extraction
+// (spread over GOMAXPROCS goroutines) and a share of one Merge into the
+// delta, so the postings that move are the delta's alone. The mutation
+// that takes the delta or the tombstones past 1/compactShare of the main
+// columns then compacts: one pathfeat.Columns.Renumber pass copies the
+// live main postings and the delta's rows into fresh main columns. A
+// resync that re-asserts unchanged graphs costs nothing for them.
 func (idx *Index) ApplyDatasetMutation(added, edited []*graph.Graph, removed []int32) {
-	var gone, fresh []posted
+	var gone []pathfeat.Row // delta rows whose postings go
+	var fresh []posted
 	drop := func(id int) {
-		if id < len(idx.held) && idx.held[id] != nil {
-			gone = append(gone, posted{int32(id), idx.held[id]})
-			idx.held[id] = nil
+		if id >= len(idx.held) || idx.held[id].g == nil {
+			return
 		}
+		if s := idx.held[id]; s.inDelta {
+			at, _ := slices.BinarySearchFunc(idx.rows, int32(id), func(r pathfeat.Row, id int32) int { return cmp.Compare(r.ID, id) })
+			gone = append(gone, idx.rows[at])
+			idx.rows = slices.Delete(idx.rows, at, at+1)
+		} else {
+			idx.dead.Set(id)
+			idx.deadPostings += int(s.posts)
+		}
+		idx.held[id] = slot{}
 	}
 	for _, id := range removed {
 		drop(int(id))
@@ -112,19 +157,70 @@ func (idx *Index) ApplyDatasetMutation(added, edited []*graph.Graph, removed []i
 	if len(idx.held) > n {
 		idx.held = idx.held[:n]
 	} else {
-		idx.held = append(idx.held, make([]*graph.Graph, n-len(idx.held))...)
+		idx.held = append(idx.held, make([]slot, n-len(idx.held))...)
 	}
 	for _, gs := range [][]*graph.Graph{added, edited} {
 		for _, g := range gs {
 			if !idx.Indexed(g) {
 				drop(int(g.ID()))
-				idx.held[g.ID()] = g
+				idx.held[g.ID()].g = g
 				fresh = append(fresh, posted{g.ID(), g})
 			}
 		}
 	}
-	idx.cols.Remove(idx.rows(gone))
-	idx.cols.Merge(idx.rows(fresh))
+	rows := idx.extract(fresh)
+	for _, r := range rows {
+		idx.held[r.ID].inDelta = true
+		idx.held[r.ID].posts = int32(len(r.Vec))
+	}
+	idx.rows = append(idx.rows, rows...)
+	slices.SortFunc(idx.rows, func(a, b pathfeat.Row) int { return cmp.Compare(a.ID, b.ID) })
+	idx.delta.Remove(gone)
+	idx.delta.Merge(rows)
+	if limit := len(idx.main.IDs) / compactShare; len(idx.delta.IDs) > limit || idx.deadPostings > limit {
+		idx.compact()
+	}
+}
+
+// compact makes the flattened index the main columns, with no tombstones
+// and an empty delta. Over empty main columns (New), the delta is that
+// index already.
+func (idx *Index) compact() {
+	if len(idx.main.IDs) == 0 {
+		idx.main = idx.delta
+	} else {
+		idx.main = idx.flattened()
+	}
+	idx.dead = bitset.New(len(idx.held))
+	idx.deadPostings = 0
+	idx.delta, idx.rows = pathfeat.Columns{}, nil
+	for id := range idx.held {
+		idx.held[id].inDelta = false
+	}
+}
+
+// flattened returns, in new arrays, the columns a fresh build over the
+// current dataset has: the main postings whose ID is not tombstoned and
+// the delta's rows, merged in one Renumber pass. The arrays are sized for
+// the result's postings, and for the columns of both sets.
+func (idx *Index) flattened() pathfeat.Columns {
+	remap := make([]int32, idx.dead.Len())
+	for id := range remap {
+		remap[id] = int32(id)
+		if idx.dead.Get(id) {
+			remap[id] = -1
+		}
+	}
+	main, delta := &idx.main, &idx.delta
+	feats, postings := len(main.Feats)+len(delta.Feats), len(main.IDs)-idx.deadPostings+len(delta.IDs)
+	out := pathfeat.Columns{
+		Feats:  make([]uint64, 0, feats),
+		Ends:   make([]uint32, 0, feats),
+		IDs:    make([]int32, 0, postings),
+		Counts: make([]int32, 0, postings),
+	}
+	main.Renumber(&out, remap, idx.rows)
+	return out
 }
 
 // posted is an ID and the graph its postings are derived from.
@@ -133,10 +229,10 @@ type posted struct {
 	g  *graph.Graph
 }
 
-// rows returns the vectors of ps under their IDs, ascending by ID, as
+// extract returns the vectors of ps under their IDs, ascending by ID, as
 // pathfeat.Columns takes them; the extractions run over GOMAXPROCS
 // goroutines.
-func (idx *Index) rows(ps []posted) []pathfeat.Row {
+func (idx *Index) extract(ps []posted) []pathfeat.Row {
 	slices.SortFunc(ps, func(a, b posted) int { return cmp.Compare(a.id, b.id) })
 	rows := make([]pathfeat.Row, len(ps))
 	method.NewLimiter(runtime.GOMAXPROCS(0)-1).ParallelFor(len(ps), func(i int) {
@@ -165,21 +261,41 @@ func (idx *Index) FilterPathLen() int { return idx.opts.MaxPathLen }
 
 // FilterVector implements method.VectorFilter: the intersection of the
 // query features' columns, keeping the graphs that hold each feature at
-// least as often as the query. It starts from the shortest column and
-// gallops through the others, so its cost follows the postings touched,
-// not features × dataset size.
+// least as often as the query. It runs over the main columns, masking
+// tombstoned IDs, and over the delta, whose IDs the mask leaves out of
+// the main result, and merges the two; an empty delta costs one length
+// check. Each intersection starts from the shortest column and gallops
+// through the others, so its cost follows the postings touched, not
+// features × dataset size.
 func (idx *Index) FilterVector(qv pathfeat.Vector) []int32 {
 	if len(qv) == 0 {
 		return idx.ds.AllIDs()
 	}
-	c := &idx.cols
-	type span struct{ lo, hi uint32 }
 	spans := make([]span, len(qv))
+	var fresh []int32
+	if len(idx.delta.IDs) > 0 {
+		fresh = intersect(&idx.delta, qv, spans, nil, nil)
+	}
+	var dead *bitset.Set
+	if idx.deadPostings > 0 {
+		dead = idx.dead
+	}
+	return intersect(&idx.main, qv, spans, dead, fresh)
+}
+
+// span is one column's bounds in IDs and Counts.
+type span struct{ lo, hi uint32 }
+
+// intersect returns the IDs of c whose count of every feature of qv
+// dominates the query's, leaving out the IDs dead marks (nil: none), and
+// merged with extra, a sorted list that shares none of them. spans is
+// scratch of len(qv).
+func intersect(c *pathfeat.Columns, qv pathfeat.Vector, spans []span, dead *bitset.Set, extra []int32) []int32 {
 	shortest := 0
 	for i, k := 0, 0; i < len(qv); i++ {
 		var ok bool
 		if k, ok = c.Find(qv[i].ID, k); !ok {
-			return nil
+			return extra
 		}
 		lo, hi := c.Column(k)
 		spans[i] = span{lo, hi}
@@ -188,10 +304,10 @@ func (idx *Index) FilterVector(qv pathfeat.Vector) []int32 {
 		}
 	}
 	first := spans[shortest]
-	out := make([]int32, 0, first.hi-first.lo)
+	out := make([]int32, 0, int(first.hi-first.lo)+len(extra))
 	for at := first.lo; at < first.hi; at++ {
-		if c.Counts[at] >= qv[shortest].Count {
-			out = append(out, c.IDs[at])
+		if id := c.IDs[at]; c.Counts[at] >= qv[shortest].Count && (dead == nil || !dead.Get(int(id))) {
+			out = append(out, id)
 		}
 	}
 	for i, sp := range spans {
@@ -215,6 +331,16 @@ func (idx *Index) FilterVector(qv pathfeat.Vector) []int32 {
 		}
 		out = out[:kept]
 	}
+	// Merge extra in from the back, where out has room for it.
+	i, j := len(out)-1, len(extra)-1
+	out = out[:len(out)+len(extra)]
+	for k := len(out) - 1; j >= 0; k-- {
+		if i >= 0 && out[i] > extra[j] {
+			out[k], i = out[i], i-1
+		} else {
+			out[k], j = extra[j], j-1
+		}
+	}
 	return out
 }
 
@@ -237,5 +363,12 @@ func (idx *Index) Verify(q *graph.Graph, id int32) bool {
 }
 
 // FeatureCount returns the number of distinct feature IDs with postings —
-// the number of columns.
-func (idx *Index) FeatureCount() int { return len(idx.cols.Feats) }
+// the number of columns a fresh build has. Unless the index is compact,
+// it flattens a copy to count them.
+func (idx *Index) FeatureCount() int {
+	if len(idx.rows) == 0 && idx.deadPostings == 0 {
+		return len(idx.main.Feats)
+	}
+	flat := idx.flattened()
+	return len(flat.Feats)
+}

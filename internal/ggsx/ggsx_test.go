@@ -1,8 +1,9 @@
 package ggsx
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -254,7 +255,7 @@ func TestCollidingFeatureIDsLoseNoAnswer(t *testing.T) {
 		for _, g := range ds.Graphs() {
 			rows = append(rows, pathfeat.Row{ID: g.ID(), Vec: folded(g)})
 		}
-		idx.cols.Merge(rows)
+		idx.main.Merge(rows)
 		if idx.FeatureCount() > 5 {
 			t.Fatalf("folded index has %d columns, want ≤ 5", idx.FeatureCount())
 		}
@@ -269,28 +270,63 @@ func TestCollidingFeatureIDsLoseNoAnswer(t *testing.T) {
 	}
 }
 
+// equalsFreshBuild reports how idx differs from a fresh build over its
+// dataset ("" if it does not): the flattened index — what a compaction
+// would make of the main columns, the tombstones and the delta — must be
+// the fresh build's columns, array for array, and Filter must return the
+// fresh build's candidates for every query of qs, and no removed ID.
+func equalsFreshBuild(idx *Index, qs []*graph.Graph) string {
+	fresh := New(idx.ds, idx.opts)
+	flat := idx.flattened()
+	for _, eq := range []bool{
+		slices.Equal(flat.Feats, fresh.main.Feats), slices.Equal(flat.Ends, fresh.main.Ends),
+		slices.Equal(flat.IDs, fresh.main.IDs), slices.Equal(flat.Counts, fresh.main.Counts),
+	} {
+		if !eq {
+			return fmt.Sprintf("flattened index differs from a fresh build (%d columns, fresh %d)",
+				len(flat.Feats), len(fresh.main.Feats))
+		}
+	}
+	if got, want := idx.FeatureCount(), len(fresh.main.Feats); got != want {
+		return fmt.Sprintf("FeatureCount %d, fresh build %d", got, want)
+	}
+	for i, q := range qs {
+		got, want := idx.Filter(q), fresh.Filter(q)
+		if !slices.Equal(got, want) {
+			return fmt.Sprintf("query %d: Filter = %v, fresh build %v", i, got, want)
+		}
+		for _, id := range got {
+			if !idx.ds.Alive(id) {
+				return fmt.Sprintf("query %d: Filter returned removed id %d", i, id)
+			}
+		}
+	}
+	return ""
+}
+
 // TestIndexEqualsRebuildUnderMutation drives one index through a long
-// seeded mutation history and checks, after every step, that it is the
-// index a fresh build over the resulting dataset would produce — same
-// columns, same IDs, same counts — and that no removed ID is ever a
-// candidate.
+// seeded mutation history, across many compactions, and checks after
+// every step that it equals a fresh build over the resulting dataset
+// (equalsFreshBuild).
 func TestIndexEqualsRebuildUnderMutation(t *testing.T) {
 	for _, opts := range []Options{{MaxPathLen: 3}, {MaxPathLen: 2}} {
 		r := rand.New(rand.NewSource(31))
 		ds := randomDataset(r, 25, 9, 3, 0.3)
 		idx := New(ds, opts)
+		var withDelta, withDead, compact int
 		check := func(step int, what string) {
 			t.Helper()
-			if fresh := New(ds, opts); !reflect.DeepEqual(idx.cols, fresh.cols) {
-				t.Fatalf("%+v step %d (%s): index differs from a fresh build (%d columns, fresh %d)",
-					opts, step, what, idx.FeatureCount(), fresh.FeatureCount())
+			if diff := equalsFreshBuild(idx, testQueries(r, ds, 6, 3)); diff != "" {
+				t.Fatalf("%+v step %d (%s): %s", opts, step, what, diff)
 			}
-			for _, q := range testQueries(r, ds, 6, 3) {
-				for _, id := range idx.Filter(q) {
-					if !ds.Alive(id) {
-						t.Fatalf("%+v step %d (%s): Filter returned removed id %d", opts, step, what, id)
-					}
-				}
+			if len(idx.rows) > 0 {
+				withDelta++
+			}
+			if idx.deadPostings > 0 {
+				withDead++
+			}
+			if len(idx.rows) == 0 && idx.deadPostings == 0 {
+				compact++
 			}
 		}
 		randomLive := func() int32 { live := ds.AllIDs(); return live[r.Intn(len(live))] }
@@ -367,6 +403,10 @@ func TestIndexEqualsRebuildUnderMutation(t *testing.T) {
 		check(240, "restore")
 		idx.ApplyDatasetMutation(added, edited, removed)
 		check(241, "restore, repeated")
+		if withDelta < 20 || withDead < 20 || compact < 20 {
+			t.Errorf("%+v: %d steps left a delta, %d tombstones and %d a compact index; the history must exercise all three",
+				opts, withDelta, withDead, compact)
+		}
 	}
 }
 
@@ -450,46 +490,188 @@ func BenchmarkGGSXFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkGGSXApplyMutation runs mutations of a 400-graph index, each
-// timing one kind: "cycle" an add → edit → remove cycle, which leaves the
-// index as it found it; "add" the add alone, "remove" the removal alone
-// and "edit" the edit alone (whatever restores the index, or generates
-// the graphs, runs with the timer stopped).
+// BenchmarkGGSXApplyMutation runs the fleet benchmark's mutate_mix
+// schedule over two datasets, "random-400" and "aids-800" (the fleet's).
+// Each iteration adds n graphs (copies of base graphs), removes n (base
+// graphs in a shuffled order, then the added ones, oldest first) and edits
+// one base graph, dropping one edge and joining two vertices. A case times
+// one kind: "add", "remove" and "edit" with n = 1, "add4" and "remove4"
+// with n = 4, the mutation mutate_mix sends, and "cycle" the whole n = 4
+// iteration. The rest runs with the timer stopped. The index is never
+// reset, so its upkeep (a compaction now and then) lands in the timed
+// kinds as often as it does when serving. The iteration count changes the
+// state the index is measured in: compare runs with the same -benchtime=Nx.
 func BenchmarkGGSXApplyMutation(b *testing.B) {
-	for _, name := range []string{"cycle", "add", "remove", "edit"} {
-		b.Run(name, func(b *testing.B) {
-			r := rand.New(rand.NewSource(1))
-			ds := benchDataset(r, 400)
-			idx := New(ds, Options{})
-			timed := func(on bool, f func()) {
-				if !on {
-					b.StopTimer()
-					defer b.StartTimer()
+	for _, dc := range []struct {
+		name string
+		ds   func() *dataset.Dataset
+	}{
+		{"random-400", func() *dataset.Dataset { return benchDataset(rand.New(rand.NewSource(1)), 400) }},
+		{"aids-800", func() *dataset.Dataset { return gen.DefaultAIDS().Scaled(0.02, 1).Generate(20170321) }},
+	} {
+		for _, bc := range []struct {
+			name  string
+			n     int
+			timed string // the kind timed; "" times all three
+		}{
+			{"cycle", 4, ""}, {"add", 1, "add"}, {"remove", 1, "remove"}, {"edit", 1, "edit"},
+			{"add4", 4, "add"}, {"remove4", 4, "remove"},
+		} {
+			b.Run(dc.name+"/"+bc.name, func(b *testing.B) {
+				ds := dc.ds()
+				base := ds.Graphs()
+				r := rand.New(rand.NewSource(2))
+				var queue, edits []int32
+				for i, id := range r.Perm(len(base)) {
+					if i < len(base)/2 {
+						queue = append(queue, int32(id))
+					} else {
+						edits = append(edits, int32(id))
+					}
 				}
-				f()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var ids []int32
-				timed(name == "cycle" || name == "add", func() {
-					added := []*graph.Graph{randomGraph(r, 30, 5, 0.07)}
-					ids = ds.AddGraphs(added)
-					idx.ApplyDatasetMutation(added, nil, nil)
-				})
-				timed(name == "cycle" || name == "edit", func() {
-					edited, err := ds.Replace(ids[0], randomGraph(r, 30, 5, 0.07))
+				idx := New(ds, Options{})
+				timed := func(kind string, f func()) {
+					if bc.timed != "" && bc.timed != kind {
+						b.StopTimer()
+						defer b.StartTimer()
+					}
+					f()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					added := make([]*graph.Graph, bc.n)
+					for k := range added {
+						added[k] = base[(i*bc.n+k)%len(base)].Clone()
+					}
+					id := edits[i%len(edits)]
+					edited, err := dataset.ApplyEdgeEdits(ds.Graph(id), rewire(r, ds.Graph(id)))
 					if err != nil {
 						b.Fatal(err)
 					}
-					idx.ApplyDatasetMutation(nil, []*graph.Graph{edited}, nil)
-				})
-				timed(name == "cycle" || name == "remove", func() {
-					idx.ApplyDatasetMutation(nil, nil, ds.RemoveGraphs(ids))
-				})
-			}
-		})
+					b.StartTimer()
+					timed("add", func() {
+						queue = append(queue, ds.AddGraphs(added)...)
+						idx.ApplyDatasetMutation(added, nil, nil)
+					})
+					timed("remove", func() {
+						idx.ApplyDatasetMutation(nil, nil, ds.RemoveGraphs(queue[:bc.n]))
+						queue = queue[bc.n:]
+					})
+					timed("edit", func() {
+						g, err := ds.Replace(id, edited)
+						if err != nil {
+							b.Fatal(err)
+						}
+						idx.ApplyDatasetMutation(nil, []*graph.Graph{g}, nil)
+					})
+				}
+			})
+		}
 	}
 }
 
+// rewire returns the edge edits of mutate_mix's edit: one edge of g
+// dropped, and two vertices that were not adjacent joined.
+func rewire(r *rand.Rand, g *graph.Graph) []dataset.EdgeEdit {
+	var edits []dataset.EdgeEdit
+	if m := g.NumEdges(); m > 0 {
+		drop, i := r.Intn(m), 0
+		g.Edges(func(u, v int32) {
+			if i == drop {
+				edits = append(edits, dataset.EdgeEdit{U: u, V: v, Del: true})
+			}
+			i++
+		})
+	}
+	n := int32(g.NumVertices())
+	for tries := 0; tries < 64; tries++ {
+		if u, v := r.Int31n(n), r.Int31n(n); u != v && !g.HasEdge(u, v) {
+			return append(edits, dataset.EdgeEdit{U: u, V: v})
+		}
+	}
+	return edits
+}
+
 var idsSink []int32
+
+// FuzzGGSXMutations decodes a schedule of mutations — two bytes a step,
+// an op and its argument — and runs it against an index over a dozen
+// small graphs, checking after every step that the index equals a fresh
+// build (equalsFreshBuild). The index is small, so a compaction comes
+// every few steps and a schedule crosses several. The ops are: 0 add a
+// graph; 1 remove a live graph; 2 edit a live graph; 3 remove the newest
+// live graph, which is in the delta unless a compaction took it; 4 edit
+// the graph the last add or edit named, again; 5 add a graph and remove
+// another in the same mutation as a live one; 6 re-assert every graph, as a
+// snapshot resync does; 7 remove up to three live graphs at once.
+func FuzzGGSXMutations(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 0})                                     // add, then remove it from the delta
+	f.Add([]byte{2, 5, 4, 6, 4, 7})                               // edit one graph three times
+	f.Add([]byte{5, 9, 6, 0, 7, 3})                               // add+remove in one mutation, resync, batch removal
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 2, 4, 3, 1, 4, 3, 0}, 12)) // 60 steps: many compactions
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 160 {
+			data = data[:160]
+		}
+		r := rand.New(rand.NewSource(41))
+		ds := randomDataset(r, 12, 7, 3, 0.35)
+		idx := New(ds, Options{MaxPathLen: 3})
+		content := func(arg byte) *graph.Graph {
+			return randomGraph(rand.New(rand.NewSource(int64(arg))), 1+int(arg%8), 3, 0.4)
+		}
+		live := func(arg byte) int32 { ids := ds.AllIDs(); return ids[int(arg)%len(ids)] }
+		last := int32(-1) // the graph the last add or edit named
+		for step := 0; step+1 < len(data); step += 2 {
+			op, arg := data[step]%8, data[step+1]
+			if ds.Live() < 3 {
+				op = 0
+			}
+			switch op {
+			case 0:
+				gs := []*graph.Graph{content(arg)}
+				last = ds.AddGraphs(gs)[0]
+				idx.ApplyDatasetMutation(gs, nil, nil)
+			case 1, 3, 7:
+				ids := []int32{live(arg)}
+				if op == 3 {
+					all := ds.AllIDs()
+					ids = all[len(all)-1:]
+				}
+				if op == 7 {
+					ids = append(ids, live(arg/3), live(arg/7))
+				}
+				idx.ApplyDatasetMutation(nil, nil, ds.RemoveGraphs(ids))
+			case 2, 4:
+				id := live(arg)
+				if op == 4 && last >= 0 && ds.Alive(last) {
+					id = last
+				}
+				g, err := ds.Replace(id, content(arg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				last = id
+				idx.ApplyDatasetMutation(nil, []*graph.Graph{g}, nil)
+			case 5:
+				gone := ds.RemoveGraphs([]int32{live(arg)})
+				gs := []*graph.Graph{content(arg), content(arg + 1)}
+				ids := ds.AddGraphs(gs)
+				gone = append(gone, ds.RemoveGraphs(ids[1:])...) // a hole: never indexed
+				idx.ApplyDatasetMutation(gs[:1], nil, gone)
+			case 6:
+				var all []*graph.Graph
+				for _, g := range ds.Graphs() {
+					if g != nil {
+						all = append(all, g)
+					}
+				}
+				idx.ApplyDatasetMutation(nil, all, nil)
+			}
+			if diff := equalsFreshBuild(idx, testQueries(rand.New(rand.NewSource(int64(step))), ds, 5, 3)); diff != "" {
+				t.Fatalf("step %d (op %d, arg %d): %s", step/2, op, arg, diff)
+			}
+		}
+	})
+}

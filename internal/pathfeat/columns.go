@@ -12,12 +12,16 @@ import (
 // of IDs and Counts: the IDs of the vectors holding the feature,
 // ascending, and the feature's count in each. No column is empty.
 //
-// GGSX keys its postings by dataset-graph ID and edits them in place:
-// Remove deletes the postings of the vectors it is given, Merge adds
-// them, and both move the postings behind the first one touched as
-// blocks, so a mutation costs the postings it names plus a memmove. The
+// There are three editors. Remove deletes the postings of the vectors it
+// is given and Merge adds them, in place: both move the postings behind
+// the first one touched as blocks, so an edit costs the postings it names
+// plus a memmove of the arrays. Renumber writes new arrays in one linear
+// pass that drops and renumbers postings and adds those of rows. GGSX
+// keys its postings by dataset-graph ID in two sets of columns: a main
+// set that Renumber rebuilds when it compacts, and a small delta that
+// Remove and Merge edit, so a mutation's memmove spans the delta alone. The
 // GCindex keys them by slot and never writes to a published generation:
-// one Renumber into new arrays drops, renumbers and adds.
+// each generation is one Renumber into new arrays.
 type Columns struct {
 	Feats  []uint64
 	Ends   []uint32
