@@ -147,15 +147,17 @@
 //     allocs/op).
 //
 // A window delta never writes to a published generation, which concurrent
-// probes may be reading. It merges the surviving slots with the admitted
-// entries by serial, which numbers the new slots, and then writes new
-// columns in one forward pass: the old postings renumbered through that
-// slot map (evicted slots dropped with the columns they alone used),
-// merged with the admitted entries' postings, put in (feature, slot)
-// order by a least-significant-digit radix sort on the feature, one byte
-// per pass. That is a fixed number of allocations and O(postings in the
-// index) memmove-like work per window — no map, no comparison sort, no
-// tombstones. Tests pin the result to a from-scratch build, array for
+// probes may be reading; no posting columns are written after they are
+// built. The delta merges the surviving slots with the admitted entries by
+// serial, which numbers the new slots, and lays the admitted entries'
+// postings out as columns of their own (pathfeat.Build: a
+// least-significant-digit radix sort on the feature, one byte per pass).
+// One forward pass (pathfeat.Columns.Renumber) then writes the new
+// generation's columns: the old postings renumbered through that slot map
+// (evicted slots dropped with the columns they alone used), merged with
+// the admitted ones. That is a fixed number of allocations and
+// O(postings in the index) memmove-like work per window — no map, no
+// comparison sort, no tombstones. Tests pin the result to a from-scratch build, array for
 // array, and the probe to a map-based reference implementation on
 // randomly mutated caches.
 //
@@ -517,13 +519,14 @@
 // extension under the same gate, and GGSX's index costs what the mutation
 // changes. Its postings are log-structured: main columns, a tombstone bit
 // per ID whose main postings are dead, and a small delta of columns for
-// the graphs indexed since the main ones were built. A graph whose
-// postings are in the main columns leaves by setting its bit, and one in
-// the delta by a removal from the delta, by the vector the delta keeps;
-// added and edited graphs are merged into the delta, so only the delta's
-// postings move. When the delta's postings, or the tombstoned ones, pass a
-// fixed share (1/8) of the main columns, one linear pass compacts the
-// three into fresh main columns. Filtering intersects the main columns,
+// the graphs indexed since the main ones were built; neither set of
+// columns is edited once written. A graph whose postings are in the main
+// columns leaves by setting its bit. Every other change writes a new delta
+// in one linear pass (pathfeat.Columns.Renumber) that drops the postings
+// of the graphs leaving the delta and merges in those of the added and
+// edited graphs, so only the delta's postings move. When the delta's
+// postings, or the tombstoned ones, pass a fixed share (1/8) of the main
+// columns, one more such pass compacts the three into fresh main columns. Filtering intersects the main columns,
 // masking tombstones, and the delta, and merges the two, so the index
 // always answers as a fresh build over the current dataset does, and its
 // dead and delta postings stay within that share of its size. A resync

@@ -130,7 +130,7 @@ func TestApplyDeltaAllocations(t *testing.T) {
 		t.Logf("%d-vertex queries: %d columns, %d postings, %.0f allocations", size, len(ix.cols.Feats), len(ix.cols.IDs), allocs)
 		counts = append(counts, allocs)
 	}
-	const ceiling = 16 // 15 measured
+	const ceiling = 16 // 16 measured
 	if counts[0] != counts[1] || counts[1] > ceiling {
 		t.Errorf("applyDelta allocates %v times for the two indexes, want one count ≤ %d", counts, ceiling)
 	}

@@ -104,21 +104,22 @@ func buildQueryIndex(entries []*entry) *queryIndex {
 // added entries and dropping removed serials, without the feature work of
 // a from-scratch rebuild. An added serial that is already indexed replaces
 // its entry (the last of equal added serials wins); removed serials that
-// are not indexed are ignored.
+// are not indexed are ignored. It sorts added and removed in place, and
+// may overwrite added's elements: callers read no more than their lengths
+// afterwards.
 //
-// It works in two linear passes and never writes to this generation's
-// arrays, which concurrent probes may still be reading. A merge walk over
-// the surviving slots and the added entries, both in serial order, lays
-// out the new per-slot arrays and maps each old slot to its new number (or
-// to -1: evicted or replaced). One forward pass then writes new columns,
-// sized for every posting of the result: the old postings renumbered
-// through that map, merged with the added entries' vectors
-// (pathfeat.Columns.Renumber). The result equals buildQueryIndex over the
-// resulting contents, array for array, and costs O(postings in the index)
-// with no map: a fixed number of allocations whatever the number of
-// features.
+// It never writes to this generation's arrays, which concurrent probes may
+// still be reading. A merge walk over the surviving slots and the added
+// entries, both in serial order, lays out the new per-slot arrays and maps
+// each old slot to its new number (or to -1: evicted or replaced). The
+// added entries' vectors are laid out as columns of their own
+// (pathfeat.Build), and one forward pass then writes the new generation's
+// columns: the old postings renumbered through that map, merged with
+// those (pathfeat.Columns.Renumber). The result equals buildQueryIndex
+// over the resulting contents, array for array, and costs O(postings in
+// the index) with no map: a fixed number of allocations whatever the
+// number of features.
 func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
-	added = slices.Clone(added)
 	slices.SortStableFunc(added, func(a, b *entry) int { return cmp.Compare(a.serial, b.serial) })
 	kept := 0
 	for i, e := range added {
@@ -128,7 +129,6 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 		}
 	}
 	added = added[:kept]
-	removed = slices.Clone(removed)
 	slices.Sort(removed)
 
 	nOld, n := len(ix.serials), len(ix.serials)+len(added) // n bounds the new slot count
@@ -140,7 +140,6 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 	}
 	remap := make([]int32, nOld)
 	rows := make([]pathfeat.Row, len(added))
-	postings, feats := 0, len(ix.cols.Feats)
 	for i, j, r := 0, 0, 0; i < nOld || j < len(added); {
 		if j == len(added) || i < nOld && ix.serials[i] < added[j].serial {
 			s := ix.serials[i]
@@ -155,7 +154,6 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 				next.hashes = append(next.hashes, ix.hashes[i])
 				next.featureTotal = append(next.featureTotal, ix.featureTotal[i])
 				next.slotEntry = append(next.slotEntry, ix.slotEntry[i])
-				postings += int(ix.featureTotal[i])
 			}
 			i++
 			continue
@@ -170,17 +168,10 @@ func (ix *queryIndex) applyDelta(added []*entry, removed []int64) *queryIndex {
 		next.hashes = append(next.hashes, e.hash)
 		next.featureTotal = append(next.featureTotal, int32(len(e.vec)))
 		next.slotEntry = append(next.slotEntry, e)
-		postings += len(e.vec)
-		feats += len(e.vec)
 		j++
 	}
-	next.cols = pathfeat.Columns{
-		Feats:  make([]uint64, 0, feats),
-		Ends:   make([]uint32, 0, feats),
-		IDs:    make([]int32, 0, postings),
-		Counts: make([]int32, 0, postings),
-	}
-	ix.cols.Renumber(&next.cols, remap, rows)
+	fresh := pathfeat.Build(rows)
+	ix.cols.Renumber(&next.cols, remap, &fresh)
 	return next
 }
 

@@ -18,14 +18,15 @@
 // runs VF2. The postings are log-structured, after the LSM-tree of
 // O'Neil et al. (Acta Informatica, 1996): a main set of columns, a
 // tombstone bit per ID whose main postings are dead, and a small delta set
-// of columns holding the graphs indexed since the main one was built. A
-// mutation sets one bit per graph it takes out of the main columns, and
-// edits only the delta for the rest: the delta's postings are all that
-// move. Once the delta's postings, or the tombstoned ones, pass a fixed
-// share of the main columns, one linear pass compacts both into a fresh
-// main set. Filtering runs the intersection over each set, masking the
-// tombstones in the main one, and merges the two results, so the index
-// answers exactly as a fresh build over the current dataset does.
+// of columns holding the graphs indexed since the main one was built.
+// Neither set is ever edited. A mutation sets one bit per graph it takes
+// out of the main columns and writes a new delta for the rest, in one
+// linear pass over the old delta: the delta's postings are all it copies.
+// Once the delta's postings, or the tombstoned ones, pass a fixed share of
+// the main columns, one linear pass compacts both into a fresh main set.
+// Filtering runs the intersection over each set, masking the tombstones in
+// the main one, and merges the two results, so the index answers exactly
+// as a fresh build over the current dataset does.
 package ggsx
 
 import (
@@ -74,11 +75,9 @@ type Index struct {
 	main         pathfeat.Columns
 	dead         *bitset.Set
 	deadPostings int
-	// delta holds the postings of the graphs indexed since, and rows
-	// their vectors, ascending by ID. An ID has postings in delta only
-	// if it has none in main or they are dead.
+	// delta holds the postings of the graphs indexed since. An ID has
+	// postings in delta only if it has none in main or they are dead.
 	delta pathfeat.Columns
-	rows  []pathfeat.Row
 	held  []slot // held[id]: the graph whose postings id has
 	algo  iso.Algorithm
 }
@@ -121,26 +120,31 @@ func (idx *Index) Indexed(g *graph.Graph) bool {
 // fresh build over the current dataset whatever came before.
 //
 // The cost follows the mutation. An ID whose postings are in the main
-// columns loses them by setting its tombstone bit; one whose postings are
-// in the delta loses them through pathfeat.Columns.Remove on the delta,
-// by its kept vector. Each graph that comes costs one vector extraction
-// (spread over GOMAXPROCS goroutines) and a share of one Merge into the
-// delta, so the postings that move are the delta's alone. The mutation
-// that takes the delta or the tombstones past 1/compactShare of the main
-// columns then compacts: one pathfeat.Columns.Renumber pass copies the
-// live main postings and the delta's rows into fresh main columns. A
-// resync that re-asserts unchanged graphs costs nothing for them.
+// columns loses them by setting its tombstone bit. Each graph that comes
+// costs one vector extraction (spread over GOMAXPROCS goroutines) and a
+// pathfeat.Build of its postings. Then one pathfeat.Columns.Renumber pass
+// writes the next delta: the old delta's postings, less those of the IDs
+// that leave it, merged with the new ones — so the postings that move are
+// the delta's alone. The mutation that takes the delta or the tombstones
+// past 1/compactShare of the main columns then compacts: one more
+// Renumber pass copies the live main postings and the delta into fresh
+// main columns. A resync that re-asserts unchanged graphs costs nothing
+// for them.
 func (idx *Index) ApplyDatasetMutation(added, edited []*graph.Graph, removed []int32) {
-	var gone []pathfeat.Row // delta rows whose postings go
+	var keep []int32 // delta ID → itself, or -1 if it leaves; nil while none does
 	var fresh []posted
 	drop := func(id int) {
 		if id >= len(idx.held) || idx.held[id].g == nil {
 			return
 		}
 		if s := idx.held[id]; s.inDelta {
-			at, _ := slices.BinarySearchFunc(idx.rows, int32(id), func(r pathfeat.Row, id int32) int { return cmp.Compare(r.ID, id) })
-			gone = append(gone, idx.rows[at])
-			idx.rows = slices.Delete(idx.rows, at, at+1)
+			if keep == nil {
+				keep = make([]int32, len(idx.held))
+				for i := range keep {
+					keep[i] = int32(i)
+				}
+			}
+			keep[id] = -1
 		} else {
 			idx.dead.Set(id)
 			idx.deadPostings += int(s.posts)
@@ -173,10 +177,12 @@ func (idx *Index) ApplyDatasetMutation(added, edited []*graph.Graph, removed []i
 		idx.held[r.ID].inDelta = true
 		idx.held[r.ID].posts = int32(len(r.Vec))
 	}
-	idx.rows = append(idx.rows, rows...)
-	slices.SortFunc(idx.rows, func(a, b pathfeat.Row) int { return cmp.Compare(a.ID, b.ID) })
-	idx.delta.Remove(gone)
-	idx.delta.Merge(rows)
+	if len(rows) > 0 || keep != nil {
+		in := pathfeat.Build(rows)
+		var next pathfeat.Columns
+		idx.delta.Renumber(&next, keep, &in)
+		idx.delta = next
+	}
 	if limit := len(idx.main.IDs) / compactShare; len(idx.delta.IDs) > limit || idx.deadPostings > limit {
 		idx.compact()
 	}
@@ -193,7 +199,7 @@ func (idx *Index) compact() {
 	}
 	idx.dead = bitset.New(len(idx.held))
 	idx.deadPostings = 0
-	idx.delta, idx.rows = pathfeat.Columns{}, nil
+	idx.delta = pathfeat.Columns{}
 	for id := range idx.held {
 		idx.held[id].inDelta = false
 	}
@@ -201,14 +207,19 @@ func (idx *Index) compact() {
 
 // flattened returns, in new arrays, the columns a fresh build over the
 // current dataset has: the main postings whose ID is not tombstoned and
-// the delta's rows, merged in one Renumber pass. The arrays are sized for
-// the result's postings, and for the columns of both sets.
+// the delta's, merged in one Renumber pass — which copies the main
+// columns between the delta's features as blocks when nothing is
+// tombstoned. The arrays are sized for the result's postings, and for the
+// columns of both sets.
 func (idx *Index) flattened() pathfeat.Columns {
-	remap := make([]int32, idx.dead.Len())
-	for id := range remap {
-		remap[id] = int32(id)
-		if idx.dead.Get(id) {
-			remap[id] = -1
+	var live []int32 // main ID → itself, or -1 if tombstoned; nil if none is
+	if idx.deadPostings > 0 {
+		live = make([]int32, idx.dead.Len())
+		for id := range live {
+			live[id] = int32(id)
+			if idx.dead.Get(id) {
+				live[id] = -1
+			}
 		}
 	}
 	main, delta := &idx.main, &idx.delta
@@ -219,7 +230,7 @@ func (idx *Index) flattened() pathfeat.Columns {
 		IDs:    make([]int32, 0, postings),
 		Counts: make([]int32, 0, postings),
 	}
-	main.Renumber(&out, remap, idx.rows)
+	main.Renumber(&out, live, delta)
 	return out
 }
 
@@ -360,15 +371,4 @@ func gallop(ids []int32, id int32) int {
 // Verify implements method.Method using VF2, the verifier GGSX ships with.
 func (idx *Index) Verify(q *graph.Graph, id int32) bool {
 	return iso.Contains(idx.algo, q, idx.ds.Graph(id))
-}
-
-// FeatureCount returns the number of distinct feature IDs with postings —
-// the number of columns a fresh build has. Unless the index is compact,
-// it flattens a copy to count them.
-func (idx *Index) FeatureCount() int {
-	if len(idx.rows) == 0 && idx.deadPostings == 0 {
-		return len(idx.main.Feats)
-	}
-	flat := idx.flattened()
-	return len(flat.Feats)
 }

@@ -144,7 +144,7 @@ func TestMethodInterface(t *testing.T) {
 	if idx.Verify(path(2, 2), 0) {
 		t.Error("Verify(P(2,2), 0) must fail")
 	}
-	if idx.FeatureCount() == 0 {
+	if len(idx.flattened().Feats) == 0 {
 		t.Error("index must have features")
 	}
 }
@@ -255,9 +255,9 @@ func TestCollidingFeatureIDsLoseNoAnswer(t *testing.T) {
 		for _, g := range ds.Graphs() {
 			rows = append(rows, pathfeat.Row{ID: g.ID(), Vec: folded(g)})
 		}
-		idx.main.Merge(rows)
-		if idx.FeatureCount() > 5 {
-			t.Fatalf("folded index has %d columns, want ≤ 5", idx.FeatureCount())
+		idx.main = pathfeat.Build(rows)
+		if len(idx.flattened().Feats) > 5 {
+			t.Fatalf("folded index has %d columns, want ≤ 5", len(idx.flattened().Feats))
 		}
 		for i, q := range testQueries(r, ds, 25, 3) {
 			cs := idx.FilterVector(folded(q))
@@ -286,9 +286,6 @@ func equalsFreshBuild(idx *Index, qs []*graph.Graph) string {
 			return fmt.Sprintf("flattened index differs from a fresh build (%d columns, fresh %d)",
 				len(flat.Feats), len(fresh.main.Feats))
 		}
-	}
-	if got, want := idx.FeatureCount(), len(fresh.main.Feats); got != want {
-		return fmt.Sprintf("FeatureCount %d, fresh build %d", got, want)
 	}
 	for i, q := range qs {
 		got, want := idx.Filter(q), fresh.Filter(q)
@@ -319,13 +316,13 @@ func TestIndexEqualsRebuildUnderMutation(t *testing.T) {
 			if diff := equalsFreshBuild(idx, testQueries(r, ds, 6, 3)); diff != "" {
 				t.Fatalf("%+v step %d (%s): %s", opts, step, what, diff)
 			}
-			if len(idx.rows) > 0 {
+			if len(idx.delta.IDs) > 0 {
 				withDelta++
 			}
 			if idx.deadPostings > 0 {
 				withDead++
 			}
-			if len(idx.rows) == 0 && idx.deadPostings == 0 {
+			if len(idx.delta.IDs) == 0 && idx.deadPostings == 0 {
 				compact++
 			}
 		}
@@ -341,14 +338,14 @@ func TestIndexEqualsRebuildUnderMutation(t *testing.T) {
 				idx.ApplyDatasetMutation(gs, nil, nil)
 				check(step, "add")
 			case op == 1: // add, then remove what was added: the index is back where it was
-				before := idx.FeatureCount()
+				before := len(idx.flattened().Feats)
 				gs := []*graph.Graph{randomGraph(r, 2+r.Intn(9), 7, 0.3)}
 				ids := ds.AddGraphs(gs)
 				idx.ApplyDatasetMutation(gs, nil, nil)
 				ds.RemoveGraphs(ids)
 				idx.ApplyDatasetMutation(nil, nil, ids)
-				if got := idx.FeatureCount(); got != before {
-					t.Fatalf("%+v step %d: FeatureCount %d after add→remove, was %d", opts, step, got, before)
+				if got := len(idx.flattened().Feats); got != before {
+					t.Fatalf("%+v step %d: %d columns after add→remove, was %d", opts, step, got, before)
 				}
 				check(step, "add→remove")
 			case op == 2: // remove the highest live id
@@ -569,6 +566,41 @@ func BenchmarkGGSXApplyMutation(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkGGSXCompact times one compaction of aids-800 (the fleet's
+// dataset) as mutate_mix leaves it: graphs added as copies of base graphs
+// and as many base graphs removed, one of each per step, up to the last
+// step before the delta or the tombstoned postings would pass
+// 1/compactShare of the main postings. Each iteration restores that state
+// with the timer stopped — compaction writes new columns and leaves the
+// old ones as they are — and compacts it.
+func BenchmarkGGSXCompact(b *testing.B) {
+	ds := gen.DefaultAIDS().Scaled(0.02, 1).Generate(20170321)
+	idx := New(ds, Options{})
+	base := ds.Graphs()
+	limit := len(idx.main.IDs) / compactShare
+	for i, id := range rand.New(rand.NewSource(2)).Perm(len(base)) {
+		g := base[i].Clone()
+		if len(idx.delta.IDs)+len(pathfeat.SimplePathVector(g, idx.opts.MaxPathLen)) > limit ||
+			idx.deadPostings+int(idx.held[id].posts) > limit {
+			break
+		}
+		ds.AddGraphs([]*graph.Graph{g})
+		idx.ApplyDatasetMutation([]*graph.Graph{g}, nil, ds.RemoveGraphs([]int32{int32(id)}))
+	}
+	state := *idx
+	held := slices.Clone(idx.held)
+	b.Logf("main %d postings, delta %d, tombstoned %d", len(idx.main.IDs), len(idx.delta.IDs), idx.deadPostings)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		*idx = state
+		idx.held = slices.Clone(held)
+		b.StartTimer()
+		idx.compact()
 	}
 }
 

@@ -70,8 +70,10 @@ func (idx *Index) locate(g *graph.Graph) {
 	idx.locs[g.ID()] = pathfeat.SimplePathLocations(g, idx.opts.MaxPathLen)
 }
 
-// ApplyDatasetMutation implements method.DynamicMethod. The GGSX columns
-// are edited exactly (ggsx.Index.ApplyDatasetMutation). Locations bound
+// ApplyDatasetMutation implements method.DynamicMethod. GGSX's columns
+// follow the mutation exactly: tombstones for the graphs that leave them,
+// and a new delta written for the rest (ggsx.Index.ApplyDatasetMutation).
+// Locations bound
 // the region Verify searches, so a stale set could shrink the search below
 // the true occurrences — a false negative: removed graphs lose theirs, and
 // the added and edited graphs GGSX re-indexes — those it does not already

@@ -187,15 +187,6 @@ func TestNoFalseNegatives(t *testing.T) {
 	}
 }
 
-func TestFeatureCount(t *testing.T) {
-	ds := dataset.New([]*graph.Graph{path(1, 2, 3)})
-	idx := New(ds, Options{})
-	// P3 features: 1,2,3 singles + 1-2,2-1,2-3,3-2 + 1-2-3,3-2-1 = 9.
-	if idx.FeatureCount() != 9 {
-		t.Errorf("FeatureCount = %d, want 9", idx.FeatureCount())
-	}
-}
-
 // subgraphOf returns a random connected piece of g — a query with at
 // least one answer.
 func subgraphOf(r *rand.Rand, g *graph.Graph, maxV int) *graph.Graph {

@@ -2,7 +2,6 @@ package pathfeat
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -12,16 +11,14 @@ import (
 // of IDs and Counts: the IDs of the vectors holding the feature,
 // ascending, and the feature's count in each. No column is empty.
 //
-// There are three editors. Remove deletes the postings of the vectors it
-// is given and Merge adds them, in place: both move the postings behind
-// the first one touched as blocks, so an edit costs the postings it names
-// plus a memmove of the arrays. Renumber writes new arrays in one linear
-// pass that drops and renumbers postings and adds those of rows. GGSX
-// keys its postings by dataset-graph ID in two sets of columns: a main
-// set that Renumber rebuilds when it compacts, and a small delta that
-// Remove and Merge edit, so a mutation's memmove spans the delta alone. The
-// GCindex keys them by slot and never writes to a published generation:
-// each generation is one Renumber into new arrays.
+// A Columns value is written once. Build lays out a set of vectors, and
+// Renumber writes one from another, renumbering or dropping its postings
+// and merging a second one in, in a single forward pass; each writes new
+// arrays that no reader holds yet, and nothing writes them afterwards.
+// GGSX keys its postings by dataset-graph ID in two values: a main one
+// that Renumber rebuilds when it compacts, and a small delta that it
+// rebuilds on every mutation, so a mutation copies the delta alone. The
+// GCindex keys them by slot, and each of its generations is one Renumber.
 type Columns struct {
 	Feats  []uint64
 	Ends   []uint32
@@ -60,198 +57,132 @@ func (c *Columns) Find(feat uint64, from int) (int, bool) {
 	return from + lo + at, ok
 }
 
+// Build lays out the postings of rows in new arrays; rows must ascend by
+// ID. O(postings), a fixed number of allocations.
+func Build(rows []Row) Columns {
+	ps := mergeRows(rows)
+	feats := 0
+	for i := range ps {
+		if i == 0 || ps[i].feat != ps[i-1].feat {
+			feats++
+		}
+	}
+	c := Columns{
+		Feats:  make([]uint64, 0, feats),
+		Ends:   make([]uint32, 0, feats),
+		IDs:    make([]int32, len(ps)),
+		Counts: make([]int32, len(ps)),
+	}
+	for i, p := range ps {
+		if i+1 == len(ps) || ps[i+1].feat != p.feat {
+			c.Feats = append(c.Feats, p.feat)
+			c.Ends = append(c.Ends, uint32(i+1))
+		}
+		c.IDs[i], c.Counts[i] = p.id, p.count
+	}
+	return c
+}
+
 // Renumber writes into dst every posting of c under its new ID remap[id],
-// dropping the postings whose new ID is negative or whose ID lies past
-// the end of remap, and the columns that leaves empty; the postings of
-// rows, under their IDs, join them in the same forward pass. remap must
-// ascend over the IDs it keeps, so that columns stay sorted; rows must
-// ascend by ID, and no row may share a new ID with a kept posting or
-// another row. dst's arrays are overwritten from position 0, growing only
-// if they lack room, and must not share c's. The pass is linear in the
-// postings of c and of rows.
-func (c *Columns) Renumber(dst *Columns, remap []int32, rows []Row) {
-	feats, ends, ids, counts := c.Feats, c.Ends, c.IDs, c.Counts
-	fresh := mergeRows(rows)
-	dst.Feats, dst.Ends = dst.Feats[:0], dst.Ends[:0]
-	dst.IDs, dst.Counts = dst.IDs[:0], dst.Counts[:0]
-	j := 0 // next fresh posting
-	// take appends the fresh postings of feat with IDs below id.
-	take := func(feat uint64, id int32) {
-		for ; j < len(fresh) && fresh[j].feat == feat && fresh[j].id < id; j++ {
-			dst.IDs = append(dst.IDs, fresh[j].id)
-			dst.Counts = append(dst.Counts, fresh[j].count)
-		}
+// dropping the postings whose new ID is negative and the columns that
+// leaves empty; the postings of extra, under their own IDs, join them in
+// the same forward pass. remap must cover every ID of c and ascend over
+// the IDs it keeps, so that columns stay sorted, and no posting of extra
+// may share a column and an ID with a kept one. A nil remap keeps every
+// ID, and the runs of c's columns between extra's features are then
+// copied as blocks. An empty dst gets new arrays with room for every
+// posting and column of c and extra; otherwise dst's arrays, which must
+// not share c's or extra's, are overwritten from position 0 and grow as
+// the pass needs. The pass is linear in the postings of c and of extra.
+func (c *Columns) Renumber(dst *Columns, remap []int32, extra *Columns) {
+	out := Columns{dst.Feats[:0], dst.Ends[:0], dst.IDs[:0], dst.Counts[:0]}
+	if cap(out.IDs) == 0 {
+		n := len(c.Feats) + len(extra.Feats)
+		out.Feats, out.Ends = make([]uint64, 0, n), make([]uint32, 0, n)
+		n = len(c.IDs) + len(extra.IDs)
+		out.IDs, out.Counts = make([]int32, 0, n), make([]int32, 0, n)
 	}
-	closeColumn := func(feat uint64, begin int) {
-		if len(dst.IDs) > begin {
-			dst.Feats = append(dst.Feats, feat)
-			dst.Ends = append(dst.Ends, uint32(len(dst.IDs)))
+	j := 0             // extra's next column
+	var lo, xlo uint32 // the first posting of c's next column, and of extra's
+	for k := 0; k < len(c.Feats); {
+		feat := c.Feats[k]
+		for ; j < len(extra.Feats) && extra.Feats[j] < feat; j++ { // columns only extra has
+			xhi := extra.Ends[j]
+			out.IDs = append(out.IDs, extra.IDs[xlo:xhi]...)
+			out.Counts = append(out.Counts, extra.Counts[xlo:xhi]...)
+			out.Feats = append(out.Feats, extra.Feats[j])
+			out.Ends = append(out.Ends, uint32(len(out.IDs)))
+			xlo = xhi
 		}
-	}
-	var lo uint32
-	for k, hi := range ends {
-		feat := feats[k]
-		for j < len(fresh) && fresh[j].feat < feat { // columns only rows have
-			f, begin := fresh[j].feat, len(dst.IDs)
-			take(f, math.MaxInt32)
-			closeColumn(f, begin)
-		}
-		begin := len(dst.IDs)
-		for at := lo; at < hi; at++ {
-			if id := ids[at]; int(id) < len(remap) && remap[id] >= 0 {
-				take(feat, remap[id])
-				dst.IDs = append(dst.IDs, remap[id])
-				dst.Counts = append(dst.Counts, counts[at])
+		if remap == nil && (j == len(extra.Feats) || feat < extra.Feats[j]) {
+			end := len(c.Feats) // c's columns before extra's next one
+			if j < len(extra.Feats) {
+				end, _ = c.Find(extra.Feats[j], k)
 			}
+			out = appendBlock(out, c, k, end)
+			k, lo = end, c.Ends[end-1]
+			continue
 		}
-		take(feat, math.MaxInt32)
-		lo = hi
-		closeColumn(feat, begin)
+		hi, xhi := c.Ends[k], xlo
+		if j < len(extra.Feats) && extra.Feats[j] == feat {
+			xhi = extra.Ends[j]
+			j++
+		}
+		ids, counts := out.IDs, out.Counts
+		begin := len(ids)
+		for at := lo; at < hi; at++ { // c's column, renumbered, merged with extra's by ID
+			id := c.IDs[at]
+			if remap != nil {
+				if id = remap[id]; id < 0 {
+					continue
+				}
+			}
+			for ; xlo < xhi && extra.IDs[xlo] < id; xlo++ {
+				ids = append(ids, extra.IDs[xlo])
+				counts = append(counts, extra.Counts[xlo])
+			}
+			ids = append(ids, id)
+			counts = append(counts, c.Counts[at])
+		}
+		if xlo < xhi {
+			ids = append(ids, extra.IDs[xlo:xhi]...)
+			counts = append(counts, extra.Counts[xlo:xhi]...)
+			xlo = xhi
+		}
+		out.IDs, out.Counts = ids, counts
+		if len(ids) > begin {
+			out.Feats = append(out.Feats, feat)
+			out.Ends = append(out.Ends, uint32(len(ids)))
+		}
+		k, lo = k+1, hi
 	}
-	for j < len(fresh) {
-		f, begin := fresh[j].feat, len(dst.IDs)
-		take(f, math.MaxInt32)
-		closeColumn(f, begin)
+	if j < len(extra.Feats) { // columns only extra has, past c's last
+		out = appendBlock(out, extra, j, len(extra.Feats))
 	}
+	*dst = out
+}
+
+// appendBlock returns dst with columns from up to to (from < to) of src
+// appended as one block.
+func appendBlock(dst Columns, src *Columns, from, to int) Columns {
+	lo, _ := src.Column(from)
+	hi := src.Ends[to-1]
+	shift := uint32(len(dst.IDs)) - lo // wraps when negative; the sums below are exact
+	dst.Feats = append(dst.Feats, src.Feats[from:to]...)
+	ends := append(dst.Ends, src.Ends[from:to]...)
+	for i := len(dst.Ends); i < len(ends); i++ {
+		ends[i] += shift
+	}
+	dst.Ends = ends
+	dst.IDs = append(dst.IDs, src.IDs[lo:hi]...)
+	dst.Counts = append(dst.Counts, src.Counts[lo:hi]...)
+	return dst
 }
 
 // posting is one (feature, ID, count) fact on its way into the columns.
 type posting struct {
 	feat      uint64
 	id, count int32
-}
-
-// Merge adds the postings of rows to c, in place. Rows must ascend by ID,
-// and no ID of rows may have postings in c. The rows' vectors are laid
-// out as one (feature, ID)-ordered run (mergeRows), and the arrays grow by
-// what the run brings (amortised; nothing when their capacity already has
-// room). They are then filled from the back, each old column moving up
-// once to its final position, as a block with its neighbours when fresh
-// postings do not split them: nothing is overwritten before it has moved.
-func (c *Columns) Merge(rows []Row) {
-	fresh := mergeRows(rows)
-	opened := 0 // columns fresh opens
-	for j, k := 0, 0; j < len(fresh); j++ {
-		if j == 0 || fresh[j].feat != fresh[j-1].feat {
-			at, found := c.Find(fresh[j].feat, k)
-			k = at
-			if !found {
-				opened++
-			}
-		}
-	}
-	k := len(c.Feats) // old columns from k on are in their final place
-	c.Feats = slices.Grow(c.Feats, opened)[:k+opened]
-	c.Ends = slices.Grow(c.Ends, opened)[:k+opened]
-	c.IDs = slices.Grow(c.IDs, len(fresh))[:len(c.IDs)+len(fresh)]
-	c.Counts = slices.Grow(c.Counts, len(fresh))[:len(c.IDs)]
-	col, at := len(c.Feats), len(c.IDs) // final columns from col on, postings from at on, are written
-	for j := len(fresh); j > 0; {
-		feat := fresh[j-1].feat
-		// The old columns past feat move up as one block.
-		from, found := slices.BinarySearch(c.Feats[:k], feat)
-		if found {
-			from++
-		}
-		if from < k {
-			lo, _ := c.Column(from)
-			hi := c.Ends[k-1]
-			at -= int(hi - lo)
-			copy(c.IDs[at:], c.IDs[lo:hi])
-			copy(c.Counts[at:], c.Counts[lo:hi])
-			col -= k - from
-			copy(c.Feats[col:], c.Feats[from:k])
-			for i := k - 1; i >= from; i-- {
-				c.Ends[col+i-from] = c.Ends[i] + uint32(at) - lo
-			}
-			k = from
-		}
-		// feat's column: its old postings and its fresh ones, by ID.
-		var lo, hi uint32
-		if found {
-			k--
-			lo, hi = c.Column(k)
-		}
-		end := uint32(at)
-		for ; j > 0 && fresh[j-1].feat == feat; j-- {
-			for ; lo < hi && c.IDs[hi-1] > fresh[j-1].id; hi-- {
-				at--
-				c.IDs[at], c.Counts[at] = c.IDs[hi-1], c.Counts[hi-1]
-			}
-			at--
-			c.IDs[at], c.Counts[at] = fresh[j-1].id, fresh[j-1].count
-		}
-		at -= int(hi - lo)
-		copy(c.IDs[at:], c.IDs[lo:hi])
-		copy(c.Counts[at:], c.Counts[lo:hi])
-		col--
-		c.Feats[col], c.Ends[col] = feat, end
-	}
-}
-
-// Remove deletes the postings of rows from c, in place: each row's vector
-// must be exactly what c holds under the row's ID, and no two rows may
-// share an ID. Each posting is located — its column by Find, its position
-// by a binary search on the ID inside the column — and one block-move
-// compaction then closes the gaps: the run between two deleted positions
-// moves down once, each end drops by the deletions below it, and the
-// columns left empty go. Columns before the first deletion are not
-// touched. A posting that is not there, or holds another count, means c
-// and rows disagree: Remove panics, before it has moved anything.
-func (c *Columns) Remove(rows []Row) {
-	n := 0
-	for _, r := range rows {
-		n += len(r.Vec)
-	}
-	if n == 0 {
-		return
-	}
-	gone := make([]uint32, 0, n)
-	for _, r := range rows {
-		k := 0
-		for _, fc := range r.Vec {
-			var found bool
-			if k, found = c.Find(fc.ID, k); !found {
-				panic(fmt.Sprintf("pathfeat: Remove: row %d: feature %016x has no column", r.ID, fc.ID))
-			}
-			lo, hi := c.Column(k)
-			at, found := slices.BinarySearch(c.IDs[lo:hi], r.ID)
-			if !found || c.Counts[lo+uint32(at)] != fc.Count {
-				panic(fmt.Sprintf("pathfeat: Remove: row %d: no posting of count %d in column %016x", r.ID, fc.Count, fc.ID))
-			}
-			gone = append(gone, lo+uint32(at))
-		}
-	}
-	slices.Sort(gone)
-	for i := 1; i < len(gone); i++ {
-		if gone[i] == gone[i-1] {
-			panic(fmt.Sprintf("pathfeat: Remove: position %d named twice", gone[i]))
-		}
-	}
-	for i, at := range gone {
-		next := uint32(len(c.IDs))
-		if i+1 < len(gone) {
-			next = gone[i+1]
-		}
-		copy(c.IDs[at-uint32(i):], c.IDs[at+1:next])
-		copy(c.Counts[at-uint32(i):], c.Counts[at+1:next])
-	}
-	c.IDs = c.IDs[:len(c.IDs)-len(gone)]
-	c.Counts = c.Counts[:len(c.IDs)]
-	k, _ := slices.BinarySearch(c.Ends, gone[0]+1) // the column of the first deletion
-	kept, d := k, 0
-	prev, _ := c.Column(k) // the end of the last column kept
-	for ; k < len(c.Ends); k++ {
-		for d < len(gone) && gone[d] < c.Ends[k] {
-			d++
-		}
-		if end := c.Ends[k] - uint32(d); end > prev {
-			c.Feats[kept], c.Ends[kept] = c.Feats[k], end
-			kept++
-			prev = end
-		}
-	}
-	c.Feats, c.Ends = c.Feats[:kept], c.Ends[:kept]
 }
 
 // mergeRows returns the postings of rows in (feature, ID) order; rows must

@@ -2,6 +2,7 @@ package pathfeat
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"testing"
 )
@@ -58,88 +59,101 @@ func equalColumns(a, b *Columns) bool {
 		slices.Equal(a.IDs, b.IDs) && slices.Equal(a.Counts, b.Counts)
 }
 
-// FuzzColumnsEdit builds columns with Merge, deletes a subset of the rows
-// with Remove and merges another set, and checks the result, array for
-// array, against a Merge of the surviving rows into empty columns and
-// against Renumber over the same change.
+// referenceColumns lays rows out the slow way: a map from each feature
+// to its postings, read back in sorted order.
+func referenceColumns(rows []Row) Columns {
+	byFeat := map[uint64]map[int32]int32{}
+	for _, r := range rows {
+		for _, fc := range r.Vec {
+			if byFeat[fc.ID] == nil {
+				byFeat[fc.ID] = map[int32]int32{}
+			}
+			byFeat[fc.ID][r.ID] += fc.Count
+		}
+	}
+	var c Columns
+	for _, feat := range slices.Sorted(maps.Keys(byFeat)) {
+		for _, id := range slices.Sorted(maps.Keys(byFeat[feat])) {
+			c.IDs = append(c.IDs, id)
+			c.Counts = append(c.Counts, byFeat[feat][id])
+		}
+		c.Feats = append(c.Feats, feat)
+		c.Ends = append(c.Ends, uint32(len(c.IDs)))
+	}
+	return c
+}
+
+// FuzzColumnsEdit builds columns with Build, then drops the deleted rows
+// and merges the later ones with Renumber, and checks both, array for
+// array, against referenceColumns. Renumber runs under the two remaps its
+// callers use: GGSX's, which keeps every ID or drops it (nil when nothing
+// is dropped), and the GCindex's, which numbers the kept rows and the
+// later ones by their rank in ID order, shifting kept IDs down over the
+// dropped ones.
 func FuzzColumnsEdit(f *testing.F) {
 	f.Add([]byte{0x41, 0x00, 0x01, 0x01})                   // the only posting of column 0 goes
 	f.Add([]byte{0x00, 0x42, 0x10, 0x21, 0x00, 0x22, 0x03}) // empty vectors among the rows
 	f.Add([]byte{0x83, 0x01, 0x12, 0x23, 0x02, 0x01, 0x11, 0x23, 0x04, 0x05, 0x06})
 	f.Add([]byte{0x44, 0x00, 0x10, 0x01, 0x02, 0x44, 0x00, 0x10, 0x01, 0x02, 0x21, 0x00})
+	f.Add([]byte{0x01, 0x01, 0x21, 0x00})       // a later column before a block of built ones: the block's ends shift
+	f.Add([]byte{0x02, 0x00, 0x01, 0x21, 0x02}) // a later column between built ones: the block ends before it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ec := decodeEdit(data)
-		var got Columns
-		got.Merge(ec.build)
-		built := Columns{
-			Feats:  slices.Clone(got.Feats),
-			Ends:   slices.Clone(got.Ends),
-			IDs:    slices.Clone(got.IDs),
-			Counts: slices.Clone(got.Counts),
+		built := Build(ec.build)
+		if want := referenceColumns(ec.build); !equalColumns(&built, &want) {
+			t.Fatalf("Build = %+v\nreference = %+v", built, want)
 		}
-		var gone, kept []Row
+
+		var kept []Row
 		for _, r := range ec.build {
-			if ec.deleted[r.ID] {
-				gone = append(gone, r)
-			} else {
+			if !ec.deleted[r.ID] {
 				kept = append(kept, r)
 			}
 		}
-		got.Remove(gone)
-		got.Merge(ec.later)
+		survivors := slices.SortedFunc(slices.Values(append(slices.Clone(kept), ec.later...)),
+			func(a, b Row) int { return cmp.Compare(a.ID, b.ID) })
 
-		kept = append(kept, ec.later...)
-		slices.SortFunc(kept, func(a, b Row) int { return cmp.Compare(a.ID, b.ID) })
-		var want Columns
-		want.Merge(kept)
-		if !equalColumns(&got, &want) {
-			t.Fatalf("Merge, Remove, Merge = %+v\nfresh Merge of the survivors = %+v", got, want)
-		}
-
-		remap := make([]int32, len(data)+1)
-		for id := range remap {
-			remap[id] = int32(id)
-			if ec.deleted[int32(id)] {
-				remap[id] = -1
+		var keep []int32 // GGSX: every ID stays or goes
+		if len(ec.deleted) > 0 {
+			keep = make([]int32, len(data))
+			for id := range keep {
+				keep[id] = int32(id)
+				if ec.deleted[int32(id)] {
+					keep[id] = -1
+				}
 			}
 		}
-		var renumbered Columns
-		built.Renumber(&renumbered, remap, ec.later)
-		if !equalColumns(&renumbered, &want) {
-			t.Fatalf("Renumber = %+v\nfresh Merge of the survivors = %+v", renumbered, want)
+		later := Build(ec.later)
+		var got Columns
+		built.Renumber(&got, keep, &later)
+		if want := referenceColumns(survivors); !equalColumns(&got, &want) {
+			t.Fatalf("Renumber, IDs kept = %+v\nreference = %+v", got, want)
+		}
+
+		// The GCindex: the survivors numbered by rank in ID order, so kept
+		// IDs shift down over the dropped ones and the later rows' IDs
+		// fall between them.
+		fromLater := map[int32]bool{}
+		for _, r := range ec.later {
+			fromLater[r.ID] = true
+		}
+		shift := make([]int32, len(data))
+		for id := range shift {
+			shift[id] = -1
+		}
+		var ranked, rankedLater []Row
+		for rank, r := range survivors {
+			ranked = append(ranked, Row{ID: int32(rank), Vec: r.Vec})
+			if fromLater[r.ID] {
+				rankedLater = append(rankedLater, ranked[rank])
+			} else {
+				shift[r.ID] = int32(rank)
+			}
+		}
+		later = Build(rankedLater)
+		built.Renumber(&got, shift, &later)
+		if want := referenceColumns(ranked); !equalColumns(&got, &want) {
+			t.Fatalf("Renumber, IDs shifted = %+v\nreference = %+v", got, want)
 		}
 	})
-}
-
-// TestRemoveMissingPostingPanics: removing a posting the columns do not
-// hold — an unknown feature, an ID absent from a column, a wrong count, a
-// row named twice — is a broken invariant, and Remove fails loudly instead
-// of skipping it, before it has moved anything.
-func TestRemoveMissingPostingPanics(t *testing.T) {
-	one := Row{ID: 0, Vec: Vector{{ID: 5, Count: 1}}}
-	for _, tc := range []struct {
-		name string
-		rows []Row
-	}{
-		{"unknown feature", []Row{{ID: 0, Vec: Vector{{ID: 9, Count: 1}}}}},
-		{"ID not in the column", []Row{{ID: 2, Vec: Vector{{ID: 5, Count: 1}}}}},
-		{"other count", []Row{{ID: 0, Vec: Vector{{ID: 5, Count: 2}}}}},
-		{"row named twice", []Row{one, one}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var c, want Columns
-			rows := []Row{one, {ID: 1, Vec: Vector{{ID: 5, Count: 3}}}}
-			c.Merge(rows)
-			want.Merge(rows)
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Remove(%+v) did not panic", tc.rows)
-				}
-				if !equalColumns(&c, &want) {
-					t.Errorf("Remove(%+v) panicked after editing the columns: %+v", tc.rows, c)
-				}
-			}()
-			c.Remove(tc.rows)
-		})
-	}
 }
