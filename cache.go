@@ -88,10 +88,10 @@ func ParsePolicy(name string) (PolicyKind, error) { return core.ParsePolicy(name
 
 // MutationResult reports how Cache.ApplyMutation kept the cache sound
 // across one dataset mutation: the epoch the dataset landed at, cached
-// entries extended with newly matching graphs, entries exactly patched
-// via the reverse index, entries re-verified after an edit, and entries
-// invalidated outright. See the package documentation's "Dynamic
-// datasets" section.
+// entries extended with newly matching graphs, entries whose answers
+// lost removed IDs (one merge per answer set, no verification), entries
+// re-verified after an edit, and entries invalidated outright. See the
+// package documentation's "Dynamic datasets" section.
 type MutationResult = core.MutationResult
 
 // MutationObservation is one applied mutation's telemetry row, streamed

@@ -19,7 +19,7 @@ type DatasetStats = dataset.Stats
 func NewDataset(graphs []*Graph) *Dataset { return dataset.New(graphs) }
 
 // Live dataset mutations. A Dataset starts as an immutable base
-// generation; AddGraphs, RemoveGraphs and EditEdges publish fresh
+// generation; AddGraphs, RemoveGraphs and Replace publish fresh
 // immutable generations (epoch-versioned, lock-free for readers), and a
 // Cache over a mutation-capable method keeps its answers sound across
 // them via Cache.ApplyMutation. See the package documentation's

@@ -345,7 +345,7 @@
 // (routed, retried, ejected, shed) as a JSON superset of the gcserved
 // payload; GET /healthz stays green while at least one backend is
 // dispatchable. In Go, NewRouter embeds the tier in any process; see
-// examples/router.
+// cmd/gcrouter.
 //
 // # Load management
 //

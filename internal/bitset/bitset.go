@@ -1,5 +1,6 @@
 // Package bitset implements a fixed-capacity bit set used for candidate
-// sets in the sub-iso matchers and for the hash fingerprints of CT-Index.
+// sets in the sub-iso matchers, for the hash fingerprints of CT-Index and
+// for GGSX's tombstones (the IDs whose main postings are dead).
 package bitset
 
 import "math/bits"
@@ -47,40 +48,6 @@ func (s *Set) Any() bool {
 	return false
 }
 
-// Clone returns a deep copy of s.
-func (s *Set) Clone() *Set {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return &Set{words: w, n: s.n}
-}
-
-// CopyFrom overwrites s with the contents of o. The sets must have equal
-// capacity.
-func (s *Set) CopyFrom(o *Set) {
-	copy(s.words, o.words)
-}
-
-// And sets s to the intersection s ∩ o.
-func (s *Set) And(o *Set) {
-	for i := range s.words {
-		s.words[i] &= o.words[i]
-	}
-}
-
-// Or sets s to the union s ∪ o.
-func (s *Set) Or(o *Set) {
-	for i := range s.words {
-		s.words[i] |= o.words[i]
-	}
-}
-
-// AndNot sets s to the difference s \ o.
-func (s *Set) AndNot(o *Set) {
-	for i := range s.words {
-		s.words[i] &^= o.words[i]
-	}
-}
-
 // SubsetOf reports whether every set bit of s is also set in o.
 func (s *Set) SubsetOf(o *Set) bool {
 	for i, w := range s.words {
@@ -89,16 +56,6 @@ func (s *Set) SubsetOf(o *Set) bool {
 		}
 	}
 	return true
-}
-
-// IntersectsWith reports whether s and o share at least one set bit.
-func (s *Set) IntersectsWith(o *Set) bool {
-	for i, w := range s.words {
-		if w&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ForEach calls fn for every set bit in ascending order. fn returning false
@@ -114,7 +71,3 @@ func (s *Set) ForEach(fn func(i int) bool) {
 		}
 	}
 }
-
-// Words exposes the raw backing words (read-only use; needed for
-// serialising fingerprints).
-func (s *Set) Words() []uint64 { return s.words }

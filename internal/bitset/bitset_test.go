@@ -43,34 +43,6 @@ func TestAnyAndLen(t *testing.T) {
 	}
 }
 
-func TestSetOps(t *testing.T) {
-	a := New(100)
-	b := New(100)
-	a.Set(1)
-	a.Set(50)
-	a.Set(99)
-	b.Set(50)
-	b.Set(2)
-
-	inter := a.Clone()
-	inter.And(b)
-	if inter.Count() != 1 || !inter.Get(50) {
-		t.Errorf("And wrong: count=%d", inter.Count())
-	}
-
-	uni := a.Clone()
-	uni.Or(b)
-	if uni.Count() != 4 {
-		t.Errorf("Or wrong: count=%d", uni.Count())
-	}
-
-	diff := a.Clone()
-	diff.AndNot(b)
-	if diff.Count() != 2 || diff.Get(50) {
-		t.Errorf("AndNot wrong: count=%d", diff.Count())
-	}
-}
-
 func TestSubsetOf(t *testing.T) {
 	a := New(128)
 	b := New(128)
@@ -91,23 +63,6 @@ func TestSubsetOf(t *testing.T) {
 	empty := New(128)
 	if !empty.SubsetOf(a) {
 		t.Error("∅ ⊆ a must hold")
-	}
-}
-
-func TestIntersectsWith(t *testing.T) {
-	a := New(64)
-	b := New(64)
-	if a.IntersectsWith(b) {
-		t.Error("empty sets must not intersect")
-	}
-	a.Set(10)
-	b.Set(11)
-	if a.IntersectsWith(b) {
-		t.Error("disjoint sets must not intersect")
-	}
-	b.Set(10)
-	if !a.IntersectsWith(b) {
-		t.Error("sets sharing bit 10 must intersect")
 	}
 }
 
@@ -138,17 +93,6 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	a := New(100)
-	a.Set(42)
-	b := New(100)
-	b.Set(7)
-	b.CopyFrom(a)
-	if !b.Get(42) || b.Get(7) {
-		t.Error("CopyFrom must overwrite destination")
-	}
-}
-
 func TestPropertySetMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -174,31 +118,6 @@ func TestPropertySetMatchesMap(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyDeMorgan(t *testing.T) {
-	// |a ∪ b| = |a| + |b| - |a ∩ b|
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 64 + r.Intn(200)
-		a, b := New(n), New(n)
-		for i := 0; i < n; i++ {
-			if r.Intn(3) == 0 {
-				a.Set(i)
-			}
-			if r.Intn(3) == 0 {
-				b.Set(i)
-			}
-		}
-		uni := a.Clone()
-		uni.Or(b)
-		inter := a.Clone()
-		inter.And(b)
-		return uni.Count() == a.Count()+b.Count()-inter.Count()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

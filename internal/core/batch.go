@@ -74,7 +74,7 @@ type gcCheck struct {
 // four chunks per worker, enough to even out the workers' loads, because
 // smaller chunks make the claims, the pending counter and the verdict
 // cache lines the workers share cost more than tests that take a fraction
-// of a microsecond.
+// of a microsecond. A method.BatchVerifier's query is one chunk.
 type verifyChunk struct {
 	qi, lo, hi int
 }
@@ -416,10 +416,12 @@ func (r *run) queueCredit(s *queryState, e *entry, special bool, removed int, sa
 // all pruned candidate sets run as one work list of chunks (see
 // verifyChunk) over the worker pool — one worker per chunk while pool
 // slots are free — and the worker landing a query's last verdict
-// completes it. It returns how many tests it skipped because ctx died
-// first.
+// completes it. A method.BatchVerifier keeps its own verification pool,
+// so it gets one chunk per query and one VerifyBatch call on it. It
+// returns how many tests it skipped because ctx died first.
 func (r *run) verify() int {
 	c := r.c
+	bv, _ := c.m.(method.BatchVerifier)
 	r.verdicts = make([]bool, r.nTests)
 	chunks := make([]verifyChunk, 0, r.nTests/adaptiveGrain+min(len(r.st), r.nTests))
 	for qi, off := 0, 0; qi < len(r.st); qi++ {
@@ -428,6 +430,9 @@ func (r *run) verify() int {
 		off += len(s.cs)
 		s.pending.Store(int32(len(s.cs)))
 		grain := max(adaptiveGrain, len(s.cs)/(4*c.opts.VerifyConcurrency))
+		if bv != nil {
+			grain = len(s.cs)
+		}
 		for lo := 0; lo < len(s.cs); lo += grain {
 			chunks = append(chunks, verifyChunk{qi: qi, lo: lo, hi: min(lo+grain, len(s.cs))})
 		}
@@ -441,41 +446,28 @@ func (r *run) verify() int {
 
 	var skipped atomic.Int64
 	start := time.Now()
-	if bv, ok := c.m.(method.BatchVerifier); ok {
-		// Methods with internal verification parallelism keep their own
-		// pool: one VerifyBatch per query, fanned over the run.
-		c.pool.ParallelFor(len(r.st), func(qi int) {
-			s := &r.st[qi]
-			if len(s.cs) == 0 {
-				return
-			}
-			if r.ctx.Err() != nil {
-				skipped.Add(int64(len(s.cs)))
-				return
-			}
-			copy(r.verdicts[s.off:], bv.VerifyBatch(s.q, s.cs))
-			r.complete(qi, time.Since(start))
-		})
-	} else {
-		// The worker that brings a query's pending count to zero has a
-		// happens-before edge on every sibling verdict and completes the
-		// query. Skipped chunks never decrement, so a query touched by
-		// cancellation is never delivered partially verified.
-		c.pool.ParallelFor(len(chunks), func(k int) {
-			ch := chunks[k]
-			if r.ctx.Err() != nil {
-				skipped.Add(int64(ch.hi - ch.lo))
-				return
-			}
-			s := &r.st[ch.qi]
+	// The worker that brings a query's pending count to zero has a
+	// happens-before edge on every sibling verdict and completes the
+	// query. Skipped chunks never decrement, so a query touched by
+	// cancellation is never delivered partially verified.
+	c.pool.ParallelFor(len(chunks), func(k int) {
+		ch := chunks[k]
+		if r.ctx.Err() != nil {
+			skipped.Add(int64(ch.hi - ch.lo))
+			return
+		}
+		s := &r.st[ch.qi]
+		if bv != nil {
+			copy(r.verdicts[s.off+ch.lo:], bv.VerifyBatch(s.q, s.cs[ch.lo:ch.hi]))
+		} else {
 			for j := ch.lo; j < ch.hi; j++ {
 				r.verdicts[s.off+j] = c.m.Verify(s.q, s.cs[j])
 			}
-			if s.pending.Add(int32(ch.lo-ch.hi)) == 0 {
-				r.complete(ch.qi, time.Since(start))
-			}
-		})
-	}
+		}
+		if s.pending.Add(int32(ch.lo-ch.hi)) == 0 {
+			r.complete(ch.qi, time.Since(start))
+		}
+	})
 	r.verifyTime = time.Since(start)
 	return int(skipped.Load())
 }

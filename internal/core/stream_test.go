@@ -166,16 +166,26 @@ func TestQueryBatchStreamArrivalOrder(t *testing.T) {
 // batch and for a run of one query alike: cancelling the context
 // mid-verification abandons the unstarted sub-iso tests, stops deliveries
 // short of the full run, surfaces context.Canceled, and leaves no trace of
-// the run in the cache.
+// the run in the cache. The batch also runs over a BatchVerifier, whose
+// queries are one chunk each (a run of one query is then a single chunk,
+// already running when the client leaves).
 func TestQueryBatchStreamCancellation(t *testing.T) {
-	for _, n := range []int{48, 1} {
+	for _, tc := range []struct {
+		n     int
+		batch bool
+	}{{48, false}, {48, true}, {1, false}} {
+		n := tc.n
 		ds := moleculeDataset(60, 37)
 		gm := &gatedMethod{
 			Method:  ggsx.New(ds, ggsx.Options{}),
 			gate:    make(chan struct{}),
 			started: make(chan struct{}),
 		}
-		c := New(gm, Options{CacheSize: 20, WindowSize: 5, VerifyConcurrency: 2})
+		var m method.Method = gm
+		if tc.batch {
+			m = batchVerifierMethod{gm}
+		}
+		c := New(m, Options{CacheSize: 20, WindowSize: 5, VerifyConcurrency: 2})
 		var qs []*graph.Graph
 		for _, q := range typeAWorkload(ds, "ZZ", 48, 38) {
 			// A lone query needs a chunk of tests left to abandon once

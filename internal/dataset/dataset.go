@@ -31,9 +31,10 @@ type Dataset struct {
 
 	// base retains the constructed generation, for snapshot compatibility
 	// checks and restores: a snapshot records the base fingerprint it was
-	// built over plus the delta to re-apply, and Restore rebuilds from
-	// base whatever the current generation looks like (a removed graph's
-	// object survives here even though its live slot is a tombstone).
+	// built over plus the delta to re-apply (Delta compares against
+	// base), and Restore rebuilds from base whatever the current
+	// generation looks like (a removed graph's object survives here even
+	// though its live slot is a tombstone).
 	base    *generation
 	baseLen int
 }
@@ -42,10 +43,9 @@ type Dataset struct {
 // generation (sharing unchanged *graph.Graph values) and publishes it
 // with a single atomic store.
 type generation struct {
-	graphs []*graph.Graph     // index = graph ID; nil = removed (tombstone)
-	live   int                // number of non-nil slots
-	epoch  int64              // 0 for the constructed state, +1 per mutation
-	edited map[int32]struct{} // base-range IDs whose graph was replaced
+	graphs []*graph.Graph // index = graph ID; nil = removed (tombstone)
+	live   int            // number of non-nil slots
+	epoch  int64          // 0 for the constructed state, +1 per mutation
 
 	// fp is the order-sensitive content hash of the live graphs, computed
 	// on first use (see fingerprint): only snapshots read it, so a
@@ -226,42 +226,20 @@ func (d *Dataset) Replace(id int32, g *graph.Graph) (*graph.Graph, error) {
 	g.SetID(id)
 	next := cur.clone()
 	next.graphs[id] = g
-	if int(id) < d.baseLen {
-		if next.edited == nil {
-			next.edited = make(map[int32]struct{})
-		}
-		next.edited[id] = struct{}{}
-	}
 	d.publish(next)
 	return g, nil
 }
 
-// EdgeEdit is one edge insertion or deletion in an EditEdges batch.
+// EdgeEdit is one edge insertion or deletion in an ApplyEdgeEdits batch.
 type EdgeEdit struct {
 	U, V int32
 	Del  bool // true deletes the edge, false inserts it
 }
 
-// EditEdges applies a batch of edge edits to the live graph id: it
-// rebuilds the graph with the requested edges inserted/deleted and
-// swaps it in under a single epoch advance. Vertex labels are
-// preserved; edits referencing out-of-range vertices, inserting
-// self-loops, deleting absent edges or re-inserting present ones fail
-// without mutating anything.
-func (d *Dataset) EditEdges(id int32, edits []EdgeEdit) (*graph.Graph, error) {
-	old := d.Graph(id) // panics out of range, nil if removed
-	if old == nil {
-		return nil, fmt.Errorf("dataset: edit: no live graph with id %d", id)
-	}
-	ng, err := ApplyEdgeEdits(old, edits)
-	if err != nil {
-		return nil, err
-	}
-	return d.Replace(id, ng)
-}
-
 // ApplyEdgeEdits builds the graph that results from applying edits to
-// g, without touching any dataset. The result carries g's ID.
+// g, without touching any dataset. The result carries g's ID and its
+// vertex labels; edits referencing out-of-range vertices, inserting
+// self-loops, deleting absent edges or re-inserting present ones fail.
 func ApplyEdgeEdits(g *graph.Graph, edits []EdgeEdit) (*graph.Graph, error) {
 	n := g.NumVertices()
 	type edge struct{ u, v int32 }
@@ -311,28 +289,22 @@ func ApplyEdgeEdits(g *graph.Graph, edits []EdgeEdit) (*graph.Graph, error) {
 // or replaced since construction (each carrying its dataset ID), in
 // ascending ID order. Snapshots persist the delta so a restart can
 // rebuild this exact generation from the base dataset file.
+//
+// The comparison is by position against the retained base generation:
+// a nil slot was removed, an ID at or past the base length was added,
+// and a base-range ID was replaced exactly when its graph is not the
+// base generation's graph at that ID.
 func (d *Dataset) Delta() (removed []int32, changed []*graph.Graph) {
-	// Compare against the base by position: IDs < baseLen whose slot is
-	// nil were removed; IDs ≥ baseLen are additions; IDs < baseLen whose
-	// content hash differs from the base were replaced. To avoid
-	// retaining base graphs we track per-ID content hashes instead.
 	g := d.gen.Load()
 	for id, gr := range g.graphs {
 		switch {
 		case gr == nil:
 			removed = append(removed, int32(id))
-		case id >= d.baseLen || g.editedID(int32(id)):
+		case id >= d.baseLen || gr != d.base.graphs[id]:
 			changed = append(changed, gr)
 		}
 	}
 	return removed, changed
-}
-
-// editedID reports whether base-range graph id was replaced since
-// construction (tracked by Replace in the generation's edited set).
-func (g *generation) editedID(id int32) bool {
-	_, ok := g.edited[id]
-	return ok
 }
 
 // Restore rebuilds the dataset as base + delta and forces the epoch:
@@ -377,10 +349,6 @@ func (d *Dataset) Restore(removed []int32, changed []*graph.Graph, epoch int64) 
 			return fmt.Errorf("dataset: restore: negative graph id %d", id)
 		}
 		next.graphs[id] = g
-		if next.edited == nil {
-			next.edited = make(map[int32]struct{})
-		}
-		next.edited[id] = struct{}{}
 	}
 	for _, id := range removed {
 		if id < 0 || int(id) >= len(next.graphs) {
@@ -406,12 +374,6 @@ func (g *generation) clone() *generation {
 		epoch:  g.epoch,
 	}
 	copy(next.graphs, g.graphs)
-	if g.edited != nil {
-		next.edited = make(map[int32]struct{}, len(g.edited))
-		for id := range g.edited {
-			next.edited[id] = struct{}{}
-		}
-	}
 	return next
 }
 

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -165,5 +166,88 @@ func TestFingerprintMemoisedPerGeneration(t *testing.T) {
 				t.Fatalf("mutation %d, caller %d: (Fingerprint, BaseFingerprint) = %x, want (%x, %x)", i, k, fp, want, base)
 			}
 		}
+	}
+}
+
+// TestDeltaTracksBase checks what a snapshot persists: after each kind of
+// mutation, Delta reports exactly the removed IDs and the added or
+// replaced graphs relative to the constructed dataset, and Restore
+// rebuilds a generation with that same delta from the base.
+func TestDeltaTracksBase(t *testing.T) {
+	var base []*graph.Graph
+	for i := 0; i < 4; i++ {
+		base = append(base, mkGraph(3+i, 2+i, graph.Label(i)))
+	}
+	d := New(base)
+	check := func(step string, wantRemoved []int32, wantChanged []*graph.Graph) {
+		t.Helper()
+		removed, changed := d.Delta()
+		if !slices.Equal(removed, wantRemoved) {
+			t.Fatalf("%s: removed %v, want %v", step, removed, wantRemoved)
+		}
+		if len(changed) != len(wantChanged) {
+			t.Fatalf("%s: %d changed graphs, want %d", step, len(changed), len(wantChanged))
+		}
+		for i := range changed {
+			if changed[i] != wantChanged[i] || changed[i].ID() != wantChanged[i].ID() {
+				t.Fatalf("%s: changed[%d] is graph %d, want graph %d", step, i, changed[i].ID(), wantChanged[i].ID())
+			}
+		}
+	}
+	check("constructed", nil, nil)
+
+	a := []*graph.Graph{mkGraph(5, 4, 7), mkGraph(6, 5, 8)}
+	d.AddGraphs(a) // IDs 4, 5
+	check("add", nil, a)
+
+	d.RemoveGraphs([]int32{1, 5})
+	check("remove", []int32{1, 5}, a[:1])
+
+	r0, err := d.Replace(0, mkGraph(4, 2, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("replace base", []int32{1, 5}, []*graph.Graph{r0, a[0]})
+
+	r4, err := d.Replace(4, mkGraph(3, 1, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("replace added", []int32{1, 5}, []*graph.Graph{r0, r4})
+
+	r2, err := d.Replace(2, mkGraph(5, 3, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.RemoveGraphs([]int32{2})
+	check("remove replaced base", []int32{1, 2, 5}, []*graph.Graph{r0, r4})
+	if r2.ID() != 2 || d.Graph(2) != nil {
+		t.Fatal("a removed replacement must leave a tombstone")
+	}
+
+	removed, changed := d.Delta()
+	fp := d.Fingerprint()
+	if err := d.Restore(nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("restore base", nil, nil)
+	if d.Epoch() != 0 || d.Len() != len(base) || d.Fingerprint() != d.BaseFingerprint() {
+		t.Fatalf("restore base: epoch %d, len %d; want 0, %d and the base fingerprint", d.Epoch(), d.Len(), len(base))
+	}
+	for id, g := range base {
+		if d.Graph(int32(id)) != g {
+			t.Fatalf("restore base: graph %d is not the constructed one", id)
+		}
+	}
+
+	if err := d.Restore(removed, changed, 7); err != nil {
+		t.Fatal(err)
+	}
+	check("restore delta", []int32{1, 2, 5}, []*graph.Graph{r0, r4})
+	if d.Epoch() != 7 || d.Len() != 6 || d.Live() != 3 || d.Fingerprint() != fp {
+		t.Fatalf("restore delta: epoch %d, len %d, live %d; want 7, 6, 3 and the mutated fingerprint", d.Epoch(), d.Len(), d.Live())
+	}
+	if d.Graph(3) != base[3] {
+		t.Fatal("restore delta: an untouched base graph must be the constructed one")
 	}
 }

@@ -305,11 +305,6 @@ func (rt *Router) Handler() http.Handler { return server.WithRequestID(rt.mux) }
 // exposition elsewhere or asserting on metrics in tests.
 func (rt *Router) Metrics() *telemetry.Registry { return rt.reg }
 
-// AdminHandler returns the admin API handler (POST /backends,
-// DELETE /backends/{id}, GET /topology), for embedding or tests. The
-// daemon lifecycle serves it on Options.AdminAddr when that is set.
-func (rt *Router) AdminHandler() http.Handler { return rt.adminMux }
-
 // Options returns the router's (defaulted) configuration.
 func (rt *Router) Options() Options { return rt.opts }
 

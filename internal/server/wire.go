@@ -183,16 +183,3 @@ func decodeGraphs(text string) ([]*graph.Graph, error) {
 	}
 	return gs, nil
 }
-
-// decodeOneGraph parses a request body's graph text, requiring exactly one
-// graph.
-func decodeOneGraph(text string) (*graph.Graph, error) {
-	gs, err := decodeGraphs(text)
-	if err != nil {
-		return nil, err
-	}
-	if len(gs) != 1 {
-		return nil, fmt.Errorf("want exactly 1 graph, got %d (use /querybatch for batches)", len(gs))
-	}
-	return gs[0], nil
-}

@@ -1,10 +1,10 @@
 // Package telemetry is the fleet's dependency-free observability core:
 // atomic counters, gauges and fixed-bucket latency histograms with a
-// Prometheus text-exposition writer, a text-format parser for tests and
-// drills, and per-request tracing primitives (request ids, spans). Both
-// serving tiers — gcserved, fed by each query's QueryStats and core's
-// Observer hook, and gcrouter — feed a Registry from this package and
-// expose it at GET /metrics.
+// Prometheus text-exposition writer, a text-format parser for tests,
+// and per-request tracing primitives (request ids, spans). Both serving
+// tiers — gcserved, fed by each query's QueryStats and core's Observer
+// hook, and gcrouter — feed a Registry from this package and expose it
+// at GET /metrics.
 //
 // The package deliberately has no third-party dependencies: metrics are
 // plain atomics, exposition is the Prometheus text format written by
@@ -170,43 +170,6 @@ func (h *Histogram) snapshot() (buckets []uint64, count uint64, sum float64) {
 		buckets[i] = h.counts[i].Load()
 	}
 	return buckets, h.total.Load(), h.sum.Load()
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket counts
-// by linear interpolation within the target bucket, the same estimate
-// Prometheus's histogram_quantile computes. Returns NaN with no
-// observations. Values in the +Inf bucket clamp to the largest finite
-// bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	buckets, count, _ := h.snapshot()
-	return quantile(q, h.bounds, buckets, count)
-}
-
-func quantile(q float64, bounds []float64, buckets []uint64, count uint64) float64 {
-	if count == 0 || q <= 0 || q > 1 || len(bounds) == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(count)
-	var cum uint64
-	for i, c := range buckets {
-		cum += c
-		if float64(cum) >= rank {
-			if i >= len(bounds) { // +Inf bucket: clamp
-				return bounds[len(bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			hi := bounds[i]
-			if c == 0 {
-				return hi
-			}
-			inBucket := rank - float64(cum-c)
-			return lo + (hi-lo)*(inBucket/float64(c))
-		}
-	}
-	return bounds[len(bounds)-1]
 }
 
 // series is one labelled instance of a metric family.

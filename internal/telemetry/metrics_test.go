@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -53,32 +52,6 @@ func TestHistogramBuckets(t *testing.T) {
 		if buckets[i] != w {
 			t.Fatalf("bucket[%d] = %d, want %d (all: %v)", i, buckets[i], w, buckets)
 		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("t_seconds", "help", []float64{0.1, 0.2, 0.5, 1})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("empty histogram quantile should be NaN")
-	}
-	// 100 observations uniformly inside (0, 0.1]: every quantile
-	// interpolates within the first bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(0.05)
-	}
-	if p50 := h.Quantile(0.5); p50 <= 0 || p50 > 0.1 {
-		t.Fatalf("p50 = %v, want within (0, 0.1]", p50)
-	}
-	h.Observe(0.9) // one slow outlier in the le=1 bucket
-	if p99 := h.Quantile(0.999); p99 <= 0.5 || p99 > 1 {
-		t.Fatalf("p99.9 = %v, want within (0.5, 1]", p99)
-	}
-	// Observations beyond the last bound clamp to it.
-	h2 := r.Histogram("t2_seconds", "help", []float64{1})
-	h2.Observe(100)
-	if got := h2.Quantile(0.99); got != 1 {
-		t.Fatalf("overflow quantile = %v, want clamp to 1", got)
 	}
 }
 
@@ -171,37 +144,6 @@ func TestParsePromRejectsGarbage(t *testing.T) {
 		if _, err := ParseProm(strings.NewReader(in)); err == nil {
 			t.Errorf("ParseProm accepted %q", in)
 		}
-	}
-}
-
-func TestHistogramQuantileFromSamples(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_seconds", "help", []float64{0.1, 1, 10})
-	for i := 0; i < 99; i++ {
-		h.Observe(0.05)
-	}
-	h.Observe(5)
-	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := ParseProm(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buckets []Sample
-	for _, s := range samples {
-		if s.Name == "q_seconds_bucket" {
-			buckets = append(buckets, s)
-		}
-	}
-	p99 := HistogramQuantile(0.995, buckets)
-	if p99 <= 1 || p99 > 10 {
-		t.Fatalf("scraped p99.5 = %v, want within (1, 10]", p99)
-	}
-	p50 := HistogramQuantile(0.5, buckets)
-	if p50 <= 0 || p50 > 0.1 {
-		t.Fatalf("scraped p50 = %v, want within (0, 0.1]", p50)
 	}
 }
 

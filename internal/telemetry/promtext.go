@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -223,50 +222,4 @@ func isLabelChar(c byte, first bool) bool {
 		return true
 	}
 	return !first && c >= '0' && c <= '9'
-}
-
-// HistogramQuantile estimates the q-quantile from a histogram's _bucket
-// samples (cumulative counts keyed by the "le" label), the way
-// Prometheus's histogram_quantile does — for drills and examples that
-// scrape a live /metrics and want a p99 line.
-func HistogramQuantile(q float64, buckets []Sample) float64 {
-	type bkt struct {
-		le  float64
-		cum float64
-	}
-	bs := make([]bkt, 0, len(buckets))
-	for _, s := range buckets {
-		le, ok := s.Labels["le"]
-		if !ok {
-			continue
-		}
-		v, err := parseFloat(le)
-		if err != nil {
-			continue
-		}
-		bs = append(bs, bkt{le: v, cum: s.Value})
-	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
-	if len(bs) == 0 {
-		return math.NaN()
-	}
-	bounds := make([]float64, 0, len(bs))
-	counts := make([]uint64, 0, len(bs))
-	var prev float64
-	var total uint64
-	for _, b := range bs {
-		c := uint64(b.cum - prev)
-		prev = b.cum
-		if math.IsInf(b.le, 1) {
-			counts = append(counts, c)
-		} else {
-			bounds = append(bounds, b.le)
-			counts = append(counts, c)
-		}
-		total += c
-	}
-	if len(counts) == len(bounds) { // no +Inf bucket seen
-		counts = append(counts, 0)
-	}
-	return quantile(q, bounds, counts, total)
 }
