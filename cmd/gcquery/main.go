@@ -1,6 +1,6 @@
 // Command gcquery answers graph queries from the command line: it loads a
 // dataset, builds a query-processing method, optionally wraps it in
-// GraphCache, and streams the answers and a performance summary.
+// GraphCache, and prints the answers and a performance summary.
 //
 //	gcquery -dataset aids.g -queries queries.g -method ggsx
 //	gcquery -dataset aids.g -queries queries.g -method vf2plus -cache \
@@ -14,12 +14,11 @@
 // With -server ADDR, no local dataset or cache is built: the queries are
 // sent to a running gcserved at ADDR and answered from its cache.
 // -wire binary sends the queries as compact binary frames instead of
-// JSON (answers are identical), and -stream sends the whole
-// workload as one /querybatch NDJSON stream, printing each answer as its
-// verification completes — add -stream-arrival for completion order:
+// JSON (answers are identical), and -batch N sends them N at a time
+// through /querybatch, each batch answered by one JSON reply:
 //
 //	gcquery -server ADDR -queries queries.g -wire binary
-//	gcquery -server ADDR -queries queries.g -stream
+//	gcquery -server ADDR -queries queries.g -batch 32
 //
 // With -server and -mutate-op, the tool submits a live dataset mutation
 // instead of queries — to one gcserved, or to a gcrouter which fans it
@@ -72,8 +71,6 @@ func main() {
 		retries   = flag.Int("retries", 2, "with -server: max retries per request on refusals and transport errors")
 		timeout   = flag.Duration("timeout", 0, "with -server: per-attempt request timeout (0 = client default)")
 		wire      = flag.String("wire", "text", "with -server: wire format for queries (text or binary); answers are identical")
-		stream    = flag.Bool("stream", false, "with -server: stream the whole workload through one /querybatch NDJSON stream, printing each answer as it lands")
-		streamArr = flag.Bool("stream-arrival", false, "with -stream: deliver results in completion order (tagged q<index>) instead of request order")
 		mutOp     = flag.String("mutate-op", "", "with -server: submit a dataset mutation instead of queries (add, remove, edit)")
 		mutIDs    = flag.String("mutate-ids", "", "with -mutate-op remove/edit: comma-separated dataset graph IDs")
 		mutFile   = flag.String("mutate-file", "", "with -mutate-op add/edit: graphs in t/v/e format to add, or the edit's replacement graph")
@@ -96,7 +93,6 @@ func main() {
 		sopts := serveOpts{
 			batchSize: *batchSize, retries: *retries, timeout: *timeout,
 			quiet: *quiet, binary: *wire == "binary",
-			stream: *stream, arrival: *streamArr,
 		}
 		runServer(*serverAd, *qFile, sopts)
 		return
@@ -186,22 +182,20 @@ func main() {
 }
 
 // serveOpts collects the -server query mode's knobs: batching, retry
-// policy, the negotiated wire format and the streaming controls.
+// policy and the negotiated wire format.
 type serveOpts struct {
 	batchSize int
 	retries   int
 	timeout   time.Duration
 	quiet     bool
 	binary    bool
-	stream    bool
-	arrival   bool
 }
 
 // runServer is the -server mode: send the workload to a running gcserved
 // (or gcrouter) and report its serving statistics — no local dataset,
 // method or cache is built. Refused requests (429/503 from an overloaded
 // or breaker-guarded serving tier) and transport errors are retried with
-// backoff up to -retries times; streamed batches are never retried.
+// backoff up to -retries times.
 func runServer(addr, qFile string, so serveOpts) {
 	queries := loadGraphs(qFile)
 	cl := graphcache.NewServerClientWith(addr, graphcache.ServerClientOptions{
@@ -217,17 +211,7 @@ func runServer(addr, qFile string, so serveOpts) {
 	defer out.Flush()
 
 	start := time.Now()
-	if so.stream {
-		err := cl.QueryBatchStream(ctx, queries, so.arrival, func(sr graphcache.ServerStreamResult) error {
-			if !so.quiet {
-				fmt.Fprintf(out, "q%d: %d answers %v\n", sr.Index, len(sr.Answer), sr.Answer)
-			}
-			return nil
-		})
-		if err != nil {
-			log.Fatalf("streamed batch: %v", err)
-		}
-	} else if so.batchSize > 1 {
+	if so.batchSize > 1 {
 		for i := 0; i < len(queries); i += so.batchSize {
 			end := i + so.batchSize
 			if end > len(queries) {

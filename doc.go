@@ -235,8 +235,9 @@
 //
 // # Wire protocol
 //
-// Requests: JSON or GCBF; replies: JSON or NDJSON. Every layer accepts
-// both request formats per message and answers are byte-identical across
+// Requests: JSON or GCBF; replies: JSON, one envelope per request — a
+// /querybatch reply holds the whole batch. Every layer accepts both
+// request formats per message and answers are byte-identical across
 // them and across transports, so text and binary clients never disagree.
 //
 // Framing. The default request is the JSON envelope around t/v/e text
@@ -253,15 +254,14 @@
 // byte what encoding/json writes and reads (tests pin both directions).
 //
 // Negotiation. Content-Type: application/x-gc-binary marks a binary
-// request body; anything else means JSON. Accept: application/x-ndjson
-// on /querybatch asks for the streamed reply below; any other Accept
-// value gets the JSON envelope (never a 406). In Go,
+// request body; anything else means JSON. The Accept header is not
+// read: every value gets the JSON envelope (never a 406). In Go,
 // ServerClientOptions.WireBinary makes a client send binary frames;
 // gcquery takes -wire text|binary. A router answers each of its own
-// clients in JSON or NDJSON whatever request format they chose, and
-// always sends binary frames to its backends — from a backend's first
-// dispatch, with no capability discovery: fleet members are built from
-// one tree, so every gcserved a gcrouter can front reads GCBF.
+// clients in JSON whatever request format they chose, and always sends
+// binary frames to its backends — from a backend's first dispatch, with
+// no capability discovery: fleet members are built from one tree, so
+// every gcserved a gcrouter can front reads GCBF.
 //
 // Forwarding. A query graph is parsed once per tier. The router never
 // rebuilds a graph from a binary request: it splits the frame into its
@@ -274,31 +274,23 @@
 // graph's final arrays: GCBF's canonical edge order fills the CSR
 // adjacency with no sort.
 //
-// Streaming. POST /querybatch with Accept: application/x-ndjson streams
-// the batch instead of buffering it: one JSON StreamResult line per
-// query, flushed as its verification completes, in request order by
-// default or tagged with the request index under ?order=arrival. A
-// router scatter-gathers per-backend streams
-// (always arrival-ordered upstream) and re-stitches them into one
-// client stream in the client's requested order. In Go this is
-// ServerClient.QueryBatchStream; on the command line, gcquery -stream.
-//
-// Cancellation. A client that walks away mid-stream (closes the
-// response, or its callback returns an error) propagates as a request-
-// context cancellation: the server abandons the batch's remaining
-// verification work — results already flushed stay valid, pending
-// sub-iso tests are skipped — and a router forwards the cancellation to
-// every backend stream it opened. The same holds for every other batch
-// shape, since all run the one pipeline: a buffered /querybatch whose
-// client left, and a /query whose client left. A backend that dies
-// mid-stream cannot
-// fail over once results have been flushed (a re-dispatch could
-// duplicate an index), so the router ends the stream with a terminal
-// error line instead. Cut streams and skipped verifications are counted
+// Cancellation. A client that walks away before its reply — it closes
+// the connection, or its context is cancelled or times out — cancels the
+// request's context, on a /query and a /querybatch alike, since both run
+// the one pipeline (Cache.QueryBatchStream) under that context. The
+// server then skips every verification chunk that has not started; a
+// run that skipped any writes no reply and leaves no trace in the cache.
+// A router dispatches every group of a batch under the request's
+// context, so the cancellation reaches each backend it called. A chunk
+// that has started runs to its end. Most methods split a query's
+// candidates into several chunks, but a method.BatchVerifier (Grapes1,
+// Grapes6) verifies each query as one chunk, in one VerifyBatch call
+// that takes no context: a Grapes query whose chunk has started runs all
+// of its sub-iso tests even after its client has left. Cut runs and
+// skipped verifications are counted
 // (graphcache_server_stream_cancelled_total,
-// graphcache_server_stream_abandoned_verifications_total,
-// graphcache_router_stream_cancelled_total), which
-// TestRouterStreamCancellationPropagates asserts on.
+// graphcache_server_stream_abandoned_verifications_total), which
+// TestRouterStreamCancellationPropagates asserts on through a router.
 //
 // Router payloads. A router's GET /stats is a JSON superset of
 // gcserved's, and its admin GET /topology lists the fleet; neither
@@ -405,9 +397,9 @@
 //   - Connections. ServerClient speaks HTTP/1.1 itself rather than
 //     through net/http's Transport: each attempt is one exchange on the
 //     caller's goroutine — the request head written by hand, the reply
-//     parsed by http.ReadResponse, so NDJSON streams read like any other
-//     body — over a keep-alive connection from one pool that every client
-//     in the process shares. The pool keeps up to 64 idle connections per
+//     parsed by http.ReadResponse, so a chunked reply (GET /snapshot)
+//     reads like any other body — over a keep-alive connection from one
+//     pool that every client in the process shares. The pool keeps up to 64 idle connections per
 //     server (gcrouter's dispatch slots per backend), hands out the most
 //     recently used first, skips one the server closed while it sat idle
 //     (a non-blocking peek, on unix only), and closes any idle for 90 s.
@@ -603,11 +595,10 @@
 //	graphcache_server_batch_size  queries per run (1 for a /query, the batch
 //	    for a /querybatch)
 //	graphcache_server_codec_seconds{op=decode,codec=text|binary}  request decode
-//	graphcache_server_codec_seconds{op=encode,codec=text|ndjson}  reply encode
+//	graphcache_server_codec_seconds{op=encode,codec=text}  reply encode
 //	graphcache_server_wire_negotiated_total{codec,direction=request|response}
 //	graphcache_codec_bytes_total{codec,direction=in|out}
-//	    (requests: text|binary; replies: text|ndjson; gcrouter has its own,
-//	    below)
+//	    (requests: text|binary; replies: text; gcrouter has its own, below)
 //	graphcache_server_shed_total, graphcache_server_warmups_total
 //	graphcache_server_stream_cancelled_total  runs cut short because their
 //	    clients went away; graphcache_server_stream_abandoned_verifications_total
@@ -624,7 +615,6 @@
 //	graphcache_router_dispatch_seconds{backend=addr}  per-backend histograms
 //	graphcache_router_{routed,retried,shed}_total
 //	graphcache_router_codec_seconds, graphcache_router_wire_negotiated_total  (as gcserved's)
-//	graphcache_router_stream_cancelled_total  streamed batches whose client went away
 //	graphcache_router_breaker_transitions_total{state=open|half_open|closed}
 //	graphcache_router_ring_remaps_total{op=join|drain}
 //	graphcache_router_backend_queue_depth{backend=addr}  (gauge)

@@ -3,9 +3,8 @@
 // It synthesises a dataset, starts an in-process gcserved (the same
 // Server type the standalone daemon runs), then queries it through the Go
 // client — concurrent singles, each run on its own request beside the
-// others, one explicit batch, the same again over the binary wire codec,
-// and a streamed batch whose results arrive one by one as verification
-// completes. Run with:
+// others, one explicit batch answered by one JSON reply, and a query over
+// the binary wire codec. Run with:
 //
 //	go run ./examples/server
 //
@@ -104,28 +103,7 @@ func main() {
 	}
 	fmt.Printf("binary wire: q0 has %d answers (identical to the text wire)\n", len(br.Answer))
 
-	// 7. A streamed long batch: instead of waiting for the whole batch,
-	// each result is flushed as its verification completes — the first
-	// answer arrives while the rest are still being verified. Returning
-	// an error from the callback (or cancelling ctx) makes the server
-	// abandon the batch's remaining verification.
-	start = time.Now()
-	var first time.Duration
-	delivered := 0
-	err = cl.QueryBatchStream(ctx, batch, false, func(sr graphcache.ServerStreamResult) error {
-		if delivered == 0 {
-			first = time.Since(start)
-		}
-		delivered++
-		return nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("streamed batch of %d: first result after %v, all after %v\n",
-		delivered, first.Round(time.Microsecond), time.Since(start).Round(time.Millisecond))
-
-	// 8. What the cache did, over the wire.
+	// 7. What the cache did, over the wire.
 	st, err := cl.Stats(ctx)
 	if err != nil {
 		log.Fatal(err)
@@ -133,7 +111,7 @@ func main() {
 	fmt.Printf("server totals: %d queries in %d batches, %d cached, %d exact hits, %d sub-iso tests\n",
 		st.Totals.Queries, st.Totals.Batches, st.Cached, st.Totals.ExactHits, st.Totals.SubIsoTests)
 
-	// 9. Graceful shutdown (the daemon does this on SIGTERM).
+	// 8. Graceful shutdown (the daemon does this on SIGTERM).
 	if err := srv.Shutdown(context.Background()); err != nil {
 		log.Fatal(err)
 	}

@@ -77,8 +77,7 @@ func metricFamilies(t *testing.T, url string) []string {
 }
 
 // TestMetricCatalogue: every metric family a live gcserved and a live
-// gcrouter register — after single queries, a buffered and a streamed
-// batch — is named in doc.go's metrics lists, so the catalogue a reader
+// gcrouter register — after single queries and a batch — is named in doc.go's metrics lists, so the catalogue a reader
 // greps for what to scrape is the whole of it.
 func TestMetricCatalogue(t *testing.T) {
 	ds := testDataset(40, 181)
@@ -95,9 +94,6 @@ func TestMetricCatalogue(t *testing.T) {
 		}
 		if _, err := cl.QueryBatch(ctx, queries[4:8]); err != nil {
 			t.Fatalf("%s: QueryBatch: %v", addr, err)
-		}
-		if err := cl.QueryBatchStream(ctx, queries[8:], false, func(server.StreamResult) error { return nil }); err != nil {
-			t.Fatalf("%s: QueryBatchStream: %v", addr, err)
 		}
 	}
 

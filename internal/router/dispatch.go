@@ -214,25 +214,18 @@ func retryable(ctx context.Context, err error) bool {
 // attempt fails retryably, against the least-loaded other backend: at
 // most one attempt per backend of tp. It is the router's one dispatch
 // loop, so routed and retried are counted here and nowhere else. call
-// reports how many results it had already handed on when it returned; a
-// failed attempt that delivered any is final whatever its error —
-// flushed stream results cannot be unsent, and a re-dispatch could
-// deliver an index twice. Buffered calls deliver nothing before they
-// succeed and report 0. The answering backend is returned.
+// hands nothing on unless it succeeds, so a failed attempt can always be
+// re-dispatched. The answering backend is returned.
 func (rt *Router) failover(ctx context.Context, tp *topology, b *backend, n int,
-	call func(context.Context, *backend) (delivered int, err error)) (*backend, error) {
+	call func(context.Context, *backend) error) (*backend, error) {
 	rt.met.routed.Add(float64(n))
 	lastErr := errNoBackends
 	for attempt := 0; b != nil && attempt < len(tp.bs); attempt++ {
-		delivered := 0
-		err := rt.dispatch(ctx, b, func(ctx context.Context) (err error) {
-			delivered, err = call(ctx, b)
-			return err
-		})
+		err := rt.dispatch(ctx, b, func(ctx context.Context) error { return call(ctx, b) })
 		if err == nil {
 			return b, nil
 		}
-		if delivered > 0 || !retryable(ctx, err) {
+		if !retryable(ctx, err) {
 			return nil, err
 		}
 		rt.met.retried.Add(float64(n))
@@ -251,9 +244,9 @@ func (rt *Router) queryOne(ctx context.Context, tp *topology, q graph.Body, trac
 	frame := graph.EncodeFrame([]graph.Body{q})
 	var resp server.QueryResponse
 	b, err := rt.failover(ctx, tp, tp.assign(q.Key), 1,
-		func(ctx context.Context, b *backend) (_ int, err error) {
+		func(ctx context.Context, b *backend) (err error) {
 			resp, err = b.cl.QueryFrame(ctx, frame, trace)
-			return 0, err
+			return err
 		})
 	if err != nil {
 		return server.QueryResponse{}, "", err
@@ -298,17 +291,18 @@ func (rt *Router) group(tp *topology, qs []graph.Body) ([]batchGroup, error) {
 	return groups[:n], nil
 }
 
-// scatter runs a grouped batch: one failover dispatch per group, the
-// first on the calling goroutine and the rest concurrently beside it,
-// call receiving the group's frame — its queries' bodies as the client
-// sent them, in request order — and their request indices. The whole
-// batch shares one context that the first terminal error cancels — the
-// reply is an error from then on, so the sibling groups stop verifying
-// and streaming for it. That first error is returned.
-func (rt *Router) scatter(ctx context.Context, tp *topology, groups []batchGroup, qs []graph.Body,
-	call func(ctx context.Context, b *backend, frame []byte, idxs []int) (delivered int, err error)) error {
+// queryBatch answers a grouped batch in one piece: one failover
+// dispatch of a QueryBatch round-trip per group, the first on the
+// calling goroutine and the rest concurrently beside it, each group's
+// frame holding its queries' bodies as the client sent them, in request
+// order. The results are re-stitched in request order. The whole batch
+// shares one context that the first terminal error cancels — the reply
+// is an error from then on, so the sibling groups stop verifying for
+// it. That first error is returned.
+func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGroup, qs []graph.Body) ([]server.QueryResponse, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	out := make([]server.QueryResponse, len(qs))
 	var (
 		wg       sync.WaitGroup
 		failOnce sync.Once
@@ -320,8 +314,16 @@ func (rt *Router) scatter(ctx context.Context, tp *topology, groups []batchGroup
 			sub[k] = qs[i]
 		}
 		frame := graph.EncodeFrame(sub)
-		_, err := rt.failover(ctx, tp, g.b, len(g.idxs), func(ctx context.Context, b *backend) (int, error) {
-			return call(ctx, b, frame, g.idxs)
+		_, err := rt.failover(ctx, tp, g.b, len(g.idxs), func(ctx context.Context, b *backend) error {
+			results, err := b.cl.QueryBatchFrame(ctx, frame, len(g.idxs))
+			if err != nil {
+				return err
+			}
+			for k, i := range g.idxs {
+				rt.met.query.Observe(&results[k].Stats)
+				out[i] = results[k]
+			}
+			return nil
 		})
 		if err != nil {
 			failOnce.Do(func() {
@@ -339,27 +341,8 @@ func (rt *Router) scatter(ctx context.Context, tp *topology, groups []batchGroup
 	}
 	run(groups[0])
 	wg.Wait()
-	return firstErr
-}
-
-// queryBatch answers a grouped batch in one piece: one QueryBatch
-// round-trip per group, re-stitched in request order.
-func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGroup, qs []graph.Body) ([]server.QueryResponse, error) {
-	out := make([]server.QueryResponse, len(qs))
-	err := rt.scatter(ctx, tp, groups, qs,
-		func(ctx context.Context, b *backend, frame []byte, idxs []int) (int, error) {
-			results, err := b.cl.QueryBatchFrame(ctx, frame, len(idxs))
-			if err != nil {
-				return 0, err
-			}
-			for k, i := range idxs {
-				rt.met.query.Observe(&results[k].Stats)
-				out[i] = results[k]
-			}
-			return 0, nil
-		})
-	if err != nil {
-		return nil, err
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return out, nil
 }

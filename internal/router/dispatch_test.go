@@ -1,10 +1,8 @@
 package router
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -23,27 +21,22 @@ import (
 
 // TestFailover pins the router's one dispatch loop: which backend
 // answers, how many attempts are made, and what routed and retried count
-// — per query carried, for singles, buffered groups and streams alike.
+// — per query carried, for singles and batch groups alike.
 func TestFailover(t *testing.T) {
 	const n = 5 // queries riding each call
 	down := errors.New("connection refused")
 	rejected := &server.StatusError{Code: http.StatusBadRequest, Status: "400 Bad Request"}
-	type attempt struct {
-		delivered int
-		err       error
-	}
 	for _, tc := range []struct {
 		name     string
-		attempts []attempt // one per expected call, in order
+		attempts []error // one per expected call, in order
 		wantErr  error
 		moved    bool // the answering backend is not the assigned one
 		retried  int64
 	}{
-		{"success first try", []attempt{{0, nil}}, nil, false, 0},
-		{"retryable then success", []attempt{{0, down}, {0, nil}}, nil, true, n},
-		{"non-retryable", []attempt{{0, rejected}}, rejected, false, 0},
-		{"all backends exhausted", []attempt{{0, down}, {0, down}}, down, false, 2 * n},
-		{"stream already delivered", []attempt{{3, down}}, down, false, 0},
+		{"success first try", []error{nil}, nil, false, 0},
+		{"retryable then success", []error{down, nil}, nil, true, n},
+		{"non-retryable", []error{rejected}, rejected, false, 0},
+		{"all backends exhausted", []error{down, down}, down, false, 2 * n},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The calls are stubs, so the backends need not exist.
@@ -54,13 +47,13 @@ func TestFailover(t *testing.T) {
 			tp := rt.topo.Load()
 			calls := 0
 			got, err := rt.failover(context.Background(), tp, tp.bs[0], n,
-				func(context.Context, *backend) (int, error) {
+				func(context.Context, *backend) error {
 					if calls >= len(tc.attempts) {
 						t.Fatalf("attempt %d: want only %d", calls+1, len(tc.attempts))
 					}
-					a := tc.attempts[calls]
+					err := tc.attempts[calls]
 					calls++
-					return a.delivered, a.err
+					return err
 				})
 			if calls != len(tc.attempts) {
 				t.Errorf("%d attempts, want %d", calls, len(tc.attempts))
@@ -101,7 +94,7 @@ func TestFailedGroupCancelsSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, accept := range []string{"application/json", server.ContentTypeNDJSON} {
+	for _, accept := range []string{"application/json"} {
 		t.Run(accept, func(t *testing.T) {
 			gated := &gatedVerifyMethod{Method: ggsx.New(ds, ggsx.Options{}), delay: 50 * time.Millisecond,
 				started: make(chan struct{}), release: make(chan struct{})}
@@ -171,22 +164,7 @@ func TestFailedGroupCancelsSiblings(t *testing.T) {
 			}
 			defer res.Body.Close()
 			failures := 0
-			if accept == server.ContentTypeNDJSON {
-				sc := bufio.NewScanner(res.Body)
-				sc.Buffer(nil, 1<<20)
-				for sc.Scan() {
-					var sr server.StreamResult
-					if err := json.Unmarshal(sc.Bytes(), &sr); err != nil {
-						t.Fatalf("stream line %q: %v", sc.Text(), err)
-					}
-					if failures > 0 {
-						t.Errorf("stream line after the error line: %q", sc.Text())
-					}
-					if sr.Error != "" {
-						failures++
-					}
-				}
-			} else if res.StatusCode == http.StatusBadRequest {
+			if res.StatusCode == http.StatusBadRequest {
 				failures = 1
 			}
 			if failures != 1 {

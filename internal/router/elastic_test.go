@@ -244,7 +244,7 @@ func TestElasticJoinDeadBackendRefused(t *testing.T) {
 }
 
 // TestBatchesFollowAffinityThroughJoinAndDrain drives concurrent
-// /querybatch load — buffered and NDJSON-streamed — through a stable
+// /querybatch load through a stable
 // fleet, a join, a drain and the shrunk fleet. Every answer must equal a
 // direct backend's. While the topology holds still and nothing is
 // saturated, every batched query must land on its ring home: each
@@ -291,23 +291,19 @@ func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
 	for i := range every {
 		every[i] = i
 	}
-	// send runs one batch, buffered or streamed, and checks its answers.
-	send := func(idxs []int, streamed bool) error {
+	// send runs one batch and checks its answers.
+	send := func(idxs []int) error {
 		qs := make([]*graph.Graph, len(idxs))
 		for k, i := range idxs {
 			qs[k] = queries[i]
 		}
-		endpoint := "/querybatch"
-		if streamed {
-			endpoint = "ndjson"
-		}
-		got, err := answersVia(ctx, cl, endpoint, qs)
+		got, err := answersVia(ctx, cl, "/querybatch", qs)
 		if err != nil {
-			return fmt.Errorf("%s: %w", endpoint, err)
+			return fmt.Errorf("/querybatch: %w", err)
 		}
 		for k, i := range idxs {
 			if !eq(got[k], want[i]) {
-				return fmt.Errorf("%s query %d: routed answer %v != direct %v", endpoint, i, got[k], want[i])
+				return fmt.Errorf("/querybatch query %d: routed answer %v != direct %v", i, got[k], want[i])
 			}
 		}
 		return nil
@@ -335,7 +331,7 @@ func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
 						}
 					}
 					idxs := batch(pool, w, r)
-					if err := send(idxs, (w+r)%2 == 1); err != nil {
+					if err := send(idxs); err != nil {
 						t.Error(err)
 						return
 					}
@@ -401,17 +397,8 @@ func TestBatchesFollowAffinityThroughJoinAndDrain(t *testing.T) {
 				total++
 			}
 		}
-		// A streamed batch's last result can reach the client before the
-		// backend's totals take the batch in; wait for the sum.
-		var got map[string]int64
-		waitFor(t, phase+" totals to count every query", func() bool {
-			got = queriesRun()
-			sum := int64(0)
-			for addr, n := range got {
-				sum += n - before[addr]
-			}
-			return sum >= total
-		})
+		// A backend's totals take a batch in before its reply goes out.
+		got := queriesRun()
 		for _, b := range tp.bs {
 			if run := got[b.addr] - before[b.addr]; run != wantRun[b.addr] {
 				t.Errorf("%s: backend %s ran %d batched queries, its ring home share is %d", phase, b.addr, run, wantRun[b.addr])

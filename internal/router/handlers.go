@@ -127,10 +127,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.replyDispatchError(w, err)
 		return
 	}
-	if server.Accepts(r, server.ContentTypeNDJSON) {
-		rt.streamBatch(w, r, tp, groups, qs)
-		return
-	}
 	results, err := rt.queryBatch(r.Context(), tp, groups, qs)
 	if err != nil {
 		rt.replyDispatchError(w, err)

@@ -23,10 +23,6 @@ type routerMetrics struct {
 	retried *telemetry.Counter
 	shed    *telemetry.Counter
 
-	// streamCancelled counts streamed batches cut short by a client
-	// disconnect; the cancellation then propagates to the backends.
-	streamCancelled *telemetry.Counter
-
 	// Mutation ingress.
 	mutations       *telemetry.Counter
 	mutationsFailed *telemetry.Counter
@@ -54,9 +50,6 @@ func newRouterMetrics(reg *telemetry.Registry) *routerMetrics {
 		routed:  reg.Counter("graphcache_router_routed_total", "Queries dispatched to their assigned backend."),
 		retried: reg.Counter("graphcache_router_retried_total", "Queries re-dispatched after a failed attempt."),
 		shed:    reg.Counter("graphcache_router_shed_total", "Requests refused with 429 at the front door."),
-
-		streamCancelled: reg.Counter("graphcache_router_stream_cancelled_total",
-			"Streamed batches cut short because the client went away."),
 
 		mutations:       reg.Counter("graphcache_router_mutations_total", "Dataset-mutation fan-outs completed."),
 		mutationsFailed: reg.Counter("graphcache_router_mutations_failed_total", "Mutation fan-outs that failed on at least one backend."),

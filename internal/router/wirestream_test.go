@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -18,9 +17,8 @@ import (
 	"graphcache/internal/server"
 )
 
-// answersVia runs queries through one endpoint of cl — singles, one
-// buffered batch, or one ordered NDJSON stream — and returns the answers
-// in request order.
+// answersVia runs queries through one endpoint of cl — singles or one
+// batch — and returns the answers in request order.
 func answersVia(ctx context.Context, cl *server.Client, endpoint string, queries []*graph.Graph) ([][]int32, error) {
 	out := make([][]int32, 0, len(queries))
 	switch endpoint {
@@ -40,14 +38,6 @@ func answersVia(ctx context.Context, cl *server.Client, endpoint string, queries
 		for _, r := range rs {
 			out = append(out, r.Answer)
 		}
-	case "ndjson":
-		err := cl.QueryBatchStream(ctx, queries, false, func(sr server.StreamResult) error {
-			out = append(out, sr.Answer)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
@@ -55,8 +45,7 @@ func answersVia(ctx context.Context, cl *server.Client, endpoint string, queries
 // TestRouterBinaryWireMatchesText drives a text-wire and a binary-wire
 // client through one router, under each legacyModes value, over every
 // query endpoint: a
-// binary request and a text request get the same JSON (or NDJSON) reply,
-// every answer equal to the bare method's. A request still asking for
+// binary request and a text request get the same JSON reply, every answer equal to the bare method's. A request still asking for
 // the deleted binary result format gets the JSON reply, and the router
 // negotiates binary for requests only.
 func TestRouterBinaryWireMatchesText(t *testing.T) {
@@ -72,7 +61,7 @@ func TestRouterBinaryWireMatchesText(t *testing.T) {
 			text := server.NewClient(rt.Addr())
 			bin := server.NewClientWith(rt.Addr(), server.ClientOptions{WireBinary: true})
 
-			for _, endpoint := range []string{"/query", "/querybatch", "ndjson"} {
+			for _, endpoint := range []string{"/query", "/querybatch"} {
 				ta, err := answersVia(ctx, text, endpoint, queries)
 				if err != nil {
 					t.Fatalf("%s, text request: %v", endpoint, err)
@@ -174,67 +163,8 @@ func TestFirstDispatchToJoinerIsBinary(t *testing.T) {
 	}
 }
 
-// TestRouterStreamedBatch exercises the scatter-gather streaming path,
-// under each legacyModes value, in both delivery orders: every result arrives exactly once, ordered
-// mode preserves request order across the per-backend stream re-stitch,
-// and answers equal the buffered batch.
-func TestRouterStreamedBatch(t *testing.T) {
-	ds := testDataset(40, 411)
-	queries := testWorkload(ds, 24, 412)
-	ctx := context.Background()
-
-	for _, lm := range legacyModes {
-		t.Run(lm.name, func(t *testing.T) {
-			backends := []string{startBackend(t, ds).Addr(), startBackend(t, ds).Addr(), startBackend(t, ds).Addr()}
-			rt := startRouter(t, Options{Backends: backends, Mode: lm.mode})
-			cl := server.NewClient(rt.Addr())
-
-			want, err := cl.QueryBatch(ctx, queries)
-			if err != nil {
-				t.Fatalf("QueryBatch: %v", err)
-			}
-
-			var ordered []server.StreamResult
-			if err := cl.QueryBatchStream(ctx, queries, false, func(sr server.StreamResult) error {
-				ordered = append(ordered, sr)
-				return nil
-			}); err != nil {
-				t.Fatalf("ordered QueryBatchStream: %v", err)
-			}
-			if len(ordered) != len(queries) {
-				t.Fatalf("ordered stream delivered %d results, want %d", len(ordered), len(queries))
-			}
-			for i, sr := range ordered {
-				if sr.Index != i {
-					t.Fatalf("ordered stream result %d has index %d", i, sr.Index)
-				}
-				if !eq(sr.Answer, want[i].Answer) {
-					t.Fatalf("ordered stream query %d: answer %v != buffered %v", i, sr.Answer, want[i].Answer)
-				}
-			}
-
-			seen := make(map[int]bool)
-			if err := cl.QueryBatchStream(ctx, queries, true, func(sr server.StreamResult) error {
-				if seen[sr.Index] {
-					return fmt.Errorf("index %d delivered twice", sr.Index)
-				}
-				seen[sr.Index] = true
-				if !eq(sr.Answer, want[sr.Index].Answer) {
-					return fmt.Errorf("arrival stream query %d: answer %v != buffered %v", sr.Index, sr.Answer, want[sr.Index].Answer)
-				}
-				return nil
-			}); err != nil {
-				t.Fatalf("arrival QueryBatchStream: %v", err)
-			}
-			if len(seen) != len(queries) {
-				t.Fatalf("arrival stream delivered %d distinct results, want %d", len(seen), len(queries))
-			}
-		})
-	}
-}
-
-// slowVerifyMethod delays every verification so a streamed batch is
-// still mid-verify when the test cancels it.
+// slowVerifyMethod delays every verification so a batch is still
+// mid-verify when the test cancels it.
 type slowVerifyMethod struct {
 	method.Method
 	delay time.Duration
@@ -270,36 +200,32 @@ func serveCache(t *testing.T, c *core.Cache) *server.Server {
 	return s
 }
 
-// TestRouterStreamCancellationPropagates kills a streaming client after
-// its first result and asserts the cancellation travels the whole path:
-// the router counts the cut stream, and the backend — reached through
-// the router's scatter-gather — abandons the batch and counts it too.
+// TestRouterStreamCancellationPropagates lets a buffered batch's client
+// deadline pass while the one backend behind the router is still
+// verifying, and asserts the cancellation travels the whole path: the
+// router dispatched the batch under the request's context, so the
+// backend abandons the batch and counts the cut run.
 func TestRouterStreamCancellationPropagates(t *testing.T) {
 	ds := testDataset(40, 421)
 	queries := testWorkload(ds, 32, 422)
-	bk := startSlowBackend(t, ds, 3*time.Millisecond)
+	bk := startSlowBackend(t, ds, 10*time.Millisecond)
 	rt := startRouter(t, Options{Backends: []string{bk.Addr()}})
 	cl := server.NewClient(rt.Addr())
 
-	stop := errors.New("client walks away")
-	err := cl.QueryBatchStream(context.Background(), queries, false, func(server.StreamResult) error {
-		return stop
-	})
-	if !errors.Is(err, stop) {
-		t.Fatalf("QueryBatchStream error = %v; want the callback's", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := cl.QueryBatch(ctx, queries); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("QueryBatch error = %v; want the client's deadline", err)
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		rs := scrape(t, "http://"+rt.Addr()+"/metrics")
-		rv, rok := sampleValue(rs, "graphcache_router_stream_cancelled_total", nil)
-		bs := scrape(t, "http://"+bk.Addr()+"/metrics")
-		bv, bok := sampleValue(bs, "graphcache_server_stream_cancelled_total", nil)
-		if rok && rv >= 1 && bok && bv >= 1 {
+		v, ok := sampleValue(scrape(t, "http://"+bk.Addr()+"/metrics"), "graphcache_server_stream_cancelled_total", nil)
+		if ok && v >= 1 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("cancellation not counted: router %v,%v backend %v,%v", rv, rok, bv, bok)
+			t.Fatalf("backend stream_cancelled_total = %v, %v; want >= 1 after the client's deadline", v, ok)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

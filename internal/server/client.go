@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -48,8 +47,7 @@ type ClientOptions struct {
 	// WireBinary makes the client send its query graphs as binary frames
 	// (Content-Type: application/x-gc-binary) instead of the JSON
 	// envelope around t/v/e text — a quarter of the bytes and cheaper to
-	// code. Replies are JSON (or NDJSON) either way, and answers are
-	// identical.
+	// code. Replies are JSON either way, and answers are identical.
 	WireBinary bool
 }
 
@@ -223,79 +221,6 @@ func (cl *Client) queryBatch(ctx context.Context, payload []byte, ct string, n i
 		return nil, fmt.Errorf("client: server returned %d results for %d queries", len(resp.Results), n)
 	}
 	return resp.Results, nil
-}
-
-// QueryBatchStream answers a batch through POST /querybatch's NDJSON
-// streaming mode: fn is invoked once per result as the server flushes
-// it — in request order by default, or as results complete (tagged by
-// StreamResult.Index) with arrival true. It blocks until the stream
-// ends. An error from fn cancels the stream: closing the response
-// mid-stream propagates as a context cancellation on the server, which
-// abandons the batch's remaining verification; fn's error is returned.
-// Streaming calls are never retried — results may already have been
-// consumed by fn.
-func (cl *Client) QueryBatchStream(ctx context.Context, qs []*graph.Graph, arrival bool, fn func(StreamResult) error) error {
-	if len(qs) == 0 {
-		return nil
-	}
-	payload, ct, err := cl.encodeGraphsPayload(qs, false)
-	if err != nil {
-		return err
-	}
-	return cl.queryBatchStream(ctx, payload, ct, len(qs), arrival, fn)
-}
-
-// QueryBatchStreamFrame is QueryBatchStream over a ready binary frame of n
-// graphs, posted as is.
-func (cl *Client) QueryBatchStreamFrame(ctx context.Context, frame []byte, n int, arrival bool, fn func(StreamResult) error) error {
-	return cl.queryBatchStream(ctx, frame, ContentTypeBinary, n, arrival, fn)
-}
-
-// queryBatchStream posts a batch request body of n queries for the NDJSON
-// reply and hands each line to fn, as QueryBatchStream describes.
-func (cl *Client) queryBatchStream(ctx context.Context, payload []byte, ct string, n int, arrival bool, fn func(StreamResult) error) error {
-	path := "/querybatch"
-	if arrival {
-		path += "?order=arrival"
-	}
-	cl.pending.Add(1)
-	defer cl.pending.Add(-1)
-	res, err := cl.exchange(ctx, request{method: http.MethodPost, path: path, body: payload,
-		contentType: ct, accept: ContentTypeNDJSON})
-	if err != nil {
-		return fmt.Errorf("client: POST %s: %w", path, err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: POST %s: %w", path, statusError(res))
-	}
-	sc := bufio.NewScanner(res.Body)
-	sc.Buffer(nil, 64<<20) // grows from the scanner's own 4 KB as lines need
-	seen := 0
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var sr StreamResult
-		if err := decodeStreamResult(line, &sr); err != nil {
-			return fmt.Errorf("client: decoding stream line: %w", err)
-		}
-		if sr.Error != "" {
-			return fmt.Errorf("client: POST %s: stream aborted: %s", path, sr.Error)
-		}
-		if err := fn(sr); err != nil {
-			return err
-		}
-		seen++
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("client: reading stream: %w", err)
-	}
-	if seen != n {
-		return fmt.Errorf("client: stream ended after %d of %d results", seen, n)
-	}
-	return nil
 }
 
 // encodeGraphsPayload builds a query request body in the client's wire

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -487,40 +486,53 @@ func TestExchangeShedRepliesKeepConnections(t *testing.T) {
 	}
 }
 
-// TestExchangeStreamsNDJSON: a streamed batch arrives through the
-// exchange with the answers of the buffered one, and the connection of a
-// stream read to its end is pooled. The 40 queries' text request is
-// over a connection's 4 KB write buffer, so it goes out in more than one
-// write.
-func TestExchangeStreamsNDJSON(t *testing.T) {
+// TestExchangeReadsChunkedSnapshot: a batch whose text request is over a
+// connection's 4 KB write buffer (40 queries, so it goes out in more than
+// one write) is answered whole, and a chunked reply — GET /snapshot,
+// which announces no length — read to its end hands its connection back
+// to the pool: the batch and the snapshot share one dialed connection,
+// and the snapshot's bytes are the cache's own.
+func TestExchangeReadsChunkedSnapshot(t *testing.T) {
 	ds := testDataset(20, 251)
 	queries := testWorkload(ds, 40, 252)
-	cl, _, counts := exchangeClient(t, New(newTestCache(ds), Options{}).Handler(), time.Now)
+	c := newTestCache(ds)
+	cl, _, counts := exchangeClient(t, New(c, Options{}).Handler(), time.Now)
 	ctx := context.Background()
-	want, err := cl.QueryBatch(ctx, queries)
+	rs, err := cl.QueryBatch(ctx, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([][]int32, len(queries))
-	seen := 0
-	err = cl.QueryBatchStream(ctx, queries, true, func(sr StreamResult) error {
-		got[sr.Index] = sr.Answer
-		seen++
-		return nil
-	})
+	if len(rs) != len(queries) {
+		t.Fatalf("%d results for %d queries", len(rs), len(queries))
+	}
+	res, err := cl.exchange(ctx, request{method: http.MethodGet, path: "/snapshot"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen != len(queries) {
-		t.Fatalf("stream delivered %d results, want %d", seen, len(queries))
+	data, err := readBody(res)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range queries {
-		if fmt.Sprint(got[i]) != fmt.Sprint(want[i].Answer) {
-			t.Errorf("q%d: streamed %v, buffered %v", i, got[i], want[i].Answer)
-		}
+	if res.StatusCode != http.StatusOK || len(res.TransferEncoding) != 1 || res.TransferEncoding[0] != "chunked" {
+		t.Fatalf("GET /snapshot: status %d, Transfer-Encoding %v; want a chunked 200", res.StatusCode, res.TransferEncoding)
+	}
+	body, err := splitChecked(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := c.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("snapshot over the wire (%d bytes) differs from the cache's WriteSnapshot (%d bytes)", len(body), want.Len())
 	}
 	if n := counts.opened.Load(); n != 1 {
-		t.Errorf("a batch then a stream took %d connections, want 1", n)
+		t.Errorf("a batch then a snapshot took %d connections, want 1", n)
+	}
+	if n := idleConns(cl); n != 1 {
+		t.Errorf("%d idle connections after the snapshot was read, want 1", n)
 	}
 }
 

@@ -18,9 +18,10 @@ import (
 // A hop is one HTTP/1.1 exchange run on the caller's goroutine: take an
 // idle keep-alive connection to the server from the package's pool (or
 // dial one), write the request head by hand and the body after it, and
-// parse the reply with http.ReadResponse, so chunked NDJSON streams read
-// as any other body. No goroutine sits between the caller and the
-// socket, and nothing is copied into an http.Request first.
+// parse the reply with http.ReadResponse, so a chunked reply (GET
+// /snapshot) reads as any other body. No goroutine sits between the
+// caller and the socket, and nothing is copied into an http.Request
+// first.
 
 const (
 	// idleConnsPerHost is how many idle connections the pool keeps open
@@ -151,7 +152,6 @@ type request struct {
 	method, path string
 	body         []byte // nil: no body (a GET)
 	contentType  string
-	accept       string
 }
 
 // exchange sends req to the client's server and reads the reply's head.
@@ -243,7 +243,6 @@ func (cl *Client) roundTrip(c *conn, req request, id string) (*http.Response, bo
 		w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(len(req.body)), 10))
 	}
 	writeHeader(w, "Content-Type", req.contentType)
-	writeHeader(w, "Accept", req.accept)
 	writeHeader(w, telemetry.RequestIDHeader, id)
 	w.WriteString("\r\n\r\n")
 	w.Write(req.body)

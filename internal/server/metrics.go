@@ -142,7 +142,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		warmTotal: reg.Counter("graphcache_server_warmups_total", "Completed snapshot warm-ups."),
 
 		streamCancelled: reg.Counter("graphcache_server_stream_cancelled_total",
-			"Runs (single queries, streamed or buffered batches) cut short because their client went away."),
+			"Runs (single queries and batches) cut short because their client went away."),
 		streamAbandoned: reg.Counter("graphcache_server_stream_abandoned_verifications_total",
 			"Sub-iso tests skipped because their run's client went away."),
 	}

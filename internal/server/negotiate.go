@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,39 +8,27 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"graphcache/internal/graph"
 	"graphcache/internal/telemetry"
 )
 
-// Wire-format negotiation. Requests are JSON or GCBF; replies are JSON or
-// NDJSON. The JSON envelope around t/v/e text is the default in both
-// directions; a client opts out of it per message:
-//
-//   - request bodies: Content-Type: application/x-gc-binary means the
-//     body is a graph.EncodeBinary frame instead of a JSON envelope;
-//   - batch streaming: Accept: application/x-ndjson on POST /querybatch
-//     asks for one NDJSON StreamResult line per query, flushed as each
-//     answer completes (request order by default, ?order=arrival for
-//     out-of-order delivery tagged by index).
-//
-// The two compose freely, and any other Accept value falls back to the
-// JSON reply — application/x-gc-binary included: there is no binary
-// result format.
+// Wire-format negotiation. Requests are JSON or GCBF; replies are always
+// the JSON envelope. A request body with Content-Type:
+// application/x-gc-binary is a graph.EncodeBinary frame instead of a
+// JSON envelope around t/v/e text. The Accept header is not read: every
+// value gets the JSON reply — application/x-gc-binary included, as there
+// is no binary result format.
 const (
 	contentTypeJSON = "application/json"
 	// ContentTypeBinary marks binary graph frames in request bodies.
 	// Exported for clients built outside this package.
 	ContentTypeBinary = "application/x-gc-binary"
-	// ContentTypeNDJSON marks a streamed batch response: one JSON
-	// StreamResult per line, flushed as results complete.
-	ContentTypeNDJSON = "application/x-ndjson"
 )
 
-// hasMediaType reports whether a comma-separated header value (Accept,
-// Content-Type) names media type mt, ignoring parameters.
+// hasMediaType reports whether a comma-separated header value
+// (Content-Type) names media type mt, ignoring parameters.
 func hasMediaType(header, mt string) bool {
 	for _, part := range strings.Split(header, ",") {
 		if t, _, err := mime.ParseMediaType(strings.TrimSpace(part)); err == nil && t == mt {
@@ -49,11 +36,6 @@ func hasMediaType(header, mt string) bool {
 		}
 	}
 	return false
-}
-
-// Accepts reports whether r's Accept header names media type mt.
-func Accepts(r *http.Request, mt string) bool {
-	return hasMediaType(r.Header.Get("Accept"), mt)
 }
 
 // countingReader counts bytes read, feeding the codec byte counters.
@@ -68,26 +50,14 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// countingWriter counts bytes written through an http.ResponseWriter.
-type countingWriter struct {
-	http.ResponseWriter
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.ResponseWriter.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // Wire is one tier's side of the negotiation — gcserved's toward its
-// clients, gcrouter's toward its own: the request reader, the result
-// writer and the NDJSON stream writer, over the tier's body bound and
-// the metrics of the two request and the two reply formats.
+// clients, gcrouter's toward its own: the request reader and the result
+// writer, over the tier's body bound and the metrics of the two request
+// formats and the one reply format.
 type Wire struct {
-	maxBodyBytes         int64
-	reqText, reqBinary   *wireMetrics
-	respText, respNDJSON *wireMetrics
+	maxBodyBytes       int64
+	reqText, reqBinary *wireMetrics
+	respText           *wireMetrics
 }
 
 // NewWire registers a tier's wire metrics on reg under prefix
@@ -98,7 +68,6 @@ func NewWire(reg *telemetry.Registry, prefix string, maxBodyBytes int64) *Wire {
 		reqText:      newWireMetrics(reg, prefix, "text", true),
 		reqBinary:    newWireMetrics(reg, prefix, "binary", true),
 		respText:     newWireMetrics(reg, prefix, "text", false),
-		respNDJSON:   newWireMetrics(reg, prefix, "ndjson", false),
 	}
 }
 
@@ -247,83 +216,6 @@ func (wr *Wire) WriteResults(w http.ResponseWriter, rs []QueryResponse, single b
 	wr.respText.Negotiated.Inc()
 	wr.respText.Bytes.Add(float64(n))
 }
-
-// ResultStream writes one /querybatch response in NDJSON streaming mode:
-// each query's StreamResult line is flushed as it is delivered — in
-// request order by default, in arrival order (tagged by Index) under
-// ?order=arrival. Deliver is safe for concurrent use; mu also orders the
-// response writes.
-type ResultStream struct {
-	ctx context.Context // the request's: nothing is written for a departed client
-	wm  *wireMetrics
-	cw  countingWriter
-	buf []byte // one encoded line, reused under mu
-	fl  http.Flusher
-
-	mu      sync.Mutex
-	arrival bool
-	// In ordered mode results are parked until the cursor reaches them,
-	// so the client sees request order while cheap queries upstream of
-	// the cursor flush early.
-	parked []*StreamResult
-	cursor int
-}
-
-// Stream starts the NDJSON response to a batch of n queries.
-func (wr *Wire) Stream(w http.ResponseWriter, r *http.Request, n int) *ResultStream {
-	wr.respNDJSON.Negotiated.Inc()
-	w.Header().Set("Content-Type", ContentTypeNDJSON)
-	w.WriteHeader(http.StatusOK)
-	st := &ResultStream{
-		ctx:     r.Context(),
-		wm:      wr.respNDJSON,
-		cw:      countingWriter{ResponseWriter: w},
-		arrival: r.URL.Query().Get("order") == "arrival",
-		parked:  make([]*StreamResult, n),
-	}
-	st.fl, _ = w.(http.Flusher)
-	return st
-}
-
-func (st *ResultStream) emit(sr *StreamResult) {
-	st.buf = append(appendStreamResult(st.buf[:0], sr), '\n')
-	st.cw.Write(st.buf) // a failed write means the client left; the request context reports it
-	if st.fl != nil {
-		st.fl.Flush()
-	}
-}
-
-// Deliver writes (or parks) one result.
-func (st *ResultStream) Deliver(sr *StreamResult) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.arrival {
-		st.emit(sr)
-		return
-	}
-	st.parked[sr.Index] = sr
-	for st.cursor < len(st.parked) && st.parked[st.cursor] != nil {
-		st.emit(st.parked[st.cursor])
-		st.parked[st.cursor] = nil
-		st.cursor++
-	}
-}
-
-// Abort ends the stream on a failure, once every producer has returned.
-// Results may already be on the wire, so the failure cannot become an
-// HTTP status: it becomes the stream's last line, a terminal error
-// (StreamResult.Error aborts the client's read), unless the client is
-// the one who left.
-func (st *ResultStream) Abort(err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.ctx.Err() == nil {
-		st.emit(&StreamResult{Index: -1, Error: err.Error()})
-	}
-}
-
-// Close accounts the stream's bytes once every producer has returned.
-func (st *ResultStream) Close() { st.wm.Bytes.Add(float64(st.cw.n)) }
 
 // ReadJSON decodes a request body of at most maxBodyBytes into v,
 // replying with 400 on malformed input. It reports whether the handler

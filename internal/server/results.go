@@ -13,20 +13,20 @@ import (
 	"graphcache/internal/telemetry"
 )
 
-// The result envelopes — QueryResponse, BatchResponse and StreamResult —
-// are most of the bytes every query reply carries, and a router decodes
-// each backend reply only to encode it again. They are coded by hand,
-// without reflection. The encoders append exactly the bytes json.Marshal
-// produces (json.Encoder adds the trailing newline); the decoder reads a
-// whole body with encoding/json's semantics — any key order and white
-// space, unknown keys skipped, integers range-checked, null leaving a
-// scalar or struct untouched and clearing a slice or pointer, a repeated
-// key merging into what the first one decoded — and rejects what
-// json.Valid rejects. Keys match only in their canonical spelling (no
-// case folding; they may be escaped). What is rare and holds arbitrary
-// text — the trace, the stream error, an escaped string — is handed to
-// encoding/json whole, so string quoting is encoding/json's own. Tests pin
-// both directions against encoding/json.
+// The result envelopes — QueryResponse and BatchResponse — are most of
+// the bytes every query reply carries, and a router decodes each backend
+// reply only to encode it again. They are coded by hand, without
+// reflection. The encoders append exactly the bytes json.Marshal produces
+// (json.Encoder adds the trailing newline); the decoder reads a whole
+// body with encoding/json's semantics — any key order and white space,
+// unknown keys skipped, integers range-checked, null leaving a scalar or
+// struct untouched and clearing a slice or pointer, a repeated key
+// merging into what the first one decoded — and rejects what json.Valid
+// rejects. Keys match only in their canonical spelling (no case folding;
+// they may be escaped). What is rare and holds arbitrary text — the
+// trace, an escaped string — is handed to encoding/json whole, so string
+// quoting is encoding/json's own. Tests pin both directions against
+// encoding/json.
 
 // appendQueryResponse appends the JSON encoding of r to dst.
 func appendQueryResponse(dst []byte, r *QueryResponse) []byte {
@@ -55,21 +55,6 @@ func appendBatchResponse(dst []byte, rs []QueryResponse) []byte {
 			dst = appendQueryResponse(dst, &rs[i])
 		}
 		dst = append(dst, ']')
-	}
-	return append(dst, '}')
-}
-
-// appendStreamResult appends the JSON encoding of sr to dst.
-func appendStreamResult(dst []byte, sr *StreamResult) []byte {
-	dst = append(dst, `{"index":`...)
-	dst = strconv.AppendInt(dst, int64(sr.Index), 10)
-	dst = append(dst, `,"answer":`...)
-	dst = appendIDs(dst, sr.Answer)
-	dst = append(dst, `,"stats":`...)
-	dst = appendStats(dst, &sr.Stats)
-	if sr.Error != "" {
-		dst = append(dst, `,"error":`...)
-		dst = appendJSON(dst, sr.Error)
 	}
 	return append(dst, '}')
 }
@@ -141,13 +126,6 @@ func decodeQueryResponse(data []byte, v *QueryResponse) error {
 func decodeBatchResponse(data []byte, v *BatchResponse) error {
 	d := decoder{data: data}
 	return d.whole(d.batchResponse(v))
-}
-
-// decodeStreamResult decodes one JSON StreamResult, the whole of data, into
-// v.
-func decodeStreamResult(data []byte, v *StreamResult) error {
-	d := decoder{data: data}
-	return d.whole(d.streamResult(v))
 }
 
 // maxDepth is encoding/json's nesting limit.
@@ -305,25 +283,6 @@ func validEscape(e []byte) bool {
 		}
 	}
 	return true
-}
-
-// text decodes a string value into *p; null leaves it.
-func (d *decoder) text(p *string) error {
-	if d.null() {
-		return nil
-	}
-	if c := d.peek(); c != '"' {
-		return d.errorf("want a string, found %q", c)
-	}
-	tok, plain, err := d.str()
-	if err != nil {
-		return err
-	}
-	if plain {
-		*p = string(tok[1 : len(tok)-1])
-		return nil
-	}
-	return json.Unmarshal(tok, p) // str validated tok
 }
 
 // integer reads an integer literal of at most bits bits into *p; null
@@ -605,34 +564,6 @@ func (d *decoder) results(p *[]QueryResponse) error {
 	}
 	*p = s[:n]
 	return nil
-}
-
-// streamResult decodes one StreamResult object into v; null leaves it.
-func (d *decoder) streamResult(v *StreamResult) error {
-	if in, err := d.enter('{'); !in || err != nil {
-		return err
-	}
-	for first := true; ; first = false {
-		key, ok, err := d.member(first)
-		if !ok {
-			return err
-		}
-		switch string(key) {
-		case "index":
-			err = integer(d, &v.Index, strconv.IntSize)
-		case "answer":
-			err = d.ids(&v.Answer)
-		case "stats":
-			err = d.stats(&v.Stats)
-		case "error":
-			err = d.text(&v.Error)
-		default:
-			err = d.skip()
-		}
-		if err != nil {
-			return err
-		}
-	}
 }
 
 // stats decodes a core.QueryStats object into s; null leaves it.

@@ -3,10 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"math"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -126,14 +124,6 @@ func randomQueryResponse(t testing.TB, r *rand.Rand, validUTF8 bool) QueryRespon
 	return QueryResponse{Answer: randomAnswer(r), Stats: randomStats(t, r), Trace: randomTrace(r, validUTF8)}
 }
 
-func randomStreamResult(t testing.TB, r *rand.Rand, validUTF8 bool) StreamResult {
-	sr := StreamResult{Index: int(randomInt(r)), Answer: randomAnswer(r), Stats: randomStats(t, r)}
-	if r.Intn(3) == 0 {
-		sr.Error = randomString(r, validUTF8)
-	}
-	return sr
-}
-
 func randomBatch(t testing.TB, r *rand.Rand, validUTF8 bool) BatchResponse {
 	if r.Intn(8) == 0 {
 		return BatchResponse{}
@@ -156,8 +146,8 @@ func mustMarshal(t testing.TB, v any) []byte {
 
 // TestResultEncodersMatchEncodingJSON is the wire contract: over random
 // results — nil and empty answers, negative durations, integer extremes,
-// every combination of the two flags, traces, stream errors, awkward
-// strings — each encoder appends exactly json.Marshal's bytes.
+// every combination of the two flags, traces, awkward strings — each
+// encoder appends exactly json.Marshal's bytes.
 func TestResultEncodersMatchEncodingJSON(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
@@ -165,11 +155,6 @@ func TestResultEncodersMatchEncodingJSON(t *testing.T) {
 		qr.Stats.ExactHit, qr.Stats.EmptyShortcut = i&1 == 0, i&2 == 0
 		if got, want := appendQueryResponse(nil, &qr), mustMarshal(t, qr); !bytes.Equal(got, want) {
 			t.Fatalf("QueryResponse %+v:\n got %s\nwant %s", qr, got, want)
-		}
-		sr := randomStreamResult(t, r, false)
-		sr.Stats.ExactHit, sr.Stats.EmptyShortcut = i&1 == 0, i&2 == 0
-		if got, want := appendStreamResult(nil, &sr), mustMarshal(t, sr); !bytes.Equal(got, want) {
-			t.Fatalf("StreamResult %+v:\n got %s\nwant %s", sr, got, want)
 		}
 		br := randomBatch(t, r, false)
 		if got, want := appendBatchResponse(nil, br.Results), mustMarshal(t, br); !bytes.Equal(got, want) {
@@ -186,22 +171,19 @@ func TestRepliesOmitInProcessStats(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		qr := randomQueryResponse(t, r, false)
-		sr := randomStreamResult(t, r, false)
-		wantQR, wantSR := appendQueryResponse(nil, &qr), appendStreamResult(nil, &sr)
-		for _, st := range []*core.QueryStats{&qr.Stats, &sr.Stats} {
-			v := reflect.ValueOf(st).Elem()
-			for k := 0; k < v.NumField(); k++ {
-				if !inProcess(v, k) {
-					continue
-				}
-				switch f := v.Field(k); f.Kind() {
-				case reflect.Int64:
-					f.SetInt(1 + r.Int63())
-				case reflect.Float64:
-					f.SetFloat(1 + r.Float64())
-				default:
-					t.Fatalf("QueryStats.%s is a %s: teach this test", v.Type().Field(k).Name, f.Kind())
-				}
+		wantQR := appendQueryResponse(nil, &qr)
+		v := reflect.ValueOf(&qr.Stats).Elem()
+		for k := 0; k < v.NumField(); k++ {
+			if !inProcess(v, k) {
+				continue
+			}
+			switch f := v.Field(k); f.Kind() {
+			case reflect.Int64:
+				f.SetInt(1 + r.Int63())
+			case reflect.Float64:
+				f.SetFloat(1 + r.Float64())
+			default:
+				t.Fatalf("QueryStats.%s is a %s: teach this test", v.Type().Field(k).Name, f.Kind())
 			}
 		}
 		if got := appendQueryResponse(nil, &qr); !bytes.Equal(got, wantQR) {
@@ -209,9 +191,6 @@ func TestRepliesOmitInProcessStats(t *testing.T) {
 		}
 		if got := mustMarshal(t, qr); !bytes.Equal(got, wantQR) {
 			t.Fatalf("encoding/json writes the in-process fields:\n got %s\nwant %s", got, wantQR)
-		}
-		if got := appendStreamResult(nil, &sr); !bytes.Equal(got, wantSR) {
-			t.Fatalf("StreamResult bytes changed with the in-process fields:\n got %s\nwant %s", got, wantSR)
 		}
 	}
 }
@@ -226,11 +205,6 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		var qr2 QueryResponse
 		if err := decodeQueryResponse(appendQueryResponse(nil, &qr), &qr2); err != nil || !reflect.DeepEqual(qr, qr2) {
 			t.Fatalf("QueryResponse round trip: %v\n  in %+v\n out %+v", err, qr, qr2)
-		}
-		sr := randomStreamResult(t, r, true)
-		var sr2 StreamResult
-		if err := decodeStreamResult(appendStreamResult(nil, &sr), &sr2); err != nil || !reflect.DeepEqual(sr, sr2) {
-			t.Fatalf("StreamResult round trip: %v\n  in %+v\n out %+v", err, sr, sr2)
 		}
 		br := randomBatch(t, r, true)
 		var br2 BatchResponse
@@ -266,12 +240,6 @@ func TestResultDecoderRejectsMalformed(t *testing.T) {
 			t.Errorf("%q: encoding/json accepts it; the case is mislabelled", in)
 		}
 	}
-	for _, in := range []string{`{"index":"0"}`, `{"error":5}`, `{"index":1.5}`} {
-		var v StreamResult
-		if decodeStreamResult([]byte(in), &v) == nil {
-			t.Errorf("%q decoded", in)
-		}
-	}
 	var b BatchResponse
 	if decodeBatchResponse([]byte(`{"results":[{"answer":[1]},]}`), &b) == nil {
 		t.Error("a trailing comma in results decoded")
@@ -295,8 +263,8 @@ func TestResultDecoderToleratesNewerServers(t *testing.T) {
 	}
 }
 
-// TestWireRepliesMatchEncodingJSON: the /query, /querybatch and NDJSON
-// reply bodies the Wire writes for a fixed set of results are the bytes
+// TestWireRepliesMatchEncodingJSON: the /query and /querybatch reply
+// bodies the Wire writes for a fixed set of results are the bytes
 // json.Encoder wrote for them — the reply format is unchanged.
 func TestWireRepliesMatchEncodingJSON(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
@@ -327,28 +295,12 @@ func TestWireRepliesMatchEncodingJSON(t *testing.T) {
 		t.Errorf("/querybatch reply:\n got %s\nwant %s", got, want)
 	}
 
-	rec = httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/querybatch", nil)
-	st := wr.Stream(rec, req, len(rs))
-	var want strings.Builder
-	for i := len(rs) - 1; i >= 0; i-- { // delivered backwards, written in order
-		st.Deliver(&StreamResult{Index: i, Answer: rs[i].Answer, Stats: rs[i].Stats})
-	}
-	for i := range rs {
-		want.WriteString(encoded(StreamResult{Index: i, Answer: rs[i].Answer, Stats: rs[i].Stats}))
-	}
-	st.Abort(errors.New("backend lost <mid-stream>"))
-	want.WriteString(encoded(StreamResult{Index: -1, Error: "backend lost <mid-stream>"}))
-	st.Close()
-	if got := rec.Body.String(); got != want.String() {
-		t.Errorf("NDJSON reply:\n got %s\nwant %s", got, want.String())
-	}
 }
 
 // resultKeys are the member names the result types and their nested
 // values use.
 var resultKeys = []string{
-	"answer", "stats", "trace", "results", "index", "error", "request_id", "spans", "name", "dur_ns",
+	"answer", "stats", "trace", "results", "request_id", "spans", "name", "dur_ns",
 	"Serial", "FilterMTime", "FilterGCTime", "VerifyTime", "CandidatesM", "CandidatesFinal",
 	"SubIsoTests", "GCVerifications", "DirectAnswers", "Containers", "Containees", "ExactHit",
 	"EmptyShortcut", "AnswerSize",
@@ -381,17 +333,15 @@ func canonicalKeys(v any) bool {
 	return true
 }
 
-// FuzzDecodeResults feeds arbitrary bytes to the three decoders: none may
+// FuzzDecodeResults feeds arbitrary bytes to the two decoders: none may
 // panic, whatever one accepts must be valid JSON, and on inputs with
 // canonical member names each must agree with encoding/json — both reject,
 // or both accept with equal values.
 func FuzzDecodeResults(f *testing.F) {
 	r := rand.New(rand.NewSource(4))
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 12; i++ {
 		qr := randomQueryResponse(f, r, false)
 		f.Add(appendQueryResponse(nil, &qr))
-		sr := randomStreamResult(f, r, false)
-		f.Add(appendStreamResult(nil, &sr))
 		br := randomBatch(f, r, false)
 		f.Add(appendBatchResponse(nil, br.Results))
 	}
@@ -423,12 +373,6 @@ func FuzzDecodeResults(f *testing.F) {
 		var qr QueryResponse
 		check("QueryResponse", decodeQueryResponse(data, &qr), qr, func() (any, error) {
 			var v QueryResponse
-			err := json.Unmarshal(data, &v)
-			return v, err
-		})
-		var sr StreamResult
-		check("StreamResult", decodeStreamResult(data, &sr), sr, func() (any, error) {
-			var v StreamResult
 			err := json.Unmarshal(data, &v)
 			return v, err
 		})

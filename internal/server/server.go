@@ -558,19 +558,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	// Either way the batch runs under the request context: a client that
-	// disconnects cancels it, the cache abandons unstarted verification,
-	// and there is no one left to write to.
-	if Accepts(r, ContentTypeNDJSON) {
-		// One StreamResult line per query, flushed as its verification
-		// completes; the stream simply ends when the client leaves.
-		st := s.wire.Stream(w, r, len(qs))
-		s.runBatch(r.Context(), qs, func(i int, res core.Result) {
-			st.Deliver(&StreamResult{Index: i, Answer: res.Answer, Stats: res.Stats})
-		})
-		st.Close()
-		return
-	}
+	// The batch runs under the request context: a client that disconnects
+	// cancels it, the cache abandons unstarted verification, and there is
+	// no one left to write to.
 	resp := make([]QueryResponse, len(qs))
 	completed := s.runBatch(r.Context(), qs, func(i int, res core.Result) {
 		resp[i] = QueryResponse{Answer: res.Answer, Stats: res.Stats}

@@ -20,9 +20,8 @@ import (
 //
 // Errors come back as {"error": "..."} with a 4xx/5xx status.
 //
-// The JSON is what encoding/json makes of the types below, but the three
-// result envelopes — QueryResponse, BatchResponse and StreamResult — are
-// coded by hand (results.go): the encoders write exactly encoding/json's
+// The JSON is what encoding/json makes of the types below, but the two
+// result envelopes — QueryResponse and BatchResponse — are coded by hand (results.go): the encoders write exactly encoding/json's
 // bytes and the decoder follows its semantics, which tests pin against
 // encoding/json itself (TestResultEncodersMatchEncodingJSON,
 // TestWireRepliesMatchEncodingJSON, FuzzDecodeResults). A field added to
@@ -60,20 +59,6 @@ type BatchRequest struct {
 // graphs.
 type BatchResponse struct {
 	Results []QueryResponse `json:"results"`
-}
-
-// StreamResult is one line of a streamed /querybatch response
-// (Accept: application/x-ndjson): the answer for the Index-th graph of
-// the request, flushed as soon as its verification completed. Index is
-// what makes ?order=arrival consumable; in the default ordered mode it
-// simply counts up. A non-empty Error aborts the stream — the router
-// emits one when a backend dies mid-stream and failover is no longer
-// sound — and no further lines follow it.
-type StreamResult struct {
-	Index  int             `json:"index"`
-	Answer []int32         `json:"answer"`
-	Stats  core.QueryStats `json:"stats"`
-	Error  string          `json:"error,omitempty"`
 }
 
 // StatsResponse is the body of GET /stats: the cache's lifetime totals and

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -16,9 +15,8 @@ import (
 	"graphcache/internal/method"
 )
 
-// answersVia runs queries through one endpoint of cl — singles, one
-// buffered batch, or one ordered NDJSON stream — and returns the answers
-// in request order.
+// answersVia runs queries through one endpoint of cl — singles or one
+// batch — and returns the answers in request order.
 func answersVia(ctx context.Context, cl *Client, endpoint string, queries []*graph.Graph) ([][]int32, error) {
 	out := make([][]int32, 0, len(queries))
 	switch endpoint {
@@ -38,22 +36,14 @@ func answersVia(ctx context.Context, cl *Client, endpoint string, queries []*gra
 		for _, r := range rs {
 			out = append(out, r.Answer)
 		}
-	case "ndjson":
-		err := cl.QueryBatchStream(ctx, queries, false, func(sr StreamResult) error {
-			out = append(out, sr.Answer)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
 
 // TestBinaryWireMatchesText drives the same workload through a text-wire
 // and a binary-wire client against one live server, over every query
-// endpoint: a binary request and a text request get the same JSON (or
-// NDJSON) reply — every answer identical and equal to the wrapped
+// endpoint: a binary request and a text request get the same JSON reply
+// — every answer identical and equal to the wrapped
 // method's baseline. A request still asking for the deleted binary
 // result format gets the JSON reply, not a 406, and the telemetry shows
 // binary negotiated for requests and never for replies.
@@ -66,7 +56,7 @@ func TestBinaryWireMatchesText(t *testing.T) {
 	bin := NewClientWith(s.Addr(), ClientOptions{WireBinary: true})
 	ctx := context.Background()
 
-	for _, endpoint := range []string{"/query", "/querybatch", "ndjson"} {
+	for _, endpoint := range []string{"/query", "/querybatch"} {
 		ta, err := answersVia(ctx, text, endpoint, queries)
 		if err != nil {
 			t.Fatalf("%s, text request: %v", endpoint, err)
@@ -139,81 +129,8 @@ func TestBinaryWireMatchesText(t *testing.T) {
 	}
 }
 
-// TestStreamedBatch exercises POST /querybatch's NDJSON mode through the
-// client in both delivery orders: the ordered stream yields indices
-// 0..n-1 in request order, the arrival stream yields every index exactly
-// once, and both carry answers identical to the buffered batch.
-func TestStreamedBatch(t *testing.T) {
-	ds := testDataset(40, 311)
-	queries := testWorkload(ds, 24, 312)
-	s := startServer(t, newTestCache(ds), Options{})
-	cl := NewClient(s.Addr())
-	ctx := context.Background()
-
-	want, err := cl.QueryBatch(ctx, queries)
-	if err != nil {
-		t.Fatalf("QueryBatch: %v", err)
-	}
-
-	var ordered []StreamResult
-	if err := cl.QueryBatchStream(ctx, queries, false, func(sr StreamResult) error {
-		ordered = append(ordered, sr)
-		return nil
-	}); err != nil {
-		t.Fatalf("ordered QueryBatchStream: %v", err)
-	}
-	if len(ordered) != len(queries) {
-		t.Fatalf("ordered stream delivered %d results, want %d", len(ordered), len(queries))
-	}
-	for i, sr := range ordered {
-		if sr.Index != i {
-			t.Fatalf("ordered stream result %d has index %d", i, sr.Index)
-		}
-		if !eq(sr.Answer, want[i].Answer) {
-			t.Fatalf("ordered stream query %d: answer %v != buffered %v", i, sr.Answer, want[i].Answer)
-		}
-	}
-
-	seen := make(map[int]bool)
-	if err := cl.QueryBatchStream(ctx, queries, true, func(sr StreamResult) error {
-		if seen[sr.Index] {
-			return fmt.Errorf("index %d delivered twice", sr.Index)
-		}
-		seen[sr.Index] = true
-		if sr.Index < 0 || sr.Index >= len(queries) {
-			return fmt.Errorf("index %d out of range", sr.Index)
-		}
-		if !eq(sr.Answer, want[sr.Index].Answer) {
-			return fmt.Errorf("arrival stream query %d: answer %v != buffered %v", sr.Index, sr.Answer, want[sr.Index].Answer)
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("arrival QueryBatchStream: %v", err)
-	}
-	if len(seen) != len(queries) {
-		t.Fatalf("arrival stream delivered %d distinct results, want %d", len(seen), len(queries))
-	}
-
-	// A binary-wire client streams too: the request body format and the
-	// response streaming mode negotiate independently.
-	bin := NewClientWith(s.Addr(), ClientOptions{WireBinary: true})
-	n := 0
-	if err := bin.QueryBatchStream(ctx, queries, false, func(sr StreamResult) error {
-		if !eq(sr.Answer, want[n].Answer) {
-			return fmt.Errorf("binary stream query %d: answer %v != buffered %v", n, sr.Answer, want[n].Answer)
-		}
-		n++
-		return nil
-	}); err != nil {
-		t.Fatalf("binary-request QueryBatchStream: %v", err)
-	}
-	if n != len(queries) {
-		t.Fatalf("binary-request stream delivered %d results, want %d", n, len(queries))
-	}
-}
-
-// slowVerifyMethod delays every verification so a streamed batch is
-// still mid-verify when the test cancels it. Wrapping hides the optional
+// slowVerifyMethod delays every verification so a batch is still
+// mid-verify when the test cancels it. Wrapping hides the optional
 // interfaces, which is fine here: the per-pair dispatch path is the one
 // under test.
 type slowVerifyMethod struct {
@@ -226,51 +143,34 @@ func (m *slowVerifyMethod) Verify(q *graph.Graph, id int32) bool {
 	return m.Method.Verify(q, id)
 }
 
-// TestStreamCancellationAbandonsBatch kills a client mid-batch — a
-// streaming one after its first result, a buffered one while it waits —
-// and asserts the backend half of what the router's cancellation test
-// checks end to end: the server notices the disconnect through the
-// request context, abandons the rest of the batch, and counts the
-// cancellation on /metrics.
+// TestStreamCancellationAbandonsBatch kills a buffered client mid-batch,
+// while it waits for its reply, and asserts the backend half of what the
+// router's cancellation test checks end to end: the server notices the
+// disconnect through the request context, abandons the rest of the
+// batch, and counts the cancellation on /metrics.
 func TestStreamCancellationAbandonsBatch(t *testing.T) {
-	stop := errors.New("client walks away")
-	for name, walkAway := range map[string]func(cl *Client, queries []*graph.Graph) error{
-		"streamed": func(cl *Client, queries []*graph.Graph) error {
-			return cl.QueryBatchStream(context.Background(), queries, false, func(StreamResult) error {
-				return stop
-			})
-		},
-		"buffered": func(cl *Client, queries []*graph.Graph) error {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-			defer cancel()
-			_, err := cl.QueryBatch(ctx, queries)
-			if errors.Is(err, context.DeadlineExceeded) {
-				return stop
-			}
-			return err
-		},
-	} {
-		ds := testDataset(40, 321)
-		queries := testWorkload(ds, 32, 322)
-		slow := &slowVerifyMethod{Method: ggsx.New(ds, ggsx.Options{}), delay: 3 * time.Millisecond}
-		c := core.New(slow, core.Options{CacheSize: 20, WindowSize: 5})
-		s := startServer(t, c, Options{})
+	ds := testDataset(40, 321)
+	queries := testWorkload(ds, 32, 322)
+	slow := &slowVerifyMethod{Method: ggsx.New(ds, ggsx.Options{}), delay: 3 * time.Millisecond}
+	c := core.New(slow, core.Options{CacheSize: 20, WindowSize: 5})
+	s := startServer(t, c, Options{})
 
-		if err := walkAway(NewClient(s.Addr()), queries); !errors.Is(err, stop) {
-			t.Fatalf("%s batch: error = %v; want the client's own departure", name, err)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, err := NewClient(s.Addr()).QueryBatch(ctx, queries); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("buffered batch: error = %v; want the client's own departure", err)
+	}
 
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			samples := scrapeMetrics(t, s.Addr())
-			v, ok := metricValue(samples, "graphcache_server_stream_cancelled_total", nil)
-			if ok && v >= 1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s batch: stream_cancelled_total = %v, %v; want >= 1 after client disconnect", name, v, ok)
-			}
-			time.Sleep(20 * time.Millisecond)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		samples := scrapeMetrics(t, s.Addr())
+		v, ok := metricValue(samples, "graphcache_server_stream_cancelled_total", nil)
+		if ok && v >= 1 {
+			break
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("buffered batch: stream_cancelled_total = %v, %v; want >= 1 after client disconnect", v, ok)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

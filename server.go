@@ -28,9 +28,8 @@ type ServerOptions = server.Options
 // (429/503) and, for idempotent requests, transport failures, with
 // jittered exponential backoff honouring Retry-After hints. It sends
 // requests in either wire format — the JSON/t-v-e default or binary
-// frames (ServerClientOptions.WireBinary) — reads JSON replies, and
-// streams batches incrementally with QueryBatchStream. It speaks HTTP/1.1
-// to http:// servers only, over a keep-alive pool every client in the
+// frames (ServerClientOptions.WireBinary) — and reads one JSON reply per
+// request, a batch's whole. It speaks HTTP/1.1 to http:// servers only, over a keep-alive pool every client in the
 // process shares, and ignores proxy environment variables (see the
 // package documentation's "Serving tier" section).
 type ServerClient = server.Client
@@ -41,12 +40,6 @@ type ServerClient = server.Client
 // identical either way; see the package documentation's "Wire protocol"
 // section).
 type ServerClientOptions = server.ClientOptions
-
-// ServerStreamResult is one result of a streamed batch
-// (ServerClient.QueryBatchStream, or POST /querybatch with
-// Accept: application/x-ndjson on the wire): the answer for the
-// Index-th query, delivered as soon as its verification completed.
-type ServerStreamResult = server.StreamResult
 
 // ServerStatusError is a non-2xx reply from a gcserved or gcrouter,
 // carrying the HTTP status code, the server's error message and its
