@@ -422,17 +422,26 @@ func (r *run) queueCredit(s *queryState, e *entry, special bool, removed int, sa
 func (r *run) verify() int {
 	c := r.c
 	bv, _ := c.m.(method.BatchVerifier)
+	grainOf := func(tests int) int { // a query's tests per chunk (see verifyChunk)
+		if bv != nil {
+			return max(1, tests)
+		}
+		return max(adaptiveGrain, tests/(4*c.opts.VerifyConcurrency))
+	}
+	n := 0
+	for qi := range r.st {
+		tests := len(r.st[qi].cs)
+		grain := grainOf(tests)
+		n += (tests + grain - 1) / grain
+	}
 	r.verdicts = make([]bool, r.nTests)
-	chunks := make([]verifyChunk, 0, r.nTests/adaptiveGrain+min(len(r.st), r.nTests))
+	chunks := make([]verifyChunk, 0, n)
 	for qi, off := 0, 0; qi < len(r.st); qi++ {
 		s := &r.st[qi]
 		s.off = off
 		off += len(s.cs)
 		s.pending.Store(int32(len(s.cs)))
-		grain := max(adaptiveGrain, len(s.cs)/(4*c.opts.VerifyConcurrency))
-		if bv != nil {
-			grain = len(s.cs)
-		}
+		grain := grainOf(len(s.cs))
 		for lo := 0; lo < len(s.cs); lo += grain {
 			chunks = append(chunks, verifyChunk{qi: qi, lo: lo, hi: min(lo+grain, len(s.cs))})
 		}

@@ -77,11 +77,14 @@ type Cache struct {
 
 	// Mutation gate (see mutate.go): queries register in inflight;
 	// ApplyMutation raises mutating, drains inflight to zero and then has
-	// the cache to itself. gateMu blocks arriving queries for the duration
-	// of a mutation; mutApplyMu serialises whole mutations, snapshot loads
-	// and snapshot writes, and guards lastSeq.
+	// the cache to itself. The query that takes inflight to zero while
+	// mutating is set wakes the drain through drained. gateMu blocks
+	// arriving queries for the duration of a mutation; mutApplyMu
+	// serialises whole mutations, snapshot loads and snapshot writes, and
+	// guards lastSeq.
 	inflight   atomic.Int64
 	mutating   atomic.Bool
+	drained    chan struct{} // 1-buffered
 	gateMu     sync.Mutex
 	mutApplyMu sync.Mutex
 	// lastSeq is the highest Mutation.Seq applied. Written under
@@ -184,11 +187,12 @@ type Result struct {
 func New(m method.Method, opts Options) *Cache {
 	opts = opts.withDefaults()
 	c := &Cache{
-		m:    m,
-		opts: opts,
-		algo: iso.VF2{},
-		adm:  newAdmission(opts),
-		pool: method.NewLimiter(opts.VerifyConcurrency - 1),
+		m:       m,
+		opts:    opts,
+		algo:    iso.VF2{},
+		adm:     newAdmission(opts),
+		pool:    method.NewLimiter(opts.VerifyConcurrency - 1),
+		drained: make(chan struct{}, 1),
 	}
 	c.passDone.L = &c.winMu
 	if vf, ok := m.(method.VectorFilter); ok && vf.FilterPathLen() == maxPathLen {

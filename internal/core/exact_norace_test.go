@@ -3,8 +3,11 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"graphcache/internal/ggsx"
 	"graphcache/internal/graph"
@@ -47,6 +50,52 @@ func TestPruneAllocations(t *testing.T) {
 	}
 	if !equalIDs(direct, []int32{1, 2, 3, 4, 5}) || !equalIDs(cs, odd(10, 50)) || len(buf) != 4 {
 		t.Errorf("direct %v, cs %v, %d removals", direct, cs, len(buf))
+	}
+}
+
+// TestVerifyStageAllocations pins the bytes the verification stage
+// allocates: nothing for a run with no tests, and for a run with tests
+// the verdicts, a chunk list of exactly the chunks the run cuts, and a
+// small fixed cost for the worker pool — not a list reserved for one
+// chunk per adaptiveGrain tests. The one query of the run with tests
+// embeds in no dataset graph, so it completes with an empty answer and
+// Method M's verifications allocate nothing.
+func TestVerifyStageAllocations(t *testing.T) {
+	ds := moleculeDataset(30, 35)
+	c := New(method.NewVF2Plus(ds), Options{CacheSize: 10, WindowSize: 5, VerifyConcurrency: 2})
+	b := graph.NewBuilder()
+	b.AddEdge(b.AddVertex(999), b.AddVertex(999))
+	q := b.MustBuild()
+	const tests, runs = 600, 50
+	cs := make([]int32, tests)
+	for i := range cs {
+		cs[i] = int32(i % ds.Len())
+	}
+	stageBytes := func(nTests int) (uint64, int) {
+		rs := make([]*run, runs)
+		for i := range rs {
+			rs[i] = c.newRun(context.Background(), []*graph.Graph{q}, func(int, Result) {})
+			rs[i].st[0].cs, rs[i].nTests = cs[:nTests], nTests
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, r := range rs {
+			r.verify()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs, len(rs[0].verdicts)
+	}
+	if n, _ := stageBytes(0); n != 0 {
+		t.Errorf("a run with no tests: the stage allocates %d bytes, want 0", n)
+	}
+	// 600 tests at VerifyConcurrency 2 are 8 chunks of 75; one chunk
+	// per adaptiveGrain tests would reserve 150.
+	const chunks, poolBytes = 8, 512
+	n, verdicts := stageBytes(tests)
+	if ceiling := uint64(verdicts + chunks*int(unsafe.Sizeof(verifyChunk{})) + poolBytes); n > ceiling {
+		t.Errorf("a run of %d tests: the stage allocates %d bytes, want ≤ %d", tests, n, ceiling)
+	} else {
+		t.Logf("a run of %d tests: the stage allocates %d bytes", tests, n)
 	}
 }
 

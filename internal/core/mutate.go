@@ -87,14 +87,17 @@ type MutationResult struct {
 
 // enterQuery registers a query with the mutation gate. The fast path is
 // one atomic increment and one atomic load; only while a mutation is in
-// progress do arriving queries park on gateMu.
+// progress do arriving queries back off, wake the drain if theirs was the
+// last reference, and park on gateMu.
 func (c *Cache) enterQuery() {
 	for {
 		c.inflight.Add(1)
 		if !c.mutating.Load() {
 			return
 		}
-		c.inflight.Add(-1)
+		if c.inflight.Add(-1) == 0 {
+			c.wakeDrain()
+		}
 		c.gateMu.Lock() // parks until the mutation releases the gate
 		//lint:ignore SA2001 the critical section is the wait itself
 		c.gateMu.Unlock()
@@ -106,19 +109,39 @@ func (c *Cache) enterQuery() {
 // must not re-check the gate — the spawning query already holds a slot.
 func (c *Cache) retainQuery() { c.inflight.Add(1) }
 
-// exitQuery drops one inflight reference.
-func (c *Cache) exitQuery() { c.inflight.Add(-1) }
+// exitQuery drops one inflight reference, waking a draining mutation if
+// it was the last.
+func (c *Cache) exitQuery() {
+	if c.inflight.Add(-1) == 0 && c.mutating.Load() {
+		c.wakeDrain()
+	}
+}
+
+// wakeDrain tells beginExclusive that inflight reached zero. The send
+// never blocks: a token already buffered wakes the drain just as well.
+func (c *Cache) wakeDrain() {
+	select {
+	case c.drained <- struct{}{}:
+	default:
+	}
+}
 
 // beginExclusive blocks new queries and drains in-flight ones: on return
 // the caller is the only goroutine touching the cache, the method and the
 // dataset. A window pass runs inside the gate slot of the query that
 // drains it, so none is running or queued either. Callers hold mutApplyMu,
 // which keeps WriteSnapshot out. Pair with endExclusive.
+//
+// The drain sleeps until woken, and no wake-up is lost: the atomics are
+// sequentially consistent, so a query that takes inflight to zero after
+// the load below read it non-zero also sees mutating set, and leaves a
+// token in drained. A token left over from an earlier drain only costs
+// one more look at inflight.
 func (c *Cache) beginExclusive() {
 	c.gateMu.Lock()
 	c.mutating.Store(true)
 	for c.inflight.Load() != 0 {
-		time.Sleep(20 * time.Microsecond)
+		<-c.drained
 	}
 }
 

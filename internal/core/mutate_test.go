@@ -4,7 +4,11 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"graphcache/internal/dataset"
 	"graphcache/internal/gen"
@@ -44,6 +48,94 @@ func requireSound(t *testing.T, c *Cache, m method.Method, qs []workload.Query, 
 
 // TestMutationAddExtendsAnswers: adding graphs that match cached queries
 // must extend their answer sets without a full invalidation.
+// TestMutationGateWakesDrain checks both ways the last inflight
+// reference can go while a mutation drains — a query leaving, and an
+// arriving query backing off — and that each wakes the drain. Then it
+// races queries entering and leaving the gate — some handing a second
+// reference to a goroutine, the way a run's filter goroutine holds one —
+// against a stream of exclusive sections. No query and no such goroutine
+// may run inside a section, and every drain must be woken: a lost wake-up
+// leaves beginExclusive asleep, and the test times out.
+func TestMutationGateWakesDrain(t *testing.T) {
+	c := New(method.NewVF2Plus(gen.DefaultAIDS().Scaled(0.0005, 1).Generate(3)), Options{})
+	woken := func(what string) {
+		t.Helper()
+		select {
+		case <-c.drained:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s took inflight to zero during a drain and left no wake-up", what)
+		}
+	}
+	// The gate as beginExclusive leaves it before its first look at
+	// inflight.
+	closeGate := func() { c.gateMu.Lock(); c.mutating.Store(true) }
+	openGate := func() { c.mutating.Store(false); c.gateMu.Unlock() }
+
+	c.enterQuery()
+	closeGate()
+	c.exitQuery()
+	woken("a leaving query")
+	entered := make(chan struct{})
+	go func() { c.enterQuery(); close(entered) }()
+	woken("an arriving query's back-off")
+	openGate()
+	<-entered
+	c.exitQuery()
+	if len(c.drained) != 0 || c.inflight.Load() != 0 {
+		t.Fatal("a query left with no drain waiting and still left a wake-up")
+	}
+
+	var exclusive, stop atomic.Bool
+	var queries atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				c.enterQuery()
+				if exclusive.Load() {
+					t.Error("a query entered during an exclusive section")
+				}
+				if i%3 == 0 {
+					c.retainQuery()
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if exclusive.Load() {
+							t.Error("a retained reference outlived the drain")
+						}
+						c.exitQuery()
+					}()
+				}
+				c.exitQuery()
+				queries.Add(1)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := 0; k < 2000; k++ {
+			c.beginExclusive()
+			exclusive.Store(true)
+			runtime.Gosched()
+			exclusive.Store(false)
+			c.endExclusive()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("a drain was never woken: beginExclusive still waits on inflight")
+	}
+	stop.Store(true)
+	wg.Wait()
+	if queries.Load() == 0 {
+		t.Fatal("no query ran between the exclusive sections")
+	}
+}
+
 func TestMutationAddExtendsAnswers(t *testing.T) {
 	opts := Options{CacheSize: 20, WindowSize: 4}
 	c, m, qs := mutateFixture(t, opts)

@@ -494,8 +494,11 @@ func decodeGraphBody(data []byte) (*Graph, error) {
 		}
 	}
 	esig := edgeSignature(labels, off, nbr)
+	paths, stars := shapeWords(labels, off, nbr)
 	return &Graph{
 		sum:    summarize(n, m, sig, esig),
+		paths:  paths,
+		stars:  stars,
 		id:     p.id,
 		labels: labels,
 		off:    off,

@@ -53,10 +53,11 @@ func edgeSet(edges [][2]int32) map[[2]int32]bool {
 	return set
 }
 
-// TestSignatureSurvivesEveryConstructor pins both signatures and the CSR
-// adjacency on every way a Graph comes into being: Builder.Build, both
-// codecs, Clone, InducedSubgraph and dataset.ApplyEdgeEdits. Each result is
-// checked against a recount from the edge list it should hold.
+// TestSignatureSurvivesEveryConstructor pins both signatures, the
+// summary, the shape words and the CSR adjacency on every way a Graph
+// comes into being: Builder.Build, both codecs, Clone, InducedSubgraph and
+// dataset.ApplyEdgeEdits. Each result is checked against a recount from
+// the edge list it should hold.
 func TestSignatureSurvivesEveryConstructor(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	one := graph.NewBuilder()
@@ -105,7 +106,8 @@ func TestSignatureSurvivesEveryConstructor(t *testing.T) {
 			if !g.StructurallyEqual(other) {
 				t.Errorf("graph %d: a round-tripped copy must equal the original", i)
 			}
-			if !g.LabelsDominate(other) || !other.LabelsDominate(g) || !g.EdgesDominate(other) || !other.EdgesDominate(g) {
+			if !g.LabelsDominate(other) || !other.LabelsDominate(g) || !g.EdgesDominate(other) || !other.EdgesDominate(g) ||
+				!g.ShapesDominate(other) || !other.ShapesDominate(g) {
 				t.Errorf("graph %d: a round-tripped copy must dominate and be dominated", i)
 			}
 		}
@@ -134,7 +136,7 @@ func TestSignatureSurvivesEveryConstructor(t *testing.T) {
 			}
 		}
 		graph.CheckSignature(t, "induced", sub, subEdges)
-		if !g.LabelsDominate(sub) || !g.EdgesDominate(sub) {
+		if !g.LabelsDominate(sub) || !g.EdgesDominate(sub) || !g.ShapesDominate(sub) {
 			t.Errorf("graph %d must dominate its induced subgraph", i)
 		}
 

@@ -12,11 +12,15 @@
 //
 // Build also records what every subgraph-isomorphism test is screened
 // against before any search: a 32-byte summary, the first field of Graph,
-// that SummaryDominates compares word by word, and two signatures,
-// multisets that LabelsDominate and EdgesDominate merge — the vertex
-// labels and the endpoint-label pairs of the edges. The summary folds the
-// signatures into fixed-size words, so most pairs a query meets are told
-// apart in one cache line; the merges decide the pairs it passes.
+// that SummaryDominates compares word by word; two shape words next to
+// it, hashed sets of the labelled two-edge paths and three-leaf stars,
+// that ShapesDominate compares; and two signatures, multisets that
+// LabelsDominate and EdgesDominate merge — the vertex labels and the
+// endpoint-label pairs of the edges. The summary folds the signatures into
+// fixed-size words, so most pairs a query meets are told apart in one
+// cache line; the shape words see the labelled structure around each
+// vertex, which neither the summary nor the signatures do; the merges
+// decide the pairs they all pass.
 package graph
 
 import (
@@ -32,15 +36,19 @@ import (
 type Label uint16
 
 // Graph is an immutable undirected vertex-labelled simple graph: its
-// summary, its labels, its CSR adjacency, and its label and edge
-// signatures. The zero value is an empty graph.
+// summary and shape words, its labels, its CSR adjacency, and its label
+// and edge signatures. The zero value is an empty graph.
 type Graph struct {
 	// sum is the fixed-size summary of the signatures, built once in Build.
 	// It comes first so that a screen reads it from the cache line the
 	// Graph pointer leads to.
-	sum    summary
-	id     int32
-	labels []Label
+	sum summary
+	// paths and stars are the shape words (see shapeWords), built once in
+	// Build. They follow the summary, so a pair that passes it finds them
+	// at hand.
+	paths, stars uint64
+	id           int32
+	labels       []Label
 	// off and nbr are the CSR adjacency: v's neighbours are
 	// nbr[off[v]:off[v+1]], sorted ascending, no duplicates, no self loops.
 	// len(off) is n+1 and len(nbr) is 2m.
@@ -60,7 +68,10 @@ type Graph struct {
 // summary is a Graph's signatures folded into four words. Each part is a
 // necessary condition for q ⊆ g, and a fold can only merge what the
 // signatures keep apart, so comparing summaries (SummaryDominates) may
-// pass a pair the signature merges reject, never the reverse.
+// pass a pair the signature merges reject, never the reverse. It holds
+// nothing the signatures do not: the shape words, which see more than
+// the signatures, are Graph fields of their own and a screen step of
+// their own (ShapesDominate).
 type summary struct {
 	// nv and ne are |V| and |E|.
 	nv, ne uint32
@@ -129,6 +140,92 @@ func (g *Graph) SummaryDominates(q *Graph) bool {
 	return qs.nv <= gs.nv && qs.ne <= gs.ne &&
 		qs.labels&^gs.labels|qs.pairs&^gs.pairs == 0 &&
 		lanesDominate(gs.lanes, qs.lanes)
+}
+
+// ShapesDominate reports whether g's shape words hold every bit of q's:
+// every labelled two-edge path and three-leaf star of q hashes to a bit
+// that g has too. This is a necessary condition for q ⊆ g. An embedding
+// is injective and keeps labels, so it maps a path's three vertices, or a
+// star's centre and three leaves, onto distinct vertices of g that form
+// the same shape with the same labels, whose key sets the same bit; a
+// hash collision can only set more bits in g, which passes a pair, never
+// rejects one.
+func (g *Graph) ShapesDominate(q *Graph) bool {
+	return q.paths&^g.paths|q.stars&^g.stars == 0
+}
+
+// shapeBit hashes a shape key to one bit of a shape word: the top six
+// bits of the key's splitmix64 mix, so keys that differ in any label
+// spread over the word.
+func shapeBit(key uint64) uint64 {
+	return 1 << (mix64(key) >> 58)
+}
+
+// pathKey keys a two-edge path a–centre–b by its labels, ends ascending.
+func pathKey(centre, a, b Label) uint64 {
+	return uint64(a)<<32 | uint64(centre)<<16 | uint64(b)
+}
+
+// starKey keys a three-leaf star by its centre's label and its leaves'
+// labels, ascending.
+func starKey(centre, a, b, c Label) uint64 {
+	return uint64(centre)<<48 | uint64(a)<<32 | uint64(b)<<16 | uint64(c)
+}
+
+// shapeWords returns the shape words of the graph with the given labels
+// and CSR adjacency off/nbr: paths has shapeBit(pathKey) set for every
+// path of two edges, and stars has shapeBit(starKey) set for every star
+// of three leaves. One pass over the vertices, each taken as the centre:
+// its neighbours' labels are insertion-sorted on the stack, and every
+// multiset of two or three of them sets its bit once — each label of it
+// taken at its first position past the one before. The stars of a centre
+// stop once their word is full, and the pass stops once both words are,
+// so a high-degree vertex costs the pairs of its neighbours, not their
+// triples.
+func shapeWords(labels []Label, off, nbr []int32) (paths, stars uint64) {
+	var buf [64]Label
+	for c, lc := range labels {
+		if paths&stars == math.MaxUint64 {
+			break
+		}
+		nb := nbr[off[c]:off[c+1]]
+		if len(nb) == 2 { // the commonest centre: one path, no star
+			a, b := labels[nb[0]], labels[nb[1]]
+			paths |= shapeBit(pathKey(lc, min(a, b), max(a, b)))
+			continue
+		}
+		if len(nb) < 2 {
+			continue
+		}
+		ls := buf[:0]
+		if len(nb) > len(buf) {
+			ls = make([]Label, 0, len(nb))
+		}
+		for _, w := range nb {
+			ls = append(ls, labels[w])
+			for i := len(ls) - 1; i > 0 && ls[i-1] > ls[i]; i-- {
+				ls[i-1], ls[i] = ls[i], ls[i-1]
+			}
+		}
+		for i := range ls {
+			if i > 0 && ls[i] == ls[i-1] {
+				continue
+			}
+			for j := i + 1; j < len(ls); j++ {
+				if j > i+1 && ls[j] == ls[j-1] {
+					continue
+				}
+				paths |= shapeBit(pathKey(lc, ls[i], ls[j]))
+				for k := j + 1; k < len(ls) && stars != math.MaxUint64; k++ {
+					if k > j+1 && ls[k] == ls[k-1] {
+						continue
+					}
+					stars |= shapeBit(starKey(lc, ls[i], ls[j], ls[k]))
+				}
+			}
+		}
+	}
+	return paths, stars
 }
 
 // keyCount is one signature entry. Counts saturate at 65535 to keep an
@@ -410,10 +507,13 @@ func (g *Graph) Edges(fn func(u, v int32)) {
 }
 
 // Clone returns a copy of g whose vertices and edges share nothing with the
-// receiver; the summary is copied and the immutable signatures are shared.
+// receiver; the summary and shape words are copied and the immutable
+// signatures are shared.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		sum:    g.sum,
+		paths:  g.paths,
+		stars:  g.stars,
 		id:     g.id,
 		labels: slices.Clone(g.labels),
 		off:    slices.Clone(g.off),
@@ -555,8 +655,11 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	labels := slices.Clone(b.labels)
 	sig, esig := labelSignature(labels), edgeSignature(labels, off, nbr)
+	paths, stars := shapeWords(labels, off, nbr)
 	return &Graph{
 		sum:    summarize(n, int(end)/2, sig, esig),
+		paths:  paths,
+		stars:  stars,
 		id:     b.id,
 		labels: labels,
 		off:    off,

@@ -156,9 +156,10 @@ func edgeHistogram(g *Graph) map[[2]Label]int {
 	return h
 }
 
-// checkSignature asserts that every signature- and adjacency-backed
-// accessor of g agrees with a recount from its labels and from edges, the
-// edge list g was built from (either orientation, repeats allowed).
+// checkSignature asserts that every signature-, summary-, shape- and
+// adjacency-backed accessor of g agrees with a recount from its labels
+// and from edges, the edge list g was built from (either orientation,
+// repeats allowed).
 func checkSignature(t *testing.T, what string, g *Graph, edges [][2]int32) {
 	t.Helper()
 	h := labelHistogram(g)
@@ -221,6 +222,29 @@ func checkSignature(t *testing.T, what string, g *Graph, edges [][2]int32) {
 	if g.sum != want {
 		t.Errorf("%s: summary %+v, want %+v", what, g.sum, want)
 	}
+	// The shape words, recounted over every pair and every triple of
+	// distinct neighbours of every vertex.
+	var paths, stars uint64
+	for v := int32(0); v < n; v++ {
+		nb := nbrs[v]
+		for i := range nb {
+			for j := i + 1; j < len(nb); j++ {
+				a, b := g.Label(nb[i]), g.Label(nb[j])
+				paths |= shapeBit(pathKey(g.Label(v), min(a, b), max(a, b)))
+				for k := j + 1; k < len(nb); k++ {
+					ls := []Label{a, b, g.Label(nb[k])}
+					slices.Sort(ls)
+					stars |= shapeBit(starKey(g.Label(v), ls[0], ls[1], ls[2]))
+				}
+			}
+		}
+	}
+	if g.paths != paths || g.stars != stars {
+		t.Errorf("%s: shape words %016x %016x, want %016x %016x", what, g.paths, g.stars, paths, stars)
+	}
+	if !g.ShapesDominate(g) {
+		t.Errorf("%s: shape words must dominate themselves", what)
+	}
 	if len(g.esig) != len(pairs) {
 		t.Errorf("%s: edge signature has %d label pairs, want %d", what, len(g.esig), len(pairs))
 	}
@@ -245,8 +269,64 @@ func TestLabelCountAndDistinct(t *testing.T) {
 		t.Errorf("DistinctLabels = %d, want 3", g.DistinctLabels())
 	}
 	var empty Graph
-	if empty.DistinctLabels() != 0 || empty.LabelCount(1) != 0 || !g.LabelsDominate(&empty) || !g.EdgesDominate(&empty) {
-		t.Error("the zero Graph has no labels or edges and is dominated by anything")
+	if empty.DistinctLabels() != 0 || empty.LabelCount(1) != 0 || !g.LabelsDominate(&empty) || !g.EdgesDominate(&empty) ||
+		!g.ShapesDominate(&empty) || !empty.ShapesDominate(&empty) {
+		t.Error("the zero Graph has no labels, edges or shapes and is dominated by anything")
+	}
+	// The path's centres are its three inner vertices, and no vertex has
+	// three neighbours.
+	if want := shapeBit(pathKey(2, 1, 1)) | shapeBit(pathKey(1, 1, 2)) | shapeBit(pathKey(1, 1, 3)); g.paths != want || g.stars != 0 {
+		t.Errorf("path shape words %016x %016x, want %016x 0", g.paths, g.stars, want)
+	}
+}
+
+// TestShapeWords pins what the shape words hold and what comparing them
+// tells apart: a star's paths and stars follow its leaves' label
+// multiset, a leaf label must occur as often as a shape uses it, and a
+// centre with more neighbours than fit the stack buffer, all labelled
+// apart, fills both words.
+func TestShapeWords(t *testing.T) {
+	star := func(centre Label, leaves ...Label) *Graph {
+		b := NewBuilder()
+		c := b.AddVertex(centre)
+		for _, l := range leaves {
+			b.AddEdge(c, b.AddVertex(l))
+		}
+		return b.MustBuild()
+	}
+	g := star(1, 2, 2, 3)
+	checkSignature(t, "star", g, [][2]int32{{0, 1}, {0, 2}, {0, 3}})
+	wantPaths := shapeBit(pathKey(1, 2, 2)) | shapeBit(pathKey(1, 2, 3))
+	if g.paths != wantPaths || g.stars != shapeBit(starKey(1, 2, 2, 3)) {
+		t.Errorf("star(1; 2, 2, 3) shape words %016x %016x, want %016x %016x", g.paths, g.stars, wantPaths, shapeBit(starKey(1, 2, 2, 3)))
+	}
+	for _, c := range []struct {
+		name string
+		q    *Graph
+		want bool
+	}{
+		{"itself", g, true},
+		{"a sub-star", star(1, 2, 3), true},
+		{"a two-path", path(2, 1, 2), true},
+		{"a label used once more", star(1, 2, 2, 2), false},
+		{"another centre", star(2, 1, 3), false},
+		{"a path through a leaf", path(1, 2, 1), false},
+	} {
+		if got := g.ShapesDominate(c.q); got != c.want {
+			t.Errorf("%s: ShapesDominate = %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	var leaves []Label
+	var edges [][2]int32
+	for l := Label(0); l < 70; l++ {
+		leaves = append(leaves, 100+l)
+		edges = append(edges, [2]int32{0, int32(l) + 1})
+	}
+	wide := star(7, leaves...)
+	checkSignature(t, "wide star", wide, edges)
+	if wide.paths != math.MaxUint64 || wide.stars != math.MaxUint64 {
+		t.Errorf("a 70-leaf star has shape words %016x %016x, want both full", wide.paths, wide.stars)
 	}
 }
 

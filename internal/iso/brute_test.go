@@ -11,6 +11,11 @@ type Brute struct{}
 // Name implements Algorithm.
 func (Brute) Name() string { return "brute" }
 
+func (b Brute) contains(pattern, target *graph.Graph) bool {
+	_, ok := b.FindEmbedding(pattern, target)
+	return ok
+}
+
 // FindEmbedding implements Algorithm.
 func (Brute) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
 	n := pattern.NumVertices()

@@ -18,6 +18,11 @@ type GraphQL struct {
 // Name implements Algorithm.
 func (GraphQL) Name() string { return "graphql" }
 
+func (a GraphQL) contains(pattern, target *graph.Graph) bool {
+	_, ok := a.FindEmbedding(pattern, target)
+	return ok
+}
+
 // FindEmbedding implements Algorithm.
 func (a GraphQL) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
 	n := pattern.NumVertices()

@@ -9,13 +9,15 @@
 // GraphCache and all bundled query-processing methods require.
 //
 // Every matcher starts from one shared screen, quickReject: the graphs'
-// 32-byte summaries, compared a word at a time, then the label signature,
-// then the edge-label signature. Most pairs a query meets end there, most
-// of them at the summaries, so dataset verification, the subgraph and
-// supergraph methods, the cache's confirmations and its exact lookup all
-// reject them without a search. VF2 and VF2+ keep their per-test state in
-// fixed arrays on the stack, so a test that runs the search allocates only
-// the embedding it returns.
+// 32-byte summaries, compared a word at a time, then their two shape
+// words (hashed sets of labelled two-edge paths and three-leaf stars),
+// then the label signature, then the edge-label signature. Most pairs a
+// query meets end there, most of them at the summaries, so dataset
+// verification, the subgraph and supergraph methods, the cache's
+// confirmations and its exact lookup all reject them without a search.
+// VF2 and VF2+ keep their per-test state in fixed arrays on the stack, so
+// Contains and Isomorphic allocate nothing, whatever the verdict, and
+// FindEmbedding allocates only the embedding it returns.
 package iso
 
 import "graphcache/internal/graph"
@@ -30,12 +32,14 @@ type Algorithm interface {
 	// m with m[u] = image of pattern vertex u — and true, or nil and false
 	// when pattern ⊄ target. The empty pattern embeds trivially.
 	FindEmbedding(pattern, target *graph.Graph) ([]int32, bool)
+	// contains is FindEmbedding's verdict without the embedding, so a
+	// caller that only asks for the verdict pays for no copy of it.
+	contains(pattern, target *graph.Graph) bool
 }
 
 // Contains reports whether pattern ⊆ target under algorithm a.
 func Contains(a Algorithm, pattern, target *graph.Graph) bool {
-	_, ok := a.FindEmbedding(pattern, target)
-	return ok
+	return a.contains(pattern, target)
 }
 
 // Isomorphic reports whether two graphs are isomorphic, using the
@@ -54,8 +58,14 @@ func Isomorphic(a Algorithm, g, h *graph.Graph) bool {
 // embedding φ, so a rejected pair is one no matcher could embed:
 //   - summaries (Graph.SummaryDominates): sizes, label bits, lane counts
 //     and edge-pair bits, four word compares on one cache line per graph.
-//     They fold the conditions below, so they catch most of what the
+//     They fold the two merges below, so they catch most of what the
 //     merges would, and nothing the merges would pass;
+//   - shapes (Graph.ShapesDominate): φ maps each labelled two-edge path
+//     and three-leaf star of the pattern onto distinct target vertices
+//     forming the same shape with the same labels, so each of the
+//     pattern's hashed shape bits is set in the target's words — two
+//     word compares next to the summary. They see the labels around each
+//     vertex, which neither the summary nor the merges do;
 //   - labels: φ keeps labels, so each label occurs in the target at least
 //     as often as in the pattern (Graph.LabelsDominate);
 //   - edges: φ maps each pattern edge to a distinct target edge whose
@@ -65,7 +75,8 @@ func Isomorphic(a Algorithm, g, h *graph.Graph) bool {
 // The last two are merges over signatures Build recorded, so a screened
 // pair costs no allocation and no search.
 func quickReject(pattern, target *graph.Graph) bool {
-	return !target.SummaryDominates(pattern) || !target.LabelsDominate(pattern) || !target.EdgesDominate(pattern)
+	return !target.SummaryDominates(pattern) || !target.ShapesDominate(pattern) ||
+		!target.LabelsDominate(pattern) || !target.EdgesDominate(pattern)
 }
 
 // Bounds of the per-test state kept in fixed arrays on the matchers' stack

@@ -221,11 +221,13 @@ func TestMatchersAgree(t *testing.T) {
 // extracted from their targets, and over wide-alphabet pairs whose labels
 // collide in the summaries' bits and lanes and whose targets saturate a
 // lane. The summary screen is checked on its own too: it rejects only
-// pairs the signature merges reject, since it folds them.
+// pairs the signature merges reject, since it folds them. The shape words
+// are a step of their own, not part of that fold: the pair families must
+// show them rejecting pairs the summary passes.
 func TestQuickRejectIsSound(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	const perFamily = 10000
-	var embeds, rejected, edgeOnly, bySummary, pastSummary, saturated int
+	var embeds, rejected, edgeOnly, bySummary, byShapes, pastSummary, saturated int
 	for i := 0; i < 3*perFamily; i++ {
 		var pattern, target *graph.Graph
 		switch i / perFamily {
@@ -256,6 +258,8 @@ func TestQuickRejectIsSound(t *testing.T) {
 		}
 		if summary {
 			bySummary++
+		} else if !target.ShapesDominate(pattern) {
+			byShapes++
 		} else if merges {
 			pastSummary++
 		}
@@ -271,19 +275,23 @@ func TestQuickRejectIsSound(t *testing.T) {
 				i, pattern, pattern.Labels(), target, target.Labels())
 		}
 	}
-	t.Logf("%d pairs: %d embed, %d rejected by the screen (%d by the summary, %d past it, %d by the edge-label screen alone); %d wide targets saturate a lane",
-		3*perFamily, embeds, rejected, bySummary, pastSummary, edgeOnly, saturated)
-	if embeds == 0 || edgeOnly == 0 || bySummary == 0 || pastSummary == 0 || saturated == 0 {
-		t.Fatal("the pair families must exercise embeddings, the summary screen, collisions past it, saturated lanes and the edge-label screen")
+	t.Logf("%d pairs: %d embed, %d rejected by the screen (%d by the summary, %d by the shape words, %d past both, %d by the edge-label screen alone); %d wide targets saturate a lane",
+		3*perFamily, embeds, rejected, bySummary, byShapes, pastSummary, edgeOnly, saturated)
+	if embeds == 0 || edgeOnly == 0 || bySummary == 0 || byShapes == 0 || pastSummary == 0 || saturated == 0 {
+		t.Fatal("the pair families must exercise embeddings, the summary screen, the shape words, collisions past both, saturated lanes and the edge-label screen")
 	}
 }
 
 // containsCases are one pattern/target pair per way a test can end: an
-// embedding exists, the summary screen rejects, the label screen rejects
-// a pair the summary passes, the edge-label screen rejects a pair both
-// pass, or every screen passes and the search fails.
+// embedding exists, the summary screen rejects, the shape words reject a
+// pair the summary passes, the label screen rejects a pair both pass, the
+// edge-label screen rejects a pair all three pass, or every screen passes
+// and the search fails.
 func containsCases() map[string][2]*graph.Graph {
-	target := cycle(1, 2, 1, 2, 3, 1, 2, 1, 3, 2, 1, 2) // no edge joins two equal labels; eight join 1 and 2
+	// A ring with no vertex of degree 3: no edge joins two equal labels,
+	// eight join 1 and 2, and its two-edge paths are 2–1–2, 1–2–1,
+	// 1–2–3, 1–3–2 and 2–1–3.
+	target := cycle(1, 2, 1, 2, 3, 1, 2, 1, 3, 2, 1, 2)
 	// Label 67 shares label 3's bit and lane, and the target has two 3s.
 	collides := graph.NewBuilder()
 	collides.AddVertex(2)
@@ -292,22 +300,13 @@ func containsCases() map[string][2]*graph.Graph {
 	collides.AddVertex(67)
 	collides.AddEdge(0, 1)
 	collides.AddEdge(1, 2)
-	// K3,3 between 1s and 2s: nine 1–2 edges.
-	k33 := graph.NewBuilder()
-	for _, l := range []graph.Label{1, 1, 1, 2, 2, 2} {
-		k33.AddVertex(l)
-	}
-	for u := int32(0); u < 3; u++ {
-		for v := int32(3); v < 6; v++ {
-			k33.AddEdge(u, v)
-		}
-	}
 	return map[string][2]*graph.Graph{
 		"hit":              {path(2, 1, 3, 2, 1), target},
 		"word-reject":      {path(1, 2, 4), target},
+		"shape-reject":     {star(1, 2, 2, 3), target}, // its paths are the target's, its star is not
 		"label-reject":     {collides.MustBuild(), target},
-		"edge-reject":      {k33.MustBuild(), target},
-		"structure-reject": {star(1, 2, 2, 3), target}, // the cycle has no vertex of degree 3
+		"edge-reject":      {cycle(1, 2, 1, 2, 1, 2, 1, 2, 1, 2), target}, // ten 1–2 edges
+		"structure-reject": {cycle(1, 2, 3), target},                      // the ring has no triangle
 	}
 }
 
@@ -317,22 +316,24 @@ func containsCases() map[string][2]*graph.Graph {
 func TestContainsCasesEndWhereNamed(t *testing.T) {
 	for name, pt := range containsCases() {
 		p, g := pt[0], pt[1]
-		steps := []bool{g.SummaryDominates(p), g.LabelsDominate(p), g.EdgesDominate(p), Contains(Brute{}, p, g)}
+		steps := []bool{g.SummaryDominates(p), g.ShapesDominate(p), g.LabelsDominate(p), g.EdgesDominate(p), Contains(Brute{}, p, g)}
 		var want []bool
 		switch name {
 		case "word-reject":
-			want = []bool{false, false, false, false}
+			want = []bool{false, false, false, false, false}
+		case "shape-reject":
+			want = []bool{true, false, true, true, false}
 		case "label-reject":
-			want = []bool{true, false, true, false}
+			want = []bool{true, true, false, true, false}
 		case "edge-reject":
-			want = []bool{true, true, false, false}
+			want = []bool{true, true, true, false, false}
 		case "structure-reject":
-			want = []bool{true, true, true, false}
+			want = []bool{true, true, true, true, false}
 		case "hit":
-			want = []bool{true, true, true, true}
+			want = []bool{true, true, true, true, true}
 		}
 		if !slices.Equal(steps, want) {
-			t.Errorf("%s: summary, labels, edges, embeds = %v, want %v", name, steps, want)
+			t.Errorf("%s: summary, shapes, labels, edges, embeds = %v, want %v", name, steps, want)
 		}
 	}
 }
@@ -353,8 +354,9 @@ func BenchmarkContains(b *testing.B) {
 // FuzzMatchersAgree decodes a binary frame of two graphs, a pattern of up
 // to 7 vertices and a target of up to 10 (Brute is exponential), and
 // requires VF2, VF2+ and GraphQL to agree with Brute and to return valid
-// embeddings. Labels are whatever the frame says, so the fuzzer reaches
-// labels that collide in the summaries' bits and lanes.
+// embeddings, and every step of the screen to pass a pair Brute embeds.
+// Labels are whatever the frame says, so the fuzzer reaches labels that
+// collide in the summaries' bits and lanes and in the shape words.
 func FuzzMatchersAgree(f *testing.F) {
 	seed := func(pattern, target *graph.Graph) {
 		data, err := graph.EncodeBinary([]*graph.Graph{pattern, target})
@@ -380,6 +382,11 @@ func FuzzMatchersAgree(f *testing.F) {
 		}
 		pattern, target := gs[0], gs[1]
 		want := Contains(Brute{}, pattern, target)
+		if steps := []bool{target.SummaryDominates(pattern), target.ShapesDominate(pattern),
+			target.LabelsDominate(pattern), target.EdgesDominate(pattern)}; want && slices.Contains(steps, false) {
+			t.Fatalf("a screen step rejects a pair brute embeds: summary, shapes, labels, edges = %v\npattern %v %v\ntarget %v %v",
+				steps, pattern, pattern.Labels(), target, target.Labels())
+		}
 		for _, a := range all() {
 			m, got := a.FindEmbedding(pattern, target)
 			if got != want {

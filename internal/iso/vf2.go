@@ -20,7 +20,8 @@ import (
 // list yields exactly the candidates a scan of all target vertices would
 // accept, in the same order: the search, and the embedding it returns,
 // are those of the full scan. Only a vertex that starts a component scans
-// the whole target.
+// the whole target, and it tries only the target vertices with its label,
+// the only ones feasible.
 //
 // One more cutting rule rides on the look-ahead's pass over the
 // candidate's neighbours: it must have a neighbour of every label the
@@ -35,12 +36,28 @@ func (VF2) Name() string { return "vf2" }
 
 // FindEmbedding implements Algorithm.
 func (VF2) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
+	var m []int32
+	ok := vf2Search(pattern, target, &m)
+	return m, ok
+}
+
+func (VF2) contains(pattern, target *graph.Graph) bool {
+	return vf2Search(pattern, target, nil)
+}
+
+// vf2Search runs VF2 on pattern and target and reports whether an
+// embedding exists; when embedding is not nil, it also stores a copy of
+// the embedding there.
+func vf2Search(pattern, target *graph.Graph, embedding *[]int32) bool {
 	n := pattern.NumVertices()
 	if n == 0 {
-		return []int32{}, true
+		if embedding != nil {
+			*embedding = []int32{}
+		}
+		return true
 	}
 	if quickReject(pattern, target) {
-		return nil, false
+		return false
 	}
 	nt := target.NumVertices()
 	var (
@@ -60,10 +77,13 @@ func (VF2) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
 	for u := range st.nlabels {
 		st.nlabels[u] = neighborLabelMask(pattern, int32(u))
 	}
-	if st.match(1) {
-		return slices.Clone(st.core1), true
+	if !st.match(1) {
+		return false
 	}
-	return nil, false
+	if embedding != nil {
+		*embedding = slices.Clone(st.core1)
+	}
+	return true
 }
 
 type vf2State struct {
@@ -103,8 +123,9 @@ func (st *vf2State) match(depth int32) bool {
 		}
 		return false
 	}
-	for v := int32(0); int(v) < st.t.NumVertices(); v++ {
-		if st.try(depth, u, v) {
+	lu := st.p.Label(u)
+	for v, l := range st.t.Labels() {
+		if l == lu && st.try(depth, u, int32(v)) {
 			return true
 		}
 	}

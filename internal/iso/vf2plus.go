@@ -23,12 +23,28 @@ func (VF2Plus) Name() string { return "vf2plus" }
 
 // FindEmbedding implements Algorithm.
 func (VF2Plus) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
+	var m []int32
+	ok := vf2plusSearch(pattern, target, &m)
+	return m, ok
+}
+
+func (VF2Plus) contains(pattern, target *graph.Graph) bool {
+	return vf2plusSearch(pattern, target, nil)
+}
+
+// vf2plusSearch runs VF2+ on pattern and target and reports whether an
+// embedding exists; when embedding is not nil, it also stores a copy of
+// the embedding there.
+func vf2plusSearch(pattern, target *graph.Graph, embedding *[]int32) bool {
 	n := pattern.NumVertices()
 	if n == 0 {
-		return []int32{}, true
+		if embedding != nil {
+			*embedding = []int32{}
+		}
+		return true
 	}
 	if quickReject(pattern, target) {
-		return nil, false
+		return false
 	}
 	var (
 		core1, order [stackPattern]int32
@@ -47,10 +63,13 @@ func (VF2Plus) FindEmbedding(pattern, target *graph.Graph) ([]int32, bool) {
 		st.nlabels[u] = neighborLabelMask(pattern, int32(u))
 	}
 	vf2plusOrder(pattern, target, st.order)
-	if st.match(0) {
-		return slices.Clone(st.core1), true
+	if !st.match(0) {
+		return false
 	}
-	return nil, false
+	if embedding != nil {
+		*embedding = slices.Clone(st.core1)
+	}
+	return true
 }
 
 type vf2pState struct {
@@ -113,16 +132,21 @@ func (st *vf2pState) match(depth int) bool {
 			}
 		}
 	}
+	// A candidate must carry u's label and have at least its degree;
+	// the candidate loops check both before they try the pair.
+	lu, du := st.p.Label(u), st.p.Degree(u)
 	if anchor != -1 {
 		for _, v := range st.t.Neighbors(anchor) {
-			if st.try(depth, u, v) {
+			if st.t.Label(v) == lu && st.t.Degree(v) >= du && st.try(depth, u, v) {
 				return true
 			}
 		}
 		return false
 	}
-	for v := int32(0); int(v) < st.t.NumVertices(); v++ {
-		if st.try(depth, u, v) {
+	// u starts a component: only target vertices with its label can
+	// take it.
+	for v, l := range st.t.Labels() {
+		if l == lu && st.t.Degree(int32(v)) >= du && st.try(depth, u, int32(v)) {
 			return true
 		}
 	}
@@ -145,13 +169,9 @@ func (st *vf2pState) try(depth int, u, v int32) bool {
 	return false
 }
 
+// feasible checks the rules match leaves to it for the candidate pair
+// (u, v), whose labels and degrees match has checked.
 func (st *vf2pState) feasible(u, v int32) bool {
-	if st.p.Label(u) != st.t.Label(v) {
-		return false
-	}
-	if st.p.Degree(u) > st.t.Degree(v) {
-		return false
-	}
 	// Each neighbour of u maps to a neighbour of v with its label.
 	if st.nlabels[u]&^neighborLabelMask(st.t, v) != 0 {
 		return false

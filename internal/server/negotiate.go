@@ -28,10 +28,24 @@ const (
 )
 
 // hasMediaType reports whether a comma-separated header value
-// (Content-Type) names media type mt, ignoring parameters.
+// (Content-Type) names media type mt, a lower-case type/subtype, ignoring
+// parameters and the case of the type. A part without parameters is
+// compared as it stands, with no allocation; only a part with parameters
+// is parsed, and then it counts only if they are well formed. A part
+// equal to mt only once Unicode folds a non-ASCII letter (the Kelvin
+// sign for k) is not mt.
 func hasMediaType(header, mt string) bool {
-	for _, part := range strings.Split(header, ",") {
-		if t, _, err := mime.ParseMediaType(strings.TrimSpace(part)); err == nil && t == mt {
+	for rest, more := header, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		part = strings.TrimSpace(part)
+		if !strings.Contains(part, ";") {
+			if len(part) == len(mt) && strings.EqualFold(part, mt) {
+				return true
+			}
+			continue
+		}
+		if t, _, err := mime.ParseMediaType(part); err == nil && t == mt {
 			return true
 		}
 	}

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"mime"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"graphcache/internal/graph"
@@ -24,6 +26,52 @@ func (rc *readCounter) Read(p []byte) (int, error) {
 	n, err := rc.r.Read(p)
 	rc.n += n
 	return n, err
+}
+
+// hasMediaTypeParsed is hasMediaType as it was first written, every part
+// through mime.ParseMediaType: the reference its table test compares
+// against.
+func hasMediaTypeParsed(header, mt string) bool {
+	for _, part := range strings.Split(header, ",") {
+		if t, _, err := mime.ParseMediaType(strings.TrimSpace(part)); err == nil && t == mt {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHasMediaTypeMatchesParse compares hasMediaType with every part
+// parsed, over case, white space, lists, parameters and malformed
+// parameters, for each media type the tiers look for.
+func TestHasMediaTypeMatchesParse(t *testing.T) {
+	headers := []string{
+		"", ",", " , ,", "application", "application/", "/x-gc-binary",
+		ContentTypeBinary, "APPLICATION/X-GC-BINARY", "Application/X-Gc-Binary",
+		" " + ContentTypeBinary, ContentTypeBinary + " ", "\t" + ContentTypeBinary + "\t",
+		"application/x-gc-binaryx", "xapplication/x-gc-binary", "application/x-gc",
+		"application /x-gc-binary", "application/ x-gc-binary", "application/x gc-binary",
+		ContentTypeBinary + ";", ContentTypeBinary + "; v=1", ContentTypeBinary + ";v=1;w=2",
+		"APPLICATION/X-GC-BINARY; V=1", ContentTypeBinary + `; v="a;b"`,
+		ContentTypeBinary + "; v", ContentTypeBinary + "; =1", ContentTypeBinary + "; v=1; v=2",
+		ContentTypeBinary + "; v=(", ContentTypeBinary + ";;",
+		"text/plain", "TEXT/PLAIN", "text/plain; charset=utf-8", "text/plain; charset",
+		"text/plain, " + ContentTypeBinary, ContentTypeBinary + ",text/plain",
+		"text/plain;q=1, APPLICATION/X-GC-BINARY ; v=1", "text/plain; v, " + ContentTypeBinary,
+		"application/json", "Application/JSON; charset=utf-8", "application/json,",
+		",application/json", "application/json, application/json; bad",
+	}
+	for _, mt := range []string{ContentTypeBinary, contentTypeJSON, "text/plain"} {
+		for _, h := range headers {
+			if got, want := hasMediaType(h, mt), hasMediaTypeParsed(h, mt); got != want {
+				t.Errorf("hasMediaType(%q, %q) = %v, parsing every part gives %v", h, mt, got, want)
+			}
+		}
+	}
+	// Unicode lower-casing maps the Kelvin sign to k, and the parser lets
+	// it pass for one; hasMediaType compares ASCII letters only.
+	if hasMediaType("text/plain\u212a", "text/plaink") {
+		t.Error("a Kelvin sign is not a k")
+	}
 }
 
 // TestReadQueriesRefusesUntrustedLengths: a binary body is read into one

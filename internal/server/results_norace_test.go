@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// TestHasMediaTypeAllocations pins that telling a binary request from a
+// text one allocates nothing for a Content-Type without parameters.
+func TestHasMediaTypeAllocations(t *testing.T) {
+	for _, h := range []string{ContentTypeBinary, "text/plain"} {
+		if n := testing.AllocsPerRun(100, func() { hasMediaType(h, ContentTypeBinary) }); n != 0 {
+			t.Errorf("hasMediaType(%q): %v allocations, want 0", h, n)
+		}
+	}
+}
+
 // TestResultCodecAllocations pins what the result codec costs the
 // allocator on a 32-result batch: encoding into a reused buffer allocates
 // nothing, and decoding — into a Results slice sized for the batch, as
