@@ -46,8 +46,6 @@ func requireSound(t *testing.T, c *Cache, m method.Method, qs []workload.Query, 
 	}
 }
 
-// TestMutationAddExtendsAnswers: adding graphs that match cached queries
-// must extend their answer sets without a full invalidation.
 // TestMutationGateWakesDrain checks both ways the last inflight
 // reference can go while a mutation drains — a query leaving, and an
 // arriving query backing off — and that each wakes the drain. Then it
@@ -136,6 +134,8 @@ func TestMutationGateWakesDrain(t *testing.T) {
 	}
 }
 
+// TestMutationAddExtendsAnswers: adding graphs that match cached queries
+// must extend their answer sets without a full invalidation.
 func TestMutationAddExtendsAnswers(t *testing.T) {
 	opts := Options{CacheSize: 20, WindowSize: 4}
 	c, m, qs := mutateFixture(t, opts)

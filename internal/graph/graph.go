@@ -176,18 +176,18 @@ func starKey(centre, a, b, c Label) uint64 {
 // and CSR adjacency off/nbr: paths has shapeBit(pathKey) set for every
 // path of two edges, and stars has shapeBit(starKey) set for every star
 // of three leaves. One pass over the vertices, each taken as the centre:
-// its neighbours' labels are insertion-sorted on the stack, and every
-// multiset of two or three of them sets its bit once — each label of it
-// taken at its first position past the one before. The stars of a centre
-// stop once their word is full, and the pass stops once both words are,
-// so a high-degree vertex costs the pairs of its neighbours, not their
-// triples.
+// its neighbours' labels are sorted — insertion-sorted on the stack up to
+// 64 of them, by slices.Sort past that — and cut to at most three copies
+// of each, since no shape uses a label more often. Every multiset of two
+// or three of what is left then sets its bit once, each label of it taken
+// at its first position past the one before. The stars of a centre stop
+// once their word is full, and the pass returns once both words are, so
+// a centre costs a sort of its degree and the pairs of its distinct
+// neighbour labels until the words fill, never the pairs of its
+// neighbours.
 func shapeWords(labels []Label, off, nbr []int32) (paths, stars uint64) {
 	var buf [64]Label
 	for c, lc := range labels {
-		if paths&stars == math.MaxUint64 {
-			break
-		}
 		nb := nbr[off[c]:off[c+1]]
 		if len(nb) == 2 { // the commonest centre: one path, no star
 			a, b := labels[nb[0]], labels[nb[1]]
@@ -197,16 +197,30 @@ func shapeWords(labels []Label, off, nbr []int32) (paths, stars uint64) {
 		if len(nb) < 2 {
 			continue
 		}
-		ls := buf[:0]
-		if len(nb) > len(buf) {
-			ls = make([]Label, 0, len(nb))
+		var ls []Label
+		if len(nb) <= len(buf) { // insertion sort: at most 2,016 swaps
+			ls = buf[:0]
+			for _, w := range nb {
+				ls = append(ls, labels[w])
+				for i := len(ls) - 1; i > 0 && ls[i-1] > ls[i]; i-- {
+					ls[i-1], ls[i] = ls[i], ls[i-1]
+				}
+			}
+		} else {
+			ls = make([]Label, len(nb))
+			for i, w := range nb {
+				ls[i] = labels[w]
+			}
+			slices.Sort(ls)
 		}
-		for _, w := range nb {
-			ls = append(ls, labels[w])
-			for i := len(ls) - 1; i > 0 && ls[i-1] > ls[i]; i-- {
-				ls[i-1], ls[i] = ls[i], ls[i-1]
+		n := 0
+		for _, l := range ls {
+			if n < 3 || ls[n-3] != l {
+				ls[n] = l
+				n++
 			}
 		}
+		ls = ls[:n]
 		for i := range ls {
 			if i > 0 && ls[i] == ls[i-1] {
 				continue
@@ -221,6 +235,9 @@ func shapeWords(labels []Label, off, nbr []int32) (paths, stars uint64) {
 						continue
 					}
 					stars |= shapeBit(starKey(lc, ls[i], ls[j], ls[k]))
+				}
+				if paths&stars == math.MaxUint64 {
+					return paths, stars
 				}
 			}
 		}

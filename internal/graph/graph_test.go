@@ -317,6 +317,11 @@ func TestShapeWords(t *testing.T) {
 		}
 	}
 
+	// Five 3s and three 2s, interleaved: the cut to three copies keeps
+	// every multiset, (3, 3, 3) and (2, 2, 2) included.
+	repeats := star(1, 3, 2, 3, 2, 3, 2, 3, 3)
+	checkSignature(t, "star with repeats", repeats, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 7}, {0, 8}})
+
 	var leaves []Label
 	var edges [][2]int32
 	for l := Label(0); l < 70; l++ {
