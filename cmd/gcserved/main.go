@@ -9,8 +9,8 @@
 //
 // Endpoints (JSON envelopes around the t/v/e graph text format):
 //
-//	POST /query       {"graph": "t # 0\nv 0 1\n..."}  one query (?debug=trace adds a span breakdown)
-//	POST /querybatch  {"graphs": "..."}               a batch, answered by one QueryBatch
+//	POST /query       {"graph": "t # 0\nv 0 1\n..."}  one query: a batch of one, with a bare reply
+//	POST /querybatch  {"graphs": "..."}               a batch, answered as one run of the pipeline
 //	POST /mutate      {"op": "add|remove|edit", ...}  one live dataset mutation
 //	GET  /stats       lifetime totals and serving summary
 //	GET  /metrics     Prometheus text exposition (stage histograms, hit/shed counters)
@@ -20,8 +20,10 @@
 //
 // Logs are structured (log/slog); -log-json switches them to one-line
 // JSON, and -pprof adds net/http/pprof under /debug/pprof/. A query's
-// stage timings are in its ?debug=trace reply and, summed over all
-// queries, in GET /metrics.
+// stage timings are in its reply when the request asks with ?debug=trace,
+// on /query and /querybatch alike, and, summed over all queries, in
+// GET /metrics. gcrouter forwards a /query to its backend's /querybatch
+// as a batch of one.
 //
 // Each request is one run of the cache's query pipeline on its own
 // goroutine: a /query is a run of one, a /querybatch a run of its batch,

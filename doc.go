@@ -217,17 +217,18 @@
 // POST /querybatch a batch (one run of the pipeline), GET /stats reports
 // the lifetime totals and GET /healthz liveness. Each request is one run
 // of the pipeline on the request's own goroutine, as in the paper's §4
-// runtime: a /query is a run of one, a /querybatch a run of its batch.
-// Concurrent requests run side by side — Cache is safe for concurrent
-// callers and their verification shares one bounded worker pool — so no
-// query waits for another's run, and the reply to a /query is written
-// once its run's bookkeeping is done: a client that has its answer finds
-// the query in the totals and the window. Singles are not held back to
-// share a run: the sub-iso work concurrent singles share measured under
-// 2 %, far less than the wait for a run in flight costs them. With
-// -snapshot, cache contents load on start and persist on SIGTERM through
-// graceful shutdown — the paper's Cache Manager lifecycle at the daemon
-// boundary.
+// runtime: a /query is a run of one, a /querybatch a run of its batch,
+// and one handler serves both routes — the route picks only the reply
+// envelope and /query's one-graph check. Concurrent requests run side by
+// side — Cache is safe for concurrent callers and their verification
+// shares one bounded worker pool — so no query waits for another's run,
+// and a reply is written once its run's bookkeeping is done: a client
+// that has its answer finds the query in the totals and the window.
+// Singles are not held back to share a run: the sub-iso work concurrent
+// singles share measured under 2 %, far less than the wait for a run in
+// flight costs them. With -snapshot, cache contents load on start and
+// persist on SIGTERM through graceful shutdown — the paper's Cache
+// Manager lifecycle at the daemon boundary.
 //
 // In Go, NewServer embeds the same serving subsystem in any process and
 // NewServerClient is the matching client; see examples/server for a
@@ -269,8 +270,11 @@
 // it refuses with 400 exactly the frames a backend would), reads each
 // body's IsoKey straight off its bytes, and sends each backend one frame
 // of that backend's bodies, byte for byte as the client sent them, in
-// request order. A text request is parsed and transcoded to bodies once,
-// at the router's door. gcserved decodes a frame straight into each
+// request order. A single query is a batch of one at every hop: the
+// router sends a /query's graph to its home's POST /querybatch as a
+// frame of one body, and answers its client with the bare envelope
+// /query promises. A text request is parsed and transcoded to bodies
+// once, at the router's door. gcserved decodes a frame straight into each
 // graph's final arrays: GCBF's canonical edge order fills the CSR
 // adjacency with no sort.
 //
@@ -319,10 +323,11 @@
 // near-disjoint caches. A query whose home is unavailable, lagging the
 // fleet's dataset epoch or at its queue bound goes to the least-loaded
 // backend instead, so affinity never queues work behind a saturated or
-// broken backend while others idle. A batch is split by this rule into
-// at most one QueryBatch per backend, scatter-gathered and re-stitched
-// in request order ("On Smart Query Routing": route for cache locality,
-// divert only under load).
+// broken backend while others idle. A request is split by this rule
+// into at most one /querybatch per backend, scatter-gathered and
+// re-stitched in request order ("On Smart Query Routing": route for
+// cache locality, divert only under load); a single query takes the same
+// path as a group of one.
 //
 // Failover leans on the soundness of the pruning rules: any backend
 // answers any query correctly (routing only concentrates cache hits),
@@ -586,8 +591,9 @@
 //	    its even share of the batch's stage time; its verify is the time from
 //	    the start of the batch's verification to its own last verdict — what
 //	    the router and the client see too
-//	graphcache_queries_total{path=single|batched}  batched: ran in a /querybatch
-//	    of two or more
+//	graphcache_queries_total{path=single|batched}  batched: ran in a run of two
+//	    or more queries (a /querybatch of one, as a router sends a single,
+//	    counts as single)
 //	graphcache_query_hits_total{kind=exact|empty|container|containee}
 //	graphcache_candidates_total{stage=method|final}, graphcache_query_candidates
 //	graphcache_verifications_saved_total, graphcache_credit_saved_total
@@ -625,13 +631,16 @@
 // Request tracing: the fleet's front door (router or a lone gcserved)
 // mints an X-GC-Request-Id per request, echoes it on the response and
 // forwards it on every dispatch, so backend spans carry the id minted
-// at the edge. POST /query?debug=trace returns the response with a
-// trace: the request id plus named spans from every hop
-// (router:decode — the router's split and key of a binary request, or
-// its parse and transcode of a text one — router:dispatch addr,
+// at the edge. ?debug=trace on POST /query or POST /querybatch, at
+// either tier, returns every result with a trace: the request id plus
+// named spans from every hop (router:decode — the router's split and key
+// of a binary request, or its parse and transcode of a text one —
+// router:dispatch addr, naming the backend that answered the result,
 // server:decode, engine:filter_m, engine:filter_gc, and the GC stage's
 // parts engine:feature, engine:probe and engine:gcverify, then
-// engine:verify, engine:total).
+// engine:verify, engine:total). The decode spans time the whole request,
+// which a batch's results share; router:dispatch times the dispatch of
+// the result's group, failover included.
 //
 // Logs are structured (log/slog): -log-json switches the daemons to
 // one-line JSON, and every record carries a component attribute; a

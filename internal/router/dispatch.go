@@ -17,7 +17,7 @@ import (
 type backend struct {
 	addr string
 	// cl is the query-dispatch client. It posts binary request frames
-	// (Client.Query*Frame) from its first call: fleet members are built
+	// (Client.QueryBatchFrame) from its first call: fleet members are built
 	// from one tree, so there is no backend that cannot read them and
 	// nothing to discover.
 	cl *server.Client
@@ -235,26 +235,6 @@ func (rt *Router) failover(ctx context.Context, tp *topology, b *backend, n int,
 	return nil, lastErr
 }
 
-// queryOne dispatches one single query with failover. Singles go through
-// the backend's /query, which runs each on its own request beside the
-// others in flight. With trace set the backend is asked for its
-// span breakdown (?debug=trace); the answering backend's address comes
-// back so the handler can prepend its own spans naming the hop.
-func (rt *Router) queryOne(ctx context.Context, tp *topology, q graph.Body, trace bool) (server.QueryResponse, string, error) {
-	frame := graph.EncodeFrame([]graph.Body{q})
-	var resp server.QueryResponse
-	b, err := rt.failover(ctx, tp, tp.assign(q.Key), 1,
-		func(ctx context.Context, b *backend) (err error) {
-			resp, err = b.cl.QueryFrame(ctx, frame, trace)
-			return err
-		})
-	if err != nil {
-		return server.QueryResponse{}, "", err
-	}
-	rt.met.query.Observe(&resp.Stats)
-	return resp, b.addr, nil
-}
-
 // batchGroup is one backend's share of a batch: the request indices of
 // the queries assigned to it, in request order.
 type batchGroup struct {
@@ -262,8 +242,8 @@ type batchGroup struct {
 	idxs []int
 }
 
-// group splits a batch over the fleet by the rule singles follow: each
-// query goes to tp.assign of its key — its ring home, or the
+// group splits a request's queries over the fleet by the routing rule:
+// each query goes to tp.assign of its key — its ring home, or the
 // least-loaded backend while that home is unavailable, lagging or
 // saturated. The groups come back in topology order, empty ones left
 // out, so a batch fans out to at most len(tp.bs) backends.
@@ -291,17 +271,24 @@ func (rt *Router) group(tp *topology, qs []graph.Body) ([]batchGroup, error) {
 	return groups[:n], nil
 }
 
-// queryBatch answers a grouped batch in one piece: one failover
-// dispatch of a QueryBatch round-trip per group, the first on the
+// queryBatch answers a grouped request in one piece: one failover
+// dispatch of a /querybatch round-trip per group, the first on the
 // calling goroutine and the rest concurrently beside it, each group's
 // frame holding its queries' bodies as the client sent them, in request
-// order. The results are re-stitched in request order. The whole batch
+// order. The results are re-stitched in request order. The whole request
 // shares one context that the first terminal error cancels — the reply
-// is an error from then on, so the sibling groups stop verifying for
-// it. That first error is returned.
-func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGroup, qs []graph.Body) ([]server.QueryResponse, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// is an error from then on, so the sibling groups stop verifying for it.
+// That first error is returned. With trace set the backends are asked
+// for traces, and each result's starts with a router:dispatch span
+// naming the backend that answered it.
+func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGroup, qs []graph.Body, trace bool) ([]server.QueryResponse, error) {
+	// A lone group has no siblings to stop, so a single query's dispatch
+	// runs under ctx as it came.
+	cancel := func() {}
+	if len(groups) > 1 {
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+	}
 	out := make([]server.QueryResponse, len(qs))
 	var (
 		wg       sync.WaitGroup
@@ -314,8 +301,9 @@ func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGr
 			sub[k] = qs[i]
 		}
 		frame := graph.EncodeFrame(sub)
-		_, err := rt.failover(ctx, tp, g.b, len(g.idxs), func(ctx context.Context, b *backend) error {
-			results, err := b.cl.QueryBatchFrame(ctx, frame, len(g.idxs))
+		start := time.Now()
+		b, err := rt.failover(ctx, tp, g.b, len(g.idxs), func(ctx context.Context, b *backend) error {
+			results, err := b.cl.QueryBatchFrame(ctx, frame, len(g.idxs), trace)
 			if err != nil {
 				return err
 			}
@@ -330,6 +318,18 @@ func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGr
 				firstErr = err
 				cancel()
 			})
+			return
+		}
+		if trace {
+			span := telemetry.Span{Name: "router:dispatch " + b.addr, DurNS: time.Since(start).Nanoseconds()}
+			for _, i := range g.idxs {
+				// A result the backend sent without a trace still gets the
+				// router's hop, under the id this router's front door minted.
+				if out[i].Trace == nil {
+					out[i].Trace = &telemetry.Trace{RequestID: telemetry.RequestIDFrom(ctx)}
+				}
+				out[i].Trace.Prepend(span)
+			}
 		}
 	}
 	for _, g := range groups[1:] {

@@ -83,7 +83,7 @@ func post(t *testing.T, url, contentType string, body []byte) int {
 // backend as one frame of exactly the client's bodies of that backend's
 // group, in request order, byte for byte; a text batch reaches them as
 // the binary encoding of the parsed graphs; a binary /query reaches its
-// home as the client's own frame. A request the backends would refuse —
+// home's /querybatch as the client's own frame, a batch of one. A request the backends would refuse —
 // two graphs on /query, or a malformed frame — gets 400 from the router
 // and reaches no backend.
 func TestRouterForwardsClientBodies(t *testing.T) {
@@ -184,7 +184,7 @@ func TestRouterForwardsClientBodies(t *testing.T) {
 		t.Fatalf("binary query: status %d", code)
 	}
 	for k, rb := range rbs {
-		got := rb.take("/query")
+		got := rb.take("/querybatch")
 		if k != home(bodies[0].Key) {
 			if len(got) != 0 {
 				t.Errorf("binary query: backend %d is not its home but was sent %d requests", k, len(got))

@@ -74,45 +74,17 @@ func writeShed(w http.ResponseWriter) {
 		fmt.Errorf("overloaded: fleet queue depth at bound; retry after %ds", retryAfterSeconds))
 }
 
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	qs, decDur, ok := rt.wire.ReadBodies(w, r, true)
-	if !ok {
-		return
-	}
-	tp := rt.topo.Load()
-	if !rt.admit(tp, 1) {
-		writeShed(w)
-		return
-	}
-	defer rt.done(1)
-	trace := r.URL.Query().Get("debug") == "trace"
-	dispatchStart := time.Now()
-	resp, addr, err := rt.queryOne(r.Context(), tp, qs[0], trace)
-	if err != nil {
-		rt.replyDispatchError(w, err)
-		return
-	}
-	if trace {
-		// The backend's trace already carries the request id this
-		// router's front door minted (it rode the dispatch header);
-		// prepend the router's own spans so one response shows the whole
-		// path. A backend that answered without a trace still gets the
-		// router hop recorded. router:decode times reading the request:
-		// splitting and keying a binary frame, or parsing and transcoding
-		// a text one.
-		if resp.Trace == nil {
-			resp.Trace = &telemetry.Trace{RequestID: telemetry.RequestIDFrom(r.Context())}
-		}
-		resp.Trace.Prepend(
-			telemetry.Span{Name: "router:decode", DurNS: decDur.Nanoseconds()},
-			telemetry.Span{Name: "router:dispatch " + addr, DurNS: time.Since(dispatchStart).Nanoseconds()},
-		)
-	}
-	rt.wire.WriteResults(w, []server.QueryResponse{resp}, true)
-}
-
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	qs, _, ok := rt.wire.ReadBodies(w, r, false)
+// serveQueries answers POST /query and POST /querybatch alike: the
+// request's queries are grouped by the routing rule and each group is one
+// /querybatch dispatch, so a single query is a group of one. The route
+// decides only the reply envelope and /query's one-graph check. With
+// ?debug=trace each result's trace starts with the router's spans:
+// router:decode — reading the request: splitting and keying a binary
+// frame, or parsing and transcoding a text one — then router:dispatch
+// and the address of the backend that answered.
+func (rt *Router) serveQueries(w http.ResponseWriter, r *http.Request) {
+	single := server.IsSingleQuery(r)
+	qs, decDur, ok := rt.wire.ReadBodies(w, r, single)
 	if !ok {
 		return
 	}
@@ -127,12 +99,19 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.replyDispatchError(w, err)
 		return
 	}
-	results, err := rt.queryBatch(r.Context(), tp, groups, qs)
+	trace := server.WantsTrace(r)
+	results, err := rt.queryBatch(r.Context(), tp, groups, qs, trace)
 	if err != nil {
 		rt.replyDispatchError(w, err)
 		return
 	}
-	rt.wire.WriteResults(w, results, false)
+	if trace {
+		decode := telemetry.Span{Name: "router:decode", DurNS: decDur.Nanoseconds()}
+		for i := range results {
+			results[i].Trace.Prepend(decode)
+		}
+	}
+	rt.wire.WriteResults(w, results, single)
 }
 
 // handleStats aggregates every backend's /stats with the router's own

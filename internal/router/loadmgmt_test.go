@@ -128,8 +128,7 @@ func TestCanceledContextAbandonsQueuedRequest(t *testing.T) {
 	// First request occupies the single dispatch slot for ~400ms.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, _, err := rt.queryOne(context.Background(), rt.topo.Load(), bodies[0], false)
-		firstDone <- err
+		firstDone <- routeOne(context.Background(), rt, bodies[0])
 	}()
 	waitFor(t, "the slot to be taken", func() bool { return len(rt.backends()[0].slots) == 1 })
 
@@ -137,8 +136,7 @@ func TestCanceledContextAbandonsQueuedRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	queuedDone := make(chan error, 1)
 	go func() {
-		_, _, err := rt.queryOne(ctx, rt.topo.Load(), bodies[1], false)
-		queuedDone <- err
+		queuedDone <- routeOne(ctx, rt, bodies[1])
 	}()
 	waitFor(t, "the request to queue", func() bool { return rt.backends()[0].queued.Load() == 1 })
 	cancel()

@@ -120,7 +120,8 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 // query through the router must come back with (1) the response header
 // carrying the id the router minted, (2) the trace carrying that same
 // id — proving the backend adopted the router's id rather than minting
-// its own — and (3) spans from both hops.
+// its own — and (3) spans from both hops, the router's first. A traced
+// /querybatch must bring back the same on every result.
 func TestRouterTraceRequestID(t *testing.T) {
 	ds := testDataset(40, 181)
 	queries := testWorkload(ds, 2, 182)
@@ -148,29 +149,62 @@ func TestRouterTraceRequestID(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatalf("decoding response: %v", err)
 	}
-	if qr.Trace == nil {
-		t.Fatal("?debug=trace returned no trace")
-	}
-	if qr.Trace.RequestID != minted {
-		t.Fatalf("trace request id %q != header id %q", qr.Trace.RequestID, minted)
-	}
-	var haveRouter, haveEngine bool
-	for _, sp := range qr.Trace.Spans {
-		if strings.HasPrefix(sp.Name, "router:") {
-			haveRouter = true
+	checkTrace := func(what string, tr *telemetry.Trace) {
+		t.Helper()
+		if tr == nil {
+			t.Fatalf("%s: ?debug=trace returned no trace", what)
 		}
-		if strings.HasPrefix(sp.Name, "engine:") {
-			haveEngine = true
+		if tr.RequestID != minted {
+			t.Fatalf("%s: trace request id %q != header id %q", what, tr.RequestID, minted)
 		}
-		if sp.DurNS < 0 {
-			t.Errorf("span %s has negative duration %d", sp.Name, sp.DurNS)
+		var haveRouter, haveEngine bool
+		for _, sp := range tr.Spans {
+			if strings.HasPrefix(sp.Name, "router:") {
+				haveRouter = true
+			}
+			if strings.HasPrefix(sp.Name, "engine:") {
+				haveEngine = true
+			}
+			if sp.DurNS < 0 {
+				t.Errorf("%s: span %s has negative duration %d", what, sp.Name, sp.DurNS)
+			}
+		}
+		if !haveRouter || !haveEngine {
+			t.Fatalf("%s: trace spans missing a hop (router=%v engine=%v): %+v", what, haveRouter, haveEngine, tr.Spans)
+		}
+		// The router's spans come first: its decode, then the dispatch
+		// naming the backend that answered.
+		if len(tr.Spans) < 2 || tr.Spans[0].Name != "router:decode" || tr.Spans[1].Name != "router:dispatch "+b.Addr() {
+			t.Errorf("%s: router spans not prepended; spans %+v", what, tr.Spans)
 		}
 	}
-	if !haveRouter || !haveEngine {
-		t.Fatalf("trace spans missing a hop (router=%v engine=%v): %+v", haveRouter, haveEngine, qr.Trace.Spans)
+	checkTrace("/query", qr.Trace)
+
+	// A traced batch carries the same id and both hops' spans on every
+	// result.
+	text, err = graph.EncodeText(queries)
+	if err != nil {
+		t.Fatalf("EncodeText: %v", err)
 	}
-	if !strings.HasPrefix(qr.Trace.Spans[0].Name, "router:") {
-		t.Errorf("router spans not prepended; first span is %s", qr.Trace.Spans[0].Name)
+	batchBody, _ := json.Marshal(server.BatchRequest{Graphs: string(text)})
+	bresp, err := http.Post("http://"+rt.Addr()+"/querybatch?debug=trace", "application/json", bytes.NewReader(batchBody))
+	if err != nil {
+		t.Fatalf("POST /querybatch?debug=trace: %v", err)
+	}
+	defer bresp.Body.Close()
+	if bresp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", bresp.StatusCode)
+	}
+	minted = bresp.Header.Get(telemetry.RequestIDHeader)
+	var br server.BatchResponse
+	if err := json.NewDecoder(bresp.Body).Decode(&br); err != nil {
+		t.Fatalf("decoding batch response: %v", err)
+	}
+	if len(br.Results) != len(queries) {
+		t.Fatalf("batch of %d queries got %d results", len(queries), len(br.Results))
+	}
+	for i, res := range br.Results {
+		checkTrace(fmt.Sprintf("/querybatch result %d", i), res.Trace)
 	}
 
 	// An id supplied by the caller (a router fronting this router) is

@@ -8,9 +8,11 @@
 // lookup uses) falls on in a consistent-hash ring — so isomorphic
 // queries land on the same backend and its cache earns their hits. A
 // query whose home is unavailable, lagging the fleet's dataset epoch or
-// saturated goes to the least-loaded backend instead. A batch is split
-// by that rule into at most one QueryBatch per backend, scatter-gathered
-// and re-stitched in request order.
+// saturated goes to the least-loaded backend instead. A request is split
+// by that rule into at most one /querybatch per backend, scatter-gathered
+// and re-stitched in request order; a single query is a batch of one,
+// sent to its home's /querybatch, and both routes share one handler and
+// one dispatch path. ?debug=trace works on either route.
 //
 // The router never builds a graph from a binary request. It splits the
 // GCBF frame into its graph bodies, checking each as a backend's decoder
@@ -51,7 +53,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"sync"
@@ -154,8 +155,7 @@ type Router struct {
 	opts Options
 	tun  tuning
 	mux  *http.ServeMux
-	hs   *http.Server
-	lis  net.Listener
+	ln   *server.Listener
 
 	// topo is the current fleet generation; the hot path loads it once
 	// per request. topoMu serialises writers (Join/Drain), never readers.
@@ -163,8 +163,7 @@ type Router struct {
 	topoMu sync.Mutex
 
 	adminMux *http.ServeMux
-	adminHS  *http.Server
-	adminLis net.Listener
+	admin    *server.Listener
 
 	reg *telemetry.Registry
 	met *routerMetrics
@@ -209,7 +208,9 @@ func newRouter(opts Options, tun tuning) (*Router, error) {
 		opts:      opts,
 		tun:       tun,
 		mux:       http.NewServeMux(),
+		ln:        server.NewListener(opts.Addr),
 		adminMux:  http.NewServeMux(),
+		admin:     server.NewListener(opts.AdminAddr),
 		reg:       reg,
 		met:       newRouterMetrics(reg),
 		wire:      server.NewWire(reg, "graphcache_router", server.RequestBodyLimit),
@@ -230,8 +231,8 @@ func newRouter(opts Options, tun tuning) (*Router, error) {
 		func() float64 { return float64(rt.availableCount()) })
 	reg.GaugeFunc("graphcache_router_fleet_epoch", "Fleet dataset epoch — the maximum across backends.",
 		func() float64 { return float64(rt.topo.Load().fleetEpoch()) })
-	rt.mux.HandleFunc("POST /query", rt.handleQuery)
-	rt.mux.HandleFunc("POST /querybatch", rt.handleBatch)
+	rt.mux.HandleFunc("POST /query", rt.serveQueries)
+	rt.mux.HandleFunc("POST /querybatch", rt.serveQueries)
 	rt.mux.HandleFunc("POST /mutate", rt.handleMutate)
 	rt.mux.HandleFunc("GET /stats", rt.handleStats)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
@@ -309,28 +310,21 @@ func (rt *Router) Metrics() *telemetry.Registry { return rt.reg }
 func (rt *Router) Options() Options { return rt.opts }
 
 // Start probes every backend once (so breaker windows have samples
-// before the first request), binds the listen address and starts the
-// background prober. It does not serve yet — call Serve, typically on
-// its own goroutine.
+// before the first request), binds the listen address — and the admin
+// address when one is set, serving the admin plane on its own goroutine
+// until Shutdown — and starts the background prober. It does not serve
+// the query plane yet — call Serve, typically on its own goroutine.
 func (rt *Router) Start() error {
 	rt.probeAll()
-	lis, err := net.Listen("tcp", rt.opts.Addr)
-	if err != nil {
-		return fmt.Errorf("router: listen %s: %w", rt.opts.Addr, err)
+	if err := rt.ln.Listen(rt.Handler()); err != nil {
+		return fmt.Errorf("router: %w", err)
 	}
-	rt.lis = lis
-	rt.hs = server.NewHTTPServer(rt.Handler())
 	if rt.opts.AdminAddr != "" {
-		alis, err := net.Listen("tcp", rt.opts.AdminAddr)
-		if err != nil {
-			lis.Close()
-			return fmt.Errorf("router: listen admin %s: %w", rt.opts.AdminAddr, err)
+		if err := rt.admin.Listen(rt.adminMux); err != nil {
+			rt.ln.Shutdown(context.Background())
+			return fmt.Errorf("router: admin %w", err)
 		}
-		rt.adminLis = alis
-		rt.adminHS = &http.Server{Handler: rt.adminMux}
-		// The admin plane serves on its own goroutine for the whole
-		// lifecycle; Shutdown tears it down alongside the query plane.
-		go rt.adminHS.Serve(alis)
+		go rt.admin.Serve()
 	}
 	go rt.probeLoop()
 	return nil
@@ -338,60 +332,28 @@ func (rt *Router) Start() error {
 
 // AdminAddr returns the bound admin listen address (valid after Start
 // when Options.AdminAddr is set; resolves port 0 to the actual port).
-func (rt *Router) AdminAddr() string {
-	if rt.adminLis == nil {
-		return rt.opts.AdminAddr
-	}
-	return rt.adminLis.Addr().String()
-}
+func (rt *Router) AdminAddr() string { return rt.admin.Addr() }
 
 // Addr returns the bound listen address (valid after Start; resolves
 // port 0 to the actual port).
-func (rt *Router) Addr() string {
-	if rt.lis == nil {
-		return rt.opts.Addr
-	}
-	return rt.lis.Addr().String()
-}
+func (rt *Router) Addr() string { return rt.ln.Addr() }
 
 // Serve accepts connections until Shutdown. It returns nil on graceful
 // shutdown.
-func (rt *Router) Serve() error {
-	if err := rt.hs.Serve(rt.lis); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
+func (rt *Router) Serve() error { return rt.ln.Serve() }
 
 // Shutdown stops the prober, stops accepting and drains in-flight
-// requests (bounded by ctx). The backends keep running — they are owned
-// by their own daemons.
+// requests (bounded by ctx) on both planes. The backends keep running —
+// they are owned by their own daemons.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	close(rt.stop)
 	<-rt.probeDone
 	var errs []error
-	if rt.hs != nil {
-		if err := rt.hs.Shutdown(ctx); err != nil {
-			errs = append(errs, fmt.Errorf("router: http shutdown: %w", err))
-		}
+	if err := rt.ln.Shutdown(ctx); err != nil {
+		errs = append(errs, fmt.Errorf("router: %w", err))
 	}
-	if rt.adminHS != nil {
-		if err := rt.adminHS.Shutdown(ctx); err != nil {
-			errs = append(errs, fmt.Errorf("router: admin http shutdown: %w", err))
-		}
-	}
-	if rt.adminLis != nil {
-		if err := rt.adminLis.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			errs = append(errs, fmt.Errorf("router: closing admin listener: %w", err))
-		}
-	}
-	// As in server.Shutdown: Serve-registered listeners are closed by
-	// http.Server.Shutdown, a Serve-less Start→Shutdown must close the
-	// socket itself.
-	if rt.lis != nil {
-		if err := rt.lis.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			errs = append(errs, fmt.Errorf("router: closing listener: %w", err))
-		}
+	if err := rt.admin.Shutdown(ctx); err != nil {
+		errs = append(errs, fmt.Errorf("router: admin %w", err))
 	}
 	return errors.Join(errs...)
 }

@@ -2,6 +2,9 @@ package router
 
 import (
 	"context"
+	"io"
+	"net"
+	"net/http"
 	"reflect"
 	"testing"
 	"time"
@@ -34,7 +37,7 @@ func testWorkload(ds *dataset.Dataset, n int, seed int64) []*graph.Graph {
 
 // startBackend runs one gcserved with its own cache over ds and tears it
 // down with the test.
-func startBackend(t *testing.T, ds *dataset.Dataset) *server.Server {
+func startBackend(t testing.TB, ds *dataset.Dataset) *server.Server {
 	t.Helper()
 	c := core.New(ggsx.New(ds, ggsx.Options{}),
 		core.Options{CacheSize: 20, WindowSize: 5})
@@ -55,14 +58,14 @@ func startBackend(t *testing.T, ds *dataset.Dataset) *server.Server {
 
 // startRouter runs a Router through its daemon lifecycle and tears it
 // down with the test.
-func startRouter(t *testing.T, opts Options) *Router {
+func startRouter(t testing.TB, opts Options) *Router {
 	t.Helper()
 	return startTunedRouter(t, opts, defaultTuning)
 }
 
 // startTunedRouter is startRouter over tun instead of the router's
 // constants, for tests that need fast breakers or a parked prober.
-func startTunedRouter(t *testing.T, opts Options, tun tuning) *Router {
+func startTunedRouter(t testing.TB, opts Options, tun tuning) *Router {
 	t.Helper()
 	opts.Addr = "127.0.0.1:0"
 	rt, err := newRouter(opts, tun)
@@ -85,6 +88,18 @@ func startTunedRouter(t *testing.T, opts Options, tun tuning) *Router {
 		}
 	})
 	return rt
+}
+
+// routeOne routes one query as the query handler routes a /query: a
+// group of one, dispatched through queryBatch.
+func routeOne(ctx context.Context, rt *Router, q graph.Body) error {
+	tp := rt.topo.Load()
+	qs := []graph.Body{q}
+	groups, err := rt.group(tp, qs)
+	if err == nil {
+		_, err = rt.queryBatch(ctx, tp, groups, qs, false)
+	}
+	return err
 }
 
 func eq(a, b []int32) bool {
@@ -278,8 +293,8 @@ func TestCanceledRequestDoesNotEject(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := rt.queryOne(ctx, rt.topo.Load(), wireBodies(t, queries[0])[0], false); err == nil {
-		t.Fatal("queryOne with a dead context succeeded")
+	if err := routeOne(ctx, rt, wireBodies(t, queries[0])[0]); err == nil {
+		t.Fatal("a dispatch with a dead context succeeded")
 	}
 	if st := rt.backends()[0].br.State(); st != StateClosed {
 		t.Fatalf("a canceled request tripped a healthy backend's breaker (state %v)", st)
@@ -288,7 +303,7 @@ func TestCanceledRequestDoesNotEject(t *testing.T) {
 		t.Fatalf("canceled request burned retries/ejections: %+v", c)
 	}
 	// The backend must still answer a live request.
-	if _, _, err := rt.queryOne(context.Background(), rt.topo.Load(), wireBodies(t, queries[1])[0], false); err != nil {
+	if err := routeOne(context.Background(), rt, wireBodies(t, queries[1])[0]); err != nil {
 		t.Fatalf("backend unusable after canceled request: %v", err)
 	}
 }
@@ -386,5 +401,51 @@ func TestRouterEjectReadmit(t *testing.T) {
 		if _, err := cl.Query(ctx, q); err != nil {
 			t.Fatalf("Query %d after readmission: %v", i, err)
 		}
+	}
+}
+
+// TestRouterAdminShutdownClosesFreshConnections: a connection that never
+// carried a request holds up neither listener's graceful shutdown.
+// net/http waits up to 5 s for such a connection's first request; a
+// client pool's spare connection to the admin plane would otherwise hold
+// Shutdown that long.
+func TestRouterAdminShutdownClosesFreshConnections(t *testing.T) {
+	b := startBackend(t, testDataset(40, 191))
+	rt, err := New(Options{Addr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0", Backends: []string{b.Addr()}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- rt.Serve() }()
+	for _, addr := range []string{rt.AdminAddr(), rt.Addr()} {
+		bare, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bare.Close()
+		// A listener accepts in arrival order and tracks each connection
+		// before its next accept, so once a request dialed after the bare
+		// connection is answered, the bare one is tracked too.
+		res, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Shutdown took %v with a bare connection open on each plane, want under 1s", d)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("Serve: %v", err)
 	}
 }

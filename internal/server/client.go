@@ -150,11 +150,7 @@ func NewClientWith(addr string, opts ClientOptions) *Client {
 // Query answers one graph query through POST /query, which the server
 // runs as a run of one on the request.
 func (cl *Client) Query(ctx context.Context, q *graph.Graph) (QueryResponse, error) {
-	payload, ct, err := cl.encodeGraphsPayload([]*graph.Graph{q}, true)
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	return cl.query(ctx, payload, ct, false)
+	return cl.query(ctx, q, false)
 }
 
 // QueryTrace answers one graph query like Query, additionally asking the
@@ -163,32 +159,28 @@ func (cl *Client) Query(ctx context.Context, q *graph.Graph) (QueryResponse, err
 // context request id (telemetry.WithRequestID) is propagated; without
 // one the server mints an id itself.
 func (cl *Client) QueryTrace(ctx context.Context, q *graph.Graph) (QueryResponse, error) {
+	return cl.query(ctx, q, true)
+}
+
+// query posts one graph to POST /query and decodes the reply. Graph
+// queries are idempotent — answers depend only on the query (the pruning
+// rules are sound) — so the full retry policy applies.
+func (cl *Client) query(ctx context.Context, q *graph.Graph, trace bool) (QueryResponse, error) {
 	payload, ct, err := cl.encodeGraphsPayload([]*graph.Graph{q}, true)
 	if err != nil {
 		return QueryResponse{}, err
 	}
-	return cl.query(ctx, payload, ct, true)
-}
-
-// QueryFrame is Query, or QueryTrace with trace set, over a ready binary
-// frame holding the one graph (graph.EncodeBinary, graph.EncodeFrame),
-// posted as is whatever the client's wire format: how a router forwards
-// the graph bodies its clients sent without decoding them.
-func (cl *Client) QueryFrame(ctx context.Context, frame []byte, trace bool) (QueryResponse, error) {
-	return cl.query(ctx, frame, ContentTypeBinary, trace)
-}
-
-// query posts one query's request body to POST /query and decodes the
-// reply. Graph queries are idempotent — answers depend only on the query
-// (the pruning rules are sound) — so the full retry policy applies.
-func (cl *Client) query(ctx context.Context, payload []byte, ct string, trace bool) (QueryResponse, error) {
-	path := "/query"
-	if trace {
-		path += "?debug=trace"
-	}
 	var resp QueryResponse
-	err := cl.callWith(ctx, http.MethodPost, path, payload, ct, &resp, true)
+	err = cl.callWith(ctx, http.MethodPost, tracePath("/query", trace), payload, ct, &resp, true)
 	return resp, err
+}
+
+// tracePath is path, asking for span breakdowns when trace is set.
+func tracePath(path string, trace bool) string {
+	if trace {
+		return path + "?debug=trace"
+	}
+	return path
 }
 
 // QueryBatch answers a batch of queries through POST /querybatch; results
@@ -201,20 +193,22 @@ func (cl *Client) QueryBatch(ctx context.Context, qs []*graph.Graph) ([]QueryRes
 	if err != nil {
 		return nil, err
 	}
-	return cl.queryBatch(ctx, payload, ct, len(qs))
+	return cl.queryBatch(ctx, payload, ct, len(qs), false)
 }
 
 // QueryBatchFrame is QueryBatch over a ready binary frame of n graphs,
-// posted as is.
-func (cl *Client) QueryBatchFrame(ctx context.Context, frame []byte, n int) ([]QueryResponse, error) {
-	return cl.queryBatch(ctx, frame, ContentTypeBinary, n)
+// posted as is whatever the client's wire format: how a router forwards
+// the graph bodies its clients sent without decoding them. With trace set
+// the server is asked for every result's span breakdown (?debug=trace).
+func (cl *Client) QueryBatchFrame(ctx context.Context, frame []byte, n int, trace bool) ([]QueryResponse, error) {
+	return cl.queryBatch(ctx, frame, ContentTypeBinary, n, trace)
 }
 
 // queryBatch posts a batch request body of n queries to POST /querybatch,
 // under the full retry policy as query does.
-func (cl *Client) queryBatch(ctx context.Context, payload []byte, ct string, n int) ([]QueryResponse, error) {
+func (cl *Client) queryBatch(ctx context.Context, payload []byte, ct string, n int, trace bool) ([]QueryResponse, error) {
 	resp := BatchResponse{Results: make([]QueryResponse, 0, n)} // the decoder fills it in place
-	if err := cl.callWith(ctx, http.MethodPost, "/querybatch", payload, ct, &resp, true); err != nil {
+	if err := cl.callWith(ctx, http.MethodPost, tracePath("/querybatch", trace), payload, ct, &resp, true); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != n {

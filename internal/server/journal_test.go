@@ -21,8 +21,8 @@ import (
 // crash stops s the way kill -9 would: no Shutdown, so no snapshot write
 // and no journal truncation.
 func crash(s *Server) {
-	s.hs.Close()
-	s.lis.Close()
+	s.ln.hs.Close()
+	s.ln.lis.Close()
 	s.jr.Close()
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"graphcache/internal/graph"
 	"graphcache/internal/telemetry"
 )
 
@@ -126,8 +127,9 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestServerTraceAndStats checks ?debug=trace span assembly and the
-// /stats build-identification fields on a live server.
+// TestServerTraceAndStats checks ?debug=trace span assembly, on /query
+// and on every result of a /querybatch, and the /stats
+// build-identification fields on a live server.
 func TestServerTraceAndStats(t *testing.T) {
 	ds := testDataset(40, 211)
 	queries := testWorkload(ds, 2, 212)
@@ -172,6 +174,30 @@ func TestServerTraceAndStats(t *testing.T) {
 	}
 	if sum, gc := feature+probe+gcverify, span("engine:filter_gc"); sum > gc+int64(time.Millisecond) {
 		t.Errorf("GC-stage spans sum to %d ns, more than engine:filter_gc %d ns + 1 ms", sum, gc)
+	}
+
+	// A traced /querybatch gives every result the caller's id, the
+	// request's decode and its own engine spans.
+	frame, err := graph.EncodeBinary(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := cl.QueryBatchFrame(ctx, frame, len(queries), true)
+	if err != nil {
+		t.Fatalf("QueryBatchFrame with trace: %v", err)
+	}
+	for i, res := range batch {
+		if res.Trace == nil || res.Trace.RequestID != "aaaabbbbccccdddd" {
+			t.Fatalf("batch result %d: trace %+v; want one under the caller's id", i, res.Trace)
+		}
+		var names []string
+		for _, sp := range res.Trace.Spans {
+			names = append(names, sp.Name)
+		}
+		if joined := strings.Join(names, ","); !strings.HasPrefix(joined, "server:decode,") ||
+			!strings.Contains(joined, "engine:verify") || !strings.Contains(joined, "engine:total") {
+			t.Errorf("batch result %d: trace spans %v; want server:decode then the engine's", i, names)
+		}
 	}
 
 	// An untraced query carries no trace payload.

@@ -247,8 +247,8 @@ func TestJournalCrashReplay(t *testing.T) {
 	// keep it, so no handler queued behind it runs — before the journal
 	// is reopened; then drop the journal's descriptor, as the dying
 	// process would.
-	s.hs.Close()
-	s.lis.Close()
+	s.ln.hs.Close()
+	s.ln.lis.Close()
 	wg.Wait()
 	s.mutMu.Lock()
 	s.jr.Close()
@@ -576,8 +576,8 @@ func TestWarmLeavesNoPreWarmJournal(t *testing.T) {
 	}
 
 	// Crash: no Shutdown, so no snapshot write and no truncation.
-	s.hs.Close()
-	s.lis.Close()
+	s.ln.hs.Close()
+	s.ln.lis.Close()
 	s.jr.Close()
 
 	dsR := testDataset(60, 31)

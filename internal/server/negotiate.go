@@ -85,6 +85,15 @@ func NewWire(reg *telemetry.Registry, prefix string, maxBodyBytes int64) *Wire {
 	}
 }
 
+// IsSingleQuery reports whether r came in on POST /query, whose body
+// holds exactly one graph and whose reply is a bare QueryResponse, rather
+// than on POST /querybatch. The two routes share one handler per tier.
+func IsSingleQuery(r *http.Request) bool { return r.URL.Path == "/query" }
+
+// WantsTrace reports whether r asked for its results' span breakdowns
+// (?debug=trace).
+func WantsTrace(r *http.Request) bool { return r.URL.Query().Get("debug") == "trace" }
+
 // ReadGraphs decodes a /query or /querybatch request body in its
 // negotiated format. one enforces the single-graph contract of /query.
 // The returned duration is the graph-decode time (for traces); on a

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -35,7 +34,6 @@ import (
 
 	"graphcache/internal/core"
 	"graphcache/internal/dataset"
-	"graphcache/internal/graph"
 	"graphcache/internal/telemetry"
 )
 
@@ -106,8 +104,7 @@ type Server struct {
 	cache *core.Cache
 	opts  Options
 	mux   *http.ServeMux
-	hs    *http.Server
-	lis   net.Listener
+	ln    *Listener
 
 	admitted atomic.Int64 // queries admitted and not yet answered
 
@@ -152,6 +149,7 @@ func New(c *core.Cache, opts Options) *Server {
 		cache: c,
 		opts:  opts,
 		mux:   http.NewServeMux(),
+		ln:    NewListener(opts.Addr),
 		met:   newServerMetrics(reg),
 		wire:  NewWire(reg, "graphcache_server", RequestBodyLimit),
 		reg:   reg,
@@ -164,8 +162,8 @@ func New(c *core.Cache, opts Options) *Server {
 		func() float64 { return float64(len(c.CachedSerials())) })
 	reg.GaugeFunc("graphcache_dataset_epoch", "Dataset mutation epoch (0 = never mutated).",
 		func() float64 { return float64(c.DatasetEpoch()) })
-	s.mux.HandleFunc("POST /query", s.handleQuery)
-	s.mux.HandleFunc("POST /querybatch", s.handleBatch)
+	s.mux.HandleFunc("POST /query", s.serveQueries)
+	s.mux.HandleFunc("POST /querybatch", s.serveQueries)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /snapshot", s.handleSnapshot)
@@ -208,37 +206,6 @@ func WithRequestID(next http.Handler) http.Handler {
 	})
 }
 
-// NewHTTPServer is both tiers' query-plane http.Server over h. Its
-// Shutdown closes at once the connections that have not carried a request
-// yet, where net/http waits up to 5 s for each one's first request: a
-// client's connection pool (the router's to its backends, a load
-// generator's to the router) keeps spare connections that it dialed during
-// a burst and never used, and each would hold a graceful shutdown for those
-// 5 s.
-func NewHTTPServer(h http.Handler) *http.Server {
-	var mu sync.Mutex
-	fresh := map[net.Conn]bool{}
-	hs := &http.Server{Handler: h, ConnState: func(c net.Conn, st http.ConnState) {
-		mu.Lock()
-		defer mu.Unlock()
-		if st == http.StateNew {
-			fresh[c] = true
-		} else {
-			delete(fresh, c)
-		}
-	}}
-	// Shutdown runs this once its listeners are closed, so no fresh
-	// connection arrives after it.
-	hs.RegisterOnShutdown(func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for c := range fresh {
-			c.Close()
-		}
-	})
-	return hs
-}
-
 // Options returns the server's (defaulted) configuration.
 func (s *Server) Options() Options { return s.opts }
 
@@ -256,12 +223,9 @@ func (s *Server) Start() error {
 			return err
 		}
 	}
-	lis, err := net.Listen("tcp", s.opts.Addr)
-	if err != nil {
-		return fmt.Errorf("server: listen %s: %w", s.opts.Addr, err)
+	if err := s.ln.Listen(s.Handler()); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
-	s.lis = lis
-	s.hs = NewHTTPServer(s.Handler())
 	if s.opts.SnapshotPath != "" && s.opts.SnapshotInterval > 0 {
 		s.snapStop = make(chan struct{})
 		s.snapDone = make(chan struct{})
@@ -348,21 +312,11 @@ func (s *Server) openAndReplayJournal() error {
 
 // Addr returns the bound listen address (valid after Start; resolves port
 // 0 to the actual port).
-func (s *Server) Addr() string {
-	if s.lis == nil {
-		return s.opts.Addr
-	}
-	return s.lis.Addr().String()
-}
+func (s *Server) Addr() string { return s.ln.Addr() }
 
 // Serve accepts connections until Shutdown. It returns nil on graceful
 // shutdown.
-func (s *Server) Serve() error {
-	if err := s.hs.Serve(s.lis); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
+func (s *Server) Serve() error { return s.ln.Serve() }
 
 // Shutdown performs the daemon's graceful shutdown: stop accepting, drain
 // in-flight requests (bounded by ctx), and write the snapshot when
@@ -378,19 +332,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.snapOnce.Do(func() { close(s.snapStop) })
 		<-s.snapDone
 	}
-	if s.hs != nil {
-		if err := s.hs.Shutdown(ctx); err != nil {
-			errs = append(errs, fmt.Errorf("server: http shutdown: %w", err))
-		}
-	}
-	// http.Server.Shutdown only closes listeners registered by Serve; in a
-	// Start→Shutdown sequence where Serve never ran (error paths, tests)
-	// s.lis would leak its socket. After Serve the listener is already
-	// closed and Close returns net.ErrClosed, which is not an error here.
-	if s.lis != nil {
-		if err := s.lis.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			errs = append(errs, fmt.Errorf("server: closing listener: %w", err))
-		}
+	if err := s.ln.Shutdown(ctx); err != nil {
+		errs = append(errs, fmt.Errorf("server: %w", err))
 	}
 	if s.opts.SnapshotPath != "" {
 		if err := s.persist(); err != nil {
@@ -501,36 +444,55 @@ func writeShed(w http.ResponseWriter) {
 	WriteError(w, http.StatusTooManyRequests, errors.New("overloaded: admitted queries at bound; retry after 1s"))
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	qs, decDur, ok := s.wire.ReadGraphs(w, r, true)
+// serveQueries answers POST /query and POST /querybatch alike: the
+// request's queries are one run of the pipeline on the request's
+// goroutine, under its context — a client that disconnects cancels the
+// run, the cache abandons unstarted verification, and there is no one
+// left to write to. The reply goes out after the run's bookkeeping, so
+// every query is in the window and the totals when its client reads the
+// answer. The route decides only the reply envelope and /query's
+// one-graph check; ?debug=trace gives every result its trace on either.
+func (s *Server) serveQueries(w http.ResponseWriter, r *http.Request) {
+	single := IsSingleQuery(r)
+	qs, decDur, ok := s.wire.ReadGraphs(w, r, single)
 	if !ok {
 		return
 	}
-	if !s.admit(1) {
+	if !s.admit(len(qs)) {
 		writeShed(w)
 		return
 	}
-	defer s.done(1)
+	defer s.done(len(qs))
 	if r.Context().Err() != nil {
 		return
 	}
-	// The query is a run of one on this goroutine, so the reply goes out
-	// after the run's bookkeeping: the query is already in the window and
-	// the totals when its client reads the answer.
-	var res core.Result
-	if !s.runBatch(r.Context(), qs, func(_ int, got core.Result) { res = got }) {
-		return // the client is gone; there is no one to answer
+	trace := WantsTrace(r)
+	resp := make([]QueryResponse, len(qs))
+	s.met.batchSize.Observe(float64(len(qs)))
+	batched := len(qs) > 1
+	// Each result is folded into the metrics as it is delivered, so the
+	// metrics count a query before its client has the answer; a run cut
+	// short still counts the queries it delivered.
+	abandoned, err := s.cache.QueryBatchStream(r.Context(), qs, func(i int, res core.Result) {
+		s.met.observeQuery(&res.Stats, batched)
+		resp[i] = QueryResponse{Answer: res.Answer, Stats: res.Stats}
+		if trace {
+			resp[i].Trace = s.buildTrace(r.Context(), decDur, res.Stats)
+		}
+	})
+	if err != nil {
+		s.met.streamCancelled.Inc()
+		s.met.streamAbandoned.Add(float64(abandoned))
+		return
 	}
-	resp := QueryResponse{Answer: res.Answer, Stats: res.Stats}
-	if r.URL.Query().Get("debug") == "trace" {
-		resp.Trace = s.buildTrace(r.Context(), decDur, res.Stats)
-	}
-	s.wire.WriteResults(w, []QueryResponse{resp}, true)
+	s.wire.WriteResults(w, resp, single)
 }
 
 // buildTrace assembles one query's span breakdown for ?debug=trace: the
 // serving-boundary spans measured here plus the engine's stage timings
-// from QueryStats, all under the request id the front door minted.
+// from QueryStats, all under the request id the front door minted. Its
+// server:decode is the whole request's decode, which a batch's queries
+// share.
 func (s *Server) buildTrace(ctx context.Context, decode time.Duration, qs core.QueryStats) *telemetry.Trace {
 	tr := &telemetry.Trace{RequestID: telemetry.RequestIDFrom(ctx)}
 	tr.Add("server:decode", decode)
@@ -543,51 +505,6 @@ func (s *Server) buildTrace(ctx context.Context, decode time.Duration, qs core.Q
 	tr.Add("engine:verify", qs.VerifyTime)
 	tr.Add("engine:total", qs.TotalTime())
 	return tr
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	qs, _, ok := s.wire.ReadGraphs(w, r, false)
-	if !ok {
-		return
-	}
-	if !s.admit(len(qs)) {
-		writeShed(w)
-		return
-	}
-	defer s.done(len(qs))
-	if r.Context().Err() != nil {
-		return
-	}
-	// The batch runs under the request context: a client that disconnects
-	// cancels it, the cache abandons unstarted verification, and there is
-	// no one left to write to.
-	resp := make([]QueryResponse, len(qs))
-	completed := s.runBatch(r.Context(), qs, func(i int, res core.Result) {
-		resp[i] = QueryResponse{Answer: res.Answer, Stats: res.Stats}
-	})
-	if completed {
-		s.wire.WriteResults(w, resp, false)
-	}
-}
-
-// runBatch runs qs through the cache as one run — a /query's one query or
-// a /querybatch's batch — and reports whether it ran to completion. Each
-// result is folded into the metrics as it is delivered, before deliver
-// hands it on, so the metrics count a query before its client has the
-// answer; a run cut short still counts the queries it delivered, and
-// moves the cancellation counters.
-func (s *Server) runBatch(ctx context.Context, qs []*graph.Graph, deliver func(i int, res core.Result)) bool {
-	s.met.batchSize.Observe(float64(len(qs)))
-	batched := len(qs) > 1
-	abandoned, err := s.cache.QueryBatchStream(ctx, qs, func(i int, res core.Result) {
-		s.met.observeQuery(&res.Stats, batched)
-		deliver(i, res)
-	})
-	if err != nil {
-		s.met.streamCancelled.Inc()
-		s.met.streamAbandoned.Add(float64(abandoned))
-	}
-	return err == nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -40,7 +40,8 @@ type QueryRequest struct {
 
 // QueryResponse is one query's answer: the sorted IDs of matching dataset
 // graphs plus the cache's per-query statistics. Trace is present only
-// when the request asked for it (?debug=trace): the per-stage span
+// when the request asked for it (?debug=trace, on /query and /querybatch
+// alike, so every result of a batch has one): the per-stage span
 // breakdown under the request id the front door minted — a router
 // prepends its own spans, so the one response shows the whole path.
 type QueryResponse struct {
