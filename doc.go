@@ -82,9 +82,9 @@
 // caller's query order therefore makes the same admission and eviction
 // decisions at any speed and core count. Flush is the barrier "every
 // window queued before this call is applied"; snapshot writes run it. A
-// pass runs inside its query's slot of the mutation gate, so once a
-// mutation or a snapshot load has drained in-flight queries, no pass is
-// running or queued.
+// pass runs inside its query's read lock on the mutation gate, so once a
+// mutation or a snapshot load holds the write lock, no pass is running or
+// queued.
 //
 // This departs from the paper, which rebuilds the index in the background
 // while queries are served from the old one. Measured with one caller (HD,
@@ -165,23 +165,29 @@
 //
 // The engine has one staged pipeline and three entry points into it.
 // Cache.QueryBatchStream is the pipeline: a short driver that runs the
-// seven stages of §4, Figure 2 over one run record, cheapest first and
-// each over the queries the earlier ones left open — lookup (the
-// exact-match lookup, §5.1 special case 1), extractFeatures,
-// filterAndProbe (Method M's filter beside the GCindex probe), confirm
-// (the containment confirmations), prune (special case 2 and the
-// Candidate Set Pruner, Eq. 1/2), verify (Method M's verification and the
-// deliveries) and bookkeep (credits, the Window, Totals). Each stage is a
+// eight stages of §4, Figure 2 over one run record, in order on the
+// calling goroutine and the shared worker pool, cheapest first and each
+// over the queries the earlier ones left open — lookup (the exact-match
+// lookup, §5.1 special case 1), extractFeatures, probe (the GCindex
+// probe), confirm (the containment confirmations, then special case 2: a
+// cached empty answer that proves the query's empty), filter (Method M's
+// filter), prune (the Candidate Set Pruner, Eq. 1/2), verify (Method M's
+// verification and the deliveries) and bookkeep (credits, the Window,
+// Totals). Figure 2 runs Method M's filter beside the GC processors; here
+// it runs after them, because the overlap measured slower, not faster, on
+// a 2-core VM (BenchmarkPipelineStages, GGSX, 12 alternating pairs: ZZ
+// 61.2 µs per query in order against 69.3 µs overlapped, UU 136.1 against
+// 159.9), and its goroutine outlived the run and needed a mutation gate
+// of its own. Each stage is a
 // method of the run in internal/core, documented there; each is the only
 // writer of its QueryStats fields, and every Result is delivered the
 // moment it is complete. Cache.QueryBatch collects those deliveries into
 // a slice aligned with its input, and Cache.Query is the pipeline over
 // one query. An exact hit therefore costs one isomorphism-invariant key,
 // one column scan and one small-vs-small sub-iso test: its paths are not
-// enumerated, Method M's filter is not called for it, it takes no probe
-// scratch, and a run made only of exact hits starts no goroutine at all.
-// In the statistics an exact hit has GCVerifications = 1 (the
-// confirmation) and no Containers or Containees — Totals.ContainerHits
+// enumerated, Method M's filter is not called for it, and it takes no
+// probe scratch. In the statistics an exact hit has GCVerifications = 1
+// (the confirmation) and no Containers or Containees — Totals.ContainerHits
 // and ContaineeHits count non-exact queries, as the container/containee
 // series of graphcache_query_hits_total always did. For a batch, the
 // index generation is loaded once, the open queries are probed in a
@@ -190,9 +196,9 @@
 // batch's hit statistics land in one critical section. Answers are
 // exactly those of sequential Query calls — the pruning rules are sound,
 // so answers never depend on cache contents — id-ordered and
-// deterministic. A run whose open queries were all proven empty returns
-// without waiting for Method M's filter, and a run whose context dies
-// abandons its unstarted verification and leaves no trace in the cache. A
+// deterministic. A query proven empty never reaches Method M's filter,
+// and a run whose context dies abandons its unstarted verification and
+// leaves no trace in the cache. A
 // run of one query is not a batch to the outside: it does not count in
 // Totals.Batches, gcserved counts it under
 // graphcache_queries_total{path=single}, and its stage timings are exact
@@ -490,8 +496,8 @@
 // tombstones, so an ID means the same graph forever.
 //
 // Cache.ApplyMutation applies one Mutation atomically with respect to
-// queries (the mutation gate drains in-flight queries, applies, then
-// readmits) and repairs the cached answers in place instead of flushing
+// queries (it takes the write lock of the mutation gate, a sync.RWMutex
+// every query holds for reading, applies, then readmits) and repairs the cached answers in place instead of flushing
 // them:
 //
 //   - Additions extend. Each added graph is tested (using the method's

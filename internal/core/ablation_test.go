@@ -139,14 +139,14 @@ func TestConcurrentReadAccessors(t *testing.T) {
 }
 
 func TestQueryStatsTotalTime(t *testing.T) {
-	// The two filter stages run in parallel (Figure 2): latency is the
-	// slower filter plus verification.
+	// The stages run one after the other: latency is the GC stage, then
+	// Method M's filter, then verification.
 	s := QueryStats{
 		FilterMTime:  2 * time.Millisecond,
 		FilterGCTime: 3 * time.Millisecond,
 		VerifyTime:   5 * time.Millisecond,
 	}
-	if got := s.TotalTime(); got != 8*time.Millisecond {
-		t.Errorf("TotalTime() = %v, want 8ms", got)
+	if got := s.TotalTime(); got != 10*time.Millisecond {
+		t.Errorf("TotalTime() = %v, want 10ms", got)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -13,9 +14,10 @@ import (
 
 // This file is the query pipeline — the one runtime of §4, Figure 2,
 // ordered by cost: the exact-match lookup, then, for the queries it left
-// open, Method M's filter beside the GC processors, the Candidate Set
-// Pruner, the verifier, the Window. QueryBatchStream is the pipeline;
-// Query runs it over one query and QueryBatch collects its deliveries.
+// open, the GC processors, then Method M's filter for the queries they
+// left open, the Candidate Set Pruner, the verifier, the Window.
+// QueryBatchStream is the pipeline; Query runs it over one query and
+// QueryBatch collects its deliveries.
 
 // How a query of a run was resolved.
 const (
@@ -30,16 +32,13 @@ type queryState struct {
 	hash uint64          // q.IsoKey(): the exact lookup's key
 	vec  pathfeat.Vector // q's path features; extracted only if the lookup missed
 
-	// exact is the isomorphic cached query the lookup found, or nil; a
-	// query with one is not in the run's open list, which is all the
-	// later stages before prune work on.
-	exact *entry
+	// hit is the cached query that resolved q by a special case, or nil:
+	// an isomorphic one (lookup) or one whose empty answer proves q's
+	// empty (confirm). A query with one leaves the run's open list, which
+	// is all the stages before prune work on.
+	hit *entry
 
-	// Method M's filter output, written by the run's filter goroutine: read
-	// only after filterDone, and never for a query a special case resolved
-	// (the run may return while the filter is still writing).
-	csM  []int32
-	mDur time.Duration
+	csM []int32 // Method M's candidate set, removed IDs masked out (filter)
 
 	// checks is the probe's candidate list, checks[:nSub] potential
 	// containers of q and the rest potential containees. The confirmed ones
@@ -80,11 +79,11 @@ type verifyChunk struct {
 }
 
 // Query processes q through GraphCache: the exact-match lookup, then — on
-// a miss — GC filtering beside Method M filtering, the empty-answer
-// shortcut, candidate-set pruning, verification, and window/cache
-// bookkeeping — the pipeline over one query. It is safe for any
-// number of concurrent callers; each caller's answer is exactly the
-// wrapped method's answer for its query, whatever the interleaving.
+// a miss — GC filtering, the empty-answer shortcut, Method M filtering,
+// candidate-set pruning, verification, and window/cache bookkeeping — the
+// pipeline over one query. It is safe for any number of concurrent
+// callers; each caller's answer is exactly the wrapped method's answer
+// for its query, whatever the interleaving.
 func (c *Cache) Query(q *graph.Graph) Result {
 	var res Result
 	// Never cancelled, so nothing is abandoned and there is no error.
@@ -117,12 +116,13 @@ func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
 // delivered before any sub-iso test runs, so the first results of a mixed
 // batch arrive while the heavy tail is still verifying.
 //
-// The run is seven stages, each a method of run, each called once, in
-// this order, and each past the first working only on the queries the
-// earlier ones left open: lookup, extractFeatures, filterAndProbe,
-// confirm, prune, verify and bookkeep. A run in which every query
-// exact-hit skips extractFeatures and filterAndProbe: it enumerates no
-// path and never touches Method M.
+// The run is eight stages, each a method of run, each called once, in
+// this order on the calling goroutine and the shared worker pool, and
+// each past the first working only on the queries the earlier ones left
+// open: lookup, extractFeatures, probe, confirm, filter, prune, verify and
+// bookkeep. A query that either special case resolves never reaches
+// Method M: a run in which every query exact-hit enumerates no path, and
+// neither it nor a query proven empty is ever filtered.
 //
 // Each delivered Result carries the query's complete QueryStats — the
 // only per-query record — so whoever delivers the answer can fold it into
@@ -153,17 +153,16 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	c.enterQuery()
-	defer c.exitQuery()
+	c.gate.RLock()
+	defer c.gate.RUnlock()
 
 	r := c.newRun(ctx, qs, deliver)
 	r.lookup()
-	if len(r.open) > 0 { // an all-hit run enumerates no path and never touches Method M
-		r.extractFeatures()
-		r.filterAndProbe()
-	}
+	r.extractFeatures()
+	r.probe()
 	r.confirm()
-	r.prune() // an all-empty run returns without waiting for the filter
+	r.filter()
+	r.prune()
 	if err := ctx.Err(); err != nil {
 		return r.nTests, err // a dead client abandons every test of the run
 	}
@@ -192,11 +191,10 @@ type run struct {
 	st      []queryState
 	ix      *queryIndex // the one generation every query looks up and probes
 
-	open       []int         // lookup: the queries it did not answer, ascending
-	filterDone chan struct{} // filterAndProbe: closed once Method M's filter is done
-	credits    []hitCredit   // prune: the hit credits bookkeep applies
-	nTests     int           // prune: the Method-M sub-iso tests left to run
-	verdicts   []bool        // verify: the tests' verdicts, query-major
+	open     []int       // lookup, then confirm: the queries no special case resolved, ascending
+	credits  []hitCredit // prune: the hit credits bookkeep applies
+	nTests   int         // prune: the Method-M sub-iso tests left to run
+	verdicts []bool      // verify: the tests' verdicts, query-major
 
 	// Each stage's wall time; the first four make up the GC stage.
 	lookupTime, featureTime, probeTime, confirmTime, verifyTime time.Duration
@@ -230,15 +228,15 @@ func (r *run) lookup() {
 		s := &r.st[i]
 		s.hash = s.q.IsoKey()
 		if lookup {
-			s.exact = r.ix.exact(s.hash, s.q.NumVertices(), s.q.NumEdges(), func(e *entry) bool {
+			s.hit = r.ix.exact(s.hash, s.q.NumVertices(), s.q.NumEdges(), func(e *entry) bool {
 				s.stats.GCVerifications++
 				return iso.Contains(c.algo, s.q, e.g)
 			})
 		}
 	})
 	for i := range r.st {
-		if s := &r.st[i]; s.exact != nil {
-			s.state, s.answer, s.stats.ExactHit = stateExact, s.exact.answer, true
+		if s := &r.st[i]; s.hit != nil {
+			s.state, s.answer, s.stats.ExactHit = stateExact, s.hit.answer, true
 		} else {
 			r.open = append(r.open, i)
 		}
@@ -247,9 +245,12 @@ func (r *run) lookup() {
 }
 
 // extractFeatures is stage 2: the path features of the open queries, one
-// pooled pass. The vectors are Method M's filter input, the probe input
+// pooled pass. The vectors are the probe input, Method M's filter input
 // and the new entries' vectors; the stage's duration is FeatureTime.
 func (r *run) extractFeatures() {
+	if len(r.open) == 0 { // an all-hit run enumerates no path
+		return
+	}
 	start := time.Now()
 	r.c.pool.ParallelFor(len(r.open), func(k int) {
 		s := &r.st[r.open[k]]
@@ -258,34 +259,18 @@ func (r *run) extractFeatures() {
 	r.featureTime = time.Since(start)
 }
 
-// filterAndProbe is stage 3: Method M's filter on its own goroutine,
-// beside the GC processors (§4, Figure 2), which probe the loaded
-// generation per open query for candidate containers and containees. The
-// filter's output is read by prune alone, after filterDone. The filter
-// goroutine holds its own inflight reference: a run whose open queries
-// are all proven empty returns without waiting for it, and the filter
-// must not still be reading the method's index when a mutation starts
-// rewriting it.
-func (r *run) filterAndProbe() {
-	start, c := time.Now(), r.c
-	r.filterDone = make(chan struct{})
-	c.retainQuery()
-	go func() {
-		defer c.exitQuery()
-		defer close(r.filterDone)
-		c.pool.ParallelFor(len(r.open), func(k int) {
-			s := &r.st[r.open[k]]
-			start := time.Now()
-			s.csM = c.filterM(s.q, s.vec)
-			s.mDur = time.Since(start)
-		})
-	}()
-	if len(r.ix.serials) > 0 {
-		c.pool.ParallelFor(len(r.open), func(k int) {
-			s := &r.st[r.open[k]]
-			s.checks, s.nSub = c.probe(r.ix, s.vec)
-		})
+// probe is stage 3, the GC processors' GCindex probe (§4): one pooled
+// pass over the open queries against the loaded generation for candidate
+// containers and containees.
+func (r *run) probe() {
+	if len(r.open) == 0 || len(r.ix.serials) == 0 {
+		return
 	}
+	start, c := time.Now(), r.c
+	c.pool.ParallelFor(len(r.open), func(k int) {
+		s := &r.st[r.open[k]]
+		s.checks, s.nSub = c.probe(r.ix, s.vec)
+	})
 	r.probeTime = time.Since(start)
 }
 
@@ -293,10 +278,14 @@ func (r *run) filterAndProbe() {
 // real (cheap, small-vs-small) sub-iso tests of every probe candidate as
 // one work list over the worker pool, query-major with containers before
 // containees, so each query's confirmed lists come out in ascending
-// serial order whatever the pool size. It adds its tests to
-// GCVerifications and writes Containers and Containees. It closes the GC
-// stage: every query gets an even share of the four GC stages' times as
-// FilterGCTime and its split.
+// serial order whatever the pool size. Then special case 2 (§5.1): a
+// contained cached query (containing, for supergraph queries) with an
+// empty answer proves q's answer empty, and q leaves the open list, so
+// Method M is never consulted for it — the paper's "processing
+// terminates". It adds its tests to GCVerifications and writes
+// Containers, Containees and EmptyShortcut. It closes the GC stage: every
+// query gets an even share of the four GC stages' times as FilterGCTime
+// and its split.
 func (r *run) confirm() {
 	start, c := time.Now(), r.c
 	nChecks := 0
@@ -332,6 +321,18 @@ func (r *run) confirm() {
 			}
 		}
 	}
+	supergraph := c.m.Mode() == method.ModeSupergraph
+	r.open = slices.DeleteFunc(r.open, func(qi int) bool {
+		s := &r.st[qi]
+		restrictors := s.containees
+		if supergraph {
+			restrictors = s.containers
+		}
+		if s.hit = findEmptyAnswer(restrictors); s.hit != nil {
+			s.state, s.stats.EmptyShortcut = stateEmpty, true
+		}
+		return s.hit != nil
+	})
 	r.confirmTime = time.Since(start)
 	n := time.Duration(len(r.st))
 	for i := range r.st {
@@ -343,44 +344,41 @@ func (r *run) confirm() {
 	}
 }
 
-// prune is stage 5, over every query in serial order. Special case 2
-// (§5.1): a contained cached query (containing, for supergraph queries)
-// with an empty answer proves q's answer empty, and Method M is never
-// consulted. Otherwise the Candidate Set Pruner takes Method M's
-// candidate set, removed-graph IDs masked out, and applies Eq. 1 then
-// Eq. 2 (roles inverted for supergraph queries). The filter is awaited
-// at the first query that needs it, so a run whose open queries were all
-// proven empty never waits — the paper's "processing terminates". Every
-// hit, exact hits included, queues its credit here. The stage writes
-// EmptyShortcut, Credit, FilterMTime, CandidatesM, DirectAnswers,
-// CandidatesFinal and SubIsoTests.
+// filter is stage 5, Method M's filter over the queries no special case
+// resolved, one pooled pass. It writes FilterMTime and CandidatesM.
+func (r *run) filter() {
+	c := r.c
+	c.pool.ParallelFor(len(r.open), func(k int) {
+		s := &r.st[r.open[k]]
+		start := time.Now()
+		csM := c.filterM(s.q, s.vec)
+		s.stats.FilterMTime = time.Since(start)
+		s.csM = c.m.Dataset().FilterLive(csM) // a DynamicMethod's filter may return removed IDs
+		s.stats.CandidatesM = len(s.csM)
+	})
+}
+
+// prune is stage 6, over every query in serial order. The Candidate Set
+// Pruner takes Method M's candidate set and applies Eq. 1 then Eq. 2
+// (roles inverted for supergraph queries). Every hit, special cases
+// included, queues its credit here. The stage writes Credit,
+// DirectAnswers, CandidatesFinal and SubIsoTests.
 func (r *run) prune() {
 	c := r.c
 	supergraph := c.m.Mode() == method.ModeSupergraph
 	var removed []removal // prune's output, reused query to query
 	for qi := range r.st {
 		s := &r.st[qi]
+		// A shortcut's cached entry stands in with its own first-execution
+		// candidate set and estimated cost for the never computed ones of q.
+		if hit := s.hit; hit != nil {
+			r.queueCredit(s, hit, true, hit.ownCS, hit.ownCost)
+			continue
+		}
 		providers, restrictors := s.containers, s.containees
 		if supergraph {
 			providers, restrictors = restrictors, providers
 		}
-		// A shortcut's cached entry stands in with its own first-execution
-		// candidate set and estimated cost for the never computed ones of q.
-		hit := s.exact
-		if hit == nil {
-			if hit = findEmptyAnswer(restrictors); hit != nil {
-				s.state, s.stats.EmptyShortcut = stateEmpty, true
-			}
-		}
-		if hit != nil {
-			r.queueCredit(s, hit, true, hit.ownCS, hit.ownCost)
-			continue
-		}
-
-		<-r.filterDone
-		s.csM = c.m.Dataset().FilterLive(s.csM) // a DynamicMethod's filter may return removed IDs
-		s.stats.FilterMTime = s.mDur
-		s.stats.CandidatesM = len(s.csM)
 		cost := c.costs.forQuery(s.q.NumVertices())
 		s.direct, s.cs, removed = prune(s.csM, providers, restrictors, cost, removed[:0])
 		s.stats.DirectAnswers = len(s.direct)
@@ -410,7 +408,7 @@ func (r *run) queueCredit(s *queryState, e *entry, special bool, removed int, sa
 	s.stats.Credit += saved
 }
 
-// verify is stage 6, Method M's verification and the deliveries. Every
+// verify is stage 7, Method M's verification and the deliveries. Every
 // query that needs no test is delivered first, so a client's first
 // results never wait on the batch's heavy tail. Then the sub-iso tests of
 // all pruned candidate sets run as one work list of chunks (see
@@ -501,7 +499,7 @@ func (r *run) complete(qi int, verifyTime time.Duration) {
 	r.deliver(qi, Result{Answer: cloneIDs(s.answer), Stats: s.stats})
 }
 
-// bookkeep is stage 7, the run's entry into the Window Manager (§6) and
+// bookkeep is stage 8, the run's entry into the Window Manager (§6) and
 // the Statistics Manager. The queued credits land first, so a window's
 // replacement pass sees the hits of the query that filled it; an entry
 // evicted meanwhile takes its credit out of the cache with it. Then the

@@ -186,13 +186,14 @@ func (m *blockingFilterMethod) takeFiltered() []*graph.Graph {
 }
 
 // TestAllHitRunDoesNotWaitForFilter pins "no further processing" and
-// "processing terminates" (§5.1) for every run shape. An exact hit never
-// reaches Method M: a lone hit and an all-hit batch call Filter zero times,
-// a mixed batch calls it once per query the lookup left open and for no
-// other. The one run that still starts a filter it does not need — every
-// open query proven empty by a cached empty answer — returns while that
-// filter is still parked, and a mutation arriving meanwhile does not start
-// until the filter has returned, because it holds its own gate reference.
+// "processing terminates" (§5.1) for every run shape. A query that either
+// special case resolves never reaches Method M: a lone exact hit and an
+// all-hit batch call Filter zero times, a mixed batch calls it once per
+// query the lookup left open and for no other, and a query proven empty by
+// a cached empty answer returns while the filter is blocked, without
+// calling it. A mutation started while a query is blocked inside the
+// filter waits for that query: the epoch does not move until the filter
+// is released.
 func TestAllHitRunDoesNotWaitForFilter(t *testing.T) {
 	ds := moleculeDataset(40, 41)
 	m := &blockingFilterMethod{
@@ -250,24 +251,30 @@ func TestAllHitRunDoesNotWaitForFilter(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("an empty-answer shortcut waited for the blocked filter")
 	}
+	if f := m.takeFiltered(); len(f) != 0 {
+		t.Fatalf("an empty-answer shortcut called Method M's filter %d times, want 0", len(f))
+	}
+
+	held := make(chan Result, 1)
+	go func() { held <- c.Query(typeAWorkload(ds, "UU", 1, 44)[0].Graph) }()
 	select {
 	case <-m.entered:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the shortcut run never started Method M's filter — the early return was tested vacuously")
+		t.Fatal("a fresh query never reached Method M's filter")
 	}
-
 	mutated := make(chan error, 1)
 	go func() {
 		_, err := c.AddGraphs([]*graph.Graph{ds.Graph(0).Clone()})
 		mutated <- err
 	}()
-	for !c.mutating.Load() { // the mutation has closed the gate and is draining
-		time.Sleep(100 * time.Microsecond)
-	}
-	if c.inflight.Load() == 0 || ds.Epoch() != 0 {
-		t.Fatalf("mutation got past the gate with the filter still running: inflight %d, epoch %d", c.inflight.Load(), ds.Epoch())
+	waitParkedIn(t, "sync.(*RWMutex).Lock") // the mutation waits at the gate
+	if ds.Epoch() != 0 {
+		t.Fatalf("dataset epoch = %d with a query still in Method M's filter, want 0", ds.Epoch())
 	}
 	close(m.release)
+	if r := <-held; r.Stats.ExactHit || r.Stats.EmptyShortcut {
+		t.Fatalf("the held query was resolved by a special case: %+v", r.Stats)
+	}
 	if err := <-mutated; err != nil {
 		t.Fatal(err)
 	}

@@ -75,17 +75,13 @@ type Cache struct {
 	admMu sync.Mutex
 	adm   admission
 
-	// Mutation gate (see mutate.go): queries register in inflight;
-	// ApplyMutation raises mutating, drains inflight to zero and then has
-	// the cache to itself. The query that takes inflight to zero while
-	// mutating is set wakes the drain through drained. gateMu blocks
-	// arriving queries for the duration of a mutation; mutApplyMu
+	// gate is the mutation gate (see mutate.go): a run of the pipeline
+	// holds its read lock from start to end, window pass included, and a
+	// mutation or snapshot load holds its write lock, so it has the cache
+	// to itself; a waiting writer blocks arriving runs. mutApplyMu
 	// serialises whole mutations, snapshot loads and snapshot writes, and
 	// guards lastSeq.
-	inflight   atomic.Int64
-	mutating   atomic.Bool
-	drained    chan struct{} // 1-buffered
-	gateMu     sync.Mutex
+	gate       sync.RWMutex
 	mutApplyMu sync.Mutex
 	// lastSeq is the highest Mutation.Seq applied. Written under
 	// mutApplyMu, read atomically so LastMutationSeq needs no lock.
@@ -163,17 +159,12 @@ type QueryStats struct {
 	Credit float64 `json:"-"`
 }
 
-// TotalTime is the query's processing latency. Method M's filter and the
-// GC processors run in parallel (§4, Figure 2), so the filtering stage
-// costs the slower of the two, followed by verification. A window pass
-// runs on the query that fills the window, after its answer is delivered,
-// and is counted in Totals.MaintenanceTime, not here.
+// TotalTime is the query's processing latency: the GC processors, then
+// Method M's filter, then verification, one after the other. A window
+// pass runs on the query that fills the window, after its answer is
+// delivered, and is counted in Totals.MaintenanceTime, not here.
 func (s QueryStats) TotalTime() time.Duration {
-	f := s.FilterMTime
-	if s.FilterGCTime > f {
-		f = s.FilterGCTime
-	}
-	return f + s.VerifyTime
+	return s.FilterGCTime + s.FilterMTime + s.VerifyTime
 }
 
 // Result is a processed query's answer and statistics.
@@ -187,12 +178,11 @@ type Result struct {
 func New(m method.Method, opts Options) *Cache {
 	opts = opts.withDefaults()
 	c := &Cache{
-		m:       m,
-		opts:    opts,
-		algo:    iso.VF2{},
-		adm:     newAdmission(opts),
-		pool:    method.NewLimiter(opts.VerifyConcurrency - 1),
-		drained: make(chan struct{}, 1),
+		m:    m,
+		opts: opts,
+		algo: iso.VF2{},
+		adm:  newAdmission(opts),
+		pool: method.NewLimiter(opts.VerifyConcurrency - 1),
 	}
 	c.passDone.L = &c.winMu
 	if vf, ok := m.(method.VectorFilter); ok && vf.FilterPathLen() == maxPathLen {

@@ -59,7 +59,10 @@ func TestPruneAllocations(t *testing.T) {
 // small fixed cost for the worker pool — not a list reserved for one
 // chunk per adaptiveGrain tests. The one query of the run with tests
 // embeds in no dataset graph, so it completes with an empty answer and
-// Method M's verifications allocate nothing.
+// Method M's verifications allocate nothing. TotalAlloc counts every
+// goroutine of the process, so a stray allocation elsewhere can land in
+// one round; a real one shows in every round, so the test passes on the
+// first clean round of five.
 func TestVerifyStageAllocations(t *testing.T) {
 	ds := moleculeDataset(30, 35)
 	c := New(method.NewVF2Plus(ds), Options{CacheSize: 10, WindowSize: 5, VerifyConcurrency: 2})
@@ -85,25 +88,33 @@ func TestVerifyStageAllocations(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / runs, len(rs[0].verdicts)
 	}
-	if n, _ := stageBytes(0); n != 0 {
-		t.Errorf("a run with no tests: the stage allocates %d bytes, want 0", n)
-	}
 	// 600 tests at VerifyConcurrency 2 are 8 chunks of 75; one chunk
 	// per adaptiveGrain tests would reserve 150.
 	const chunks, poolBytes = 8, 512
-	n, verdicts := stageBytes(tests)
-	if ceiling := uint64(verdicts + chunks*int(unsafe.Sizeof(verifyChunk{})) + poolBytes); n > ceiling {
-		t.Errorf("a run of %d tests: the stage allocates %d bytes, want ≤ %d", tests, n, ceiling)
-	} else {
-		t.Logf("a run of %d tests: the stage allocates %d bytes", tests, n)
+	var empty, n, ceiling uint64
+	for round := 0; round < 5; round++ {
+		empty, _ = stageBytes(0)
+		var verdicts int
+		n, verdicts = stageBytes(tests)
+		ceiling = uint64(verdicts + chunks*int(unsafe.Sizeof(verifyChunk{})) + poolBytes)
+		if empty == 0 && n <= ceiling {
+			t.Logf("a run of %d tests: the stage allocates %d bytes (round %d)", tests, n, round)
+			return
+		}
+	}
+	if empty != 0 {
+		t.Errorf("a run with no tests: the stage allocates %d bytes in every round, want 0", empty)
+	}
+	if n > ceiling {
+		t.Errorf("a run of %d tests: the stage allocates %d bytes in every round, want ≤ %d", tests, n, ceiling)
 	}
 }
 
 // TestExactHitAllocations pins what an exact hit costs the allocator: the
 // run's state, the credit and the delivered copy of the answer — and
 // nothing of the path-feature vector (the lookup's key is computed on the
-// stack), the filter goroutine, the probe's list or the confirmation work
-// list it no longer starts. Not under -race: the detector's own
+// stack), the probe's list or the confirmation work list it no longer
+// starts. Not under -race: the detector's own
 // bookkeeping allocates.
 func TestExactHitAllocations(t *testing.T) {
 	ds := moleculeDataset(30, 35)

@@ -38,11 +38,12 @@ import (
 //     edited ID but are no longer feature-compatible drop it without
 //     verification — incompatibility alone proves non-membership.
 //
-// Atomicity: a mutation runs with the cache to itself. Arriving queries
-// park on gateMu, and in-flight queries (including their still-running
-// Method M filter goroutines) drain via the inflight counter. A window
-// pass runs inside the gate slot of the query that fills the window, so
-// once the count is zero no pass is running or queued either. Then the
+// Atomicity: a mutation runs with the cache to itself. It takes the
+// write lock of the gate, a sync.RWMutex whose read lock every run of the
+// pipeline holds from its first stage to its last: arriving runs wait
+// behind it, and it waits for the runs in flight. No stage outlives its
+// run, and a window pass runs inside the run that fills the window, so
+// once the lock is held no pass is running or queued either. Then the
 // dataset generation, the method's filtering structures, the cached
 // entries and the pending window entries advance together. A query
 // therefore never observes the new dataset through Method M while pruning
@@ -83,71 +84,6 @@ type MutationResult struct {
 	WindowPatched int
 	// Duration is the wall time spent applying, gate wait included.
 	Duration time.Duration
-}
-
-// enterQuery registers a query with the mutation gate. The fast path is
-// one atomic increment and one atomic load; only while a mutation is in
-// progress do arriving queries back off, wake the drain if theirs was the
-// last reference, and park on gateMu.
-func (c *Cache) enterQuery() {
-	for {
-		c.inflight.Add(1)
-		if !c.mutating.Load() {
-			return
-		}
-		if c.inflight.Add(-1) == 0 {
-			c.wakeDrain()
-		}
-		c.gateMu.Lock() // parks until the mutation releases the gate
-		//lint:ignore SA2001 the critical section is the wait itself
-		c.gateMu.Unlock()
-	}
-}
-
-// retainQuery adds an inflight reference on behalf of a goroutine spawned
-// inside an already-gated section (the Method M filter goroutine). It
-// must not re-check the gate — the spawning query already holds a slot.
-func (c *Cache) retainQuery() { c.inflight.Add(1) }
-
-// exitQuery drops one inflight reference, waking a draining mutation if
-// it was the last.
-func (c *Cache) exitQuery() {
-	if c.inflight.Add(-1) == 0 && c.mutating.Load() {
-		c.wakeDrain()
-	}
-}
-
-// wakeDrain tells beginExclusive that inflight reached zero. The send
-// never blocks: a token already buffered wakes the drain just as well.
-func (c *Cache) wakeDrain() {
-	select {
-	case c.drained <- struct{}{}:
-	default:
-	}
-}
-
-// beginExclusive blocks new queries and drains in-flight ones: on return
-// the caller is the only goroutine touching the cache, the method and the
-// dataset. A window pass runs inside the gate slot of the query that
-// drains it, so none is running or queued either. Callers hold mutApplyMu,
-// which keeps WriteSnapshot out. Pair with endExclusive.
-//
-// The drain sleeps until woken, and no wake-up is lost: the atomics are
-// sequentially consistent, so a query that takes inflight to zero after
-// the load below read it non-zero also sees mutating set, and leaves a
-// token in drained. A token left over from an earlier drain only costs
-// one more look at inflight.
-func (c *Cache) beginExclusive() {
-	c.gateMu.Lock()
-	c.mutating.Store(true)
-	for c.inflight.Load() != 0 {
-		<-c.drained
-	}
-}
-
-func (c *Cache) endExclusive() {
-	c.mutating.Store(false)
-	c.gateMu.Unlock()
 }
 
 // DatasetEpoch returns the dataset's current mutation epoch.
@@ -237,8 +173,8 @@ func (c *Cache) ApplyMutation(mut dataset.Mutation) (MutationResult, error) {
 	for i, g := range mut.Graphs {
 		gvecs[i] = pathfeat.SimplePathVector(g, maxPathLen)
 	}
-	c.beginExclusive()
-	defer c.endExclusive()
+	c.gate.Lock()
+	defer c.gate.Unlock()
 
 	switch mut.Op {
 	case dataset.OpAdd:

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"graphcache/internal/dataset"
 	"graphcache/internal/gen"
@@ -46,92 +45,115 @@ func requireSound(t *testing.T, c *Cache, m method.Method, qs []workload.Query, 
 	}
 }
 
-// TestMutationGateWakesDrain checks both ways the last inflight
-// reference can go while a mutation drains — a query leaving, and an
-// arriving query backing off — and that each wakes the drain. Then it
-// races queries entering and leaving the gate — some handing a second
-// reference to a goroutine, the way a run's filter goroutine holds one —
-// against a stream of exclusive sections. No query and no such goroutine
-// may run inside a section, and every drain must be woken: a lost wake-up
-// leaves beginExclusive asleep, and the test times out.
-func TestMutationGateWakesDrain(t *testing.T) {
-	c := New(method.NewVF2Plus(gen.DefaultAIDS().Scaled(0.0005, 1).Generate(3)), Options{})
-	woken := func(what string) {
-		t.Helper()
-		select {
-		case <-c.drained:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s took inflight to zero during a drain and left no wake-up", what)
-		}
-	}
-	// The gate as beginExclusive leaves it before its first look at
-	// inflight.
-	closeGate := func() { c.gateMu.Lock(); c.mutating.Store(true) }
-	openGate := func() { c.mutating.Store(false); c.gateMu.Unlock() }
+// exclusionMethod is an SI method that counts every Filter and Verify
+// call that overlaps ApplyDatasetMutation, whichever starts first. The
+// atomics are sequentially consistent, so of a call and a mutation that
+// overlap, at least one sees the other.
+type exclusionMethod struct {
+	*method.SI
+	calls    atomic.Int64 // Filter and Verify calls in progress
+	mutating atomic.Bool
+	overlaps atomic.Int64
+}
 
-	c.enterQuery()
-	closeGate()
-	c.exitQuery()
-	woken("a leaving query")
-	entered := make(chan struct{})
-	go func() { c.enterQuery(); close(entered) }()
-	woken("an arriving query's back-off")
-	openGate()
-	<-entered
-	c.exitQuery()
-	if len(c.drained) != 0 || c.inflight.Load() != 0 {
-		t.Fatal("a query left with no drain waiting and still left a wake-up")
+func (m *exclusionMethod) call() func() {
+	m.calls.Add(1)
+	if m.mutating.Load() {
+		m.overlaps.Add(1)
 	}
+	return func() { m.calls.Add(-1) }
+}
 
-	var exclusive, stop atomic.Bool
-	var queries atomic.Int64
+func (m *exclusionMethod) Filter(q *graph.Graph) []int32 {
+	defer m.call()()
+	return m.SI.Filter(q)
+}
+
+func (m *exclusionMethod) Verify(q *graph.Graph, id int32) bool {
+	defer m.call()()
+	return m.SI.Verify(q, id)
+}
+
+func (m *exclusionMethod) ApplyDatasetMutation(added, edited []*graph.Graph, removed []int32) {
+	m.mutating.Store(true)
+	if m.calls.Load() != 0 {
+		m.overlaps.Add(1)
+	}
+	runtime.Gosched() // hold the window open for a call to start in
+	m.SI.ApplyDatasetMutation(added, edited, removed)
+	m.mutating.Store(false)
+}
+
+// TestMutationExcludesMethodCalls races four querying goroutines, singles
+// and batches, against a stream of adds, removes and edits. No call into
+// Method M may overlap a mutation of its structures — the cache's own
+// repair verifications run after the method's update, inside the
+// mutation — and afterwards every answer equals the method's over the
+// final dataset.
+func TestMutationExcludesMethodCalls(t *testing.T) {
+	ds := gen.DefaultAIDS().Scaled(0.002, 1).Generate(71)
+	m := &exclusionMethod{SI: method.NewVF2Plus(ds)}
+	cfg, err := workload.TypeACategory("ZZ", 1.4, []int{4, 8}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := workload.TypeA(ds, cfg, 72)
+	c := New(m, Options{CacheSize: 15, WindowSize: 4, VerifyConcurrency: 2})
+
+	var stop atomic.Bool
 	var wg sync.WaitGroup
+	var runs atomic.Int64
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				c.enterQuery()
-				if exclusive.Load() {
-					t.Error("a query entered during an exclusive section")
+			rng := rand.New(rand.NewSource(int64(w)))
+			for !stop.Load() {
+				if w%2 == 0 {
+					c.Query(qs[rng.Intn(len(qs))].Graph)
+				} else {
+					c.QueryBatch([]*graph.Graph{qs[rng.Intn(len(qs))].Graph, qs[rng.Intn(len(qs))].Graph})
 				}
-				if i%3 == 0 {
-					c.retainQuery()
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						if exclusive.Load() {
-							t.Error("a retained reference outlived the drain")
-						}
-						c.exitQuery()
-					}()
-				}
-				c.exitQuery()
-				queries.Add(1)
+				runs.Add(1)
 			}
-		}()
+		}(w)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for k := 0; k < 2000; k++ {
-			c.beginExclusive()
-			exclusive.Store(true)
-			runtime.Gosched()
-			exclusive.Store(false)
-			c.endExclusive()
+
+	rng := rand.New(rand.NewSource(73))
+	for step := 0; step < 30; step++ {
+		ids := ds.AllIDs()
+		id := ids[rng.Intn(len(ids))]
+		switch step % 3 {
+		case 0:
+			_, err = c.AddGraphs([]*graph.Graph{ds.Graph(id).Clone()})
+		case 1:
+			_, err = c.RemoveGraphs([]int32{id})
+		default:
+			var u, v int32
+			n := 0
+			ds.Graph(id).Edges(func(a, b int32) { u, v, n = a, b, n+1 })
+			if n < 2 {
+				continue // deleting the last edge risks an empty graph
+			}
+			_, err = c.EditGraphEdges(id, []dataset.EdgeEdit{{U: u, V: v, Del: true}})
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("a drain was never woken: beginExclusive still waits on inflight")
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 	stop.Store(true)
 	wg.Wait()
-	if queries.Load() == 0 {
-		t.Fatal("no query ran between the exclusive sections")
+
+	if n := m.overlaps.Load(); n != 0 {
+		t.Errorf("%d Method M calls overlapped a mutation of its structures", n)
 	}
+	if runs.Load() == 0 {
+		t.Fatal("no query ran beside the mutations")
+	}
+	if got := c.Totals().Mutations; got == 0 {
+		t.Fatal("no mutation was applied")
+	}
+	requireSound(t, c, m, qs, "after the race")
 }
 
 // TestMutationAddExtendsAnswers: adding graphs that match cached queries

@@ -167,11 +167,10 @@ func TestNilObserverAllocations(t *testing.T) {
 	noopCache := build(noopObserver{})
 	q := queries[0].Graph
 
-	// Background window rebuilds (this cache's and earlier tests') drain
-	// on goroutines whose allocations land in whichever AllocsPerRun is
-	// running, so any single round can be off by an alloc. A real nil-path
-	// cost (say, boxing an observation) is systematic and would show in
-	// every round; transient noise is not — pass on the first clean round.
+	// AllocsPerRun counts every goroutine of the process, so any single
+	// round can be off by an alloc. A real nil-path cost (say, boxing an
+	// observation) is systematic and would show in every round; transient
+	// noise is not — pass on the first clean round.
 	var nilAllocs, noopAllocs float64
 	for round := 0; round < 5; round++ {
 		nilAllocs = testing.AllocsPerRun(50, func() { nilCache.Query(q) })

@@ -149,13 +149,13 @@ func (c *Cache) WriteSnapshot(w io.Writer) error {
 // both leave the dataset on its pristine base.
 func (c *Cache) ReadSnapshot(r io.Reader) error {
 	// Loading is a whole-cache replacement: take the same exclusivity a
-	// mutation takes (blocks new queries, drains in-flight ones and with
-	// them their window passes), so warm-from-peer can load into a serving
-	// cache.
+	// mutation takes (blocks new queries, waits for in-flight ones and
+	// with them their window passes), so warm-from-peer can load into a
+	// serving cache.
 	c.mutApplyMu.Lock()
 	defer c.mutApplyMu.Unlock()
-	c.beginExclusive()
-	defer c.endExclusive()
+	c.gate.Lock()
+	defer c.gate.Unlock()
 
 	br := bufio.NewReader(r)
 	line, err := readLine(br)

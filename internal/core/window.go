@@ -79,9 +79,9 @@ type filledWindow struct {
 // Passes run on the query path, by group commit: the caller that finds
 // every queued window applied drains the queue itself, and its drain
 // applies the windows other callers queue meanwhile too, in the order they
-// filled, so no caller waits behind another's pass. Every caller is inside
-// its gate slot (enterQuery) here, so once the mutation gate has drained
-// in-flight queries no pass is running or queued.
+// filled, so no caller waits behind another's pass. Every caller holds
+// the gate's read lock here, so once a mutation holds its write lock no
+// pass is running or queued.
 func (c *Cache) addToWindow(e *entry, currentSerial int64) {
 	c.winMu.Lock()
 	c.window = append(c.window, e)

@@ -158,7 +158,7 @@ func TestMaintainerFlushWhilePassParked(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	waitParkedIn(t, "core.(*Cache).beginExclusive")
+	waitParkedIn(t, "sync.(*RWMutex).Lock") // the mutation waits at the gate
 	obs.release <- struct{}{}
 	<-obs.entered // pass 2 parked, on the same drain
 	select {

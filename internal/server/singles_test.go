@@ -204,20 +204,18 @@ func TestConcurrentSinglesRunSideBySide(t *testing.T) {
 	}
 }
 
-// TestCoalescerLoneWaiterCancellation: a lone client that leaves while its
+// TestSinglesLoneWaiterCancellation: a lone client that leaves while its
 // query is parked in verification returns at once; once the server sees it
 // go, the run abandons its remaining sub-iso tests, the handler returns,
 // the cancellation is counted, and the query leaves no trace in the cache.
-// The name dates from the request coalescer; a /query is now a run of its
-// own on its request, and the same assertions hold for it.
-func TestCoalescerLoneWaiterCancellation(t *testing.T) {
+func TestSinglesLoneWaiterCancellation(t *testing.T) {
 	clientLeavesMidVerification(t, Options{}, 65, 66)
 }
 
-// TestCoalescerMaxBatchOneAbandons: the deprecated MaxBatch option is
+// TestSinglesMaxBatchOneAbandons: the deprecated MaxBatch option is
 // still accepted and changes nothing, so under MaxBatch 1 a client that
 // leaves mid-verification is abandoned and counted exactly as without it.
-func TestCoalescerMaxBatchOneAbandons(t *testing.T) {
+func TestSinglesMaxBatchOneAbandons(t *testing.T) {
 	clientLeavesMidVerification(t, Options{MaxBatch: 1}, 69, 70)
 }
 
