@@ -50,12 +50,10 @@ type QueryStats = core.QueryStats
 type Totals = core.Totals
 
 // Observer receives a Cache's whole-cache telemetry: one
-// WindowObservation per Window Manager pass and one MutationObservation
-// per applied dataset mutation. Per-query figures travel in each Result's
-// QueryStats instead. Install it with Cache.SetObserver; the default nil
-// observer costs one atomic load per pass or mutation. The serving tier
-// installs a metrics-backed observer automatically — see the package
-// documentation's Telemetry section.
+// WindowObservation per Window Manager pass, which runs inside whichever
+// query's run drains the window. Install it with Cache.SetObserver; the
+// default nil observer costs one atomic load per pass. gcserved installs a
+// metrics-backed one — see the package documentation's Telemetry section.
 type Observer = core.Observer
 
 // WindowObservation is one Window Manager pass: wall time plus the
@@ -90,14 +88,10 @@ func ParsePolicy(name string) (PolicyKind, error) { return core.ParsePolicy(name
 // across one dataset mutation: the epoch the dataset landed at, cached
 // entries extended with newly matching graphs, entries whose answers
 // lost removed IDs (one merge per answer set, no verification), entries
-// re-verified after an edit, and entries invalidated outright. See the
-// package documentation's "Dynamic datasets" section.
+// re-verified after an edit, and entries invalidated outright; it is the
+// mutation's one record, metered by its caller. See the package
+// documentation's "Dynamic datasets" section.
 type MutationResult = core.MutationResult
-
-// MutationObservation is one applied mutation's telemetry row, streamed
-// to the Observer: op, epoch, wall time and the cache-maintenance counts
-// of its MutationResult.
-type MutationObservation = core.MutationObservation
 
 // ErrStaticMethod is returned by Cache.ApplyMutation when the underlying
 // Method does not implement DynamicMethod — its index cannot be

@@ -568,9 +568,9 @@
 // # Telemetry
 //
 // Every layer of the serving stack is instrumented; everything is
-// dependency-free (internal/telemetry implements the counters,
+// dependency-free (internal/telemetry implements the counters, callback
 // gauges, fixed-bucket histograms and the Prometheus text-exposition
-// writer and parser itself).
+// writer and parser itself). Each event is metered once, by its tier.
 //
 // Every query has one statistics record, its QueryStats, which travels
 // with its Result. Besides the wire fields it carries, in fields that
@@ -579,14 +579,15 @@
 // included, is in the probe share) and confirmation sub-iso time, and the
 // credit its cache hits earned. gcserved folds each query's record into
 // its metrics as the result is delivered — before the reply is written —
-// through the fold gcrouter applies to each backend reply
-// (server.QueryMetrics), so a scrape taken right after a reply already
-// counts it, and a run cut short by departed clients still counts the
-// queries it delivered. The cache's Observer, installed with
-// Cache.SetObserver, receives the whole-cache events: one
-// WindowObservation per Window Manager pass and one MutationObservation
-// per applied mutation. A nil Observer (the default) costs one atomic load
-// per event. gcserved installs its metrics as the observer.
+// so a scrape taken right after a reply already counts it, and a run cut
+// short by departed clients still counts the queries it delivered; the
+// fleet's figures are the sum over backends. A mutation's record is the
+// MutationResult Cache.ApplyMutation returns, which gcserved folds on
+// POST /mutate and on journal replay. The cache's Observer, installed
+// with Cache.SetObserver, receives the one event no caller sees: a
+// WindowObservation per Window Manager pass, which runs inside whichever
+// run drains the window. A nil Observer (the default) costs one atomic
+// load per pass. gcserved installs its metrics as the observer.
 //
 // gcserved serves GET /metrics in the Prometheus 0.0.4 text format:
 //
@@ -616,17 +617,18 @@
 //	    clients went away; graphcache_server_stream_abandoned_verifications_total
 //	    the sub-iso tests those runs skipped
 //	graphcache_server_admitted_queries, graphcache_cached_queries  (gauges)
-//	graphcache_mutations_applied_total{op=add|remove|edit}, graphcache_mutation_seconds
+//	graphcache_mutations_applied_total{op=add|remove|edit}, journal replay included
+//	graphcache_mutation_seconds  from the new graphs' feature extraction, through
+//	    the wait for in-flight queries, to the end of the answer repair
 //	graphcache_mutation_entries_{extended,reverified,invalidated}_total
 //	graphcache_dataset_epoch  (gauge)
 //
 // gcrouter serves the fleet view on both its query and admin listeners:
 //
-//	graphcache_query_duration_seconds{stage=...}  rebuilt from backend replies
-//	    (filter_m, filter_gc, verify, total: the stages a reply carries)
 //	graphcache_router_dispatch_seconds{backend=addr}  per-backend histograms
 //	graphcache_router_{routed,retried,shed}_total
 //	graphcache_router_codec_seconds, graphcache_router_wire_negotiated_total  (as gcserved's)
+//	graphcache_codec_bytes_total{codec,direction=in|out}  the router's own bytes
 //	graphcache_router_breaker_transitions_total{state=open|half_open|closed}
 //	graphcache_router_ring_remaps_total{op=join|drain}
 //	graphcache_router_backend_queue_depth{backend=addr}  (gauge)

@@ -47,10 +47,14 @@ func main() {
 
 	m := graphcache.NewGGSX(ds, graphcache.GGSXOptions{})
 
-	baseStart := time.Now()
+	// Answer filters each query itself, so the bare method's tests are
+	// counted off the clock.
 	baseTests := 0
 	for _, q := range queries {
 		baseTests += len(m.Filter(q))
+	}
+	baseStart := time.Now()
+	for _, q := range queries {
 		graphcache.Answer(m, q)
 	}
 	baseTime := time.Since(baseStart)

@@ -35,11 +35,14 @@ func main() {
 	}
 	queries := graphcache.TypeA(ds, cfg, 23)
 
-	// Baseline: the bare method.
-	baseStart := time.Now()
+	// Baseline: the bare method. Answer filters each query itself, so
+	// the tests are counted off the clock.
 	baseTests := 0
 	for _, q := range queries {
 		baseTests += len(m.Filter(q.Graph))
+	}
+	baseStart := time.Now()
+	for _, q := range queries {
 		graphcache.Answer(m, q.Graph)
 	}
 	baseTime := time.Since(baseStart)

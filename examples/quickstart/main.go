@@ -64,11 +64,14 @@ func main() {
 	fmt.Printf("cache maintenance (window passes, part of the time above): %v\n",
 		tot.MaintenanceTime.Round(time.Microsecond))
 
-	// 6. The same workload without the cache, for comparison.
-	startBase := time.Now()
+	// 6. The same workload without the cache, for comparison. Answer
+	// filters each query itself, so the tests are counted off the clock.
 	baseTests := 0
 	for _, q := range queries {
 		baseTests += len(m.Filter(q.Graph))
+	}
+	startBase := time.Now()
+	for _, q := range queries {
 		graphcache.Answer(m, q.Graph)
 	}
 	baseElapsed := time.Since(startBase)

@@ -57,7 +57,9 @@ import (
 // maintaining the method's filter index could silently lose answers.
 var ErrStaticMethod = errors.New("core: method does not support dataset mutations")
 
-// MutationResult reports what one applied mutation did to the cache.
+// MutationResult reports what one applied mutation did to the cache. It
+// is the mutation's one record: the cache streams no copy of it, so its
+// caller meters it.
 type MutationResult struct {
 	// Applied is false when the mutation was recognised as an
 	// already-applied duplicate by its sequence number and skipped.
@@ -82,7 +84,9 @@ type MutationResult struct {
 	// WindowPatched counts pending (not yet admitted) window entries
 	// whose answers were repaired in place.
 	WindowPatched int
-	// Duration is the wall time spent applying, gate wait included.
+	// Duration is the wall time from the extraction of the new graphs'
+	// vectors to the end of the repair: the wait for the gate, the
+	// dataset and index change and the cache's answer repair.
 	Duration time.Duration
 }
 
@@ -213,18 +217,6 @@ func (c *Cache) ApplyMutation(mut dataset.Mutation) (MutationResult, error) {
 	c.totMu.Lock()
 	c.tot.Mutations++
 	c.totMu.Unlock()
-	if obs := c.observer(); obs != nil {
-		obs.ObserveMutation(MutationObservation{
-			Op:             mut.Op.String(),
-			Epoch:          res.Epoch,
-			DurationNS:     res.Duration.Nanoseconds(),
-			EntriesTouched: res.EntriesTouched,
-			Reverified:     res.Reverified,
-			Extended:       res.Extended,
-			Invalidated:    res.Invalidated,
-			WindowPatched:  res.WindowPatched,
-		})
-	}
 	return res, nil
 }
 

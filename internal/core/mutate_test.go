@@ -322,21 +322,12 @@ func TestValidateMutation(t *testing.T) {
 	}
 }
 
-// TestMutationObserverCounts: per-mutation observations surface through
-// the Observer's mutation hook.
-type recordingMutObserver struct {
-	noopObserver
-	obs []MutationObservation
-}
-
-func (r *recordingMutObserver) ObserveMutation(o MutationObservation) { r.obs = append(r.obs, o) }
-
-func TestMutationObserverCounts(t *testing.T) {
+// TestMutationResultCounts: each applied mutation's MutationResult, its
+// one record, carries the epoch it reached, and Totals counts it once.
+func TestMutationResultCounts(t *testing.T) {
 	ds := gen.DefaultAIDS().Scaled(0.002, 1).Generate(61)
 	m := method.NewVF2Plus(ds)
-	rec := &recordingMutObserver{}
 	c := New(m, Options{CacheSize: 10, WindowSize: 4})
-	c.SetObserver(rec)
 	cfg, err := workload.TypeACategory("ZZ", 1.4, []int{4, 8}, 40)
 	if err != nil {
 		t.Fatal(err)
@@ -344,20 +335,22 @@ func TestMutationObserverCounts(t *testing.T) {
 	for _, q := range workload.TypeA(ds, cfg, 62) {
 		c.Query(q.Graph)
 	}
-	if _, err := c.AddGraphs([]*graph.Graph{ds.Graph(0).Clone()}); err != nil {
+	add, err := c.AddGraphs([]*graph.Graph{ds.Graph(0).Clone()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RemoveGraphs([]int32{1}); err != nil {
+	rm, err := c.RemoveGraphs([]int32{1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.obs) != 2 {
-		t.Fatalf("observer saw %d mutations, want 2", len(rec.obs))
+	if !add.Applied || !rm.Applied {
+		t.Fatalf("applied %v, %v; want both", add.Applied, rm.Applied)
 	}
-	if rec.obs[0].Op != "add" || rec.obs[1].Op != "remove" {
-		t.Errorf("observed ops %q, %q", rec.obs[0].Op, rec.obs[1].Op)
+	if add.Epoch != 1 || rm.Epoch != 2 {
+		t.Errorf("result epochs %d, %d, want 1, 2", add.Epoch, rm.Epoch)
 	}
-	if rec.obs[0].Epoch != 1 || rec.obs[1].Epoch != 2 {
-		t.Errorf("observed epochs %d, %d, want 1, 2", rec.obs[0].Epoch, rec.obs[1].Epoch)
+	if add.Duration <= 0 || rm.Duration <= 0 {
+		t.Errorf("result durations %v, %v, want both positive", add.Duration, rm.Duration)
 	}
 	if c.Totals().Mutations != 2 {
 		t.Errorf("Totals.Mutations = %d, want 2", c.Totals().Mutations)

@@ -10,32 +10,15 @@ type WindowObservation struct {
 	Rejected   int // refused by admission control
 }
 
-// MutationObservation is one applied dataset mutation: what it was and
-// what repairing the cache cost, emitted once per ApplyMutation that
-// actually applied (duplicates skipped by sequence number emit nothing).
-type MutationObservation struct {
-	Op         string // "add", "remove" or "edit"
-	Epoch      int64  // dataset epoch after the mutation
-	DurationNS int64
-
-	EntriesTouched int
-	Reverified     int
-	Extended       int
-	Invalidated    int
-	WindowPatched  int
-}
-
-// Observer receives the cache's whole-cache telemetry: one
-// WindowObservation per Window Manager pass and one MutationObservation per
-// applied dataset mutation. Per-query figures are not observed: each query's
-// QueryStats travels with its Result, and whoever delivers the answer folds
-// it. Implementations must be safe for concurrent calls — window passes run
-// on the goroutine of the query that drains the window, mutations on their
-// caller's — and fast: a slow ObserveWindow holds up that query's return.
-// A nil Observer (the default) costs one atomic load per pass or mutation.
+// Observer receives the cache's one event no caller sees: a
+// WindowObservation per Window Manager pass, which runs inside whichever
+// query's run drains the window. A query's QueryStats travels with its
+// Result and a mutation's MutationResult returns to its caller; those
+// callers fold them. Implementations must be safe for concurrent calls and
+// fast: a slow ObserveWindow holds up the return of the query that ran the
+// pass. A nil Observer (the default) costs one atomic load per pass.
 type Observer interface {
 	ObserveWindow(WindowObservation)
-	ObserveMutation(MutationObservation)
 }
 
 // observerBox wraps the interface so it can live in an atomic.Pointer.

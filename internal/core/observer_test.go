@@ -11,23 +11,16 @@ import (
 	"graphcache/internal/method"
 )
 
-// recordingObserver collects every observation, guarded for the
-// concurrent emitters (window passes, mutations).
+// recordingObserver collects every window observation, guarded for
+// concurrent window passes.
 type recordingObserver struct {
-	mu        sync.Mutex
-	windows   []WindowObservation
-	mutations []MutationObservation
+	mu      sync.Mutex
+	windows []WindowObservation
 }
 
 func (r *recordingObserver) ObserveWindow(o WindowObservation) {
 	r.mu.Lock()
 	r.windows = append(r.windows, o)
-	r.mu.Unlock()
-}
-
-func (r *recordingObserver) ObserveMutation(o MutationObservation) {
-	r.mu.Lock()
-	r.mutations = append(r.mutations, o)
 	r.mu.Unlock()
 }
 
@@ -120,29 +113,36 @@ func TestQueryStatsRunShapes(t *testing.T) {
 }
 
 // TestSetObserverSwap installs an observer after construction and
-// removes it again; only the mutation applied while it was installed is
+// removes it again; only the window pass run while it was installed is
 // observed.
 func TestSetObserverSwap(t *testing.T) {
 	ds := gen.DefaultAIDS().Scaled(0.002, 1).Generate(13)
 	c := New(method.NewVF2Plus(ds), Options{CacheSize: 10, WindowSize: 5})
-	add := func() {
+	queries := typeAWorkload(ds, "UU", 60, 14)
+	next := 0
+	// pass runs queries until one more window pass has completed.
+	pass := func() {
 		t.Helper()
-		if _, err := c.AddGraphs([]*graph.Graph{ds.Graph(0).Clone()}); err != nil {
-			t.Fatal(err)
+		for done := c.Totals().WindowsProcessed; c.Totals().WindowsProcessed == done; next++ {
+			if next == len(queries) {
+				t.Fatalf("%d queries ran %d window passes", next, done)
+			}
+			c.Query(queries[next].Graph)
+			c.Flush()
 		}
 	}
 
-	add()
+	pass()
 	rec := &recordingObserver{}
 	c.SetObserver(rec)
-	add()
+	pass()
 	c.SetObserver(nil)
-	add()
+	pass()
 
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.mutations) != 1 || rec.mutations[0].Epoch != 2 {
-		t.Fatalf("observer saw %+v, want exactly the mutation to epoch 2 while installed", rec.mutations)
+	if len(rec.windows) != 1 || rec.windows[0].WindowSize == 0 {
+		t.Fatalf("observer saw %+v, want exactly the one window pass run while installed", rec.windows)
 	}
 }
 
@@ -185,8 +185,7 @@ func TestNilObserverAllocations(t *testing.T) {
 
 type noopObserver struct{}
 
-func (noopObserver) ObserveWindow(WindowObservation)     {}
-func (noopObserver) ObserveMutation(MutationObservation) {}
+func (noopObserver) ObserveWindow(WindowObservation) {}
 
 // BenchmarkQueryNilObserver pins the nil-observer hot path for the
 // ±2% BenchmarkQueryCached acceptance bar: compare against

@@ -91,7 +91,6 @@ func TestEvictionIsGlobal(t *testing.T) {
 // test releases it, announcing each arrival on entered.
 type parkingObserver struct{ entered, release chan struct{} }
 
-func (o parkingObserver) ObserveMutation(MutationObservation) {}
 func (o parkingObserver) ObserveWindow(WindowObservation) {
 	o.entered <- struct{}{}
 	<-o.release

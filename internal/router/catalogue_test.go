@@ -12,26 +12,38 @@ import (
 	"graphcache/internal/server"
 )
 
-// docMetricNames returns the metric names doc.go's metrics lists (its
-// tab-indented lines) name, a brace list in a name — as in
+// docMetricNames returns, per tier, the metric names doc.go's metrics
+// lists (the tab-indented lines under "gcserved serves" and "gcrouter
+// serves") name, a brace list in a name — as in
 // graphcache_window_{admitted,evicted,rejected}_total — expanded into one
 // name per alternative.
-func docMetricNames(t *testing.T) map[string]bool {
+func docMetricNames(t *testing.T) map[string]map[string]bool {
 	t.Helper()
 	doc, err := os.ReadFile("../../doc.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	name := regexp.MustCompile(`graphcache_[a-z_]*(\{[a-z_,]+\}[a-z_]*)*`)
-	names := map[string]bool{}
+	names := map[string]map[string]bool{"gcserved": {}, "gcrouter": {}}
+	tier := ""
 	for _, line := range strings.Split(string(doc), "\n") {
-		if !strings.HasPrefix(line, "//\t") {
-			continue
-		}
-		for _, n := range name.FindAllString(line, -1) {
-			for _, x := range expandBraces(n) {
-				names[x] = true
+		switch {
+		case line == "//":
+		case strings.HasPrefix(line, "//\t"):
+			for _, n := range name.FindAllString(line, -1) {
+				for _, x := range expandBraces(n) {
+					if tier == "" {
+						t.Fatalf("doc.go names %s outside a tier's metrics list", x)
+					}
+					names[tier][x] = true
+				}
 			}
+		case strings.HasPrefix(line, "// gcserved serves"):
+			tier = "gcserved"
+		case strings.HasPrefix(line, "// gcrouter serves"):
+			tier = "gcrouter"
+		default:
+			tier = ""
 		}
 	}
 	return names
@@ -76,16 +88,18 @@ func metricFamilies(t *testing.T, url string) []string {
 	return fams
 }
 
-// TestMetricCatalogue: every metric family a live gcserved and a live
-// gcrouter register — after single queries and a batch — is named in doc.go's metrics lists, so the catalogue a reader
-// greps for what to scrape is the whole of it.
+// TestMetricCatalogue: the metric families a live gcserved and a live
+// gcrouter register — after single queries and a batch — are exactly the
+// ones doc.go lists under that tier, so the catalogue says which tier owns
+// each family and a reader greps one list for what to scrape.
 func TestMetricCatalogue(t *testing.T) {
 	ds := testDataset(40, 181)
 	queries := testWorkload(ds, 12, 182)
 	b := startBackend(t, ds)
 	rt := startRouter(t, Options{Backends: []string{b.Addr()}})
 	ctx := context.Background()
-	for _, addr := range []string{b.Addr(), rt.Addr()} {
+	tiers := map[string]string{"gcserved": b.Addr(), "gcrouter": rt.Addr()}
+	for _, addr := range tiers {
 		cl := server.NewClient(addr)
 		for i, q := range queries[:4] {
 			if _, err := cl.Query(ctx, q); err != nil {
@@ -98,10 +112,17 @@ func TestMetricCatalogue(t *testing.T) {
 	}
 
 	documented := docMetricNames(t)
-	for _, addr := range []string{b.Addr(), rt.Addr()} {
+	for tier, addr := range tiers {
+		registered := map[string]bool{}
 		for _, fam := range metricFamilies(t, "http://"+addr+"/metrics") {
-			if !documented[fam] {
-				t.Errorf("%s registers %s, which doc.go's metrics lists do not name", addr, fam)
+			registered[fam] = true
+			if !documented[tier][fam] {
+				t.Errorf("%s registers %s, which doc.go's %s list does not name", tier, fam, tier)
+			}
+		}
+		for fam := range documented[tier] {
+			if !registered[fam] {
+				t.Errorf("doc.go lists %s under %s, which does not register it", fam, tier)
 			}
 		}
 	}

@@ -308,7 +308,6 @@ func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGr
 				return err
 			}
 			for k, i := range g.idxs {
-				rt.met.query.Observe(&results[k].Stats)
 				out[i] = results[k]
 			}
 			return nil

@@ -48,7 +48,7 @@ func (rt *Router) backendStats(bs []*backend) []BackendStats {
 			Healthy:      b.br.State() == StateClosed,
 			Draining:     b.draining.Load(),
 			DatasetEpoch: b.epoch.Load(),
-			Pending:      b.cl.PendingCount(),
+			Pending:      int64(len(b.slots)),
 			Queued:       b.queued.Load(),
 			Breaker: BreakerStats{
 				State:           b.br.State().String(),

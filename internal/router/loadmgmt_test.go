@@ -139,6 +139,10 @@ func TestCanceledContextAbandonsQueuedRequest(t *testing.T) {
 		queuedDone <- routeOne(ctx, rt, bodies[1])
 	}()
 	waitFor(t, "the request to queue", func() bool { return rt.backends()[0].queued.Load() == 1 })
+	// /topology's view of the backend: one dispatch holds its slot, one waits.
+	if st := rt.BackendStats()[0]; st.Pending != 1 || st.Queued != 1 {
+		t.Errorf("backend stats pending %d, queued %d; want 1, 1", st.Pending, st.Queued)
+	}
 	cancel()
 
 	if err := <-queuedDone; !errors.Is(err, context.Canceled) {

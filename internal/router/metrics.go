@@ -1,22 +1,16 @@
 package router
 
 import (
-	"graphcache/internal/server"
 	"graphcache/internal/telemetry"
 )
 
 // routerMetrics is gcrouter's metric surface: fleet-level routing
-// counters, per-backend dispatch latency, and the engine-stage
-// histograms reconstructed from backend replies — so one scrape of the
-// router shows the fleet's query latency without scraping every
-// backend. Served at GET /metrics on both the query and admin planes.
+// counters and per-backend dispatch latency. A query's engine stages and
+// hits are counted once, by the backend that answered it; the fleet's
+// figures are the sum of the backends' /metrics. Served at GET /metrics
+// on both the query and admin planes.
 type routerMetrics struct {
 	reg *telemetry.Registry
-
-	// Engine stages and hits, folded from each successful reply's
-	// QueryStats before the router answers its client. The GC stage's
-	// finer split never crosses the wire.
-	query *server.QueryMetrics
 
 	// Routing plane.
 	routed  *telemetry.Counter
@@ -44,8 +38,7 @@ func newRouterMetrics(reg *telemetry.Registry) *routerMetrics {
 	const remapName = "graphcache_router_ring_remaps_total"
 	const remapHelp = "Consistent-hash ring rebuilds, by topology change."
 	return &routerMetrics{
-		reg:   reg,
-		query: server.NewQueryMetrics(reg),
+		reg: reg,
 
 		routed:  reg.Counter("graphcache_router_routed_total", "Queries dispatched to their assigned backend."),
 		retried: reg.Counter("graphcache_router_retried_total", "Queries re-dispatched after a failed attempt."),

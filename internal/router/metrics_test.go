@@ -59,9 +59,9 @@ func sampleValue(samples []telemetry.Sample, name string, labels map[string]stri
 // TestRouterMetricsEndpoint drives queries through a router over one
 // real backend and asserts the fleet-level exposition on both the query
 // plane and the admin plane: routed counters, per-backend dispatch
-// histograms, engine-stage histograms rebuilt from backend replies —
-// complete, like the backend's own, as soon as the last reply is in —
-// and queue-depth gauges.
+// histograms and queue-depth gauges, and no graphcache_query_* family —
+// each query's stages and hits are counted once, by the backend, whose
+// scrape right after the last reply already counts every query.
 func TestRouterMetricsEndpoint(t *testing.T) {
 	ds := testDataset(40, 171)
 	queries := testWorkload(ds, 12, 172)
@@ -80,13 +80,18 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 	}
 
 	backend := 0.0
-	for _, smp := range scrape(t, "http://"+b.Addr()+"/metrics") {
+	bsamples := scrape(t, "http://"+b.Addr()+"/metrics")
+	for _, smp := range bsamples {
 		if smp.Name == "graphcache_queries_total" {
 			backend += smp.Value
 		}
 	}
 	if backend != float64(len(queries)) {
 		t.Errorf("backend graphcache_queries_total sums to %v right after the last reply, want %d", backend, len(queries))
+	}
+	if v, ok := sampleValue(bsamples, "graphcache_query_duration_seconds_count",
+		map[string]string{"stage": "total"}); !ok || v != float64(len(queries)) {
+		t.Errorf("backend stage=total histogram = %v, %v right after the last reply; want %d", v, ok, len(queries))
 	}
 	for _, url := range []string{
 		"http://" + rt.Addr() + "/metrics",
@@ -100,11 +105,10 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 			map[string]string{"backend": b.Addr()}); !ok || v == 0 {
 			t.Errorf("%s: per-backend dispatch histogram missing or empty (ok=%v v=%v)", url, ok, v)
 		}
-		// Each reply is folded before the router answers, so one scrape
-		// right after the last reply counts every query exactly once.
-		if v, ok := sampleValue(samples, "graphcache_query_duration_seconds_count",
-			map[string]string{"stage": "total"}); !ok || v != float64(len(queries)) {
-			t.Errorf("%s: stage=total histogram = %v, %v; want %d", url, v, ok, len(queries))
+		for _, fam := range metricFamilies(t, url) {
+			if strings.HasPrefix(fam, "graphcache_query_") {
+				t.Errorf("%s registers %s, which its backends count", url, fam)
+			}
 		}
 		if _, ok := sampleValue(samples, "graphcache_router_backend_queue_depth",
 			map[string]string{"backend": b.Addr()}); !ok {

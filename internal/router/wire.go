@@ -61,7 +61,7 @@ type BackendStats struct {
 	// backend below the fleet maximum is lagging and diverted from query
 	// assignment until it catches up.
 	DatasetEpoch int64        `json:"dataset_epoch"`
-	Pending      int64        `json:"pending"` // in-flight requests through the router
+	Pending      int64        `json:"pending"` // dispatches holding one of the backend's slots
 	Queued       int64        `json:"queued"`  // dispatches waiting for a queue slot
 	Breaker      BreakerStats `json:"breaker"`
 	// Stats is the backend's own /stats reply; nil when the backend did

@@ -13,7 +13,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"graphcache/internal/graph"
@@ -68,13 +67,12 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // tests, by `gcquery -server`, by the router tier and by applications.
 // It is safe for concurrent use; each method maps to one API endpoint.
 type Client struct {
-	opts    ClientOptions
-	pool    *connPool
-	addr    string // host:port dialed
-	host    string // the Host header
-	prefix  string // the base URL's path, in front of every request path
-	err     error  // why the base URL cannot be served; every call returns it
-	pending atomic.Int64
+	opts   ClientOptions
+	pool   *connPool
+	addr   string // host:port dialed
+	host   string // the Host header
+	prefix string // the base URL's path, in front of every request path
+	err    error  // why the base URL cannot be served; every call returns it
 }
 
 // StatusError is a non-2xx HTTP reply from a server, carrying the status
@@ -112,10 +110,6 @@ func IsBackendDown(err error) bool {
 	}
 	return true
 }
-
-// PendingCount reports the number of requests currently in flight through
-// this client — the router's load signal. Health probes are not counted.
-func (cl *Client) PendingCount() int64 { return cl.pending.Load() }
 
 // NewClient returns a client for the server at addr — a "host:port" pair
 // or a full "http://..." base URL — with default options.
@@ -274,8 +268,7 @@ func (cl *Client) Mutate(ctx context.Context, req MutateRequest) (MutateResponse
 }
 
 // Healthz reports whether the server answers its health check. It never
-// retries — a health probe's job is to observe one attempt — and is not
-// counted in PendingCount.
+// retries: a health probe's job is to observe one attempt.
 func (cl *Client) Healthz(ctx context.Context) error {
 	_, err := cl.HealthzEpoch(ctx)
 	return err
@@ -381,8 +374,6 @@ func (cl *Client) once(ctx context.Context, method, path string, payload []byte,
 	if payload != nil {
 		req.contentType = ct
 	}
-	cl.pending.Add(1)
-	defer cl.pending.Add(-1)
 	res, err := cl.exchange(ctx, req)
 	if err != nil {
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
@@ -430,14 +421,12 @@ func statusError(res *http.Response) *StatusError {
 	return se
 }
 
-// readBody reads a reply body whole: into one buffer of the announced
-// length, which both tiers' result envelopes carry, else into one that
-// grows from room for a 32-result batch.
+// readBody reads a reply body whole: by readSized when it announced a
+// length, which both tiers' result envelopes carry, else into a buffer
+// that grows from room for a 32-result batch.
 func readBody(res *http.Response) ([]byte, error) {
 	if n := res.ContentLength; n >= 0 && n <= 64<<20 {
-		body := make([]byte, n)
-		_, err := io.ReadFull(res.Body, body)
-		return body, err
+		return readSized(res.Body, n)
 	}
 	buf := bytes.NewBuffer(make([]byte, 0, 16<<10))
 	_, err := buf.ReadFrom(res.Body)

@@ -2,84 +2,27 @@ package server
 
 import (
 	"graphcache/internal/core"
+	"graphcache/internal/dataset"
 	"graphcache/internal/telemetry"
 )
 
-// QueryMetrics is the per-query metric fold both serving tiers share: the
-// engine-stage histograms graphcache_query_duration_seconds{stage} for
-// filter_m, filter_gc, verify and total, and the hit counters
-// graphcache_query_hits_total{kind}. gcserved feeds it each result as the
-// result is delivered, gcrouter each successful reply, so one scrape of
-// either tier after a reply already counts that reply's query.
-type QueryMetrics struct {
-	filterM, filterGC, verify, total   *telemetry.Histogram
-	exact, empty, container, containee *telemetry.Counter
-}
-
-const (
-	durName = "graphcache_query_duration_seconds"
-	durHelp = "Per-stage query latency, by engine stage."
-)
-
-// stageHist registers the stage series of graphcache_query_duration_seconds.
-func stageHist(reg *telemetry.Registry, stage string) *telemetry.Histogram {
-	return reg.Histogram(durName, durHelp, nil, telemetry.L("stage", stage))
-}
-
-// NewQueryMetrics registers the shared per-query series on reg.
-func NewQueryMetrics(reg *telemetry.Registry) *QueryMetrics {
-	const hitName = "graphcache_query_hits_total"
-	const hitHelp = "Cache hits by kind (exact, empty, container, containee)."
-	hit := func(k string) *telemetry.Counter {
-		return reg.Counter(hitName, hitHelp, telemetry.L("kind", k))
-	}
-	return &QueryMetrics{
-		filterM:   stageHist(reg, "filter_m"),
-		filterGC:  stageHist(reg, "filter_gc"),
-		verify:    stageHist(reg, "verify"),
-		total:     stageHist(reg, "total"),
-		exact:     hit("exact"),
-		empty:     hit("empty"),
-		container: hit("container"),
-		containee: hit("containee"),
-	}
-}
-
-// Observe folds one query's stats. A special-case hit never ran Method M,
-// so it adds to neither filter_m nor verify.
-func (m *QueryMetrics) Observe(qs *core.QueryStats) {
-	m.filterGC.Observe(qs.FilterGCTime.Seconds())
-	m.total.Observe(qs.TotalTime().Seconds())
-	switch {
-	case qs.ExactHit:
-		m.exact.Inc()
-	case qs.EmptyShortcut:
-		m.empty.Inc()
-	default:
-		m.filterM.Observe(qs.FilterMTime.Seconds())
-		m.verify.Observe(qs.VerifyTime.Seconds())
-		if qs.Containers > 0 {
-			m.container.Inc()
-		}
-		if qs.Containees > 0 {
-			m.containee.Inc()
-		}
-	}
-}
-
-// serverMetrics is gcserved's metric surface: the shared per-query fold
-// plus what only the engine's own process can see (the GC-stage split,
-// candidate counts, savings, credit), the Window Manager and mutation
-// series fed by the cache Observer, and the serving-boundary series
-// (run sizes, codec time, shed/warm events, admitted gauge). Everything lives in one Registry served at GET /metrics.
+// serverMetrics is gcserved's metric surface: each delivered query's
+// QueryStats (engine stages, hits, candidate counts, savings, credit), the
+// Window Manager series fed by the cache Observer, each applied
+// mutation's MutationResult, and the serving-boundary series (run sizes,
+// codec time, shed/warm events, admitted gauge). These are the fleet's
+// only per-query and per-mutation series: gcrouter does not fold what its
+// backends already count. Everything lives in one Registry served at
+// GET /metrics.
 type serverMetrics struct {
 	reg *telemetry.Registry
 
 	// Per-query series, fed by observeQuery as each result is delivered.
-	query       *QueryMetrics
-	durFeature  *telemetry.Histogram
-	durProbe    *telemetry.Histogram
-	durGCVerify *telemetry.Histogram
+	durFeature, durProbe, durGCVerify  *telemetry.Histogram
+	durFilterM, durFilterGC, durVerify *telemetry.Histogram
+	durTotal                           *telemetry.Histogram
+	hitExact, hitEmpty                 *telemetry.Counter
+	hitContainer, hitContainee         *telemetry.Counter
 
 	queriesSingle *telemetry.Counter
 	queriesBatch  *telemetry.Counter
@@ -105,7 +48,7 @@ type serverMetrics struct {
 	streamCancelled *telemetry.Counter
 	streamAbandoned *telemetry.Counter
 
-	// Dataset mutations, fed by the Observer.
+	// Dataset mutations, fed by observeMutation.
 	mutAdd         *telemetry.Counter
 	mutRemove      *telemetry.Counter
 	mutEdit        *telemetry.Counter
@@ -116,12 +59,28 @@ type serverMetrics struct {
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
+	stage := func(s string) *telemetry.Histogram {
+		return reg.Histogram("graphcache_query_duration_seconds", "Per-stage query latency, by engine stage.",
+			nil, telemetry.L("stage", s))
+	}
+	hit := func(k string) *telemetry.Counter {
+		return reg.Counter("graphcache_query_hits_total", "Cache hits by kind (exact, empty, container, containee).",
+			telemetry.L("kind", k))
+	}
 	m := &serverMetrics{
 		reg:         reg,
-		durFeature:  stageHist(reg, "feature"),
-		durProbe:    stageHist(reg, "probe"),
-		durGCVerify: stageHist(reg, "gcverify"),
-		query:       NewQueryMetrics(reg),
+		durFeature:  stage("feature"),
+		durProbe:    stage("probe"),
+		durGCVerify: stage("gcverify"),
+		durFilterM:  stage("filter_m"),
+		durFilterGC: stage("filter_gc"),
+		durVerify:   stage("verify"),
+		durTotal:    stage("total"),
+
+		hitExact:     hit("exact"),
+		hitEmpty:     hit("empty"),
+		hitContainer: hit("container"),
+		hitContainee: hit("containee"),
 
 		queriesSingle: reg.Counter("graphcache_queries_total", "Queries processed, by path.", telemetry.L("path", "single")),
 		queriesBatch:  reg.Counter("graphcache_queries_total", "Queries processed, by path.", telemetry.L("path", "batched")),
@@ -158,15 +117,14 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m.mutInvalidated = reg.Counter("graphcache_mutation_entries_invalidated_total",
 		"Cached entries that lost answer IDs to a removal or edit.")
 	m.mutDur = reg.Histogram("graphcache_mutation_seconds",
-		"Wall time one mutation held the cache's exclusivity window.", nil)
+		"Wall time of one applied mutation: new graphs' feature extraction, wait for in-flight queries, dataset and index change, cached-answer repair.", nil)
 	return m
 }
 
-// observeQuery folds one delivered query: the shared per-query series,
-// then the server's own, which read QueryStats' in-process fields. batched
-// says the query ran in a run of two or more.
+// observeQuery folds one delivered query. batched says the query ran in a
+// run of two or more. A special-case hit never ran Method M, so it adds to
+// neither filter_m nor verify, and never computed a candidate set to count.
 func (m *serverMetrics) observeQuery(qs *core.QueryStats, batched bool) {
-	m.query.Observe(qs)
 	if batched {
 		m.queriesBatch.Inc()
 	} else {
@@ -175,8 +133,22 @@ func (m *serverMetrics) observeQuery(qs *core.QueryStats, batched bool) {
 	m.durFeature.Observe(qs.FeatureTime.Seconds())
 	m.durProbe.Observe(qs.ProbeTime.Seconds())
 	m.durGCVerify.Observe(qs.GCVerifyTime.Seconds())
-	// A special-case hit never computed a candidate set to count.
-	if !qs.ExactHit && !qs.EmptyShortcut {
+	m.durFilterGC.Observe(qs.FilterGCTime.Seconds())
+	m.durTotal.Observe(qs.TotalTime().Seconds())
+	switch {
+	case qs.ExactHit:
+		m.hitExact.Inc()
+	case qs.EmptyShortcut:
+		m.hitEmpty.Inc()
+	default:
+		m.durFilterM.Observe(qs.FilterMTime.Seconds())
+		m.durVerify.Observe(qs.VerifyTime.Seconds())
+		if qs.Containers > 0 {
+			m.hitContainer.Inc()
+		}
+		if qs.Containees > 0 {
+			m.hitContainee.Inc()
+		}
 		m.candMethod.Add(float64(qs.CandidatesM))
 		m.candFinal.Add(float64(qs.CandidatesFinal))
 		m.candHist.Observe(float64(qs.CandidatesFinal))
@@ -196,20 +168,25 @@ func (m *serverMetrics) ObserveWindow(o core.WindowObservation) {
 	m.windowRejected.Add(float64(o.Rejected))
 }
 
-// ObserveMutation implements core.Observer.
-func (m *serverMetrics) ObserveMutation(o core.MutationObservation) {
-	switch o.Op {
-	case "add":
+// observeMutation folds one mutation's result, op being the op it
+// applied. A duplicate skipped by its sequence number did nothing and is
+// not counted.
+func (m *serverMetrics) observeMutation(op dataset.Op, res *core.MutationResult) {
+	if !res.Applied {
+		return
+	}
+	switch op {
+	case dataset.OpAdd:
 		m.mutAdd.Inc()
-	case "remove":
+	case dataset.OpRemove:
 		m.mutRemove.Inc()
-	case "edit":
+	case dataset.OpEdit:
 		m.mutEdit.Inc()
 	}
-	m.mutExtended.Add(float64(o.Extended))
-	m.mutReverified.Add(float64(o.Reverified))
-	m.mutInvalidated.Add(float64(o.Invalidated))
-	m.mutDur.Observe(float64(o.DurationNS) / nsPerSec)
+	m.mutExtended.Add(float64(res.Extended))
+	m.mutReverified.Add(float64(res.Reverified))
+	m.mutInvalidated.Add(float64(res.Invalidated))
+	m.mutDur.Observe(res.Duration.Seconds())
 }
 
 const nsPerSec = 1e9

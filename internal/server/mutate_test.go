@@ -289,6 +289,113 @@ func TestJournalCrashReplay(t *testing.T) {
 	}
 }
 
+// TestJournalReplayMetered: mutations replayed from the journal on
+// restart are metered like the ones POST /mutate applies. A server crashes
+// after a snapshot and three journaled mutations; the restarted server's
+// /metrics counts each replayed op once and the cached entries their
+// replay repaired, which a cache loaded from the same snapshot reports for
+// the same mutations.
+func TestJournalReplayMetered(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "cache.gcsnapshot")
+	jpath := filepath.Join(dir, "mutations.journal")
+
+	ds := testDataset(60, 31)
+	s := New(newTestCache(ds), Options{Addr: "127.0.0.1:0", SnapshotPath: snap, JournalPath: jpath})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
+	cl := NewClient(s.Addr())
+	ctx := context.Background()
+	for _, q := range testWorkload(ds, 30, 32) {
+		if _, err := cl.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.persist(); err != nil {
+		t.Fatal(err)
+	}
+	g1 := ds.Graph(1)
+	var eu, ev int32 = -1, -1
+	g1.Edges(func(u, v int32) {
+		if eu < 0 {
+			eu, ev = u, v
+		}
+	})
+	edited, err := dataset.ApplyEdgeEdits(g1, []dataset.EdgeEdit{{U: eu, V: ev, Del: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []MutateRequest{
+		{Op: "add", Graphs: encodeOne(t, ds.Graph(0).Clone()), Seq: 1},
+		{Op: "remove", IDs: []int32{2, 5, 9}, Seq: 2},
+		{Op: "edit", IDs: []int32{1}, Graphs: encodeOne(t, edited), Seq: 3},
+	}
+	for _, req := range reqs {
+		if _, err := cl.Mutate(ctx, req); err != nil {
+			t.Fatalf("mutate %s: %v", req.Op, err)
+		}
+	}
+	snapBytes, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Crash: no Shutdown, so no snapshot covers the three mutations.
+	s.ln.hs.Close()
+	s.ln.lis.Close()
+	s.jr.Close()
+
+	// What replay repairs: the same mutations over the same snapshot.
+	ref := newTestCache(testDataset(60, 31))
+	body, err := splitChecked(snapBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.ReadSnapshot(bytes.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	var want struct{ extended, reverified, invalidated float64 }
+	for _, req := range reqs {
+		mut, err := decodeMutation(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ref.ApplyMutation(mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.extended += float64(res.Extended)
+		want.reverified += float64(res.Reverified)
+		want.invalidated += float64(res.Invalidated)
+	}
+	if want.extended+want.invalidated == 0 {
+		t.Fatal("the mutations repaired no cached entry; the check below would count nothing")
+	}
+
+	ds2 := testDataset(60, 31)
+	s2 := startServer(t, newTestCache(ds2), Options{SnapshotPath: snap, JournalPath: jpath})
+	if ds2.Epoch() != 3 {
+		t.Fatalf("replayed to epoch %d, want 3", ds2.Epoch())
+	}
+	samples := scrapeMetrics(t, s2.Addr())
+	for _, op := range []string{"add", "remove", "edit"} {
+		if v, ok := metricValue(samples, "graphcache_mutations_applied_total", map[string]string{"op": op}); !ok || v != 1 {
+			t.Errorf("mutations_applied_total{op=%s} = %v, %v after replay; want 1", op, v, ok)
+		}
+	}
+	for name, w := range map[string]float64{
+		"graphcache_mutation_entries_extended_total":    want.extended,
+		"graphcache_mutation_entries_reverified_total":  want.reverified,
+		"graphcache_mutation_entries_invalidated_total": want.invalidated,
+		"graphcache_mutation_seconds_count":             float64(len(reqs)),
+	} {
+		if v, ok := metricValue(samples, name, nil); !ok || v != w {
+			t.Errorf("%s = %v, %v after replay; want %v", name, v, ok, w)
+		}
+	}
+}
+
 // TestJournalTornTailTolerated: a partial final record (torn by a crash
 // mid-append) is discarded; everything before it replays.
 func TestJournalTornTailTolerated(t *testing.T) {

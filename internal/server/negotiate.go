@@ -175,20 +175,17 @@ func readQueries[Q any](wr *Wire, w http.ResponseWriter, r *http.Request, one bo
 	return qs, decDur, true
 }
 
-// bodyBufStart is how much of an announced Content-Length a request
-// body's buffer is sized for before any byte of it arrives: a batch of
-// queries fits, and a peer that announces a large body and sends nothing
+// bodyBufStart is how much of an announced Content-Length a body's buffer
+// is sized for before any byte of it arrives: a batch of queries or
+// results fits, and a peer that announces a large body and sends nothing
 // holds no more than this.
 const bodyBufStart = 16 << 10
 
 // readRequestBody reads a request body of at most limit bytes whole. An
 // announced length over limit is refused before anything is sized from
 // it, and the connection closes after the reply instead of draining the
-// body. Otherwise the buffer starts at the announced length up to
-// bodyBufStart and doubles as bytes arrive, never past that length, so a
-// body that keeps its word ends in a buffer of exactly its size; a body
-// shorter than it announced is an error. A body without a length is read
-// by io.ReadAll.
+// body. A body with a length is read by readSized; one without, by
+// io.ReadAll.
 func readRequestBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	n := r.ContentLength
 	if n > limit {
@@ -198,9 +195,18 @@ func readRequestBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byt
 	if n < 0 {
 		return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	}
+	return readSized(r.Body, n)
+}
+
+// readSized reads a body that announced n bytes, in either direction. The
+// buffer starts at n up to bodyBufStart and doubles as bytes arrive, never
+// past n, so a body that keeps its word ends in a buffer of exactly its
+// size and one that breaks it never holds more than twice what arrived
+// plus bodyBufStart; a body shorter than it announced is an error.
+func readSized(r io.Reader, n int64) ([]byte, error) {
 	body := make([]byte, min(n, bodyBufStart))
 	for k := 0; ; {
-		m, err := io.ReadFull(r.Body, body[k:])
+		m, err := io.ReadFull(r, body[k:])
 		if err != nil {
 			return nil, err
 		}

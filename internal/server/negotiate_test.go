@@ -176,3 +176,66 @@ func TestReadRequestBodyGrowsAsBytesArrive(t *testing.T) {
 		t.Errorf("a %d-byte body read into a buffer of %d", len(want), cap(body))
 	}
 }
+
+// TestReadBodyGrowsAsBytesArrive: a reply's announced length is trusted
+// no further than a request's. A reply that announces 64 MB and sends 10
+// bytes is an error, read without a buffer of the announced size.
+func TestReadBodyGrowsAsBytesArrive(t *testing.T) {
+	res := &http.Response{ContentLength: 64 << 20, Body: io.NopCloser(strings.NewReader("0123456789"))}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	body, err := readBody(res)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Errorf("10 of %d announced bytes sent: read %d bytes, want an error", res.ContentLength, len(body))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("10 of %d announced bytes sent: %d bytes allocated", res.ContentLength, got)
+	}
+}
+
+// chunkReader hands out its bytes at most step at a time and records the
+// largest buffer a reader offered it: the bytes already handed out plus
+// the room that Read call asked to fill.
+type chunkReader struct {
+	data       []byte
+	step, read int
+	maxBuf     int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	c.maxBuf = max(c.maxBuf, c.read+len(p))
+	if c.read == len(c.data) {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), c.step)], c.data[c.read:])
+	c.read += n
+	return n, nil
+}
+
+// FuzzReadSized: whatever a body announces and however its bytes arrive,
+// readSized returns exactly the announced bytes or an error, and its
+// buffer never exceeds twice the bytes that arrived plus bodyBufStart.
+func FuzzReadSized(f *testing.F) {
+	f.Add([]byte("0123456789"), uint32(10), uint16(3))
+	f.Add([]byte("0123456789"), uint32(64<<20), uint16(10))
+	f.Add([]byte("0123456789"), uint32(4), uint16(1))
+	f.Add([]byte{}, uint32(0), uint16(1))
+	f.Add(bytes.Repeat([]byte{7}, 3*bodyBufStart), uint32(3*bodyBufStart), uint16(5000))
+	f.Fuzz(func(t *testing.T, data []byte, announced uint32, step uint16) {
+		n := int64(announced)
+		cr := &chunkReader{data: data, step: int(step) + 1}
+		body, err := readSized(cr, n)
+		switch {
+		case int64(len(data)) < n && err == nil:
+			t.Fatalf("%d of %d announced bytes read without an error", len(data), n)
+		case int64(len(data)) >= n && err != nil:
+			t.Fatalf("%d bytes for an announced %d: %v", len(data), n, err)
+		case err == nil && !bytes.Equal(body, data[:n]):
+			t.Fatalf("read %d bytes, not the %d announced ones sent", len(body), n)
+		}
+		if cr.maxBuf > 2*cr.read+bodyBufStart {
+			t.Fatalf("a buffer of %d for %d arrived bytes", cr.maxBuf, cr.read)
+		}
+	})
+}

@@ -140,8 +140,9 @@ var logf = func(format string, args ...any) {
 // New wraps c in a Server. The cache must already be built over its
 // dataset and method; the server only adds the network boundary. New
 // installs the server's metrics as the cache's core.Observer, for window
-// passes and mutations, folds every query it runs as its result is
-// delivered, and serves the registry at GET /metrics.
+// passes, folds every query it runs as its result is delivered and every
+// mutation it applies (journal replay included) from its MutationResult,
+// and serves the registry at GET /metrics.
 func New(c *core.Cache, opts Options) *Server {
 	opts = opts.withDefaults()
 	reg := telemetry.NewRegistry()
@@ -298,9 +299,11 @@ func (s *Server) openAndReplayJournal() error {
 		if err != nil {
 			return fmt.Errorf("server: decoding journal record at epoch %d: %w", rec.Epoch, err)
 		}
-		if _, err := s.cache.ApplyMutation(mut); err != nil {
+		res, err := s.cache.ApplyMutation(mut)
+		if err != nil {
 			return fmt.Errorf("server: replaying journal record at epoch %d: %w", rec.Epoch, err)
 		}
+		s.met.observeMutation(mut.Op, &res)
 		replayed++
 	}
 	if replayed > 0 {
@@ -637,6 +640,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
+	s.met.observeMutation(mut.Op, &res)
 	WriteJSON(w, http.StatusOK, MutateResponse{
 		Applied:       res.Applied,
 		Epoch:         res.Epoch,

@@ -21,7 +21,7 @@ func FuzzParseProm(f *testing.F) {
 
 		r := NewRegistry()
 		r.Counter("fz_total", help, L("k", labelValue)).Add(math.Abs(v))
-		r.Gauge("fz_gauge", help, L("k", labelValue), L("j", "fixed")).Set(v)
+		r.GaugeFunc("fz_gauge", help, func() float64 { return v }, L("k", labelValue), L("j", "fixed"))
 		bounds := []float64{-1, 0, 1}
 		h := r.Histogram("fz_seconds", help, bounds, L("k", labelValue))
 		if !math.IsNaN(v) {

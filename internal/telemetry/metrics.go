@@ -1,10 +1,10 @@
 // Package telemetry is the fleet's dependency-free observability core:
-// atomic counters, gauges and fixed-bucket latency histograms with a
-// Prometheus text-exposition writer, a text-format parser for tests,
-// and per-request tracing primitives (request ids, spans). Both serving
-// tiers — gcserved, fed by each query's QueryStats and core's Observer
-// hook, and gcrouter — feed a Registry from this package and expose it
-// at GET /metrics.
+// atomic counters, callback gauges and fixed-bucket latency histograms
+// with a Prometheus text-exposition writer, a text-format parser for
+// tests, and per-request tracing primitives (request ids, spans). Both
+// serving tiers — gcserved, fed by each query's QueryStats, each
+// mutation's MutationResult and core's Observer hook, and gcrouter —
+// feed a Registry from this package and expose it at GET /metrics.
 //
 // The package deliberately has no third-party dependencies: metrics are
 // plain atomics, exposition is the Prometheus text format written by
@@ -70,8 +70,7 @@ func (f *atomicFloat64) Add(v float64) {
 	}
 }
 
-func (f *atomicFloat64) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *atomicFloat64) Load() float64   { return math.Float64frombits(f.bits.Load()) }
+func (f *atomicFloat64) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // Counter is a monotonically non-decreasing cumulative metric.
 type Counter struct {
@@ -86,35 +85,6 @@ func (c *Counter) Add(v float64) { c.v.Add(v) }
 
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down. A Gauge constructed with
-// GaugeFunc reads its value from a callback at exposition time instead.
-type Gauge struct {
-	v  atomicFloat64
-	fn func() float64 // nil for settable gauges
-}
-
-// Set stores v. No-op for callback gauges.
-func (g *Gauge) Set(v float64) {
-	if g.fn == nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adds v. No-op for callback gauges.
-func (g *Gauge) Add(v float64) {
-	if g.fn == nil {
-		g.v.Add(v)
-	}
-}
-
-// Value returns the current value, consulting the callback if present.
-func (g *Gauge) Value() float64 {
-	if g.fn != nil {
-		return g.fn()
-	}
-	return g.v.Load()
-}
 
 // Histogram is a fixed-bucket cumulative-at-exposition latency histogram.
 // Buckets are defined by ascending upper bounds; an implicit +Inf bucket
@@ -176,7 +146,7 @@ func (h *Histogram) snapshot() (buckets []uint64, count uint64, sum float64) {
 type series struct {
 	labels string // pre-rendered `k1="v1",k2="v2"`, "" if unlabelled
 	ctr    *Counter
-	gauge  *Gauge
+	gauge  func() float64 // read at exposition time
 	hist   *Histogram
 }
 
@@ -242,21 +212,14 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return f.get(labels, func() *series { return &series{ctr: &Counter{}} }).ctr
 }
 
-// Gauge returns the settable gauge series name{labels...}, creating it
-// on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	f := r.family(name, help, kindGauge)
-	return f.get(labels, func() *series { return &series{gauge: &Gauge{}} }).gauge
-}
-
-// GaugeFunc registers a gauge whose value is read from fn at exposition
-// time — for instantaneous views like queue depth. Re-registering the
-// same name+labels replaces the callback.
+// GaugeFunc registers the gauge series name{labels...}, whose value is
+// read from fn at exposition time — for instantaneous views like queue
+// depth. Re-registering the same name+labels replaces the callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	f := r.family(name, help, kindGauge)
-	s := f.get(labels, func() *series { return &series{gauge: &Gauge{}} })
+	s := f.get(labels, func() *series { return &series{} })
 	f.mu.Lock()
-	s.gauge.fn = fn
+	s.gauge = fn
 	f.mu.Unlock()
 }
 
@@ -350,16 +313,20 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Unlock()
 
 	for _, f := range fams {
+		// Copied by value under the lock: a re-registered gauge swaps its
+		// callback under it.
 		f.mu.Lock()
-		series := make([]*series, len(f.series))
-		copy(series, f.series)
+		series := make([]series, len(f.series))
+		for i, s := range f.series {
+			series[i] = *s
+		}
 		f.mu.Unlock()
 
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.kind); err != nil {
 			return err
 		}
-		for _, s := range series {
-			if err := writeSeries(w, f, s); err != nil {
+		for i := range series {
+			if err := writeSeries(w, f, &series[i]); err != nil {
 				return err
 			}
 		}
@@ -372,7 +339,7 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 	case kindCounter:
 		return writeSample(w, f.name, s.labels, s.ctr.Value())
 	case kindGauge:
-		return writeSample(w, f.name, s.labels, s.gauge.Value())
+		return writeSample(w, f.name, s.labels, s.gauge())
 	case kindHistogram:
 		h := s.hist
 		buckets, count, sum := h.snapshot()

@@ -21,15 +21,24 @@ func TestCounterGauge(t *testing.T) {
 		t.Fatal("distinct label sets must be distinct series")
 	}
 
-	g := r.Gauge("t_gauge", "help")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %v, want 5", got)
+	depth := 7.0
+	r.GaugeFunc("t_fn", "help", func() float64 { return depth })
+	depth -= 2
+	r.GaugeFunc("t_fn", "help", func() float64 { return depth * 2 }, L("k", "v"))
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	if text := b.String(); !strings.Contains(text, "t_fn 5\n") || !strings.Contains(text, "t_fn{k=\"v\"} 10\n") {
+		t.Fatalf("gauges not read at exposition time:\n%s", text)
 	}
 	r.GaugeFunc("t_fn", "help", func() float64 { return 42 })
-	if got := r.Gauge("t_fn", "help").Value(); got != 42 {
-		t.Fatalf("gauge func = %v, want 42", got)
+	b.Reset()
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	if text := b.String(); !strings.Contains(text, "t_fn 42\n") {
+		t.Fatalf("re-registered gauge keeps its old callback:\n%s", text)
 	}
 }
 
@@ -62,7 +71,7 @@ func TestExpositionParseBack(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("app_requests_total", "Total requests.", L("code", "200")).Add(3)
 	r.Counter("app_requests_total", "Total requests.", L("code", "500")).Inc()
-	r.Gauge("app_queue_depth", "Queue depth.", L("backend", "127.0.0.1:9001")).Set(4)
+	r.GaugeFunc("app_queue_depth", "Queue depth.", func() float64 { return 4 }, L("backend", "127.0.0.1:9001"))
 	r.GaugeFunc("app_up", "Always up.", func() float64 { return 1 })
 	h := r.Histogram("app_latency_seconds", "Latency.", []float64{0.01, 0.1, 1}, L("stage", "probe"))
 	h.Observe(0.005)
@@ -157,11 +166,10 @@ func TestConcurrentMetrics(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("c_total", "h")
-			gg := r.Gauge("g", "h")
 			h := r.Histogram("h_seconds", "h", nil)
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				gg.Set(float64(i))
+				r.GaugeFunc("g", "h", func() float64 { return float64(i) })
 				h.Observe(float64(i) / 1000)
 				if i%100 == 0 {
 					var b strings.Builder
