@@ -119,13 +119,15 @@
 //     no lock and no table of every feature ever seen. A query's features
 //     are extracted once, straight into a feature vector — ID-sorted
 //     (ID, count) pairs, each path's ID derived from its prefix's as the
-//     enumeration descends, no key strings and no map — that is then
-//     reused everywhere the query goes: Method M's filter when M indexes
-//     the same vectors (GGSX at the cache's path length: posting columns
-//     per feature ID, intersected from the query's shortest column — see
-//     internal/ggsx), the index probe, the admission window entry and the
-//     index delta. Only the queries the exact lookup left open are
-//     extracted. Two keys that collide on an ID have their counts summed, in
+//     enumeration descends, sorted by one bucket pass on the IDs' top
+//     bits, no key strings and no map — that is then reused everywhere
+//     the query goes: Method M's filter when M indexes the same vectors
+//     (GGSX at the cache's path length: posting columns per feature ID,
+//     found through a directory over the IDs' top bits and intersected
+//     from the query's shortest column, a dense column by one bit of its
+//     bitmap — see internal/ggsx), the index probe, the admission window
+//     entry and the index delta. Only the queries the exact lookup left
+//     open are extracted. Two keys that collide on an ID have their counts summed, in
 //     every vector alike. Containment q ⊆ G implies count_G(p) ≥
 //     count_q(p) for every path p, hence also for sums over paths sharing
 //     an ID: a collision can add a false candidate, never hide a true
@@ -137,8 +139,8 @@
 //     four pointer-free arrays hold, for each feature ID in ascending
 //     order, its (slot, count) postings sorted by slot — only for features
 //     some slot holds, so the index is sized by the cached entries, not by
-//     the queries served. A probe finds the query vector's columns by a
-//     search that resumes where the last one ended, bumping two flat
+//     the queries served. A probe finds the query vector's columns
+//     through the same directory, one step each, bumping two flat
 //     []int32 counters (dominated-features and covered-features per slot,
 //     pooled scratch), then scans the slots once: fully-dominated slots
 //     are sub-candidates, fully-covered ones super-candidates — already in
@@ -155,7 +157,7 @@
 // One forward pass (pathfeat.Columns.Renumber) then writes the new
 // generation's columns: the old postings renumbered through that slot map
 // (evicted slots dropped with the columns they alone used), merged with
-// the admitted ones. That is a fixed number of allocations and
+// the admitted ones, and the directory and dense-column bitmaps with them. That is a fixed number of allocations and
 // O(postings in the index) memmove-like work per window — no map, no
 // comparison sort, no tombstones. Tests pin the result to a from-scratch build, array for
 // array, and the probe to a map-based reference implementation on

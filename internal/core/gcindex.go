@@ -61,11 +61,13 @@ func (e *entry) score() float64 {
 // a slot, slots are numbered in ascending-serial order, and the postings
 // are a pathfeat.Columns keyed by slot — for each feature ID, ascending,
 // the (slot, count) postings of the slots holding it, ascending. A probe
-// finds the column of each of the query vector's features by a search
-// that resumes where the last one ended (pathfeat.Columns.Find), bumping
-// per-slot counters in two flat []int32 scratch arrays, then scans the slots once — no sort (slot order is serial
-// order), and zero allocations when the caller provides pooled scratch
-// (see candidatesInto).
+// finds the column of each of the query vector's features through the
+// columns' directory (pathfeat.Columns.Find), bumping per-slot counters in
+// two flat []int32 scratch arrays, then scans the slots once — no sort
+// (slot order is serial order), and zero allocations when the caller
+// provides pooled scratch (see candidatesInto). It reads every posting's
+// count, for domination and coverage alike, so the columns' bitmaps, which
+// hold membership alone, cannot stand in for any of its reads.
 //
 // Ahead of both probes it answers the exact-match lookup (see exact): each
 // slot also records its entry's isomorphism-invariant key (graph.IsoKey),

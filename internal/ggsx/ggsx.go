@@ -15,10 +15,16 @@
 //
 // Filtering intersects the columns of the query's features, keeping the
 // graphs whose count of every feature dominates the query's; verification
-// runs VF2. The postings are log-structured, after the LSM-tree of
-// O'Neil et al. (Acta Informatica, 1996): a main set of columns, a
-// tombstone bit per ID whose main postings are dead, and a small delta set
-// of columns holding the graphs indexed since the main one was built.
+// runs VF2. Each feature's column is found through the columns' directory
+// in one step. The intersection starts from the shortest column, and a
+// survivor is checked against a dense column (one holding at least 32
+// graphs and 1/32 of them) by one bit of its bitmap when the query's count
+// is 1, and against the other columns by galloping.
+//
+// The postings are log-structured, after the LSM-tree of O'Neil et al.
+// (Acta Informatica, 1996): a main set of columns, a tombstone bit per ID
+// whose main postings are dead, and a small delta set of columns holding
+// the graphs indexed since the main one was built.
 // Neither set is ever edited. A mutation sets one bit per graph it takes
 // out of the main columns and writes a new delta for the rest, in one
 // linear pass over the old delta: the delta's postings are all it copies.
@@ -275,9 +281,10 @@ func (idx *Index) FilterPathLen() int { return idx.opts.MaxPathLen }
 // least as often as the query. It runs over the main columns, masking
 // tombstoned IDs, and over the delta, whose IDs the mask leaves out of
 // the main result, and merges the two; an empty delta costs one length
-// check. Each intersection starts from the shortest column and gallops
-// through the others, so its cost follows the postings touched, not
-// features × dataset size.
+// check. Each intersection starts from the shortest column and checks its
+// survivors against the others by a bit of a dense column's bitmap or by
+// galloping, so its cost follows the survivors and the postings touched,
+// not features × dataset size.
 func (idx *Index) FilterVector(qv pathfeat.Vector) []int32 {
 	if len(qv) == 0 {
 		return idx.ds.AllIDs()
@@ -294,13 +301,16 @@ func (idx *Index) FilterVector(qv pathfeat.Vector) []int32 {
 	return intersect(&idx.main, qv, spans, dead, fresh)
 }
 
-// span is one column's bounds in IDs and Counts.
-type span struct{ lo, hi uint32 }
+// span is one column's bounds in IDs and Counts, and the column.
+type span struct{ lo, hi, k uint32 }
 
 // intersect returns the IDs of c whose count of every feature of qv
 // dominates the query's, leaving out the IDs dead marks (nil: none), and
 // merged with extra, a sorted list that shares none of them. spans is
-// scratch of len(qv).
+// scratch of len(qv). The survivors of the shortest column are checked
+// against a dense column with one bit load each when the query's count is
+// 1 — every posting counts at least that — and against the others by
+// galloping.
 func intersect(c *pathfeat.Columns, qv pathfeat.Vector, spans []span, dead *bitset.Set, extra []int32) []int32 {
 	shortest := 0
 	for i, k := 0, 0; i < len(qv); i++ {
@@ -309,7 +319,7 @@ func intersect(c *pathfeat.Columns, qv pathfeat.Vector, spans []span, dead *bits
 			return extra
 		}
 		lo, hi := c.Column(k)
-		spans[i] = span{lo, hi}
+		spans[i] = span{lo, hi, uint32(k)}
 		if hi-lo < spans[shortest].hi-spans[shortest].lo {
 			shortest = i
 		}
@@ -321,6 +331,7 @@ func intersect(c *pathfeat.Columns, qv pathfeat.Vector, spans []span, dead *bits
 			out = append(out, id)
 		}
 	}
+	d := 0 // the dense columns' cursor: spans ascend by column
 	for i, sp := range spans {
 		if i == shortest {
 			continue
@@ -328,8 +339,20 @@ func intersect(c *pathfeat.Columns, qv pathfeat.Vector, spans []span, dead *bits
 		if len(out) == 0 {
 			break
 		}
+		kept := 0
+		if qv[i].Count == 1 {
+			var bits []uint32
+			if bits, d = c.Bitmap(int(sp.k), d); bits != nil {
+				for _, id := range out {
+					out[kept] = id
+					kept += int(bits[id/32] >> (id % 32) & 1)
+				}
+				out = out[:kept]
+				continue
+			}
+		}
 		ids, counts := c.IDs[sp.lo:sp.hi], c.Counts[sp.lo:sp.hi]
-		kept, at := 0, 0
+		at := 0
 		for _, id := range out {
 			at += gallop(ids[at:], id)
 			if at == len(ids) {

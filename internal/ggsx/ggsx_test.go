@@ -452,41 +452,6 @@ func BenchmarkGGSXBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkGGSXFilter(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	ds := benchDataset(r, 400)
-	idx := New(ds, Options{})
-	var hits, misses []*graph.Graph
-	for i := 0; i < 64; i++ {
-		hits = append(hits, subgraphOf(r, ds.Graph(int32(r.Intn(ds.Len()))), 4+r.Intn(8)))
-		// A label the dataset never uses on one vertex: no candidate survives.
-		miss := graph.NewBuilder()
-		h := hits[i]
-		for v := 0; v < h.NumVertices(); v++ {
-			miss.AddVertex(h.Label(int32(v)))
-		}
-		miss.AddVertex(99)
-		h.Edges(miss.AddEdge)
-		miss.AddEdge(0, int32(h.NumVertices()))
-		misses = append(misses, miss.MustBuild())
-	}
-	for _, bc := range []struct {
-		name string
-		qs   []*graph.Graph
-	}{
-		{"hits", hits},
-		{"no-answer", misses},
-		{"single-vertex", []*graph.Graph{path(0)}}, // the longest columns
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				idsSink = idx.Filter(bc.qs[i%len(bc.qs)])
-			}
-		})
-	}
-}
-
 // BenchmarkGGSXApplyMutation runs the fleet benchmark's mutate_mix
 // schedule over two datasets, "random-400" and "aids-800" (the fleet's).
 // Each iteration adds n graphs (copies of base graphs), removes n (base

@@ -2,6 +2,7 @@ package pathfeat
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -11,19 +12,41 @@ import (
 // of IDs and Counts: the IDs of the vectors holding the feature,
 // ascending, and the feature's count in each. No column is empty.
 //
+// Two lookup aids are derived from those arrays and laid out in one more
+// allocation. A directory over the top bits of the feature IDs, about one
+// entry per 8 columns, takes Find to a feature's column in one step: the
+// IDs are uniform hashes, so a bucket holds a handful of columns. And a
+// dense column — one holding at least 1/32 of the IDs below the highest
+// one, and at least minDense — also carries a bitmap over those IDs
+// (Roaring's split into array
+// and bitmap containers, with the column as the container), so a check
+// that needs its membership alone is one bit load (Bitmap). The dense
+// columns are listed in ascending order, and a bitmap costs at most half
+// of its column's postings.
+//
 // A Columns value is written once. Build lays out a set of vectors, and
 // Renumber writes one from another, renumbering or dropping its postings
 // and merging a second one in, in a single forward pass; each writes new
-// arrays that no reader holds yet, and nothing writes them afterwards.
-// GGSX keys its postings by dataset-graph ID in two values: a main one
-// that Renumber rebuilds when it compacts, and a small delta that it
-// rebuilds on every mutation, so a mutation copies the delta alone. The
-// GCindex keys them by slot, and each of its generations is one Renumber.
+// arrays that no reader holds yet, directory and bitmaps included, and
+// nothing writes them afterwards. GGSX keys its postings by dataset-graph
+// ID in two values: a main one that Renumber rebuilds when it compacts,
+// and a small delta that it rebuilds on every mutation, so a mutation
+// copies the delta alone. The GCindex keys them by slot, and each of its
+// generations is one Renumber.
 type Columns struct {
 	Feats  []uint64
 	Ends   []uint32
 	IDs    []int32
 	Counts []int32
+
+	// The lookup aids, three views of one array: dir[b] is the first
+	// column whose feature has top bits ≥ b (feature >> shift), and
+	// dir[len(dir)-1] = len(Feats); dense lists the dense columns; the
+	// bitmap of dense[d] is bits[d*w:(d+1)*w], w = (idBound+31)/32 words,
+	// bit id%32 of word id/32 set for each ID of the column.
+	dir, dense, bits []uint32
+	idBound          int // 1 + the highest ID
+	shift            uint8
 }
 
 // Row is one vector on its way into Columns, under its ID.
@@ -41,24 +64,89 @@ func (c *Columns) Column(k int) (lo, hi uint32) {
 }
 
 // Find returns the column of feat, searching from column from on, and
-// whether there is one (if not, the column it would take). Features probed
-// in ascending order resume each search where the last one ended; the
-// search gallops — steps of 1, 2, 4, … columns, then a binary search
-// inside the last step — so its cost follows the log of the distance
-// skipped, not of the columns left.
+// whether there is one (if not, the column it would take). The directory
+// bounds the search to feat's bucket, a handful of columns.
 func (c *Columns) Find(feat uint64, from int) (int, bool) {
-	feats := c.Feats[from:]
-	hi := 1
-	for hi <= len(feats) && feats[hi-1] < feat {
-		hi *= 2
+	if from >= len(c.Feats) {
+		return from, false
 	}
-	lo := hi / 2 // feats[:lo] < feat
-	at, ok := slices.BinarySearch(feats[lo:min(hi, len(feats))], feat)
-	return from + lo + at, ok
+	b := feat >> c.shift
+	lo, hi := max(from, int(c.dir[b])), max(from, int(c.dir[b+1]))
+	at, ok := slices.BinarySearch(c.Feats[lo:hi], feat)
+	return lo + at, ok
+}
+
+// Bitmap returns the bitmap of column k if it is dense, nil if it is not.
+// Bit id%32 of word id/32 is set for each ID the column holds; an ID from
+// another column of c is in range. Callers that look up ascending columns
+// pass from, a position in the list of dense columns, as 0 first and then
+// as the last call returned, and the list is searched from there on.
+func (c *Columns) Bitmap(k, from int) ([]uint32, int) {
+	if !c.isDense(c.Column(k)) {
+		return nil, from
+	}
+	d, _ := slices.BinarySearch(c.dense[from:], uint32(k))
+	d += from
+	w := (c.idBound + 31) / 32
+	return c.bits[d*w : (d+1)*w], d + 1
+}
+
+// minDense is the fewest postings a dense column holds. A search of a
+// shorter column touches a cache line or two, so a bitmap would only add
+// the cost of writing it, which every GCindex generation pays.
+const minDense = 32
+
+// isDense reports whether the column at lo..hi holds at least minDense
+// IDs and at least 1/32 of the IDs below idBound.
+func (c *Columns) isDense(lo, hi uint32) bool {
+	return hi-lo >= minDense && 32*int(hi-lo) >= c.idBound
+}
+
+// index writes c's lookup aids into aux's array, or into a new one if aux
+// is too short: O(columns + dense postings).
+func (c *Columns) index(aux []uint32) {
+	c.idBound = 0
+	for k := range c.Feats {
+		c.idBound = max(c.idBound, int(c.IDs[c.Ends[k]-1])+1)
+	}
+	dense := 0
+	for k := range c.Feats {
+		if c.isDense(c.Column(k)) {
+			dense++
+		}
+	}
+	top := bits.Len(uint(len(c.Feats) / 8)) // 2^top buckets, 4–8 columns each
+	c.shift = uint8(64 - top)
+	nb, w := 1<<top, (c.idBound+31)/32
+	if n := nb + 1 + dense + dense*w; cap(aux) >= n {
+		aux = aux[:n]
+		clear(aux[nb+1+dense:])
+	} else {
+		aux = make([]uint32, n)
+	}
+	c.dir, c.dense, c.bits = aux[:nb+1], aux[nb+1:nb+1+dense], aux[nb+1+dense:]
+	b, d := 0, 0
+	for k, feat := range c.Feats {
+		for ; b <= int(feat>>c.shift); b++ {
+			c.dir[b] = uint32(k)
+		}
+		if lo, hi := c.Column(k); c.isDense(lo, hi) {
+			c.dense[d] = uint32(k)
+			bm := c.bits[d*w : (d+1)*w]
+			for _, id := range c.IDs[lo:hi] {
+				bm[id/32] |= 1 << (id % 32)
+			}
+			d++
+		}
+	}
+	for ; b <= nb; b++ {
+		c.dir[b] = uint32(len(c.Feats))
+	}
 }
 
 // Build lays out the postings of rows in new arrays; rows must ascend by
-// ID. O(postings), a fixed number of allocations.
+// ID. O(postings), a fixed number of allocations: IDs and Counts share
+// one.
 func Build(rows []Row) Columns {
 	ps := mergeRows(rows)
 	feats := 0
@@ -67,11 +155,13 @@ func Build(rows []Row) Columns {
 			feats++
 		}
 	}
+	n := len(ps)
+	postings := make([]int32, 2*n)
 	c := Columns{
 		Feats:  make([]uint64, 0, feats),
 		Ends:   make([]uint32, 0, feats),
-		IDs:    make([]int32, len(ps)),
-		Counts: make([]int32, len(ps)),
+		IDs:    postings[:n:n],
+		Counts: postings[n:],
 	}
 	for i, p := range ps {
 		if i+1 == len(ps) || ps[i+1].feat != p.feat {
@@ -80,6 +170,7 @@ func Build(rows []Row) Columns {
 		}
 		c.IDs[i], c.Counts[i] = p.id, p.count
 	}
+	c.index(nil)
 	return c
 }
 
@@ -93,14 +184,17 @@ func Build(rows []Row) Columns {
 // copied as blocks. An empty dst gets new arrays with room for every
 // posting and column of c and extra; otherwise dst's arrays, which must
 // not share c's or extra's, are overwritten from position 0 and grow as
-// the pass needs. The pass is linear in the postings of c and of extra.
+// the pass needs (new IDs and Counts share one allocation). The pass is
+// linear in the postings of c and of extra; the lookup aids then take one
+// pass over the columns written.
 func (c *Columns) Renumber(dst *Columns, remap []int32, extra *Columns) {
-	out := Columns{dst.Feats[:0], dst.Ends[:0], dst.IDs[:0], dst.Counts[:0]}
+	out := Columns{Feats: dst.Feats[:0], Ends: dst.Ends[:0], IDs: dst.IDs[:0], Counts: dst.Counts[:0]}
 	if cap(out.IDs) == 0 {
 		n := len(c.Feats) + len(extra.Feats)
 		out.Feats, out.Ends = make([]uint64, 0, n), make([]uint32, 0, n)
 		n = len(c.IDs) + len(extra.IDs)
-		out.IDs, out.Counts = make([]int32, 0, n), make([]int32, 0, n)
+		postings := make([]int32, 2*n)
+		out.IDs, out.Counts = postings[:0:n], postings[n:n]
 	}
 	j := 0             // extra's next column
 	var lo, xlo uint32 // the first posting of c's next column, and of extra's
@@ -159,6 +253,7 @@ func (c *Columns) Renumber(dst *Columns, remap []int32, extra *Columns) {
 	if j < len(extra.Feats) { // columns only extra has, past c's last
 		out = appendBlock(out, extra, j, len(extra.Feats))
 	}
+	out.index(dst.dir[:0])
 	*dst = out
 }
 

@@ -1,8 +1,10 @@
 package pathfeat
 
 import (
+	"bytes"
 	"cmp"
 	"maps"
+	"math"
 	"slices"
 	"testing"
 )
@@ -83,9 +85,60 @@ func referenceColumns(rows []Row) Columns {
 	return c
 }
 
+// checkLookups checks c's lookup aids against want, c's map-based
+// reference: Find, from every column on, against a linear scan of the
+// reference's features, for each feature, its neighbours and the extremes;
+// and, column by column in ascending order as a filter walks them, that a
+// column holding at least 32 IDs and 1/32 of the IDs below the highest one
+// has a bitmap, set exactly at its IDs, and that no other column has one.
+func checkLookups(t *testing.T, what string, c, want *Columns) {
+	t.Helper()
+	probes := []uint64{0, 1, math.MaxUint64}
+	for _, f := range want.Feats {
+		probes = append(probes, f-1, f, f+1)
+	}
+	for _, f := range probes {
+		for from := 0; from <= len(want.Feats)+1; from++ {
+			at := from
+			for at < len(want.Feats) && want.Feats[at] < f {
+				at++
+			}
+			ok := at < len(want.Feats) && want.Feats[at] == f
+			if gotAt, gotOK := c.Find(f, from); gotAt != at || gotOK != ok {
+				t.Fatalf("%s: Find(%#x, %d) = %d, %v; a linear scan gives %d, %v", what, f, from, gotAt, gotOK, at, ok)
+			}
+		}
+	}
+	bound := 0
+	for _, id := range want.IDs {
+		bound = max(bound, int(id)+1)
+	}
+	d := 0
+	for k := range want.Feats {
+		lo, hi := want.Column(k)
+		var bm []uint32
+		bm, d = c.Bitmap(k, d)
+		if dense := hi-lo >= 32 && 32*int(hi-lo) >= bound; dense != (bm != nil) {
+			t.Fatalf("%s: column %d holds %d of %d IDs, bitmap %v", what, k, hi-lo, bound, bm)
+		}
+		if bm == nil {
+			continue
+		}
+		if len(bm) != (bound+31)/32 {
+			t.Fatalf("%s: column %d: bitmap of %d words for %d IDs", what, k, len(bm), bound)
+		}
+		for id := int32(0); int(id) < 32*len(bm); id++ {
+			if set, holds := bm[id/32]>>(id%32)&1 == 1, slices.Contains(want.IDs[lo:hi], id); set != holds {
+				t.Fatalf("%s: column %d, ID %d: bit %v, column holds it %v", what, k, id, set, holds)
+			}
+		}
+	}
+}
+
 // FuzzColumnsEdit builds columns with Build, then drops the deleted rows
 // and merges the later ones with Renumber, and checks both, array for
-// array, against referenceColumns. Renumber runs under the two remaps its
+// array, against referenceColumns, and their lookup aids against it
+// (checkLookups). Renumber runs under the two remaps its
 // callers use: GGSX's, which keeps every ID or drops it (nil when nothing
 // is dropped), and the GCindex's, which numbers the kept rows and the
 // later ones by their rank in ID order, shifting kept IDs down over the
@@ -97,11 +150,17 @@ func FuzzColumnsEdit(f *testing.F) {
 	f.Add([]byte{0x44, 0x00, 0x10, 0x01, 0x02, 0x44, 0x00, 0x10, 0x01, 0x02, 0x21, 0x00})
 	f.Add([]byte{0x01, 0x01, 0x21, 0x00})       // a later column before a block of built ones: the block's ends shift
 	f.Add([]byte{0x02, 0x00, 0x01, 0x21, 0x02}) // a later column between built ones: the block ends before it
+	// 100 empty rows, then a column of 40 IDs (dense) and one of 2
+	// (sparse) among 143; deleting one ID of each leaves them so.
+	f.Add(slices.Concat(bytes.Repeat([]byte{0x00}, 100), bytes.Repeat([]byte{0x01, 0x05}, 39),
+		[]byte{0x41, 0x05, 0x01, 0x06, 0x41, 0x06, 0x21, 0x06}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ec := decodeEdit(data)
 		built := Build(ec.build)
 		if want := referenceColumns(ec.build); !equalColumns(&built, &want) {
 			t.Fatalf("Build = %+v\nreference = %+v", built, want)
+		} else {
+			checkLookups(t, "Build", &built, &want)
 		}
 
 		var kept []Row
@@ -128,6 +187,8 @@ func FuzzColumnsEdit(f *testing.F) {
 		built.Renumber(&got, keep, &later)
 		if want := referenceColumns(survivors); !equalColumns(&got, &want) {
 			t.Fatalf("Renumber, IDs kept = %+v\nreference = %+v", got, want)
+		} else {
+			checkLookups(t, "Renumber, IDs kept", &got, &want)
 		}
 
 		// The GCindex: the survivors numbered by rank in ID order, so kept
@@ -154,6 +215,8 @@ func FuzzColumnsEdit(f *testing.F) {
 		built.Renumber(&got, shift, &later)
 		if want := referenceColumns(ranked); !equalColumns(&got, &want) {
 			t.Fatalf("Renumber, IDs shifted = %+v\nreference = %+v", got, want)
+		} else {
+			checkLookups(t, "Renumber, IDs shifted", &got, &want)
 		}
 	})
 }

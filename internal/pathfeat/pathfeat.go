@@ -10,6 +10,14 @@
 // Vector of per-ID counts (SimplePathVector) and, for Grapes, the vertices
 // each ID's occurrences cover (SimplePathLocations). SimplePaths and Counts
 // are the string-keyed definition both are tested against.
+//
+// Columns is the posting index over many vectors that GGSX and the
+// GCindex share. The IDs are uniform hashes, which it uses twice: a
+// directory over their top bits finds a feature's column in one step, and
+// SimplePathVector sorts a graph's path IDs by one bucket pass on the same
+// bits. Its dense columns also carry bitmaps over the vector IDs, so a
+// membership check there is one bit load. Build and Renumber are its only
+// writers, and they write the directory and the bitmaps with the columns.
 package pathfeat
 
 import (

@@ -2,6 +2,7 @@ package pathfeat
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"graphcache/internal/graph"
@@ -60,28 +61,29 @@ func VectorOfIDs(c Counts, id func(Key) uint64) Vector {
 // SimplePathVector returns VectorOf(SimplePaths(g, maxLen)) without building
 // the Counts in between: FNV-1a extends by prefix, so each step of the path
 // enumeration derives the path's ID from its parent's with two multiplies.
-// The IDs of all occurrences land in one slice, sized beforehand, that is
-// sorted and run-length-counted into the vector: at most four allocations
-// whatever the graph, none per path. It counts as a SimplePaths invocation.
+// The IDs of all occurrences land in the first half of one slice, sized
+// beforehand, are sorted into its second half (sortIDs) and
+// run-length-counted into the vector: at most four allocations whatever
+// the graph, none per path. It counts as a SimplePaths invocation.
 func SimplePathVector(g *graph.Graph, maxLen int) Vector {
 	simplePathsCalls.Add(1)
 	n := g.NumVertices()
 	if n == 0 {
 		return nil
 	}
-	w := pathWalker{g: g, visited: make([]bool, n), ids: make([]uint64, 0, pathBound(g, maxLen))}
+	w := pathWalker{g: g, visited: make([]bool, n), ids: make([]uint64, 0, 2*pathBound(g, maxLen))}
 	for v := int32(0); int(v) < n; v++ {
 		w.walk(v, fnvOffset, maxLen)
 	}
-	slices.Sort(w.ids)
+	ids := sortIDs(w.ids)
 	distinct := 1
-	for i := 1; i < len(w.ids); i++ {
-		if w.ids[i] != w.ids[i-1] {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] != ids[i-1] {
 			distinct++
 		}
 	}
 	vec := make(Vector, 0, distinct)
-	for _, id := range w.ids {
+	for _, id := range ids {
 		if last := len(vec) - 1; last >= 0 && vec[last].ID == id {
 			vec[last].Count++
 		} else {
@@ -91,8 +93,55 @@ func SimplePathVector(g *graph.Graph, maxLen int) Vector {
 	return vec
 }
 
-// maxPresize caps pathBound: 8 MB of IDs. A graph with more paths than
-// that grows its slice by appending.
+// maxBucketBits caps sortIDs' buckets at 2^maxBucketBits, 4 KB of counts.
+const maxBucketBits = 10
+
+// sortIDs returns ids sorted, written into the spare capacity behind them
+// (grown if it is short, which pathBound's presize never leaves it). The
+// IDs are FNV hashes, uniform over their 64 bits, so one counting pass
+// scatters them by their top bits into about one bucket per two IDs, and
+// each bucket, a handful of IDs, is then sorted on its own: in place by
+// insertion, or by slices.Sort when repeated paths made it long. The
+// bucket counts live on the stack.
+func sortIDs(ids []uint64) []uint64 {
+	m := len(ids)
+	if cap(ids) < 2*m {
+		ids = slices.Grow(ids, m)
+	}
+	out := ids[m : 2*m]
+	top := min(max(bits.Len(uint(m))-1, 1), maxBucketBits)
+	shift, nb := 64-top, 1<<top
+	var ends [1<<maxBucketBits + 1]uint32 // bucket b's size in ends[b+1], then its start in ends[b], then its end
+	for _, id := range ids {
+		ends[id>>shift+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		ends[b] += ends[b-1]
+	}
+	for _, id := range ids {
+		b := id >> shift
+		out[ends[b]] = id
+		ends[b]++
+	}
+	lo := uint32(0)
+	for _, hi := range ends[:nb] {
+		bucket := out[lo:hi]
+		if len(bucket) > 16 {
+			slices.Sort(bucket)
+		} else {
+			for i := 1; i < len(bucket); i++ {
+				for j, x := i, bucket[i]; j > 0 && bucket[j-1] > x; j-- {
+					bucket[j], bucket[j-1] = bucket[j-1], x
+				}
+			}
+		}
+		lo = hi
+	}
+	return out
+}
+
+// maxPresize caps pathBound: 8 MB of IDs, and as much again for their
+// sort. A graph with more paths than that grows its slice by appending.
 const maxPresize = 1 << 20
 
 // pathBound returns an upper bound, capped at maxPresize, on the number of

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"graphcache/internal/gen"
 	"graphcache/internal/graph"
 )
 
@@ -275,6 +276,10 @@ func FuzzSimplePathLocations(f *testing.F) {
 	})
 }
 
+// BenchmarkSimplePathVector extracts one 25-vertex random graph, directly
+// and through the map-based reference, and, in "aids-800", every graph of
+// the fleet benchmark's 800-graph AIDS-like dataset: ms/dataset is an
+// index build's extraction, single-threaded.
 func BenchmarkSimplePathVector(b *testing.B) {
 	g := randomGraph(rand.New(rand.NewSource(1)), 25, 4, 0.12)
 	b.Run("direct", func(b *testing.B) {
@@ -288,6 +293,16 @@ func BenchmarkSimplePathVector(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			vecSink = VectorOf(SimplePaths(g, 4))
 		}
+	})
+	b.Run("aids-800", func(b *testing.B) {
+		gs := gen.DefaultAIDS().Scaled(0.02, 1).Generate(20170321).Graphs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, g := range gs {
+				vecSink = SimplePathVector(g, 4)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/dataset")
 	})
 }
 

@@ -271,24 +271,33 @@ func (rt *Router) group(tp *topology, qs []graph.Body) ([]batchGroup, error) {
 	return groups[:n], nil
 }
 
-// queryBatch answers a grouped request in one piece: one failover
-// dispatch of a /querybatch round-trip per group, the first on the
-// calling goroutine and the rest concurrently beside it, each group's
-// frame holding its queries' bodies as the client sent them, in request
-// order. The results are re-stitched in request order. The whole request
-// shares one context that the first terminal error cancels — the reply
-// is an error from then on, so the sibling groups stop verifying for it.
-// That first error is returned. With trace set the backends are asked
-// for traces, and each result's starts with a router:dispatch span
-// naming the backend that answered it.
-func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGroup, qs []graph.Body, trace bool) ([]server.QueryResponse, error) {
-	// A lone group has no siblings to stop, so a single query's dispatch
-	// runs under ctx as it came.
-	cancel := func() {}
-	if len(groups) > 1 {
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
+// queryBatch answers a request's queries in one piece: they are grouped
+// by the routing rule, and each group is one failover dispatch of a
+// /querybatch round-trip (dispatchGroup), the first on the calling
+// goroutine and the rest concurrently beside it. A lone group — a single
+// query always is one, its backend tp.assign of its key — runs on the
+// caller alone, and its backend's results are the reply. Otherwise the
+// results are re-stitched in request order, and the whole request shares
+// one context that the first terminal error cancels — the reply is an
+// error from then on, so the sibling groups stop verifying for it. That
+// first error is returned.
+func (rt *Router) queryBatch(ctx context.Context, tp *topology, qs []graph.Body, trace bool) ([]server.QueryResponse, error) {
+	if len(qs) == 1 {
+		b := tp.assign(qs[0].Key)
+		if b == nil {
+			return nil, errNoBackends
+		}
+		return rt.dispatchGroup(ctx, tp, b, qs, trace)
 	}
+	groups, err := rt.group(tp, qs)
+	if err != nil {
+		return nil, err
+	}
+	if len(groups) == 1 {
+		return rt.dispatchGroup(ctx, tp, groups[0].b, qs, trace)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	out := make([]server.QueryResponse, len(qs))
 	var (
 		wg       sync.WaitGroup
@@ -300,18 +309,7 @@ func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGr
 		for k, i := range g.idxs {
 			sub[k] = qs[i]
 		}
-		frame := graph.EncodeFrame(sub)
-		start := time.Now()
-		b, err := rt.failover(ctx, tp, g.b, len(g.idxs), func(ctx context.Context, b *backend) error {
-			results, err := b.cl.QueryBatchFrame(ctx, frame, len(g.idxs), trace)
-			if err != nil {
-				return err
-			}
-			for k, i := range g.idxs {
-				out[i] = results[k]
-			}
-			return nil
-		})
+		results, err := rt.dispatchGroup(ctx, tp, g.b, sub, trace)
 		if err != nil {
 			failOnce.Do(func() {
 				firstErr = err
@@ -319,16 +317,8 @@ func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGr
 			})
 			return
 		}
-		if trace {
-			span := telemetry.Span{Name: "router:dispatch " + b.addr, DurNS: time.Since(start).Nanoseconds()}
-			for _, i := range g.idxs {
-				// A result the backend sent without a trace still gets the
-				// router's hop, under the id this router's front door minted.
-				if out[i].Trace == nil {
-					out[i].Trace = &telemetry.Trace{RequestID: telemetry.RequestIDFrom(ctx)}
-				}
-				out[i].Trace.Prepend(span)
-			}
+		for k, i := range g.idxs {
+			out[i] = results[k]
 		}
 	}
 	for _, g := range groups[1:] {
@@ -344,6 +334,37 @@ func (rt *Router) queryBatch(ctx context.Context, tp *topology, groups []batchGr
 		return nil, firstErr
 	}
 	return out, nil
+}
+
+// dispatchGroup sends qs, one group's bodies as the client sent them, in
+// request order, to b as one /querybatch frame, failing over as failover
+// does, and returns the results in the same order. With trace set the
+// backends are asked for traces, and each result's starts with a
+// router:dispatch span naming the backend that answered it.
+func (rt *Router) dispatchGroup(ctx context.Context, tp *topology, b *backend, qs []graph.Body, trace bool) ([]server.QueryResponse, error) {
+	frame := graph.EncodeFrame(qs)
+	start := time.Now()
+	var results []server.QueryResponse
+	b, err := rt.failover(ctx, tp, b, len(qs), func(ctx context.Context, b *backend) error {
+		var err error
+		results, err = b.cl.QueryBatchFrame(ctx, frame, len(qs), trace)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if trace {
+		span := telemetry.Span{Name: "router:dispatch " + b.addr, DurNS: time.Since(start).Nanoseconds()}
+		for i := range results {
+			// A result the backend sent without a trace still gets the
+			// router's hop, under the id this router's front door minted.
+			if results[i].Trace == nil {
+				results[i].Trace = &telemetry.Trace{RequestID: telemetry.RequestIDFrom(ctx)}
+			}
+			results[i].Trace.Prepend(span)
+		}
+	}
+	return results, nil
 }
 
 // admit reserves n queries of fleet-wide capacity, refusing when the

@@ -94,13 +94,8 @@ func (rt *Router) serveQueries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rt.done(len(qs))
-	groups, err := rt.group(tp, qs)
-	if err != nil {
-		rt.replyDispatchError(w, err)
-		return
-	}
 	trace := server.WantsTrace(r)
-	results, err := rt.queryBatch(r.Context(), tp, groups, qs, trace)
+	results, err := rt.queryBatch(r.Context(), tp, qs, trace)
 	if err != nil {
 		rt.replyDispatchError(w, err)
 		return

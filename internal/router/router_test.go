@@ -93,12 +93,7 @@ func startTunedRouter(t testing.TB, opts Options, tun tuning) *Router {
 // routeOne routes one query as the query handler routes a /query: a
 // group of one, dispatched through queryBatch.
 func routeOne(ctx context.Context, rt *Router, q graph.Body) error {
-	tp := rt.topo.Load()
-	qs := []graph.Body{q}
-	groups, err := rt.group(tp, qs)
-	if err == nil {
-		_, err = rt.queryBatch(ctx, tp, groups, qs, false)
-	}
+	_, err := rt.queryBatch(ctx, rt.topo.Load(), []graph.Body{q}, false)
 	return err
 }
 

@@ -91,8 +91,10 @@ func NewWire(reg *telemetry.Registry, prefix string, maxBodyBytes int64) *Wire {
 func IsSingleQuery(r *http.Request) bool { return r.URL.Path == "/query" }
 
 // WantsTrace reports whether r asked for its results' span breakdowns
-// (?debug=trace).
-func WantsTrace(r *http.Request) bool { return r.URL.Query().Get("debug") == "trace" }
+// (?debug=trace). A request without a query string parses none.
+func WantsTrace(r *http.Request) bool {
+	return r.URL.RawQuery != "" && r.URL.Query().Get("debug") == "trace"
+}
 
 // ReadGraphs decodes a /query or /querybatch request body in its
 // negotiated format. one enforces the single-graph contract of /query.
