@@ -14,11 +14,11 @@ import (
 // inside each query fans out over a worker pool sized by
 // Options.VerifyConcurrency; see the package documentation's Concurrency
 // section. The engine is one staged pipeline:
-// QueryBatchStream runs it over many queries as one unit — amortising
-// index probes, pool dispatches and statistics updates across the
-// batch, delivering each result as it completes, with answers identical
-// to sequential Query calls — QueryBatch collects its results, and Query
-// is the same pipeline over one query. The serving subsystem (see Server)
+// QueryBatchContext runs it over many queries as one unit under a
+// context — amortising index probes, pool dispatches and statistics
+// updates across the batch, with answers identical to sequential Query
+// calls — QueryBatch runs it without a deadline, and Query is the same
+// pipeline over one query. The serving subsystem (see Server)
 // runs each request through it: a /querybatch as one batch, a /query as a
 // batch of one.
 //

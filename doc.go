@@ -73,7 +73,7 @@
 // window, no map.
 //
 // A window pass runs on the query that fills the window, after that
-// query's answer is delivered and before its call returns; its time is
+// query's answer is assembled and before its call returns; its time is
 // counted in Totals.MaintenanceTime, not in QueryStats.TotalTime. Filled
 // windows queue for one drain at a time (group commit): a caller that
 // fills a window while another caller's drain is running leaves it to that
@@ -166,26 +166,28 @@
 // # One query pipeline
 //
 // The engine has one staged pipeline and three entry points into it.
-// Cache.QueryBatchStream is the pipeline: a short driver that runs the
-// eight stages of §4, Figure 2 over one run record, in order on the
+// Cache.QueryBatchContext is the pipeline: a short driver that runs the
+// nine stages of §4, Figure 2 over one run record, in order on the
 // calling goroutine and the shared worker pool, cheapest first and each
 // over the queries the earlier ones left open — lookup (the exact-match
 // lookup, §5.1 special case 1), extractFeatures, probe (the GCindex
 // probe), confirm (the containment confirmations, then special case 2: a
 // cached empty answer that proves the query's empty), filter (Method M's
 // filter), prune (the Candidate Set Pruner, Eq. 1/2), verify (Method M's
-// verification and the deliveries) and bookkeep (credits, the Window,
-// Totals). Figure 2 runs Method M's filter beside the GC processors; here
-// it runs after them, because the overlap measured slower, not faster, on
-// a 2-core VM (BenchmarkPipelineStages, GGSX, 12 alternating pairs: ZZ
-// 61.2 µs per query in order against 69.3 µs overlapped, UU 136.1 against
-// 159.9), and its goroutine outlived the run and needed a mutation gate
-// of its own. Each stage is a
-// method of the run in internal/core, documented there; each is the only
-// writer of its QueryStats fields, and every Result is delivered the
-// moment it is complete. Cache.QueryBatch collects those deliveries into
-// a slice aligned with its input, and Cache.Query is the pipeline over
-// one query. An exact hit therefore costs one isomorphism-invariant key,
+// verification), results (each query's answer and its share of the
+// verification stage) and bookkeep (credits, the Window, Totals). Figure
+// 2 runs Method M's filter beside the GC processors; here it runs after
+// them, because the overlap measured slower, not faster, on a 2-core VM
+// (BenchmarkPipelineStages, GGSX, 12 alternating pairs: ZZ 61.2 µs per
+// query in order against 69.3 µs overlapped, UU 136.1 against 159.9), and
+// its goroutine outlived the run and needed a mutation gate of its own.
+// Each stage is a method of the run in internal/core, documented there;
+// each is the only writer of its QueryStats fields. The run returns its
+// Results, aligned with its input, once bookkeep is done, so every query
+// is in the Window and in Totals when its caller reads the answer.
+// Cache.QueryBatch is the pipeline without a deadline, and Cache.Query is
+// the pipeline over one query. An exact hit therefore costs one
+// isomorphism-invariant key,
 // one column scan and one small-vs-small sub-iso test: its paths are not
 // enumerated, Method M's filter is not called for it, and it takes no
 // probe scratch. In the statistics an exact hit has GCVerifications = 1
@@ -199,9 +201,8 @@
 // exactly those of sequential Query calls — the pruning rules are sound,
 // so answers never depend on cache contents — id-ordered and
 // deterministic. A query proven empty never reaches Method M's filter,
-// and a run whose context dies abandons its unstarted verification and
-// leaves no trace in the cache. A
-// run of one query is not a batch to the outside: it does not count in
+// and a run whose context dies abandons its unstarted verification,
+// returns no results and leaves no trace in the cache. A run of one query is not a batch to the outside: it does not count in
 // Totals.Batches, gcserved counts it under
 // graphcache_queries_total{path=single}, and its stage timings are exact
 // rather than shares. BenchmarkQueryBatch tracks the
@@ -289,9 +290,10 @@
 // Cancellation. A client that walks away before its reply — it closes
 // the connection, or its context is cancelled or times out — cancels the
 // request's context, on a /query and a /querybatch alike, since both run
-// the one pipeline (Cache.QueryBatchStream) under that context. The
+// the one pipeline (Cache.QueryBatchContext) under that context. The
 // server then skips every verification chunk that has not started; a
-// run that skipped any writes no reply and leaves no trace in the cache.
+// run that skipped any returns no results, so gcserved writes no reply
+// and meters none of its queries, and it leaves no trace in the cache.
 // A router dispatches every group of a batch under the request's
 // context, so the cancellation reaches each backend it called. A chunk
 // that has started runs to its end. Most methods split a query's
@@ -579,11 +581,13 @@
 // never leave the process (json:"-"), the GC stage split into feature
 // extraction, lookup and probe (the exact-match lookup, confirmation
 // included, is in the probe share) and confirmation sub-iso time, and the
-// credit its cache hits earned. gcserved folds each query's record into
-// its metrics as the result is delivered — before the reply is written —
-// so a scrape taken right after a reply already counts it, and a run cut
-// short by departed clients still counts the queries it delivered; the
-// fleet's figures are the sum over backends. A mutation's record is the
+// credit its cache hits earned. Its stage times are the query's shares
+// of its run's stages, so a run's records sum to what it adds to Totals.
+// gcserved folds each query's record into its metrics before the reply
+// is written, so a scrape taken right after a reply already counts it; a
+// run cut short by departed clients returns no records and counts in
+// none of the per-query families. The fleet's figures are the sum over
+// backends. A mutation's record is the
 // MutationResult Cache.ApplyMutation returns, which gcserved folds on
 // POST /mutate and on journal replay. The cache's Observer, installed
 // with Cache.SetObserver, receives the one event no caller sees: a
@@ -595,11 +599,11 @@
 //
 //	graphcache_query_duration_seconds{stage=...}  histograms per engine stage
 //	    (feature, probe, gcverify, filter_m, filter_gc, verify, total), observed
-//	    for every delivered query; filter_m and verify skip special-case hits.
+//	    for every answered query; filter_m and verify skip special-case hits.
 //	    A batched query's GC stage and its feature/probe/gcverify parts are
-//	    its even share of the batch's stage time; its verify is the time from
-//	    the start of the batch's verification to its own last verdict — what
-//	    the router and the client see too
+//	    its even share of the batch's stage time; its verify is its share of
+//	    the batch's verification time, in proportion to its candidate-set
+//	    size — what Totals, the router and the client see too
 //	graphcache_queries_total{path=single|batched}  batched: ran in a run of two
 //	    or more queries (a /querybatch of one, as a router sends a single,
 //	    counts as single)

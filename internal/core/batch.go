@@ -16,8 +16,8 @@ import (
 // ordered by cost: the exact-match lookup, then, for the queries it left
 // open, the GC processors, then Method M's filter for the queries they
 // left open, the Candidate Set Pruner, the verifier, the Window.
-// QueryBatchStream is the pipeline; Query runs it over one query and
-// QueryBatch collects its deliveries.
+// QueryBatchContext is the pipeline; Query and QueryBatch run it without
+// a deadline.
 
 // How a query of a run was resolved.
 const (
@@ -48,10 +48,9 @@ type queryState struct {
 	containers, containees []*entry
 
 	state      int
-	direct, cs []int32      // prune's output: lifted answers, candidates left to verify
-	off        int          // offset of cs's verdicts in the run's flattened verdict list
-	pending    atomic.Int32 // unverified candidates; the worker that zeroes it completes the query
-	ownCost    float64      // Σ c(q, G) over csM
+	direct, cs []int32 // prune's output: lifted answers, candidates left to verify
+	off        int     // offset of cs's verdicts in the run's flattened verdict list
+	ownCost    float64 // Σ c(q, G) over csM
 	answer     []int32
 	stats      QueryStats
 }
@@ -66,14 +65,14 @@ type gcCheck struct {
 }
 
 // verifyChunk is one unit of Method-M verification in a run's flattened
-// work list: query qi against its candidates cs[lo:hi]. Workers claim, poll
-// for cancellation and report completion once per chunk, not once per
-// sub-iso test. A query's chunks hold max(adaptiveGrain, |cs| /
-// (4·VerifyConcurrency)) tests: a large candidate set is cut into about
-// four chunks per worker, enough to even out the workers' loads, because
-// smaller chunks make the claims, the pending counter and the verdict
-// cache lines the workers share cost more than tests that take a fraction
-// of a microsecond. A method.BatchVerifier's query is one chunk.
+// work list: query qi against its candidates cs[lo:hi]. Workers claim and
+// poll for cancellation once per chunk, not once per sub-iso test. A
+// query's chunks hold max(adaptiveGrain, |cs| / (4·VerifyConcurrency))
+// tests: a large candidate set is cut into about four chunks per worker,
+// enough to even out the workers' loads, because smaller chunks make the
+// claims and the verdict cache lines the workers share cost more than
+// tests that take a fraction of a microsecond. A method.BatchVerifier's
+// query is one chunk.
 type verifyChunk struct {
 	qi, lo, hi int
 }
@@ -85,10 +84,9 @@ type verifyChunk struct {
 // callers; each caller's answer is exactly the wrapped method's answer
 // for its query, whatever the interleaving.
 func (c *Cache) Query(q *graph.Graph) Result {
-	var res Result
 	// Never cancelled, so nothing is abandoned and there is no error.
-	c.QueryBatchStream(context.TODO(), []*graph.Graph{q}, func(_ int, r Result) { res = r })
-	return res
+	results, _, _ := c.QueryBatchContext(context.TODO(), []*graph.Graph{q})
+	return results[0]
 }
 
 // QueryBatch processes a batch of queries as one run of the pipeline and
@@ -98,65 +96,47 @@ func (c *Cache) Query(q *graph.Graph) Result {
 // deterministic at any pool size or caller interleaving. It is safe to
 // call concurrently with Query and with other batches.
 func (c *Cache) QueryBatch(qs []*graph.Graph) []Result {
-	if len(qs) == 0 {
-		return nil
-	}
-	results := make([]Result, len(qs))
 	// Never cancelled, so nothing is abandoned and there is no error.
-	c.QueryBatchStream(context.TODO(), qs, func(i int, r Result) { results[i] = r })
+	results, _, _ := c.QueryBatchContext(context.TODO(), qs)
 	return results
 }
 
-// QueryBatchStream is the query pipeline: it processes qs as one run and
-// hands each Result to deliver the moment it is complete. deliver is
-// called exactly once per query — index i aligns with qs — and may be
-// called concurrently from verification workers, so it must be safe for
-// concurrent use. Queries resolved without verification (exact-match
-// hits, empty-answer shortcuts, fully pruned candidate sets) are
-// delivered before any sub-iso test runs, so the first results of a mixed
-// batch arrive while the heavy tail is still verifying.
+// QueryBatchContext is the query pipeline: it processes qs as one run
+// under ctx and returns the results aligned to qs once the run's
+// bookkeeping is done.
 //
-// The run is eight stages, each a method of run, each called once, in
+// The run is nine stages, each a method of run, each called once, in
 // this order on the calling goroutine and the shared worker pool, and
 // each past the first working only on the queries the earlier ones left
-// open: lookup, extractFeatures, probe, confirm, filter, prune, verify and
-// bookkeep. A query that either special case resolves never reaches
-// Method M: a run in which every query exact-hit enumerates no path, and
-// neither it nor a query proven empty is ever filtered.
+// open: lookup, extractFeatures, probe, confirm, filter, prune, verify,
+// results and bookkeep. A query that either special case resolves never
+// reaches Method M: a run in which every query exact-hit enumerates no
+// path, and neither it nor a query proven empty is ever filtered.
 //
-// Each delivered Result carries the query's complete QueryStats — the
-// only per-query record — so whoever delivers the answer can fold it into
-// its metrics before the caller sees it. Timing statistics are per stage:
-// the GC stage's wall time and its feature/probe/confirmation split are
-// divided evenly across the run's queries, so sums stay meaningful and a
-// lone query's values are exact; the VerifyTime of a delivered Result is
-// the time from the start of the verification stage to that query's last
-// verdict. Totals, which sum over queries, take VerifyTime instead as the
-// query's share of the stage, in proportion to its candidate-set size.
-//
-// A run of one query is not a batch to the outside: Totals.Batches counts
-// runs of two or more.
+// Each Result carries the query's QueryStats, the one per-query record:
+// its stage times are its shares of the run's stages (see QueryStats), so
+// a run's records sum to what it adds to Totals. A run of one query is
+// not a batch to the outside: Totals.Batches counts runs of two or more.
 //
 // ctx cancellation is the client-gone signal: once ctx.Err() is
-// non-nil, unstarted verification work is abandoned (a query whose
-// tests were already all in flight may still complete and be
-// delivered; a partially verified query never is), and a run that
-// abandoned any leaves no trace in the cache — no window insertions, no
-// hit credits, no totals. The number of abandoned sub-iso tests and, when
-// there were any, ctx's error are returned. The cache only ever polls
-// ctx.Err(), never waits on ctx.Done(), so composite contexts without a
-// Done channel work.
-func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver func(i int, r Result)) (abandoned int, err error) {
+// non-nil, unstarted verification work is abandoned, and a run that
+// abandoned any returns no results, the number of sub-iso tests it
+// skipped and ctx's error, and leaves no trace in the cache — no window
+// insertions, no hit credits, no totals. A cancel that lands after the
+// run's last verdict skipped nothing, and the run completes. The cache
+// only ever polls ctx.Err(), never waits on ctx.Done(), so composite
+// contexts without a Done channel work.
+func (c *Cache) QueryBatchContext(ctx context.Context, qs []*graph.Graph) (results []Result, abandoned int, err error) {
 	if len(qs) == 0 {
-		return 0, nil
+		return nil, 0, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	c.gate.RLock()
 	defer c.gate.RUnlock()
 
-	r := c.newRun(ctx, qs, deliver)
+	r := c.newRun(ctx, qs)
 	r.lookup()
 	r.extractFeatures()
 	r.probe()
@@ -164,32 +144,26 @@ func (c *Cache) QueryBatchStream(ctx context.Context, qs []*graph.Graph, deliver
 	r.filter()
 	r.prune()
 	if err := ctx.Err(); err != nil {
-		return r.nTests, err // a dead client abandons every test of the run
+		return nil, r.nTests, err // a dead client abandons every test of the run
 	}
 	if abandoned = r.verify(); abandoned > 0 {
-		// Cut short: everything delivered so far was fully verified, but
-		// the run as a whole never happened as far as the cache is
-		// concerned — no credits, no window entries, no totals. Caching a
-		// partially verified run would poison future answers; skipping
-		// bookkeeping merely forgoes an optimisation. A cancel that lands
-		// after the last verdict skipped nothing, and the run is kept: a
-		// streaming client may leave the moment its last result is
-		// delivered, which must not cost the batch its place in the window.
-		return abandoned, ctx.Err()
+		// Caching a partially verified run would poison future answers;
+		// skipping its bookkeeping merely forgoes an optimisation.
+		return nil, abandoned, ctx.Err()
 	}
+	results = r.results()
 	r.bookkeep()
-	return 0, nil
+	return results, 0, nil
 }
 
 // run is one pass of the pipeline over a batch: what its stages share and
 // what each leaves for the next. Every field past the first group is
 // written by one stage, named beside it.
 type run struct {
-	c       *Cache
-	ctx     context.Context
-	deliver func(i int, r Result)
-	st      []queryState
-	ix      *queryIndex // the one generation every query looks up and probes
+	c   *Cache
+	ctx context.Context
+	st  []queryState
+	ix  *queryIndex // the one generation every query looks up and probes
 
 	open     []int       // lookup, then confirm: the queries no special case resolved, ascending
 	credits  []hitCredit // prune: the hit credits bookkeep applies
@@ -203,10 +177,10 @@ type run struct {
 // newRun starts a run over qs. It takes one contiguous serial block —
 // query i is serial base+i, so a batch's results order like sequential
 // calls would — and loads the index generation once.
-func (c *Cache) newRun(ctx context.Context, qs []*graph.Graph, deliver func(i int, r Result)) *run {
+func (c *Cache) newRun(ctx context.Context, qs []*graph.Graph) *run {
 	n := int64(len(qs))
 	base := c.serial.Add(n) - n + 1
-	r := &run{c: c, ctx: ctx, deliver: deliver, st: make([]queryState, n), ix: c.index.Load()}
+	r := &run{c: c, ctx: ctx, st: make([]queryState, n), ix: c.index.Load()}
 	for i := range r.st {
 		r.st[i].q, r.st[i].stats.Serial = qs[i], base+int64(i)
 	}
@@ -408,16 +382,16 @@ func (r *run) queueCredit(s *queryState, e *entry, special bool, removed int, sa
 	s.stats.Credit += saved
 }
 
-// verify is stage 7, Method M's verification and the deliveries. Every
-// query that needs no test is delivered first, so a client's first
-// results never wait on the batch's heavy tail. Then the sub-iso tests of
-// all pruned candidate sets run as one work list of chunks (see
-// verifyChunk) over the worker pool — one worker per chunk while pool
-// slots are free — and the worker landing a query's last verdict
-// completes it. A method.BatchVerifier keeps its own verification pool,
-// so it gets one chunk per query and one VerifyBatch call on it. It
-// returns how many tests it skipped because ctx died first.
+// verify is stage 7, Method M's verification: the sub-iso tests of all
+// pruned candidate sets run as one work list of chunks (see verifyChunk)
+// over the worker pool, one worker per chunk while pool slots are free. A
+// method.BatchVerifier keeps its own verification pool, so it gets one
+// chunk per query and one VerifyBatch call on it. It returns how many
+// tests it skipped because ctx died first.
 func (r *run) verify() int {
+	if r.nTests == 0 {
+		return 0
+	}
 	c := r.c
 	bv, _ := c.m.(method.BatchVerifier)
 	grainOf := func(tests int) int { // a query's tests per chunk (see verifyChunk)
@@ -438,25 +412,14 @@ func (r *run) verify() int {
 		s := &r.st[qi]
 		s.off = off
 		off += len(s.cs)
-		s.pending.Store(int32(len(s.cs)))
 		grain := grainOf(len(s.cs))
 		for lo := 0; lo < len(s.cs); lo += grain {
 			chunks = append(chunks, verifyChunk{qi: qi, lo: lo, hi: min(lo+grain, len(s.cs))})
 		}
-		if len(s.cs) == 0 {
-			r.complete(qi, 0)
-		}
-	}
-	if r.nTests == 0 {
-		return 0
 	}
 
 	var skipped atomic.Int64
 	start := time.Now()
-	// The worker that brings a query's pending count to zero has a
-	// happens-before edge on every sibling verdict and completes the
-	// query. Skipped chunks never decrement, so a query touched by
-	// cancellation is never delivered partially verified.
 	c.pool.ParallelFor(len(chunks), func(k int) {
 		ch := chunks[k]
 		if r.ctx.Err() != nil {
@@ -471,35 +434,40 @@ func (r *run) verify() int {
 				r.verdicts[s.off+j] = c.m.Verify(s.q, s.cs[j])
 			}
 		}
-		if s.pending.Add(int32(ch.lo-ch.hi)) == 0 {
-			r.complete(ch.qi, time.Since(start))
-		}
 	})
 	r.verifyTime = time.Since(start)
 	return int(skipped.Load())
 }
 
-// complete assembles query qi's answer once all its verdicts are in and
-// delivers it; it writes AnswerSize and the delivered VerifyTime. The
-// delivered Result is a private copy: bookkeep keeps s.answer for the
-// Window.
-func (r *run) complete(qi int, verifyTime time.Duration) {
-	s := &r.st[qi]
-	if s.state == stateNormal {
-		var positives []int32
-		for k, id := range s.cs {
-			if r.verdicts[s.off+k] {
-				positives = append(positives, id)
+// results is stage 8, one serial pass over the run's queries. It
+// assembles each verified query's answer — the lifted answers and the
+// verified candidates, merged — and writes AnswerSize and VerifyTime, the
+// query's share of the verification stage in proportion to its
+// candidate-set size. Each Result's Answer is a private copy: bookkeep
+// keeps s.answer for the Window, and an exact hit's is the cached entry's.
+func (r *run) results() []Result {
+	out := make([]Result, len(r.st))
+	for qi := range r.st {
+		s := &r.st[qi]
+		if s.state == stateNormal {
+			var positives []int32
+			for k, id := range s.cs {
+				if r.verdicts[s.off+k] {
+					positives = append(positives, id)
+				}
+			}
+			s.answer = unionSorted(s.direct, positives)
+			if r.nTests > 0 {
+				s.stats.VerifyTime = r.verifyTime * time.Duration(len(s.cs)) / time.Duration(r.nTests)
 			}
 		}
-		s.answer = unionSorted(s.direct, positives)
-		s.stats.VerifyTime = verifyTime
+		s.stats.AnswerSize = len(s.answer)
+		out[qi] = Result{Answer: cloneIDs(s.answer), Stats: s.stats}
 	}
-	s.stats.AnswerSize = len(s.answer)
-	r.deliver(qi, Result{Answer: cloneIDs(s.answer), Stats: s.stats})
+	return out
 }
 
-// bookkeep is stage 8, the run's entry into the Window Manager (§6) and
+// bookkeep is stage 9, the run's entry into the Window Manager (§6) and
 // the Statistics Manager. The queued credits land first, so a window's
 // replacement pass sees the hits of the query that filled it; an entry
 // evicted meanwhile takes its credit out of the cache with it. Then the
@@ -508,9 +476,7 @@ func (r *run) complete(qi int, verifyTime time.Duration) {
 // and re-admitting it would only pollute the cache — and the run folds
 // into Totals last: once Totals counts a run's queries, every one of them
 // is in the Window, so a snapshot taken then holds every window they
-// filled. It writes no QueryStats field: the Window and Totals count a
-// query's share of the verification stage (verifyShare) as its
-// VerifyTime.
+// filled. It writes no QueryStats field.
 func (r *run) bookkeep() {
 	c := r.c
 	c.totMu.Lock()
@@ -528,7 +494,7 @@ func (r *run) bookkeep() {
 		e.filterNS = float64(s.stats.FilterGCTime.Nanoseconds())
 		if s.state == stateNormal {
 			e.filterNS = float64((s.stats.FilterMTime + s.stats.FilterGCTime).Nanoseconds())
-			e.verifyNS = float64(r.verifyShare(qi).Nanoseconds())
+			e.verifyNS = float64(s.stats.VerifyTime.Nanoseconds())
 			e.ownCS, e.ownCost = len(s.csM), s.ownCost
 		}
 		c.addToWindow(e, s.stats.Serial)
@@ -539,20 +505,9 @@ func (r *run) bookkeep() {
 		c.tot.Batches++
 	}
 	for qi := range r.st {
-		stats := r.st[qi].stats
-		stats.VerifyTime = r.verifyShare(qi)
-		c.tot.add(&stats)
+		c.tot.add(&r.st[qi].stats)
 	}
 	c.totMu.Unlock()
-}
-
-// verifyShare is query qi's share of the verification stage, in
-// proportion to its candidate-set size.
-func (r *run) verifyShare(qi int) time.Duration {
-	if r.nTests == 0 {
-		return 0
-	}
-	return r.verifyTime * time.Duration(len(r.st[qi].cs)) / time.Duration(r.nTests)
 }
 
 // adaptiveGrain is the targeted number of verifications per worker:

@@ -63,7 +63,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 // TestThreeEntryPointsOnePipeline pins what the separate single-query
 // engine used to guarantee: the same seeded stream — sub- and supergraph
 // method, an add, a remove and an edit on the way — driven as Query, as a
-// QueryBatch of one and as a QueryBatchStream of one leaves identical
+// QueryBatch of one and as a QueryBatchContext of one leaves identical
 // answers, count statistics, totals (a batch of one is not a batch), cache
 // contents and statistics rows (timings aside).
 func TestThreeEntryPointsOnePipeline(t *testing.T) {
@@ -73,11 +73,12 @@ func TestThreeEntryPointsOnePipeline(t *testing.T) {
 	}{
 		{"Query", func(c *Cache, q *graph.Graph) Result { return c.Query(q) }},
 		{"QueryBatch", func(c *Cache, q *graph.Graph) Result { return c.QueryBatch([]*graph.Graph{q})[0] }},
-		{"QueryBatchStream", func(c *Cache, q *graph.Graph) (r Result) {
-			if _, err := c.QueryBatchStream(context.Background(), []*graph.Graph{q}, func(_ int, res Result) { r = res }); err != nil {
+		{"QueryBatchContext", func(c *Cache, q *graph.Graph) Result {
+			results, _, err := c.QueryBatchContext(context.Background(), []*graph.Graph{q})
+			if err != nil {
 				t.Fatal(err)
 			}
-			return r
+			return results[0]
 		}},
 	}
 	type outcome struct {

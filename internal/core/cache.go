@@ -128,9 +128,10 @@ type Totals struct {
 // never ran — and no Method M figures.
 //
 // The GC stage and its split are the query's even share of its run's
-// stage time; VerifyTime is the time from the start of the run's
-// verification to the query's last verdict (see QueryBatchStream). The
-// fields tagged json:"-" stay in the process: replies do not carry them.
+// stage time, and VerifyTime its share of the run's verification time in
+// proportion to its candidate-set size, so the records of a run sum to
+// what it adds to Totals (see QueryBatchContext). The fields tagged
+// json:"-" stay in the process: replies do not carry them.
 type QueryStats struct {
 	Serial          int64
 	FilterMTime     time.Duration // Method M filtering
@@ -162,7 +163,7 @@ type QueryStats struct {
 // TotalTime is the query's processing latency: the GC processors, then
 // Method M's filter, then verification, one after the other. A window
 // pass runs on the query that fills the window, after its answer is
-// delivered, and is counted in Totals.MaintenanceTime, not here.
+// assembled, and is counted in Totals.MaintenanceTime, not here.
 func (s QueryStats) TotalTime() time.Duration {
 	return s.FilterGCTime + s.FilterMTime + s.VerifyTime
 }

@@ -12,6 +12,7 @@ import (
 	"graphcache/internal/dataset"
 	"graphcache/internal/gen"
 	"graphcache/internal/graph"
+	"graphcache/internal/iso"
 	"graphcache/internal/method"
 	"graphcache/internal/workload"
 )
@@ -460,5 +461,41 @@ func TestMutationPropertyRandomised(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMutationSupergraphAddExtendsCachedAnswer: in supergraph mode a
+// cached query's answer holds the dataset graphs it contains, so adding a
+// graph the query strictly contains (the query less one edge) must extend
+// that answer, and the next exact hit must serve the extended one.
+func TestMutationSupergraphAddExtendsCachedAnswer(t *testing.T) {
+	ds := moleculeDataset(40, 63)
+	m := method.NewSuperSI(ds, iso.VF2{})
+	c := New(m, Options{WindowSize: 1})
+	q := ds.Graph(0).Clone()
+	c.Query(q)
+	c.Flush()
+	if len(c.CachedSerials()) != 1 {
+		t.Fatalf("the query was not cached: %d entries", len(c.CachedSerials()))
+	}
+
+	b := graph.NewBuilder()
+	for v := range q.NumVertices() {
+		b.AddVertex(q.Label(int32(v)))
+	}
+	dropped := false
+	q.Edges(func(u, v int32) {
+		if dropped {
+			b.AddEdge(u, v)
+		}
+		dropped = true
+	})
+	if _, err := c.AddGraphs([]*graph.Graph{b.MustBuild()}); err != nil {
+		t.Fatal(err)
+	}
+
+	r := c.Query(q)
+	if want := method.Answer(m, q); !eq(r.Answer, want) {
+		t.Errorf("after adding the query less one edge: answer %v, want %v (exact hit %v)", r.Answer, want, r.Stats.ExactHit)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"graphcache/internal/gen"
 	"graphcache/internal/ggsx"
@@ -24,7 +25,7 @@ func (r *recordingObserver) ObserveWindow(o WindowObservation) {
 	r.mu.Unlock()
 }
 
-// TestQueryStatsStageSplit: every delivered QueryStats — single-query and
+// TestQueryStatsStageSplit: every returned QueryStats — single-query and
 // batched path, special-case hits included — carries a GC-stage split that
 // is never negative and sums to at most the GC stage, and a total no
 // shorter than its verification; the Observer still sees the window passes.
@@ -53,7 +54,7 @@ func TestQueryStatsStageSplit(t *testing.T) {
 	for _, r := range results {
 		qs := r.Stats
 		if serials[qs.Serial] {
-			t.Fatalf("serial %d delivered twice", qs.Serial)
+			t.Fatalf("serial %d returned twice", qs.Serial)
 		}
 		serials[qs.Serial] = true
 		if qs.FeatureTime < 0 || qs.ProbeTime < 0 || qs.GCVerifyTime < 0 {
@@ -82,7 +83,7 @@ func TestQueryStatsStageSplit(t *testing.T) {
 }
 
 // TestQueryStatsRunShapes: a run of one query is not a batch through any
-// entry point, and a batch's delivered stats carry non-zero per-query
+// entry point, and a batch's returned stats carry non-zero per-query
 // shares of the GC sub-stages the pipeline times for every run.
 func TestQueryStatsRunShapes(t *testing.T) {
 	ds := moleculeDataset(40, 19)
@@ -94,7 +95,7 @@ func TestQueryStatsRunShapes(t *testing.T) {
 		c.Query(q.Graph)
 	}
 	c.QueryBatch(gs[:1])
-	if _, err := c.QueryBatchStream(context.Background(), gs[1:2], func(int, Result) {}); err != nil {
+	if _, _, err := c.QueryBatchContext(context.Background(), gs[1:2]); err != nil {
 		t.Fatal(err)
 	}
 	if b := c.Totals().Batches; b != 0 {
@@ -208,4 +209,55 @@ func benchObserver(b *testing.B, o Observer) {
 		c.Query(queries[i%len(queries)].Graph)
 		i++
 	}
+}
+
+// TestRunTimesSumToTotals: a run's per-query stage times are its stages'
+// shares, so the times its Results carry sum to exactly what the run adds
+// to Totals — for a mixed batch (exact hits, fresh queries, verification
+// spread over many candidate sets) and for a lone query alike.
+func TestRunTimesSumToTotals(t *testing.T) {
+	ds := moleculeDataset(60, 23)
+	queries := typeAWorkload(ds, "ZZ", 60, 24)
+	c := New(ggsx.New(ds, ggsx.Options{}), Options{CacheSize: 20, WindowSize: 5})
+	for _, q := range queries[:40] {
+		c.Query(q.Graph)
+	}
+	c.Flush()
+
+	check := func(name string, gs []*graph.Graph) {
+		before := c.Totals()
+		var verify, filterM, filterGC time.Duration
+		exact, tests := 0, 0
+		for _, r := range c.QueryBatch(gs) {
+			verify += r.Stats.VerifyTime
+			filterM += r.Stats.FilterMTime
+			filterGC += r.Stats.FilterGCTime
+			tests += r.Stats.SubIsoTests
+			if r.Stats.ExactHit {
+				exact++
+			}
+		}
+		after := c.Totals()
+		if d := after.VerifyTime - before.VerifyTime; verify != d {
+			t.Errorf("%s: results' VerifyTime sums to %v, Totals grew by %v", name, verify, d)
+		}
+		if d := after.FilterMTime - before.FilterMTime; filterM != d {
+			t.Errorf("%s: results' FilterMTime sums to %v, Totals grew by %v", name, filterM, d)
+		}
+		if d := after.FilterGCTime - before.FilterGCTime; filterGC != d {
+			t.Errorf("%s: results' FilterGCTime sums to %v, Totals grew by %v", name, filterGC, d)
+		}
+		if tests == 0 || verify <= 0 {
+			t.Errorf("%s: %d sub-iso tests in %v: the verification stage was not exercised", name, tests, verify)
+		}
+		if len(gs) > 1 && exact == 0 {
+			t.Errorf("%s: no exact hit: the batch is not mixed", name)
+		}
+	}
+	var batch []*graph.Graph
+	for _, q := range queries[20:60] {
+		batch = append(batch, q.Graph)
+	}
+	check("batch", batch)
+	check("lone query", []*graph.Graph{typeAWorkload(ds, "UU", 1, 25)[0].Graph})
 }

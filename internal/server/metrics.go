@@ -6,7 +6,7 @@ import (
 	"graphcache/internal/telemetry"
 )
 
-// serverMetrics is gcserved's metric surface: each delivered query's
+// serverMetrics is gcserved's metric surface: each answered query's
 // QueryStats (engine stages, hits, candidate counts, savings, credit), the
 // Window Manager series fed by the cache Observer, each applied
 // mutation's MutationResult, and the serving-boundary series (run sizes,
@@ -17,7 +17,7 @@ import (
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	// Per-query series, fed by observeQuery as each result is delivered.
+	// Per-query series, fed by observeQuery before each reply is written.
 	durFeature, durProbe, durGCVerify  *telemetry.Histogram
 	durFilterM, durFilterGC, durVerify *telemetry.Histogram
 	durTotal                           *telemetry.Histogram
@@ -121,7 +121,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	return m
 }
 
-// observeQuery folds one delivered query. batched says the query ran in a
+// observeQuery folds one answered query. batched says the query ran in a
 // run of two or more. A special-case hit never ran Method M, so it adds to
 // neither filter_m nor verify, and never computed a candidate set to count.
 func (m *serverMetrics) observeQuery(qs *core.QueryStats, batched bool) {

@@ -140,7 +140,7 @@ var logf = func(format string, args ...any) {
 // New wraps c in a Server. The cache must already be built over its
 // dataset and method; the server only adds the network boundary. New
 // installs the server's metrics as the cache's core.Observer, for window
-// passes, folds every query it runs as its result is delivered and every
+// passes, folds every query it runs before writing its reply and every
 // mutation it applies (journal replay included) from its MutationResult,
 // and serves the registry at GET /metrics.
 func New(c *core.Cache, opts Options) *Server {
@@ -451,10 +451,11 @@ func writeShed(w http.ResponseWriter) {
 // request's queries are one run of the pipeline on the request's
 // goroutine, under its context — a client that disconnects cancels the
 // run, the cache abandons unstarted verification, and there is no one
-// left to write to. The reply goes out after the run's bookkeeping, so
-// every query is in the window and the totals when its client reads the
-// answer. The route decides only the reply envelope and /query's
-// one-graph check; ?debug=trace gives every result its trace on either.
+// left to write to. The reply goes out after the run's bookkeeping and
+// after the metrics count its queries, so every query is in the window,
+// the totals and a scrape when its client reads the answer. The route
+// decides only the reply envelope and /query's one-graph check;
+// ?debug=trace gives every result its trace on either.
 func (s *Server) serveQueries(w http.ResponseWriter, r *http.Request) {
 	single := IsSingleQuery(r)
 	qs, decDur, ok := s.wire.ReadGraphs(w, r, single)
@@ -469,24 +470,21 @@ func (s *Server) serveQueries(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	trace := WantsTrace(r)
-	resp := make([]QueryResponse, len(qs))
 	s.met.batchSize.Observe(float64(len(qs)))
-	batched := len(qs) > 1
-	// Each result is folded into the metrics as it is delivered, so the
-	// metrics count a query before its client has the answer; a run cut
-	// short still counts the queries it delivered.
-	abandoned, err := s.cache.QueryBatchStream(r.Context(), qs, func(i int, res core.Result) {
+	results, abandoned, err := s.cache.QueryBatchContext(r.Context(), qs)
+	if err != nil {
+		s.met.streamCancelled.Inc()
+		s.met.streamAbandoned.Add(float64(abandoned))
+		return
+	}
+	trace, batched := WantsTrace(r), len(qs) > 1
+	resp := make([]QueryResponse, len(results))
+	for i, res := range results {
 		s.met.observeQuery(&res.Stats, batched)
 		resp[i] = QueryResponse{Answer: res.Answer, Stats: res.Stats}
 		if trace {
 			resp[i].Trace = s.buildTrace(r.Context(), decDur, res.Stats)
 		}
-	})
-	if err != nil {
-		s.met.streamCancelled.Inc()
-		s.met.streamAbandoned.Add(float64(abandoned))
-		return
 	}
 	s.wire.WriteResults(w, resp, single)
 }
