@@ -306,11 +306,22 @@
 // graphcache_server_stream_abandoned_verifications_total), which
 // TestRouterStreamCancellationPropagates asserts on through a router.
 //
-// Router payloads. A router's GET /stats is a JSON superset of
-// gcserved's, and its admin GET /topology lists the fleet; neither
-// carries a router_mode field any more, since a router has one routing
-// rule (see "Serving tier"). A client that still reads router_mode gets
-// the empty string.
+// Router payloads. A router's POST /mutate and GET /stats replies are
+// JSON supersets of gcserved's because the router's reply types embed
+// gcserved's (MutateResponse, StatsResponse) and redeclare none of their
+// fields. Every /mutate reply carries applied, epoch, seq, added_ids,
+// removed_ids, extended, reverified, invalidated and window_patched —
+// gcserved's the encoding of the cache's core.MutationResult, the
+// router's the fleet's: the epoch the fleet reached, the IDs of a
+// backend that landed there and the counts summed over the backends —
+// and the router's adds one backends row per backend with the same keys
+// plus addr and error. The router's /stats fills gcserved's keys with
+// the fleet's figures (dataset_epoch the fleet epoch, mutation_seq the
+// highest backend's, shed the router's own front-door sheds) and adds
+// fleet_epoch, backends and router. Its admin GET /topology lists the
+// fleet; neither carries a router_mode field any more, since a router
+// has one routing rule (see "Serving tier"). A client that still reads
+// router_mode gets the empty string.
 //
 // # Serving tier
 //
@@ -349,8 +360,10 @@
 // between the survivors. GET /stats
 // aggregates fleet-wide totals with per-backend detail — breaker state
 // and transition counters included — and the router's own counters
-// (routed, retried, ejected, shed) as a JSON superset of the gcserved
-// payload; GET /healthz stays green while at least one backend is
+// (routed, retried, ejected, shed), and POST /mutate answers with the
+// fleet's outcome and one row per backend; both embed gcserved's reply
+// types, so each is a JSON superset of gcserved's payload (see "Router
+// payloads"). GET /healthz stays green while at least one backend is
 // dispatchable. In Go, NewRouter embeds the tier in any process; see
 // cmd/gcrouter.
 //

@@ -59,35 +59,37 @@ var ErrStaticMethod = errors.New("core: method does not support dataset mutation
 
 // MutationResult reports what one applied mutation did to the cache. It
 // is the mutation's one record: the cache streams no copy of it, so its
-// caller meters it.
+// caller meters it, and it is the wire record too — gcserved's POST
+// /mutate reply is its JSON encoding, as a query reply carries its
+// QueryStats. The fields tagged json:"-" stay in the process.
 type MutationResult struct {
 	// Applied is false when the mutation was recognised as an
 	// already-applied duplicate by its sequence number and skipped.
-	Applied bool
+	Applied bool `json:"applied"`
 	// Epoch is the dataset epoch after the mutation.
-	Epoch int64
+	Epoch int64 `json:"epoch"`
 	// Seq is the highest applied mutation sequence number.
-	Seq int64
+	Seq int64 `json:"seq,omitempty"`
 	// AddedIDs are the dataset IDs assigned to OpAdd graphs.
-	AddedIDs []int32
+	AddedIDs []int32 `json:"added_ids,omitempty"`
 	// RemovedIDs are the IDs OpRemove actually tombstoned.
-	RemovedIDs []int32
+	RemovedIDs []int32 `json:"removed_ids,omitempty"`
 	// EntriesTouched counts cached entries examined because their feature
 	// vector or answer set could be affected.
-	EntriesTouched int
-	// Reverified counts method verifications spent repairing answers.
-	Reverified int
+	EntriesTouched int `json:"-"`
 	// Extended counts cached entries whose answer set grew.
-	Extended int
+	Extended int `json:"extended,omitempty"`
+	// Reverified counts method verifications spent repairing answers.
+	Reverified int `json:"reverified,omitempty"`
 	// Invalidated counts cached entries whose answer set shrank.
-	Invalidated int
+	Invalidated int `json:"invalidated,omitempty"`
 	// WindowPatched counts pending (not yet admitted) window entries
 	// whose answers were repaired in place.
-	WindowPatched int
+	WindowPatched int `json:"window_patched,omitempty"`
 	// Duration is the wall time from the extraction of the new graphs'
 	// vectors to the end of the repair: the wait for the gate, the
 	// dataset and index change and the cache's answer repair.
-	Duration time.Duration
+	Duration time.Duration `json:"-"`
 }
 
 // DatasetEpoch returns the dataset's current mutation epoch.

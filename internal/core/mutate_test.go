@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"graphcache/internal/ctindex"
 	"graphcache/internal/dataset"
 	"graphcache/internal/gen"
 	"graphcache/internal/graph"
@@ -376,89 +377,102 @@ func TestMutationStaticMethodRejected(t *testing.T) {
 // queries, additions, removals and edge edits, then checks every answer
 // byte-identical to a fresh cache built over the final dataset — the
 // satellite property test, over two random schedules (and under -race in
-// CI). Shards1 keeps the name it had when the cache could be split into
-// shards: one shard was the single store the cache now is.
+// CI), each run over an index-free method (VF2+) and an indexed one
+// (CT-Index, whose fingerprints the mutations must keep in step). Shards1
+// keeps the name it had when the cache could be split into shards: one
+// shard was the single store the cache now is.
 func TestMutationPropertyRandomised(t *testing.T) {
 	for _, sched := range []struct {
 		name string
 		seed int64
 	}{{"Shards1", 4001}, {"Seed4004", 4004}} {
 		t.Run(sched.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(sched.seed))
-			ds := gen.DefaultAIDS().Scaled(0.002, 1).Generate(61)
-			m := method.NewVF2Plus(ds)
-			cfg, err := workload.TypeACategory("ZZ", 1.4, []int{4, 8}, 60)
-			if err != nil {
-				t.Fatal(err)
-			}
-			qs := workload.TypeA(ds, cfg, 62)
-			c := New(m, Options{CacheSize: 15, WindowSize: 4})
+			for _, mk := range []struct {
+				name string
+				new  func(*dataset.Dataset) method.Method
+			}{
+				{"VF2+", func(ds *dataset.Dataset) method.Method { return method.NewVF2Plus(ds) }},
+				{"CT-Index", func(ds *dataset.Dataset) method.Method { return ctindex.New(ds, ctindex.Options{}) }},
+			} {
+				t.Run(mk.name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(sched.seed))
+					ds := gen.DefaultAIDS().Scaled(0.002, 1).Generate(61)
+					m := mk.new(ds)
+					cfg, err := workload.TypeACategory("ZZ", 1.4, []int{4, 8}, 60)
+					if err != nil {
+						t.Fatal(err)
+					}
+					qs := workload.TypeA(ds, cfg, 62)
+					c := New(m, Options{CacheSize: 15, WindowSize: 4})
 
-			liveIDs := func() []int32 { return ds.AllIDs() }
-			for step := 0; step < 120; step++ {
-				switch k := rng.Intn(10); {
-				case k < 6: // query
-					q := qs[rng.Intn(len(qs))]
-					got := c.Query(q.Graph).Answer
-					want := method.Answer(m, q.Graph)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("step %d: query diverged: %v != %v", step, got, want)
-					}
-				case k < 7: // add 1-2 graphs (clones of live members)
-					ids := liveIDs()
-					n := 1 + rng.Intn(2)
-					gs := make([]*graph.Graph, 0, n)
-					for i := 0; i < n; i++ {
-						gs = append(gs, ds.Graph(ids[rng.Intn(len(ids))]).Clone())
-					}
-					if _, err := c.AddGraphs(gs); err != nil {
-						t.Fatalf("step %d: add: %v", step, err)
-					}
-				case k < 8: // remove 1-2 live graphs
-					ids := liveIDs()
-					if len(ids) < 10 {
-						continue // keep the dataset non-trivial
-					}
-					n := 1 + rng.Intn(2)
-					rm := make([]int32, 0, n)
-					for i := 0; i < n; i++ {
-						rm = append(rm, ids[rng.Intn(len(ids))])
-					}
-					if _, err := c.RemoveGraphs(rm); err != nil {
-						t.Fatalf("step %d: remove: %v", step, err)
-					}
-				default: // edge edit: delete a random edge, or re-insert one
-					ids := liveIDs()
-					id := ids[rng.Intn(len(ids))]
-					g := ds.Graph(id)
-					type edge struct{ u, v int32 }
-					var edges []edge
-					g.Edges(func(u, v int32) { edges = append(edges, edge{u, v}) })
-					if len(edges) < 2 {
-						continue // deleting the last edge risks an empty graph
-					}
-					e := edges[rng.Intn(len(edges))]
-					if _, err := c.EditGraphEdges(id, []dataset.EdgeEdit{{U: e.u, V: e.v, Del: true}}); err != nil {
-						t.Fatalf("step %d: edge delete: %v", step, err)
-					}
-					if rng.Intn(2) == 0 { // sometimes put it back
-						if _, err := c.EditGraphEdges(id, []dataset.EdgeEdit{{U: e.u, V: e.v}}); err != nil {
-							t.Fatalf("step %d: edge re-insert: %v", step, err)
+					liveIDs := func() []int32 { return ds.AllIDs() }
+					for step := 0; step < 120; step++ {
+						switch k := rng.Intn(10); {
+						case k < 6: // query
+							q := qs[rng.Intn(len(qs))]
+							got := c.Query(q.Graph).Answer
+							want := method.Answer(m, q.Graph)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("step %d: query diverged: %v != %v", step, got, want)
+							}
+						case k < 7: // add 1-2 graphs (clones of live members)
+							ids := liveIDs()
+							n := 1 + rng.Intn(2)
+							gs := make([]*graph.Graph, 0, n)
+							for i := 0; i < n; i++ {
+								gs = append(gs, ds.Graph(ids[rng.Intn(len(ids))]).Clone())
+							}
+							if _, err := c.AddGraphs(gs); err != nil {
+								t.Fatalf("step %d: add: %v", step, err)
+							}
+						case k < 8: // remove 1-2 live graphs
+							ids := liveIDs()
+							if len(ids) < 10 {
+								continue // keep the dataset non-trivial
+							}
+							n := 1 + rng.Intn(2)
+							rm := make([]int32, 0, n)
+							for i := 0; i < n; i++ {
+								rm = append(rm, ids[rng.Intn(len(ids))])
+							}
+							if _, err := c.RemoveGraphs(rm); err != nil {
+								t.Fatalf("step %d: remove: %v", step, err)
+							}
+						default: // edge edit: delete a random edge, or re-insert one
+							ids := liveIDs()
+							id := ids[rng.Intn(len(ids))]
+							g := ds.Graph(id)
+							type edge struct{ u, v int32 }
+							var edges []edge
+							g.Edges(func(u, v int32) { edges = append(edges, edge{u, v}) })
+							if len(edges) < 2 {
+								continue // deleting the last edge risks an empty graph
+							}
+							e := edges[rng.Intn(len(edges))]
+							if _, err := c.EditGraphEdges(id, []dataset.EdgeEdit{{U: e.u, V: e.v, Del: true}}); err != nil {
+								t.Fatalf("step %d: edge delete: %v", step, err)
+							}
+							if rng.Intn(2) == 0 { // sometimes put it back
+								if _, err := c.EditGraphEdges(id, []dataset.EdgeEdit{{U: e.u, V: e.v}}); err != nil {
+									t.Fatalf("step %d: edge re-insert: %v", step, err)
+								}
+							}
 						}
 					}
-				}
-			}
 
-			// Final exhaustive check against a *fresh* cache over the final
-			// dataset: the mutated cache and the cold cache must answer every
-			// workload query byte-identically.
-			cold := New(m, Options{CacheSize: 15, WindowSize: 4})
-			for i, q := range qs {
-				warm := c.Query(q.Graph).Answer
-				coldA := cold.Query(q.Graph).Answer
-				if !reflect.DeepEqual(warm, coldA) {
-					t.Fatalf("final query %d: mutated cache %v != cold cache %v", i, warm, coldA)
-				}
+					// Final exhaustive check against a *fresh* cache over a fresh
+					// method on the final dataset: the mutated cache and the cold
+					// cache must answer every workload query byte-identically, so
+					// an index the mutations left stale shows here.
+					cold := New(mk.new(ds), Options{CacheSize: 15, WindowSize: 4})
+					for i, q := range qs {
+						warm := c.Query(q.Graph).Answer
+						coldA := cold.Query(q.Graph).Answer
+						if !reflect.DeepEqual(warm, coldA) {
+							t.Fatalf("final query %d: mutated cache %v != cold cache %v", i, warm, coldA)
+						}
+					}
+				})
 			}
 		})
 	}

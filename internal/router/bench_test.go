@@ -3,21 +3,39 @@ package router
 import (
 	"context"
 	"testing"
+	"time"
 
+	"graphcache/internal/core"
+	"graphcache/internal/ggsx"
+	"graphcache/internal/graph"
 	"graphcache/internal/server"
 )
 
-// BenchmarkRouterHop measures queries through a router in front of two
-// gcserved backends, all in this process over loopback TCP: single text
+// startHopFleet runs the fleet BenchmarkRouterHop and the routed
+// allocation pins measure: a router in front of two gcserved backends,
+// all in this process over loopback TCP, and the 32 queries they send.
+// Each backend's cache holds all 32, so after a first round every query
+// is an exact hit wherever the ring homes it, and the router's prober is
+// parked, so no health probe lands in a measurement.
+func startHopFleet(t testing.TB) (*Router, []*graph.Graph) {
+	ds := testDataset(60, 301)
+	queries := testWorkload(ds, 32, 302)
+	backend := func() string {
+		c := core.New(ggsx.New(ds, ggsx.Options{}), core.Options{CacheSize: len(queries), WindowSize: 5})
+		return serveCache(t, c).Addr()
+	}
+	tun := defaultTuning
+	tun.probeInterval = time.Hour
+	return startTunedRouter(t, Options{Backends: []string{backend(), backend()}}, tun), queries
+}
+
+// BenchmarkRouterHop measures queries through startHopFleet: single text
 // /query requests, and binary /querybatch requests of 32. A query repeats
 // every 32, so after the first round each is an exact hit and the hops
 // are most of the time. ns/query is the wall time per query; allocs/op
 // counts both tiers and the client, which share the process.
 func BenchmarkRouterHop(b *testing.B) {
-	ds := testDataset(60, 301)
-	queries := testWorkload(ds, 32, 302)
-	b1, b2 := startBackend(b, ds), startBackend(b, ds)
-	rt := startRouter(b, Options{Backends: []string{b1.Addr(), b2.Addr()}})
+	rt, queries := startHopFleet(b)
 	ctx := context.Background()
 	perQuery := func(b *testing.B, n int) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/query")

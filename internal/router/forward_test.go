@@ -46,7 +46,7 @@ func startRecordingBackend(t *testing.T) *recordingBackend {
 				server.WriteError(w, http.StatusBadRequest, err)
 				return
 			}
-			wire.WriteResults(w, make([]server.QueryResponse, len(qs)), path == "/query")
+			wire.WriteResults(w, len(qs), path == "/query", func(int) server.QueryResponse { return server.QueryResponse{} })
 		})
 	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok\n") })

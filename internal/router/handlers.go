@@ -106,50 +106,57 @@ func (rt *Router) serveQueries(w http.ResponseWriter, r *http.Request) {
 			results[i].Trace.Prepend(decode)
 		}
 	}
-	rt.wire.WriteResults(w, results, single)
+	rt.wire.WriteResults(w, len(results), single, func(i int) server.QueryResponse { return results[i] })
 }
 
 // handleStats aggregates every backend's /stats with the router's own
-// counters. The payload is a JSON superset of the gcserved StatsResponse,
-// so plain server.Client callers (gcquery -server) keep working. Stats
-// are never shed — observability must survive overload.
+// counters. The payload embeds gcserved's StatsResponse, so plain
+// server.Client callers (gcquery -server) read the fleet's figures.
+// Stats are never shed — observability must survive overload.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	tp := rt.topo.Load()
-	bs := tp.bs
-	resp := StatsResponse{Backends: rt.backendStats(bs)}
-	var wg sync.WaitGroup
-	for i, b := range bs {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), rt.tun.probeTimeout)
-			defer cancel()
-			if st, err := b.cl.Stats(ctx); err == nil {
-				// A stats reply doubles as an epoch observation — an
-				// embedding that never mutates through this router still
-				// converges its per-backend epoch view by polling /stats.
-				b.noteEpoch(st.DatasetEpoch)
-				resp.Backends[i].DatasetEpoch = b.epoch.Load()
-				resp.Backends[i].Stats = &st
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	resp.FleetEpoch = tp.fleetEpoch()
-	for _, bst := range resp.Backends {
-		if bst.Stats == nil {
+	stats := rt.fetchStats(r.Context(), tp.bs)
+	resp := StatsResponse{FleetEpoch: tp.fleetEpoch(), Backends: rt.backendStats(tp.bs), Router: rt.Counters()}
+	for i, st := range stats {
+		if st == nil {
 			continue
 		}
-		resp.Totals = addTotals(resp.Totals, bst.Stats.Totals)
-		resp.Cached += bst.Stats.Cached
+		resp.Backends[i].Stats = st
+		resp.Totals = addTotals(resp.Totals, st.Totals)
+		resp.Cached += st.Cached
+		resp.MutationSeq = max(resp.MutationSeq, st.MutationSeq)
 		if resp.Method == "" {
-			resp.Method, resp.Mode = bst.Stats.Method, bst.Stats.Mode
+			resp.Method, resp.Mode = st.Method, st.Mode
 		}
 	}
-	resp.Router = rt.Counters()
+	resp.DatasetEpoch, resp.Shed = resp.FleetEpoch, resp.Router.Shed
 	resp.UptimeSeconds = time.Since(rt.start).Seconds()
 	resp.GoVersion, resp.Build = telemetry.BuildInfo()
 	server.WriteJSON(w, http.StatusOK, resp)
+}
+
+// fetchStats asks every backend of bs for its /stats, each within the
+// probe timeout; an entry is nil where the backend did not answer. A
+// stats reply doubles as an epoch observation, so an embedding that
+// never mutates through this router still converges its per-backend
+// epoch view by polling /stats.
+func (rt *Router) fetchStats(ctx context.Context, bs []*backend) []*server.StatsResponse {
+	out := make([]*server.StatsResponse, len(bs))
+	var wg sync.WaitGroup
+	for i, b := range bs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sctx, cancel := context.WithTimeout(ctx, rt.tun.probeTimeout)
+			defer cancel()
+			if st, err := b.cl.Stats(sctx); err == nil {
+				b.noteEpoch(st.DatasetEpoch)
+				out[i] = &st
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {

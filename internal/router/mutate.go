@@ -66,29 +66,23 @@ func (rt *Router) Mutate(ctx context.Context, req server.MutateRequest) (MutateR
 	var wg sync.WaitGroup
 	for i, b := range tp.bs {
 		wg.Add(1)
-		go func(i int, b *backend) {
+		go func() {
 			defer wg.Done()
+			results[i].Addr = b.addr
 			mr, err := b.mcl.Mutate(ctx, req)
 			if err != nil {
-				results[i] = MutateBackendResult{Addr: b.addr, Epoch: b.epoch.Load(), Error: err.Error()}
-				errs[i] = err
+				results[i].Epoch, results[i].Error, errs[i] = b.epoch.Load(), err.Error(), err
 				return
 			}
 			b.noteEpoch(mr.Epoch)
-			results[i] = MutateBackendResult{
-				Addr:        b.addr,
-				Applied:     mr.Applied,
-				Epoch:       mr.Epoch,
-				Extended:    mr.Extended,
-				Reverified:  mr.Reverified,
-				Invalidated: mr.Invalidated,
-			}
-		}(i, b)
+			results[i].MutateResponse = mr
+		}()
 	}
 	wg.Wait()
 	rt.met.mutations.Inc()
 
-	resp := MutateResponse{Seq: seq, Epoch: tp.fleetEpoch(), Backends: results}
+	resp := MutateResponse{Backends: results}
+	resp.Seq, resp.Epoch = seq, tp.fleetEpoch()
 	var failed []string
 	var firstErr error
 	for i, res := range results {
@@ -99,12 +93,14 @@ func (rt *Router) Mutate(ctx context.Context, req server.MutateRequest) (MutateR
 			}
 			continue
 		}
-		if res.Applied {
-			resp.Applied = true
-			resp.Extended += res.Extended
-			resp.Reverified += res.Reverified
-			resp.Invalidated += res.Invalidated
+		if res.Applied && res.Epoch == resp.Epoch { // the fleet's IDs
+			resp.AddedIDs, resp.RemovedIDs = res.AddedIDs, res.RemovedIDs
 		}
+		resp.Applied = resp.Applied || res.Applied
+		resp.Extended += res.Extended
+		resp.Reverified += res.Reverified
+		resp.Invalidated += res.Invalidated
+		resp.WindowPatched += res.WindowPatched
 	}
 	if len(failed) > 0 {
 		rt.met.mutationsFailed.Inc()
@@ -127,36 +123,14 @@ func (rt *Router) Mutate(ctx context.Context, req server.MutateRequest) (MutateR
 // partial fleet view that excludes the most advanced backend could
 // reissue a consumed sequence number).
 func (rt *Router) seedMutSeq(ctx context.Context) error {
-	tp := rt.topo.Load()
-	seqs := make([]int64, len(tp.bs))
-	oks := make([]bool, len(tp.bs))
-	var wg sync.WaitGroup
-	for i, b := range tp.bs {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, rt.tun.probeTimeout)
-			defer cancel()
-			st, err := b.cl.Stats(sctx)
-			if err != nil {
-				return
-			}
-			b.noteEpoch(st.DatasetEpoch)
-			seqs[i], oks[i] = st.MutationSeq, true
-		}(i, b)
-	}
-	wg.Wait()
-	any := false
-	for i, ok := range oks {
-		if !ok {
-			continue
-		}
-		any = true
-		if seqs[i] > rt.mutSeq {
-			rt.mutSeq = seqs[i]
+	answered := false
+	for _, st := range rt.fetchStats(ctx, rt.topo.Load().bs) {
+		if st != nil {
+			answered = true
+			rt.mutSeq = max(rt.mutSeq, st.MutationSeq)
 		}
 	}
-	if !any {
+	if !answered {
 		return fmt.Errorf("router: seeding mutation sequence: %w", errNoBackends)
 	}
 	rt.mutSeqSeeded = true

@@ -1,8 +1,18 @@
 package router
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
+	"slices"
+	"sync"
 	"testing"
 
 	"graphcache/internal/faultproxy"
@@ -297,5 +307,139 @@ func TestRouterMutateRejectsMalformed(t *testing.T) {
 	}
 	if ds.Epoch() != 0 {
 		t.Fatalf("rejected mutation advanced the epoch to %d", ds.Epoch())
+	}
+}
+
+// TestRouterRepliesEmbedServerReplies reads gcrouter's POST /mutate and
+// GET /stats through a plain server.Client, as any gcserved caller does:
+// the fleet's reply must carry gcserved's fields with the fleet's values —
+// the epoch the fleet reached, the added or removed IDs of a backend at
+// that epoch and the four maintenance counts summed over the backend
+// rows; the fleet epoch and highest mutation seq on /stats — and neither
+// the reply nor a row may carry a key gcserved's reply lacks beyond the
+// router's own.
+func TestRouterRepliesEmbedServerReplies(t *testing.T) {
+	dsA, dsB := testDataset(60, 71), testDataset(60, 71)
+	bA, bB := startBackend(t, dsA), startBackend(t, dsB)
+	rt := startRouter(t, Options{Backends: []string{bA.Addr(), bB.Addr()}})
+	ctx := context.Background()
+
+	// The client reaches the router through a proxy that keeps each reply
+	// body, so the test reads the rows a plain client skips.
+	target, err := url.Parse("http://" + rt.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var body []byte
+	proxy := httptest.NewServer(&httputil.ReverseProxy{
+		Rewrite: func(pr *httputil.ProxyRequest) { pr.SetURL(target) },
+		ModifyResponse: func(res *http.Response) error {
+			b, err := io.ReadAll(res.Body)
+			mu.Lock()
+			body = b
+			mu.Unlock()
+			res.Body = io.NopCloser(bytes.NewReader(b))
+			return err
+		},
+	})
+	defer proxy.Close()
+	cl := server.NewClient(proxy.URL)
+	lastBody := func(v any) map[string]json.RawMessage {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, &keys); err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	onlyKeys := func(what string, keys map[string]json.RawMessage, extra ...string) {
+		t.Helper()
+		allowed := append([]string{"applied", "epoch", "seq", "added_ids", "removed_ids",
+			"extended", "reverified", "invalidated", "window_patched"}, extra...)
+		for k := range keys {
+			if !slices.Contains(allowed, k) {
+				t.Errorf("%s carries key %q", what, k)
+			}
+		}
+	}
+
+	for _, q := range testWorkload(dsA, 30, 72) { // warm both caches
+		if _, err := cl.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extended, invalidated := 0, 0
+	for seq, req := range []server.MutateRequest{
+		{Op: "add", Graphs: wireGraph(t, dsA.Graph(0).Clone())},
+		{Op: "remove", IDs: []int32{2, 5}},
+	} {
+		got, err := cl.Mutate(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", req.Op, err)
+		}
+		var fleet MutateResponse
+		keys := lastBody(&fleet)
+		onlyKeys("the fleet's "+req.Op+" reply", keys, "backends")
+		var rows []map[string]json.RawMessage
+		if err := json.Unmarshal(keys["backends"], &rows); err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range rows {
+			onlyKeys(fmt.Sprintf("backend row %d of the %s reply", i, req.Op), row, "addr", "error")
+		}
+
+		if fe := rt.Topology().FleetEpoch; !got.Applied || got.Epoch != fe || got.Seq != int64(seq+1) {
+			t.Fatalf("%s: client read %+v, want applied at the fleet epoch %d, seq %d", req.Op, got, fe, seq+1)
+		}
+		var sum server.MutateResponse
+		current := false
+		for _, row := range fleet.Backends {
+			if row.Error != "" {
+				t.Fatalf("%s: backend %s failed: %s", req.Op, row.Addr, row.Error)
+			}
+			if row.Epoch == got.Epoch && slices.Equal(row.AddedIDs, got.AddedIDs) && slices.Equal(row.RemovedIDs, got.RemovedIDs) {
+				current = true
+			}
+			sum.Extended += row.Extended
+			sum.Reverified += row.Reverified
+			sum.Invalidated += row.Invalidated
+			sum.WindowPatched += row.WindowPatched
+		}
+		if len(fleet.Backends) != 2 || !current {
+			t.Errorf("%s: client read IDs %v/%v, which no backend row at epoch %d has: %+v", req.Op, got.AddedIDs, got.RemovedIDs, got.Epoch, fleet.Backends)
+		}
+		if got.Extended != sum.Extended || got.Reverified != sum.Reverified ||
+			got.Invalidated != sum.Invalidated || got.WindowPatched != sum.WindowPatched {
+			t.Errorf("%s: client read counts %+v, want the rows' sums %+v", req.Op, got, sum)
+		}
+		extended += got.Extended
+		invalidated += got.Invalidated
+	}
+	if extended == 0 || invalidated == 0 {
+		t.Errorf("the add extended %d entries and the remove invalidated %d: the sums checked nothing", extended, invalidated)
+	}
+
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fleet StatsResponse
+	lastBody(&fleet)
+	var maxSeq int64
+	for _, b := range fleet.Backends {
+		if b.Stats == nil {
+			t.Fatalf("backend %s did not answer /stats", b.Addr)
+		}
+		maxSeq = max(maxSeq, b.Stats.MutationSeq)
+	}
+	if st.DatasetEpoch != fleet.FleetEpoch || st.DatasetEpoch != 2 || st.MutationSeq != maxSeq || maxSeq != 2 {
+		t.Errorf("client read dataset_epoch %d, mutation_seq %d; want the fleet epoch %d and the highest backend seq %d",
+			st.DatasetEpoch, st.MutationSeq, fleet.FleetEpoch, maxSeq)
 	}
 }

@@ -39,8 +39,12 @@ func testWorkload(ds *dataset.Dataset, n int, seed int64) []*graph.Graph {
 // down with the test.
 func startBackend(t testing.TB, ds *dataset.Dataset) *server.Server {
 	t.Helper()
-	c := core.New(ggsx.New(ds, ggsx.Options{}),
-		core.Options{CacheSize: 20, WindowSize: 5})
+	return serveCache(t, core.New(ggsx.New(ds, ggsx.Options{}), core.Options{CacheSize: 20, WindowSize: 5}))
+}
+
+// serveCache runs one gcserved over c and tears it down with the test.
+func serveCache(t testing.TB, c *core.Cache) *server.Server {
+	t.Helper()
 	s := server.New(c, server.Options{Addr: "127.0.0.1:0"})
 	if err := s.Start(); err != nil {
 		t.Fatalf("backend Start: %v", err)

@@ -9,10 +9,15 @@ import (
 
 // The router speaks the gcserved wire protocol verbatim on /query,
 // /querybatch and /healthz, so every gcserved client works against a
-// gcrouter unchanged. Only GET /stats grows: its payload is a strict
-// JSON superset of the gcserved StatsResponse — the familiar totals /
-// cached / method / mode fields hold the fleet-wide aggregates — plus
-// per-backend detail and the router's own counters.
+// gcrouter unchanged. POST /mutate and GET /stats grow, and their
+// payloads are JSON supersets of gcserved's because MutateResponse and
+// StatsResponse embed gcserved's reply types and redeclare none of their
+// fields: a /mutate reply carries gcserved's applied, epoch, seq,
+// added_ids, removed_ids, extended, reverified, invalidated and
+// window_patched for the fleet, plus one row per backend carrying the
+// same keys and its address and error; a /stats reply carries gcserved's
+// keys with the fleet-wide aggregates, plus per-backend detail and the
+// router's own counters.
 
 // Counters are the router's lifetime routing counters.
 type Counters struct {
@@ -89,42 +94,33 @@ type JoinResponse struct {
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
-// MutateResponse is the router's POST /mutate payload: a strict JSON
-// superset of the gcserved MutateResponse — applied / epoch / seq and
-// the summed invalidation counts read the same through a plain
-// server.Client — plus the per-backend fan-out detail.
+// MutateResponse is the router's POST /mutate payload: gcserved's
+// MutateResponse for the fleet plus the per-backend fan-out detail.
+// Applied is true when at least one backend applied the mutation (false
+// for a fleet-wide duplicate-sequence replay); Epoch is the fleet epoch
+// after the fan-out; Seq is the fleet-wide sequence number the mutation
+// ran under — assigned by the router when the request carried none, so
+// re-sending the request with it is idempotent on every backend.
+// AddedIDs and RemovedIDs are those of a backend that landed at the
+// fleet epoch, and the four maintenance counts are summed over the
+// backends.
 type MutateResponse struct {
-	// Applied is true when at least one backend applied the mutation
-	// (false for a fleet-wide duplicate-sequence replay).
-	Applied bool `json:"applied"`
-	// Epoch is the fleet dataset epoch after the fan-out.
-	Epoch int64 `json:"epoch"`
-	// Seq is the fleet-wide sequence number this mutation ran under —
-	// assigned by the router when the request carried none. Re-sending
-	// the request with this Seq is idempotent on every backend.
-	Seq int64 `json:"seq"`
-	// Extended, Reverified and Invalidated sum the per-backend cache
-	// adjustment counts.
-	Extended    int `json:"entries_extended,omitempty"`
-	Reverified  int `json:"entries_reverified,omitempty"`
-	Invalidated int `json:"entries_invalidated,omitempty"`
+	server.MutateResponse
 	// Backends holds one row per backend the mutation was fanned to.
 	Backends []MutateBackendResult `json:"backends"`
 }
 
-// MutateBackendResult is one backend's outcome in a mutation fan-out.
+// MutateBackendResult is one backend's outcome in a mutation fan-out:
+// its address, its own MutateResponse and its error.
 type MutateBackendResult struct {
-	Addr    string `json:"addr"`
-	Applied bool   `json:"applied"`
-	Epoch   int64  `json:"epoch"`
+	Addr string `json:"addr"`
+	server.MutateResponse
 	// Error is the backend's failure, after the mutation client's
-	// retries, empty on success. A failed backend is left lagging the
+	// retries, empty on success; the row's Epoch is then the router's
+	// last view of the backend. A failed backend is left lagging the
 	// fleet epoch and therefore diverted; re-sending with the same seq
 	// converges it.
-	Error       string `json:"error,omitempty"`
-	Extended    int    `json:"entries_extended,omitempty"`
-	Reverified  int    `json:"entries_reverified,omitempty"`
-	Invalidated int    `json:"entries_invalidated,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // DrainResponse reports a completed admin DELETE /backends/{id}.
@@ -143,24 +139,18 @@ type TopologyResponse struct {
 	Backends   []BackendStats `json:"backends"`
 }
 
-// StatsResponse is the router's GET /stats payload.
+// StatsResponse is the router's GET /stats payload: gcserved's
+// StatsResponse for the fleet — Totals and Cached summed over the
+// answering backends, their method and mode, DatasetEpoch the fleet
+// epoch, MutationSeq the highest backend's, Shed the router's own
+// front-door sheds, and the uptime and build of this router process —
+// plus per-backend detail and the router's own counters.
 type StatsResponse struct {
-	Totals core.Totals `json:"totals"` // summed over answering backends
-	Cached int         `json:"cached"` // summed cached-query counts
-	Method string      `json:"method"`
-	Mode   string      `json:"mode"` // the *method* mode, as in gcserved
-
+	server.StatsResponse
 	// FleetEpoch is the fleet's dataset epoch (max across backends).
 	FleetEpoch int64          `json:"fleet_epoch"`
 	Backends   []BackendStats `json:"backends"`
 	Router     Counters       `json:"router"`
-
-	// UptimeSeconds is how long this router process has been serving.
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// GoVersion and Build identify the running binary (toolchain
-	// version, main module@version plus VCS revision when stamped).
-	GoVersion string `json:"go_version"`
-	Build     string `json:"build"`
 }
 
 // addTotals sums two cache lifetime totals field by field. It walks the

@@ -182,24 +182,6 @@ func startSlowBackend(t *testing.T, ds *dataset.Dataset, delay time.Duration) *s
 		core.Options{CacheSize: 20, WindowSize: 5}))
 }
 
-// serveCache starts a backend over c, shut down when the test ends.
-func serveCache(t *testing.T, c *core.Cache) *server.Server {
-	t.Helper()
-	s := server.New(c, server.Options{Addr: "127.0.0.1:0"})
-	if err := s.Start(); err != nil {
-		t.Fatalf("backend Start: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve() }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-		<-done
-	})
-	return s
-}
-
 // TestRouterStreamCancellationPropagates lets a buffered batch's client
 // deadline pass while the one backend behind the router is still
 // verifying, and asserts the cancellation travels the whole path: the

@@ -19,7 +19,7 @@ import (
 //
 // The format is one JSON object per line:
 //
-//	{"seq":12,"epoch":5,"op":"add","graphs":"t # 0\n..."}
+//	{"op":"add","graphs":"t # 0\n...","seq":12,"epoch":5}
 //
 // epoch is the dataset epoch *after* the record applies — mutations
 // advance the epoch by exactly one, so replay can both order records
@@ -29,14 +29,12 @@ import (
 // apply is cut off again before its mutation is answered, so the file
 // never holds a mutation that was answered with an error.
 
-// journalRecord is one durable mutation. Fields journals of older
+// journalRecord is one durable mutation: the request it journals plus
+// its epoch. Keys are read in any order, and fields journals of older
 // versions carry (added_ids) are ignored on read.
 type journalRecord struct {
-	Seq    int64   `json:"seq,omitempty"`
-	Epoch  int64   `json:"epoch"`
-	Op     string  `json:"op"`
-	IDs    []int32 `json:"ids,omitempty"`
-	Graphs string  `json:"graphs,omitempty"`
+	MutateRequest
+	Epoch int64 `json:"epoch"`
 }
 
 // journal is an append-only, fsync-on-append record log. size is the

@@ -121,7 +121,7 @@ func TestPersistKeepsJournalAboveSnapshot(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.jr.append(journalRecord{Seq: 1, Epoch: 1, Op: "remove", IDs: []int32{4}}); err != nil {
+	if err := s.jr.append(journalRecord{MutateRequest{Op: "remove", IDs: []int32{4}, Seq: 1}, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.persist(); err != nil {
@@ -314,7 +314,7 @@ func FuzzOpenJournal(f *testing.F) {
 			jr.Close()
 			t.Fatalf("file not trimmed to its %d valid bytes: %q, %v", valid, got, err)
 		}
-		next := journalRecord{Seq: 9, Epoch: 9, Op: "remove", IDs: []int32{1}}
+		next := journalRecord{MutateRequest{Op: "remove", IDs: []int32{1}, Seq: 9}, 9}
 		err = jr.append(next)
 		jr.Close()
 		if err != nil {

@@ -126,6 +126,46 @@ func TestMutateEndpoint(t *testing.T) {
 	}
 }
 
+// TestMutateReplyBytes pins gcserved's POST /mutate reply bodies — an
+// applied add, an applied remove and a replayed seq, over a cache warmed
+// by one caller's queries — byte for byte: the reply is the encoding of
+// core.MutationResult, so its keys, their order and what is omitted must
+// not move with that struct's fields.
+func TestMutateReplyBytes(t *testing.T) {
+	ds := testDataset(60, 11)
+	s := startServer(t, newTestCache(ds), Options{})
+	cl := NewClient(s.Addr())
+	ctx := context.Background()
+	for _, q := range testWorkload(ds, 20, 12) {
+		if _, err := cl.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		req  MutateRequest
+		want string
+	}{
+		{MutateRequest{Op: "add", Graphs: encodeOne(t, ds.Graph(0).Clone()), Seq: 1}, `{"applied":true,"epoch":1,"seq":1,"added_ids":[60],"extended":6,"reverified":7,"window_patched":1}`},
+		{MutateRequest{Op: "remove", IDs: []int32{2, 5}, Seq: 2}, `{"applied":true,"epoch":2,"seq":2,"removed_ids":[2,5],"invalidated":2}`},
+		{MutateRequest{Op: "remove", IDs: []int32{7}, Seq: 2}, `{"applied":false,"epoch":2,"seq":2}`},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.Post("http://"+s.Addr()+"/mutate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		got.ReadFrom(res.Body)
+		res.Body.Close()
+		if got.String() != tc.want+"\n" {
+			t.Errorf("%s seq %d: reply\n%s\nwant\n%s", tc.req.Op, tc.req.Seq, got.String(), tc.want)
+		}
+	}
+}
+
 // TestMutateValidation: malformed mutations get 400s and touch nothing.
 func TestMutateValidation(t *testing.T) {
 	ds := testDataset(40, 13)
@@ -401,7 +441,7 @@ func TestJournalReplayMetered(t *testing.T) {
 func TestJournalTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "mutations.journal")
-	rec, _ := json.Marshal(journalRecord{Seq: 1, Epoch: 1, Op: "remove", IDs: []int32{2}})
+	rec, _ := json.Marshal(journalRecord{MutateRequest{Op: "remove", IDs: []int32{2}, Seq: 1}, 1})
 	content := string(rec) + "\n" + `{"seq":2,"epoch":2,"op":"remo` // torn mid-write
 	if err := os.WriteFile(jpath, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
@@ -415,7 +455,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 		t.Fatalf("recovered records %+v, want the one intact record", recs)
 	}
 	// The torn bytes are trimmed so the next append starts cleanly.
-	if err := jr.append(journalRecord{Seq: 2, Epoch: 2, Op: "remove", IDs: []int32{3}}); err != nil {
+	if err := jr.append(journalRecord{MutateRequest{Op: "remove", IDs: []int32{3}, Seq: 2}, 2}); err != nil {
 		t.Fatal(err)
 	}
 	_, recs, err = openJournal(jpath)

@@ -221,31 +221,29 @@ func readSized(r io.Reader, n int64) ([]byte, error) {
 	}
 }
 
-// WriteResults writes query results as the JSON envelope: a bare
+// WriteResults writes n query results as the JSON envelope: a bare
 // QueryResponse for /query, a BatchResponse for /querybatch — encoded in
-// one buffer sized for them up front (see results.go).
-func (wr *Wire) WriteResults(w http.ResponseWriter, rs []QueryResponse, single bool) {
+// one buffer sized for them up front (see results.go). result(i) gives
+// the i-th result, so a tier writes the records it holds without
+// gathering them into a []QueryResponse; it is called twice per result
+// and must be cheap.
+func (wr *Wire) WriteResults(w http.ResponseWriter, n int, single bool, result func(i int) QueryResponse) {
 	encStart := time.Now()
 	size := 16
-	for i := range rs {
-		size += 400 + 8*len(rs[i].Answer)
+	for i := range n {
+		size += 400 + 8*len(result(i).Answer)
 	}
-	buf := make([]byte, 0, size)
-	if single {
-		buf = appendQueryResponse(buf, &rs[0])
-	} else {
-		buf = appendBatchResponse(buf, rs)
-	}
+	buf := appendResults(make([]byte, 0, size), n, single, result)
 	buf = append(buf, '\n')
 	// Announcing the length keeps net/http from chunking a reply over its
 	// 2 KB buffer, and lets the client read it into one exact buffer.
 	w.Header().Set("Content-Type", contentTypeJSON)
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(http.StatusOK)
-	n, _ := w.Write(buf) // a failed write means the client left; nothing to report it to
+	written, _ := w.Write(buf) // a failed write means the client left; nothing to report it to
 	wr.respText.Seconds.Observe(time.Since(encStart).Seconds())
 	wr.respText.Negotiated.Inc()
-	wr.respText.Bytes.Add(float64(n))
+	wr.respText.Bytes.Add(float64(written))
 }
 
 // ReadJSON decodes a request body of at most maxBodyBytes into v,

@@ -41,22 +41,23 @@ func appendQueryResponse(dst []byte, r *QueryResponse) []byte {
 	return append(dst, '}')
 }
 
-// appendBatchResponse appends the JSON encoding of BatchResponse{rs}.
-func appendBatchResponse(dst []byte, rs []QueryResponse) []byte {
-	dst = append(dst, `{"results":`...)
-	if rs == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range rs {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendQueryResponse(dst, &rs[i])
-		}
-		dst = append(dst, ']')
+// appendResults appends the JSON encoding of a reply of n results, which
+// result(i) gives one by one: the bare QueryResponse when single, else
+// BatchResponse{Results: the n of them}.
+func appendResults(dst []byte, n int, single bool, result func(i int) QueryResponse) []byte {
+	if single {
+		r := result(0)
+		return appendQueryResponse(dst, &r)
 	}
-	return append(dst, '}')
+	dst = append(dst, `{"results":[`...)
+	for i := range n {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		r := result(i)
+		dst = appendQueryResponse(dst, &r)
+	}
+	return append(dst, "]}"...)
 }
 
 func appendIDs(dst []byte, ids []int32) []byte {

@@ -33,8 +33,8 @@ func TestResultCodecAllocations(t *testing.T) {
 			nonEmpty++
 		}
 	}
-	buf := appendBatchResponse(nil, rs)
-	if allocs := testing.AllocsPerRun(100, func() { buf = appendBatchResponse(buf[:0], rs) }); allocs != 0 {
+	buf := appendBatch(nil, rs)
+	if allocs := testing.AllocsPerRun(100, func() { buf = appendBatch(buf[:0], rs) }); allocs != 0 {
 		t.Errorf("encoding a 32-result batch into a reused buffer allocates %.0f times, want 0", allocs)
 	}
 	allocs := testing.AllocsPerRun(100, func() {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -124,15 +125,20 @@ func randomQueryResponse(t testing.TB, r *rand.Rand, validUTF8 bool) QueryRespon
 	return QueryResponse{Answer: randomAnswer(r), Stats: randomStats(t, r), Trace: randomTrace(r, validUTF8)}
 }
 
+// randomBatch returns a batch of zero to five results. Its Results are
+// never nil: a reply lists its results, so no tier writes
+// {"results":null} (FuzzDecodeResults seeds the decoder with it).
 func randomBatch(t testing.TB, r *rand.Rand, validUTF8 bool) BatchResponse {
-	if r.Intn(8) == 0 {
-		return BatchResponse{}
-	}
 	b := BatchResponse{Results: make([]QueryResponse, r.Intn(6))}
 	for i := range b.Results {
 		b.Results[i] = randomQueryResponse(t, r, validUTF8)
 	}
 	return b
+}
+
+// appendBatch appends the /querybatch reply WriteResults writes for rs.
+func appendBatch(dst []byte, rs []QueryResponse) []byte {
+	return appendResults(dst, len(rs), false, func(i int) QueryResponse { return rs[i] })
 }
 
 func mustMarshal(t testing.TB, v any) []byte {
@@ -157,40 +163,63 @@ func TestResultEncodersMatchEncodingJSON(t *testing.T) {
 			t.Fatalf("QueryResponse %+v:\n got %s\nwant %s", qr, got, want)
 		}
 		br := randomBatch(t, r, false)
-		if got, want := appendBatchResponse(nil, br.Results), mustMarshal(t, br); !bytes.Equal(got, want) {
+		if got, want := appendBatch(nil, br.Results), mustMarshal(t, br); !bytes.Equal(got, want) {
 			t.Fatalf("BatchResponse %+v:\n got %s\nwant %s", br, got, want)
 		}
 	}
 }
 
 // TestRepliesOmitInProcessStats: a reply's bytes do not depend on the
-// QueryStats fields tagged json:"-" — whatever they hold, the hand-coded
-// encoders and encoding/json write exactly what they write when they are
-// zero.
+// QueryStats or MutationResult fields tagged json:"-" — whatever they
+// hold, the hand-coded encoders and encoding/json write exactly what they
+// write when they are zero. gcrouter's /mutate reply embeds the same
+// MutateResponse, and its live reply's keys are checked by the router's
+// TestRouterRepliesEmbedServerReplies.
 func TestRepliesOmitInProcessStats(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		qr := randomQueryResponse(t, r, false)
-		wantQR := appendQueryResponse(nil, &qr)
-		v := reflect.ValueOf(&qr.Stats).Elem()
+	// setInProcess fills every in-process field of the struct *p.
+	setInProcess := func(p any) {
+		v := reflect.ValueOf(p).Elem()
 		for k := 0; k < v.NumField(); k++ {
 			if !inProcess(v, k) {
 				continue
 			}
 			switch f := v.Field(k); f.Kind() {
-			case reflect.Int64:
-				f.SetInt(1 + r.Int63())
+			case reflect.Int, reflect.Int64:
+				f.SetInt(1 + r.Int63n(1<<31))
 			case reflect.Float64:
 				f.SetFloat(1 + r.Float64())
 			default:
-				t.Fatalf("QueryStats.%s is a %s: teach this test", v.Type().Field(k).Name, f.Kind())
+				t.Fatalf("%s.%s is a %s: teach this test", v.Type().Name(), v.Type().Field(k).Name, f.Kind())
 			}
 		}
+	}
+	for i := 0; i < 200; i++ {
+		qr := randomQueryResponse(t, r, false)
+		wantQR := appendQueryResponse(nil, &qr)
+		setInProcess(&qr.Stats)
 		if got := appendQueryResponse(nil, &qr); !bytes.Equal(got, wantQR) {
 			t.Fatalf("QueryResponse bytes changed with the in-process fields:\n got %s\nwant %s", got, wantQR)
 		}
 		if got := mustMarshal(t, qr); !bytes.Equal(got, wantQR) {
 			t.Fatalf("encoding/json writes the in-process fields:\n got %s\nwant %s", got, wantQR)
+		}
+
+		// /mutate: gcserved writes the cache's MutationResult as it stands.
+		mr := MutateResponse{Applied: i&1 == 0, Epoch: randomInt(r), Seq: randomInt(r), AddedIDs: randomAnswer(r),
+			Extended: r.Intn(9), Reverified: r.Intn(9), Invalidated: r.Intn(9), WindowPatched: r.Intn(9)}
+		reply := func() string {
+			rec := httptest.NewRecorder()
+			WriteJSON(rec, http.StatusOK, mr)
+			return rec.Body.String()
+		}
+		wantMR := reply()
+		setInProcess(&mr)
+		if got := reply(); got != wantMR {
+			t.Fatalf("/mutate reply changed with the in-process fields:\n got %s\nwant %s", got, wantMR)
+		}
+		if strings.Contains(wantMR, "EntriesTouched") || strings.Contains(wantMR, "Duration") {
+			t.Fatalf("/mutate reply carries an in-process field: %s", wantMR)
 		}
 	}
 }
@@ -208,7 +237,7 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		}
 		br := randomBatch(t, r, true)
 		var br2 BatchResponse
-		if err := decodeBatchResponse(appendBatchResponse(nil, br.Results), &br2); err != nil || !reflect.DeepEqual(br, br2) {
+		if err := decodeBatchResponse(appendBatch(nil, br.Results), &br2); err != nil || !reflect.DeepEqual(br, br2) {
 			t.Fatalf("BatchResponse round trip: %v\n  in %+v\n out %+v", err, br, br2)
 		}
 	}
@@ -282,7 +311,8 @@ func TestWireRepliesMatchEncodingJSON(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	wr.WriteResults(rec, rs[:1], true)
+	result := func(i int) QueryResponse { return rs[i] }
+	wr.WriteResults(rec, 1, true, result)
 	if got, want := rec.Body.String(), encoded(rs[0]); got != want {
 		t.Errorf("/query reply:\n got %s\nwant %s", got, want)
 	}
@@ -290,7 +320,7 @@ func TestWireRepliesMatchEncodingJSON(t *testing.T) {
 		t.Errorf("/query Content-Type %q", ct)
 	}
 	rec = httptest.NewRecorder()
-	wr.WriteResults(rec, rs, false)
+	wr.WriteResults(rec, len(rs), false, result)
 	if got, want := rec.Body.String(), encoded(BatchResponse{Results: rs}); got != want {
 		t.Errorf("/querybatch reply:\n got %s\nwant %s", got, want)
 	}
@@ -343,11 +373,11 @@ func FuzzDecodeResults(f *testing.F) {
 		qr := randomQueryResponse(f, r, false)
 		f.Add(appendQueryResponse(nil, &qr))
 		br := randomBatch(f, r, false)
-		f.Add(appendBatchResponse(nil, br.Results))
+		f.Add(appendBatch(nil, br.Results))
 	}
 	for _, s := range []string{
 		`null`, ` {} `, `{"answer":[1,null,2],"answer":[null]}`, `{"stats":{"Serial":1},"stats":{"AnswerSize":2}}`,
-		`{"results":[{"answer":[1]},null,{}]}`, `{"trace":{"request_id":"a"},"trace":{"spans":[]}}`,
+		`{"results":[{"answer":[1]},null,{}]}`, `{"results":null}`, `{"trace":{"request_id":"a"},"trace":{"spans":[]}}`,
 		`{"error":"\ud83d\ude00\ud800x\u00e9"}`, `{"index":-0,"answer":[]}`, `{"Answer":[1]}`,
 	} {
 		f.Add([]byte(s))
@@ -393,11 +423,11 @@ func BenchmarkResultCodec(b *testing.B) {
 	for i := range rs {
 		rs[i] = QueryResponse{Answer: randomAnswer(r), Stats: randomStats(b, r)}
 	}
-	data := appendBatchResponse(nil, rs)
+	data := appendBatch(nil, rs)
 	b.Run("encode", func(b *testing.B) {
 		buf := data[:0]
 		for b.Loop() {
-			buf = appendBatchResponse(buf[:0], rs)
+			buf = appendBatch(buf[:0], rs)
 		}
 	})
 	b.Run("encode-json", func(b *testing.B) {

@@ -295,7 +295,7 @@ func (s *Server) openAndReplayJournal() error {
 			return fmt.Errorf("server: journal record at epoch %d cannot follow dataset epoch %d (journal %s does not belong to snapshot %s?)",
 				rec.Epoch, s.cache.DatasetEpoch(), s.opts.JournalPath, s.opts.SnapshotPath)
 		}
-		mut, err := decodeMutation(MutateRequest{Op: rec.Op, Graphs: rec.Graphs, IDs: rec.IDs, Seq: rec.Seq})
+		mut, err := decodeMutation(rec.MutateRequest)
 		if err != nil {
 			return fmt.Errorf("server: decoding journal record at epoch %d: %w", rec.Epoch, err)
 		}
@@ -477,16 +477,23 @@ func (s *Server) serveQueries(w http.ResponseWriter, r *http.Request) {
 		s.met.streamAbandoned.Add(float64(abandoned))
 		return
 	}
-	trace, batched := WantsTrace(r), len(qs) > 1
-	resp := make([]QueryResponse, len(results))
-	for i, res := range results {
-		s.met.observeQuery(&res.Stats, batched)
-		resp[i] = QueryResponse{Answer: res.Answer, Stats: res.Stats}
-		if trace {
-			resp[i].Trace = s.buildTrace(r.Context(), decDur, res.Stats)
+	var traces []*telemetry.Trace
+	if WantsTrace(r) {
+		traces = make([]*telemetry.Trace, len(results))
+	}
+	for i := range results {
+		s.met.observeQuery(&results[i].Stats, len(qs) > 1)
+		if traces != nil {
+			traces[i] = s.buildTrace(r.Context(), decDur, results[i].Stats)
 		}
 	}
-	s.wire.WriteResults(w, resp, single)
+	s.wire.WriteResults(w, len(results), single, func(i int) QueryResponse {
+		qr := QueryResponse{Answer: results[i].Answer, Stats: results[i].Stats}
+		if traces != nil {
+			qr.Trace = traces[i]
+		}
+		return qr
+	})
 }
 
 // buildTrace assembles one query's span breakdown for ?debug=trace: the
@@ -606,9 +613,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// Idempotent replay: an already-applied seq is acked (it *is* durably
 	// applied) without re-journaling or re-applying.
 	if req.Seq != 0 && req.Seq <= s.cache.LastMutationSeq() {
-		WriteJSON(w, http.StatusOK, MutateResponse{
-			Applied: false, Epoch: s.cache.DatasetEpoch(), Seq: s.cache.LastMutationSeq(),
-		})
+		WriteJSON(w, http.StatusOK, MutateResponse{Epoch: s.cache.DatasetEpoch(), Seq: s.cache.LastMutationSeq()})
 		return
 	}
 	if err := s.cache.ValidateMutation(mut); err != nil {
@@ -623,9 +628,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var size, last int64
 	if s.jr != nil {
 		size, last = s.jr.size, s.jr.last
-		rec := journalRecord{Seq: req.Seq, Epoch: s.cache.DatasetEpoch() + 1,
-			Op: req.Op, IDs: req.IDs, Graphs: req.Graphs}
-		if err := s.jr.append(rec); err != nil {
+		if err := s.jr.append(journalRecord{MutateRequest: req, Epoch: s.cache.DatasetEpoch() + 1}); err != nil {
 			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
@@ -639,17 +642,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.observeMutation(mut.Op, &res)
-	WriteJSON(w, http.StatusOK, MutateResponse{
-		Applied:       res.Applied,
-		Epoch:         res.Epoch,
-		Seq:           res.Seq,
-		AddedIDs:      res.AddedIDs,
-		RemovedIDs:    res.RemovedIDs,
-		Extended:      res.Extended,
-		Reverified:    res.Reverified,
-		Invalidated:   res.Invalidated,
-		WindowPatched: res.WindowPatched,
-	})
+	WriteJSON(w, http.StatusOK, res)
 }
 
 // WarmFrom replaces the cache contents with a snapshot fetched from

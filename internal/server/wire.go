@@ -15,15 +15,23 @@ import (
 //
 //	POST /query       {"graph": "t # 0\nv 0 1\n..."}        → QueryResponse
 //	POST /querybatch  {"graphs": "t # 0\n...\nt # 1\n..."}  → BatchResponse
+//	POST /mutate      MutateRequest                         → MutateResponse
 //	GET  /stats                                             → StatsResponse
 //	GET  /healthz                                           → 200 "ok"
+//	GET  /snapshot                                          → the cache snapshot
+//	POST /warm        {"from": "host:port"}                 → WarmResponse
+//	GET  /metrics                                           → Prometheus text
 //
-// Errors come back as {"error": "..."} with a 4xx/5xx status.
+// Errors come back as {"error": "..."} with a 4xx/5xx status. A gcrouter
+// answers the same routes, and its /mutate and /stats replies are JSON
+// supersets of MutateResponse and StatsResponse because its reply types
+// embed them.
 //
 // The JSON is what encoding/json makes of the types below, but the two
-// result envelopes — QueryResponse and BatchResponse — are coded by hand (results.go): the encoders write exactly encoding/json's
-// bytes and the decoder follows its semantics, which tests pin against
-// encoding/json itself (TestResultEncodersMatchEncodingJSON,
+// result envelopes — QueryResponse and BatchResponse — are coded by hand
+// (results.go): the encoder writes exactly encoding/json's bytes and the
+// decoder follows its semantics, which tests pin against encoding/json
+// itself (TestResultEncodersMatchEncodingJSON,
 // TestWireRepliesMatchEncodingJSON, FuzzDecodeResults). A field added to
 // them, or to core.QueryStats, must be added to the codec; the tests fail
 // until it is. Every other body goes through encoding/json.
@@ -107,25 +115,17 @@ type MutateRequest struct {
 	Seq    int64   `json:"seq,omitempty"`
 }
 
-// MutateResponse acknowledges a mutation. The ack is durable: it is
-// sent only after the mutation is fsynced to the journal (when one is
-// configured). Applied=false means the seq was already applied — the
-// reply then reports the current epoch and seq, not the original
-// counts.
-type MutateResponse struct {
-	Applied    bool    `json:"applied"`
-	Epoch      int64   `json:"epoch"`
-	Seq        int64   `json:"seq,omitempty"`
-	AddedIDs   []int32 `json:"added_ids,omitempty"`
-	RemovedIDs []int32 `json:"removed_ids,omitempty"`
-	// Cache maintenance counts: entries whose answers gained the added
-	// graphs, entries re-verified after an edit, entries that lost
-	// answer IDs, pending window entries patched in place.
-	Extended      int `json:"extended,omitempty"`
-	Reverified    int `json:"reverified,omitempty"`
-	Invalidated   int `json:"invalidated,omitempty"`
-	WindowPatched int `json:"window_patched,omitempty"`
-}
+// MutateResponse acknowledges a mutation: it is the core.MutationResult
+// the cache returned, encoded as it stands — applied, epoch, seq,
+// added_ids, removed_ids and the cache-maintenance counts extended,
+// reverified, invalidated and window_patched (entries whose answers
+// gained the added graphs, re-verifications after an edit, entries that
+// lost answer IDs, pending window entries patched in place). The ack is
+// durable: it is sent only after the mutation is fsynced to the journal
+// (when one is configured). Applied=false means the seq was already
+// applied — the reply then reports the current epoch and seq, not the
+// original counts.
+type MutateResponse = core.MutationResult
 
 // WarmRequest is the body of POST /warm: the peer (host:port) to fetch
 // a snapshot from.

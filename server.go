@@ -81,20 +81,25 @@ func NewServerClientWith(addr string, opts ServerClientOptions) *ServerClient {
 // Seq for idempotent replay. Submit with ServerClient.Mutate.
 type ServerMutateRequest = server.MutateRequest
 
-// ServerMutateResponse reports one applied (or deduplicated) mutation:
-// whether it applied, the dataset epoch it landed at, the sequence
-// number consumed, and the cache-maintenance counts.
+// ServerMutateResponse reports one applied (or deduplicated) mutation.
+// It is the MutationResult ApplyMutation returned, and gcserved's
+// POST /mutate reply is its JSON encoding: applied, epoch, seq,
+// added_ids, removed_ids and the cache-maintenance counts extended,
+// reverified, invalidated and window_patched (the in-process
+// EntriesTouched and Duration stay off the wire).
 type ServerMutateResponse = server.MutateResponse
 
-// RouterMutateResponse is the router's POST /mutate reply: the fleet
-// outcome (a JSON superset of ServerMutateResponse, so a plain
-// ServerClient works against a router unchanged) plus one
+// RouterMutateResponse is the router's POST /mutate reply. It embeds
+// ServerMutateResponse, filled with the fleet's outcome — the fleet
+// epoch, the IDs of a backend that landed at it, the maintenance counts
+// summed over the backends — so it is a JSON superset of gcserved's
+// reply and a plain ServerClient reads it unchanged; it adds one
 // RouterMutateBackendResult row per backend.
 type RouterMutateResponse = router.MutateResponse
 
 // RouterMutateBackendResult is one backend's outcome within a fleet
-// mutation fan-out: applied or not, the epoch it reached, and its error
-// if the fan-out leg failed (leaving it lagging and diverted).
+// mutation fan-out: its address, its own ServerMutateResponse, and its
+// error if the fan-out leg failed (leaving it lagging and diverted).
 type RouterMutateBackendResult = router.MutateBackendResult
 
 // DefaultCoalesceDelay was the default of ServerOptions.MaxDelay, the
@@ -133,9 +138,12 @@ type RouterMode = router.Mode
 // Deprecated: ignored.
 const RouteReplicate = router.Replicate
 
-// RouterStatsResponse is the router's aggregated GET /stats payload: a
-// JSON superset of ServerStatsResponse with per-backend detail and the
-// router's own counters.
+// RouterStatsResponse is the router's aggregated GET /stats payload. It
+// embeds ServerStatsResponse, filled with the fleet's figures (totals
+// and cached summed over the backends, dataset_epoch the fleet epoch,
+// mutation_seq the highest backend's, shed the router's front-door
+// sheds), so it is a JSON superset of gcserved's reply; it adds the
+// fleet epoch, per-backend detail and the router's own counters.
 type RouterStatsResponse = router.StatsResponse
 
 // RouterCounters are the router's lifetime routing counters (routed,
